@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race verify bench bench-analytics soak soak-recover fuzz trace-demo loadtest bench-recover clean
+.PHONY: all build test race verify perf bench bench-analytics soak soak-recover fuzz trace-demo loadtest bench-recover clean
 
 all: build
 
@@ -17,6 +17,17 @@ race:
 
 verify:
 	sh scripts/verify.sh
+
+# The repo's benchmark (BENCHMARK.json, benchmark/README.md): one run of
+# `bash benchmark/run.sh` per workload, each printing its eight end-to-end
+# metrics. Pass flags through PERF_ARGS, e.g.
+# `make perf PERF_WORKLOADS=store-stream PERF_ARGS="--seed 7 --trace 1"`.
+PERF_WORKLOADS ?= engine-batch store-stream serve-mixed durable-recover
+PERF_ARGS ?=
+perf:
+	@for w in $(PERF_WORKLOADS); do \
+		bash benchmark/run.sh --workload $$w $(PERF_ARGS) || exit 1; \
+	done
 
 # Long-running randomized differential sweep (internal/check simulator)
 # against the refgraph oracle. Bound it with SOAK_TIME, e.g.

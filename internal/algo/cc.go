@@ -37,16 +37,16 @@ func CC(g engine.Graph, p int) []uint32 {
 		comp[i] = uint32(i)
 		frontier[i] = uint32(i)
 	}
-	changed := make([]bool, n)
+	// Several workers can lower the same vertex's label in one round, so
+	// the changed flags are stored atomically (a bool cannot be).
+	changed := make([]uint32, n)
 	bufs := frontierBufs(p)
 	bg := blocker(g)
 	for len(frontier) > 0 {
 		if t.active() {
 			traversed += frontierDegreeSum(g, frontier)
 		}
-		for i := range changed {
-			changed[i] = false
-		}
+		clear(changed)
 		parallel.ForChunk(len(frontier), p, func(lo, hi int) {
 			if bg != nil {
 				var cv uint32
@@ -54,7 +54,7 @@ func CC(g engine.Graph, p int) []uint32 {
 					c := cv // hoist the heap-captured label off the loop
 					for _, u := range bs {
 						if atomicMinUint32(&comp[u], c) {
-							changed[u] = true
+							atomic.StoreUint32(&changed[u], 1)
 						}
 					}
 					return true
@@ -71,7 +71,7 @@ func CC(g engine.Graph, p int) []uint32 {
 				cv := atomic.LoadUint32(&comp[v])
 				g.ForEachNeighbor(v, func(u uint32) {
 					if atomicMinUint32(&comp[u], cv) {
-						changed[u] = true
+						atomic.StoreUint32(&changed[u], 1)
 					}
 				})
 			}

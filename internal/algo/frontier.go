@@ -16,14 +16,17 @@ func frontierBufs(p int) [][]uint32 {
 }
 
 // collectFrontier rebuilds a frontier from the next-flag array: it
-// appends to dst (reset to length 0) every index whose flag is set, in
-// ascending order. The flag array is cut into one contiguous range per
-// worker, each scanned into its own buffer from bufs, and the buffers are
-// concatenated in range order — so the result is identical to the
-// sequential scan but the per-level rebuild no longer serializes
+// appends to dst (reset to length 0) every index whose flag is set
+// (non-zero), in ascending order. Flags are bool where one worker sets each
+// (BFS claims a vertex by CAS first) and uint32 where several may and so
+// must store atomically (CC). The flag array is cut into one contiguous
+// range per worker, each scanned into its own buffer from bufs, and the
+// buffers are concatenated in range order — so the result is identical to
+// the sequential scan but the per-level rebuild no longer serializes
 // high-diameter graphs (the satellite fix to BFS's `for v, ok := range
 // next` loop).
-func collectFrontier(dst []uint32, next []bool, bufs [][]uint32, p int) []uint32 {
+func collectFrontier[F bool | uint32](dst []uint32, next []F, bufs [][]uint32, p int) []uint32 {
+	var unset F
 	n := len(next)
 	dst = dst[:0]
 	k := len(bufs)
@@ -31,8 +34,8 @@ func collectFrontier(dst []uint32, next []bool, bufs [][]uint32, p int) []uint32
 		k = n / collectSeqThreshold
 	}
 	if k <= 1 || p == 1 {
-		for v, ok := range next {
-			if ok {
+		for v, f := range next {
+			if f != unset {
 				dst = append(dst, uint32(v))
 			}
 		}
@@ -42,7 +45,7 @@ func collectFrontier(dst []uint32, next []bool, bufs [][]uint32, p int) []uint32
 		lo, hi := b*n/k, (b+1)*n/k
 		buf := bufs[b][:0]
 		for v := lo; v < hi; v++ {
-			if next[v] {
+			if next[v] != unset {
 				buf = append(buf, uint32(v))
 			}
 		}

@@ -96,6 +96,9 @@ type CrashReport struct {
 	Lost *LoggedOp
 	// Recovery is what the post-crash reopen loaded and replayed.
 	Recovery wal.RecoveryStats
+	// Driven is the driven store's counters just before the kill: how many
+	// of its publishes rebuilt, how many checkpoints it got out.
+	Driven serve.Stats
 }
 
 // crashRecorder is the fault injector and durability recorder in one
@@ -251,6 +254,7 @@ func RunCrash(dir string, plan CrashPlan) (*CrashReport, error) {
 		}
 	}
 	s.Flush()
+	driven := s.Stats()
 	s.Close()
 
 	// The oracle: exactly the acked records, in LSN order.
@@ -285,7 +289,7 @@ func RunCrash(dir string, plan CrashPlan) (*CrashReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("check: recover: %w", err)
 	}
-	rep := &CrashReport{Fired: rec.fired, Acked: ackRec.acked, Lost: ackRec.lost, Recovery: s2.Recovery()}
+	rep := &CrashReport{Fired: rec.fired, Acked: ackRec.acked, Lost: ackRec.lost, Recovery: s2.Recovery(), Driven: driven}
 	if err := CompareDurable(s2, oracle); err != nil {
 		s2.Close()
 		return rep, fmt.Errorf("recovered store diverges from acked-records oracle (crash at %v): %w", plan.Point, err)

@@ -216,6 +216,14 @@ type runner struct {
 	st        *serve.Store
 	ref       *refgraph.Graph
 	lastEpoch uint64
+
+	// held is a view pinned at an earlier view op and kept across every
+	// publish since — appends to the arenas it reads, rebuilds into fresh
+	// ones, table recycling, boundary moves — with heldAdj a deep copy of
+	// what it read when pinned. A publish that wrote anywhere an older
+	// epoch can reach shows up as a difference between the two.
+	held    *serve.View
+	heldAdj [][]uint32
 }
 
 // runOps builds the configured surface, executes ops in lockstep against
@@ -233,8 +241,13 @@ func runOps(ops []op, cfg SimConfig) (err error) {
 		ref: refgraph.New(simInitVerts),
 	}
 	if cfg.Mode == ModeStore {
-		r.st = serve.New(r.g, serve.Options{MaxQueue: 4, MaxFree: 2})
+		r.st = serve.New(r.g, serve.Options{MaxQueue: 4})
 		defer r.st.Close()
+		defer func() {
+			if r.held != nil {
+				r.held.Release()
+			}
+		}()
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -248,6 +261,55 @@ func runOps(ops []op, cfg SimConfig) (err error) {
 	}
 	if err := r.verify(); err != nil {
 		return fmt.Errorf("final verify: %w", err)
+	}
+	if err := r.checkHeld(); err != nil {
+		return fmt.Errorf("final held view: %w", err)
+	}
+	return nil
+}
+
+// checkHeld compares the long-pinned view against the copy taken when it
+// was pinned; every read surface of an old epoch must be frozen.
+func (r *runner) checkHeld() error {
+	v := r.held
+	if v == nil {
+		return nil
+	}
+	if int(v.NumVertices()) != len(r.heldAdj) {
+		return fmt.Errorf("held view (epoch %d) has %d vertices, had %d when pinned", v.Epoch(), v.NumVertices(), len(r.heldAdj))
+	}
+	var m uint64
+	for u, want := range r.heldAdj {
+		got := v.Neighbors(uint32(u))
+		if len(got) != len(want) || v.Degree(uint32(u)) != uint32(len(want)) {
+			return fmt.Errorf("held view (epoch %d) vertex %d: degree %d, had %d when pinned", v.Epoch(), u, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return fmt.Errorf("held view (epoch %d) vertex %d neighbor %d: %d, was %d when pinned", v.Epoch(), u, i, got[i], want[i])
+			}
+		}
+		m += uint64(len(want))
+	}
+	if m != v.NumEdges() {
+		return fmt.Errorf("held view (epoch %d) edge count %d, degree sum %d", v.Epoch(), v.NumEdges(), m)
+	}
+	return nil
+}
+
+// rehold checks and releases the held view, then pins the current state in
+// its place.
+func (r *runner) rehold() error {
+	if err := r.checkHeld(); err != nil {
+		return err
+	}
+	if r.held != nil {
+		r.held.Release()
+	}
+	v := r.st.View()
+	r.held, r.heldAdj = v, make([][]uint32, v.NumVertices())
+	for u := range r.heldAdj {
+		r.heldAdj[u] = append([]uint32(nil), v.Neighbors(uint32(u))...)
 	}
 	return nil
 }
@@ -397,6 +459,9 @@ func (r *runner) verify() error {
 			return err
 		}
 		if err := Snapshot(v.Flatten(), r.ref); err != nil {
+			return err
+		}
+		if err := r.checkHeld(); err != nil {
 			return err
 		}
 		// Flush drained every shard queue and the test goroutine is the
@@ -554,7 +619,9 @@ func equalFloats(a, b []float64) error {
 // ModeStore pins a composed view while batches may still be in flight and
 // checks its self-consistency (well-formed CSR after Flatten, degree sums
 // matching NumEdges, sorted in-range adjacency, epoch monotonicity);
-// ModeCore takes a snapshot and checks it for CSR well-formedness.
+// ModeCore takes a snapshot and checks it for CSR well-formedness. In
+// ModeStore it also checks the view held since the previous view op
+// against what that view read when it was pinned, and re-pins.
 func (r *runner) view() error {
 	if r.cfg.Mode != ModeStore {
 		snap := r.g.Snapshot()
@@ -565,6 +632,9 @@ func (r *runner) view() error {
 			return fmt.Errorf("snapshot has %d edges, graph %d", snap.NumEdges(), r.g.NumEdges())
 		}
 		return nil
+	}
+	if err := r.rehold(); err != nil {
+		return err
 	}
 	v := r.st.View()
 	defer v.Release()

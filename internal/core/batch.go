@@ -50,6 +50,43 @@ type applyScratch struct {
 	_   [128 - 2*24]byte
 }
 
+// Scratch retention. Buffers are kept across batches so a steady stream
+// allocates nothing after its first batch, but a buffer sized by a much
+// larger earlier batch — the bulk load — is not: on a graph that then
+// takes 1000-edge batches it would pin 16 bytes per loaded edge forever.
+// Before a batch of n edges, any buffer holding more than
+// scratchTrimRatio*n entries is dropped and regrown to this batch's size,
+// unless it is within scratchKeepMin entries, which keeps streams that mix
+// batch sizes (25k and 1k, say) from reallocating at every change. No
+// batch of n edges needs more than 5n entries of any buffer (a bulk
+// rebuild is only taken when the group is a quarter of the degree), so a
+// trim never drops what the batch itself is about to fill.
+const (
+	scratchTrimRatio = 8
+	scratchKeepMin   = 1 << 15
+)
+
+// trimScratch drops the shard's scratch buffers that are oversized for a
+// batch of n edges.
+func (sh *shardState) trimScratch(n int) {
+	limit := max(scratchTrimRatio*n, scratchKeepMin)
+	ps := &sh.prep
+	ps.ks, ps.tmp, ps.order = trimmed(ps.ks, limit), trimmed(ps.tmp, limit), trimmed(ps.order, limit)
+	ps.groups = trimmed(ps.groups, limit)
+	for i := range sh.apply {
+		sc := &sh.apply[i]
+		sc.old, sc.out = trimmed(sc.old, limit), trimmed(sc.out, limit)
+	}
+}
+
+// trimmed returns s, or nil when s holds more than limit entries.
+func trimmed[T any](s []T, limit int) []T {
+	if cap(s) > limit {
+		return nil
+	}
+	return s
+}
+
 // workers returns the effective update parallelism for this graph.
 func (g *Graph) workers() int {
 	if g.cfg.Workers > 0 {
@@ -108,6 +145,7 @@ func (g *Graph) prepareBatch(sh *shardState, src, dst []uint32, p int) ([]uint64
 	}
 	shard, batch, edges := int(sh.idx), sh.traceBatch, uint64(len(src))
 	trPrep := trace.Start()
+	sh.trimScratch(len(src))
 
 	tPack := obs.StartTimer()
 	trPack := trace.Start()
@@ -429,6 +467,7 @@ func (g *Graph) insertBatchShard(sh *shardState, src, dst []uint32, p int) {
 		return
 	}
 	ks, groups := g.prepareBatch(sh, src, dst, p)
+	sh.unpub++
 	on := obs.Enabled()
 	tApply := obs.StartTimer()
 	trApply := trace.Start()
@@ -525,6 +564,7 @@ func (g *Graph) deleteBatchShard(sh *shardState, src, dst []uint32, p int) {
 		return
 	}
 	ks, groups := g.prepareBatch(sh, src, dst, p)
+	sh.unpub++
 	on := obs.Enabled()
 	tApply := obs.StartTimer()
 	trApply := trace.Start()

@@ -184,6 +184,9 @@ func (g *Graph) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEd
 		b.m.Add(^movedEdges + 1)
 		a.m.Add(movedEdges)
 	}
+	// Slots and bases shifted: neither shard's next Publish may patch its
+	// previous snapshot.
+	a.unpub, b.unpub = 2, 2
 	g.pmap.Store(next)
 	return movedVerts, movedEdges, nil
 }

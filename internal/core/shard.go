@@ -21,6 +21,17 @@ type shardState struct {
 	prep  prepScratch
 	apply []applyScratch
 
+	// unpub counts the updates applied since the last Shard.Publish: at 1,
+	// prep.groups still names exactly the vertices whose adjacency changed;
+	// above 1 (or after a boundary move) what changed is unknown and the
+	// next publish rebuilds. spare is a drained snapshot's table, kept for
+	// the next publish to overwrite instead of allocating; spareAdj is the
+	// previous arena, kept once its last snapshot has drained as the target
+	// of the next rebuild (see Shard.Recycle for why).
+	unpub    int
+	spare    []vref
+	spareAdj []uint32
+
 	// traceBatch is the flight-recorder batch ID the shard's current update
 	// is attributed to (see internal/trace). It is owned by whichever
 	// goroutine owns the shard's update pipeline — the serve shard writer
@@ -123,13 +134,48 @@ func (s Shard) DeleteBatch(src, dst []uint32) {
 	s.g.deleteBatchShard(s.sh, src, dst, s.g.shardWorkers())
 }
 
-// SnapshotInto flattens the shard into a local CSR view — offsets indexed
+// SnapshotInto flattens the shard into a local CSR view — table indexed
 // by local slot, adjacency holding global IDs — reusing snap's buffers
 // when capacity allows (see Graph.SnapshotInto for the reuse contract).
 // The call must be serialized with this shard's updates only; other
 // shards may keep updating concurrently.
 func (s Shard) SnapshotInto(snap *Snapshot) *Snapshot {
-	return s.g.snapshotShardInto(s.sh, snap, s.g.shardWorkers())
+	return s.g.snapshotShardInto(s.sh, snap, 0, s.g.shardWorkers())
+}
+
+// Publish returns the shard's current state as a new snapshot, given prev,
+// the snapshot the previous Publish of this shard returned (nil for the
+// first). Its cost follows what changed, not the shard: when exactly one
+// InsertBatch or DeleteBatch was applied since prev, only that batch's
+// source vertices are flattened, appended to the unwritten tail of prev's
+// arena, and patched into a copy of prev's table; prev and every older
+// snapshot stay valid and unchanged, because none of them reads the tail.
+// When the tail cannot hold the batch's runs — or more than one batch or a
+// boundary move happened since prev — the publish is a full rebuild
+// (SnapshotInto plus tail slack), reported as rebuilt, into another arena:
+// the previous one if Recycle has seen its last snapshot, else a fresh one.
+// So a publish is an append or a rebuild, never both, and never costs more
+// than SnapshotInto. Serialized with this shard's updates, like
+// SnapshotInto.
+func (s Shard) Publish(prev *Snapshot) (snap *Snapshot, rebuilt bool) {
+	return s.g.publishShard(s.sh, prev, s.g.shardWorkers())
+}
+
+// Recycle hands a snapshot Publish returned, and that no reader holds
+// anymore, back to the shard: its table becomes the next Publish's table,
+// and when it was the last snapshot over its arena, that arena becomes the
+// next rebuild's target. A shard therefore settles at two arenas, the one
+// being read and appended to and the one the next rebuild compacts into —
+// the price of not allocating and first-touching megabytes of fresh memory
+// inside a publish, which costs as much again as the flatten it is for.
+// snap must not be the shard's latest snapshot and must not be used
+// afterwards. Serialized with Publish.
+func (s Shard) Recycle(snap *Snapshot) {
+	s.sh.spare = snap.tab
+	if snap.ar.live--; snap.ar.live == 0 {
+		s.sh.spareAdj = snap.adj[:0]
+	}
+	*snap = Snapshot{}
 }
 
 // SubBatch is one shard's routed slice of a mixed batch; indexes align

@@ -502,6 +502,20 @@ func TestKernelEndpoints(t *testing.T) {
 		t.Fatalf("bfs: reached=%d max_depth=%d, want 4/3", bfs.Reached, bfs.MaxDepth)
 	}
 
+	// A source the graph has not grown to yet reaches nothing; it used to
+	// panic inside the kernel and drop the connection.
+	resp, err = client.Post(ts.URL+"/v1/graphs/path/kernels/bfs?src=4000000", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&bfs); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || bfs.Reached != 0 || bfs.MaxDepth != -1 {
+		t.Fatalf("bfs from beyond the vertex space: status %d reached=%d max_depth=%d, want 200/0/-1", resp.StatusCode, bfs.Reached, bfs.MaxDepth)
+	}
+
 	var cc struct {
 		Components int `json:"components"`
 		Largest    int `json:"largest"`

@@ -17,9 +17,9 @@ var (
 	obsEpochLag = obs.NewGauge("lsgraph_store_epoch_lag", "",
 		"epochs between the newest snapshot and the oldest still pinned by a reader")
 	obsReclaims = obs.NewCounter("lsgraph_store_snapshots_reclaimed_total", "",
-		"retired snapshots whose epoch drained and whose buffers were recycled")
-	obsSnapReuse = obs.NewCounter("lsgraph_store_snapshot_reuse_total", "",
-		"publishes that reused a reclaimed snapshot's buffers instead of allocating")
+		"retired snapshots whose epoch drained and whose table was recycled")
+	obsSnapRebuild = obs.NewCounter("lsgraph_store_snapshot_rebuild_total", "",
+		"publishes that rebuilt the whole shard into another arena instead of appending the batch's vertices")
 	obsVisibilityLag = obs.NewHistogram("lsgraph_store_visibility_lag_nanos", "", "ns",
 		"end-to-end enqueue-to-publish latency: how long an update waited to become reader-visible")
 	obsViewPinAge = obs.NewHistogram("lsgraph_store_view_pin_age_nanos", "", "ns",

@@ -103,8 +103,8 @@ func (s *Store) moveBoundaryLocked(k int, newStart uint32) (uint32, uint64, erro
 
 // executeRebalance performs the splice half of a boundary move. It runs on
 // the second affected writer to reach its control entry; the first is
-// parked on op.done, so both shards are quiescent: no update, snapshot, or
-// free-list access can race with the splice or the republish below.
+// parked on op.done, so both shards are quiescent: no update or publish
+// can race with the splice or the republish below.
 func (s *Store) executeRebalance(op *rebalanceOp) {
 	t := obs.StartTimer()
 	if testHookRebalanceExecute != nil {
@@ -120,6 +120,9 @@ func (s *Store) executeRebalance(op *rebalanceOp) {
 	}
 	pm := s.g.PartitionMap() // the successor map, now physical
 	wa, wb := s.ws[op.k], s.ws[op.k+1]
+	// The splice shifted slots and bases, so both publishes are full
+	// rebuilds (core.MoveBoundary marks the shards so); views pinned on the
+	// old map keep the old tables and arenas.
 	ea := wa.buildSnap()
 	eb := wb.buildSnap()
 	// Publication order matters: viewMap first, then the snapshots. A
@@ -283,19 +286,15 @@ func targetBoundaries(v *View) []uint32 {
 	exact := true
 	for k := 0; k < S-1; k++ {
 		want := total * uint64(k+1) / uint64(S)
-		// Find the shard whose mass range contains want, then binary-search
-		// its snapshot offsets for the local cut.
+		// Find the shard whose mass range contains want, then walk its
+		// snapshot's degrees to the local cut.
 		i := sort.Search(S, func(j int) bool { return cum[j+1] >= want }) // first shard reaching want
 		if i == S {
 			i = S - 1
 		}
 		e := v.es[i]
 		local := want - cum[i]
-		nv := e.snap.NumVertices()
-		lo := uint32(sort.Search(int(nv), func(j int) bool {
-			return e.snap.EdgeOffset(uint32(j)) >= local
-		}))
-		targets[k] = e.base + lo
+		targets[k] = e.base + e.snap.VertexAtEdge(local)
 		if targets[k] != v.pm.Starts[k+1] {
 			exact = false
 		}

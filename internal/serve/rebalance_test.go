@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,22 +73,56 @@ func checkStoreInvariants(st *Store) error {
 	return st.g.CheckInvariants()
 }
 
+// TestPinnedViewSurvivesRebalance pins a view, then puts every shard
+// through two arena rebuilds, a rebalance's boundary moves and further
+// appends: the view must keep reading its own epoch — including vertices
+// whose owning shard changed — from the arenas and tables it pinned, while
+// a fresh view sees everything that happened since.
 func TestPinnedViewSurvivesRebalance(t *testing.T) {
-	st := skewedStore(t, 2048, 4, 20000)
+	const nv = 2048
+	st := skewedStore(t, nv, 4, 20000)
 	defer st.Close()
+	// A few small batches first, so the pinned snapshots are fragmented
+	// ones that share their arenas with the epochs around them.
+	for i := uint32(0); i < 8; i++ {
+		st.InsertBatch([]uint32{i, nv - 1 - i}, []uint32{nv - 1 - i, i})
+		st.Flush()
+	}
 
 	v := st.View()
-	wantEpoch := v.Epoch()
-	n := v.NumVertices()
-	wantDeg := make([]uint32, n)
-	wantNbr := make(map[uint32][]uint32)
-	for u := uint32(0); u < n; u++ {
-		wantDeg[u] = v.Degree(u)
-		if wantDeg[u] > 0 {
-			wantNbr[u] = append([]uint32(nil), v.Neighbors(u)...)
+	want := make([][]uint32, v.NumVertices())
+	for u := range want {
+		want[u] = append([]uint32(nil), v.Neighbors(uint32(u))...)
+	}
+	wantEpoch, wantM := v.Epoch(), v.NumEdges()
+	check := func(when string) {
+		t.Helper()
+		if v.Epoch() != wantEpoch || v.NumEdges() != wantM {
+			t.Fatalf("%s: pinned view now epoch %d with %d edges, was %d with %d", when, v.Epoch(), v.NumEdges(), wantEpoch, wantM)
+		}
+		for u := range want {
+			if !slices.Equal(v.Neighbors(uint32(u)), want[u]) {
+				t.Fatalf("%s: pinned view Neighbors(%d) = %v, was %v", when, u, v.Neighbors(uint32(u)), want[u])
+			}
 		}
 	}
-	wantM := v.NumEdges()
+
+	// A batch naming every vertex as a source outgrows any arena's tail, so
+	// each one rebuilds every shard.
+	all := make([]uint32, nv)
+	to := make([]uint32, nv)
+	rebuilds := st.Stats().SnapshotRebuilds
+	for round := uint32(1); round <= 2; round++ {
+		for u := range all {
+			all[u], to[u] = uint32(u), (uint32(u)+round)%nv
+		}
+		st.InsertBatch(all, to)
+		st.Flush()
+		if got := st.Stats().SnapshotRebuilds - rebuilds; got != uint64(round)*uint64(st.Shards()) {
+			t.Fatalf("after %d whole-graph batches: %d rebuilds, want %d", round, got, int(round)*st.Shards())
+		}
+		check("after a rebuild of every shard")
+	}
 
 	res, err := st.Rebalance()
 	if err != nil {
@@ -96,43 +131,37 @@ func TestPinnedViewSurvivesRebalance(t *testing.T) {
 	if res.Moves == 0 {
 		t.Fatal("rebalance made no moves")
 	}
-	// Ingest more edges after the move so the live layout diverges further;
-	// destination n is a brand-new vertex, so all three edges are new.
-	st.InsertBatch([]uint32{0, 1, 2}, []uint32{n, n, n})
-	st.Flush()
+	check("after the boundary moves")
 
-	// The pinned view must still read the exact pre-rebalance state —
-	// including vertices whose owning shard changed.
-	if v.Epoch() != wantEpoch || v.NumEdges() != wantM {
-		t.Fatalf("pinned view changed: epoch %d->%d m %d->%d", wantEpoch, v.Epoch(), wantM, v.NumEdges())
+	for i := uint32(0); i < 32; i++ {
+		st.DeleteBatch([]uint32{i, i + 1}, []uint32{(i + 1) % nv, (i + 2) % nv})
+		st.Flush()
 	}
-	for u := uint32(0); u < n; u++ {
-		if d := v.Degree(u); d != wantDeg[u] {
-			t.Fatalf("pinned view Degree(%d) = %d, want %d", u, d, wantDeg[u])
-		}
-		if wantDeg[u] > 0 {
-			got := v.Neighbors(u)
-			for i, w := range wantNbr[u] {
-				if got[i] != w {
-					t.Fatalf("pinned view Neighbors(%d) diverge at %d", u, i)
-				}
-			}
-		}
-	}
+	check("after appends into the post-move arenas")
+
 	flat := v.Flatten()
 	if flat.NumEdges() != wantM {
 		t.Fatalf("pinned flatten has %d edges, want %d", flat.NumEdges(), wantM)
 	}
+	for u := range want {
+		if !slices.Equal(flat.Neighbors(uint32(u)), want[u]) {
+			t.Fatalf("pinned flatten Neighbors(%d) diverged", u)
+		}
+	}
 	v.Release()
 
-	// A fresh view sees the post-rebalance, post-ingest state.
+	// A fresh view sees the post-rebuild, post-rebalance, post-ingest state.
 	v2 := st.View()
 	defer v2.Release()
-	if v2.NumEdges() != wantM+3 {
-		t.Fatalf("fresh view has %d edges, want %d", v2.NumEdges(), wantM+3)
+	if v2.Epoch() <= wantEpoch || v2.NumEdges() == wantM {
+		t.Fatalf("fresh view at epoch %d with %d edges, pinned one was %d with %d", v2.Epoch(), v2.NumEdges(), wantEpoch, wantM)
 	}
-	if d := v2.Degree(0); d != wantDeg[0]+1 {
-		t.Fatalf("fresh view Degree(0) = %d, want %d", d, wantDeg[0]+1)
+	for u := uint32(0); u < nv; u++ {
+		for round := uint32(1); round <= 2; round++ {
+			if w := (u + round) % nv; u >= 34 && !slices.Contains(v2.Neighbors(u), w) {
+				t.Fatalf("fresh view lost edge (%d,%d) inserted after the pin", u, w)
+			}
+		}
 	}
 }
 

@@ -12,16 +12,22 @@
 // construction — a vertex lives in exactly one shard, and one goroutine
 // owns each shard. Under backpressure a queue degrades gracefully by
 // merging same-op batches instead of blocking callers. After every applied
-// batch a shard writer flattens its own shard into an immutable local
-// core.Snapshot (reusing a reclaimed snapshot's buffers when capacity
-// allows) and publishes it with one atomic pointer swap. Readers compose a
-// view by pinning every shard's current snapshot with the epoch-refcount
-// protocol — two atomic adds per shard — run any analytics kernel on the
-// composed view, and release; a retired snapshot's buffers are recycled
-// only once its epoch has drained. Aspen gets this concurrency from purely
-// functional trees and LSMGraph from per-range versioned multi-level CSRs;
-// the Store gets it from epoch-pinned CSR snapshots over the
-// locality-centric live shards.
+// batch a shard writer publishes its shard's new state as an immutable
+// local core.Snapshot with one atomic pointer swap. The publish costs what
+// the batch changed, not what the shard holds: core.Shard.Publish appends
+// the new adjacency of the batch's vertices to the unwritten tail of the
+// shard's adjacency arena and patches a copy of the previous snapshot's
+// per-vertex table; only when the tail is used up does it rebuild the
+// whole shard into another arena. Readers compose a view by pinning every
+// shard's current snapshot with the epoch-refcount protocol — two atomic
+// adds per shard — run any analytics kernel on the composed view, and
+// release; a retired snapshot's table is recycled only once its epoch has
+// drained, and an arena becomes a rebuild's target only once the last
+// snapshot over it has.
+// Aspen gets this concurrency from purely functional trees and LSMGraph
+// from per-range versioned multi-level CSRs; the Store gets it from
+// epoch-pinned snapshots that share everything a batch did not touch, over
+// the locality-centric live shards.
 //
 // Consistency model: each pinned shard snapshot is an exact prefix of that
 // shard's applied batch sequence, and enqueue order is preserved per
@@ -43,9 +49,11 @@
 // *after* the swap that retired it. If the writer's refs read missed a
 // concurrent Add, that Add is ordered after the read, hence after the
 // swap, so the reader's recheck load sees the new current snapshot, fails,
-// decrements, and retries without ever dereferencing the recycled buffers.
+// decrements, and retries without ever dereferencing the recycled table.
 // A retired snapshot can never pass the recheck because each publish
-// allocates a fresh epoch descriptor and epochs only move forward.
+// allocates a fresh epoch descriptor and epochs only move forward. An
+// append to the arena needs no such proof: it writes only past the end of
+// every published snapshot's prefix, so no reader can observe the write.
 //
 // Dynamic partitioning: vertex→shard routing is an immutable, epoch-
 // versioned core.PartitionMap rather than a fixed span. A boundary move
@@ -92,9 +100,6 @@ type Options struct {
 	// back) instead of growing the queue; callers are never blocked.
 	// Default 64.
 	MaxQueue int
-	// MaxFree bounds the pool of reclaimed snapshots each shard writer
-	// keeps for buffer reuse by the republish loop. Default 4.
-	MaxFree int
 	// AutoRebalance, when > 0, starts a background rebalancer goroutine
 	// that watches the per-shard routed-edge counters and triggers
 	// Rebalance whenever the heaviest shard's load exceeds AutoRebalance
@@ -110,9 +115,6 @@ type Options struct {
 func (o *Options) sanitize() {
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 64
-	}
-	if o.MaxFree <= 0 {
-		o.MaxFree = 4
 	}
 	if o.AutoInterval <= 0 {
 		o.AutoInterval = time.Second
@@ -148,9 +150,9 @@ type pending struct {
 }
 
 // epochSnap is one published shard snapshot with its epoch and reader
-// refcount. refs counts pinned readers; the snapshot's buffers are
-// recycled only after it has been retired (a newer epoch swapped in) and
-// refs has drained to zero. base and mapEpoch record the shard's range
+// refcount. refs counts pinned readers; the snapshot's table is recycled
+// only after it has been retired (a newer epoch swapped in) and refs has
+// drained to zero. base and mapEpoch record the shard's range
 // start and the partition-map epoch it was published under: readers
 // compare mapEpoch against their captured map's RangeEpoch to reject
 // mixed map/snapshot states during a boundary move (see rebalance.go).
@@ -190,16 +192,14 @@ type shardWriter struct {
 
 	cur atomic.Pointer[epochSnap]
 
-	// Writer-goroutine-owned: snapshots retired but not yet drained, and
-	// drained snapshots retained for buffer reuse.
+	// Writer-goroutine-owned: snapshots retired but not yet drained.
 	retired []*epochSnap
-	free    []*core.Snapshot
 
 	// appliedLSN is the highest WAL LSN among batches this writer has
 	// applied. Written by the writer goroutine before each publish and read
-	// by buildSnap — writer-owned like retired/free (the rebalance executor
+	// by buildSnap — writer-owned like retired (the rebalance executor
 	// reads it only while both affected writers are parked, the same
-	// happens-before argument that makes touching free safe there).
+	// happens-before argument that makes publishing the shard safe there).
 	appliedLSN uint64
 }
 
@@ -271,7 +271,7 @@ type Store struct {
 		coalescedBatches   atomic.Uint64
 		snapshotsPublished atomic.Uint64
 		snapshotsReclaimed atomic.Uint64
-		snapshotReuses     atomic.Uint64
+		snapshotRebuilds   atomic.Uint64
 	}
 }
 
@@ -673,9 +673,8 @@ func (w *shardWriter) run() {
 	}
 }
 
-// publish flattens the writer's shard into a local snapshot (reusing a
-// drained snapshot's buffers when available), swaps it in as the shard's
-// new epoch, and retires the previous one. batch is the flight-recorder
+// publish builds the shard's next snapshot, swaps it in as the shard's new
+// epoch, and retires the previous one. batch is the flight-recorder
 // attribution of the update that triggered the republish (0 from New).
 // Writer goroutine only (and New, before the writer starts).
 func (w *shardWriter) publish(batch uint64) {
@@ -691,29 +690,28 @@ func (w *shardWriter) publish(batch uint64) {
 	trace.Span(trace.PhasePublish, w.idx, batch, e.epoch, e.snap.NumEdges(), tr)
 }
 
-// buildSnap flattens the writer's shard into a fresh epochSnap (reusing a
-// drained snapshot's buffers when available) without swapping it in,
-// recording the shard's current base and the partition-map epoch the
-// snapshot is consistent with. Writer goroutine only — or the rebalance
-// executor, while both affected writers are parked at their control
-// entries (which is what makes touching w.free/w.cur safe from there).
+// buildSnap derives the shard's next epochSnap from the current one
+// (core.Shard.Publish: an append to the shared arena after one batch, a
+// full rebuild for the first publish, after a boundary move, or when the
+// arena's tail is used up) without swapping it in, recording the shard's
+// current base and the partition-map epoch the snapshot is consistent
+// with. Writer goroutine only — or the rebalance executor, while both
+// affected writers are parked at their control entries.
 func (w *shardWriter) buildSnap() *epochSnap {
-	var reuse *core.Snapshot
-	if n := len(w.free); n > 0 {
-		reuse = w.free[n-1]
-		w.free[n-1] = nil
-		w.free = w.free[:n-1]
-		w.s.stats.snapshotReuses.Add(1)
-		if obs.Enabled() {
-			obsSnapReuse.Inc()
-		}
-	}
+	var prev *core.Snapshot
 	var next uint64
 	if old := w.cur.Load(); old != nil {
-		next = old.epoch + 1
+		prev, next = old.snap, old.epoch+1
+	}
+	snap, rebuilt := w.shard.Publish(prev)
+	if rebuilt {
+		w.s.stats.snapshotRebuilds.Add(1)
+		if obs.Enabled() {
+			obsSnapRebuild.Inc()
+		}
 	}
 	return &epochSnap{
-		snap:     w.shard.SnapshotInto(reuse),
+		snap:     snap,
 		epoch:    next,
 		base:     w.shard.Base(),
 		mapEpoch: w.s.g.PartitionMap().Epoch,
@@ -723,16 +721,15 @@ func (w *shardWriter) buildSnap() *epochSnap {
 
 // reclaim recycles retired snapshots whose epoch has drained (refcount
 // zero observed after retirement; see the package comment for why that
-// observation is safe). Writer goroutine only.
+// observation is safe): the shard keeps the newest drained table for its
+// next publish, the rest go to the GC. Writer goroutine only.
 func (w *shardWriter) reclaim() {
 	tr := trace.Start()
 	freed := 0
 	kept := w.retired[:0]
 	for _, e := range w.retired {
 		if e.refs.Load() == 0 {
-			if len(w.free) < w.s.opt.MaxFree {
-				w.free = append(w.free, e.snap)
-			}
+			w.shard.Recycle(e.snap)
 			e.snap = nil
 			freed++
 			w.s.stats.snapshotsReclaimed.Add(1)
@@ -783,7 +780,7 @@ func (w *shardWriter) release(e *epochSnap) { e.refs.Add(-1) }
 // ForEachNeighbor, ForEachNeighborUntil) and every analytics kernel
 // written against engine.Graph works on it directly, concurrently with
 // ongoing ingestion. Call Release when done; an unreleased View pins its
-// snapshots' buffers for the life of the Store.
+// snapshots' tables and arenas for the life of the Store.
 type View struct {
 	s     *Store
 	pm    *core.PartitionMap
@@ -939,7 +936,7 @@ func (v *View) Flatten() *core.Snapshot {
 }
 
 // Release unpins the view. The view's read methods must not be used
-// afterwards (its buffers may be recycled into a future snapshot).
+// afterwards (its tables may be recycled into a future snapshot).
 // Releasing twice is a no-op. Release is not safe to call concurrently
 // with the view's own readers; callers sharing a View across goroutines
 // must release after those goroutines finish.
@@ -1101,11 +1098,13 @@ type Stats struct {
 	// shard's epoch 0).
 	SnapshotsPublished uint64
 	// SnapshotsReclaimed counts retired snapshots whose epoch drained and
-	// whose buffers were recycled or dropped.
+	// whose table was recycled or dropped.
 	SnapshotsReclaimed uint64
-	// SnapshotReuses counts publishes that reused a reclaimed snapshot's
-	// buffers instead of allocating.
-	SnapshotReuses uint64
+	// SnapshotRebuilds counts publishes that rebuilt the whole shard into
+	// another arena (each shard's first, those after a boundary move, and
+	// those that found the arena's tail used up); every other publish
+	// appended only its batch's vertices.
+	SnapshotRebuilds uint64
 	// Rebalances counts completed Rebalance calls that performed at least
 	// one boundary move.
 	Rebalances uint64
@@ -1144,7 +1143,7 @@ func (s *Store) Stats() Stats {
 		CoalescedBatches:   s.stats.coalescedBatches.Load(),
 		SnapshotsPublished: s.stats.snapshotsPublished.Load(),
 		SnapshotsReclaimed: s.stats.snapshotsReclaimed.Load(),
-		SnapshotReuses:     s.stats.snapshotReuses.Load(),
+		SnapshotRebuilds:   s.stats.snapshotRebuilds.Load(),
 		Rebalances:         s.rebStats.rebalances.Load(),
 		BoundaryMoves:      s.rebStats.boundaryMoves.Load(),
 		MovedVertices:      s.rebStats.movedVertices.Load(),

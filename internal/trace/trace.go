@@ -145,10 +145,14 @@ func SetMode(m Mode, n int) {
 		n = 1
 	}
 	sampleN.Store(uint64(n))
-	if m != Off {
-		ensureRings(1)
-	}
+	// Mode first, rings second: an EnsureShards racing with this either sees
+	// the mode on and allocates its rings itself, or has already raised
+	// wantRings for the ensureRings below. A recorder that gets in between
+	// finds no rings and falls back through ringFor.
 	mode.Store(int32(m))
+	if m != Off {
+		ensureRings(int(wantRings.Load()))
+	}
 }
 
 // CurrentMode returns the active tracing policy.
@@ -297,12 +301,29 @@ var (
 	// rings[0] is the engine-level ring; shard s records into rings[s+1].
 	// The slice is swapped atomically so recording never takes ringsMu.
 	rings atomic.Pointer[[]*ring]
+	// wantRings is the ring count the engines have asked for. Rings cost
+	// 1 MiB each, so they are allocated when tracing is first enabled, not
+	// when an engine is constructed: a process that never traces pays
+	// nothing.
+	wantRings atomic.Int32
 )
 
-// EnsureShards makes sure per-shard rings exist for shard indexes [0, n).
-// The engines call it at construction; recording with a shard index beyond
-// the configured count falls back to the engine-level ring.
-func EnsureShards(n int) { ensureRings(n + 1) }
+// EnsureShards asks for per-shard rings for shard indexes [0, n). The
+// engines call it at construction. The rings are allocated at once when
+// tracing is on, otherwise by the SetMode that turns it on; recording with
+// a shard index beyond the allocated count falls back to the engine-level
+// ring.
+func EnsureShards(n int) {
+	for {
+		cur := wantRings.Load()
+		if int32(n+1) <= cur || wantRings.CompareAndSwap(cur, int32(n+1)) {
+			break
+		}
+	}
+	if Enabled() {
+		ensureRings(n + 1)
+	}
+}
 
 func ensureRings(n int) {
 	if n < 1 {
@@ -334,7 +355,7 @@ func ensureRings(n int) {
 func ringFor(shard int) *ring {
 	rs := rings.Load()
 	if rs == nil {
-		ensureRings(1)
+		ensureRings(int(wantRings.Load()))
 		rs = rings.Load()
 	}
 	i := shard + 1
