@@ -5,7 +5,7 @@
 //
 //	lsbench                         # run every experiment at default scale
 //	lsbench -exp fig12,table3       # run selected experiments
-//	lsbench -exp prepare            # prepare-pipeline phase breakdown vs workers
+//	lsbench -exp prepare            # batch-pipeline phase breakdown vs workers
 //	lsbench -exp mixed              # concurrent ingest + analytics on a Store
 //	lsbench -exp sharded            # ingest scaling across shard writer pipelines
 //	lsbench -exp recover            # WAL ingest overhead + recovery speed

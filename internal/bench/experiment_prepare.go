@@ -9,37 +9,47 @@ import (
 	"lsgraph/internal/obs"
 )
 
-// batchPhases are the prepare/apply stages the core engine times per batch
-// (lsgraph_batch_phase_nanos); the first three are the prepare pipeline.
-var batchPhases = []string{"pack", "sort", "group", "apply"}
+// batchPhases are the stages the core engine times per batch
+// (lsgraph_batch_phase_nanos): wall-clock, back to back, so they sum to the
+// batch.
+var batchPhases = []string{"pack", "partition", "apply"}
 
-// phaseSums reads the per-phase nanosecond totals out of the obs registry
-// snapshot.
+// rangeSortKey is the histogram of the per-range sort time inside apply, the
+// slowest worker's accumulated share per batch.
+const rangeSortKey = "lsgraph_batch_range_sort_nanos"
+
+// phaseSums reads the per-phase nanosecond totals, and the range-sort share
+// under "sort", out of the obs registry snapshot.
 func phaseSums() map[string]uint64 {
 	snap := obs.Default.Snapshot()
-	out := make(map[string]uint64, len(batchPhases))
-	for _, ph := range batchPhases {
-		key := fmt.Sprintf("lsgraph_batch_phase_nanos{phase=%q}", ph)
+	out := make(map[string]uint64, len(batchPhases)+1)
+	sum := func(name, key string) {
 		if h, ok := snap[key].(map[string]any); ok {
 			if s, ok := h["sum"].(uint64); ok {
-				out[ph] = s
+				out[name] = s
 			}
 		}
 	}
+	for _, ph := range batchPhases {
+		sum(ph, fmt.Sprintf("lsgraph_batch_phase_nanos{phase=%q}", ph))
+	}
+	sum("sort", rangeSortKey)
 	return out
 }
 
-// Prepare profiles the parallelized batch-update prepare pipeline: insert
-// throughput on the OR stand-in across a worker sweep, with the per-phase
-// breakdown (pack, sort, dedup/group, apply) read back from the engine's
-// own obs instrumentation rather than external timers. prep-speedup is the
-// prepare pipeline's (pack+sort+group) improvement over the same run at one
-// worker — the scaling the skew-aware scheduler and parallel radix sort
-// exist to deliver.
+// Prepare profiles the batch-update pipeline: insert throughput on the OR
+// stand-in across a worker sweep, with the per-phase breakdown (pack,
+// partition, apply) read back from the engine's own obs instrumentation
+// rather than external timers. Pack and partition are the two passes over
+// the whole batch; everything else — per-range sort, dedup, group discovery
+// and the structure updates — happens inside apply on ranges a worker keeps
+// in cache, and "sort" is the part of apply the slowest worker spent
+// sorting. speedup is the whole pipeline's improvement over the same run at
+// one worker, where the batch is a single range.
 func Prepare(s Scale, w io.Writer) {
-	t := NewTable("Prepare pipeline: insert phases (ns/edge) vs workers on OR",
-		"Parallel prepare: pack+sort+group should shrink as workers grow; apply is the §5 group-parallel phase.",
-		"workers", "insert-throughput", "pack", "sort", "group", "apply", "prep-speedup")
+	t := NewTable("Batch pipeline: insert phases (ns/edge) vs workers on OR",
+		"Range-partitioned apply: every phase should shrink as workers grow; sort is a share of apply, not an extra phase.",
+		"workers", "insert-throughput", "pack", "partition", "apply", "sort", "speedup")
 	or, _ := MakeDataset("OR-sim", s)
 	b := paperBatch(or, s)
 
@@ -47,7 +57,7 @@ func Prepare(s Scale, w io.Writer) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(wasEnabled)
 
-	var basePrep float64 // ns/edge of the prepare phases at workers=1
+	var baseAll float64 // ns/edge of the three phases at workers=1
 	for _, workers := range workerSweep() {
 		g := core.New(or.N, core.Config{Workers: workers})
 		src, dst := Split(or.Edges)
@@ -62,7 +72,7 @@ func Prepare(s Scale, w io.Writer) {
 			g.InsertBatch(bs, bd)
 			total += time.Since(t0)
 			after := phaseSums()
-			for _, ph := range batchPhases {
+			for ph := range after {
 				phases[ph] += after[ph] - before[ph]
 			}
 			g.DeleteBatch(bs, bd) // restore, outside the snapshot window
@@ -70,16 +80,16 @@ func Prepare(s Scale, w io.Writer) {
 
 		edges := float64(b * s.Trials)
 		perEdge := func(ph string) float64 { return float64(phases[ph]) / edges }
-		prep := perEdge("pack") + perEdge("sort") + perEdge("group")
-		if basePrep == 0 {
-			basePrep = prep
+		all := perEdge("pack") + perEdge("partition") + perEdge("apply")
+		if baseAll == 0 {
+			baseAll = all
 		}
 		speedup := 0.0
-		if prep > 0 {
-			speedup = basePrep / prep
+		if all > 0 {
+			speedup = baseAll / all
 		}
 		t.Row(workers, throughput(b, total/time.Duration(s.Trials)),
-			perEdge("pack"), perEdge("sort"), perEdge("group"), perEdge("apply"),
+			perEdge("pack"), perEdge("partition"), perEdge("apply"), perEdge("sort"),
 			speedup)
 	}
 	t.WriteTo(w)

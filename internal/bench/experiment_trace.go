@@ -15,8 +15,8 @@ import (
 // full batch path, snapshot management, and the reader-side spans.
 var tracePhases = []trace.Phase{
 	trace.PhaseEnqueue, trace.PhaseCoalesce, trace.PhaseScatter,
-	trace.PhasePrepare, trace.PhasePack, trace.PhaseSort, trace.PhaseGroup,
-	trace.PhaseApply, trace.PhasePublish, trace.PhaseReclaim,
+	trace.PhasePack, trace.PhasePartition, trace.PhaseApply,
+	trace.PhasePublish, trace.PhaseReclaim,
 	trace.PhaseKernel, trace.PhaseViewPin,
 }
 

@@ -3,57 +3,86 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	rtrace "runtime/trace"
 	"sync/atomic"
+	"time"
 
 	"lsgraph/internal/obs"
 	"lsgraph/internal/parallel"
 	"lsgraph/internal/trace"
 )
 
-// group is the contiguous run of one source vertex's updates inside the
-// sorted, deduplicated batch. prepareBatch emits exactly one group per
-// source vertex, which is what lets the apply phase hand each vertex to
-// exactly one worker (§5's lock-free invariant).
-type group struct {
-	v      uint32
-	lo, hi int
-}
-
-// parPrepMin is the smallest batch the prepare pipeline parallelizes;
-// below it one worker owns the whole batch, since fork-join overhead would
-// exceed the scan being split.
+// parPrepMin is the smallest batch the pipeline partitions across workers;
+// below it one worker owns the whole batch as a single range, since
+// fork-join overhead would exceed the passes being split.
 const parPrepMin = 1 << 12
 
-// prepScratch holds the prepare pipeline's reusable buffers. Updates never
-// run concurrently within one shard (the per-shard concurrency contract),
-// so one arena per shard makes steady-state batches allocation-free: after
-// the first batch of a given size, pack, dedup, group discovery, and the
-// apply schedule all run in retained memory.
-type prepScratch struct {
-	ks     []uint64 // packed (src,dst) keys
-	tmp    []uint64 // parallel-dedup scatter target; swapped with ks per batch
-	groups []group  // per-vertex groups
-	order  []uint64 // apply schedule keys, size<<32 | group index
-	cuts   []int    // p+1 source-aligned range bounds
-	kept   []int    // per-range deduped key count -> prefix offsets
-	gcnt   []int    // per-range group count -> prefix offsets
+const (
+	// rangeKeys is the range length one partition pass aims for: short
+	// enough that a range's keys and the vertices they touch stay in the
+	// claiming worker's cache from sort to apply, long enough to amortize
+	// the claim and to sort by radix. Measured on 25k- and 250k-edge rMat
+	// batches at two workers: 128 keys 63 and 46 ns/edge, 256 57 and 38,
+	// 512 54 and 35.5, 1024 56 and 38 (EXPERIMENTS.md).
+	rangeKeys = 512
+	// maxRangeBits caps one pass's fan-out at 2^11 ranges so the per-worker
+	// histograms stay L1-resident (2048 ints = 16 KiB); a bulk load's
+	// ranges are longer instead.
+	maxRangeBits = 11
+	// heavyDiv sets the longest range that is left whole: 1/heavyDiv of
+	// one worker's even share of the batch. Longer ranges are split again
+	// on their next source bits, so what a worker can claim last bounds the
+	// apply phase's imbalance to that fraction.
+	heavyDiv = 8
+)
+
+// keyRange is a source-aligned span of the batch's keys: every key of the
+// sources it covers and no other, so a vertex's updates never straddle two
+// ranges and the worker that claims a range owns its vertices (§5's
+// lock-free one-vertex-one-worker invariant, by construction).
+type keyRange struct {
+	lo, hi int   // span in the key buffers
+	ng     int   // source vertices found in it, set by the applying worker
+	top    uint8 // source bits from here up are equal across the range
+	alt    bool  // the keys live in prepScratch.tmp, not ks
 }
 
-// applyScratch is one worker's reusable buffers for the bulk
-// merge-and-rebuild paths. The padding keeps adjacent workers' slice
-// headers on separate cache lines, since workers store grown slices back
-// concurrently.
+// prepScratch holds the pipeline's reusable buffers. Updates never run
+// concurrently within one shard (the per-shard concurrency contract), so
+// one arena per shard makes steady-state batches allocate no scratch: after
+// the first batch of a given size every pass runs in retained memory.
+type prepScratch struct {
+	// ks holds the packed (src,dst) keys; partition passes scatter between
+	// ks and tmp, and a range is sorted in the one it ended up in with its
+	// span of the other as swap space.
+	ks, tmp []uint64
+	// groups lists the last batch's source vertices once each, ascending:
+	// the vertices Shard.Publish re-flattens. During apply each range writes
+	// at its own key offset; the gaps are closed once at the end.
+	groups []uint32
+	ranges []keyRange // ascending by source
+	heavy  []uint32   // indexes of ranges over the split limit, claimed first
+	hist   [][]int    // per-worker range histograms, one per split depth
+}
+
+// applyScratch is one worker's private state for a batch: the buffers of
+// the bulk merge-and-rebuild paths and its accumulators. The padding keeps
+// adjacent workers' fields on separate cache lines, since workers store
+// them concurrently.
 type applyScratch struct {
-	old []uint32 // current neighbor set of the vertex being rebuilt
-	out []uint32 // merged (insert) or kept (delete) neighbor set
-	_   [128 - 2*24]byte
+	old     []uint32 // current neighbor set of the vertex being rebuilt
+	out     []uint32 // merged (insert) or kept (delete) neighbor set
+	or, and uint64   // bit reduction over the keys this worker packed
+	changed uint64   // edges added or removed by this worker
+	sortNs  int64    // time in per-range sorts, kept while obs is enabled
+	_       [128 - 2*24 - 4*8]byte
 }
 
 // Scratch retention. Buffers are kept across batches so a steady stream
 // allocates nothing after its first batch, but a buffer sized by a much
 // larger earlier batch — the bulk load — is not: on a graph that then
-// takes 1000-edge batches it would pin 16 bytes per loaded edge forever.
+// takes 1000-edge batches it would pin 20 bytes per loaded edge forever.
 // Before a batch of n edges, any buffer holding more than
 // scratchTrimRatio*n entries is dropped and regrown to this batch's size,
 // unless it is within scratchKeepMin entries, which keeps streams that mix
@@ -71,8 +100,11 @@ const (
 func (sh *shardState) trimScratch(n int) {
 	limit := max(scratchTrimRatio*n, scratchKeepMin)
 	ps := &sh.prep
-	ps.ks, ps.tmp, ps.order = trimmed(ps.ks, limit), trimmed(ps.tmp, limit), trimmed(ps.order, limit)
-	ps.groups = trimmed(ps.groups, limit)
+	ps.ks, ps.tmp = trimmed(ps.ks, limit), trimmed(ps.tmp, limit)
+	ps.groups, ps.ranges, ps.heavy = trimmed(ps.groups, limit), trimmed(ps.ranges, limit), trimmed(ps.heavy, limit)
+	for i := range ps.hist {
+		ps.hist[i] = trimmed(ps.hist[i], limit)
+	}
 	for i := range sh.apply {
 		sc := &sh.apply[i]
 		sc.old, sc.out = trimmed(sc.old, limit), trimmed(sc.out, limit)
@@ -87,6 +119,14 @@ func trimmed[T any](s []T, limit int) []T {
 	return s
 }
 
+// grown returns s with length n, reallocated only when it cannot hold n.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // workers returns the effective update parallelism for this graph.
 func (g *Graph) workers() int {
 	if g.cfg.Workers > 0 {
@@ -95,16 +135,8 @@ func (g *Graph) workers() int {
 	return parallel.Procs
 }
 
-// ensureApplyScratch sizes the shard's per-worker arenas for an apply
-// phase with p workers.
-func (sh *shardState) ensureApplyScratch(p int) {
-	if len(sh.apply) < p {
-		sh.apply = make([]applyScratch, p)
-	}
-}
-
 // validateBatch panics with a clear message when src and dst disagree in
-// length, instead of an index-out-of-range deep inside prepareBatch.
+// length, instead of an index-out-of-range deep inside the pipeline.
 func validateBatch(op string, src, dst []uint32) {
 	if len(src) != len(dst) {
 		panic(fmt.Sprintf("core: %s: src/dst length mismatch (%d vs %d); every edge needs both endpoints",
@@ -112,255 +144,213 @@ func validateBatch(op string, src, dst []uint32) {
 	}
 }
 
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
+// groupFunc applies one source vertex's sorted, duplicate-free keys to its
+// block vb as worker w of shard sh and returns the number of edges changed.
+type groupFunc func(g *Graph, sh *shardState, w int, vb *vertex, ks []uint64) uint64
 
-func growInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+// applyBatch is the update pipeline of §5 "Batch Updates" for one shard's
+// batch: pack the edges into (src<<32)|dst keys, partition the keys by
+// source range, and let each worker take whole ranges through sort, dedup,
+// group discovery and apply, so a range's keys and vertices stay in one
+// cache and sh.verts is walked in ascending order. It returns the summed
+// results of apply and leaves the touched vertices in sh.prep.groups. With
+// one worker, or a batch under parPrepMin, the same code runs with the
+// whole batch as the only range. Callers must own the shard exclusively.
+func (g *Graph) applyBatch(sh *shardState, src, dst []uint32, p int, apply groupFunc) (changed uint64) {
+	n := len(src)
+	if p = min(p, n/1024); p < 1 || n < parPrepMin {
+		p = 1
 	}
-	return s[:n]
-}
-
-func growGroups(s []group, n int) []group {
-	if cap(s) < n {
-		return make([]group, n)
-	}
-	return s[:n]
-}
-
-// prepareBatch packs, sorts, deduplicates, and groups a batch by source
-// vertex (§5 "Batch Updates") inside one shard's scratch arena. All three
-// phases run in parallel for large batches: packing is a chunked
-// parallel-for, the sort is the parallel MSD radix of internal/parallel,
-// and dedup + group discovery split the sorted keys into source-aligned
-// ranges so groups never straddle two workers.
-func (g *Graph) prepareBatch(sh *shardState, src, dst []uint32, p int) ([]uint64, []group) {
-	if obs.Enabled() {
+	on := obs.Enabled()
+	if on {
 		obsPrepWorkers.Set(int64(p))
 	}
-	shard, batch, edges := int(sh.idx), sh.traceBatch, uint64(len(src))
-	trPrep := trace.Start()
-	sh.trimScratch(len(src))
+	shard, batch, edges := int(sh.idx), sh.traceBatch, uint64(n)
+	sh.trimScratch(n)
+	if len(sh.apply) < p {
+		sh.apply = make([]applyScratch, p)
+	}
+	ps := &sh.prep
 
-	tPack := obs.StartTimer()
-	trPack := trace.Start()
-	ks := g.packKeys(sh, src, dst, p)
+	tPack, trPack := obs.StartTimer(), trace.Start()
+	varying := g.packKeys(sh, src, dst, p) // panics on an out-of-range edge
+	sh.unpub++
 	obsPhasePack.ObserveSince(tPack)
 	trace.Span(trace.PhasePack, shard, batch, 0, edges, trPack)
 
-	tSort := obs.StartTimer()
-	trSort := trace.Start()
-	parallel.SortUint64(ks, p)
-	obsPhaseSort.ObserveSince(tSort)
-	trace.Span(trace.PhaseSort, shard, batch, 0, edges, trSort)
+	// Ranges come from the source bits that vary in this batch, so updates
+	// clustered in a narrow ID window (an append-mostly stream's newest
+	// vertices) still spread over every worker.
+	tPart, trPart := obs.StartTimer(), trace.Start()
+	ps.tmp = grown(ps.tmp, n)
+	ps.ranges, ps.heavy = ps.ranges[:0], ps.heavy[:0]
+	limit := splitLimit(n, p)
+	ps.split(ps.ks, ps.tmp, 0, n, bits.Len64(varying>>32), 0, p, limit)
+	obsPhasePartition.ObserveSince(tPart)
+	trace.Span(trace.PhasePartition, shard, batch, 0, edges, trPart)
 
-	tGroup := obs.StartTimer()
-	trGroup := trace.Start()
-	keys, groups := dedupGroup(sh, ks, p)
-	obsPhaseGroup.ObserveSince(tGroup)
-	trace.Span(trace.PhaseGroup, shard, batch, 0, edges, trGroup)
+	// Workers claim ranges from one counter: the heavy ones first, so a hub
+	// starts at once and the rest back-fills around it, then all others in
+	// vertex order.
+	tApply, trApply := obs.StartTimer(), trace.Start()
+	ps.groups = grown(ps.groups, n)
+	nh, nr := len(ps.heavy), len(ps.ranges)
+	var next atomic.Int64
+	parallel.Workers(p, func(w int) {
+		sc := &sh.apply[w]
+		sc.changed, sc.sortNs = 0, 0
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= nh+nr {
+				return
+			}
+			ri := i - nh
+			if i < nh {
+				ri = int(ps.heavy[i])
+			} else if r := &ps.ranges[ri]; r.hi-r.lo > limit {
+				continue // claimed in the heavy round
+			}
+			g.applyRange(sh, w, &ps.ranges[ri], varying, apply, on)
+		}
+	})
+	ng, sortNs := 0, int64(0)
+	for i := range ps.ranges {
+		r := &ps.ranges[i]
+		ng += copy(ps.groups[ng:], ps.groups[r.lo:r.lo+r.ng])
+	}
+	ps.groups = ps.groups[:ng]
+	for w := range sh.apply[:p] {
+		changed += sh.apply[w].changed
+		sortNs = max(sortNs, sh.apply[w].sortNs)
+	}
+	if on {
+		obsRangeSort.Observe(uint64(sortNs))
+	}
+	obsPhaseApply.ObserveSince(tApply)
+	trace.Span(trace.PhaseApply, shard, batch, 0, edges, trApply)
+	return changed
+}
 
-	trace.Span(trace.PhasePrepare, shard, batch, 0, edges, trPrep)
-	return keys, groups
+// splitLimit returns the longest range a batch of n keys at p workers
+// leaves whole. One worker takes the whole batch as its only range.
+func splitLimit(n, p int) int {
+	if p <= 1 {
+		return n
+	}
+	return max(n/(heavyDiv*p), rangeKeys)
 }
 
 // packKeys validates every endpoint against the logical vertex bound and
-// packs src/dst into sortable (src<<32)|dst keys, in parallel for large
-// batches. An out-of-range edge is recorded by the worker that finds it
-// and re-raised as a panic on the caller's goroutine, because a panic
-// inside a worker goroutine could not be recovered by the caller.
-func (g *Graph) packKeys(sh *shardState, src, dst []uint32, p int) []uint64 {
+// packs src/dst into sortable (src<<32)|dst keys, p workers on static
+// spans. It returns the bits in which two keys of the batch differ. An
+// out-of-range edge is recorded by the worker that finds it and re-raised
+// as a panic on the caller's goroutine, because a panic inside a worker
+// goroutine could not be recovered by the caller.
+func (g *Graph) packKeys(sh *shardState, src, dst []uint32, p int) (varying uint64) {
 	n := g.n.Load()
-	sh.prep.ks = growU64(sh.prep.ks, len(src))
+	sh.prep.ks = grown(sh.prep.ks, len(src))
 	ks := sh.prep.ks
 	var bad atomic.Int64 // 1-based index of an out-of-range edge
-	parallel.ForChunkW(len(src), p, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
+	parallel.Workers(p, func(w int) {
+		or, and := uint64(0), ^uint64(0)
+		for i, hi := w*len(src)/p, (w+1)*len(src)/p; i < hi; i++ {
 			s, d := src[i], dst[i]
 			if s >= n || d >= n {
 				bad.CompareAndSwap(0, int64(i)+1)
 				return
 			}
-			ks[i] = uint64(s)<<32 | uint64(d)
+			k := uint64(s)<<32 | uint64(d)
+			ks[i] = k
+			or |= k
+			and &= k
 		}
+		sh.apply[w].or, sh.apply[w].and = or, and
 	})
 	if i := bad.Load(); i != 0 {
 		panic(fmt.Sprintf("core: edge (%d,%d) outside vertex space [0,%d); grow with EnsureVertices",
 			src[i-1], dst[i-1], n))
 	}
-	return ks
+	or, and := uint64(0), ^uint64(0)
+	for w := range sh.apply[:p] {
+		or |= sh.apply[w].or
+		and &= sh.apply[w].and
+	}
+	return or ^ and
 }
 
-// dedupGroup removes duplicate keys from the sorted ks and discovers the
-// per-source-vertex groups. Small batches dedup in place on one worker.
-// Large batches split into p ranges whose bounds are advanced to
-// source-vertex boundaries — duplicates are equal keys and therefore share
-// a source, so neither a duplicate run nor a group can straddle two ranges.
-// One parallel pass counts each range's survivors and groups, a p-length
-// prefix sum places them, and a second parallel pass writes keys (into tmp,
-// never into another range's unread input) and groups at their final
-// offsets.
-func dedupGroup(sh *shardState, ks []uint64, p int) ([]uint64, []group) {
-	n := len(ks)
-	if n == 0 {
-		return ks, sh.prep.groups[:0]
+// split appends the ranges of from[lo:hi] to ps.ranges in ascending source
+// order. The span's keys agree on every source bit from bit top up; one
+// count and one scatter pass (parallel.ScatterByDigit, stable) move them
+// into to[lo:hi] grouped by their next source bits, about rangeKeys to a
+// range. A range still longer
+// than limit is split again on the bits below, down to single vertices; a
+// range over limit that has no bits left is one vertex's group, indivisible,
+// and is listed in ps.heavy. depth counts the passes above this one.
+func (ps *prepScratch) split(from, to []uint64, lo, hi, top, depth, p, limit int) {
+	m := hi - lo
+	rb := min(top, maxRangeBits, bits.Len(uint((m-1)/rangeKeys)))
+	if rb == 0 || m <= limit {
+		if m > limit {
+			ps.heavy = append(ps.heavy, uint32(len(ps.ranges)))
+		}
+		ps.ranges = append(ps.ranges, keyRange{lo: lo, hi: hi, top: uint8(top), alt: depth&1 == 1})
+		return
 	}
-	if maxP := n / 1024; p > maxP {
-		p = maxP
+	R, shift := 1<<rb, uint(32+top-rb)
+	pw := p
+	if m < parPrepMin {
+		pw = 1
 	}
-	if p <= 1 || n < parPrepMin {
-		return dedupGroupSeq(sh, ks)
+	for len(ps.hist) <= depth {
+		ps.hist = append(ps.hist, nil)
 	}
-
-	// Source-aligned range bounds. cuts is monotonic: a cut lands at the
-	// next source boundary at or after w*n/p, never before the previous cut.
-	cuts := growInt(sh.prep.cuts, p+1)
-	cuts[0], cuts[p] = 0, n
-	for w := 1; w < p; w++ {
-		c := w * n / p
-		if c < cuts[w-1] {
-			c = cuts[w-1]
+	hist := grown(ps.hist[depth], pw*R)
+	ps.hist[depth] = hist
+	parallel.ScatterByDigit(from[lo:hi], to[lo:hi], shift, R, pw, hist)
+	start := lo
+	for _, end := range hist[(pw-1)*R:] { // the ranges' ends, relative to lo
+		if end += lo; end > start {
+			ps.split(to, from, start, end, top-rb, depth+1, p, limit)
 		}
-		for c > 0 && c < n && ks[c]>>32 == ks[c-1]>>32 {
-			c++
-		}
-		cuts[w] = c
+		start = end
 	}
-
-	// Pass 1: count survivors and groups per range.
-	kept := growInt(sh.prep.kept, p)
-	gcnt := growInt(sh.prep.gcnt, p)
-	parallel.ForBlockedW(p, p, func(_, r int) {
-		lo, hi := cuts[r], cuts[r+1]
-		nk, ng := 0, 0
-		var prev uint64
-		for i := lo; i < hi; i++ {
-			k := ks[i]
-			if i > lo && k == prev {
-				continue
-			}
-			if i == lo || k>>32 != prev>>32 {
-				ng++
-			}
-			prev = k
-			nk++
-		}
-		kept[r], gcnt[r] = nk, ng
-	})
-
-	// Exclusive prefix sums place each range's output.
-	totalK, totalG := 0, 0
-	for r := 0; r < p; r++ {
-		kept[r], totalK = totalK, totalK+kept[r]
-		gcnt[r], totalG = totalG, totalG+gcnt[r]
-	}
-
-	// Pass 2: write deduped keys and groups at their final offsets.
-	tmp := growU64(sh.prep.tmp, n)
-	groups := growGroups(sh.prep.groups, totalG)
-	on := obs.Enabled()
-	parallel.ForBlockedW(p, p, func(_, r int) {
-		lo, hi := cuts[r], cuts[r+1]
-		kw, gw := kept[r], gcnt[r]
-		var prev uint64
-		for i := lo; i < hi; i++ {
-			k := ks[i]
-			if i > lo && k == prev {
-				continue
-			}
-			if i == lo || k>>32 != prev>>32 {
-				if i > lo {
-					groups[gw-1].hi = kw
-				}
-				groups[gw] = group{v: uint32(k >> 32), lo: kw}
-				gw++
-			}
-			tmp[kw] = k
-			kw++
-			prev = k
-		}
-		if hi > lo {
-			groups[gw-1].hi = kw
-		}
-		if on {
-			for gi := gcnt[r]; gi < gw; gi++ {
-				obsGroupSize.Observe(uint64(groups[gi].hi - groups[gi].lo))
-			}
-		}
-	})
-
-	sh.prep.cuts, sh.prep.kept, sh.prep.gcnt = cuts, kept, gcnt
-	sh.prep.groups = groups
-	// The deduped stream now lives in tmp; swap the arenas so the next
-	// batch reuses both buffers.
-	sh.prep.ks, sh.prep.tmp = tmp, ks
-	return tmp[:totalK], groups
 }
 
-// dedupGroupSeq is the one-worker dedup + group discovery, in place.
-func dedupGroupSeq(sh *shardState, ks []uint64) ([]uint64, []group) {
-	w := 0
-	for i, k := range ks {
-		if i > 0 && k == ks[i-1] {
-			continue
-		}
-		ks[w] = k
-		w++
+// applyRange takes one range through sort, in-place dedup, group discovery
+// and apply as worker w. Keys of one source are adjacent once sorted, so
+// each vertex's run is compacted, applied and recorded in one walk.
+func (g *Graph) applyRange(sh *shardState, w int, r *keyRange, varying uint64, apply groupFunc, on bool) {
+	ps, sc := &sh.prep, &sh.apply[w]
+	ks, swap := ps.ks[r.lo:r.hi], ps.tmp[r.lo:r.hi]
+	if r.alt {
+		ks, swap = swap, ks
 	}
-	ks = ks[:w]
-	groups := sh.prep.groups[:0]
-	on := obs.Enabled()
+	varying &= 1<<(32+r.top) - 1
+	if on {
+		t := time.Now()
+		parallel.SortSeq(ks, swap, varying)
+		sc.sortNs += int64(time.Since(t))
+	} else {
+		parallel.SortSeq(ks, swap, varying)
+	}
+	groups := ps.groups[r.lo:r.lo:r.hi]
 	for i := 0; i < len(ks); {
 		v := uint32(ks[i] >> 32)
-		j := i
-		for j < len(ks) && uint32(ks[j]>>32) == v {
-			j++
+		e, j := i+1, i+1 // ks[i:e] is v's duplicate-free run so far
+		for ; j < len(ks) && uint32(ks[j]>>32) == v; j++ {
+			if ks[j] != ks[e-1] {
+				ks[e] = ks[j]
+				e++
+			}
 		}
-		groups = append(groups, group{v: v, lo: i, hi: j})
 		if on {
-			obsGroupSize.Observe(uint64(j - i))
+			obsGroupSize.Observe(uint64(e - i))
 		}
+		sc.changed += apply(g, sh, w, &sh.verts[v-sh.base], ks[i:e])
+		groups = append(groups, v)
 		i = j
 	}
-	sh.prep.groups = groups
-	return ks, groups
-}
-
-// forEachGroupBySize applies f to every group exactly once, with p
-// workers in the shard's apply arena. Scheduling is skew-aware: groups are
-// ordered largest-first and workers claim them dynamically, so a hub
-// vertex's huge group starts immediately instead of serializing whichever
-// worker a static round-robin happened to assign it to, with the rest of
-// the batch back-filling the other workers. Each group — and therefore
-// each source vertex, since prepareBatch emits one group per vertex — is
-// applied by exactly one worker, preserving the lock-free
-// one-vertex-one-worker invariant the paper's update path relies on (§5).
-func forEachGroupBySize(sh *shardState, groups []group, p int, f func(w, gi int)) {
-	n := len(groups)
-	if n == 0 {
-		return
-	}
-	sh.ensureApplyScratch(p)
-	if p <= 1 {
-		// One worker applies in vertex order; sorting the schedule would be
-		// pure overhead.
-		parallel.ForDynamicW(n, 1, f)
-		return
-	}
-	order := growU64(sh.prep.order, n)
-	for i := range groups {
-		order[i] = uint64(groups[i].hi-groups[i].lo)<<32 | uint64(i)
-	}
-	parallel.SortUint64(order, p)
-	sh.prep.order = order
-	parallel.ForDynamicW(n, p, func(w, i int) {
-		f(w, int(uint32(order[n-1-i])))
-	})
+	r.ng = len(groups)
 }
 
 // bulkThreshold decides whether an insert group is large enough relative
@@ -381,9 +371,8 @@ func deleteBulkThreshold(groupLen int, deg uint32) bool {
 
 // InsertBatch adds the directed edges (src[i] -> dst[i]). Duplicate and
 // already-present edges are ignored. The batch is applied in parallel, one
-// vertex's group per worker, largest groups first; with Shards > 1 it is
-// first scattered by source vertex and the shards run their pipelines
-// concurrently.
+// source range per worker at a time; with Shards > 1 it is first scattered
+// by source vertex and the shards run their pipelines concurrently.
 func (g *Graph) InsertBatch(src, dst []uint32) {
 	validateBatch("InsertBatch", src, dst)
 	if len(src) == 0 {
@@ -460,50 +449,39 @@ func (g *Graph) eachShardPart(src, dst []uint32, apply func(sh *shardState, part
 	parallel.Run(thunks...)
 }
 
-// insertBatchShard runs the full prepare+apply pipeline for one shard's
-// routed sub-batch with p workers. Callers must own the shard exclusively.
+// insertBatchShard runs the insert pipeline for one shard's routed
+// sub-batch with p workers. Callers must own the shard exclusively.
 func (g *Graph) insertBatchShard(sh *shardState, src, dst []uint32, p int) {
 	if len(src) == 0 {
 		return
 	}
-	ks, groups := g.prepareBatch(sh, src, dst, p)
-	sh.unpub++
-	on := obs.Enabled()
-	tApply := obs.StartTimer()
-	trApply := trace.Start()
-	var added atomic.Uint64
-	base := sh.base
-	forEachGroupBySize(sh, groups, p, func(w, gi int) {
-		gr := groups[gi]
-		vb := &sh.verts[gr.v-base]
-		n := uint64(0)
-		if !g.cfg.NoBulkRebuild && bulkThreshold(gr.hi-gr.lo, vb.deg) {
-			if on {
-				obsGroupsBulk.AddShard(w, 1)
-			}
-			n = g.insertGroupBulk(sh, w, vb, gr, ks)
-		} else {
-			if on {
-				obsGroupsEdge.AddShard(w, 1)
-			}
-			for i := gr.lo; i < gr.hi; i++ {
-				if g.insertOne(vb, uint32(ks[i])) {
-					n++
-				}
-			}
-		}
-		if n != 0 {
-			added.Add(n)
-		}
-	})
-	sh.m.Add(added.Load())
-	obsPhaseApply.ObserveSince(tApply)
-	trace.Span(trace.PhaseApply, int(sh.idx), sh.traceBatch, 0, uint64(len(src)), trApply)
-	if on {
+	added := g.applyBatch(sh, src, dst, p, (*Graph).insertGroup)
+	sh.m.Add(added)
+	if obs.Enabled() {
 		obsBatchesIns.Inc()
 		obsUpdatesIns.Add(uint64(len(src)))
-		obsEdgesAdded.Add(added.Load())
+		obsEdgesAdded.Add(added)
 	}
+}
+
+// insertGroup adds one vertex's group, by merge-and-rebuild when the group
+// is large against the vertex's degree, else edge by edge.
+func (g *Graph) insertGroup(sh *shardState, w int, vb *vertex, ks []uint64) (added uint64) {
+	if !g.cfg.NoBulkRebuild && bulkThreshold(len(ks), vb.deg) {
+		if obs.Enabled() {
+			obsGroupsBulk.AddShard(w, 1)
+		}
+		return g.insertGroupBulk(sh, w, vb, ks)
+	}
+	if obs.Enabled() {
+		obsGroupsEdge.AddShard(w, 1)
+	}
+	for _, k := range ks {
+		if g.insertOne(vb, uint32(k)) {
+			added++
+		}
+	}
+	return added
 }
 
 // insertGroupBulk merges a vertex's existing neighbors with its update
@@ -512,10 +490,10 @@ func (g *Graph) insertBatchShard(sh *shardState, src, dst []uint32, p int) {
 // climbing with batch size (Figure 12). The merge runs in worker w's
 // scratch arena; every overflow builder copies its input, so the arena is
 // safe to reuse for the worker's next group.
-func (g *Graph) insertGroupBulk(sh *shardState, w int, vb *vertex, gr group, ks []uint64) uint64 {
+func (g *Graph) insertGroupBulk(sh *shardState, w int, vb *vertex, ks []uint64) uint64 {
 	sc := &sh.apply[w]
 	if obs.Enabled() {
-		if cap(sc.old) >= int(vb.deg) && cap(sc.out) >= int(vb.deg)+gr.hi-gr.lo {
+		if cap(sc.old) >= int(vb.deg) && cap(sc.out) >= int(vb.deg)+len(ks) {
 			obsScratchHit.AddShard(w, 1)
 		} else {
 			obsScratchMiss.AddShard(w, 1)
@@ -523,11 +501,11 @@ func (g *Graph) insertGroupBulk(sh *shardState, w int, vb *vertex, gr group, ks 
 	}
 	old := appendNeighborsVB(vb, sc.old[:0])
 	merged := sc.out[:0]
-	if cap(merged) < len(old)+gr.hi-gr.lo {
-		merged = make([]uint32, 0, len(old)+gr.hi-gr.lo)
+	if cap(merged) < len(old)+len(ks) {
+		merged = make([]uint32, 0, len(old)+len(ks))
 	}
-	i, j := 0, gr.lo
-	for i < len(old) && j < gr.hi {
+	i, j := 0, 0
+	for i < len(old) && j < len(ks) {
 		a, b := old[i], uint32(ks[j])
 		switch {
 		case a < b:
@@ -543,12 +521,8 @@ func (g *Graph) insertGroupBulk(sh *shardState, w int, vb *vertex, gr group, ks 
 		}
 	}
 	merged = append(merged, old[i:]...)
-	for ; j < gr.hi; j++ {
-		u := uint32(ks[j])
-		if len(merged) > 0 && merged[len(merged)-1] == u {
-			continue
-		}
-		merged = append(merged, u)
+	for _, k := range ks[j:] {
+		merged = append(merged, uint32(k))
 	}
 	added := uint64(len(merged) - len(old))
 	g.rebuildVertex(vb, merged)
@@ -556,57 +530,45 @@ func (g *Graph) insertGroupBulk(sh *shardState, w int, vb *vertex, gr group, ks 
 	return added
 }
 
-// deleteBatchShard runs the full prepare+apply delete pipeline for one
-// shard's routed sub-batch with p workers. Callers must own the shard
-// exclusively.
+// deleteBatchShard runs the delete pipeline for one shard's routed
+// sub-batch with p workers. Callers must own the shard exclusively.
 func (g *Graph) deleteBatchShard(sh *shardState, src, dst []uint32, p int) {
 	if len(src) == 0 {
 		return
 	}
-	ks, groups := g.prepareBatch(sh, src, dst, p)
-	sh.unpub++
-	on := obs.Enabled()
-	tApply := obs.StartTimer()
-	trApply := trace.Start()
-	var removed atomic.Uint64
-	base := sh.base
-	forEachGroupBySize(sh, groups, p, func(w, gi int) {
-		gr := groups[gi]
-		vb := &sh.verts[gr.v-base]
-		n := uint64(0)
-		if !g.cfg.NoBulkRebuild && deleteBulkThreshold(gr.hi-gr.lo, vb.deg) {
-			if on {
-				obsGroupsBulk.AddShard(w, 1)
-			}
-			n = g.deleteGroupBulk(sh, w, vb, gr, ks)
-		} else {
-			if on {
-				obsGroupsEdge.AddShard(w, 1)
-			}
-			for i := gr.lo; i < gr.hi; i++ {
-				if g.deleteOne(vb, uint32(ks[i])) {
-					n++
-				}
-			}
-		}
-		if n != 0 {
-			removed.Add(n)
-		}
-	})
-	sh.subEdges(removed.Load())
-	obsPhaseApply.ObserveSince(tApply)
-	trace.Span(trace.PhaseApply, int(sh.idx), sh.traceBatch, 0, uint64(len(src)), trApply)
-	if on {
+	removed := g.applyBatch(sh, src, dst, p, (*Graph).deleteGroup)
+	sh.subEdges(removed)
+	if obs.Enabled() {
 		obsBatchesDel.Inc()
 		obsUpdatesDel.Add(uint64(len(src)))
-		obsEdgesRemoved.Add(removed.Load())
+		obsEdgesRemoved.Add(removed)
 	}
+}
+
+// deleteGroup removes one vertex's group, by rebuild when the group takes
+// at least half the vertex, else edge by edge.
+func (g *Graph) deleteGroup(sh *shardState, w int, vb *vertex, ks []uint64) (removed uint64) {
+	if !g.cfg.NoBulkRebuild && deleteBulkThreshold(len(ks), vb.deg) {
+		if obs.Enabled() {
+			obsGroupsBulk.AddShard(w, 1)
+		}
+		return g.deleteGroupBulk(sh, w, vb, ks)
+	}
+	if obs.Enabled() {
+		obsGroupsEdge.AddShard(w, 1)
+	}
+	for _, k := range ks {
+		if g.deleteOne(vb, uint32(k)) {
+			removed++
+		}
+	}
+	return removed
 }
 
 // deleteGroupBulk subtracts a sorted update group from a vertex's neighbor
 // set and rebuilds its storage, returning the number of removed edges. Like
 // insertGroupBulk it runs in worker w's scratch arena.
-func (g *Graph) deleteGroupBulk(sh *shardState, w int, vb *vertex, gr group, ks []uint64) uint64 {
+func (g *Graph) deleteGroupBulk(sh *shardState, w int, vb *vertex, ks []uint64) uint64 {
 	sc := &sh.apply[w]
 	if obs.Enabled() {
 		if cap(sc.old) >= int(vb.deg) && cap(sc.out) >= int(vb.deg) {
@@ -620,12 +582,12 @@ func (g *Graph) deleteGroupBulk(sh *shardState, w int, vb *vertex, gr group, ks 
 	if cap(kept) < len(old) {
 		kept = make([]uint32, 0, len(old))
 	}
-	j := gr.lo
+	j := 0
 	for _, a := range old {
-		for j < gr.hi && uint32(ks[j]) < a {
+		for j < len(ks) && uint32(ks[j]) < a {
 			j++
 		}
-		if j < gr.hi && uint32(ks[j]) == a {
+		if j < len(ks) && uint32(ks[j]) == a {
 			j++
 			continue
 		}

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"lsgraph/internal/gen"
-	"lsgraph/internal/parallel"
 )
 
 // benchBatch builds one rMat update batch sized like the paper's streaming
@@ -21,59 +21,51 @@ func benchBatch(scale uint, m int) (src, dst []uint32, nv uint32) {
 	return src, dst, 1 << scale
 }
 
-// BenchmarkInsertBatchPrepare measures the prepare pipeline (pack + sort +
-// dedup/group) split by phase across worker counts — the acceptance
-// benchmark for the parallel prepare work. phase=all is the full pipeline
-// as InsertBatch runs it.
+// BenchmarkInsertBatchPrepare measures the pipeline without the structure
+// updates, split by phase across worker counts: phase=all is applyBatch with
+// an apply that does nothing (pack, partition, and every range's sort, dedup
+// and group discovery), phase=pack and phase=partition are its two passes
+// over the whole batch.
 func BenchmarkInsertBatchPrepare(b *testing.B) {
 	const m = 1 << 18
 	src, dst, nv := benchBatch(17, m)
+	noop := func(*Graph, *shardState, int, *vertex, []uint64) uint64 { return 0 }
 	for _, p := range []int{1, 2, 4, 8} {
 		g := New(nv, Config{Workers: p})
+		sh := &g.shards[0]
+		g.applyBatch(sh, src, dst, p, noop) // size every buffer the phases below use
 		b.Run(fmt.Sprintf("phase=all/p=%d", p), func(b *testing.B) {
 			b.SetBytes(int64(8 * m))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g.prepareBatch(&g.shards[0], src, dst, p)
+				g.applyBatch(sh, src, dst, p, noop)
 			}
 		})
 		b.Run(fmt.Sprintf("phase=pack/p=%d", p), func(b *testing.B) {
 			b.SetBytes(int64(8 * m))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g.packKeys(&g.shards[0], src, dst, p)
+				g.packKeys(sh, src, dst, p)
 			}
 		})
-		b.Run(fmt.Sprintf("phase=sort/p=%d", p), func(b *testing.B) {
-			packed := g.packKeys(&g.shards[0], src, dst, p)
-			base := append([]uint64(nil), packed...)
-			ks := make([]uint64, len(base))
+		b.Run(fmt.Sprintf("phase=partition/p=%d", p), func(b *testing.B) {
+			varying := g.packKeys(sh, src, dst, p)
+			base := append([]uint64(nil), sh.prep.ks...)
+			ps := &sh.prep
 			b.SetBytes(int64(8 * m))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				copy(ks, base)
-				parallel.SortUint64(ks, p)
-			}
-		})
-		b.Run(fmt.Sprintf("phase=group/p=%d", p), func(b *testing.B) {
-			packed := g.packKeys(&g.shards[0], src, dst, p)
-			sorted := append([]uint64(nil), packed...)
-			parallel.SortUint64(sorted, p)
-			ks := make([]uint64, len(sorted))
-			b.SetBytes(int64(8 * m))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(ks, sorted)
-				dedupGroup(&g.shards[0], ks, p)
+				copy(ps.ks, base) // a second-level split scatters back into ks
+				ps.ranges, ps.heavy = ps.ranges[:0], ps.heavy[:0]
+				ps.split(ps.ks, ps.tmp, 0, m, bits.Len64(varying>>32), 0, p, splitLimit(m, p))
 			}
 		})
 	}
 }
 
 // BenchmarkInsertBatchSteadyState measures full InsertBatch calls against a
-// warm graph whose batches repeat the same edge population, so the prepare
+// warm graph whose batches repeat the same edge population, so the pipeline's
 // arenas and per-worker apply arenas are at steady-state size. allocs/op is
 // the headline number: the scratch-reuse work drives it toward zero.
 func BenchmarkInsertBatchSteadyState(b *testing.B) {

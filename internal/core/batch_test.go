@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lsgraph/internal/gen"
 	"lsgraph/internal/refgraph"
@@ -41,109 +43,178 @@ func TestBatchLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-// TestOneVertexOneWorker is the scheduler regression test of the satellite
-// task: under the skew-aware largest-first scheduler every group — and
-// therefore every source vertex, since prepareBatch emits one group per
-// vertex — must be applied by exactly one worker, exactly once.
+// batchShape is one update batch on a vertex space of its own, built to
+// stress a corner of the range partition.
+type batchShape struct {
+	name     string
+	nv       uint32
+	src, dst []uint32
+}
+
+// batchShapes returns the shapes the partition must get right: sources
+// clustered in one narrow window at the top of the ID space (the ranges must
+// come from the bits that vary, not from the vertex space), one hub owning
+// half the batch (an indivisible range next to divisible ones), nothing but
+// duplicates (no varying bit at all), the sizes around the parallel
+// threshold, fewer vertices than ranges, a vertex count that is not a power
+// of two, and a bulk load whose fan-out hits the range cap.
+func batchShapes() []batchShape {
+	rng := rand.New(rand.NewSource(17))
+	random := func(name string, nv uint32, k int, lo, hi uint32) batchShape {
+		sh := batchShape{name: name, nv: nv}
+		sh.src, sh.dst = randomBatch(rng, k, lo, hi, nv)
+		return sh
+	}
+	const nv = 1 << 15
+	shapes := []batchShape{
+		random("window-top", nv, 20000, nv-128, nv),
+		random("parPrepMin-1", nv, parPrepMin-1, 0, nv),
+		random("parPrepMin", nv, parPrepMin, 0, nv),
+		random("parPrepMin+1", nv, parPrepMin+1, 0, nv),
+		random("few-vertices", 6, 20000, 0, 6),
+		random("not-power-of-two", 3001, 30000, 0, 3001),
+	}
+	hub := random("hub-half", nv, 20000, 0, nv)
+	for i := 0; i < len(hub.src); i += 2 {
+		hub.src[i] = 12345
+	}
+	dup := batchShape{name: "all-duplicates", nv: nv, src: make([]uint32, 10000), dst: make([]uint32, 10000)}
+	for i := range dup.src {
+		dup.src[i], dup.dst[i] = 777, 4242
+	}
+	bulk := batchShape{name: "bulk-0.6M", nv: nv}
+	for _, e := range gen.NewRMatPaper(15, 5).Edges(600_000) {
+		bulk.src, bulk.dst = append(bulk.src, e.Src), append(bulk.dst, e.Dst)
+	}
+	return append(shapes, hub, dup, bulk)
+}
+
+// sources returns the distinct values of src, ascending.
+func sources(src []uint32) []uint32 {
+	out := slices.Clone(src)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// TestBatchShapesMatchOracle applies every shape, then deletes every third
+// edge of it, with 1, 2 and 4 workers, and checks the graph against the
+// reference implementation and sh.prep.groups — Publish's contract — against
+// the batch's distinct sources, after each of the two.
+func TestBatchShapesMatchOracle(t *testing.T) {
+	for _, shape := range batchShapes() {
+		ref := refgraph.New(shape.nv)
+		for i := range shape.src {
+			ref.Insert(shape.src[i], shape.dst[i])
+		}
+		var dsrc, ddst []uint32
+		for i := 0; i < len(shape.src); i += 3 {
+			dsrc, ddst = append(dsrc, shape.src[i]), append(ddst, shape.dst[i])
+		}
+		refDel := refgraph.New(shape.nv)
+		for v := uint32(0); v < shape.nv; v++ {
+			for _, u := range ref.Neighbors(v) {
+				refDel.Insert(v, u)
+			}
+		}
+		for i := range dsrc {
+			refDel.Delete(dsrc[i], ddst[i])
+		}
+		for _, p := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/p=%d", shape.name, p), func(t *testing.T) {
+				g := New(shape.nv, Config{Workers: p})
+				g.InsertBatch(shape.src, shape.dst)
+				checkAgainstOracle(t, g, ref)
+				if got, want := g.shards[0].prep.groups, sources(shape.src); !slices.Equal(got, want) {
+					t.Fatalf("insert left %d touched vertices, want the batch's %d sources, ascending", len(got), len(want))
+				}
+				g.DeleteBatch(dsrc, ddst)
+				checkAgainstOracle(t, g, refDel)
+				if got, want := g.shards[0].prep.groups, sources(dsrc); !slices.Equal(got, want) {
+					t.Fatalf("delete left %d touched vertices, want the batch's %d sources, ascending", len(got), len(want))
+				}
+			})
+		}
+	}
+}
+
+// TestOneVertexOneWorker checks §5's invariant on the range-partitioned
+// schedule: every source vertex's group reaches apply exactly once, whole,
+// and so from exactly one worker — on a skewed rMat batch and on a batch
+// whose sources all sit in the top 128-vertex window, which more than one
+// worker must share (ranges are cut from the bits that vary in the batch; a
+// partition by vertex-space position would hand the window to one worker).
 func TestOneVertexOneWorker(t *testing.T) {
-	const nv = 1 << 12
-	g := New(nv, Config{Workers: 8})
-	rm := gen.NewRMatPaper(12, 7)
-	es := rm.Edges(200000) // far above parPrepMin and the parallel-sort floor
-	src := make([]uint32, len(es))
-	dst := make([]uint32, len(es))
-	for i, e := range es {
-		src[i], dst[i] = e.Src, e.Dst
+	const nv = 1 << 15
+	rng := rand.New(rand.NewSource(7))
+	wsrc, wdst := randomBatch(rng, 20000, nv-128, nv, nv)
+	var rsrc, rdst []uint32
+	for _, e := range gen.NewRMatPaper(15, 7).Edges(100000) {
+		rsrc, rdst = append(rsrc, e.Src), append(rdst, e.Dst)
 	}
-	_, groups := g.prepareBatch(&g.shards[0], src, dst, g.workers())
-	if len(groups) == 0 {
-		t.Fatal("no groups")
-	}
-	for i := 1; i < len(groups); i++ {
-		if groups[i].v <= groups[i-1].v {
-			t.Fatalf("groups not strictly ascending by vertex: %d then %d",
-				groups[i-1].v, groups[i].v)
-		}
-	}
-
-	var mu sync.Mutex
-	applied := make(map[int]int)         // group index -> times applied
-	vertexWorker := make(map[uint32]int) // vertex -> applying worker
-	forEachGroupBySize(&g.shards[0], groups, g.workers(), func(w, gi int) {
-		mu.Lock()
-		defer mu.Unlock()
-		applied[gi]++
-		v := groups[gi].v
-		if prev, seen := vertexWorker[v]; seen && prev != w {
-			t.Errorf("vertex %d touched by workers %d and %d", v, prev, w)
-		}
-		vertexWorker[v] = w
-	})
-	if len(applied) != len(groups) {
-		t.Fatalf("applied %d of %d groups", len(applied), len(groups))
-	}
-	for gi, c := range applied {
-		if c != 1 {
-			t.Fatalf("group %d applied %d times", gi, c)
-		}
-	}
-	workers := map[int]bool{}
-	for _, w := range vertexWorker {
-		workers[w] = true
-	}
-	if len(workers) < 2 {
-		t.Logf("note: only %d worker(s) made claims (single-core machine?)", len(workers))
-	}
-}
-
-// TestDedupGroupParallelMatchesSequential checks the two dedup + group
-// discovery implementations against each other on skewed sorted keys with
-// heavy duplication.
-func TestDedupGroupParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{parPrepMin, parPrepMin * 4, 100000} {
-		ks := make([]uint64, n)
-		for i := range ks {
-			v := uint64(rng.Intn(300)) // few sources -> big skewed groups
-			d := uint64(rng.Intn(2000))
-			ks[i] = v<<32 | d
-		}
-		sortU64(ks)
-
-		gSeq := New(1, Config{Workers: 1})
-		wantKeys, wantGroups := dedupGroupSeq(&gSeq.shards[0], append([]uint64(nil), ks...))
-
-		for _, p := range []int{2, 3, 8} {
-			gPar := New(1, Config{Workers: p})
-			gotKeys, gotGroups := dedupGroup(&gPar.shards[0], append([]uint64(nil), ks...), p)
-			if len(gotKeys) != len(wantKeys) {
-				t.Fatalf("n=%d p=%d: %d keys want %d", n, p, len(gotKeys), len(wantKeys))
+	for _, tc := range []struct {
+		name     string
+		src, dst []uint32
+	}{{"window-top", wsrc, wdst}, {"rmat", rsrc, rdst}} {
+		g := New(nv, Config{Workers: 4})
+		sh := &g.shards[0]
+		want := map[uint32]int{} // vertex -> distinct edges in the batch
+		seen := map[uint64]bool{}
+		for i := range tc.src {
+			if k := uint64(tc.src[i])<<32 | uint64(tc.dst[i]); !seen[k] {
+				seen[k] = true
+				want[tc.src[i]]++
 			}
-			for i := range wantKeys {
-				if gotKeys[i] != wantKeys[i] {
-					t.Fatalf("n=%d p=%d: key %d got %d want %d", n, p, i, gotKeys[i], wantKeys[i])
+		}
+
+		var mu sync.Mutex
+		worker := map[uint32]int{}               // vertex -> applying worker
+		first, second := -1, make(chan struct{}) // closed once a second worker applies
+		var once sync.Once
+		g.applyBatch(sh, tc.src, tc.dst, 4, func(g *Graph, sh *shardState, w int, vb *vertex, ks []uint64) uint64 {
+			v := uint32(ks[0] >> 32)
+			mu.Lock()
+			if prev, dup := worker[v]; dup {
+				t.Errorf("%s: vertex %d applied twice, by workers %d and %d", tc.name, v, prev, w)
+			}
+			worker[v] = w
+			wait := first == -1
+			if wait {
+				first = w
+			} else if w != first {
+				once.Do(func() { close(second) })
+			}
+			mu.Unlock()
+			if vb != &sh.verts[v] || len(ks) != want[v] || !slices.IsSorted(ks) {
+				t.Errorf("%s: vertex %d got %d keys (sorted %v), want its %d distinct edges",
+					tc.name, v, len(ks), slices.IsSorted(ks), want[v])
+			}
+			if wait {
+				// Hold the first group until another worker has claimed a
+				// range, so the check below does not depend on how fast the
+				// other goroutines get a CPU; the timeout is the failure path.
+				select {
+				case <-second:
+				case <-time.After(10 * time.Second):
 				}
 			}
-			if len(gotGroups) != len(wantGroups) {
-				t.Fatalf("n=%d p=%d: %d groups want %d", n, p, len(gotGroups), len(wantGroups))
-			}
-			for i := range wantGroups {
-				if gotGroups[i] != wantGroups[i] {
-					t.Fatalf("n=%d p=%d: group %d got %+v want %+v",
-						n, p, i, gotGroups[i], wantGroups[i])
-				}
-			}
+			return g.insertGroup(sh, w, vb, ks)
+		})
+		if len(worker) != len(want) {
+			t.Fatalf("%s: %d vertices applied, batch has %d sources", tc.name, len(worker), len(want))
+		}
+		workers := map[int]bool{}
+		for _, w := range worker {
+			workers[w] = true
+		}
+		if len(workers) < 2 {
+			t.Fatalf("%s: one worker applied every range; the batch must spread over the workers", tc.name)
 		}
 	}
-}
-
-func sortU64(ks []uint64) {
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 }
 
 // TestParallelPrepareLargeBatchMatchesOracle pushes batches big enough to
-// engage every parallel stage (pack, MSD sort, split dedup, dynamic apply)
-// and checks the final graph against the reference implementation and a
+// engage every parallel stage (pack, partition, range-claiming apply) and
+// checks the final graph against the reference implementation and a
 // single-worker engine.
 func TestParallelPrepareLargeBatchMatchesOracle(t *testing.T) {
 	const nv = 1 << 13

@@ -22,7 +22,7 @@ type Stats struct {
 //
 // Internally the vertex space is partitioned into Config.Shards contiguous
 // ranges (default 1), each holding its own vertex blocks, edge counter,
-// and prepare/apply scratch. With one shard the engine behaves exactly as
+// and pipeline scratch. With one shard the engine behaves exactly as
 // the paper describes. With S > 1, batches routed to different shards may
 // be applied concurrently — every update and every structural movement is
 // confined to one source vertex, and a vertex lives in exactly one shard,

@@ -11,12 +11,12 @@ import "lsgraph/internal/obs"
 var (
 	obsPhasePack = obs.NewHistogram("lsgraph_batch_phase_nanos", `phase="pack"`, "ns",
 		"per-batch time validating endpoints and packing update keys")
-	obsPhaseSort = obs.NewHistogram("lsgraph_batch_phase_nanos", `phase="sort"`, "ns",
-		"per-batch time sorting packed update keys")
-	obsPhaseGroup = obs.NewHistogram("lsgraph_batch_phase_nanos", `phase="group"`, "ns",
-		"per-batch time deduplicating and grouping by source vertex")
+	obsPhasePartition = obs.NewHistogram("lsgraph_batch_phase_nanos", `phase="partition"`, "ns",
+		"per-batch time splitting the packed keys into source ranges")
 	obsPhaseApply = obs.NewHistogram("lsgraph_batch_phase_nanos", `phase="apply"`, "ns",
-		"per-batch time applying grouped updates in parallel")
+		"per-batch time workers spend taking ranges through sort, dedup, grouping and apply")
+	obsRangeSort = obs.NewHistogram("lsgraph_batch_range_sort_nanos", "", "ns",
+		"share of the apply phase spent in per-range sorts: the slowest worker's accumulated time")
 
 	obsBatchesIns = obs.NewCounter("lsgraph_batches_total", `op="insert"`, "update batches applied")
 	obsBatchesDel = obs.NewCounter("lsgraph_batches_total", `op="delete"`, "update batches applied")
@@ -37,7 +37,7 @@ var (
 	obsGroupSize = obs.NewHistogram("lsgraph_batch_group_size", "", "elements",
 		"deduplicated updates per source-vertex group (log2 buckets expose batch skew)")
 	obsPrepWorkers = obs.NewGauge("lsgraph_batch_prepare_workers", "",
-		"effective worker count of the most recent prepare pipeline")
+		"effective worker count of the most recent batch pipeline")
 	obsScratchHit = obs.NewPerWorkerCounter("lsgraph_batch_scratch_total", `result="hit"`,
 		"bulk groups whose per-worker apply arena was already large enough, by worker")
 	obsScratchMiss = obs.NewPerWorkerCounter("lsgraph_batch_scratch_total", `result="miss"`,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -90,6 +91,41 @@ func TestPublishMatchesRebuild(t *testing.T) {
 	}
 	if appends < 4*rebuilds {
 		t.Fatalf("%d appends to %d rebuilds: small batches should mostly append", appends, rebuilds)
+	}
+}
+
+// TestPublishMatchesRebuildAfterShapes publishes after the insert and after
+// the delete of every partition-stressing batch shape, at 1, 2 and 4
+// workers, on a preloaded shard whose arena tail is large enough that the
+// shapes which fit it take the append path — the path that reads
+// sh.prep.groups — and checks each snapshot against a from-scratch rebuild.
+func TestPublishMatchesRebuildAfterShapes(t *testing.T) {
+	appends := 0
+	for _, shape := range batchShapes() {
+		rng := rand.New(rand.NewSource(23))
+		base, bdst := randomBatch(rng, 8*int(shape.nv), 0, shape.nv, shape.nv)
+		for _, p := range []int{1, 2, 4} {
+			sh := New(shape.nv, Config{Workers: p}).Shard(0)
+			sh.InsertBatch(base, bdst)
+			prev, _ := sh.Publish(nil)
+			for step, del := range []bool{false, true} {
+				if del {
+					sh.DeleteBatch(shape.src[:len(shape.src)/3], shape.dst[:len(shape.src)/3])
+				} else {
+					sh.InsertBatch(shape.src, shape.dst)
+				}
+				snap, rebuilt := sh.Publish(prev)
+				if !rebuilt {
+					appends++
+				}
+				sameSnapshot(t, fmt.Sprintf("%s p=%d step %d (rebuilt=%v)", shape.name, p, step, rebuilt),
+					snap, sh.SnapshotInto(nil))
+				prev = snap
+			}
+		}
+	}
+	if appends < 12 {
+		t.Fatalf("only %d publishes appended; the shapes must exercise the groups-driven path", appends)
 	}
 }
 
@@ -306,8 +342,11 @@ func TestScratchNotRetainedAfterBulkLoad(t *testing.T) {
 		g.InsertBatch(bs, bd)
 		limit := max(scratchTrimRatio*k, scratchKeepMin)
 		held := map[string]int{
-			"ks": cap(sh.prep.ks), "tmp": cap(sh.prep.tmp),
-			"groups": cap(sh.prep.groups), "order": cap(sh.prep.order),
+			"ks": cap(sh.prep.ks), "tmp": cap(sh.prep.tmp), "groups": cap(sh.prep.groups),
+			"ranges": cap(sh.prep.ranges), "heavy": cap(sh.prep.heavy),
+		}
+		for _, h := range sh.prep.hist {
+			held["hist"] = max(held["hist"], cap(h))
 		}
 		for i := range sh.apply {
 			held["apply.old"] = max(held["apply.old"], cap(sh.apply[i].old))
@@ -324,6 +363,46 @@ func TestScratchNotRetainedAfterBulkLoad(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, func() { g.InsertBatch(bs, bd) }); allocs > 100 {
 			t.Errorf("steady %d-edge batch allocates %.0f objects", k, allocs)
 		}
+	}
+}
+
+// TestSteadyBatchAllocatesNoScratch is the guard on the pipeline's buffers:
+// a warmed 25 000-edge insert and delete at two workers — the edges inserted
+// are present and the edges deleted absent, so the structures themselves do
+// not grow — allocates only the fork-joins' closures and goroutine
+// bookkeeping, a count that does not depend on the batch, and leaves every
+// scratch buffer where it was.
+func TestSteadyBatchAllocatesNoScratch(t *testing.T) {
+	const scale, k = 15, 25_000
+	g := New(1<<scale, Config{Workers: 2})
+	rm := gen.NewRMatPaper(scale, 3)
+	var src, dst, asrc, adst []uint32
+	for _, e := range rm.Edges(600_000) {
+		src, dst = append(src, e.Src), append(dst, e.Dst)
+	}
+	g.InsertBatch(src, dst)
+	for _, e := range rm.Edges(k) { // a later draw of the stream: mostly absent
+		asrc, adst = append(asrc, e.Src), append(adst, e.Dst)
+	}
+	g.DeleteBatch(asrc, adst)
+	g.InsertBatch(src[:k], dst[:k])
+	g.DeleteBatch(asrc, adst)
+
+	sh := &g.shards[0]
+	buffers := func() []any {
+		ps := &sh.prep
+		return []any{&ps.ks[:1][0], &ps.tmp[:1][0], &ps.groups[:1][0], &ps.ranges[:1][0], &ps.hist[0][0], &sh.apply[0]}
+	}
+	before := buffers()
+	allocs := testing.AllocsPerRun(10, func() {
+		g.InsertBatch(src[:k], dst[:k])
+		g.DeleteBatch(asrc, adst)
+	})
+	if allocs > 64 {
+		t.Errorf("warmed %d-edge insert+delete allocates %.0f objects; the fork-joins account for about 48", k, allocs)
+	}
+	if after := buffers(); !slices.Equal(before, after) {
+		t.Error("a scratch buffer was reallocated in steady state")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // shardState is one contiguous vertex-range partition of a Graph: the
 // range's vertex blocks plus everything one concurrent update pipeline
-// needs privately — an edge counter and the prepare/apply scratch arenas.
+// needs privately — an edge counter and the pipeline's scratch arenas.
 // Two shardStates share no mutable memory, which is what lets
 // internal/serve drive one writer goroutine per shard without locks: the
 // one-vertex-one-worker invariant of §5 holds across shards because a
@@ -94,7 +94,7 @@ func (g *Graph) Shard(i int) Shard { return Shard{g: g, sh: &g.shards[i]} }
 func (s Shard) Base() uint32 { return s.sh.base }
 
 // BeginTrace attributes the shard's subsequent updates to the given
-// flight-recorder batch ID (internal/trace): the prepare and apply phase
+// flight-recorder batch ID (internal/trace): the pack, partition and apply
 // spans the pipeline records will carry it. Callers must own the shard
 // exclusively, like every mutating method.
 func (s Shard) BeginTrace(batch uint64) { s.sh.traceBatch = batch }

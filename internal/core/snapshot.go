@@ -162,8 +162,8 @@ func (g *Graph) publishShard(sh *shardState, prev *Snapshot, p int) (s *Snapshot
 	if prev != nil {
 		used = len(prev.adj)
 	}
-	for _, gr := range groups {
-		used += int(sh.verts[gr.v-sh.base].deg)
+	for _, v := range groups {
+		used += int(sh.verts[v-sh.base].deg)
 	}
 	if prev == nil || unpub > 1 || used > cap(prev.adj) {
 		m := int(sh.m.Load())
@@ -183,15 +183,15 @@ func (g *Graph) publishShard(sh *shardState, prev *Snapshot, p int) (s *Snapshot
 	clear(s.tab[copy(s.tab, prev.tab):]) // vertices grown since prev: degree 0
 	s.adj, s.m = prev.adj[:used], prev.m
 	off := uint32(len(prev.adj))
-	for _, gr := range groups {
-		lv := gr.v - sh.base
+	for _, v := range groups {
+		lv := v - sh.base
 		deg := sh.verts[lv].deg
 		s.m += uint64(deg) - uint64(s.tab[lv].deg)
 		s.tab[lv] = vref{off, deg}
 		off += deg
 	}
 	parallel.For(len(groups), p, func(i int) {
-		lv := groups[i].v - sh.base
+		lv := groups[i] - sh.base
 		if r := s.tab[lv]; r.deg > 0 {
 			s.flatten(&sh.verts[lv], r)
 		}

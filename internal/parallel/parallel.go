@@ -26,8 +26,6 @@ var (
 		"statically assigned blocks processed, by worker")
 	obsBusy = obs.NewPerWorkerCounter("lsgraph_parallel_busy_nanos_total", "",
 		"nanoseconds spent inside loop bodies, by worker")
-	obsSteals = obs.NewPerWorkerCounter("lsgraph_parallel_steals_total", "",
-		"dynamic claims that deviate from a round-robin assignment, by worker")
 )
 
 // Procs is the default parallelism used by For and Sort when the caller
@@ -165,66 +163,29 @@ func ForBlockedW(nb, p int, f func(w, b int)) {
 	wg.Wait()
 }
 
-// ForDynamicW runs f(w, i) for every i in [0, n), workers claiming indexes
-// one at a time, in increasing order, from a shared counter. It is the
-// scheduling primitive for coarse, skewed work items — per-vertex update
-// groups ordered largest-first — where ForChunkW's fixed grain is too big
-// and ForBlockedW's static round-robin lets one expensive item serialize
-// its assigned worker's whole list. Each index is claimed by exactly one
-// worker, so callers that map indexes 1:1 to vertices keep the
-// one-vertex-one-worker invariant. With p <= 1 the indexes run in order on
-// the caller's goroutine.
-func ForDynamicW(n, p int, f func(w, i int)) {
-	if n <= 0 {
-		return
-	}
-	if p <= 0 {
-		p = Procs
-	}
-	if p > n {
-		p = n
-	}
-	if p <= 1 {
-		t := obs.StartTimer()
-		for i := 0; i < n; i++ {
-			f(0, i)
+// Workers runs f(w) for every w in [0, p) concurrently and waits for all of
+// them, with the calling goroutine as worker 0, so p <= 1 is a plain call.
+// It is the primitive for loops that schedule themselves — static spans of
+// a shared array, or claims from a counter the caller owns — and want only
+// the fork-join and a stable worker index for per-worker state.
+func Workers(p int, f func(w int)) {
+	run := f
+	if obs.Enabled() {
+		run = func(w int) {
+			t := time.Now()
+			f(w)
+			obsBusy.AddShard(w, uint64(time.Since(t)))
 		}
-		if !t.IsZero() {
-			obsChunks.AddShard(0, uint64(n))
-			obsBusy.AddShard(0, uint64(time.Since(t)))
-		}
-		return
 	}
-	on := obs.Enabled()
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
+	for w := 1; w < p; w++ {
+		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var t time.Time
-			if on {
-				t = time.Now()
-			}
-			claims, steals := uint64(0), uint64(0)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					break
-				}
-				f(w, i)
-				claims++
-				if i%p != w {
-					steals++
-				}
-			}
-			if on {
-				obsChunks.AddShard(w, claims)
-				obsSteals.AddShard(w, steals)
-				obsBusy.AddShard(w, uint64(time.Since(t)))
-			}
+			run(w)
 		}(w)
 	}
+	run(0)
 	wg.Wait()
 }
 

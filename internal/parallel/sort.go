@@ -3,7 +3,6 @@ package parallel
 import (
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -113,7 +112,7 @@ func SortUint64(ks []uint64, p int) {
 		if obs.Enabled() {
 			obsSortStdlib.Inc()
 		}
-		sortUint64Seq(ks)
+		slices.Sort(ks)
 		return
 	}
 	if p <= 0 {
@@ -137,12 +136,34 @@ func SortUint64(ks []uint64, p int) {
 	parallelRadixSort(ks, p, a)
 }
 
-func sortUint64Seq(ks []uint64) {
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+// Length bounds of SortSeq's three regimes, measured on packed edge keys
+// with three or four varying bytes: insertion sort wins up to 32 keys, the
+// stdlib pattern-defeating quicksort up to about 128, and from there the
+// byte radix restricted to the varying bytes (256 keys: 1.8 us against 3.2).
+const (
+	insertionSortMax = 32
+	seqRadixMin      = 128
+)
+
+// SortSeq sorts ks on the calling goroutine, for callers that sort many
+// short, cache-resident runs themselves — the batch updater's per-range
+// sorts. varying must have a bit set wherever two keys may differ (all ones
+// when unknown): the radix regime skips every byte without one, which on
+// packed (src,dst) keys of a small vertex space is half the passes. buf is
+// the radix swap space, at least len(ks) long.
+func SortSeq(ks, buf []uint64, varying uint64) {
+	switch n := len(ks); {
+	case n <= insertionSortMax:
+		insertionSortUint64(ks)
+	case n < seqRadixMin:
+		slices.Sort(ks)
+	default:
+		radixSortMasked(ks, buf[:n], varying)
+	}
 }
 
-// insertionSortUint64 handles tiny MSD buckets, where an LSD pass's
-// histograms would cost more than the sort itself.
+// insertionSortUint64 handles tiny runs, where an LSD pass's histograms
+// would cost more than the sort itself.
 func insertionSortUint64(ks []uint64) {
 	for i := 1; i < len(ks); i++ {
 		k := ks[i]
@@ -156,13 +177,22 @@ func insertionSortUint64(ks []uint64) {
 }
 
 // radixSortBytes sorts ks by its low byteTop bytes with an 8-bit LSD radix,
-// using buf (same length) as swap space. Passes whose byte is constant
-// across the input are skipped (common: high source-ID bytes are zero). The
-// sorted result always ends up back in ks.
+// using buf (same length) as swap space.
 func radixSortBytes(ks, buf []uint64, byteTop int) {
+	radixSortMasked(ks, buf, ^uint64(0)>>uint(64-8*byteTop))
+}
+
+// radixSortMasked is the LSD radix over the bytes of ks that hold a bit of
+// varying. Bytes outside the mask cost nothing; a byte inside it that is
+// constant across the input anyway (common: high source-ID bytes are zero)
+// costs its counting pass and skips the scatter. The sorted result always
+// ends up back in ks.
+func radixSortMasked(ks, buf []uint64, varying uint64) {
 	src, dst := ks, buf
-	for b := 0; b < byteTop; b++ {
-		shift := uint(b * 8)
+	for shift := uint(0); shift < 64; shift += 8 {
+		if varying>>shift&0xff == 0 {
+			continue
+		}
 		var counts [256]int
 		for _, k := range src {
 			counts[k>>shift&0xff]++
@@ -188,23 +218,39 @@ func radixSortBytes(ks, buf []uint64, byteTop int) {
 	}
 }
 
-// runWorkers runs f(w) for w in [0, p), reusing the calling goroutine for
-// worker 0.
-func runWorkers(p int, f func(w int)) {
-	if p <= 1 {
-		f(0)
-		return
+// ScatterByDigit moves the keys of from into to (same length) grouped by
+// the digit k>>shift&(R-1), R a power of two, keeping input order within a
+// digit. p workers count and then scatter static spans of from through
+// per-worker histograms in hist (p*R entries), so both passes are
+// embarrassingly parallel and no two workers touch the same slot of to. On
+// return hist[(p-1)*R+d] is the end offset of digit d's keys in to; digit
+// d's keys start where digit d-1's end.
+func ScatterByDigit(from, to []uint64, shift uint, R, p int, hist []int) {
+	n, mask := len(from), uint64(R-1)
+	Workers(p, func(w int) {
+		c := hist[w*R : (w+1)*R]
+		clear(c)
+		for _, k := range from[w*n/p : (w+1)*n/p] {
+			c[k>>shift&mask]++
+		}
+	})
+	// Exclusive prefix over (digit, worker) turns the histograms into each
+	// worker's private write offsets.
+	pos := 0
+	for d := 0; d < R; d++ {
+		for w := 0; w < p; w++ {
+			c := &hist[w*R+d]
+			pos, *c = pos+*c, pos
+		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(p - 1)
-	for w := 1; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			f(w)
-		}(w)
-	}
-	f(0)
-	wg.Wait()
+	Workers(p, func(w int) {
+		off := hist[w*R : (w+1)*R]
+		for _, k := range from[w*n/p : (w+1)*n/p] {
+			d := k >> shift & mask
+			to[off[d]] = k
+			off[d]++
+		}
+	})
 }
 
 // parallelRadixSort sorts ks with p >= 2 workers: an MSD partition on the
@@ -219,13 +265,11 @@ func parallelRadixSort(ks []uint64, p int, a *sortArena) {
 	buf := a.buf[:n]
 	a.red = growU64(a.red, 2*p)
 	red := a.red
-	// Contiguous worker ranges: worker w owns [wlo(w), wlo(w+1)).
-	wlo := func(w int) int { return w * n / p }
 
-	// Pass 1: which bits vary at all? (or/and reduction)
-	runWorkers(p, func(w int) {
+	// Pass 1: which bits vary at all? (or/and reduction over static spans)
+	Workers(p, func(w int) {
 		or, and := uint64(0), ^uint64(0)
-		for _, k := range ks[wlo(w):wlo(w+1)] {
+		for _, k := range ks[w*n/p : (w+1)*n/p] {
 			or |= k
 			and &= k
 		}
@@ -248,47 +292,22 @@ func parallelRadixSort(ks []uint64, p int, a *sortArena) {
 		shift = l - msdBits
 	}
 
-	// Pass 2: per-worker histograms of the MSD digit.
+	// Passes 2 and 3: scatter into buf by the MSD digit; collect the nonempty
+	// buckets packed as size<<msdBits|bucket for the largest-first schedule.
 	a.cnt = growInt(a.cnt, p*msdBuckets)
-	cnt := a.cnt
-	runWorkers(p, func(w int) {
-		c := cnt[w*msdBuckets : (w+1)*msdBuckets]
-		clear(c)
-		for _, k := range ks[wlo(w):wlo(w+1)] {
-			c[k>>shift&(msdBuckets-1)]++
-		}
-	})
-
-	// Exclusive prefix over (bucket, worker) turns the histograms into each
-	// worker's private write offsets; collect the nonempty buckets packed as
-	// size<<msdBits|bucket for the largest-first schedule.
+	ScatterByDigit(ks, buf, uint(shift), msdBuckets, p, a.cnt)
 	a.bstart = growInt(a.bstart, msdBuckets)
 	bstart := a.bstart
 	ord := a.ord[:0]
-	pos := 0
-	for b := 0; b < msdBuckets; b++ {
-		start := pos
-		for w := 0; w < p; w++ {
-			c := &cnt[w*msdBuckets+b]
-			pos, *c = pos+*c, pos
-		}
+	start := 0
+	for b, end := range a.cnt[(p-1)*msdBuckets:] {
 		bstart[b] = start
-		if sz := pos - start; sz > 0 {
+		if sz := end - start; sz > 0 {
 			ord = append(ord, uint64(sz)<<msdBits|uint64(b))
 		}
+		start = end
 	}
 	a.ord = ord
-
-	// Pass 3: stable scatter into buf; each worker writes only through its
-	// own offsets, so no two workers touch the same slot.
-	runWorkers(p, func(w int) {
-		off := cnt[w*msdBuckets : (w+1)*msdBuckets]
-		for _, k := range ks[wlo(w):wlo(w+1)] {
-			d := k >> shift & (msdBuckets - 1)
-			buf[off[d]] = k
-			off[d]++
-		}
-	})
 
 	// Pass 4: sort each bucket by the bytes below the MSD digit and copy it
 	// back to its final place in ks. Buckets are claimed dynamically from a
@@ -301,7 +320,7 @@ func parallelRadixSort(ks []uint64, p int, a *sortArena) {
 	a.lsd = a.lsd[:p]
 	nb := len(ord)
 	var next atomic.Int64
-	runWorkers(p, func(w int) {
+	Workers(p, func(w int) {
 		scratch := a.lsd[w]
 		for {
 			i := int(next.Add(1)) - 1
@@ -314,7 +333,7 @@ func parallelRadixSort(ks []uint64, p int, a *sortArena) {
 			lo := bstart[b]
 			seg := buf[lo : lo+sz]
 			if sz > 1 && byteTop > 0 {
-				if sz <= 32 {
+				if sz <= insertionSortMax {
 					insertionSortUint64(seg)
 				} else {
 					if cap(scratch) < sz {

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -124,36 +125,45 @@ func TestRadixSortBytesPartialWidth(t *testing.T) {
 	}
 }
 
-func TestForDynamicWCoversEachIndexOnce(t *testing.T) {
-	for _, p := range []int{1, 2, 5, 8} {
-		for _, n := range []int{0, 1, 3, 100, 4096} {
-			seen := make([]int32, n)
-			ForDynamicW(n, p, func(w, i int) {
-				if w < 0 || w >= p {
-					t.Errorf("p=%d: worker %d out of range", p, w)
-				}
-				atomic.AddInt32(&seen[i], 1)
-			})
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("p=%d n=%d: index %d visited %d times", p, n, i, c)
+// TestSortSeqMatchesStdlib covers SortSeq's three regimes by length, with
+// the exact mask of varying bits, a mask with spare bits, and no knowledge.
+func TestSortSeqMatchesStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, n := range []int{0, 1, 2, insertionSortMax, insertionSortMax + 1, seqRadixMin - 1, seqRadixMin, 1000, 5000} {
+		for dist, in := range sortInputs(rng, n) {
+			or, and := uint64(0), ^uint64(0)
+			for _, k := range in {
+				or |= k
+				and &= k
+			}
+			for _, varying := range []uint64{or ^ and, or ^ and | 0xff<<40, ^uint64(0)} {
+				got := append([]uint64(nil), in...)
+				SortSeq(got, make([]uint64, n), varying)
+				want := append([]uint64(nil), in...)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("dist=%s n=%d varying=%#x: not sorted like the stdlib", dist, n, varying)
 				}
 			}
 		}
 	}
 }
 
-func TestForDynamicWSequentialInOrder(t *testing.T) {
-	var got []int
-	ForDynamicW(50, 1, func(w, i int) {
-		if w != 0 {
-			t.Fatalf("p=1 used worker %d", w)
+// TestWorkersRunsEachIndexOnce checks the fork-join: every worker index in
+// [0, p) runs exactly once, worker 0 on the calling goroutine's stack.
+func TestWorkersRunsEachIndexOnce(t *testing.T) {
+	for _, p := range []int{1, 2, 5, 8} {
+		seen := make([]int32, p)
+		Workers(p, func(w int) { atomic.AddInt32(&seen[w], 1) })
+		for w, c := range seen {
+			if c != 1 {
+				t.Fatalf("p=%d: worker %d ran %d times", p, w, c)
+			}
 		}
-		got = append(got, i)
-	})
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("p=1 out of order at %d: %d", i, v)
-		}
+	}
+	ran := false
+	Workers(0, func(w int) { ran = w == 0 })
+	if !ran {
+		t.Fatal("p=0 did not run worker 0 inline")
 	}
 }

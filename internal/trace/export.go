@@ -131,13 +131,13 @@ type batchSummary struct {
 func (b *batchSummary) e2e() int64 { return b.end - b.start }
 
 // dominant returns the lifecycle phase with the largest total duration.
-// Container phases (enqueue spans the whole submit path, prepare spans
-// pack+sort+group) are skipped so the answer names actual work.
+// The container phase (enqueue spans the whole submit path) is skipped so
+// the answer names actual work.
 func (b *batchSummary) dominant() (Phase, int64) {
 	var best Phase
 	var bestD int64 = -1
 	for p := Phase(1); p < numPhases; p++ {
-		if p == PhaseEnqueue || p == PhasePrepare {
+		if p == PhaseEnqueue {
 			continue
 		}
 		if b.phases[p] > bestD {

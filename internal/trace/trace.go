@@ -1,7 +1,7 @@
 // Package trace is LSGraph's batch-lifecycle flight recorder: a set of
 // lock-free ring buffers of typed span events covering the full life of an
-// update batch — enqueue → coalesce → scatter → per-shard prepare
-// (pack/sort/group) → apply → snapshot publish → reclaim — plus kernel-run
+// update batch — enqueue → coalesce → scatter → per-shard pack →
+// partition → apply → snapshot publish → reclaim — plus kernel-run
 // and view-pin spans. Each event carries the batch ID, owning shard, shard
 // epoch, and edge count, so a slow batch or a p99 visibility-lag spike can
 // be explained after the fact, which the aggregate counters and histograms
@@ -59,16 +59,12 @@ const (
 	PhaseCoalesce
 	// PhaseScatter spans routing a mixed batch to shards by source vertex.
 	PhaseScatter
-	// PhasePrepare spans the whole per-shard prepare pipeline; PhasePack,
-	// PhaseSort, and PhaseGroup nest inside it.
-	PhasePrepare
 	// PhasePack spans endpoint validation + packing (src,dst) keys.
 	PhasePack
-	// PhaseSort spans the parallel radix sort of packed keys.
-	PhaseSort
-	// PhaseGroup spans dedup + per-source-vertex group discovery.
-	PhaseGroup
-	// PhaseApply spans applying the grouped updates to the shard.
+	// PhasePartition spans splitting the packed keys into source ranges.
+	PhasePartition
+	// PhaseApply spans the workers taking the ranges through sort, dedup,
+	// group discovery and apply.
 	PhaseApply
 	// PhasePublish spans flattening a shard into a snapshot and swapping it
 	// in as the shard's new epoch.
@@ -85,18 +81,16 @@ const (
 )
 
 var phaseNames = [numPhases]string{
-	PhaseEnqueue:  "enqueue",
-	PhaseCoalesce: "coalesce",
-	PhaseScatter:  "scatter",
-	PhasePrepare:  "prepare",
-	PhasePack:     "pack",
-	PhaseSort:     "sort",
-	PhaseGroup:    "group",
-	PhaseApply:    "apply",
-	PhasePublish:  "publish",
-	PhaseReclaim:  "reclaim",
-	PhaseKernel:   "kernel",
-	PhaseViewPin:  "viewpin",
+	PhaseEnqueue:   "enqueue",
+	PhaseCoalesce:  "coalesce",
+	PhaseScatter:   "scatter",
+	PhasePack:      "pack",
+	PhasePartition: "partition",
+	PhaseApply:     "apply",
+	PhasePublish:   "publish",
+	PhaseReclaim:   "reclaim",
+	PhaseKernel:    "kernel",
+	PhaseViewPin:   "viewpin",
 }
 
 // String returns the phase's lifecycle name ("enqueue", "apply", ...).

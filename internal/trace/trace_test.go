@@ -241,9 +241,9 @@ func TestChromeExportParsesBack(t *testing.T) {
 func TestAutopsyNamesDominantPhase(t *testing.T) {
 	withMode(t, trace.All, 1, 256)
 	now := trace.Now()
-	// Batch 1: sort dominates by construction (5ms of an ~6ms e2e).
+	// Batch 1: partition dominates by construction (5ms of an ~6ms e2e).
 	trace.Span(trace.PhaseEnqueue, -1, 1, 0, 1000, now-6_000_000)
-	trace.Span(trace.PhaseSort, 0, 1, 0, 1000, now-5_500_000)
+	trace.Span(trace.PhasePartition, 0, 1, 0, 1000, now-5_500_000)
 	trace.Span(trace.PhasePublish, 0, 1, 1, 1000, now-300_000)
 	// Batch 2: a fast one, so batch 1 leads the report.
 	trace.Span(trace.PhaseApply, 1, 2, 1, 10, now-100_000)
@@ -257,8 +257,8 @@ func TestAutopsyNamesDominantPhase(t *testing.T) {
 		t.Fatalf("autopsy does not mention the slowest batch:\n%s", rep)
 	}
 	slowest := rep[strings.Index(rep, "batch 1"):]
-	if !strings.Contains(strings.Split(slowest, "\n")[0], "dominant phase: sort") {
-		t.Fatalf("autopsy does not name sort as dominant for batch 1:\n%s", rep)
+	if !strings.Contains(strings.Split(slowest, "\n")[0], "dominant phase: partition") {
+		t.Fatalf("autopsy does not name partition as dominant for batch 1:\n%s", rep)
 	}
 }
 

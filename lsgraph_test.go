@@ -1,6 +1,7 @@
 package lsgraph
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"lsgraph/internal/gen"
@@ -93,31 +94,23 @@ func TestEdgeMapBFS(t *testing.T) {
 	es := symEdges(t, 8, 1500, 9)
 	g := NewFromEdges(256, es)
 	n := g.NumVertices()
-	depth := make([]int32, n)
+	depth := make([]atomic.Int32, n) // EdgeMap calls cond and update from its workers
 	for i := range depth {
-		depth[i] = -1
+		depth[i].Store(-1)
 	}
-	depth[0] = 0
+	depth[0].Store(0)
 	frontier := NewVertexSubset(n, 0)
 	level := int32(0)
 	for !frontier.IsEmpty() {
 		level++
 		lv := level
 		frontier = EdgeMap(g, frontier,
-			func(u uint32) bool { return depth[u] == -1 },
-			func(v, u uint32) bool {
-				// CAS-free is fine: duplicates collapse in EdgeMap and any
-				// writer writes the same level value.
-				if depth[u] == -1 {
-					depth[u] = lv
-					return true
-				}
-				return false
-			})
+			func(u uint32) bool { return depth[u].Load() == -1 },
+			func(v, u uint32) bool { return depth[u].CompareAndSwap(-1, lv) })
 	}
 	want := BFSLevels(g, 0)
 	for v := range want {
-		if (want[v] == -1) != (depth[v] == -1) {
+		if (want[v] == -1) != (depth[v].Load() == -1) {
 			t.Fatalf("EdgeMap BFS reachability differs at %d", v)
 		}
 	}

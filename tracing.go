@@ -11,8 +11,8 @@ import (
 
 // Tracing: alongside the aggregate metrics registry, the engine carries a
 // flight recorder (internal/trace) permanently wired through the batch
-// lifecycle — enqueue, coalesce, scatter, per-shard prepare
-// (pack/sort/group), apply, snapshot publish, reclaim — plus kernel runs
+// lifecycle — enqueue, coalesce, scatter, per-shard pack, partition and
+// apply, snapshot publish, reclaim — plus kernel runs
 // and view pins. Recording is off by default and costs one atomic load per
 // instrumented site while off; on, each span is a lock-free ring-buffer
 // write. Traces export as Chrome trace-event JSON (load in Perfetto or

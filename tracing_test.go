@@ -52,8 +52,8 @@ func TestTracingEndToEnd(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"enqueue", "scatter", "prepare", "pack", "sort", "group",
-		"apply", "publish", "kernel", "viewpin",
+		"enqueue", "scatter", "pack", "partition", "apply",
+		"publish", "kernel", "viewpin",
 	} {
 		if !phases[want] {
 			t.Errorf("trace missing lifecycle phase %q (saw %v)", want, phases)
