@@ -123,9 +123,11 @@ func main() {
 		// from -data; say what each recovery cost and carried.
 		if st := srv.Store(name); st != nil {
 			r := st.Recovery()
-			log.Printf("recovered graph %q: checkpoint=%v (%d edges), replayed %d records (%d edges) from %d segments, truncated %d torn tails, %.1fms",
+			ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+			log.Printf("recovered graph %q: checkpoint=%v (%d edges), replayed %d records (%d edges) from %d segments, truncated %d torn tails, %.1fms (load %.1f, build %.1f, scan %.1f, apply %.1f, publish %.1f)",
 				name, r.CheckpointLoaded, r.CheckpointEdges, r.ReplayedRecords, r.ReplayedEdges,
-				r.Segments, r.TruncatedSegments, float64(r.DurationNanos)/1e6)
+				r.Segments, r.TruncatedSegments, ms(r.DurationNanos),
+				ms(r.LoadNanos), ms(r.BuildNanos), ms(r.ScanNanos), ms(r.ApplyNanos), ms(r.PublishNanos))
 		}
 	}
 	for _, spec := range strings.Split(*graphs, ",") {

@@ -62,10 +62,11 @@ type RecoveryStats = wal.RecoveryStats
 // holds a durable store's state recovers it: the newest valid checkpoint
 // is bulk-loaded, WAL records past its watermarks are replayed in log
 // order (torn tails from a crash are truncated away), and the store
-// resumes appending after the highest recovered LSN. n is the minimum
-// vertex-slot count; recovery grows it to the recovered bound if that is
-// larger. Without WithDurability it is equivalent to NewStore and cannot
-// fail.
+// resumes appending after the highest recovered LSN. If checkpoints were
+// published but none of them loads, the open fails rather than serve the
+// log's tail as if it were the graph. n is the minimum vertex-slot count;
+// recovery grows it to the recovered bound if that is larger. Without
+// WithDurability it is equivalent to NewStore and cannot fail.
 func OpenStore(n uint32, opts ...Option) (*Store, error) {
 	var s settings
 	for _, o := range opts {

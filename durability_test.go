@@ -1,7 +1,10 @@
 package lsgraph
 
 import (
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -114,4 +117,45 @@ func TestNewStorePanicsOnDurabilityError(t *testing.T) {
 		}
 	}()
 	NewStore(8, WithDurability(t.TempDir(), DurabilityOptions{Fsync: "bogus"}))
+}
+
+// TestOpenStoreRefusesUnloadableCheckpoints damages every retained
+// checkpoint of a checkpointed store. The log those checkpoints covered is
+// gone or going, so opening on the WAL tail alone would serve a fraction
+// of the graph as if it were all of it: OpenStore must fail instead.
+func TestOpenStoreRefusesUnloadableCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(16, WithDurability(dir, DurabilityOptions{}))
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	for round := uint32(0); round < 2; round++ {
+		st.InsertEdges([]Edge{{round, 5}, {5, round}})
+		st.Flush()
+		if err := st.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+	}
+	st.InsertEdges([]Edge{{7, 8}})
+	st.Flush()
+	st.Close()
+
+	manifests, _ := filepath.Glob(filepath.Join(dir, "checkpoint", "ckpt-*", "MANIFEST.json"))
+	if len(manifests) != 2 {
+		t.Fatalf("retained manifests %v, want two", manifests)
+	}
+	for _, m := range manifests {
+		if err := os.WriteFile(m, []byte("{"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re, err := OpenStore(16, WithDurability(dir, DurabilityOptions{}))
+	if err == nil {
+		n := re.NumEdges()
+		re.Close()
+		t.Fatalf("opened on %d of 5 edges with no loadable checkpoint", n)
+	}
+	if !strings.Contains(err.Error(), "ckpt-") {
+		t.Fatalf("error %q does not name the checkpoint that failed", err)
+	}
 }

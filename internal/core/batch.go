@@ -111,6 +111,19 @@ func (sh *shardState) trimScratch(n int) {
 	}
 }
 
+// ReleaseScratch drops every shard's scratch beyond scratchKeepMin entries,
+// for a caller that has just applied a batch no later one will resemble:
+// recovery, whose one WAL-tail batch would otherwise pin 20 bytes per
+// replayed edge until a much smaller batch happened to follow. The last
+// batch's vertex list goes with the rest, so every shard's next publish is a
+// rebuild. Must not run concurrently with updates.
+func (g *Graph) ReleaseScratch() {
+	for i := range g.shards {
+		g.shards[i].trimScratch(0)
+		g.shards[i].unpub = 2
+	}
+}
+
 // trimmed returns s, or nil when s holds more than limit entries.
 func trimmed[T any](s []T, limit int) []T {
 	if cap(s) > limit {

@@ -42,8 +42,7 @@ type DurabilityOptions struct {
 // durability is a Store's durable-state bundle.
 type durability struct {
 	opt DurabilityOptions
-	// log is the append side; nil while OpenDurable replays (so replayed
-	// batches are not re-logged) and attached before the Store escapes.
+	// log is the append side, opened once recovery has applied the WAL tail.
 	log *wal.Log
 	// floor is the highest LSN recovery reflected into the initial state:
 	// the max over the loaded checkpoint's watermarks and every scanned
@@ -71,18 +70,22 @@ func walOp(op int) uint8 {
 	return wal.OpInsert
 }
 
+// tailCap bounds the edges recovery buffers from consecutive same-op WAL
+// records before applying them as one batch: enough for the pipeline's bulk
+// paths, while its scratch (20 bytes an edge) stays in the tens of megabytes.
+const tailCap = 1 << 20
+
 // OpenDurable opens (creating or recovering) a durable Store over a fresh
-// core.Graph of at least n vertices. Recovery loads the newest valid
-// checkpoint, bulk-inserts its per-shard CSRs, replays WAL records past
-// each shard log's watermark in global LSN order, waits for the replay to
-// apply, and only then attaches the log for new appends — so recovery
-// never re-logs what it replays, and a crash mid-recovery changes nothing
-// but idempotent torn-tail truncation.
-//
-// The shard layout is not recovered: the store reopens on cfg.Shards
-// shards with a uniform partition map (checkpointed edges are
-// layout-independent, and replay re-scatters by the new map). A store
-// that was rebalanced before the crash simply starts even again.
+// core.Graph of at least n vertices. Recovery is checkpointing run backwards,
+// on the bare graph before any writer exists: load the newest valid
+// checkpoint, hand its per-shard CSRs to core.LoadCSR (one parallel pass, no
+// sort), apply the WAL records past each shard log's watermark, in global LSN
+// order, as coalesced engine batches, then start the Store — one first
+// publish per shard whatever the tail's length — and attach the log. So
+// nothing replayed is re-logged, the Store's counters start at zero, and a
+// crash mid-recovery changes nothing but idempotent torn-tail truncation.
+// The shard layout is not recovered: the store reopens on cfg.Shards shards
+// with a uniform partition map; LoadCSR and the replayed batches route by it.
 func OpenDurable(n uint32, cfg core.Config, opt Options, dopt DurabilityOptions) (*Store, error) {
 	if dopt.Dir == "" {
 		return nil, errors.New("serve: durability requires a directory")
@@ -92,97 +95,110 @@ func OpenDurable(n uint32, cfg core.Config, opt Options, dopt DurabilityOptions)
 	if err != nil {
 		return nil, err
 	}
-	if ck != nil && ck.N > n {
-		n = ck.N
+	rs := wal.RecoveryStats{
+		CheckpointLoaded: ck != nil,
+		LoadNanos:        time.Since(start).Nanoseconds(),
 	}
-	g := core.New(n, cfg)
-	var ckEdges uint64
-	if ck != nil {
-		for i := range ck.Shards {
-			src, dst := shardSnapEdges(&ck.Shards[i])
-			if len(src) > 0 {
-				g.InsertBatch(src, dst)
-				ckEdges += uint64(len(src))
-			}
-		}
+	if ck == nil {
+		ck = &wal.Checkpoint{} // never checkpointed: no vertices, shards or watermarks
 	}
-	s := New(g, opt)
-	s.dur = &durability{opt: dopt}
-	wmOf := func(d int) uint64 {
-		if ck != nil && d < len(ck.Watermarks) {
-			return ck.Watermarks[d]
-		}
-		return 0
+	rs.CheckpointVertices = ck.N
+	d := &durability{opt: dopt}
+	for _, wm := range ck.Watermarks {
+		d.floor = max(d.floor, wm)
 	}
-	maxLSN, rst, err := wal.Replay(dopt.Dir, wmOf, dopt.Hook, func(r wal.Record) error {
-		if r.Op == wal.OpDelete {
-			s.DeleteBatch(r.Src, r.Dst)
-		} else {
-			s.InsertBatch(r.Src, r.Dst)
+
+	t := time.Now()
+	g := core.New(max(n, ck.N), cfg)
+	for i := range ck.Shards {
+		sh := &ck.Shards[i]
+		if err := g.LoadCSR(sh.Base, sh.Offs, sh.Adj); err != nil {
+			return nil, fmt.Errorf("serve: recovery: checkpoint shard %d: %w", i, err)
 		}
-		return nil
-	})
+		rs.CheckpointEdges += uint64(len(sh.Adj))
+	}
+	ck.Shards = nil // loaded: let the collector have the CSRs before the tail's scratch grows
+	rs.BuildNanos = time.Since(t).Nanoseconds()
+
+	t = time.Now()
+	tail := walTail{g: g, cap: tailCap}
+	maxLSN, rst, err := wal.Replay(dopt.Dir, ck.Watermark, dopt.Hook, tail.add)
 	if err != nil {
-		s.Close()
 		return nil, fmt.Errorf("serve: recovery replay: %w", err)
 	}
-	s.Flush() // replayed batches are applied before the log opens
-	floor := maxLSN
-	if ck != nil {
-		for _, wm := range ck.Watermarks {
-			if wm > floor {
-				floor = wm
-			}
-		}
-	}
-	log, err := wal.OpenLog(dopt.Dir, len(s.ws), floor, wal.Options{
+	tail.flush()
+	g.ReleaseScratch() // sized by the tail batch, which no live batch will resemble
+	rs.ApplyNanos = tail.applyNs
+	rs.ScanNanos = time.Since(t).Nanoseconds() - tail.applyNs
+	rs.ReplayedRecords = rst.RecordsReplayed
+	rs.ReplayedEdges = rst.EdgesReplayed
+	rs.Segments = rst.Segments
+	rs.TruncatedSegments = rst.TruncatedSegments
+	rs.TornBytes = rst.TornBytes
+	rs.MaxLSN = maxLSN
+	d.floor = max(d.floor, maxLSN)
+
+	d.log, err = wal.OpenLog(dopt.Dir, g.NumShards(), d.floor, wal.Options{
 		Fsync:         dopt.Fsync,
 		FsyncInterval: dopt.FsyncInterval,
 		SegmentBytes:  dopt.SegmentBytes,
 		Hook:          dopt.Hook,
 	})
 	if err != nil {
-		s.Close()
 		return nil, err
 	}
-	s.dur.floor = floor
-	s.dur.log = log
-	s.dur.recovery = wal.RecoveryStats{
-		CheckpointLoaded:   ck != nil,
-		CheckpointVertices: ckN(ck),
-		CheckpointEdges:    ckEdges,
-		ReplayedRecords:    rst.RecordsReplayed,
-		ReplayedEdges:      rst.EdgesReplayed,
-		Segments:           rst.Segments,
-		TruncatedSegments:  rst.TruncatedSegments,
-		TornBytes:          rst.TornBytes,
-		MaxLSN:             maxLSN,
-		DurationNanos:      time.Since(start).Nanoseconds(),
-	}
+	t = time.Now()
+	s := New(g, opt)
+	rs.PublishNanos = time.Since(t).Nanoseconds()
+	rs.DurationNanos = time.Since(start).Nanoseconds()
+	d.recovery = rs
+	s.dur = d
 	return s, nil
 }
 
-func ckN(ck *wal.Checkpoint) uint32 {
-	if ck == nil {
-		return 0
-	}
-	return ck.N
+// walTail turns the replayed WAL tail into engine batches on the bare graph.
+// Consecutive records of one op are concatenated — under set semantics
+// insert(A) then insert(B) is insert(A∪B), likewise for deletes, so the merged
+// batch is exact — and an op change flushes first, keeping every insert/delete
+// order the log recorded. The vertex space grows from the records' own IDs,
+// as the Store's enqueue grew it when they were logged.
+type walTail struct {
+	g        *core.Graph
+	cap      int
+	op       uint8
+	src, dst []uint32
+	bound    uint32
+	applyNs  int64
 }
 
-// shardSnapEdges expands one checkpointed shard CSR into parallel
-// src/dst slices for a bulk insert (src holds global IDs: base + slot).
-func shardSnapEdges(sh *wal.ShardSnap) (src, dst []uint32) {
-	m := len(sh.Adj)
-	if m == 0 {
-		return nil, nil
+// add is the wal.Replay callback.
+func (t *walTail) add(r wal.Record) error {
+	if len(t.src) > 0 && (r.Op != t.op || len(t.src)+len(r.Src) > t.cap) {
+		t.flush()
 	}
-	src = make([]uint32, 0, m)
-	for v := 0; v+1 < len(sh.Offs); v++ {
-		for e := sh.Offs[v]; e < sh.Offs[v+1]; e++ {
-			src = append(src, sh.Base+uint32(v))
-		}
+	t.op = r.Op
+	t.src = append(t.src, r.Src...)
+	t.dst = append(t.dst, r.Dst...)
+	for i, v := range r.Src {
+		t.bound = max(t.bound, v+1, r.Dst[i]+1)
 	}
-	return src, sh.Adj
+	return nil
+}
+
+// flush applies the buffered records as one batch.
+func (t *walTail) flush() {
+	if len(t.src) == 0 {
+		return
+	}
+	start := time.Now()
+	t.g.EnsureVertices(t.bound)
+	if t.op == wal.OpDelete {
+		t.g.DeleteBatch(t.src, t.dst)
+	} else {
+		t.g.InsertBatch(t.src, t.dst)
+	}
+	t.src, t.dst = t.src[:0], t.dst[:0]
+	t.applyNs += time.Since(start).Nanoseconds()
 }
 
 // Durable reports whether the Store was opened with a durability
@@ -201,9 +217,10 @@ func (s *Store) Recovery() wal.RecoveryStats {
 // Checkpoint pins a composed view and publishes it as a durable
 // checkpoint (CSR per shard + partition layout + per-shard-log
 // watermarks, atomic tmp+rename), then rotates the WAL and garbage-
-// collects segments the checkpoint covers. Concurrent Checkpoint calls
-// serialize; ingest and reads continue throughout — the only shared work
-// is the view pin. Returns ErrNotDurable on an in-memory store.
+// collects the segments it and its retained predecessor both cover.
+// Concurrent Checkpoint calls serialize; ingest and reads continue
+// throughout — the only shared work is the view pin. Returns
+// ErrNotDurable on an in-memory store.
 func (s *Store) Checkpoint() error {
 	d := s.dur
 	if d == nil {
@@ -270,7 +287,7 @@ func (s *Store) Checkpoint() error {
 // errors (including injected crashes) are absorbed — the next trigger or
 // recovery picks up from the log.
 func (d *durability) maybeAutoCheckpoint(s *Store) {
-	if d.opt.CheckpointEvery <= 0 || d.log == nil {
+	if d.opt.CheckpointEvery <= 0 {
 		return
 	}
 	if d.sinceCkpt.Load() < int64(d.opt.CheckpointEvery) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -111,12 +112,16 @@ func TestDurableCheckpointAndGC(t *testing.T) {
 	if err := st.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	ws := st.Stats()
-	if ws.Checkpoints != 2 {
-		t.Fatalf("checkpoints=%d, want 2", ws.Checkpoints)
+	// Segments go one checkpoint late: the predecessor is kept as the
+	// fallback for a damaged newest checkpoint, so the log past it is too.
+	if ws := st.Stats(); ws.Checkpoints != 2 || ws.SegmentsGCed != 0 {
+		t.Fatalf("after the covering checkpoint: %d checkpoints, %d segments GCed, want 2 and 0", ws.Checkpoints, ws.SegmentsGCed)
 	}
-	if ws.SegmentsGCed == 0 {
-		t.Fatal("no segments GCed after covering checkpoint")
+	if err := st.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if ws := st.Stats(); ws.SegmentsGCed == 0 {
+		t.Fatal("no segments GCed once both retained checkpoints cover them")
 	}
 	st.Close()
 
@@ -241,5 +246,233 @@ func TestCheckpointOnNonDurableStore(t *testing.T) {
 	}
 	if st.Durable() {
 		t.Fatal("in-memory store claims durability")
+	}
+}
+
+// requireFreshStart checks that a recovered store's own history is that
+// of a store just built by New on the same shard count: one first publish
+// (a rebuild) per shard and epoch 0, whatever recovery loaded and however
+// long the WAL tail was — recovery happens on the bare graph, before the
+// Store exists.
+func requireFreshStart(t *testing.T, re *Store) {
+	t.Helper()
+	fresh := New(core.New(8, core.Config{Workers: 2, Shards: re.Shards()}), Options{})
+	defer fresh.Close()
+	if got, want := re.Stats(), fresh.Stats(); got != want {
+		t.Fatalf("recovered store's counters %+v, a fresh store's %+v", got, want)
+	}
+	v := re.View()
+	defer v.Release()
+	if v.Epoch() != 0 {
+		t.Fatalf("recovered store starts at epoch %d", v.Epoch())
+	}
+	if err := checkStoreInvariants(re); err != nil {
+		t.Fatal(err)
+	}
+	// The five phases run back to back inside the recovery's wall time.
+	r := re.Recovery()
+	phases := []int64{r.LoadNanos, r.BuildNanos, r.ScanNanos, r.ApplyNanos, r.PublishNanos}
+	var sum int64
+	for _, ns := range phases {
+		if ns < 0 {
+			t.Fatalf("negative recovery phase: %+v", r)
+		}
+		sum += ns
+	}
+	if sum > r.DurationNanos || r.PublishNanos == 0 || (r.ReplayedEdges > 0) != (r.ApplyNanos > 0) {
+		t.Fatalf("recovery phases %v do not fit %d ns with %d edges replayed", phases, r.DurationNanos, r.ReplayedEdges)
+	}
+}
+
+// randomUpdates applies k seeded batches of up to 24 edges over [0, n) to
+// st, every third a delete, flushing after each so each logs its own
+// records.
+func randomUpdates(st *Store, seed int64, k int, n uint32) {
+	r := rand.New(rand.NewSource(seed))
+	for b := 0; b < k; b++ {
+		src := make([]uint32, 1+r.Intn(24))
+		dst := make([]uint32, len(src))
+		for i := range src {
+			src[i], dst[i] = uint32(r.Intn(int(n))), uint32(r.Intn(int(n)))
+		}
+		if b%3 == 2 {
+			st.DeleteBatch(src, dst)
+		} else {
+			st.InsertBatch(src, dst)
+		}
+		st.Flush()
+	}
+}
+
+// TestRecoveryTailOrderAcrossShardLogs logs insert, delete and re-insert
+// of the same edges as consecutive records in both shard logs: coalescing
+// the tail must stop at every op change, or the deletes would be lost or
+// win.
+func TestRecoveryTailOrderAcrossShardLogs(t *testing.T) {
+	dir := t.TempDir()
+	st := openDur(t, dir, 16, 2, DurabilityOptions{})
+	st.InsertBatch([]uint32{1, 9}, []uint32{2, 3})
+	st.Flush()
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	both := func() ([]uint32, []uint32) { return []uint32{3, 12}, []uint32{4, 1} } // one source per shard
+	for _, op := range []func([]uint32, []uint32){st.InsertBatch, st.DeleteBatch, st.InsertBatch} {
+		op(both())
+		st.Flush()
+	}
+	st.DeleteBatch([]uint32{12}, []uint32{1})
+	st.Flush()
+	want := edgeSet(st)
+	st.Close()
+
+	re := openDur(t, dir, 16, 2, DurabilityOptions{})
+	defer re.Close()
+	if rst := re.Recovery(); !rst.CheckpointLoaded || rst.ReplayedRecords != 7 {
+		t.Fatalf("recovery %+v, want a checkpoint and 7 replayed records", rst)
+	}
+	sameEdges(t, edgeSet(re), want, "insert/delete/re-insert tail")
+	v := re.View()
+	if len(v.Neighbors(3)) != 1 || len(v.Neighbors(12)) != 0 {
+		t.Fatalf("neighbors(3)=%v neighbors(12)=%v, want [4] and none", v.Neighbors(3), v.Neighbors(12))
+	}
+	v.Release()
+	requireFreshStart(t, re)
+}
+
+// TestRecoveryTailBeyondCap replays one directory's whole log through
+// walTail at caps of a few edges, so the tail is applied as many batches,
+// some cut by the cap, some by an op change, and one record alone exceeds
+// the cap; the graph must come out the same as at the production cap.
+func TestRecoveryTailBeyondCap(t *testing.T) {
+	dir := t.TempDir()
+	st := openDur(t, dir, 64, 2, DurabilityOptions{})
+	randomUpdates(st, 5, 40, 64)
+	big := make([]uint32, 50)
+	for i := range big {
+		big[i] = uint32(i)
+	}
+	st.InsertBatch(big, big)
+	randomUpdates(st, 6, 10, 64)
+	want := edgeSet(st)
+	st.Close()
+
+	for _, c := range []int{1, 7, tailCap} {
+		g := core.New(8, core.Config{Workers: 2, Shards: 2})
+		tail := walTail{g: g, cap: c}
+		if _, _, err := wal.Replay(dir, (&wal.Checkpoint{}).Watermark, nil, tail.add); err != nil {
+			t.Fatal(err)
+		}
+		tail.flush()
+		re := New(g, Options{})
+		sameEdges(t, edgeSet(re), want, "tail replayed across the cap")
+		if err := checkStoreInvariants(re); err != nil {
+			t.Fatal(err)
+		}
+		re.Close()
+	}
+}
+
+// TestRecoveryTailGrowsVertexSpace replays records naming vertices the
+// checkpoint never saw: the tail brings its own vertex bound.
+func TestRecoveryTailGrowsVertexSpace(t *testing.T) {
+	dir := t.TempDir()
+	st := openDur(t, dir, 16, 2, DurabilityOptions{})
+	st.InsertBatch([]uint32{1, 9}, []uint32{2, 3})
+	st.Flush()
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st.InsertBatch([]uint32{2, 120}, []uint32{100, 3})
+	st.DeleteBatch([]uint32{7}, []uint32{300}) // a delete reserves its IDs too
+	st.Flush()
+	want, nv := edgeSet(st), st.NumVertices()
+	st.Close()
+
+	re := openDur(t, dir, 16, 2, DurabilityOptions{})
+	defer re.Close()
+	if rst := re.Recovery(); rst.CheckpointVertices != 16 || re.NumVertices() != nv || nv != 301 {
+		t.Fatalf("checkpoint of %d vertices recovered to %d, want %d (301)", rst.CheckpointVertices, re.NumVertices(), nv)
+	}
+	sameEdges(t, edgeSet(re), want, "tail above the checkpoint's vertex bound")
+	requireFreshStart(t, re)
+}
+
+// TestRecoveryAcrossShardCounts checkpoints at two shards and reopens the
+// directory at one and at four: the checkpoint's CSRs are routed by the
+// new map vertex by vertex, the tail is re-scattered by it.
+func TestRecoveryAcrossShardCounts(t *testing.T) {
+	dir := t.TempDir()
+	st := openDur(t, dir, 64, 2, DurabilityOptions{})
+	randomUpdates(st, 1, 60, 64)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	randomUpdates(st, 2, 30, 64)
+	want := edgeSet(st)
+	st.Close()
+
+	for _, shards := range []int{1, 4, 2} {
+		re := openDur(t, dir, 64, shards, DurabilityOptions{})
+		if rst := re.Recovery(); !rst.CheckpointLoaded || rst.ReplayedRecords == 0 {
+			t.Fatalf("S=%d: recovery %+v, want a checkpoint and a tail", shards, rst)
+		}
+		sameEdges(t, edgeSet(re), want, "reopen at another shard count")
+		requireFreshStart(t, re)
+		re.Close()
+	}
+}
+
+// TestRecoveryFallsBackAcrossRotatedLog damages the newest checkpoint of a
+// store whose log rotated many times between its two checkpoints. The
+// predecessor must load and the replay must cover everything since it —
+// which it can only do because segment GC runs one checkpoint behind.
+// With both checkpoints damaged the open must fail, not serve the tail.
+func TestRecoveryFallsBackAcrossRotatedLog(t *testing.T) {
+	dir := t.TempDir()
+	dopt := DurabilityOptions{SegmentBytes: 1 << 9}
+	st := openDur(t, dir, 64, 2, dopt)
+	randomUpdates(st, 1, 30, 64)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	randomUpdates(st, 2, 30, 64)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	randomUpdates(st, 3, 10, 64)
+	want := edgeSet(st)
+	st.Close()
+
+	ckpts, _ := filepath.Glob(filepath.Join(dir, "checkpoint", "ckpt-*"))
+	sort.Strings(ckpts)
+	if len(ckpts) != 2 {
+		t.Fatalf("retained checkpoints %v, want two", ckpts)
+	}
+	damage := func(ckpt string) {
+		shard := filepath.Join(ckpt, "shard-000.snap")
+		b, err := os.ReadFile(shard)
+		if err != nil || len(b) == 0 {
+			t.Fatalf("read %s: %v", shard, err)
+		}
+		b[len(b)/2] ^= 0x40
+		if err := os.WriteFile(shard, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	damage(ckpts[1])
+	re := openDur(t, dir, 64, 2, dopt)
+	rst := re.Recovery()
+	if !rst.CheckpointLoaded || rst.ReplayedRecords < 40 {
+		t.Fatalf("recovery %+v, want the predecessor plus both later runs of records", rst)
+	}
+	sameEdges(t, edgeSet(re), want, "predecessor checkpoint plus the log since")
+	requireFreshStart(t, re)
+	re.Close()
+
+	damage(ckpts[0])
+	_, err := OpenDurable(64, core.Config{Workers: 2, Shards: 2}, Options{}, DurabilityOptions{Dir: dir})
+	if !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("open with every checkpoint damaged: %v, want ErrCorrupt", err)
 	}
 }

@@ -250,9 +250,9 @@ type Store struct {
 	routed []atomic.Uint64
 
 	// dur is the durability state (WAL + checkpoints), nil for a purely
-	// in-memory Store. Set before the Store is visible to callers
-	// (New via OpenDurable); the log handle inside it is attached only
-	// after recovery replay, so replayed batches are never re-logged.
+	// in-memory Store. OpenDurable sets it, log attached, before the Store
+	// is visible to callers; recovery ran on the bare graph before New, so
+	// nothing it replayed could be re-logged.
 	dur *durability
 
 	autoStop chan struct{} // closes to stop the auto-rebalancer
@@ -465,7 +465,7 @@ func (w *shardWriter) enqueue(op int, src, dst []uint32, bound uint32, batch uin
 	// through Stats.WALAppendErrors.
 	var lsn uint64
 	var app wal.Appender
-	if d := w.s.dur; d != nil && d.log != nil {
+	if d := w.s.dur; d != nil {
 		app = d.log.Begin(w.idx, walOp(op), batch, src, dst)
 		lsn = app.LSN()
 		d.sinceCkpt.Add(1)
@@ -552,7 +552,7 @@ func (s *Store) Flush() {
 	}
 	// Flush is also the durability barrier: every acknowledged batch is
 	// fsynced before return, regardless of the group-commit policy.
-	if d := s.dur; d != nil && d.log != nil {
+	if d := s.dur; d != nil {
 		d.log.SyncAll()
 	}
 }
@@ -585,7 +585,7 @@ func (s *Store) Close() {
 	// ckptMu waits out any in-flight checkpoint (auto or explicit), so no
 	// background writer touches the directory after Close returns; a
 	// checkpoint that has not locked yet bails on the closed re-check.
-	if d := s.dur; d != nil && d.log != nil {
+	if d := s.dur; d != nil {
 		d.ckptMu.Lock()
 		d.ckptMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 		d.log.Close()
@@ -1149,7 +1149,7 @@ func (s *Store) Stats() Stats {
 		MovedVertices:      s.rebStats.movedVertices.Load(),
 		MovedEdges:         s.rebStats.movedEdges.Load(),
 	}
-	if d := s.dur; d != nil && d.log != nil {
+	if d := s.dur; d != nil {
 		ls := d.log.Stats()
 		st.WALRecords = ls.Records
 		st.WALBytes = ls.Bytes

@@ -43,6 +43,16 @@ type Checkpoint struct {
 	Shards []ShardSnap
 }
 
+// Watermark returns the highest LSN of shard log directory dir reflected
+// in the checkpoint: 0 for a directory it does not cover, from which
+// everything replays.
+func (ck *Checkpoint) Watermark(dir int) uint64 {
+	if dir < len(ck.Watermarks) {
+		return ck.Watermarks[dir]
+	}
+	return 0
+}
+
 // ShardSnap is one shard's pinned local CSR: offsets indexed by slot
 // within the shard, adjacency holding global vertex IDs.
 type ShardSnap struct {
@@ -120,29 +130,47 @@ func encodeShardSnap(sh *ShardSnap) []byte {
 	return b
 }
 
-// decodeShardSnap parses a shard CSR file of nv vertices and m edges,
-// validating the byte length.
-func decodeShardSnap(b []byte, base, nv uint32, m uint64) (ShardSnap, error) {
-	want := 8*(uint64(nv)+1) + 4*m
-	if uint64(len(b)) != want {
-		return ShardSnap{}, fmt.Errorf("%w: shard snap is %d bytes, manifest says %d", ErrCorrupt, len(b), want)
+// decodeShardSnap parses a shard CSR file of nv vertices and m edges in a
+// vertex space of n, validating everything recovery relies on: the byte
+// length, offsets that are a monotone cover of the adjacency, a vertex
+// range inside [0, n), and every run strictly ascending with IDs below n.
+// A CRC only proves the file is what was written; these checks prove it is
+// a CSR the engine can load, so a bad one falls back to the predecessor
+// instead of panicking inside recovery.
+func decodeShardSnap(b []byte, base, nv uint32, m uint64, n uint32) (ShardSnap, error) {
+	// The edge count comes from the manifest: bound it by the file before
+	// multiplying, so a hostile one can neither wrap the size check nor
+	// size the allocations below.
+	if want := 8*(uint64(nv)+1) + 4*m; m > uint64(len(b))/4 || uint64(len(b)) != want {
+		return ShardSnap{}, fmt.Errorf("%w: shard snap is %d bytes, manifest says %d vertices and %d edges", ErrCorrupt, len(b), nv, m)
+	}
+	if nv > 0 && uint64(base)+uint64(nv) > uint64(n) {
+		return ShardSnap{}, fmt.Errorf("%w: shard snap covers vertices [%d,%d) of %d", ErrCorrupt, base, uint64(base)+uint64(nv), n)
 	}
 	sh := ShardSnap{Base: base, Offs: make([]uint64, nv+1), Adj: make([]uint32, m)}
-	off := 0
 	for i := range sh.Offs {
-		sh.Offs[i] = binary.LittleEndian.Uint64(b[off : off+8])
-		off += 8
-	}
-	for i := range sh.Adj {
-		sh.Adj[i] = binary.LittleEndian.Uint32(b[off : off+4])
-		off += 4
+		sh.Offs[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	if sh.Offs[0] != 0 || sh.Offs[nv] != m {
 		return ShardSnap{}, fmt.Errorf("%w: shard snap offsets inconsistent", ErrCorrupt)
 	}
-	for i := 1; i < len(sh.Offs); i++ {
-		if sh.Offs[i] < sh.Offs[i-1] {
+	adj := b[8*len(sh.Offs):]
+	for v := 0; v < int(nv); v++ {
+		lo, hi := sh.Offs[v], sh.Offs[v+1]
+		if hi < lo || hi > m {
 			return ShardSnap{}, fmt.Errorf("%w: shard snap offsets not monotone", ErrCorrupt)
+		}
+		// Ascending makes a run's last ID its largest, so that one alone is
+		// held to the bound.
+		run, raw := sh.Adj[lo:hi], adj[4*lo:4*hi]
+		for i := range run {
+			run[i] = binary.LittleEndian.Uint32(raw[4*i:])
+			if i > 0 && run[i] <= run[i-1] {
+				return ShardSnap{}, fmt.Errorf("%w: shard snap run of vertex %d not strictly ascending", ErrCorrupt, base+uint32(v))
+			}
+		}
+		if len(run) > 0 && run[len(run)-1] >= n {
+			return ShardSnap{}, fmt.Errorf("%w: shard snap run of vertex %d names vertex %d of %d", ErrCorrupt, base+uint32(v), run[len(run)-1], n)
 		}
 	}
 	return sh, nil
@@ -247,19 +275,51 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 }
 
 // LoadLatestCheckpoint returns the newest checkpoint under dir that
-// passes manifest and CRC validation, or (nil, nil) when none exists.
-// A damaged newest checkpoint falls back to its predecessor — the reason
-// WriteCheckpoint retains two.
+// passes manifest, CRC and CSR validation. A damaged newest checkpoint
+// falls back to its predecessor — the reason WriteCheckpoint retains two.
+// (nil, nil) means no checkpoint was ever published. When published
+// checkpoints exist but none validates, the error wraps ErrCorrupt and
+// names the newest failure: segment GC has already removed the log those
+// checkpoints covered, so opening on the WAL tail alone would serve a
+// fraction of the graph as if it were all of it.
 func LoadLatestCheckpoint(dir string) (*Checkpoint, error) {
 	root := filepath.Join(dir, "checkpoint")
 	seqs := listCheckpoints(root)
+	var newest error
 	for i := len(seqs) - 1; i >= 0; i-- {
-		ck, err := loadCheckpoint(filepath.Join(root, ckptDirName(seqs[i])))
+		name := ckptDirName(seqs[i])
+		ck, err := loadCheckpoint(filepath.Join(root, name))
 		if err == nil {
 			return ck, nil
 		}
+		if newest == nil {
+			newest = fmt.Errorf("%s: %w", name, err)
+		}
+	}
+	if newest != nil {
+		return nil, fmt.Errorf("%w: none of %d published checkpoints is loadable (newest, %v)", ErrCorrupt, len(seqs), newest)
 	}
 	return nil, nil
+}
+
+// fallbackCheckpoint returns the watermarks-only view of the newest
+// published checkpoint but one under dir — the fallback LoadLatestCheckpoint
+// turns to when the newest is damaged — or nil when there is none or its
+// manifest cannot be read (then it is no fallback, and constrains nothing).
+// Its shard files are not validated here: the cover is for one damaged
+// checkpoint at a time (DESIGN.md "Durability & recovery").
+func fallbackCheckpoint(dir string) *Checkpoint {
+	root := filepath.Join(dir, "checkpoint")
+	seqs := listCheckpoints(root)
+	if len(seqs) < 2 {
+		return nil
+	}
+	var m manifest
+	mb, err := os.ReadFile(filepath.Join(root, ckptDirName(seqs[len(seqs)-2]), manifestName))
+	if err != nil || json.Unmarshal(mb, &m) != nil {
+		return nil
+	}
+	return &Checkpoint{Watermarks: m.Watermarks}
 }
 
 // loadCheckpoint reads and validates one published checkpoint directory.
@@ -276,9 +336,18 @@ func loadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: manifest format %d (want %d)", ErrCorrupt, m.Format, manifestFormat)
 	}
 	ck := &Checkpoint{N: m.N, Starts: m.Starts, Watermarks: m.Watermarks}
+	var end uint64 // one past the last vertex any shard so far covers
 	for _, ms := range m.Shards {
 		if ms.File != filepath.Base(ms.File) {
 			return nil, fmt.Errorf("%w: manifest names file outside checkpoint dir", ErrCorrupt)
+		}
+		if ms.Vertices > 0 {
+			// Shards are written in vertex order over disjoint ranges; two
+			// that overlap would load the same vertex twice.
+			if uint64(ms.Base) < end {
+				return nil, fmt.Errorf("%w: shard snap %s starts at vertex %d, inside its predecessor's range", ErrCorrupt, ms.File, ms.Base)
+			}
+			end = uint64(ms.Base) + uint64(ms.Vertices)
 		}
 		data, err := os.ReadFile(filepath.Join(path, ms.File))
 		if err != nil {
@@ -287,7 +356,7 @@ func loadCheckpoint(path string) (*Checkpoint, error) {
 		if crc32.Checksum(data, crcTable) != ms.CRC {
 			return nil, fmt.Errorf("%w: shard snap %s crc mismatch", ErrCorrupt, ms.File)
 		}
-		sh, err := decodeShardSnap(data, ms.Base, ms.Vertices, ms.Edges)
+		sh, err := decodeShardSnap(data, ms.Base, ms.Vertices, ms.Edges, m.N)
 		if err != nil {
 			return nil, err
 		}

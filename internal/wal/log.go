@@ -394,13 +394,17 @@ func (l *Log) Rotate() error {
 	return first
 }
 
-// GC removes sealed segments wholly covered by the checkpoint watermarks:
-// segment k of a shard directory is removable when the next segment's
-// first LSN is at or below wm+1 (every record in k has LSN ≤ wm) and k is
-// not the newest segment of a live shard. For stale directories beyond
-// the live shard count the newest segment is removable too (their entire
-// content is below their watermark by construction), and an emptied stale
-// directory is removed. Returns the number of segments deleted.
+// GC removes sealed segments wholly covered by the checkpoint watermarks
+// wms — and by those of the retained predecessor checkpoint, when there is
+// one: it is kept as the fallback for a damaged newest checkpoint, and it
+// is one only with the log since it, so a segment goes when both cover it
+// (one checkpoint later than the newest alone would allow). Segment k of a
+// shard directory is removable when the next segment's first LSN is at or
+// below wm+1 (every record in k has LSN ≤ wm) and k is not the newest
+// segment of a live shard. For stale directories beyond the live shard
+// count the newest segment is removable too (their entire content is below
+// their watermark by construction), and an emptied stale directory is
+// removed. Returns the number of segments deleted.
 func (l *Log) GC(wms []uint64) (int, error) {
 	if l.died.Load() {
 		return 0, ErrKilled
@@ -408,10 +412,11 @@ func (l *Log) GC(wms []uint64) (int, error) {
 	walRoot := filepath.Join(l.dir, "wal")
 	removed := 0
 	var firstErr error
+	newest, fallback := &Checkpoint{Watermarks: wms}, fallbackCheckpoint(l.dir)
 	for dirIdx := 0; dirIdx < l.dirs; dirIdx++ {
-		var wm uint64
-		if dirIdx < len(wms) {
-			wm = wms[dirIdx]
+		wm := newest.Watermark(dirIdx)
+		if fallback != nil {
+			wm = min(wm, fallback.Watermark(dirIdx))
 		}
 		sd := filepath.Join(walRoot, shardDirName(dirIdx))
 		live := dirIdx < len(l.shards)

@@ -25,7 +25,24 @@ type RecoveryStats struct {
 	// MaxLSN is the highest LSN observed in the log; new appends continue
 	// after it.
 	MaxLSN uint64 `json:"max_lsn"`
-	// DurationNanos is the recovery wall time, checkpoint load through
-	// replay apply.
+	// DurationNanos is the recovery wall time, checkpoint load through the
+	// first publish. The five phases below run back to back inside it, so
+	// they sum to at most this (the rest is opening the log for appends).
 	DurationNanos int64 `json:"duration_nanos"`
+	// LoadNanos is reading, CRC-checking and validating the checkpoint
+	// files; it grows with checkpoint size.
+	LoadNanos int64 `json:"load_nanos"`
+	// BuildNanos is building vertex storage from the checkpoint's CSRs
+	// (core.LoadCSR); it grows with checkpoint size.
+	BuildNanos int64 `json:"build_nanos"`
+	// ScanNanos is reading, CRC-checking and LSN-merging the WAL segments
+	// on disk; it grows with the log retained (see Log.GC), not only with
+	// the tail past the watermarks.
+	ScanNanos int64 `json:"scan_nanos"`
+	// ApplyNanos is applying the replayed records to the graph as
+	// coalesced batches; it grows with the tail's edges, not its records.
+	ApplyNanos int64 `json:"apply_nanos"`
+	// PublishNanos is starting the store: each shard's one first publish,
+	// a flatten of the whole recovered graph.
+	PublishNanos int64 `json:"publish_nanos"`
 }

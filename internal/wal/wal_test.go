@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -240,11 +241,86 @@ func TestCheckpointWriteLoadAndFallback(t *testing.T) {
 		t.Fatalf("fallback returned wrong checkpoint: %+v", got)
 	}
 
-	// No valid checkpoint at all.
+	// Both retained checkpoints damaged: an error naming the newest, never
+	// (nil, nil) — the log those checkpoints covered may be gone, so the
+	// caller must not mistake this for a store that never checkpointed.
+	oldest := filepath.Join(root, ckptDirName(seqs[0]))
+	if err := os.Remove(filepath.Join(oldest, manifestName)); err != nil {
+		t.Fatal(err)
+	}
+	got, err = LoadLatestCheckpoint(dir)
+	if got != nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(newest)) {
+		t.Fatalf("load with every checkpoint damaged: %v, %v; want ErrCorrupt naming %s", got, err, filepath.Base(newest))
+	}
+
+	// No checkpoint ever published.
 	os.RemoveAll(root)
 	got, err = LoadLatestCheckpoint(dir)
 	if err != nil || got != nil {
 		t.Fatalf("empty load: %v %v", got, err)
+	}
+}
+
+// TestLoadCheckpointRejectsUnloadableCSR publishes checkpoints whose files
+// are exactly what was written (every CRC matches) but are not CSRs the
+// engine can load; each must fail validation as ErrCorrupt, so the load
+// falls back to the sound predecessor instead of panicking in recovery or
+// being quietly re-sorted.
+func TestLoadCheckpointRejectsUnloadableCSR(t *testing.T) {
+	good := &Checkpoint{N: 8, Starts: []uint32{0}, Watermarks: []uint64{1},
+		Shards: []ShardSnap{{Base: 0, Offs: []uint64{0, 2, 2, 3, 3, 3, 3, 3, 3}, Adj: []uint32{1, 7, 0}}}}
+	for _, tc := range []struct {
+		name string
+		n    uint32
+		sh   ShardSnap
+	}{
+		{"neighbor at the vertex bound", 8, ShardSnap{Base: 0, Offs: []uint64{0, 2}, Adj: []uint32{1, 8}}},
+		{"descending run", 8, ShardSnap{Base: 0, Offs: []uint64{0, 2}, Adj: []uint32{5, 1}}},
+		{"duplicate neighbor", 8, ShardSnap{Base: 0, Offs: []uint64{0, 0, 2}, Adj: []uint32{5, 5}}},
+		{"vertex range past the bound", 8, ShardSnap{Base: 7, Offs: []uint64{0, 1, 1}, Adj: []uint32{0}}},
+		{"offsets not monotone", 8, ShardSnap{Base: 0, Offs: []uint64{0, 2, 1, 2}, Adj: []uint32{1, 2}}},
+		{"offset past the adjacency", 8, ShardSnap{Base: 0, Offs: []uint64{0, 3, 2}, Adj: []uint32{1, 2}}},
+	} {
+		dir := t.TempDir()
+		l, err := OpenLog(dir, 1, 0, Options{Fsync: FsyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := &Checkpoint{N: tc.n, Starts: []uint32{0}, Watermarks: []uint64{2}, Shards: []ShardSnap{tc.sh}}
+		if err := l.WriteCheckpoint(bad); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := LoadLatestCheckpoint(dir); got != nil || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s, alone: %v, %v; want ErrCorrupt", tc.name, got, err)
+		}
+		os.RemoveAll(filepath.Join(dir, "checkpoint"))
+		if err := l.WriteCheckpoint(good); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.WriteCheckpoint(bad); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadLatestCheckpoint(dir)
+		if err != nil || got == nil || got.Watermarks[0] != 1 {
+			t.Fatalf("%s, after a sound one: %+v, %v; want the predecessor", tc.name, got, err)
+		}
+		l.Close()
+	}
+	// A shard that owns no vertices may sit past the bound (uneven splits
+	// put the last shards' bases there); that is not damage.
+	dir := t.TempDir()
+	l, err := OpenLog(dir, 1, 0, Options{Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	empty := &Checkpoint{N: 3, Starts: []uint32{0, 2, 4}, Watermarks: []uint64{1},
+		Shards: []ShardSnap{{Base: 0, Offs: []uint64{0, 1, 1}, Adj: []uint32{2}}, {Base: 2, Offs: []uint64{0, 0}}, {Base: 4, Offs: []uint64{0}}}}
+	if err := l.WriteCheckpoint(empty); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadLatestCheckpoint(dir); err != nil || got == nil || len(got.Shards) != 3 {
+		t.Fatalf("checkpoint with an empty shard past the bound: %+v, %v", got, err)
 	}
 }
 
@@ -308,5 +384,55 @@ func TestAppendHookKillAndTorn(t *testing.T) {
 		if torn && st.TruncatedSegments != 1 {
 			t.Fatalf("torn=%v: expected a truncated tail, stats %+v", torn, st)
 		}
+	}
+}
+
+// TestGCKeepsLogForFallbackCheckpoint checks that a segment is collected
+// only once both retained checkpoints cover it: the predecessor is the
+// fallback for a damaged newest checkpoint, and recovers nothing newer than
+// itself without the log since.
+func TestGCKeepsLogForFallbackCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, 1, 0, Options{Fsync: FsyncNone, SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	sd := filepath.Join(dir, "wal", shardDirName(0))
+	checkpointAt := func(wm uint64) int {
+		t.Helper()
+		ck := &Checkpoint{N: 64, Starts: []uint32{0}, Watermarks: []uint64{wm}, Shards: []ShardSnap{{Offs: []uint64{0}}}}
+		if err := l.WriteCheckpoint(ck); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+		removed, err := l.GC(ck.Watermarks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return removed
+	}
+	first := appendN(t, l, 0, 20)
+	if removed := checkpointAt(first); removed == 0 {
+		t.Fatal("the only checkpoint covers its log, yet nothing was collected")
+	}
+	second := appendN(t, l, 0, 20)
+	checkpointAt(second)
+	// Falling back to the first checkpoint must find every record since it,
+	// though the second covers them all.
+	var got int
+	if _, _, err := Replay(dir, func(int) uint64 { return first }, nil, func(Record) error { got++; return nil }); err != nil || got != 20 {
+		t.Fatalf("replay past the predecessor's watermark: %d records, %v; want 20", got, err)
+	}
+	third := appendN(t, l, 0, 20)
+	before, _ := listSegments(sd)
+	if removed := checkpointAt(third); removed == 0 {
+		t.Fatal("nothing collected once two checkpoints cover the first interval")
+	}
+	after, _ := listSegments(sd)
+	if after[0] <= before[0] || after[0] > second+1 {
+		t.Fatalf("oldest segment went from %d to %d; want the log since checkpoint two (LSN %d) kept", before[0], after[0], second)
 	}
 }
