@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race verify perf bench bench-analytics soak soak-recover fuzz trace-demo loadtest bench-recover clean
+.PHONY: all build test race verify perf bench-obs soak soak-recover fuzz trace-demo loadtest bench-recover clean
 
 all: build
 
@@ -57,27 +57,15 @@ trace-demo:
 	@rm -f trace-demo.log
 	@echo "trace-demo: trace.json written; load it in ui.perfetto.dev"
 
-# Update/analytics benchmark sweep; writes ns/op per benchmark to
-# BENCH_<tag>.json (the perf trajectory record). The tag defaults to the
-# short git commit hash; override with `make bench TAG=mytag`.
-bench:
-	sh scripts/bench.sh $(TAG)
-
-# Analytics-kernel smoke: neighbor iteration (callback vs blocks) plus the
-# kernel benchmarks on the seeded power-law dataset, recorded to
-# BENCH_<tag>.json like `make bench`. Acceptance gate for read-path work.
-bench-analytics:
-	BENCHPKGS=./internal/algo BENCHPAT='NeighborIteration|Kernel' \
-		sh scripts/bench.sh $(TAG)
-
 # End-to-end serving SLO measurement: boot lsgraphd, drive it with the
 # open-loop lsload harness (seeded Poisson arrivals, T1/T4/T5 workload
-# mixes), and write p50/p90/p99 + throughput to BENCH_pr8.json. Tune with
+# mixes), and write p50/p90/p99 + throughput to BENCH_loadtest.json
+# (untracked; CI uploads it as the run's artifact). Tune with
 # LOADTEST_TIME / LOADTEST_RATE / LOADTEST_MIX, e.g.
 # `make loadtest LOADTEST_TIME=30s LOADTEST_RATE=1000`.
 export LOADTEST_TIME LOADTEST_RATE LOADTEST_MIX LOADTEST_SHARDS LOADTEST_ADDR
 loadtest:
-	sh scripts/loadtest.sh pr9
+	sh scripts/loadtest.sh
 
 # Long-running kill-and-recover sweep: 150 seeded crash scenarios (50
 # seeds x 3 shard counts, crash points drawn from the full lifecycle

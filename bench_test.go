@@ -21,7 +21,6 @@ import (
 	"lsgraph/internal/bench"
 	"lsgraph/internal/core"
 	"lsgraph/internal/engine"
-	"lsgraph/internal/sortledton"
 	"lsgraph/internal/terrace"
 )
 
@@ -362,26 +361,6 @@ func BenchmarkKCore(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				algo.KCore(e, 0)
 			}
-		})
-	}
-}
-
-// BenchmarkSortledton reproduces the §6.1 baseline-selection comparison:
-// PaC-tree versus a Sortledton-style engine on updates.
-func BenchmarkSortledton(b *testing.B) {
-	s := benchScale()
-	d, _ := bench.MakeDataset("LJ-sim", s)
-	for _, name := range []string{"PaC-tree", "Sortledton"} {
-		var e engine.Engine
-		if name == "Sortledton" {
-			e = sortledton.New(d.N, 0)
-			src, dst := bench.Split(d.Edges)
-			e.InsertBatch(src, dst)
-		} else {
-			e = bench.Loaded(name, d, 0)
-		}
-		b.Run(name, func(b *testing.B) {
-			insertThroughput(b, e, d, 50_000)
 		})
 	}
 }

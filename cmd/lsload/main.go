@@ -26,9 +26,8 @@
 //	                  hammers one shard of a range-partitioned graph, the
 //	                  workload the store's rebalancer exists to absorb
 //
-// The report is written as bench.sh-compatible JSON ({tag, unit,
-// benchmarks}) so `make loadtest` lands in the same BENCH_<tag>.json
-// trajectory record as the microbenchmarks.
+// The report is written as flat {tag, unit, benchmarks} JSON, the
+// BENCH_<tag>.json shape `lsbench -json` also writes.
 package main
 
 import (
@@ -154,7 +153,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-request client timeout")
 		inflight = flag.Int("maxinflight", 1024, "max concurrent in-flight requests before arrivals are dropped client-side")
 		wait     = flag.Duration("wait", 15*time.Second, "how long to poll /healthz for the server to come up")
-		out      = flag.String("out", "BENCH_load.json", "bench.sh-compatible JSON report path ('' = stdout table only)")
+		out      = flag.String("out", "BENCH_load.json", "{tag, unit, benchmarks} JSON report path ('' = stdout table only)")
 		tag      = flag.String("tag", "load", "report tag")
 	)
 	flag.Parse()
@@ -531,9 +530,9 @@ func (r *mixResult) print() {
 	}
 }
 
-// export adds the mix's series to the bench.sh-compatible flat benchmark
-// map: latency percentiles in ns (the file's declared unit) plus
-// throughput and shed counters, which carry their unit in the name.
+// export adds the mix's series to the report's flat benchmark map:
+// latency percentiles in ns (the file's declared unit) plus throughput and
+// shed counters, which carry their unit in the name.
 func (r *mixResult) export(bench map[string]float64) {
 	lat, counts := r.merged()
 	pre := "loadtest/" + r.mix.name
@@ -557,9 +556,8 @@ func (r *mixResult) export(bench map[string]float64) {
 	}
 }
 
-// writeReport writes the bench.sh-compatible JSON report: the same {tag,
-// unit, benchmarks} shape scripts/bench.sh produces, keys sorted for
-// stable diffs.
+// writeReport writes the JSON report: {tag, unit, benchmarks}, keys sorted
+// for stable diffs.
 func writeReport(path, tag string, bench map[string]float64) error {
 	keys := make([]string, 0, len(bench))
 	for k := range bench {

@@ -56,34 +56,26 @@ func (s *VertexSubset) materialize() {
 // always-true). update may be called concurrently and must be atomic with
 // respect to its own state; a target is added to the output at most once.
 // This is the primitive the paper extends from Ligra and implements over
-// HITree's Traverse. Any Reader works as the graph: a *Graph between
+// HITree's in-order walk. Any Reader works as the graph: a *Graph between
 // batches, or a pinned *StoreView while a Store is ingesting.
 func EdgeMap(g Reader, frontier *VertexSubset, cond func(u uint32) bool, update func(v, u uint32) bool) *VertexSubset {
 	n := g.NumVertices()
 	out := make([]uint32, n)
 	added := make([]int32, n)
 	fs := frontier.Vertices()
-	bg, _ := g.(BlockReader) // detect the block read path once per run
 	parallel.For(len(fs), 0, func(i int) {
 		v := fs[i]
-		visit := func(u uint32) {
-			if cond != nil && !cond(u) {
-				return
-			}
-			if update(v, u) && atomic.CompareAndSwapInt32(&added[u], 0, 1) {
-				out[u] = u
-			}
-		}
-		if bg != nil {
-			bg.NeighborBlocks(v, func(bs []uint32) bool {
-				for _, u := range bs {
-					visit(u)
+		g.NeighborBlocks(v, func(bs []uint32) bool {
+			for _, u := range bs {
+				if cond != nil && !cond(u) {
+					continue
 				}
-				return true
-			})
-			return
-		}
-		g.ForEachNeighbor(v, visit)
+				if update(v, u) && atomic.CompareAndSwapInt32(&added[u], 0, 1) {
+					out[u] = u
+				}
+			}
+			return true
+		})
 	})
 	next := &VertexSubset{n: n}
 	for u := range added {

@@ -51,12 +51,12 @@ func TestSnapshotAnalytics(t *testing.T) {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		snap.ForEachNeighbor(v, func(u uint32) {
+		for _, u := range snap.Neighbors(v) {
 			if depth[u] == -1 {
 				depth[u] = depth[v] + 1
 				queue = append(queue, u)
 			}
-		})
+		}
 	}
 	for v := range before {
 		if depth[v] != before[v] {

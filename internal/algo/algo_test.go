@@ -31,7 +31,7 @@ func serialBFSDepths(g engine.Graph, src uint32) []int32 {
 	for len(q) > 0 {
 		v := q[0]
 		q = q[1:]
-		g.ForEachNeighbor(v, func(u uint32) {
+		engine.ForEachNeighbor(g, v, func(u uint32) {
 			if d[u] == -1 {
 				d[u] = d[v] + 1
 				q = append(q, u)
@@ -101,7 +101,7 @@ func serialBC(g engine.Graph, src uint32) []float64 {
 		v := q[0]
 		q = q[1:]
 		order = append(order, v)
-		g.ForEachNeighbor(v, func(u uint32) {
+		engine.ForEachNeighbor(g, v, func(u uint32) {
 			if depth[u] == -1 {
 				depth[u] = depth[v] + 1
 				q = append(q, u)
@@ -114,7 +114,7 @@ func serialBC(g engine.Graph, src uint32) []float64 {
 	delta := make([]float64, n)
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
-		g.ForEachNeighbor(v, func(u uint32) {
+		engine.ForEachNeighbor(g, v, func(u uint32) {
 			if depth[u] == depth[v]+1 && sigma[u] > 0 {
 				delta[v] += sigma[v] / sigma[u] * (1 + delta[u])
 			}
@@ -175,7 +175,7 @@ func serialPageRank(g engine.Graph, iters int) []float64 {
 		next := make([]float64, n)
 		for v := 0; v < n; v++ {
 			var acc float64
-			g.ForEachNeighbor(uint32(v), func(u uint32) { acc += contrib[u] })
+			engine.ForEachNeighbor(g, uint32(v), func(u uint32) { acc += contrib[u] })
 			next[v] = base + PageRankDamping*acc
 		}
 		rank = next

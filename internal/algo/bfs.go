@@ -68,93 +68,45 @@ func BFS(g engine.Graph, src uint32, p int) []int32 {
 }
 
 func bfsTopDown(g engine.Graph, frontier []uint32, parent []int32, next []bool, p int) {
-	bg := blocker(g)
 	parallel.ForChunk(len(frontier), p, func(lo, hi int) {
-		if bg != nil {
-			var v uint32
-			scan := func(bs []uint32) bool {
-				pv := int32(v) // hoist the heap-captured source off the loop
-				for _, u := range bs {
-					if atomic.CompareAndSwapInt32(&parent[u], NoParent, pv) {
-						next[u] = true
-					}
-				}
-				return true
-			}
-			for i := lo; i < hi; i++ {
-				v = frontier[i]
-				bg.NeighborBlocks(v, scan)
-			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			v := frontier[i]
-			g.ForEachNeighbor(v, func(u uint32) {
-				if atomic.CompareAndSwapInt32(&parent[u], NoParent, int32(v)) {
+		var v uint32
+		scan := func(bs []uint32) bool {
+			pv := int32(v) // hoist the heap-captured source off the loop
+			for _, u := range bs {
+				if atomic.CompareAndSwapInt32(&parent[u], NoParent, pv) {
 					next[u] = true
 				}
-			})
+			}
+			return true
+		}
+		for i := lo; i < hi; i++ {
+			v = frontier[i]
+			g.NeighborBlocks(v, scan)
 		}
 	})
 }
 
 func bfsBottomUp(g engine.Graph, parent []int32, inFrontier, next []bool, p int) {
-	bg := blocker(g)
 	parallel.ForChunk(len(parent), p, func(lo, hi int) {
-		if bg != nil {
-			// Returning false from the yield gives block-granular early
-			// exit once a frontier parent is found.
-			var v int
-			scan := func(bs []uint32) bool {
-				for _, u := range bs {
-					if inFrontier[u] {
-						parent[v] = int32(u)
-						next[v] = true
-						return false
-					}
-				}
-				return true
-			}
-			for v = lo; v < hi; v++ {
-				if parent[v] == NoParent {
-					bg.NeighborBlocks(uint32(v), scan)
+		// Returning false from the yield ends the walk once a frontier
+		// parent is found.
+		var v int
+		scan := func(bs []uint32) bool {
+			for _, u := range bs {
+				if inFrontier[u] {
+					parent[v] = int32(u)
+					next[v] = true
+					return false
 				}
 			}
-			return
+			return true
 		}
-		gu, hasUntil := g.(untilGraph)
-		for i := lo; i < hi; i++ {
-			if parent[i] != NoParent {
-				continue
+		for v = lo; v < hi; v++ {
+			if parent[v] == NoParent {
+				g.NeighborBlocks(uint32(v), scan)
 			}
-			v := uint32(i)
-			if hasUntil {
-				gu.ForEachNeighborUntil(v, func(u uint32) bool {
-					if inFrontier[u] {
-						parent[i] = int32(u)
-						next[i] = true
-						return false
-					}
-					return true
-				})
-				continue
-			}
-			done := false
-			g.ForEachNeighbor(v, func(u uint32) {
-				if !done && inFrontier[u] {
-					parent[i] = int32(u)
-					next[i] = true
-					done = true
-				}
-			})
 		}
 	})
-}
-
-// untilGraph is implemented by engines that support early-terminating
-// neighbor iteration; bottom-up BFS exploits it when available.
-type untilGraph interface {
-	ForEachNeighborUntil(v uint32, f func(u uint32) bool)
 }
 
 // BFSLevels returns the depth of each vertex from src (-1 if unreached),
@@ -172,7 +124,6 @@ func BFSLevels(g engine.Graph, src uint32, p int) []int32 {
 	level := int32(0)
 	next := make([]bool, n)
 	bufs := frontierBufs(p)
-	bg := blocker(g)
 	for len(frontier) > 0 {
 		if t.active() {
 			traversed += frontierDegreeSum(g, frontier)
@@ -182,27 +133,17 @@ func BFSLevels(g engine.Graph, src uint32, p int) []int32 {
 		}
 		level++
 		parallel.ForChunk(len(frontier), p, func(lo, hi int) {
-			if bg != nil {
-				scan := func(bs []uint32) bool {
-					lv := level // hoist the heap-captured level off the loop
-					for _, u := range bs {
-						if atomic.CompareAndSwapInt32(&depth[u], NoParent, lv) {
-							next[u] = true
-						}
-					}
-					return true
-				}
-				for i := lo; i < hi; i++ {
-					bg.NeighborBlocks(frontier[i], scan)
-				}
-				return
-			}
-			for i := lo; i < hi; i++ {
-				g.ForEachNeighbor(frontier[i], func(u uint32) {
-					if atomic.CompareAndSwapInt32(&depth[u], NoParent, level) {
+			scan := func(bs []uint32) bool {
+				lv := level // hoist the heap-captured level off the loop
+				for _, u := range bs {
+					if atomic.CompareAndSwapInt32(&depth[u], NoParent, lv) {
 						next[u] = true
 					}
-				})
+				}
+				return true
+			}
+			for i := lo; i < hi; i++ {
+				g.NeighborBlocks(frontier[i], scan)
 			}
 		})
 		frontier = collectFrontier(frontier, next, bufs, p)

@@ -22,10 +22,7 @@ func starGraph(deg int) *core.Graph {
 }
 
 // BenchmarkNeighborIteration measures one full adjacency scan of a
-// high-degree vertex through the two read paths: per-edge callbacks
-// (ForEachNeighbor) versus contiguous block slices (NeighborBlocks). The
-// blocks path is the tentpole optimization; ISSUE acceptance wants it
-// >= 2x faster on high-degree vertices.
+// high-degree vertex through NeighborBlocks, in ns/edge.
 func BenchmarkNeighborIteration(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -35,18 +32,7 @@ func BenchmarkNeighborIteration(b *testing.B) {
 		{"hitree50k", 50000}, // HITree overflow
 	} {
 		g := starGraph(tc.deg)
-		b.Run(tc.name+"/callback", func(b *testing.B) {
-			var sink uint64
-			b.SetBytes(int64(tc.deg) * 4)
-			for i := 0; i < b.N; i++ {
-				var acc uint64
-				g.ForEachNeighbor(0, func(u uint32) { acc += uint64(u) })
-				sink += acc
-			}
-			reportNsPerEdge(b, uint64(tc.deg))
-			_ = sink
-		})
-		b.Run(tc.name+"/blocks", func(b *testing.B) {
+		b.Run(tc.name, func(b *testing.B) {
 			var sink uint64
 			b.SetBytes(int64(tc.deg) * 4)
 			for i := 0; i < b.N; i++ {
@@ -85,66 +71,57 @@ func benchKernelGraph(b *testing.B) *core.Graph {
 	return buildCoreCfg(1<<13, 13, 42, 1<<17, core.Config{})
 }
 
-// runKernelBench runs fn under both read paths as sub-benchmarks named
-// blocks/ and callback/, reporting ns/edge.
-func runKernelBench(b *testing.B, g *core.Graph, edgesPerOp func() uint64, fn func()) {
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"blocks", true}, {"callback", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			defer SetBlockIteration(SetBlockIteration(mode.on))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fn()
-			}
-			reportNsPerEdge(b, edgesPerOp())
-		})
+// runKernelBench times fn, reporting ns/edge.
+func runKernelBench(b *testing.B, edgesPerOp uint64, fn func()) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fn()
 	}
+	reportNsPerEdge(b, edgesPerOp)
 }
 
 func BenchmarkKernelPageRank(b *testing.B) {
 	g := benchKernelGraph(b)
 	const iters = 5
-	runKernelBench(b, g, func() uint64 { return iters * g.NumEdges() }, func() {
+	runKernelBench(b, iters*g.NumEdges(), func() {
 		PageRank(g, iters, 0)
 	})
 }
 
 func BenchmarkKernelBFS(b *testing.B) {
 	g := benchKernelGraph(b)
-	runKernelBench(b, g, g.NumEdges, func() {
+	runKernelBench(b, g.NumEdges(), func() {
 		BFS(g, 0, 0)
 	})
 }
 
 func BenchmarkKernelCC(b *testing.B) {
 	g := benchKernelGraph(b)
-	runKernelBench(b, g, g.NumEdges, func() {
+	runKernelBench(b, g.NumEdges(), func() {
 		CC(g, 0)
 	})
 }
 
 func BenchmarkKernelKCore(b *testing.B) {
 	g := benchKernelGraph(b)
-	runKernelBench(b, g, g.NumEdges, func() {
+	runKernelBench(b, g.NumEdges(), func() {
 		KCore(g, 0)
 	})
 }
 
 func BenchmarkKernelTC(b *testing.B) {
 	g := benchKernelGraph(b)
-	runKernelBench(b, g, g.NumEdges, func() {
+	runKernelBench(b, g.NumEdges(), func() {
 		TriangleCount(g, 0)
 	})
 }
 
 // BenchmarkKernelTCMaterialize isolates TC's traversal phase (the
-// "Traversal" column of Table 2) — the part the block read path turns
-// into bulk copies; the intersection phase reads the same CSR either way.
+// "Traversal" column of Table 2): one bulk copy per block; the
+// intersection phase reads the resulting CSR.
 func BenchmarkKernelTCMaterialize(b *testing.B) {
 	g := benchKernelGraph(b)
-	runKernelBench(b, g, g.NumEdges, func() {
+	runKernelBench(b, g.NumEdges(), func() {
 		Materialize(g, 0)
 	})
 }

@@ -1,90 +1,50 @@
 package algo
 
 import (
-	"math"
+	"fmt"
 	"testing"
 
 	"lsgraph/internal/core"
 	"lsgraph/internal/gen"
+	"lsgraph/internal/refgraph"
 )
 
-// buildCoreCfg loads a symmetrized power-law graph into the native
-// engine (a NeighborBlocker) under cfg.
-func buildCoreCfg(n uint32, scale uint, seed uint64, edges int, cfg core.Config) *core.Graph {
+// symmetricEdges returns a seeded symmetrized power-law edge list in
+// columnar form.
+func symmetricEdges(scale uint, seed uint64, edges int) (src, dst []uint32) {
 	es := gen.Symmetrize(gen.NewRMatPaper(scale, seed).Edges(edges))
-	src := make([]uint32, len(es))
-	dst := make([]uint32, len(es))
+	src = make([]uint32, len(es))
+	dst = make([]uint32, len(es))
 	for i, e := range es {
 		src[i], dst[i] = e.Src, e.Dst
 	}
+	return src, dst
+}
+
+// buildCoreCfg loads a symmetrized power-law graph into the native
+// engine under cfg.
+func buildCoreCfg(n uint32, scale uint, seed uint64, edges int, cfg core.Config) *core.Graph {
 	g := core.New(n, cfg)
-	g.InsertBatch(src, dst)
+	g.InsertBatch(symmetricEdges(scale, seed, edges))
 	return g
 }
 
-// buildCore is buildCoreCfg with small thresholds so adjacency spans
-// inline, array, RIA, and HITree storage even on modest inputs.
-func buildCore(n uint32, scale uint, seed uint64, edges int) *core.Graph {
-	return buildCoreCfg(n, scale, seed, edges, core.Config{Workers: 2, ArrayMax: 8, M: 64})
-}
-
-// TestKernelsMatchAcrossReadPaths runs every kernel on the same native
-// graph through both read paths — blocks on (slices out of RIA storage)
-// and blocks off (per-edge callbacks, the pre-block code path) — and
-// requires identical results. This is the kernel-level differential for
-// the block cursor: both paths must traverse exactly the same edges in
-// the same order.
+// TestKernelsMatchAcrossReadPaths runs every kernel on a native graph
+// whose thresholds are small enough that adjacency spans inline, array,
+// RIA and HITree storage — every way the engine cuts a neighbor list into
+// blocks — and requires the results the refgraph oracle (one flat block
+// per vertex) gives, sequentially and in parallel.
 func TestKernelsMatchAcrossReadPaths(t *testing.T) {
-	g := buildCore(512, 9, 77, 4000)
-	defer SetBlockIteration(SetBlockIteration(true))
-
+	const n = 512
+	g := buildCoreCfg(n, 9, 77, 4000, core.Config{Workers: 2, ArrayMax: 8, M: 64})
+	ref := refgraph.New(n)
+	src, dst := symmetricEdges(9, 77, 4000)
+	for i := range src {
+		ref.Insert(src[i], dst[i])
+	}
+	want := runKernels(ref, 1)
 	for _, p := range []int{1, 4} {
-		SetBlockIteration(true)
-		bfsB := BFS(g, 0, p)
-		lvlB := BFSLevels(g, 0, p)
-		prB := PageRank(g, 10, p)
-		ccB := CC(g, p)
-		bcB := BC(g, 0, p)
-		tcB := TriangleCount(g, p).Triangles
-		kcB := KCore(g, p)
-
-		SetBlockIteration(false)
-		if got := blocker(g); got != nil {
-			t.Fatal("blocker not disabled by SetBlockIteration(false)")
-		}
-		lvlC := BFSLevels(g, 0, p)
-		prC := PageRank(g, 10, p)
-		ccC := CC(g, p)
-		bcC := BC(g, 0, p)
-		tcC := TriangleCount(g, p).Triangles
-		kcC := KCore(g, p)
-		bfsC := BFS(g, 0, p)
-
-		for v := range lvlB {
-			if lvlB[v] != lvlC[v] {
-				t.Fatalf("p=%d: BFS level differs at %d: %d vs %d", p, v, lvlB[v], lvlC[v])
-			}
-			// Parent choice can differ between runs (CAS races), but
-			// reachability cannot.
-			if (bfsB[v] == NoParent) != (bfsC[v] == NoParent) {
-				t.Fatalf("p=%d: BFS reachability differs at %d", p, v)
-			}
-			if ccB[v] != ccC[v] {
-				t.Fatalf("p=%d: CC differs at %d", p, v)
-			}
-			if kcB[v] != kcC[v] {
-				t.Fatalf("p=%d: KCore differs at %d", p, v)
-			}
-			if math.Abs(prB[v]-prC[v]) > 1e-12 {
-				t.Fatalf("p=%d: PageRank differs at %d: %g vs %g", p, v, prB[v], prC[v])
-			}
-			if math.Abs(bcB[v]-bcC[v]) > 1e-9 {
-				t.Fatalf("p=%d: BC differs at %d: %g vs %g", p, v, bcB[v], bcC[v])
-			}
-		}
-		if tcB != tcC {
-			t.Fatalf("p=%d: TC differs: %d vs %d", p, tcB, tcC)
-		}
+		requireSameResults(t, fmt.Sprintf("p=%d", p), runKernels(g, p), want)
 	}
 }
 

@@ -4,6 +4,16 @@ import (
 	"lsgraph/internal/parallel"
 )
 
+// workers returns an upper bound on the worker indexes parallel.ForChunkW
+// and ForBlockedW can pass to their bodies for a requested parallelism p,
+// for sizing per-worker state.
+func workers(p int) int {
+	if p <= 0 {
+		return parallel.Procs
+	}
+	return p
+}
+
 // collectSeqThreshold is the flag-array size below which collectFrontier
 // scans sequentially; tiny graphs don't repay the fork-join.
 const collectSeqThreshold = 4096

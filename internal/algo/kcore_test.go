@@ -29,7 +29,7 @@ func serialKCore(g engine.Graph) []uint32 {
 		core[minV] = uint32(minD)
 		removed[minV] = true
 		remaining--
-		g.ForEachNeighbor(uint32(minV), func(u uint32) {
+		engine.ForEachNeighbor(g, uint32(minV), func(u uint32) {
 			if !removed[u] && deg[u] > minD {
 				deg[u]--
 			}

@@ -8,6 +8,13 @@ import (
 // PageRankDamping is the standard damping factor.
 const PageRankDamping = 0.85
 
+// padF64 is a float64 padded out to a 64-byte cache line, so per-worker
+// accumulator slots in a slice never share a line (no false sharing).
+type padF64 struct {
+	v float64
+	_ [56]byte
+}
+
 // PageRank runs iters synchronous pull-style iterations (Ligra-style, as
 // in the paper's evaluation; iters <= 0 means 10) with p workers and
 // returns the rank vector. Pull over neighbors reads each vertex's
@@ -29,7 +36,6 @@ func PageRank(g engine.Graph, iters, p int) []float64 {
 	for i := range rank {
 		rank[i] = inv
 	}
-	bg := blocker(g)
 	// One cache-line-padded accumulator slot per worker: ForChunkW runs one
 	// goroutine per worker index, so each slot is written by exactly one
 	// goroutine — no atomics, no false sharing, and (unlike the old
@@ -58,32 +64,22 @@ func PageRank(g engine.Graph, iters, p int) []float64 {
 		}
 		base := (1-PageRankDamping)*inv + PageRankDamping*dangling*inv
 		parallel.ForChunk(n, p, func(lo, hi int) {
-			if bg != nil {
-				// One closure per chunk, not per vertex: the yield ranges a
-				// contiguous slice, so the per-edge cost is one indexed load
-				// and add. The captured accumulator lives on the heap, so
-				// sum into a register-local and spill once per block.
-				var acc float64
-				sum := func(bs []uint32) bool {
-					var s float64
-					for _, u := range bs {
-						s += contrib[u]
-					}
-					acc += s
-					return true
-				}
-				for v := lo; v < hi; v++ {
-					acc = 0
-					bg.NeighborBlocks(uint32(v), sum)
-					next[v] = base + PageRankDamping*acc
-				}
-				return
-			}
+			// One closure per chunk, not per vertex: the yield ranges a
+			// contiguous slice, so the per-edge cost is one indexed load
+			// and add. The captured accumulator lives on the heap, so
+			// sum into a register-local and spill once per block.
 			var acc float64
-			each := func(u uint32) { acc += contrib[u] }
+			sum := func(bs []uint32) bool {
+				var s float64
+				for _, u := range bs {
+					s += contrib[u]
+				}
+				acc += s
+				return true
+			}
 			for v := lo; v < hi; v++ {
 				acc = 0
-				g.ForEachNeighbor(uint32(v), each)
+				g.NeighborBlocks(uint32(v), sum)
 				next[v] = base + PageRankDamping*acc
 			}
 		})

@@ -95,31 +95,20 @@ func Materialize(g engine.Graph, p int) (offs []uint64, adj []uint32) {
 		offs[v+1] = offs[v] + uint64(g.Degree(uint32(v)))
 	}
 	adj = make([]uint32, offs[n])
-	bg := blocker(g)
 	parallel.ForChunk(n, p, func(lo, hi int) {
-		if bg != nil {
-			// Each block is a contiguous run, so the fill is a bulk copy
-			// per run instead of a store per edge (clamped to the
-			// vertex's CSR region).
-			var w, end uint64
-			cp := func(bs []uint32) bool {
-				w += uint64(copy(adj[w:end], bs))
-				return w < end
-			}
-			for v := lo; v < hi; v++ {
-				w, end = offs[v], offs[v+1]
-				if w < end {
-					bg.NeighborBlocks(uint32(v), cp)
-				}
-			}
-			return
+		// Each block is a contiguous run, so the fill is a bulk copy
+		// per run instead of a store per edge (clamped to the
+		// vertex's CSR region).
+		var w, end uint64
+		cp := func(bs []uint32) bool {
+			w += uint64(copy(adj[w:end], bs))
+			return w < end
 		}
 		for v := lo; v < hi; v++ {
-			w := offs[v]
-			g.ForEachNeighbor(uint32(v), func(u uint32) {
-				adj[w] = u
-				w++
-			})
+			w, end = offs[v], offs[v+1]
+			if w < end {
+				g.NeighborBlocks(uint32(v), cp)
+			}
 		}
 	})
 	return offs, adj

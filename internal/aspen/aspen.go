@@ -39,18 +39,8 @@ func (g *Graph) Degree(v uint32) uint32 { return g.degs[v] }
 // Has reports whether edge (v,u) is present.
 func (g *Graph) Has(v, u uint32) bool { return contains(g.roots[v], u) }
 
-// ForEachNeighbor applies f to v's out-neighbors in ascending order.
-func (g *Graph) ForEachNeighbor(v uint32, f func(u uint32)) {
-	walkUntil(g.roots[v], func(u uint32) bool { f(u); return true })
-}
-
-// ForEachNeighborUntil applies f in ascending order until it returns false.
-func (g *Graph) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
-	walkUntil(g.roots[v], f)
-}
-
 // NeighborBlocks yields v's neighbors chunk by chunk in ascending order
-// (engine.NeighborBlocker); each block is one tree node's sorted chunk.
+// (engine.Graph); each block is one tree node's sorted chunk.
 func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	blocksUntil(g.roots[v], yield)
 }
@@ -127,7 +117,7 @@ func (g *Graph) applyBatch(src, dst []uint32, ins bool) {
 // with a flat merge and rebuilds the tree, Aspen's bulk-union analogue.
 func (g *Graph) applyGroupBulk(v uint32, ks []uint64, ins bool) int64 {
 	old := make([]uint32, 0, int(g.degs[v])+len(ks))
-	walkUntil(g.roots[v], func(u uint32) bool { old = append(old, u); return true })
+	blocksUntil(g.roots[v], func(b []uint32) bool { old = append(old, b...); return true })
 	var merged []uint32
 	if ins {
 		merged = make([]uint32, 0, len(old)+len(ks))

@@ -258,21 +258,6 @@ func contains(n *cnode, u uint32) bool {
 	return false
 }
 
-func walkUntil(n *cnode, f func(uint32) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !walkUntil(n.left, f) {
-		return false
-	}
-	for _, u := range n.chunk {
-		if !f(u) {
-			return false
-		}
-	}
-	return walkUntil(n.right, f)
-}
-
 // blocksUntil yields each chunk of the in-order walk as one slice aliasing
 // the node's storage — Aspen's honest block granularity: contiguity ends
 // at every chunk boundary, with a pointer chase between yields.

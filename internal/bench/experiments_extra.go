@@ -2,11 +2,8 @@ package bench
 
 import (
 	"io"
-	"time"
 
 	"lsgraph/internal/algo"
-	"lsgraph/internal/pactree"
-	"lsgraph/internal/sortledton"
 )
 
 // KCoreExtra is an extension experiment beyond the paper's evaluation:
@@ -33,46 +30,6 @@ func KCoreExtra(s Scale, w io.Writer) {
 		row = append(row, degen)
 		row = append(row, times...)
 		t.Row(row...)
-	}
-	t.WriteTo(w)
-}
-
-// Sortledton reproduces the §6.1 baseline-selection comparison: PaC-tree
-// versus a Sortledton-style engine (sorted vectors + unrolled skip lists)
-// on updates and a traversal-bound kernel, the evidence the paper cites
-// for picking PaC-tree as its third baseline.
-func Sortledton(s Scale, w io.Writer) {
-	t := NewTable("Baseline selection (§6.1): PaC-tree vs Sortledton",
-		"Paper: PaC-tree outperforms Sortledton by 40.56x-142.53x. Caveat: this\n"+
-			"re-implementation omits Sortledton's transactional versioning (out of\n"+
-			"scope), which dominates that gap; storage-level results here compare\n"+
-			"in-place skip lists against path-copying trees only.",
-		"graph", "metric", "PaC-tree", "Sortledton")
-	for _, d := range SmallDatasets(s) {
-		pt := pactree.New(d.N, s.Workers)
-		sl := sortledton.New(d.N, s.Workers)
-		src, dst := Split(d.Edges)
-		pt.InsertBatch(src, dst)
-		sl.InsertBatch(src, dst)
-		b := paperBatch(d, s)
-		var ptIns, slIns time.Duration
-		for trial := 0; trial < s.Trials; trial++ {
-			bs, bd := d.UpdateBatch(b, trial)
-			t0 := time.Now()
-			pt.InsertBatch(bs, bd)
-			ptIns += time.Since(t0)
-			t1 := time.Now()
-			sl.InsertBatch(bs, bd)
-			slIns += time.Since(t1)
-			pt.DeleteBatch(bs, bd)
-			sl.DeleteBatch(bs, bd)
-		}
-		t.Row(d.Name, "insert(edges/s)",
-			throughput(b, ptIns/time.Duration(s.Trials)),
-			throughput(b, slIns/time.Duration(s.Trials)))
-		ptTC := timeIt(s.Trials, func() { algo.TriangleCount(pt, s.Workers) })
-		slTC := timeIt(s.Trials, func() { algo.TriangleCount(sl, s.Workers) })
-		t.Row(d.Name, "tc-time", ptTC, slTC)
 	}
 	t.WriteTo(w)
 }

@@ -118,7 +118,7 @@ func RecordMetric(name string, value float64) {
 }
 
 // MetricsJSON renders every recorded metric in the {tag, unit, benchmarks}
-// shape scripts/bench.sh writes, keys sorted. It returns nil when no
+// shape lsload's report also uses, keys sorted. It returns nil when no
 // experiment recorded anything, so callers can skip writing a file.
 func MetricsJSON(tag string) []byte {
 	metricsMu.Lock()
@@ -145,7 +145,7 @@ func MetricsJSON(tag string) []byte {
 var Experiments = []string{
 	"fig3", "fig4", "fig12", "deletions", "smallbatch", "ablation",
 	"fig13", "table2", "table3", "fig14", "fig15", "fig16", "fig17",
-	"streaming", "graph500", "kcore", "sortledton", "prepare", "mixed",
+	"streaming", "graph500", "kcore", "prepare", "mixed",
 	"sharded", "rebalance", "trace", "recover",
 }
 
@@ -185,8 +185,6 @@ func Run(name string, s Scale, w io.Writer) error {
 		Graph500(s, w)
 	case "kcore":
 		KCoreExtra(s, w)
-	case "sortledton":
-		Sortledton(s, w)
 	case "prepare":
 		Prepare(s, w)
 	case "mixed":

@@ -257,38 +257,38 @@ func (t *Tree) DeleteMin() uint32 {
 	return m
 }
 
-// Traverse applies f to every key in ascending order.
-func (t *Tree) Traverse(f func(u uint32)) {
-	t.TraverseUntil(func(u uint32) bool { f(u); return true })
+// Blocks yields every key in ascending order as slices aliasing node
+// storage, stopping early when yield returns false and reporting whether
+// the walk ran to completion. A leaf's keys come out as one block; an
+// internal node's keys separate its children, so each comes out alone
+// between their blocks. Blocks are valid only until yield returns and
+// must not be mutated.
+func (t *Tree) Blocks(yield func(block []uint32) bool) bool {
+	return blocks(t.root, yield)
 }
 
-// TraverseUntil applies f in ascending order until it returns false,
-// reporting whether the traversal completed.
-func (t *Tree) TraverseUntil(f func(u uint32) bool) bool {
-	return walkUntil(t.root, f)
-}
-
-func walkUntil(x *node, f func(uint32) bool) bool {
+func blocks(x *node, yield func([]uint32) bool) bool {
 	if x == nil {
 		return true
 	}
-	for i, k := range x.keys {
-		if !x.leaf() && !walkUntil(x.children[i], f) {
-			return false
-		}
-		if !f(k) {
+	if x.leaf() {
+		// Every leaf holds at least one key: an emptied root is dropped.
+		return yield(x.keys[:len(x.keys):len(x.keys)])
+	}
+	for i := range x.keys {
+		if !blocks(x.children[i], yield) || !yield(x.keys[i:i+1:i+1]) {
 			return false
 		}
 	}
-	if !x.leaf() {
-		return walkUntil(x.children[len(x.children)-1], f)
-	}
-	return true
+	return blocks(x.children[len(x.keys)], yield)
 }
 
 // AppendTo appends every key in ascending order to dst.
 func (t *Tree) AppendTo(dst []uint32) []uint32 {
-	t.Traverse(func(u uint32) { dst = append(dst, u) })
+	t.Blocks(func(b []uint32) bool {
+		dst = append(dst, b...)
+		return true
+	})
 	return dst
 }
 

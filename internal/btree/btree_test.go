@@ -2,16 +2,15 @@ package btree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"lsgraph/internal/engine"
 )
 
-func collect(t *Tree) []uint32 {
-	var out []uint32
-	t.Traverse(func(u uint32) { out = append(out, u) })
-	return out
-}
+func collect(t *Tree) []uint32 { return t.AppendTo(nil) }
 
 func TestEmpty(t *testing.T) {
 	var tr Tree
@@ -103,11 +102,43 @@ func TestMinDeleteMin(t *testing.T) {
 	}
 }
 
-func TestTraverseUntil(t *testing.T) {
-	tr := BulkLoad([]uint32{1, 2, 3, 4, 5})
-	seen := 0
-	if tr.TraverseUntil(func(u uint32) bool { seen++; return u < 3 }) || seen != 3 {
-		t.Fatalf("TraverseUntil seen=%d", seen)
+// TestBlocksUnderChurn checks the block walk — leaf key arrays whole,
+// internal separator keys one at a time — against the live set while the
+// tree grows through splits and shrinks through merges, including early
+// stop (engine.CheckBlocks) and the reported completion.
+func TestBlocksUnderChurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var tr Tree
+	live := map[uint32]bool{}
+	for step := 0; step < 6000; step++ {
+		u := uint32(rng.Intn(4096))
+		if step > 3000 && rng.Intn(3) > 0 {
+			tr.Delete(u)
+			delete(live, u)
+		} else {
+			tr.Insert(u)
+			live[u] = true
+		}
+		if step%100 != 0 {
+			continue
+		}
+		want := make([]uint32, 0, len(live))
+		for k := range live {
+			want = append(want, k)
+		}
+		slices.Sort(want)
+		if tr.Len() != len(want) {
+			t.Fatalf("step %d: Len %d, model %d", step, tr.Len(), len(want))
+		}
+		if err := engine.CheckBlocks(func(y func([]uint32) bool) { tr.Blocks(y) }, want); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if tr.Blocks(func([]uint32) bool { return false }) {
+		t.Fatal("Blocks reported completion after yield returned false")
+	}
+	if !tr.Blocks(func([]uint32) bool { return true }) {
+		t.Fatal("uninterrupted Blocks reported an early stop")
 	}
 }
 

@@ -14,6 +14,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"lsgraph/internal/core"
 	"lsgraph/internal/engine"
@@ -87,10 +88,11 @@ func Shards(g *core.Graph) error {
 // Snapshot validates CSR well-formedness of snap — non-decreasing offsets
 // (checked indirectly: any inversion corrupts a Neighbors slice or
 // panics, which is caught and reported), strictly ascending adjacency
-// per vertex, neighbor IDs inside the vertex space, and degree sums
-// matching NumEdges — and, when ref is non-nil, exact vertex-count,
-// degree, and adjacency agreement with ref.
-func Snapshot(snap *core.Snapshot, ref engine.Graph) (err error) {
+// per vertex, neighbor IDs inside the vertex space, degree sums matching
+// NumEdges, and a block read path that yields exactly the CSR runs — and,
+// when ref is non-nil, exact vertex-count, degree, and adjacency agreement
+// with ref.
+func Snapshot(snap *core.Snapshot, ref *refgraph.Graph) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("check: snapshot walk panicked (corrupt offsets?): %v", r)
@@ -106,84 +108,36 @@ func Snapshot(snap *core.Snapshot, ref engine.Graph) (err error) {
 		if uint32(len(ns)) != snap.Degree(v) {
 			return fmt.Errorf("check: vertex %d: %d neighbors but degree %d", v, len(ns), snap.Degree(v))
 		}
-		for i, u := range ns {
+		for _, u := range ns {
 			if u >= n {
 				return fmt.Errorf("check: vertex %d neighbor %d outside [0,%d)", v, u, n)
 			}
-			if i > 0 && u <= ns[i-1] {
-				return fmt.Errorf("check: vertex %d adjacency unsorted at %d: %d after %d", v, i, u, ns[i-1])
+		}
+		want := ns
+		if ref != nil {
+			if want = ref.Neighbors(v); !slices.Equal(ns, want) {
+				return fmt.Errorf("check: vertex %d adjacency %v, reference %v", v, ns, want)
 			}
 		}
-		if ref != nil {
-			if err := equalAdjacency(v, ns, ref); err != nil {
-				return err
-			}
+		if err := engine.CheckBlocks(func(y func([]uint32) bool) { snap.NeighborBlocks(v, y) }, want); err != nil {
+			return fmt.Errorf("check: vertex %d: %w", v, err)
 		}
 		m += uint64(len(ns))
 	}
 	if m != snap.NumEdges() {
 		return fmt.Errorf("check: degree sum %d != NumEdges %d", m, snap.NumEdges())
 	}
-	// The CSR view also serves the block read path; its blocks must
-	// re-segment the adjacency exactly.
-	return Blocks(snap)
-}
-
-// equalAdjacency compares one vertex's snapshot adjacency against ref.
-func equalAdjacency(v uint32, ns []uint32, ref engine.Graph) error {
-	if d := ref.Degree(v); uint32(len(ns)) != d {
-		return fmt.Errorf("check: vertex %d degree %d, reference %d", v, len(ns), d)
-	}
-	i, bad := 0, ""
-	ref.ForEachNeighbor(v, func(u uint32) {
-		if bad == "" && (i >= len(ns) || ns[i] != u) {
-			got := "nothing"
-			if i < len(ns) {
-				got = fmt.Sprint(ns[i])
-			}
-			bad = fmt.Sprintf("check: vertex %d neighbor %d: got %s, reference %d", v, i, got, u)
-		}
-		i++
-	})
-	if bad != "" {
-		return fmt.Errorf("%s", bad)
-	}
 	return nil
 }
 
-// Blocks validates g's block-granular read path against its per-edge
-// traversal: for every vertex the yielded blocks must be non-empty
-// ascending slices whose concatenation equals the ForEachNeighbor order
-// (the engine.NeighborBlocker contract). Engines without a native block
-// path pass trivially.
-func Blocks(g engine.Graph) error {
-	bg, ok := g.(engine.NeighborBlocker)
-	if !ok {
-		return nil
-	}
-	n := g.NumVertices()
-	for v := uint32(0); v < n; v++ {
-		want := engine.Neighbors(g, v)
-		i, bad := 0, ""
-		bg.NeighborBlocks(v, func(bs []uint32) bool {
-			if len(bs) == 0 {
-				bad = fmt.Sprintf("check: vertex %d yielded an empty block", v)
-				return false
-			}
-			for _, u := range bs {
-				if i >= len(want) || want[i] != u {
-					bad = fmt.Sprintf("check: vertex %d block path diverges from traversal at element %d", v, i)
-					return false
-				}
-				i++
-			}
-			return true
-		})
-		if bad != "" {
-			return fmt.Errorf("%s", bad)
-		}
-		if i != len(want) {
-			return fmt.Errorf("check: vertex %d block path yielded %d of %d neighbors", v, i, len(want))
+// Blocks validates g's neighbour-read path against the oracle: for every
+// vertex, NeighborBlocks must honour the engine.Graph contract
+// (engine.CheckBlocks) and yield exactly ref's adjacency.
+func Blocks(g engine.Graph, ref *refgraph.Graph) error {
+	for v := uint32(0); v < ref.NumVertices(); v++ {
+		walk := func(y func([]uint32) bool) { g.NeighborBlocks(v, y) }
+		if err := engine.CheckBlocks(walk, ref.Neighbors(v)); err != nil {
+			return fmt.Errorf("check: vertex %d: %w", v, err)
 		}
 	}
 	return nil

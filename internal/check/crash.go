@@ -173,7 +173,7 @@ func CompareDurable(st *serve.Store, want *refgraph.Graph) error {
 	for u := uint32(0); u < n; u++ {
 		var got []uint32
 		if u < v.NumVertices() {
-			v.ForEachNeighbor(u, func(w uint32) { got = append(got, w) })
+			got = v.Neighbors(u)
 		}
 		var exp []uint32
 		if u < want.NumVertices() {

@@ -4,51 +4,32 @@ import (
 	"math/rand"
 	"testing"
 
+	"lsgraph/internal/engine"
 	"lsgraph/internal/gen"
 	"lsgraph/internal/refgraph"
 )
 
-// neighborsByBlocks collects v's adjacency through the block path,
-// failing on contract violations (empty or unsorted blocks).
-func neighborsByBlocks(t *testing.T, g *Graph, v uint32) []uint32 {
+// requireBlocksMatchOracle checks every vertex's block walk on g against
+// the oracle's adjacency: non-empty blocks, strictly ascending across
+// block boundaries, early stop honoured, Degree(v) elements in all.
+func requireBlocksMatchOracle(t *testing.T, g engine.Graph, ref *refgraph.Graph) {
 	t.Helper()
-	var out []uint32
-	g.NeighborBlocks(v, func(bs []uint32) bool {
-		if len(bs) == 0 {
-			t.Fatalf("vertex %d: empty block yielded", v)
+	for v := uint32(0); v < ref.NumVertices(); v++ {
+		want := ref.Neighbors(v)
+		if d := g.Degree(v); int(d) != len(want) {
+			t.Fatalf("vertex %d: Degree %d, oracle %d", v, d, len(want))
 		}
-		for i := 1; i < len(bs); i++ {
-			if bs[i] <= bs[i-1] {
-				t.Fatalf("vertex %d: block unsorted at %d", v, i)
-			}
-		}
-		out = append(out, bs...)
-		return true
-	})
-	return out
-}
-
-func requireBlocksMatchGraph(t *testing.T, g *Graph) {
-	t.Helper()
-	n := g.NumVertices()
-	for v := uint32(0); v < n; v++ {
-		want := neighbors(g, v)
-		got := neighborsByBlocks(t, g, v)
-		if len(got) != len(want) {
-			t.Fatalf("vertex %d: blocks yield %d neighbors, callback %d", v, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("vertex %d: blocks diverge at %d: %d want %d", v, i, got[i], want[i])
-			}
+		walk := func(y func([]uint32) bool) { g.NeighborBlocks(v, y) }
+		if err := engine.CheckBlocks(walk, want); err != nil {
+			t.Fatalf("vertex %d: %v", v, err)
 		}
 	}
 }
 
 // TestNeighborBlocksMatchForEachUnderChurn runs randomized batch churn —
 // small thresholds force inline→array→RIA→HITree promotions — across all
-// shard counts, checking block/callback equivalence for the live graph
-// and its CSR snapshot after every batch.
+// shard counts, checking the block walk of the live graph and of its CSR
+// snapshot against the oracle after every batch.
 func TestNeighborBlocksMatchForEachUnderChurn(t *testing.T) {
 	const n = 512
 	for _, shards := range []int{1, 2, 4, 7} {
@@ -72,28 +53,9 @@ func TestNeighborBlocksMatchForEachUnderChurn(t *testing.T) {
 			for i := 0; i < k; i++ {
 				ref.Delete(src[i], dst[i])
 			}
-			requireBlocksMatchGraph(t, g)
+			requireBlocksMatchOracle(t, g, ref)
 			// The snapshot serves the same block contract from CSR.
-			snap := g.Snapshot()
-			for v := uint32(0); v < n; v++ {
-				want := ref.Neighbors(v)
-				var got []uint32
-				snap.NeighborBlocks(v, func(bs []uint32) bool {
-					if len(bs) == 0 {
-						t.Fatalf("snapshot vertex %d: empty block", v)
-					}
-					got = append(got, bs...)
-					return true
-				})
-				if len(got) != len(want) {
-					t.Fatalf("snapshot vertex %d: %d neighbors via blocks, oracle %d", v, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("snapshot vertex %d: blocks diverge at %d", v, i)
-					}
-				}
-			}
+			requireBlocksMatchOracle(t, g.Snapshot(), ref)
 		}
 	}
 }

@@ -10,11 +10,7 @@ import (
 	"lsgraph/internal/refgraph"
 )
 
-func neighbors(g *Graph, v uint32) []uint32 {
-	var out []uint32
-	g.ForEachNeighbor(v, func(u uint32) { out = append(out, u) })
-	return out
-}
+func neighbors(g *Graph, v uint32) []uint32 { return g.AppendNeighbors(v, nil) }
 
 // checkAgainstOracle verifies degrees, edge counts, ordered neighbor
 // sequences, and membership against the reference graph.
@@ -194,14 +190,18 @@ func TestAblationConfigsMatchOracle(t *testing.T) {
 
 func TestHasAndUntil(t *testing.T) {
 	g := New(128, Config{})
-	g.InsertBatch([]uint32{0, 0, 0}, []uint32{5, 10, 15})
-	if !g.Has(0, 10) || g.Has(0, 11) {
+	var src, dst []uint32
+	for u := uint32(1); u <= 20; u++ { // 13 inline + a 7-element overflow array
+		src, dst = append(src, 0), append(dst, u*5)
+	}
+	g.InsertBatch(src, dst)
+	if !g.Has(0, 10) || g.Has(0, 11) || !g.Has(0, 100) || g.Has(0, 101) {
 		t.Fatal("Has wrong")
 	}
 	seen := 0
-	g.ForEachNeighborUntil(0, func(u uint32) bool { seen++; return u < 10 })
-	if seen != 2 {
-		t.Fatalf("Until visited %d", seen)
+	g.NeighborBlocks(0, func(b []uint32) bool { seen += len(b); return false })
+	if seen != inlineCap {
+		t.Fatalf("a walk stopped at its first block visited %d neighbors, want the %d inline ones", seen, inlineCap)
 	}
 }
 

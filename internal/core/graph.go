@@ -16,7 +16,7 @@ type Stats struct {
 
 // Graph is the LSGraph engine: a directed graph over dense vertex IDs
 // [0, n) storing each vertex's out-neighbors in the differentiated
-// hierarchical indexed representation. Reads (Degree, ForEachNeighbor,
+// hierarchical indexed representation. Reads (Degree, NeighborBlocks,
 // analytics) may run concurrently with each other but not with updates;
 // the streaming model alternates update and analytics phases (§1).
 //
@@ -194,41 +194,9 @@ func (g *Graph) Has(v, u uint32) bool {
 	return vb.ov.Has(u)
 }
 
-// ForEachNeighbor applies f to v's out-neighbors in ascending order.
-func (g *Graph) ForEachNeighbor(v uint32, f func(u uint32)) {
-	vb := g.vb(v)
-	if vb == nil {
-		return
-	}
-	n := vb.inlineLen()
-	for i := 0; i < n; i++ {
-		f(vb.inline[i])
-	}
-	if vb.ov != nil {
-		vb.ov.Traverse(f)
-	}
-}
-
-// ForEachNeighborUntil applies f in ascending order until f returns false.
-func (g *Graph) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
-	vb := g.vb(v)
-	if vb == nil {
-		return
-	}
-	n := vb.inlineLen()
-	for i := 0; i < n; i++ {
-		if !f(vb.inline[i]) {
-			return
-		}
-	}
-	if vb.ov != nil {
-		vb.ov.TraverseUntil(f)
-	}
-}
-
 // NeighborBlocks yields v's neighbors as ascending contiguous segments
 // aliasing the engine's storage — the inline prefix first, then the
-// overflow structure's occupied runs (engine.NeighborBlocker). Blocks are
+// overflow structure's occupied runs (engine.Graph). Blocks are
 // valid only until yield returns and must not be mutated or retained.
 func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	vb := g.vb(v)

@@ -117,49 +117,28 @@ func (g *Graph) checkVertex(sh *shardState, lv, n uint32) error {
 			return fmt.Errorf("core: vertex %d: %w", v, err)
 		}
 	}
-	// The overflow's own traversal must stay ascending and in range; the
-	// per-kind validators above already check internal ordering for RIA and
-	// HITree, so this also covers the plain array and PMA kinds.
-	prev, havePrev, bad := uint32(0), false, ""
-	var walked []uint32
-	vb.ov.Traverse(func(u uint32) {
-		if bad != "" {
-			return
-		}
-		if u >= n {
-			bad = fmt.Sprintf("core: vertex %d overflow neighbor %d outside [0,%d)", v, u, n)
-		} else if havePrev && u <= prev {
-			bad = fmt.Sprintf("core: vertex %d overflow unsorted: %d after %d", v, u, prev)
-		}
-		prev, havePrev = u, true
-		walked = append(walked, u)
-	})
-	if bad != "" {
-		return fmt.Errorf("%s", bad)
-	}
-	// The block read path must be an exact re-segmentation of the
-	// traversal: non-empty ascending slices whose concatenation equals the
-	// per-element walk.
-	i := 0
+	// The overflow's in-order walk must yield non-empty blocks, strictly
+	// ascending across block boundaries, in range, Len() elements in all;
+	// the per-kind validators above already check internal ordering for
+	// RIA and HITree, so this also covers the plain array and PMA kinds.
+	prev, walked, bad := vb.inline[inlineCap-1], 0, ""
 	vb.ov.Blocks(func(bs []uint32) bool {
-		if bad != "" {
-			return false
-		}
 		if len(bs) == 0 {
 			bad = fmt.Sprintf("core: vertex %d overflow yielded an empty block", v)
-			return false
 		}
 		for _, u := range bs {
-			if i >= len(walked) || walked[i] != u {
-				bad = fmt.Sprintf("core: vertex %d block path diverges from traversal at element %d", v, i)
-				return false
+			if u >= n {
+				bad = fmt.Sprintf("core: vertex %d overflow neighbor %d outside [0,%d)", v, u, n)
+			} else if u <= prev {
+				bad = fmt.Sprintf("core: vertex %d overflow unsorted: %d after %d", v, u, prev)
 			}
-			i++
+			prev = u
 		}
-		return true
+		walked += len(bs)
+		return bad == ""
 	})
-	if bad == "" && i != len(walked) {
-		bad = fmt.Sprintf("core: vertex %d block path yielded %d of %d overflow neighbors", v, i, len(walked))
+	if bad == "" && walked != ol {
+		bad = fmt.Sprintf("core: vertex %d overflow walk yielded %d of %d neighbors", v, walked, ol)
 	}
 	if bad != "" {
 		return fmt.Errorf("%s", bad)

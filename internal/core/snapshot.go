@@ -283,24 +283,8 @@ func (s *Snapshot) Neighbors(v uint32) []uint32 {
 	return s.adj[lo : lo+int(r.deg)]
 }
 
-// ForEachNeighbor applies f to v's neighbors in ascending order.
-func (s *Snapshot) ForEachNeighbor(v uint32, f func(u uint32)) {
-	for _, u := range s.Neighbors(v) {
-		f(u)
-	}
-}
-
-// ForEachNeighborUntil applies f in ascending order until it returns false.
-func (s *Snapshot) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
-	for _, u := range s.Neighbors(v) {
-		if !f(u) {
-			return
-		}
-	}
-}
-
 // NeighborBlocks yields v's entire run as one block aliasing snapshot
-// storage (engine.NeighborBlocker) — the ideal case for the block read
+// storage (engine.Graph) — the ideal case for the block read
 // path: one yield per vertex, fully contiguous.
 func (s *Snapshot) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	if ns := s.Neighbors(v); len(ns) > 0 {

@@ -52,11 +52,11 @@ func TestSnapshotIsImmutableView(t *testing.T) {
 			t.Fatal("snapshot contents changed after update")
 		}
 	}
-	// Until-iteration stops early.
+	// The block walk yields the frozen run whole.
 	seen := 0
-	snap.ForEachNeighborUntil(1, func(u uint32) bool { seen++; return false })
-	if degree > 0 && seen != 1 {
-		t.Fatalf("Until visited %d", seen)
+	snap.NeighborBlocks(1, func(b []uint32) bool { seen += len(b); return false })
+	if seen != int(degree) {
+		t.Fatalf("NeighborBlocks yielded %d of %d neighbors in its one block", seen, degree)
 	}
 }
 

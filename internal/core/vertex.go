@@ -17,12 +17,13 @@ type overflow interface {
 	Len() int
 	Min() uint32
 	DeleteMin() uint32
-	Traverse(f func(u uint32))
-	TraverseUntil(f func(u uint32) bool) bool
-	// Blocks yields ascending contiguous segments aliasing the structure's
-	// backing storage, under the engine.NeighborBlocker contract; it
-	// reports whether the walk ran to completion.
+	// Blocks is the structure's one in-order walk: it yields ascending
+	// contiguous segments aliasing the backing storage, under the
+	// engine.Graph NeighborBlocks contract, and reports whether the walk
+	// ran to completion.
 	Blocks(yield func(block []uint32) bool) bool
+	// AppendTo bulk-copies every element out, for the write path
+	// (promotion, merge rebuilds, publish).
 	AppendTo(dst []uint32) []uint32
 	Memory() uint64
 	IndexMemory() uint64
@@ -111,21 +112,6 @@ func (a *arrOverflow) DeleteMin() uint32 {
 	return v
 }
 
-func (a *arrOverflow) Traverse(f func(uint32)) {
-	for _, u := range a.data {
-		f(u)
-	}
-}
-
-func (a *arrOverflow) TraverseUntil(f func(uint32) bool) bool {
-	for _, u := range a.data {
-		if !f(u) {
-			return false
-		}
-	}
-	return true
-}
-
 func (a *arrOverflow) Blocks(yield func([]uint32) bool) bool {
 	if len(a.data) == 0 {
 		return true
@@ -142,29 +128,18 @@ type pmaOverflow struct {
 	p *pma.PMA[uint32]
 }
 
-func (o *pmaOverflow) Insert(u uint32) bool    { return o.p.Insert(u) }
-func (o *pmaOverflow) Delete(u uint32) bool    { return o.p.Delete(u) }
-func (o *pmaOverflow) Has(u uint32) bool       { return o.p.Has(u) }
-func (o *pmaOverflow) Len() int                { return o.p.Len() }
-func (o *pmaOverflow) Min() uint32             { return o.p.Min() }
-func (o *pmaOverflow) DeleteMin() uint32       { return o.p.DeleteMin() }
-func (o *pmaOverflow) Traverse(f func(uint32)) { o.p.Traverse(f) }
+func (o *pmaOverflow) Insert(u uint32) bool { return o.p.Insert(u) }
+func (o *pmaOverflow) Delete(u uint32) bool { return o.p.Delete(u) }
+func (o *pmaOverflow) Has(u uint32) bool    { return o.p.Has(u) }
+func (o *pmaOverflow) Len() int             { return o.p.Len() }
+func (o *pmaOverflow) Min() uint32          { return o.p.Min() }
+func (o *pmaOverflow) DeleteMin() uint32    { return o.p.DeleteMin() }
 func (o *pmaOverflow) Blocks(yield func([]uint32) bool) bool {
 	return o.p.Blocks(yield)
 }
 func (o *pmaOverflow) AppendTo(dst []uint32) []uint32 { return o.p.AppendTo(dst) }
 func (o *pmaOverflow) Memory() uint64                 { return o.p.Memory() }
 func (o *pmaOverflow) IndexMemory() uint64            { return 0 }
-
-func (o *pmaOverflow) TraverseUntil(f func(uint32) bool) bool {
-	done := true
-	o.p.Traverse(func(u uint32) {
-		if done && !f(u) {
-			done = false
-		}
-	})
-	return done
-}
 
 // newOverflow builds the right overflow structure for a sorted neighbor
 // slice of the given final size, per the thresholds of §4.1.

@@ -6,9 +6,13 @@
 // primitives over each system.
 package engine
 
-// Graph is the analytics-facing read interface. Neighbor iteration must
-// visit neighbors in ascending vertex-ID order: the paper's analytics
-// (notably triangle counting's set intersections) rely on ordered neighbors.
+import "fmt"
+
+// Graph is the analytics-facing read interface. It has one neighbour-read
+// primitive, NeighborBlocks: every engine keeps adjacency in contiguous
+// runs (that is the paper's locality argument, and equally true of Aspen's
+// chunks, PaC-tree's leaves and Terrace's tiers), so readers see runs, not
+// edges. Code that wants one call per edge uses the ForEachNeighbor helper.
 type Graph interface {
 	// NumVertices returns the number of vertex slots (IDs are dense
 	// [0, NumVertices)).
@@ -17,10 +21,17 @@ type Graph interface {
 	NumEdges() uint64
 	// Degree returns the out-degree of v.
 	Degree(v uint32) uint32
-	// ForEachNeighbor applies f to each out-neighbor of v in ascending
-	// order. It must be safe to call concurrently from multiple goroutines
-	// for distinct or identical v as long as no update is in flight.
-	ForEachNeighbor(v uint32, f func(u uint32))
+	// NeighborBlocks yields v's out-neighbors as a sequence of non-empty
+	// []uint32 blocks, strictly ascending within and across blocks: the
+	// paper's analytics (notably triangle counting's set intersections)
+	// rely on ordered neighbors. A block normally aliases the engine's
+	// backing storage (or, where the stored form is not a []uint32, a
+	// per-call staging buffer the engine refills): it is valid only until
+	// yield returns and must not be mutated or retained. Returning false
+	// from yield stops the iteration. It must be safe to call concurrently
+	// from multiple goroutines for distinct or identical v as long as no
+	// update is in flight.
+	NeighborBlocks(v uint32, yield func(block []uint32) bool)
 }
 
 // Update is the mutation interface. Batches may contain duplicates and
@@ -44,87 +55,76 @@ type Engine interface {
 	Name() string
 }
 
-// NeighborBlocker is the block-granular read path, implemented by engines
-// whose adjacency lives in contiguous memory (LSGraph's inline prefix and
-// RIA/LIA blocks, Aspen's tree chunks, PaC-tree leaves, CSR snapshots).
-// It is optional: kernels detect it and fall back to ForEachNeighbor via
-// BlocksFromForEach, keeping the callback API as the compatibility surface.
-type NeighborBlocker interface {
-	// NeighborBlocks yields v's adjacency as a sequence of non-empty,
-	// ascending []uint32 segments whose concatenation equals the
-	// ForEachNeighbor order. Blocks alias the engine's backing storage:
-	// they are valid only until yield returns and must not be mutated or
-	// retained. Returning false from yield stops the iteration. The same
-	// concurrency contract as ForEachNeighbor applies.
-	NeighborBlocks(v uint32, yield func(block []uint32) bool)
+// ForEachNeighbor applies f to each out-neighbor of v in ascending order:
+// a range over v's blocks, for callers whose per-edge work dwarfs the call.
+func ForEachNeighbor(g Graph, v uint32, f func(u uint32)) {
+	g.NeighborBlocks(v, func(block []uint32) bool {
+		for _, u := range block {
+			f(u)
+		}
+		return true
+	})
 }
 
-// BlocksFromForEach adapts a callback-only engine to the block contract by
-// materializing v's neighbors into buf (grown as needed) and yielding it as
-// a single block. It returns the (possibly grown) buffer so callers can
-// reuse it across vertices; the yielded block aliases that buffer.
-func BlocksFromForEach(g Graph, v uint32, buf []uint32, yield func(block []uint32) bool) []uint32 {
-	buf = AppendNeighbors(g, v, buf[:0])
-	if len(buf) > 0 {
-		yield(buf)
-	}
-	return buf
-}
-
-// BlockCursor binds a graph's best block strategy once so per-vertex
-// iteration pays no type assertions and no per-call allocation. Each
-// worker goroutine should own its own cursor (the fallback scratch buffer
-// is not safe to share).
-type BlockCursor struct {
-	bg  NeighborBlocker // nil when g lacks a native block path
-	g   Graph
-	buf []uint32 // fallback scratch, reused across vertices
-}
-
-// NewBlockCursor returns a cursor over g, using the native block path when
-// g implements NeighborBlocker and the materializing fallback otherwise.
-func NewBlockCursor(g Graph) BlockCursor {
-	bg, _ := g.(NeighborBlocker)
-	return BlockCursor{bg: bg, g: g}
-}
-
-// Native reports whether the cursor uses a zero-copy block path.
-func (c *BlockCursor) Native() bool { return c.bg != nil }
-
-// Blocks yields v's neighbors as ascending contiguous segments, under the
-// same aliasing and termination contract as NeighborBlocks.
-func (c *BlockCursor) Blocks(v uint32, yield func(block []uint32) bool) {
-	if c.bg != nil {
-		c.bg.NeighborBlocks(v, yield)
-		return
-	}
-	c.buf = BlocksFromForEach(c.g, v, c.buf, yield)
-}
-
-// NeighborsByBlocks collects v's neighbors through the block path into a
-// fresh slice (copying, unlike the yielded blocks). Tests use it to check
-// block/callback equivalence.
-func NeighborsByBlocks(g Graph, v uint32) []uint32 {
+// Neighbors collects v's neighbors into a fresh slice (copying, unlike the
+// yielded blocks).
+func Neighbors(g Graph, v uint32) []uint32 {
 	out := make([]uint32, 0, g.Degree(v))
-	c := NewBlockCursor(g)
-	c.Blocks(v, func(b []uint32) bool {
-		out = append(out, b...)
+	g.NeighborBlocks(v, func(block []uint32) bool {
+		out = append(out, block...)
 		return true
 	})
 	return out
 }
 
-// Neighbors collects v's neighbors into a fresh slice. It is a convenience
-// for tests and for analytics that materialize adjacency (the paper's TC).
-func Neighbors(g Graph, v uint32) []uint32 {
-	out := make([]uint32, 0, g.Degree(v))
-	g.ForEachNeighbor(v, func(u uint32) { out = append(out, u) })
-	return out
-}
-
-// AppendNeighbors appends v's neighbors to dst and returns it, reusing
-// dst's capacity. Used by triangle counting to avoid per-vertex allocation.
-func AppendNeighbors(g Graph, v uint32, dst []uint32) []uint32 {
-	g.ForEachNeighbor(v, func(u uint32) { dst = append(dst, u) })
-	return dst
+// CheckBlocks reports the first way a block walk departs from the
+// NeighborBlocks contract, or nil. walk is a NeighborBlocks call (or a
+// container's Blocks) bound to its receiver; want is the expected content
+// in ascending order. It checks that no block is empty, that elements are
+// strictly ascending within and across blocks, that the concatenation is
+// exactly want, and that a yield returning false — tried at the first and
+// at a middle block — is the last call the walk makes.
+func CheckBlocks(walk func(yield func(block []uint32) bool), want []uint32) error {
+	var got []uint32
+	blocks := 0
+	var err error
+	walk(func(b []uint32) bool {
+		blocks++
+		if len(b) == 0 {
+			err = fmt.Errorf("block %d is empty", blocks-1)
+			return false
+		}
+		got = append(got, b...)
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			return fmt.Errorf("not strictly ascending at %d: %d after %d", i, got[i], got[i-1])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("walk yields %d elements, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("element %d is %d, want %d", i, got[i], want[i])
+		}
+	}
+	for _, stopAt := range []int{1, blocks/2 + 1} {
+		if stopAt > blocks {
+			continue
+		}
+		calls := 0
+		walk(func([]uint32) bool {
+			calls++
+			return calls < stopAt
+		})
+		if calls != stopAt {
+			return fmt.Errorf("yield returned false at call %d of %d but the walk made %d calls", stopAt, blocks, calls)
+		}
+	}
+	return nil
 }

@@ -1,0 +1,84 @@
+package engine
+
+import (
+	"strings"
+	"testing"
+)
+
+// sliceGraph is a Graph over fixed block lists, so a test can hand
+// CheckBlocks any segmentation, including malformed ones.
+type sliceGraph [][][]uint32
+
+func (g sliceGraph) NumVertices() uint32 { return uint32(len(g)) }
+func (g sliceGraph) NumEdges() uint64    { return 0 }
+func (g sliceGraph) Degree(v uint32) (d uint32) {
+	for _, b := range g[v] {
+		d += uint32(len(b))
+	}
+	return d
+}
+func (g sliceGraph) NeighborBlocks(v uint32, yield func([]uint32) bool) {
+	for _, b := range g[v] {
+		if !yield(b) {
+			return
+		}
+	}
+}
+
+func TestHelpersRangeOverBlocks(t *testing.T) {
+	g := sliceGraph{{{1, 2}, {5}, {7, 9}}, nil}
+	var got []uint32
+	ForEachNeighbor(g, 0, func(u uint32) { got = append(got, u) })
+	want := []uint32{1, 2, 5, 7, 9}
+	if len(got) != len(want) {
+		t.Fatalf("ForEachNeighbor visited %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] || Neighbors(g, 0)[i] != want[i] {
+			t.Fatalf("ForEachNeighbor %v, Neighbors %v, want %v", got, Neighbors(g, 0), want)
+		}
+	}
+	if out := Neighbors(g, 1); len(out) != 0 {
+		t.Fatalf("Neighbors of an empty vertex returned %v", out)
+	}
+}
+
+// TestCheckBlocksRejectsEachViolation feeds CheckBlocks one walk per clause
+// of the contract it states.
+func TestCheckBlocksRejectsEachViolation(t *testing.T) {
+	want := []uint32{1, 2, 5, 7}
+	fixed := func(blocks ...[]uint32) func(func([]uint32) bool) {
+		return func(yield func([]uint32) bool) { sliceGraph{blocks}.NeighborBlocks(0, yield) }
+	}
+	for _, tc := range []struct {
+		name string
+		walk func(func([]uint32) bool)
+		err  string // "" = must pass
+	}{
+		{"one block", fixed(want), ""},
+		{"three blocks", fixed([]uint32{1}, []uint32{2, 5}, []uint32{7}), ""},
+		{"empty block", fixed([]uint32{1, 2}, nil, []uint32{5, 7}), "empty"},
+		{"unsorted inside a block", fixed([]uint32{2, 1}, []uint32{5, 7}), "ascending"},
+		{"unsorted across blocks", fixed([]uint32{1, 5}, []uint32{2, 7}), "ascending"},
+		{"repeat across blocks", fixed([]uint32{1, 2}, []uint32{2, 5, 7}), "ascending"},
+		{"short", fixed([]uint32{1, 2}, []uint32{5}), "3 elements"},
+		{"wrong element", fixed([]uint32{1, 2}, []uint32{6, 7}), "element 2"},
+		{"ignores stop", func(yield func([]uint32) bool) {
+			yield(want[:2])
+			yield(want[2:])
+		}, "returned false"},
+	} {
+		err := CheckBlocks(tc.walk, want)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.err != "" && err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case tc.err != "" && !strings.Contains(err.Error(), tc.err):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.err)
+		}
+	}
+	if err := CheckBlocks(fixed(), nil); err != nil {
+		t.Errorf("empty walk against empty want: %v", err)
+	}
+}

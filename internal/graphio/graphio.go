@@ -96,7 +96,7 @@ func WriteCSR(w io.Writer, g engine.Graph) error {
 	var werr error
 	var b4 [4]byte
 	for v := uint32(0); v < n && werr == nil; v++ {
-		g.ForEachNeighbor(v, func(u uint32) {
+		engine.ForEachNeighbor(g, v, func(u uint32) {
 			if werr != nil {
 				return
 			}

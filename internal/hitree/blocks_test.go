@@ -2,47 +2,34 @@ package hitree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"lsgraph/internal/engine"
 )
 
-// blocksCollect gathers the block path's elements, failing on contract
-// violations (empty or internally unsorted blocks).
-func blocksCollect(t *testing.T, tr *Tree) []uint32 {
+// requireBlocks checks tr's block walk against the model set: non-empty
+// blocks, strictly ascending across block boundaries, early stop honoured,
+// and exactly the model's Len() elements (engine.CheckBlocks).
+func requireBlocks(t *testing.T, tr *Tree, model map[uint32]bool) {
 	t.Helper()
-	var out []uint32
-	tr.Blocks(func(bs []uint32) bool {
-		if len(bs) == 0 {
-			t.Fatal("Blocks yielded an empty block")
-		}
-		for i := 1; i < len(bs); i++ {
-			if bs[i] <= bs[i-1] {
-				t.Fatalf("block unsorted at %d: %d after %d", i, bs[i], bs[i-1])
-			}
-		}
-		out = append(out, bs...)
-		return true
-	})
-	return out
-}
-
-func requireBlocksMatch(t *testing.T, tr *Tree) {
-	t.Helper()
-	want := collect(tr)
-	got := blocksCollect(t, tr)
-	if len(got) != len(want) {
-		t.Fatalf("blocks yield %d elements, traversal %d", len(got), len(want))
+	want := make([]uint32, 0, len(model))
+	for u := range model {
+		want = append(want, u)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("blocks diverge at %d: %d want %d", i, got[i], want[i])
-		}
+	slices.Sort(want)
+	if tr.Len() != len(want) {
+		t.Fatalf("Len %d, model %d", tr.Len(), len(want))
+	}
+	if err := engine.CheckBlocks(func(y func([]uint32) bool) { tr.Blocks(y) }, want); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestBlocksMatchTraverseUnderChurn churns trees through every node kind
 // — plain array leaves, RIA leaves, LIA internal nodes with merged child
 // runs and E/B slot mixes, rebuilds, and (DisableModel) bnode internals —
-// checking block/traversal equivalence throughout.
+// checking the block walk against the live set throughout.
 func TestBlocksMatchTraverseUnderChurn(t *testing.T) {
 	for _, disableModel := range []bool{false, true} {
 		cfg := smallCfg()
@@ -60,13 +47,13 @@ func TestBlocksMatchTraverseUnderChurn(t *testing.T) {
 				live[u] = true
 			}
 			if step%100 == 0 || step > 3900 {
-				requireBlocksMatch(t, tr)
+				requireBlocks(t, tr, live)
 				if err := tr.CheckInvariants(); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 			}
 		}
-		requireBlocksMatch(t, tr)
+		requireBlocks(t, tr, live)
 	}
 }
 
@@ -76,17 +63,19 @@ func TestBlocksMatchTraverseUnderChurn(t *testing.T) {
 func TestBlocksBulkLoadedLIA(t *testing.T) {
 	cfg := smallCfg()
 	ns := make([]uint32, 0, 3000)
+	model := make(map[uint32]bool, cap(ns))
 	rng := rand.New(rand.NewSource(7))
 	next := uint32(0)
 	for len(ns) < cap(ns) {
 		next += uint32(1 + rng.Intn(5)) // uneven spacing stresses the model
 		ns = append(ns, next)
+		model[next] = true
 	}
 	tr := BulkLoad(ns, cfg)
 	if !tr.IsLIARoot() {
 		t.Fatalf("bulk load of %d elements did not produce an LIA root", len(ns))
 	}
-	requireBlocksMatch(t, tr)
+	requireBlocks(t, tr, model)
 }
 
 // TestBlocksEarlyStop checks that a false return stops the walk.

@@ -86,21 +86,6 @@ func (b *bnode) delete(u uint32) (node, bool) {
 
 func (b *bnode) has(u uint32) bool { return b.children[b.route(u)].has(u) }
 
-func (b *bnode) traverse(f func(uint32)) {
-	for _, c := range b.children {
-		c.traverse(f)
-	}
-}
-
-func (b *bnode) traverseUntil(f func(uint32) bool) bool {
-	for _, c := range b.children {
-		if !c.traverseUntil(f) {
-			return false
-		}
-	}
-	return true
-}
-
 func (b *bnode) blocks(yield func([]uint32) bool) bool {
 	for _, c := range b.children {
 		if !c.blocks(yield) {
@@ -110,12 +95,7 @@ func (b *bnode) blocks(yield func([]uint32) bool) bool {
 	return true
 }
 
-func (b *bnode) appendTo(dst []uint32) []uint32 {
-	for _, c := range b.children {
-		dst = c.appendTo(dst)
-	}
-	return dst
-}
+func (b *bnode) appendTo(dst []uint32) []uint32 { return appendBlocks(b, dst) }
 
 func (b *bnode) size() int   { return b.total }
 func (b *bnode) min() uint32 { return b.children[0].min() }

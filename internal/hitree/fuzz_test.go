@@ -2,7 +2,6 @@ package hitree
 
 import (
 	"encoding/binary"
-	"sort"
 	"testing"
 )
 
@@ -41,17 +40,10 @@ func FuzzTreeOps(f *testing.F) {
 				t.Fatalf("len %d model %d", tr.Len(), len(model))
 			}
 		}
-		var got []uint32
-		tr.Traverse(func(u uint32) { got = append(got, u) })
-		if len(got) != len(model) {
-			t.Fatalf("traverse %d model %d", len(got), len(model))
-		}
-		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-			t.Fatal("traversal unsorted")
-		}
-		for _, u := range got {
+		requireBlocks(t, tr, model)
+		for u := range model {
 			if !tr.Has(u) {
-				t.Fatalf("Has(%d) false for traversed element", u)
+				t.Fatalf("Has(%d) false for a live element", u)
 			}
 		}
 	})

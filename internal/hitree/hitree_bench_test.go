@@ -68,7 +68,7 @@ func BenchmarkHas(b *testing.B) {
 	}
 }
 
-func BenchmarkTraverse(b *testing.B) {
+func BenchmarkBlocks(b *testing.B) {
 	ks := randomKeys(1<<16, 4)
 	t := New(DefaultConfig())
 	for _, k := range ks {
@@ -77,7 +77,12 @@ func BenchmarkTraverse(b *testing.B) {
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		t.Traverse(func(u uint32) { sink += uint64(u) })
+		t.Blocks(func(bs []uint32) bool {
+			for _, u := range bs {
+				sink += uint64(u)
+			}
+			return true
+		})
 	}
 	_ = sink
 	b.ReportMetric(float64(t.Len()*b.N)/b.Elapsed().Seconds(), "elems/s")

@@ -15,11 +15,7 @@ func smallCfg() Config {
 	return Config{Alpha: 1.2, M: 64, LeafArrayMax: 16, RebuildFactor: 4}
 }
 
-func collect(t *Tree) []uint32 {
-	var out []uint32
-	t.Traverse(func(u uint32) { out = append(out, u) })
-	return out
-}
+func collect(t *Tree) []uint32 { return t.AppendTo(nil) }
 
 func checkSortedMatch(t *testing.T, tr *Tree, model map[uint32]bool) {
 	t.Helper()
@@ -199,20 +195,6 @@ func TestMinOnLargeLIA(t *testing.T) {
 		if got := tr.DeleteMin(); got != want {
 			t.Fatalf("DeleteMin=%d want %d", got, want)
 		}
-	}
-}
-
-func TestTraverseUntilStops(t *testing.T) {
-	cfg := smallCfg()
-	ns := make([]uint32, 500)
-	for i := range ns {
-		ns[i] = uint32(i)
-	}
-	tr := BulkLoad(ns, cfg)
-	seen := 0
-	done := tr.TraverseUntil(func(u uint32) bool { seen++; return u < 99 })
-	if done || seen != 100 {
-		t.Fatalf("TraverseUntil: done=%v seen=%d", done, seen)
 	}
 }
 

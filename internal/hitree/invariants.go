@@ -31,12 +31,15 @@ func (t *Tree) CheckInvariants() error {
 	var prev uint32
 	n, havePrev := 0, false
 	bad := ""
-	t.root.traverse(func(u uint32) {
-		if bad == "" && havePrev && u <= prev {
-			bad = fmt.Sprintf("hitree: traversal not strictly ascending: %d after %d", u, prev)
+	t.root.blocks(func(b []uint32) bool {
+		for _, u := range b {
+			if bad == "" && havePrev && u <= prev {
+				bad = fmt.Sprintf("hitree: traversal not strictly ascending: %d after %d", u, prev)
+			}
+			prev, havePrev = u, true
+			n++
 		}
-		prev, havePrev = u, true
-		n++
+		return true
 	})
 	if bad != "" {
 		return fmt.Errorf("%s", bad)

@@ -411,42 +411,6 @@ func (l *lia) has(u uint32) bool {
 	}
 }
 
-func (l *lia) traverse(f func(uint32)) {
-	l.traverseUntil(func(u uint32) bool { f(u); return true })
-}
-
-func (l *lia) traverseUntil(f func(uint32) bool) bool {
-	nb := len(l.children)
-	for blk := 0; blk < nb; blk++ {
-		base := blk * BlockSize
-		if c := l.children[blk]; c != nil {
-			if blk > 0 && l.children[blk-1] == c {
-				continue // merged run already visited
-			}
-			if !c.traverseUntil(f) {
-				return false
-			}
-			continue
-		}
-		if l.typeOf(base) == tB {
-			for i := 0; i < BlockSize && l.typeOf(base+i) == tB; i++ {
-				if !f(l.data[base+i]) {
-					return false
-				}
-			}
-			continue
-		}
-		for i := 0; i < BlockSize; i++ {
-			if l.typeOf(base+i) == tE {
-				if !f(l.data[base+i]) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // blocks yields the LIA's elements as contiguous ascending segments: child
 // subtrees recurse (merged runs visited once), B-runs come out whole, and
 // E entries are grouped into maximal runs of adjacent occupied slots.
@@ -505,16 +469,13 @@ func (l *lia) blocks(yield func([]uint32) bool) bool {
 	return true
 }
 
-func (l *lia) appendTo(dst []uint32) []uint32 {
-	l.traverse(func(u uint32) { dst = append(dst, u) })
-	return dst
-}
+func (l *lia) appendTo(dst []uint32) []uint32 { return appendBlocks(l, dst) }
 
 func (l *lia) size() int { return l.total }
 
 func (l *lia) min() uint32 {
 	var m uint32
-	l.traverseUntil(func(u uint32) bool { m = u; return false })
+	l.blocks(func(b []uint32) bool { m = b[0]; return false })
 	return m
 }
 

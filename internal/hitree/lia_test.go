@@ -153,8 +153,7 @@ func TestMergedAdjacentChildrenShared(t *testing.T) {
 		t.Skip("model spread clusters; no adjacent child run at this size")
 	}
 	// Traversal must still visit each element exactly once and in order.
-	var got []uint32
-	l.traverse(func(u uint32) { got = append(got, u) })
+	got := l.appendTo(nil)
 	if len(got) != len(ns) {
 		t.Fatalf("traverse visited %d of %d", len(got), len(ns))
 	}
@@ -185,8 +184,7 @@ func TestLIAInsertConflictPaths(t *testing.T) {
 		}
 		model[u] = true
 	}
-	var got []uint32
-	root.traverse(func(u uint32) { got = append(got, u) })
+	got := root.appendTo(nil)
 	if len(got) != len(model) {
 		t.Fatalf("size %d want %d", len(got), len(model))
 	}
@@ -274,8 +272,7 @@ func TestBNodeAblation(t *testing.T) {
 		}
 		model[u] = true
 	}
-	var got []uint32
-	tr.Traverse(func(u uint32) { got = append(got, u) })
+	got := tr.AppendTo(nil)
 	if len(got) != len(model) {
 		t.Fatalf("bnode size %d want %d", len(got), len(model))
 	}

@@ -2,7 +2,8 @@
 // internal nodes are Learned Indexed Arrays (LIA) whose position conflicts
 // are absorbed first by bounded in-block horizontal movement and then by
 // creating child nodes (vertical movement); leaves are RIAs or plain sorted
-// arrays. BulkLoad, Insert, Delete and Traverse follow Algorithms 1 and 2.
+// arrays. BulkLoad, Insert and Delete follow Algorithms 1 and 2; Blocks is
+// the in-order traversal.
 package hitree
 
 import (
@@ -60,17 +61,29 @@ type node interface {
 	insert(u uint32, cfg *Config) (node, bool)
 	delete(u uint32) (node, bool)
 	has(u uint32) bool
-	traverse(f func(u uint32))
-	traverseUntil(f func(u uint32) bool) bool
-	// blocks yields ascending contiguous segments of the node's elements
-	// aliasing its backing storage (the engine-wide NeighborBlocks
-	// contract); it reports whether the walk ran to completion.
+	// blocks is the node's one in-order walk: it yields ascending
+	// contiguous segments of the node's elements aliasing its backing
+	// storage (the engine-wide NeighborBlocks contract) and reports
+	// whether the walk ran to completion.
 	blocks(yield func(block []uint32) bool) bool
+	// appendTo bulk-copies every element out for the write path's
+	// rebuilds: a plain append on flat leaves, appendBlocks on internal
+	// nodes.
 	appendTo(dst []uint32) []uint32
 	size() int
 	min() uint32
 	memory() uint64
 	indexMemory() uint64
+}
+
+// appendBlocks is appendTo for internal nodes: one append per block of the
+// node's in-order walk.
+func appendBlocks(n node, dst []uint32) []uint32 {
+	n.blocks(func(b []uint32) bool {
+		dst = append(dst, b...)
+		return true
+	})
+	return dst
 }
 
 // bulkLoad builds the right node kind for the sorted, duplicate-free ns
@@ -156,21 +169,6 @@ func (l *leafArray) has(u uint32) bool {
 	return lo < len(d) && d[lo] == u
 }
 
-func (l *leafArray) traverse(f func(uint32)) {
-	for _, u := range l.data {
-		f(u)
-	}
-}
-
-func (l *leafArray) traverseUntil(f func(uint32) bool) bool {
-	for _, u := range l.data {
-		if !f(u) {
-			return false
-		}
-	}
-	return true
-}
-
 func (l *leafArray) blocks(yield func([]uint32) bool) bool {
 	if len(l.data) == 0 {
 		return true
@@ -208,12 +206,10 @@ func (r *riaNode) delete(u uint32) (node, bool) {
 	return r, ok
 }
 
-func (r *riaNode) has(u uint32) bool                      { return r.ria().Has(u) }
-func (r *riaNode) traverse(f func(uint32))                { r.ria().Traverse(f) }
-func (r *riaNode) traverseUntil(f func(uint32) bool) bool { return r.ria().TraverseUntil(f) }
-func (r *riaNode) blocks(yield func([]uint32) bool) bool  { return r.ria().Blocks(yield) }
-func (r *riaNode) appendTo(dst []uint32) []uint32         { return r.ria().AppendTo(dst) }
-func (r *riaNode) size() int                              { return r.ria().Len() }
-func (r *riaNode) min() uint32                            { return r.ria().Min() }
-func (r *riaNode) memory() uint64                         { return r.ria().Memory() }
-func (r *riaNode) indexMemory() uint64                    { return r.ria().IndexMemory() }
+func (r *riaNode) has(u uint32) bool                     { return r.ria().Has(u) }
+func (r *riaNode) blocks(yield func([]uint32) bool) bool { return r.ria().Blocks(yield) }
+func (r *riaNode) appendTo(dst []uint32) []uint32        { return r.ria().AppendTo(dst) }
+func (r *riaNode) size() int                             { return r.ria().Len() }
+func (r *riaNode) min() uint32                           { return r.ria().Min() }
+func (r *riaNode) memory() uint64                        { return r.ria().Memory() }
+func (r *riaNode) indexMemory() uint64                   { return r.ria().IndexMemory() }

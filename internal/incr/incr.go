@@ -77,7 +77,7 @@ func (c *CC) OnInsert(src, dst []uint32) {
 		parallel.For(len(frontier), c.p, func(i int) {
 			v := frontier[i]
 			cv := atomic.LoadUint32(&c.comp[v])
-			c.g.ForEachNeighbor(v, func(u uint32) {
+			engine.ForEachNeighbor(c.g, v, func(u uint32) {
 				if atomicMin(&c.comp[u], cv) {
 					changed[u] = true
 				}
@@ -172,7 +172,7 @@ func (b *BFS) OnInsert(src, dst []uint32) {
 		var next []uint32
 		nextSeen := map[uint32]bool{}
 		for _, v := range frontier {
-			b.g.ForEachNeighbor(v, func(u uint32) {
+			engine.ForEachNeighbor(b.g, v, func(u uint32) {
 				if improve(v, u) && !nextSeen[u] {
 					nextSeen[u] = true
 					next = append(next, u)

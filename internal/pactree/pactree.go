@@ -231,26 +231,6 @@ func containsNode(n *pnode, u uint32) bool {
 	return false
 }
 
-func walkUntil(n *pnode, f func(uint32) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.leaf() {
-		for _, u := range n.elems {
-			if !f(u) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range n.children {
-		if !walkUntil(c, f) {
-			return false
-		}
-	}
-	return true
-}
-
 // blocksUntil yields each leaf's element array as one slice aliasing the
 // node's storage — PaC-tree's honest block granularity: runs end at leaf
 // boundaries, which is why its leaves-only layout out-blocks Aspen's
@@ -312,18 +292,8 @@ func (g *Graph) Degree(v uint32) uint32 { return uint32(sizeOf(g.roots[v])) }
 // Has reports whether edge (v,u) is present.
 func (g *Graph) Has(v, u uint32) bool { return containsNode(g.roots[v], u) }
 
-// ForEachNeighbor applies f to v's out-neighbors in ascending order.
-func (g *Graph) ForEachNeighbor(v uint32, f func(u uint32)) {
-	walkUntil(g.roots[v], func(u uint32) bool { f(u); return true })
-}
-
-// ForEachNeighborUntil applies f in ascending order until it returns false.
-func (g *Graph) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
-	walkUntil(g.roots[v], f)
-}
-
 // NeighborBlocks yields v's neighbors leaf by leaf in ascending order
-// (engine.NeighborBlocker); each block is one leaf's sorted element array.
+// (engine.Graph); each block is one leaf's sorted element array.
 func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	blocksUntil(g.roots[v], yield)
 }
@@ -400,7 +370,7 @@ func (g *Graph) applyBatch(src, dst []uint32, ins bool) {
 func (g *Graph) applyGroupBulk(v uint32, ks []uint64, ins bool) int64 {
 	oldSize := sizeOf(g.roots[v])
 	old := make([]uint32, 0, oldSize+len(ks))
-	walkUntil(g.roots[v], func(u uint32) bool { old = append(old, u); return true })
+	blocksUntil(g.roots[v], func(b []uint32) bool { old = append(old, b...); return true })
 	var merged []uint32
 	if ins {
 		merged = make([]uint32, 0, len(old)+len(ks))

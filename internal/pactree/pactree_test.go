@@ -9,7 +9,7 @@ import (
 
 func collect(n *pnode) []uint32 {
 	var out []uint32
-	walkUntil(n, func(u uint32) bool { out = append(out, u); return true })
+	blocksUntil(n, func(b []uint32) bool { out = append(out, b...); return true })
 	return out
 }
 

@@ -333,15 +333,6 @@ func (p *PMA[K]) Delete(k K) bool {
 	return true
 }
 
-// Traverse applies f to every key in ascending order.
-func (p *PMA[K]) Traverse(f func(k K)) {
-	for i, ok := range p.present {
-		if ok {
-			f(p.data[i])
-		}
-	}
-}
-
 // Blocks yields maximal runs of adjacent present slots as slices aliasing
 // the backing array, in ascending order, stopping early when yield returns
 // false; it reports whether the walk ran to completion. Runs are valid
@@ -391,6 +382,25 @@ func (p *PMA[K]) IterateFrom(start int, f func(pos int, k K) bool) {
 			return
 		}
 	}
+}
+
+// ReadRange copies into dst, in ascending order, the present keys below to
+// found from backing-array index start on, until dst is full. It returns
+// how many it copied and the index to resume from; n < len(dst) means the
+// keys below to are exhausted.
+func (p *PMA[K]) ReadRange(start int, to K, dst []K) (n, next int) {
+	i := start
+	for ; i < len(p.data) && n < len(dst); i++ {
+		if !p.present[i] {
+			continue
+		}
+		if p.data[i] >= to {
+			break
+		}
+		dst[n] = p.data[i]
+		n++
+	}
+	return n, i
 }
 
 // RangeMin returns the smallest key in [from, to), if any; the Terrace

@@ -5,13 +5,11 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"lsgraph/internal/engine"
 )
 
-func collect32(p *PMA[uint32]) []uint32 {
-	var out []uint32
-	p.Traverse(func(k uint32) { out = append(out, k) })
-	return out
-}
+func collect32(p *PMA[uint32]) []uint32 { return p.AppendTo(nil) }
 
 func checkSorted(t *testing.T, p *PMA[uint32]) {
 	t.Helper()
@@ -23,6 +21,11 @@ func checkSorted(t *testing.T, p *PMA[uint32]) {
 		if got[i-1] >= got[i] {
 			t.Fatalf("unsorted at %d: %d then %d", i, got[i-1], got[i])
 		}
+	}
+	// The per-vertex PMA ablation reads through Blocks: same elements, as
+	// maximal runs of present slots.
+	if err := engine.CheckBlocks(func(y func([]uint32) bool) { p.Blocks(y) }, got); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -153,8 +156,7 @@ func TestUint64Keys(t *testing.T) {
 	for _, k := range keys {
 		p.Insert(k)
 	}
-	var got []uint64
-	p.Traverse(func(k uint64) { got = append(got, k) })
+	got := p.AppendTo(nil)
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Fatalf("uint64 unsorted: %v", got)
 	}

@@ -58,6 +58,27 @@ func TestIterateFrom(t *testing.T) {
 	}
 }
 
+func TestReadRange(t *testing.T) {
+	p := BulkLoad([]uint32{2, 4, 6, 8, 10, 12})
+	var dst [4]uint32
+	// A full buffer: resume from next to get the rest below the bound.
+	n, next := p.ReadRange(0, 11, dst[:])
+	if n != 4 || dst != [4]uint32{2, 4, 6, 8} {
+		t.Fatalf("first read: n=%d dst=%v", n, dst)
+	}
+	n, _ = p.ReadRange(next, 11, dst[:])
+	if n != 1 || dst[0] != 10 {
+		t.Fatalf("resumed read: n=%d dst=%v, want the single key 10", n, dst)
+	}
+	// Nothing below the bound, and a start past the end.
+	if n, _ := p.ReadRange(0, 2, dst[:]); n != 0 {
+		t.Fatalf("read below the minimum copied %d keys", n)
+	}
+	if n, _ := p.ReadRange(p.Capacity(), 100, dst[:]); n != 0 {
+		t.Fatalf("read from past the end copied %d keys", n)
+	}
+}
+
 func TestGrowthDoublesCapacity(t *testing.T) {
 	p := New[uint32]()
 	start := p.Capacity()

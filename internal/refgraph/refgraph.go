@@ -71,9 +71,10 @@ func (g *Graph) Delete(v, u uint32) bool {
 // aliases internal storage; callers must not mutate it.
 func (g *Graph) Neighbors(v uint32) []uint32 { return g.adj[v] }
 
-// ForEachNeighbor applies f to each neighbor of v in ascending order.
-func (g *Graph) ForEachNeighbor(v uint32, f func(u uint32)) {
-	for _, u := range g.adj[v] {
-		f(u)
+// NeighborBlocks yields v's sorted neighbor slice as one block
+// (engine.Graph); the block aliases internal storage.
+func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
+	if a := g.adj[v]; len(a) > 0 {
+		yield(a[:len(a):len(a)])
 	}
 }

@@ -39,10 +39,14 @@ func TestNeighborsSorted(t *testing.T) {
 		}
 	}
 	var visited []uint32
-	g.ForEachNeighbor(2, func(u uint32) { visited = append(visited, u) })
+	g.NeighborBlocks(2, func(b []uint32) bool { visited = append(visited, b...); return true })
 	if len(visited) != 4 {
-		t.Fatalf("ForEachNeighbor visited %v", visited)
+		t.Fatalf("NeighborBlocks visited %v", visited)
 	}
+	g.NeighborBlocks(3, func([]uint32) bool {
+		t.Fatal("NeighborBlocks yielded for a vertex with no neighbors")
+		return false
+	})
 }
 
 func TestQuickInsertDeleteAgainstMap(t *testing.T) {

@@ -2,48 +2,39 @@ package ria
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"lsgraph/internal/engine"
 )
 
-// blocksCollect gathers the block path's elements, failing on any yielded
-// empty block (the contract forbids them).
-func blocksCollect(t *testing.T, r *RIA) []uint32 {
+// requireBlocks checks r's block walk against the model set: non-empty
+// blocks, strictly ascending across block boundaries, early stop honoured,
+// and exactly the model's Len() elements (engine.CheckBlocks).
+func requireBlocks(t *testing.T, r *RIA, model map[uint32]bool) {
 	t.Helper()
-	var out []uint32
-	r.Blocks(func(bs []uint32) bool {
-		if len(bs) == 0 {
-			t.Fatal("Blocks yielded an empty block")
-		}
-		for i := 1; i < len(bs); i++ {
-			if bs[i] <= bs[i-1] {
-				t.Fatalf("block unsorted at %d: %d after %d", i, bs[i], bs[i-1])
-			}
-		}
-		out = append(out, bs...)
-		return true
-	})
-	return out
+	want := make([]uint32, 0, len(model))
+	for u := range model {
+		want = append(want, u)
+	}
+	slices.Sort(want)
+	requireBlocksEqual(t, r, want)
 }
 
-// requireBlocksMatch asserts the block path re-segments the per-element
-// traversal exactly.
-func requireBlocksMatch(t *testing.T, r *RIA) {
+func requireBlocksEqual(t *testing.T, r *RIA, want []uint32) {
 	t.Helper()
-	want := collect(r)
-	got := blocksCollect(t, r)
-	if len(got) != len(want) {
-		t.Fatalf("blocks yield %d elements, traversal %d", len(got), len(want))
+	if r.Len() != len(want) {
+		t.Fatalf("Len %d, model %d", r.Len(), len(want))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("blocks diverge at %d: %d want %d", i, got[i], want[i])
-		}
+	if err := engine.CheckBlocks(func(y func([]uint32) bool) { r.Blocks(y) }, want); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestBlocksMatchTraverseUnderChurn drives an RIA through randomized
 // insert/delete churn — producing gapped, partially full, and coalescible
-// block states — and checks block/traversal equivalence after every step.
+// block states — and checks the block walk against the live set after
+// every step.
 func TestBlocksMatchTraverseUnderChurn(t *testing.T) {
 	for _, alpha := range []float64{1.05, 1.2, 2.0} {
 		rng := rand.New(rand.NewSource(int64(alpha * 1000)))
@@ -59,11 +50,11 @@ func TestBlocksMatchTraverseUnderChurn(t *testing.T) {
 				live[u] = true
 			}
 			if step%50 == 0 || step > 2900 {
-				requireBlocksMatch(t, r)
+				requireBlocks(t, r, live)
 				checkInvariants(t, r)
 			}
 		}
-		requireBlocksMatch(t, r)
+		requireBlocks(t, r, live)
 	}
 }
 
@@ -118,7 +109,11 @@ func TestBlocksCoalesceFullRuns(t *testing.T) {
 	}
 	checkInvariants(t, r)
 	var lens []int
-	requireBlocksMatch(t, r)
+	all := make([]uint32, next)
+	for i := range all {
+		all[i] = uint32(i)
+	}
+	requireBlocksEqual(t, r, all)
 	r.Blocks(func(bs []uint32) bool {
 		lens = append(lens, len(bs))
 		return true

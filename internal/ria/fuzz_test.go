@@ -2,7 +2,6 @@ package ria
 
 import (
 	"encoding/binary"
-	"sort"
 	"testing"
 )
 
@@ -39,18 +38,6 @@ func FuzzOps(f *testing.F) {
 				delete(model, u)
 			}
 		}
-		if r.Len() != len(model) {
-			t.Fatalf("len %d model %d", r.Len(), len(model))
-		}
-		var got []uint32
-		r.Traverse(func(u uint32) { got = append(got, u) })
-		if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-			t.Fatal("traversal unsorted")
-		}
-		for _, u := range got {
-			if !model[u] {
-				t.Fatalf("phantom element %d", u)
-			}
-		}
+		requireBlocks(t, r, model)
 	})
 }

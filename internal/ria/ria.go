@@ -220,9 +220,7 @@ func (r *RIA) insert(u uint32) bool {
 		return true
 	}
 	// Expand: merge all elements with u and redistribute (lines 10-12).
-	ns := make([]uint32, 0, r.n+1)
-	r.Traverse(func(v uint32) { ns = append(ns, v) })
-	ns = insertSorted(ns, u)
+	ns := insertSorted(r.AppendTo(make([]uint32, 0, r.n+1)), u)
 	r.Moved += uint64(len(ns))
 	r.loadInto(ns)
 	obsRebuilds.Inc()
@@ -407,8 +405,7 @@ func (r *RIA) refill(b int) {
 		return
 	}
 	// Neighbors cannot spare an element: redistribute everything.
-	ns := make([]uint32, 0, r.n)
-	r.Traverse(func(v uint32) { ns = append(ns, v) })
+	ns := r.AppendTo(make([]uint32, 0, r.n))
 	r.Moved += uint64(len(ns))
 	r.loadInto(ns)
 	obsRebuilds.Inc()
@@ -428,30 +425,6 @@ func (r *RIA) DeleteMin() uint32 {
 	v := r.Min()
 	r.Delete(v)
 	return v
-}
-
-// Traverse applies f to every element in ascending order, skipping gaps.
-func (r *RIA) Traverse(f func(u uint32)) {
-	for b := 0; b < len(r.cnt); b++ {
-		base := b * BlockSize
-		for i := 0; i < int(r.cnt[b]); i++ {
-			f(r.data[base+i])
-		}
-	}
-}
-
-// TraverseUntil applies f in ascending order until f returns false; it
-// reports whether the traversal ran to completion.
-func (r *RIA) TraverseUntil(f func(u uint32) bool) bool {
-	for b := 0; b < len(r.cnt); b++ {
-		base := b * BlockSize
-		for i := 0; i < int(r.cnt[b]); i++ {
-			if !f(r.data[base+i]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Blocks yields the occupied run of every non-empty block as a slice

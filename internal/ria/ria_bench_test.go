@@ -67,7 +67,7 @@ func BenchmarkHas(b *testing.B) {
 	}
 }
 
-func BenchmarkTraverse(b *testing.B) {
+func BenchmarkBlocks(b *testing.B) {
 	ks := randomKeys(1<<16, 4)
 	r := New(1.2)
 	for _, k := range ks {
@@ -76,7 +76,12 @@ func BenchmarkTraverse(b *testing.B) {
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		r.Traverse(func(u uint32) { sink += uint64(u) })
+		r.Blocks(func(bs []uint32) bool {
+			for _, u := range bs {
+				sink += uint64(u)
+			}
+			return true
+		})
 	}
 	_ = sink
 	b.ReportMetric(float64(r.Len()*b.N)/b.Elapsed().Seconds(), "elems/s")

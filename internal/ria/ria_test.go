@@ -35,11 +35,7 @@ func checkInvariants(t *testing.T, r *RIA) {
 	}
 }
 
-func collect(r *RIA) []uint32 {
-	var out []uint32
-	r.Traverse(func(u uint32) { out = append(out, u) })
-	return out
-}
+func collect(r *RIA) []uint32 { return r.AppendTo(nil) }
 
 func TestEmpty(t *testing.T) {
 	r := New(1.2)
@@ -214,22 +210,6 @@ func TestMixedQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTraverseUntil(t *testing.T) {
-	r := BulkLoad([]uint32{1, 2, 3, 4, 5}, 1.2)
-	seen := 0
-	done := r.TraverseUntil(func(u uint32) bool {
-		seen++
-		return u < 3
-	})
-	if done || seen != 3 {
-		t.Fatalf("TraverseUntil stopped wrong: done=%v seen=%d", done, seen)
-	}
-	seen = 0
-	if !r.TraverseUntil(func(u uint32) bool { seen++; return true }) || seen != 5 {
-		t.Fatal("TraverseUntil full pass failed")
 	}
 }
 

@@ -777,10 +777,10 @@ func (w *shardWriter) release(e *epochSnap) { e.refs.Add(-1) }
 // View is an epoch-pinned, immutable composed view of the Store: one
 // pinned snapshot per shard plus the vertex bound read at acquire time.
 // Every read method (NumVertices, NumEdges, Degree, Neighbors,
-// ForEachNeighbor, ForEachNeighborUntil) and every analytics kernel
-// written against engine.Graph works on it directly, concurrently with
-// ongoing ingestion. Call Release when done; an unreleased View pins its
-// snapshots' tables and arenas for the life of the Store.
+// NeighborBlocks) and every analytics kernel written against engine.Graph
+// works on it directly, concurrently with ongoing ingestion. Call Release
+// when done; an unreleased View pins its snapshots' tables and arenas for
+// the life of the Store.
 type View struct {
 	s     *Store
 	pm    *core.PartitionMap
@@ -890,25 +890,8 @@ func (v *View) Neighbors(u uint32) []uint32 {
 	return snap.Neighbors(lu)
 }
 
-// ForEachNeighbor applies f to u's neighbors in ascending order.
-func (v *View) ForEachNeighbor(u uint32, f func(w uint32)) {
-	for _, n := range v.Neighbors(u) {
-		f(n)
-	}
-}
-
-// ForEachNeighborUntil applies f in ascending order until it returns
-// false.
-func (v *View) ForEachNeighborUntil(u uint32, f func(w uint32) bool) {
-	for _, n := range v.Neighbors(u) {
-		if !f(n) {
-			return
-		}
-	}
-}
-
 // NeighborBlocks yields u's entire pinned CSR segment as one block
-// (engine.NeighborBlocker). The block aliases pinned snapshot storage: it
+// (engine.Graph). The block aliases pinned snapshot storage: it
 // must not be mutated, and must not be used after Release.
 func (v *View) NeighborBlocks(u uint32, yield func(block []uint32) bool) {
 	if ns := v.Neighbors(u); len(ns) > 0 {
@@ -1012,22 +995,11 @@ func (s *Store) Degree(v uint32) uint32 {
 	return d
 }
 
-// ForEachNeighbor applies f to v's out-neighbors in ascending order, on
-// the owning shard's snapshot current at call time. The snapshot stays
-// pinned for the duration of the iteration, so f always sees one coherent
-// adjacency even while batches apply concurrently.
-func (s *Store) ForEachNeighbor(v uint32, f func(u uint32)) {
-	w, e, lv := s.pinFor(v)
-	if lv < e.snap.NumVertices() {
-		e.snap.ForEachNeighbor(lv, f)
-	}
-	w.release(e)
-}
-
 // NeighborBlocks yields v's adjacency as one block out of the owning
-// shard's snapshot current at call time (engine.NeighborBlocker). The
-// snapshot stays pinned only for the duration of the call, so the block
-// must not be retained past yield.
+// shard's snapshot current at call time (engine.Graph). The snapshot stays
+// pinned for the duration of the call — so yield always sees one coherent
+// adjacency even while batches apply concurrently — and no longer: the
+// block must not be retained past yield.
 func (s *Store) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	w, e, lv := s.pinFor(v)
 	if lv < e.snap.NumVertices() {

@@ -30,42 +30,13 @@ func checkEngine(t *testing.T, e engine.Engine, ref *refgraph.Graph) {
 	if e.NumEdges() != ref.NumEdges() {
 		t.Fatalf("%s: NumEdges %d want %d", e.Name(), e.NumEdges(), ref.NumEdges())
 	}
-	bg, hasBlocks := e.(engine.NeighborBlocker)
 	for v := uint32(0); v < ref.NumVertices(); v++ {
 		if e.Degree(v) != ref.Degree(v) {
 			t.Fatalf("%s: Degree(%d)=%d want %d", e.Name(), v, e.Degree(v), ref.Degree(v))
 		}
-		want := ref.Neighbors(v)
-		got := engine.Neighbors(e, v)
-		if len(got) != len(want) {
-			t.Fatalf("%s: vertex %d has %d neighbors, want %d", e.Name(), v, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: vertex %d neighbor %d = %d, want %d",
-					e.Name(), v, i, got[i], want[i])
-			}
-		}
-		if !hasBlocks {
-			continue
-		}
-		// The block read path must re-segment the per-edge traversal
-		// exactly: non-empty blocks whose concatenation equals want.
-		i := 0
-		bg.NeighborBlocks(v, func(bs []uint32) bool {
-			if len(bs) == 0 {
-				t.Fatalf("%s: vertex %d yielded an empty block", e.Name(), v)
-			}
-			for _, u := range bs {
-				if i >= len(want) || want[i] != u {
-					t.Fatalf("%s: vertex %d block path diverges at element %d", e.Name(), v, i)
-				}
-				i++
-			}
-			return true
-		})
-		if i != len(want) {
-			t.Fatalf("%s: vertex %d block path yielded %d of %d neighbors", e.Name(), v, i, len(want))
+		walk := func(y func([]uint32) bool) { e.NeighborBlocks(v, y) }
+		if err := engine.CheckBlocks(walk, ref.Neighbors(v)); err != nil {
+			t.Fatalf("%s: vertex %d: %v", e.Name(), v, err)
 		}
 	}
 }
@@ -166,6 +137,39 @@ func TestHighDegreeVertexAllEngines(t *testing.T) {
 	}
 	for _, e := range es {
 		checkEngine(t, e, ref)
+	}
+}
+
+// TestTerraceBlocksEveryTier reads one vertex per storage tier: inline
+// only, inline exactly full, a PMA range that fills the 64-entry staging
+// buffer exactly (no trailing partial block), one that wraps it twice and
+// ends partial, and a B-tree. A walk stopped at the first staged block
+// must have seen the inline prefix plus one buffer and nothing after.
+func TestTerraceBlocksEveryTier(t *testing.T) {
+	const n = 4096
+	degrees := []int{5, 13, 13 + 64, 13 + 2*64 + 9, terrace.HighDegree + 500}
+	g := terrace.New(n, 2)
+	ref := refgraph.New(n)
+	var src, dst []uint32
+	for v, d := range degrees {
+		for i := 0; i < d; i++ {
+			u := uint32(i*2 + 10)
+			src, dst = append(src, uint32(v)), append(dst, u)
+			ref.Insert(uint32(v), u)
+		}
+	}
+	g.InsertBatch(src, dst)
+	checkEngine(t, g, ref)
+
+	const wrapped = 3 // the vertex whose PMA range spans three staged blocks
+	calls, seen := 0, 0
+	g.NeighborBlocks(wrapped, func(b []uint32) bool {
+		calls++
+		seen += len(b)
+		return calls < 2
+	})
+	if calls != 2 || seen != 13+64 {
+		t.Fatalf("stopping at the first staged block: %d calls, %d neighbors; want 2 and %d", calls, seen, 13+64)
 	}
 }
 

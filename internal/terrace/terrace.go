@@ -160,49 +160,33 @@ func (vb *vertex) inlineFind(u uint32) (int, bool) {
 	return n, false
 }
 
-// ForEachNeighbor applies f to v's out-neighbors in ascending order:
-// inline slots first (the smallest), then the PMA range or the B-tree.
-func (g *Graph) ForEachNeighbor(v uint32, f func(u uint32)) {
-	vb := &g.verts[v]
-	n := vb.inlineLen()
-	for i := 0; i < n; i++ {
-		f(vb.inline[i])
-	}
-	if vb.deg <= inlineCap {
-		return
-	}
-	if vb.tree != nil {
-		vb.tree.Traverse(f)
-		return
-	}
-	sh := g.shardOf(v)
-	start, ok := sh.offsets()[v]
-	if !ok {
-		return
-	}
-	sh.p.IterateFrom(int(start), func(_ int, k uint64) bool {
-		if uint32(k>>32) != v {
-			return false
-		}
-		f(uint32(k))
-		return true
-	})
-}
+// pmaStage is the size of the buffer NeighborBlocks stages the PMA tier
+// through: one yield per 64 neighbors amortizes the call without holding
+// more than four cache lines of copies.
+const pmaStage = 64
 
-// ForEachNeighborUntil applies f in ascending order until it returns false.
-func (g *Graph) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
+// stagePool recycles staging buffers: a block handed to yield escapes, so
+// a buffer declared in NeighborBlocks would be a heap allocation per
+// medium-degree vertex read.
+var stagePool = sync.Pool{New: func() any { return new([pmaStage]uint32) }}
+
+// NeighborBlocks yields v's out-neighbors as ascending blocks (the
+// engine.Graph contract): the inline slots (the smallest) in place, then
+// the B-tree's node key arrays in place, or the vertex's range of the
+// shared PMA. That range holds 64-bit (src,dst) keys, which no []uint32
+// can alias, so it is staged: read pmaStage keys at a time, their
+// destinations copied into a buffer that is refilled for the next block.
+func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	vb := &g.verts[v]
 	n := vb.inlineLen()
-	for i := 0; i < n; i++ {
-		if !f(vb.inline[i]) {
-			return
-		}
+	if n > 0 && !yield(vb.inline[:n:n]) {
+		return
 	}
 	if vb.deg <= inlineCap {
 		return
 	}
 	if vb.tree != nil {
-		vb.tree.TraverseUntil(f)
+		vb.tree.Blocks(yield)
 		return
 	}
 	sh := g.shardOf(v)
@@ -210,9 +194,19 @@ func (g *Graph) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
 	if !ok {
 		return
 	}
-	sh.p.IterateFrom(int(start), func(_ int, k uint64) bool {
-		return uint32(k>>32) == v && f(uint32(k))
-	})
+	var keys [pmaStage]uint64
+	buf := stagePool.Get().(*[pmaStage]uint32)
+	for pos, to := int(start), key(v+1, 0); ; {
+		n, next := sh.p.ReadRange(pos, to, keys[:])
+		for i, k := range keys[:n] {
+			buf[i] = uint32(k)
+		}
+		if n == 0 || !yield(buf[:n]) || n < pmaStage {
+			break
+		}
+		pos = next
+	}
+	stagePool.Put(buf)
 }
 
 // insertOne adds edge (v,u) under the vertex's shard lock where needed.

@@ -49,9 +49,7 @@ type Edge struct {
 // Reader is the read-only graph interface every analytics entry point in
 // this package accepts. It is satisfied by *Graph (between update
 // batches), *Store and *StoreView (concurrently with ingestion), and the
-// *core.Snapshot returned by Graph.Snapshot. Neighbor iteration visits
-// neighbors in ascending vertex-ID order, which ordered-set kernels
-// (notably triangle counting) rely on.
+// *core.Snapshot returned by Graph.Snapshot.
 type Reader interface {
 	// NumVertices returns the number of vertex slots; IDs are dense
 	// [0, NumVertices).
@@ -60,35 +58,27 @@ type Reader interface {
 	NumEdges() uint64
 	// Degree returns the out-degree of v.
 	Degree(v uint32) uint32
-	// ForEachNeighbor applies f to each out-neighbor of v in ascending
-	// ID order.
-	ForEachNeighbor(v uint32, f func(u uint32))
-}
-
-// BlockReader is the optional block-granular read path: a Reader whose
-// adjacency lives in contiguous memory can yield it as slices instead of
-// one callback per edge, removing an interface dispatch plus a closure
-// call per edge from every kernel. *Graph, *Store, *StoreView, and
-// Graph.Snapshot's view all implement it; the kernels and EdgeMap detect
-// it once per run and fall back to ForEachNeighbor otherwise, so Reader
-// stays the compatibility surface.
-type BlockReader interface {
-	Reader
-	// NeighborBlocks yields v's adjacency as non-empty ascending []uint32
-	// segments whose concatenation equals the ForEachNeighbor order.
-	// Blocks alias engine storage: they are valid only until yield
-	// returns and must not be mutated or retained. Returning false stops
-	// the iteration.
+	// NeighborBlocks is the one neighbour-read primitive: it yields v's
+	// out-neighbors as non-empty []uint32 blocks, strictly ascending
+	// within and across blocks (ordered-set kernels, notably triangle
+	// counting, rely on the order). Every engine here keeps adjacency in
+	// contiguous runs, so a reader that ranges over blocks pays one call
+	// per run instead of one per edge. Blocks alias engine storage: they
+	// are valid only until yield returns and must not be mutated or
+	// retained. Returning false stops the iteration.
 	NeighborBlocks(v uint32, yield func(block []uint32) bool)
 }
 
-// Compile-time checks: every Reader in the package also offers the block
-// read path.
+// BlockReader is another name for Reader, for callers that spell out that
+// they read blocks.
+type BlockReader = Reader
+
+// Compile-time checks: the types documented as Readers are.
 var (
-	_ BlockReader = (*Graph)(nil)
-	_ BlockReader = (*Store)(nil)
-	_ BlockReader = (*StoreView)(nil)
-	_ BlockReader = (*core.Snapshot)(nil)
+	_ Reader = (*Graph)(nil)
+	_ Reader = (*Store)(nil)
+	_ Reader = (*StoreView)(nil)
+	_ Reader = (*core.Snapshot)(nil)
 )
 
 // settings collects everything the constructors configure: the engine's
@@ -229,14 +219,14 @@ func (g *Graph) DeleteBatch(src, dst []uint32) { g.g.DeleteBatch(src, dst) }
 // ForEachNeighbor applies f to v's out-neighbors in ascending ID order.
 // It is safe to call concurrently with other reads.
 func (g *Graph) ForEachNeighbor(v uint32, f func(u uint32)) {
-	g.g.ForEachNeighbor(v, f)
+	engine.ForEachNeighbor(g.g, v, f)
 }
 
 // NeighborBlocks yields v's out-neighbors as ascending contiguous slices
 // straight out of the engine's storage: the inline vertex-block prefix
 // first, then the overflow structure's occupied runs (RIA blocks, LIA
 // runs, or whole sorted arrays), skipping gaps without copying. Blocks are
-// valid only until yield returns and must not be mutated. See BlockReader.
+// valid only until yield returns and must not be mutated. See Reader.
 func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	g.g.NeighborBlocks(v, yield)
 }

@@ -1,10 +1,10 @@
 #!/bin/sh
 # loadtest.sh -- measure the serving front-end: boot lsgraphd, drive it
 # with the open-loop lsload harness across three workload mixes, and
-# record latency percentiles + throughput in BENCH_<tag>.json (the same
-# {tag, unit, benchmarks} shape scripts/bench.sh writes).
+# record latency percentiles + throughput in BENCH_<tag>.json (a {tag,
+# unit, benchmarks} report, git-ignored: every run writes its own).
 #
-# Usage: scripts/loadtest.sh [tag]        (default tag: pr9; or: make loadtest)
+# Usage: scripts/loadtest.sh [tag]   (default tag: loadtest; or: make loadtest)
 # Env:   LOADTEST_TIME=5s    measured run length per mix (2s in CI smoke)
 #        LOADTEST_RATE=300   offered load in requests/second
 #        LOADTEST_MIX=T1,T4,T5,T6  workload mixes to run (T6 = skewed writes)
@@ -15,7 +15,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-tag="${1:-pr9}"
+tag="${1:-loadtest}"
 time="${LOADTEST_TIME:-5s}"
 rate="${LOADTEST_RATE:-300}"
 mix="${LOADTEST_MIX:-T1,T4,T5,T6}"

@@ -1,6 +1,7 @@
 package lsgraph
 
 import (
+	"lsgraph/internal/engine"
 	"lsgraph/internal/serve"
 )
 
@@ -113,11 +114,11 @@ func (s *Store) Degree(v uint32) uint32 { return s.st.Degree(v) }
 // the snapshot current at call time; the snapshot stays pinned for the
 // whole iteration, concurrently with ongoing ingestion.
 func (s *Store) ForEachNeighbor(v uint32, f func(u uint32)) {
-	s.st.ForEachNeighbor(v, f)
+	engine.ForEachNeighbor(s.st, v, f)
 }
 
 // NeighborBlocks yields v's adjacency as one contiguous slice out of the
-// owning shard's snapshot current at call time (see BlockReader). The
+// owning shard's snapshot current at call time (see Reader). The
 // snapshot stays pinned only for the duration of the call; the block must
 // not be retained past yield.
 func (s *Store) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
@@ -206,18 +207,19 @@ func (v *StoreView) Degree(u uint32) uint32 { return v.v.Degree(u) }
 
 // Neighbors returns u's out-neighbors in ascending order as a new slice.
 func (v *StoreView) Neighbors(u uint32) []uint32 {
-	out := make([]uint32, 0, v.v.Degree(u))
-	v.v.ForEachNeighbor(u, func(w uint32) { out = append(out, w) })
-	return out
+	ns := v.v.Neighbors(u)
+	return append(make([]uint32, 0, len(ns)), ns...)
 }
 
 // ForEachNeighbor applies f to u's out-neighbors in ascending ID order.
 func (v *StoreView) ForEachNeighbor(u uint32, f func(w uint32)) {
-	v.v.ForEachNeighbor(u, f)
+	for _, w := range v.v.Neighbors(u) {
+		f(w)
+	}
 }
 
 // NeighborBlocks yields u's adjacency as one contiguous slice aliasing the
-// view's pinned snapshot (see BlockReader). Unlike Neighbors, the block is
+// view's pinned snapshot (see Reader). Unlike Neighbors, the block is
 // not a copy: it must not be mutated or used after Release.
 func (v *StoreView) NeighborBlocks(u uint32, yield func(block []uint32) bool) {
 	v.v.NeighborBlocks(u, yield)
