@@ -77,11 +77,11 @@ soak-recover:
 
 # Durability benchmark: WAL ingest overhead per fsync policy vs the
 # memory-only baseline, plus recovery speed (full replay and
-# checkpoint-bounded). Writes BENCH_pr10.json; the acceptance bar is
+# checkpoint-bounded). Writes BENCH_recover.json; the acceptance bar is
 # <10% ingest overhead at fsync=interval. Tune repetitions with TRIALS.
 TRIALS ?= 3
 bench-recover:
-	$(GO) run ./cmd/lsbench -exp recover -trials $(TRIALS) -json BENCH_pr10.json -tag pr10
+	$(GO) run ./cmd/lsbench -exp recover -trials $(TRIALS) -json BENCH_recover.json -tag recover
 
 clean:
 	$(GO) clean ./...

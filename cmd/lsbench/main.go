@@ -10,7 +10,7 @@
 //	lsbench -exp sharded            # ingest scaling across shard writer pipelines
 //	lsbench -exp recover            # WAL ingest overhead + recovery speed
 //	lsbench -scale 14 -trials 5     # bigger graphs, more repetitions
-//	lsbench -json out.json -tag pr10  # also write recorded metrics as JSON
+//	lsbench -json out.json -tag recover  # also write recorded metrics as JSON
 //	lsbench -quick                  # smallest useful scale (~1 minute)
 //	lsbench -list                   # list experiment names
 //

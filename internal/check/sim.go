@@ -442,9 +442,9 @@ func (r *runner) delete(o op) error {
 
 // verify is the full lockstep comparison: structural invariants of every
 // live shard and overflow structure, then exact vertex/edge/adjacency
-// agreement with the oracle, then CSR consistency of a fresh snapshot
-// (ModeCore) or of the flattened composed view (ModeStore, after Flush,
-// with epoch monotonicity).
+// agreement with the oracle — of the composed view itself in ModeStore
+// (after Flush, with epoch monotonicity) — then, in ModeCore, CSR
+// consistency of a fresh snapshot.
 func (r *runner) verify() error {
 	if r.cfg.Mode == ModeStore {
 		r.st.Flush()
@@ -456,9 +456,6 @@ func (r *runner) verify() error {
 			r.lastEpoch = e
 		}
 		if err := compareGraphs(v, r.ref); err != nil {
-			return err
-		}
-		if err := Snapshot(v.Flatten(), r.ref); err != nil {
 			return err
 		}
 		if err := r.checkHeld(); err != nil {
@@ -517,8 +514,7 @@ func compareGraphs(got engine.Graph, ref *refgraph.Graph) error {
 
 // kernel runs one analytics kernel. ModeCore compares the kernel's result
 // on the live graph against the oracle. ModeStore flushes, pins a view,
-// and compares the kernel on the composed view against both the oracle
-// and the view's own flattened CSR (composed-vs-flat equivalence).
+// and compares the kernel on the composed view against the oracle.
 func (r *runner) kernel(sel byte) error {
 	n := r.ref.NumVertices()
 	if n == 0 {
@@ -530,9 +526,6 @@ func (r *runner) kernel(sel byte) error {
 		defer v.Release()
 		if err := runKernelPair(sel, v, r.ref, n); err != nil {
 			return fmt.Errorf("view vs oracle: %w", err)
-		}
-		if err := runKernelPair(sel, v, v.Flatten(), n); err != nil {
-			return fmt.Errorf("view vs flattened: %w", err)
 		}
 		return nil
 	}
@@ -605,8 +598,8 @@ func equalFloats(a, b []float64) error {
 
 // view exercises mid-stream read paths without quiescing the writers:
 // ModeStore pins a composed view while batches may still be in flight and
-// checks its self-consistency (well-formed CSR after Flatten, degree sums
-// matching NumEdges, sorted in-range adjacency, epoch monotonicity);
+// checks its self-consistency (degree sums matching NumEdges, sorted
+// in-range adjacency, a block path yielding exactly it, epoch monotonicity);
 // ModeCore takes a snapshot and checks it for CSR well-formedness. In
 // ModeStore it also checks the view held since the previous view op
 // against what that view read when it was pinned, and re-pins.
@@ -646,22 +639,13 @@ func (r *runner) view() error {
 				return fmt.Errorf("view vertex %d adjacency unsorted at %d", u, i)
 			}
 		}
+		if err := engine.CheckBlocks(func(y func([]uint32) bool) { v.NeighborBlocks(u, y) }, ns); err != nil {
+			return fmt.Errorf("view vertex %d: %w", u, err)
+		}
 		m += uint64(len(ns))
 	}
 	if m != v.NumEdges() {
 		return fmt.Errorf("view degree sum %d != NumEdges %d", m, v.NumEdges())
-	}
-	flat := v.Flatten()
-	if err := Snapshot(flat, nil); err != nil {
-		return err
-	}
-	if flat.NumEdges() != v.NumEdges() {
-		return fmt.Errorf("flattened view has %d edges, view %d", flat.NumEdges(), v.NumEdges())
-	}
-	for u := uint32(0); u < n; u++ {
-		if flat.Degree(u) != v.Degree(u) {
-			return fmt.Errorf("flattened degree(%d) = %d, view %d", u, flat.Degree(u), v.Degree(u))
-		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -139,5 +140,83 @@ func TestGrowingStreamScenario(t *testing.T) {
 		if g.Degree(v) != ref.Degree(v) {
 			t.Fatalf("degree mismatch at %d", v)
 		}
+	}
+}
+
+// TestGrowthReallocatesGeometrically: a stream that raises the vertex bound
+// by one per batch must not copy the open-ended shard's blocks once per
+// batch, and the capacity it keeps instead must stay invisible — a slot
+// growth re-slices into reads as an empty vertex, also after boundary moves
+// have carried blocks in and out of the shards around it.
+func TestGrowthReallocatesGeometrically(t *testing.T) {
+	const steps = 10000
+	g := New(1, Config{Shards: 2})
+	last := &g.shards[1]
+	reallocs, c := 0, cap(last.verts)
+	for n := uint32(2); n < 2+steps; n++ {
+		g.EnsureVertices(n)
+		if cap(last.verts) != c {
+			reallocs++
+			c = cap(last.verts)
+		}
+	}
+	if len(last.verts) != steps {
+		t.Fatalf("last shard materializes %d slots after %d one-vertex growths", len(last.verts), steps)
+	}
+	if limit := 3 * bits.Len(steps); reallocs > limit {
+		t.Fatalf("%d one-vertex growths reallocated %d times, want O(log n) (at most %d)", steps, reallocs, limit)
+	}
+
+	g = New(16, Config{Shards: 3, Workers: 2})
+	ref := refgraph.New(16)
+	r := lcg(11)
+	inPlace := 0
+	for step := 0; step < 400; step++ {
+		n := g.NumVertices() + 1 + r.next()%3
+		lens, caps := [3]int{}, [3]int{}
+		for i := range g.shards {
+			lens[i], caps[i] = len(g.shards[i].verts), cap(g.shards[i].verts)
+		}
+		g.EnsureVertices(n)
+		ref.EnsureVertices(n)
+		for i := range g.shards {
+			if sh := &g.shards[i]; len(sh.verts) > lens[i] && cap(sh.verts) == caps[i] {
+				inPlace++
+			}
+		}
+		// Edges from the new vertices and from old ones, so fresh slots are
+		// written and slots that changed owner are written again.
+		var src, dst []uint32
+		for i := 0; i < 6; i++ {
+			u := r.next() % n
+			if i < 2 {
+				u = n - 1 - uint32(i)%n
+			}
+			w := r.next() % n
+			src, dst = append(src, u), append(dst, w)
+			ref.Insert(u, w)
+		}
+		g.InsertBatch(src, dst)
+		if step%3 == 0 {
+			// Any legal target, now and then past the materialized space.
+			pm := g.PartitionMap()
+			k := int(r.next() % 2)
+			lo, hi := pm.Starts[k]+1, n+8
+			if k == 0 {
+				hi = pm.Starts[2]
+			}
+			if to := lo + r.next()%(hi-lo); to != pm.Starts[k+1] {
+				if _, _, err := g.MoveBoundary(k, to); err != nil {
+					t.Fatalf("step %d: MoveBoundary(%d, %d): %v", step, k, to, err)
+				}
+			}
+		}
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		checkAgainstOracle(t, g, ref)
+	}
+	if inPlace == 0 {
+		t.Fatal("no growth step re-sliced within a shard's capacity; the test does not cover it")
 	}
 }

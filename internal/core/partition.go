@@ -10,10 +10,9 @@ import (
 // vertex range [Starts[i], Starts[i+1]), the last shard open-ended, so a
 // lookup is a binary search over Starts. Maps are never mutated in place;
 // a boundary move builds a successor map (epoch+1) and the graph swaps an
-// atomic pointer to it, exactly like snapshot publication. Readers that
-// captured the old map keep routing consistently against the storage that
-// existed under it — the serving layer pairs each pinned snapshot with the
-// map epoch it was published under to detect mixed map/snapshot states.
+// atomic pointer to it, exactly like snapshot publication. The map routes
+// updates to storage; the serving layer's readers never consult it — every
+// snapshot it publishes records the range it was built from.
 type PartitionMap struct {
 	// Epoch increments by one per boundary move. The initial map is epoch 0.
 	Epoch uint64
@@ -21,10 +20,6 @@ type PartitionMap struct {
 	// always 0 and the values are strictly increasing, so no shard's range
 	// is ever empty.
 	Starts []uint32
-	// RangeEpoch[i] is the map epoch at which shard i's range last changed
-	// (0 for never-moved ranges). A snapshot published under map epoch e is
-	// consistent with this map's view of shard i iff e >= RangeEpoch[i].
-	RangeEpoch []uint64
 }
 
 // NewUniformMap returns the epoch-0 map splitting [0, n) into s equal
@@ -38,10 +33,7 @@ func NewUniformMap(n uint32, s int) *PartitionMap {
 	if span == 0 {
 		span = 1
 	}
-	pm := &PartitionMap{
-		Starts:     make([]uint32, s),
-		RangeEpoch: make([]uint64, s),
-	}
+	pm := &PartitionMap{Starts: make([]uint32, s)}
 	for i := range pm.Starts {
 		pm.Starts[i] = uint32(i) * span
 	}
@@ -90,20 +82,17 @@ func (pm *PartitionMap) RangeLen(i int, n uint32) int {
 }
 
 // WithBoundary returns the successor map moving the boundary between
-// shards k and k+1 to newStart: epoch+1, RangeEpoch of both affected
-// ranges set to the new epoch. It validates the move against this map.
+// shards k and k+1 to newStart, at epoch+1. It validates the move against
+// this map.
 func (pm *PartitionMap) WithBoundary(k int, newStart uint32) (*PartitionMap, error) {
 	if err := pm.validateMove(k, newStart); err != nil {
 		return nil, err
 	}
 	next := &PartitionMap{
-		Epoch:      pm.Epoch + 1,
-		Starts:     append([]uint32(nil), pm.Starts...),
-		RangeEpoch: append([]uint64(nil), pm.RangeEpoch...),
+		Epoch:  pm.Epoch + 1,
+		Starts: append([]uint32(nil), pm.Starts...),
 	}
 	next.Starts[k+1] = newStart
-	next.RangeEpoch[k] = next.Epoch
-	next.RangeEpoch[k+1] = next.Epoch
 	return next, nil
 }
 
@@ -127,8 +116,8 @@ func (pm *PartitionMap) validateMove(k int, newStart uint32) error {
 
 // CheckInvariants validates the map's structural invariants.
 func (pm *PartitionMap) CheckInvariants(shards int) error {
-	if len(pm.Starts) != shards || len(pm.RangeEpoch) != shards {
-		return fmt.Errorf("core: partition map has %d/%d entries, want %d", len(pm.Starts), len(pm.RangeEpoch), shards)
+	if len(pm.Starts) != shards {
+		return fmt.Errorf("core: partition map has %d entries, want %d", len(pm.Starts), shards)
 	}
 	if pm.Starts[0] != 0 {
 		return fmt.Errorf("core: partition map Starts[0] = %d, want 0", pm.Starts[0])
@@ -139,11 +128,6 @@ func (pm *PartitionMap) CheckInvariants(shards int) error {
 	for i := 1; i < len(pm.Starts); i++ {
 		if pm.Starts[i] == pm.Starts[i-1] {
 			return fmt.Errorf("core: partition map starts not strictly increasing: %v", pm.Starts)
-		}
-	}
-	for i, e := range pm.RangeEpoch {
-		if e > pm.Epoch {
-			return fmt.Errorf("core: partition map RangeEpoch[%d]=%d > Epoch %d", i, e, pm.Epoch)
 		}
 	}
 	return nil

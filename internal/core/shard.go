@@ -41,13 +41,22 @@ type shardState struct {
 }
 
 // ensure grows the shard's materialized storage to at least n slots.
+// Capacity grows geometrically, so a stream that raises the vertex bound a
+// little with every batch copies the shard's 64-byte blocks O(log n) times,
+// not once per batch. Re-slicing within the capacity exposes only zero
+// blocks: make zeroed the tail, and both boundary splices zero the blocks
+// they move out.
 func (sh *shardState) ensure(n int) {
 	if n <= len(sh.verts) {
 		return
 	}
-	nv := make([]vertex, n)
-	copy(nv, sh.verts)
-	sh.verts = nv
+	if c := cap(sh.verts); n > c {
+		nv := make([]vertex, n, max(n, c+c/2))
+		copy(nv, sh.verts)
+		sh.verts = nv
+		return
+	}
+	sh.verts = sh.verts[:n]
 }
 
 // subEdges subtracts removed from the shard's edge counter (two's-
@@ -212,6 +221,9 @@ func (g *Graph) ScatterBatchWith(pm *PartitionMap, src, dst []uint32) (parts []S
 	if n == 0 {
 		return parts, 0
 	}
+	if S == 1 {
+		return scatterOne(src, dst, parts)
+	}
 	p := g.workers()
 	if n < parPrepMin || p <= 1 {
 		return g.scatterSeq(pm, src, dst, parts)
@@ -282,6 +294,25 @@ func (g *Graph) ScatterBatchWith(pm *PartitionMap, src, dst []uint32) (parts []S
 		}
 	}
 	return parts, bound
+}
+
+// scatterOne is the scatter of a one-range map: there is nothing to route,
+// so one pass copies the batch and finds its bound.
+func scatterOne(src, dst []uint32, parts []SubBatch) ([]SubBatch, uint32) {
+	max := uint32(0)
+	cs, cd := make([]uint32, len(src)), make([]uint32, len(src))
+	for i, s := range src {
+		d := dst[i]
+		cs[i], cd[i] = s, d
+		if s > max {
+			max = s
+		}
+		if d > max {
+			max = d
+		}
+	}
+	parts[0] = SubBatch{Src: cs, Dst: cd}
+	return parts, max + 1
 }
 
 // scatterSeq is the one-worker scatter for small batches.

@@ -49,54 +49,57 @@ func TestShardOfCoversVertexSpace(t *testing.T) {
 }
 
 func TestScatterBatchRoutesBySource(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 3 * parPrepMin} {
-		g := New(1<<12, Config{Shards: 4, Workers: 8})
-		rng := rand.New(rand.NewSource(int64(n)))
-		src := make([]uint32, n)
-		dst := make([]uint32, n)
-		var wantBound uint32
-		for i := range src {
-			src[i] = uint32(rng.Intn(1 << 12))
-			dst[i] = uint32(rng.Intn(1 << 12))
-			if src[i]+1 > wantBound {
-				wantBound = src[i] + 1
-			}
-			if dst[i]+1 > wantBound {
-				wantBound = dst[i] + 1
-			}
-		}
-		parts, bound := g.ScatterBatch(src, dst)
-		if bound != wantBound {
-			t.Fatalf("n=%d: bound %d want %d", n, bound, wantBound)
-		}
-		if len(parts) != g.NumShards() {
-			t.Fatalf("n=%d: %d parts want %d", n, len(parts), g.NumShards())
-		}
-		total := 0
-		for i, part := range parts {
-			if len(part.Src) != len(part.Dst) {
-				t.Fatalf("part %d: src/dst length mismatch", i)
-			}
-			for j, s := range part.Src {
-				if g.ShardOf(s) != i {
-					t.Fatalf("part %d: src %d belongs to shard %d", i, s, g.ShardOf(s))
+	// One shard is the one-range map, where the scatter is a plain copy.
+	for _, shards := range []int{1, 4} {
+		for _, n := range []int{0, 1, 100, 3 * parPrepMin} {
+			g := New(1<<12, Config{Shards: shards, Workers: 8})
+			rng := rand.New(rand.NewSource(int64(n)))
+			src := make([]uint32, n)
+			dst := make([]uint32, n)
+			var wantBound uint32
+			for i := range src {
+				src[i] = uint32(rng.Intn(1 << 12))
+				dst[i] = uint32(rng.Intn(1 << 12))
+				if src[i]+1 > wantBound {
+					wantBound = src[i] + 1
 				}
-				_ = j
+				if dst[i]+1 > wantBound {
+					wantBound = dst[i] + 1
+				}
 			}
-			total += len(part.Src)
-		}
-		if total != n {
-			t.Fatalf("n=%d: parts hold %d edges", n, total)
-		}
-		// Order within a shard preserves input order: replaying parts
-		// shard-by-shard with a per-shard cursor must reproduce the input.
-		cursors := make([]int, len(parts))
-		for i := range src {
-			sh := g.ShardOf(src[i])
-			j := cursors[sh]
-			cursors[sh]++
-			if parts[sh].Src[j] != src[i] || parts[sh].Dst[j] != dst[i] {
-				t.Fatalf("edge %d: scatter reordered within shard %d", i, sh)
+			parts, bound := g.ScatterBatch(src, dst)
+			if bound != wantBound {
+				t.Fatalf("n=%d: bound %d want %d", n, bound, wantBound)
+			}
+			if len(parts) != g.NumShards() {
+				t.Fatalf("n=%d: %d parts want %d", n, len(parts), g.NumShards())
+			}
+			total := 0
+			for i, part := range parts {
+				if len(part.Src) != len(part.Dst) {
+					t.Fatalf("part %d: src/dst length mismatch", i)
+				}
+				for j, s := range part.Src {
+					if g.ShardOf(s) != i {
+						t.Fatalf("part %d: src %d belongs to shard %d", i, s, g.ShardOf(s))
+					}
+					_ = j
+				}
+				total += len(part.Src)
+			}
+			if total != n {
+				t.Fatalf("n=%d: parts hold %d edges", n, total)
+			}
+			// Order within a shard preserves input order: replaying parts
+			// shard-by-shard with a per-shard cursor must reproduce the input.
+			cursors := make([]int, len(parts))
+			for i := range src {
+				sh := g.ShardOf(src[i])
+				j := cursors[sh]
+				cursors[sh]++
+				if parts[sh].Src[j] != src[i] || parts[sh].Dst[j] != dst[i] {
+					t.Fatalf("edge %d: scatter reordered within shard %d", i, sh)
+				}
 			}
 		}
 	}
@@ -133,91 +136,6 @@ func TestShardedGraphMatchesOracle(t *testing.T) {
 			g.DeleteBatch(dsrc, ddst)
 		}
 		checkAgainstOracle(t, g, ref)
-	}
-}
-
-// TestComposeSnapshots checks that per-shard local snapshots composed into
-// a flat CSR agree with the full-graph snapshot.
-func TestComposeSnapshots(t *testing.T) {
-	const nv = 1000
-	rm := gen.NewRMatPaper(10, 5)
-	es := rm.Edges(20000)
-	src := make([]uint32, len(es))
-	dst := make([]uint32, len(es))
-	for i, e := range es {
-		src[i], dst[i] = e.Src%nv, e.Dst%nv
-	}
-	for _, S := range []int{1, 3, 4} {
-		g := New(nv, Config{Shards: S, Workers: 4})
-		g.InsertBatch(src, dst)
-		want := g.Snapshot()
-		parts := make([]*Snapshot, S)
-		bases := make([]uint32, S)
-		for i := 0; i < S; i++ {
-			parts[i] = g.Shard(i).SnapshotInto(nil)
-			bases[i] = g.Shard(i).Base()
-		}
-		got := ComposeSnapshots(parts, bases, g.NumVertices())
-		if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
-			t.Fatalf("S=%d: composed %d/%d want %d/%d", S,
-				got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
-		}
-		for v := uint32(0); v < nv; v++ {
-			gn, wn := got.Neighbors(v), want.Neighbors(v)
-			if len(gn) != len(wn) {
-				t.Fatalf("S=%d v=%d: %d neighbors want %d", S, v, len(gn), len(wn))
-			}
-			for i := range wn {
-				if gn[i] != wn[i] {
-					t.Fatalf("S=%d v=%d: neighbor %d got %d want %d", S, v, i, gn[i], wn[i])
-				}
-			}
-		}
-	}
-}
-
-// TestComposeSnapshotsUnevenShards covers layouts where the shard ranges
-// do not divide n evenly — including bases at or beyond the logical bound
-// (n=5, S=4 gives span 2 and bases 0,2,4,6) — which used to index past the
-// composed offsets array in the gap-fill loop.
-func TestComposeSnapshotsUnevenShards(t *testing.T) {
-	for _, tc := range []struct {
-		n uint32
-		S int
-	}{
-		{5, 4}, {1, 8}, {3, 4}, {7, 3}, {9, 4}, {2, 2},
-	} {
-		g := New(tc.n, Config{Shards: tc.S})
-		src := make([]uint32, 0, 2*tc.n)
-		dst := make([]uint32, 0, 2*tc.n)
-		for v := uint32(0); v < tc.n; v++ {
-			src = append(src, v, v)
-			dst = append(dst, (v*3+1)%tc.n, (v*7+2)%tc.n)
-		}
-		g.InsertBatch(src, dst)
-		want := g.Snapshot()
-		parts := make([]*Snapshot, tc.S)
-		bases := make([]uint32, tc.S)
-		for i := 0; i < tc.S; i++ {
-			parts[i] = g.Shard(i).SnapshotInto(nil)
-			bases[i] = g.Shard(i).Base()
-		}
-		got := ComposeSnapshots(parts, bases, g.NumVertices())
-		if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
-			t.Fatalf("n=%d S=%d: composed %d/%d want %d/%d", tc.n, tc.S,
-				got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
-		}
-		for v := uint32(0); v < tc.n; v++ {
-			gn, wn := got.Neighbors(v), want.Neighbors(v)
-			if len(gn) != len(wn) {
-				t.Fatalf("n=%d S=%d v=%d: %d neighbors want %d", tc.n, tc.S, v, len(gn), len(wn))
-			}
-			for i := range wn {
-				if gn[i] != wn[i] {
-					t.Fatalf("n=%d S=%d v=%d: neighbor %d got %d want %d", tc.n, tc.S, v, i, gn[i], wn[i])
-				}
-			}
-		}
 	}
 }
 

@@ -199,32 +199,6 @@ func (g *Graph) publishShard(sh *shardState, prev *Snapshot, p int) (s *Snapshot
 	return s, false
 }
 
-// ComposeSnapshots concatenates per-shard local snapshots (in shard order,
-// with bases[i] the first global ID of shard i) into one flat full-graph
-// CSR of n vertices. Gaps — ranges no shard's snapshot covers yet, which
-// happen when the vertex space has grown past a shard's last publish —
-// flatten to degree-0 vertices. It is the lazy materialization step behind
-// a composed serving view's flat CSR.
-func ComposeSnapshots(parts []*Snapshot, bases []uint32, n uint32) *Snapshot {
-	var m uint64
-	for _, part := range parts {
-		m += part.m
-	}
-	s := &Snapshot{tab: make([]vref, n), adj: make([]uint32, m)}
-	off := uint32(0)
-	for i, part := range parts {
-		for v := uint32(0); v < part.NumVertices() && bases[i]+v < n; v++ {
-			ns := part.Neighbors(v)
-			s.tab[bases[i]+v] = vref{off, uint32(len(ns))}
-			off += uint32(copy(s.adj[off:], ns))
-		}
-	}
-	// With an uneven n/Shards split the last shards' bases can lie beyond
-	// the logical bound, so off can stop short of m.
-	s.adj, s.m = s.adj[:off], uint64(off)
-	return s
-}
-
 // CSR returns the snapshot as raw CSR arrays (offs has NumVertices+1
 // entries; adj holds NumEdges neighbor IDs in vertex order). offs is built
 // per call. adj aliases snapshot storage when the snapshot is compact — a

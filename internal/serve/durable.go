@@ -244,10 +244,11 @@ func (s *Store) Checkpoint() error {
 	wms := make([]uint64, dirs)
 	ck := &wal.Checkpoint{
 		N:          v.NumVertices(),
-		Starts:     append([]uint32(nil), v.pm.Starts...),
+		Starts:     make([]uint32, len(v.es)),
 		Watermarks: wms,
 	}
 	for i, e := range v.es {
+		ck.Starts[i] = e.lo
 		wm := e.lsn
 		if d.floor > wm {
 			// The snapshot reflects everything recovery replayed even when
@@ -256,7 +257,7 @@ func (s *Store) Checkpoint() error {
 		}
 		wms[i] = wm
 		offs, adj := e.snap.CSR()
-		ck.Shards = append(ck.Shards, wal.ShardSnap{Base: e.base, Offs: offs, Adj: adj})
+		ck.Shards = append(ck.Shards, wal.ShardSnap{Base: e.lo, Offs: offs, Adj: adj})
 	}
 	for i := len(s.ws); i < dirs; i++ {
 		// Stale log directories from an earlier, larger shard count: their

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"testing"
 
 	"lsgraph/internal/core"
@@ -37,7 +38,12 @@ func BenchmarkIngestWALNone(b *testing.B) {
 }
 
 // BenchmarkIngestMemOnly is the WAL-free baseline for
-// BenchmarkIngestWALNone.
+// BenchmarkIngestWALNone (shards=2), and at shards=1 the only measurement of
+// enqueue over a one-range map, which no ruler workload runs.
 func BenchmarkIngestMemOnly(b *testing.B) {
-	benchIngest(b, New(core.New(8192, core.Config{Shards: 2}), Options{}))
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			benchIngest(b, New(core.New(8192, core.Config{Shards: shards}), Options{}))
+		})
+	}
 }

@@ -11,11 +11,12 @@
 // whichever affected writer reaches its control entry second, while the
 // first waits parked): splice the vertex blocks (core.Graph.MoveBoundary,
 // safe because both owners are quiescent and serve readers only touch
-// snapshots), rebuild both shards' snapshots under the new map, swap
-// viewMap, then swap both shards' snapshot pointers. Readers' retry-pin
-// protocol (View/pinFor) rejects every mixed old/new combination: a new
-// map with an old affected snapshot fails the mapEpoch >= RangeEpoch
-// check, and an old map with new snapshots fails the viewMap recheck.
+// snapshots), rebuild both shards' snapshots — each stamped with its new
+// range — and install one, then the other. Between the two swaps the
+// shards' current epochs do not tile: they leave a gap or overlap exactly
+// the moved range. A View that pins across the swaps sees that and pins
+// again; a single-vertex read steps to the shard whose pinned range holds
+// its vertex (View/pinFor in view.go).
 package serve
 
 import (
@@ -47,6 +48,12 @@ type rebalanceOp struct {
 // are quiesced. Tests block in it to assert that readers and unaffected
 // writers keep making progress mid-rebalance.
 var testHookRebalanceExecute func()
+
+// testHookRebalanceMidSwap, when non-nil, runs on the executing writer
+// goroutine between the two installs of a boundary move: shard k's new
+// epoch is current, shard k+1's is still the old one. Tests hold the move
+// there to read the store in the one state where its epochs do not tile.
+var testHookRebalanceMidSwap func()
 
 // MoveBoundary moves the partition boundary between shards k and k+1 to
 // newStart, splicing the transferred vertex range's blocks and republishing
@@ -122,28 +129,20 @@ func (s *Store) executeRebalance(op *rebalanceOp) {
 	wa, wb := s.ws[op.k], s.ws[op.k+1]
 	// The splice shifted slots and bases, so both publishes are full
 	// rebuilds (core.MoveBoundary marks the shards so); views pinned on the
-	// old map keep the old tables and arenas.
+	// old layout keep the old tables and arenas. Both are built before
+	// either is installed, so the window in which the current epochs do
+	// not tile is two atomic swaps wide.
 	ea := wa.buildSnap()
 	eb := wb.buildSnap()
-	// Publication order matters: viewMap first, then the snapshots. A
-	// reader that captured the old map either pins an old snapshot pair
-	// (fully consistent) or sees a new snapshot and fails its viewMap
-	// recheck; a reader that captured the new map retries until both new
-	// snapshots are in (old ones fail mapEpoch >= RangeEpoch).
-	s.viewMap.Store(pm)
-	if old := wa.cur.Swap(ea); old != nil {
-		wa.retired = append(wa.retired, old)
+	wa.install(ea)
+	if testHookRebalanceMidSwap != nil {
+		testHookRebalanceMidSwap()
 	}
-	if old := wb.cur.Swap(eb); old != nil {
-		wb.retired = append(wb.retired, old)
-	}
-	wa.reclaim()
-	wb.reclaim()
+	wb.install(eb)
 	op.movedVerts, op.movedEdges = mv, me
 	s.rebStats.boundaryMoves.Add(1)
 	s.rebStats.movedVertices.Add(uint64(mv))
 	s.rebStats.movedEdges.Add(me)
-	s.stats.snapshotsPublished.Add(2)
 	if obs.Enabled() {
 		obsMapEpoch.Set(int64(pm.Epoch))
 		obsRebalanceMoves.Inc()
@@ -294,8 +293,8 @@ func targetBoundaries(v *View) []uint32 {
 		}
 		e := v.es[i]
 		local := want - cum[i]
-		targets[k] = e.base + e.snap.VertexAtEdge(local)
-		if targets[k] != v.pm.Starts[k+1] {
+		targets[k] = e.lo + e.snap.VertexAtEdge(local)
+		if targets[k] != v.es[k+1].lo {
 			exact = false
 		}
 	}
@@ -383,9 +382,12 @@ func (s *Store) autoRebalance() {
 // PartitionInfo is a point-in-time description of the Store's partition
 // layout, for introspection endpoints and tests.
 type PartitionInfo struct {
-	// Epoch is the partition map's version (0 = initial uniform layout).
+	// Epoch is the routing map's version (0 = initial uniform layout): the
+	// number of boundary moves installed so far. It is read beside the
+	// pinned view, not from it, so while a move is in flight it can be one
+	// ahead of the layout Starts and Edges describe.
 	Epoch uint64 `json:"epoch"`
-	// Starts[i] is the first vertex ID of shard i's range.
+	// Starts[i] is the first vertex ID of shard i's pinned range.
 	Starts []uint32 `json:"starts"`
 	// Edges[i] is the directed edge count of shard i's pinned snapshot.
 	Edges []uint64 `json:"edges"`
@@ -397,18 +399,19 @@ type PartitionInfo struct {
 }
 
 // Partition returns the Store's current partition layout, measured from
-// one consistent map+snapshot cut.
+// one pinned view.
 func (s *Store) Partition() PartitionInfo {
 	v := s.View()
 	defer v.Release()
 	info := PartitionInfo{
-		Epoch:   v.pm.Epoch,
-		Starts:  append([]uint32(nil), v.pm.Starts...),
+		Epoch:   s.routeMap.Load().Epoch,
+		Starts:  make([]uint32, len(v.es)),
 		Edges:   make([]uint64, len(v.es)),
 		Routed:  make([]uint64, len(s.routed)),
 		SkewPct: viewSkewPct(v),
 	}
 	for i, e := range v.es {
+		info.Starts[i] = e.lo
 		info.Edges[i] = e.snap.NumEdges()
 	}
 	for i := range s.routed {

@@ -139,15 +139,6 @@ func TestPinnedViewSurvivesRebalance(t *testing.T) {
 	}
 	check("after appends into the post-move arenas")
 
-	flat := v.Flatten()
-	if flat.NumEdges() != wantM {
-		t.Fatalf("pinned flatten has %d edges, want %d", flat.NumEdges(), wantM)
-	}
-	for u := range want {
-		if !slices.Equal(flat.Neighbors(uint32(u)), want[u]) {
-			t.Fatalf("pinned flatten Neighbors(%d) diverged", u)
-		}
-	}
 	v.Release()
 
 	// A fresh view sees the post-rebuild, post-rebalance, post-ingest state.

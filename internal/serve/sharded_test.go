@@ -175,86 +175,6 @@ func TestShardedStoreAutoGrow(t *testing.T) {
 	v.Release()
 }
 
-// TestShardedViewFlatten checks that a composed view's lazily flattened
-// full-graph CSR agrees with its per-vertex reads.
-func TestShardedViewFlatten(t *testing.T) {
-	const nv = 500
-	st := New(core.New(nv, core.Config{Workers: 4, Shards: 3}), Options{})
-	defer st.Close()
-	rm := gen.NewRMatPaper(9, 3)
-	es := rm.Edges(6000)
-	src := make([]uint32, len(es))
-	dst := make([]uint32, len(es))
-	for i, e := range es {
-		src[i], dst[i] = e.Src%nv, e.Dst%nv
-	}
-	st.InsertBatch(src, dst)
-	st.Flush()
-
-	v := st.View()
-	defer v.Release()
-	flat := v.Flatten()
-	if flat != v.Flatten() {
-		t.Fatal("Flatten not cached")
-	}
-	if flat.NumVertices() != v.NumVertices() || flat.NumEdges() != v.NumEdges() {
-		t.Fatalf("flat %d/%d, view %d/%d",
-			flat.NumVertices(), flat.NumEdges(), v.NumVertices(), v.NumEdges())
-	}
-	for u := uint32(0); u < v.NumVertices(); u++ {
-		fn, vn := flat.Neighbors(u), v.Neighbors(u)
-		if len(fn) != len(vn) {
-			t.Fatalf("v=%d: flat %d neighbors, view %d", u, len(fn), len(vn))
-		}
-		for i := range vn {
-			if fn[i] != vn[i] {
-				t.Fatalf("v=%d neighbor %d: flat %d view %d", u, i, fn[i], vn[i])
-			}
-		}
-	}
-}
-
-// TestShardedViewFlattenUneven runs Flatten on vertex counts the shard
-// span does not divide evenly — including n=5, Shards=4, where the last
-// shard's base lies beyond n, which used to panic in ComposeSnapshots.
-func TestShardedViewFlattenUneven(t *testing.T) {
-	for _, tc := range []struct {
-		n      uint32
-		shards int
-	}{
-		{5, 4}, {1, 8}, {7, 3}, {9, 4},
-	} {
-		st := New(core.New(tc.n, core.Config{Shards: tc.shards}), Options{})
-		src := make([]uint32, 0, 2*tc.n)
-		dst := make([]uint32, 0, 2*tc.n)
-		for u := uint32(0); u < tc.n; u++ {
-			src = append(src, u, u)
-			dst = append(dst, (u*3+1)%tc.n, (u*5+2)%tc.n)
-		}
-		st.InsertBatch(src, dst)
-		st.Flush()
-		v := st.View()
-		flat := v.Flatten()
-		if flat.NumVertices() != v.NumVertices() || flat.NumEdges() != v.NumEdges() {
-			t.Fatalf("n=%d S=%d: flat %d/%d, view %d/%d", tc.n, tc.shards,
-				flat.NumVertices(), flat.NumEdges(), v.NumVertices(), v.NumEdges())
-		}
-		for u := uint32(0); u < v.NumVertices(); u++ {
-			fn, vn := flat.Neighbors(u), v.Neighbors(u)
-			if len(fn) != len(vn) {
-				t.Fatalf("n=%d S=%d v=%d: flat %d neighbors, view %d", tc.n, tc.shards, u, len(fn), len(vn))
-			}
-			for i := range vn {
-				if fn[i] != vn[i] {
-					t.Fatalf("n=%d S=%d v=%d neighbor %d: flat %d view %d", tc.n, tc.shards, u, i, fn[i], vn[i])
-				}
-			}
-		}
-		v.Release()
-		st.Close()
-	}
-}
-
 // TestShardedConcurrentWriterReaders is the stress test at Shards=4: one
 // goroutine streams pair batches while readers pin composed views. Shards
 // drain at different rates, so unlike the single-shard stress test there

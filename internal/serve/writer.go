@@ -1,0 +1,190 @@
+package serve
+
+import (
+	"lsgraph/internal/core"
+	"lsgraph/internal/obs"
+	"lsgraph/internal/trace"
+)
+
+// testHookBeforeApply, when non-nil, runs on a writer goroutine before
+// each batch is applied. Tests use it to hold a writer mid-drain and
+// exercise queue coalescing deterministically.
+var testHookBeforeApply func()
+
+// run is a shard writer's goroutine: it applies this shard's updates and
+// publishes its snapshots. It drains the whole queue each cycle, applying
+// each entry as one engine batch and republishing after each, so readers
+// observe every applied batch as its own shard epoch.
+func (w *shardWriter) run() {
+	defer close(w.done)
+	for {
+		w.mu.Lock()
+		q := w.queue
+		w.queue = nil
+		closed := w.closed
+		w.mu.Unlock()
+		if len(q) > 0 {
+			depth := w.s.queued.Add(-int64(len(q)))
+			if obs.Enabled() {
+				obsQueueDepth.Set(depth)
+				obsShardQueueDepth.Set(w.idx, 0)
+			}
+		}
+		if len(q) == 0 {
+			if closed {
+				w.reclaim()
+				return
+			}
+			<-w.wake
+			continue
+		}
+		for i := range q {
+			b := &q[i]
+			if b.op == opFlush {
+				close(b.done)
+				continue
+			}
+			if b.op == opRebalance {
+				// Rendezvous: the second of the two affected writers to reach
+				// its control entry executes the splice while the first waits
+				// parked. Only these two writers stop; every other shard's
+				// writer and every reader keeps running.
+				if b.reb.arrived.Add(1) == 2 {
+					w.s.executeRebalance(b.reb)
+					close(b.reb.done)
+				} else {
+					<-b.reb.done
+				}
+				continue
+			}
+			if testHookBeforeApply != nil {
+				testHookBeforeApply()
+			}
+			if b.bound > 0 {
+				w.shard.EnsureVertices(b.bound)
+			}
+			w.shard.BeginTrace(b.batch)
+			if b.op == opInsert {
+				w.shard.InsertBatch(b.src, b.dst)
+			} else {
+				w.shard.DeleteBatch(b.src, b.dst)
+			}
+			w.s.stats.batchesApplied.Add(1)
+			if obs.Enabled() {
+				obsApplied.Inc()
+				obsShardApplied.AddShard(w.idx, 1)
+			}
+			if b.lsn > w.appliedLSN {
+				w.appliedLSN = b.lsn
+			}
+			w.publish(b.batch)
+			if b.enq != 0 {
+				// The batch is now reader-visible: close the end-to-end
+				// enqueue-to-publish measurement and feed the tail estimator.
+				lag := trace.Now() - b.enq
+				if obs.Enabled() {
+					obsVisibilityLag.Observe(uint64(lag))
+				}
+				trace.BatchEnd(b.batch, lag)
+			}
+			q[i] = pending{} // release the scattered batch for GC
+		}
+	}
+}
+
+// publish builds the shard's next snapshot, swaps it in as the shard's new
+// epoch, and retires the previous one. batch is the flight-recorder
+// attribution of the update that triggered the republish (0 from New).
+// Writer goroutine only (and New, before the writer starts).
+func (w *shardWriter) publish(batch uint64) {
+	t := obs.StartTimer()
+	tr := trace.Start()
+	e := w.buildSnap()
+	w.install(e)
+	obsPublish.ObserveSince(t)
+	trace.Span(trace.PhasePublish, w.idx, batch, e.epoch, e.snap.NumEdges(), tr)
+}
+
+// install makes e the shard's current epoch — the one atomic swap that
+// publishes it to readers — retires the epoch it replaces, and reclaims
+// whatever has drained. Writer goroutine only, or the rebalance executor
+// while the writer is parked.
+func (w *shardWriter) install(e *epochSnap) {
+	if old := w.cur.Swap(e); old != nil {
+		w.retired = append(w.retired, old)
+	}
+	w.s.stats.snapshotsPublished.Add(1)
+	w.reclaim()
+}
+
+// buildSnap derives the shard's next epochSnap from the current one
+// (core.Shard.Publish: an append to the shared arena after one batch, a
+// full rebuild for the first publish, after a boundary move, or when the
+// arena's tail is used up) without swapping it in, stamped with the range
+// the shard owns right now. No other goroutine can be changing that range:
+// a boundary move touches only the two shards it parks. Writer goroutine
+// only — or the rebalance executor, while both affected writers are parked
+// at their control entries.
+func (w *shardWriter) buildSnap() *epochSnap {
+	var prev *core.Snapshot
+	var next uint64
+	if old := w.cur.Load(); old != nil {
+		prev, next = old.snap, old.epoch+1
+	}
+	snap, rebuilt := w.shard.Publish(prev)
+	if rebuilt {
+		w.s.stats.snapshotRebuilds.Add(1)
+		if obs.Enabled() {
+			obsSnapRebuild.Inc()
+		}
+	}
+	hi := uint64(openEnd)
+	if starts := w.s.g.PartitionMap().Starts; w.idx+1 < len(starts) {
+		hi = uint64(starts[w.idx+1])
+	}
+	return &epochSnap{
+		snap:  snap,
+		epoch: next,
+		lo:    w.shard.Base(),
+		hi:    hi,
+		lsn:   w.appliedLSN,
+	}
+}
+
+// reclaim recycles retired snapshots whose epoch has drained (refcount
+// zero observed after retirement; see the package comment for why that
+// observation is safe): the shard keeps the newest drained table for its
+// next publish, the rest go to the GC. Writer goroutine only.
+func (w *shardWriter) reclaim() {
+	tr := trace.Start()
+	freed := 0
+	kept := w.retired[:0]
+	for _, e := range w.retired {
+		if e.refs.Load() == 0 {
+			w.shard.Recycle(e.snap)
+			e.snap = nil
+			freed++
+			w.s.stats.snapshotsReclaimed.Add(1)
+			if obs.Enabled() {
+				obsReclaims.Inc()
+			}
+		} else {
+			kept = append(kept, e)
+		}
+	}
+	if freed > 0 {
+		trace.Span(trace.PhaseReclaim, w.idx, 0, 0, uint64(freed), tr)
+	}
+	for i := len(kept); i < len(w.retired); i++ {
+		w.retired[i] = nil
+	}
+	w.retired = kept
+	if obs.Enabled() {
+		var lag int64
+		if len(w.retired) > 0 {
+			lag = int64(w.cur.Load().epoch - w.retired[0].epoch)
+		}
+		obsEpochLag.Set(lag)
+		obsShardPublishLag.Set(w.idx, lag)
+	}
+}
