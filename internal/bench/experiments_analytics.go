@@ -90,10 +90,14 @@ func Table3(s Scale, w io.Writer) {
 		var lsIdx float64
 		for i, name := range EngineNames {
 			e := Loaded(name, d, s.Workers)
-			mem[i] = float64(e.MemoryUsage()) / (1 << 20)
 			if g, ok := e.(*core.Graph); ok {
+				// MemoryUsage counts the update pipeline's buffers, and the
+				// bulk load just sized them to the whole graph; the table
+				// compares what the graphs themselves hold.
+				g.ReleaseScratch()
 				lsIdx = float64(g.IndexMemory()) / (1 << 20)
 			}
+			mem[i] = float64(e.MemoryUsage()) / (1 << 20)
 		}
 		t.Row(d.Name, mem[0], mem[1], mem[2], mem[3],
 			mem[1]/mem[0], lsIdx/mem[0])

@@ -51,9 +51,41 @@ type SimConfig struct {
 	Shards int
 	// Mode selects core.Graph or serve.Store as the surface under test.
 	Mode Mode
+	// Engine names the engine configuration under test, one of simEngines
+	// ("" is the default policy).
+	Engine string
 	// Fault, when non-zero, injects a deliberate engine-side bug so tests
 	// can prove the harness catches and shrinks real divergences.
 	Fault Fault
+}
+
+// simEngines are the engine configurations the sweeps cover. The default
+// thresholds (array to 32, RIA to 4096) sit above any degree a 192-vertex
+// universe reaches, so "small" pulls them down until a vertex walks through
+// all four classes within 40 neighbors — inline to 13, array to 17, RIA to
+// 37, HITree above, and back to an RIA at 25 on the way down — and "pma"
+// and "riaonly" are the same thresholds under the two overflow ablations.
+var simEngines = []struct {
+	name string
+	cfg  core.Config
+}{
+	{"", core.Config{}},
+	{"small", core.Config{ArrayMax: 4, M: 24}},
+	{"pma", core.Config{ArrayMax: 4, M: 24, Overflow: core.KindPMA}},
+	{"riaonly", core.Config{ArrayMax: 4, M: 24, Overflow: core.KindRIAOnly}},
+}
+
+// engineConfig returns the named configuration of simEngines with the
+// simulator's shard and worker counts.
+func (c SimConfig) engineConfig() (core.Config, error) {
+	for _, e := range simEngines {
+		if e.name == c.Engine {
+			cfg := e.cfg
+			cfg.Shards, cfg.Workers = c.Shards, 2
+			return cfg, nil
+		}
+	}
+	return core.Config{}, fmt.Errorf("check: unknown engine configuration %q", c.Engine)
 }
 
 // simMaxVertex is the generated vertex-ID universe. It is kept below 256
@@ -72,13 +104,14 @@ const simMaxBatch = 40
 type opKind uint8
 
 const (
-	opInsert    opKind = iota // apply an insert batch (dups and re-inserts included)
-	opDelete                  // apply a delete batch (absent edges included)
-	opGrow                    // grow the vertex space explicitly
-	opVerify                  // full lockstep comparison against the oracle
-	opKernel                  // run one analytics kernel on engine and oracle
-	opView                    // pin a view/snapshot mid-stream and validate it
-	opRebalance               // move a partition boundary, then fully verify
+	opInsert       opKind = iota // apply an insert batch (dups and re-inserts included)
+	opDelete                     // apply a delete batch (absent edges included)
+	opGrow                       // grow the vertex space explicitly
+	opVerify                     // full lockstep comparison against the oracle
+	opKernel                     // run one analytics kernel on engine and oracle
+	opView                       // pin a view/snapshot mid-stream and validate it
+	opRebalance                  // move a partition boundary, then fully verify
+	opDeleteVertex               // remove a vertex's edges in both directions
 )
 
 func (k opKind) String() string {
@@ -95,6 +128,8 @@ func (k opKind) String() string {
 		return "kernel"
 	case opRebalance:
 		return "rebalance"
+	case opDeleteVertex:
+		return "delete-vertex"
 	default:
 		return "view"
 	}
@@ -104,11 +139,11 @@ func (k opKind) String() string {
 type op struct {
 	kind     opKind
 	src, dst []uint32 // insert/delete batches
-	sel      byte     // raw selector byte for grow deltas and kernel choice
+	sel      byte     // raw selector byte: grow delta, kernel, boundary or vertex
 }
 
 // decodeProgram turns an arbitrary byte string into an op sequence. Every
-// byte string is a valid program (fuzzing needs totality): the ten
+// byte string is a valid program (fuzzing needs totality): the eleven
 // op-kind selectors weight inserts 3x and deletes 2x, batches read one
 // count byte plus two bytes per edge, and truncated records are clipped
 // to the bytes available. The same decoder serves the seeded simulator,
@@ -116,7 +151,7 @@ type op struct {
 func decodeProgram(data []byte) []op {
 	var ops []op
 	for len(data) > 0 {
-		k := data[0] % 10
+		k := data[0] % 11
 		data = data[1:]
 		switch {
 		case k <= 2: // inserts get 3/10 weight
@@ -147,11 +182,17 @@ func decodeProgram(data []byte) []op {
 			data = data[1:]
 		case k == 8:
 			ops = append(ops, op{kind: opView})
-		default:
+		case k == 9:
 			if len(data) == 0 {
 				return ops
 			}
 			ops = append(ops, op{kind: opRebalance, sel: data[0]})
+			data = data[1:]
+		default:
+			if len(data) == 0 {
+				return ops
+			}
+			ops = append(ops, op{kind: opDeleteVertex, sel: data[0]})
 			data = data[1:]
 		}
 	}
@@ -203,6 +244,8 @@ func encodeOps(ops []op) []byte {
 			out = append(out, 8)
 		case opRebalance:
 			out = append(out, 9, o.sel)
+		case opDeleteVertex:
+			out = append(out, 10, o.sel)
 		}
 	}
 	return out
@@ -212,6 +255,7 @@ func encodeOps(ops []op) []byte {
 // fresh oracle.
 type runner struct {
 	cfg       SimConfig
+	ecfg      core.Config // the engine configuration cfg names
 	g         *core.Graph
 	st        *serve.Store
 	ref       *refgraph.Graph
@@ -224,6 +268,10 @@ type runner struct {
 	// epoch can reach shows up as a difference between the two.
 	held    *serve.View
 	heldAdj [][]uint32
+
+	// seen accumulates, over the run's verifications, the bytes each
+	// overflow class held: a non-zero field is a class the workload reached.
+	seen core.MemoryBreakdown
 }
 
 // runOps builds the configured surface, executes ops in lockstep against
@@ -231,14 +279,25 @@ type runner struct {
 // divergence or invariant violation. Panics on the caller's goroutine
 // (corrupt offsets, routing bugs) are converted to errors so the shrinker
 // and fuzz targets can treat them like any other failure.
-func runOps(ops []op, cfg SimConfig) (err error) {
+func runOps(ops []op, cfg SimConfig) error {
+	_, err := run(ops, cfg)
+	return err
+}
+
+// run is runOps returning the runner too, for what it saw on the way.
+func run(ops []op, cfg SimConfig) (r *runner, err error) {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	r := &runner{
-		cfg: cfg,
-		g:   core.New(simInitVerts, core.Config{Shards: cfg.Shards, Workers: 2}),
-		ref: refgraph.New(simInitVerts),
+	ecfg, err := cfg.engineConfig()
+	if err != nil {
+		return nil, err
+	}
+	r = &runner{
+		cfg:  cfg,
+		ecfg: ecfg,
+		g:    core.New(simInitVerts, ecfg),
+		ref:  refgraph.New(simInitVerts),
 	}
 	if cfg.Mode == ModeStore {
 		r.st = serve.New(r.g, serve.Options{MaxQueue: 4})
@@ -256,16 +315,16 @@ func runOps(ops []op, cfg SimConfig) (err error) {
 	}()
 	for i, o := range ops {
 		if err := r.step(o); err != nil {
-			return fmt.Errorf("op %d (%s): %w", i, o.kind, err)
+			return r, fmt.Errorf("op %d (%s): %w", i, o.kind, err)
 		}
 	}
 	if err := r.verify(); err != nil {
-		return fmt.Errorf("final verify: %w", err)
+		return r, fmt.Errorf("final verify: %w", err)
 	}
 	if err := r.checkHeld(); err != nil {
-		return fmt.Errorf("final held view: %w", err)
+		return r, fmt.Errorf("final held view: %w", err)
 	}
-	return nil
+	return r, nil
 }
 
 // checkHeld compares the long-pinned view against the copy taken when it
@@ -337,9 +396,36 @@ func (r *runner) step(o op) error {
 		return r.kernel(o.sel)
 	case opRebalance:
 		return r.rebalance(o.sel)
+	case opDeleteVertex:
+		return r.deleteVertex(o.sel)
 	default:
 		return r.view()
 	}
+}
+
+// deleteVertex removes every edge of the vertex the selector names, in both
+// directions: Graph.DeleteVertex on the bare engine, the equivalent delete
+// batch through the store (which has no such call). One op takes a hub from
+// whatever class it holds straight to an empty block.
+func (r *runner) deleteVertex(sel byte) error {
+	n := r.ref.NumVertices()
+	if n == 0 {
+		return nil
+	}
+	v := uint32(sel) % n
+	var src, dst []uint32
+	for _, u := range r.ref.Neighbors(v) {
+		src, dst = append(src, v, u), append(dst, u, v)
+	}
+	if r.cfg.Mode == ModeStore {
+		r.st.DeleteBatch(src, dst)
+	} else {
+		r.g.DeleteVertex(v)
+	}
+	for i := range src {
+		r.ref.Delete(src[i], dst[i])
+	}
+	return nil
 }
 
 // rebalance derives a legal boundary move from the selector byte (which
@@ -464,8 +550,10 @@ func (r *runner) verify() error {
 		// Flush drained every shard queue and the test goroutine is the
 		// only enqueuer, so the writers are quiescent: the deep shard walk
 		// is safe here.
+		r.sawClasses()
 		return Shards(r.g)
 	}
+	r.sawClasses()
 	if err := Shards(r.g); err != nil {
 		return err
 	}
@@ -475,7 +563,38 @@ func (r *runner) verify() error {
 	if err := r.hasProbes(); err != nil {
 		return err
 	}
-	return Snapshot(r.g.Snapshot(), r.ref)
+	snap := r.g.Snapshot()
+	if err := Snapshot(snap, r.ref); err != nil {
+		return err
+	}
+	return r.reload(snap)
+}
+
+// sawClasses adds the live structures' bytes to r.seen.
+func (r *runner) sawClasses() {
+	b := r.g.MemoryBreakdown()
+	r.seen.ArrayPayload += b.ArrayPayload
+	r.seen.RIAPayload += b.RIAPayload
+	r.seen.Trees += b.Trees
+}
+
+// reload round-trips the graph through its CSR: a fresh engine of the same
+// configuration bulk-loaded from snap must pass the deep walk — every
+// vertex in the class a fresh build gives its degree — and agree with the
+// oracle, whatever classes the live graph's history left its vertices in.
+func (r *runner) reload(snap *core.Snapshot) error {
+	offs, adj := snap.CSR()
+	g := core.New(snap.NumVertices(), r.ecfg)
+	if err := g.LoadCSR(0, offs, adj); err != nil {
+		return err
+	}
+	if err := Shards(g); err != nil {
+		return fmt.Errorf("reloaded from CSR: %w", err)
+	}
+	if err := compareGraphs(g, r.ref); err != nil {
+		return fmt.Errorf("reloaded from CSR: %w", err)
+	}
+	return nil
 }
 
 // hasProbes spot-checks the point-lookup path (inline search plus
@@ -720,6 +839,89 @@ func genProgram(seed int64) []byte {
 	return data
 }
 
+// genClassWalk derives a deterministic program that walks a few hub
+// vertices up through every overflow class of the "small" thresholds and
+// back down, a handful of edges at a time so that every threshold is
+// crossed by single-edge updates in both directions: inserts of both
+// directions of hub edges until the hubs hold 45 to 70 neighbors, then
+// deletes of the same edges in another order, then a partial climb back.
+// Boundary moves, verifications, views, kernels and the odd DeleteVertex of
+// a hub are interleaved throughout, so hubs change shard, get flattened and
+// get emptied in every class. The result is an ordinary byte program.
+func genClassWalk(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	hubs := []uint32{uint32(3 + rng.Intn(20)), uint32(60 + rng.Intn(40)), uint32(130 + rng.Intn(50))}
+	var ops []op
+	var live [][2]uint32 // hub edges currently inserted, as (hub, neighbor)
+	model := refgraph.New(simMaxVertex)
+	after := func() {
+		// A verification while a hub sits in the four-wide array class, or
+		// the sweep could cross it between two verifies and never see it.
+		for _, h := range hubs {
+			if d := model.Degree(h); d > 13 && d <= 17 {
+				ops = append(ops, op{kind: opVerify})
+				break
+			}
+		}
+		switch rng.Intn(8) {
+		case 0, 1:
+			ops = append(ops, op{kind: opRebalance, sel: byte(rng.Intn(256))})
+		case 2:
+			ops = append(ops, op{kind: opVerify})
+		case 3:
+			ops = append(ops, op{kind: opView})
+		case 4:
+			ops = append(ops, op{kind: opKernel, sel: byte(rng.Intn(256))})
+		}
+	}
+	batch := func(kind opKind, es [][2]uint32) {
+		o := op{kind: kind}
+		for _, e := range es {
+			o.src, o.dst = append(o.src, e[0], e[1]), append(o.dst, e[1], e[0])
+			if kind == opInsert {
+				model.Insert(e[0], e[1])
+				model.Insert(e[1], e[0])
+			} else {
+				model.Delete(e[0], e[1])
+				model.Delete(e[1], e[0])
+			}
+		}
+		ops = append(ops, o)
+		after()
+	}
+	climb := func(target int) {
+		for len(live) < target*len(hubs) {
+			var es [][2]uint32
+			for i := 1 + rng.Intn(4); i > 0; i-- {
+				es = append(es, [2]uint32{hubs[rng.Intn(len(hubs))], uint32(rng.Intn(simMaxVertex))})
+			}
+			live = append(live, es...)
+			batch(opInsert, es)
+		}
+	}
+	descend := func(keep int) {
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		for len(live) > keep {
+			k := min(1+rng.Intn(4), len(live)-keep)
+			batch(opDelete, live[len(live)-k:])
+			live = live[:len(live)-k]
+		}
+	}
+	climb(45 + rng.Intn(25))
+	ops = append(ops, op{kind: opVerify})
+	descend(0)
+	ops = append(ops, op{kind: opVerify})
+	climb(30)
+	h := hubs[rng.Intn(len(hubs))]
+	for _, u := range append([]uint32(nil), model.Neighbors(h)...) {
+		model.Delete(h, u)
+		model.Delete(u, h)
+	}
+	ops = append(ops, op{kind: opDeleteVertex, sel: byte(h)}, op{kind: opVerify})
+	descend(20)
+	return encodeOps(ops)
+}
+
 // RunBytes decodes one byte program (any byte string is valid — the same
 // decoder backs the fuzz targets) and executes it under cfg, without
 // shrinking. It returns the first divergence or invariant violation.
@@ -733,7 +935,14 @@ func RunBytes(data []byte, cfg SimConfig) error {
 // commands: an exact-program replay (TestSimReplay reads the base64
 // program from the environment) and the full-seed rerun.
 func RunSeed(seed int64, cfg SimConfig) error {
-	ops := decodeProgram(genProgram(seed))
+	return runShrunk(decodeProgram(genProgram(seed)), cfg, fmt.Sprintf(
+		"go test -run 'TestSimSeeds/%s/shards=%d/seed=%d' ./internal/check", cfg.Mode, cfg.Shards, seed))
+}
+
+// runShrunk executes ops under cfg and, on failure, shrinks them and
+// reports the minimal program with its replay command, and rerun, the
+// command that repeats the whole workload.
+func runShrunk(ops []op, cfg SimConfig, rerun string) error {
 	err := runOps(ops, cfg)
 	if err == nil {
 		return nil
@@ -746,13 +955,10 @@ func RunSeed(seed int64, cfg SimConfig) error {
 		min, merr = ops, err
 	}
 	prog := base64.StdEncoding.EncodeToString(encodeOps(min))
-	return fmt.Errorf("differential simulator failed (seed %d, shards %d, mode %s): %w\n"+
+	return fmt.Errorf("differential simulator failed (shards %d, mode %s, engine %q): %w\n"+
 		"minimized to %d ops (from %d); replay the minimal program with:\n"+
-		"  LSGRAPH_CHECK_REPLAY=%s LSGRAPH_CHECK_SHARDS=%d LSGRAPH_CHECK_MODE=%s go test -run 'TestSimReplay' ./internal/check\n"+
-		"or rerun the full seed with:\n"+
-		"  go test -run 'TestSimSeeds/%s/shards=%d/seed=%d' ./internal/check",
-		seed, cfg.Shards, cfg.Mode, merr,
-		len(min), len(ops),
-		prog, cfg.Shards, cfg.Mode,
-		cfg.Mode, cfg.Shards, seed)
+		"  LSGRAPH_CHECK_REPLAY=%s LSGRAPH_CHECK_SHARDS=%d LSGRAPH_CHECK_MODE=%s LSGRAPH_CHECK_ENGINE=%s go test -run 'TestSimReplay' ./internal/check\n"+
+		"or rerun the full seed with:\n  %s",
+		cfg.Shards, cfg.Mode, cfg.Engine, merr, len(min), len(ops),
+		prog, cfg.Shards, cfg.Mode, cfg.Engine, rerun)
 }

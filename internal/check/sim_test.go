@@ -41,6 +41,40 @@ func TestSimSeeds(t *testing.T) {
 	}
 }
 
+// TestSimClassWalk is the sweep over the overflow classes: programs that
+// take hub vertices up through inline, array, RIA and HITree and back down
+// by small batches (genClassWalk), under the small thresholds and both
+// overflow ablations, S∈{1,2,4}, in both modes. Beyond the oracle and the
+// deep walk — which fails a missed promotion or demotion at the verify
+// after it — each run must actually have held every class its
+// configuration has, or the sweep would pass by never leaving the array.
+func TestSimClassWalk(t *testing.T) {
+	for _, e := range simEngines[1:] {
+		for _, mode := range []Mode{ModeCore, ModeStore} {
+			for _, S := range []int{1, 2, 4} {
+				e, mode, S := e, mode, S
+				t.Run(fmt.Sprintf("%s/%s/shards=%d", e.name, mode, S), func(t *testing.T) {
+					t.Parallel()
+					for seed := int64(0); seed < 4; seed++ {
+						cfg := SimConfig{Shards: S, Mode: mode, Engine: e.name}
+						ops := decodeProgram(genClassWalk(seed))
+						r, err := run(ops, cfg)
+						if err != nil {
+							t.Fatal(runShrunk(ops, cfg, fmt.Sprintf(
+								"go test -run 'TestSimClassWalk/%s/%s/shards=%d' ./internal/check  # seed %d", e.name, mode, S, seed)))
+						}
+						arr, ria, tree := r.seen.ArrayPayload > 0, r.seen.RIAPayload > 0, r.seen.Trees > 0
+						want := map[string][3]bool{"small": {true, true, true}, "pma": {false, false, true}, "riaonly": {true, true, false}}[e.name]
+						if got := [3]bool{arr, ria, tree}; got != want {
+							t.Errorf("seed %d verified with (array, RIA, HITree/PMA) overflows present %v, want %v", seed, got, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestSimRebalanceHeavy drives rebalance-dense differential workloads:
 // roughly a third of all ops are boundary moves, interleaved with skewed
 // inserts, deletes, kernels, and mid-stream views, across S∈{2,4,8} in
@@ -85,8 +119,8 @@ func TestSimRebalanceHeavy(t *testing.T) {
 // TestSimReplay replays a minimized program from the environment. It is
 // the target of the replay command the harness prints on failure:
 //
-//	LSGRAPH_CHECK_REPLAY=<base64> LSGRAPH_CHECK_SHARDS=<S> \
-//	  LSGRAPH_CHECK_MODE=<core|store> go test -run 'TestSimReplay' ./internal/check
+//	LSGRAPH_CHECK_REPLAY=<base64> LSGRAPH_CHECK_SHARDS=<S> LSGRAPH_CHECK_MODE=<core|store> \
+//	  LSGRAPH_CHECK_ENGINE=<|small|pma|riaonly> go test -run 'TestSimReplay' ./internal/check
 func TestSimReplay(t *testing.T) {
 	enc := os.Getenv("LSGRAPH_CHECK_REPLAY")
 	if enc == "" {
@@ -96,7 +130,7 @@ func TestSimReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bad LSGRAPH_CHECK_REPLAY: %v", err)
 	}
-	cfg := SimConfig{Shards: 1}
+	cfg := SimConfig{Shards: 1, Engine: os.Getenv("LSGRAPH_CHECK_ENGINE")}
 	if s := os.Getenv("LSGRAPH_CHECK_SHARDS"); s != "" {
 		if cfg.Shards, err = strconv.Atoi(s); err != nil {
 			t.Fatalf("bad LSGRAPH_CHECK_SHARDS: %v", err)
@@ -111,7 +145,7 @@ func TestSimReplay(t *testing.T) {
 	t.Log("replayed program passed (bug no longer reproduces)")
 }
 
-var replayRE = regexp.MustCompile(`LSGRAPH_CHECK_REPLAY=([A-Za-z0-9+/=]+) LSGRAPH_CHECK_SHARDS=(\d+) LSGRAPH_CHECK_MODE=(\w+)`)
+var replayRE = regexp.MustCompile(`LSGRAPH_CHECK_REPLAY=([A-Za-z0-9+/=]+) LSGRAPH_CHECK_SHARDS=(\d+) LSGRAPH_CHECK_MODE=(\w+) LSGRAPH_CHECK_ENGINE=(\w*) `)
 
 // TestHarnessCatchesInjectedBug is the harness's self-test: with a
 // deliberate fault injected between the generator and the engine (inserted

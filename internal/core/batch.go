@@ -7,6 +7,7 @@ import (
 	rtrace "runtime/trace"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"lsgraph/internal/obs"
 	"lsgraph/internal/parallel"
@@ -122,6 +123,20 @@ func (g *Graph) ReleaseScratch() {
 		g.shards[i].trimScratch(0)
 		g.shards[i].unpub = 2
 	}
+}
+
+// scratchBytes returns the bytes the shard's pipeline buffers hold.
+func (sh *shardState) scratchBytes() uint64 {
+	ps := &sh.prep
+	b := 8*(cap(ps.ks)+cap(ps.tmp)) + 4*(cap(ps.groups)+cap(ps.heavy)) +
+		cap(ps.ranges)*int(unsafe.Sizeof(keyRange{})) + cap(sh.apply)*int(unsafe.Sizeof(applyScratch{}))
+	for _, h := range ps.hist {
+		b += 8 * cap(h)
+	}
+	for i := range sh.apply {
+		b += 4 * (cap(sh.apply[i].old) + cap(sh.apply[i].out))
+	}
+	return uint64(b)
 }
 
 // trimmed returns s, or nil when s holds more than limit entries.
@@ -480,7 +495,7 @@ func (g *Graph) insertBatchShard(sh *shardState, src, dst []uint32, p int) {
 // insertGroup adds one vertex's group, by merge-and-rebuild when the group
 // is large against the vertex's degree, else edge by edge.
 func (g *Graph) insertGroup(sh *shardState, w int, vb *vertex, ks []uint64) (added uint64) {
-	if !g.cfg.NoBulkRebuild && bulkThreshold(len(ks), vb.deg) {
+	if !g.cfg.NoBulkRebuild && bulkThreshold(len(ks), vb.degree()) {
 		if obs.Enabled() {
 			obsGroupsBulk.AddShard(w, 1)
 		}
@@ -506,7 +521,7 @@ func (g *Graph) insertGroup(sh *shardState, w int, vb *vertex, ks []uint64) (add
 func (g *Graph) insertGroupBulk(sh *shardState, w int, vb *vertex, ks []uint64) uint64 {
 	sc := &sh.apply[w]
 	if obs.Enabled() {
-		if cap(sc.old) >= int(vb.deg) && cap(sc.out) >= int(vb.deg)+len(ks) {
+		if cap(sc.old) >= int(vb.degree()) && cap(sc.out) >= int(vb.degree())+len(ks) {
 			obsScratchHit.AddShard(w, 1)
 		} else {
 			obsScratchMiss.AddShard(w, 1)
@@ -561,7 +576,7 @@ func (g *Graph) deleteBatchShard(sh *shardState, src, dst []uint32, p int) {
 // deleteGroup removes one vertex's group, by rebuild when the group takes
 // at least half the vertex, else edge by edge.
 func (g *Graph) deleteGroup(sh *shardState, w int, vb *vertex, ks []uint64) (removed uint64) {
-	if !g.cfg.NoBulkRebuild && deleteBulkThreshold(len(ks), vb.deg) {
+	if !g.cfg.NoBulkRebuild && deleteBulkThreshold(len(ks), vb.degree()) {
 		if obs.Enabled() {
 			obsGroupsBulk.AddShard(w, 1)
 		}
@@ -584,7 +599,7 @@ func (g *Graph) deleteGroup(sh *shardState, w int, vb *vertex, ks []uint64) (rem
 func (g *Graph) deleteGroupBulk(sh *shardState, w int, vb *vertex, ks []uint64) uint64 {
 	sc := &sh.apply[w]
 	if obs.Enabled() {
-		if cap(sc.old) >= int(vb.deg) && cap(sc.out) >= int(vb.deg) {
+		if cap(sc.old) >= int(vb.degree()) && cap(sc.out) >= int(vb.degree()) {
 			obsScratchHit.AddShard(w, 1)
 		} else {
 			obsScratchMiss.AddShard(w, 1)

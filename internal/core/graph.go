@@ -2,8 +2,10 @@ package core
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"lsgraph/internal/hitree"
+	"lsgraph/internal/ria"
 	"lsgraph/internal/trace"
 )
 
@@ -174,7 +176,7 @@ func (g *Graph) Degree(v uint32) uint32 {
 	if vb == nil {
 		return 0
 	}
-	return vb.deg
+	return vb.degree()
 }
 
 // Has reports whether the directed edge (v,u) is present.
@@ -188,10 +190,7 @@ func (g *Graph) Has(v, u uint32) bool {
 		_, found := vb.inlineFind(u)
 		return found
 	}
-	if vb.ov == nil {
-		return false
-	}
-	return vb.ov.Has(u)
+	return vb.ovHas(u)
 }
 
 // NeighborBlocks yields v's neighbors as ascending contiguous segments
@@ -213,7 +212,7 @@ func neighborBlocksVB(vb *vertex, yield func(block []uint32) bool) {
 		return
 	}
 	if vb.ov != nil {
-		vb.ov.Blocks(yield)
+		vb.ovBlocks(yield)
 	}
 }
 
@@ -221,10 +220,7 @@ func neighborBlocksVB(vb *vertex, yield func(block []uint32) bool) {
 func appendNeighborsVB(vb *vertex, dst []uint32) []uint32 {
 	n := vb.inlineLen()
 	dst = append(dst, vb.inline[:n]...)
-	if vb.ov != nil {
-		dst = vb.ov.AppendTo(dst)
-	}
-	return dst
+	return vb.ovAppendTo(dst)
 }
 
 // AppendNeighbors appends v's neighbors in ascending order to dst.
@@ -241,52 +237,26 @@ func (g *Graph) AppendNeighbors(v uint32, dst []uint32) []uint32 {
 // Callers must own vertex v exclusively.
 func (g *Graph) insertOne(vb *vertex, u uint32) bool {
 	n := vb.inlineLen()
-	if n < inlineCap {
-		// Everything fits inline (ov must be nil by invariant).
+	if n == inlineCap && u > vb.inline[n-1] {
+		if !g.ovInsert(vb, u) {
+			return false
+		}
+	} else {
 		i, found := vb.inlineFind(u)
 		if found {
 			return false
+		}
+		if n == inlineCap {
+			// u belongs in a full inline area: its maximum, below everything
+			// in the overflow, moves out to make room.
+			n--
+			g.ovInsert(vb, vb.inline[n])
 		}
 		copy(vb.inline[i+1:n+1], vb.inline[i:n])
 		vb.inline[i] = u
-		vb.deg++
-		return true
 	}
-	// Inline area full. If u belongs inline, evict the inline maximum.
-	if u <= vb.inline[inlineCap-1] {
-		i, found := vb.inlineFind(u)
-		if found {
-			return false
-		}
-		evicted := vb.inline[inlineCap-1]
-		copy(vb.inline[i+1:], vb.inline[i:inlineCap-1])
-		vb.inline[i] = u
-		g.overflowInsert(vb, evicted)
-		vb.deg++
-		return true
-	}
-	if vb.ov == nil {
-		vb.ov = g.newOverflow([]uint32{u})
-		vb.deg++
-		return true
-	}
-	if !vb.ov.Insert(u) {
-		return false
-	}
-	vb.ov = g.maybePromote(vb.ov)
 	vb.deg++
 	return true
-}
-
-// overflowInsert pushes u (known absent) into vb's overflow, creating it if
-// needed.
-func (g *Graph) overflowInsert(vb *vertex, u uint32) {
-	if vb.ov == nil {
-		vb.ov = g.newOverflow([]uint32{u})
-		return
-	}
-	vb.ov.Insert(u)
-	vb.ov = g.maybePromote(vb.ov)
 }
 
 // DeleteVertex removes every edge incident to v on a symmetrized graph:
@@ -310,27 +280,20 @@ func (g *Graph) DeleteVertex(v uint32) {
 // edge existed. Callers must own vertex v exclusively.
 func (g *Graph) deleteOne(vb *vertex, u uint32) bool {
 	n := vb.inlineLen()
-	i, found := vb.inlineFind(u)
-	if found {
+	if n == inlineCap && u > vb.inline[n-1] {
+		if !g.ovDelete(vb, u) {
+			return false
+		}
+	} else {
+		i, found := vb.inlineFind(u)
+		if !found {
+			return false
+		}
 		copy(vb.inline[i:n-1], vb.inline[i+1:n])
 		if vb.ov != nil {
 			// Refill the inline area from the overflow minimum.
-			vb.inline[n-1] = vb.ov.DeleteMin()
-			if vb.ov.Len() == 0 {
-				vb.ov = nil
-			}
+			vb.inline[n-1] = g.ovDeleteMin(vb)
 		}
-		vb.deg--
-		return true
-	}
-	if vb.ov == nil || n == 0 || u < vb.inline[n-1] {
-		return false
-	}
-	if !vb.ov.Delete(u) {
-		return false
-	}
-	if vb.ov.Len() == 0 {
-		vb.ov = nil
 	}
 	vb.deg--
 	return true
@@ -339,57 +302,74 @@ func (g *Graph) deleteOne(vb *vertex, u uint32) bool {
 // rebuildVertex replaces vb's storage from the full sorted neighbor set
 // ns. The batch updater uses it for large per-vertex groups.
 func (g *Graph) rebuildVertex(vb *vertex, ns []uint32) {
-	vb.deg = uint32(len(ns))
-	n := len(ns)
-	if n > inlineCap {
-		n = inlineCap
-	}
+	n := min(len(ns), inlineCap)
 	copy(vb.inline[:n], ns[:n])
-	if len(ns) > inlineCap {
-		wasHITree := false
-		if _, ok := vb.ov.(*hitree.Tree); ok {
-			wasHITree = true
-		}
-		vb.ov = g.newOverflow(ns[inlineCap:])
-		if !wasHITree {
-			if _, ok := vb.ov.(*hitree.Tree); ok {
-				g.stats.RIAToHITree.Add(1)
-				obsPromoteRIAHIT.Inc()
-			}
-		}
-	} else {
-		vb.ov = nil
-	}
+	vb.deg = vb.deg&^degMask | uint32(len(ns))
+	g.setOverflow(vb, ns[n:])
 }
 
-// MemoryUsage returns the engine's estimated resident bytes: the vertex
-// block arrays plus every overflow structure (Table 3).
-func (g *Graph) MemoryUsage() uint64 {
-	const vertexBytes = 64 // one cache line per vertex block (§5)
-	var total uint64
+// MemoryBreakdown is the engine's resident bytes by what holds them, each
+// term the size of the allocations themselves (unsafe.Sizeof and slice
+// capacities, no per-structure constants). Snapshots a shard has published
+// belong to whoever holds them and are not counted.
+type MemoryBreakdown struct {
+	VertexBlocks uint64 // the shards' block arrays, unused capacity included
+	ArrayPayload uint64 // array overflows: four bytes per neighbor held
+	ArraySlack   uint64 // the unused rest of their size classes
+	RIAPayload   uint64 // RIA overflows: four bytes per neighbor held
+	RIAGaps      uint64 // the empty slots of their blocks
+	RIAIndex     uint64 // their redundant index arrays
+	RIAHeaders   uint64 // their headers and per-block counts
+	Trees        uint64 // HITree overflows, LIA nodes and leaves alike (PMAs under KindPMA)
+	Scratch      uint64 // the update pipeline's retained buffers
+	// Index, part of the above and not a term of the sum, is what went to
+	// redundant index arrays and learned models: RIAIndex plus the HITrees'.
+	Index uint64
+}
+
+// Total sums the breakdown; it is Graph.MemoryUsage.
+func (b MemoryBreakdown) Total() uint64 {
+	return b.VertexBlocks + b.ArrayPayload + b.ArraySlack + b.RIAPayload + b.RIAGaps +
+		b.RIAIndex + b.RIAHeaders + b.Trees + b.Scratch
+}
+
+// MemoryBreakdown walks every shard and accounts for its resident bytes.
+// Like reads, it must not run concurrently with updates.
+func (g *Graph) MemoryBreakdown() (b MemoryBreakdown) {
 	for i := range g.shards {
 		sh := &g.shards[i]
-		total += uint64(len(sh.verts)) * vertexBytes
+		b.VertexBlocks += uint64(cap(sh.verts)) * uint64(unsafe.Sizeof(vertex{}))
+		b.Scratch += sh.scratchBytes()
 		for j := range sh.verts {
-			if ov := sh.verts[j].ov; ov != nil {
-				total += ov.Memory()
+			vb := &sh.verts[j]
+			n := uint64(vb.ovLen())
+			switch vb.kind() {
+			case kindArr:
+				b.ArrayPayload += 4 * n
+				b.ArraySlack += 4 * (uint64(arrCap(int(n))) - n)
+			case kindRIA:
+				r := vb.ria()
+				data, index := 4*ria.BlockSize*uint64(r.NumBlocks()), r.IndexMemory()
+				b.RIAPayload += 4 * n
+				b.RIAGaps += data - 4*n
+				b.RIAIndex += index
+				b.RIAHeaders += r.Memory() - data - index
+			case kindTree:
+				b.Trees += vb.tree().Memory()
+				b.Index += vb.tree().IndexMemory()
+			case kindPMA:
+				b.Trees += vb.pma().Memory()
 			}
 		}
 	}
-	return total
+	b.Index += b.RIAIndex
+	return b
 }
+
+// MemoryUsage returns the engine's resident bytes (Table 3): the sum of
+// MemoryBreakdown.
+func (g *Graph) MemoryUsage() uint64 { return g.MemoryBreakdown().Total() }
 
 // IndexMemory returns the bytes spent on redundant indexes and learned
 // models, Table 3's index-overhead numerator.
-func (g *Graph) IndexMemory() uint64 {
-	var total uint64
-	for i := range g.shards {
-		sh := &g.shards[i]
-		for j := range sh.verts {
-			if ov := sh.verts[j].ov; ov != nil {
-				total += ov.IndexMemory()
-			}
-		}
-	}
-	return total
-}
+func (g *Graph) IndexMemory() uint64 { return g.MemoryBreakdown().Index }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"lsgraph/internal/hitree"
-	"lsgraph/internal/ria"
-)
+import "fmt"
 
 // CheckInvariants walks every shard and vertex block of the graph and
 // verifies the engine's structural invariants, returning a descriptive
@@ -20,12 +15,18 @@ import (
 //     never exceeding the shard's owned slice of [0, NumVertices), and
 //     locate/ShardOf agreeing for the boundary IDs of every shard,
 //   - vertex blocks: inline area strictly ascending, degree equal to
-//     inline + overflow size, the overflow present only when the inline
-//     area is full, and the inline maximum below the overflow minimum
-//     (the inline-holds-smallest invariant),
-//   - overflow policy: sorted-array overflows within ArrayMax and RIA
-//     overflows within M (promotion thresholds are never exceeded at
-//     rest), with the deep RIA/HITree validators run on each structure,
+//     inline + overflow size, the overflow pointer non-nil exactly when the
+//     degree exceeds the inline capacity, the kind bits naming the array
+//     class on every block without overflow, and the inline maximum below
+//     the overflow minimum (the inline-holds-smallest invariant),
+//   - overflow policy, in both directions: a sorted array only up to
+//     ArrayMax, an RIA only in (ArrayMax, M], a HITree only above M/2 — no
+//     promotion and no demotion is ever missed at rest — and a PMA only
+//     under KindPMA, with the deep RIA/HITree validators run on each
+//     structure. An array's capacity is arrCap of its length by
+//     construction: the block stores none that could disagree, and the
+//     checkptr pass of scripts/verify.sh faults any walk that reads past a
+//     smaller allocation,
 //   - every stored neighbor inside [0, NumVertices),
 //   - per-shard edge counters equal to the sum of their vertices' degrees.
 func (g *Graph) CheckInvariants() error {
@@ -57,7 +58,7 @@ func (g *Graph) CheckInvariants() error {
 			if err := g.checkVertex(sh, uint32(lv), n); err != nil {
 				return err
 			}
-			edges += uint64(sh.verts[lv].deg)
+			edges += uint64(sh.verts[lv].degree())
 		}
 		if m := sh.m.Load(); m != edges {
 			return fmt.Errorf("core: shard %d edge counter %d != degree sum %d", i, m, edges)
@@ -79,50 +80,54 @@ func (g *Graph) checkVertex(sh *shardState, lv, n uint32) error {
 			return fmt.Errorf("core: vertex %d inline area unsorted at slot %d", v, i)
 		}
 	}
-	if vb.ov == nil {
-		if vb.deg > inlineCap {
-			return fmt.Errorf("core: vertex %d degree %d exceeds inline capacity with no overflow", v, vb.deg)
-		}
+	ol, kind := vb.ovLen(), vb.kind()
+	if (ol == 0) != (vb.ov == nil) || (ol == 0 && kind != kindArr) {
+		return fmt.Errorf("core: vertex %d degree %d, kind %d: overflow pointer nil=%v", v, vb.degree(), kind, vb.ov == nil)
+	}
+	if ol == 0 {
 		return nil
 	}
-	ol := vb.ov.Len()
-	if ol == 0 {
-		return fmt.Errorf("core: vertex %d holds an empty overflow", v)
-	}
-	if il != inlineCap {
-		return fmt.Errorf("core: vertex %d has overflow but only %d inline slots used", v, il)
-	}
-	if vb.deg != uint32(inlineCap+ol) {
-		return fmt.Errorf("core: vertex %d degree %d != inline %d + overflow %d", v, vb.deg, inlineCap, ol)
-	}
-	if min := vb.ov.Min(); min <= vb.inline[inlineCap-1] {
-		return fmt.Errorf("core: vertex %d overflow min %d not above inline max %d (inline-holds-smallest broken)",
-			v, min, vb.inline[inlineCap-1])
-	}
-	switch ov := vb.ov.(type) {
-	case *arrOverflow:
-		if ol > g.cfg.ArrayMax {
-			return fmt.Errorf("core: vertex %d array overflow of %d exceeds ArrayMax %d (missed promotion)",
-				v, ol, g.cfg.ArrayMax)
+	// Each class holds exactly the sizes the thresholds give it, whichever
+	// way the vertex got there: growth promotes on the way up and deletes
+	// demote on the way down (a HITree only at M/2, see ovDelete).
+	sl := ol // the size the structure itself reports
+	switch A, M := g.cfg.ArrayMax, g.cfg.M; kind {
+	case kindArr:
+		if ol > A || g.cfg.Overflow == KindPMA {
+			return fmt.Errorf("core: vertex %d array overflow of %d exceeds ArrayMax %d (missed promotion)", v, ol, A)
 		}
-	case *ria.RIA:
-		if ol > g.cfg.M {
-			return fmt.Errorf("core: vertex %d RIA overflow of %d exceeds M %d (missed promotion)", v, ol, g.cfg.M)
+	case kindRIA:
+		if ol <= A || ol > M {
+			return fmt.Errorf("core: vertex %d RIA overflow of %d outside (%d,%d] (missed promotion or demotion)", v, ol, A, M)
 		}
-		if err := ov.CheckInvariants(); err != nil {
+		if err := vb.ria().CheckInvariants(); err != nil {
 			return fmt.Errorf("core: vertex %d: %w", v, err)
 		}
-	case *hitree.Tree:
-		if err := ov.CheckInvariants(); err != nil {
+		sl = vb.ria().Len()
+	case kindTree:
+		if ol <= M/2 {
+			return fmt.Errorf("core: vertex %d HITree overflow of %d at or below M/2 = %d (missed demotion)", v, ol, M/2)
+		}
+		if err := vb.tree().CheckInvariants(); err != nil {
 			return fmt.Errorf("core: vertex %d: %w", v, err)
 		}
+		sl = vb.tree().Len()
+	case kindPMA:
+		if g.cfg.Overflow != KindPMA {
+			return fmt.Errorf("core: vertex %d holds a PMA overflow outside the KindPMA ablation", v)
+		}
+		sl = vb.pma().Len()
+	}
+	if sl != ol {
+		return fmt.Errorf("core: vertex %d degree %d != inline %d + overflow %d", v, vb.degree(), inlineCap, sl)
 	}
 	// The overflow's in-order walk must yield non-empty blocks, strictly
-	// ascending across block boundaries, in range, Len() elements in all;
+	// ascending from the inline maximum on (the inline-holds-smallest
+	// invariant) and across block boundaries, in range, ol elements in all;
 	// the per-kind validators above already check internal ordering for
 	// RIA and HITree, so this also covers the plain array and PMA kinds.
 	prev, walked, bad := vb.inline[inlineCap-1], 0, ""
-	vb.ov.Blocks(func(bs []uint32) bool {
+	vb.ovBlocks(func(bs []uint32) bool {
 		if len(bs) == 0 {
 			bad = fmt.Sprintf("core: vertex %d overflow yielded an empty block", v)
 		}

@@ -94,8 +94,8 @@ func (g *Graph) checkRun(v uint32, lo, hi uint64, adj []uint32, n uint32) error 
 	if len(ns) == 0 {
 		return nil
 	}
-	if vb := g.vb(v); vb != nil && vb.deg != 0 {
-		return fmt.Errorf("core: LoadCSR: vertex %d already has %d edges", v, vb.deg)
+	if vb := g.vb(v); vb != nil && vb.degree() != 0 {
+		return fmt.Errorf("core: LoadCSR: vertex %d already has %d edges", v, vb.degree())
 	}
 	for i, u := range ns {
 		if i > 0 && u <= ns[i-1] {

@@ -187,7 +187,7 @@ func spliceDown(a, b *shardState, newStart, old uint32) (uint32, uint64) {
 	moved := a.verts[lo:]
 	var edges uint64
 	for i := range moved {
-		edges += uint64(moved[i].deg)
+		edges += uint64(moved[i].degree())
 	}
 	gap := int(old - newStart) // width of the transferred range
 	switch {
@@ -228,7 +228,7 @@ func spliceUp(a, b *shardState, old, newStart uint32) (uint32, uint64) {
 	moved := b.verts[:mLen]
 	var edges uint64
 	for i := range moved {
-		edges += uint64(moved[i].deg)
+		edges += uint64(moved[i].degree())
 	}
 	if len(moved) > 0 {
 		// Receiver must be materialized through old before appending the

@@ -98,7 +98,7 @@ func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n, extra, p in
 		}
 		tab := s.tab[sh.base-origin:]
 		for lv := range sh.verts {
-			deg := sh.verts[lv].deg
+			deg := sh.verts[lv].degree()
 			tab[lv] = vref{uint32(m), deg}
 			m += uint64(deg)
 		}
@@ -163,7 +163,7 @@ func (g *Graph) publishShard(sh *shardState, prev *Snapshot, p int) (s *Snapshot
 		used = len(prev.adj)
 	}
 	for _, v := range groups {
-		used += int(sh.verts[v-sh.base].deg)
+		used += int(sh.verts[v-sh.base].degree())
 	}
 	if prev == nil || unpub > 1 || used > cap(prev.adj) {
 		m := int(sh.m.Load())
@@ -185,7 +185,7 @@ func (g *Graph) publishShard(sh *shardState, prev *Snapshot, p int) (s *Snapshot
 	off := uint32(len(prev.adj))
 	for _, v := range groups {
 		lv := v - sh.base
-		deg := sh.verts[lv].deg
+		deg := sh.verts[lv].degree()
 		s.m += uint64(deg) - uint64(s.tab[lv].deg)
 		s.tab[lv] = vref{off, deg}
 		off += deg

@@ -68,7 +68,7 @@ func TestDurableRestartE2E(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	client := ts.Client()
 
-	if code := putGraph(t, client, ts.URL, "g", `{"shards":2,"vertices":128}`); code != http.StatusCreated {
+	if code := putGraph(t, client, ts.URL, "g", `{"shards":2,"vertices":128,"max_vertices":500}`); code != http.StatusCreated {
 		t.Fatalf("create graph: status %d", code)
 	}
 	// Ingest across both formats and both ops, then flush: everything
@@ -112,8 +112,11 @@ func TestDurableRestartE2E(t *testing.T) {
 	if code := getJSON(t, client2, ts2.URL+"/v1/graphs/g", &got); code != http.StatusOK {
 		t.Fatalf("stats after restart: status %d", code)
 	}
-	if got.Shards != 2 {
-		t.Fatalf("recovered shards=%d, want 2", got.Shards)
+	if got.Shards != 2 || got.MaxVerts != 500 {
+		t.Fatalf("recovered shards=%d max_vertices=%d, want 2 and 500", got.Shards, got.MaxVerts)
+	}
+	if code := postEdges(t, client2, ts2.URL, "g", "insert", ContentTypeBinary, []uint32{500}, []uint32{1}); code != http.StatusUnprocessableEntity {
+		t.Fatalf("ingest past the recovered max_vertices: status %d, want 422", code)
 	}
 	if !got.Durable || got.Recovery == nil || got.Recovery.ReplayedRecords == 0 {
 		t.Fatalf("recovery not reported: %+v", got.Recovery)

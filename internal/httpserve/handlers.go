@@ -3,6 +3,7 @@ package httpserve
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -55,6 +56,7 @@ type graphSummary struct {
 	Epoch      uint64                `json:"epoch"`
 	Shards     int                   `json:"shards"`
 	MaxQueue   int                   `json:"max_queue"`
+	MaxVerts   uint32                `json:"max_vertices"`
 	QueueDepth int                   `json:"queue_depth"`
 	Saturated  bool                  `json:"saturated"`
 	Stats      lsgraph.StoreStats    `json:"stats"`
@@ -74,6 +76,7 @@ func summarize(t *tenant) graphSummary {
 		Epoch:      st.Epoch(),
 		Shards:     st.Shards(),
 		MaxQueue:   st.MaxQueue(),
+		MaxVerts:   t.cfg.MaxVertices,
 		QueueDepth: st.QueueDepth(),
 		Saturated:  st.Saturated(),
 		Stats:      st.Stats(),
@@ -166,7 +169,8 @@ func (s *Server) handleDropGraph(w http.ResponseWriter, r *http.Request) {
 // ?op=insert (default) or ?op=delete. Admission runs before the body is
 // read, so shed requests cost neither decode nor bandwidth; accepted
 // batches answer 202 immediately — visibility follows the store's
-// asynchronous contract (POST /flush to wait).
+// asynchronous contract (POST /flush to wait). A batch naming a vertex at or
+// above the graph's max_vertices is refused whole with 422.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
@@ -199,6 +203,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		writeError(w, status, "decode edges: %v", err)
 		return
+	}
+	// Checked before the store sees the batch: enqueueing reserves the
+	// vertex space up to the batch's largest ID.
+	if len(src) > 0 {
+		if top, limit := max(slices.Max(src), slices.Max(dst)), t.cfg.MaxVertices; top >= limit {
+			obsRejectedVertexID.Inc()
+			writeError(w, http.StatusUnprocessableEntity,
+				"vertex ID %d is outside the graph's ID space [0, %d) (max_vertices)", top, limit)
+			return
+		}
 	}
 	if op == "insert" {
 		t.store.InsertBatch(src, dst)

@@ -34,6 +34,12 @@ var (
 		obs.Label("reason", "kernels"),
 		"requests shed with 429, by reason")
 
+	// obsRejectedVertexID counts ingest requests refused with 422 because an
+	// edge named a vertex at or above the graph's max_vertices.
+	obsRejectedVertexID = obs.NewCounter("lsgraph_http_rejected_total",
+		obs.Label("reason", "vertex_id"),
+		"requests refused as unprocessable, by reason")
+
 	// obsIngestEdges counts edges accepted for ingest (insert + delete)
 	// across all graphs; compare with the store's Stats.EdgesEnqueued to
 	// separate network-accepted from engine-enqueued.

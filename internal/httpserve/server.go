@@ -132,7 +132,18 @@ type GraphConfig struct {
 	// AutoRebalance is the background skew threshold
 	// (lsgraph.WithAutoRebalance); 0 disables the watcher.
 	AutoRebalance float64 `json:"auto_rebalance,omitempty"`
+	// MaxVertices bounds the vertex IDs ingest accepts: a batch naming an
+	// ID at or above it is refused with 422 before the store reserves
+	// anything. The engine materializes one 64-byte block per vertex up to
+	// the largest ID it has seen, so without the bound a single edge naming
+	// vertex 4·10⁹ asks for 256 GB. Default DefaultMaxVertices, or Vertices
+	// when that is larger.
+	MaxVertices uint32 `json:"max_vertices,omitempty"`
 }
+
+// DefaultMaxVertices is a graph's vertex-ID bound when its config names
+// none: 2²⁴ IDs, 1 GiB of vertex blocks at the most.
+const DefaultMaxVertices = 1 << 24
 
 // tenant is one named graph: its store plus the resolved config it was
 // created with (for idempotent re-creation checks and the stats endpoint).
@@ -193,6 +204,12 @@ func (s *Server) CreateGraph(name string, gc GraphConfig) (resolved GraphConfig,
 	}
 	if gc.AutoRebalance == 0 {
 		gc.AutoRebalance = s.cfg.DefaultAutoRebalance
+	}
+	if gc.MaxVertices == 0 {
+		gc.MaxVertices = max(DefaultMaxVertices, gc.Vertices)
+	}
+	if gc.Vertices > gc.MaxVertices {
+		return GraphConfig{}, false, fmt.Errorf("graph %q: vertices %d exceeds max_vertices %d", name, gc.Vertices, gc.MaxVertices)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -648,6 +649,74 @@ func TestGraphLifecycleHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad name: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestIngestRejectsVertexIDsPastBound: one edge naming vertex 2³²−1 used to
+// make a shard materialize four billion vertex blocks. An edge with either
+// endpoint at or above the graph's max_vertices is refused whole with 422,
+// in both wire formats and for both ops, before the store reserves
+// anything; the refusal is counted, the bound is a create-time field that
+// defaults to 2²⁴ and shows in the graph summary, and IDs below it still
+// grow the graph as before.
+func TestIngestRejectsVertexIDsPastBound(t *testing.T) {
+	srv := New(Config{DefaultVertices: 64, AutoCreate: true})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	if code := putGraph(t, client, ts.URL, "small", `{"max_vertices":1000}`); code != http.StatusCreated {
+		t.Fatalf("create with max_vertices: status %d", code)
+	}
+	if code := putGraph(t, client, ts.URL, "inverted", `{"vertices":2000,"max_vertices":1000}`); code != http.StatusBadRequest {
+		t.Fatalf("vertices above max_vertices: status %d, want 400", code)
+	}
+
+	before, want := obsRejectedVertexID.Value(), uint64(0)
+	for _, c := range []struct {
+		graph    string
+		src, dst uint32
+		status   int
+	}{
+		{"small", 999, 5, http.StatusAccepted},
+		{"small", 1000, 5, http.StatusUnprocessableEntity},
+		{"small", 5, 1000, http.StatusUnprocessableEntity},
+		{"small", math.MaxUint32, 0, http.StatusUnprocessableEntity},
+		{"auto", 70, 5, http.StatusAccepted},
+		{"auto", DefaultMaxVertices, 0, http.StatusUnprocessableEntity},
+		{"auto", math.MaxUint32, 0, http.StatusUnprocessableEntity},
+		{"auto", 0, math.MaxUint32, http.StatusUnprocessableEntity},
+	} {
+		for _, format := range []string{ContentTypeNDJSON, ContentTypeBinary, "object"} {
+			for _, op := range []string{"insert", "delete"} {
+				// A good edge first: the batch is refused whole.
+				status := postEdges(t, client, ts.URL, c.graph, op, format, []uint32{1, c.src}, []uint32{2, c.dst})
+				if status != c.status {
+					t.Errorf("%s (%d,%d) as %s into %q: status %d, want %d", op, c.src, c.dst, format, c.graph, status, c.status)
+				}
+				if c.status == http.StatusUnprocessableEntity {
+					want++
+				}
+			}
+		}
+	}
+	if got := obsRejectedVertexID.Value() - before; got != want {
+		t.Errorf("lsgraph_http_rejected_total{reason=\"vertex_id\"} rose by %d over %d refusals", got, want)
+	}
+	// The largest accepted ID grew each graph; no refused one did.
+	for graph, want := range map[string][2]uint32{"small": {1000, 1000}, "auto": {71, DefaultMaxVertices}} {
+		srv.store(graph).Flush()
+		var sum struct {
+			Vertices    uint32 `json:"vertices"`
+			MaxVertices uint32 `json:"max_vertices"`
+		}
+		if status := getJSON(t, client, ts.URL+"/v1/graphs/"+graph, &sum); status != http.StatusOK {
+			t.Fatalf("stats: status %d", status)
+		}
+		if got := [2]uint32{sum.Vertices, sum.MaxVertices}; got != want {
+			t.Errorf("graph %q: (vertices, max_vertices) = %v, want %v", graph, got, want)
+		}
 	}
 }
 

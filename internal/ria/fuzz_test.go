@@ -39,5 +39,8 @@ func FuzzOps(f *testing.F) {
 			}
 		}
 		requireBlocks(t, r, model)
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

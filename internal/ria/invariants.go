@@ -18,6 +18,9 @@ import "fmt"
 //     block front, and the last element of each block preceding the first
 //     element of the next,
 //   - index redundancy: index[b] equals the first element of block b,
+//   - density: the array at least 1/(2α) full, so that deletes have given
+//     back every block an α-amplified load of the elements would not use
+//     twice over,
 //   - the reserved value 2^32-1 never appearing as an element.
 func (r *RIA) CheckInvariants() error {
 	nb := len(r.cnt)
@@ -29,6 +32,9 @@ func (r *RIA) CheckInvariants() error {
 	}
 	if len(r.index) != nb {
 		return fmt.Errorf("ria: index length %d != block count %d", len(r.index), nb)
+	}
+	if want := r.blocksFor(r.n); 2*want <= nb {
+		return fmt.Errorf("ria: %d blocks for %d elements, a load at α=%g takes %d (missed shrink)", nb, r.n, r.alpha, want)
 	}
 	total := 0
 	var prev uint32

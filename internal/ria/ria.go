@@ -14,6 +14,8 @@
 // Invariants:
 //   - every block is non-empty (bulk load distributes evenly; deletes pull
 //     an element from an adjacent block or trigger a redistribution),
+//   - the array is never less than 1/(2α) full: an α-amplified load of its
+//     elements would take more than half its blocks,
 //   - elements within a block are sorted and packed at the block front,
 //   - index[b] == first element of block b, so index is globally sorted,
 //   - the value 2^32-1 is reserved (never a valid element).
@@ -21,6 +23,7 @@ package ria
 
 import (
 	"math"
+	"unsafe"
 
 	"lsgraph/internal/obs"
 )
@@ -36,7 +39,7 @@ var (
 	obsNearMoves = obs.NewCounter("lsgraph_ria_near_block_moves_total", "",
 		"inserts resolved by cascading one element into a nearby non-full block")
 	obsRebuilds = obs.NewCounter("lsgraph_ria_rebuilds_total", "",
-		"full alpha-amplified redistributions (insert expands or delete refills)")
+		"full alpha-amplified redistributions (insert expands, delete refills or shrinks)")
 )
 
 // BlockSize is the number of uint32 elements per block: 16 × 4 B = one
@@ -86,17 +89,16 @@ func BulkLoad(ns []uint32, alpha float64) *RIA {
 	return r
 }
 
+// blocksFor returns the number of blocks an α-amplified load of n elements
+// takes: ceil(n·α) slots rounded up to whole blocks, at least one.
+func (r *RIA) blocksFor(n int) int {
+	slots := max(int(math.Ceil(float64(n)*r.alpha)), n, 1)
+	return (slots + BlockSize - 1) / BlockSize
+}
+
 // loadInto (re)initializes r's storage from the sorted slice ns.
 func (r *RIA) loadInto(ns []uint32) {
-	n := len(ns)
-	cap := int(math.Ceil(float64(n) * r.alpha))
-	if cap < n {
-		cap = n
-	}
-	nb := (cap + BlockSize - 1) / BlockSize
-	if nb < 1 {
-		nb = 1
-	}
+	n, nb := len(ns), r.blocksFor(len(ns))
 	r.data = make([]uint32, nb*BlockSize)
 	r.index = make([]uint32, nb)
 	r.cnt = make([]uint16, nb)
@@ -326,7 +328,8 @@ func (r *RIA) shiftLeft(dst, b int, u uint32) {
 // Delete removes u, reporting whether it was present. A block emptied by
 // the delete pulls one element from an adjacent block, or redistributes the
 // whole array when neither neighbor can spare one, preserving the
-// no-empty-block invariant.
+// no-empty-block invariant; an array left less than 1/(2α) full is reloaded
+// at α, so its footprint follows its size down as well as up.
 func (r *RIA) Delete(u uint32) bool {
 	if !obs.Enabled() {
 		return r.del(u)
@@ -364,6 +367,13 @@ func (r *RIA) del(u uint32) bool {
 	r.cnt[b]--
 	r.n--
 	r.Moved += uint64(c - 1 - pos)
+	if 2*r.n < len(r.data) && 2*r.blocksFor(r.n) <= len(r.cnt) {
+		// Occupancy fell below 1/(2α): reload at α, which halves the blocks
+		// or better, so deletes give memory back at an amortized O(1) moves
+		// each — the mirror image of insert's expand.
+		r.reload()
+		return true
+	}
 	if r.n == 0 {
 		return true
 	}
@@ -405,6 +415,11 @@ func (r *RIA) refill(b int) {
 		return
 	}
 	// Neighbors cannot spare an element: redistribute everything.
+	r.reload()
+}
+
+// reload redistributes the elements evenly over an α-amplified array.
+func (r *RIA) reload() {
 	ns := r.AppendTo(make([]uint32, 0, r.n))
 	r.Moved += uint64(len(ns))
 	r.loadInto(ns)
@@ -468,7 +483,7 @@ func (r *RIA) AppendTo(dst []uint32) []uint32 {
 
 // Memory returns the structure's resident bytes.
 func (r *RIA) Memory() uint64 {
-	return uint64(len(r.data)*4 + len(r.index)*4 + len(r.cnt)*2 + 48)
+	return uint64(len(r.data)*4+len(r.index)*4+len(r.cnt)*2) + uint64(unsafe.Sizeof(*r))
 }
 
 // IndexMemory returns the bytes spent on the redundant index array, the

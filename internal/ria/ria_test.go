@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // checkInvariants validates the structural invariants documented on RIA.
@@ -147,6 +148,63 @@ func TestDeleteRandom(t *testing.T) {
 	}
 }
 
+// TestDeleteShrinks checks that an RIA's footprint follows its size down:
+// across a random drain, in front-to-back and back-to-front order, the array
+// never holds more than twice the blocks an α-amplified load of its current
+// elements would, it ends on a single block, the halvings are few enough to
+// be amortized, and the contents survive every reload.
+func TestDeleteShrinks(t *testing.T) {
+	const n = 4000
+	ns := make([]uint32, n)
+	for i := range ns {
+		ns[i] = uint32(3 * i)
+	}
+	orders := map[string][]int{"random": rand.New(rand.NewSource(5)).Perm(n), "front": make([]int, n), "back": make([]int, n)}
+	for i := 0; i < n; i++ {
+		orders["front"][i], orders["back"][i] = i, n-1-i
+	}
+	for name, order := range orders {
+		for _, alpha := range []float64{1.05, 1.2, 2.0} {
+			r := BulkLoad(ns, alpha)
+			live := map[uint32]bool{}
+			for _, u := range ns {
+				live[u] = true
+			}
+			shrinks, blocks := 0, r.NumBlocks()
+			for k, i := range order {
+				if !r.Delete(ns[i]) {
+					t.Fatalf("%s, α=%g: delete(%d) failed", name, alpha, ns[i])
+				}
+				delete(live, ns[i])
+				if nb := r.NumBlocks(); 2*nb <= blocks {
+					shrinks, blocks = shrinks+1, nb
+				}
+				if want := r.blocksFor(r.Len()); r.NumBlocks() >= 2*want {
+					t.Fatalf("%s, α=%g: %d blocks for %d elements, a fresh load takes %d", name, alpha, r.NumBlocks(), r.Len(), want)
+				}
+				if k%97 == 0 || r.Len() < 40 {
+					if err := r.CheckInvariants(); err != nil {
+						t.Fatalf("%s, α=%g, after %d deletes: %v", name, alpha, k+1, err)
+					}
+					requireBlocks(t, r, live)
+				}
+			}
+			if r.NumBlocks() != 1 || r.Len() != 0 {
+				t.Fatalf("%s, α=%g: drained array keeps %d blocks, %d elements", name, alpha, r.NumBlocks(), r.Len())
+			}
+			if shrinks == 0 || shrinks > 12 {
+				t.Fatalf("%s, α=%g: %d shrinks draining %d elements; want a logarithmic handful", name, alpha, shrinks, n)
+			}
+			for _, u := range ns[:100] { // and it grows again from there
+				r.Insert(u)
+			}
+			if err := r.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestDeleteAbsent(t *testing.T) {
 	r := BulkLoad([]uint32{2, 4, 6, 8}, 1.2)
 	for _, u := range []uint32{0, 1, 3, 5, 7, 9, 100} {
@@ -242,6 +300,11 @@ func TestMemoryAccounting(t *testing.T) {
 	}
 	if r.IndexMemory() != uint64(r.NumBlocks()*4) {
 		t.Fatal("index memory must be 4 bytes per block")
+	}
+	// Data, index and counts are 64+4+2 bytes a block; the rest is the
+	// header, at its real size.
+	if hdr := r.Memory() - uint64(r.NumBlocks())*70; hdr != uint64(unsafe.Sizeof(RIA{})) {
+		t.Fatalf("header counted as %d bytes, the struct is %d", hdr, unsafe.Sizeof(RIA{}))
 	}
 }
 

@@ -1,8 +1,10 @@
 #!/bin/sh
 # verify.sh -- the repo's pre-merge gate. Runs formatting, vet, build, the
-# full test suite, and the race detector on the concurrency-heavy packages
+# full test suite, the race detector on the concurrency-heavy packages
 # (the sharded metrics registry and everything that feeds it from parallel
-# workers). Usage: scripts/verify.sh  (or: make verify)
+# workers), and the strictest pointer-arithmetic checks on the two packages
+# behind the vertex block's unsafe.Pointer (every unsafe.Slice must stay
+# inside one live allocation). Usage: scripts/verify.sh  (or: make verify)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,6 +37,9 @@ go test -count=1 -run '^TestCrash' -timeout 10m ./internal/check
 
 echo "== go test -race (scripts/race.sh)"
 sh scripts/race.sh
+
+echo "== go test checkptr=2 (the vertex block's unsafe.Pointer overflow reference)"
+go test -count=1 -gcflags=all=-d=checkptr=2 ./internal/core ./internal/ria
 
 echo "== benchmark smoke (-benchtime 1x)"
 go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
