@@ -262,8 +262,8 @@ type runner struct {
 	lastEpoch uint64
 
 	// held is a view pinned at an earlier view op and kept across every
-	// publish since — appends to the arenas it reads, rebuilds into fresh
-	// ones, table recycling, boundary moves — with heldAdj a deep copy of
+	// publish since — appends to the pages it reads, cleaning, page reuse,
+	// table recycling, boundary moves — with heldAdj a deep copy of
 	// what it read when pinned. A publish that wrote anywhere an older
 	// epoch can reach shows up as a difference between the two.
 	held    *serve.View

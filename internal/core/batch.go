@@ -113,9 +113,10 @@ func (sh *shardState) trimScratch(n int) {
 }
 
 // ReleaseScratch drops every shard's scratch beyond scratchKeepMin entries,
-// for a caller that has just applied a batch no later one will resemble:
-// recovery, whose one WAL-tail batch would otherwise pin 20 bytes per
-// replayed edge until a much smaller batch happened to follow. The last
+// for a caller that has just applied a batch no later one will resemble: a
+// bulk load (NewFromEdges) or recovery's one WAL-tail batch, which would
+// otherwise pin 20 bytes per edge until a much smaller batch happened to
+// follow. The last
 // batch's vertex list goes with the rest, so every shard's next publish is a
 // rebuild. Must not run concurrently with updates.
 func (g *Graph) ReleaseScratch() {

@@ -76,10 +76,13 @@ func New(n uint32, cfg Config) *Graph {
 }
 
 // NewFromEdges builds an engine preloaded with es (directed, deduplicated
-// internally) using the bulk-load path.
+// internally) using the bulk-load path. The pipeline scratch the load sized
+// — some 20 bytes an edge — is released before returning: no later batch
+// will resemble it.
 func NewFromEdges(n uint32, src, dst []uint32, cfg Config) *Graph {
 	g := New(n, cfg)
 	g.InsertBatch(src, dst)
+	g.ReleaseScratch()
 	return g
 }
 

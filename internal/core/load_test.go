@@ -208,3 +208,33 @@ func TestPublishAfterLoadAndRelease(t *testing.T) {
 	}
 	sameSnapshot(t, "after ReleaseScratch", next, sh.SnapshotInto(nil))
 }
+
+// TestNewFromEdgesReleasesScratch: a bulk load sizes the pipeline's buffers
+// at ~20 bytes per loaded edge, and NewFromEdges must not hand that back to
+// its caller as part of the graph. Right after a 0.6 M-edge load what is
+// retained is within what ReleaseScratch may keep — no buffer beyond
+// scratchKeepMin entries, 56 bytes across a shard's five kinds — and the
+// next 25 000-edge batch, which has to size its own buffers, applies exactly.
+func TestNewFromEdgesReleasesScratch(t *testing.T) {
+	src, dst, batches := rulerGraph(15, 1, 1, 25_000)
+	g := NewFromEdges(1<<15, src, dst, Config{Workers: 2})
+	b := g.MemoryBreakdown()
+	t.Logf("%d edges loaded: scratch %d B, %.2f B/edge", g.NumEdges(), b.Scratch, float64(b.Scratch)/float64(g.NumEdges()))
+	if allow := uint64(56 * scratchKeepMin); b.Scratch > allow {
+		t.Fatalf("NewFromEdges retains %d B of scratch, allowance %d B", b.Scratch, allow)
+	}
+	loaded := g.NumEdges()
+	bs, bd := batches[0][0], batches[0][1]
+	g.InsertBatch(bs, bd)
+	if got := g.NumEdges(); got != loaded+uint64(len(bs)) {
+		t.Fatalf("batch of %d new edges took the graph from %d to %d edges", len(bs), loaded, got)
+	}
+	for i := range bs {
+		if !g.Has(bs[i], bd[i]) {
+			t.Fatalf("edge (%d,%d) of the batch is missing", bs[i], bd[i])
+		}
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

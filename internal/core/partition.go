@@ -40,9 +40,6 @@ func NewUniformMap(n uint32, s int) *PartitionMap {
 	return pm
 }
 
-// NumShards returns the number of ranges in the map.
-func (pm *PartitionMap) NumShards() int { return len(pm.Starts) }
-
 // ShardOf returns the index of the shard owning vertex v: the greatest i
 // with Starts[i] <= v. Every ID has an owning shard because Starts[0] is 0
 // and the last range is open-ended.
@@ -63,9 +60,6 @@ func (pm *PartitionMap) ShardOf(v uint32) int {
 	}
 	return lo - 1
 }
-
-// Start returns the first vertex ID of shard i's range.
-func (pm *PartitionMap) Start(i int) uint32 { return pm.Starts[i] }
 
 // RangeLen returns the length of shard i's slice of the logical vertex
 // space [0, n): the storage size a fully materialized shard i needs.

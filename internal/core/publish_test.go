@@ -40,57 +40,88 @@ func randomBatch(rng *rand.Rand, k int, lo, hi, n uint32) (src, dst []uint32) {
 	return src, dst
 }
 
-// TestPublishMatchesRebuild drives one shard through alternating insert
-// and delete batches, publishing after each, and checks every published
+// TestPublishMatchesRebuild drives one shard through 2 400 insert and
+// delete batches, publishing after each, and checks every published
 // snapshot against a from-scratch rebuild of the same state — and that the
-// snapshots published before it still read exactly what they read when
-// they were published, across appends into the arena they share and
-// rebuilds into fresh ones. Both halves of the append-or-rebuild rule must
-// occur.
+// snapshots still held, recycled in no particular order and one of them
+// kept across hundreds of publishes, read exactly what they read when they
+// were published, while the arena under them appends to shared pages,
+// cleans, retires pages and reuses them. Only the first publish may rebuild.
+//
+// Mutation check (by hand, PR 22): freeing a retired page one snapshot early
+// (drain comparing against out[0]+1) fails this test, and
+// TestPublishRecyclePrograms, at the first reused page an older snapshot
+// still reads.
 func TestPublishMatchesRebuild(t *testing.T) {
-	const n = 512
+	const n, sources, batches = 1 << 12, 256, 2400
 	g := New(n, Config{Shards: 2, Workers: 2})
 	sh := g.Shard(1)
-	lo, hi := sh.Base(), sh.Base()+sh.NumVertices()
+	lo := sh.Base()
 	rng := rand.New(rand.NewSource(11))
+	sh.InsertBatch(randomBatch(rng, 100_000, lo, lo+sources, n))
 
-	var prev *Snapshot
+	var prev, prevWant *Snapshot
 	var olds []frozen
-	appends, rebuilds := 0, 0
-	for b := 0; b < 400; b++ {
-		src, dst := randomBatch(rng, 1+rng.Intn(24), lo, hi, n)
+	var pinned frozen
+	rebuilds, reused := 0, 0
+	for b := 0; b < batches; b++ {
+		src, dst := randomBatch(rng, 1+rng.Intn(24), lo, lo+sources, n)
 		if b%3 == 2 {
 			sh.DeleteBatch(src, dst)
 		} else {
 			sh.InsertBatch(src, dst)
 		}
+		free := len(sh.sh.pub.free)
 		snap, rebuilt := sh.Publish(prev)
 		if rebuilt {
 			rebuilds++
-		} else {
-			appends++
+		}
+		reusedPage := len(sh.sh.pub.free) < free
+		if reusedPage {
+			reused++
 		}
 		want := sh.SnapshotInto(nil)
 		sameSnapshot(t, "published", snap, want)
 		if snap.NumEdges() != sh.NumEdges() {
 			t.Fatalf("batch %d: snapshot has %d edges, shard %d", b, snap.NumEdges(), sh.NumEdges())
 		}
-		for _, o := range olds {
-			sameSnapshot(t, "older epoch", o.snap, o.want)
+		// A held snapshot can only change when a page it reads is written
+		// again: check them all after every reuse, and now and then anyway.
+		if reusedPage || b%16 == 0 {
+			for _, o := range olds {
+				sameSnapshot(t, "older epoch", o.snap, o.want)
+			}
+			if pinned.snap != nil {
+				sameSnapshot(t, "long-pinned epoch", pinned.snap, pinned.want)
+			}
 		}
-		// Keep a window of old epochs alive; hand the one leaving it back.
-		olds = append(olds, frozen{snap, want})
-		if len(olds) > 6 {
-			sh.Recycle(olds[0].snap)
-			olds = olds[1:]
+		if st := sh.Published(); pinned.snap == nil && len(olds) == 0 && st.InUse+st.Free > st.Bound {
+			t.Fatalf("batch %d: %d B in use + %d B free exceed the bound %d", b, st.InUse, st.Free, st.Bound)
 		}
-		prev = snap
+		// The previous latest joins the held set; some held snapshot, not
+		// necessarily the oldest, goes back; every 600th publish the
+		// long-pinned one is swapped.
+		if prev != nil {
+			olds = append(olds, frozen{prev, prevWant})
+		}
+		for len(olds) > 6 || (len(olds) > 0 && rng.Intn(3) == 0) {
+			i := rng.Intn(len(olds))
+			if b%600 == 300 {
+				if pinned.snap != nil {
+					sh.Recycle(pinned.snap)
+				}
+				pinned = olds[i]
+			} else {
+				sh.Recycle(olds[i].snap)
+			}
+			olds = slices.Delete(olds, i, i+1)
+		}
+		prev, prevWant = snap, want
 	}
-	if appends == 0 || rebuilds < 3 {
-		t.Fatalf("%d appends and %d rebuilds: both publish paths must run", appends, rebuilds)
-	}
-	if appends < 4*rebuilds {
-		t.Fatalf("%d appends to %d rebuilds: small batches should mostly append", appends, rebuilds)
+	st := sh.Published()
+	if rebuilds != 1 || st.Cleaned == 0 || reused < 50 {
+		t.Fatalf("%d rebuilds, %d entries cleaned, %d publishes reused a page: want the first publish only, some, many",
+			rebuilds, st.Cleaned, reused)
 	}
 }
 
@@ -173,10 +204,11 @@ func TestPublishGrowth(t *testing.T) {
 	}
 }
 
-// TestPublishRebuildRules pins when a publish must rebuild: no previous
-// snapshot, a batch whose runs exceed the arena's tail, more than one
-// batch since the previous publish, and a boundary move. Everything else
-// appends.
+// TestPublishRebuildRules pins when a publish refills the arena from the
+// live structures: no previous snapshot, more than one batch since the
+// previous publish, and a boundary move. Everything else appends — however
+// much of the shard the batch names — and what a refill replaces retires
+// through the same path as any emptied page.
 func TestPublishRebuildRules(t *testing.T) {
 	const n = 1 << 10
 	g := New(n, Config{Shards: 2, Workers: 2})
@@ -187,6 +219,7 @@ func TestPublishRebuildRules(t *testing.T) {
 	}
 	g.InsertBatch(src, dst)
 	sh := g.Shard(0)
+	a := &sh.sh.pub
 	lo, hi := sh.Base(), sh.Base()+sh.NumVertices()
 	rng := rand.New(rand.NewSource(3))
 
@@ -194,38 +227,47 @@ func TestPublishRebuildRules(t *testing.T) {
 	if !rebuilt {
 		t.Fatal("first publish did not rebuild")
 	}
-	slack := cap(s0.adj) - len(s0.adj)
-	if want := int(sh.NumEdges()) / arenaSlackDiv; slack != want {
-		t.Fatalf("fresh arena has %d entries of tail for %d edges, want %d", slack, sh.NumEdges(), want)
+	// A shard this small fills pages of a quarter of its edges.
+	var live uint64
+	for _, n := range a.live {
+		live += uint64(n)
+	}
+	if want := uint64(len(s0.pages)) * uint64(pageLen(sh.NumEdges())); a.inUse != want || live != sh.NumEdges() || a.m != live {
+		t.Fatalf("first publish of %d edges: %d entries of pages (want %d), %d counted live", sh.NumEdges(), a.inUse, want, live)
 	}
 
 	// Nothing changed: a table copy, no rebuild, nothing appended.
+	room := a.tails[0].room
 	s1, rebuilt := sh.Publish(s0)
-	if rebuilt || len(s1.adj) != len(s0.adj) {
-		t.Fatalf("empty publish: rebuilt=%v, arena grew %d", rebuilt, len(s1.adj)-len(s0.adj))
+	if rebuilt || a.tails[0].room != room {
+		t.Fatalf("empty publish: rebuilt=%v, appended %d entries", rebuilt, room-a.tails[0].room)
 	}
 
-	// One small batch appends exactly its vertices' new runs.
+	// One small batch gives exactly its vertices new runs, on pages the older
+	// snapshots read the front of or not at all.
 	bs, bd := randomBatch(rng, 8, lo, hi, n)
 	sh.InsertBatch(bs, bd)
-	var run int
 	seen := map[uint32]bool{}
 	for _, v := range bs {
-		if !seen[v] {
-			seen[v] = true
-			run += int(g.Degree(v))
-		}
+		seen[v] = true
 	}
 	s2, rebuilt := sh.Publish(s1)
-	if rebuilt || len(s2.adj)-len(s1.adj) != run {
-		t.Fatalf("small batch: rebuilt=%v, appended %d entries, want %d", rebuilt, len(s2.adj)-len(s1.adj), run)
+	if rebuilt {
+		t.Fatal("small batch rebuilt")
 	}
-	if &s2.adj[0] != &s0.adj[0] {
-		t.Fatal("append publish left the shared arena")
+	for lv, r := range s2.tab {
+		if moved := r != s1.tab[lv]; moved != seen[lo+uint32(lv)] {
+			t.Fatalf("vertex %d: run moved=%v, in the batch=%v", lo+uint32(lv), moved, !moved)
+		}
+	}
+	for id, pg := range s0.pages {
+		if &s2.pages[id][0] != &pg[0] || len(s2.pages[id]) < len(pg) {
+			t.Fatalf("append publish left shared page %d", id)
+		}
 	}
 
-	// A batch touching more than the tail holds rebuilds into a fresh arena
-	// and leaves the old one exactly as its snapshots read it.
+	// A batch naming every vertex appends too, and leaves what the older
+	// snapshots read exactly as it was.
 	want2 := sh.SnapshotInto(nil)
 	var ws, wd []uint32
 	for v := lo; v < hi; v++ {
@@ -233,16 +275,15 @@ func TestPublishRebuildRules(t *testing.T) {
 	}
 	sh.InsertBatch(ws, wd)
 	s3, rebuilt := sh.Publish(s2)
-	if !rebuilt {
-		t.Fatalf("batch touching all %d vertices (%d edges, tail %d) did not rebuild", hi-lo, sh.NumEdges(), cap(s2.adj)-len(s2.adj))
+	if rebuilt {
+		t.Fatalf("batch touching all %d vertices rebuilt", hi-lo)
 	}
-	if &s3.adj[0] == &s0.adj[0] {
-		t.Fatal("rebuild wrote into the arena older snapshots read")
-	}
-	sameSnapshot(t, "after tail overflow", s3, sh.SnapshotInto(nil))
-	sameSnapshot(t, "epoch before the rebuild", s2, want2)
+	sameSnapshot(t, "after a whole-shard batch", s3, sh.SnapshotInto(nil))
+	sameSnapshot(t, "epoch before it", s2, want2)
 
-	// Two batches between publishes: the touched set is unknown.
+	// Two batches between publishes: the touched set is unknown. The refill
+	// goes to fresh pages; the old ones wait for s0..s3.
+	want3 := sh.SnapshotInto(nil)
 	for i := 0; i < 2; i++ {
 		bs, bd = randomBatch(rng, 4, lo, hi, n)
 		sh.InsertBatch(bs, bd)
@@ -252,6 +293,16 @@ func TestPublishRebuildRules(t *testing.T) {
 		t.Fatal("two batches since the last publish did not rebuild")
 	}
 	sameSnapshot(t, "after two batches", s4, sh.SnapshotInto(nil))
+	sameSnapshot(t, "epoch before the refill", s3, want3)
+	if len(a.retired) == 0 {
+		t.Fatal("refill with older snapshots out retired no page")
+	}
+	for _, s := range []*Snapshot{s1, s3, s0, s2} {
+		sh.Recycle(s)
+	}
+	if len(a.retired) != 0 {
+		t.Fatalf("older snapshots recycled: %d pages still retired", len(a.retired))
+	}
 
 	// A boundary move shifts slots and bases under both shards.
 	other := g.Shard(1)
@@ -268,9 +319,70 @@ func TestPublishRebuildRules(t *testing.T) {
 	sameSnapshot(t, "receiver after move", o1, other.SnapshotInto(nil))
 }
 
-// TestSnapshotCSR checks CSR on both layouts: a fresh rebuild hands out its
-// own adjacency, a snapshot with appended runs a compacted copy, and both
-// describe the same graph.
+// TestPublishRunShapes covers the runs that do not fit the common case: one
+// longer than a page (a page of exactly its size, retired whole when the
+// vertex is next touched), one that shrinks to nothing, and a boundary move
+// between two appends.
+func TestPublishRunShapes(t *testing.T) {
+	const n, big = 1 << 16, pageSize + 1000
+	g := New(n, Config{Shards: 2, Workers: 2})
+	sh, other := g.Shard(0), g.Shard(1)
+	a := &sh.sh.pub
+	hub := make([]uint32, big)
+	dst := make([]uint32, big)
+	for i := range dst {
+		hub[i], dst[i] = 7, uint32(2*i)
+	}
+	sh.InsertBatch([]uint32{3, 3, 9}, []uint32{1, 2, 5})
+	s0, _ := sh.Publish(nil)
+	o0, _ := other.Publish(nil)
+
+	sh.InsertBatch(hub, dst)
+	s1, rebuilt := sh.Publish(s0)
+	want1 := sh.SnapshotInto(nil)
+	if rebuilt || len(s1.Neighbors(7)) != big {
+		t.Fatalf("hub publish: rebuilt=%v, %d neighbors, want %d", rebuilt, len(s1.Neighbors(7)), big)
+	}
+	if pg := a.pages[s1.tab[7].off>>pageBits]; len(pg) != big || a.inUse != pageMin+big {
+		t.Fatalf("a %d-entry run sits in a page of %d; %d entries of pages in use", big, len(pg), a.inUse)
+	}
+	sameSnapshot(t, "with a run longer than a page", s1, want1)
+
+	// Vertex 3's run shrinks to nothing; the hub loses one neighbor, so its
+	// old page retires whole and a new exact one opens.
+	sh.DeleteBatch([]uint32{3, 3, 7}, []uint32{1, 2, 0})
+	s2, rebuilt := sh.Publish(s1)
+	if rebuilt || s2.Degree(3) != 0 || len(s2.Neighbors(3)) != 0 || s2.Degree(7) != big-1 {
+		t.Fatalf("after deletes: rebuilt=%v, degree(3)=%d, degree(7)=%d", rebuilt, s2.Degree(3), s2.Degree(7))
+	}
+	if len(a.retired) != 1 || len(a.retired[0].page) != big || a.inUse != pageMin+big-1 {
+		t.Fatalf("%d pages retired, %d entries of pages in use", len(a.retired), a.inUse)
+	}
+	sameSnapshot(t, "after a run shrank to 0", s2, sh.SnapshotInto(nil))
+	sameSnapshot(t, "epoch holding the retired hub page", s1, want1)
+
+	// A boundary move mid-stream: both sides refill, then append again.
+	if _, _, err := g.MoveBoundary(0, 8); err != nil {
+		t.Fatal(err)
+	}
+	s3, rebuilt := sh.Publish(s2)
+	o1, orebuilt := other.Publish(o0)
+	if !rebuilt || !orebuilt || s3.NumVertices() != 8 || o1.Degree(1) != 1 {
+		t.Fatalf("after the move: rebuilt=%v/%v, donor has %d vertices, vertex 9 degree %d", rebuilt, orebuilt, s3.NumVertices(), o1.Degree(1))
+	}
+	other.InsertBatch([]uint32{9}, []uint32{6})
+	o2, rebuilt := other.Publish(o1)
+	if rebuilt || !slices.Equal(o2.Neighbors(1), []uint32{5, 6}) {
+		t.Fatalf("append after the move: rebuilt=%v, vertex 9 reads %v", rebuilt, o2.Neighbors(1))
+	}
+	sameSnapshot(t, "donor after the move", s3, sh.SnapshotInto(nil))
+	sameSnapshot(t, "receiver after the move", o2, other.SnapshotInto(nil))
+	sameSnapshot(t, "epoch from before the move", s1, want1)
+}
+
+// TestSnapshotCSR checks CSR on both layouts: a plain CSR hands out its own
+// adjacency, a published snapshot a compacted copy, and both describe the
+// same graph.
 func TestSnapshotCSR(t *testing.T) {
 	const n = 256
 	g := New(n, Config{Workers: 1})
@@ -278,13 +390,14 @@ func TestSnapshotCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	src, dst := randomBatch(rng, 2000, 0, n, n)
 	sh.InsertBatch(src, dst)
-	s0, _ := sh.Publish(nil)
-	offs, adj := s0.CSR()
-	if len(adj) > 0 && &adj[0] != &s0.adj[0] {
-		t.Fatal("CSR of a fresh rebuild copied the adjacency")
+	flat := sh.SnapshotInto(nil)
+	offs, adj := flat.CSR()
+	if len(adj) > 0 && &adj[0] != &flat.adj[0] {
+		t.Fatal("CSR of a plain CSR copied the adjacency")
 	}
-	checkCSR(t, s0, offs, adj)
+	checkCSR(t, flat, offs, adj)
 
+	s0, _ := sh.Publish(nil)
 	bs, bd := randomBatch(rng, 10, 0, n, n)
 	sh.DeleteBatch(src[:10], dst[:10])
 	s1, _ := sh.Publish(s0)
@@ -294,13 +407,13 @@ func TestSnapshotCSR(t *testing.T) {
 		t.Fatal("ten-edge batch rebuilt")
 	}
 	offs, adj = s2.CSR()
-	if &adj[0] == &s2.adj[0] {
-		t.Fatal("CSR of a snapshot with appended runs aliases the arena")
+	if &adj[0] == &s2.pages[0][0] {
+		t.Fatal("CSR of a published snapshot aliases a page")
 	}
 	checkCSR(t, s2, offs, adj)
 	wantOffs, wantAdj := sh.SnapshotInto(nil).CSR()
 	if !slices.Equal(offs, wantOffs) || !slices.Equal(adj, wantAdj) {
-		t.Fatal("CSR of the appended snapshot differs from a rebuild's")
+		t.Fatal("CSR of the published snapshot differs from a rebuild's")
 	}
 }
 
@@ -408,56 +521,113 @@ func TestSteadyBatchAllocatesNoScratch(t *testing.T) {
 	}
 }
 
-// TestPublishReusesDrainedArena checks the double buffering of arenas: a
-// rebuild takes over the previous arena only once every snapshot published
-// over it has been recycled, and allocates a fresh one while even one has
-// not.
-func TestPublishReusesDrainedArena(t *testing.T) {
-	const n = 256
+// TestPublishReusesDrainedPages checks the lifetime of a retired page: it
+// rejoins the free list only once every snapshot published before its
+// retirement has been recycled — whatever order they come back in — is then
+// the next page opened, and free pages beyond arenaFreeMax are dropped.
+func TestPublishReusesDrainedPages(t *testing.T) {
+	const n = 1024 // the free list keeps full-size pages: a shard of > 4 of them
 	g := New(n, Config{Workers: 1})
 	sh := g.Shard(0)
+	a := &sh.sh.pub
 	rng := rand.New(rand.NewSource(21))
-	src, dst := randomBatch(rng, 3000, 0, n, n)
-	sh.InsertBatch(src, dst)
-	whole := func() (s, d []uint32) { // names every vertex: outgrows any tail
+	sh.InsertBatch(randomBatch(rng, 6*pageSize, 0, n, n))
+	whole := func() (s, d []uint32) { // names every vertex: supersedes every run
 		for v := uint32(0); v < n; v++ {
 			s, d = append(s, v), append(d, uint32(rng.Intn(n)))
 		}
 		return s, d
 	}
-
-	a0, _ := sh.Publish(nil)
-	sh.InsertBatch(randomBatch(rng, 4, 0, n, n))
-	a1, rebuilt := sh.Publish(a0) // shares a0's arena
-	if rebuilt {
-		t.Fatal("four-edge batch rebuilt")
+	publish := func(prev *Snapshot) *Snapshot {
+		t.Helper()
+		sh.InsertBatch(whole())
+		snap, rebuilt := sh.Publish(prev)
+		if rebuilt {
+			t.Fatal("one batch rebuilt")
+		}
+		sameSnapshot(t, "published", snap, sh.SnapshotInto(nil))
+		return snap
 	}
-	arenaA := &a0.adj[0]
-	wantA1 := sh.SnapshotInto(nil)
 
-	sh.InsertBatch(whole())
-	b0, rebuilt := sh.Publish(a1)
-	if !rebuilt || &b0.adj[0] == arenaA {
-		t.Fatalf("rebuilt=%v into the arena two live snapshots read", rebuilt)
+	s0, _ := sh.Publish(nil)
+	want0 := sh.SnapshotInto(nil)
+	first := &s0.pages[0][0]
+	// Whole-shard batches until the first page is full, dead and retired.
+	snaps := []*Snapshot{s0}
+	for len(a.retired) == 0 {
+		snaps = append(snaps, publish(snaps[len(snaps)-1]))
 	}
-	arenaB := &b0.adj[0]
+	latest := snaps[len(snaps)-1]
+	if &a.retired[0].page[0] != first || a.retired[0].seq != latest.seq {
+		t.Fatal("the retired page is not the first one, retired by the latest publish")
+	}
 
-	// a0 drains, a1 does not: arena A is still read, a rebuild must not take it.
-	sh.Recycle(a0)
-	sh.InsertBatch(whole())
-	c0, rebuilt := sh.Publish(b0)
-	if !rebuilt || &c0.adj[0] == arenaA || &c0.adj[0] == arenaB {
-		t.Fatalf("rebuilt=%v; reused an arena a live snapshot reads", rebuilt)
+	// Every snapshot before the latest may read it: recycle them newest
+	// first, and the page stays retired until the very last one is back.
+	for i := len(snaps) - 2; i >= 1; i-- {
+		sh.Recycle(snaps[i])
 	}
-	sameSnapshot(t, "snapshot still pinned on the first arena", a1, wantA1)
+	next := publish(latest)
+	if len(a.free) != 0 || len(a.retired) == 0 {
+		t.Fatalf("with the oldest snapshot out: %d pages free, %d retired", len(a.free), len(a.retired))
+	}
+	sameSnapshot(t, "oldest snapshot, on the retired page", s0, want0)
+	sh.Recycle(s0)
+	sh.Recycle(latest)
+	if len(a.free) == 0 || &a.free[len(a.free)-1][0] != first && &a.free[0][0] != first {
+		t.Fatalf("the drained page did not rejoin the free list (%d free)", len(a.free))
+	}
 
-	// Now a1 drains too: arena A is free and the next rebuild compacts into it.
-	sh.Recycle(a1)
-	sh.Recycle(b0)
-	sh.InsertBatch(whole())
-	d0, rebuilt := sh.Publish(c0)
-	if !rebuilt || (&d0.adj[0] != arenaA && &d0.adj[0] != arenaB) {
-		t.Fatalf("rebuilt=%v; a drained arena was not reused", rebuilt)
+	// The free list feeds the next pages opened and never exceeds its cap.
+	for i := 0; i < 40*arenaFreeMax; i++ {
+		prev := next
+		next = publish(prev)
+		sh.Recycle(prev)
+		if len(a.free) > arenaFreeMax {
+			t.Fatalf("%d pages on the free list, cap %d", len(a.free), arenaFreeMax)
+		}
 	}
-	sameSnapshot(t, "rebuild into a reused arena", d0, sh.SnapshotInto(nil))
+	if st := sh.Published(); st.InUse+st.Free > st.Bound || st.Retired != 0 {
+		t.Fatalf("steady state: %d B in use + %d B free over the bound %d, %d B retired", st.InUse, st.Free, st.Bound, st.Retired)
+	}
+}
+
+// TestSmallShardPublishedFollowsEdges: a shard too small for 64 KiB pages
+// fills pages sized to its edges, so what a graph of a few thousand edges in
+// four shards holds published — tables, pages in use, free and retired —
+// stays within 24 bytes an edge over a stream (16 to 18 measured; 141 with
+// full-size pages only, 14 with the two contiguous arenas before them).
+func TestSmallShardPublishedFollowsEdges(t *testing.T) {
+	const n, shards = 512, 4
+	g := New(n, Config{Shards: shards, Workers: 1})
+	rng := rand.New(rand.NewSource(9))
+	g.InsertBatch(randomBatch(rng, 4000, 0, n, n))
+	prev := make([]*Snapshot, shards)
+	for b := 0; b < 600; b++ {
+		var total uint64
+		for i := range prev {
+			sh := g.Shard(i)
+			src, dst := randomBatch(rng, 8, sh.Base(), sh.Base()+sh.NumVertices(), n)
+			if b%2 == 0 {
+				sh.InsertBatch(src, dst)
+			} else {
+				sh.DeleteBatch(src, dst)
+			}
+			snap, rebuilt := sh.Publish(prev[i])
+			if rebuilt != (b == 0) {
+				t.Fatalf("batch %d, shard %d: rebuilt=%v", b, i, rebuilt)
+			}
+			if prev[i] != nil {
+				sh.Recycle(prev[i])
+			}
+			prev[i] = snap
+			total += sh.Published().Total()
+		}
+		if m := g.NumEdges(); total > 24*m {
+			t.Fatalf("batch %d: %d B published for %d edges", b, total, m)
+		}
+	}
+	for i, snap := range prev {
+		sameSnapshot(t, "small shard", snap, g.Shard(i).SnapshotInto(nil))
+	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"lsgraph/internal/parallel"
 )
@@ -24,13 +26,16 @@ type shardState struct {
 	// unpub counts the updates applied since the last Shard.Publish: at 1,
 	// prep.groups still names exactly the vertices whose adjacency changed;
 	// above 1 (or after a boundary move) what changed is unknown and the
-	// next publish rebuilds. spare is a drained snapshot's table, kept for
-	// the next publish to overwrite instead of allocating; spareAdj is the
-	// previous arena, kept once its last snapshot has drained as the target
-	// of the next rebuild (see Shard.Recycle for why).
-	unpub    int
-	spare    []vref
-	spareAdj []uint32
+	// next publish rebuilds. pub is the arena the published snapshots read.
+	// spare and spareDir are a recycled snapshot's table and directory, kept
+	// for the next publish to overwrite instead of allocating; tabEntries
+	// sums the capacities of spare and every unrecycled snapshot's table.
+	unpub      int
+	warmed     uint32 // keeps Shard.Warm's loads alive
+	pub        pageArena
+	spare      []vref
+	spareDir   [][]uint32
+	tabEntries int
 
 	// traceBatch is the flight-recorder batch ID the shard's current update
 	// is attributed to (see internal/trace). It is owned by whichever
@@ -143,48 +148,100 @@ func (s Shard) DeleteBatch(src, dst []uint32) {
 	s.g.deleteBatchShard(s.sh, src, dst, s.g.shardWorkers())
 }
 
+// Warm reads the vertex block, and the first word of the overflow structure,
+// of every source in src, all of which must belong to this shard and lie
+// below NumVertices. It changes nothing: the loads depend on nothing, so
+// their cache misses overlap, where the batch that follows would take them
+// one group at a time. A shard writer that has been idle behind thousands of
+// reads finds its shard evicted; warming a 500-edge batch's sources took
+// 44 µs off a 146 µs apply there (EXPERIMENTS.md, "The published arena
+// cleans itself"). Serialized with this shard's updates.
+func (s Shard) Warm(src []uint32) {
+	sh := s.sh
+	for _, v := range src {
+		vb := &sh.verts[v-sh.base]
+		sh.warmed += vb.deg
+		if p := vb.ov; p != nil {
+			sh.warmed += *(*uint32)(p)
+		}
+	}
+}
+
 // SnapshotInto flattens the shard into a local CSR view — table indexed
 // by local slot, adjacency holding global IDs — reusing snap's buffers
 // when capacity allows (see Graph.SnapshotInto for the reuse contract).
 // The call must be serialized with this shard's updates only; other
 // shards may keep updating concurrently.
 func (s Shard) SnapshotInto(snap *Snapshot) *Snapshot {
-	return s.g.snapshotShardInto(s.sh, snap, 0, s.g.shardWorkers())
+	sh := s.sh
+	return rebuildInto(snap, s.g.shards[sh.idx:sh.idx+1], sh.base, len(sh.verts), nil, s.g.shardWorkers())
 }
 
 // Publish returns the shard's current state as a new snapshot, given prev,
 // the snapshot the previous Publish of this shard returned (nil for the
-// first). Its cost follows what changed, not the shard: when exactly one
+// first). Its cost follows what changed, not the shard: when at most one
 // InsertBatch or DeleteBatch was applied since prev, only that batch's
-// source vertices are flattened, appended to the unwritten tail of prev's
-// arena, and patched into a copy of prev's table; prev and every older
-// snapshot stay valid and unchanged, because none of them reads the tail.
-// When the tail cannot hold the batch's runs — or more than one batch or a
-// boundary move happened since prev — the publish is a full rebuild
-// (SnapshotInto plus tail slack), reported as rebuilt, into another arena:
-// the previous one if Recycle has seen its last snapshot, else a fresh one.
-// So a publish is an append or a rebuild, never both, and never costs more
-// than SnapshotInto. Serialized with this shard's updates, like
-// SnapshotInto.
+// source vertices are flattened, appended at the tail of the shard's page
+// arena, and patched into a copy of prev's table; the runs they supersede
+// stop counting towards their pages, and when pages in use exceed the live
+// entries by more than half, the live runs of the emptiest pages are copied
+// forward too and those pages retire (pageArena has the lifetime rules).
+// prev and every older snapshot stay valid and unchanged: nothing they can
+// reach is written. Only a first publish, a boundary move, or more than one
+// batch since prev (LoadCSR and ReleaseScratch count as that) refills the
+// arena from the live structures, reported as rebuilt. Serialized with this
+// shard's updates, like SnapshotInto.
 func (s Shard) Publish(prev *Snapshot) (snap *Snapshot, rebuilt bool) {
 	return s.g.publishShard(s.sh, prev, s.g.shardWorkers())
 }
 
 // Recycle hands a snapshot Publish returned, and that no reader holds
-// anymore, back to the shard: its table becomes the next Publish's table,
-// and when it was the last snapshot over its arena, that arena becomes the
-// next rebuild's target. A shard therefore settles at two arenas, the one
-// being read and appended to and the one the next rebuild compacts into —
-// the price of not allocating and first-touching megabytes of fresh memory
-// inside a publish, which costs as much again as the flatten it is for.
-// snap must not be the shard's latest snapshot and must not be used
-// afterwards. Serialized with Publish.
+// anymore, back to the shard, in any order relative to other snapshots: its
+// table and directory become the next Publish's, and the pages retired
+// before every snapshot still out was published become reusable. snap must
+// not be the shard's latest snapshot and must not be used afterwards.
+// Serialized with Publish.
 func (s Shard) Recycle(snap *Snapshot) {
-	s.sh.spare = snap.tab
-	if snap.ar.live--; snap.ar.live == 0 {
-		s.sh.spareAdj = snap.adj[:0]
+	sh, a := s.sh, &s.sh.pub
+	sh.tabEntries -= cap(sh.spare)
+	clear(snap.pages)
+	sh.spare, sh.spareDir = snap.tab, snap.pages
+	if i, ok := slices.BinarySearch(a.out, snap.seq); ok {
+		a.out = slices.Delete(a.out, i, i+1)
 	}
+	a.drain()
 	*snap = Snapshot{}
+}
+
+// PublishedStats is what a shard's published snapshots hold, in bytes
+// unless named otherwise.
+type PublishedStats struct {
+	Tables  uint64 // tables of the unrecycled snapshots, and the spare
+	InUse   uint64 // pages the latest snapshot reads
+	Free    uint64 // drained pages awaiting reuse
+	Retired uint64 // pages only older, unrecycled snapshots read
+	Bound   uint64 // what InUse+Free may reach at the latest snapshot's size, its tails and free list counted as full-size pages
+	Cleaned uint64 // entries the cleaner has copied forward, ever
+}
+
+// Total is the bytes resident on the published side.
+func (p PublishedStats) Total() uint64 { return p.Tables + p.InUse + p.Free + p.Retired }
+
+// Published reports the shard's published-side footprint. Serialized with
+// Publish.
+func (s Shard) Published() PublishedStats {
+	a := &s.sh.pub
+	p := PublishedStats{
+		Tables:  uint64(s.sh.tabEntries) * uint64(unsafe.Sizeof(vref{})),
+		InUse:   4 * a.inUse,
+		Free:    4 * pageSize * uint64(len(a.free)),
+		Bound:   4 * (arenaBound(a.m) + uint64(len(a.tails)+arenaFreeMax)*pageSize),
+		Cleaned: a.cleaned,
+	}
+	for _, r := range a.retired {
+		p.Retired += 4 * uint64(len(r.page))
+	}
+	return p
 }
 
 // SubBatch is one shard's routed slice of a mixed batch; indexes align

@@ -3,50 +3,284 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lsgraph/internal/parallel"
 )
 
-// vref locates one vertex's adjacency run inside a snapshot's arena.
+// vref locates one vertex's adjacency run: off is page‖offset — the page's
+// slot in the snapshot's directory in the bits above pageBits, the run's
+// first entry within the page below them.
 type vref struct{ off, deg uint32 }
 
 // Snapshot is an immutable view of the graph (or of one shard) at the
-// moment it was taken: a per-vertex table of (offset, degree) over an
-// adjacency arena. It implements the read side of engine.Graph, so
-// analytics can run on a frozen snapshot while the live graph keeps
-// ingesting updates — the capability Aspen gets from functional trees.
+// moment it was taken: a per-vertex table of (page‖offset, degree) over a
+// directory of adjacency pages. It implements the read side of
+// engine.Graph, so analytics can run on a frozen snapshot while the live
+// graph keeps ingesting updates — the capability Aspen gets from functional
+// trees.
 //
-// A freshly rebuilt snapshot is a plain CSR: runs in vertex order, back to
-// back. Shard.Publish derives the next snapshot from it at a cost that
-// follows the batch, not the graph: it appends the new adjacency of only
-// the batch's vertices to the arena's unwritten tail and patches a copy of
-// the table. Successive snapshots of one shard therefore share an arena;
-// each reads only adj[:len(adj)], its own prefix, so the tail a later
-// publish writes is memory no earlier snapshot can reach.
+// SnapshotInto builds a plain CSR: one array of exactly the graph's size,
+// runs in vertex order, back to back, off the run's index in it; its
+// directory's entry p is the array from p·pageSize on, so the same two
+// loads find a run there. Shard.Publish builds over the shard's arena of
+// fixed-size pages (see pageArena), at a cost that follows the batch, not
+// the graph; successive snapshots of one shard share every page and table
+// entry the batches between them did not touch.
 type Snapshot struct {
 	tab []vref
-	// adj is the arena prefix this snapshot may read. cap(adj)-len(adj) is
-	// the arena's unwritten tail, owned by whoever publishes next.
-	adj []uint32
-	m   uint64 // live entries: the sum of tab's degrees
-	ar  *arena // of snapshots Shard.Publish returned; nil otherwise
+	// pages is this snapshot's own directory. Each entry's length is what had
+	// been written of the page when the snapshot was published, so the words a
+	// later publish appends to a shared page are beyond every slice an earlier
+	// snapshot holds.
+	pages [][]uint32
+	adj   []uint32 // a plain CSR's array; nil for a published snapshot
+	m     uint64   // live entries: the sum of tab's degrees
+	seq   uint64   // position in the shard's publish order; 0 for a plain CSR
 }
 
-// arena counts the snapshots Shard.Publish has derived over one adjacency
-// arena and Shard.Recycle has not yet taken back. Both run on the shard's
-// owner, so the count is a plain int. At zero nothing can read the arena
-// anymore and it becomes the shard's next rebuild target.
-type arena struct{ live int }
-
-// Arena sizing for Shard.Publish's rebuilds: a fresh arena holds the live
-// edges plus half as much again (at least arenaMinSlack entries) of tail
-// for later batches to append into. The tail bounds both the memory a
-// shard's published state costs (1.5x its edges) and how stale its layout
-// gets: once appended runs have used it up, the next publish compacts.
+// Page geometry and bounds of a shard's published arena; EXPERIMENTS.md
+// ("The published arena cleans itself") has the table they were chosen from.
 const (
+	// 16 Ki entries: 64 KiB, a Go large object, so a page costs exactly its
+	// size — no size-class rounding — and a G15 shard's directory is ~40
+	// slice headers, an L1 hit.
+	pageBits = 14
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
+	maxPages = 1 << (32 - pageBits)
+	// A shard whose live entries would not half fill a page opens pages of
+	// twice its live entries (at least pageMin), so that what a small graph
+	// holds published follows its edges, not the page size (EXPERIMENTS.md,
+	// "Small shards", has what each rule costs and why it is twice).
+	pageMin = 256
+	// Pages in use may exceed the live entries by half (at least two pages)
+	// before a publish cleans: the bound on what a shard's published state
+	// costs, 1.5x its edges.
 	arenaSlackDiv = 2
-	arenaMinSlack = 256
+	// Drained pages kept for reuse; a steady stream opens and retires two or
+	// three a publish, so more would only sit idle.
+	arenaFreeMax = 4
 )
+
+// pageArena is the adjacency storage behind a shard's published snapshots:
+// pages of pageLen entries (a run longer than that gets a page of exactly
+// its size), written strictly append-only. Only Shard.Publish writes, and
+// only words no snapshot can reach: the unwritten rest of the tail page or a
+// page off the free list. A page retires when the latest snapshot stops
+// reading it — its last run was superseded, or the cleaner copied its live
+// runs forward — and rejoins the free list once every snapshot published
+// before that has been Recycled, so a reader never sees a page reused. All
+// of it runs on the shard's owner; nothing here is atomic.
+type pageArena struct {
+	pages   [][]uint32  // by directory slot; nil: slot unused
+	live    []uint32    // per slot, entries the latest snapshot reads
+	tails   [2]tailPage // where runs go: tailBatch, tailKept
+	inUse   uint64      // entries of capacity in pages
+	free    [][]uint32  // drained pages of pageSize entries
+	retired []retiredPage
+	out     []uint64 // seq of every snapshot published and not recycled, ascending
+	seq     uint64   // of the latest snapshot
+	m       uint64   // its live entries, set before its runs are placed
+	cleaned uint64   // entries the cleaner has copied, ever
+}
+
+// tailPage is a page being filled: its slot, valid while room — the
+// unwritten entries at its end — is not zero.
+type tailPage struct {
+	id   int
+	room uint32
+}
+
+// The arena fills two pages at a time. A batch's runs go to one: they are
+// mostly those of the vertices batches name again and again, and die within
+// a few publishes. What the cleaner finds alive goes to the other: it has
+// outlived a page already and mostly keeps living. Kept apart, the first
+// kind of page empties almost whole — cheap to clean — and the second stays
+// dense and in the vertex order the cleaner wrote it in, which is what a
+// kernel sweeping the snapshot reads; filling one page with both cost
+// PageRank five points more at G15 (EXPERIMENTS.md).
+const (
+	tailBatch = iota
+	tailKept
+)
+
+// retiredPage is a page no snapshot from seq on reads.
+type retiredPage struct {
+	seq  uint64
+	page []uint32
+}
+
+// pageLen is the size of the pages a shard of the given live entries opens.
+func pageLen(live uint64) uint32 {
+	return uint32(min(max(2*live, pageMin), pageSize))
+}
+
+// arenaBound is the capacity, in entries, a shard's pages in use may reach
+// for the given live entries before a publish cleans.
+func arenaBound(live uint64) uint64 {
+	return live + max(live/arenaSlackDiv, 2*uint64(pageLen(live)))
+}
+
+// place reserves a run of deg entries at one of the arena's tails and counts
+// it live. Runs never straddle pages: one that does not fit what is left of
+// the tail page opens the next, off the free list when it can.
+func (a *pageArena) place(deg uint32, which int) vref {
+	if deg == 0 {
+		return vref{}
+	}
+	if deg > pageLen(a.m) {
+		id := a.open(make([]uint32, deg))
+		a.live[id] = deg
+		return vref{uint32(id) << pageBits, deg}
+	}
+	t := &a.tails[which]
+	if t.room < deg {
+		var pg []uint32
+		if n := len(a.free); n > 0 {
+			pg, a.free = a.free[n-1], a.free[:n-1]
+		} else {
+			pg = make([]uint32, pageLen(a.m))
+		}
+		t.id, t.room = a.open(pg), uint32(len(pg))
+	}
+	r := vref{uint32(t.id)<<pageBits | (uint32(len(a.pages[t.id])) - t.room), deg}
+	t.room -= deg
+	a.live[t.id] += deg
+	return r
+}
+
+// open gives pg a directory slot. Slots are reused: a snapshot that still
+// reads the slot's previous page holds that page in its own directory.
+func (a *pageArena) open(pg []uint32) int {
+	id := slices.IndexFunc(a.pages, func(p []uint32) bool { return p == nil })
+	if id < 0 {
+		if id = len(a.pages); id == maxPages {
+			panic(fmt.Sprintf("core: published shard exceeds %d adjacency pages; raise Config.Shards", maxPages))
+		}
+		a.pages, a.live = append(a.pages, nil), append(a.live, 0)
+	}
+	a.pages[id] = pg
+	a.inUse += uint64(len(pg))
+	return id
+}
+
+// run is the storage r reserves. The full-slice expression pins capacity so
+// a degree mismatch fails loudly instead of clobbering the next run.
+func (a *pageArena) run(r vref) []uint32 {
+	lo := r.off & pageMask
+	return a.pages[r.off>>pageBits][lo : lo : lo+r.deg]
+}
+
+// drop uncounts a run the snapshot being built no longer reads, and retires
+// its page when that was the last one — unless the page is still being
+// filled.
+func (a *pageArena) drop(r vref) {
+	if r.deg == 0 {
+		return
+	}
+	id := int(r.off >> pageBits)
+	if a.live[id] -= r.deg; a.live[id] == 0 && !a.filling(id) {
+		a.retire(id)
+	}
+}
+
+// retire takes slot id's page out of the arena: the snapshot being built
+// (a.seq) and every later one cannot reach it, earlier ones may.
+func (a *pageArena) retire(id int) {
+	pg := a.pages[id]
+	a.retired = append(a.retired, retiredPage{a.seq, pg})
+	a.pages[id], a.live[id] = nil, 0
+	a.inUse -= uint64(len(pg))
+	for i := range a.tails {
+		if a.tails[i].id == id {
+			a.tails[i].room = 0
+		}
+	}
+}
+
+// filling reports whether slot id's page is one being filled.
+func (a *pageArena) filling(id int) bool {
+	for _, t := range a.tails {
+		if t.id == id && t.room > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// drain frees the retired pages no unrecycled snapshot can read anymore:
+// those retired at or before the oldest one's publish. Whole pages go back
+// on the free list up to arenaFreeMax; the rest are the GC's.
+func (a *pageArena) drain() {
+	i := 0
+	for ; i < len(a.retired) && (len(a.out) == 0 || a.retired[i].seq <= a.out[0]); i++ {
+		if pg := a.retired[i].page; len(pg) == pageSize && len(a.free) < arenaFreeMax {
+			a.free = append(a.free, pg)
+		}
+	}
+	a.retired = append(a.retired[:0], a.retired[i:]...)
+	clear(a.retired[len(a.retired):cap(a.retired)])
+}
+
+// clean restores the arena's bound after s's runs were placed: while pages
+// in use exceed arenaBound, the emptiest pages become victims, and one
+// ascending scan of s's table copies their live runs to the tail — so
+// survivors land in vertex order — before they retire. What it moves is
+// what the victims still held, never the shard.
+func (a *pageArena) clean(s *Snapshot) {
+	excess := int64(a.inUse) - int64(arenaBound(s.m))
+	if excess <= 0 {
+		return
+	}
+	// Entries of s's table name slots that exist now, so victim covers them.
+	victim := make([]bool, len(a.pages))
+	for excess > 0 {
+		best := -1
+		for id, pg := range a.pages {
+			// A page being filled or with nothing to give back is no victim.
+			if pg == nil || victim[id] || int(a.live[id]) == len(pg) || a.filling(id) {
+				continue
+			}
+			if best < 0 || a.live[id] < a.live[best] {
+				best = id
+			}
+		}
+		if best < 0 {
+			break
+		}
+		victim[best] = true
+		excess -= int64(len(a.pages[best])) - int64(a.live[best])
+	}
+	for lv, r := range s.tab {
+		if id := r.off >> pageBits; victim[id] && r.deg > 0 {
+			src := a.pages[id][r.off&pageMask:][:r.deg]
+			s.tab[lv] = a.place(r.deg, tailKept)
+			copy(a.run(s.tab[lv])[:r.deg], src)
+			a.cleaned += uint64(r.deg)
+		}
+	}
+	for id, v := range victim {
+		if v {
+			a.retire(id)
+		}
+	}
+}
+
+// directory writes the arena's current pages to dst as a snapshot's own
+// directory, the tail page cut to what has been written of it.
+func (a *pageArena) directory(dst [][]uint32) [][]uint32 {
+	dst = append(dst[:0], a.pages...)
+	for _, t := range a.tails {
+		if t.room > 0 {
+			dst[t.id] = dst[t.id][:len(dst[t.id])-int(t.room)]
+		}
+	}
+	if len(dst) == 0 {
+		dst = append(dst, nil) // a degree-0 vertex reads slot 0
+	}
+	return dst
+}
 
 // Snapshot flattens the current graph into a fresh CSR view. The call
 // itself must be serialized with updates — take it between batches, or let
@@ -74,17 +308,18 @@ func growTab(tab []vref, n int) []vref {
 //
 // Like Snapshot, the call must be serialized with updates. The previous
 // contents of s are overwritten; callers must ensure no concurrent reader
-// still holds s or any snapshot Shard.Publish derived from it.
+// still holds s, and s must not be a snapshot Shard.Publish returned.
 func (g *Graph) SnapshotInto(s *Snapshot) *Snapshot {
-	return rebuildInto(s, g.shards, 0, int(g.NumVertices()), 0, g.cfg.Workers)
+	return rebuildInto(s, g.shards, 0, int(g.NumVertices()), nil, g.cfg.Workers)
 }
 
-// rebuildInto flattens the given shards into s as a plain CSR of n
-// vertices with extra entries of arena tail: the one full rebuild behind
-// Graph.SnapshotInto, Shard.SnapshotInto and the compacting half of
-// Shard.Publish. Table slot 0 is global vertex origin; slots no shard has
+// rebuildInto flattens the given shards into s, a table of n vertices whose
+// runs are laid out in vertex order: back to back in one exact-size page
+// when a is nil (the plain CSR behind Graph.SnapshotInto and
+// Shard.SnapshotInto), at the tail of arena a otherwise (Shard.Publish's
+// full rebuild). Table slot 0 is global vertex origin; slots no shard has
 // materialized (reserved vertices) get degree 0.
-func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n, extra, p int) *Snapshot {
+func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, a *pageArena, p int) *Snapshot {
 	if s == nil {
 		s = &Snapshot{}
 	}
@@ -99,20 +334,31 @@ func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n, extra, p in
 		tab := s.tab[sh.base-origin:]
 		for lv := range sh.verts {
 			deg := sh.verts[lv].degree()
-			tab[lv] = vref{uint32(m), deg}
+			switch {
+			case a != nil:
+				tab[lv] = a.place(deg, tailBatch)
+			case deg > 0: // else vref{}, as place: m may be the array's end, past the directory
+				tab[lv] = vref{uint32(m), deg}
+			}
 			m += uint64(deg)
 		}
 	}
-	if m+uint64(extra) > math.MaxUint32 {
-		extra = 0
+	if a != nil {
+		s.adj = nil
+		s.pages = a.directory(s.pages)
+	} else {
 		if m > math.MaxUint32 {
-			panic(fmt.Sprintf("core: snapshot of %d edges exceeds the 2^32-entry arena; raise Config.Shards", m))
+			panic(fmt.Sprintf("core: snapshot of %d edges exceeds the 2^32-entry CSR; raise Config.Shards", m))
+		}
+		if cap(s.adj) < int(m) {
+			s.adj = make([]uint32, m)
+		}
+		s.adj, s.seq, s.pages = s.adj[:m], 0, s.pages[:0]
+		for lo := 0; lo < max(len(s.adj), 1); lo += pageSize {
+			s.pages = append(s.pages, s.adj[lo:])
 		}
 	}
-	if want := int(m) + extra; cap(s.adj) < want {
-		s.adj = make([]uint32, want)
-	}
-	s.adj, s.m = s.adj[:m], m
+	s.m = m
 	for i := range shards {
 		sh := &shards[i]
 		if len(sh.verts) == 0 {
@@ -121,101 +367,79 @@ func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n, extra, p in
 		tab := s.tab[sh.base-origin:]
 		parallel.For(len(sh.verts), p, func(lv int) {
 			if r := tab[lv]; r.deg > 0 {
-				s.flatten(&sh.verts[lv], r)
+				lo := r.off & pageMask
+				appendNeighborsVB(&sh.verts[lv], s.pages[r.off>>pageBits][lo:lo:lo+r.deg])
 			}
 		})
 	}
 	return s
 }
 
-// flatten writes vb's neighbors into the run r reserves for them. The
-// full-slice expression pins capacity so a degree mismatch fails loudly
-// instead of clobbering the next run.
-func (s *Snapshot) flatten(vb *vertex, r vref) {
-	lo, hi := int(r.off), int(r.off)+int(r.deg)
-	appendNeighborsVB(vb, s.adj[lo:lo:hi])
-}
-
-// snapshotShardInto flattens one shard into a local snapshot — table
-// indexed by slot within the shard, adjacency holding global vertex IDs —
-// with extra entries of arena tail and the same buffer-reuse contract as
-// SnapshotInto.
-func (g *Graph) snapshotShardInto(sh *shardState, s *Snapshot, extra, p int) *Snapshot {
-	return rebuildInto(s, g.shards[sh.idx:sh.idx+1], sh.base, len(sh.verts), extra, p)
-}
-
 // publishShard returns the shard's current state as a snapshot derived
-// from prev, the shard's previous one (see Shard.Publish).
+// from prev, the shard's latest one (see Shard.Publish).
 func (g *Graph) publishShard(sh *shardState, prev *Snapshot, p int) (s *Snapshot, rebuilt bool) {
+	a := &sh.pub
 	groups, unpub := sh.prep.groups, sh.unpub
-	s = &Snapshot{tab: sh.spare}
-	sh.spare, sh.unpub = nil, 0
-	if unpub != 1 {
-		groups = nil // nothing changed, or not only what groups names
-	}
-	// The batch's vertices get new runs in the tail, in group (= ascending
-	// vertex) order. Size them before writing anything: when they do not
-	// fit — or what changed since prev is not one batch's groups — the
-	// publish compacts into another arena instead, and older snapshots keep
-	// reading the old one untouched.
-	n, used := len(sh.verts), 0
-	if prev != nil {
-		used = len(prev.adj)
-	}
-	for _, v := range groups {
-		used += int(sh.verts[v-sh.base].degree())
-	}
-	if prev == nil || unpub > 1 || used > cap(prev.adj) {
-		m := int(sh.m.Load())
-		slack := max(m/arenaSlackDiv, arenaMinSlack)
-		s.adj, sh.spareAdj = sh.spareAdj, nil
-		if cap(s.adj) >= m+slack/2 {
-			// The drained arena of a somewhat smaller graph: half a tail
-			// for free beats a full one allocated and first-touched.
-			slack /= 2
+	s = &Snapshot{tab: sh.spare, pages: sh.spareDir}
+	had := cap(s.tab)
+	sh.spare, sh.spareDir, sh.unpub = nil, nil, 0
+	a.seq++
+	s.seq, a.m = a.seq, sh.m.Load()
+	a.out = append(a.out, a.seq)
+	if prev == nil || unpub > 1 {
+		// What changed is not one batch's groups (or slots shifted under a
+		// boundary move): refill from the live structures. The pages in use
+		// retire the way an emptied page does, so snapshots still reading them
+		// are undisturbed and their memory comes back through the free list.
+		for id, pg := range a.pages {
+			if pg != nil {
+				a.retire(id)
+			}
 		}
-		s.ar = &arena{live: 1}
-		return g.snapshotShardInto(sh, s, slack, p), true
-	}
-	s.ar = prev.ar
-	s.ar.live++
-	s.tab = growTab(s.tab, n)
-	clear(s.tab[copy(s.tab, prev.tab):]) // vertices grown since prev: degree 0
-	s.adj, s.m = prev.adj[:used], prev.m
-	off := uint32(len(prev.adj))
-	for _, v := range groups {
-		lv := v - sh.base
-		deg := sh.verts[lv].degree()
-		s.m += uint64(deg) - uint64(s.tab[lv].deg)
-		s.tab[lv] = vref{off, deg}
-		off += deg
-	}
-	parallel.For(len(groups), p, func(i int) {
-		lv := groups[i] - sh.base
-		if r := s.tab[lv]; r.deg > 0 {
-			s.flatten(&sh.verts[lv], r)
+		rebuildInto(s, g.shards[sh.idx:sh.idx+1], sh.base, len(sh.verts), a, p)
+		rebuilt = true
+	} else {
+		if unpub == 0 {
+			groups = nil
 		}
-	})
-	return s, false
+		s.tab = growTab(s.tab, len(sh.verts))
+		clear(s.tab[copy(s.tab, prev.tab):]) // vertices grown since prev: degree 0
+		s.m = prev.m
+		// The batch's vertices get new runs at the tail, in group (= ascending
+		// vertex) order, and stop counting towards the pages of their old ones.
+		for _, v := range groups {
+			lv := v - sh.base
+			old, deg := s.tab[lv], sh.verts[lv].degree()
+			a.drop(old)
+			s.tab[lv] = a.place(deg, tailBatch)
+			s.m += uint64(deg) - uint64(old.deg)
+		}
+		parallel.For(len(groups), p, func(i int) {
+			lv := groups[i] - sh.base
+			if r := s.tab[lv]; r.deg > 0 {
+				appendNeighborsVB(&sh.verts[lv], a.run(r))
+			}
+		})
+		a.clean(s)
+		s.pages = a.directory(s.pages)
+	}
+	sh.tabEntries += cap(s.tab) - had
+	return s, rebuilt
 }
 
 // CSR returns the snapshot as raw CSR arrays (offs has NumVertices+1
 // entries; adj holds NumEdges neighbor IDs in vertex order). offs is built
-// per call. adj aliases snapshot storage when the snapshot is compact — a
-// fresh rebuild — and is a compacted copy when Shard.Publish has appended
-// runs out of vertex order; either way it is read-only and, for an
-// epoch-pinned serving snapshot, only valid until its view is released.
-// The durability layer serializes checkpoints from it.
+// per call. adj aliases snapshot storage when the snapshot is a plain CSR
+// and is a compacted copy when Shard.Publish laid it out over pages; either
+// way it is read-only and, for an epoch-pinned serving snapshot, only valid
+// until its view is released. The durability layer serializes checkpoints
+// from it.
 func (s *Snapshot) CSR() (offs []uint64, adj []uint32) {
 	offs = make([]uint64, len(s.tab)+1)
-	compact := uint64(len(s.adj)) == s.m
 	for v, r := range s.tab {
-		if r.deg > 0 && uint64(r.off) != offs[v] {
-			compact = false
-		}
 		offs[v+1] = offs[v] + uint64(r.deg)
 	}
-	if compact {
+	if s.seq == 0 {
 		return offs, s.adj
 	}
 	adj = make([]uint32, s.m)
@@ -253,8 +477,8 @@ func (s *Snapshot) VertexAtEdge(k uint64) uint32 {
 // storage and must not be mutated.
 func (s *Snapshot) Neighbors(v uint32) []uint32 {
 	r := s.tab[v]
-	lo := int(r.off)
-	return s.adj[lo : lo+int(r.deg)]
+	lo := r.off & pageMask
+	return s.pages[r.off>>pageBits][lo : lo+r.deg]
 }
 
 // NeighborBlocks yields v's entire run as one block aliasing snapshot

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
+	"time"
+	"unsafe"
 
 	"lsgraph/internal/gen"
 )
@@ -41,5 +45,186 @@ func BenchmarkSnapshotInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s = g.SnapshotInto(s)
+	}
+}
+
+// BenchmarkPublish is the Store's steady write path beneath the serving
+// layer, on the ruler's store-stream shape (rulerGraph): the G15 graph in
+// two shards, 64 batches of 1 000 new edges inserted one by one and then
+// deleted again, each shard's ~500-edge part applied and published and the
+// previous snapshot recycled. One op is one shard-batch; ns/op covers apply
+// and publish, publish-ns/op and publish-p50-ns the publish alone, and the
+// other metrics say what the arena did for it: entries the batches' runs
+// appended, entries the cleaner copied, and resident arena bytes per edge
+// at the end. G17 is the same stream on a graph four times the size: what
+// grows there is what follows the shard and not the batch.
+func BenchmarkPublish(b *testing.B) {
+	for _, scale := range []uint{15, 17} {
+		b.Run(fmt.Sprintf("G%d", scale), func(b *testing.B) { benchPublish(b, scale) })
+	}
+}
+
+// publishStream drives the stream both publish benchmarks measure: batch j's
+// part for shard k applied and published, the previous snapshot recycled;
+// the first half of a round inserts the batches, the second deletes them in
+// reverse. It keeps what the measured loop is asked about.
+type publishStream struct {
+	g        *Graph
+	parts    [][]SubBatch // per batch, per shard
+	snaps    []*Snapshot  // per shard, the latest
+	applies  time.Duration
+	publish  []time.Duration
+	appended int64 // entries the batches' runs took
+}
+
+func newPublishStream(g *Graph, batches [][2][]uint32, keep func(src uint32) bool) *publishStream {
+	ps := &publishStream{g: g, snaps: make([]*Snapshot, g.NumShards())}
+	for _, bt := range batches {
+		var cs, cd []uint32
+		for i, v := range bt[0] {
+			if keep(v) {
+				cs, cd = append(cs, v), append(cd, bt[1][i])
+			}
+		}
+		parts, _ := g.ScatterBatch(cs, cd)
+		ps.parts = append(ps.parts, parts)
+	}
+	return ps
+}
+
+func (ps *publishStream) step(i int) {
+	S, nb := len(ps.snaps), len(ps.parts)
+	k, j := i%S, i/S%(2*nb)
+	sh := ps.g.Shard(k)
+	t := time.Now()
+	if j < nb {
+		sh.InsertBatch(ps.parts[j][k].Src, ps.parts[j][k].Dst)
+	} else {
+		sh.DeleteBatch(ps.parts[2*nb-1-j][k].Src, ps.parts[2*nb-1-j][k].Dst)
+	}
+	ps.applies += time.Since(t)
+	for _, v := range sh.sh.prep.groups {
+		ps.appended += int64(sh.sh.verts[v-sh.sh.base].degree())
+	}
+	t = time.Now()
+	next, _ := sh.Publish(ps.snaps[k])
+	ps.publish = append(ps.publish, time.Since(t))
+	if ps.snaps[k] != nil {
+		sh.Recycle(ps.snaps[k])
+	}
+	ps.snaps[k] = next
+}
+
+// run warms the arena up with ten rounds, so that it is in the state a long
+// stream leaves it, then times b.N steps and returns the entries the cleaner
+// copied and the publishes' total time during them.
+func (ps *publishStream) run(b *testing.B) (cleaned uint64, publishNs time.Duration) {
+	for i := 0; i < 10*2*len(ps.parts)*len(ps.snaps); i++ {
+		ps.step(i)
+	}
+	cleaned0 := ps.cleaned()
+	ps.applies, ps.publish, ps.appended = 0, ps.publish[:0], 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ps.step(i)
+	}
+	b.StopTimer()
+	for _, d := range ps.publish {
+		publishNs += d
+	}
+	return ps.cleaned() - cleaned0, publishNs
+}
+
+func (ps *publishStream) cleaned() (n uint64) {
+	for k := range ps.snaps {
+		n += ps.g.Shard(k).Published().Cleaned
+	}
+	return n
+}
+
+func benchPublish(b *testing.B, scale uint) {
+	src, dst, batches := rulerGraph(scale, 9, 64, 1000)
+	g := NewFromEdges(1<<scale, src, dst, Config{Shards: 2, Workers: 2})
+	ps := newPublishStream(g, batches, func(uint32) bool { return true })
+	cleaned, publishNs := ps.run(b)
+	var arena uint64
+	for k := range ps.snaps {
+		st := g.Shard(k).Published()
+		arena += st.InUse + st.Free + st.Retired
+	}
+	slices.Sort(ps.publish)
+	b.ReportMetric(float64(publishNs)/float64(b.N), "publish-ns/op")
+	b.ReportMetric(float64(ps.publish[len(ps.publish)/2]), "publish-p50-ns")
+	b.ReportMetric(float64(ps.appended)/float64(b.N), "appended-entries/op")
+	b.ReportMetric(float64(cleaned)/float64(b.N), "cleaned-entries/op")
+	b.ReportMetric(float64(arena)/float64(g.NumEdges()), "arena-B/edge")
+}
+
+// BenchmarkPublishByClass is ROADMAP item 2's step one: what each degree
+// class holds live and published, and what one streamed edge costs in apply
+// and in publish when its source vertex is of that class. It splits the
+// ruler's 1 000-edge batches by the class their source vertex has in the
+// base graph (inline: no overflow; array; RIA; HITree) and streams each
+// class's share alone through two shards the way BenchmarkPublish does. One
+// op is one shard-batch of that class's edges.
+func BenchmarkPublishByClass(b *testing.B) {
+	const scale = 15
+	src, dst, batches := rulerGraph(scale, 9, 64, 1000)
+	class := func(g *Graph, v uint32) int {
+		if vb := g.vb(v); vb.ov == nil {
+			return 0
+		} else {
+			return 1 + int(vb.kind())
+		}
+	}
+	for c, name := range []string{"inline", "array", "RIA", "HITree"} {
+		b.Run(name, func(b *testing.B) {
+			g := NewFromEdges(1<<scale, src, dst, Config{Shards: 2, Workers: 2})
+			// What the class holds: its vertices' 64-byte blocks and overflow
+			// structures live, four bytes an entry published.
+			var verts, entries, live uint64
+			for v := uint32(0); v < 1<<scale; v++ {
+				vb := g.vb(v)
+				if vb.degree() == 0 || class(g, v) != c {
+					continue
+				}
+				verts, entries, live = verts+1, entries+uint64(vb.degree()), live+uint64(unsafe.Sizeof(vertex{}))
+				switch n := vb.ovLen(); {
+				case vb.ov == nil:
+				case vb.kind() == kindArr:
+					live += 4 * uint64(arrCap(int(n)))
+				case vb.kind() == kindRIA:
+					live += vb.ria().Memory()
+				default:
+					live += vb.tree().Memory()
+				}
+			}
+			ps := newPublishStream(g, batches, func(v uint32) bool { return class(g, v) == c })
+			edges := 0
+			for _, parts := range ps.parts {
+				for _, p := range parts {
+					edges += len(p.Src)
+				}
+			}
+			ops := float64(len(ps.parts) * len(ps.snaps))
+			var cleaned uint64
+			var publishNs time.Duration
+			if edges > 0 {
+				cleaned, publishNs = ps.run(b)
+			}
+			// After the timed loop: ResetTimer drops reported metrics.
+			b.ReportMetric(float64(verts), "vertices")
+			b.ReportMetric(100*float64(entries)/float64(len(src)), "%edges")
+			if edges == 0 {
+				return
+			}
+			b.ReportMetric(float64(live)/float64(entries), "live-B/edge")
+			b.ReportMetric(float64(edges)/ops, "edges/op")
+			perEdge := float64(b.N) * float64(edges) / ops
+			b.ReportMetric(float64(ps.applies)/perEdge, "apply-ns/edge")
+			b.ReportMetric(float64(publishNs)/perEdge, "publish-ns/edge")
+			b.ReportMetric(float64(ps.appended)/perEdge, "appended-entries/edge")
+			b.ReportMetric(float64(cleaned)/perEdge, "cleaned-entries/edge")
+		})
 	}
 }

@@ -110,6 +110,38 @@ func TestSnapshotIntoReuse(t *testing.T) {
 	}
 }
 
+// TestSnapshotEdgeCountOnPageBoundary reads every vertex of plain-CSR
+// snapshots whose edge count is an exact multiple of the directory's page
+// size and whose last vertices are isolated: their runs start at the array's
+// end, one directory slot past the last.
+func TestSnapshotEdgeCountOnPageBoundary(t *testing.T) {
+	for _, pages := range []int{1, 2} {
+		const n = 1 << 9
+		g := New(n, Config{Workers: 2})
+		var src, dst []uint32
+		for e := 0; e < pages*pageSize; e++ { // vertices n-3.. stay isolated
+			src, dst = append(src, uint32(e%(n-3))), append(dst, uint32(e/(n-3)))
+		}
+		g.InsertBatch(src, dst)
+		if g.NumEdges() != uint64(pages*pageSize) {
+			t.Fatalf("built %d edges, want %d", g.NumEdges(), pages*pageSize)
+		}
+		for name, s := range map[string]*Snapshot{"graph": g.Snapshot(), "shard": g.Shard(0).SnapshotInto(nil)} {
+			var m uint64
+			for v := uint32(0); v < s.NumVertices(); v++ {
+				ns := s.Neighbors(v)
+				s.NeighborBlocks(v, func(b []uint32) bool { m += uint64(len(b)); return true })
+				if len(ns) != int(s.Degree(v)) {
+					t.Fatalf("%s snapshot, %d pages: vertex %d reads %d of %d neighbors", name, pages, v, len(ns), s.Degree(v))
+				}
+			}
+			if m != s.NumEdges() || s.Degree(s.NumVertices()-1) != 0 {
+				t.Fatalf("%s snapshot, %d pages: swept %d of %d edges, last degree %d", name, pages, m, s.NumEdges(), s.Degree(s.NumVertices()-1))
+			}
+		}
+	}
+}
+
 func TestDeleteVertex(t *testing.T) {
 	g := New(64, Config{})
 	// Symmetric star around 5 plus a side edge.

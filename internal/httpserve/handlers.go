@@ -22,9 +22,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// live skew gauge, so operators can see a resharding take effect (or
 	// the need for one) from the health probe alone. Durable graphs also
 	// report what the last boot recovered, so "did the restart replay the
-	// WAL?" is answerable from the health probe too.
+	// WAL?" is answerable from the health probe too, and every graph what its
+	// published side holds (snapshot tables and arena pages), the half of a
+	// store's memory that pinned views can keep from shrinking.
 	parts := map[string]any{}
 	recov := map[string]any{}
+	published := map[string]uint64{}
 	for _, n := range s.GraphNames() {
 		if st := s.store(n); st != nil {
 			p := st.Partition()
@@ -36,14 +39,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			if st.Durable() {
 				recov[n] = st.Recovery()
 			}
+			published[n] = st.Stats().PublishedBytes
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status":     "ok",
-		"graphs":     len(parts),
-		"partitions": parts,
-		"durable":    s.Durable(),
-		"recovery":   recov,
+		"status":          "ok",
+		"graphs":          len(parts),
+		"partitions":      parts,
+		"durable":         s.Durable(),
+		"recovery":        recov,
+		"published_bytes": published,
 	})
 }
 

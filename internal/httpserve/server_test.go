@@ -807,12 +807,18 @@ func TestRebalanceEndpoint(t *testing.T) {
 		Partitions map[string]struct {
 			Epoch uint64 `json:"epoch"`
 		} `json:"partitions"`
+		PublishedBytes map[string]uint64 `json:"published_bytes"`
 	}
 	if code := getJSON(t, client, ts.URL+"/healthz", &hz); code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
 	}
 	if hz.Partitions["skewed"].Epoch != reb.Partition.Epoch {
 		t.Fatalf("healthz epoch %d, want %d", hz.Partitions["skewed"].Epoch, reb.Partition.Epoch)
+	}
+	// At least the 6 000 entries and a table slot a vertex; and, this small,
+	// pages that follow the edges: less than one 64 KiB page a shard.
+	if got := hz.PublishedBytes["skewed"]; got < 4*6000+8*2048 || got >= 4*(64<<10) {
+		t.Fatalf("healthz published_bytes %d for 6000 edges in 4 shards", got)
 	}
 
 	// The data plane still matches the oracle exactly.

@@ -17,9 +17,11 @@ var (
 	obsEpochLag = obs.NewGauge("lsgraph_store_epoch_lag", "",
 		"epochs between the newest snapshot and the oldest still pinned by a reader")
 	obsReclaims = obs.NewCounter("lsgraph_store_snapshots_reclaimed_total", "",
-		"retired snapshots whose epoch drained and whose table was recycled")
+		"retired snapshots whose epoch drained: table recycled, arena pages only they could read freed")
 	obsSnapRebuild = obs.NewCounter("lsgraph_store_snapshot_rebuild_total", "",
-		"publishes that rebuilt the whole shard into another arena instead of appending the batch's vertices")
+		"publishes that refilled a shard's page arena from the live structures: first publish or boundary move")
+	obsArenaCleaned = obs.NewCounter("lsgraph_store_arena_cleaned_entries_total", "",
+		"adjacency entries publishes copied forward out of their emptiest arena pages")
 	obsVisibilityLag = obs.NewHistogram("lsgraph_store_visibility_lag_nanos", "", "ns",
 		"end-to-end enqueue-to-publish latency: how long an update waited to become reader-visible")
 	obsViewPinAge = obs.NewHistogram("lsgraph_store_view_pin_age_nanos", "", "ns",
@@ -32,6 +34,8 @@ var (
 		"update batches queued for one shard's writer goroutine", "shard")
 	obsShardPublishLag = obs.NewIndexedGauge("lsgraph_store_shard_publish_lag", "",
 		"epochs between a shard's newest snapshot and its oldest still-pinned one", "shard")
+	obsArenaBytes = obs.NewIndexedGauge("lsgraph_store_arena_bytes", "",
+		"resident adjacency pages of one shard's published arena: in use, free and retired, in bytes", "shard")
 	obsShardApplied = obs.NewPerIndexCounter("lsgraph_store_shard_batches_applied_total", "",
 		"update batches applied, by shard writer", "shard")
 	obsShardRouted = obs.NewPerIndexCounter("lsgraph_store_shard_edges_routed_total", "",

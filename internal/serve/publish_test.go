@@ -39,14 +39,16 @@ func sameKernels(t *testing.T, what string, a, b *View, src uint32) {
 	}
 }
 
-// TestLongRunPublishStaysBoundedAndExact is the soak of the
-// append-or-rebuild publish on one Store that is never restarted: 10 000
-// alternating insert/delete batches with a boundary move every 500, every
-// batch followed by a pinned view compared in full against the refgraph
-// oracle. Retired epochs, rebuild frequency and the live heap must stop
-// growing once the arenas have been through their first rebuild cycles,
-// and the kernels must give the same answers on a view pinned just before
-// a rebuild (the most fragmented layout) as just after it (compact).
+// TestLongRunPublishStaysBoundedAndExact is the soak of the self-cleaning
+// publish on one Store that is never restarted: 10 000 alternating
+// insert/delete batches with a boundary move every 500, every batch
+// followed by a pinned view compared in full against the refgraph oracle.
+// No publish may refill an arena except each shard's first and the two
+// after a boundary move; at every 1 000th batch each shard's pages in use
+// plus free must be within the bound core states for its live entries, with
+// nothing left retired; the live heap must not trend; and the kernels must
+// give the same answers on the long-run layout — cleaned hundreds of times,
+// never rebuilt into order — as on a store built from the same edges fresh.
 func TestLongRunPublishStaysBoundedAndExact(t *testing.T) {
 	const (
 		nv      = 512
@@ -69,43 +71,32 @@ func TestLongRunPublishStaysBoundedAndExact(t *testing.T) {
 		}
 		return src, dst
 	}
-	baseSrc, baseDst := edges(6000)
+	baseSrc, baseDst := edges(30_000)
 	for i := range baseSrc {
 		ref.Insert(baseSrc[i], baseDst[i])
 	}
 	st.InsertBatch(baseSrc, baseDst)
 	st.Flush()
 
-	// compareAcrossRebuild re-inserts edges the graph already holds — the
-	// state does not change, but each batch re-appends its vertices' runs —
-	// until a publish finds the tail full and rebuilds, then compares the
-	// view pinned just before that publish with the one just after.
-	compareAcrossRebuild := func() {
-		for try := 0; try < 1000; try++ {
-			before := st.View()
-			rb := st.Stats().SnapshotRebuilds
-			lo := rng.Intn(len(baseSrc) - 64)
-			for i := lo; i < lo+64; i++ {
-				ref.Insert(baseSrc[i], baseDst[i]) // a deleted base edge may come back
+	// compareWithFresh runs the kernels on the store as the stream has left
+	// it and on one bulk-loaded from the oracle's edges just now.
+	compareWithFresh := func() {
+		var fs, fd []uint32
+		for v := uint32(0); v < nv; v++ {
+			for _, u := range ref.Neighbors(v) {
+				fs, fd = append(fs, v), append(fd, u)
 			}
-			st.InsertBatch(baseSrc[lo:lo+64], baseDst[lo:lo+64])
-			st.Flush()
-			after := st.View()
-			if st.Stats().SnapshotRebuilds > rb && before.NumEdges() == after.NumEdges() {
-				checkViewAgainstRef(t, after, ref)
-				sameKernels(t, "fragmented vs rebuilt", before, after, baseSrc[0])
-				before.Release()
-				after.Release()
-				return
-			}
-			before.Release()
-			after.Release()
 		}
-		t.Fatal("1000 re-insert batches never filled an arena's tail")
+		fresh := New(core.NewFromEdges(nv, fs, fd, core.Config{Workers: 2, Shards: 2}), Options{})
+		defer fresh.Close()
+		a, b := st.View(), fresh.View()
+		defer a.Release()
+		defer b.Release()
+		checkViewAgainstRef(t, b, ref)
+		sameKernels(t, "long-run vs fresh layout", a, b, baseSrc[0])
 	}
 
 	var heapWarm uint64
-	var rebuildsWarm, publishedWarm uint64
 	var bs, bd []uint32
 	for b := 0; b < batches; b++ {
 		if b%2 == 0 {
@@ -142,7 +133,7 @@ func TestLongRunPublishStaysBoundedAndExact(t *testing.T) {
 			v.Release()
 		}
 		if b%2500 == 1250 {
-			compareAcrossRebuild()
+			compareWithFresh()
 		}
 		for _, w := range st.ws {
 			// Nothing stays pinned between iterations, so a retired epoch
@@ -150,24 +141,27 @@ func TestLongRunPublishStaysBoundedAndExact(t *testing.T) {
 			if len(w.retired) > 2 {
 				t.Fatalf("batch %d: shard %d holds %d retired epochs", b, w.idx, len(w.retired))
 			}
+			if ps := w.shard.Published(); b%1000 == 999 && (ps.InUse+ps.Free > ps.Bound || ps.Retired != 0) {
+				t.Fatalf("batch %d: shard %d's arena %+v exceeds its bound", b, w.idx, ps)
+			}
 		}
 		if b == warm {
 			heapWarm = heapInUse()
-			s := st.Stats()
-			rebuildsWarm, publishedWarm = s.SnapshotRebuilds, s.SnapshotsPublished
 		}
 	}
 
 	s := st.Stats()
-	rebuilds, published := s.SnapshotRebuilds-rebuildsWarm, s.SnapshotsPublished-publishedWarm
-	if rebuilds == 0 || rebuilds*4 > published {
-		t.Fatalf("%d rebuilds in %d publishes after warm-up: want some, and well under a quarter", rebuilds, published)
+	if want := uint64(st.Shards()) + 2*s.BoundaryMoves; s.SnapshotRebuilds != want || s.BoundaryMoves == 0 {
+		t.Fatalf("%d rebuilds over %d boundary moves: want %d, the first publishes and two a move", s.SnapshotRebuilds, s.BoundaryMoves, want)
+	}
+	if s.ArenaCleanedEntries == 0 {
+		t.Fatal("10 000 batches never cleaned a page")
 	}
 	// The graph ends where it was at warm-up give or take a few hundred
-	// edges, so the heap may wobble by an arena's tail but must not trend:
-	// 8 000 more batches of leaked runs, tables or arenas would be megabytes.
+	// edges, so the heap may wobble by a few pages but must not trend:
+	// 8 000 more batches of leaked runs, tables or pages would be megabytes.
 	heapEnd := heapInUse()
-	t.Logf("%d rebuilds in %d publishes after warm-up; live heap %d B at warm-up, %d B at the end", rebuilds, published, heapWarm, heapEnd)
+	t.Logf("%d entries cleaned in %d publishes; live heap %d B at warm-up, %d B at the end", s.ArenaCleanedEntries, s.SnapshotsPublished, heapWarm, heapEnd)
 	if heapEnd > heapWarm+heapWarm/4+(256<<10) {
 		t.Fatalf("live heap grew from %d B at batch %d to %d B at batch %d", heapWarm, warm, heapEnd, batches)
 	}
@@ -214,4 +208,75 @@ func TestCheckpointFromAppendedSnapshot(t *testing.T) {
 		t.Fatalf("reopen did not come from the checkpoint alone: %+v", rst)
 	}
 	sameEdges(t, edgeSet(re), want, "store recovered from an appended snapshot's checkpoint")
+}
+
+// streamGraph draws the ruler's store-stream shape: a symmetrised rMat base
+// graph of the given number of undirected pairs over 2^scale vertices, and
+// nb batches of 500 pairs (1 000 directed edges) absent from the base and
+// from each other.
+func streamGraph(scale uint, pairs, nb int) (src, dst []uint32, batches [][2][]uint32) {
+	rm := gen.NewRMatPaper(scale, 1)
+	have := map[uint64]bool{}
+	draw := func(n int) (src, dst []uint32) {
+		for len(src) < 2*n {
+			e := rm.Edge()
+			u, v := min(e.Src, e.Dst), max(e.Src, e.Dst)
+			if k := uint64(u)<<32 | uint64(v); u != v && !have[k] {
+				have[k] = true
+				src, dst = append(src, u, v), append(dst, v, u)
+			}
+		}
+		return src, dst
+	}
+	src, dst = draw(pairs)
+	for i := 0; i < nb; i++ {
+		bs, bd := draw(500)
+		batches = append(batches, [2][]uint32{bs, bd})
+	}
+	return src, dst, batches
+}
+
+// TestStorePublishedBytesMatchHeap holds a Store's accounting against the
+// runtime's, as core's TestMemoryUsageMatchesHeap does for the bare engine:
+// after the ruler's store-stream shape — a G15 graph in two shards, rounds
+// of 1 000-edge batches inserted and deleted again — the engine's
+// MemoryBreakdown plus Stats.PublishedBytes (snapshot tables; arena pages in
+// use, free and retired) is within 10 % of what the heap holds for the
+// store, right after the load and again once the arenas have been cleaning
+// for three rounds.
+func TestStorePublishedBytesMatchHeap(t *testing.T) {
+	const scale, nb = 15, 64
+	src, dst, batches := streamGraph(scale, 4<<scale, nb)
+
+	heap0 := heapInUse()
+	st := New(core.NewFromEdges(1<<scale, src, dst, core.Config{Workers: 2, Shards: 2}), Options{})
+	defer st.Close()
+	check := func(when string) {
+		t.Helper()
+		st.Flush()
+		heap := heapInUse() - heap0
+		b, s := st.g.MemoryBreakdown(), st.Stats()
+		m := float64(b.Total() + s.PublishedBytes)
+		t.Logf("%s: heap %d B, engine %d B + published %d B (%+.1f%%), %.2f B/edge; %d entries cleaned",
+			when, heap, b.Total(), s.PublishedBytes, 100*(m/float64(heap)-1), float64(heap)/float64(len(src)), s.ArenaCleanedEntries)
+		if math.Abs(m/float64(heap)-1) > 0.10 {
+			t.Errorf("%s: engine %d B + published %d B is not within 10%% of the %d B the heap holds", when, b.Total(), s.PublishedBytes, heap)
+		}
+	}
+	check("after load")
+	for round := 0; round < 3; round++ {
+		for _, b := range batches {
+			st.InsertBatch(b[0], b[1])
+			st.Flush()
+		}
+		for _, b := range batches {
+			st.DeleteBatch(b[0], b[1])
+			st.Flush()
+		}
+	}
+	check("after three insert/delete rounds")
+	if st.Stats().ArenaCleanedEntries == 0 {
+		t.Error("three rounds never cleaned a page")
+	}
+	runtime.KeepAlive([]any{src, dst, batches})
 }

@@ -129,7 +129,7 @@ func (s *Store) executeRebalance(op *rebalanceOp) {
 	wa, wb := s.ws[op.k], s.ws[op.k+1]
 	// The splice shifted slots and bases, so both publishes are full
 	// rebuilds (core.MoveBoundary marks the shards so); views pinned on the
-	// old layout keep the old tables and arenas. Both are built before
+	// old layout keep the old tables and pages. Both are built before
 	// either is installed, so the window in which the current epochs do
 	// not tile is two atomic swaps wide.
 	ea := wa.buildSnap()

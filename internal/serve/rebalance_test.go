@@ -73,17 +73,18 @@ func checkStoreInvariants(st *Store) error {
 	return st.g.CheckInvariants()
 }
 
-// TestPinnedViewSurvivesRebalance pins a view, then puts every shard
-// through two arena rebuilds, a rebalance's boundary moves and further
+// TestPinnedViewSurvivesRebalance pins a view, then supersedes every run it
+// reads eight times over — so the pages under it retire and every shard is
+// short of pages to reuse — then a rebalance's boundary moves and further
 // appends: the view must keep reading its own epoch — including vertices
-// whose owning shard changed — from the arenas and tables it pinned, while
+// whose owning shard changed — from the pages and tables it pinned, while
 // a fresh view sees everything that happened since.
 func TestPinnedViewSurvivesRebalance(t *testing.T) {
 	const nv = 2048
 	st := skewedStore(t, nv, 4, 20000)
 	defer st.Close()
 	// A few small batches first, so the pinned snapshots are fragmented
-	// ones that share their arenas with the epochs around them.
+	// ones that share their pages with the epochs around them.
 	for i := uint32(0); i < 8; i++ {
 		st.InsertBatch([]uint32{i, nv - 1 - i}, []uint32{nv - 1 - i, i})
 		st.Flush()
@@ -107,21 +108,28 @@ func TestPinnedViewSurvivesRebalance(t *testing.T) {
 		}
 	}
 
-	// A batch naming every vertex as a source outgrows any arena's tail, so
-	// each one rebuilds every shard.
+	// A batch naming every vertex as a source supersedes every run: an
+	// append like any other, after which nothing the latest epoch reads is on
+	// a page the pinned view reads.
+	const rounds = 8
 	all := make([]uint32, nv)
 	to := make([]uint32, nv)
 	rebuilds := st.Stats().SnapshotRebuilds
-	for round := uint32(1); round <= 2; round++ {
+	for round := uint32(1); round <= rounds; round++ {
 		for u := range all {
 			all[u], to[u] = uint32(u), (uint32(u)+round)%nv
 		}
 		st.InsertBatch(all, to)
 		st.Flush()
-		if got := st.Stats().SnapshotRebuilds - rebuilds; got != uint64(round)*uint64(st.Shards()) {
-			t.Fatalf("after %d whole-graph batches: %d rebuilds, want %d", round, got, int(round)*st.Shards())
+		check("after a whole-graph batch")
+	}
+	if got := st.Stats().SnapshotRebuilds - rebuilds; got != 0 {
+		t.Fatalf("%d whole-graph batches rebuilt %d times", rounds, got)
+	}
+	for _, w := range st.ws {
+		if ps := w.shard.Published(); ps.Retired == 0 {
+			t.Fatalf("shard %d: the pinned view holds no retired page (%+v)", w.idx, ps)
 		}
-		check("after a rebuild of every shard")
 	}
 
 	res, err := st.Rebalance()
@@ -137,7 +145,7 @@ func TestPinnedViewSurvivesRebalance(t *testing.T) {
 		st.DeleteBatch([]uint32{i, i + 1}, []uint32{(i + 1) % nv, (i + 2) % nv})
 		st.Flush()
 	}
-	check("after appends into the post-move arenas")
+	check("after appends into the post-move pages")
 
 	v.Release()
 
@@ -148,7 +156,7 @@ func TestPinnedViewSurvivesRebalance(t *testing.T) {
 		t.Fatalf("fresh view at epoch %d with %d edges, pinned one was %d with %d", v2.Epoch(), v2.NumEdges(), wantEpoch, wantM)
 	}
 	for u := uint32(0); u < nv; u++ {
-		for round := uint32(1); round <= 2; round++ {
+		for round := uint32(1); round <= rounds; round++ {
 			if w := (u + round) % nv; u >= 34 && !slices.Contains(v2.Neighbors(u), w) {
 				t.Fatalf("fresh view lost edge (%d,%d) inserted after the pin", u, w)
 			}

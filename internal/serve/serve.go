@@ -15,15 +15,16 @@
 // batch a shard writer publishes its shard's new state as an immutable
 // local core.Snapshot with one atomic pointer swap. The publish costs what
 // the batch changed, not what the shard holds: core.Shard.Publish appends
-// the new adjacency of the batch's vertices to the unwritten tail of the
-// shard's adjacency arena and patches a copy of the previous snapshot's
-// per-vertex table; only when the tail is used up does it rebuild the
-// whole shard into another arena. Readers compose a view by pinning every
-// shard's current snapshot with the epoch-refcount protocol — two atomic
-// adds per shard — run any analytics kernel on the composed view, and
-// release; a retired snapshot's table is recycled only once its epoch has
-// drained, and an arena becomes a rebuild's target only once the last
-// snapshot over it has.
+// the new adjacency of the batch's vertices at the tail of the shard's
+// arena of fixed-size pages, patches a copy of the previous snapshot's
+// per-vertex table, and — when superseded runs have left the pages more
+// than half as large again as what is live — copies the live runs of the
+// emptiest pages forward and retires those pages. Readers compose a view by
+// pinning every shard's current snapshot with the epoch-refcount protocol —
+// two atomic adds per shard — run any analytics kernel on the composed
+// view, and release; a retired snapshot's table is recycled only once its
+// epoch has drained, and a retired page is reused only once every snapshot
+// published before its retirement has.
 // Aspen gets this concurrency from purely functional trees and LSMGraph
 // from per-range versioned multi-level CSRs; the Store gets it from
 // epoch-pinned snapshots that share everything a batch did not touch, over
@@ -52,8 +53,10 @@
 // decrements, and retries without ever dereferencing the recycled table.
 // A retired snapshot can never pass the recheck because each publish
 // allocates a fresh epoch descriptor and epochs only move forward. An
-// append to the arena needs no such proof: it writes only past the end of
-// every published snapshot's prefix, so no reader can observe the write.
+// append to the arena needs no such proof: it writes only words past the
+// written length every published snapshot's directory holds for that page,
+// or a page no unrecycled snapshot's directory holds at all, so no reader
+// can observe the write.
 //
 // Dynamic partitioning: vertex→shard routing is an immutable, epoch-
 // versioned core.PartitionMap rather than a fixed span. A boundary move
@@ -176,6 +179,10 @@ type shardWriter struct {
 	// reads it only while both affected writers are parked, the same
 	// happens-before argument that makes publishing the shard safe there).
 	appliedLSN uint64
+
+	// published and cleaned are the shard's core.PublishedStats.Total and
+	// Cleaned as of its last publish, stored by the writer for Stats to sum.
+	published, cleaned atomic.Uint64
 }
 
 // Store is the sharded-writer / multi-reader serving layer over one

@@ -19,11 +19,20 @@ type Stats struct {
 	// SnapshotsReclaimed counts retired snapshots whose epoch drained and
 	// whose table was recycled or dropped.
 	SnapshotsReclaimed uint64
-	// SnapshotRebuilds counts publishes that rebuilt the whole shard into
-	// another arena (each shard's first, those after a boundary move, and
-	// those that found the arena's tail used up); every other publish
-	// appended only its batch's vertices.
+	// SnapshotRebuilds counts publishes that refilled a shard's page arena
+	// from the live structures: each shard's first, and the two after every
+	// boundary move. Every other publish appended only its batch's vertices;
+	// on a stream of batches the count does not advance.
 	SnapshotRebuilds uint64
+	// ArenaCleanedEntries counts adjacency entries the shards' publishes
+	// copied forward out of their emptiest pages to keep the arenas within
+	// 1.5x the live edges.
+	ArenaCleanedEntries uint64
+	// PublishedBytes is what the published side holds as of each shard's
+	// last publish: snapshot tables plus arena pages in use, free and
+	// retired. With core.Graph.MemoryBreakdown it accounts for a Store's
+	// heap.
+	PublishedBytes uint64
 	// Rebalances counts completed Rebalance calls that performed at least
 	// one boundary move.
 	Rebalances uint64
@@ -67,6 +76,10 @@ func (s *Store) Stats() Stats {
 		BoundaryMoves:      s.rebStats.boundaryMoves.Load(),
 		MovedVertices:      s.rebStats.movedVertices.Load(),
 		MovedEdges:         s.rebStats.movedEdges.Load(),
+	}
+	for _, w := range s.ws {
+		st.ArenaCleanedEntries += w.cleaned.Load()
+		st.PublishedBytes += w.published.Load()
 	}
 	if d := s.dur; d != nil {
 		ls := d.log.Stats()

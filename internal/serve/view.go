@@ -28,8 +28,8 @@ func (w *shardWriter) release(e *epochSnap) { e.refs.Add(-1) }
 // Every read method (NumVertices, NumEdges, Degree, Neighbors,
 // NeighborBlocks) and every analytics kernel written against engine.Graph
 // works on it directly, concurrently with ongoing ingestion. Call Release
-// when done; an unreleased View pins its snapshots' tables and arenas for
-// the life of the Store.
+// when done; an unreleased View pins its snapshots' tables and arena pages
+// for the life of the Store.
 type View struct {
 	s     *Store
 	es    []*epochSnap

@@ -64,6 +64,7 @@ func (w *shardWriter) run() {
 				w.shard.EnsureVertices(b.bound)
 			}
 			w.shard.BeginTrace(b.batch)
+			w.shard.Warm(b.src)
 			if b.op == opInsert {
 				w.shard.InsertBatch(b.src, b.dst)
 			} else {
@@ -118,10 +119,10 @@ func (w *shardWriter) install(e *epochSnap) {
 }
 
 // buildSnap derives the shard's next epochSnap from the current one
-// (core.Shard.Publish: an append to the shared arena after one batch, a
-// full rebuild for the first publish, after a boundary move, or when the
-// arena's tail is used up) without swapping it in, stamped with the range
-// the shard owns right now. No other goroutine can be changing that range:
+// (core.Shard.Publish: the batch's runs appended to the shard's page arena;
+// a refill from the live structures only for the first publish and after a
+// boundary move) without swapping it in, stamped with the range the shard
+// owns right now. No other goroutine can be changing that range:
 // a boundary move touches only the two shards it parks. Writer goroutine
 // only — or the rebalance executor, while both affected writers are parked
 // at their control entries.
@@ -153,8 +154,11 @@ func (w *shardWriter) buildSnap() *epochSnap {
 
 // reclaim recycles retired snapshots whose epoch has drained (refcount
 // zero observed after retirement; see the package comment for why that
-// observation is safe): the shard keeps the newest drained table for its
-// next publish, the rest go to the GC. Writer goroutine only.
+// observation is safe), in whatever order readers let go of them: the shard
+// keeps the newest drained table for its next publish and frees the arena
+// pages nothing older than the oldest undrained epoch can read. It ends
+// every publish, so it is also where the shard's published footprint is
+// noted for Stats. Writer goroutine only.
 func (w *shardWriter) reclaim() {
 	tr := trace.Start()
 	freed := 0
@@ -179,7 +183,12 @@ func (w *shardWriter) reclaim() {
 		w.retired[i] = nil
 	}
 	w.retired = kept
+	ps := w.shard.Published()
+	cleaned := ps.Cleaned - w.cleaned.Swap(ps.Cleaned)
+	w.published.Store(ps.Total())
 	if obs.Enabled() {
+		obsArenaCleaned.Add(cleaned)
+		obsArenaBytes.Set(w.idx, int64(ps.InUse+ps.Free+ps.Retired))
 		var lag int64
 		if len(w.retired) > 0 {
 			lag = int64(w.cur.Load().epoch - w.retired[0].epoch)
