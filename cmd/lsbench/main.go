@@ -5,13 +5,9 @@
 //
 //	lsbench                         # run every experiment at default scale
 //	lsbench -exp fig12,table3       # run selected experiments
-//	lsbench -exp prepare            # batch-pipeline phase breakdown vs workers
-//	lsbench -exp mixed              # concurrent ingest + analytics on a Store
-//	lsbench -exp sharded            # ingest scaling across shard writer pipelines
-//	lsbench -exp recover            # WAL ingest overhead + recovery speed
 //	lsbench -scale 14 -trials 5     # bigger graphs, more repetitions
-//	lsbench -json out.json -tag recover  # also write recorded metrics as JSON
 //	lsbench -quick                  # smallest useful scale (~1 minute)
+//	lsbench -quick -trials 5        # the quick preset with one field overridden
 //	lsbench -list                   # list experiment names
 //
 // Reports are plain-text tables on stdout; each header cites the paper
@@ -22,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"lsgraph"
@@ -29,37 +26,77 @@ import (
 	"lsgraph/internal/obs"
 )
 
+// options holds the parsed command line.
+type options struct {
+	exp, batches, metrics, trace, traceMode string
+	scale                                   uint
+	trials, workers                         int
+	quick, list, obsDump, autopsy           bool
+}
+
+// newFlags registers lsbench's flags on fs.
+func newFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.exp, "exp", "all", "comma-separated experiment names, or 'all'")
+	fs.UintVar(&o.scale, "scale", 13, "rMat scale (log2 vertices) of the LJ stand-in")
+	fs.IntVar(&o.trials, "trials", 3, "repetitions averaged per measurement")
+	fs.IntVar(&o.workers, "workers", 0, "update/analytics parallelism (0 = all cores)")
+	fs.StringVar(&o.batches, "batches", "", "comma-separated batch sizes (default per scale)")
+	fs.BoolVar(&o.quick, "quick", false, "use the quick scale preset; an explicit -scale, -trials or -batches still applies on top of it")
+	fs.BoolVar(&o.list, "list", false, "list experiment names and exit")
+	fs.StringVar(&o.metrics, "metrics", "", "serve Prometheus /metrics, /metrics.json, /debug/pprof and /debug/trace on this address while experiments run; implies metric collection")
+	fs.BoolVar(&o.obsDump, "obsdump", false, "enable metric collection and print a JSON metrics snapshot on exit")
+	fs.StringVar(&o.trace, "trace", "", "record the batch-lifecycle flight recorder across all experiments and write Chrome trace-event JSON (load in ui.perfetto.dev) to this file on exit")
+	fs.StringVar(&o.traceMode, "tracemode", "all", "flight-recorder sampling policy: all | sample=N | tail")
+	fs.BoolVar(&o.autopsy, "autopsy", false, "record the flight recorder and print the slow-batch autopsy report on exit")
+	return o
+}
+
+// scaleFromFlags returns the scale preset (-quick or the default) with the
+// flags the caller set on fs applied on top of it.
+func (o *options) scaleFromFlags(fs *flag.FlagSet) (bench.Scale, error) {
+	s := bench.DefaultScale()
+	if o.quick {
+		s = bench.QuickScale()
+	}
+	s.Workers = o.workers
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "scale":
+			s.Base = o.scale
+		case "trials":
+			s.Trials = o.trials
+		}
+	})
+	if o.batches != "" {
+		s.BatchSizes = nil
+		for _, f := range strings.Split(o.batches, ",") {
+			b, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil || b <= 0 {
+				return s, fmt.Errorf("bad batch size %q", f)
+			}
+			s.BatchSizes = append(s.BatchSizes, b)
+		}
+	}
+	return s, nil
+}
+
 func main() {
-	var (
-		expFlag = flag.String("exp", "all", "comma-separated experiment names, or 'all'")
-		scale   = flag.Uint("scale", 13, "rMat scale (log2 vertices) of the LJ stand-in")
-		trials  = flag.Int("trials", 3, "repetitions averaged per measurement")
-		workers = flag.Int("workers", 0, "update/analytics parallelism (0 = all cores)")
-		batches = flag.String("batches", "", "comma-separated batch sizes (default per scale)")
-		quick   = flag.Bool("quick", false, "use the quick scale preset")
-		list    = flag.Bool("list", false, "list experiment names and exit")
-		jsonO   = flag.String("json", "", "write metrics recorded by the experiments to this file in the BENCH_<tag>.json {tag, unit, benchmarks} shape")
-		tag     = flag.String("tag", "dev", "tag field for -json output")
-		metrics = flag.String("metrics", "", "serve Prometheus /metrics, /metrics.json, /debug/pprof and /debug/trace on this address while experiments run; implies metric collection")
-		obsDump = flag.Bool("obsdump", false, "enable metric collection and print a JSON metrics snapshot on exit")
-		traceO  = flag.String("trace", "", "record the batch-lifecycle flight recorder across all experiments and write Chrome trace-event JSON (load in ui.perfetto.dev) to this file on exit")
-		traceMd = flag.String("tracemode", "all", "flight-recorder sampling policy: all | sample=N | tail")
-		autopsy = flag.Bool("autopsy", false, "record the flight recorder and print the slow-batch autopsy report on exit")
-	)
+	o := newFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *metrics != "" {
+	if o.metrics != "" {
 		go func() {
-			if err := obs.Serve(*metrics); err != nil {
+			if err := obs.Serve(o.metrics); err != nil {
 				fmt.Fprintln(os.Stderr, "lsbench: metrics server:", err)
 			}
 		}()
 	}
-	if *obsDump {
+	if o.obsDump {
 		obs.SetEnabled(true)
 	}
-	if *traceO != "" || *autopsy {
-		m, n, err := lsgraph.ParseTraceMode(*traceMd)
+	if o.trace != "" || o.autopsy {
+		m, n, err := lsgraph.ParseTraceMode(o.traceMode)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lsbench:", err)
 			os.Exit(2)
@@ -70,37 +107,21 @@ func main() {
 		lsgraph.SetTraceMode(m, n)
 	}
 
-	if *list {
-		for _, name := range bench.Experiments {
-			fmt.Println(name)
-		}
+	if o.list {
+		fmt.Println(strings.Join(bench.Experiments, "\n"))
 		return
 	}
 
-	s := bench.DefaultScale()
-	if *quick {
-		s = bench.QuickScale()
-	} else {
-		s.Base = *scale
-		s.Trials = *trials
-	}
-	s.Workers = *workers
-	if *batches != "" {
-		s.BatchSizes = s.BatchSizes[:0]
-		for _, f := range strings.Split(*batches, ",") {
-			var b int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &b); err != nil || b <= 0 {
-				fmt.Fprintf(os.Stderr, "lsbench: bad batch size %q\n", f)
-				os.Exit(2)
-			}
-			s.BatchSizes = append(s.BatchSizes, b)
-		}
+	s, err := o.scaleFromFlags(flag.CommandLine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lsbench:", err)
+		os.Exit(2)
 	}
 
 	names := bench.Experiments
-	if *expFlag != "all" {
+	if o.exp != "all" {
 		names = nil
-		for _, f := range strings.Split(*expFlag, ",") {
+		for _, f := range strings.Split(o.exp, ",") {
 			names = append(names, strings.TrimSpace(f))
 		}
 	}
@@ -111,19 +132,7 @@ func main() {
 		}
 	}
 
-	if *jsonO != "" {
-		if b := bench.MetricsJSON(*tag); b == nil {
-			fmt.Fprintf(os.Stderr, "lsbench: -json: no experiment recorded metrics (only some do, e.g. recover)\n")
-			os.Exit(1)
-		} else if err := os.WriteFile(*jsonO, b, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "lsbench:", err)
-			os.Exit(1)
-		} else {
-			fmt.Printf("metrics written to %s\n", *jsonO)
-		}
-	}
-
-	if *obsDump {
+	if o.obsDump {
 		b, err := obs.SnapshotJSON()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lsbench:", err)
@@ -132,8 +141,8 @@ func main() {
 		fmt.Printf("metrics snapshot:\n%s\n", b)
 	}
 
-	if *traceO != "" {
-		f, err := os.Create(*traceO)
+	if o.trace != "" {
+		f, err := os.Create(o.trace)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lsbench:", err)
 			os.Exit(1)
@@ -146,9 +155,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lsbench:", werr)
 			os.Exit(1)
 		}
-		fmt.Printf("flight-recorder trace written to %s (load in ui.perfetto.dev or chrome://tracing)\n", *traceO)
+		fmt.Printf("flight-recorder trace written to %s (load in ui.perfetto.dev or chrome://tracing)\n", o.trace)
 	}
-	if *autopsy {
+	if o.autopsy {
 		if err := lsgraph.WriteTraceAutopsy(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "lsbench:", err)
 		}

@@ -26,8 +26,8 @@
 //	                  hammers one shard of a range-partitioned graph, the
 //	                  workload the store's rebalancer exists to absorb
 //
-// The report is written as flat {tag, unit, benchmarks} JSON, the
-// BENCH_<tag>.json shape `lsbench -json` also writes.
+// The report is written as flat {tag, unit, benchmarks} JSON
+// (BENCH_<tag>.json).
 package main
 
 import (

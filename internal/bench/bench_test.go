@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -84,8 +85,60 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// reportProblems lists what is malformed in a report: no table at all, a
+// table with no data row under its header rule, a NaN or ±Inf cell.
+func reportProblems(out string) []string {
+	var bad []string
+	lines := strings.Split(out, "\n")
+	tables := 0
+	for i := 0; i < len(lines); i++ {
+		if !strings.HasPrefix(lines[i], "== ") {
+			continue
+		}
+		tables++
+		title := lines[i]
+		for i++; i < len(lines) && strings.Trim(lines[i], "- ") != ""; i++ {
+		}
+		rows := 0
+		for i++; i < len(lines) && lines[i] != ""; i++ {
+			rows++
+			if strings.Contains(lines[i], "NaN") || strings.Contains(lines[i], "Inf") {
+				bad = append(bad, title+": non-finite cell in row "+lines[i])
+			}
+		}
+		if rows == 0 {
+			bad = append(bad, title+": header with no data row")
+		}
+	}
+	if tables == 0 {
+		bad = append(bad, "no table")
+	}
+	return bad
+}
+
+func TestReportProblems(t *testing.T) {
+	for name, fill := range map[string]func(*Table){
+		"no rows": func(*Table) {},
+		"NaN":     func(tb *Table) { tb.Row("x", math.NaN()) },
+		"Inf":     func(tb *Table) { tb.Row("x", math.Inf(1)) },
+	} {
+		tb := NewTable("T", "note", "a", "b")
+		fill(tb)
+		var buf bytes.Buffer
+		tb.WriteTo(&buf)
+		if len(reportProblems(buf.String())) != 1 {
+			t.Errorf("%s: want one problem, got %q in\n%s", name, reportProblems(buf.String()), buf.String())
+		}
+	}
+	if bad := reportProblems("phase coverage: OK\n"); len(bad) != 1 {
+		t.Errorf("table-less report: %q", bad)
+	}
+}
+
 // TestEveryExperimentSmokes runs each experiment at tiny scale and asserts
-// it produces a non-empty report without panicking.
+// its report is well formed (reportProblems). The trace experiment must also
+// record every lifecycle phase: this is the flight recorder's end-to-end
+// coverage gate.
 func TestEveryExperimentSmokes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow in -short mode")
@@ -98,8 +151,11 @@ func TestEveryExperimentSmokes(t *testing.T) {
 			if err := Run(name, s, &buf); err != nil {
 				t.Fatal(err)
 			}
-			if buf.Len() == 0 {
-				t.Fatal("empty report")
+			for _, p := range reportProblems(buf.String()) {
+				t.Error(p)
+			}
+			if name == "trace" && !strings.Contains(buf.String(), "phase coverage: OK") {
+				t.Errorf("lifecycle phase coverage incomplete:\n%s", buf.String())
 			}
 		})
 	}

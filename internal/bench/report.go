@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -97,56 +95,11 @@ func throughput(edges int, d time.Duration) float64 {
 	return float64(edges) / d.Seconds()
 }
 
-// metricsMu guards the scalar metrics experiments record for the
-// machine-readable report (lsbench -json).
-var (
-	metricsMu   sync.Mutex
-	metricVals  = map[string]float64{}
-	metricNames []string
-)
-
-// RecordMetric stores one named scalar in the machine-readable benchmark
-// report. Names carry their own unit suffix (…_eps, …_ms, …_pct) per the
-// BENCH_<tag>.json convention; re-recording a name overwrites it.
-func RecordMetric(name string, value float64) {
-	metricsMu.Lock()
-	defer metricsMu.Unlock()
-	if _, ok := metricVals[name]; !ok {
-		metricNames = append(metricNames, name)
-	}
-	metricVals[name] = value
-}
-
-// MetricsJSON renders every recorded metric in the {tag, unit, benchmarks}
-// shape lsload's report also uses, keys sorted. It returns nil when no
-// experiment recorded anything, so callers can skip writing a file.
-func MetricsJSON(tag string) []byte {
-	metricsMu.Lock()
-	defer metricsMu.Unlock()
-	if len(metricNames) == 0 {
-		return nil
-	}
-	names := append([]string(nil), metricNames...)
-	sort.Strings(names)
-	var b strings.Builder
-	fmt.Fprintf(&b, "{\n  \"tag\": %q,\n  \"unit\": \"ns/op\",\n  \"benchmarks\": {\n", tag)
-	for i, name := range names {
-		sep := ","
-		if i == len(names)-1 {
-			sep = ""
-		}
-		fmt.Fprintf(&b, "    %q: %g%s\n", name, metricVals[name], sep)
-	}
-	b.WriteString("  }\n}\n")
-	return []byte(b.String())
-}
-
 // Experiment names accepted by Run, in report order.
 var Experiments = []string{
 	"fig3", "fig4", "fig12", "deletions", "smallbatch", "ablation",
 	"fig13", "table2", "table3", "fig14", "fig15", "fig16", "fig17",
-	"streaming", "graph500", "kcore", "prepare", "mixed",
-	"sharded", "rebalance", "trace", "recover",
+	"streaming", "graph500", "kcore", "rebalance", "trace",
 }
 
 // Run executes one named experiment at the given scale, writing its report
@@ -185,18 +138,10 @@ func Run(name string, s Scale, w io.Writer) error {
 		Graph500(s, w)
 	case "kcore":
 		KCoreExtra(s, w)
-	case "prepare":
-		Prepare(s, w)
-	case "mixed":
-		Mixed(s, w)
-	case "sharded":
-		Sharded(s, w)
 	case "rebalance":
 		Rebalance(s, w)
 	case "trace":
 		TraceDemo(s, w)
-	case "recover":
-		Recover(s, w)
 	default:
 		return fmt.Errorf("bench: unknown experiment %q (known: %s)",
 			name, strings.Join(Experiments, ", "))

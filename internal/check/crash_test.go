@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"testing"
+	"time"
 
 	"lsgraph/internal/core"
 	"lsgraph/internal/refgraph"
@@ -155,23 +156,29 @@ func TestCrashHarnessDetectsLoss(t *testing.T) {
 	}
 }
 
-// TestSoakRecover is the long-haul sweep: many seeds, random crash points
-// drawn from the full matrix, at every shard count. Gated behind
-// LSGRAPH_SOAK_RECOVER=1 (make soak-recover) like the simulator soak.
+// TestSoakRecover is the long-haul sweep behind `make soak`: fresh seeds
+// until the budget runs out, random crash points drawn from the full
+// matrix, at every shard count.
 func TestSoakRecover(t *testing.T) {
-	if os.Getenv("LSGRAPH_SOAK_RECOVER") == "" {
-		t.Skip("set LSGRAPH_SOAK_RECOVER=1 (or run make soak-recover) for the long recovery sweep")
-	}
+	deadline := time.Now().Add(soakBudget(t))
+	root := t.TempDir()
 	seeds := 0
-	for seed := int64(1); seed <= 50; seed++ {
+	for seed := int64(1); time.Now().Before(deadline); seed++ {
 		for _, shards := range []int{1, 2, 4} {
 			pt := crashPoints[int(seed)%len(crashPoints)]
 			plan := planFor(shards, pt)
 			plan.Seed = seed * 7919
 			plan.Batches = 120
-			if _, err := RunCrash(t.TempDir(), plan); err != nil {
+			// Not t.TempDir(): that keeps every scenario's log on disk
+			// until the test returns, and this loop runs for hours.
+			dir, err := os.MkdirTemp(root, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RunCrash(dir, plan); err != nil {
 				t.Fatalf("seed %d shards %d point %v: %v", seed, shards, pt, err)
 			}
+			os.RemoveAll(dir)
 			seeds++
 		}
 	}

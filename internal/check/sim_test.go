@@ -257,22 +257,24 @@ func TestDebugValidateHook(t *testing.T) {
 	}
 }
 
-// TestSoak is the long-running randomized sweep behind `make soak`. It is
-// skipped unless LSGRAPH_SOAK is set; LSGRAPH_SOAK_TIME (a Go duration,
-// default 2m) bounds it. Seeds start above the TestSimSeeds range so soak
-// explores fresh workloads.
+// soakBudget returns how long a `make soak` stage may run: the Go duration
+// in LSGRAPH_SOAK_TIME. Without it the calling test is skipped.
+func soakBudget(t *testing.T) time.Duration {
+	s := os.Getenv("LSGRAPH_SOAK_TIME")
+	if s == "" {
+		t.Skip("set LSGRAPH_SOAK_TIME (or run `make soak`) for the long randomized sweeps")
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		t.Fatalf("bad LSGRAPH_SOAK_TIME: %v", err)
+	}
+	return d
+}
+
+// TestSoak is the long-running randomized sweep behind `make soak`. Seeds
+// start above the TestSimSeeds range so soak explores fresh workloads.
 func TestSoak(t *testing.T) {
-	if os.Getenv("LSGRAPH_SOAK") == "" {
-		t.Skip("set LSGRAPH_SOAK=1 (or run `make soak`) for the long randomized sweep")
-	}
-	budget := 2 * time.Minute
-	if s := os.Getenv("LSGRAPH_SOAK_TIME"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			t.Fatalf("bad LSGRAPH_SOAK_TIME: %v", err)
-		}
-		budget = d
-	}
+	budget := soakBudget(t)
 	deadline := time.Now().Add(budget)
 	seed, runs := int64(1_000_000), 0
 	for time.Now().Before(deadline) {

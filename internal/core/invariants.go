@@ -25,7 +25,7 @@ import "fmt"
 //     under KindPMA, with the deep RIA/HITree validators run on each
 //     structure. An array's capacity is arrCap of its length by
 //     construction: the block stores none that could disagree, and the
-//     checkptr pass of scripts/verify.sh faults any walk that reads past a
+//     checkptr pass of make verify faults any walk that reads past a
 //     smaller allocation,
 //   - every stored neighbor inside [0, NumVertices),
 //   - per-shard edge counters equal to the sum of their vertices' degrees.

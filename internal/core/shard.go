@@ -174,7 +174,7 @@ func (s Shard) Warm(src []uint32) {
 // shards may keep updating concurrently.
 func (s Shard) SnapshotInto(snap *Snapshot) *Snapshot {
 	sh := s.sh
-	return rebuildInto(snap, s.g.shards[sh.idx:sh.idx+1], sh.base, len(sh.verts), nil, s.g.shardWorkers())
+	return rebuildInto(snap, s.g.shards[sh.idx:sh.idx+1], sh.base, len(sh.verts), s.g.shardWorkers())
 }
 
 // Publish returns the shard's current state as a new snapshot, given prev,

@@ -310,16 +310,15 @@ func growTab(tab []vref, n int) []vref {
 // contents of s are overwritten; callers must ensure no concurrent reader
 // still holds s, and s must not be a snapshot Shard.Publish returned.
 func (g *Graph) SnapshotInto(s *Snapshot) *Snapshot {
-	return rebuildInto(s, g.shards, 0, int(g.NumVertices()), nil, g.cfg.Workers)
+	return rebuildInto(s, g.shards, 0, int(g.NumVertices()), g.cfg.Workers)
 }
 
-// rebuildInto flattens the given shards into s, a table of n vertices whose
-// runs are laid out in vertex order: back to back in one exact-size page
-// when a is nil (the plain CSR behind Graph.SnapshotInto and
-// Shard.SnapshotInto), at the tail of arena a otherwise (Shard.Publish's
-// full rebuild). Table slot 0 is global vertex origin; slots no shard has
-// materialized (reserved vertices) get degree 0.
-func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, a *pageArena, p int) *Snapshot {
+// rebuildInto flattens the given shards into s as a plain CSR: a table of n
+// vertices whose runs lie in vertex order, back to back in one exact-size
+// array (Graph.SnapshotInto, Shard.SnapshotInto). Table slot 0 is global
+// vertex origin; slots no shard has materialized (reserved vertices) get
+// degree 0.
+func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, p int) *Snapshot {
 	if s == nil {
 		s = &Snapshot{}
 	}
@@ -333,32 +332,24 @@ func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, a *page
 		}
 		tab := s.tab[sh.base-origin:]
 		for lv := range sh.verts {
-			deg := sh.verts[lv].degree()
-			switch {
-			case a != nil:
-				tab[lv] = a.place(deg, tailBatch)
-			case deg > 0: // else vref{}, as place: m may be the array's end, past the directory
+			// A degree-0 slot stays vref{}: m may be the array's end, past
+			// the directory.
+			if deg := sh.verts[lv].degree(); deg > 0 {
 				tab[lv] = vref{uint32(m), deg}
+				m += uint64(deg)
 			}
-			m += uint64(deg)
 		}
 	}
-	if a != nil {
-		s.adj = nil
-		s.pages = a.directory(s.pages)
-	} else {
-		if m > math.MaxUint32 {
-			panic(fmt.Sprintf("core: snapshot of %d edges exceeds the 2^32-entry CSR; raise Config.Shards", m))
-		}
-		if cap(s.adj) < int(m) {
-			s.adj = make([]uint32, m)
-		}
-		s.adj, s.seq, s.pages = s.adj[:m], 0, s.pages[:0]
-		for lo := 0; lo < max(len(s.adj), 1); lo += pageSize {
-			s.pages = append(s.pages, s.adj[lo:])
-		}
+	if m > math.MaxUint32 {
+		panic(fmt.Sprintf("core: snapshot of %d edges exceeds the 2^32-entry CSR; raise Config.Shards", m))
 	}
-	s.m = m
+	if cap(s.adj) < int(m) {
+		s.adj = make([]uint32, m)
+	}
+	s.adj, s.m, s.seq, s.pages = s.adj[:m], m, 0, s.pages[:0]
+	for lo := 0; lo < max(len(s.adj), 1); lo += pageSize {
+		s.pages = append(s.pages, s.adj[lo:])
+	}
 	for i := range shards {
 		sh := &shards[i]
 		if len(sh.verts) == 0 {
@@ -377,54 +368,63 @@ func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, a *page
 
 // publishShard returns the shard's current state as a snapshot derived
 // from prev, the shard's latest one (see Shard.Publish).
-func (g *Graph) publishShard(sh *shardState, prev *Snapshot, p int) (s *Snapshot, rebuilt bool) {
+func (g *Graph) publishShard(sh *shardState, prev *Snapshot, p int) (*Snapshot, bool) {
 	a := &sh.pub
 	groups, unpub := sh.prep.groups, sh.unpub
-	s = &Snapshot{tab: sh.spare, pages: sh.spareDir}
-	had := cap(s.tab)
+	s := &Snapshot{tab: growTab(sh.spare, len(sh.verts)), pages: sh.spareDir}
+	had := cap(sh.spare)
 	sh.spare, sh.spareDir, sh.unpub = nil, nil, 0
 	a.seq++
 	s.seq, a.m = a.seq, sh.m.Load()
 	a.out = append(a.out, a.seq)
-	if prev == nil || unpub > 1 {
-		// What changed is not one batch's groups (or slots shifted under a
-		// boundary move): refill from the live structures. The pages in use
-		// retire the way an emptied page does, so snapshots still reading them
-		// are undisturbed and their memory comes back through the free list.
+	// What changed since prev is one batch's groups, nothing, or — no prev,
+	// batches applied and not published, slots shifted under a boundary
+	// move — not known. That last publish is the first kind with every slot
+	// in the group: the pages in use retire the way an emptied page does (so
+	// snapshots still reading them are undisturbed and their memory comes
+	// back through the free list) and the table starts empty.
+	full := prev == nil || unpub > 1
+	n := len(groups)
+	if full {
 		for id, pg := range a.pages {
 			if pg != nil {
 				a.retire(id)
 			}
 		}
-		rebuildInto(s, g.shards[sh.idx:sh.idx+1], sh.base, len(sh.verts), a, p)
-		rebuilt = true
+		clear(s.tab)
+		n = len(sh.verts)
 	} else {
-		if unpub == 0 {
-			groups = nil
-		}
-		s.tab = growTab(s.tab, len(sh.verts))
 		clear(s.tab[copy(s.tab, prev.tab):]) // vertices grown since prev: degree 0
 		s.m = prev.m
-		// The batch's vertices get new runs at the tail, in group (= ascending
-		// vertex) order, and stop counting towards the pages of their old ones.
-		for _, v := range groups {
-			lv := v - sh.base
-			old, deg := s.tab[lv], sh.verts[lv].degree()
-			a.drop(old)
-			s.tab[lv] = a.place(deg, tailBatch)
-			s.m += uint64(deg) - uint64(old.deg)
+		if unpub == 0 {
+			n = 0
 		}
-		parallel.For(len(groups), p, func(i int) {
-			lv := groups[i] - sh.base
-			if r := s.tab[lv]; r.deg > 0 {
-				appendNeighborsVB(&sh.verts[lv], a.run(r))
-			}
-		})
-		a.clean(s)
-		s.pages = a.directory(s.pages)
 	}
+	// The group's vertices get new runs at the tail, in group (= ascending
+	// vertex) order, and stop counting towards the pages of their old ones.
+	for i := 0; i < n; i++ {
+		lv := uint32(i)
+		if !full {
+			lv = groups[i] - sh.base
+		}
+		old, deg := s.tab[lv], sh.verts[lv].degree()
+		a.drop(old)
+		s.tab[lv] = a.place(deg, tailBatch)
+		s.m += uint64(deg) - uint64(old.deg)
+	}
+	parallel.For(n, p, func(i int) {
+		lv := uint32(i)
+		if !full {
+			lv = groups[i] - sh.base
+		}
+		if r := s.tab[lv]; r.deg > 0 {
+			appendNeighborsVB(&sh.verts[lv], a.run(r))
+		}
+	})
+	a.clean(s)
+	s.pages = a.directory(s.pages)
 	sh.tabEntries += cap(s.tab) - had
-	return s, rebuilt
+	return s, full
 }
 
 // CSR returns the snapshot as raw CSR arrays (offs has NumVertices+1

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -80,5 +83,51 @@ func TestCheckBlocksRejectsEachViolation(t *testing.T) {
 	}
 	if err := CheckBlocks(fixed(), nil); err != nil {
 		t.Errorf("empty walk against empty want: %v", err)
+	}
+}
+
+// TestBatchHelpers checks the baselines' shared batch driver against a map:
+// keys come out sorted and distinct, every source's group is visited once
+// with exactly its keys, and merge/subtract of a group are set union and
+// difference.
+func TestBatchHelpers(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	src, dst := make([]uint32, 4000), make([]uint32, 4000)
+	want := map[uint32]map[uint32]bool{}
+	for i := range src {
+		src[i], dst[i] = uint32(rng.Intn(20)), uint32(rng.Intn(300))
+		if want[src[i]] == nil {
+			want[src[i]] = map[uint32]bool{}
+		}
+		want[src[i]][dst[i]] = true
+	}
+	ks := SortedKeys(src, dst, 2)
+	if !slices.IsSorted(ks) || len(slices.Compact(slices.Clone(ks))) != len(ks) {
+		t.Fatal("keys not strictly ascending")
+	}
+	old := []uint32{1, 5, 7, 250, 299}
+	var mu sync.Mutex
+	seen := map[uint32]bool{}
+	total := ForEachSourceGroup(ks, 2, func(v uint32, group []uint64) int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[v] || len(group) != len(want[v]) {
+			t.Errorf("source %d: visited twice or %d keys, want %d", v, len(group), len(want[v]))
+		}
+		seen[v] = true
+		var keep []uint32 // old minus the group, by the map
+		for _, u := range old {
+			if !want[v][u] {
+				keep = append(keep, u)
+			}
+		}
+		union, diff := MergeGroup(old, group), SubtractGroup(old, group)
+		if !slices.Equal(diff, keep) || !slices.IsSorted(union) || len(union) != len(group)+len(keep) {
+			t.Errorf("source %d: diff %v want %v; union of %d entries, want %d sorted", v, diff, keep, len(union), len(group)+len(keep))
+		}
+		return int64(len(group))
+	})
+	if len(seen) != len(want) || total != int64(len(ks)) {
+		t.Fatalf("visited %d sources, sum %d; want %d and %d", len(seen), total, len(want), len(ks))
 	}
 }

@@ -82,8 +82,8 @@ type neighborsResp struct {
 
 // TestServerE2E drives the full front-end the way production traffic
 // would: concurrent multi-format ingest and snapshot-pinned reads/kernels
-// (this test is in scripts/race.sh, so the interleavings run under
-// -race), then a flush barrier, a differential adjacency check against
+// (make verify runs it under -race, so the interleavings are checked),
+// then a flush barrier, a differential adjacency check against
 // the refgraph oracle, a delete pass, another differential check, and
 // finally drain-on-shutdown: batches enqueued right before Close must be
 // visible after it, and data endpoints must answer 503 from then on.

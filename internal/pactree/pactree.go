@@ -14,7 +14,7 @@ package pactree
 import (
 	"sync/atomic"
 
-	"lsgraph/internal/parallel"
+	"lsgraph/internal/engine"
 )
 
 // leafTarget is the leaf array size at bulk build; leaves split at 2× this.
@@ -305,108 +305,42 @@ func (g *Graph) InsertBatch(src, dst []uint32) { g.applyBatch(src, dst, true) }
 func (g *Graph) DeleteBatch(src, dst []uint32) { g.applyBatch(src, dst, false) }
 
 func (g *Graph) applyBatch(src, dst []uint32, ins bool) {
-	if len(src) == 0 {
-		return
-	}
-	ks := make([]uint64, len(src))
-	for i := range src {
-		ks[i] = uint64(src[i])<<32 | uint64(dst[i])
-	}
-	parallel.SortUint64(ks, g.workers)
-	w := 0
-	for i, k := range ks {
-		if i > 0 && k == ks[i-1] {
-			continue
+	ks := engine.SortedKeys(src, dst, g.workers)
+	g.m.Add(uint64(engine.ForEachSourceGroup(ks, g.workers, func(v uint32, group []uint64) int64 {
+		if len(group) >= 32 && len(group)*4 >= sizeOf(g.roots[v]) {
+			return g.applyGroupBulk(v, group, ins)
 		}
-		ks[w] = k
-		w++
-	}
-	ks = ks[:w]
-	type group struct{ lo, hi int }
-	var groups []group
-	for i := 0; i < len(ks); {
-		v := uint32(ks[i] >> 32)
-		j := i
-		for j < len(ks) && uint32(ks[j]>>32) == v {
-			j++
-		}
-		groups = append(groups, group{lo: i, hi: j})
-		i = j
-	}
-	var delta atomic.Int64
-	parallel.ForBlocked(len(groups), g.workers, func(gi int) {
-		gr := groups[gi]
-		v := uint32(ks[gr.lo] >> 32)
-		gl := gr.hi - gr.lo
+		root := g.roots[v]
 		var d int64
-		if gl >= 32 && gl*4 >= sizeOf(g.roots[v]) {
-			d = g.applyGroupBulk(v, ks[gr.lo:gr.hi], ins)
-		} else {
-			root := g.roots[v]
-			for i := gr.lo; i < gr.hi; i++ {
-				u := uint32(ks[i])
-				var ok bool
-				if ins {
-					root, ok = insertNode(root, u)
-					if ok {
-						d++
-					}
-				} else {
-					root, ok = removeNode(root, u)
-					if ok {
-						d--
-					}
+		for _, k := range group {
+			var ok bool
+			if ins {
+				root, ok = insertNode(root, uint32(k))
+				if ok {
+					d++
+				}
+			} else {
+				root, ok = removeNode(root, uint32(k))
+				if ok {
+					d--
 				}
 			}
-			g.roots[v] = root
 		}
-		delta.Add(d)
-	})
-	g.m.Add(uint64(delta.Load()))
+		g.roots[v] = root
+		return d
+	})))
 }
 
 // applyGroupBulk merges (or subtracts) a sorted group and rebuilds the
 // vertex's tree, PaC-tree's multi-insert analogue.
-func (g *Graph) applyGroupBulk(v uint32, ks []uint64, ins bool) int64 {
-	oldSize := sizeOf(g.roots[v])
-	old := make([]uint32, 0, oldSize+len(ks))
+func (g *Graph) applyGroupBulk(v uint32, group []uint64, ins bool) int64 {
+	old := make([]uint32, 0, sizeOf(g.roots[v]))
 	blocksUntil(g.roots[v], func(b []uint32) bool { old = append(old, b...); return true })
 	var merged []uint32
 	if ins {
-		merged = make([]uint32, 0, len(old)+len(ks))
-		i, j := 0, 0
-		for i < len(old) && j < len(ks) {
-			a, b := old[i], uint32(ks[j])
-			switch {
-			case a < b:
-				merged = append(merged, a)
-				i++
-			case a > b:
-				merged = append(merged, b)
-				j++
-			default:
-				merged = append(merged, a)
-				i++
-				j++
-			}
-		}
-		merged = append(merged, old[i:]...)
-		for ; j < len(ks); j++ {
-			merged = append(merged, uint32(ks[j]))
-		}
+		merged = engine.MergeGroup(old, group)
 	} else {
-		merged = make([]uint32, 0, len(old))
-		j := 0
-		for _, a := range old {
-			for j < len(ks) && uint32(ks[j]) < a {
-				j++
-			}
-			if j < len(ks) && uint32(ks[j]) == a {
-				j++
-				continue
-			}
-			merged = append(merged, a)
-		}
+		merged = engine.SubtractGroup(old, group)
 	}
 	g.roots[v] = buildTree(merged)
 	return int64(len(merged)) - int64(len(old))

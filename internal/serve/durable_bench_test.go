@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"fmt"
+	"sync"
 	"testing"
 
 	"lsgraph/internal/core"
@@ -9,41 +9,65 @@ import (
 	"lsgraph/internal/wal"
 )
 
-// benchIngest drives the shared ingest loop of the durability-overhead
-// pair below: one producer, same Zipf batch reused, throughput in raw
-// edge bytes per second.
-func benchIngest(b *testing.B, st *Store) {
-	b.Helper()
-	defer st.Close()
-	z := gen.NewZipf(8192, 1.0, 7)
-	src, dst := z.Batch(8192)
-	b.SetBytes(8192 * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.InsertBatch(src, dst)
+// BenchmarkIngestWAL is the fsync-policy overhead measurement behind
+// OPERATIONS.md "Choosing -fsync": the same Zipf(1.0) stream of 8 192-edge
+// batches, two concurrent producers (as the HTTP handlers are, so one
+// producer's log write overlaps the other's scatter) into two shard
+// writers, against a memory-only store and a WAL-backed one at each fsync
+// policy. A policy's overhead is its ns/op over mem's. mem-1shard is the
+// only measurement of enqueue over a one-range map, which no ruler
+// workload runs. `-benchtime 64x` cycles each producer's batches once.
+func BenchmarkIngestWAL(b *testing.B) {
+	const n, batch, producers, ring = 8192, 8192, 2, 32
+	type cols struct{ src, dst []uint32 }
+	var batches [producers][ring]cols
+	for p := range batches {
+		z := gen.NewZipf(n, 1.0, 7+uint64(p))
+		for k := range batches[p] {
+			batches[p][k].src, batches[p][k].dst = z.Batch(batch)
+		}
 	}
-	st.Flush()
-}
-
-// BenchmarkIngestWALNone measures ingest with the WAL on at FsyncNone —
-// against BenchmarkIngestMemOnly it isolates the per-batch logging tax
-// (encode + CRC + write syscall) with no fsync in the picture.
-func BenchmarkIngestWALNone(b *testing.B) {
-	st, err := OpenDurable(8192, core.Config{Shards: 2}, Options{},
-		DurabilityOptions{Dir: b.TempDir(), Fsync: wal.FsyncNone})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchIngest(b, st)
-}
-
-// BenchmarkIngestMemOnly is the WAL-free baseline for
-// BenchmarkIngestWALNone (shards=2), and at shards=1 the only measurement of
-// enqueue over a one-range map, which no ruler workload runs.
-func BenchmarkIngestMemOnly(b *testing.B) {
-	for _, shards := range []int{1, 2} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchIngest(b, New(core.New(8192, core.Config{Shards: shards}), Options{}))
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		durable bool
+		fsync   wal.FsyncPolicy
+	}{
+		{"mem", 2, false, 0},
+		{"none", 2, true, wal.FsyncNone},
+		{"interval", 2, true, wal.FsyncInterval},
+		{"always", 2, true, wal.FsyncAlways},
+		{"mem-1shard", 1, false, 0},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := core.Config{Shards: tc.shards}
+			var st *Store
+			if tc.durable {
+				var err error
+				st, err = OpenDurable(n, cfg, Options{},
+					DurabilityOptions{Dir: b.TempDir(), Fsync: tc.fsync})
+				if err != nil {
+					b.Fatal(err)
+				}
+			} else {
+				st = New(core.New(n, cfg), Options{})
+			}
+			defer st.Close()
+			b.SetBytes(batch * 8)
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					for i := p; i < b.N; i += producers {
+						c := batches[p][i/producers%ring]
+						st.InsertBatch(c.src, c.dst)
+					}
+				}(p)
+			}
+			wg.Wait()
+			st.Flush()
 		})
 	}
 }

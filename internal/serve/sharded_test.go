@@ -87,7 +87,7 @@ func TestShardedStoreBasic(t *testing.T) {
 // TestShardedStoreMatchesOracle streams random interleaved insert/delete
 // batches through a 4-shard Store and checks the composed view against the
 // reference graph after every flush — the sharded serving layer's
-// differential test, designed to also run under -race (make race).
+// differential test, designed to also run under -race (make verify).
 func TestShardedStoreMatchesOracle(t *testing.T) {
 	const nv = 1 << 10
 	st := New(core.New(nv, core.Config{Workers: 4, Shards: 4}), Options{})

@@ -11,7 +11,7 @@ import (
 // TestConcurrentWriterReaders is the serving layer's consistency stress
 // test: one goroutine streams insert batches while N readers repeatedly
 // pin views and check epoch-level invariants, with BFS and CC runs mixed
-// in for kernel coverage. Designed to run under -race (make race).
+// in for kernel coverage. Designed to run under -race (make verify).
 //
 // The workload makes consistency checkable: batch k inserts exactly the
 // symmetric pair (2k, 2k+1), so a consistent snapshot must satisfy, for

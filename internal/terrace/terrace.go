@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"lsgraph/internal/btree"
+	"lsgraph/internal/engine"
 	"lsgraph/internal/parallel"
 	"lsgraph/internal/pma"
 )
@@ -368,55 +369,24 @@ func (g *Graph) applyBatch(src, dst []uint32, insert bool) {
 	if len(src) == 0 {
 		return
 	}
-	ks := make([]uint64, len(src))
-	for i := range src {
-		ks[i] = key(src[i], dst[i])
-	}
-	parallel.SortUint64(ks, g.workers)
-	w := 0
-	for i, k := range ks {
-		if i > 0 && k == ks[i-1] {
-			continue
-		}
-		ks[w] = k
-		w++
-	}
-	ks = ks[:w]
+	ks := engine.SortedKeys(src, dst, g.workers)
 	if insert && g.m.Load() == 0 {
 		g.bulkLoad(ks)
 		return
 	}
-	// Group by source vertex.
-	type group struct{ lo, hi int }
-	var groups []group
-	for i := 0; i < len(ks); {
-		v := uint32(ks[i] >> 32)
-		j := i
-		for j < len(ks) && uint32(ks[j]>>32) == v {
-			j++
-		}
-		groups = append(groups, group{lo: i, hi: j})
-		i = j
-	}
-	var delta atomic.Int64
-	parallel.ForBlocked(len(groups), g.workers, func(gi int) {
-		gr := groups[gi]
+	g.m.Add(uint64(engine.ForEachSourceGroup(ks, g.workers, func(v uint32, group []uint64) int64 {
 		var d int64
-		for i := gr.lo; i < gr.hi; i++ {
-			v, u := uint32(ks[i]>>32), uint32(ks[i])
+		for _, k := range group {
 			if insert {
-				if g.insertOne(v, u) {
+				if g.insertOne(v, uint32(k)) {
 					d++
 				}
-			} else {
-				if g.deleteOne(v, u) {
-					d--
-				}
+			} else if g.deleteOne(v, uint32(k)) {
+				d--
 			}
 		}
-		delta.Add(d)
-	})
-	g.m.Add(uint64(delta.Load()))
+		return d
+	})))
 }
 
 // bulkLoad populates an empty engine from sorted, deduplicated packed
