@@ -66,13 +66,6 @@ func TestCrashMatrix(t *testing.T) {
 				if pt.Nth == 1<<30 && rep.Recovery.ReplayedRecords == 0 {
 					t.Fatalf("clean-kill baseline replayed nothing: %+v", rep.Recovery)
 				}
-				// The matrix's five-edge batches append to the shards' arenas,
-				// so its checkpoints are serialized from snapshots that are not
-				// a CSR until materialized; a plan that rebuilt on every publish
-				// would quietly stop covering that path.
-				if d := rep.Driven; d.SnapshotRebuilds*2 > d.SnapshotsPublished {
-					t.Fatalf("%d of %d publishes rebuilt: checkpoints no longer see appended snapshots", d.SnapshotRebuilds, d.SnapshotsPublished)
-				}
 				if pt.Nth == 1<<30 && rep.Driven.Checkpoints == 0 {
 					t.Fatal("clean-kill baseline published no checkpoint")
 				}

@@ -299,25 +299,34 @@ func run(ops []op, cfg SimConfig) (r *runner, err error) {
 		g:    core.New(simInitVerts, ecfg),
 		ref:  refgraph.New(simInitVerts),
 	}
-	if cfg.Mode == ModeStore {
-		r.st = serve.New(r.g, serve.Options{MaxQueue: 4})
-		defer r.st.Close()
-		defer func() {
-			if r.held != nil {
-				r.held.Release()
-			}
-		}()
-	}
+	defer func() {
+		if r.held != nil {
+			r.held.Release()
+		}
+		if r.st != nil {
+			r.st.Close()
+		}
+	}()
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
 	for i, o := range ops {
+		// The Store adopts whatever the graph holds when it is opened. Under
+		// the default thresholds that is nothing, at once; under a named
+		// configuration the program runs on the bare graph first, until it
+		// has held every overflow class the configuration has (or for half
+		// the program), so that adoption flattens live arrays, RIAs, HITrees
+		// and PMAs and not only empty blocks.
+		if r.st == nil && (r.ripe() || 2*i >= len(ops)) {
+			r.open()
+		}
 		if err := r.step(o); err != nil {
 			return r, fmt.Errorf("op %d (%s): %w", i, o.kind, err)
 		}
 	}
+	r.open()
 	if err := r.verify(); err != nil {
 		return r, fmt.Errorf("final verify: %w", err)
 	}
@@ -381,7 +390,7 @@ func (r *runner) step(o op) error {
 		return r.delete(o)
 	case opGrow:
 		n := r.ref.NumVertices() + 1 + uint32(o.sel)%16
-		if r.cfg.Mode == ModeStore {
+		if r.st != nil {
 			// The serving layer has no explicit grow; reserving the logical
 			// bound is its documented concurrent-safe growth path.
 			r.g.ReserveVertices(n)
@@ -417,7 +426,7 @@ func (r *runner) deleteVertex(sel byte) error {
 	for _, u := range r.ref.Neighbors(v) {
 		src, dst = append(src, v, u), append(dst, u, v)
 	}
-	if r.cfg.Mode == ModeStore {
+	if r.st != nil {
 		r.st.DeleteBatch(src, dst)
 	} else {
 		r.g.DeleteVertex(v)
@@ -456,7 +465,7 @@ func (r *runner) rebalance(sel byte) error {
 	h := uint32(sel) * 0x9E3779B1 // decorrelate the cut from the boundary choice
 	cut := lo + (h>>8)%(hi-lo)
 	var err error
-	if r.cfg.Mode == ModeStore {
+	if r.st != nil {
 		_, _, err = r.st.MoveBoundary(k, cut)
 	} else {
 		_, _, err = r.g.MoveBoundary(k, cut)
@@ -499,7 +508,7 @@ func (r *runner) insert(o op) error {
 	}
 	bound := batchBound(o.src, o.dst)
 	r.ref.EnsureVertices(bound)
-	if r.cfg.Mode == ModeStore {
+	if r.st != nil {
 		r.st.InsertBatch(src, dst)
 	} else {
 		r.g.EnsureVertices(bound)
@@ -514,7 +523,7 @@ func (r *runner) insert(o op) error {
 func (r *runner) delete(o op) error {
 	bound := batchBound(o.src, o.dst)
 	r.ref.EnsureVertices(bound)
-	if r.cfg.Mode == ModeStore {
+	if r.st != nil {
 		r.st.DeleteBatch(o.src, o.dst)
 	} else {
 		r.g.EnsureVertices(bound)
@@ -532,7 +541,7 @@ func (r *runner) delete(o op) error {
 // (after Flush, with epoch monotonicity) — then, in ModeCore, CSR
 // consistency of a fresh snapshot.
 func (r *runner) verify() error {
-	if r.cfg.Mode == ModeStore {
+	if r.st != nil {
 		r.st.Flush()
 		v := r.st.View()
 		defer v.Release()
@@ -568,6 +577,36 @@ func (r *runner) verify() error {
 		return err
 	}
 	return r.reload(snap)
+}
+
+// open wraps the graph in the Store, in ModeStore, unless it already is.
+func (r *runner) open() {
+	if r.cfg.Mode == ModeStore && r.st == nil {
+		r.st = serve.New(r.g, serve.Options{MaxQueue: 4})
+	}
+}
+
+// engineClasses says which overflow classes — array, RIA, HITree or PMA — a
+// named engine configuration's vertices can hold.
+var engineClasses = map[string][3]bool{
+	"small":   {true, true, true},
+	"pma":     {false, false, true},
+	"riaonly": {true, true, false},
+}
+
+// classesSeen reports which of them the verifies (and ripe) have seen held.
+func (r *runner) classesSeen() [3]bool {
+	return [3]bool{r.seen.ArrayPayload > 0, r.seen.RIAPayload > 0, r.seen.Trees > 0}
+}
+
+// ripe reports whether the bare graph has, over the ops so far, held every
+// overflow class its configuration has.
+func (r *runner) ripe() bool {
+	if r.cfg.Engine == "" {
+		return true
+	}
+	r.sawClasses()
+	return r.classesSeen() == engineClasses[r.cfg.Engine]
 }
 
 // sawClasses adds the live structures' bytes to r.seen.
@@ -639,7 +678,7 @@ func (r *runner) kernel(sel byte) error {
 	if n == 0 {
 		return nil
 	}
-	if r.cfg.Mode == ModeStore {
+	if r.st != nil {
 		r.st.Flush()
 		v := r.st.View()
 		defer v.Release()
@@ -723,7 +762,7 @@ func equalFloats(a, b []float64) error {
 // ModeStore it also checks the view held since the previous view op
 // against what that view read when it was pinned, and re-pins.
 func (r *runner) view() error {
-	if r.cfg.Mode != ModeStore {
+	if r.st == nil {
 		snap := r.g.Snapshot()
 		if err := Snapshot(snap, nil); err != nil {
 			return err

@@ -63,9 +63,7 @@ func TestSimClassWalk(t *testing.T) {
 							t.Fatal(runShrunk(ops, cfg, fmt.Sprintf(
 								"go test -run 'TestSimClassWalk/%s/%s/shards=%d' ./internal/check  # seed %d", e.name, mode, S, seed)))
 						}
-						arr, ria, tree := r.seen.ArrayPayload > 0, r.seen.RIAPayload > 0, r.seen.Trees > 0
-						want := map[string][3]bool{"small": {true, true, true}, "pma": {false, false, true}, "riaonly": {true, true, false}}[e.name]
-						if got := [3]bool{arr, ria, tree}; got != want {
+						if got, want := r.classesSeen(), engineClasses[e.name]; got != want {
 							t.Errorf("seed %d verified with (array, RIA, HITree/PMA) overflows present %v, want %v", seed, got, want)
 						}
 					}

@@ -44,7 +44,7 @@ const (
 // lock-free one-vertex-one-worker invariant, by construction).
 type keyRange struct {
 	lo, hi int   // span in the key buffers
-	ng     int   // source vertices found in it, set by the applying worker
+	nj     int   // merge jobs recorded for it, set by the applying worker
 	top    uint8 // source bits from here up are equal across the range
 	alt    bool  // the keys live in prepScratch.tmp, not ks
 }
@@ -58,10 +58,10 @@ type prepScratch struct {
 	// ks and tmp, and a range is sorted in the one it ended up in with its
 	// span of the other as swap space.
 	ks, tmp []uint64
-	// groups lists the last batch's source vertices once each, ascending:
-	// the vertices Shard.Publish re-flattens. During apply each range writes
-	// at its own key offset; the gaps are closed once at the end.
-	groups []uint32
+	// jobs holds, for a batch applied to an adopted shard, one entry per
+	// source vertex whose run the batch changes (merge.go). Each range writes
+	// its vertices' at its own key offset, ascending.
+	jobs   []mergeJob
 	ranges []keyRange // ascending by source
 	heavy  []uint32   // indexes of ranges over the split limit, claimed first
 	hist   [][]int    // per-worker range histograms, one per split depth
@@ -102,7 +102,7 @@ func (sh *shardState) trimScratch(n int) {
 	limit := max(scratchTrimRatio*n, scratchKeepMin)
 	ps := &sh.prep
 	ps.ks, ps.tmp = trimmed(ps.ks, limit), trimmed(ps.tmp, limit)
-	ps.groups, ps.ranges, ps.heavy = trimmed(ps.groups, limit), trimmed(ps.ranges, limit), trimmed(ps.heavy, limit)
+	ps.jobs, ps.ranges, ps.heavy = trimmed(ps.jobs, limit), trimmed(ps.ranges, limit), trimmed(ps.heavy, limit)
 	for i := range ps.hist {
 		ps.hist[i] = trimmed(ps.hist[i], limit)
 	}
@@ -116,20 +116,17 @@ func (sh *shardState) trimScratch(n int) {
 // for a caller that has just applied a batch no later one will resemble: a
 // bulk load (NewFromEdges) or recovery's one WAL-tail batch, which would
 // otherwise pin 20 bytes per edge until a much smaller batch happened to
-// follow. The last
-// batch's vertex list goes with the rest, so every shard's next publish is a
-// rebuild. Must not run concurrently with updates.
+// follow. Must not run concurrently with updates.
 func (g *Graph) ReleaseScratch() {
 	for i := range g.shards {
 		g.shards[i].trimScratch(0)
-		g.shards[i].unpub = 2
 	}
 }
 
 // scratchBytes returns the bytes the shard's pipeline buffers hold.
 func (sh *shardState) scratchBytes() uint64 {
 	ps := &sh.prep
-	b := 8*(cap(ps.ks)+cap(ps.tmp)) + 4*(cap(ps.groups)+cap(ps.heavy)) +
+	b := 8*(cap(ps.ks)+cap(ps.tmp)) + 4*cap(ps.heavy) + cap(ps.jobs)*int(unsafe.Sizeof(mergeJob{})) +
 		cap(ps.ranges)*int(unsafe.Sizeof(keyRange{})) + cap(sh.apply)*int(unsafe.Sizeof(applyScratch{}))
 	for _, h := range ps.hist {
 		b += 8 * cap(h)
@@ -173,19 +170,32 @@ func validateBatch(op string, src, dst []uint32) {
 	}
 }
 
-// groupFunc applies one source vertex's sorted, duplicate-free keys to its
-// block vb as worker w of shard sh and returns the number of edges changed.
-type groupFunc func(g *Graph, sh *shardState, w int, vb *vertex, ks []uint64) uint64
+// groupFunc applies one source vertex's sorted, duplicate-free keys to slot
+// lv of shard sh as worker w and returns the number of edges changed.
+type groupFunc func(g *Graph, sh *shardState, w int, lv uint32, ks []uint64) uint64
+
+// batchOp is what a batch does with each group: update the vertex's live
+// structures, or — on an adopted shard — find the keys that change its run,
+// which mergeRuns then adds to it or, with del, takes out of it (merge.go).
+type batchOp struct {
+	live, find groupFunc
+	del        bool
+}
+
+var (
+	insertOp = batchOp{(*Graph).insertGroup, (*Graph).findAbsent, false}
+	deleteOp = batchOp{(*Graph).deleteGroup, (*Graph).findPresent, true}
+)
 
 // applyBatch is the update pipeline of §5 "Batch Updates" for one shard's
 // batch: pack the edges into (src<<32)|dst keys, partition the keys by
 // source range, and let each worker take whole ranges through sort, dedup,
 // group discovery and apply, so a range's keys and vertices stay in one
-// cache and sh.verts is walked in ascending order. It returns the summed
-// results of apply and leaves the touched vertices in sh.prep.groups. With
-// one worker, or a batch under parPrepMin, the same code runs with the
-// whole batch as the only range. Callers must own the shard exclusively.
-func (g *Graph) applyBatch(sh *shardState, src, dst []uint32, p int, apply groupFunc) (changed uint64) {
+// cache and the shard's vertices are walked in ascending order. It returns
+// the number of edges the batch added or removed. With one worker, or a
+// batch under parPrepMin, the same code runs with the whole batch as the only
+// range. Callers must own the shard exclusively.
+func (g *Graph) applyBatch(sh *shardState, src, dst []uint32, p int, op batchOp) (changed uint64) {
 	n := len(src)
 	if p = min(p, n/1024); p < 1 || n < parPrepMin {
 		p = 1
@@ -203,7 +213,6 @@ func (g *Graph) applyBatch(sh *shardState, src, dst []uint32, p int, apply group
 
 	tPack, trPack := obs.StartTimer(), trace.Start()
 	varying := g.packKeys(sh, src, dst, p) // panics on an out-of-range edge
-	sh.unpub++
 	obsPhasePack.ObserveSince(tPack)
 	trace.Span(trace.PhasePack, shard, batch, 0, edges, trPack)
 
@@ -218,16 +227,40 @@ func (g *Graph) applyBatch(sh *shardState, src, dst []uint32, p int, apply group
 	obsPhasePartition.ObserveSince(tPart)
 	trace.Span(trace.PhasePartition, shard, batch, 0, edges, trPart)
 
-	// Workers claim ranges from one counter: the heavy ones first, so a hub
-	// starts at once and the rest back-fills around it, then all others in
-	// vertex order.
 	tApply, trApply := obs.StartTimer(), trace.Start()
-	ps.groups = grown(ps.groups, n)
+	apply := op.live
+	if sh.adopted {
+		apply, ps.jobs = op.find, grown(ps.jobs, n)
+	}
+	for w := range sh.apply[:p] {
+		sh.apply[w].changed, sh.apply[w].sortNs = 0, 0
+	}
+	ps.eachRange(p, limit, func(w int, r *keyRange) {
+		g.applyRange(sh, w, r, varying, apply, on)
+	})
+	sortNs := int64(0)
+	for w := range sh.apply[:p] {
+		changed += sh.apply[w].changed
+		sortNs = max(sortNs, sh.apply[w].sortNs)
+	}
+	if on {
+		obsRangeSort.Observe(uint64(sortNs))
+	}
+	if sh.adopted && changed > 0 {
+		sh.mergeRuns(p, limit, op.del, changed)
+	}
+	obsPhaseApply.ObserveSince(tApply)
+	trace.Span(trace.PhaseApply, shard, batch, 0, edges, trApply)
+	return changed
+}
+
+// eachRange runs f on every range of the partitioned batch, p workers
+// claiming them from one counter: the heavy ones first, so a hub starts at
+// once and the rest back-fills around it, then all others in vertex order.
+func (ps *prepScratch) eachRange(p, limit int, f func(w int, r *keyRange)) {
 	nh, nr := len(ps.heavy), len(ps.ranges)
 	var next atomic.Int64
 	parallel.Workers(p, func(w int) {
-		sc := &sh.apply[w]
-		sc.changed, sc.sortNs = 0, 0
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= nh+nr {
@@ -239,25 +272,9 @@ func (g *Graph) applyBatch(sh *shardState, src, dst []uint32, p int, apply group
 			} else if r := &ps.ranges[ri]; r.hi-r.lo > limit {
 				continue // claimed in the heavy round
 			}
-			g.applyRange(sh, w, &ps.ranges[ri], varying, apply, on)
+			f(w, &ps.ranges[ri])
 		}
 	})
-	ng, sortNs := 0, int64(0)
-	for i := range ps.ranges {
-		r := &ps.ranges[i]
-		ng += copy(ps.groups[ng:], ps.groups[r.lo:r.lo+r.ng])
-	}
-	ps.groups = ps.groups[:ng]
-	for w := range sh.apply[:p] {
-		changed += sh.apply[w].changed
-		sortNs = max(sortNs, sh.apply[w].sortNs)
-	}
-	if on {
-		obsRangeSort.Observe(uint64(sortNs))
-	}
-	obsPhaseApply.ObserveSince(tApply)
-	trace.Span(trace.PhaseApply, shard, batch, 0, edges, trApply)
-	return changed
 }
 
 // splitLimit returns the longest range a batch of n keys at p workers
@@ -362,7 +379,7 @@ func (g *Graph) applyRange(sh *shardState, w int, r *keyRange, varying uint64, a
 	} else {
 		parallel.SortSeq(ks, swap, varying)
 	}
-	groups := ps.groups[r.lo:r.lo:r.hi]
+	r.nj = 0
 	for i := 0; i < len(ks); {
 		v := uint32(ks[i] >> 32)
 		e, j := i+1, i+1 // ks[i:e] is v's duplicate-free run so far
@@ -375,11 +392,15 @@ func (g *Graph) applyRange(sh *shardState, w int, r *keyRange, varying uint64, a
 		if on {
 			obsGroupSize.Observe(uint64(e - i))
 		}
-		sc.changed += apply(g, sh, w, &sh.verts[v-sh.base], ks[i:e])
-		groups = append(groups, v)
+		lv := v - sh.base
+		c := apply(g, sh, w, lv, ks[i:e])
+		sc.changed += c
+		if c > 0 && sh.adopted {
+			ps.jobs[r.lo+r.nj] = mergeJob{lv: lv, at: uint32(r.lo + i), eff: uint32(c)}
+			r.nj++
+		}
 		i = j
 	}
-	r.ng = len(groups)
 }
 
 // bulkThreshold decides whether an insert group is large enough relative
@@ -484,7 +505,7 @@ func (g *Graph) insertBatchShard(sh *shardState, src, dst []uint32, p int) {
 	if len(src) == 0 {
 		return
 	}
-	added := g.applyBatch(sh, src, dst, p, (*Graph).insertGroup)
+	added := g.applyBatch(sh, src, dst, p, insertOp)
 	sh.m.Add(added)
 	if obs.Enabled() {
 		obsBatchesIns.Inc()
@@ -495,7 +516,8 @@ func (g *Graph) insertBatchShard(sh *shardState, src, dst []uint32, p int) {
 
 // insertGroup adds one vertex's group, by merge-and-rebuild when the group
 // is large against the vertex's degree, else edge by edge.
-func (g *Graph) insertGroup(sh *shardState, w int, vb *vertex, ks []uint64) (added uint64) {
+func (g *Graph) insertGroup(sh *shardState, w int, lv uint32, ks []uint64) (added uint64) {
+	vb := &sh.verts[lv]
 	if !g.cfg.NoBulkRebuild && bulkThreshold(len(ks), vb.degree()) {
 		if obs.Enabled() {
 			obsGroupsBulk.AddShard(w, 1)
@@ -565,7 +587,7 @@ func (g *Graph) deleteBatchShard(sh *shardState, src, dst []uint32, p int) {
 	if len(src) == 0 {
 		return
 	}
-	removed := g.applyBatch(sh, src, dst, p, (*Graph).deleteGroup)
+	removed := g.applyBatch(sh, src, dst, p, deleteOp)
 	sh.subEdges(removed)
 	if obs.Enabled() {
 		obsBatchesDel.Inc()
@@ -576,7 +598,8 @@ func (g *Graph) deleteBatchShard(sh *shardState, src, dst []uint32, p int) {
 
 // deleteGroup removes one vertex's group, by rebuild when the group takes
 // at least half the vertex, else edge by edge.
-func (g *Graph) deleteGroup(sh *shardState, w int, vb *vertex, ks []uint64) (removed uint64) {
+func (g *Graph) deleteGroup(sh *shardState, w int, lv uint32, ks []uint64) (removed uint64) {
+	vb := &sh.verts[lv]
 	if !g.cfg.NoBulkRebuild && deleteBulkThreshold(len(ks), vb.degree()) {
 		if obs.Enabled() {
 			obsGroupsBulk.AddShard(w, 1)

@@ -29,7 +29,7 @@ func benchBatch(scale uint, m int) (src, dst []uint32, nv uint32) {
 func BenchmarkInsertBatchPrepare(b *testing.B) {
 	const m = 1 << 18
 	src, dst, nv := benchBatch(17, m)
-	noop := func(*Graph, *shardState, int, *vertex, []uint64) uint64 { return 0 }
+	noop := batchOp{live: func(*Graph, *shardState, int, uint32, []uint64) uint64 { return 0 }}
 	for _, p := range []int{1, 2, 4, 8} {
 		g := New(nv, Config{Workers: p})
 		sh := &g.shards[0]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -20,7 +21,10 @@ type Stats struct {
 // [0, n) storing each vertex's out-neighbors in the differentiated
 // hierarchical indexed representation. Reads (Degree, NeighborBlocks,
 // analytics) may run concurrently with each other but not with updates;
-// the streaming model alternates update and analytics phases (§1).
+// the streaming model alternates update and analytics phases (§1). A shard
+// the serving layer has adopted (Shard.Publish) stores them as the runs its
+// published snapshots read instead; every method here works on either form
+// under the same contract.
 //
 // Internally the vertex space is partitioned into Config.Shards contiguous
 // ranges (default 1), each holding its own vertex blocks, edge counter,
@@ -144,15 +148,26 @@ func (g *Graph) locate(v uint32) (*shardState, uint32) {
 	return &g.shards[i], v - pm.Starts[i]
 }
 
-// vb returns v's vertex block, or nil when v's slot is not materialized
-// (vertex-space growth that has not reached v's shard yet): such a vertex
-// has no out-edges.
+// vb returns v's vertex block, or nil when there is none: v's slot is not
+// materialized (vertex-space growth that has not reached v's shard yet) and
+// v has no out-edges, or v's shard is adopted and run has them.
 func (g *Graph) vb(v uint32) *vertex {
 	sh, lv := g.locate(v)
 	if int(lv) >= len(sh.verts) {
 		return nil
 	}
 	return &sh.verts[lv]
+}
+
+// run returns v's adjacency in an adopted shard: the run its table names.
+// It is nil for a vertex of a live shard, so the read paths try it only once
+// vb has found no block.
+func (g *Graph) run(v uint32) []uint32 {
+	sh, lv := g.locate(v)
+	if int(lv) >= len(sh.tab) {
+		return nil
+	}
+	return sh.pub.read(sh.tab[lv])
 }
 
 // mustVB is vb for update paths, where routing plus EnsureVertices
@@ -177,7 +192,7 @@ func (g *Graph) NumEdges() uint64 {
 func (g *Graph) Degree(v uint32) uint32 {
 	vb := g.vb(v)
 	if vb == nil {
-		return 0
+		return uint32(len(g.run(v)))
 	}
 	return vb.degree()
 }
@@ -186,7 +201,8 @@ func (g *Graph) Degree(v uint32) uint32 {
 func (g *Graph) Has(v, u uint32) bool {
 	vb := g.vb(v)
 	if vb == nil {
-		return false
+		_, found := slices.BinarySearch(g.run(v), u)
+		return found
 	}
 	n := vb.inlineLen()
 	if n > 0 && u <= vb.inline[n-1] {
@@ -203,9 +219,20 @@ func (g *Graph) Has(v, u uint32) bool {
 func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	vb := g.vb(v)
 	if vb == nil {
+		g.runBlock(v, yield)
 		return
 	}
 	neighborBlocksVB(vb, yield)
+}
+
+// runBlock is NeighborBlocks without a vertex block: the run is the block.
+// Kept out of line, so that the live read path stays what it was.
+//
+//go:noinline
+func (g *Graph) runBlock(v uint32, yield func(block []uint32) bool) {
+	if ns := g.run(v); len(ns) > 0 {
+		yield(ns[:len(ns):len(ns)])
+	}
 }
 
 // neighborBlocksVB is NeighborBlocks on a resolved vertex block.
@@ -230,7 +257,7 @@ func appendNeighborsVB(vb *vertex, dst []uint32) []uint32 {
 func (g *Graph) AppendNeighbors(v uint32, dst []uint32) []uint32 {
 	vb := g.vb(v)
 	if vb == nil {
-		return dst
+		return append(dst, g.run(v)...)
 	}
 	return appendNeighborsVB(vb, dst)
 }
@@ -314,7 +341,9 @@ func (g *Graph) rebuildVertex(vb *vertex, ns []uint32) {
 // MemoryBreakdown is the engine's resident bytes by what holds them, each
 // term the size of the allocations themselves (unsafe.Sizeof and slice
 // capacities, no per-structure constants). Snapshots a shard has published
-// belong to whoever holds them and are not counted.
+// belong to whoever holds them and are not counted, and neither are an
+// adopted shard's table and pages, which they share (Shard.Published has
+// those): of an adopted shard only Scratch is the engine's.
 type MemoryBreakdown struct {
 	VertexBlocks uint64 // the shards' block arrays, unused capacity included
 	ArrayPayload uint64 // array overflows: four bytes per neighbor held

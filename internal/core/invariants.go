@@ -28,7 +28,12 @@ import "fmt"
 //     checkptr pass of make verify faults any walk that reads past a
 //     smaller allocation,
 //   - every stored neighbor inside [0, NumVertices),
-//   - per-shard edge counters equal to the sum of their vertices' degrees.
+//   - per-shard edge counters equal to the sum of their vertices' degrees,
+//   - of an adopted shard, instead of the block and overflow checks: no
+//     vertex block left, every run within one page of the arena, strictly
+//     ascending and inside [0, NumVertices), every page's live count equal to
+//     the summed degrees of the runs in it, and the pages' capacities summing
+//     to what the arena counts in use.
 func (g *Graph) CheckInvariants() error {
 	n := g.n.Load()
 	pm := g.pmap.Load()
@@ -40,14 +45,15 @@ func (g *Graph) CheckInvariants() error {
 		if want := pm.Starts[i]; sh.base != want {
 			return fmt.Errorf("core: shard %d base %d != map start %d (epoch %d)", i, sh.base, want, pm.Epoch)
 		}
-		if max := pm.RangeLen(i, n); len(sh.verts) > max {
+		slots := sh.slots()
+		if max := pm.RangeLen(i, n); slots > max {
 			return fmt.Errorf("core: shard %d materializes %d slots, owns at most %d of [0,%d)",
-				i, len(sh.verts), max, n)
+				i, slots, max, n)
 		}
-		if len(sh.verts) > 0 {
+		if slots > 0 {
 			// Routing round-trip for the shard's boundary IDs: the owner
 			// locate reports must be the shard that materializes the slot.
-			for _, v := range []uint32{sh.base, sh.base + uint32(len(sh.verts)) - 1} {
+			for _, v := range []uint32{sh.base, sh.base + uint32(slots) - 1} {
 				if lsh, lv := g.locate(v); lsh != sh || lv != v-sh.base {
 					return fmt.Errorf("core: ID %d owned by shard %d routes elsewhere", v, i)
 				}
@@ -59,6 +65,12 @@ func (g *Graph) CheckInvariants() error {
 				return err
 			}
 			edges += uint64(sh.verts[lv].degree())
+		}
+		if sh.adopted {
+			var err error
+			if edges, err = sh.checkRuns(n); err != nil {
+				return fmt.Errorf("core: shard %d: %w", i, err)
+			}
 		}
 		if m := sh.m.Load(); m != edges {
 			return fmt.Errorf("core: shard %d edge counter %d != degree sum %d", i, m, edges)
@@ -149,6 +161,48 @@ func (g *Graph) checkVertex(sh *shardState, lv, n uint32) error {
 		return fmt.Errorf("%s", bad)
 	}
 	return nil
+}
+
+// checkRuns validates an adopted shard's table and arena under the logical
+// bound n and returns the table's summed degrees.
+func (sh *shardState) checkRuns(n uint32) (edges uint64, err error) {
+	a := &sh.pub
+	if sh.verts != nil {
+		return 0, fmt.Errorf("adopted with %d vertex blocks left", len(sh.verts))
+	}
+	live := make([]uint32, len(a.pages))
+	for lv, r := range sh.tab {
+		v := sh.base + uint32(lv)
+		if r.deg == 0 {
+			continue
+		}
+		id, lo := int(r.off>>pageBits), int(r.off&pageMask)
+		if id >= len(a.pages) || lo+int(r.deg) > len(a.pages[id]) {
+			return 0, fmt.Errorf("vertex %d: run of %d at %d leaves page %d", v, r.deg, lo, id)
+		}
+		ns := a.read(r)
+		for i, u := range ns {
+			if u >= n {
+				return 0, fmt.Errorf("vertex %d neighbor %d outside [0,%d)", v, u, n)
+			}
+			if i > 0 && u <= ns[i-1] {
+				return 0, fmt.Errorf("vertex %d run unsorted: %d after %d", v, u, ns[i-1])
+			}
+		}
+		live[id] += r.deg
+		edges += uint64(r.deg)
+	}
+	var inUse uint64
+	for id, pg := range a.pages {
+		if live[id] != a.live[id] {
+			return 0, fmt.Errorf("page %d counts %d live entries, its runs hold %d", id, a.live[id], live[id])
+		}
+		inUse += uint64(len(pg))
+	}
+	if inUse != a.inUse {
+		return 0, fmt.Errorf("arena counts %d entries of pages in use, its pages hold %d", a.inUse, inUse)
+	}
+	return edges, nil
 }
 
 // debugValidate, when non-nil, runs at the end of every graph-level

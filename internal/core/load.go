@@ -13,8 +13,9 @@ import (
 // neighbor set of vertex base+i. It is the inverse of Snapshot.CSR and the
 // one-pass counterpart of the batch pipeline's merge-and-rebuild: a run is
 // already grouped by vertex and sorted, so each goes straight to
-// rebuildVertex with no pack, partition, sort or merge, workers claiming
-// chunks of vertices (one vertex, one worker, by construction).
+// rebuildVertex — or, in an adopted shard, to a page as it is — with no pack,
+// partition, sort or merge, workers claiming chunks of vertices (one vertex,
+// one worker, by construction).
 //
 // Vertices are routed by the graph's own partition map, so a CSR written
 // under another shard count or layout — one whose range straddles this
@@ -50,33 +51,40 @@ func (g *Graph) LoadCSR(base uint32, offs []uint64, adj []uint32) error {
 
 	g.EnsureVertices(n) // reserved-only slots of the range get storage
 	defer g.runDebugValidate()
-	parallel.ForChunk(nv, p, func(lo, hi int) {
-		// The chunk's edges are counted locally and folded into a shard's
-		// counter once, when the walk leaves the shard.
-		var cur *shardState
-		var m uint64
-		for i := lo; i < hi; i++ {
-			ns := adj[offs[i]:offs[i+1]]
-			if len(ns) == 0 {
-				continue
-			}
-			sh, lv := g.locate(base + uint32(i))
-			if sh != cur {
-				if cur != nil {
-					cur.m.Add(m)
-				}
-				cur, m = sh, 0
-			}
-			g.rebuildVertex(&sh.verts[lv], ns)
-			m += uint64(len(ns))
-		}
-		if cur != nil {
-			cur.m.Add(m)
-		}
-	})
+	pm := g.pmap.Load()
 	for i := range g.shards {
-		// What changed since the last publish is not one batch's groups.
-		g.shards[i].unpub = 2
+		// Shard i's share of the CSR's vertices, as indexes into offs.
+		sh, first, end := &g.shards[i], max(pm.Starts[i], base), uint64(base)+uint64(nv)
+		if i+1 < len(pm.Starts) {
+			end = min(end, uint64(pm.Starts[i+1]))
+		}
+		if uint64(first) >= end {
+			continue
+		}
+		lo, hi := int(first-base), int(end-uint64(base))
+		if offs[lo] == offs[hi] {
+			continue
+		}
+		lv0 := base + uint32(lo) - sh.base // the slot of vertex lo
+		if sh.adopted {
+			// The runs go to the arena's pages as they are: placed in vertex
+			// order by the arena's one owner, then copied.
+			tab, a := sh.table()[lv0:], &sh.pub
+			a.m = sh.m.Load() + offs[hi] - offs[lo]
+			for j := range tab[:hi-lo] {
+				tab[j] = a.place(uint32(offs[lo+j+1]-offs[lo+j]), tailBatch)
+			}
+			parallel.For(hi-lo, p, func(j int) {
+				copy(a.read(tab[j]), adj[offs[lo+j]:offs[lo+j+1]])
+			})
+		} else {
+			parallel.For(hi-lo, p, func(j int) {
+				if ns := adj[offs[lo+j]:offs[lo+j+1]]; len(ns) > 0 {
+					g.rebuildVertex(&sh.verts[lv0+uint32(j)], ns)
+				}
+			})
+		}
+		sh.m.Add(offs[hi] - offs[lo])
 	}
 	if obs.Enabled() {
 		obsEdgesAdded.Add(uint64(len(adj)))
@@ -94,8 +102,8 @@ func (g *Graph) checkRun(v uint32, lo, hi uint64, adj []uint32, n uint32) error 
 	if len(ns) == 0 {
 		return nil
 	}
-	if vb := g.vb(v); vb != nil && vb.degree() != 0 {
-		return fmt.Errorf("core: LoadCSR: vertex %d already has %d edges", v, vb.degree())
+	if deg := g.Degree(v); deg != 0 {
+		return fmt.Errorf("core: LoadCSR: vertex %d already has %d edges", v, deg)
 	}
 	for i, u := range ns {
 		if i > 0 && u <= ns[i-1] {

@@ -173,40 +173,53 @@ func TestLoadCSRRefusals(t *testing.T) {
 	sameGraph(t, "empty run over a non-empty vertex", g, want)
 }
 
-// TestPublishAfterLoadAndRelease checks the two ways this file lets a
-// shard change behind its last published snapshot without a batch's vertex
-// list to say where — a bulk load, and a batch whose scratch was released —
-// both make the next publish a rebuild, and a correct one.
+// TestPublishAfterLoadAndRelease checks the two ways this file changes a
+// shard other than by a batch, on adopted shards: a bulk load copies the
+// CSR's runs to the shards' pages — across a shard boundary, on top of a
+// published snapshot that stays as it was — and refuses what the live load
+// refuses; and releasing the scratch of the batch before a publish takes
+// nothing the publish needs.
 func TestPublishAfterLoadAndRelease(t *testing.T) {
 	const n = 512
-	cfg := loadCfg(1)
-	g := New(n, cfg)
-	sh := g.Shard(0)
-	snap, _ := sh.Publish(nil)
+	cfg := loadCfg(2)
+	tw := newTwin(n, cfg)
+	tw.insert([]uint32{3, n - 1}, []uint32{9, 4})
+	before := []*Snapshot{tw.g.Shard(0).Publish(), tw.g.Shard(1).Publish()}
+	want := []*Snapshot{tw.ref.Shard(0).SnapshotInto(nil), tw.ref.Shard(1).SnapshotInto(nil)}
 
+	// Vertices 100..399 straddle the boundary at 256 and hold no edge yet.
 	offs, adj, _, _ := testCSR(rand.New(rand.NewSource(3)), n, loadDegrees(cfg))
-	if err := g.LoadCSR(0, offs, adj); err != nil {
+	offs, adj = sliceCSR(offs, adj, 100, 400)
+	if err := tw.g.LoadCSR(3, offs, adj); err == nil || !strings.Contains(err.Error(), "already has") {
+		t.Fatalf("load over vertex 3, which has an edge: %v", err)
+	}
+	if err := tw.check(); err != nil {
+		t.Fatalf("after the refused load: %v", err)
+	}
+	if err := tw.g.LoadCSR(100, offs, adj); err != nil {
 		t.Fatal(err)
 	}
-	next, rebuilt := sh.Publish(snap)
-	if !rebuilt {
-		t.Fatal("publish after LoadCSR appended")
+	if err := tw.ref.LoadCSR(100, offs, adj); err != nil {
+		t.Fatal(err)
 	}
-	sameSnapshot(t, "after LoadCSR", next, sh.SnapshotInto(nil))
-	snap = next
+	if err := tw.check(); err != nil {
+		t.Fatalf("after LoadCSR: %v", err)
+	}
+	for i, snap := range before {
+		tw.sameAsShard(t, "after LoadCSR", i, tw.g.Shard(i).Publish())
+		sameSnapshot(t, "published before LoadCSR", snap, want[i])
+	}
 
-	// One batch larger than scratchKeepMin, so releasing drops its groups.
+	// One batch larger than scratchKeepMin, so releasing drops its buffers.
 	src, dst := randomBatch(rand.New(rand.NewSource(4)), 2*scratchKeepMin, 0, n, n)
-	g.DeleteBatch(src, dst)
-	g.ReleaseScratch()
-	if sh.sh.prep.ks != nil || sh.sh.prep.groups != nil {
+	tw.delete(src, dst)
+	tw.g.ReleaseScratch()
+	if sh := &tw.g.shards[0]; sh.prep.ks != nil || sh.prep.jobs != nil {
 		t.Fatal("ReleaseScratch kept the batch-sized buffers")
 	}
-	next, rebuilt = sh.Publish(snap)
-	if !rebuilt {
-		t.Fatal("publish after ReleaseScratch appended without the batch's vertex list")
+	for i := range before {
+		tw.sameAsShard(t, "after ReleaseScratch", i, tw.g.Shard(i).Publish())
 	}
-	sameSnapshot(t, "after ReleaseScratch", next, sh.SnapshotInto(nil))
 }
 
 // TestNewFromEdgesReleasesScratch: a bulk load sizes the pipeline's buffers

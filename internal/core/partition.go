@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -136,9 +137,12 @@ var ErrNoMove = fmt.Errorf("core: boundary already at requested start")
 func (g *Graph) PartitionMap() *PartitionMap { return g.pmap.Load() }
 
 // MoveBoundary moves the boundary between shards k and k+1 to newStart,
-// splicing the vertex blocks of the transferred sub-range between the two
-// shardStates and installing the successor map (epoch+1). It returns the
-// number of materialized vertices and directed edges that changed owner.
+// splicing the transferred sub-range's storage between the two shardStates
+// and installing the successor map (epoch+1): vertex blocks between live
+// shards; between adopted ones table entries, each moved run copied to the
+// kept tail of the receiver's arena and dropped from the donor's. A live
+// shard whose neighbour is adopted is adopted first. It returns the number of
+// materialized vertices and directed edges that changed owner.
 //
 // The caller must hold both affected shards quiescent — no concurrent
 // update, snapshot, or direct-Graph read may touch shards k and k+1 for
@@ -152,91 +156,97 @@ func (g *Graph) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEd
 		return 0, 0, err
 	}
 	a, b := &g.shards[k], &g.shards[k+1]
-	old := pm.Starts[k+1]
-	if newStart < old {
-		movedVerts, movedEdges = spliceDown(a, b, newStart, old)
-		a.m.Add(^movedEdges + 1) // two's-complement subtract
-		b.m.Add(movedEdges)
-	} else {
-		movedVerts, movedEdges = spliceUp(a, b, old, newStart)
-		b.m.Add(^movedEdges + 1)
-		a.m.Add(movedEdges)
+	if a.adopted != b.adopted {
+		g.adopt(a, g.shardWorkers())
+		g.adopt(b, g.shardWorkers())
 	}
-	// Slots and bases shifted: neither shard's next Publish may patch its
-	// previous snapshot.
-	a.unpub, b.unpub = 2, 2
+	// The boundary moves down: a gives its tail to b's front; or up: b gives
+	// its front to a's tail.
+	old := pm.Starts[k+1]
+	from, to := a, b
+	if newStart > old {
+		from, to = b, a
+	}
+	if a.adopted {
+		movedVerts, movedEdges = spliceTables(a, b, from, to, old, newStart)
+	} else {
+		movedVerts, movedEdges = spliceBlocks(a, b, old, newStart)
+	}
+	b.base = newStart
+	from.subEdges(movedEdges)
+	to.m.Add(movedEdges)
 	g.pmap.Store(next)
 	return movedVerts, movedEdges, nil
 }
 
-// spliceDown moves the materialized vertex blocks of global range
-// [newStart, old) from donor a to receiver b (boundary moves left: b's
-// range grows downward). It updates bases and returns the moved
-// materialized vertex count and their summed out-degrees.
-func spliceDown(a, b *shardState, newStart, old uint32) (uint32, uint64) {
-	lo := int(newStart - a.base)
-	if lo > len(a.verts) {
-		lo = len(a.verts)
+// splice lays out the two shards' storage — vertex blocks or table entries —
+// for the boundary between a and b moving from old to newStart, where aBase
+// is a's first vertex. It returns both shards' new storage and the moved
+// elements twice: where they were in the donor (to be released) and where
+// they are in the receiver. Materialized storage is always a prefix of a
+// shard's range, so the receiver is zero-filled up to the moved elements
+// where it was shorter.
+func splice[T any](av, bv []T, aBase, old, newStart uint32) (na, nb, was, now []T) {
+	if newStart < old {
+		lo := min(int(newStart-aBase), len(av))
+		was = av[lo:]
+		switch gap := int(old - newStart); {
+		case len(was) == 0 && len(bv) == 0:
+			// Nothing materialized on either side of the new boundary.
+			return av, bv, nil, nil
+		case len(bv) == 0:
+			nb = make([]T, len(was))
+		default:
+			nb = make([]T, gap+len(bv))
+			copy(nb[gap:], bv)
+		}
+		return av[:lo], nb, was, nb[:copy(nb, was)]
 	}
-	moved := a.verts[lo:]
-	var edges uint64
-	for i := range moved {
-		edges += uint64(moved[i].degree())
+	was = bv[:min(int(newStart-old), len(bv))]
+	if len(was) == 0 {
+		return av, bv, nil, nil
 	}
-	gap := int(old - newStart) // width of the transferred range
-	switch {
-	case len(b.verts) == 0 && len(moved) == 0:
-		// Nothing materialized on either side of the new boundary.
-	case len(b.verts) == 0:
-		// Receiver had no storage: the moved prefix becomes its storage
-		// (materialization is always a prefix of the range, which holds
-		// because moved starts exactly at newStart).
-		nb := make([]vertex, len(moved))
-		copy(nb, moved)
-		b.verts = nb
-	default:
-		// Receiver has storage from old base: prepend the full transferred
-		// width, zero-filling any unmaterialized middle, to stay contiguous.
-		nb := make([]vertex, gap+len(b.verts))
-		copy(nb, moved)
-		copy(nb[gap:], b.verts)
-		b.verts = nb
-	}
-	for i := range moved {
-		moved[i] = vertex{} // drop overflow pointers from the donor's tail
-	}
-	a.verts = a.verts[:lo]
-	b.base = newStart
-	return uint32(len(moved)), edges
+	full := int(old - aBase)
+	na = make([]T, full+len(was))
+	copy(na, av)
+	// b keeps its own array, not the tail of one whose front moved away.
+	return na, slices.Clone(bv[len(was):]), was, na[full:][:copy(na[full:], was)]
 }
 
-// spliceUp moves the materialized vertex blocks of global range
-// [old, newStart) from donor b to receiver a (boundary moves right: a's
-// range grows upward). It updates bases and returns the moved materialized
-// vertex count and their summed out-degrees.
-func spliceUp(a, b *shardState, old, newStart uint32) (uint32, uint64) {
-	mLen := int(newStart - old)
-	if mLen > len(b.verts) {
-		mLen = len(b.verts)
-	}
-	moved := b.verts[:mLen]
+// spliceBlocks moves the vertex blocks of the transferred range between two
+// live shards and returns their number and summed out-degrees.
+func spliceBlocks(a, b *shardState, old, newStart uint32) (uint32, uint64) {
+	var was []vertex
+	a.verts, b.verts, was, _ = splice(a.verts, b.verts, a.base, old, newStart)
 	var edges uint64
-	for i := range moved {
-		edges += uint64(moved[i].degree())
+	for i := range was {
+		edges += uint64(was[i].degree())
 	}
-	if len(moved) > 0 {
-		// Receiver must be materialized through old before appending the
-		// moved prefix, so its storage stays a contiguous prefix of the range.
-		full := int(old - a.base)
-		na := make([]vertex, full+len(moved))
-		copy(na, a.verts)
-		copy(na[full:], moved)
-		a.verts = na
+	clear(was) // drop the overflow pointers from the donor's array
+	return uint32(len(was)), edges
+}
+
+// spliceTables moves the table entries of the transferred range between two
+// adopted shards, and the runs they name from the donor's arena to the
+// receiver's, and returns their number and summed degrees.
+func spliceTables(a, b, from, to *shardState, old, newStart uint32) (uint32, uint64) {
+	capA, capB := cap(a.table()), cap(b.table())
+	var was, now []vref
+	a.tab, b.tab, was, now = splice(a.tab, b.tab, a.base, old, newStart)
+	a.tabEntries += cap(a.tab) - capA
+	b.tabEntries += cap(b.tab) - capB
+	var edges uint64
+	for _, r := range was {
+		edges += uint64(r.deg)
 	}
-	for i := range moved {
-		moved[i] = vertex{}
+	// Sized before the runs are placed, as for a batch (mergeRuns). The pages
+	// the moved runs leave retire as any emptied page does; what the receiver
+	// now holds beyond its bound the next publish cleans.
+	to.pub.m = to.m.Load() + edges
+	for i, r := range was {
+		now[i] = to.pub.place(r.deg, tailKept)
+		copy(to.pub.read(now[i]), from.pub.read(r))
+		from.pub.drop(r)
 	}
-	b.verts = b.verts[mLen:]
-	b.base = newStart
-	return uint32(len(moved)), edges
+	return uint32(len(was)), edges
 }

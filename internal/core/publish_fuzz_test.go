@@ -21,7 +21,7 @@ import (
 // Encoding, one op per 4 bytes {op, a, b, c}: op%8 = 0..2 insert, 3..4
 // delete (vertex a%fuzzVerts, 16·(b+1) neighbors striding from c), 5 hold
 // the latest snapshot, 6 recycle held snapshot a%len(held), 7 a second
-// batch before the next publish (which must then rebuild).
+// batch before the next publish.
 func FuzzPublishRecycle(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 255, 3, 5, 0, 0, 0, 3, 1, 40, 3, 6, 0, 0, 0})
@@ -76,11 +76,8 @@ func runPublishProgram(prog []byte) (cleaned uint64, err error) {
 	var latest heldSnap
 	var held []heldSnap
 	latestHeld := false
-	publish := func(wantRebuild bool) error {
-		snap, rebuilt := sh.Publish(latest.snap)
-		if rebuilt != wantRebuild {
-			return fmt.Errorf("publish seq %d: rebuilt=%v, want %v", snap.seq, rebuilt, wantRebuild)
-		}
+	publish := func() error {
+		snap := sh.Publish()
 		if latest.snap != nil && !latestHeld {
 			sh.Recycle(latest.snap)
 		}
@@ -97,7 +94,7 @@ func runPublishProgram(prog []byte) (cleaned uint64, err error) {
 		}
 		return nil
 	}
-	if err := publish(true); err != nil {
+	if err := publish(); err != nil {
 		return 0, err
 	}
 	batch := func(op, a, b, c byte) {
@@ -124,7 +121,7 @@ func runPublishProgram(prog []byte) (cleaned uint64, err error) {
 		switch {
 		case op < 5:
 			batch(op, a, b, c)
-			if err := publish(false); err != nil {
+			if err := publish(); err != nil {
 				return 0, err
 			}
 		case op == 5:
@@ -143,7 +140,7 @@ func runPublishProgram(prog []byte) (cleaned uint64, err error) {
 		default:
 			batch(a%5, b, c, a)
 			batch(b%5, c, a, b)
-			if err := publish(true); err != nil {
+			if err := publish(); err != nil {
 				return 0, err
 			}
 		}

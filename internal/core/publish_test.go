@@ -40,13 +40,45 @@ func randomBatch(rng *rand.Rand, k int, lo, hi, n uint32) (src, dst []uint32) {
 	return src, dst
 }
 
+// shardTwin is one shard of a graph that Publish adopts and the same shard of
+// a bare Graph fed the same batches: the oracle a published snapshot is
+// checked against is a flatten of the paper's live structures, which share no
+// code with the merge that wrote the snapshot's runs.
+type shardTwin struct {
+	Shard
+	ref Shard
+}
+
+func newShardTwin(n uint32, cfg Config, shard int) shardTwin {
+	return shardTwin{New(n, cfg).Shard(shard), New(n, cfg).Shard(shard)}
+}
+
+func (st shardTwin) insert(src, dst []uint32) {
+	st.InsertBatch(src, dst)
+	st.ref.InsertBatch(src, dst)
+}
+
+func (st shardTwin) delete(src, dst []uint32) {
+	st.DeleteBatch(src, dst)
+	st.ref.DeleteBatch(src, dst)
+}
+
+func (st shardTwin) ensure(n uint32) {
+	st.EnsureVertices(n)
+	st.ref.EnsureVertices(n)
+}
+
+// want flattens the oracle shard.
+func (st shardTwin) want() *Snapshot { return st.ref.SnapshotInto(nil) }
+
 // TestPublishMatchesRebuild drives one shard through 2 400 insert and
 // delete batches, publishing after each, and checks every published
-// snapshot against a from-scratch rebuild of the same state — and that the
-// snapshots still held, recycled in no particular order and one of them
-// kept across hundreds of publishes, read exactly what they read when they
-// were published, while the arena under them appends to shared pages,
-// cleans, retires pages and reuses them. Only the first publish may rebuild.
+// snapshot against a from-scratch flatten of a bare Graph's shard that took
+// the same batches — and that the snapshots still held, recycled in no
+// particular order and one of them kept across hundreds of publishes, read
+// exactly what they read when they were published, while the arena under
+// them takes the batches' merged runs on shared pages, cleans, retires pages
+// and reuses them.
 //
 // Mutation check (by hand, PR 22): freeing a retired page one snapshot early
 // (drain comparing against out[0]+1) fails this test, and
@@ -54,33 +86,29 @@ func randomBatch(rng *rand.Rand, k int, lo, hi, n uint32) (src, dst []uint32) {
 // still reads.
 func TestPublishMatchesRebuild(t *testing.T) {
 	const n, sources, batches = 1 << 12, 256, 2400
-	g := New(n, Config{Shards: 2, Workers: 2})
-	sh := g.Shard(1)
+	sh := newShardTwin(n, Config{Shards: 2, Workers: 2}, 1)
 	lo := sh.Base()
 	rng := rand.New(rand.NewSource(11))
-	sh.InsertBatch(randomBatch(rng, 100_000, lo, lo+sources, n))
+	sh.insert(randomBatch(rng, 100_000, lo, lo+sources, n))
 
 	var prev, prevWant *Snapshot
 	var olds []frozen
 	var pinned frozen
-	rebuilds, reused := 0, 0
+	reused := 0
 	for b := 0; b < batches; b++ {
 		src, dst := randomBatch(rng, 1+rng.Intn(24), lo, lo+sources, n)
-		if b%3 == 2 {
-			sh.DeleteBatch(src, dst)
-		} else {
-			sh.InsertBatch(src, dst)
-		}
 		free := len(sh.sh.pub.free)
-		snap, rebuilt := sh.Publish(prev)
-		if rebuilt {
-			rebuilds++
+		if b%3 == 2 {
+			sh.delete(src, dst)
+		} else {
+			sh.insert(src, dst)
 		}
+		snap := sh.Publish()
 		reusedPage := len(sh.sh.pub.free) < free
 		if reusedPage {
 			reused++
 		}
-		want := sh.SnapshotInto(nil)
+		want := sh.want()
 		sameSnapshot(t, "published", snap, want)
 		if snap.NumEdges() != sh.NumEdges() {
 			t.Fatalf("batch %d: snapshot has %d edges, shard %d", b, snap.NumEdges(), sh.NumEdges())
@@ -118,45 +146,40 @@ func TestPublishMatchesRebuild(t *testing.T) {
 		}
 		prev, prevWant = snap, want
 	}
+	if err := sh.g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	st := sh.Published()
-	if rebuilds != 1 || st.Cleaned == 0 || reused < 50 {
-		t.Fatalf("%d rebuilds, %d entries cleaned, %d publishes reused a page: want the first publish only, some, many",
-			rebuilds, st.Cleaned, reused)
+	if st.Cleaned == 0 || reused < 50 {
+		t.Fatalf("%d entries cleaned, %d batches reused a page: want some, many", st.Cleaned, reused)
 	}
 }
 
 // TestPublishMatchesRebuildAfterShapes publishes after the insert and after
 // the delete of every partition-stressing batch shape, at 1, 2 and 4
-// workers, on a preloaded shard whose arena tail is large enough that the
-// shapes which fit it take the append path — the path that reads
-// sh.prep.groups — and checks each snapshot against a from-scratch rebuild.
+// workers, on a preloaded, adopted shard — so every shape goes through the
+// merge, its ranges and heavy groups placed and written by as many workers —
+// and checks each snapshot against a flatten of the oracle shard.
 func TestPublishMatchesRebuildAfterShapes(t *testing.T) {
-	appends := 0
 	for _, shape := range batchShapes() {
 		rng := rand.New(rand.NewSource(23))
 		base, bdst := randomBatch(rng, 8*int(shape.nv), 0, shape.nv, shape.nv)
 		for _, p := range []int{1, 2, 4} {
-			sh := New(shape.nv, Config{Workers: p}).Shard(0)
-			sh.InsertBatch(base, bdst)
-			prev, _ := sh.Publish(nil)
+			sh := newShardTwin(shape.nv, Config{Workers: p}, 0)
+			sh.insert(base, bdst)
+			sameSnapshot(t, fmt.Sprintf("%s p=%d adoption", shape.name, p), sh.Publish(), sh.want())
 			for step, del := range []bool{false, true} {
 				if del {
-					sh.DeleteBatch(shape.src[:len(shape.src)/3], shape.dst[:len(shape.src)/3])
+					sh.delete(shape.src[:len(shape.src)/3], shape.dst[:len(shape.src)/3])
 				} else {
-					sh.InsertBatch(shape.src, shape.dst)
+					sh.insert(shape.src, shape.dst)
 				}
-				snap, rebuilt := sh.Publish(prev)
-				if !rebuilt {
-					appends++
-				}
-				sameSnapshot(t, fmt.Sprintf("%s p=%d step %d (rebuilt=%v)", shape.name, p, step, rebuilt),
-					snap, sh.SnapshotInto(nil))
-				prev = snap
+				sameSnapshot(t, fmt.Sprintf("%s p=%d step %d", shape.name, p, step), sh.Publish(), sh.want())
+			}
+			if err := sh.g.CheckInvariants(); err != nil {
+				t.Fatalf("%s p=%d: %v", shape.name, p, err)
 			}
 		}
-	}
-	if appends < 12 {
-		t.Fatalf("only %d publishes appended; the shapes must exercise the groups-driven path", appends)
 	}
 }
 
@@ -164,16 +187,12 @@ func TestPublishMatchesRebuildAfterShapes(t *testing.T) {
 // extends, the new vertices read as degree 0 until a batch names them, and
 // a snapshot published before the growth keeps its own vertex count.
 func TestPublishGrowth(t *testing.T) {
-	g := New(8, Config{Workers: 1})
-	sh := g.Shard(0)
-	sh.InsertBatch([]uint32{1, 2}, []uint32{2, 1})
-	s0, _ := sh.Publish(nil)
+	sh := newShardTwin(8, Config{Workers: 1}, 0)
+	sh.insert([]uint32{1, 2}, []uint32{2, 1})
+	s0 := sh.Publish()
 
-	sh.EnsureVertices(100)
-	s1, rebuilt := sh.Publish(s0)
-	if rebuilt {
-		t.Fatal("growth alone forced a rebuild")
-	}
+	sh.ensure(100)
+	s1 := sh.Publish()
 	if s0.NumVertices() != 8 || s1.NumVertices() != 100 {
 		t.Fatalf("vertex counts %d then %d, want 8 then 100", s0.NumVertices(), s1.NumVertices())
 	}
@@ -183,51 +202,63 @@ func TestPublishGrowth(t *testing.T) {
 		}
 	}
 
-	// A recycled table carries stale entries; growth must not read them.
-	junk, _ := sh.Publish(s1)
-	for v := range junk.tab {
-		junk.tab[v] = vref{off: 1, deg: 1}
+	// A recycled table carries stale entries, beyond its length too; growth
+	// within its capacity must not read them.
+	sh.ensure(110) // reallocates with headroom
+	junk := sh.Publish()
+	sh.insert([]uint32{1}, []uint32{3}) // the latest snapshot shares the table: this copies it
+	s2 := sh.Publish()
+	if cap(junk.tab) < 120 {
+		t.Fatalf("grown table has capacity %d, want headroom past 120", cap(junk.tab))
+	}
+	for v := range junk.tab[:cap(junk.tab)] {
+		junk.tab[:cap(junk.tab)][v] = vref{off: 1, deg: 1}
 	}
 	sh.Recycle(junk)
-	sh.EnsureVertices(120)
-	sh.InsertBatch([]uint32{99, 110}, []uint32{3, 99})
-	s2, rebuilt := sh.Publish(s1)
-	if rebuilt {
-		t.Fatal("two-edge batch forced a rebuild")
-	}
-	sameSnapshot(t, "after growth + batch", s2, sh.SnapshotInto(nil))
-	if got := s2.Neighbors(110); !slices.Equal(got, []uint32{99}) {
+	sh.ensure(120)
+	sh.insert([]uint32{99, 110}, []uint32{3, 99})
+	s3 := sh.Publish()
+	sameSnapshot(t, "after growth + batch", s3, sh.want())
+	if got := s3.Neighbors(110); !slices.Equal(got, []uint32{99}) {
 		t.Fatalf("Neighbors(110) = %v", got)
 	}
-	if s1.NumVertices() != 100 || s1.Degree(99) != 0 {
-		t.Fatal("the snapshot published before the growth changed")
+	if s1.NumVertices() != 100 || s1.Degree(99) != 0 || s2.NumVertices() != 110 {
+		t.Fatal("a snapshot published before the growth changed")
+	}
+	if err := sh.g.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestPublishRebuildRules pins when a publish refills the arena from the
-// live structures: no previous snapshot, more than one batch since the
-// previous publish, and a boundary move. Everything else appends — however
-// much of the shard the batch names — and what a refill replaces retires
-// through the same path as any emptied page.
+// TestPublishRebuildRules pins what adopts, what a batch writes and what a
+// publish does: the first publish flattens the live structures into pages and
+// drops them, and nothing refills the arena ever after — a batch writes
+// exactly the runs of the vertices it changes, at apply time, on pages older
+// snapshots read the front of or not at all, however much of the shard it
+// names and however many batches precede the next publish; a publish with
+// nothing changed copies the table; a boundary move copies the moved runs and
+// adopts a neighbour that was still live.
 func TestPublishRebuildRules(t *testing.T) {
 	const n = 1 << 10
-	g := New(n, Config{Shards: 2, Workers: 2})
+	cfg := Config{Shards: 2, Workers: 2}
+	tw := twin{New(n, cfg), New(n, cfg)}
 	es := gen.Symmetrize(gen.NewRMatPaper(10, 5).Edges(6000))
 	src, dst := make([]uint32, len(es)), make([]uint32, len(es))
 	for i, e := range es {
 		src[i], dst[i] = e.Src, e.Dst
 	}
-	g.InsertBatch(src, dst)
-	sh := g.Shard(0)
+	tw.insert(src, dst)
+	sh := tw.g.Shard(0)
 	a := &sh.sh.pub
 	lo, hi := sh.Base(), sh.Base()+sh.NumVertices()
 	rng := rand.New(rand.NewSource(3))
 
-	s0, rebuilt := sh.Publish(nil)
-	if !rebuilt {
-		t.Fatal("first publish did not rebuild")
+	s0 := sh.Publish()
+	if sh.sh.verts != nil || !sh.sh.adopted || sh.NumVertices() != hi-lo {
+		t.Fatalf("first publish left %d vertex blocks, adopted=%v, %d slots", len(sh.sh.verts), sh.sh.adopted, sh.NumVertices())
 	}
-	// A shard this small fills pages of a quarter of its edges.
+	tw.sameAsShard(t, "adoption", 0, s0)
+	// A shard this small fills pages of twice its edges.
 	var live uint64
 	for _, n := range a.live {
 		live += uint64(n)
@@ -236,67 +267,59 @@ func TestPublishRebuildRules(t *testing.T) {
 		t.Fatalf("first publish of %d edges: %d entries of pages (want %d), %d counted live", sh.NumEdges(), a.inUse, want, live)
 	}
 
-	// Nothing changed: a table copy, no rebuild, nothing appended.
-	room := a.tails[0].room
-	s1, rebuilt := sh.Publish(s0)
-	if rebuilt || a.tails[0].room != room {
-		t.Fatalf("empty publish: rebuilt=%v, appended %d entries", rebuilt, room-a.tails[0].room)
+	// Nothing changed: a table copy, nothing placed.
+	placed := a.placed
+	s1 := sh.Publish()
+	if a.placed != placed || &s1.tab[0] == &s0.tab[0] {
+		t.Fatalf("empty publish: placed %d entries, shares the table=%v", a.placed-placed, &s1.tab[0] == &s0.tab[0])
 	}
 
-	// One small batch gives exactly its vertices new runs, on pages the older
-	// snapshots read the front of or not at all.
+	// One small batch gives exactly the vertices it changes new runs, when it
+	// is applied, on pages the older snapshots read the front of or not at all.
 	bs, bd := randomBatch(rng, 8, lo, hi, n)
-	sh.InsertBatch(bs, bd)
-	seen := map[uint32]bool{}
-	for _, v := range bs {
-		seen[v] = true
-	}
-	s2, rebuilt := sh.Publish(s1)
-	if rebuilt {
-		t.Fatal("small batch rebuilt")
-	}
-	for lv, r := range s2.tab {
-		if moved := r != s1.tab[lv]; moved != seen[lo+uint32(lv)] {
-			t.Fatalf("vertex %d: run moved=%v, in the batch=%v", lo+uint32(lv), moved, !moved)
+	changes := map[uint32]bool{}
+	for i, v := range bs {
+		if !tw.ref.Has(v, bd[i]) {
+			changes[v] = true
 		}
 	}
+	bs, bd = append(bs, src[0]), append(bd, dst[0]) // and names one it does not change
+	tw.insert(bs, bd)
+	for lv, r := range sh.sh.tab {
+		if moved := r != s1.tab[lv]; moved != changes[lo+uint32(lv)] {
+			t.Fatalf("vertex %d: run moved=%v, changed by the batch=%v", lo+uint32(lv), moved, !moved)
+		}
+	}
+	s2 := sh.Publish()
+	tw.sameAsShard(t, "after a small batch", 0, s2)
 	for id, pg := range s0.pages {
 		if &s2.pages[id][0] != &pg[0] || len(s2.pages[id]) < len(pg) {
-			t.Fatalf("append publish left shared page %d", id)
+			t.Fatalf("batch left shared page %d", id)
 		}
 	}
 
-	// A batch naming every vertex appends too, and leaves what the older
+	// A batch naming every vertex is no different, and leaves what the older
 	// snapshots read exactly as it was.
-	want2 := sh.SnapshotInto(nil)
+	want2 := tw.ref.Shard(0).SnapshotInto(nil)
 	var ws, wd []uint32
 	for v := lo; v < hi; v++ {
 		ws, wd = append(ws, v), append(wd, (v+1)%n)
 	}
-	sh.InsertBatch(ws, wd)
-	s3, rebuilt := sh.Publish(s2)
-	if rebuilt {
-		t.Fatalf("batch touching all %d vertices rebuilt", hi-lo)
-	}
-	sameSnapshot(t, "after a whole-shard batch", s3, sh.SnapshotInto(nil))
+	tw.insert(ws, wd)
+	s3 := sh.Publish()
+	tw.sameAsShard(t, "after a whole-shard batch", 0, s3)
 	sameSnapshot(t, "epoch before it", s2, want2)
 
-	// Two batches between publishes: the touched set is unknown. The refill
-	// goes to fresh pages; the old ones wait for s0..s3.
-	want3 := sh.SnapshotInto(nil)
-	for i := 0; i < 2; i++ {
-		bs, bd = randomBatch(rng, 4, lo, hi, n)
-		sh.InsertBatch(bs, bd)
-	}
-	s4, rebuilt := sh.Publish(s3)
-	if !rebuilt {
-		t.Fatal("two batches since the last publish did not rebuild")
-	}
-	sameSnapshot(t, "after two batches", s4, sh.SnapshotInto(nil))
-	sameSnapshot(t, "epoch before the refill", s3, want3)
-	if len(a.retired) == 0 {
-		t.Fatal("refill with older snapshots out retired no page")
-	}
+	// Two batches between publishes: the second merges into what the first
+	// wrote, which no snapshot ever read.
+	want3 := tw.ref.Shard(0).SnapshotInto(nil)
+	bs, bd = randomBatch(rng, 4, lo, hi, n)
+	tw.insert(bs, bd)
+	tw.insert(bs, []uint32{5, 6, 7, 8})
+	tw.delete(bs[:2], bd[:2])
+	s4 := sh.Publish()
+	tw.sameAsShard(t, "after three batches", 0, s4)
+	sameSnapshot(t, "epoch before them", s3, want3)
 	for _, s := range []*Snapshot{s1, s3, s0, s2} {
 		sh.Recycle(s)
 	}
@@ -304,44 +327,47 @@ func TestPublishRebuildRules(t *testing.T) {
 		t.Fatalf("older snapshots recycled: %d pages still retired", len(a.retired))
 	}
 
-	// A boundary move shifts slots and bases under both shards.
-	other := g.Shard(1)
-	o0, _ := other.Publish(nil)
-	if _, _, err := g.MoveBoundary(0, hi-100); err != nil {
+	// A boundary move takes the moved vertices' runs to the other shard's
+	// arena; that shard, live until now, is adopted for it.
+	other := tw.g.Shard(1)
+	want4 := tw.ref.Shard(0).SnapshotInto(nil)
+	if err := tw.move(0, hi-100); err != nil {
 		t.Fatal(err)
 	}
-	s5, rebuilt := sh.Publish(s4)
-	o1, orebuilt := other.Publish(o0)
-	if !rebuilt || !orebuilt {
-		t.Fatalf("publish after a boundary move: rebuilt=%v/%v", rebuilt, orebuilt)
+	if !other.sh.adopted || other.sh.verts != nil {
+		t.Fatal("boundary move with an adopted shard left its neighbour live")
 	}
-	sameSnapshot(t, "donor after move", s5, sh.SnapshotInto(nil))
-	sameSnapshot(t, "receiver after move", o1, other.SnapshotInto(nil))
+	if err := tw.check(); err != nil {
+		t.Fatalf("after the move: %v", err)
+	}
+	tw.sameAsShard(t, "donor after move", 0, sh.Publish())
+	tw.sameAsShard(t, "receiver after move", 1, other.Publish())
+	sameSnapshot(t, "epoch before the move", s4, want4)
 }
 
 // TestPublishRunShapes covers the runs that do not fit the common case: one
 // longer than a page (a page of exactly its size, retired whole when the
-// vertex is next touched), one that shrinks to nothing, and a boundary move
-// between two appends.
+// vertex is next changed), one that shrinks to nothing, and a boundary move
+// between two batches.
 func TestPublishRunShapes(t *testing.T) {
 	const n, big = 1 << 16, pageSize + 1000
-	g := New(n, Config{Shards: 2, Workers: 2})
-	sh, other := g.Shard(0), g.Shard(1)
+	tw := newTwin(n, Config{Shards: 2, Workers: 2})
+	sh, other := tw.g.Shard(0), tw.g.Shard(1)
 	a := &sh.sh.pub
 	hub := make([]uint32, big)
 	dst := make([]uint32, big)
 	for i := range dst {
 		hub[i], dst[i] = 7, uint32(2*i)
 	}
-	sh.InsertBatch([]uint32{3, 3, 9}, []uint32{1, 2, 5})
-	s0, _ := sh.Publish(nil)
-	o0, _ := other.Publish(nil)
+	tw.insert([]uint32{3, 3, 9}, []uint32{1, 2, 5})
+	sh.Publish()
+	other.Publish()
 
-	sh.InsertBatch(hub, dst)
-	s1, rebuilt := sh.Publish(s0)
-	want1 := sh.SnapshotInto(nil)
-	if rebuilt || len(s1.Neighbors(7)) != big {
-		t.Fatalf("hub publish: rebuilt=%v, %d neighbors, want %d", rebuilt, len(s1.Neighbors(7)), big)
+	tw.insert(hub, dst)
+	s1 := sh.Publish()
+	want1 := tw.ref.Shard(0).SnapshotInto(nil)
+	if len(s1.Neighbors(7)) != big {
+		t.Fatalf("hub publish: %d neighbors, want %d", len(s1.Neighbors(7)), big)
 	}
 	if pg := a.pages[s1.tab[7].off>>pageBits]; len(pg) != big || a.inUse != pageMin+big {
 		t.Fatalf("a %d-entry run sits in a page of %d; %d entries of pages in use", big, len(pg), a.inUse)
@@ -350,34 +376,37 @@ func TestPublishRunShapes(t *testing.T) {
 
 	// Vertex 3's run shrinks to nothing; the hub loses one neighbor, so its
 	// old page retires whole and a new exact one opens.
-	sh.DeleteBatch([]uint32{3, 3, 7}, []uint32{1, 2, 0})
-	s2, rebuilt := sh.Publish(s1)
-	if rebuilt || s2.Degree(3) != 0 || len(s2.Neighbors(3)) != 0 || s2.Degree(7) != big-1 {
-		t.Fatalf("after deletes: rebuilt=%v, degree(3)=%d, degree(7)=%d", rebuilt, s2.Degree(3), s2.Degree(7))
+	tw.delete([]uint32{3, 3, 7}, []uint32{1, 2, 0})
+	s2 := sh.Publish()
+	if s2.Degree(3) != 0 || len(s2.Neighbors(3)) != 0 || s2.Degree(7) != big-1 {
+		t.Fatalf("after deletes: degree(3)=%d, degree(7)=%d", s2.Degree(3), s2.Degree(7))
 	}
 	if len(a.retired) != 1 || len(a.retired[0].page) != big || a.inUse != pageMin+big-1 {
 		t.Fatalf("%d pages retired, %d entries of pages in use", len(a.retired), a.inUse)
 	}
-	sameSnapshot(t, "after a run shrank to 0", s2, sh.SnapshotInto(nil))
+	tw.sameAsShard(t, "after a run shrank to 0", 0, s2)
 	sameSnapshot(t, "epoch holding the retired hub page", s1, want1)
 
-	// A boundary move mid-stream: both sides refill, then append again.
-	if _, _, err := g.MoveBoundary(0, 8); err != nil {
+	// A boundary move mid-stream: the hub's run moves to the other arena, in
+	// a page of its own there too, and batches go on on both sides.
+	if err := tw.move(0, 7); err != nil {
 		t.Fatal(err)
 	}
-	s3, rebuilt := sh.Publish(s2)
-	o1, orebuilt := other.Publish(o0)
-	if !rebuilt || !orebuilt || s3.NumVertices() != 8 || o1.Degree(1) != 1 {
-		t.Fatalf("after the move: rebuilt=%v/%v, donor has %d vertices, vertex 9 degree %d", rebuilt, orebuilt, s3.NumVertices(), o1.Degree(1))
+	s3, o1 := sh.Publish(), other.Publish()
+	if s3.NumVertices() != 7 || o1.Degree(0) != big-1 || o1.Degree(2) != 1 {
+		t.Fatalf("after the move: donor has %d vertices, the hub degree %d, vertex 9 degree %d", s3.NumVertices(), o1.Degree(0), o1.Degree(2))
 	}
-	other.InsertBatch([]uint32{9}, []uint32{6})
-	o2, rebuilt := other.Publish(o1)
-	if rebuilt || !slices.Equal(o2.Neighbors(1), []uint32{5, 6}) {
-		t.Fatalf("append after the move: rebuilt=%v, vertex 9 reads %v", rebuilt, o2.Neighbors(1))
+	tw.insert([]uint32{9, 3}, []uint32{6, 4})
+	s4, o2 := sh.Publish(), other.Publish()
+	if !slices.Equal(o2.Neighbors(2), []uint32{5, 6}) {
+		t.Fatalf("batch after the move: vertex 9 reads %v", o2.Neighbors(2))
 	}
-	sameSnapshot(t, "donor after the move", s3, sh.SnapshotInto(nil))
-	sameSnapshot(t, "receiver after the move", o2, other.SnapshotInto(nil))
+	tw.sameAsShard(t, "donor after the move", 0, s4)
+	tw.sameAsShard(t, "receiver after the move", 1, o2)
 	sameSnapshot(t, "epoch from before the move", s1, want1)
+	if err := tw.check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSnapshotCSR checks CSR on both layouts: a plain CSR hands out its own
@@ -385,11 +414,10 @@ func TestPublishRunShapes(t *testing.T) {
 // same graph.
 func TestSnapshotCSR(t *testing.T) {
 	const n = 256
-	g := New(n, Config{Workers: 1})
-	sh := g.Shard(0)
+	sh := newShardTwin(n, Config{Workers: 1}, 0)
 	rng := rand.New(rand.NewSource(9))
 	src, dst := randomBatch(rng, 2000, 0, n, n)
-	sh.InsertBatch(src, dst)
+	sh.insert(src, dst)
 	flat := sh.SnapshotInto(nil)
 	offs, adj := flat.CSR()
 	if len(adj) > 0 && &adj[0] != &flat.adj[0] {
@@ -397,23 +425,25 @@ func TestSnapshotCSR(t *testing.T) {
 	}
 	checkCSR(t, flat, offs, adj)
 
-	s0, _ := sh.Publish(nil)
+	sh.Publish()
 	bs, bd := randomBatch(rng, 10, 0, n, n)
-	sh.DeleteBatch(src[:10], dst[:10])
-	s1, _ := sh.Publish(s0)
-	sh.InsertBatch(bs, bd)
-	s2, rebuilt := sh.Publish(s1)
-	if rebuilt {
-		t.Fatal("ten-edge batch rebuilt")
-	}
+	sh.delete(src[:10], dst[:10])
+	sh.Publish()
+	sh.insert(bs, bd)
+	s2 := sh.Publish()
 	offs, adj = s2.CSR()
 	if &adj[0] == &s2.pages[0][0] {
 		t.Fatal("CSR of a published snapshot aliases a page")
 	}
 	checkCSR(t, s2, offs, adj)
-	wantOffs, wantAdj := sh.SnapshotInto(nil).CSR()
+	wantOffs, wantAdj := sh.want().CSR()
 	if !slices.Equal(offs, wantOffs) || !slices.Equal(adj, wantAdj) {
-		t.Fatal("CSR of the published snapshot differs from a rebuild's")
+		t.Fatal("CSR of the published snapshot differs from a flatten of the oracle's")
+	}
+	// A plain CSR of the adopted shard is a copy of its runs, in the same order.
+	offs, adj = sh.SnapshotInto(flat).CSR()
+	if !slices.Equal(offs, wantOffs) || !slices.Equal(adj, wantAdj) {
+		t.Fatal("plain CSR of the adopted shard differs from the oracle's")
 	}
 }
 
@@ -455,7 +485,7 @@ func TestScratchNotRetainedAfterBulkLoad(t *testing.T) {
 		g.InsertBatch(bs, bd)
 		limit := max(scratchTrimRatio*k, scratchKeepMin)
 		held := map[string]int{
-			"ks": cap(sh.prep.ks), "tmp": cap(sh.prep.tmp), "groups": cap(sh.prep.groups),
+			"ks": cap(sh.prep.ks), "tmp": cap(sh.prep.tmp), "jobs": cap(sh.prep.jobs),
 			"ranges": cap(sh.prep.ranges), "heavy": cap(sh.prep.heavy),
 		}
 		for _, h := range sh.prep.hist {
@@ -506,7 +536,7 @@ func TestSteadyBatchAllocatesNoScratch(t *testing.T) {
 	sh := &g.shards[0]
 	buffers := func() []any {
 		ps := &sh.prep
-		return []any{&ps.ks[:1][0], &ps.tmp[:1][0], &ps.groups[:1][0], &ps.ranges[:1][0], &ps.hist[0][0], &sh.apply[0]}
+		return []any{&ps.ks[:1][0], &ps.tmp[:1][0], &ps.ranges[:1][0], &ps.hist[0][0], &sh.apply[0]}
 	}
 	before := buffers()
 	allocs := testing.AllocsPerRun(10, func() {
@@ -527,39 +557,41 @@ func TestSteadyBatchAllocatesNoScratch(t *testing.T) {
 // the next page opened, and free pages beyond arenaFreeMax are dropped.
 func TestPublishReusesDrainedPages(t *testing.T) {
 	const n = 1024 // the free list keeps full-size pages: a shard of > 4 of them
-	g := New(n, Config{Workers: 1})
-	sh := g.Shard(0)
+	sh := newShardTwin(n, Config{Workers: 1}, 0)
 	a := &sh.sh.pub
 	rng := rand.New(rand.NewSource(21))
-	sh.InsertBatch(randomBatch(rng, 6*pageSize, 0, n, n))
-	whole := func() (s, d []uint32) { // names every vertex: supersedes every run
-		for v := uint32(0); v < n; v++ {
-			s, d = append(s, v), append(d, uint32(rng.Intn(n)))
-		}
-		return s, d
+	sh.insert(randomBatch(rng, 6*pageSize, 0, n, n))
+	// toggle changes every vertex's run, so supersedes every run: it inserts
+	// the edge to a vertex's successor and deletes it the next time.
+	var every, succ []uint32
+	for v := uint32(0); v < n; v++ {
+		every, succ = append(every, v), append(succ, (v+1)%n)
 	}
-	publish := func(prev *Snapshot) *Snapshot {
+	sh.delete(every, succ)
+	present := false
+	publish := func() *Snapshot {
 		t.Helper()
-		sh.InsertBatch(whole())
-		snap, rebuilt := sh.Publish(prev)
-		if rebuilt {
-			t.Fatal("one batch rebuilt")
+		if present = !present; present {
+			sh.insert(every, succ)
+		} else {
+			sh.delete(every, succ)
 		}
-		sameSnapshot(t, "published", snap, sh.SnapshotInto(nil))
+		snap := sh.Publish()
+		sameSnapshot(t, "published", snap, sh.want())
 		return snap
 	}
 
-	s0, _ := sh.Publish(nil)
-	want0 := sh.SnapshotInto(nil)
+	s0 := sh.Publish()
+	want0 := sh.want()
 	first := &s0.pages[0][0]
 	// Whole-shard batches until the first page is full, dead and retired.
 	snaps := []*Snapshot{s0}
 	for len(a.retired) == 0 {
-		snaps = append(snaps, publish(snaps[len(snaps)-1]))
+		snaps = append(snaps, publish())
 	}
 	latest := snaps[len(snaps)-1]
 	if &a.retired[0].page[0] != first || a.retired[0].seq != latest.seq {
-		t.Fatal("the retired page is not the first one, retired by the latest publish")
+		t.Fatal("the retired page is not the first one, retired by the batch the latest publish sealed")
 	}
 
 	// Every snapshot before the latest may read it: recycle them newest
@@ -567,7 +599,7 @@ func TestPublishReusesDrainedPages(t *testing.T) {
 	for i := len(snaps) - 2; i >= 1; i-- {
 		sh.Recycle(snaps[i])
 	}
-	next := publish(latest)
+	next := publish()
 	if len(a.free) != 0 || len(a.retired) == 0 {
 		t.Fatalf("with the oldest snapshot out: %d pages free, %d retired", len(a.free), len(a.retired))
 	}
@@ -581,7 +613,7 @@ func TestPublishReusesDrainedPages(t *testing.T) {
 	// The free list feeds the next pages opened and never exceeds its cap.
 	for i := 0; i < 40*arenaFreeMax; i++ {
 		prev := next
-		next = publish(prev)
+		next = publish()
 		sh.Recycle(prev)
 		if len(a.free) > arenaFreeMax {
 			t.Fatalf("%d pages on the free list, cap %d", len(a.free), arenaFreeMax)
@@ -599,35 +631,36 @@ func TestPublishReusesDrainedPages(t *testing.T) {
 // full-size pages only, 14 with the two contiguous arenas before them).
 func TestSmallShardPublishedFollowsEdges(t *testing.T) {
 	const n, shards = 512, 4
-	g := New(n, Config{Shards: shards, Workers: 1})
+	cfg := Config{Shards: shards, Workers: 1}
+	tw := twin{New(n, cfg), New(n, cfg)}
 	rng := rand.New(rand.NewSource(9))
-	g.InsertBatch(randomBatch(rng, 4000, 0, n, n))
+	tw.insert(randomBatch(rng, 4000, 0, n, n))
 	prev := make([]*Snapshot, shards)
 	for b := 0; b < 600; b++ {
 		var total uint64
 		for i := range prev {
-			sh := g.Shard(i)
+			sh := tw.g.Shard(i)
 			src, dst := randomBatch(rng, 8, sh.Base(), sh.Base()+sh.NumVertices(), n)
 			if b%2 == 0 {
-				sh.InsertBatch(src, dst)
+				tw.insert(src, dst)
 			} else {
-				sh.DeleteBatch(src, dst)
+				tw.delete(src, dst)
 			}
-			snap, rebuilt := sh.Publish(prev[i])
-			if rebuilt != (b == 0) {
-				t.Fatalf("batch %d, shard %d: rebuilt=%v", b, i, rebuilt)
-			}
+			snap := sh.Publish()
 			if prev[i] != nil {
 				sh.Recycle(prev[i])
 			}
 			prev[i] = snap
 			total += sh.Published().Total()
 		}
-		if m := g.NumEdges(); total > 24*m {
+		if m := tw.g.NumEdges(); total > 24*m {
 			t.Fatalf("batch %d: %d B published for %d edges", b, total, m)
 		}
 	}
 	for i, snap := range prev {
-		sameSnapshot(t, "small shard", snap, g.Shard(i).SnapshotInto(nil))
+		tw.sameAsShard(t, "small shard", i, snap)
+	}
+	if err := tw.check(); err != nil {
+		t.Fatal(err)
 	}
 }

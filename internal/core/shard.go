@@ -15,6 +15,13 @@ import (
 // internal/serve drive one writer goroutine per shard without locks: the
 // one-vertex-one-worker invariant of §5 holds across shards because a
 // vertex lives in exactly one of them.
+//
+// A shard stores its adjacency in one of two forms. Live, the paper's: verts,
+// a 64-byte block per vertex with its overflow structure, updated in place.
+// Adopted (by its first Shard.Publish), the serving layer's:
+// tab, a (page‖offset, degree) entry per vertex over the runs in pub, the
+// same table and pages its published snapshots read; verts is nil from then
+// on and a batch merges into new runs (merge.go).
 type shardState struct {
 	base  uint32
 	idx   int32 // position in Graph.shards, for flight-recorder attribution
@@ -23,15 +30,16 @@ type shardState struct {
 	prep  prepScratch
 	apply []applyScratch
 
-	// unpub counts the updates applied since the last Shard.Publish: at 1,
-	// prep.groups still names exactly the vertices whose adjacency changed;
-	// above 1 (or after a boundary move) what changed is unknown and the
-	// next publish rebuilds. pub is the arena the published snapshots read.
-	// spare and spareDir are a recycled snapshot's table and directory, kept
-	// for the next publish to overwrite instead of allocating; tabEntries
-	// sums the capacities of spare and every unrecycled snapshot's table.
-	unpub      int
-	warmed     uint32 // keeps Shard.Warm's loads alive
+	// tab is the adopted shard's table. While shared, the latest published
+	// snapshot reads it too, and the first change since copies it (table).
+	// pub is the arena its runs, and the published snapshots', lie in. spare
+	// and spareDir are a recycled snapshot's table and directory, kept for
+	// the next table copy and publish to overwrite instead of allocating;
+	// tabEntries sums the capacities of tab, spare and every unrecycled
+	// snapshot's table.
+	adopted    bool
+	shared     bool
+	tab        []vref
 	pub        pageArena
 	spare      []vref
 	spareDir   [][]uint32
@@ -45,14 +53,58 @@ type shardState struct {
 	traceBatch uint64
 }
 
+// slots is the shard's materialized vertex count in either form.
+func (sh *shardState) slots() int { return len(sh.verts) + len(sh.tab) }
+
+// degree returns the degree of slot lv in either form.
+func (sh *shardState) degree(lv int) uint32 {
+	if sh.adopted {
+		return sh.tab[lv].deg
+	}
+	return sh.verts[lv].degree()
+}
+
+// appendNeighbors appends slot lv's neighbors, ascending, in either form.
+func (sh *shardState) appendNeighbors(lv int, dst []uint32) []uint32 {
+	if sh.adopted {
+		return append(dst, sh.pub.read(sh.tab[lv])...)
+	}
+	return appendNeighborsVB(&sh.verts[lv], dst)
+}
+
+// table returns the adopted shard's table for writing: its own copy, made
+// now if the latest snapshot still shares it.
+func (sh *shardState) table() []vref {
+	if sh.shared {
+		tab := growTab(sh.spare, len(sh.tab))
+		sh.tabEntries += cap(tab) - cap(sh.spare)
+		copy(tab, sh.tab)
+		sh.tab, sh.spare, sh.shared = tab, nil, false
+	}
+	return sh.tab
+}
+
 // ensure grows the shard's materialized storage to at least n slots.
 // Capacity grows geometrically, so a stream that raises the vertex bound a
-// little with every batch copies the shard's 64-byte blocks O(log n) times,
-// not once per batch. Re-slicing within the capacity exposes only zero
-// blocks: make zeroed the tail, and both boundary splices zero the blocks
-// they move out.
+// little with every batch copies the shard's 64-byte blocks (or 8-byte table
+// entries) O(log n) times, not once per batch. Re-slicing within the capacity
+// exposes only zero blocks: make zeroed the tail, and both boundary splices
+// zero the blocks they move out; a table's spare capacity may hold a recycled
+// snapshot's entries and is cleared.
 func (sh *shardState) ensure(n int) {
-	if n <= len(sh.verts) {
+	if n <= sh.slots() {
+		return
+	}
+	if sh.adopted {
+		tab := sh.table()
+		if c := cap(tab); n > c {
+			sh.tab = make([]vref, n, max(n, c+c/2))
+			sh.tabEntries += cap(sh.tab) - c
+			copy(sh.tab, tab)
+			return
+		}
+		sh.tab = tab[:n]
+		clear(sh.tab[len(tab):])
 		return
 	}
 	if c := cap(sh.verts); n > c {
@@ -116,7 +168,7 @@ func (s Shard) BeginTrace(batch uint64) { s.sh.traceBatch = batch }
 // NumVertices returns the shard's materialized slot count; the shard owns
 // global IDs [Base, Base+NumVertices) plus, for the last shard, any
 // not-yet-materialized tail of the logical vertex space.
-func (s Shard) NumVertices() uint32 { return uint32(len(s.sh.verts)) }
+func (s Shard) NumVertices() uint32 { return uint32(s.sh.slots()) }
 
 // NumEdges returns the number of directed edges stored in the shard.
 func (s Shard) NumEdges() uint64 { return s.sh.m.Load() }
@@ -148,25 +200,6 @@ func (s Shard) DeleteBatch(src, dst []uint32) {
 	s.g.deleteBatchShard(s.sh, src, dst, s.g.shardWorkers())
 }
 
-// Warm reads the vertex block, and the first word of the overflow structure,
-// of every source in src, all of which must belong to this shard and lie
-// below NumVertices. It changes nothing: the loads depend on nothing, so
-// their cache misses overlap, where the batch that follows would take them
-// one group at a time. A shard writer that has been idle behind thousands of
-// reads finds its shard evicted; warming a 500-edge batch's sources took
-// 44 µs off a 146 µs apply there (EXPERIMENTS.md, "The published arena
-// cleans itself"). Serialized with this shard's updates.
-func (s Shard) Warm(src []uint32) {
-	sh := s.sh
-	for _, v := range src {
-		vb := &sh.verts[v-sh.base]
-		sh.warmed += vb.deg
-		if p := vb.ov; p != nil {
-			sh.warmed += *(*uint32)(p)
-		}
-	}
-}
-
 // SnapshotInto flattens the shard into a local CSR view — table indexed
 // by local slot, adjacency holding global IDs — reusing snap's buffers
 // when capacity allows (see Graph.SnapshotInto for the reuse contract).
@@ -174,33 +207,39 @@ func (s Shard) Warm(src []uint32) {
 // shards may keep updating concurrently.
 func (s Shard) SnapshotInto(snap *Snapshot) *Snapshot {
 	sh := s.sh
-	return rebuildInto(snap, s.g.shards[sh.idx:sh.idx+1], sh.base, len(sh.verts), s.g.shardWorkers())
+	return rebuildInto(snap, s.g.shards[sh.idx:sh.idx+1], sh.base, sh.slots(), s.g.shardWorkers())
 }
 
-// Publish returns the shard's current state as a new snapshot, given prev,
-// the snapshot the previous Publish of this shard returned (nil for the
-// first). Its cost follows what changed, not the shard: when at most one
-// InsertBatch or DeleteBatch was applied since prev, only that batch's
-// source vertices are flattened, appended at the tail of the shard's page
-// arena, and patched into a copy of prev's table; the runs they supersede
-// stop counting towards their pages, and when pages in use exceed the live
-// entries by more than half, the live runs of the emptiest pages are copied
-// forward too and those pages retire (pageArena has the lifetime rules).
-// prev and every older snapshot stay valid and unchanged: nothing they can
-// reach is written. Only a first publish, a boundary move, or more than one
-// batch since prev (LoadCSR and ReleaseScratch count as that) refills the
-// arena from the live structures, reported as rebuilt. Serialized with this
-// shard's updates, like SnapshotInto.
-func (s Shard) Publish(prev *Snapshot) (snap *Snapshot, rebuilt bool) {
-	return s.g.publishShard(s.sh, prev, s.g.shardWorkers())
+// Publish returns the shard's current state as a new immutable snapshot.
+//
+// The first Publish adopts the shard, which is what makes it a Store's: its
+// table and page arena become its storage. Whatever the live vertex blocks,
+// arrays, RIAs and HITrees hold is flattened into runs, in vertex order, and
+// they are dropped for good. From then on InsertBatch and DeleteBatch merge
+// each batch into new runs at the arena's tail (merge.go), LoadCSR copies
+// runs to pages, MoveBoundary moves table entries and runs, and the Graph's
+// reads, walks and accounting read the table — one copy of the shard's edges,
+// the one its published snapshots share.
+//
+// Every later Publish finds the batches since the last one already applied
+// that way — their vertices' new runs written, the table patched, the runs
+// they superseded uncounted — and seals the table: the next change copies it.
+// When pages in use exceed the live entries by more than half, it also copies
+// the live runs of the emptiest pages forward and retires those pages
+// (pageArena has the lifetime rules). Its cost follows what the batches
+// changed, not the shard. Every earlier snapshot stays valid and unchanged:
+// nothing it can reach is written. Serialized with this shard's updates, like
+// SnapshotInto.
+func (s Shard) Publish() *Snapshot {
+	return s.g.publishShard(s.sh, s.g.shardWorkers())
 }
 
 // Recycle hands a snapshot Publish returned, and that no reader holds
 // anymore, back to the shard, in any order relative to other snapshots: its
-// table and directory become the next Publish's, and the pages retired
-// before every snapshot still out was published become reusable. snap must
-// not be the shard's latest snapshot and must not be used afterwards.
-// Serialized with Publish.
+// table and directory become the next table copy's and Publish's, and the
+// pages retired before every snapshot still out was published become
+// reusable. snap must not be the shard's latest snapshot and must not be used
+// afterwards. Serialized with Publish.
 func (s Shard) Recycle(snap *Snapshot) {
 	sh, a := s.sh, &s.sh.pub
 	sh.tabEntries -= cap(sh.spare)
@@ -222,6 +261,7 @@ type PublishedStats struct {
 	Retired uint64 // pages only older, unrecycled snapshots read
 	Bound   uint64 // what InUse+Free may reach at the latest snapshot's size, its tails and free list counted as full-size pages
 	Cleaned uint64 // entries the cleaner has copied forward, ever
+	Placed  uint64 // entries of all runs written, ever: batches', loads', moves' and the cleaner's
 }
 
 // Total is the bytes resident on the published side.
@@ -237,6 +277,7 @@ func (s Shard) Published() PublishedStats {
 		Free:    4 * pageSize * uint64(len(a.free)),
 		Bound:   4 * (arenaBound(a.m) + uint64(len(a.tails)+arenaFreeMax)*pageSize),
 		Cleaned: a.cleaned,
+		Placed:  a.placed,
 	}
 	for _, r := range a.retired {
 		p.Retired += 4 * uint64(len(r.page))

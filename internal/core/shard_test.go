@@ -197,27 +197,3 @@ func TestShardedGrowth(t *testing.T) {
 	}
 	checkAgainstOracle(t, g, ref)
 }
-
-// TestWarmChangesNothing: Shard.Warm only reads. A shard with vertices of
-// every class reads the same, and passes its invariants, after its sources
-// — empty ones and repeats included — have been warmed.
-func TestWarmChangesNothing(t *testing.T) {
-	const n = 1 << 12
-	g := New(n, Config{Shards: 2, Workers: 2, M: 64})
-	sh := g.Shard(1)
-	lo := sh.Base()
-	rng := rand.New(rand.NewSource(5))
-	var src, dst []uint32
-	for v, deg := range []int{0, 1, 13, 14, 40, 64, 65, 300} { // inline, array, RIA and, past M, HITree
-		for i := 0; i < deg; i++ {
-			src, dst = append(src, lo+uint32(v)), append(dst, uint32(rng.Intn(n)))
-		}
-	}
-	sh.InsertBatch(src, dst)
-	want := sh.SnapshotInto(nil)
-	sh.Warm(append(src, lo, lo+7, lo+7, lo+sh.NumVertices()-1))
-	sameSnapshot(t, "after Warm", sh.SnapshotInto(nil), want)
-	if err := g.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}

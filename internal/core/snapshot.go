@@ -23,10 +23,10 @@ type vref struct{ off, deg uint32 }
 // SnapshotInto builds a plain CSR: one array of exactly the graph's size,
 // runs in vertex order, back to back, off the run's index in it; its
 // directory's entry p is the array from p·pageSize on, so the same two
-// loads find a run there. Shard.Publish builds over the shard's arena of
-// fixed-size pages (see pageArena), at a cost that follows the batch, not
-// the graph; successive snapshots of one shard share every page and table
-// entry the batches between them did not touch.
+// loads find a run there. Shard.Publish seals the adopted shard's own table
+// over its arena of fixed-size pages (see pageArena), at a cost that follows
+// the batch, not the graph; successive snapshots of one shard share every
+// page and run the batches between them did not change.
 type Snapshot struct {
 	tab []vref
 	// pages is this snapshot's own directory. Each entry's length is what had
@@ -63,26 +63,28 @@ const (
 	arenaFreeMax = 4
 )
 
-// pageArena is the adjacency storage behind a shard's published snapshots:
-// pages of pageLen entries (a run longer than that gets a page of exactly
-// its size), written strictly append-only. Only Shard.Publish writes, and
-// only words no snapshot can reach: the unwritten rest of the tail page or a
-// page off the free list. A page retires when the latest snapshot stops
-// reading it — its last run was superseded, or the cleaner copied its live
+// pageArena is an adopted shard's adjacency storage, which its published
+// snapshots share: pages of pageLen entries (a run longer than that gets a
+// page of exactly its size), written strictly append-only. Only the shard's
+// owner writes — a batch's merge, a load, a boundary move, the cleaner — and
+// only words no snapshot can reach: the unwritten rest of a tail page or a
+// page off the free list. A page retires when the shard's table stops
+// naming it — its last run was superseded, or the cleaner copied its live
 // runs forward — and rejoins the free list once every snapshot published
 // before that has been Recycled, so a reader never sees a page reused. All
 // of it runs on the shard's owner; nothing here is atomic.
 type pageArena struct {
 	pages   [][]uint32  // by directory slot; nil: slot unused
-	live    []uint32    // per slot, entries the latest snapshot reads
+	live    []uint32    // per slot, entries the shard's table names
 	tails   [2]tailPage // where runs go: tailBatch, tailKept
 	inUse   uint64      // entries of capacity in pages
 	free    [][]uint32  // drained pages of pageSize entries
 	retired []retiredPage
 	out     []uint64 // seq of every snapshot published and not recycled, ascending
-	seq     uint64   // of the latest snapshot
-	m       uint64   // its live entries, set before its runs are placed
+	seq     uint64   // of the snapshot the next Publish seals
+	m       uint64   // the shard's live entries, set before runs are placed
 	cleaned uint64   // entries the cleaner has copied, ever
+	placed  uint64   // entries of every run placed, ever
 }
 
 // tailPage is a page being filled: its slot, valid while room — the
@@ -129,6 +131,7 @@ func (a *pageArena) place(deg uint32, which int) vref {
 	if deg == 0 {
 		return vref{}
 	}
+	a.placed += uint64(deg)
 	if deg > pageLen(a.m) {
 		id := a.open(make([]uint32, deg))
 		a.live[id] = deg
@@ -172,9 +175,17 @@ func (a *pageArena) run(r vref) []uint32 {
 	return a.pages[r.off>>pageBits][lo : lo : lo+r.deg]
 }
 
-// drop uncounts a run the snapshot being built no longer reads, and retires
-// its page when that was the last one — unless the page is still being
-// filled.
+// read is the run r names, all of it: what the table's owner reads of a run
+// already written and where it writes one just placed.
+func (a *pageArena) read(r vref) []uint32 {
+	if r.deg == 0 {
+		return nil
+	}
+	return a.run(r)[:r.deg]
+}
+
+// drop uncounts a run the shard's table no longer names, and retires its
+// page when that was the last one — unless the page is still being filled.
 func (a *pageArena) drop(r vref) {
 	if r.deg == 0 {
 		return
@@ -185,8 +196,9 @@ func (a *pageArena) drop(r vref) {
 	}
 }
 
-// retire takes slot id's page out of the arena: the snapshot being built
-// (a.seq) and every later one cannot reach it, earlier ones may.
+// retire takes slot id's page out of the arena: the snapshot the next
+// Publish seals (a.seq) and every later one cannot reach it, earlier ones
+// may.
 func (a *pageArena) retire(id int) {
 	pg := a.pages[id]
 	a.retired = append(a.retired, retiredPage{a.seq, pg})
@@ -256,7 +268,7 @@ func (a *pageArena) clean(s *Snapshot) {
 		if id := r.off >> pageBits; victim[id] && r.deg > 0 {
 			src := a.pages[id][r.off&pageMask:][:r.deg]
 			s.tab[lv] = a.place(r.deg, tailKept)
-			copy(a.run(s.tab[lv])[:r.deg], src)
+			copy(a.read(s.tab[lv]), src)
 			a.cleaned += uint64(r.deg)
 		}
 	}
@@ -327,14 +339,14 @@ func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, p int) 
 	var m uint64
 	for i := range shards {
 		sh := &shards[i]
-		if len(sh.verts) == 0 {
-			continue
+		if sh.slots() == 0 {
+			continue // its base may lie past the table
 		}
 		tab := s.tab[sh.base-origin:]
-		for lv := range sh.verts {
+		for lv := range tab[:sh.slots()] {
 			// A degree-0 slot stays vref{}: m may be the array's end, past
 			// the directory.
-			if deg := sh.verts[lv].degree(); deg > 0 {
+			if deg := sh.degree(lv); deg > 0 {
 				tab[lv] = vref{uint32(m), deg}
 				m += uint64(deg)
 			}
@@ -352,79 +364,56 @@ func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, p int) 
 	}
 	for i := range shards {
 		sh := &shards[i]
-		if len(sh.verts) == 0 {
+		if sh.slots() == 0 {
 			continue
 		}
 		tab := s.tab[sh.base-origin:]
-		parallel.For(len(sh.verts), p, func(lv int) {
+		parallel.For(sh.slots(), p, func(lv int) {
 			if r := tab[lv]; r.deg > 0 {
 				lo := r.off & pageMask
-				appendNeighborsVB(&sh.verts[lv], s.pages[r.off>>pageBits][lo:lo:lo+r.deg])
+				sh.appendNeighbors(lv, s.pages[r.off>>pageBits][lo:lo:lo+r.deg])
 			}
 		})
 	}
 	return s
 }
 
-// publishShard returns the shard's current state as a snapshot derived
-// from prev, the shard's latest one (see Shard.Publish).
-func (g *Graph) publishShard(sh *shardState, prev *Snapshot, p int) (*Snapshot, bool) {
+// adopt makes the live shard's table and page arena its storage: every
+// vertex's adjacency is flattened into a run, in vertex order, and the vertex
+// blocks and overflow structures are dropped for good (Shard.Publish).
+func (g *Graph) adopt(sh *shardState, p int) {
+	if sh.adopted {
+		return
+	}
 	a := &sh.pub
-	groups, unpub := sh.prep.groups, sh.unpub
-	s := &Snapshot{tab: growTab(sh.spare, len(sh.verts)), pages: sh.spareDir}
-	had := cap(sh.spare)
-	sh.spare, sh.spareDir, sh.unpub = nil, nil, 0
-	a.seq++
-	s.seq, a.m = a.seq, sh.m.Load()
-	a.out = append(a.out, a.seq)
-	// What changed since prev is one batch's groups, nothing, or — no prev,
-	// batches applied and not published, slots shifted under a boundary
-	// move — not known. That last publish is the first kind with every slot
-	// in the group: the pages in use retire the way an emptied page does (so
-	// snapshots still reading them are undisturbed and their memory comes
-	// back through the free list) and the table starts empty.
-	full := prev == nil || unpub > 1
-	n := len(groups)
-	if full {
-		for id, pg := range a.pages {
-			if pg != nil {
-				a.retire(id)
-			}
-		}
-		clear(s.tab)
-		n = len(sh.verts)
-	} else {
-		clear(s.tab[copy(s.tab, prev.tab):]) // vertices grown since prev: degree 0
-		s.m = prev.m
-		if unpub == 0 {
-			n = 0
-		}
+	a.seq, a.m = 1, sh.m.Load()
+	tab := make([]vref, len(sh.verts))
+	for lv := range tab {
+		tab[lv] = a.place(sh.verts[lv].degree(), tailBatch)
 	}
-	// The group's vertices get new runs at the tail, in group (= ascending
-	// vertex) order, and stop counting towards the pages of their old ones.
-	for i := 0; i < n; i++ {
-		lv := uint32(i)
-		if !full {
-			lv = groups[i] - sh.base
-		}
-		old, deg := s.tab[lv], sh.verts[lv].degree()
-		a.drop(old)
-		s.tab[lv] = a.place(deg, tailBatch)
-		s.m += uint64(deg) - uint64(old.deg)
-	}
-	parallel.For(n, p, func(i int) {
-		lv := uint32(i)
-		if !full {
-			lv = groups[i] - sh.base
-		}
-		if r := s.tab[lv]; r.deg > 0 {
+	parallel.For(len(tab), p, func(lv int) {
+		if r := tab[lv]; r.deg > 0 {
 			appendNeighborsVB(&sh.verts[lv], a.run(r))
 		}
 	})
+	sh.verts, sh.tab, sh.tabEntries, sh.adopted = nil, tab, cap(tab), true
+	for w := range sh.apply {
+		sh.apply[w].old, sh.apply[w].out = nil, nil // the live structures' rebuild buffers
+	}
+}
+
+// publishShard seals the shard's table as a snapshot (see Shard.Publish).
+func (g *Graph) publishShard(sh *shardState, p int) *Snapshot {
+	g.adopt(sh, p)
+	a := &sh.pub
+	s := &Snapshot{tab: sh.table(), pages: sh.spareDir, m: sh.m.Load(), seq: a.seq}
+	sh.spareDir, sh.shared = nil, true
+	a.m = s.m
+	a.out = append(a.out, a.seq)
 	a.clean(s)
 	s.pages = a.directory(s.pages)
-	sh.tabEntries += cap(s.tab) - had
-	return s, full
+	a.seq++
+	return s
 }
 
 // CSR returns the snapshot as raw CSR arrays (offs has NumVertices+1

@@ -175,7 +175,8 @@ func (s *Server) handleDropGraph(w http.ResponseWriter, r *http.Request) {
 // read, so shed requests cost neither decode nor bandwidth; accepted
 // batches answer 202 immediately — visibility follows the store's
 // asynchronous contract (POST /flush to wait). A batch naming a vertex at or
-// above the graph's max_vertices is refused whole with 422.
+// above the graph's max_vertices is refused whole with 422, and one whose
+// graph is dropped while its body is being read with 404.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
@@ -219,10 +220,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if op == "insert" {
-		t.store.InsertBatch(src, dst)
-	} else {
-		t.store.DeleteBatch(src, dst)
+	// The graph may have been dropped since the lookup: a closed store takes
+	// nothing, and the client hears what a request arriving now would.
+	if err := t.store.Enqueue(op == "delete", src, dst); err != nil {
+		obsRejectedDropped.Inc()
+		writeError(w, http.StatusNotFound, "graph %q not found", t.name)
+		return
 	}
 	obsIngestEdges.Add(uint64(len(src)))
 	obsIngestBatches.Inc()

@@ -38,7 +38,12 @@ var (
 	// edge named a vertex at or above the graph's max_vertices.
 	obsRejectedVertexID = obs.NewCounter("lsgraph_http_rejected_total",
 		obs.Label("reason", "vertex_id"),
-		"requests refused as unprocessable, by reason")
+		"ingest requests refused after admission, by reason")
+	// obsRejectedDropped counts ingest requests answered 404 because their
+	// graph was dropped between the request's lookup and its enqueue.
+	obsRejectedDropped = obs.NewCounter("lsgraph_http_rejected_total",
+		obs.Label("reason", "dropped"),
+		"ingest requests refused after admission, by reason")
 
 	// obsIngestEdges counts edges accepted for ingest (insert + delete)
 	// across all graphs; compare with the store's Stats.EdgesEnqueued to

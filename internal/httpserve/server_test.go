@@ -652,6 +652,86 @@ func TestGraphLifecycleHTTP(t *testing.T) {
 	}
 }
 
+// gatedBody is a request body that reports its first Read and holds it until
+// released: the handler reading it has looked its graph up and not enqueued yet.
+type gatedBody struct {
+	io.Reader
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (b *gatedBody) Read(p []byte) (int, error) {
+	b.once.Do(func() { close(b.entered); <-b.release })
+	return b.Reader.Read(p)
+}
+
+// TestIngestIntoGraphDroppedMidRequest: DELETE /graphs/{g} while a POST to
+// its edges is between lookup and enqueue closes the store under the handler,
+// and the store used to panic there — the client saw its connection reset.
+// The ingest is refused with 404, as a request arriving after the drop would
+// be, and counted; a batch accepted before the drop and one racing it without
+// the gate never panic either.
+func TestIngestIntoGraphDroppedMidRequest(t *testing.T) {
+	srv := New(Config{DefaultVertices: 64})
+	defer srv.Close()
+	h := srv.Handler()
+	if _, _, err := srv.CreateGraph("g", GraphConfig{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	before := obsRejectedDropped.Value()
+	body := &gatedBody{
+		Reader:  bytes.NewReader(AppendBinaryEdges(nil, []uint32{1, 40}, []uint32{2, 41})),
+		entered: make(chan struct{}), release: make(chan struct{}),
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/graphs/g/edges", body)
+	req.Header.Set("Content-Type", ContentTypeBinary)
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, req)
+	}()
+	<-body.entered
+	if !srv.DropGraph("g") {
+		t.Fatal("graph g was not there to drop")
+	}
+	close(body.release)
+	<-done
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("ingest into a graph dropped mid-request: status %d (%s), want 404", rec.Code, rec.Body)
+	}
+	if got := obsRejectedDropped.Value() - before; got != 1 {
+		t.Fatalf("lsgraph_http_rejected_total{reason=\"dropped\"} rose by %d, want 1", got)
+	}
+
+	// Ungated: ingests and drops of the same graph racing freely. Every
+	// ingest is answered 202 or 404, whichever side of the drop it fell on.
+	for round := 0; round < 20; round++ {
+		if _, _, err := srv.CreateGraph("r", GraphConfig{Shards: 2}); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 8; i++ {
+					req := httptest.NewRequest(http.MethodPost, "/v1/graphs/r/edges",
+						bytes.NewReader(AppendBinaryEdges(nil, []uint32{uint32(i), 50}, []uint32{3, uint32(i)})))
+					req.Header.Set("Content-Type", ContentTypeBinary)
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, req)
+					if rec.Code != http.StatusAccepted && rec.Code != http.StatusNotFound {
+						t.Errorf("ingest racing a drop: status %d (%s)", rec.Code, rec.Body)
+					}
+				}
+			}()
+		}
+		srv.DropGraph("r")
+		wg.Wait()
+	}
+}
+
 // TestIngestRejectsVertexIDsPastBound: one edge naming vertex 2³²−1 used to
 // make a shard materialize four billion vertex blocks. An edge with either
 // endpoint at or above the graph's max_vertices is refused whole with 422,

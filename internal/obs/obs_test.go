@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -240,5 +241,31 @@ func TestHTTPEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("pprof index status %d", resp.StatusCode)
+	}
+}
+
+// TestGoRuntimeSeries: the Default registry exports the Go runtime's own
+// cost — live heap, heap goal, goroutines, GC pauses — sampled at export.
+func TestGoRuntimeSeries(t *testing.T) {
+	runtime.GC()
+	snap := Default.Snapshot()
+	for _, name := range []string{"lsgraph_go_heap_live_bytes", "lsgraph_go_heap_goal_bytes", "lsgraph_go_goroutines"} {
+		if v, _ := snap[name].(uint64); v == 0 {
+			t.Errorf("%s = %v, want a positive sample", name, snap[name])
+		}
+	}
+	pauses, _ := snap["lsgraph_go_gc_pause_nanos"].(map[string]any)
+	if n, _ := pauses["count"].(uint64); n == 0 {
+		t.Errorf("lsgraph_go_gc_pause_nanos = %v after a collection, want pauses counted", pauses)
+	}
+	var b strings.Builder
+	if err := Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"# TYPE lsgraph_go_heap_live_bytes gauge", "# TYPE lsgraph_go_gc_pause_nanos histogram",
+		`lsgraph_go_gc_pause_nanos_bucket{le="+Inf"} `, "lsgraph_go_gc_pause_nanos_count ", "lsgraph_go_goroutines "} {
+		if !strings.Contains(b.String(), line) {
+			t.Errorf("exposition lacks %q", line)
+		}
 	}
 }

@@ -81,7 +81,9 @@ const tailCap = 1 << 20
 // checkpoint, hand its per-shard CSRs to core.LoadCSR (one parallel pass, no
 // sort), apply the WAL records past each shard log's watermark, in global LSN
 // order, as coalesced engine batches, then start the Store — one first
-// publish per shard whatever the tail's length — and attach the log. So
+// publish per shard whatever the tail's length, which flattens what recovery
+// built into the shards' pages, dense and in vertex order, and drops it — and
+// attach the log. So
 // nothing replayed is re-logged, the Store's counters start at zero, and a
 // crash mid-recovery changes nothing but idempotent torn-tail truncation.
 // The shard layout is not recovered: the store reopens on cfg.Shards shards

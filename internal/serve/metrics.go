@@ -18,8 +18,6 @@ var (
 		"epochs between the newest snapshot and the oldest still pinned by a reader")
 	obsReclaims = obs.NewCounter("lsgraph_store_snapshots_reclaimed_total", "",
 		"retired snapshots whose epoch drained: table recycled, arena pages only they could read freed")
-	obsSnapRebuild = obs.NewCounter("lsgraph_store_snapshot_rebuild_total", "",
-		"publishes that refilled a shard's page arena from the live structures: first publish or boundary move")
 	obsArenaCleaned = obs.NewCounter("lsgraph_store_arena_cleaned_entries_total", "",
 		"adjacency entries publishes copied forward out of their emptiest arena pages")
 	obsVisibilityLag = obs.NewHistogram("lsgraph_store_visibility_lag_nanos", "", "ns",
@@ -51,7 +49,7 @@ var (
 	obsRebalanceMoves = obs.NewCounter("lsgraph_store_rebalance_moves_total", "",
 		"individual partition boundary moves executed")
 	obsRebalanceMovedVerts = obs.NewCounter("lsgraph_store_rebalance_moved_vertices_total", "",
-		"materialized vertex blocks that changed shard during boundary moves")
+		"materialized vertices that changed shard during boundary moves")
 	obsRebalanceMovedEdges = obs.NewCounter("lsgraph_store_rebalance_moved_edges_total", "",
 		"directed edges that changed shard during boundary moves")
 	obsRebalanceDuration = obs.NewHistogram("lsgraph_store_rebalance_nanos", "", "ns",

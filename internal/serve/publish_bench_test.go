@@ -80,7 +80,6 @@ func BenchmarkSteadyStateReads(b *testing.B) {
 				b.ReportMetric(float64(ds[i][len(ds[i])/2])/per, name+"-ns/edge")
 			}
 			s := st.Stats()
-			b.ReportMetric(float64(s.SnapshotRebuilds), "rebuilds")
 			b.ReportMetric(float64(s.ArenaCleanedEntries)/float64(s.SnapshotsPublished), "cleaned-entries/publish")
 			_ = sink
 		})

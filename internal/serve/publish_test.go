@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -43,12 +44,13 @@ func sameKernels(t *testing.T, what string, a, b *View, src uint32) {
 // publish on one Store that is never restarted: 10 000 alternating
 // insert/delete batches with a boundary move every 500, every batch
 // followed by a pinned view compared in full against the refgraph oracle.
-// No publish may refill an arena except each shard's first and the two
-// after a boundary move; at every 1 000th batch each shard's pages in use
-// plus free must be within the bound core states for its live entries, with
-// nothing left retired; the live heap must not trend; and the kernels must
-// give the same answers on the long-run layout — cleaned hundreds of times,
-// never rebuilt into order — as on a store built from the same edges fresh.
+// At every 1 000th batch each shard's pages in use plus free must be within
+// the bound core states for its live entries, with nothing left retired; the
+// shards must hold no live structure and pass the deep walk of their tables
+// and pages at the end; the live heap must not trend; and the kernels must
+// give the same answers on the long-run layout — merged into and cleaned
+// thousands of times, never rebuilt into order — as on a store built from
+// the same edges fresh.
 func TestLongRunPublishStaysBoundedAndExact(t *testing.T) {
 	const (
 		nv      = 512
@@ -151,11 +153,14 @@ func TestLongRunPublishStaysBoundedAndExact(t *testing.T) {
 	}
 
 	s := st.Stats()
-	if want := uint64(st.Shards()) + 2*s.BoundaryMoves; s.SnapshotRebuilds != want || s.BoundaryMoves == 0 {
-		t.Fatalf("%d rebuilds over %d boundary moves: want %d, the first publishes and two a move", s.SnapshotRebuilds, s.BoundaryMoves, want)
+	if s.ArenaCleanedEntries == 0 || s.BoundaryMoves == 0 {
+		t.Fatalf("10 000 batches cleaned %d entries over %d boundary moves: want some of both", s.ArenaCleanedEntries, s.BoundaryMoves)
 	}
-	if s.ArenaCleanedEntries == 0 {
-		t.Fatal("10 000 batches never cleaned a page")
+	if b := st.g.MemoryBreakdown(); b.Total() != b.Scratch {
+		t.Fatalf("the store's shards hold live structures: %+v", b)
+	}
+	if err := st.g.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	// The graph ends where it was at warm-up give or take a few hundred
 	// edges, so the heap may wobble by a few pages but must not trend:
@@ -181,7 +186,6 @@ func TestCheckpointFromAppendedSnapshot(t *testing.T) {
 	}
 	st.InsertBatch(src, dst)
 	st.Flush()
-	rebuilds := st.Stats().SnapshotRebuilds
 	for b := 0; b < 12; b++ {
 		bs := []uint32{uint32(rng.Intn(256)), uint32(rng.Intn(256)), uint32(rng.Intn(256))}
 		bd := []uint32{uint32(rng.Intn(256)), uint32(rng.Intn(256)), 300 + uint32(b)} // grows the vertex space too
@@ -192,9 +196,6 @@ func TestCheckpointFromAppendedSnapshot(t *testing.T) {
 		}
 	}
 	st.Flush()
-	if got := st.Stats().SnapshotRebuilds; got != rebuilds {
-		t.Fatalf("small batches rebuilt %d times; the checkpoint would not see an appended snapshot", got-rebuilds)
-	}
 	want := edgeSet(st)
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -236,14 +237,49 @@ func streamGraph(scale uint, pairs, nb int) (src, dst []uint32, batches [][2][]u
 	return src, dst, batches
 }
 
+// TestStoreBytesPerEdgeBudget is the tripwire on what a Store holds per edge:
+// a two-shard G13 store (65 536 directed edges) after 256 streamed 1 000-edge
+// batches — 128 inserted, then deleted again, each flushed — must hold no more
+// heap per edge than was measured when its shards stopped keeping live
+// structures beside their pages, plus a tenth. At this size the constants
+// weigh most of it — 24.2 B/edge: tables and pages in use, free and retired
+// 17.0, the update pipeline's retained scratch 7.0 — which is the point of a
+// small graph: a second copy of the edges, in any form, is +6 and trips it
+// (this commit's parent reads 34.3: its live structures, and the scratch
+// their bulk-rebuild paths kept).
+func TestStoreBytesPerEdgeBudget(t *testing.T) {
+	const scale, nb, budget = 13, 128, 24.2 * 1.10
+	src, dst, batches := streamGraph(scale, 4<<scale, nb)
+	heap0 := heapInUse()
+	st := New(core.NewFromEdges(1<<scale, src, dst, core.Config{Workers: 2, Shards: 2}), Options{})
+	defer st.Close()
+	for _, b := range batches {
+		st.InsertBatch(b[0], b[1])
+		st.Flush()
+	}
+	for _, b := range batches {
+		st.DeleteBatch(b[0], b[1])
+		st.Flush()
+	}
+	m := float64(len(src))
+	perEdge := float64(heapInUse()-heap0) / m
+	t.Logf("%d edges after %d batches: %.2f B/edge of heap (budget %.2f); published %.2f, engine scratch %.2f",
+		len(src), 2*nb, perEdge, budget, float64(st.Stats().PublishedBytes)/m, float64(st.g.MemoryBreakdown().Total())/m)
+	if perEdge > budget {
+		t.Errorf("store holds %.2f B/edge, budget %.2f", perEdge, budget)
+	}
+	runtime.KeepAlive([]any{src, dst, batches})
+}
+
 // TestStorePublishedBytesMatchHeap holds a Store's accounting against the
 // runtime's, as core's TestMemoryUsageMatchesHeap does for the bare engine:
 // after the ruler's store-stream shape — a G15 graph in two shards, rounds
-// of 1 000-edge batches inserted and deleted again — the engine's
-// MemoryBreakdown plus Stats.PublishedBytes (snapshot tables; arena pages in
-// use, free and retired) is within 10 % of what the heap holds for the
-// store, right after the load and again once the arenas have been cleaning
-// for three rounds.
+// of 1 000-edge batches inserted and deleted again — Stats.PublishedBytes
+// (snapshot tables; arena pages in use, free and retired) plus the engine's
+// MemoryBreakdown, which for a Store's adopted shards is the update
+// pipeline's scratch and nothing else, is within 10 % of what the heap holds
+// for the store, right after the load and again once the arenas have been
+// cleaning for three rounds.
 func TestStorePublishedBytesMatchHeap(t *testing.T) {
 	const scale, nb = 15, 64
 	src, dst, batches := streamGraph(scale, 4<<scale, nb)
@@ -262,6 +298,9 @@ func TestStorePublishedBytesMatchHeap(t *testing.T) {
 		if math.Abs(m/float64(heap)-1) > 0.10 {
 			t.Errorf("%s: engine %d B + published %d B is not within 10%% of the %d B the heap holds", when, b.Total(), s.PublishedBytes, heap)
 		}
+		if b.Total() != b.Scratch {
+			t.Errorf("%s: the store's shards hold live structures: %+v", when, b)
+		}
 	}
 	check("after load")
 	for round := 0; round < 3; round++ {
@@ -279,4 +318,76 @@ func TestStorePublishedBytesMatchHeap(t *testing.T) {
 		t.Error("three rounds never cleaned a page")
 	}
 	runtime.KeepAlive([]any{src, dst, batches})
+}
+
+// TestHeldViewReadsOldAdjacency pins a view and keeps two readers comparing
+// it, word for word, against a copy taken at the pin while the writers merge
+// 200 batches into the very pages it reads — new runs on the tails of pages
+// it holds the front of, old runs it still reads used as merge input, pages
+// cleaned and retired under it. Under -race any write to a word the view can
+// reach is a reported race; without it, a changed word fails the comparison.
+func TestHeldViewReadsOldAdjacency(t *testing.T) {
+	const scale, nb, pre = 11, 104, 4
+	src, dst, batches := streamGraph(scale, 4<<scale, nb)
+	st := New(core.New(1<<scale, core.Config{Workers: 2, Shards: 2}), Options{})
+	defer st.Close()
+	st.InsertBatch(src, dst)
+	for _, b := range batches[:pre] { // a fragmented epoch, sharing pages with its neighbours
+		st.InsertBatch(b[0], b[1])
+		st.Flush()
+	}
+	held := st.View()
+	defer held.Release()
+	want := make([][]uint32, held.NumVertices())
+	for u := range want {
+		want[u] = slices.Clone(held.Neighbors(uint32(u)))
+	}
+	compare := func() error {
+		for u := range want {
+			if !slices.Equal(held.Neighbors(uint32(u)), want[u]) {
+				return fmt.Errorf("held view Neighbors(%d) = %v, read %v when pinned", u, held.Neighbors(uint32(u)), want[u])
+			}
+		}
+		return nil
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		go func() {
+			for {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				if err := compare(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for _, b := range batches[pre:] {
+		st.InsertBatch(b[0], b[1])
+		st.Flush()
+	}
+	for _, b := range batches {
+		st.DeleteBatch(b[0], b[1])
+		st.Flush()
+	}
+	close(stop)
+	for r := 0; r < 2; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := compare(); err != nil {
+		t.Fatal(err)
+	}
+	s := st.Stats()
+	if s.BatchesApplied < 2*200 || s.ArenaCleanedEntries == 0 {
+		t.Fatalf("%d shard-batches applied, %d entries cleaned under the held view: want ≥ 400, some", s.BatchesApplied, s.ArenaCleanedEntries)
+	}
 }

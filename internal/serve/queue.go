@@ -40,24 +40,39 @@ type pending struct {
 // InsertBatch enqueues the directed edges (src[i] -> dst[i]) for
 // insertion and returns without waiting for them to apply. The slices are
 // copied; the caller may reuse them immediately. Call Flush to wait for
-// the batch to become visible to readers.
-func (s *Store) InsertBatch(src, dst []uint32) { s.enqueue(opInsert, src, dst) }
+// the batch to become visible to readers. It panics on a closed Store: a
+// caller that cannot rule out a concurrent Close uses Enqueue.
+func (s *Store) InsertBatch(src, dst []uint32) { s.mustEnqueue(opInsert, src, dst) }
 
 // DeleteBatch enqueues the directed edges for deletion, with the same
 // asynchronous contract as InsertBatch. Enqueue order is preserved per
 // shard, so an insert followed by a delete of the same edge leaves it
 // absent (the two land in the same shard's queue: routing is by source).
-func (s *Store) DeleteBatch(src, dst []uint32) { s.enqueue(opDelete, src, dst) }
+func (s *Store) DeleteBatch(src, dst []uint32) { s.mustEnqueue(opDelete, src, dst) }
 
-func (s *Store) enqueue(op int, src, dst []uint32) {
+// Enqueue is InsertBatch or, with del, DeleteBatch for a caller that shares
+// the Store with whoever may Close it — a request handler and the handler
+// that drops its graph: on a closed Store it returns ErrClosed and enqueues
+// nothing, and a batch it accepts is whole in the queues before Close marks
+// them closed, so Close applies and publishes it.
+func (s *Store) Enqueue(del bool, src, dst []uint32) error {
+	if del {
+		return s.enqueue(opDelete, src, dst)
+	}
+	return s.enqueue(opInsert, src, dst)
+}
+
+func (s *Store) mustEnqueue(op int, src, dst []uint32) {
+	if err := s.enqueue(op, src, dst); err != nil {
+		panic("serve: update on closed Store")
+	}
+}
+
+func (s *Store) enqueue(op int, src, dst []uint32) error {
 	if len(src) != len(dst) {
 		panic(fmt.Sprintf("serve: src/dst length mismatch (%d vs %d); every edge needs both endpoints",
 			len(src), len(dst)))
 	}
-	if s.closed.Load() {
-		panic("serve: update on closed Store")
-	}
-	s.stats.edgesEnqueued.Add(uint64(len(src)))
 	// enq anchors the enqueue-to-publish visibility-lag measurement; it is
 	// taken whenever either consumer (obs histogram, flight recorder) is on.
 	var enq int64
@@ -72,8 +87,15 @@ func (s *Store) enqueue(op int, src, dst []uint32) {
 	// concurrent boundary move takes the write lock to swap routeMap and
 	// install its control entries, so every batch lands in the queues
 	// routed wholly by one map, cleanly before or after the control entry.
+	// Close takes it too, to mark the Store and its queues closed: a batch is
+	// in every queue it is routed to before that, or in none.
 	// (With one shard the scatter is core's single copy-and-bound pass.)
 	s.rebMu.RLock()
+	if s.closed.Load() {
+		s.rebMu.RUnlock()
+		return ErrClosed
+	}
+	s.stats.edgesEnqueued.Add(uint64(len(src)))
 	pm := s.routeMap.Load()
 	trScatter := trace.Start()
 	parts, bound := s.g.ScatterBatchWith(pm, src, dst)
@@ -100,6 +122,7 @@ func (s *Store) enqueue(op int, src, dst []uint32) {
 	if d := s.dur; d != nil {
 		d.maybeAutoCheckpoint(s)
 	}
+	return nil
 }
 
 // shardSkewPct returns how far the largest routed part deviates from a

@@ -9,10 +9,12 @@
 // and sits behind them — so each batch's routing matches the shard layout
 // that will exist when it applies. Execute time (executeRebalance, on
 // whichever affected writer reaches its control entry second, while the
-// first waits parked): splice the vertex blocks (core.Graph.MoveBoundary,
-// safe because both owners are quiescent and serve readers only touch
-// snapshots), rebuild both shards' snapshots — each stamped with its new
-// range — and install one, then the other. Between the two swaps the
+// first waits parked): move the transferred vertices' table entries, and
+// their runs from the donor's page arena to the receiver's
+// (core.Graph.MoveBoundary, safe because both owners are quiescent and serve
+// readers only touch snapshots, whose tables and pages it does not write),
+// publish both shards — each snapshot stamped with its new range — and
+// install one, then the other. Between the two swaps the
 // shards' current epochs do not tile: they leave a gap or overlap exactly
 // the moved range. A View that pins across the swaps sees that and pins
 // again; a single-vertex read steps to the shard whose pinned range holds
@@ -56,8 +58,8 @@ var testHookRebalanceExecute func()
 var testHookRebalanceMidSwap func()
 
 // MoveBoundary moves the partition boundary between shards k and k+1 to
-// newStart, splicing the transferred vertex range's blocks and republishing
-// both shards under the successor map (epoch+1). It blocks until the move
+// newStart, moving the transferred vertex range's table entries and runs and
+// republishing both shards under the successor map (epoch+1). It blocks until the move
 // has executed and is reader-visible. Only the two affected shard writers
 // pause (at their control entries); all other writers and all readers
 // proceed throughout. Returns the moved materialized vertex and edge
@@ -127,11 +129,10 @@ func (s *Store) executeRebalance(op *rebalanceOp) {
 	}
 	pm := s.g.PartitionMap() // the successor map, now physical
 	wa, wb := s.ws[op.k], s.ws[op.k+1]
-	// The splice shifted slots and bases, so both publishes are full
-	// rebuilds (core.MoveBoundary marks the shards so); views pinned on the
-	// old layout keep the old tables and pages. Both are built before
-	// either is installed, so the window in which the current epochs do
-	// not tile is two atomic swaps wide.
+	// The move shifted slots and bases in the shards' own tables; views
+	// pinned on the old layout keep the old tables and pages. Both snapshots
+	// are built before either is installed, so the window in which the
+	// current epochs do not tile is two atomic swaps wide.
 	ea := wa.buildSnap()
 	eb := wb.buildSnap()
 	wa.install(ea)
@@ -157,7 +158,7 @@ type RebalanceResult struct {
 	// Moves is the number of boundary moves performed (0 when the layout
 	// was already balanced or S == 1).
 	Moves int `json:"moves"`
-	// MovedVertices and MovedEdges total the materialized vertex blocks and
+	// MovedVertices and MovedEdges total the materialized vertices and
 	// directed edges that changed owner.
 	MovedVertices uint64 `json:"moved_vertices"`
 	MovedEdges    uint64 `json:"moved_edges"`

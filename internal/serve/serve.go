@@ -11,24 +11,31 @@
 // queue, so the engine's per-vertex exclusivity contract holds by
 // construction — a vertex lives in exactly one shard, and one goroutine
 // owns each shard. Under backpressure a queue degrades gracefully by
-// merging same-op batches instead of blocking callers. After every applied
-// batch a shard writer publishes its shard's new state as an immutable
-// local core.Snapshot with one atomic pointer swap. The publish costs what
-// the batch changed, not what the shard holds: core.Shard.Publish appends
-// the new adjacency of the batch's vertices at the tail of the shard's
-// arena of fixed-size pages, patches a copy of the previous snapshot's
-// per-vertex table, and — when superseded runs have left the pages more
-// than half as large again as what is live — copies the live runs of the
-// emptiest pages forward and retires those pages. Readers compose a view by
-// pinning every shard's current snapshot with the epoch-refcount protocol —
-// two atomic adds per shard — run any analytics kernel on the composed
-// view, and release; a retired snapshot's table is recycled only once its
-// epoch has drained, and a retired page is reused only once every snapshot
-// published before its retirement has.
+// merging same-op batches instead of blocking callers. A Store's shard
+// keeps one copy of its edges, the one its readers see: New's first publish
+// adopts each shard (core.Shard.Publish) — whatever live vertex blocks and
+// overflow structures the graph was built with are flattened into runs in the
+// shard's arena of fixed-size pages and dropped — and from then on the
+// shard's storage is a per-vertex (page‖offset, degree) table over those
+// pages. The writer applies a batch by merging each source vertex's group
+// with the vertex's current run into a new run at the arena's tail and
+// pointing its copy of the table at it, then publishes: the table is sealed
+// as an immutable core.Snapshot, installed with one atomic pointer swap, and
+// — when superseded runs have left the pages more than half as large again
+// as what is live — the live runs of the emptiest pages are copied forward
+// and those pages retired. Both cost what the batch changed, not what the
+// shard holds. Readers compose a view by pinning every shard's current
+// snapshot with the epoch-refcount protocol — two atomic adds per shard —
+// run any analytics kernel on the composed view, and release; a retired
+// snapshot's table is recycled only once its epoch has drained, and a retired
+// page is reused only once every snapshot published before its retirement
+// has.
 // Aspen gets this concurrency from purely functional trees and LSMGraph
-// from per-range versioned multi-level CSRs; the Store gets it from
-// epoch-pinned snapshots that share everything a batch did not touch, over
-// the locality-centric live shards.
+// from per-range versioned multi-level CSRs with immutable runs as the write
+// target; the Store gets it from epoch-pinned snapshots that share every run
+// a batch did not change, with LSMGraph's choice of write target. The
+// paper's in-place structures — vertex block, RIA, HITree — serve where
+// readers walk the live graph: the bare core.Graph.
 //
 // Consistency model: each pinned shard snapshot is an exact prefix of that
 // shard's applied batch sequence, and enqueue order is preserved per
@@ -61,11 +68,12 @@
 // Dynamic partitioning: vertex→shard routing is an immutable, epoch-
 // versioned core.PartitionMap rather than a fixed span. A boundary move
 // (Rebalance / MoveBoundary, rebalance.go) quiesces only the two affected
-// shard writers via a rendezvous control entry in their queues, splices
-// the transferred vertex blocks between the two shards, and publishes both
-// shards' new snapshots through the same atomic swap as ordinary publishes.
+// shard writers via a rendezvous control entry in their queues, moves the
+// transferred vertices' table entries and runs from one shard to the other,
+// and publishes both shards' new snapshots through the same atomic swap as
+// ordinary publishes.
 // Two maps exist and each has one owner: the Store's routeMap says where
-// enqueue sends an edge, core.Graph's map says where the blocks live.
+// enqueue sends an edge, core.Graph's map says where the runs live.
 // Readers consult neither. Every published shard epoch records the vertex
 // range [lo, hi) it was built from, so a reader checks what it pinned: a
 // View is consistent when its pins tile the ID space (each epoch starts
@@ -249,7 +257,6 @@ type Store struct {
 		coalescedBatches   atomic.Uint64
 		snapshotsPublished atomic.Uint64
 		snapshotsReclaimed atomic.Uint64
-		snapshotRebuilds   atomic.Uint64
 	}
 }
 
@@ -313,11 +320,17 @@ func (s *Store) Shards() int { return len(s.ws) }
 
 // Close drains every shard's queue, applies and publishes any remaining
 // batches, stops the writer goroutines, and waits for them to exit.
-// Updates must not be enqueued concurrently with or after Close; they
-// panic. Views acquired before Close stay valid (snapshots are immutable
-// and GC-managed).
+// InsertBatch and DeleteBatch must not be called concurrently with or after
+// Close; they panic. Enqueue may: it returns ErrClosed from then on. Views
+// acquired before Close stay valid (snapshots are immutable and GC-managed).
 func (s *Store) Close() {
-	if s.closed.Swap(true) {
+	// Under rebMu's write lock no enqueue is between its closed check and
+	// its last queue append: what Enqueue accepted is queued before any
+	// writer below is told to finish.
+	s.rebMu.Lock()
+	already := s.closed.Swap(true)
+	s.rebMu.Unlock()
+	if already {
 		<-s.done
 		return
 	}

@@ -19,19 +19,15 @@ type Stats struct {
 	// SnapshotsReclaimed counts retired snapshots whose epoch drained and
 	// whose table was recycled or dropped.
 	SnapshotsReclaimed uint64
-	// SnapshotRebuilds counts publishes that refilled a shard's page arena
-	// from the live structures: each shard's first, and the two after every
-	// boundary move. Every other publish appended only its batch's vertices;
-	// on a stream of batches the count does not advance.
-	SnapshotRebuilds uint64
 	// ArenaCleanedEntries counts adjacency entries the shards' publishes
 	// copied forward out of their emptiest pages to keep the arenas within
 	// 1.5x the live edges.
 	ArenaCleanedEntries uint64
-	// PublishedBytes is what the published side holds as of each shard's
-	// last publish: snapshot tables plus arena pages in use, free and
-	// retired. With core.Graph.MemoryBreakdown it accounts for a Store's
-	// heap.
+	// PublishedBytes is what the shards hold as of each one's last publish:
+	// its own and the unrecycled snapshots' tables plus arena pages in use,
+	// free and retired — a Store's whole copy of its edges. With
+	// core.Graph.MemoryBreakdown, which for a Store's shards is the update
+	// pipeline's scratch, it accounts for a Store's heap.
 	PublishedBytes uint64
 	// Rebalances counts completed Rebalance calls that performed at least
 	// one boundary move.
@@ -39,8 +35,8 @@ type Stats struct {
 	// BoundaryMoves counts individual boundary moves (a Rebalance may
 	// perform several).
 	BoundaryMoves uint64
-	// MovedVertices counts materialized vertex blocks that changed owner
-	// across all boundary moves.
+	// MovedVertices counts materialized vertices that changed owner across
+	// all boundary moves.
 	MovedVertices uint64
 	// MovedEdges counts directed edges that changed owner across all
 	// boundary moves.
@@ -71,7 +67,6 @@ func (s *Store) Stats() Stats {
 		CoalescedBatches:   s.stats.coalescedBatches.Load(),
 		SnapshotsPublished: s.stats.snapshotsPublished.Load(),
 		SnapshotsReclaimed: s.stats.snapshotsReclaimed.Load(),
-		SnapshotRebuilds:   s.stats.snapshotRebuilds.Load(),
 		Rebalances:         s.rebStats.rebalances.Load(),
 		BoundaryMoves:      s.rebStats.boundaryMoves.Load(),
 		MovedVertices:      s.rebStats.movedVertices.Load(),

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"lsgraph/internal/core"
 	"lsgraph/internal/obs"
 	"lsgraph/internal/trace"
 )
@@ -64,7 +63,6 @@ func (w *shardWriter) run() {
 				w.shard.EnsureVertices(b.bound)
 			}
 			w.shard.BeginTrace(b.batch)
-			w.shard.Warm(b.src)
 			if b.op == opInsert {
 				w.shard.InsertBatch(b.src, b.dst)
 			} else {
@@ -118,33 +116,24 @@ func (w *shardWriter) install(e *epochSnap) {
 	w.reclaim()
 }
 
-// buildSnap derives the shard's next epochSnap from the current one
-// (core.Shard.Publish: the batch's runs appended to the shard's page arena;
-// a refill from the live structures only for the first publish and after a
-// boundary move) without swapping it in, stamped with the range the shard
-// owns right now. No other goroutine can be changing that range:
-// a boundary move touches only the two shards it parks. Writer goroutine
-// only — or the rebalance executor, while both affected writers are parked
-// at their control entries.
+// buildSnap seals the shard's table as its next epochSnap (core.Shard.Publish;
+// the batches since the current one already wrote their runs to the shard's
+// page arena) without swapping it in, stamped with the range the shard owns
+// right now. No other goroutine can be changing that range: a boundary move
+// touches only the two shards it parks. Writer goroutine only — or the
+// rebalance executor, while both affected writers are parked at their control
+// entries.
 func (w *shardWriter) buildSnap() *epochSnap {
-	var prev *core.Snapshot
 	var next uint64
 	if old := w.cur.Load(); old != nil {
-		prev, next = old.snap, old.epoch+1
-	}
-	snap, rebuilt := w.shard.Publish(prev)
-	if rebuilt {
-		w.s.stats.snapshotRebuilds.Add(1)
-		if obs.Enabled() {
-			obsSnapRebuild.Inc()
-		}
+		next = old.epoch + 1
 	}
 	hi := uint64(openEnd)
 	if starts := w.s.g.PartitionMap().Starts; w.idx+1 < len(starts) {
 		hi = uint64(starts[w.idx+1])
 	}
 	return &epochSnap{
-		snap:  snap,
+		snap:  w.shard.Publish(),
 		epoch: next,
 		lo:    w.shard.Base(),
 		hi:    hi,

@@ -72,6 +72,11 @@ func (s *Store) InsertBatch(src, dst []uint32) { s.st.InsertBatch(src, dst) }
 // copied; the caller may reuse them immediately.
 func (s *Store) DeleteBatch(src, dst []uint32) { s.st.DeleteBatch(src, dst) }
 
+// Enqueue is InsertBatch or, with del, DeleteBatch for callers that may race
+// with Close: on a closed store it returns serve.ErrClosed and enqueues
+// nothing, where those two panic.
+func (s *Store) Enqueue(del bool, src, dst []uint32) error { return s.st.Enqueue(del, src, dst) }
+
 // Flush blocks until every update enqueued before the call has been
 // applied and published.
 func (s *Store) Flush() {
