@@ -77,7 +77,7 @@ func OpenStore(n uint32, opts ...Option) (*Store, error) {
 		AutoRebalance: s.autoRebalance,
 	}
 	if s.durDir == "" {
-		return &Store{st: serve.New(core.New(n, s.cfg), sopt)}, nil
+		return &Store{st: serve.New(core.NewPaged(n, s.cfg), sopt)}, nil
 	}
 	pol, err := wal.ParseFsyncPolicy(s.dur.Fsync)
 	if err != nil {

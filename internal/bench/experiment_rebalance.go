@@ -42,7 +42,7 @@ func Rebalance(s Scale, w io.Writer) {
 
 	for _, S := range []int{2, 4, 8} {
 		z := gen.NewZipf(n, 1.2, 42+uint64(S))
-		st := serve.New(core.New(n, core.Config{Workers: workers, Shards: S}), serve.Options{})
+		st := serve.New(core.NewPaged(n, core.Config{Workers: workers, Shards: S}), serve.Options{})
 
 		// Preload so the rebalancer has mass to measure, then stream the
 		// measured batches on the uniform map.

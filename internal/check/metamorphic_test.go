@@ -143,7 +143,7 @@ func TestMetamorphicLiveVsPinnedView(t *testing.T) {
 	for _, S := range []int{1, 4} {
 		live := buildGraph(t, src, dst, S, 50)
 
-		st := serve.New(core.New(metaVerts, core.Config{Shards: S, Workers: 2}),
+		st := serve.New(core.NewPaged(metaVerts, core.Config{Shards: S, Workers: 2}),
 			serve.Options{MaxQueue: 2})
 		for i := 0; i < len(src); i += 50 {
 			j := i + 50

@@ -20,9 +20,9 @@ const (
 	// ModeCore drives a bare core.Graph: synchronous batches (exclusive
 	// update contract), explicit growth, Snapshot views.
 	ModeCore Mode = iota
-	// ModeStore drives a serve.Store: asynchronous enqueue with a small
-	// queue bound (so backpressure coalescing triggers), View pinning and
-	// Flatten, Flush-then-compare verification.
+	// ModeStore drives a serve.Store over a core.NewPaged graph:
+	// asynchronous enqueue with a small queue bound (so backpressure
+	// coalescing triggers), View pinning, Flush-then-compare verification.
 	ModeStore
 )
 
@@ -293,11 +293,12 @@ func run(ops []op, cfg SimConfig) (r *runner, err error) {
 	if err != nil {
 		return nil, err
 	}
-	r = &runner{
-		cfg:  cfg,
-		ecfg: ecfg,
-		g:    core.New(simInitVerts, ecfg),
-		ref:  refgraph.New(simInitVerts),
+	r = &runner{cfg: cfg, ecfg: ecfg, ref: refgraph.New(simInitVerts)}
+	if cfg.Mode == ModeStore {
+		r.g = core.NewPaged(simInitVerts, ecfg)
+		r.st = serve.New(r.g, serve.Options{MaxQueue: 4})
+	} else {
+		r.g = core.New(simInitVerts, ecfg)
 	}
 	defer func() {
 		if r.held != nil {
@@ -313,20 +314,10 @@ func run(ops []op, cfg SimConfig) (r *runner, err error) {
 		}
 	}()
 	for i, o := range ops {
-		// The Store adopts whatever the graph holds when it is opened. Under
-		// the default thresholds that is nothing, at once; under a named
-		// configuration the program runs on the bare graph first, until it
-		// has held every overflow class the configuration has (or for half
-		// the program), so that adoption flattens live arrays, RIAs, HITrees
-		// and PMAs and not only empty blocks.
-		if r.st == nil && (r.ripe() || 2*i >= len(ops)) {
-			r.open()
-		}
 		if err := r.step(o); err != nil {
 			return r, fmt.Errorf("op %d (%s): %w", i, o.kind, err)
 		}
 	}
-	r.open()
 	if err := r.verify(); err != nil {
 		return r, fmt.Errorf("final verify: %w", err)
 	}
@@ -579,34 +570,18 @@ func (r *runner) verify() error {
 	return r.reload(snap)
 }
 
-// open wraps the graph in the Store, in ModeStore, unless it already is.
-func (r *runner) open() {
-	if r.cfg.Mode == ModeStore && r.st == nil {
-		r.st = serve.New(r.g, serve.Options{MaxQueue: 4})
-	}
-}
-
 // engineClasses says which overflow classes — array, RIA, HITree or PMA — a
-// named engine configuration's vertices can hold.
+// named engine configuration's vertices can hold in a bare graph. A Store's
+// graph holds none under any configuration.
 var engineClasses = map[string][3]bool{
 	"small":   {true, true, true},
 	"pma":     {false, false, true},
 	"riaonly": {true, true, false},
 }
 
-// classesSeen reports which of them the verifies (and ripe) have seen held.
+// classesSeen reports which of them the verifies have seen held.
 func (r *runner) classesSeen() [3]bool {
 	return [3]bool{r.seen.ArrayPayload > 0, r.seen.RIAPayload > 0, r.seen.Trees > 0}
-}
-
-// ripe reports whether the bare graph has, over the ops so far, held every
-// overflow class its configuration has.
-func (r *runner) ripe() bool {
-	if r.cfg.Engine == "" {
-		return true
-	}
-	r.sawClasses()
-	return r.classesSeen() == engineClasses[r.cfg.Engine]
 }
 
 // sawClasses adds the live structures' bytes to r.seen.
@@ -617,13 +592,12 @@ func (r *runner) sawClasses() {
 	r.seen.Trees += b.Trees
 }
 
-// reload round-trips the graph through its CSR: a fresh engine of the same
-// configuration bulk-loaded from snap must pass the deep walk — every
-// vertex in the class a fresh build gives its degree — and agree with the
-// oracle, whatever classes the live graph's history left its vertices in.
+// reload round-trips the graph through its CSR as recovery loads a
+// checkpoint: a paged graph of the same shard count bulk-loaded from snap
+// must pass the deep walk of its tables and pages and agree with the oracle.
 func (r *runner) reload(snap *core.Snapshot) error {
 	offs, adj := snap.CSR()
-	g := core.New(snap.NumVertices(), r.ecfg)
+	g := core.NewPaged(snap.NumVertices(), r.ecfg)
 	if err := g.LoadCSR(0, offs, adj); err != nil {
 		return err
 	}

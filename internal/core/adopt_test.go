@@ -7,20 +7,25 @@ import (
 	"testing"
 )
 
-// twin feeds one stream of operations to a graph whose shards are adopted —
-// tables over page arenas, batches merged into runs — and to a bare Graph of
-// the same shape, the paper's engine on its live structures, which is the
-// oracle for everything the adopted shards do.
+// twin feeds one stream of operations to a paged graph — tables over page
+// arenas, batches merged into runs — and to a bare Graph of the same shape,
+// the paper's engine on its live structures, which is the oracle for
+// everything the paged shards do.
 type twin struct {
 	g, ref *Graph
 }
 
-func newTwin(n uint32, cfg Config) twin {
-	tw := twin{New(n, cfg), New(n, cfg)}
-	for i := range tw.g.shards {
-		tw.g.adopt(&tw.g.shards[i], 2) // what a first Publish does, without a snapshot to keep
+func newTwin(n uint32, cfg Config) twin { return twin{NewPaged(n, cfg), New(n, cfg)} }
+
+// pagedFrom is a paged graph of live's shape and edges, loaded as recovery
+// loads a checkpoint: live's CSR copied to pages, in vertex order.
+func pagedFrom(live *Graph) *Graph {
+	g := NewPaged(live.NumVertices(), live.Config())
+	offs, adj := live.Snapshot().CSR()
+	if err := g.LoadCSR(0, offs, adj); err != nil {
+		panic(err)
 	}
-	return tw
+	return g
 }
 
 func (tw twin) ensure(n uint32) {
@@ -95,7 +100,7 @@ func (tw twin) sameAsShard(t *testing.T, what string, i int, snap *Snapshot) {
 	sameSnapshot(t, what, snap, tw.ref.Shard(i).SnapshotInto(nil))
 }
 
-// TestAdoptedShardMatchesGraph walks an adopted graph and the oracle through
+// TestAdoptedShardMatchesGraph walks a paged graph and the oracle through
 // every kind of batch the merge has a case for and compares every adjacency
 // after each: duplicates inside a batch, edges already present and deletes of
 // absent ones, groups that change nothing, a batch that changes nothing at
@@ -114,7 +119,7 @@ func TestAdoptedShardMatchesGraph(t *testing.T) {
 				}
 			}
 			rng := rand.New(rand.NewSource(5))
-			step("adoption of an empty graph")
+			step("an empty graph")
 
 			tw.insert([]uint32{5, 5, 5, 9, 5}, []uint32{7, 3, 7, 1, 3})
 			step("a batch with duplicates")
@@ -172,7 +177,7 @@ func TestAdoptedShardMatchesGraph(t *testing.T) {
 			}
 			step("the stream")
 			if b := tw.g.MemoryBreakdown(); b.Total() != b.Scratch {
-				t.Fatalf("adopted graph holds live structures: %+v", b)
+				t.Fatalf("paged graph holds live structures: %+v", b)
 			}
 		})
 	}
@@ -291,7 +296,7 @@ func snapshotsEqual(got, want *Snapshot) error {
 	return nil
 }
 
-// FuzzMergeApply drives the merge path of adopted shards differentially
+// FuzzMergeApply drives the merge path of paged shards differentially
 // against the bare engine (runMergeProgram); the first byte picks one to
 // three shards.
 func FuzzMergeApply(f *testing.F) {

@@ -58,7 +58,7 @@ type prepScratch struct {
 	// ks and tmp, and a range is sorted in the one it ended up in with its
 	// span of the other as swap space.
 	ks, tmp []uint64
-	// jobs holds, for a batch applied to an adopted shard, one entry per
+	// jobs holds, for a batch applied to a paged shard, one entry per
 	// source vertex whose run the batch changes (merge.go). Each range writes
 	// its vertices' at its own key offset, ascending.
 	jobs   []mergeJob
@@ -175,7 +175,7 @@ func validateBatch(op string, src, dst []uint32) {
 type groupFunc func(g *Graph, sh *shardState, w int, lv uint32, ks []uint64) uint64
 
 // batchOp is what a batch does with each group: update the vertex's live
-// structures, or — on an adopted shard — find the keys that change its run,
+// structures, or — on a paged shard — find the keys that change its run,
 // which mergeRuns then adds to it or, with del, takes out of it (merge.go).
 type batchOp struct {
 	live, find groupFunc
@@ -229,7 +229,7 @@ func (g *Graph) applyBatch(sh *shardState, src, dst []uint32, p int, op batchOp)
 
 	tApply, trApply := obs.StartTimer(), trace.Start()
 	apply := op.live
-	if sh.adopted {
+	if sh.paged {
 		apply, ps.jobs = op.find, grown(ps.jobs, n)
 	}
 	for w := range sh.apply[:p] {
@@ -246,7 +246,7 @@ func (g *Graph) applyBatch(sh *shardState, src, dst []uint32, p int, op batchOp)
 	if on {
 		obsRangeSort.Observe(uint64(sortNs))
 	}
-	if sh.adopted && changed > 0 {
+	if sh.paged && changed > 0 {
 		sh.mergeRuns(p, limit, op.del, changed)
 	}
 	obsPhaseApply.ObserveSince(tApply)
@@ -395,7 +395,7 @@ func (g *Graph) applyRange(sh *shardState, w int, r *keyRange, varying uint64, a
 		lv := v - sh.base
 		c := apply(g, sh, w, lv, ks[i:e])
 		sc.changed += c
-		if c > 0 && sh.adopted {
+		if c > 0 && sh.paged {
 			ps.jobs[r.lo+r.nj] = mergeJob{lv: lv, at: uint32(r.lo + i), eff: uint32(c)}
 			r.nj++
 		}

@@ -21,10 +21,10 @@ type Stats struct {
 // [0, n) storing each vertex's out-neighbors in the differentiated
 // hierarchical indexed representation. Reads (Degree, NeighborBlocks,
 // analytics) may run concurrently with each other but not with updates;
-// the streaming model alternates update and analytics phases (§1). A shard
-// the serving layer has adopted (Shard.Publish) stores them as the runs its
-// published snapshots read instead; every method here works on either form
-// under the same contract.
+// the streaming model alternates update and analytics phases (§1). A graph
+// built by NewPaged — a Store's — stores them as the runs its published
+// snapshots read instead; every method here works on either form under the
+// same contract.
 //
 // Internally the vertex space is partitioned into Config.Shards contiguous
 // ranges (default 1), each holding its own vertex blocks, edge counter,
@@ -56,7 +56,17 @@ type Graph struct {
 
 // New returns an empty engine with n vertex slots, partitioned into
 // cfg.Shards contiguous ranges (default 1).
-func New(n uint32, cfg Config) *Graph {
+func New(n uint32, cfg Config) *Graph { return newGraph(n, cfg, false) }
+
+// NewPaged returns an empty graph in the form a Store serves (internal/serve):
+// each shard's adjacency is a table of (page‖offset, degree) entries over an
+// arena of fixed-size pages — the runs its published snapshots share — and a
+// batch merges into new runs (merge.go) instead of updating vertex blocks in
+// place. It never holds a vertex block, array, RIA or HITree, so of cfg only
+// Workers and Shards apply to it.
+func NewPaged(n uint32, cfg Config) *Graph { return newGraph(n, cfg, true) }
+
+func newGraph(n uint32, cfg Config, paged bool) *Graph {
 	cfg.sanitize()
 	g := &Graph{cfg: cfg}
 	g.treeCfg = hitree.Config{
@@ -71,13 +81,21 @@ func New(n uint32, cfg Config) *Graph {
 	g.n.Store(n)
 	g.shards = make([]shardState, s)
 	for i := range g.shards {
-		g.shards[i].base = pm.Starts[i]
-		g.shards[i].idx = int32(i)
-		g.shards[i].verts = make([]vertex, pm.RangeLen(i, n))
+		sh := &g.shards[i]
+		sh.base, sh.idx, sh.paged = pm.Starts[i], int32(i), paged
+		if paged {
+			sh.tab = make([]vref, pm.RangeLen(i, n))
+			sh.tabEntries, sh.pub.seq = len(sh.tab), 1
+		} else {
+			sh.verts = make([]vertex, pm.RangeLen(i, n))
+		}
 	}
 	trace.EnsureShards(s)
 	return g
 }
+
+// Paged reports whether the graph was built by NewPaged.
+func (g *Graph) Paged() bool { return g.shards[0].paged }
 
 // NewFromEdges builds an engine preloaded with es (directed, deduplicated
 // internally) using the bulk-load path. The pipeline scratch the load sized
@@ -150,7 +168,7 @@ func (g *Graph) locate(v uint32) (*shardState, uint32) {
 
 // vb returns v's vertex block, or nil when there is none: v's slot is not
 // materialized (vertex-space growth that has not reached v's shard yet) and
-// v has no out-edges, or v's shard is adopted and run has them.
+// v has no out-edges, or v's shard is paged and run has them.
 func (g *Graph) vb(v uint32) *vertex {
 	sh, lv := g.locate(v)
 	if int(lv) >= len(sh.verts) {
@@ -159,7 +177,7 @@ func (g *Graph) vb(v uint32) *vertex {
 	return &sh.verts[lv]
 }
 
-// run returns v's adjacency in an adopted shard: the run its table names.
+// run returns v's adjacency in a paged shard: the run its table names.
 // It is nil for a vertex of a live shard, so the read paths try it only once
 // vb has found no block.
 func (g *Graph) run(v uint32) []uint32 {
@@ -341,9 +359,9 @@ func (g *Graph) rebuildVertex(vb *vertex, ns []uint32) {
 // MemoryBreakdown is the engine's resident bytes by what holds them, each
 // term the size of the allocations themselves (unsafe.Sizeof and slice
 // capacities, no per-structure constants). Snapshots a shard has published
-// belong to whoever holds them and are not counted, and neither are an
-// adopted shard's table and pages, which they share (Shard.Published has
-// those): of an adopted shard only Scratch is the engine's.
+// belong to whoever holds them and are not counted, and neither are a paged
+// shard's table and pages, which they share (Shard.Published has those): of
+// a paged graph only Scratch is the engine's.
 type MemoryBreakdown struct {
 	VertexBlocks uint64 // the shards' block arrays, unused capacity included
 	ArrayPayload uint64 // array overflows: four bytes per neighbor held

@@ -29,8 +29,8 @@ import "fmt"
 //     smaller allocation,
 //   - every stored neighbor inside [0, NumVertices),
 //   - per-shard edge counters equal to the sum of their vertices' degrees,
-//   - of an adopted shard, instead of the block and overflow checks: no
-//     vertex block left, every run within one page of the arena, strictly
+//   - of a paged shard, instead of the block and overflow checks: no
+//     vertex block, every run within one page of the arena, strictly
 //     ascending and inside [0, NumVertices), every page's live count equal to
 //     the summed degrees of the runs in it, and the pages' capacities summing
 //     to what the arena counts in use.
@@ -66,7 +66,7 @@ func (g *Graph) CheckInvariants() error {
 			}
 			edges += uint64(sh.verts[lv].degree())
 		}
-		if sh.adopted {
+		if sh.paged {
 			var err error
 			if edges, err = sh.checkRuns(n); err != nil {
 				return fmt.Errorf("core: shard %d: %w", i, err)
@@ -163,12 +163,12 @@ func (g *Graph) checkVertex(sh *shardState, lv, n uint32) error {
 	return nil
 }
 
-// checkRuns validates an adopted shard's table and arena under the logical
+// checkRuns validates a paged shard's table and arena under the logical
 // bound n and returns the table's summed degrees.
 func (sh *shardState) checkRuns(n uint32) (edges uint64, err error) {
 	a := &sh.pub
 	if sh.verts != nil {
-		return 0, fmt.Errorf("adopted with %d vertex blocks left", len(sh.verts))
+		return 0, fmt.Errorf("paged with %d vertex blocks", len(sh.verts))
 	}
 	live := make([]uint32, len(a.pages))
 	for lv, r := range sh.tab {

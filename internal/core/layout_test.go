@@ -209,9 +209,10 @@ func classGraph(t *testing.T, cfg Config) (*Graph, *refgraph.Graph) {
 
 // TestClassesSurviveMovesAndReloads moves the shard boundary across vertices
 // of every class in both directions, deletes a vertex of every class, and
-// round-trips the result through CSR and LoadCSR, under the default policy
-// and both ablations: the kind bits travel with the block, and every step
-// leaves the invariants and the oracle's adjacency intact.
+// round-trips the result through CSR and LoadCSR into a paged graph, under
+// the default policy and both ablations: the kind bits travel with the
+// block, and every step leaves the invariants and the oracle's adjacency
+// intact.
 func TestClassesSurviveMovesAndReloads(t *testing.T) {
 	for _, cfg := range []Config{smallClasses,
 		{ArrayMax: 4, M: 24, Overflow: KindPMA}, {ArrayMax: 4, M: 24, Overflow: KindRIAOnly}} {
@@ -239,7 +240,7 @@ func TestClassesSurviveMovesAndReloads(t *testing.T) {
 		}
 		offs, adj := g.Snapshot().CSR()
 		cfg.Shards = 3
-		back := New(g.NumVertices(), cfg)
+		back := NewPaged(g.NumVertices(), cfg)
 		if err := back.LoadCSR(0, offs, adj); err != nil {
 			t.Fatal(err)
 		}

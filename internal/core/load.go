@@ -9,23 +9,27 @@ import (
 )
 
 // LoadCSR bulk-loads the adjacency of vertices [base, base+len(offs)-1)
-// from a CSR: adj[offs[i]:offs[i+1]] is the complete, strictly ascending
-// neighbor set of vertex base+i. It is the inverse of Snapshot.CSR and the
-// one-pass counterpart of the batch pipeline's merge-and-rebuild: a run is
-// already grouped by vertex and sorted, so each goes straight to
-// rebuildVertex — or, in an adopted shard, to a page as it is — with no pack,
-// partition, sort or merge, workers claiming chunks of vertices (one vertex,
-// one worker, by construction).
+// of a paged graph (NewPaged) from a CSR: adj[offs[i]:offs[i+1]] is the
+// complete, strictly ascending neighbor set of vertex base+i. It is the
+// inverse of Snapshot.CSR and the one-pass counterpart of the batch
+// pipeline's merge: a run is already grouped by vertex and sorted, so each
+// goes to a page as it is, with no pack, partition, sort or merge — placed in
+// vertex order by the arena's one owner, then copied by workers claiming
+// chunks of vertices.
 //
 // Vertices are routed by the graph's own partition map, so a CSR written
 // under another shard count or layout — one whose range straddles this
 // graph's shard boundaries — loads unchanged. The load refuses, with an
-// error and the graph untouched, offsets that are not a monotone cover of
-// adj, a range that ends above NumVertices, a run that is not strictly
-// ascending or names an ID at or above NumVertices, and a non-empty run
-// for a vertex that already has edges. Like every update it must not run
-// concurrently with reads or other updates.
+// error and the graph untouched, a live graph (New: it is built by batches),
+// offsets that are not a monotone cover of adj, a range that ends above
+// NumVertices, a run that is not strictly ascending or names an ID at or
+// above NumVertices, and a non-empty run for a vertex that already has
+// edges. Like every update it must not run concurrently with reads or other
+// updates.
 func (g *Graph) LoadCSR(base uint32, offs []uint64, adj []uint32) error {
+	if !g.Paged() {
+		return fmt.Errorf("core: LoadCSR on a live graph; load into one built by NewPaged")
+	}
 	if len(offs) == 0 || offs[0] != 0 || offs[len(offs)-1] != uint64(len(adj)) {
 		return fmt.Errorf("core: LoadCSR: offsets do not cover the %d adjacency entries", len(adj))
 	}
@@ -65,25 +69,17 @@ func (g *Graph) LoadCSR(base uint32, offs []uint64, adj []uint32) error {
 		if offs[lo] == offs[hi] {
 			continue
 		}
-		lv0 := base + uint32(lo) - sh.base // the slot of vertex lo
-		if sh.adopted {
-			// The runs go to the arena's pages as they are: placed in vertex
-			// order by the arena's one owner, then copied.
-			tab, a := sh.table()[lv0:], &sh.pub
-			a.m = sh.m.Load() + offs[hi] - offs[lo]
-			for j := range tab[:hi-lo] {
-				tab[j] = a.place(uint32(offs[lo+j+1]-offs[lo+j]), tailBatch)
+		// An empty run leaves its vertex as it was.
+		tab, a := sh.table()[base+uint32(lo)-sh.base:], &sh.pub
+		a.m = sh.m.Load() + offs[hi] - offs[lo]
+		for j := range tab[:hi-lo] {
+			if deg := offs[lo+j+1] - offs[lo+j]; deg > 0 {
+				tab[j] = a.place(uint32(deg), tailBatch)
 			}
-			parallel.For(hi-lo, p, func(j int) {
-				copy(a.read(tab[j]), adj[offs[lo+j]:offs[lo+j+1]])
-			})
-		} else {
-			parallel.For(hi-lo, p, func(j int) {
-				if ns := adj[offs[lo+j]:offs[lo+j+1]]; len(ns) > 0 {
-					g.rebuildVertex(&sh.verts[lv0+uint32(j)], ns)
-				}
-			})
 		}
+		parallel.For(hi-lo, p, func(j int) {
+			copy(a.read(tab[j]), adj[offs[lo+j]:offs[lo+j+1]])
+		})
 		sh.m.Add(offs[hi] - offs[lo])
 	}
 	if obs.Enabled() {

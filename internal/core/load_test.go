@@ -48,7 +48,7 @@ func sliceCSR(offs []uint64, adj []uint32, lo, hi int) ([]uint64, []uint32) {
 	return out, adj[offs[lo]:offs[hi]]
 }
 
-// sameGraph checks that two live graphs read identically: per-vertex block
+// sameGraph checks that two graphs read identically: per-vertex block
 // sequences, edge counts per shard and in total, and the promotion counter.
 func sameGraph(t *testing.T, what string, got, want *Graph) {
 	t.Helper()
@@ -82,9 +82,11 @@ func sameGraph(t *testing.T, what string, got, want *Graph) {
 	}
 }
 
-// TestLoadCSRMatchesInsertBatch loads one CSR — whole, and cut into pieces
-// whose ranges straddle shard boundaries — and checks the result against
-// InsertBatch of the same edges, at every storage threshold and shard count.
+// TestLoadCSRMatchesInsertBatch loads one CSR into paged graphs — whole, and
+// cut into pieces whose ranges straddle shard boundaries — and checks each
+// against the bare engine given the same edges by InsertBatch, with vertices
+// at every one of its storage thresholds, at every shard count. The load
+// builds nothing but pages.
 func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 	const n = 512
 	for _, shards := range []int{1, 2, 4} {
@@ -95,26 +97,35 @@ func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 		if want.Stats().RIAToHITree.Load() == 0 {
 			t.Fatal("test graph has no HITree vertex")
 		}
+		check := func(what string, g, want *Graph) {
+			t.Helper()
+			if err := (twin{g, want}).check(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if b := g.MemoryBreakdown(); g.Stats().RIAToHITree.Load() != 0 || b.Total() != b.Scratch {
+				t.Fatalf("%s: the load built live structures: %+v", what, b)
+			}
+		}
 
-		whole := New(n, cfg)
+		whole := NewPaged(n, cfg)
 		if err := whole.LoadCSR(0, offs, adj); err != nil {
 			t.Fatal(err)
 		}
-		sameGraph(t, "whole CSR", whole, want)
+		check("whole CSR", whole, want)
 
 		// Shard boundaries sit at multiples of n/shards; none of these cuts
 		// does, so at S > 1 every piece straddles at least one.
-		pieces := New(n, cfg)
+		pieces := NewPaged(n, cfg)
 		for _, cut := range [][2]int{{300, n}, {0, 100}, {100, 300}} {
 			o, a := sliceCSR(offs, adj, cut[0], cut[1])
 			if err := pieces.LoadCSR(uint32(cut[0]), o, a); err != nil {
 				t.Fatalf("vertices [%d,%d): %v", cut[0], cut[1], err)
 			}
 		}
-		sameGraph(t, "CSR in straddling pieces", pieces, want)
+		check("CSR in straddling pieces", pieces, want)
 
 		// A range reserved but not materialized gets its storage from the load.
-		grown := New(n/4, cfg)
+		grown := NewPaged(n/4, cfg)
 		grown.ReserveVertices(n)
 		if err := grown.LoadCSR(0, offs, adj); err != nil {
 			t.Fatal(err)
@@ -122,17 +133,20 @@ func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 		wantGrown := New(n/4, cfg)
 		wantGrown.EnsureVertices(n)
 		wantGrown.InsertBatch(src, dst)
-		sameGraph(t, "CSR over reserved vertices", grown, wantGrown)
+		check("CSR over reserved vertices", grown, wantGrown)
 	}
 }
 
 // TestLoadCSRRefusals gives the loader every kind of CSR it must refuse,
 // each with loadable runs around the bad one, and checks the graph reads
-// exactly as before.
+// exactly as before; and a live graph, which it refuses whole.
 func TestLoadCSRRefusals(t *testing.T) {
 	const n = 64
+	if err := New(n, loadCfg(2)).LoadCSR(0, []uint64{0, 1}, []uint32{3}); err == nil || !strings.Contains(err.Error(), "NewPaged") {
+		t.Fatalf("load into a live graph: error %v, want one naming NewPaged", err)
+	}
 	build := func() *Graph {
-		g := New(n, loadCfg(2))
+		g := NewPaged(n, loadCfg(2))
 		g.InsertBatch([]uint32{5, 5, 40}, []uint32{1, 9, 2})
 		return g
 	}
@@ -174,11 +188,11 @@ func TestLoadCSRRefusals(t *testing.T) {
 }
 
 // TestPublishAfterLoadAndRelease checks the two ways this file changes a
-// shard other than by a batch, on adopted shards: a bulk load copies the
-// CSR's runs to the shards' pages — across a shard boundary, on top of a
-// published snapshot that stays as it was — and refuses what the live load
-// refuses; and releasing the scratch of the batch before a publish takes
-// nothing the publish needs.
+// shard other than by a batch: a bulk load copies the CSR's runs to the
+// shards' pages — across a shard boundary, on top of a published snapshot
+// that stays as it was — and refuses a vertex that has edges; releasing the
+// scratch of the batch before a publish takes nothing the publish needs; and
+// Compact packs the pages without touching what a snapshot reads.
 func TestPublishAfterLoadAndRelease(t *testing.T) {
 	const n = 512
 	cfg := loadCfg(2)
@@ -199,9 +213,13 @@ func TestPublishAfterLoadAndRelease(t *testing.T) {
 	if err := tw.g.LoadCSR(100, offs, adj); err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.ref.LoadCSR(100, offs, adj); err != nil {
-		t.Fatal(err)
+	var src, dst []uint32
+	for i := range offs[:len(offs)-1] {
+		for _, u := range adj[offs[i]:offs[i+1]] {
+			src, dst = append(src, 100+uint32(i)), append(dst, u)
+		}
 	}
+	tw.ref.InsertBatch(src, dst)
 	if err := tw.check(); err != nil {
 		t.Fatalf("after LoadCSR: %v", err)
 	}
@@ -211,7 +229,7 @@ func TestPublishAfterLoadAndRelease(t *testing.T) {
 	}
 
 	// One batch larger than scratchKeepMin, so releasing drops its buffers.
-	src, dst := randomBatch(rand.New(rand.NewSource(4)), 2*scratchKeepMin, 0, n, n)
+	src, dst = randomBatch(rand.New(rand.NewSource(4)), 2*scratchKeepMin, 0, n, n)
 	tw.delete(src, dst)
 	tw.g.ReleaseScratch()
 	if sh := &tw.g.shards[0]; sh.prep.ks != nil || sh.prep.jobs != nil {
@@ -219,6 +237,31 @@ func TestPublishAfterLoadAndRelease(t *testing.T) {
 	}
 	for i := range before {
 		tw.sameAsShard(t, "after ReleaseScratch", i, tw.g.Shard(i).Publish())
+	}
+
+	// Every other vertex gets a new run, unpublished, which leaves holes all
+	// over the pages. Compact packs them under snapshots that still read the
+	// pages it retires: every page but the kept tail's ends full.
+	var half, next []uint32
+	for v := uint32(0); v < n; v += 2 {
+		half, next = append(half, v), append(next, v+1)
+	}
+	tw.insert(half, next)
+	tw.g.Compact()
+	if err := tw.check(); err != nil {
+		t.Fatalf("after Compact: %v", err)
+	}
+	for i, snap := range before {
+		sameSnapshot(t, "published before Compact", snap, want[i])
+		a := &tw.g.shards[i].pub
+		for id, pg := range a.pages {
+			if pg != nil && !a.filling(id) && int(a.live[id]) != len(pg) {
+				t.Fatalf("shard %d after Compact: page %d holds %d live of %d", i, id, a.live[id], len(pg))
+			}
+		}
+		if len(a.free) != 0 {
+			t.Fatalf("shard %d after Compact: %d free pages", i, len(a.free))
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package core
 
 import "slices"
 
-// The update path of an adopted shard — one whose storage, since its first
-// Shard.Publish, is its table over its page arena. The pipeline's pack,
+// The update path of a paged shard (NewPaged) — one whose storage is its
+// table over its page arena. The pipeline's pack,
 // partition, sort, dedup and grouping are the live shard's; only the last
 // stage differs. There is no structure to update in place: a vertex's
 // adjacency is one immutable run that readers of published snapshots may
@@ -23,7 +23,7 @@ import "slices"
 // leave out, the keys — a hub costs one pass of copy, as its flatten did.
 // Then the old runs are dropped and the table patched.
 
-// mergeJob is one vertex's share of a batch on an adopted shard.
+// mergeJob is one vertex's share of a batch on a paged shard.
 type mergeJob struct {
 	lv  uint32 // the vertex's slot
 	at  uint32 // where its kept keys start in its range's key buffer
@@ -31,7 +31,7 @@ type mergeJob struct {
 	to  vref   // the run reserved for the merged adjacency
 }
 
-// findAbsent is an insert's per-group stage on an adopted shard: it keeps
+// findAbsent is an insert's per-group stage on a paged shard: it keeps
 // the keys not yet in the vertex's run and returns their number.
 func (g *Graph) findAbsent(sh *shardState, _ int, lv uint32, ks []uint64) uint64 {
 	return findKeys(sh.pub.read(sh.tab[lv]), ks, false)

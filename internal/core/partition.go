@@ -138,11 +138,10 @@ func (g *Graph) PartitionMap() *PartitionMap { return g.pmap.Load() }
 
 // MoveBoundary moves the boundary between shards k and k+1 to newStart,
 // splicing the transferred sub-range's storage between the two shardStates
-// and installing the successor map (epoch+1): vertex blocks between live
-// shards; between adopted ones table entries, each moved run copied to the
-// kept tail of the receiver's arena and dropped from the donor's. A live
-// shard whose neighbour is adopted is adopted first. It returns the number of
-// materialized vertices and directed edges that changed owner.
+// and installing the successor map (epoch+1): vertex blocks in a live graph;
+// in a paged one table entries, each moved run copied to the kept tail of
+// the receiver's arena and dropped from the donor's. It returns the number
+// of materialized vertices and directed edges that changed owner.
 //
 // The caller must hold both affected shards quiescent — no concurrent
 // update, snapshot, or direct-Graph read may touch shards k and k+1 for
@@ -156,10 +155,6 @@ func (g *Graph) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEd
 		return 0, 0, err
 	}
 	a, b := &g.shards[k], &g.shards[k+1]
-	if a.adopted != b.adopted {
-		g.adopt(a, g.shardWorkers())
-		g.adopt(b, g.shardWorkers())
-	}
 	// The boundary moves down: a gives its tail to b's front; or up: b gives
 	// its front to a's tail.
 	old := pm.Starts[k+1]
@@ -167,7 +162,7 @@ func (g *Graph) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEd
 	if newStart > old {
 		from, to = b, a
 	}
-	if a.adopted {
+	if a.paged {
 		movedVerts, movedEdges = spliceTables(a, b, from, to, old, newStart)
 	} else {
 		movedVerts, movedEdges = spliceBlocks(a, b, old, newStart)
@@ -227,7 +222,7 @@ func spliceBlocks(a, b *shardState, old, newStart uint32) (uint32, uint64) {
 }
 
 // spliceTables moves the table entries of the transferred range between two
-// adopted shards, and the runs they name from the donor's arena to the
+// paged shards, and the runs they name from the donor's arena to the
 // receiver's, and returns their number and summed degrees.
 func spliceTables(a, b, from, to *shardState, old, newStart uint32) (uint32, uint64) {
 	capA, capB := cap(a.table()), cap(b.table())

@@ -40,8 +40,8 @@ func randomBatch(rng *rand.Rand, k int, lo, hi, n uint32) (src, dst []uint32) {
 	return src, dst
 }
 
-// shardTwin is one shard of a graph that Publish adopts and the same shard of
-// a bare Graph fed the same batches: the oracle a published snapshot is
+// shardTwin is one shard of a paged graph and the same shard of a bare Graph
+// fed the same batches: the oracle a published snapshot is
 // checked against is a flatten of the paper's live structures, which share no
 // code with the merge that wrote the snapshot's runs.
 type shardTwin struct {
@@ -50,7 +50,7 @@ type shardTwin struct {
 }
 
 func newShardTwin(n uint32, cfg Config, shard int) shardTwin {
-	return shardTwin{New(n, cfg).Shard(shard), New(n, cfg).Shard(shard)}
+	return shardTwin{NewPaged(n, cfg).Shard(shard), New(n, cfg).Shard(shard)}
 }
 
 func (st shardTwin) insert(src, dst []uint32) {
@@ -157,7 +157,7 @@ func TestPublishMatchesRebuild(t *testing.T) {
 
 // TestPublishMatchesRebuildAfterShapes publishes after the insert and after
 // the delete of every partition-stressing batch shape, at 1, 2 and 4
-// workers, on a preloaded, adopted shard — so every shape goes through the
+// workers, on a preloaded paged shard — so every shape goes through the
 // merge, its ranges and heavy groups placed and written by as many workers —
 // and checks each snapshot against a flatten of the oracle shard.
 func TestPublishMatchesRebuildAfterShapes(t *testing.T) {
@@ -167,7 +167,7 @@ func TestPublishMatchesRebuildAfterShapes(t *testing.T) {
 		for _, p := range []int{1, 2, 4} {
 			sh := newShardTwin(shape.nv, Config{Workers: p}, 0)
 			sh.insert(base, bdst)
-			sameSnapshot(t, fmt.Sprintf("%s p=%d adoption", shape.name, p), sh.Publish(), sh.want())
+			sameSnapshot(t, fmt.Sprintf("%s p=%d preload", shape.name, p), sh.Publish(), sh.want())
 			for step, del := range []bool{false, true} {
 				if del {
 					sh.delete(shape.src[:len(shape.src)/3], shape.dst[:len(shape.src)/3])
@@ -230,18 +230,17 @@ func TestPublishGrowth(t *testing.T) {
 	}
 }
 
-// TestPublishRebuildRules pins what adopts, what a batch writes and what a
-// publish does: the first publish flattens the live structures into pages and
-// drops them, and nothing refills the arena ever after — a batch writes
-// exactly the runs of the vertices it changes, at apply time, on pages older
-// snapshots read the front of or not at all, however much of the shard it
-// names and however many batches precede the next publish; a publish with
-// nothing changed copies the table; a boundary move copies the moved runs and
-// adopts a neighbour that was still live.
+// TestPublishRebuildRules pins what a batch writes and what a publish does:
+// a paged shard holds no vertex block from the start, and nothing refills the
+// arena ever — a batch writes exactly the runs of the vertices it changes, at
+// apply time, on pages older snapshots read the front of or not at all,
+// however much of the shard it names and however many batches precede the
+// next publish; a publish with nothing changed copies the table; a boundary
+// move copies the moved runs.
 func TestPublishRebuildRules(t *testing.T) {
 	const n = 1 << 10
 	cfg := Config{Shards: 2, Workers: 2}
-	tw := twin{New(n, cfg), New(n, cfg)}
+	tw := newTwin(n, cfg)
 	es := gen.Symmetrize(gen.NewRMatPaper(10, 5).Edges(6000))
 	src, dst := make([]uint32, len(es)), make([]uint32, len(es))
 	for i, e := range es {
@@ -254,10 +253,10 @@ func TestPublishRebuildRules(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 
 	s0 := sh.Publish()
-	if sh.sh.verts != nil || !sh.sh.adopted || sh.NumVertices() != hi-lo {
-		t.Fatalf("first publish left %d vertex blocks, adopted=%v, %d slots", len(sh.sh.verts), sh.sh.adopted, sh.NumVertices())
+	if sh.sh.verts != nil || !sh.sh.paged || sh.NumVertices() != hi-lo {
+		t.Fatalf("paged shard holds %d vertex blocks, paged=%v, %d slots", len(sh.sh.verts), sh.sh.paged, sh.NumVertices())
 	}
-	tw.sameAsShard(t, "adoption", 0, s0)
+	tw.sameAsShard(t, "first publish", 0, s0)
 	// A shard this small fills pages of twice its edges.
 	var live uint64
 	for _, n := range a.live {
@@ -328,14 +327,11 @@ func TestPublishRebuildRules(t *testing.T) {
 	}
 
 	// A boundary move takes the moved vertices' runs to the other shard's
-	// arena; that shard, live until now, is adopted for it.
+	// arena.
 	other := tw.g.Shard(1)
 	want4 := tw.ref.Shard(0).SnapshotInto(nil)
 	if err := tw.move(0, hi-100); err != nil {
 		t.Fatal(err)
-	}
-	if !other.sh.adopted || other.sh.verts != nil {
-		t.Fatal("boundary move with an adopted shard left its neighbour live")
 	}
 	if err := tw.check(); err != nil {
 		t.Fatalf("after the move: %v", err)
@@ -440,10 +436,10 @@ func TestSnapshotCSR(t *testing.T) {
 	if !slices.Equal(offs, wantOffs) || !slices.Equal(adj, wantAdj) {
 		t.Fatal("CSR of the published snapshot differs from a flatten of the oracle's")
 	}
-	// A plain CSR of the adopted shard is a copy of its runs, in the same order.
+	// A plain CSR of the paged shard is a copy of its runs, in the same order.
 	offs, adj = sh.SnapshotInto(flat).CSR()
 	if !slices.Equal(offs, wantOffs) || !slices.Equal(adj, wantAdj) {
-		t.Fatal("plain CSR of the adopted shard differs from the oracle's")
+		t.Fatal("plain CSR of the paged shard differs from the oracle's")
 	}
 }
 
@@ -632,7 +628,7 @@ func TestPublishReusesDrainedPages(t *testing.T) {
 func TestSmallShardPublishedFollowsEdges(t *testing.T) {
 	const n, shards = 512, 4
 	cfg := Config{Shards: shards, Workers: 1}
-	tw := twin{New(n, cfg), New(n, cfg)}
+	tw := newTwin(n, cfg)
 	rng := rand.New(rand.NewSource(9))
 	tw.insert(randomBatch(rng, 4000, 0, n, n))
 	prev := make([]*Snapshot, shards)

@@ -16,12 +16,12 @@ import (
 // one-vertex-one-worker invariant of §5 holds across shards because a
 // vertex lives in exactly one of them.
 //
-// A shard stores its adjacency in one of two forms. Live, the paper's: verts,
-// a 64-byte block per vertex with its overflow structure, updated in place.
-// Adopted (by its first Shard.Publish), the serving layer's:
-// tab, a (page‖offset, degree) entry per vertex over the runs in pub, the
-// same table and pages its published snapshots read; verts is nil from then
-// on and a batch merges into new runs (merge.go).
+// A shard stores its adjacency in one of two forms, fixed when its graph is
+// built. Live (New), the paper's: verts, a 64-byte block per vertex with its
+// overflow structure, updated in place. Paged (NewPaged), the serving
+// layer's: tab, a (page‖offset, degree) entry per vertex over the runs in
+// pub, the same table and pages its published snapshots read; verts is nil
+// and a batch merges into new runs (merge.go).
 type shardState struct {
 	base  uint32
 	idx   int32 // position in Graph.shards, for flight-recorder attribution
@@ -30,14 +30,14 @@ type shardState struct {
 	prep  prepScratch
 	apply []applyScratch
 
-	// tab is the adopted shard's table. While shared, the latest published
+	// tab is the paged shard's table. While shared, the latest published
 	// snapshot reads it too, and the first change since copies it (table).
 	// pub is the arena its runs, and the published snapshots', lie in. spare
 	// and spareDir are a recycled snapshot's table and directory, kept for
 	// the next table copy and publish to overwrite instead of allocating;
 	// tabEntries sums the capacities of tab, spare and every unrecycled
 	// snapshot's table.
-	adopted    bool
+	paged      bool
 	shared     bool
 	tab        []vref
 	pub        pageArena
@@ -58,7 +58,7 @@ func (sh *shardState) slots() int { return len(sh.verts) + len(sh.tab) }
 
 // degree returns the degree of slot lv in either form.
 func (sh *shardState) degree(lv int) uint32 {
-	if sh.adopted {
+	if sh.paged {
 		return sh.tab[lv].deg
 	}
 	return sh.verts[lv].degree()
@@ -66,13 +66,13 @@ func (sh *shardState) degree(lv int) uint32 {
 
 // appendNeighbors appends slot lv's neighbors, ascending, in either form.
 func (sh *shardState) appendNeighbors(lv int, dst []uint32) []uint32 {
-	if sh.adopted {
+	if sh.paged {
 		return append(dst, sh.pub.read(sh.tab[lv])...)
 	}
 	return appendNeighborsVB(&sh.verts[lv], dst)
 }
 
-// table returns the adopted shard's table for writing: its own copy, made
+// table returns the paged shard's table for writing: its own copy, made
 // now if the latest snapshot still shares it.
 func (sh *shardState) table() []vref {
 	if sh.shared {
@@ -95,7 +95,7 @@ func (sh *shardState) ensure(n int) {
 	if n <= sh.slots() {
 		return
 	}
-	if sh.adopted {
+	if sh.paged {
 		tab := sh.table()
 		if c := cap(tab); n > c {
 			sh.tab = make([]vref, n, max(n, c+c/2))
@@ -210,28 +210,21 @@ func (s Shard) SnapshotInto(snap *Snapshot) *Snapshot {
 	return rebuildInto(snap, s.g.shards[sh.idx:sh.idx+1], sh.base, sh.slots(), s.g.shardWorkers())
 }
 
-// Publish returns the shard's current state as a new immutable snapshot.
-//
-// The first Publish adopts the shard, which is what makes it a Store's: its
-// table and page arena become its storage. Whatever the live vertex blocks,
-// arrays, RIAs and HITrees hold is flattened into runs, in vertex order, and
-// they are dropped for good. From then on InsertBatch and DeleteBatch merge
-// each batch into new runs at the arena's tail (merge.go), LoadCSR copies
-// runs to pages, MoveBoundary moves table entries and runs, and the Graph's
-// reads, walks and accounting read the table — one copy of the shard's edges,
-// the one its published snapshots share.
-//
-// Every later Publish finds the batches since the last one already applied
-// that way — their vertices' new runs written, the table patched, the runs
-// they superseded uncounted — and seals the table: the next change copies it.
-// When pages in use exceed the live entries by more than half, it also copies
-// the live runs of the emptiest pages forward and retires those pages
-// (pageArena has the lifetime rules). Its cost follows what the batches
-// changed, not the shard. Every earlier snapshot stays valid and unchanged:
-// nothing it can reach is written. Serialized with this shard's updates, like
-// SnapshotInto.
+// Publish returns the paged shard's current state (NewPaged) as a new
+// immutable snapshot; it panics on a live one. It finds the batches since the
+// last Publish already applied — their vertices' new runs written at the
+// arena's tail (merge.go), the table patched, the runs they superseded
+// uncounted — and seals the table: the next change copies it. When pages in
+// use exceed the live entries by more than half, it also copies the live runs
+// of the emptiest pages forward and retires those pages (pageArena has the
+// lifetime rules). Its cost follows what the batches changed, not the shard.
+// Every earlier snapshot stays valid and unchanged: nothing it can reach is
+// written. Serialized with this shard's updates, like SnapshotInto.
 func (s Shard) Publish() *Snapshot {
-	return s.g.publishShard(s.sh, s.g.shardWorkers())
+	if !s.sh.paged {
+		panic("core: Publish on a live shard; a Store's graph is built by NewPaged")
+	}
+	return s.g.publishShard(s.sh)
 }
 
 // Recycle hands a snapshot Publish returned, and that no reader holds

@@ -23,7 +23,7 @@ type vref struct{ off, deg uint32 }
 // SnapshotInto builds a plain CSR: one array of exactly the graph's size,
 // runs in vertex order, back to back, off the run's index in it; its
 // directory's entry p is the array from p·pageSize on, so the same two
-// loads find a run there. Shard.Publish seals the adopted shard's own table
+// loads find a run there. Shard.Publish seals a paged shard's own table
 // over its arena of fixed-size pages (see pageArena), at a cost that follows
 // the batch, not the graph; successive snapshots of one shard share every
 // page and run the batches between them did not change.
@@ -63,7 +63,7 @@ const (
 	arenaFreeMax = 4
 )
 
-// pageArena is an adopted shard's adjacency storage, which its published
+// pageArena is a paged shard's adjacency storage, which its published
 // snapshots share: pages of pageLen entries (a run longer than that gets a
 // page of exactly its size), written strictly append-only. Only the shard's
 // owner writes — a batch's merge, a load, a boundary move, the cleaner — and
@@ -235,17 +235,18 @@ func (a *pageArena) drain() {
 	clear(a.retired[len(a.retired):cap(a.retired)])
 }
 
-// clean restores the arena's bound after s's runs were placed: while pages
-// in use exceed arenaBound, the emptiest pages become victims, and one
-// ascending scan of s's table copies their live runs to the tail — so
-// survivors land in vertex order — before they retire. What it moves is
-// what the victims still held, never the shard.
-func (a *pageArena) clean(s *Snapshot) {
-	excess := int64(a.inUse) - int64(arenaBound(s.m))
+// clean brings the pages in use down to bound once tab's runs were placed:
+// while they exceed it, the emptiest pages become victims, and one ascending
+// scan of tab copies their live runs to the kept tail — so survivors land in
+// vertex order — before they retire. What it moves is what the victims still
+// held, never the shard. A publish cleans to arenaBound; Compact to the live
+// entries, which makes every page with a hole a victim.
+func (a *pageArena) clean(tab []vref, bound uint64) {
+	excess := int64(a.inUse) - int64(bound)
 	if excess <= 0 {
 		return
 	}
-	// Entries of s's table name slots that exist now, so victim covers them.
+	// Entries of tab name slots that exist now, so victim covers them.
 	victim := make([]bool, len(a.pages))
 	for excess > 0 {
 		best := -1
@@ -264,11 +265,11 @@ func (a *pageArena) clean(s *Snapshot) {
 		victim[best] = true
 		excess -= int64(len(a.pages[best])) - int64(a.live[best])
 	}
-	for lv, r := range s.tab {
+	for lv, r := range tab {
 		if id := r.off >> pageBits; victim[id] && r.deg > 0 {
 			src := a.pages[id][r.off&pageMask:][:r.deg]
-			s.tab[lv] = a.place(r.deg, tailKept)
-			copy(a.read(s.tab[lv]), src)
+			tab[lv] = a.place(r.deg, tailKept)
+			copy(a.read(tab[lv]), src)
 			a.cleaned += uint64(r.deg)
 		}
 	}
@@ -378,42 +379,40 @@ func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, p int) 
 	return s
 }
 
-// adopt makes the live shard's table and page arena its storage: every
-// vertex's adjacency is flattened into a run, in vertex order, and the vertex
-// blocks and overflow structures are dropped for good (Shard.Publish).
-func (g *Graph) adopt(sh *shardState, p int) {
-	if sh.adopted {
-		return
-	}
-	a := &sh.pub
-	a.seq, a.m = 1, sh.m.Load()
-	tab := make([]vref, len(sh.verts))
-	for lv := range tab {
-		tab[lv] = a.place(sh.verts[lv].degree(), tailBatch)
-	}
-	parallel.For(len(tab), p, func(lv int) {
-		if r := tab[lv]; r.deg > 0 {
-			appendNeighborsVB(&sh.verts[lv], a.run(r))
-		}
-	})
-	sh.verts, sh.tab, sh.tabEntries, sh.adopted = nil, tab, cap(tab), true
-	for w := range sh.apply {
-		sh.apply[w].old, sh.apply[w].out = nil, nil // the live structures' rebuild buffers
-	}
-}
-
 // publishShard seals the shard's table as a snapshot (see Shard.Publish).
-func (g *Graph) publishShard(sh *shardState, p int) *Snapshot {
-	g.adopt(sh, p)
+func (g *Graph) publishShard(sh *shardState) *Snapshot {
 	a := &sh.pub
 	s := &Snapshot{tab: sh.table(), pages: sh.spareDir, m: sh.m.Load(), seq: a.seq}
 	sh.spareDir, sh.shared = nil, true
 	a.m = s.m
 	a.out = append(a.out, a.seq)
-	a.clean(s)
+	a.clean(s.tab, arenaBound(s.m))
 	s.pages = a.directory(s.pages)
 	a.seq++
 	return s
+}
+
+// Compact packs a paged graph's runs densely, for a graph that was loaded
+// (LoadCSR) and then changed by batches: on every shard the pages with a hole
+// — the batch tail's unwritten rest counts as one — are cleaned, their live
+// runs copied to the kept tail in vertex order, and retired, and the retired
+// pages no snapshot still out can read are dropped, with the free list. Only
+// the kept tail keeps any room. Recovery calls it once, before its Store's
+// first publish, when that is every retired page. Like every update it must
+// not run concurrently with reads or other updates.
+func (g *Graph) Compact() {
+	if !g.Paged() {
+		return
+	}
+	for i := range g.shards {
+		sh := &g.shards[i]
+		a := &sh.pub
+		a.m = sh.m.Load()
+		a.tails[tailBatch].room = 0
+		a.clean(sh.table(), a.m)
+		a.drain()
+		a.free = nil
+	}
 }
 
 // CSR returns the snapshot as raw CSR arrays (offs has NumVertices+1

@@ -52,7 +52,7 @@ func BenchmarkSnapshotInto(b *testing.B) {
 // layer, on the ruler's store-stream shape (rulerGraph): the G15 graph in
 // two shards, 64 batches of 1 000 new edges inserted one by one and then
 // deleted again, each shard's ~500-edge part applied — merged into the
-// adopted shard's runs — and published and the previous snapshot recycled.
+// paged shard's runs — and published and the previous snapshot recycled.
 // One op is one shard-batch; ns/op covers apply and publish, publish-ns/op
 // and publish-p50-ns the publish alone (the table's seal and the cleaner), and the
 // other metrics say what the arena did for it: entries the batches' runs
@@ -146,7 +146,7 @@ func (ps *publishStream) placed() (placed, cleaned uint64) {
 
 func benchPublish(b *testing.B, scale uint) {
 	src, dst, batches := rulerGraph(scale, 9, 64, 1000)
-	g := NewFromEdges(1<<scale, src, dst, Config{Shards: 2, Workers: 2})
+	g := pagedFrom(NewFromEdges(1<<scale, src, dst, Config{Shards: 2, Workers: 2}))
 	ps := newPublishStream(g, batches, func(uint32) bool { return true })
 	appended, cleaned, publishNs := ps.run(b)
 	var arena uint64
@@ -181,13 +181,13 @@ func BenchmarkPublishByClass(b *testing.B) {
 	}
 	for c, name := range []string{"inline", "array", "RIA", "HITree"} {
 		b.Run(name, func(b *testing.B) {
-			g := NewFromEdges(1<<scale, src, dst, Config{Shards: 2, Workers: 2})
+			bare := NewFromEdges(1<<scale, src, dst, Config{Shards: 2, Workers: 2})
 			// What the class holds: its vertices' 64-byte blocks and overflow
-			// structures live, four bytes an entry published.
+			// structures in the bare engine, four bytes an entry published.
 			var verts, entries, live uint64
 			for v := uint32(0); v < 1<<scale; v++ {
-				vb := g.vb(v)
-				if vb.degree() == 0 || class(g, v) != c {
+				vb := bare.vb(v)
+				if vb.degree() == 0 || class(bare, v) != c {
 					continue
 				}
 				verts, entries, live = verts+1, entries+uint64(vb.degree()), live+uint64(unsafe.Sizeof(vertex{}))
@@ -201,7 +201,7 @@ func BenchmarkPublishByClass(b *testing.B) {
 					live += vb.tree().Memory()
 				}
 			}
-			ps := newPublishStream(g, batches, func(v uint32) bool { return class(g, v) == c })
+			ps := newPublishStream(pagedFrom(bare), batches, func(v uint32) bool { return class(bare, v) == c })
 			edges := 0
 			for _, parts := range ps.parts {
 				for _, p := range parts {

@@ -134,15 +134,15 @@ type GraphConfig struct {
 	AutoRebalance float64 `json:"auto_rebalance,omitempty"`
 	// MaxVertices bounds the vertex IDs ingest accepts: a batch naming an
 	// ID at or above it is refused with 422 before the store reserves
-	// anything. The engine materializes one 64-byte block per vertex up to
-	// the largest ID it has seen, so without the bound a single edge naming
-	// vertex 4·10⁹ asks for 256 GB. Default DefaultMaxVertices, or Vertices
-	// when that is larger.
+	// anything. The store materializes one 8-byte table entry per vertex up
+	// to the largest ID it has seen, so without the bound a single edge
+	// naming vertex 4·10⁹ asks for 32 GB. Default DefaultMaxVertices, or
+	// Vertices when that is larger.
 	MaxVertices uint32 `json:"max_vertices,omitempty"`
 }
 
 // DefaultMaxVertices is a graph's vertex-ID bound when its config names
-// none: 2²⁴ IDs, 1 GiB of vertex blocks at the most.
+// none: 2²⁴ IDs, 128 MiB a vertex table at the most.
 const DefaultMaxVertices = 1 << 24
 
 // tenant is one named graph: its store plus the resolved config it was

@@ -39,7 +39,7 @@ func requireViewBlocksMatch(t *testing.T, v *View) {
 func TestViewNeighborBlocksUnderIngest(t *testing.T) {
 	const n = 256
 	for _, shards := range []int{1, 3} {
-		st := New(core.New(n, core.Config{Shards: shards, Workers: 2, ArrayMax: 8, M: 64}), Options{MaxQueue: 2})
+		st := New(core.NewPaged(n, core.Config{Shards: shards, Workers: 2, ArrayMax: 8, M: 64}), Options{MaxQueue: 2})
 		var views []*View
 		for round := 0; round < 8; round++ {
 			var src, dst []uint32

@@ -76,18 +76,19 @@ func walOp(op int) uint8 {
 const tailCap = 1 << 20
 
 // OpenDurable opens (creating or recovering) a durable Store over a fresh
-// core.Graph of at least n vertices. Recovery is checkpointing run backwards,
-// on the bare graph before any writer exists: load the newest valid
-// checkpoint, hand its per-shard CSRs to core.LoadCSR (one parallel pass, no
-// sort), apply the WAL records past each shard log's watermark, in global LSN
-// order, as coalesced engine batches, then start the Store — one first
-// publish per shard whatever the tail's length, which flattens what recovery
-// built into the shards' pages, dense and in vertex order, and drops it — and
-// attach the log. So
-// nothing replayed is re-logged, the Store's counters start at zero, and a
-// crash mid-recovery changes nothing but idempotent torn-tail truncation.
-// The shard layout is not recovered: the store reopens on cfg.Shards shards
-// with a uniform partition map; LoadCSR and the replayed batches route by it.
+// core.NewPaged graph of at least n vertices. Recovery is checkpointing run
+// backwards, on the graph before any writer exists, and builds nothing but
+// the shards' pages: load the newest valid checkpoint, copy its per-shard
+// CSRs' runs to pages (core.LoadCSR: one parallel pass, no sort), merge the
+// WAL records past each shard log's watermark, in global LSN order, into
+// them as coalesced batches — the path the Store's batches take — pack the
+// pages the tail left holes in (core.Graph.Compact), then start the Store —
+// one first publish per shard, which only seals its table — and attach the
+// log. So nothing replayed is re-logged, the Store's counters start at zero
+// but for the entries the packing copied, and a crash mid-recovery changes
+// nothing but idempotent torn-tail truncation. The shard layout is not
+// recovered: the store reopens on cfg.Shards shards with a uniform
+// partition map; LoadCSR and the replayed batches route by it.
 func OpenDurable(n uint32, cfg core.Config, opt Options, dopt DurabilityOptions) (*Store, error) {
 	if dopt.Dir == "" {
 		return nil, errors.New("serve: durability requires a directory")
@@ -111,7 +112,7 @@ func OpenDurable(n uint32, cfg core.Config, opt Options, dopt DurabilityOptions)
 	}
 
 	t := time.Now()
-	g := core.New(max(n, ck.N), cfg)
+	g := core.NewPaged(max(n, ck.N), cfg)
 	for i := range ck.Shards {
 		sh := &ck.Shards[i]
 		if err := g.LoadCSR(sh.Base, sh.Offs, sh.Adj); err != nil {
@@ -150,6 +151,7 @@ func OpenDurable(n uint32, cfg core.Config, opt Options, dopt DurabilityOptions)
 		return nil, err
 	}
 	t = time.Now()
+	g.Compact()
 	s := New(g, opt)
 	rs.PublishNanos = time.Since(t).Nanoseconds()
 	rs.DurationNanos = time.Since(start).Nanoseconds()
@@ -158,12 +160,13 @@ func OpenDurable(n uint32, cfg core.Config, opt Options, dopt DurabilityOptions)
 	return s, nil
 }
 
-// walTail turns the replayed WAL tail into engine batches on the bare graph.
-// Consecutive records of one op are concatenated — under set semantics
+// walTail turns the replayed WAL tail into engine batches on the recovering
+// graph. Consecutive records of one op are concatenated — under set semantics
 // insert(A) then insert(B) is insert(A∪B), likewise for deletes, so the merged
 // batch is exact — and an op change flushes first, keeping every insert/delete
 // order the log recorded. The vertex space grows from the records' own IDs,
-// as the Store's enqueue grew it when they were logged.
+// as the Store's enqueue grew it when they were logged; a record naming an ID
+// enqueue would have refused (checkBatch) fails the recovery.
 type walTail struct {
 	g        *core.Graph
 	cap      int
@@ -175,6 +178,9 @@ type walTail struct {
 
 // add is the wal.Replay callback.
 func (t *walTail) add(r wal.Record) error {
+	if err := checkBatch(r.Src, r.Dst); err != nil {
+		return fmt.Errorf("WAL record %d: %w", r.LSN, err)
+	}
 	if len(t.src) > 0 && (r.Op != t.op || len(t.src)+len(r.Src) > t.cap) {
 		t.flush()
 	}

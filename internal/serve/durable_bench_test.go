@@ -50,7 +50,7 @@ func BenchmarkIngestWAL(b *testing.B) {
 					b.Fatal(err)
 				}
 			} else {
-				st = New(core.New(n, cfg), Options{})
+				st = New(core.NewPaged(n, cfg), Options{})
 			}
 			defer st.Close()
 			b.SetBytes(batch * 8)

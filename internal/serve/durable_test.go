@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -239,7 +240,7 @@ func TestDurableFsyncAlways(t *testing.T) {
 }
 
 func TestCheckpointOnNonDurableStore(t *testing.T) {
-	st := New(core.New(8, core.Config{Workers: 1}), Options{})
+	st := New(core.NewPaged(8, core.Config{Workers: 1}), Options{})
 	defer st.Close()
 	if err := st.Checkpoint(); err != ErrNotDurable {
 		t.Fatalf("Checkpoint on in-memory store: %v, want ErrNotDurable", err)
@@ -252,17 +253,24 @@ func TestCheckpointOnNonDurableStore(t *testing.T) {
 // requireFreshStart checks that a recovered store's own history is that
 // of a store just built by New on the same shard count: one first publish
 // per shard and epoch 0, whatever recovery loaded and however long the WAL
-// tail was — recovery happens on the bare graph, before the Store exists.
+// tail was — recovery happens on the graph, before the Store exists — but
+// for what its compaction copied.
 func requireFreshStart(t *testing.T, re *Store) {
 	t.Helper()
 	// Read before anything else runs: the recovered store's group-commit
 	// timer (1 ms in these tests) syncs its freshly opened logs at its first
 	// tick, which is history of its own and not recovery's.
 	got := re.Stats()
-	fresh := New(core.New(8, core.Config{Workers: 2, Shards: re.Shards()}), Options{})
+	fresh := New(core.NewPaged(8, core.Config{Workers: 2, Shards: re.Shards()}), Options{})
 	defer fresh.Close()
 	want := fresh.Stats()
 	got.PublishedBytes, want.PublishedBytes = 0, 0 // a gauge of what is held, not history
+	// Recovery's compaction is the one history a recovered store brings: it
+	// copies at most every entry recovered once.
+	if got.ArenaCleanedEntries > re.NumEdges() {
+		t.Fatalf("recovery's compaction copied %d entries of %d", got.ArenaCleanedEntries, re.NumEdges())
+	}
+	got.ArenaCleanedEntries = 0
 	if got != want {
 		t.Fatalf("recovered store's counters %+v, a fresh store's %+v", got, want)
 	}
@@ -306,6 +314,80 @@ func randomUpdates(st *Store, seed int64, k int, n uint32) {
 			st.InsertBatch(src, dst)
 		}
 		st.Flush()
+	}
+}
+
+// TestRecoveryBuildsOnlyPages reopens a checkpoint holding a vertex above M
+// — a HITree in the bare engine — plus a WAL tail that changes every other
+// vertex, so every page the checkpoint loads into is left half holes.
+// Recovery must allocate no vertex block, array, RIA or HITree on the way,
+// and the store must come out dense: on each shard nothing free or retired,
+// and pages in use beyond its edges only in the one page being filled.
+func TestRecoveryBuildsOnlyPages(t *testing.T) {
+	const n, deg, hub, tailPage = 1 << 14, 16, 5000, 4 << 14
+	dir := t.TempDir()
+	st := openDur(t, dir, n, 2, DurabilityOptions{})
+	var src, dst []uint32
+	for v := uint32(0); v < n; v++ {
+		for j := uint32(0); j < deg; j++ {
+			src, dst = append(src, v), append(dst, (v*31+j*977)%n)
+		}
+	}
+	for j := uint32(0); j < hub; j++ {
+		src, dst = append(src, 7), append(dst, j*3)
+	}
+	st.InsertBatch(src, dst)
+	st.Flush()
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	src, dst = src[:0], dst[:0]
+	for v := uint32(0); v < n; v += 2 {
+		src, dst = append(src, v), append(dst, (v+1)%n)
+	}
+	st.InsertBatch(src, dst)
+	st.DeleteBatch([]uint32{7, 7}, []uint32{0, 3})
+	st.Flush()
+	want := edgeSet(st)
+	st.Close()
+
+	// No group-commit tick during a recovery this size: it would count.
+	re := openDur(t, dir, n, 2, DurabilityOptions{FsyncInterval: time.Hour})
+	defer re.Close()
+	requireFreshStart(t, re)
+	if rst := re.Recovery(); !rst.CheckpointLoaded || rst.ReplayedRecords == 0 {
+		t.Fatalf("recovery %+v, want a checkpoint and a tail", rst)
+	}
+	sameEdges(t, edgeSet(re), want, "checkpoint with a hub plus a tail")
+	if p := re.g.Stats().RIAToHITree.Load(); p != 0 {
+		t.Fatalf("recovery built %d HITrees", p)
+	}
+	if b := re.g.MemoryBreakdown(); b.Total() != b.Scratch {
+		t.Fatalf("recovery built live structures: %+v", b)
+	}
+	for _, w := range re.ws {
+		ps, live := w.shard.Published(), 4*w.shard.NumEdges()
+		if ps.Free != 0 || ps.Retired != 0 || ps.InUse > live+tailPage {
+			t.Fatalf("shard %d of %d B of edges holds %+v", w.idx, live, ps)
+		}
+	}
+}
+
+// TestRecoveryRefusesUnappliableRecord: a logged record naming vertex 2³²−1,
+// which enqueue refuses now but may have taken before, fails the open with
+// an error instead of a panic on its vertex-space bound, which wraps to 0.
+func TestRecoveryRefusesUnappliableRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.OpenLog(dir, 1, 0, wal.Options{Fsync: wal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(0, wal.OpInsert, 0, []uint32{1, math.MaxUint32}, []uint32{2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if _, err := OpenDurable(8, core.Config{Workers: 2}, Options{}, DurabilityOptions{Dir: dir}); err == nil {
+		t.Fatal("OpenDurable replayed a record naming vertex 2^32-1")
 	}
 }
 
@@ -363,7 +445,7 @@ func TestRecoveryTailBeyondCap(t *testing.T) {
 	st.Close()
 
 	for _, c := range []int{1, 7, tailCap} {
-		g := core.New(8, core.Config{Workers: 2, Shards: 2})
+		g := core.NewPaged(8, core.Config{Workers: 2, Shards: 2})
 		tail := walTail{g: g, cap: c}
 		if _, _, err := wal.Replay(dir, (&wal.Checkpoint{}).Watermark, nil, tail.add); err != nil {
 			t.Fatal(err)

@@ -13,7 +13,7 @@ var (
 	obsApplied = obs.NewCounter("lsgraph_store_batches_applied_total", "",
 		"update batches applied by the writer goroutine")
 	obsPublish = obs.NewHistogram("lsgraph_store_publish_nanos", "", "ns",
-		"per-publish snapshot latency: parallel flatten + epoch swap + reclaim scan")
+		"per-publish snapshot latency: table seal + arena cleaning + epoch swap + reclaim scan")
 	obsEpochLag = obs.NewGauge("lsgraph_store_epoch_lag", "",
 		"epochs between the newest snapshot and the oldest still pinned by a reader")
 	obsReclaims = obs.NewCounter("lsgraph_store_snapshots_reclaimed_total", "",

@@ -15,8 +15,8 @@ import (
 // (rounds of 64 inserted, then deleted; it stops after an insert phase, where
 // the ruler runs its kernels) — every run moved many times, no rebuild ever
 // restoring vertex order, a third of the pages dead — against a store
-// bulk-loaded from the same edges just now, whose first publish laid the
-// runs out in vertex order, back to back. Per op it sweeps every vertex's
+// bulk-loaded from the same edges just now, whose one batch laid the runs
+// out in vertex order, back to back. Per op it sweeps every vertex's
 // neighbours and runs 10 PageRank iterations on a pinned view of each,
 // alternately, and reports the medians in ns per edge.
 func BenchmarkSteadyStateReads(b *testing.B) {
@@ -25,7 +25,7 @@ func BenchmarkSteadyStateReads(b *testing.B) {
 			const nb, total = 64, 10_000
 			src, dst, batches := streamGraph(scale, 9<<scale, nb)
 			cfg := core.Config{Workers: 2, Shards: 2}
-			st := New(core.NewFromEdges(1<<scale, src, dst, cfg), Options{})
+			st := New(pagedFromEdges(1<<scale, src, dst, cfg), Options{})
 			defer st.Close()
 			for i := 0; i < total+nb; i++ {
 				if bt := batches[i%nb]; i/nb%2 == 0 {
@@ -43,7 +43,7 @@ func BenchmarkSteadyStateReads(b *testing.B) {
 					fs, fd = append(fs, v), append(fd, u)
 				}
 			}
-			fst := New(core.NewFromEdges(1<<scale, fs, fd, cfg), Options{})
+			fst := New(pagedFromEdges(1<<scale, fs, fd, cfg), Options{})
 			defer fst.Close()
 			fresh := fst.View()
 			defer fresh.Release()

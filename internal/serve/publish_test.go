@@ -14,6 +14,17 @@ import (
 	"lsgraph/internal/refgraph"
 )
 
+// pagedFromEdges is a Store's graph bulk-loaded with the given edges as
+// recovery loads a checkpoint: their CSR copied to pages, in vertex order.
+func pagedFromEdges(n uint32, src, dst []uint32, cfg core.Config) *core.Graph {
+	offs, adj := core.NewFromEdges(n, src, dst, core.Config{}).Snapshot().CSR()
+	g := core.NewPaged(n, cfg)
+	if err := g.LoadCSR(0, offs, adj); err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // heapInUse forces a collection and returns the live heap.
 func heapInUse() uint64 {
 	runtime.GC()
@@ -60,7 +71,7 @@ func TestLongRunPublishStaysBoundedAndExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10 000-batch soak")
 	}
-	st := New(core.New(nv, core.Config{Workers: 2, Shards: 2}), Options{})
+	st := New(core.NewPaged(nv, core.Config{Workers: 2, Shards: 2}), Options{})
 	defer st.Close()
 	ref := refgraph.New(nv)
 	rm := gen.NewRMatPaper(9, 17)
@@ -89,7 +100,7 @@ func TestLongRunPublishStaysBoundedAndExact(t *testing.T) {
 				fs, fd = append(fs, v), append(fd, u)
 			}
 		}
-		fresh := New(core.NewFromEdges(nv, fs, fd, core.Config{Workers: 2, Shards: 2}), Options{})
+		fresh := New(pagedFromEdges(nv, fs, fd, core.Config{Workers: 2, Shards: 2}), Options{})
 		defer fresh.Close()
 		a, b := st.View(), fresh.View()
 		defer a.Release()
@@ -238,20 +249,20 @@ func streamGraph(scale uint, pairs, nb int) (src, dst []uint32, batches [][2][]u
 }
 
 // TestStoreBytesPerEdgeBudget is the tripwire on what a Store holds per edge:
-// a two-shard G13 store (65 536 directed edges) after 256 streamed 1 000-edge
-// batches — 128 inserted, then deleted again, each flushed — must hold no more
-// heap per edge than was measured when its shards stopped keeping live
-// structures beside their pages, plus a tenth. At this size the constants
-// weigh most of it — 24.2 B/edge: tables and pages in use, free and retired
-// 17.0, the update pipeline's retained scratch 7.0 — which is the point of a
+// a two-shard G13 store (65 536 directed edges, loaded as a checkpoint is)
+// after 256 streamed 1 000-edge batches — 128 inserted, then deleted again,
+// each flushed — must hold no more heap per edge than was measured when its
+// graph became paged from birth, plus a tenth. At this size the constants
+// weigh most of it — 17.8 B/edge: tables and pages in use, free and retired
+// 17.0, the update pipeline's retained scratch 0.6 — which is the point of a
 // small graph: a second copy of the edges, in any form, is +6 and trips it
-// (this commit's parent reads 34.3: its live structures, and the scratch
-// their bulk-rebuild paths kept).
+// (built live and flattened at the first publish, as before, it read 24.2:
+// the scratch of the live bulk load; with its live structures kept, 34.3).
 func TestStoreBytesPerEdgeBudget(t *testing.T) {
-	const scale, nb, budget = 13, 128, 24.2 * 1.10
+	const scale, nb, budget = 13, 128, 17.8 * 1.10
 	src, dst, batches := streamGraph(scale, 4<<scale, nb)
 	heap0 := heapInUse()
-	st := New(core.NewFromEdges(1<<scale, src, dst, core.Config{Workers: 2, Shards: 2}), Options{})
+	st := New(pagedFromEdges(1<<scale, src, dst, core.Config{Workers: 2, Shards: 2}), Options{})
 	defer st.Close()
 	for _, b := range batches {
 		st.InsertBatch(b[0], b[1])
@@ -276,7 +287,7 @@ func TestStoreBytesPerEdgeBudget(t *testing.T) {
 // after the ruler's store-stream shape — a G15 graph in two shards, rounds
 // of 1 000-edge batches inserted and deleted again — Stats.PublishedBytes
 // (snapshot tables; arena pages in use, free and retired) plus the engine's
-// MemoryBreakdown, which for a Store's adopted shards is the update
+// MemoryBreakdown, which for a Store's paged graph is the update
 // pipeline's scratch and nothing else, is within 10 % of what the heap holds
 // for the store, right after the load and again once the arenas have been
 // cleaning for three rounds.
@@ -285,7 +296,7 @@ func TestStorePublishedBytesMatchHeap(t *testing.T) {
 	src, dst, batches := streamGraph(scale, 4<<scale, nb)
 
 	heap0 := heapInUse()
-	st := New(core.NewFromEdges(1<<scale, src, dst, core.Config{Workers: 2, Shards: 2}), Options{})
+	st := New(pagedFromEdges(1<<scale, src, dst, core.Config{Workers: 2, Shards: 2}), Options{})
 	defer st.Close()
 	check := func(when string) {
 		t.Helper()
@@ -329,7 +340,7 @@ func TestStorePublishedBytesMatchHeap(t *testing.T) {
 func TestHeldViewReadsOldAdjacency(t *testing.T) {
 	const scale, nb, pre = 11, 104, 4
 	src, dst, batches := streamGraph(scale, 4<<scale, nb)
-	st := New(core.New(1<<scale, core.Config{Workers: 2, Shards: 2}), Options{})
+	st := New(core.NewPaged(1<<scale, core.Config{Workers: 2, Shards: 2}), Options{})
 	defer st.Close()
 	st.InsertBatch(src, dst)
 	for _, b := range batches[:pre] { // a fragmented epoch, sharing pages with its neighbours

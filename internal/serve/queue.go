@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"lsgraph/internal/core"
 	"lsgraph/internal/obs"
@@ -40,8 +41,8 @@ type pending struct {
 // InsertBatch enqueues the directed edges (src[i] -> dst[i]) for
 // insertion and returns without waiting for them to apply. The slices are
 // copied; the caller may reuse them immediately. Call Flush to wait for
-// the batch to become visible to readers. It panics on a closed Store: a
-// caller that cannot rule out a concurrent Close uses Enqueue.
+// the batch to become visible to readers. It panics where Enqueue returns an
+// error: on a closed Store, and on a batch Enqueue refuses.
 func (s *Store) InsertBatch(src, dst []uint32) { s.mustEnqueue(opInsert, src, dst) }
 
 // DeleteBatch enqueues the directed edges for deletion, with the same
@@ -54,7 +55,10 @@ func (s *Store) DeleteBatch(src, dst []uint32) { s.mustEnqueue(opDelete, src, ds
 // the Store with whoever may Close it — a request handler and the handler
 // that drops its graph: on a closed Store it returns ErrClosed and enqueues
 // nothing, and a batch it accepts is whole in the queues before Close marks
-// them closed, so Close applies and publishes it.
+// them closed, so Close applies and publishes it. It refuses a batch it
+// could not apply, before anything is logged: src and dst of different
+// lengths, or an edge naming vertex 2³²−1, for which the vertex space —
+// one past the largest ID — has no bound.
 func (s *Store) Enqueue(del bool, src, dst []uint32) error {
 	if del {
 		return s.enqueue(opDelete, src, dst)
@@ -64,14 +68,26 @@ func (s *Store) Enqueue(del bool, src, dst []uint32) error {
 
 func (s *Store) mustEnqueue(op int, src, dst []uint32) {
 	if err := s.enqueue(op, src, dst); err != nil {
-		panic("serve: update on closed Store")
+		panic(err)
 	}
 }
 
-func (s *Store) enqueue(op int, src, dst []uint32) error {
+// checkBatch refuses what Enqueue refuses.
+func checkBatch(src, dst []uint32) error {
 	if len(src) != len(dst) {
-		panic(fmt.Sprintf("serve: src/dst length mismatch (%d vs %d); every edge needs both endpoints",
-			len(src), len(dst)))
+		return fmt.Errorf("serve: src/dst length mismatch (%d vs %d); every edge needs both endpoints", len(src), len(dst))
+	}
+	for i, v := range src {
+		if v == math.MaxUint32 || dst[i] == math.MaxUint32 {
+			return fmt.Errorf("serve: edge (%d,%d) names vertex 2^32-1, which is outside every vertex space", v, dst[i])
+		}
+	}
+	return nil
+}
+
+func (s *Store) enqueue(op int, src, dst []uint32) error {
+	if err := checkBatch(src, dst); err != nil {
+		return err
 	}
 	// enq anchors the enqueue-to-publish visibility-lag measurement; it is
 	// taken whenever either consumer (obs histogram, flight recorder) is on.
@@ -288,18 +304,4 @@ func (s *Store) Saturated() bool {
 		}
 	}
 	return false
-}
-
-// QueueDepths appends each shard's current queue depth (in batches,
-// including Flush sentinels) to dst and returns it, one entry per shard in
-// shard order. Each depth is read under that shard's queue lock, but the
-// vector as a whole is not one atomic cut across shards.
-func (s *Store) QueueDepths(dst []int) []int {
-	for _, w := range s.ws {
-		w.mu.Lock()
-		n := len(w.queue)
-		w.mu.Unlock()
-		dst = append(dst, n)
-	}
-	return dst
 }

@@ -12,18 +12,16 @@
 // construction — a vertex lives in exactly one shard, and one goroutine
 // owns each shard. Under backpressure a queue degrades gracefully by
 // merging same-op batches instead of blocking callers. A Store's shard
-// keeps one copy of its edges, the one its readers see: New's first publish
-// adopts each shard (core.Shard.Publish) — whatever live vertex blocks and
-// overflow structures the graph was built with are flattened into runs in the
-// shard's arena of fixed-size pages and dropped — and from then on the
-// shard's storage is a per-vertex (page‖offset, degree) table over those
-// pages. The writer applies a batch by merging each source vertex's group
-// with the vertex's current run into a new run at the arena's tail and
-// pointing its copy of the table at it, then publishes: the table is sealed
-// as an immutable core.Snapshot, installed with one atomic pointer swap, and
-// — when superseded runs have left the pages more than half as large again
-// as what is live — the live runs of the emptiest pages are copied forward
-// and those pages retired. Both cost what the batch changed, not what the
+// keeps one copy of its edges, the one its readers see: its graph is built
+// by core.NewPaged, so from birth the shard's storage is a per-vertex
+// (page‖offset, degree) table over an arena of fixed-size pages, and it
+// never holds a vertex block, RIA or HITree. The writer applies a batch by
+// merging each source vertex's group with the vertex's current run into a
+// new run at the arena's tail and pointing its copy of the table at it,
+// then publishes: the table is sealed as an immutable core.Snapshot,
+// installed with one atomic pointer swap, and — when superseded runs have
+// left the pages more than half as large again as what is live — the live
+// runs of the emptiest pages are copied forward and those pages retired. Both cost what the batch changed, not what the
 // shard holds. Readers compose a view by pinning every shard's current
 // snapshot with the epoch-refcount protocol — two atomic adds per shard —
 // run any analytics kernel on the composed view, and release; a retired
@@ -237,7 +235,7 @@ type Store struct {
 
 	// dur is the durability state (WAL + checkpoints), nil for a purely
 	// in-memory Store. OpenDurable sets it, log attached, before the Store
-	// is visible to callers; recovery ran on the bare graph before New, so
+	// is visible to callers; recovery ran on the graph before New, so
 	// nothing it replayed could be re-logged.
 	dur *durability
 
@@ -268,12 +266,16 @@ var (
 	_ engine.Graph  = (*View)(nil)
 )
 
-// New wraps g in a Store and starts one writer goroutine per shard
-// (g's core.Config.Shards; 1 unless configured otherwise). The Store takes
+// New wraps g, which core.NewPaged built, in a Store and starts one writer
+// goroutine per shard (g's core.Config.Shards; 1 unless configured
+// otherwise); it panics on a graph core.New built. The Store takes
 // ownership of g: the caller must not call any method on g afterwards.
 // The initial state of every shard is published immediately as its epoch
 // 0, so reads never wait for a first batch.
 func New(g *core.Graph, opt Options) *Store {
+	if !g.Paged() {
+		panic("serve: New needs a graph built by core.NewPaged")
+	}
 	opt.sanitize()
 	s := &Store{
 		g:    g,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 
 	"lsgraph/internal/core"
@@ -12,7 +13,7 @@ func pairBatch(a, b uint32) (src, dst []uint32) {
 }
 
 func TestStoreBasicFlushAndViews(t *testing.T) {
-	st := New(core.New(64, core.Config{Workers: 2}), Options{})
+	st := New(core.NewPaged(64, core.Config{Workers: 2}), Options{})
 	defer st.Close()
 
 	if st.Epoch() != 0 || st.NumEdges() != 0 {
@@ -60,7 +61,7 @@ func TestStoreBasicFlushAndViews(t *testing.T) {
 }
 
 func TestStoreDeleteOrderingPreserved(t *testing.T) {
-	st := New(core.New(16, core.Config{}), Options{})
+	st := New(core.NewPaged(16, core.Config{}), Options{})
 	defer st.Close()
 
 	src, dst := pairBatch(1, 2)
@@ -86,7 +87,7 @@ func TestStoreCoalescing(t *testing.T) {
 	testHookBeforeApply = func() { entered <- struct{}{}; <-gate }
 	defer func() { testHookBeforeApply = nil }()
 
-	st := New(core.New(256, core.Config{}), Options{MaxQueue: 2})
+	st := New(core.NewPaged(256, core.Config{}), Options{MaxQueue: 2})
 
 	// First batch: wait until the writer has taken it off the queue and
 	// parked in the hook, so the queue below fills deterministically.
@@ -130,7 +131,7 @@ func TestStoreCoalescing(t *testing.T) {
 }
 
 func TestStoreSnapshotReclaimAndAppend(t *testing.T) {
-	st := New(core.New(128, core.Config{}), Options{})
+	st := New(core.NewPaged(128, core.Config{}), Options{})
 	defer st.Close()
 
 	// No readers pin anything, so each publish retires the previous epoch
@@ -150,7 +151,7 @@ func TestStoreSnapshotReclaimAndAppend(t *testing.T) {
 }
 
 func TestStorePinnedEpochBlocksReclaimUntilRelease(t *testing.T) {
-	st := New(core.New(64, core.Config{}), Options{})
+	st := New(core.NewPaged(64, core.Config{}), Options{})
 	defer st.Close()
 
 	src, dst := pairBatch(1, 2)
@@ -179,7 +180,7 @@ func TestStorePinnedEpochBlocksReclaimUntilRelease(t *testing.T) {
 }
 
 func TestStoreUpdateAfterClosePanics(t *testing.T) {
-	st := New(core.New(8, core.Config{}), Options{})
+	st := New(core.NewPaged(8, core.Config{}), Options{})
 	st.Close()
 	st.Close() // idempotent
 	defer func() {
@@ -191,7 +192,7 @@ func TestStoreUpdateAfterClosePanics(t *testing.T) {
 }
 
 func TestStoreMismatchedBatchPanics(t *testing.T) {
-	st := New(core.New(8, core.Config{}), Options{})
+	st := New(core.NewPaged(8, core.Config{}), Options{})
 	defer st.Close()
 	defer func() {
 		if recover() == nil {
@@ -199,4 +200,52 @@ func TestStoreMismatchedBatchPanics(t *testing.T) {
 		}
 	}()
 	st.InsertBatch([]uint32{0, 1}, []uint32{1})
+}
+
+// TestEnqueueRefusesUnappliableBatches: a batch naming vertex 2³²−1 — whose
+// vertex-space bound, one past it, wraps to 0 — or with src and dst of
+// different lengths is refused by Enqueue with an error and by InsertBatch
+// with a panic on the caller's goroutine, before any shard writer sees it;
+// the store keeps serving. (Before, Enqueue took the ID and the writer
+// goroutine's panic took the process down.)
+func TestEnqueueRefusesUnappliableBatches(t *testing.T) {
+	st := New(core.NewPaged(8, core.Config{Shards: 2}), Options{})
+	defer st.Close()
+	for _, b := range [][2][]uint32{
+		{{math.MaxUint32}, {1}},
+		{{1, 2}, {3, math.MaxUint32}},
+		{{0, 1}, {1}},
+	} {
+		if err := st.Enqueue(false, b[0], b[1]); err == nil {
+			t.Fatalf("Enqueue(%v, %v) accepted the batch", b[0], b[1])
+		}
+		if err := st.Enqueue(true, b[0], b[1]); err == nil {
+			t.Fatalf("Enqueue(delete, %v, %v) accepted the batch", b[0], b[1])
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("InsertBatch naming vertex 2^32-1 did not panic")
+			}
+		}()
+		st.InsertBatch([]uint32{math.MaxUint32}, []uint32{1})
+	}()
+	if err := st.Enqueue(false, []uint32{5}, []uint32{1}); err != nil {
+		t.Fatal(err)
+	}
+	st.Flush()
+	if st.NumEdges() != 1 || st.NumVertices() != 8 || st.Stats().EdgesEnqueued != 1 {
+		t.Fatalf("after the refusals: %d edges, %d vertices, %d enqueued", st.NumEdges(), st.NumVertices(), st.Stats().EdgesEnqueued)
+	}
+}
+
+// TestNewRefusesLiveGraph: a Store serves a paged graph only.
+func TestNewRefusesLiveGraph(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New over a core.New graph did not panic")
+		}
+	}()
+	New(core.New(8, core.Config{}), Options{}).Close()
 }

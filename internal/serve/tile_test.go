@@ -85,7 +85,7 @@ func TestViewTilesAcrossBoundaryMoves(t *testing.T) {
 }
 
 func tileAcrossMoves(t *testing.T, n uint32, shards int) {
-	st := New(core.New(n, core.Config{Workers: 2, Shards: shards}), Options{})
+	st := New(core.NewPaged(n, core.Config{Workers: 2, Shards: shards}), Options{})
 	defer st.Close()
 	starts := st.Partition().Starts
 	// The oracle also covers the IDs past n that the last boundary, whose

@@ -141,7 +141,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 			}
 			return
 		}
-		g := core.New(ck.N, core.Config{Workers: 2, Shards: shards})
+		g := core.NewPaged(ck.N, core.Config{Workers: 2, Shards: shards})
 		var edges uint64
 		for i := range ck.Shards {
 			sh := &ck.Shards[i]

@@ -32,7 +32,7 @@ type RecoveryStats struct {
 	// LoadNanos is reading, CRC-checking and validating the checkpoint
 	// files; it grows with checkpoint size.
 	LoadNanos int64 `json:"load_nanos"`
-	// BuildNanos is building vertex storage from the checkpoint's CSRs
+	// BuildNanos is copying the checkpoint's CSRs to the shards' pages
 	// (core.LoadCSR); it grows with checkpoint size.
 	BuildNanos int64 `json:"build_nanos"`
 	// ScanNanos is reading, CRC-checking and LSN-merging the WAL segments
@@ -42,7 +42,8 @@ type RecoveryStats struct {
 	// ApplyNanos is applying the replayed records to the graph as
 	// coalesced batches; it grows with the tail's edges, not its records.
 	ApplyNanos int64 `json:"apply_nanos"`
-	// PublishNanos is starting the store: each shard's one first publish,
-	// a flatten of the whole recovered graph.
+	// PublishNanos is starting the store: one compaction (core.Graph.Compact),
+	// which copies the live runs of every page the tail left a hole in, and
+	// each shard's first publish, which only seals its table.
 	PublishNanos int64 `json:"publish_nanos"`
 }

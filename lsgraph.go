@@ -99,14 +99,16 @@ type Option func(*settings)
 
 // WithAlpha sets the space amplification factor α (default 1.2): gapped
 // structures reserve α× their element count, trading memory and scan cost
-// for cheaper inserts (§6.5, Figures 14-15).
+// for cheaper inserts (§6.5, Figures 14-15). A Store ignores it: its shards
+// keep plain runs, no gapped structure.
 func WithAlpha(alpha float64) Option {
 	return func(s *settings) { s.cfg.Alpha = alpha }
 }
 
 // WithM sets the RIA→HITree degree threshold M (default 4096; §6.5):
 // vertices whose overflow exceeds M neighbors are promoted from the
-// Redundant Indexed Array to the Hybrid Indexed Tree.
+// Redundant Indexed Array to the Hybrid Indexed Tree. A Store ignores it:
+// its shards hold no RIA or HITree.
 func WithM(m int) Option {
 	return func(s *settings) { s.cfg.M = m }
 }

@@ -34,8 +34,11 @@ type Store struct {
 }
 
 // NewStore returns a Store over an empty graph with n vertex slots and
-// starts its writer goroutines. It accepts the same options as New. The
-// store's epoch 0 (the empty graph) is readable immediately. With
+// starts its writer goroutines. It accepts the same options as New, but
+// ignores WithAlpha and WithM: a Store's shards keep each vertex's
+// neighbors as one plain run in pages its snapshots share, not in the
+// engine's vertex blocks, RIAs and HITrees. The store's epoch 0 (the empty
+// graph) is readable immediately. With
 // WithDurability among the options, construction touches disk and may
 // recover prior state; NewStore panics on any such error — durable
 // callers should prefer OpenStore, which returns it instead.
@@ -74,7 +77,9 @@ func (s *Store) DeleteBatch(src, dst []uint32) { s.st.DeleteBatch(src, dst) }
 
 // Enqueue is InsertBatch or, with del, DeleteBatch for callers that may race
 // with Close: on a closed store it returns serve.ErrClosed and enqueues
-// nothing, where those two panic.
+// nothing, where those two panic. They panic, and it returns an error, on a
+// batch it cannot apply too: src and dst of different lengths, or an edge
+// naming vertex 2³²−1.
 func (s *Store) Enqueue(del bool, src, dst []uint32) error { return s.st.Enqueue(del, src, dst) }
 
 // Flush blocks until every update enqueued before the call has been
