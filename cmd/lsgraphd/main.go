@@ -124,10 +124,10 @@ func main() {
 		if st := srv.Store(name); st != nil {
 			r := st.Recovery()
 			ms := func(ns int64) float64 { return float64(ns) / 1e6 }
-			log.Printf("recovered graph %q: checkpoint=%v (%d edges), replayed %d records (%d edges) from %d segments, truncated %d torn tails, %.1fms (load %.1f, build %.1f, scan %.1f, apply %.1f, publish %.1f)",
+			log.Printf("recovered graph %q: checkpoint=%v (%d edges), replayed %d records (%d edges) from %d segments, truncated %d torn tails, %.1fms (load %.1f, scan %.1f, reduce %.1f, merge %.1f, publish %.1f)",
 				name, r.CheckpointLoaded, r.CheckpointEdges, r.ReplayedRecords, r.ReplayedEdges,
 				r.Segments, r.TruncatedSegments, ms(r.DurationNanos),
-				ms(r.LoadNanos), ms(r.BuildNanos), ms(r.ScanNanos), ms(r.ApplyNanos), ms(r.PublishNanos))
+				ms(r.LoadNanos), ms(r.ScanNanos), ms(r.ReduceNanos), ms(r.MergeNanos), ms(r.PublishNanos))
 		}
 	}
 	for _, spec := range strings.Split(*graphs, ",") {

@@ -140,6 +140,13 @@ func (r *crashRecorder) hook(e wal.Event) wal.Action {
 	return wal.Continue
 }
 
+// ackedOps is what the recorder has acknowledged so far.
+func (r *crashRecorder) ackedOps() []LoggedOp {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.acked
+}
+
 func cloneU32(s []uint32) []uint32 { return append([]uint32(nil), s...) }
 
 // ApplyLogged replays ops onto a refgraph oracle, growing its vertex
@@ -230,22 +237,52 @@ func RunCrash(dir string, plan CrashPlan) (*CrashReport, error) {
 	}
 
 	// Drive the seeded workload. IDs reach 25% past the initial bound so
-	// recovery must reproduce vertex growth too. Everything runs from one
+	// recovery must reproduce vertex growth too. A delete batch draws edges
+	// the log has acknowledged as inserted, so it removes edges that exist,
+	// and an insert batch puts back a deleted edge in every third place: an
+	// edge goes insert → delete → re-insert across records and
+	// shard logs, whichever op is last deciding it. Everything runs from one
 	// goroutine, so WAL append order (= LSN order = ack order) is
 	// deterministic for a given seed and crash point.
 	rng := rand.New(rand.NewSource(plan.Seed))
 	idSpan := int64(plan.Vertices) + int64(plan.Vertices)/4
+	var inserted, deleted [][2]uint32
+	draw := func(pool *[][2]uint32) [2]uint32 {
+		e := rng.Intn(len(*pool))
+		p := (*pool)[e]
+		(*pool)[e] = (*pool)[len(*pool)-1]
+		*pool = (*pool)[:len(*pool)-1]
+		return p
+	}
 	for b := 1; b <= plan.Batches; b++ {
+		del := plan.DeleteEvery > 0 && b%plan.DeleteEvery == 0
 		src := make([]uint32, plan.BatchLen)
 		dst := make([]uint32, plan.BatchLen)
 		for i := range src {
-			src[i] = uint32(rng.Int63n(idSpan))
-			dst[i] = uint32(rng.Int63n(idSpan))
+			var e [2]uint32
+			switch {
+			case del && len(inserted) > 0:
+				e = draw(&inserted)
+				deleted = append(deleted, e)
+			case !del && i%3 == 2 && len(deleted) > 0:
+				e = draw(&deleted)
+			default:
+				e = [2]uint32{uint32(rng.Int63n(idSpan)), uint32(rng.Int63n(idSpan))}
+			}
+			src[i], dst[i] = e[0], e[1]
 		}
-		if plan.DeleteEvery > 0 && b%plan.DeleteEvery == 0 {
+		acked := len(ackRec.ackedOps())
+		if del {
 			s.DeleteBatch(src, dst)
 		} else {
 			s.InsertBatch(src, dst)
+			if len(ackRec.ackedOps()) > acked {
+				// The log took it, so its edges exist — all of them unless a
+				// kill landed inside it, and after a kill nothing is logged.
+				for i := range src {
+					inserted = append(inserted, [2]uint32{src[i], dst[i]})
+				}
+			}
 		}
 		if plan.CheckpointBatches > 0 && b%plan.CheckpointBatches == 0 {
 			// Ignore the error: a checkpoint crash point makes this fail by

@@ -113,10 +113,10 @@ func (sh *shardState) trimScratch(n int) {
 }
 
 // ReleaseScratch drops every shard's scratch beyond scratchKeepMin entries,
-// for a caller that has just applied a batch no later one will resemble: a
-// bulk load (NewFromEdges) or recovery's one WAL-tail batch, which would
-// otherwise pin 20 bytes per edge until a much smaller batch happened to
-// follow. Must not run concurrently with updates.
+// for a caller that has just applied a batch no later one will resemble — a
+// bulk load (NewFromEdges) — which would otherwise pin 20 bytes per edge
+// until a much smaller batch happened to follow. Must not run concurrently
+// with updates.
 func (g *Graph) ReleaseScratch() {
 	for i := range g.shards {
 		g.shards[i].trimScratch(0)

@@ -48,6 +48,45 @@ func sliceCSR(offs []uint64, adj []uint32, lo, hi int) ([]uint64, []uint32) {
 	return out, adj[offs[lo]:offs[hi]]
 }
 
+// csrEdges is the CSR (base, offs, adj) as src/dst columns.
+func csrEdges(base uint32, offs []uint64, adj []uint32) (src, dst []uint32) {
+	for i := range offs[:len(offs)-1] {
+		for _, u := range adj[offs[i]:offs[i+1]] {
+			src, dst = append(src, base+uint32(i)), append(dst, u)
+		}
+	}
+	return src, dst
+}
+
+// testDelta draws a delta of count edges with sources in [lo, hi) of an
+// n-vertex space, against the CSR (base, offs, adj): about half of them name
+// an edge the CSR holds, and either op lands on present and absent edges
+// alike. It also returns the edges it keeps present and those it deletes as
+// src/dst columns, for an oracle to apply as batches.
+func testDelta(rng *rand.Rand, n, lo, hi int, base uint32, offs []uint64, adj []uint32, count int) (d Delta, ins, del [2][]uint32) {
+	op := map[uint64]bool{}
+	for len(op) < count {
+		v, u := uint32(lo+rng.Intn(hi-lo)), uint32(rng.Intn(n))
+		if i := int(v) - int(base); i >= 0 && i < len(offs)-1 && offs[i] < offs[i+1] && rng.Intn(2) == 0 {
+			u = adj[offs[i]+uint64(rng.Intn(int(offs[i+1]-offs[i])))]
+		}
+		op[uint64(v)<<32|uint64(u)] = rng.Intn(2) == 0
+	}
+	for k := range op {
+		d.Keys = append(d.Keys, k)
+	}
+	slices.Sort(d.Keys)
+	for _, k := range d.Keys {
+		d.Del = append(d.Del, op[k])
+		col := &ins
+		if op[k] {
+			col = &del
+		}
+		col[0], col[1] = append(col[0], uint32(k>>32)), append(col[1], uint32(k))
+	}
+	return d, ins, del
+}
+
 // sameGraph checks that two graphs read identically: per-vertex block
 // sequences, edge counts per shard and in total, and the promotion counter.
 func sameGraph(t *testing.T, what string, got, want *Graph) {
@@ -137,6 +176,107 @@ func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 	}
 }
 
+// TestLoadCSRMergesDelta loads a CSR merged with a delta — deletes and
+// inserts of edges the CSR holds and of edges it does not, sources on both
+// sides of the CSR's range — whole, in pieces that split CSR and delta at the
+// same vertex, as a delta alone, and around a hub longer than a page, at
+// every shard count, and checks each against the bare engine given the CSR's
+// edges and then the delta's as batches. Each vertex's run is written once,
+// so nothing is placed but the edges.
+func TestLoadCSRMergesDelta(t *testing.T) {
+	const n, lo, hi = 512, 100, 400
+	for _, shards := range []int{1, 2, 4} {
+		cfg := loadCfg(shards)
+		rng := rand.New(rand.NewSource(int64(10 + shards)))
+		offs, adj, _, _ := testCSR(rng, n, loadDegrees(cfg))
+		offs, adj = sliceCSR(offs, adj, lo, hi)
+		d, ins, del := testDelta(rng, n, lo/2, n-10, lo, offs, adj, 4000)
+		want := New(n, cfg)
+		want.InsertBatch(csrEdges(lo, offs, adj))
+		want.InsertBatch(ins[0], ins[1])
+		want.DeleteBatch(del[0], del[1])
+		check := func(what string, g *Graph) {
+			t.Helper()
+			if err := (twin{g, want}).check(); err != nil {
+				t.Fatalf("S=%d, %s: %v", shards, what, err)
+			}
+			for i := range g.shards {
+				if a := &g.shards[i].pub; a.placed != g.shards[i].m.Load() || len(a.retired) != 0 {
+					t.Fatalf("S=%d, %s: shard %d placed %d entries for %d edges, retired %d pages", shards, what, i, a.placed, g.shards[i].m.Load(), len(a.retired))
+				}
+			}
+		}
+
+		whole := NewPaged(n, cfg)
+		if err := whole.LoadCSR(lo, offs, adj, d); err != nil {
+			t.Fatal(err)
+		}
+		check("whole", whole)
+
+		cut := uint32(250)
+		at, _ := slices.BinarySearch(d.Keys, uint64(cut)<<32)
+		pieces := NewPaged(n, cfg)
+		o1, a1 := sliceCSR(offs, adj, 0, int(cut-lo))
+		o2, a2 := sliceCSR(offs, adj, int(cut-lo), hi-lo)
+		if err := pieces.LoadCSR(cut, o2, a2, Delta{d.Keys[at:], d.Del[at:]}); err != nil {
+			t.Fatal(err)
+		}
+		if err := pieces.LoadCSR(lo, o1, a1, Delta{d.Keys[:at], d.Del[:at]}); err != nil {
+			t.Fatal(err)
+		}
+		check("in two pieces", pieces)
+
+		alone, wantAlone := NewPaged(n, cfg), New(n, cfg)
+		if err := alone.LoadCSR(0, []uint64{0}, nil, d); err != nil {
+			t.Fatal(err)
+		}
+		wantAlone.InsertBatch(ins[0], ins[1])
+		want = wantAlone
+		check("a delta alone", alone)
+
+		// A hub longer than a page among enough small vertices that a
+		// worker's share holds runs on both sides of it: its merged run gets
+		// a page of its own, and the runs after it go on filling theirs.
+		const hn, small = 1 << 15, 8192
+		offs, adj = []uint64{0}, nil
+		for v := 0; v < small; v++ {
+			deg, step := 10, 7
+			if v == 3 {
+				deg, step = pageSize+4000, 1
+			}
+			for j := 0; j < deg; j++ {
+				adj = append(adj, uint32(j*step+v%step))
+			}
+			offs = append(offs, uint64(len(adj)))
+		}
+		// The hub's changes: a present edge kept, deletes of present edges
+		// and of an absent one, and new edges; then the small vertices'.
+		d = Delta{}
+		ins, del = [2][]uint32{}, [2][]uint32{}
+		for u := uint32(0); u < hn; u += 997 {
+			d.Keys, d.Del = append(d.Keys, 3<<32|uint64(u)), append(d.Del, u%2 == 1)
+			col := &ins
+			if u%2 == 1 {
+				col = &del
+			}
+			col[0], col[1] = append(col[0], 3), append(col[1], u)
+		}
+		rest, rins, rdel := testDelta(rng, hn, 4, small, 0, offs, adj, 3000)
+		d.Keys, d.Del = append(d.Keys, rest.Keys...), append(d.Del, rest.Del...)
+		ins[0], ins[1] = append(ins[0], rins[0]...), append(ins[1], rins[1]...)
+		del[0], del[1] = append(del[0], rdel[0]...), append(del[1], rdel[1]...)
+		want = New(hn, cfg)
+		want.InsertBatch(csrEdges(0, offs, adj))
+		want.InsertBatch(ins[0], ins[1])
+		want.DeleteBatch(del[0], del[1])
+		hub := NewPaged(hn, cfg)
+		if err := hub.LoadCSR(0, offs, adj, d); err != nil {
+			t.Fatal(err)
+		}
+		check("a hub longer than a page", hub)
+	}
+}
+
 // TestLoadCSRRefusals gives the loader every kind of CSR it must refuse,
 // each with loadable runs around the bad one, and checks the graph reads
 // exactly as before; and a live graph, which it refuses whole.
@@ -151,28 +291,37 @@ func TestLoadCSRRefusals(t *testing.T) {
 		return g
 	}
 	want := build()
+	edge := func(v, u uint32) uint64 { return uint64(v)<<32 | uint64(u) }
 	for _, tc := range []struct {
-		name string
-		base uint32
-		offs []uint64
-		adj  []uint32
-		msg  string
+		name  string
+		base  uint32
+		offs  []uint64
+		adj   []uint32
+		msg   string
+		delta []Delta
 	}{
-		{"no offsets", 0, nil, nil, "cover"},
-		{"first offset not zero", 0, []uint64{1, 2}, []uint32{3, 4}, "cover"},
-		{"offsets stop short of adj", 0, []uint64{0, 1}, []uint32{3, 4}, "cover"},
-		{"offsets not monotone", 0, []uint64{0, 2, 1, 3}, []uint32{3, 4, 5}, "monotone"},
-		{"offset past adj", 0, []uint64{0, 9, 3}, []uint32{3, 4, 5}, "monotone"},
-		{"range above the vertex bound", n - 1, []uint64{0, 1, 1}, []uint32{3}, "outside vertex space"},
-		{"base above the vertex bound", ^uint32(0), []uint64{0, 0, 0}, nil, "outside vertex space"},
-		{"duplicate neighbor", 0, []uint64{0, 2, 4}, []uint32{3, 4, 7, 7}, "ascending"},
-		{"descending run", 0, []uint64{0, 2, 4}, []uint32{3, 4, 8, 7}, "ascending"},
-		{"neighbor at the vertex bound", 0, []uint64{0, 2, 4}, []uint32{3, 4, 7, n}, "outside vertex space"},
-		{"vertex already has edges", 4, []uint64{0, 1, 2}, []uint32{3, 4}, "already has"},
-		{"vertex in the other shard already has edges", 30, []uint64{0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2}, []uint32{3, 4}, "already has"},
+		{"no offsets", 0, nil, nil, "cover", nil},
+		{"first offset not zero", 0, []uint64{1, 2}, []uint32{3, 4}, "cover", nil},
+		{"offsets stop short of adj", 0, []uint64{0, 1}, []uint32{3, 4}, "cover", nil},
+		{"offsets not monotone", 0, []uint64{0, 2, 1, 3}, []uint32{3, 4, 5}, "monotone", nil},
+		{"offset past adj", 0, []uint64{0, 9, 3}, []uint32{3, 4, 5}, "monotone", nil},
+		{"range above the vertex bound", n - 1, []uint64{0, 1, 1}, []uint32{3}, "outside vertex space", nil},
+		{"base above the vertex bound", ^uint32(0), []uint64{0, 0, 0}, nil, "outside vertex space", nil},
+		{"duplicate neighbor", 0, []uint64{0, 2, 4}, []uint32{3, 4, 7, 7}, "ascending", nil},
+		{"descending run", 0, []uint64{0, 2, 4}, []uint32{3, 4, 8, 7}, "ascending", nil},
+		{"neighbor at the vertex bound", 0, []uint64{0, 2, 4}, []uint32{3, 4, 7, n}, "outside vertex space", nil},
+		{"vertex already has edges", 4, []uint64{0, 1, 2}, []uint32{3, 4}, "already has", nil},
+		{"vertex in the other shard already has edges", 30, []uint64{0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2}, []uint32{3, 4}, "already has", nil},
+		{"delta without its ops", 0, []uint64{0}, nil, "ops", []Delta{{Keys: []uint64{edge(1, 2)}}}},
+		{"delta descending", 0, []uint64{0}, nil, "ascending", []Delta{{[]uint64{edge(1, 3), edge(1, 2)}, []bool{false, false}}}},
+		{"delta edge twice", 0, []uint64{0}, nil, "ascending", []Delta{{[]uint64{edge(1, 3), edge(1, 3)}, []bool{false, true}}}},
+		{"delta neighbor at the vertex bound", 0, []uint64{0}, nil, "outside vertex space", []Delta{{[]uint64{edge(1, n)}, []bool{false}}}},
+		{"delta source at the vertex bound", 0, []uint64{0}, nil, "outside vertex space", []Delta{{[]uint64{edge(n, 1)}, []bool{true}}}},
+		{"delta deletes at a vertex with edges", 0, []uint64{0, 1}, []uint32{3}, "already has", []Delta{{[]uint64{edge(5, 9)}, []bool{true}}}},
+		{"two deltas", 0, []uint64{0}, nil, "deltas", []Delta{{}, {}}},
 	} {
 		g := build()
-		err := g.LoadCSR(tc.base, tc.offs, tc.adj)
+		err := g.LoadCSR(tc.base, tc.offs, tc.adj, tc.delta...)
 		if err == nil || !strings.Contains(err.Error(), tc.msg) {
 			t.Fatalf("%s: error %v, want one naming %q", tc.name, err, tc.msg)
 		}
@@ -187,12 +336,12 @@ func TestLoadCSRRefusals(t *testing.T) {
 	sameGraph(t, "empty run over a non-empty vertex", g, want)
 }
 
-// TestPublishAfterLoadAndRelease checks the two ways this file changes a
-// shard other than by a batch: a bulk load copies the CSR's runs to the
-// shards' pages — across a shard boundary, on top of a published snapshot
-// that stays as it was — and refuses a vertex that has edges; releasing the
-// scratch of the batch before a publish takes nothing the publish needs; and
-// Compact packs the pages without touching what a snapshot reads.
+// TestPublishAfterLoadAndRelease checks the ways a shard changes other than
+// by a batch: a bulk load copies the CSR's runs to the shards' pages — across
+// a shard boundary, on top of a published snapshot that stays as it was — and
+// refuses a vertex that has edges; releasing the scratch of the batch before
+// a publish takes nothing the publish needs; and a load merged with a delta
+// leaves every published snapshot as it was too.
 func TestPublishAfterLoadAndRelease(t *testing.T) {
 	const n = 512
 	cfg := loadCfg(2)
@@ -213,13 +362,7 @@ func TestPublishAfterLoadAndRelease(t *testing.T) {
 	if err := tw.g.LoadCSR(100, offs, adj); err != nil {
 		t.Fatal(err)
 	}
-	var src, dst []uint32
-	for i := range offs[:len(offs)-1] {
-		for _, u := range adj[offs[i]:offs[i+1]] {
-			src, dst = append(src, 100+uint32(i)), append(dst, u)
-		}
-	}
-	tw.ref.InsertBatch(src, dst)
+	tw.ref.InsertBatch(csrEdges(100, offs, adj))
 	if err := tw.check(); err != nil {
 		t.Fatalf("after LoadCSR: %v", err)
 	}
@@ -229,7 +372,7 @@ func TestPublishAfterLoadAndRelease(t *testing.T) {
 	}
 
 	// One batch larger than scratchKeepMin, so releasing drops its buffers.
-	src, dst = randomBatch(rand.New(rand.NewSource(4)), 2*scratchKeepMin, 0, n, n)
+	src, dst := randomBatch(rand.New(rand.NewSource(4)), 2*scratchKeepMin, 0, n, n)
 	tw.delete(src, dst)
 	tw.g.ReleaseScratch()
 	if sh := &tw.g.shards[0]; sh.prep.ks != nil || sh.prep.jobs != nil {
@@ -239,29 +382,21 @@ func TestPublishAfterLoadAndRelease(t *testing.T) {
 		tw.sameAsShard(t, "after ReleaseScratch", i, tw.g.Shard(i).Publish())
 	}
 
-	// Every other vertex gets a new run, unpublished, which leaves holes all
-	// over the pages. Compact packs them under snapshots that still read the
-	// pages it retires: every page but the kept tail's ends full.
-	var half, next []uint32
-	for v := uint32(0); v < n; v += 2 {
-		half, next = append(half, v), append(next, v+1)
+	// A load merged with a delta lands beside them too: the snapshots still
+	// read as they were.
+	offs, adj = sliceCSR(offs, adj, 0, 50)
+	d, ins, del := testDelta(rand.New(rand.NewSource(5)), n, 400, n-1, 400, offs, adj, 300)
+	if err := tw.g.LoadCSR(400, offs, adj, d); err != nil {
+		t.Fatal(err)
 	}
-	tw.insert(half, next)
-	tw.g.Compact()
+	tw.ref.InsertBatch(csrEdges(400, offs, adj))
+	tw.ref.InsertBatch(ins[0], ins[1])
+	tw.ref.DeleteBatch(del[0], del[1])
 	if err := tw.check(); err != nil {
-		t.Fatalf("after Compact: %v", err)
+		t.Fatalf("after a merged load: %v", err)
 	}
 	for i, snap := range before {
-		sameSnapshot(t, "published before Compact", snap, want[i])
-		a := &tw.g.shards[i].pub
-		for id, pg := range a.pages {
-			if pg != nil && !a.filling(id) && int(a.live[id]) != len(pg) {
-				t.Fatalf("shard %d after Compact: page %d holds %d live of %d", i, id, a.live[id], len(pg))
-			}
-		}
-		if len(a.free) != 0 {
-			t.Fatalf("shard %d after Compact: %d free pages", i, len(a.free))
-		}
+		sameSnapshot(t, "published before the merged load", snap, want[i])
 	}
 }
 

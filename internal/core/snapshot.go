@@ -239,8 +239,7 @@ func (a *pageArena) drain() {
 // while they exceed it, the emptiest pages become victims, and one ascending
 // scan of tab copies their live runs to the kept tail — so survivors land in
 // vertex order — before they retire. What it moves is what the victims still
-// held, never the shard. A publish cleans to arenaBound; Compact to the live
-// entries, which makes every page with a hole a victim.
+// held, never the shard. A publish cleans to arenaBound.
 func (a *pageArena) clean(tab []vref, bound uint64) {
 	excess := int64(a.inUse) - int64(bound)
 	if excess <= 0 {
@@ -390,29 +389,6 @@ func (g *Graph) publishShard(sh *shardState) *Snapshot {
 	s.pages = a.directory(s.pages)
 	a.seq++
 	return s
-}
-
-// Compact packs a paged graph's runs densely, for a graph that was loaded
-// (LoadCSR) and then changed by batches: on every shard the pages with a hole
-// — the batch tail's unwritten rest counts as one — are cleaned, their live
-// runs copied to the kept tail in vertex order, and retired, and the retired
-// pages no snapshot still out can read are dropped, with the free list. Only
-// the kept tail keeps any room. Recovery calls it once, before its Store's
-// first publish, when that is every retired page. Like every update it must
-// not run concurrently with reads or other updates.
-func (g *Graph) Compact() {
-	if !g.Paged() {
-		return
-	}
-	for i := range g.shards {
-		sh := &g.shards[i]
-		a := &sh.pub
-		a.m = sh.m.Load()
-		a.tails[tailBatch].room = 0
-		a.clean(sh.table(), a.m)
-		a.drain()
-		a.free = nil
-	}
 }
 
 // CSR returns the snapshot as raw CSR arrays (offs has NumVertices+1

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -253,8 +254,8 @@ func TestCheckpointOnNonDurableStore(t *testing.T) {
 // requireFreshStart checks that a recovered store's own history is that
 // of a store just built by New on the same shard count: one first publish
 // per shard and epoch 0, whatever recovery loaded and however long the WAL
-// tail was — recovery happens on the graph, before the Store exists — but
-// for what its compaction copied.
+// tail was — recovery happens on the graph, before the Store exists, and
+// writes each recovered edge once, so even the cleaner has copied nothing.
 func requireFreshStart(t *testing.T, re *Store) {
 	t.Helper()
 	// Read before anything else runs: the recovered store's group-commit
@@ -265,12 +266,6 @@ func requireFreshStart(t *testing.T, re *Store) {
 	defer fresh.Close()
 	want := fresh.Stats()
 	got.PublishedBytes, want.PublishedBytes = 0, 0 // a gauge of what is held, not history
-	// Recovery's compaction is the one history a recovered store brings: it
-	// copies at most every entry recovered once.
-	if got.ArenaCleanedEntries > re.NumEdges() {
-		t.Fatalf("recovery's compaction copied %d entries of %d", got.ArenaCleanedEntries, re.NumEdges())
-	}
-	got.ArenaCleanedEntries = 0
 	if got != want {
 		t.Fatalf("recovered store's counters %+v, a fresh store's %+v", got, want)
 	}
@@ -282,9 +277,10 @@ func requireFreshStart(t *testing.T, re *Store) {
 	if err := checkStoreInvariants(re); err != nil {
 		t.Fatal(err)
 	}
-	// The five phases run back to back inside the recovery's wall time.
+	// The five phases run back to back inside the recovery's wall time, and
+	// each that had work to do took some: reduce has none without a tail.
 	r := re.Recovery()
-	phases := []int64{r.LoadNanos, r.BuildNanos, r.ScanNanos, r.ApplyNanos, r.PublishNanos}
+	phases := []int64{r.LoadNanos, r.ScanNanos, r.ReduceNanos, r.MergeNanos, r.PublishNanos}
 	var sum int64
 	for _, ns := range phases {
 		if ns < 0 {
@@ -292,7 +288,8 @@ func requireFreshStart(t *testing.T, re *Store) {
 		}
 		sum += ns
 	}
-	if sum > r.DurationNanos || r.PublishNanos == 0 || (r.ReplayedEdges > 0) != (r.ApplyNanos > 0) {
+	if sum > r.DurationNanos || r.LoadNanos == 0 || r.ScanNanos == 0 || r.MergeNanos == 0 || r.PublishNanos == 0 ||
+		(r.ReplayedEdges > 0) != (r.ReduceNanos > 0) {
 		t.Fatalf("recovery phases %v do not fit %d ns with %d edges replayed", phases, r.DurationNanos, r.ReplayedEdges)
 	}
 }
@@ -392,9 +389,8 @@ func TestRecoveryRefusesUnappliableRecord(t *testing.T) {
 }
 
 // TestRecoveryTailOrderAcrossShardLogs logs insert, delete and re-insert
-// of the same edges as consecutive records in both shard logs: coalescing
-// the tail must stop at every op change, or the deletes would be lost or
-// win.
+// of the same edges as consecutive records in both shard logs: the reduce
+// must keep each edge's last op, or the deletes would be lost or win.
 func TestRecoveryTailOrderAcrossShardLogs(t *testing.T) {
 	dir := t.TempDir()
 	st := openDur(t, dir, 16, 2, DurabilityOptions{})
@@ -427,37 +423,57 @@ func TestRecoveryTailOrderAcrossShardLogs(t *testing.T) {
 	requireFreshStart(t, re)
 }
 
-// TestRecoveryTailBeyondCap replays one directory's whole log through
-// walTail at caps of a few edges, so the tail is applied as many batches,
-// some cut by the cap, some by an op change, and one record alone exceeds
-// the cap; the graph must come out the same as at the production cap.
+// TestRecoveryTailBeyondCap replays a tail of 1 200 batches that alternate
+// op over the same 40 edges — half of them checkpointed, half not, sources in
+// both shards, each batch a random share of them — so every edge is inserted
+// and deleted hundreds of times and only its last op decides it. The store
+// must come out as it was, with a fresh store's counters.
 func TestRecoveryTailBeyondCap(t *testing.T) {
+	const n, batches = 64, 1200
 	dir := t.TempDir()
-	st := openDur(t, dir, 64, 2, DurabilityOptions{})
-	randomUpdates(st, 5, 40, 64)
-	big := make([]uint32, 50)
-	for i := range big {
-		big[i] = uint32(i)
+	st := openDur(t, dir, n, 2, DurabilityOptions{Fsync: wal.FsyncNone})
+	var pool [][2]uint32
+	for v := uint32(0); v < n; v += 3 {
+		pool = append(pool, [2]uint32{v, (v*7 + 1) % n})
 	}
-	st.InsertBatch(big, big)
-	randomUpdates(st, 6, 10, 64)
+	pool = pool[:min(len(pool), 20)]
+	var cs, cd []uint32
+	for _, e := range pool {
+		cs, cd = append(cs, e[0]), append(cd, e[1])
+	}
+	st.InsertBatch(cs, cd)
+	st.Flush()
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for v := uint32(1); len(pool) < 40; v += 3 {
+		pool = append(pool, [2]uint32{v, (v*5 + 2) % n})
+	}
+	r := rand.New(rand.NewSource(9))
+	for b := 0; b < batches; b++ {
+		var src, dst []uint32
+		for _, e := range pool {
+			if r.Intn(3) > 0 {
+				src, dst = append(src, e[0]), append(dst, e[1])
+			}
+		}
+		if b%2 == 0 {
+			st.InsertBatch(src, dst)
+		} else {
+			st.DeleteBatch(src, dst)
+		}
+		st.Flush()
+	}
 	want := edgeSet(st)
 	st.Close()
 
-	for _, c := range []int{1, 7, tailCap} {
-		g := core.NewPaged(8, core.Config{Workers: 2, Shards: 2})
-		tail := walTail{g: g, cap: c}
-		if _, _, err := wal.Replay(dir, (&wal.Checkpoint{}).Watermark, nil, tail.add); err != nil {
-			t.Fatal(err)
-		}
-		tail.flush()
-		re := New(g, Options{})
-		sameEdges(t, edgeSet(re), want, "tail replayed across the cap")
-		if err := checkStoreInvariants(re); err != nil {
-			t.Fatal(err)
-		}
-		re.Close()
+	re := openDur(t, dir, n, 2, DurabilityOptions{})
+	defer re.Close()
+	if rst := re.Recovery(); !rst.CheckpointLoaded || rst.ReplayedRecords < batches {
+		t.Fatalf("recovery %+v, want a checkpoint and ≥ %d replayed records", rst, batches)
 	}
+	sameEdges(t, edgeSet(re), want, "a tail alternating op over the same edges")
+	requireFreshStart(t, re)
 }
 
 // TestRecoveryTailGrowsVertexSpace replays records naming vertices the
@@ -562,4 +578,71 @@ func TestRecoveryFallsBackAcrossRotatedLog(t *testing.T) {
 	if !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("open with every checkpoint damaged: %v, want ErrCorrupt", err)
 	}
+}
+
+// TestTailReduceKeepsLastOp reduces tails against a map that replays the
+// same records in order: IDs narrow enough to pack the run index beside an
+// edge and IDs past 2³¹ (the pairs sort), ops that change every record,
+// never, or at random, and a tail of many chunks that alternates op over a
+// small pool of edges. The delta must hold each edge named once, ascending,
+// with its last op.
+func TestTailReduceKeepsLastOp(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range []struct {
+		name             string
+		records, maxEdge int
+		ids              []uint32
+		change           func(i int) bool
+	}{
+		{"alternating", 300, 40, []uint32{0, 1, 2, 3, 5, 8, 13, 21, 34, 55}, func(int) bool { return true }},
+		{"one-op", 300, 40, []uint32{0, 7, 1 << 20, 1<<20 + 1}, func(int) bool { return false }},
+		{"random", 300, 40, []uint32{4, 9, 16, 1000, 1001}, func(int) bool { return rng.Intn(3) == 0 }},
+		{"wide-alternating", 300, 40, []uint32{0, 1, 1 << 31, math.MaxUint32 - 1}, func(int) bool { return true }},
+		{"wide-random", 300, 40, []uint32{6, 1<<31 + 5, math.MaxUint32 - 2}, func(int) bool { return rng.Intn(2) == 0 }},
+		{"many-chunks", 3000, 200, []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1 << 14}, func(int) bool { return true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var tl tail
+			want := map[uint64]bool{} // edge → deleted by its last op
+			op := uint8(rng.Intn(2))
+			for i := 0; i < tc.records; i++ {
+				if tc.change(i) {
+					op ^= 1
+				}
+				src, dst := make([]uint32, 1+rng.Intn(tc.maxEdge)), []uint32(nil)
+				for j := range src {
+					src[j] = tc.ids[rng.Intn(len(tc.ids))]
+					dst = append(dst, tc.ids[rng.Intn(len(tc.ids))])
+					want[uint64(src[j])<<32|uint64(dst[j])] = op == wal.OpDelete
+				}
+				if err := tl.add(wal.Record{LSN: uint64(i + 1), Op: op, Src: src, Dst: dst}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range []int{1, 2, 4} {
+				d := tl.clone().reduce(p)
+				if len(d.Keys) != len(want) || len(d.Del) != len(d.Keys) {
+					t.Fatalf("p=%d: %d edges with %d ops, want %d", p, len(d.Keys), len(d.Del), len(want))
+				}
+				for i, k := range d.Keys {
+					if i > 0 && k <= d.Keys[i-1] {
+						t.Fatalf("p=%d: edge %d (%d,%d) not above its predecessor", p, i, k>>32, uint32(k))
+					}
+					if del, ok := want[k]; !ok || del != d.Del[i] {
+						t.Fatalf("p=%d: edge (%d,%d) reduced to delete=%v, its last op deletes=%v (named: %v)", p, k>>32, uint32(k), d.Del[i], del, ok)
+					}
+				}
+			}
+		})
+	}
+}
+
+// clone is a copy of the tail that reduce may consume.
+func (t *tail) clone() *tail {
+	c := *t
+	c.chunks = make([][]uint64, len(t.chunks))
+	for i, ch := range t.chunks {
+		c.chunks[i] = slices.Clone(ch)
+	}
+	return &c
 }

@@ -7,9 +7,11 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Checkpoint directory naming: ckpt-<seq> with a 16-digit decimal
@@ -349,18 +351,39 @@ func loadCheckpoint(path string) (*Checkpoint, error) {
 			}
 			end = uint64(ms.Base) + uint64(ms.Vertices)
 		}
-		data, err := os.ReadFile(filepath.Join(path, ms.File))
-		if err != nil {
-			return nil, fmt.Errorf("wal: read shard snap: %w", err)
-		}
-		if crc32.Checksum(data, crcTable) != ms.CRC {
-			return nil, fmt.Errorf("%w: shard snap %s crc mismatch", ErrCorrupt, ms.File)
-		}
-		sh, err := decodeShardSnap(data, ms.Base, ms.Vertices, ms.Edges, m.N)
+	}
+	// The shard files are read, CRC-checked and decoded side by side, by as
+	// many workers as there are processors; the first refusal in shard order
+	// is the one reported.
+	if len(m.Shards) > 0 {
+		ck.Shards = make([]ShardSnap, len(m.Shards))
+	}
+	errs := make([]error, len(m.Shards))
+	p := min(len(m.Shards), runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for w := 0; w < p; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(m.Shards); i += p {
+				ms := &m.Shards[i]
+				data, err := os.ReadFile(filepath.Join(path, ms.File))
+				switch {
+				case err != nil:
+					errs[i] = fmt.Errorf("wal: read shard snap: %w", err)
+				case crc32.Checksum(data, crcTable) != ms.CRC:
+					errs[i] = fmt.Errorf("%w: shard snap %s crc mismatch", ErrCorrupt, ms.File)
+				default:
+					ck.Shards[i], errs[i] = decodeShardSnap(data, ms.Base, ms.Vertices, ms.Edges, m.N)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		ck.Shards = append(ck.Shards, sh)
 	}
 	return ck, nil
 }

@@ -15,6 +15,19 @@ func mkRecord(lsn uint64, op uint8, n int) Record {
 	return r
 }
 
+// decodeRecord decodes the frame at the start of b into a new record. It
+// returns the record, the number of bytes consumed, and nil; or 0 consumed
+// and frameAt's error.
+func decodeRecord(b []byte) (Record, int, error) {
+	p, n, err := frameAt(b)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	var r Record
+	decodeInto(p, &r)
+	return r, n, nil
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 1000} {
 		want := mkRecord(42, OpDelete, n)

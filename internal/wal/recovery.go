@@ -32,18 +32,20 @@ type RecoveryStats struct {
 	// LoadNanos is reading, CRC-checking and validating the checkpoint
 	// files; it grows with checkpoint size.
 	LoadNanos int64 `json:"load_nanos"`
-	// BuildNanos is copying the checkpoint's CSRs to the shards' pages
-	// (core.LoadCSR); it grows with checkpoint size.
-	BuildNanos int64 `json:"build_nanos"`
-	// ScanNanos is reading, CRC-checking and LSN-merging the WAL segments
-	// on disk; it grows with the log retained (see Log.GC), not only with
-	// the tail past the watermarks.
+	// ScanNanos is reading and CRC-checking the WAL segments on disk and
+	// LSN-merging the records past the watermarks, whose edges are packed as
+	// they go; it grows with the log retained (see Log.GC) — a record at or
+	// below its watermark is checked, not decoded — and with the tail's edges.
 	ScanNanos int64 `json:"scan_nanos"`
-	// ApplyNanos is applying the replayed records to the graph as
-	// coalesced batches; it grows with the tail's edges, not its records.
-	ApplyNanos int64 `json:"apply_nanos"`
-	// PublishNanos is starting the store: one compaction (core.Graph.Compact),
-	// which copies the live runs of every page the tail left a hole in, and
-	// each shard's first publish, which only seals its table.
+	// ReduceNanos is bringing the tail to its net effect, each edge's last
+	// op: one sort of its edges. It grows with the tail's edges, not its
+	// records or how often their op changes; 0 with no tail.
+	ReduceNanos int64 `json:"reduce_nanos"`
+	// MergeNanos is writing the shards' pages: every checkpoint run merged
+	// with the tail's changes to its vertex, written once (core.LoadCSR). It
+	// grows with the recovered graph.
+	MergeNanos int64 `json:"merge_nanos"`
+	// PublishNanos is starting the store: each shard's first publish, which
+	// only seals its table.
 	PublishNanos int64 `json:"publish_nanos"`
 }

@@ -2,8 +2,11 @@ package wal
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,6 +30,7 @@ func replayAll(t *testing.T, dir string) ([]Record, uint64, ReplayStats) {
 	t.Helper()
 	var recs []Record
 	maxLSN, st, err := Replay(dir, func(int) uint64 { return 0 }, nil, func(r Record) error {
+		r.Src, r.Dst = slices.Clone(r.Src), slices.Clone(r.Dst) // Replay reuses them
 		recs = append(recs, r)
 		return nil
 	})
@@ -143,6 +147,93 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	recs2, _, st2 := replayAll(t, dir)
 	if len(recs2) != 3 || st2.TruncatedSegments != 0 {
 		t.Fatalf("second replay: %d records, stats %+v", len(recs2), st2)
+	}
+}
+
+// TestReplayChecksCoveredFramesWithoutDecoding replays a log that lies
+// wholly at or below its watermarks: every record is counted and the
+// highest LSN found, nothing is handed on, and — each frame checked through
+// a window reused from segment to segment, not decoded — about nothing is
+// allocated per covered edge.
+func TestReplayChecksCoveredFramesWithoutDecoding(t *testing.T) {
+	const records, edges = 128, 8192
+	dir := t.TempDir()
+	l, err := OpenLog(dir, 2, 0, Options{Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := make([]uint32, edges), make([]uint32, edges)
+	for i := range src {
+		src[i], dst[i] = uint32(i), uint32(i*7)
+	}
+	for i := 0; i < records; i++ {
+		if _, err := l.Append(i%2, OpInsert, 0, src, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	maxLSN, st, err := Replay(dir, func(int) uint64 { return math.MaxUint64 }, nil, func(r Record) error {
+		t.Fatalf("covered record %d handed on", r.LSN)
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxLSN != records || st.RecordsScanned != records || st.RecordsReplayed != 0 || st.Segments != 2 {
+		t.Fatalf("max LSN %d, stats %+v; want %d records scanned, none replayed, two segments", maxLSN, st, records)
+	}
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / (records * edges)
+	t.Logf("%d covered edges: %.3f B allocated per edge", records*edges, perEdge)
+	if perEdge > 0.5 {
+		t.Fatalf("replaying a covered log allocated %.3f B per edge, want about none", perEdge)
+	}
+}
+
+// TestReplayTruncatesAtDamagedCoveredFrame damages a covered record that is
+// larger than the scan window, past the window's first fill: checked rather
+// than decoded, it still fails its CRC, and the log is truncated at it —
+// the records after it are gone, and a second replay finds the clean prefix.
+func TestReplayTruncatesAtDamagedCoveredFrame(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, 1, 0, Options{Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make([]uint32, 3*scanWindow/8)
+	appendN(t, l, 0, 2)
+	if _, err := l.Append(0, OpInsert, 0, big, big); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 0, 2)
+	l.Close()
+
+	path := filepath.Join(dir, "wal", shardDirName(0), segName(1))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := frameHeaderBytes + recordFixedBytes + 8
+	b[2*small+frameHeaderBytes+recordFixedBytes+8*len(big)-1] ^= 0x10 // the big record's last byte
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	maxLSN, st, err := Replay(dir, func(int) uint64 { return math.MaxUint64 }, nil, func(Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxLSN != 2 || st.RecordsScanned != 2 || st.TruncatedSegments != 1 || st.TornBytes != int64(len(b)-2*small) {
+		t.Fatalf("max LSN %d, stats %+v; want the two records before the damage and the rest truncated", maxLSN, st)
+	}
+	if fi, _ := os.Stat(path); fi.Size() != int64(2*small) {
+		t.Fatalf("segment is %d bytes after the replay, want %d", fi.Size(), 2*small)
+	}
+	if recs, maxLSN, st := replayAll(t, dir); len(recs) != 2 || maxLSN != 2 || st.TruncatedSegments != 0 {
+		t.Fatalf("second replay: %d records, max LSN %d, stats %+v", len(recs), maxLSN, st)
 	}
 }
 
