@@ -30,11 +30,10 @@ func BC(g engine.Graph, src uint32, p int) []float64 {
 	next := make([]bool, n)
 	bufs := frontierBufs(p)
 	level := int32(0)
+	degree, frontierEdges := frontierDegrees(t, g, frontier)
 	for len(frontier) > 0 {
 		levels = append(levels, frontier)
-		if t.active() {
-			traversed += frontierDegreeSum(g, frontier)
-		}
+		traversed += frontierEdges
 		for i := range next {
 			next[i] = false
 		}
@@ -61,7 +60,7 @@ func BC(g engine.Graph, src uint32, p int) []float64 {
 		})
 		// Each level's frontier is retained in levels for the backward
 		// sweep, so collect into a fresh slice rather than reusing one.
-		frontier = collectFrontier(make([]uint32, 0, len(frontier)), next, bufs, p)
+		frontier, frontierEdges = collectFrontier(make([]uint32, 0, len(frontier)), next, bufs, p, degree)
 	}
 
 	// Backward sweep: vertices of level d read the finished deltas of

@@ -39,17 +39,17 @@ func BFS(g engine.Graph, src uint32, p int) []int32 {
 	next := make([]bool, n)
 	bufs := frontierBufs(p)
 	totalEdges := g.NumEdges()
+	// The frontier's degree total steers the direction heuristic; each
+	// rebuild sums it in parallel as it collects the next frontier.
+	degree := g.Degree
+	frontierEdges := uint64(degree(src))
 	for len(frontier) > 0 {
-		// Direction heuristic (Beamer): go bottom-up when the frontier
-		// touches a large fraction of the graph's edges.
-		var frontierEdges uint64
-		for _, v := range frontier {
-			frontierEdges += uint64(g.Degree(v))
-		}
 		traversed += frontierEdges
 		for i := range next {
 			next[i] = false
 		}
+		// Direction heuristic (Beamer): go bottom-up when the frontier
+		// touches a large fraction of the graph's edges.
 		if totalEdges > 0 && frontierEdges > totalEdges/20 {
 			for i := range inFrontier {
 				inFrontier[i] = false
@@ -61,7 +61,7 @@ func BFS(g engine.Graph, src uint32, p int) []int32 {
 		} else {
 			bfsTopDown(g, frontier, parent, next, p)
 		}
-		frontier = collectFrontier(frontier, next, bufs, p)
+		frontier, frontierEdges = collectFrontier(frontier, next, bufs, p, degree)
 	}
 	obsBFS.done(t, traversed)
 	return parent
@@ -124,10 +124,9 @@ func BFSLevels(g engine.Graph, src uint32, p int) []int32 {
 	level := int32(0)
 	next := make([]bool, n)
 	bufs := frontierBufs(p)
+	degree, frontierEdges := frontierDegrees(t, g, frontier)
 	for len(frontier) > 0 {
-		if t.active() {
-			traversed += frontierDegreeSum(g, frontier)
-		}
+		traversed += frontierEdges
 		for i := range next {
 			next[i] = false
 		}
@@ -146,7 +145,7 @@ func BFSLevels(g engine.Graph, src uint32, p int) []int32 {
 				g.NeighborBlocks(frontier[i], scan)
 			}
 		})
-		frontier = collectFrontier(frontier, next, bufs, p)
+		frontier, frontierEdges = collectFrontier(frontier, next, bufs, p, degree)
 	}
 	obsBFSLvl.done(t, traversed)
 	return depth

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"lsgraph/internal/core"
@@ -50,27 +51,29 @@ func TestKernelsMatchAcrossReadPaths(t *testing.T) {
 
 // TestCollectFrontier checks the parallel frontier rebuild against the
 // sequential scan it replaces, including sizes straddling the sequential
-// threshold and dense/sparse flag patterns.
+// threshold and dense/sparse flag patterns, and its degree total against
+// the frontier's.
 func TestCollectFrontier(t *testing.T) {
+	deg := func(v uint32) uint32 { return v%5 + 1 }
 	for _, n := range []int{0, 1, 100, collectSeqThreshold - 1, collectSeqThreshold * 8} {
 		for _, p := range []int{1, 3, 8} {
 			next := make([]bool, n)
 			var want []uint32
+			var wantDeg uint64
 			for v := 0; v < n; v++ {
 				if v%7 == 0 || v%1000 < 3 {
 					next[v] = true
 					want = append(want, uint32(v))
+					wantDeg += uint64(deg(uint32(v)))
 				}
 			}
 			bufs := frontierBufs(p)
-			got := collectFrontier(nil, next, bufs, p)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d p=%d: %d vertices collected, want %d", n, p, len(got), len(want))
+			got, gotDeg := collectFrontier(nil, next, bufs, p, deg)
+			if !slices.Equal(got, want) || gotDeg != wantDeg {
+				t.Fatalf("n=%d p=%d: collected %d vertices of degree %d, want %d of degree %d", n, p, len(got), gotDeg, len(want), wantDeg)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d p=%d: diverges at %d: %d want %d", n, p, i, got[i], want[i])
-				}
+			if again, d := collectFrontier(got, next, bufs, p, nil); !slices.Equal(again, want) || d != 0 {
+				t.Fatalf("n=%d p=%d: without a degree read: %d vertices, degree %d", n, p, len(again), d)
 			}
 		}
 	}

@@ -41,10 +41,9 @@ func CC(g engine.Graph, p int) []uint32 {
 	// the changed flags are stored atomically (a bool cannot be).
 	changed := make([]uint32, n)
 	bufs := frontierBufs(p)
+	degree, frontierEdges := frontierDegrees(t, g, frontier)
 	for len(frontier) > 0 {
-		if t.active() {
-			traversed += frontierDegreeSum(g, frontier)
-		}
+		traversed += frontierEdges
 		clear(changed)
 		parallel.ForChunk(len(frontier), p, func(lo, hi int) {
 			var cv uint32
@@ -63,7 +62,7 @@ func CC(g engine.Graph, p int) []uint32 {
 				g.NeighborBlocks(v, scan)
 			}
 		})
-		frontier = collectFrontier(frontier, changed, bufs, p)
+		frontier, frontierEdges = collectFrontier(frontier, changed, bufs, p, degree)
 	}
 	obsCC.done(t, traversed)
 	return comp

@@ -3,6 +3,7 @@ package algo
 import (
 	"time"
 
+	"lsgraph/internal/engine"
 	"lsgraph/internal/obs"
 	"lsgraph/internal/trace"
 )
@@ -45,7 +46,8 @@ type kernelTimer struct {
 }
 
 // active reports whether either collector wants per-round edge estimates;
-// kernels gate frontierDegreeSum on it so the all-off path pays nothing.
+// kernels gate their frontier degree sums on it so the all-off path pays
+// nothing.
 func (t kernelTimer) active() bool { return !t.obsT.IsZero() || t.trT != 0 }
 
 // begin opens a kernel run measurement; pair with done.
@@ -64,13 +66,17 @@ func (k kernelObs) done(t kernelTimer, edges uint64) {
 	trace.SpanNamed(trace.PhaseKernel, -1, 0, 0, edges, k.name, t.trT)
 }
 
-// frontierDegreeSum totals the degrees of a frontier, the per-round
-// traversed-edge estimate used by the frontier-synchronous kernels. Callers
-// gate it on an active timer so the disabled path pays nothing.
-func frontierDegreeSum(g interface{ Degree(uint32) uint32 }, frontier []uint32) uint64 {
+// frontierDegrees is what a frontier-synchronous kernel hands
+// collectFrontier for its per-round traversed-edge estimate, with the
+// degree total of its first frontier: the degree read while a collector is
+// on, and nothing — so the all-off path pays nothing — while none is.
+func frontierDegrees(t kernelTimer, g engine.Graph, frontier []uint32) (func(uint32) uint32, uint64) {
+	if !t.active() {
+		return nil, 0
+	}
 	var s uint64
 	for _, v := range frontier {
 		s += uint64(g.Degree(v))
 	}
-	return s
+	return g.Degree, s
 }

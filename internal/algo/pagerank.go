@@ -19,7 +19,11 @@ type padF64 struct {
 // in the paper's evaluation; iters <= 0 means 10) with p workers and
 // returns the rank vector. Pull over neighbors reads each vertex's
 // in-contributions without atomics; dangling mass is redistributed evenly
-// each iteration so ranks stay a probability distribution.
+// each iteration so ranks stay a probability distribution. The gather is a
+// sweep: one NeighborRange per chunk, and out-degrees are read once per
+// run, since the graph does not change under a kernel. A vertex's
+// contributions are summed in neighbor order across its blocks, so the
+// ranks do not depend on how an engine cuts adjacency into blocks.
 func PageRank(g engine.Graph, iters, p int) []float64 {
 	if iters <= 0 {
 		iters = 10
@@ -32,10 +36,14 @@ func PageRank(g engine.Graph, iters, p int) []float64 {
 	rank := make([]float64, n)
 	contrib := make([]float64, n) // rank[u] / degree(u), precomputed per iter
 	next := make([]float64, n)
+	deg := make([]uint32, n)
 	inv := 1.0 / float64(n)
-	for i := range rank {
-		rank[i] = inv
-	}
+	parallel.ForChunk(n, p, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			rank[v] = inv
+			deg[v] = g.Degree(uint32(v))
+		}
+	})
 	// One cache-line-padded accumulator slot per worker: ForChunkW runs one
 	// goroutine per worker index, so each slot is written by exactly one
 	// goroutine — no atomics, no false sharing, and (unlike the old
@@ -48,7 +56,7 @@ func PageRank(g engine.Graph, iters, p int) []float64 {
 		parallel.ForChunkW(n, p, func(w, lo, hi int) {
 			var dangling float64
 			for v := lo; v < hi; v++ {
-				d := g.Degree(uint32(v))
+				d := deg[v]
 				if d == 0 {
 					dangling += rank[v]
 					contrib[v] = 0
@@ -64,24 +72,25 @@ func PageRank(g engine.Graph, iters, p int) []float64 {
 		}
 		base := (1-PageRankDamping)*inv + PageRankDamping*dangling*inv
 		parallel.ForChunk(n, p, func(lo, hi int) {
-			// One closure per chunk, not per vertex: the yield ranges a
-			// contiguous slice, so the per-edge cost is one indexed load
-			// and add. The captured accumulator lives on the heap, so
-			// sum into a register-local and spill once per block.
-			var acc float64
-			sum := func(bs []uint32) bool {
-				var s float64
+			// One range read per chunk: the yield sees each vertex's blocks
+			// in turn (an empty one for a vertex without edges) and writes
+			// the finished vertex's rank when the next one starts. The
+			// captured sum lives on the heap, so each block sums into a
+			// register-local and spills once.
+			cur, acc := uint32(lo), 0.0
+			g.NeighborRange(uint32(lo), uint32(hi), func(v uint32, bs []uint32) bool {
+				if v != cur {
+					next[cur] = base + PageRankDamping*acc
+					cur, acc = v, 0
+				}
+				s := acc
 				for _, u := range bs {
 					s += contrib[u]
 				}
-				acc += s
+				acc = s
 				return true
-			}
-			for v := lo; v < hi; v++ {
-				acc = 0
-				g.NeighborBlocks(uint32(v), sum)
-				next[v] = base + PageRankDamping*acc
-			}
+			})
+			next[cur] = base + PageRankDamping*acc
 		})
 		rank, next = next, rank
 	}

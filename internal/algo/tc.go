@@ -87,7 +87,7 @@ func upperBound(s []uint32, x uint32) int {
 }
 
 // Materialize flattens the engine's adjacency into CSR form (offsets and a
-// packed neighbor array) with one ordered traversal per vertex.
+// packed neighbor array) with one range read per chunk.
 func Materialize(g engine.Graph, p int) (offs []uint64, adj []uint32) {
 	n := int(g.NumVertices())
 	offs = make([]uint64, n+1)
@@ -96,20 +96,15 @@ func Materialize(g engine.Graph, p int) (offs []uint64, adj []uint32) {
 	}
 	adj = make([]uint32, offs[n])
 	parallel.ForChunk(n, p, func(lo, hi int) {
-		// Each block is a contiguous run, so the fill is a bulk copy
-		// per run instead of a store per edge (clamped to the
-		// vertex's CSR region).
-		var w, end uint64
-		cp := func(bs []uint32) bool {
-			w += uint64(copy(adj[w:end], bs))
-			return w < end
-		}
-		for v := lo; v < hi; v++ {
-			w, end = offs[v], offs[v+1]
-			if w < end {
-				g.NeighborBlocks(uint32(v), cp)
-			}
-		}
+		// Each block is a contiguous run, so the fill is a bulk copy per
+		// run instead of a store per edge, clamped to the vertex's CSR
+		// region.
+		w := offs[lo]
+		g.NeighborRange(uint32(lo), uint32(hi), func(v uint32, bs []uint32) bool {
+			w = max(w, offs[v])
+			w += uint64(copy(adj[w:offs[v+1]], bs))
+			return true
+		})
 	})
 	return offs, adj
 }

@@ -45,6 +45,23 @@ func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	blocksUntil(g.roots[v], yield)
 }
 
+// NeighborRange yields each vertex of [lo, min(hi, NumVertices())) chunk
+// by chunk as NeighborBlocks would, an empty block for a vertex without
+// edges (engine.Graph).
+func (g *Graph) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
+	v := lo
+	each := func(b []uint32) bool { return yield(v, b) }
+	for ; v < min(hi, g.NumVertices()); v++ {
+		if g.degs[v] == 0 {
+			if !yield(v, nil) {
+				return
+			}
+		} else if !blocksUntil(g.roots[v], each) {
+			return
+		}
+	}
+}
+
 // InsertBatch adds the directed edges (src[i] -> dst[i]).
 func (g *Graph) InsertBatch(src, dst []uint32) { g.applyBatch(src, dst, true) }
 

@@ -243,6 +243,28 @@ func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	neighborBlocksVB(vb, yield)
 }
 
+// NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with
+// the blocks NeighborBlocks would, an empty block for a vertex without
+// edges (engine.Graph): it routes once per shard and walks the shard's
+// vertex blocks or table in order.
+func (g *Graph) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
+	hi = min(hi, g.NumVertices())
+	if lo >= hi {
+		return
+	}
+	pm := g.pmap.Load()
+	for i := pm.ShardOf(lo); lo < hi; i++ {
+		end := hi
+		if i+1 < len(g.shards) {
+			end = min(hi, pm.Starts[i+1])
+		}
+		if !g.shards[i].neighborRange(pm.Starts[i], lo, end, yield) {
+			return
+		}
+		lo = end
+	}
+}
+
 // runBlock is NeighborBlocks without a vertex block: the run is the block.
 // Kept out of line, so that the live read path stays what it was.
 //

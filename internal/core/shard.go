@@ -72,6 +72,35 @@ func (sh *shardState) appendNeighbors(lv int, dst []uint32) []uint32 {
 	return appendNeighborsVB(&sh.verts[lv], dst)
 }
 
+// neighborRange is Graph.NeighborRange over the shard's global vertices
+// [lo, hi), its range starting at base; slots past the materialized
+// storage have no edges. It reports whether the walk reached hi.
+func (sh *shardState) neighborRange(base, lo, hi uint32, yield func(v uint32, block []uint32) bool) bool {
+	// The overflow walks leak their yield, so this adapter is a heap
+	// closure: one per call, reading the vertex from cur.
+	var cur uint32
+	each := func(b []uint32) bool { return yield(cur, b) }
+	v, ok := lo, true
+	for end := min(hi, base+uint32(sh.slots())); v < end && ok; v++ {
+		lv := v - base
+		if sh.paged {
+			ns := sh.pub.read(sh.tab[lv])
+			ok = yield(v, ns[:len(ns):len(ns)])
+			continue
+		}
+		vb := &sh.verts[lv]
+		n := vb.inlineLen()
+		if ok = yield(v, vb.inline[:n:n]); ok && vb.ov != nil {
+			cur = v
+			ok = vb.ovBlocks(each)
+		}
+	}
+	for ; v < hi && ok; v++ {
+		ok = yield(v, nil)
+	}
+	return ok
+}
+
 // table returns the paged shard's table for writing: its own copy, made
 // now if the latest snapshot still shares it.
 func (sh *shardState) table() []vref {

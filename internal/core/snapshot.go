@@ -453,3 +453,33 @@ func (s *Snapshot) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 		yield(ns[:len(ns):len(ns)])
 	}
 }
+
+// NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with its
+// run as one block, empty for a degree-0 vertex (engine.Graph): a walk of
+// the table, with no per-vertex lookup.
+func (s *Snapshot) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
+	s.NeighborRangeAt(0, lo, hi, yield)
+}
+
+// NeighborRangeAt is NeighborRange for a snapshot whose vertex 0 is the
+// global vertex base: it walks the local vertices [lo, min(hi,
+// NumVertices())), yields each as base+v, and reports whether it reached
+// the end (false once yield has returned false). A View composes its
+// shards' snapshots with it.
+func (s *Snapshot) NeighborRangeAt(base, lo, hi uint32, yield func(v uint32, block []uint32) bool) bool {
+	hi = min(hi, uint32(len(s.tab)))
+	if lo >= hi {
+		return true
+	}
+	for i, r := range s.tab[lo:hi] {
+		var b []uint32
+		if r.deg > 0 {
+			off := r.off & pageMask
+			b = s.pages[r.off>>pageBits][off : off+r.deg : off+r.deg]
+		}
+		if !yield(base+lo+uint32(i), b) {
+			return false
+		}
+	}
+	return true
+}

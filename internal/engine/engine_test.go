@@ -28,6 +28,101 @@ func (g sliceGraph) NeighborBlocks(v uint32, yield func([]uint32) bool) {
 	}
 }
 
+func (g sliceGraph) NeighborRange(lo, hi uint32, yield func(uint32, []uint32) bool) {
+	for v := lo; v < min(hi, g.NumVertices()); v++ {
+		if !g.walkOne(v, yield) {
+			return
+		}
+	}
+}
+
+// walkOne yields v's blocks as NeighborRange does, reporting whether the
+// walk may go on.
+func (g sliceGraph) walkOne(v uint32, yield func(uint32, []uint32) bool) bool {
+	if len(g[v]) == 0 {
+		return yield(v, nil)
+	}
+	for _, b := range g[v] {
+		if !yield(v, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// rangeGraph is a sliceGraph whose NeighborRange is replaced, so a test
+// can hand CheckRange a walk that breaks one clause of the contract.
+type rangeGraph struct {
+	sliceGraph
+	walk func(g sliceGraph, lo, hi uint32, yield func(uint32, []uint32) bool)
+}
+
+func (g rangeGraph) NeighborRange(lo, hi uint32, yield func(uint32, []uint32) bool) {
+	g.walk(g.sliceGraph, lo, hi, yield)
+}
+
+// TestCheckRangeRejectsEachViolation feeds CheckRange one NeighborRange per
+// clause of the contract it states.
+func TestCheckRangeRejectsEachViolation(t *testing.T) {
+	g := sliceGraph{{{1, 2}, {5}}, nil, {{0}}, {{1}, {2}, {3}}, nil, {{4, 5}}}
+	if err := CheckRange(g); err != nil {
+		t.Fatalf("a correct walk is rejected: %v", err)
+	}
+	if err := CheckRange(sliceGraph{}); err != nil {
+		t.Fatalf("empty graph: %v", err)
+	}
+	type walkFn = func(g sliceGraph, lo, hi uint32, yield func(uint32, []uint32) bool)
+	// each walks [lo, min(hi, n)) with one per-vertex step.
+	each := func(step func(g sliceGraph, v uint32, yield func(uint32, []uint32) bool) bool) walkFn {
+		return func(g sliceGraph, lo, hi uint32, yield func(uint32, []uint32) bool) {
+			for v := lo; v < min(hi, g.NumVertices()); v++ {
+				if !step(g, v, yield) {
+					return
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		walk walkFn
+		err  string
+	}{
+		{"skips an empty vertex", each(func(g sliceGraph, v uint32, yield func(uint32, []uint32) bool) bool {
+			return len(g[v]) == 0 || g.walkOne(v, yield)
+		}), ", want"},
+		{"empty vertex twice", each(func(g sliceGraph, v uint32, yield func(uint32, []uint32) bool) bool {
+			return (len(g[v]) > 0 || yield(v, nil)) && g.walkOne(v, yield)
+		}), ", want"},
+		{"merges blocks", each(func(g sliceGraph, v uint32, yield func(uint32, []uint32) bool) bool {
+			return yield(v, Neighbors(g, v))
+		}), "block"},
+		{"ignores stop", each(func(g sliceGraph, v uint32, yield func(uint32, []uint32) bool) bool {
+			g.walkOne(v, yield)
+			return true
+		}), "returned false"},
+		{"descending", func(g sliceGraph, lo, hi uint32, yield func(uint32, []uint32) bool) {
+			for v := min(hi, g.NumVertices()); v > lo && g.walkOne(v-1, yield); v-- {
+			}
+		}, ", want"},
+		{"ignores lo", func(g sliceGraph, _, hi uint32, yield func(uint32, []uint32) bool) {
+			g.NeighborRange(0, hi, yield)
+		}, "past the range"},
+		{"past NumVertices", func(g sliceGraph, lo, hi uint32, yield func(uint32, []uint32) bool) {
+			g.NeighborRange(lo, hi, yield)
+			for v := max(lo, g.NumVertices()); v < min(hi, 64) && yield(v, nil); v++ {
+			}
+		}, "past the range"},
+	} {
+		err := CheckRange(rangeGraph{g, tc.walk})
+		switch {
+		case err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case !strings.Contains(err.Error(), tc.err):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.err)
+		}
+	}
+}
+
 func TestHelpersRangeOverBlocks(t *testing.T) {
 	g := sliceGraph{{{1, 2}, {5}, {7, 9}}, nil}
 	var got []uint32

@@ -298,6 +298,23 @@ func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	blocksUntil(g.roots[v], yield)
 }
 
+// NeighborRange yields each vertex of [lo, min(hi, NumVertices())) leaf by
+// leaf as NeighborBlocks would, an empty block for a vertex without edges
+// (engine.Graph).
+func (g *Graph) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
+	v := lo
+	each := func(b []uint32) bool { return yield(v, b) }
+	for ; v < min(hi, g.NumVertices()); v++ {
+		if root := g.roots[v]; sizeOf(root) == 0 {
+			if !yield(v, nil) {
+				return
+			}
+		} else if !blocksUntil(root, each) {
+			return
+		}
+	}
+}
+
 // InsertBatch adds the directed edges (src[i] -> dst[i]).
 func (g *Graph) InsertBatch(src, dst []uint32) { g.applyBatch(src, dst, true) }
 

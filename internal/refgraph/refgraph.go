@@ -78,3 +78,15 @@ func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 		yield(a[:len(a):len(a)])
 	}
 }
+
+// NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with its
+// sorted neighbor slice as one block, empty for a vertex without edges
+// (engine.Graph).
+func (g *Graph) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
+	for v := lo; v < min(hi, g.NumVertices()); v++ {
+		a := g.adj[v]
+		if !yield(v, a[:len(a):len(a)]) {
+			return
+		}
+	}
+}

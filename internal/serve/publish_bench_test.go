@@ -17,8 +17,8 @@ import (
 // restoring vertex order, a third of the pages dead — against a store
 // bulk-loaded from the same edges just now, whose one batch laid the runs
 // out in vertex order, back to back. Per op it sweeps every vertex's
-// neighbours and runs 10 PageRank iterations on a pinned view of each,
-// alternately, and reports the medians in ns per edge.
+// neighbours, runs 10 PageRank iterations and a BFS from vertex 0 on a
+// pinned view of each, alternately, and reports the medians in ns per edge.
 func BenchmarkSteadyStateReads(b *testing.B) {
 	for _, scale := range []uint{15, 17} {
 		b.Run(fmt.Sprintf("G%d", scale), func(b *testing.B) {
@@ -63,18 +63,24 @@ func BenchmarkSteadyStateReads(b *testing.B) {
 				sink += uint64(len(algo.PageRank(v, 10, 2)))
 				return time.Since(t)
 			}
-			var ds [4][]time.Duration
+			bfs := func(v *View) time.Duration {
+				t := time.Now()
+				sink += uint64(len(algo.BFS(v, 0, 2)))
+				return time.Since(t)
+			}
+			var ds [6][]time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ds[0], ds[1] = append(ds[0], sweep(steady)), append(ds[1], sweep(fresh))
 				ds[2], ds[3] = append(ds[2], pagerank(steady)), append(ds[3], pagerank(fresh))
+				ds[4], ds[5] = append(ds[4], bfs(steady)), append(ds[5], bfs(fresh))
 			}
 			b.StopTimer()
 			m := float64(steady.NumEdges())
-			for i, name := range []string{"steady-sweep", "fresh-sweep", "steady-pagerank", "fresh-pagerank"} {
+			for i, name := range []string{"steady-sweep", "fresh-sweep", "steady-pagerank", "fresh-pagerank", "steady-bfs", "fresh-bfs"} {
 				slices.Sort(ds[i])
 				per := m
-				if i >= 2 {
+				if i == 2 || i == 3 {
 					per *= 10
 				}
 				b.ReportMetric(float64(ds[i][len(ds[i])/2])/per, name+"-ns/edge")

@@ -16,7 +16,8 @@ import (
 // checkTiledView asserts what a reader may rely on in any View, however it
 // interleaved with boundary moves: the pinned ranges tile the ID space
 // from 0 with the last one open-ended, the degrees sum to NumEdges, which
-// is the oracle's, and every vertex of probe reads the oracle's adjacency.
+// is the oracle's, every vertex of probe reads the oracle's adjacency, and
+// NeighborRange keeps its contract across the pins (engine.CheckRange).
 func checkTiledView(v *View, ref *refgraph.Graph, probe []uint32) error {
 	next := uint64(0)
 	for i, e := range v.es {
@@ -41,7 +42,7 @@ func checkTiledView(v *View, ref *refgraph.Graph, probe []uint32) error {
 			return fmt.Errorf("view vertex %d: %w", u, err)
 		}
 	}
-	return nil
+	return engine.CheckRange(v)
 }
 
 // checkVertexReads asserts the Store's own single-vertex reads of every

@@ -148,6 +148,34 @@ func (v *View) NeighborBlocks(u uint32, yield func(block []uint32) bool) {
 	}
 }
 
+// NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with
+// its pinned run as one block, empty for a vertex without edges
+// (engine.Graph). It routes once per pinned shard, not once per vertex:
+// each shard's part of the range is a walk of its snapshot's table, and
+// the vertices past that table (reserved or grown after the shard's
+// pinned publish) have no edges in this view.
+func (v *View) NeighborRange(lo, hi uint32, yield func(u uint32, block []uint32) bool) {
+	hi = min(hi, v.nv)
+	for _, e := range v.es {
+		if lo >= hi {
+			return
+		}
+		if uint64(lo) >= e.hi {
+			continue
+		}
+		end := uint32(min(uint64(hi), e.hi))
+		if !e.snap.NeighborRangeAt(e.lo, lo-e.lo, end-e.lo, yield) {
+			return
+		}
+		for u := max(lo, e.lo+e.snap.NumVertices()); u < end; u++ {
+			if !yield(u, nil) {
+				return
+			}
+		}
+		lo = end
+	}
+}
+
 // Release unpins the view. The view's read methods must not be used
 // afterwards (its tables may be recycled into a future snapshot).
 // Releasing twice is a no-op. Release is not safe to call concurrently
@@ -242,4 +270,14 @@ func (s *Store) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 		e.snap.NeighborBlocks(lv, yield)
 	}
 	w.release(e)
+}
+
+// NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with
+// its adjacency out of one tiling view pinned for the call (engine.Graph):
+// every shard is pinned once per call, not once per vertex, and released
+// when the walk ends; blocks must not be retained past yield.
+func (s *Store) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
+	v := s.View()
+	v.NeighborRange(lo, hi, yield)
+	v.Release()
 }

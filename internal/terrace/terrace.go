@@ -178,22 +178,43 @@ var stagePool = sync.Pool{New: func() any { return new([pmaStage]uint32) }}
 // can alias, so it is staged: read pmaStage keys at a time, their
 // destinations copied into a buffer that is refilled for the next block.
 func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
+	g.blocks(v, yield)
+}
+
+// NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with the
+// blocks NeighborBlocks would, an empty block for a vertex without edges
+// (engine.Graph).
+func (g *Graph) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
+	v := lo
+	each := func(b []uint32) bool { return yield(v, b) }
+	for ; v < min(hi, g.NumVertices()); v++ {
+		if g.verts[v].deg == 0 {
+			if !yield(v, nil) {
+				return
+			}
+		} else if !g.blocks(v, each) {
+			return
+		}
+	}
+}
+
+// blocks is NeighborBlocks, reporting whether yield let it finish.
+func (g *Graph) blocks(v uint32, yield func(block []uint32) bool) bool {
 	vb := &g.verts[v]
 	n := vb.inlineLen()
 	if n > 0 && !yield(vb.inline[:n:n]) {
-		return
+		return false
 	}
 	if vb.deg <= inlineCap {
-		return
+		return true
 	}
 	if vb.tree != nil {
-		vb.tree.Blocks(yield)
-		return
+		return vb.tree.Blocks(yield)
 	}
 	sh := g.shardOf(v)
 	start, ok := sh.offsets()[v]
 	if !ok {
-		return
+		return true
 	}
 	var keys [pmaStage]uint64
 	buf := stagePool.Get().(*[pmaStage]uint32)
@@ -202,12 +223,16 @@ func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 		for i, k := range keys[:n] {
 			buf[i] = uint32(k)
 		}
-		if n == 0 || !yield(buf[:n]) || n < pmaStage {
+		if n == 0 {
+			break
+		}
+		if ok = yield(buf[:n]); !ok || n < pmaStage {
 			break
 		}
 		pos = next
 	}
 	stagePool.Put(buf)
+	return ok
 }
 
 // insertOne adds edge (v,u) under the vertex's shard lock where needed.

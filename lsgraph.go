@@ -58,15 +58,24 @@ type Reader interface {
 	NumEdges() uint64
 	// Degree returns the out-degree of v.
 	Degree(v uint32) uint32
-	// NeighborBlocks is the one neighbour-read primitive: it yields v's
-	// out-neighbors as non-empty []uint32 blocks, strictly ascending
-	// within and across blocks (ordered-set kernels, notably triangle
-	// counting, rely on the order). Every engine here keeps adjacency in
-	// contiguous runs, so a reader that ranges over blocks pays one call
-	// per run instead of one per edge. Blocks alias engine storage: they
-	// are valid only until yield returns and must not be mutated or
-	// retained. Returning false stops the iteration.
+	// NeighborBlocks is the point read: it yields v's out-neighbors as
+	// non-empty []uint32 blocks, strictly ascending within and across
+	// blocks (ordered-set kernels, notably triangle counting, rely on the
+	// order). Every engine here keeps adjacency in contiguous runs, so a
+	// reader that ranges over blocks pays one call per run instead of one
+	// per edge. Blocks alias engine storage: they are valid only until
+	// yield returns and must not be mutated or retained. Returning false
+	// stops the iteration. Loops driven by a frontier or any other vertex
+	// list use it.
 	NeighborBlocks(v uint32, yield func(block []uint32) bool)
+	// NeighborRange is the sweep read: it walks the vertices [lo, min(hi,
+	// NumVertices())) in ascending order, yielding (v, block) for each
+	// block NeighborBlocks(v) would yield, in the same order, and a vertex
+	// without edges exactly once with an empty block. Blocks follow
+	// NeighborBlocks' rules; returning false stops the whole walk. A loop
+	// over every vertex in ID order uses it, one call per parallel chunk,
+	// so the reader's per-vertex routing is paid once per range.
+	NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool)
 }
 
 // BlockReader is another name for Reader, for callers that spell out that
@@ -231,6 +240,14 @@ func (g *Graph) ForEachNeighbor(v uint32, f func(u uint32)) {
 // valid only until yield returns and must not be mutated. See Reader.
 func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	g.g.NeighborBlocks(v, yield)
+}
+
+// NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with
+// the blocks NeighborBlocks would yield for it, an empty block for a
+// vertex without edges, routing once per shard instead of once per vertex.
+// See Reader.
+func (g *Graph) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
+	g.g.NeighborRange(lo, hi, yield)
 }
 
 // Neighbors returns v's out-neighbors in ascending order as a new slice.

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"lsgraph/internal/engine"
 	"lsgraph/internal/gen"
 )
 
@@ -47,6 +48,30 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	g.DeleteEdges(es)
 	if g.NumEdges() != 0 {
 		t.Fatalf("NumEdges=%d after deleting all", g.NumEdges())
+	}
+}
+
+// TestReadersKeepRangeContract runs engine.CheckRange over every public
+// Reader: a Graph, its Snapshot, a sharded Store and a view of it, each
+// with vertices that have no edges.
+func TestReadersKeepRangeContract(t *testing.T) {
+	es := symEdges(t, 8, 1500, 3)
+	g := New(300, WithShards(2))
+	g.InsertEdges(es)
+	st := NewStore(300, WithShards(3))
+	defer st.Close()
+	src, dst := make([]uint32, len(es)), make([]uint32, len(es))
+	for i, e := range es {
+		src[i], dst[i] = e.Src, e.Dst
+	}
+	st.InsertBatch(src, dst)
+	st.Flush()
+	view := st.View()
+	defer view.Release()
+	for name, r := range map[string]Reader{"graph": g, "snapshot": g.Snapshot(), "store": st, "view": view} {
+		if err := engine.CheckRange(r); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

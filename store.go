@@ -135,6 +135,13 @@ func (s *Store) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	s.st.NeighborBlocks(v, yield)
 }
 
+// NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with its
+// adjacency, an empty block for a vertex without edges, out of one view of
+// every shard pinned for the call (see Reader).
+func (s *Store) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
+	s.st.NeighborRange(lo, hi, yield)
+}
+
 // QueueDepth returns the number of update batches currently queued across
 // all shard writer queues (including Flush sentinels): the store's
 // backpressure signal in batches. Lock-free and safe from any goroutine;
@@ -233,4 +240,12 @@ func (v *StoreView) ForEachNeighbor(u uint32, f func(w uint32)) {
 // not a copy: it must not be mutated or used after Release.
 func (v *StoreView) NeighborBlocks(u uint32, yield func(block []uint32) bool) {
 	v.v.NeighborBlocks(u, yield)
+}
+
+// NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with
+// its run in the view's pinned snapshots, an empty block for a vertex
+// without edges (see Reader). Blocks must not be mutated or used after
+// Release.
+func (v *StoreView) NeighborRange(lo, hi uint32, yield func(u uint32, block []uint32) bool) {
+	v.v.NeighborRange(lo, hi, yield)
 }
