@@ -77,13 +77,13 @@ func OpenStore(n uint32, opts ...Option) (*Store, error) {
 		AutoRebalance: s.autoRebalance,
 	}
 	if s.durDir == "" {
-		return &Store{st: serve.New(core.NewPaged(n, s.cfg), sopt)}, nil
+		return &Store{st: serve.New(core.NewPaged(n, s.cfg.Shards, s.cfg.Workers), sopt)}, nil
 	}
 	pol, err := wal.ParseFsyncPolicy(s.dur.Fsync)
 	if err != nil {
 		return nil, err
 	}
-	st, err := serve.OpenDurable(n, s.cfg, sopt, serve.DurabilityOptions{
+	st, err := serve.OpenDurable(n, s.cfg.Shards, s.cfg.Workers, sopt, serve.DurabilityOptions{
 		Dir:             s.durDir,
 		Fsync:           pol,
 		FsyncInterval:   s.dur.FsyncInterval,

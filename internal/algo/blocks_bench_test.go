@@ -93,7 +93,7 @@ var kernelReaders = []struct {
 	{"engine", func(b *testing.B) engine.Graph { return benchKernelGraph(b) }},
 	{"view", func(b *testing.B) engine.Graph {
 		offs, adj := benchKernelGraph(b).Snapshot().CSR()
-		pg := core.NewPaged(uint32(len(offs)-1), core.Config{Shards: 2})
+		pg := core.NewPaged(uint32(len(offs)-1), 2, 0)
 		if err := pg.LoadCSR(0, offs, adj); err != nil {
 			b.Fatal(err)
 		}

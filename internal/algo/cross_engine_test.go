@@ -111,7 +111,7 @@ func TestPageRankExactAcrossReadPaths(t *testing.T) {
 	live := core.New(n, core.Config{Workers: 2, ArrayMax: 8, M: 64})
 	live.InsertBatch(src, dst)
 	offs, adj := live.Snapshot().CSR()
-	paged := core.NewPaged(n, core.Config{Workers: 2, Shards: 3})
+	paged := core.NewPaged(n, 3, 2)
 	if err := paged.LoadCSR(0, offs, adj); err != nil {
 		t.Fatal(err)
 	}

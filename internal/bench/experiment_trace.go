@@ -90,7 +90,7 @@ func TraceDemo(s Scale, w io.Writer) {
 
 // runTraceDemoWorkload drives one traced pass of the demo workload.
 func runTraceDemoWorkload(s Scale, d *Dataset, src, dst []uint32, cut int) {
-	g := core.NewPaged(d.N, core.Config{Workers: s.Workers, Shards: traceDemoShards})
+	g := core.NewPaged(d.N, traceDemoShards, s.Workers)
 	st := serve.New(g, serve.Options{MaxQueue: 1})
 	defer st.Close()
 

@@ -33,57 +33,13 @@ func RIA(r *ria.RIA) error { return r.CheckInvariants() }
 // placement, bnode separators) plus tree-wide ordering and counts.
 func HITree(t *hitree.Tree) error { return t.CheckInvariants() }
 
-// Shards validates g's shard partitioning from both sides: the public
-// routing surface (shard bases matching the live partition map's range
-// starts, ShardOf/Base round trips, per-shard edge counts summing to the
-// total) and the deep per-vertex walk of core.Graph.CheckInvariants
-// (inline ordering, overflow policy and structure invariants, degree and
-// counter consistency). Boundaries are map-derived, not span multiples —
-// a rebalanced graph must pass identically. Like reads, it must not run
-// concurrently with updates.
-func Shards(g *core.Graph) error {
-	S := g.NumShards()
-	if S < 1 {
-		return fmt.Errorf("check: graph has %d shards", S)
-	}
-	pm := g.PartitionMap()
-	if err := pm.CheckInvariants(S); err != nil {
-		return fmt.Errorf("check: %w", err)
-	}
-	if b := g.Shard(0).Base(); b != 0 {
-		return fmt.Errorf("check: shard 0 base %d != 0", b)
-	}
-	var edges uint64
-	for i := 0; i < S; i++ {
-		sh := g.Shard(i)
-		if sh.Base() != pm.Starts[i] {
-			return fmt.Errorf("check: shard %d base %d != map start %d", i, sh.Base(), pm.Starts[i])
-		}
-		if i > 0 && sh.Base() <= g.Shard(i-1).Base() {
-			return fmt.Errorf("check: shard %d base %d not above shard %d base %d",
-				i, sh.Base(), i-1, g.Shard(i-1).Base())
-		}
-		// Every ID a shard materializes must route back to it.
-		if nv := sh.NumVertices(); nv > 0 {
-			for _, v := range []uint32{sh.Base(), sh.Base() + nv - 1} {
-				if got := g.ShardOf(v); got != i {
-					return fmt.Errorf("check: ID %d materialized by shard %d but ShardOf says %d", v, i, got)
-				}
-			}
-		}
-		edges += sh.NumEdges()
-	}
-	if m := g.NumEdges(); m != edges {
-		return fmt.Errorf("check: NumEdges %d != per-shard sum %d", m, edges)
-	}
-	// Coverage: the extremes of the vertex space must route to real shards.
-	if n := g.NumVertices(); n > 0 {
-		if got := g.ShardOf(n - 1); got < 0 || got >= S {
-			return fmt.Errorf("check: ID %d routes to nonexistent shard %d", n-1, got)
-		}
-	}
-	return g.CheckInvariants()
-}
+// Shards validates every documented invariant of a paged graph's shards:
+// the partition map, each shard's base, extent and routing — boundaries are
+// map-derived, not span multiples, so a rebalanced graph must pass
+// identically — and its table and arena: every run in one page, strictly
+// ascending and in range, page live counts, the edge counter. Like updates,
+// it must not run concurrently with them.
+func Shards(g *core.Paged) error { return g.CheckInvariants() }
 
 // Snapshot validates CSR well-formedness of snap — non-decreasing offsets
 // (checked indirectly: any inversion corrupts a Neighbors slice or

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"lsgraph/internal/core"
 	"lsgraph/internal/refgraph"
 	"lsgraph/internal/serve"
 	"lsgraph/internal/wal"
@@ -222,12 +221,11 @@ func RunCrash(dir string, plan CrashPlan) (*CrashReport, error) {
 	// is acked.
 	rec := newCrashRecorder(plan.Point)
 	ackRec := rec
-	cfg := core.Config{Workers: 2, Shards: plan.Shards}
 	replayCrash := plan.Point.Kind == wal.EvReplayRecord
 	if replayCrash {
 		ackRec = newCrashRecorder(CrashPoint{Kind: plan.Point.Kind, Nth: 1 << 30})
 	}
-	s, err := serve.OpenDurable(plan.Vertices, cfg, serve.Options{}, serve.DurabilityOptions{
+	s, err := serve.OpenDurable(plan.Vertices, plan.Shards, 2, serve.Options{}, serve.DurabilityOptions{
 		Dir:   dir,
 		Fsync: plan.Fsync,
 		Hook:  ackRec.hook,
@@ -305,7 +303,7 @@ func RunCrash(dir string, plan CrashPlan) (*CrashReport, error) {
 	if replayCrash {
 		reopenHook = rec.hook
 	}
-	s2, err := serve.OpenDurable(plan.Vertices, cfg, serve.Options{}, serve.DurabilityOptions{
+	s2, err := serve.OpenDurable(plan.Vertices, plan.Shards, 2, serve.Options{}, serve.DurabilityOptions{
 		Dir:  dir,
 		Hook: reopenHook,
 	})
@@ -318,7 +316,7 @@ func RunCrash(dir string, plan CrashPlan) (*CrashReport, error) {
 			if !errors.Is(err, wal.ErrKilled) {
 				return nil, fmt.Errorf("check: mid-replay crash surfaced as %v, want ErrKilled", err)
 			}
-			s2, err = serve.OpenDurable(plan.Vertices, cfg, serve.Options{}, serve.DurabilityOptions{Dir: dir})
+			s2, err = serve.OpenDurable(plan.Vertices, plan.Shards, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir})
 		}
 		// If the workload was too small for the replay point to fire, the
 		// first reopen succeeded and is the store under test.
@@ -341,7 +339,7 @@ func RunCrash(dir string, plan CrashPlan) (*CrashReport, error) {
 	s2.Flush()
 	s2.Close()
 	ApplyLogged(oracle, []LoggedOp{{Op: wal.OpInsert, Src: probeSrc, Dst: probeDst}})
-	s3, err := serve.OpenDurable(plan.Vertices, cfg, serve.Options{}, serve.DurabilityOptions{Dir: dir})
+	s3, err := serve.OpenDurable(plan.Vertices, plan.Shards, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir})
 	if err != nil {
 		return rep, fmt.Errorf("check: reopen after probe: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"lsgraph/internal/core"
 	"lsgraph/internal/refgraph"
 	"lsgraph/internal/serve"
 	"lsgraph/internal/wal"
@@ -116,7 +115,7 @@ func TestCrashSyncKeepsRecord(t *testing.T) {
 func TestCrashHarnessDetectsLoss(t *testing.T) {
 	dir := t.TempDir()
 	rec := newCrashRecorder(CrashPoint{Kind: wal.EvAppend, Nth: 6})
-	s, err := serve.OpenDurable(32, core.Config{Workers: 2, Shards: 1}, serve.Options{}, serve.DurabilityOptions{
+	s, err := serve.OpenDurable(32, 1, 2, serve.Options{}, serve.DurabilityOptions{
 		Dir: dir, Fsync: wal.FsyncNone, Hook: rec.hook,
 	})
 	if err != nil {
@@ -131,7 +130,7 @@ func TestCrashHarnessDetectsLoss(t *testing.T) {
 		t.Fatal("crash point never fired")
 	}
 
-	s2, err := serve.OpenDurable(32, core.Config{Workers: 2, Shards: 1}, serve.Options{}, serve.DurabilityOptions{Dir: dir})
+	s2, err := serve.OpenDurable(32, 1, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

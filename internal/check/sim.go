@@ -20,7 +20,7 @@ const (
 	// ModeCore drives a bare core.Graph: synchronous batches (exclusive
 	// update contract), explicit growth, Snapshot views.
 	ModeCore Mode = iota
-	// ModeStore drives a serve.Store over a core.NewPaged graph:
+	// ModeStore drives a serve.Store over a core.Paged:
 	// asynchronous enqueue with a small queue bound (so backpressure
 	// coalescing triggers), View pinning, Flush-then-compare verification.
 	ModeStore
@@ -51,8 +51,8 @@ type SimConfig struct {
 	Shards int
 	// Mode selects core.Graph or serve.Store as the surface under test.
 	Mode Mode
-	// Engine names the engine configuration under test, one of simEngines
-	// ("" is the default policy).
+	// Engine names the engine configuration under test in ModeCore, one of
+	// simEngines ("" is the default policy).
 	Engine string
 	// Fault, when non-zero, injects a deliberate engine-side bug so tests
 	// can prove the harness catches and shrinks real divergences.
@@ -255,8 +255,8 @@ func encodeOps(ops []op) []byte {
 // fresh oracle.
 type runner struct {
 	cfg       SimConfig
-	ecfg      core.Config // the engine configuration cfg names
-	g         *core.Graph
+	g         *core.Graph // ModeCore's graph
+	pg        *core.Paged // ModeStore's: the graph st serves
 	st        *serve.Store
 	ref       *refgraph.Graph
 	lastEpoch uint64
@@ -269,7 +269,7 @@ type runner struct {
 	held    *serve.View
 	heldAdj [][]uint32
 
-	// seen accumulates, over the run's verifications, the bytes each
+	// seen accumulates, over ModeCore's verifications, the bytes each
 	// overflow class held: a non-zero field is a class the workload reached.
 	seen core.MemoryBreakdown
 }
@@ -289,15 +289,15 @@ func run(ops []op, cfg SimConfig) (r *runner, err error) {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
-	ecfg, err := cfg.engineConfig()
-	if err != nil {
-		return nil, err
-	}
-	r = &runner{cfg: cfg, ecfg: ecfg, ref: refgraph.New(simInitVerts)}
+	r = &runner{cfg: cfg, ref: refgraph.New(simInitVerts)}
 	if cfg.Mode == ModeStore {
-		r.g = core.NewPaged(simInitVerts, ecfg)
-		r.st = serve.New(r.g, serve.Options{MaxQueue: 4})
+		r.pg = core.NewPaged(simInitVerts, cfg.Shards, 2)
+		r.st = serve.New(r.pg, serve.Options{MaxQueue: 4})
 	} else {
+		ecfg, err := cfg.engineConfig()
+		if err != nil {
+			return nil, err
+		}
 		r.g = core.New(simInitVerts, ecfg)
 	}
 	defer func() {
@@ -384,7 +384,7 @@ func (r *runner) step(o op) error {
 		if r.st != nil {
 			// The serving layer has no explicit grow; reserving the logical
 			// bound is its documented concurrent-safe growth path.
-			r.g.ReserveVertices(n)
+			r.pg.ReserveVertices(n)
 		} else {
 			r.g.EnsureVertices(n)
 		}
@@ -440,8 +440,14 @@ func (r *runner) rebalance(sel byte) error {
 	if S < 2 {
 		return nil
 	}
-	pm := r.g.PartitionMap()
-	n := r.g.NumVertices()
+	var sp interface {
+		PartitionMap() *core.PartitionMap
+		NumVertices() uint32
+	} = r.g
+	if r.st != nil {
+		sp = r.pg
+	}
+	pm, n := sp.PartitionMap(), sp.NumVertices()
 	k := int(sel) % (S - 1)
 	// Legal new starts for boundary k keep every shard non-empty:
 	// (Starts[k], next) exclusive, where next is the following boundary.
@@ -527,10 +533,11 @@ func (r *runner) delete(o op) error {
 }
 
 // verify is the full lockstep comparison: structural invariants of every
-// live shard and overflow structure, then exact vertex/edge/adjacency
-// agreement with the oracle — of the composed view itself in ModeStore
-// (after Flush, with epoch monotonicity) — then, in ModeCore, CSR
-// consistency of a fresh snapshot.
+// shard — its runs and pages in ModeStore, its vertex blocks and overflow
+// structures in ModeCore — then exact vertex/edge/adjacency agreement with
+// the oracle — of the composed view itself in ModeStore (after Flush, with
+// epoch monotonicity) — then, in ModeCore, CSR consistency of a fresh
+// snapshot and of a paged graph loaded from it.
 func (r *runner) verify() error {
 	if r.st != nil {
 		r.st.Flush()
@@ -550,11 +557,10 @@ func (r *runner) verify() error {
 		// Flush drained every shard queue and the test goroutine is the
 		// only enqueuer, so the writers are quiescent: the deep shard walk
 		// is safe here.
-		r.sawClasses()
-		return Shards(r.g)
+		return Shards(r.pg)
 	}
 	r.sawClasses()
-	if err := Shards(r.g); err != nil {
+	if err := r.g.CheckInvariants(); err != nil {
 		return err
 	}
 	if err := compareGraphs(r.g, r.ref); err != nil {
@@ -571,8 +577,7 @@ func (r *runner) verify() error {
 }
 
 // engineClasses says which overflow classes — array, RIA, HITree or PMA — a
-// named engine configuration's vertices can hold in a bare graph. A Store's
-// graph holds none under any configuration.
+// named engine configuration's vertices can hold.
 var engineClasses = map[string][3]bool{
 	"small":   {true, true, true},
 	"pma":     {false, false, true},
@@ -594,17 +599,22 @@ func (r *runner) sawClasses() {
 
 // reload round-trips the graph through its CSR as recovery loads a
 // checkpoint: a paged graph of the same shard count bulk-loaded from snap
-// must pass the deep walk of its tables and pages and agree with the oracle.
+// must pass the deep walk of its tables and pages, and a Store serving it
+// must agree with the oracle.
 func (r *runner) reload(snap *core.Snapshot) error {
 	offs, adj := snap.CSR()
-	g := core.NewPaged(snap.NumVertices(), r.ecfg)
+	g := core.NewPaged(snap.NumVertices(), r.cfg.Shards, 2)
 	if err := g.LoadCSR(0, offs, adj); err != nil {
 		return err
 	}
 	if err := Shards(g); err != nil {
 		return fmt.Errorf("reloaded from CSR: %w", err)
 	}
-	if err := compareGraphs(g, r.ref); err != nil {
+	st := serve.New(g, serve.Options{})
+	defer st.Close()
+	v := st.View()
+	defer v.Release()
+	if err := compareGraphs(v, r.ref); err != nil {
 		return fmt.Errorf("reloaded from CSR: %w", err)
 	}
 	return nil

@@ -5,22 +5,33 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"lsgraph/internal/engine"
 )
 
 // twin feeds one stream of operations to a paged graph — tables over page
 // arenas, batches merged into runs — and to a bare Graph of the same shape,
 // the paper's engine on its live structures, which is the oracle for
-// everything the paged shards do.
+// everything the paged shards do. The paged graph is read the way a Store
+// reads it, through the snapshots its shards publish.
 type twin struct {
-	g, ref *Graph
+	g   *Paged
+	ref *Graph
+	// own holds, per shard, the snapshot check published last; check
+	// recycles it once it has published the next.
+	own []*Snapshot
 }
 
-func newTwin(n uint32, cfg Config) twin { return twin{NewPaged(n, cfg), New(n, cfg)} }
+func newTwin(n uint32, cfg Config) twin {
+	return twinOf(NewPaged(n, cfg.Shards, cfg.Workers), New(n, cfg))
+}
+
+func twinOf(g *Paged, ref *Graph) twin { return twin{g, ref, make([]*Snapshot, g.NumShards())} }
 
 // pagedFrom is a paged graph of live's shape and edges, loaded as recovery
 // loads a checkpoint: live's CSR copied to pages, in vertex order.
-func pagedFrom(live *Graph) *Graph {
-	g := NewPaged(live.NumVertices(), live.Config())
+func pagedFrom(live *Graph) *Paged {
+	g := NewPaged(live.NumVertices(), live.Config().Shards, live.Config().Workers)
 	offs, adj := live.Snapshot().CSR()
 	if err := g.LoadCSR(0, offs, adj); err != nil {
 		panic(err)
@@ -29,19 +40,33 @@ func pagedFrom(live *Graph) *Graph {
 }
 
 func (tw twin) ensure(n uint32) {
-	tw.g.EnsureVertices(n)
+	for k := 0; k < tw.g.NumShards(); k++ {
+		tw.g.Shard(k).EnsureVertices(n)
+	}
 	tw.ref.EnsureVertices(n)
 }
 
-func (tw twin) insert(src, dst []uint32) {
-	tw.g.InsertBatch(src, dst)
-	tw.ref.InsertBatch(src, dst)
+// batch applies one batch to both: to the paged graph's shards routed as a
+// Store routes it, to the oracle whole.
+func (tw twin) batch(src, dst []uint32, del bool) {
+	parts, _ := tw.g.ScatterBatch(src, dst)
+	for k, p := range parts {
+		if sh := tw.g.Shard(k); del {
+			sh.DeleteBatch(p.Src, p.Dst)
+		} else {
+			sh.InsertBatch(p.Src, p.Dst)
+		}
+	}
+	if del {
+		tw.ref.DeleteBatch(src, dst)
+	} else {
+		tw.ref.InsertBatch(src, dst)
+	}
 }
 
-func (tw twin) delete(src, dst []uint32) {
-	tw.g.DeleteBatch(src, dst)
-	tw.ref.DeleteBatch(src, dst)
-}
+func (tw twin) insert(src, dst []uint32) { tw.batch(src, dst, false) }
+
+func (tw twin) delete(src, dst []uint32) { tw.batch(src, dst, true) }
 
 func (tw twin) move(k int, newStart uint32) error {
 	v, e, err := tw.g.MoveBoundary(k, newStart)
@@ -52,8 +77,9 @@ func (tw twin) move(k int, newStart uint32) error {
 	return nil
 }
 
-// check compares every vertex's adjacency, through each of the Graph's read
-// methods, and the shards' counters, and runs the deep walk on both.
+// check runs the deep walk on both graphs, compares the shards' bases, slots
+// and counters, and publishes every paged shard and compares what the
+// snapshot reads, vertex by vertex, with a flatten of the oracle's shard.
 func (tw twin) check() error {
 	g, ref := tw.g, tw.ref
 	if err := g.CheckInvariants(); err != nil {
@@ -62,33 +88,22 @@ func (tw twin) check() error {
 	if err := ref.CheckInvariants(); err != nil {
 		return fmt.Errorf("oracle: %w", err)
 	}
-	if g.NumVertices() != ref.NumVertices() || g.NumEdges() != ref.NumEdges() {
-		return fmt.Errorf("%d vertices / %d edges, oracle %d / %d", g.NumVertices(), g.NumEdges(), ref.NumVertices(), ref.NumEdges())
+	if g.NumVertices() != ref.NumVertices() {
+		return fmt.Errorf("%d vertices, oracle %d", g.NumVertices(), ref.NumVertices())
 	}
-	for i := 0; i < g.NumShards(); i++ {
+	for i := range tw.own {
 		sh, rsh := g.Shard(i), ref.Shard(i)
 		if sh.Base() != rsh.Base() || sh.NumVertices() != rsh.NumVertices() || sh.NumEdges() != rsh.NumEdges() {
 			return fmt.Errorf("shard %d: base %d, %d slots, %d edges; oracle %d, %d, %d", i,
 				sh.Base(), sh.NumVertices(), sh.NumEdges(), rsh.Base(), rsh.NumVertices(), rsh.NumEdges())
 		}
-	}
-	for v := uint32(0); v < ref.NumVertices(); v++ {
-		want := ref.AppendNeighbors(v, nil)
-		if got := g.AppendNeighbors(v, nil); !slices.Equal(got, want) || g.Degree(v) != uint32(len(want)) {
-			return fmt.Errorf("vertex %d reads %v (degree %d), oracle %v", v, got, g.Degree(v), want)
+		snap := sh.Publish()
+		if old := tw.own[i]; old != nil {
+			sh.Recycle(old)
 		}
-		var blocks []uint32
-		g.NeighborBlocks(v, func(b []uint32) bool { blocks = append(blocks, b...); return true })
-		if !slices.Equal(blocks, want) {
-			return fmt.Errorf("vertex %d blocks %v, oracle %v", v, blocks, want)
-		}
-		for _, u := range want {
-			if !g.Has(v, u) {
-				return fmt.Errorf("Has(%d,%d) false, oracle holds the edge", v, u)
-			}
-		}
-		if u := v*7 + 3; g.Has(v, u) != ref.Has(v, u) {
-			return fmt.Errorf("Has(%d,%d) = %v, oracle %v", v, u, g.Has(v, u), ref.Has(v, u))
+		tw.own[i] = snap
+		if err := snapshotsEqual(snap, rsh.SnapshotInto(nil)); err != nil {
+			return fmt.Errorf("shard %d published: %w", i, err)
 		}
 	}
 	return nil
@@ -176,9 +191,6 @@ func TestAdoptedShardMatchesGraph(t *testing.T) {
 				}
 			}
 			step("the stream")
-			if b := tw.g.MemoryBreakdown(); b.Total() != b.Scratch {
-				t.Fatalf("paged graph holds live structures: %+v", b)
-			}
 		})
 	}
 }
@@ -284,13 +296,19 @@ func runMergeProgram(prog []byte, shards int) error {
 	return nil
 }
 
+// snapshotsEqual compares two snapshots vertex by vertex, through each of
+// their read methods.
 func snapshotsEqual(got, want *Snapshot) error {
 	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
 		return fmt.Errorf("%d vertices / %d edges, want %d / %d", got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
 	}
 	for v := uint32(0); v < want.NumVertices(); v++ {
-		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
-			return fmt.Errorf("vertex %d reads %v, want %v", v, got.Neighbors(v), want.Neighbors(v))
+		ns := want.Neighbors(v)
+		if !slices.Equal(got.Neighbors(v), ns) || got.Degree(v) != uint32(len(ns)) {
+			return fmt.Errorf("vertex %d reads %v (degree %d), want %v", v, got.Neighbors(v), got.Degree(v), ns)
+		}
+		if err := engine.CheckBlocks(func(y func([]uint32) bool) { got.NeighborBlocks(v, y) }, ns); err != nil {
+			return fmt.Errorf("vertex %d: %w", v, err)
 		}
 	}
 	return nil

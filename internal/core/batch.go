@@ -38,13 +38,65 @@ const (
 	heavyDiv = 8
 )
 
+// pipe is one shard's update pipeline, the same in both storage forms: the
+// first vertex of the shard's range, its edge counter, and the scratch every
+// batch runs in. Only the per-group stage (groupFunc) differs between a
+// Graph's shard and a Paged one's.
+type pipe struct {
+	base  uint32
+	idx   int32 // shard index, for flight-recorder attribution
+	m     atomic.Uint64
+	prep  prepScratch
+	apply []applyScratch
+
+	// traceBatch is the flight-recorder batch ID the shard's current update
+	// is attributed to (see internal/trace). It is owned by whichever
+	// goroutine owns the shard's update pipeline — the serve shard writer
+	// sets it via BeginTrace before applying — so a plain field suffices
+	// under the per-shard exclusivity contract.
+	traceBatch uint64
+}
+
+// Base returns the first vertex ID of the shard's range.
+func (pc *pipe) Base() uint32 { return pc.base }
+
+// NumEdges returns the number of directed edges stored in the shard.
+func (pc *pipe) NumEdges() uint64 { return pc.m.Load() }
+
+// BeginTrace attributes the shard's subsequent updates to the given
+// flight-recorder batch ID (internal/trace): the pack, partition and apply
+// spans the pipeline records will carry it. Callers must own the shard
+// exclusively, like every mutating method.
+func (pc *pipe) BeginTrace(batch uint64) { pc.traceBatch = batch }
+
+// subEdges subtracts removed from the shard's edge counter (two's-
+// complement add, since atomic.Uint64 has no Sub).
+func (pc *pipe) subEdges(removed uint64) { pc.m.Add(^removed + 1) }
+
+// applied counts a batch of n updates, which changed changed edges, into the
+// shard's edge counter and the engine metrics.
+func (pc *pipe) applied(del bool, n int, changed uint64) {
+	batches, updates, edges := obsBatchesIns, obsUpdatesIns, obsEdgesAdded
+	if del {
+		pc.subEdges(changed)
+		batches, updates, edges = obsBatchesDel, obsUpdatesDel, obsEdgesRemoved
+	} else {
+		pc.m.Add(changed)
+	}
+	if obs.Enabled() {
+		batches.Inc()
+		updates.Add(uint64(n))
+		edges.Add(changed)
+	}
+}
+
 // keyRange is a source-aligned span of the batch's keys: every key of the
 // sources it covers and no other, so a vertex's updates never straddle two
 // ranges and the worker that claims a range owns its vertices (§5's
 // lock-free one-vertex-one-worker invariant, by construction).
 type keyRange struct {
 	lo, hi int   // span in the key buffers
-	nj     int   // merge jobs recorded for it, set by the applying worker
+	nj     int   // merge jobs recorded for it (Paged), set by the applying worker
 	top    uint8 // source bits from here up are equal across the range
 	alt    bool  // the keys live in prepScratch.tmp, not ks
 }
@@ -58,9 +110,10 @@ type prepScratch struct {
 	// ks and tmp, and a range is sorted in the one it ended up in with its
 	// span of the other as swap space.
 	ks, tmp []uint64
-	// jobs holds, for a batch applied to a paged shard, one entry per
+	// jobs holds, for a batch applied to a Paged shard, one entry per
 	// source vertex whose run the batch changes (merge.go). Each range writes
-	// its vertices' at its own key offset, ascending.
+	// its vertices' at its own key offset, ascending; the paged stage sizes
+	// it per batch.
 	jobs   []mergeJob
 	ranges []keyRange // ascending by source
 	heavy  []uint32   // indexes of ranges over the split limit, claimed first
@@ -96,18 +149,22 @@ const (
 	scratchKeepMin   = 1 << 15
 )
 
+// scratchLimit is the most entries a buffer may keep for a batch of n
+// edges.
+func scratchLimit(n int) int { return max(scratchTrimRatio*n, scratchKeepMin) }
+
 // trimScratch drops the shard's scratch buffers that are oversized for a
 // batch of n edges.
-func (sh *shardState) trimScratch(n int) {
-	limit := max(scratchTrimRatio*n, scratchKeepMin)
-	ps := &sh.prep
+func (pc *pipe) trimScratch(n int) {
+	limit := scratchLimit(n)
+	ps := &pc.prep
 	ps.ks, ps.tmp = trimmed(ps.ks, limit), trimmed(ps.tmp, limit)
 	ps.jobs, ps.ranges, ps.heavy = trimmed(ps.jobs, limit), trimmed(ps.ranges, limit), trimmed(ps.heavy, limit)
 	for i := range ps.hist {
 		ps.hist[i] = trimmed(ps.hist[i], limit)
 	}
-	for i := range sh.apply {
-		sc := &sh.apply[i]
+	for i := range pc.apply {
+		sc := &pc.apply[i]
 		sc.old, sc.out = trimmed(sc.old, limit), trimmed(sc.out, limit)
 	}
 }
@@ -124,15 +181,15 @@ func (g *Graph) ReleaseScratch() {
 }
 
 // scratchBytes returns the bytes the shard's pipeline buffers hold.
-func (sh *shardState) scratchBytes() uint64 {
-	ps := &sh.prep
+func (pc *pipe) scratchBytes() uint64 {
+	ps := &pc.prep
 	b := 8*(cap(ps.ks)+cap(ps.tmp)) + 4*cap(ps.heavy) + cap(ps.jobs)*int(unsafe.Sizeof(mergeJob{})) +
-		cap(ps.ranges)*int(unsafe.Sizeof(keyRange{})) + cap(sh.apply)*int(unsafe.Sizeof(applyScratch{}))
+		cap(ps.ranges)*int(unsafe.Sizeof(keyRange{})) + cap(pc.apply)*int(unsafe.Sizeof(applyScratch{}))
 	for _, h := range ps.hist {
 		b += 8 * cap(h)
 	}
-	for i := range sh.apply {
-		b += 4 * (cap(sh.apply[i].old) + cap(sh.apply[i].out))
+	for i := range pc.apply {
+		b += 4 * (cap(pc.apply[i].old) + cap(pc.apply[i].out))
 	}
 	return uint64(b)
 }
@@ -153,14 +210,6 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// workers returns the effective update parallelism for this graph.
-func (g *Graph) workers() int {
-	if g.cfg.Workers > 0 {
-		return g.cfg.Workers
-	}
-	return parallel.Procs
-}
-
 // validateBatch panics with a clear message when src and dst disagree in
 // length, instead of an index-out-of-range deep inside the pipeline.
 func validateBatch(op string, src, dst []uint32) {
@@ -170,49 +219,41 @@ func validateBatch(op string, src, dst []uint32) {
 	}
 }
 
-// groupFunc applies one source vertex's sorted, duplicate-free keys to slot
-// lv of shard sh as worker w and returns the number of edges changed.
-type groupFunc func(g *Graph, sh *shardState, w int, lv uint32, ks []uint64) uint64
-
-// batchOp is what a batch does with each group: update the vertex's live
-// structures, or — on a paged shard — find the keys that change its run,
-// which mergeRuns then adds to it or, with del, takes out of it (merge.go).
-type batchOp struct {
-	live, find groupFunc
-	del        bool
-}
-
-var (
-	insertOp = batchOp{(*Graph).insertGroup, (*Graph).findAbsent, false}
-	deleteOp = batchOp{(*Graph).deleteGroup, (*Graph).findPresent, true}
-)
+// groupFunc is a storage form's per-group stage: it applies one source
+// vertex's sorted, duplicate-free keys ks — which start at offset at of the
+// key buffer range r lies in — to the shard's slot lv as worker w, and
+// returns the number of edges changed.
+type groupFunc func(w int, r *keyRange, at int, lv uint32, ks []uint64) uint64
 
 // applyBatch is the update pipeline of §5 "Batch Updates" for one shard's
-// batch: pack the edges into (src<<32)|dst keys, partition the keys by
-// source range, and let each worker take whole ranges through sort, dedup,
-// group discovery and apply, so a range's keys and vertices stay in one
-// cache and the shard's vertices are walked in ascending order. It returns
-// the number of edges the batch added or removed. With one worker, or a
-// batch under parPrepMin, the same code runs with the whole batch as the only
-// range. Callers must own the shard exclusively.
-func (g *Graph) applyBatch(sh *shardState, src, dst []uint32, p int, op batchOp) (changed uint64) {
-	n := len(src)
-	if p = min(p, n/1024); p < 1 || n < parPrepMin {
+// batch under the vertex bound n: pack the edges into (src<<32)|dst keys,
+// partition the keys by source range, and let each worker take whole ranges
+// through sort, dedup, group discovery and group, so a range's keys and
+// vertices stay in one cache and the shard's vertices are walked in
+// ascending order. When the groups changed anything, finish (if not nil)
+// runs next, inside the apply phase, with the worker count and the split
+// limit the ranges were cut to. It returns the number of edges the batch
+// added or removed. With one worker, or a batch under parPrepMin, the same
+// code runs with the whole batch as the only range. Callers must own the
+// shard exclusively.
+func (pc *pipe) applyBatch(n uint32, src, dst []uint32, p int, group groupFunc, finish func(p, limit int, changed uint64)) (changed uint64) {
+	k := len(src)
+	if p = min(p, k/1024); p < 1 || k < parPrepMin {
 		p = 1
 	}
 	on := obs.Enabled()
 	if on {
 		obsPrepWorkers.Set(int64(p))
 	}
-	shard, batch, edges := int(sh.idx), sh.traceBatch, uint64(n)
-	sh.trimScratch(n)
-	if len(sh.apply) < p {
-		sh.apply = make([]applyScratch, p)
+	shard, batch, edges := int(pc.idx), pc.traceBatch, uint64(k)
+	pc.trimScratch(k)
+	if len(pc.apply) < p {
+		pc.apply = make([]applyScratch, p)
 	}
-	ps := &sh.prep
+	ps := &pc.prep
 
 	tPack, trPack := obs.StartTimer(), trace.Start()
-	varying := g.packKeys(sh, src, dst, p) // panics on an out-of-range edge
+	varying := pc.packKeys(n, src, dst, p) // panics on an out-of-range edge
 	obsPhasePack.ObserveSince(tPack)
 	trace.Span(trace.PhasePack, shard, batch, 0, edges, trPack)
 
@@ -220,34 +261,30 @@ func (g *Graph) applyBatch(sh *shardState, src, dst []uint32, p int, op batchOp)
 	// clustered in a narrow ID window (an append-mostly stream's newest
 	// vertices) still spread over every worker.
 	tPart, trPart := obs.StartTimer(), trace.Start()
-	ps.tmp = grown(ps.tmp, n)
+	ps.tmp = grown(ps.tmp, k)
 	ps.ranges, ps.heavy = ps.ranges[:0], ps.heavy[:0]
-	limit := splitLimit(n, p)
-	ps.split(ps.ks, ps.tmp, 0, n, bits.Len64(varying>>32), 0, p, limit)
+	limit := splitLimit(k, p)
+	ps.split(ps.ks, ps.tmp, 0, k, bits.Len64(varying>>32), 0, p, limit)
 	obsPhasePartition.ObserveSince(tPart)
 	trace.Span(trace.PhasePartition, shard, batch, 0, edges, trPart)
 
 	tApply, trApply := obs.StartTimer(), trace.Start()
-	apply := op.live
-	if sh.paged {
-		apply, ps.jobs = op.find, grown(ps.jobs, n)
-	}
-	for w := range sh.apply[:p] {
-		sh.apply[w].changed, sh.apply[w].sortNs = 0, 0
+	for w := range pc.apply[:p] {
+		pc.apply[w].changed, pc.apply[w].sortNs = 0, 0
 	}
 	ps.eachRange(p, limit, func(w int, r *keyRange) {
-		g.applyRange(sh, w, r, varying, apply, on)
+		pc.applyRange(w, r, varying, group, on)
 	})
 	sortNs := int64(0)
-	for w := range sh.apply[:p] {
-		changed += sh.apply[w].changed
-		sortNs = max(sortNs, sh.apply[w].sortNs)
+	for w := range pc.apply[:p] {
+		changed += pc.apply[w].changed
+		sortNs = max(sortNs, pc.apply[w].sortNs)
 	}
 	if on {
 		obsRangeSort.Observe(uint64(sortNs))
 	}
-	if sh.paged && changed > 0 {
-		sh.mergeRuns(p, limit, op.del, changed)
+	if finish != nil && changed > 0 {
+		finish(p, limit, changed)
 	}
 	obsPhaseApply.ObserveSince(tApply)
 	trace.Span(trace.PhaseApply, shard, batch, 0, edges, trApply)
@@ -286,16 +323,15 @@ func splitLimit(n, p int) int {
 	return max(n/(heavyDiv*p), rangeKeys)
 }
 
-// packKeys validates every endpoint against the logical vertex bound and
+// packKeys validates every endpoint against the logical vertex bound n and
 // packs src/dst into sortable (src<<32)|dst keys, p workers on static
 // spans. It returns the bits in which two keys of the batch differ. An
 // out-of-range edge is recorded by the worker that finds it and re-raised
 // as a panic on the caller's goroutine, because a panic inside a worker
 // goroutine could not be recovered by the caller.
-func (g *Graph) packKeys(sh *shardState, src, dst []uint32, p int) (varying uint64) {
-	n := g.n.Load()
-	sh.prep.ks = grown(sh.prep.ks, len(src))
-	ks := sh.prep.ks
+func (pc *pipe) packKeys(n uint32, src, dst []uint32, p int) (varying uint64) {
+	pc.prep.ks = grown(pc.prep.ks, len(src))
+	ks := pc.prep.ks
 	var bad atomic.Int64 // 1-based index of an out-of-range edge
 	parallel.Workers(p, func(w int) {
 		or, and := uint64(0), ^uint64(0)
@@ -310,16 +346,16 @@ func (g *Graph) packKeys(sh *shardState, src, dst []uint32, p int) (varying uint
 			or |= k
 			and &= k
 		}
-		sh.apply[w].or, sh.apply[w].and = or, and
+		pc.apply[w].or, pc.apply[w].and = or, and
 	})
 	if i := bad.Load(); i != 0 {
 		panic(fmt.Sprintf("core: edge (%d,%d) outside vertex space [0,%d); grow with EnsureVertices",
 			src[i-1], dst[i-1], n))
 	}
 	or, and := uint64(0), ^uint64(0)
-	for w := range sh.apply[:p] {
-		or |= sh.apply[w].or
-		and &= sh.apply[w].and
+	for w := range pc.apply[:p] {
+		or |= pc.apply[w].or
+		and &= pc.apply[w].and
 	}
 	return or ^ and
 }
@@ -363,10 +399,10 @@ func (ps *prepScratch) split(from, to []uint64, lo, hi, top, depth, p, limit int
 }
 
 // applyRange takes one range through sort, in-place dedup, group discovery
-// and apply as worker w. Keys of one source are adjacent once sorted, so
-// each vertex's run is compacted, applied and recorded in one walk.
-func (g *Graph) applyRange(sh *shardState, w int, r *keyRange, varying uint64, apply groupFunc, on bool) {
-	ps, sc := &sh.prep, &sh.apply[w]
+// and group as worker w. Keys of one source are adjacent once sorted, so
+// each vertex's run is compacted and applied in one walk.
+func (pc *pipe) applyRange(w int, r *keyRange, varying uint64, group groupFunc, on bool) {
+	ps, sc := &pc.prep, &pc.apply[w]
 	ks, swap := ps.ks[r.lo:r.hi], ps.tmp[r.lo:r.hi]
 	if r.alt {
 		ks, swap = swap, ks
@@ -392,13 +428,7 @@ func (g *Graph) applyRange(sh *shardState, w int, r *keyRange, varying uint64, a
 		if on {
 			obsGroupSize.Observe(uint64(e - i))
 		}
-		lv := v - sh.base
-		c := apply(g, sh, w, lv, ks[i:e])
-		sc.changed += c
-		if c > 0 && sh.paged {
-			ps.jobs[r.lo+r.nj] = mergeJob{lv: lv, at: uint32(r.lo + i), eff: uint32(c)}
-			r.nj++
-		}
+		sc.changed += group(w, r, r.lo+i, v-pc.base, ks[i:e])
 		i = j
 	}
 }
@@ -425,37 +455,33 @@ func deleteBulkThreshold(groupLen int, deg uint32) bool {
 // by source vertex and the shards run their pipelines concurrently.
 func (g *Graph) InsertBatch(src, dst []uint32) {
 	validateBatch("InsertBatch", src, dst)
-	if len(src) == 0 {
-		return
+	if len(src) > 0 {
+		defer rtrace.StartRegion(context.Background(), "lsgraph.InsertBatch").End()
+		g.batch(src, dst, false)
 	}
-	defer rtrace.StartRegion(context.Background(), "lsgraph.InsertBatch").End()
-	defer g.runDebugValidate()
-	g.beginBatchTrace()
-	if len(g.shards) == 1 {
-		g.insertBatchShard(&g.shards[0], src, dst, g.workers())
-		return
-	}
-	g.eachShardPart(src, dst, func(sh *shardState, part SubBatch, p int) {
-		g.insertBatchShard(sh, part.Src, part.Dst, p)
-	})
 }
 
 // DeleteBatch removes the directed edges (src[i] -> dst[i]). Absent edges
 // are ignored.
 func (g *Graph) DeleteBatch(src, dst []uint32) {
 	validateBatch("DeleteBatch", src, dst)
-	if len(src) == 0 {
-		return
+	if len(src) > 0 {
+		defer rtrace.StartRegion(context.Background(), "lsgraph.DeleteBatch").End()
+		g.batch(src, dst, true)
 	}
-	defer rtrace.StartRegion(context.Background(), "lsgraph.DeleteBatch").End()
+}
+
+// batch applies a non-empty insert batch or, with del, delete batch to the
+// whole graph.
+func (g *Graph) batch(src, dst []uint32, del bool) {
 	defer g.runDebugValidate()
 	g.beginBatchTrace()
 	if len(g.shards) == 1 {
-		g.deleteBatchShard(&g.shards[0], src, dst, g.workers())
+		g.batchShard(&g.shards[0], src, dst, g.workers(), del)
 		return
 	}
 	g.eachShardPart(src, dst, func(sh *shardState, part SubBatch, p int) {
-		g.deleteBatchShard(sh, part.Src, part.Dst, p)
+		g.batchShard(sh, part.Src, part.Dst, p, del)
 	})
 }
 
@@ -499,26 +525,25 @@ func (g *Graph) eachShardPart(src, dst []uint32, apply func(sh *shardState, part
 	parallel.Run(thunks...)
 }
 
-// insertBatchShard runs the insert pipeline for one shard's routed
-// sub-batch with p workers. Callers must own the shard exclusively.
-func (g *Graph) insertBatchShard(sh *shardState, src, dst []uint32, p int) {
+// batchShard runs the insert or, with del, the delete pipeline for one
+// shard's routed sub-batch with p workers: each group updates its vertex's
+// block in place. Callers must own the shard exclusively.
+func (g *Graph) batchShard(sh *shardState, src, dst []uint32, p int, del bool) {
 	if len(src) == 0 {
 		return
 	}
-	added := g.applyBatch(sh, src, dst, p, insertOp)
-	sh.m.Add(added)
-	if obs.Enabled() {
-		obsBatchesIns.Inc()
-		obsUpdatesIns.Add(uint64(len(src)))
-		obsEdgesAdded.Add(added)
+	group := func(w int, _ *keyRange, _ int, lv uint32, ks []uint64) uint64 { return g.insertGroup(sh, w, lv, ks) }
+	if del {
+		group = func(w int, _ *keyRange, _ int, lv uint32, ks []uint64) uint64 { return g.deleteGroup(sh, w, lv, ks) }
 	}
+	sh.applied(del, len(src), sh.applyBatch(g.n.Load(), src, dst, p, group, nil))
 }
 
 // insertGroup adds one vertex's group, by merge-and-rebuild when the group
 // is large against the vertex's degree, else edge by edge.
 func (g *Graph) insertGroup(sh *shardState, w int, lv uint32, ks []uint64) (added uint64) {
 	vb := &sh.verts[lv]
-	if !g.cfg.NoBulkRebuild && bulkThreshold(len(ks), vb.degree()) {
+	if bulkThreshold(len(ks), vb.degree()) {
 		if obs.Enabled() {
 			obsGroupsBulk.AddShard(w, 1)
 		}
@@ -581,26 +606,11 @@ func (g *Graph) insertGroupBulk(sh *shardState, w int, vb *vertex, ks []uint64) 
 	return added
 }
 
-// deleteBatchShard runs the delete pipeline for one shard's routed
-// sub-batch with p workers. Callers must own the shard exclusively.
-func (g *Graph) deleteBatchShard(sh *shardState, src, dst []uint32, p int) {
-	if len(src) == 0 {
-		return
-	}
-	removed := g.applyBatch(sh, src, dst, p, deleteOp)
-	sh.subEdges(removed)
-	if obs.Enabled() {
-		obsBatchesDel.Inc()
-		obsUpdatesDel.Add(uint64(len(src)))
-		obsEdgesRemoved.Add(removed)
-	}
-}
-
 // deleteGroup removes one vertex's group, by rebuild when the group takes
 // at least half the vertex, else edge by edge.
 func (g *Graph) deleteGroup(sh *shardState, w int, lv uint32, ks []uint64) (removed uint64) {
 	vb := &sh.verts[lv]
-	if !g.cfg.NoBulkRebuild && deleteBulkThreshold(len(ks), vb.degree()) {
+	if deleteBulkThreshold(len(ks), vb.degree()) {
 		if obs.Enabled() {
 			obsGroupsBulk.AddShard(w, 1)
 		}

@@ -29,27 +29,27 @@ func benchBatch(scale uint, m int) (src, dst []uint32, nv uint32) {
 func BenchmarkInsertBatchPrepare(b *testing.B) {
 	const m = 1 << 18
 	src, dst, nv := benchBatch(17, m)
-	noop := batchOp{live: func(*Graph, *shardState, int, uint32, []uint64) uint64 { return 0 }}
+	noop := func(int, *keyRange, int, uint32, []uint64) uint64 { return 0 }
 	for _, p := range []int{1, 2, 4, 8} {
 		g := New(nv, Config{Workers: p})
 		sh := &g.shards[0]
-		g.applyBatch(sh, src, dst, p, noop) // size every buffer the phases below use
+		sh.applyBatch(nv, src, dst, p, noop, nil) // size every buffer the phases below use
 		b.Run(fmt.Sprintf("phase=all/p=%d", p), func(b *testing.B) {
 			b.SetBytes(int64(8 * m))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g.applyBatch(sh, src, dst, p, noop)
+				sh.applyBatch(nv, src, dst, p, noop, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("phase=pack/p=%d", p), func(b *testing.B) {
 			b.SetBytes(int64(8 * m))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g.packKeys(sh, src, dst, p)
+				sh.packKeys(nv, src, dst, p)
 			}
 		})
 		b.Run(fmt.Sprintf("phase=partition/p=%d", p), func(b *testing.B) {
-			varying := g.packKeys(sh, src, dst, p)
+			varying := sh.packKeys(nv, src, dst, p)
 			base := append([]uint64(nil), sh.prep.ks...)
 			ps := &sh.prep
 			b.SetBytes(int64(8 * m))

@@ -163,7 +163,7 @@ func TestOneVertexOneWorker(t *testing.T) {
 		worker := map[uint32]int{}               // vertex -> applying worker
 		first, second := -1, make(chan struct{}) // closed once a second worker applies
 		var once sync.Once
-		g.applyBatch(sh, tc.src, tc.dst, 4, batchOp{live: func(g *Graph, sh *shardState, w int, lv uint32, ks []uint64) uint64 {
+		sh.applyBatch(nv, tc.src, tc.dst, 4, func(w int, _ *keyRange, _ int, lv uint32, ks []uint64) uint64 {
 			v := uint32(ks[0] >> 32)
 			mu.Lock()
 			if prev, dup := worker[v]; dup {
@@ -191,7 +191,7 @@ func TestOneVertexOneWorker(t *testing.T) {
 				}
 			}
 			return g.insertGroup(sh, w, lv, ks)
-		}})
+		}, nil)
 		if len(worker) != len(want) {
 			t.Fatalf("%s: %d vertices applied, batch has %d sources", tc.name, len(worker), len(want))
 		}

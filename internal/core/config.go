@@ -1,9 +1,13 @@
-// Package core implements the LSGraph engine itself (§4-§5): the
-// differentiated hierarchical indexed graph representation — one cache-line
-// vertex block per vertex holding the degree, the L smallest neighbors
-// inline, and a pointer to an overflow structure chosen by degree (sorted
-// array up to L+A, RIA up to L+M, HITree above) — plus the sorted, grouped,
-// per-vertex-parallel batch updater of §5.
+// Package core implements the LSGraph engine itself (§4-§5) and the paged
+// graph a Store serves. Graph is the paper's engine: one cache-line vertex
+// block per vertex holding the degree, the L smallest neighbors inline, and
+// a pointer to an overflow structure chosen by degree (sorted array up to
+// L+A, RIA up to L+M, HITree above), updated in place by the sorted,
+// grouped, per-vertex-parallel batch updater of §5. Paged keeps each
+// vertex's neighbors as one immutable run in pages its published snapshots
+// share. The two share the partition map, the vertex bound and the batch
+// pipeline up to the per-group stage; what only one form can do is a method
+// only its type has.
 package core
 
 import "math"
@@ -29,7 +33,8 @@ const (
 	KindPMA
 )
 
-// Config carries the engine parameters of §5. Zero values take defaults.
+// Config carries the engine parameters of §5 for a Graph. Zero values take
+// defaults.
 type Config struct {
 	// Alpha is the space amplification factor α (default 1.2).
 	Alpha float64
@@ -43,9 +48,8 @@ type Config struct {
 	// Shards partitions the vertex space into this many contiguous ranges
 	// (default 1). Each shard carries its own update scratch and edge
 	// counter, so batches routed to different shards may be applied
-	// concurrently by different writers (see internal/serve); a vertex
-	// lives in exactly one shard, which preserves the one-vertex-one-worker
-	// update invariant across shards for free.
+	// concurrently; a vertex lives in exactly one shard, which preserves the
+	// one-vertex-one-worker update invariant across shards for free.
 	Shards int
 	// Overflow selects the overflow structure policy (ablations).
 	Overflow OverflowKind
@@ -53,9 +57,6 @@ type Config struct {
 	// internal nodes inside HITree; the ablation isolating the learned
 	// index's contribution.
 	DisableModel bool
-	// NoBulkRebuild disables the merge-and-rebuild fast path for large
-	// per-vertex update groups, forcing element-at-a-time insertion.
-	NoBulkRebuild bool
 }
 
 func (c *Config) sanitize() {

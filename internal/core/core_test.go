@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -36,6 +37,27 @@ func checkAgainstOracle(t *testing.T, g *Graph, ref *refgraph.Graph) {
 				t.Fatalf("vertex %d: neighbor %d got %d want %d", v, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// checkPublished publishes every shard of a paged graph and verifies what
+// the snapshots read against the reference graph, as checkAgainstOracle
+// does a Graph.
+func checkPublished(t *testing.T, g *Paged, ref *refgraph.Graph) {
+	t.Helper()
+	var m uint64
+	for i := 0; i < g.NumShards(); i++ {
+		sh := g.Shard(i)
+		snap := sh.Publish()
+		for lv := uint32(0); lv < snap.NumVertices(); lv++ {
+			if v := sh.Base() + lv; !slices.Equal(snap.Neighbors(lv), ref.Neighbors(v)) {
+				t.Fatalf("vertex %d: published %v, want %v", v, snap.Neighbors(lv), ref.Neighbors(v))
+			}
+		}
+		m += snap.NumEdges()
+	}
+	if g.NumVertices() != ref.NumVertices() || m != ref.NumEdges() {
+		t.Fatalf("published %d vertices / %d edges, want %d / %d", g.NumVertices(), m, ref.NumVertices(), ref.NumEdges())
 	}
 }
 
@@ -151,19 +173,40 @@ func TestRandomBatchesAgainstOracle(t *testing.T) {
 	checkAgainstOracle(t, g, ref)
 }
 
+// TestBulkVsSingleInsertEquivalence builds one graph with the whole stream
+// as one batch, so its hubs' groups take the merge-and-rebuild path, and
+// another from the same stream cut into chunks in which no vertex's group
+// reaches the size a rebuild needs, so every edge takes the per-edge path,
+// and checks both against the oracle.
 func TestBulkVsSingleInsertEquivalence(t *testing.T) {
 	rm := gen.NewRMatPaper(9, 7)
 	es := rm.Edges(20000)
 	bulk := New(512, Config{M: 128})
-	single := New(512, Config{M: 128, NoBulkRebuild: true})
+	single := New(512, Config{M: 128})
 	ref := refgraph.New(512)
 	applyInserts(bulk, ref, es)
-	src := make([]uint32, len(es))
-	dst := make([]uint32, len(es))
-	for i, e := range es {
-		src[i], dst[i] = e.Src, e.Dst
+	for rest := es; len(rest) > 0; {
+		// A chunk ends before the edge that would give a vertex its 32nd
+		// distinct neighbor in it.
+		group, seen := map[uint32]int{}, map[gen.Edge]bool{}
+		end, largest := 0, 0
+		for ; end < len(rest) && (seen[rest[end]] || group[rest[end].Src] < 31); end++ {
+			if e := rest[end]; !seen[e] {
+				seen[e] = true
+				group[e.Src]++
+				largest = max(largest, group[e.Src])
+			}
+		}
+		if bulkThreshold(largest, 0) {
+			t.Fatalf("a chunk holds a group of %d edges, which takes the bulk path", largest)
+		}
+		src, dst := make([]uint32, end), make([]uint32, end)
+		for i, e := range rest[:end] {
+			src[i], dst[i] = e.Src, e.Dst
+		}
+		single.InsertBatch(src, dst)
+		rest = rest[end:]
 	}
-	single.InsertBatch(src, dst)
 	checkAgainstOracle(t, bulk, ref)
 	checkAgainstOracle(t, single, ref)
 }

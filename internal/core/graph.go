@@ -1,13 +1,11 @@
 package core
 
 import (
-	"slices"
 	"sync/atomic"
 	"unsafe"
 
 	"lsgraph/internal/hitree"
 	"lsgraph/internal/ria"
-	"lsgraph/internal/trace"
 )
 
 // Stats exposes engine-internal counters used by the evaluation.
@@ -19,12 +17,10 @@ type Stats struct {
 
 // Graph is the LSGraph engine: a directed graph over dense vertex IDs
 // [0, n) storing each vertex's out-neighbors in the differentiated
-// hierarchical indexed representation. Reads (Degree, NeighborBlocks,
-// analytics) may run concurrently with each other but not with updates;
-// the streaming model alternates update and analytics phases (§1). A graph
-// built by NewPaged — a Store's — stores them as the runs its published
-// snapshots read instead; every method here works on either form under the
-// same contract.
+// hierarchical indexed representation, updated in place. Reads (Degree,
+// NeighborBlocks, analytics) may run concurrently with each other but not
+// with updates; the streaming model alternates update and analytics phases
+// (§1). A Store serves a Paged graph instead (paged.go).
 //
 // Internally the vertex space is partitioned into Config.Shards contiguous
 // ranges (default 1), each holding its own vertex blocks, edge counter,
@@ -33,21 +29,10 @@ type Stats struct {
 // be applied concurrently — every update and every structural movement is
 // confined to one source vertex, and a vertex lives in exactly one shard,
 // so the per-vertex exclusivity contract composes across shards. The
-// Shard handle (shard.go) exposes that per-shard update/snapshot surface;
-// internal/serve builds its per-shard writer pipeline on it.
+// Shard handle (shard.go) exposes that per-shard update/snapshot surface.
 type Graph struct {
-	// shards partitions the vertex space into contiguous ranges described
-	// by pmap: shard i owns [pmap.Starts[i], pmap.Starts[i+1]), the last
-	// shard open-ended, so growth always lands in the last shard's range.
+	space
 	shards []shardState
-	// pmap is the current routing map (immutable, swapped whole on
-	// MoveBoundary — see PartitionMap). Loads are cheap enough for hot
-	// routing paths; bulk paths hoist one load per batch.
-	pmap atomic.Pointer[PartitionMap]
-	// n is the logical vertex-space bound: IDs are valid in [0, n). It is
-	// atomic because concurrent shard writers raise it via EnsureVertices
-	// while others validate batches against it.
-	n atomic.Uint32
 
 	cfg     Config
 	treeCfg hitree.Config
@@ -56,17 +41,7 @@ type Graph struct {
 
 // New returns an empty engine with n vertex slots, partitioned into
 // cfg.Shards contiguous ranges (default 1).
-func New(n uint32, cfg Config) *Graph { return newGraph(n, cfg, false) }
-
-// NewPaged returns an empty graph in the form a Store serves (internal/serve):
-// each shard's adjacency is a table of (page‖offset, degree) entries over an
-// arena of fixed-size pages — the runs its published snapshots share — and a
-// batch merges into new runs (merge.go) instead of updating vertex blocks in
-// place. It never holds a vertex block, array, RIA or HITree, so of cfg only
-// Workers and Shards apply to it.
-func NewPaged(n uint32, cfg Config) *Graph { return newGraph(n, cfg, true) }
-
-func newGraph(n uint32, cfg Config, paged bool) *Graph {
+func New(n uint32, cfg Config) *Graph {
 	cfg.sanitize()
 	g := &Graph{cfg: cfg}
 	g.treeCfg = hitree.Config{
@@ -75,27 +50,15 @@ func newGraph(n uint32, cfg Config, paged bool) *Graph {
 		LeafArrayMax: cfg.ArrayMax,
 		DisableModel: cfg.DisableModel,
 	}
-	s := cfg.Shards
-	pm := NewUniformMap(n, s)
-	g.pmap.Store(pm)
-	g.n.Store(n)
-	g.shards = make([]shardState, s)
+	pm := g.init(n, cfg.Shards, cfg.Workers)
+	g.shards = make([]shardState, len(pm.Starts))
 	for i := range g.shards {
 		sh := &g.shards[i]
-		sh.base, sh.idx, sh.paged = pm.Starts[i], int32(i), paged
-		if paged {
-			sh.tab = make([]vref, pm.RangeLen(i, n))
-			sh.tabEntries, sh.pub.seq = len(sh.tab), 1
-		} else {
-			sh.verts = make([]vertex, pm.RangeLen(i, n))
-		}
+		sh.base, sh.idx = pm.Starts[i], int32(i)
+		sh.verts = make([]vertex, pm.RangeLen(i, n))
 	}
-	trace.EnsureShards(s)
 	return g
 }
-
-// Paged reports whether the graph was built by NewPaged.
-func (g *Graph) Paged() bool { return g.shards[0].paged }
 
 // NewFromEdges builds an engine preloaded with es (directed, deduplicated
 // internally) using the bulk-load path. The pipeline scratch the load sized
@@ -117,39 +80,13 @@ func (g *Graph) Config() Config { return g.cfg }
 // Stats returns the engine's counters.
 func (g *Graph) Stats() *Stats { return &g.stats }
 
-// NumVertices returns the number of vertex slots.
-func (g *Graph) NumVertices() uint32 { return g.n.Load() }
-
 // EnsureVertices grows the vertex space to at least n slots, materializing
 // every shard's slice of the new range. Like updates, it must not run
-// concurrently with reads or other updates (per-shard growth for the
-// concurrent serving layer goes through Shard.EnsureVertices instead).
+// concurrently with reads or other updates (per-shard growth goes through
+// Shard.EnsureVertices instead).
 func (g *Graph) EnsureVertices(n uint32) {
-	g.raiseBound(n)
-	n = g.n.Load()
-	pm := g.pmap.Load()
 	for i := range g.shards {
-		g.shards[i].ensure(pm.RangeLen(i, n))
-	}
-}
-
-// ReserveVertices raises the logical vertex-space bound to at least n
-// without materializing storage (an atomic max, safe to call concurrently
-// with shard updates). Reads treat reserved-but-unmaterialized vertices as
-// degree 0; updates must still materialize the owning shard's storage via
-// Shard.EnsureVertices before touching them. The serving layer reserves at
-// enqueue time so every published view's vertex count already covers every
-// destination ID any in-flight batch references.
-func (g *Graph) ReserveVertices(n uint32) { g.raiseBound(n) }
-
-// raiseBound lifts the logical vertex-space bound to at least n (atomic
-// max, so concurrent shard writers may race to raise it).
-func (g *Graph) raiseBound(n uint32) {
-	for {
-		cur := g.n.Load()
-		if n <= cur || g.n.CompareAndSwap(cur, n) {
-			return
-		}
+		g.shards[i].ensure(g.grow(n, int32(i)))
 	}
 }
 
@@ -166,33 +103,13 @@ func (g *Graph) locate(v uint32) (*shardState, uint32) {
 	return &g.shards[i], v - pm.Starts[i]
 }
 
-// vb returns v's vertex block, or nil when there is none: v's slot is not
-// materialized (vertex-space growth that has not reached v's shard yet) and
-// v has no out-edges, or v's shard is paged and run has them.
+// vb returns v's vertex block, or nil when v's slot is not materialized:
+// vertex-space growth has not reached v's shard yet, so v has no out-edges.
 func (g *Graph) vb(v uint32) *vertex {
 	sh, lv := g.locate(v)
 	if int(lv) >= len(sh.verts) {
 		return nil
 	}
-	return &sh.verts[lv]
-}
-
-// run returns v's adjacency in a paged shard: the run its table names.
-// It is nil for a vertex of a live shard, so the read paths try it only once
-// vb has found no block.
-func (g *Graph) run(v uint32) []uint32 {
-	sh, lv := g.locate(v)
-	if int(lv) >= len(sh.tab) {
-		return nil
-	}
-	return sh.pub.read(sh.tab[lv])
-}
-
-// mustVB is vb for update paths, where routing plus EnsureVertices
-// guarantee the slot exists; a miss here is a routing bug and panics via
-// the slice bounds check.
-func (g *Graph) mustVB(v uint32) *vertex {
-	sh, lv := g.locate(v)
 	return &sh.verts[lv]
 }
 
@@ -208,19 +125,17 @@ func (g *Graph) NumEdges() uint64 {
 
 // Degree returns the out-degree of v.
 func (g *Graph) Degree(v uint32) uint32 {
-	vb := g.vb(v)
-	if vb == nil {
-		return uint32(len(g.run(v)))
+	if vb := g.vb(v); vb != nil {
+		return vb.degree()
 	}
-	return vb.degree()
+	return 0
 }
 
 // Has reports whether the directed edge (v,u) is present.
 func (g *Graph) Has(v, u uint32) bool {
 	vb := g.vb(v)
 	if vb == nil {
-		_, found := slices.BinarySearch(g.run(v), u)
-		return found
+		return false
 	}
 	n := vb.inlineLen()
 	if n > 0 && u <= vb.inline[n-1] {
@@ -235,18 +150,15 @@ func (g *Graph) Has(v, u uint32) bool {
 // overflow structure's occupied runs (engine.Graph). Blocks are
 // valid only until yield returns and must not be mutated or retained.
 func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
-	vb := g.vb(v)
-	if vb == nil {
-		g.runBlock(v, yield)
-		return
+	if vb := g.vb(v); vb != nil {
+		neighborBlocksVB(vb, yield)
 	}
-	neighborBlocksVB(vb, yield)
 }
 
 // NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with
 // the blocks NeighborBlocks would, an empty block for a vertex without
 // edges (engine.Graph): it routes once per shard and walks the shard's
-// vertex blocks or table in order.
+// vertex blocks in order.
 func (g *Graph) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
 	hi = min(hi, g.NumVertices())
 	if lo >= hi {
@@ -258,20 +170,10 @@ func (g *Graph) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32
 		if i+1 < len(g.shards) {
 			end = min(hi, pm.Starts[i+1])
 		}
-		if !g.shards[i].neighborRange(pm.Starts[i], lo, end, yield) {
+		if !g.shards[i].neighborRange(lo, end, yield) {
 			return
 		}
 		lo = end
-	}
-}
-
-// runBlock is NeighborBlocks without a vertex block: the run is the block.
-// Kept out of line, so that the live read path stays what it was.
-//
-//go:noinline
-func (g *Graph) runBlock(v uint32, yield func(block []uint32) bool) {
-	if ns := g.run(v); len(ns) > 0 {
-		yield(ns[:len(ns):len(ns)])
 	}
 }
 
@@ -295,11 +197,10 @@ func appendNeighborsVB(vb *vertex, dst []uint32) []uint32 {
 
 // AppendNeighbors appends v's neighbors in ascending order to dst.
 func (g *Graph) AppendNeighbors(v uint32, dst []uint32) []uint32 {
-	vb := g.vb(v)
-	if vb == nil {
-		return append(dst, g.run(v)...)
+	if vb := g.vb(v); vb != nil {
+		return appendNeighborsVB(vb, dst)
 	}
-	return appendNeighborsVB(vb, dst)
+	return dst
 }
 
 // insertOne adds edge (v,u) into vb (v's block), preserving the
@@ -380,10 +281,8 @@ func (g *Graph) rebuildVertex(vb *vertex, ns []uint32) {
 
 // MemoryBreakdown is the engine's resident bytes by what holds them, each
 // term the size of the allocations themselves (unsafe.Sizeof and slice
-// capacities, no per-structure constants). Snapshots a shard has published
-// belong to whoever holds them and are not counted, and neither are a paged
-// shard's table and pages, which they share (Shard.Published has those): of
-// a paged graph only Scratch is the engine's.
+// capacities, no per-structure constants). Snapshots belong to whoever holds
+// them and are not counted.
 type MemoryBreakdown struct {
 	VertexBlocks uint64 // the shards' block arrays, unused capacity included
 	ArrayPayload uint64 // array overflows: four bytes per neighbor held

@@ -4,16 +4,16 @@ import "fmt"
 
 // CheckInvariants walks every shard and vertex block of the graph and
 // verifies the engine's structural invariants, returning a descriptive
-// error on the first violation. It is the deep validator behind
-// internal/check's randomized correctness harness (check.Shards wraps it)
-// and the debug hook installed by SetDebugValidate. Like reads, it must
-// not run concurrently with updates.
+// error on the first violation. It is the deep validator behind the debug
+// hook installed by SetDebugValidate and internal/check's randomized
+// correctness harness. Like reads, it must not run concurrently with
+// updates.
 //
 // Checked:
 //   - the partition map: structurally valid (PartitionMap.CheckInvariants)
 //     with every shard's base equal to its map start, materialized storage
-//     never exceeding the shard's owned slice of [0, NumVertices), and
-//     locate/ShardOf agreeing for the boundary IDs of every shard,
+//     never exceeding the shard's owned slice of [0, NumVertices), and the
+//     boundary IDs of every shard routing back to it (checkShards),
 //   - vertex blocks: inline area strictly ascending, degree equal to
 //     inline + overflow size, the overflow pointer non-nil exactly when the
 //     degree exceeds the inline capacity, the kind bits naming the array
@@ -28,55 +28,41 @@ import "fmt"
 //     checkptr pass of make verify faults any walk that reads past a
 //     smaller allocation,
 //   - every stored neighbor inside [0, NumVertices),
-//   - per-shard edge counters equal to the sum of their vertices' degrees,
-//   - of a paged shard, instead of the block and overflow checks: no
-//     vertex block, every run within one page of the arena, strictly
-//     ascending and inside [0, NumVertices), every page's live count equal to
-//     the summed degrees of the runs in it, and the pages' capacities summing
-//     to what the arena counts in use.
+//   - per-shard edge counters equal to the sum of their vertices' degrees.
 func (g *Graph) CheckInvariants() error {
 	n := g.n.Load()
-	pm := g.pmap.Load()
-	if err := pm.CheckInvariants(len(g.shards)); err != nil {
-		return err
-	}
-	for i := range g.shards {
+	return g.checkShards(len(g.shards), func(i int) (*pipe, int, uint64, error) {
 		sh := &g.shards[i]
-		if want := pm.Starts[i]; sh.base != want {
-			return fmt.Errorf("core: shard %d base %d != map start %d (epoch %d)", i, sh.base, want, pm.Epoch)
-		}
-		slots := sh.slots()
-		if max := pm.RangeLen(i, n); slots > max {
-			return fmt.Errorf("core: shard %d materializes %d slots, owns at most %d of [0,%d)",
-				i, slots, max, n)
-		}
-		if slots > 0 {
-			// Routing round-trip for the shard's boundary IDs: the owner
-			// locate reports must be the shard that materializes the slot.
-			for _, v := range []uint32{sh.base, sh.base + uint32(slots) - 1} {
-				if lsh, lv := g.locate(v); lsh != sh || lv != v-sh.base {
-					return fmt.Errorf("core: ID %d owned by shard %d routes elsewhere", v, i)
-				}
-			}
-		}
 		var edges uint64
 		for lv := range sh.verts {
 			if err := g.checkVertex(sh, uint32(lv), n); err != nil {
-				return err
+				return nil, 0, 0, err
 			}
 			edges += uint64(sh.verts[lv].degree())
 		}
-		if sh.paged {
-			var err error
-			if edges, err = sh.checkRuns(n); err != nil {
-				return fmt.Errorf("core: shard %d: %w", i, err)
-			}
+		return &sh.pipe, len(sh.verts), edges, nil
+	})
+}
+
+// CheckInvariants walks every shard of the paged graph and verifies its
+// structural invariants, returning a descriptive error on the first
+// violation: the partition map's, as Graph.CheckInvariants checks them, and
+// of each shard's table and arena every run within one page, strictly
+// ascending and inside [0, NumVertices), every page's live count equal to
+// the summed degrees of the runs in it, the pages' capacities summing to
+// what the arena counts in use, and the edge counter equal to the table's
+// summed degrees. internal/check's harness runs it (check.Shards). Like
+// updates, it must not run concurrently with them.
+func (g *Paged) CheckInvariants() error {
+	n := g.n.Load()
+	return g.checkShards(len(g.shards), func(i int) (*pipe, int, uint64, error) {
+		sh := &g.shards[i]
+		edges, err := sh.checkRuns(n)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("core: shard %d: %w", i, err)
 		}
-		if m := sh.m.Load(); m != edges {
-			return fmt.Errorf("core: shard %d edge counter %d != degree sum %d", i, m, edges)
-		}
-	}
-	return nil
+		return &sh.pipe, len(sh.tab), edges, nil
+	})
 }
 
 // checkVertex validates one vertex block of sh under the logical bound n.
@@ -163,13 +149,10 @@ func (g *Graph) checkVertex(sh *shardState, lv, n uint32) error {
 	return nil
 }
 
-// checkRuns validates a paged shard's table and arena under the logical
-// bound n and returns the table's summed degrees.
-func (sh *shardState) checkRuns(n uint32) (edges uint64, err error) {
+// checkRuns validates the shard's table and arena under the logical bound
+// n and returns the table's summed degrees.
+func (sh *pagedShard) checkRuns(n uint32) (edges uint64, err error) {
 	a := &sh.pub
-	if sh.verts != nil {
-		return 0, fmt.Errorf("paged with %d vertex blocks", len(sh.verts))
-	}
 	live := make([]uint32, len(a.pages))
 	for lv, r := range sh.tab {
 		v := sh.base + uint32(lv)

@@ -239,13 +239,14 @@ func TestClassesSurviveMovesAndReloads(t *testing.T) {
 			check(fmt.Sprintf("DeleteVertex(%d)", v))
 		}
 		offs, adj := g.Snapshot().CSR()
-		cfg.Shards = 3
-		back := NewPaged(g.NumVertices(), cfg)
+		back := NewPaged(g.NumVertices(), 3, cfg.Workers)
 		if err := back.LoadCSR(0, offs, adj); err != nil {
 			t.Fatal(err)
 		}
-		g = back
-		check("LoadCSR round trip")
+		if err := back.CheckInvariants(); err != nil {
+			t.Fatalf("%+v, LoadCSR round trip: %v", cfg, err)
+		}
+		checkPublished(t, back, ref)
 	}
 }
 

@@ -20,7 +20,7 @@ type Delta struct {
 }
 
 // LoadCSR bulk-loads the adjacency of vertices [base, base+len(offs)-1)
-// of a paged graph (NewPaged) from a CSR: adj[offs[i]:offs[i+1]] is the
+// from a CSR: adj[offs[i]:offs[i+1]] is the
 // complete, strictly ascending neighbor set of vertex base+i. It is the
 // inverse of Snapshot.CSR and the one-pass counterpart of the batch
 // pipeline's merge: a run is already grouped by vertex and sorted, so each
@@ -38,24 +38,20 @@ type Delta struct {
 // join the shard's arena in vertex order. Vertices are routed by the graph's
 // own partition map, so a CSR written under another shard count or layout —
 // one whose range straddles this graph's shard boundaries — loads unchanged.
-// The load refuses, with an error and the graph untouched, a live graph
-// (New: it is built by batches), offsets that are not a monotone cover of
-// adj, a range that ends above NumVertices, a run that is not strictly
+// The load refuses, with an error and the graph untouched, offsets that are
+// not a monotone cover of adj, a range that ends above NumVertices, a run that is not strictly
 // ascending or names an ID at or above NumVertices, a delta whose keys are
 // not strictly ascending or name such an ID, and a vertex that already has
 // edges when a non-empty run or a change names it. Like every update it
 // must not run concurrently with reads or other updates.
-func (g *Graph) LoadCSR(base uint32, offs []uint64, adj []uint32, delta ...Delta) error {
-	if !g.Paged() {
-		return fmt.Errorf("core: LoadCSR on a live graph; load into one built by NewPaged")
-	}
+func (g *Paged) LoadCSR(base uint32, offs []uint64, adj []uint32, delta ...Delta) error {
 	if len(offs) == 0 || offs[0] != 0 || offs[len(offs)-1] != uint64(len(adj)) {
 		return fmt.Errorf("core: LoadCSR: offsets do not cover the %d adjacency entries", len(adj))
 	}
 	if len(delta) > 1 {
 		return fmt.Errorf("core: LoadCSR: %d deltas; it merges one", len(delta))
 	}
-	ld := csrLoad{g: g, base: base, offs: offs, adj: adj, n: g.n.Load()}
+	ld := csrLoad{base: base, offs: offs, adj: adj, n: g.n.Load()}
 	if len(delta) == 1 {
 		ld.d = delta[0]
 	}
@@ -103,8 +99,9 @@ func (g *Graph) LoadCSR(base uint32, offs []uint64, adj []uint32, delta ...Delta
 		}
 	}
 
-	g.EnsureVertices(n) // reserved-only slots of the range get storage
-	defer g.runDebugValidate()
+	for i := range g.shards { // reserved-only slots of the range get storage
+		g.Shard(i).EnsureVertices(n)
+	}
 	var added uint64
 	for i := range parts {
 		added += ld.stitch(&parts[i])
@@ -122,7 +119,7 @@ func (g *Graph) LoadCSR(base uint32, offs []uint64, adj []uint32, delta ...Delta
 // vertices [first, end), at most bound entries merged, and the pages they
 // were written to with each page's live entries.
 type loadPart struct {
-	sh         *shardState
+	sh         *pagedShard
 	first, end uint32
 	bound      uint64
 	pageLen    uint32
@@ -134,7 +131,6 @@ type loadPart struct {
 // csrLoad is one LoadCSR call: the CSR, the delta, the vertex bound, and
 // the runs written so far, by vertex from lo.
 type csrLoad struct {
-	g    *Graph
 	base uint32
 	offs []uint64
 	adj  []uint32
@@ -155,7 +151,7 @@ func (ld *csrLoad) work(lo, v uint32) uint64 {
 
 // split appends to parts up to p shares of sh's vertices [first, end) of
 // about equal work, and sizes sh's pages for what they may add.
-func (ld *csrLoad) split(parts []loadPart, sh *shardState, first, end uint32, p int) []loadPart {
+func (ld *csrLoad) split(parts []loadPart, sh *pagedShard, first, end uint32, p int) []loadPart {
 	total, from, n0 := ld.work(first, end), first, len(parts)
 	for k := 1; k <= p && from < end; k++ {
 		to := end
@@ -213,8 +209,8 @@ func (ld *csrLoad) write(pt *loadPart) {
 		ks, del := keys[j:k], ld.d.Del[j:k]
 		j = k
 		run, err := ld.checkedRun(v)
-		if err == nil && len(run)+len(ks) > 0 && ld.g.Degree(v) != 0 {
-			err = fmt.Errorf("core: LoadCSR: vertex %d already has %d edges", v, ld.g.Degree(v))
+		if lv := int(v - pt.sh.base); err == nil && len(run)+len(ks) > 0 && lv < len(pt.sh.tab) && pt.sh.tab[lv].deg != 0 {
+			err = fmt.Errorf("core: LoadCSR: vertex %d already has %d edges", v, pt.sh.tab[lv].deg)
 		}
 		if err != nil {
 			pt.err = err

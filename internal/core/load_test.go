@@ -87,45 +87,10 @@ func testDelta(rng *rand.Rand, n, lo, hi int, base uint32, offs []uint64, adj []
 	return d, ins, del
 }
 
-// sameGraph checks that two graphs read identically: per-vertex block
-// sequences, edge counts per shard and in total, and the promotion counter.
-func sameGraph(t *testing.T, what string, got, want *Graph) {
-	t.Helper()
-	if err := got.CheckInvariants(); err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
-	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
-		t.Fatalf("%s: %d vertices / %d edges, want %d / %d", what,
-			got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
-	}
-	for i := 0; i < want.NumShards(); i++ {
-		if g, w := got.Shard(i).NumEdges(), want.Shard(i).NumEdges(); g != w {
-			t.Fatalf("%s: shard %d counts %d edges, want %d", what, i, g, w)
-		}
-	}
-	if g, w := got.Stats().RIAToHITree.Load(), want.Stats().RIAToHITree.Load(); g != w {
-		t.Fatalf("%s: %d RIA→HITree promotions, want %d", what, g, w)
-	}
-	blocks := func(g *Graph, v uint32) (out [][]uint32) {
-		g.NeighborBlocks(v, func(b []uint32) bool {
-			out = append(out, slices.Clone(b))
-			return true
-		})
-		return out
-	}
-	for v := uint32(0); v < want.NumVertices(); v++ {
-		gb, wb := blocks(got, v), blocks(want, v)
-		if got.Degree(v) != want.Degree(v) || !slices.EqualFunc(gb, wb, slices.Equal[[]uint32]) {
-			t.Fatalf("%s: vertex %d reads %v, want %v", what, v, gb, wb)
-		}
-	}
-}
-
 // TestLoadCSRMatchesInsertBatch loads one CSR into paged graphs — whole, and
 // cut into pieces whose ranges straddle shard boundaries — and checks each
 // against the bare engine given the same edges by InsertBatch, with vertices
-// at every one of its storage thresholds, at every shard count. The load
-// builds nothing but pages.
+// at every one of its storage thresholds, at every shard count.
 func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 	const n = 512
 	for _, shards := range []int{1, 2, 4} {
@@ -136,17 +101,14 @@ func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 		if want.Stats().RIAToHITree.Load() == 0 {
 			t.Fatal("test graph has no HITree vertex")
 		}
-		check := func(what string, g, want *Graph) {
+		check := func(what string, g *Paged, want *Graph) {
 			t.Helper()
-			if err := (twin{g, want}).check(); err != nil {
+			if err := twinOf(g, want).check(); err != nil {
 				t.Fatalf("%s: %v", what, err)
-			}
-			if b := g.MemoryBreakdown(); g.Stats().RIAToHITree.Load() != 0 || b.Total() != b.Scratch {
-				t.Fatalf("%s: the load built live structures: %+v", what, b)
 			}
 		}
 
-		whole := NewPaged(n, cfg)
+		whole := NewPaged(n, cfg.Shards, cfg.Workers)
 		if err := whole.LoadCSR(0, offs, adj); err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +116,7 @@ func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 
 		// Shard boundaries sit at multiples of n/shards; none of these cuts
 		// does, so at S > 1 every piece straddles at least one.
-		pieces := NewPaged(n, cfg)
+		pieces := NewPaged(n, cfg.Shards, cfg.Workers)
 		for _, cut := range [][2]int{{300, n}, {0, 100}, {100, 300}} {
 			o, a := sliceCSR(offs, adj, cut[0], cut[1])
 			if err := pieces.LoadCSR(uint32(cut[0]), o, a); err != nil {
@@ -164,7 +126,7 @@ func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 		check("CSR in straddling pieces", pieces, want)
 
 		// A range reserved but not materialized gets its storage from the load.
-		grown := NewPaged(n/4, cfg)
+		grown := NewPaged(n/4, cfg.Shards, cfg.Workers)
 		grown.ReserveVertices(n)
 		if err := grown.LoadCSR(0, offs, adj); err != nil {
 			t.Fatal(err)
@@ -195,9 +157,9 @@ func TestLoadCSRMergesDelta(t *testing.T) {
 		want.InsertBatch(csrEdges(lo, offs, adj))
 		want.InsertBatch(ins[0], ins[1])
 		want.DeleteBatch(del[0], del[1])
-		check := func(what string, g *Graph) {
+		check := func(what string, g *Paged) {
 			t.Helper()
-			if err := (twin{g, want}).check(); err != nil {
+			if err := twinOf(g, want).check(); err != nil {
 				t.Fatalf("S=%d, %s: %v", shards, what, err)
 			}
 			for i := range g.shards {
@@ -207,7 +169,7 @@ func TestLoadCSRMergesDelta(t *testing.T) {
 			}
 		}
 
-		whole := NewPaged(n, cfg)
+		whole := NewPaged(n, cfg.Shards, cfg.Workers)
 		if err := whole.LoadCSR(lo, offs, adj, d); err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +177,7 @@ func TestLoadCSRMergesDelta(t *testing.T) {
 
 		cut := uint32(250)
 		at, _ := slices.BinarySearch(d.Keys, uint64(cut)<<32)
-		pieces := NewPaged(n, cfg)
+		pieces := NewPaged(n, cfg.Shards, cfg.Workers)
 		o1, a1 := sliceCSR(offs, adj, 0, int(cut-lo))
 		o2, a2 := sliceCSR(offs, adj, int(cut-lo), hi-lo)
 		if err := pieces.LoadCSR(cut, o2, a2, Delta{d.Keys[at:], d.Del[at:]}); err != nil {
@@ -226,7 +188,7 @@ func TestLoadCSRMergesDelta(t *testing.T) {
 		}
 		check("in two pieces", pieces)
 
-		alone, wantAlone := NewPaged(n, cfg), New(n, cfg)
+		alone, wantAlone := NewPaged(n, cfg.Shards, cfg.Workers), New(n, cfg)
 		if err := alone.LoadCSR(0, []uint64{0}, nil, d); err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +231,7 @@ func TestLoadCSRMergesDelta(t *testing.T) {
 		want.InsertBatch(csrEdges(0, offs, adj))
 		want.InsertBatch(ins[0], ins[1])
 		want.DeleteBatch(del[0], del[1])
-		hub := NewPaged(hn, cfg)
+		hub := NewPaged(hn, cfg.Shards, cfg.Workers)
 		if err := hub.LoadCSR(0, offs, adj, d); err != nil {
 			t.Fatal(err)
 		}
@@ -279,18 +241,14 @@ func TestLoadCSRMergesDelta(t *testing.T) {
 
 // TestLoadCSRRefusals gives the loader every kind of CSR it must refuse,
 // each with loadable runs around the bad one, and checks the graph reads
-// exactly as before; and a live graph, which it refuses whole.
+// exactly as before.
 func TestLoadCSRRefusals(t *testing.T) {
 	const n = 64
-	if err := New(n, loadCfg(2)).LoadCSR(0, []uint64{0, 1}, []uint32{3}); err == nil || !strings.Contains(err.Error(), "NewPaged") {
-		t.Fatalf("load into a live graph: error %v, want one naming NewPaged", err)
+	build := func() twin {
+		tw := newTwin(n, loadCfg(2))
+		tw.insert([]uint32{5, 5, 40}, []uint32{1, 9, 2})
+		return tw
 	}
-	build := func() *Graph {
-		g := NewPaged(n, loadCfg(2))
-		g.InsertBatch([]uint32{5, 5, 40}, []uint32{1, 9, 2})
-		return g
-	}
-	want := build()
 	edge := func(v, u uint32) uint64 { return uint64(v)<<32 | uint64(u) }
 	for _, tc := range []struct {
 		name  string
@@ -320,27 +278,31 @@ func TestLoadCSRRefusals(t *testing.T) {
 		{"delta deletes at a vertex with edges", 0, []uint64{0, 1}, []uint32{3}, "already has", []Delta{{[]uint64{edge(5, 9)}, []bool{true}}}},
 		{"two deltas", 0, []uint64{0}, nil, "deltas", []Delta{{}, {}}},
 	} {
-		g := build()
-		err := g.LoadCSR(tc.base, tc.offs, tc.adj, tc.delta...)
+		tw := build()
+		err := tw.g.LoadCSR(tc.base, tc.offs, tc.adj, tc.delta...)
 		if err == nil || !strings.Contains(err.Error(), tc.msg) {
 			t.Fatalf("%s: error %v, want one naming %q", tc.name, err, tc.msg)
 		}
-		sameGraph(t, tc.name, g, want)
+		if err := tw.check(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 	}
 	// An empty run lands on no vertex, so it is not a refusal.
-	g := build()
-	if err := g.LoadCSR(5, []uint64{0, 0, 1}, []uint32{7}); err != nil {
+	tw := build()
+	if err := tw.g.LoadCSR(5, []uint64{0, 0, 1}, []uint32{7}); err != nil {
 		t.Fatal(err)
 	}
-	want.InsertBatch([]uint32{6}, []uint32{7})
-	sameGraph(t, "empty run over a non-empty vertex", g, want)
+	tw.ref.InsertBatch([]uint32{6}, []uint32{7})
+	if err := tw.check(); err != nil {
+		t.Fatalf("empty run over a non-empty vertex: %v", err)
+	}
 }
 
 // TestPublishAfterLoadAndRelease checks the ways a shard changes other than
 // by a batch: a bulk load copies the CSR's runs to the shards' pages — across
 // a shard boundary, on top of a published snapshot that stays as it was — and
-// refuses a vertex that has edges; releasing the scratch of the batch before
-// a publish takes nothing the publish needs; and a load merged with a delta
+// refuses a vertex that has edges; trimming a large batch's scratch before a
+// publish takes nothing the publish needs; and a load merged with a delta
 // leaves every published snapshot as it was too.
 func TestPublishAfterLoadAndRelease(t *testing.T) {
 	const n = 512
@@ -371,15 +333,16 @@ func TestPublishAfterLoadAndRelease(t *testing.T) {
 		sameSnapshot(t, "published before LoadCSR", snap, want[i])
 	}
 
-	// One batch larger than scratchKeepMin, so releasing drops its buffers.
-	src, dst := randomBatch(rand.New(rand.NewSource(4)), 2*scratchKeepMin, 0, n, n)
+	// A batch of more than scratchKeepMin edges a shard, then a small one,
+	// which trims the large one's buffers before it runs.
+	src, dst := randomBatch(rand.New(rand.NewSource(4)), 4*scratchKeepMin, 0, n, n)
 	tw.delete(src, dst)
-	tw.g.ReleaseScratch()
-	if sh := &tw.g.shards[0]; sh.prep.ks != nil || sh.prep.jobs != nil {
-		t.Fatal("ReleaseScratch kept the batch-sized buffers")
+	tw.insert([]uint32{7}, []uint32{8})
+	if sh := &tw.g.shards[0]; cap(sh.prep.ks) > scratchKeepMin || cap(sh.prep.jobs) > scratchKeepMin {
+		t.Fatal("a small batch kept the large one's buffers")
 	}
 	for i := range before {
-		tw.sameAsShard(t, "after ReleaseScratch", i, tw.g.Shard(i).Publish())
+		tw.sameAsShard(t, "after the trim", i, tw.g.Shard(i).Publish())
 	}
 
 	// A load merged with a delta lands beside them too: the snapshots still

@@ -2,10 +2,9 @@ package core
 
 import "slices"
 
-// The update path of a paged shard (NewPaged) — one whose storage is its
-// table over its page arena. The pipeline's pack,
-// partition, sort, dedup and grouping are the live shard's; only the last
-// stage differs. There is no structure to update in place: a vertex's
+// The update path of a Paged shard, whose storage is its table over its page
+// arena. The pipeline's pack, partition, sort, dedup and grouping are a
+// Graph shard's; only the per-group stage differs. There is no structure to update in place: a vertex's
 // adjacency is one immutable run that readers of published snapshots may
 // hold, so a batch gives every vertex it changes a new run — the old run
 // merged with the vertex's group — at the arena's batch tail, and points the
@@ -23,23 +22,12 @@ import "slices"
 // leave out, the keys — a hub costs one pass of copy, as its flatten did.
 // Then the old runs are dropped and the table patched.
 
-// mergeJob is one vertex's share of a batch on a paged shard.
+// mergeJob is one vertex's share of a batch on a Paged shard.
 type mergeJob struct {
 	lv  uint32 // the vertex's slot
 	at  uint32 // where its kept keys start in its range's key buffer
 	eff uint32 // how many: the edges the batch adds to, or removes from, the run
 	to  vref   // the run reserved for the merged adjacency
-}
-
-// findAbsent is an insert's per-group stage on a paged shard: it keeps
-// the keys not yet in the vertex's run and returns their number.
-func (g *Graph) findAbsent(sh *shardState, _ int, lv uint32, ks []uint64) uint64 {
-	return findKeys(sh.pub.read(sh.tab[lv]), ks, false)
-}
-
-// findPresent is a delete's: it keeps the keys the run holds.
-func (g *Graph) findPresent(sh *shardState, _ int, lv uint32, ks []uint64) uint64 {
-	return findKeys(sh.pub.read(sh.tab[lv]), ks, true)
 }
 
 // findKeys looks each of one vertex's ascending keys up in its ascending
@@ -63,7 +51,7 @@ func findKeys(run []uint32, ks []uint64, keep bool) uint64 {
 // find stage left in sh.prep (changed edges in all) are placed, written by p
 // workers and patched into the table. The arena's live count is set first, so
 // pages are sized for the shard as the batch leaves it.
-func (sh *shardState) mergeRuns(p, limit int, del bool, changed uint64) {
+func (sh *pagedShard) mergeRuns(p, limit int, del bool, changed uint64) {
 	ps, a, tab := &sh.prep, &sh.pub, sh.table()
 	a.m = sh.m.Load() + changed
 	if del {

@@ -70,7 +70,7 @@ func (h heldSnap) check(what string) error {
 
 // runPublishProgram returns the entries the cleaner copied.
 func runPublishProgram(prog []byte) (cleaned uint64, err error) {
-	g := NewPaged(fuzzSpace, Config{Workers: 2})
+	g := NewPaged(fuzzSpace, 1, 2)
 	sh := g.Shard(0)
 	ref := refgraph.New(fuzzSpace)
 	var latest heldSnap

@@ -45,12 +45,12 @@ func randomBatch(rng *rand.Rand, k int, lo, hi, n uint32) (src, dst []uint32) {
 // checked against is a flatten of the paper's live structures, which share no
 // code with the merge that wrote the snapshot's runs.
 type shardTwin struct {
-	Shard
+	PagedShard
 	ref Shard
 }
 
 func newShardTwin(n uint32, cfg Config, shard int) shardTwin {
-	return shardTwin{NewPaged(n, cfg).Shard(shard), New(n, cfg).Shard(shard)}
+	return shardTwin{NewPaged(n, cfg.Shards, cfg.Workers).Shard(shard), New(n, cfg).Shard(shard)}
 }
 
 func (st shardTwin) insert(src, dst []uint32) {
@@ -97,14 +97,14 @@ func TestPublishMatchesRebuild(t *testing.T) {
 	reused := 0
 	for b := 0; b < batches; b++ {
 		src, dst := randomBatch(rng, 1+rng.Intn(24), lo, lo+sources, n)
-		free := len(sh.sh.pub.free)
+		free := len(sh.pub.free)
 		if b%3 == 2 {
 			sh.delete(src, dst)
 		} else {
 			sh.insert(src, dst)
 		}
 		snap := sh.Publish()
-		reusedPage := len(sh.sh.pub.free) < free
+		reusedPage := len(sh.pub.free) < free
 		if reusedPage {
 			reused++
 		}
@@ -231,9 +231,9 @@ func TestPublishGrowth(t *testing.T) {
 }
 
 // TestPublishRebuildRules pins what a batch writes and what a publish does:
-// a paged shard holds no vertex block from the start, and nothing refills the
-// arena ever — a batch writes exactly the runs of the vertices it changes, at
-// apply time, on pages older snapshots read the front of or not at all,
+// nothing refills a paged shard's arena ever — a batch writes exactly the
+// runs of the vertices it changes, at apply time, on pages older snapshots
+// read the front of or not at all,
 // however much of the shard it names and however many batches precede the
 // next publish; a publish with nothing changed copies the table; a boundary
 // move copies the moved runs.
@@ -248,13 +248,13 @@ func TestPublishRebuildRules(t *testing.T) {
 	}
 	tw.insert(src, dst)
 	sh := tw.g.Shard(0)
-	a := &sh.sh.pub
+	a := &sh.pub
 	lo, hi := sh.Base(), sh.Base()+sh.NumVertices()
 	rng := rand.New(rand.NewSource(3))
 
 	s0 := sh.Publish()
-	if sh.sh.verts != nil || !sh.sh.paged || sh.NumVertices() != hi-lo {
-		t.Fatalf("paged shard holds %d vertex blocks, paged=%v, %d slots", len(sh.sh.verts), sh.sh.paged, sh.NumVertices())
+	if sh.NumVertices() != hi-lo {
+		t.Fatalf("paged shard has %d slots, want %d", sh.NumVertices(), hi-lo)
 	}
 	tw.sameAsShard(t, "first publish", 0, s0)
 	// A shard this small fills pages of twice its edges.
@@ -284,7 +284,7 @@ func TestPublishRebuildRules(t *testing.T) {
 	}
 	bs, bd = append(bs, src[0]), append(bd, dst[0]) // and names one it does not change
 	tw.insert(bs, bd)
-	for lv, r := range sh.sh.tab {
+	for lv, r := range sh.tab {
 		if moved := r != s1.tab[lv]; moved != changes[lo+uint32(lv)] {
 			t.Fatalf("vertex %d: run moved=%v, changed by the batch=%v", lo+uint32(lv), moved, !moved)
 		}
@@ -349,7 +349,7 @@ func TestPublishRunShapes(t *testing.T) {
 	const n, big = 1 << 16, pageSize + 1000
 	tw := newTwin(n, Config{Shards: 2, Workers: 2})
 	sh, other := tw.g.Shard(0), tw.g.Shard(1)
-	a := &sh.sh.pub
+	a := &sh.pub
 	hub := make([]uint32, big)
 	dst := make([]uint32, big)
 	for i := range dst {
@@ -405,16 +405,16 @@ func TestPublishRunShapes(t *testing.T) {
 	}
 }
 
-// TestSnapshotCSR checks CSR on both layouts: a plain CSR hands out its own
-// adjacency, a published snapshot a compacted copy, and both describe the
-// same graph.
+// TestSnapshotCSR checks CSR on both layouts: a plain CSR — the bare
+// shard's flatten — hands out its own adjacency, a published snapshot a
+// compacted copy, and both describe the same graph.
 func TestSnapshotCSR(t *testing.T) {
 	const n = 256
 	sh := newShardTwin(n, Config{Workers: 1}, 0)
 	rng := rand.New(rand.NewSource(9))
 	src, dst := randomBatch(rng, 2000, 0, n, n)
 	sh.insert(src, dst)
-	flat := sh.SnapshotInto(nil)
+	flat := sh.want()
 	offs, adj := flat.CSR()
 	if len(adj) > 0 && &adj[0] != &flat.adj[0] {
 		t.Fatal("CSR of a plain CSR copied the adjacency")
@@ -435,11 +435,6 @@ func TestSnapshotCSR(t *testing.T) {
 	wantOffs, wantAdj := sh.want().CSR()
 	if !slices.Equal(offs, wantOffs) || !slices.Equal(adj, wantAdj) {
 		t.Fatal("CSR of the published snapshot differs from a flatten of the oracle's")
-	}
-	// A plain CSR of the paged shard is a copy of its runs, in the same order.
-	offs, adj = sh.SnapshotInto(flat).CSR()
-	if !slices.Equal(offs, wantOffs) || !slices.Equal(adj, wantAdj) {
-		t.Fatal("plain CSR of the paged shard differs from the oracle's")
 	}
 }
 
@@ -554,7 +549,7 @@ func TestSteadyBatchAllocatesNoScratch(t *testing.T) {
 func TestPublishReusesDrainedPages(t *testing.T) {
 	const n = 1024 // the free list keeps full-size pages: a shard of > 4 of them
 	sh := newShardTwin(n, Config{Workers: 1}, 0)
-	a := &sh.sh.pub
+	a := &sh.pub
 	rng := rand.New(rand.NewSource(21))
 	sh.insert(randomBatch(rng, 6*pageSize, 0, n, n))
 	// toggle changes every vertex's run, so supersedes every run: it inserts
@@ -649,7 +644,7 @@ func TestSmallShardPublishedFollowsEdges(t *testing.T) {
 			prev[i] = snap
 			total += sh.Published().Total()
 		}
-		if m := tw.g.NumEdges(); total > 24*m {
+		if m := tw.ref.NumEdges(); total > 24*m {
 			t.Fatalf("batch %d: %d B published for %d edges", b, total, m)
 		}
 	}

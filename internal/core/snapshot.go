@@ -13,17 +13,17 @@ import (
 // first entry within the page below them.
 type vref struct{ off, deg uint32 }
 
-// Snapshot is an immutable view of the graph (or of one shard) at the
+// Snapshot is an immutable view of a graph (or of one shard) at the
 // moment it was taken: a per-vertex table of (page‖offset, degree) over a
 // directory of adjacency pages. It implements the read side of
-// engine.Graph, so analytics can run on a frozen snapshot while the live
-// graph keeps ingesting updates — the capability Aspen gets from functional
+// engine.Graph, so analytics can run on a frozen snapshot while the graph
+// keeps ingesting updates — the capability Aspen gets from functional
 // trees.
 //
-// SnapshotInto builds a plain CSR: one array of exactly the graph's size,
-// runs in vertex order, back to back, off the run's index in it; its
+// Graph.SnapshotInto builds a plain CSR: one array of exactly the graph's
+// size, runs in vertex order, back to back, off the run's index in it; its
 // directory's entry p is the array from p·pageSize on, so the same two
-// loads find a run there. Shard.Publish seals a paged shard's own table
+// loads find a run there. PagedShard.Publish seals a Paged shard's own table
 // over its arena of fixed-size pages (see pageArena), at a cost that follows
 // the batch, not the graph; successive snapshots of one shard share every
 // page and run the batches between them did not change.
@@ -63,7 +63,7 @@ const (
 	arenaFreeMax = 4
 )
 
-// pageArena is a paged shard's adjacency storage, which its published
+// pageArena is a Paged shard's adjacency storage, which its published
 // snapshots share: pages of pageLen entries (a run longer than that gets a
 // page of exactly its size), written strictly append-only. Only the shard's
 // owner writes — a batch's merge, a load, a boundary move, the cleaner — and
@@ -320,16 +320,16 @@ func growTab(tab []vref, n int) []vref {
 //
 // Like Snapshot, the call must be serialized with updates. The previous
 // contents of s are overwritten; callers must ensure no concurrent reader
-// still holds s, and s must not be a snapshot Shard.Publish returned.
+// still holds s, and s must not be a snapshot PagedShard.Publish returned.
 func (g *Graph) SnapshotInto(s *Snapshot) *Snapshot {
 	return rebuildInto(s, g.shards, 0, int(g.NumVertices()), g.cfg.Workers)
 }
 
-// rebuildInto flattens the given shards into s as a plain CSR: a table of n
-// vertices whose runs lie in vertex order, back to back in one exact-size
-// array (Graph.SnapshotInto, Shard.SnapshotInto). Table slot 0 is global
-// vertex origin; slots no shard has materialized (reserved vertices) get
-// degree 0.
+// rebuildInto flattens the given shards' vertex blocks into s as a plain
+// CSR: a table of n vertices whose runs lie in vertex order, back to back in
+// one exact-size array (Graph.SnapshotInto, Shard.SnapshotInto). Table slot 0
+// is global vertex origin; slots no shard has materialized (reserved
+// vertices) get degree 0.
 func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, p int) *Snapshot {
 	if s == nil {
 		s = &Snapshot{}
@@ -339,14 +339,14 @@ func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, p int) 
 	var m uint64
 	for i := range shards {
 		sh := &shards[i]
-		if sh.slots() == 0 {
+		if len(sh.verts) == 0 {
 			continue // its base may lie past the table
 		}
 		tab := s.tab[sh.base-origin:]
-		for lv := range tab[:sh.slots()] {
+		for lv := range tab[:len(sh.verts)] {
 			// A degree-0 slot stays vref{}: m may be the array's end, past
 			// the directory.
-			if deg := sh.degree(lv); deg > 0 {
+			if deg := sh.verts[lv].degree(); deg > 0 {
 				tab[lv] = vref{uint32(m), deg}
 				m += uint64(deg)
 			}
@@ -364,40 +364,27 @@ func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, p int) 
 	}
 	for i := range shards {
 		sh := &shards[i]
-		if sh.slots() == 0 {
+		if len(sh.verts) == 0 {
 			continue
 		}
 		tab := s.tab[sh.base-origin:]
-		parallel.For(sh.slots(), p, func(lv int) {
+		parallel.For(len(sh.verts), p, func(lv int) {
 			if r := tab[lv]; r.deg > 0 {
 				lo := r.off & pageMask
-				sh.appendNeighbors(lv, s.pages[r.off>>pageBits][lo:lo:lo+r.deg])
+				appendNeighborsVB(&sh.verts[lv], s.pages[r.off>>pageBits][lo:lo:lo+r.deg])
 			}
 		})
 	}
 	return s
 }
 
-// publishShard seals the shard's table as a snapshot (see Shard.Publish).
-func (g *Graph) publishShard(sh *shardState) *Snapshot {
-	a := &sh.pub
-	s := &Snapshot{tab: sh.table(), pages: sh.spareDir, m: sh.m.Load(), seq: a.seq}
-	sh.spareDir, sh.shared = nil, true
-	a.m = s.m
-	a.out = append(a.out, a.seq)
-	a.clean(s.tab, arenaBound(s.m))
-	s.pages = a.directory(s.pages)
-	a.seq++
-	return s
-}
-
 // CSR returns the snapshot as raw CSR arrays (offs has NumVertices+1
 // entries; adj holds NumEdges neighbor IDs in vertex order). offs is built
 // per call. adj aliases snapshot storage when the snapshot is a plain CSR
-// and is a compacted copy when Shard.Publish laid it out over pages; either
-// way it is read-only and, for an epoch-pinned serving snapshot, only valid
-// until its view is released. The durability layer serializes checkpoints
-// from it.
+// and is a compacted copy when PagedShard.Publish laid it out over pages;
+// either way it is read-only and, for an epoch-pinned serving snapshot, only
+// valid until its view is released. The durability layer serializes
+// checkpoints from it.
 func (s *Snapshot) CSR() (offs []uint64, adj []uint32) {
 	offs = make([]uint64, len(s.tab)+1)
 	for v, r := range s.tab {

@@ -76,19 +76,20 @@ func walOp(op int) uint8 {
 }
 
 // OpenDurable opens (creating or recovering) a durable Store over a fresh
-// core.NewPaged graph of at least n vertices. Recovery is checkpointing run
+// core.Paged of at least n vertices in shards shards, whose loads and
+// batches run on up to workers goroutines (0: GOMAXPROCS). Recovery is checkpointing run
 // backwards, on the graph before any writer exists, in five steps: load the
 // newest valid checkpoint; scan the WAL, packing the edges of every record
 // past its shard log's watermark into keys in global LSN order; reduce them
 // to their net effect, each edge's last op (tail.reduce); merge that into the
 // checkpoint's runs on their way to the shards' pages, each run written once
-// (core.Graph.LoadCSR); then start the Store — one first publish per shard,
+// (core.Paged.LoadCSR); then start the Store — one first publish per shard,
 // which only seals its table — and attach the log. So nothing replayed is
 // re-logged, the Store's counters start at zero, and a crash mid-recovery
 // changes nothing but idempotent torn-tail truncation. The shard layout is
-// not recovered: the store reopens on cfg.Shards shards with a uniform
+// not recovered: the store reopens on shards shards with a uniform
 // partition map, by which the merge routes every vertex.
-func OpenDurable(n uint32, cfg core.Config, opt Options, dopt DurabilityOptions) (*Store, error) {
+func OpenDurable(n uint32, shards, workers int, opt Options, dopt DurabilityOptions) (*Store, error) {
 	if dopt.Dir == "" {
 		return nil, errors.New("serve: durability requires a directory")
 	}
@@ -128,13 +129,13 @@ func OpenDurable(n uint32, cfg core.Config, opt Options, dopt DurabilityOptions)
 	var delta core.Delta
 	if tl.n > 0 {
 		t = time.Now()
-		delta = tl.reduce(cfg.Workers)
+		delta = tl.reduce(workers)
 		rs.ReduceNanos = time.Since(t).Nanoseconds()
 	}
 
 	t = time.Now()
-	g := core.NewPaged(max(n, ck.N), cfg)
-	g.EnsureVertices(tl.bound) // the tail's own IDs, as enqueue grew the space
+	g := core.NewPaged(max(n, ck.N), shards, workers)
+	g.ReserveVertices(tl.bound) // the tail's own IDs, as enqueue grew the space
 	if err := mergeCheckpoint(g, ck.Shards, delta); err != nil {
 		return nil, fmt.Errorf("serve: recovery: %w", err)
 	}
@@ -165,7 +166,7 @@ func OpenDurable(n uint32, cfg core.Config, opt Options, dopt DurabilityOptions)
 // the delta's edges whose sources lie from its first vertex up to the next
 // shard's: the first shard also takes those below it, the last those beyond
 // every shard, and with no shard at all the delta loads alone.
-func mergeCheckpoint(g *core.Graph, shards []wal.ShardSnap, d core.Delta) error {
+func mergeCheckpoint(g *core.Paged, shards []wal.ShardSnap, d core.Delta) error {
 	var nonEmpty []*wal.ShardSnap // loadCheckpoint orders only these
 	for i := range shards {
 		if len(shards[i].Offs) > 1 {

@@ -43,17 +43,16 @@ func BenchmarkIngestWAL(b *testing.B) {
 		{"mem-1shard", 1, false, 0},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			cfg := core.Config{Shards: tc.shards}
 			var st *Store
 			if tc.durable {
 				var err error
-				st, err = OpenDurable(n, cfg, Options{},
+				st, err = OpenDurable(n, tc.shards, 0, Options{},
 					DurabilityOptions{Dir: b.TempDir(), Fsync: tc.fsync})
 				if err != nil {
 					b.Fatal(err)
 				}
 			} else {
-				st = New(core.NewPaged(n, cfg), Options{})
+				st = New(core.NewPaged(n, tc.shards, 0), Options{})
 			}
 			defer st.Close()
 			b.SetBytes(batch * 8)
@@ -109,12 +108,11 @@ func BenchmarkRecover(b *testing.B) {
 		lo := i / 2 % 100 * 100
 		tails[1].records = append(tails[1].records, record{i%2 == 1, fresh[0][lo : lo+100], fresh[1][lo : lo+100]})
 	}
-	cfg := core.Config{Workers: 2, Shards: 2}
 	for _, tc := range tails {
 		b.Run(tc.name, func(b *testing.B) {
 			dir := b.TempDir()
 			dopt := DurabilityOptions{Dir: dir, Fsync: wal.FsyncNone}
-			st, err := OpenDurable(1<<scale, cfg, Options{}, dopt)
+			st, err := OpenDurable(1<<scale, 2, 2, Options{}, dopt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -142,7 +140,7 @@ func BenchmarkRecover(b *testing.B) {
 					runtime.ReadMemStats(&m0)
 				}
 				t := time.Now()
-				re, err := OpenDurable(1<<scale, cfg, Options{}, dopt)
+				re, err := OpenDurable(1<<scale, 2, 2, Options{}, dopt)
 				total := time.Since(t)
 				if err != nil {
 					b.Fatal(err)

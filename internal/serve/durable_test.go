@@ -22,7 +22,7 @@ func openDur(t *testing.T, dir string, n uint32, shards int, dopt DurabilityOpti
 	if dopt.FsyncInterval == 0 {
 		dopt.FsyncInterval = time.Millisecond
 	}
-	st, err := OpenDurable(n, core.Config{Workers: 2, Shards: shards}, Options{}, dopt)
+	st, err := OpenDurable(n, shards, 2, Options{}, dopt)
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -241,7 +241,7 @@ func TestDurableFsyncAlways(t *testing.T) {
 }
 
 func TestCheckpointOnNonDurableStore(t *testing.T) {
-	st := New(core.NewPaged(8, core.Config{Workers: 1}), Options{})
+	st := New(core.NewPaged(8, 1, 1), Options{})
 	defer st.Close()
 	if err := st.Checkpoint(); err != ErrNotDurable {
 		t.Fatalf("Checkpoint on in-memory store: %v, want ErrNotDurable", err)
@@ -262,7 +262,7 @@ func requireFreshStart(t *testing.T, re *Store) {
 	// timer (1 ms in these tests) syncs its freshly opened logs at its first
 	// tick, which is history of its own and not recovery's.
 	got := re.Stats()
-	fresh := New(core.NewPaged(8, core.Config{Workers: 2, Shards: re.Shards()}), Options{})
+	fresh := New(core.NewPaged(8, re.Shards(), 2), Options{})
 	defer fresh.Close()
 	want := fresh.Stats()
 	got.PublishedBytes, want.PublishedBytes = 0, 0 // a gauge of what is held, not history
@@ -356,12 +356,6 @@ func TestRecoveryBuildsOnlyPages(t *testing.T) {
 		t.Fatalf("recovery %+v, want a checkpoint and a tail", rst)
 	}
 	sameEdges(t, edgeSet(re), want, "checkpoint with a hub plus a tail")
-	if p := re.g.Stats().RIAToHITree.Load(); p != 0 {
-		t.Fatalf("recovery built %d HITrees", p)
-	}
-	if b := re.g.MemoryBreakdown(); b.Total() != b.Scratch {
-		t.Fatalf("recovery built live structures: %+v", b)
-	}
 	for _, w := range re.ws {
 		ps, live := w.shard.Published(), 4*w.shard.NumEdges()
 		if ps.Free != 0 || ps.Retired != 0 || ps.InUse > live+tailPage {
@@ -383,7 +377,7 @@ func TestRecoveryRefusesUnappliableRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	if _, err := OpenDurable(8, core.Config{Workers: 2}, Options{}, DurabilityOptions{Dir: dir}); err == nil {
+	if _, err := OpenDurable(8, 1, 2, Options{}, DurabilityOptions{Dir: dir}); err == nil {
 		t.Fatal("OpenDurable replayed a record naming vertex 2^32-1")
 	}
 }
@@ -574,7 +568,7 @@ func TestRecoveryFallsBackAcrossRotatedLog(t *testing.T) {
 	re.Close()
 
 	damage(ckpts[0])
-	_, err := OpenDurable(64, core.Config{Workers: 2, Shards: 2}, Options{}, DurabilityOptions{Dir: dir})
+	_, err := OpenDurable(64, 2, 2, Options{}, DurabilityOptions{Dir: dir})
 	if !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("open with every checkpoint damaged: %v, want ErrCorrupt", err)
 	}

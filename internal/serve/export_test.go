@@ -6,4 +6,4 @@ import "lsgraph/internal/core"
 // internal/check, which imports this package, so it cannot live inside it.
 
 // GraphOf is the graph a Store serves.
-func GraphOf(s *Store) *core.Graph { return s.g }
+func GraphOf(s *Store) *core.Paged { return s.g }

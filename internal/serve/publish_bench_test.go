@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"lsgraph/internal/algo"
-	"lsgraph/internal/core"
 )
 
 // BenchmarkSteadyStateReads measures what the self-cleaning arena's layout
@@ -24,8 +23,7 @@ func BenchmarkSteadyStateReads(b *testing.B) {
 		b.Run(fmt.Sprintf("G%d", scale), func(b *testing.B) {
 			const nb, total = 64, 10_000
 			src, dst, batches := streamGraph(scale, 9<<scale, nb)
-			cfg := core.Config{Workers: 2, Shards: 2}
-			st := New(pagedFromEdges(1<<scale, src, dst, cfg), Options{})
+			st := New(pagedFromEdges(1<<scale, src, dst, 2), Options{})
 			defer st.Close()
 			for i := 0; i < total+nb; i++ {
 				if bt := batches[i%nb]; i/nb%2 == 0 {
@@ -43,7 +41,7 @@ func BenchmarkSteadyStateReads(b *testing.B) {
 					fs, fd = append(fs, v), append(fd, u)
 				}
 			}
-			fst := New(pagedFromEdges(1<<scale, fs, fd, cfg), Options{})
+			fst := New(pagedFromEdges(1<<scale, fs, fd, 2), Options{})
 			defer fst.Close()
 			fresh := fst.View()
 			defer fresh.Release()

@@ -14,11 +14,12 @@ import (
 	"lsgraph/internal/refgraph"
 )
 
-// pagedFromEdges is a Store's graph bulk-loaded with the given edges as
-// recovery loads a checkpoint: their CSR copied to pages, in vertex order.
-func pagedFromEdges(n uint32, src, dst []uint32, cfg core.Config) *core.Graph {
+// pagedFromEdges is a Store's graph in the given number of shards, with two
+// workers, bulk-loaded with the edges as recovery loads a checkpoint: their
+// CSR copied to pages, in vertex order.
+func pagedFromEdges(n uint32, src, dst []uint32, shards int) *core.Paged {
 	offs, adj := core.NewFromEdges(n, src, dst, core.Config{}).Snapshot().CSR()
-	g := core.NewPaged(n, cfg)
+	g := core.NewPaged(n, shards, 2)
 	if err := g.LoadCSR(0, offs, adj); err != nil {
 		panic(err)
 	}
@@ -71,7 +72,7 @@ func TestLongRunPublishStaysBoundedAndExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10 000-batch soak")
 	}
-	st := New(core.NewPaged(nv, core.Config{Workers: 2, Shards: 2}), Options{})
+	st := New(core.NewPaged(nv, 2, 2), Options{})
 	defer st.Close()
 	ref := refgraph.New(nv)
 	rm := gen.NewRMatPaper(9, 17)
@@ -100,7 +101,7 @@ func TestLongRunPublishStaysBoundedAndExact(t *testing.T) {
 				fs, fd = append(fs, v), append(fd, u)
 			}
 		}
-		fresh := New(pagedFromEdges(nv, fs, fd, core.Config{Workers: 2, Shards: 2}), Options{})
+		fresh := New(pagedFromEdges(nv, fs, fd, 2), Options{})
 		defer fresh.Close()
 		a, b := st.View(), fresh.View()
 		defer a.Release()
@@ -166,9 +167,6 @@ func TestLongRunPublishStaysBoundedAndExact(t *testing.T) {
 	s := st.Stats()
 	if s.ArenaCleanedEntries == 0 || s.BoundaryMoves == 0 {
 		t.Fatalf("10 000 batches cleaned %d entries over %d boundary moves: want some of both", s.ArenaCleanedEntries, s.BoundaryMoves)
-	}
-	if b := st.g.MemoryBreakdown(); b.Total() != b.Scratch {
-		t.Fatalf("the store's shards hold live structures: %+v", b)
 	}
 	if err := st.g.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -262,7 +260,7 @@ func TestStoreBytesPerEdgeBudget(t *testing.T) {
 	const scale, nb, budget = 13, 128, 17.8 * 1.10
 	src, dst, batches := streamGraph(scale, 4<<scale, nb)
 	heap0 := heapInUse()
-	st := New(pagedFromEdges(1<<scale, src, dst, core.Config{Workers: 2, Shards: 2}), Options{})
+	st := New(pagedFromEdges(1<<scale, src, dst, 2), Options{})
 	defer st.Close()
 	for _, b := range batches {
 		st.InsertBatch(b[0], b[1])
@@ -275,7 +273,7 @@ func TestStoreBytesPerEdgeBudget(t *testing.T) {
 	m := float64(len(src))
 	perEdge := float64(heapInUse()-heap0) / m
 	t.Logf("%d edges after %d batches: %.2f B/edge of heap (budget %.2f); published %.2f, engine scratch %.2f",
-		len(src), 2*nb, perEdge, budget, float64(st.Stats().PublishedBytes)/m, float64(st.g.MemoryBreakdown().Total())/m)
+		len(src), 2*nb, perEdge, budget, float64(st.Stats().PublishedBytes)/m, float64(st.g.ScratchBytes())/m)
 	if perEdge > budget {
 		t.Errorf("store holds %.2f B/edge, budget %.2f", perEdge, budget)
 	}
@@ -286,9 +284,9 @@ func TestStoreBytesPerEdgeBudget(t *testing.T) {
 // runtime's, as core's TestMemoryUsageMatchesHeap does for the bare engine:
 // after the ruler's store-stream shape — a G15 graph in two shards, rounds
 // of 1 000-edge batches inserted and deleted again — Stats.PublishedBytes
-// (snapshot tables; arena pages in use, free and retired) plus the engine's
-// MemoryBreakdown, which for a Store's paged graph is the update
-// pipeline's scratch and nothing else, is within 10 % of what the heap holds
+// (snapshot tables; arena pages in use, free and retired) plus the paged
+// graph's ScratchBytes, the update pipeline's buffers, is within 10 % of
+// what the heap holds
 // for the store, right after the load and again once the arenas have been
 // cleaning for three rounds.
 func TestStorePublishedBytesMatchHeap(t *testing.T) {
@@ -296,21 +294,18 @@ func TestStorePublishedBytesMatchHeap(t *testing.T) {
 	src, dst, batches := streamGraph(scale, 4<<scale, nb)
 
 	heap0 := heapInUse()
-	st := New(pagedFromEdges(1<<scale, src, dst, core.Config{Workers: 2, Shards: 2}), Options{})
+	st := New(pagedFromEdges(1<<scale, src, dst, 2), Options{})
 	defer st.Close()
 	check := func(when string) {
 		t.Helper()
 		st.Flush()
 		heap := heapInUse() - heap0
-		b, s := st.g.MemoryBreakdown(), st.Stats()
-		m := float64(b.Total() + s.PublishedBytes)
-		t.Logf("%s: heap %d B, engine %d B + published %d B (%+.1f%%), %.2f B/edge; %d entries cleaned",
-			when, heap, b.Total(), s.PublishedBytes, 100*(m/float64(heap)-1), float64(heap)/float64(len(src)), s.ArenaCleanedEntries)
+		scratch, s := st.g.ScratchBytes(), st.Stats()
+		m := float64(scratch + s.PublishedBytes)
+		t.Logf("%s: heap %d B, scratch %d B + published %d B (%+.1f%%), %.2f B/edge; %d entries cleaned",
+			when, heap, scratch, s.PublishedBytes, 100*(m/float64(heap)-1), float64(heap)/float64(len(src)), s.ArenaCleanedEntries)
 		if math.Abs(m/float64(heap)-1) > 0.10 {
-			t.Errorf("%s: engine %d B + published %d B is not within 10%% of the %d B the heap holds", when, b.Total(), s.PublishedBytes, heap)
-		}
-		if b.Total() != b.Scratch {
-			t.Errorf("%s: the store's shards hold live structures: %+v", when, b)
+			t.Errorf("%s: scratch %d B + published %d B is not within 10%% of the %d B the heap holds", when, scratch, s.PublishedBytes, heap)
 		}
 	}
 	check("after load")
@@ -340,7 +335,7 @@ func TestStorePublishedBytesMatchHeap(t *testing.T) {
 func TestHeldViewReadsOldAdjacency(t *testing.T) {
 	const scale, nb, pre = 11, 104, 4
 	src, dst, batches := streamGraph(scale, 4<<scale, nb)
-	st := New(core.NewPaged(1<<scale, core.Config{Workers: 2, Shards: 2}), Options{})
+	st := New(core.NewPaged(1<<scale, 2, 2), Options{})
 	defer st.Close()
 	st.InsertBatch(src, dst)
 	for _, b := range batches[:pre] { // a fragmented epoch, sharing pages with its neighbours

@@ -80,7 +80,7 @@ func runRangeProgram(t *testing.T, prog []byte) {
 	if len(prog) > 0 {
 		shards, prog = 1+int(prog[0])%4, prog[1:]
 	}
-	st := New(core.NewPaged(16, core.Config{Workers: 2, Shards: shards}), Options{})
+	st := New(core.NewPaged(16, shards, 2), Options{})
 	defer st.Close()
 	ref := refgraph.New(16)
 	next := func() uint32 {
@@ -193,7 +193,7 @@ func FuzzViewRange(f *testing.F) {
 // adjacency.
 func TestViewRangeAcrossMovesAndGrowth(t *testing.T) {
 	const n = 300
-	st := New(core.NewPaged(n, core.Config{Workers: 2, Shards: 3}), Options{})
+	st := New(core.NewPaged(n, 3, 2), Options{})
 	defer st.Close()
 	ref := refgraph.New(n)
 	var src, dst []uint32

@@ -17,7 +17,7 @@ func skewedStore(t *testing.T, n uint32, shards, edges int) *Store {
 	t.Helper()
 	z := gen.NewZipf(n, 1.1, 42)
 	src, dst := z.Batch(edges)
-	st := New(core.NewPaged(n, core.Config{Workers: 2, Shards: shards}), Options{})
+	st := New(core.NewPaged(n, shards, 2), Options{})
 	st.InsertBatch(src, dst)
 	st.Flush()
 	return st
@@ -231,7 +231,7 @@ func TestRebalanceZeroStopTheWorld(t *testing.T) {
 // against a single-shard oracle fed the same edges.
 func TestRebalanceUnderLiveTraffic(t *testing.T) {
 	const n = 2048
-	st := New(core.NewPaged(n, core.Config{Workers: 2, Shards: 4}), Options{MaxQueue: 8})
+	st := New(core.NewPaged(n, 4, 2), Options{MaxQueue: 8})
 	defer st.Close()
 
 	var mu sync.Mutex
@@ -317,7 +317,7 @@ func TestRebalanceUnderLiveTraffic(t *testing.T) {
 // stop flag needs atomic across goroutines; declared here to keep the
 // test self-contained.
 func TestAutoRebalance(t *testing.T) {
-	st := New(core.NewPaged(4096, core.Config{Workers: 2, Shards: 4}),
+	st := New(core.NewPaged(4096, 4, 2),
 		Options{AutoRebalance: 1.3, AutoInterval: 10 * time.Millisecond})
 	defer st.Close()
 
@@ -350,7 +350,7 @@ func TestAutoRebalance(t *testing.T) {
 }
 
 func TestMoveBoundaryOnStore(t *testing.T) {
-	st := New(core.NewPaged(100, core.Config{Workers: 2, Shards: 2}), Options{})
+	st := New(core.NewPaged(100, 2, 2), Options{})
 	defer st.Close()
 	st.InsertBatch([]uint32{10, 60}, []uint32{11, 61})
 	st.Flush()

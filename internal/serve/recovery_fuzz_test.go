@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"lsgraph/internal/check"
-	"lsgraph/internal/core"
 	"lsgraph/internal/refgraph"
 	"lsgraph/internal/serve"
 	"lsgraph/internal/wal"
@@ -46,9 +45,8 @@ func runRecoveryProgram(t *testing.T, dir string, prog []byte) {
 		}
 		return wal.Continue
 	}
-	cfg := core.Config{Workers: 2, Shards: shards}
 	dopt := serve.DurabilityOptions{Dir: dir, Fsync: wal.FsyncNone, Hook: hook}
-	st, err := serve.OpenDurable(16, cfg, serve.Options{}, dopt)
+	st, err := serve.OpenDurable(16, shards, 2, serve.Options{}, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +101,7 @@ func runRecoveryProgram(t *testing.T, dir string, prog []byte) {
 	check.ApplyLogged(want, inOrder)
 
 	for _, s := range []int{1, 2, 4} {
-		re, err := serve.OpenDurable(16, core.Config{Workers: 2, Shards: s}, serve.Options{}, serve.DurabilityOptions{Dir: dir, Fsync: wal.FsyncNone})
+		re, err := serve.OpenDurable(16, s, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir, Fsync: wal.FsyncNone})
 		if err != nil {
 			t.Fatalf("reopen at %d shards: %v", s, err)
 		}

@@ -4,36 +4,34 @@
 // the bare core.Graph cannot provide because its updates require exclusive
 // access.
 //
-// Design, in one paragraph: the vertex space is partitioned into S
-// contiguous shards (core.Config.Shards, default 1), each drained by its
-// own writer goroutine. InsertBatch/DeleteBatch scatter a mixed batch by
-// source vertex and enqueue each shard's slice into that shard's bounded
+// Design, in one paragraph: a Store serves a core.Paged, not a core.Graph.
+// Its vertex space is partitioned into S contiguous shards, each drained by
+// its own writer goroutine. InsertBatch/DeleteBatch scatter a mixed batch
+// by source vertex and enqueue each shard's slice into that shard's bounded
 // queue, so the engine's per-vertex exclusivity contract holds by
 // construction — a vertex lives in exactly one shard, and one goroutine
 // owns each shard. Under backpressure a queue degrades gracefully by
-// merging same-op batches instead of blocking callers. A Store's shard
-// keeps one copy of its edges, the one its readers see: its graph is built
-// by core.NewPaged, so from birth the shard's storage is a per-vertex
-// (page‖offset, degree) table over an arena of fixed-size pages, and it
-// never holds a vertex block, RIA or HITree. The writer applies a batch by
-// merging each source vertex's group with the vertex's current run into a
-// new run at the arena's tail and pointing its copy of the table at it,
-// then publishes: the table is sealed as an immutable core.Snapshot,
+// merging same-op batches instead of blocking callers. A shard keeps one
+// copy of its edges, the one its readers see: a per-vertex (page‖offset,
+// degree) table over an arena of fixed-size pages. The writer applies a
+// batch by merging each source vertex's group with the vertex's current run
+// into a new run at the arena's tail and pointing its copy of the table at
+// it, then publishes: the table is sealed as an immutable core.Snapshot,
 // installed with one atomic pointer swap, and — when superseded runs have
 // left the pages more than half as large again as what is live — the live
-// runs of the emptiest pages are copied forward and those pages retired. Both cost what the batch changed, not what the
-// shard holds. Readers compose a view by pinning every shard's current
-// snapshot with the epoch-refcount protocol — two atomic adds per shard —
-// run any analytics kernel on the composed view, and release; a retired
-// snapshot's table is recycled only once its epoch has drained, and a retired
-// page is reused only once every snapshot published before its retirement
-// has.
+// runs of the emptiest pages are copied forward and those pages retired.
+// Both cost what the batch changed, not what the shard holds. Readers
+// compose a view by pinning every shard's current snapshot with the
+// epoch-refcount protocol — two atomic adds per shard — run any analytics
+// kernel on the composed view, and release; a retired snapshot's table is
+// recycled only once its epoch has drained, and a retired page is reused
+// only once every snapshot published before its retirement has.
 // Aspen gets this concurrency from purely functional trees and LSMGraph
 // from per-range versioned multi-level CSRs with immutable runs as the write
 // target; the Store gets it from epoch-pinned snapshots that share every run
 // a batch did not change, with LSMGraph's choice of write target. The
-// paper's in-place structures — vertex block, RIA, HITree — serve where
-// readers walk the live graph: the bare core.Graph.
+// paper's in-place structures — vertex block, RIA, HITree — are the other
+// type, core.Graph, which readers walk between update phases.
 //
 // Consistency model: each pinned shard snapshot is an exact prefix of that
 // shard's applied batch sequence, and enqueue order is preserved per
@@ -71,7 +69,7 @@
 // and publishes both shards' new snapshots through the same atomic swap as
 // ordinary publishes.
 // Two maps exist and each has one owner: the Store's routeMap says where
-// enqueue sends an edge, core.Graph's map says where the runs live.
+// enqueue sends an edge, core.Paged's map says where the runs live.
 // Readers consult neither. Every published shard epoch records the vertex
 // range [lo, hi) it was built from, so a reader checks what it pinned: a
 // View is consistent when its pins tile the ID space (each epoch starts
@@ -86,8 +84,8 @@
 //
 // Vertex-space growth: enqueue computes the batch's required bound
 // (1 + max referenced ID) and reserves it in the logical vertex space
-// immediately (core.Graph.ReserveVertices, an atomic max); the owning
-// shard writer materializes storage with Shard.EnsureVertices before
+// immediately (core.Paged.ReserveVertices, an atomic max); the owning
+// shard writer materializes storage with PagedShard.EnsureVertices before
 // applying. Reserving at enqueue time guarantees that by the time any
 // snapshot containing an edge (v,u) is published, every composed view
 // pinning it reports NumVertices > u — kernels indexing per-vertex arrays
@@ -159,12 +157,12 @@ type epochSnap struct {
 const openEnd = 1 << 32
 
 // shardWriter is one shard's update pipeline: a bounded queue drained by
-// one goroutine that applies batches to its core.Shard and republishes the
-// shard's snapshot after each. All mutable state except the queue is owned
-// by the writer goroutine.
+// one goroutine that applies batches to its core.PagedShard and republishes
+// the shard's snapshot after each. All mutable state except the queue is
+// owned by the writer goroutine.
 type shardWriter struct {
 	s     *Store
-	shard core.Shard
+	shard core.PagedShard
 	idx   int
 
 	mu     sync.Mutex
@@ -192,7 +190,7 @@ type shardWriter struct {
 }
 
 // Store is the sharded-writer / multi-reader serving layer over one
-// core.Graph. Updates (InsertBatch, DeleteBatch) enqueue and return
+// core.Paged. Updates (InsertBatch, DeleteBatch) enqueue and return
 // immediately; reads always succeed against the most recently published
 // shard snapshots. Store implements engine.Graph and engine.Update, so
 // every analytics kernel and the benchmark harness run on a live Store
@@ -203,7 +201,7 @@ type shardWriter struct {
 // may observe different epochs. A kernel that needs one coherent graph for
 // its whole run should acquire a View and run against that.
 type Store struct {
-	g   *core.Graph
+	g   *core.Paged
 	opt Options
 
 	ws     []*shardWriter
@@ -220,7 +218,7 @@ type Store struct {
 	// under rebMu's write lock, so every batch is routed wholly by one map:
 	// batches ahead of a shard's control entry by the old map, behind it by
 	// the new (see rebalance.go for why either is correct at apply time).
-	// It is the Store's only map: where the blocks live is core.Graph's to
+	// It is the Store's only map: where the runs live is core.Paged's to
 	// know, and readers check the ranges their pins carry.
 	routeMap atomic.Pointer[core.PartitionMap]
 	// rebMu orders enqueue's scatter+append critical section (read side)
@@ -266,16 +264,11 @@ var (
 	_ engine.Graph  = (*View)(nil)
 )
 
-// New wraps g, which core.NewPaged built, in a Store and starts one writer
-// goroutine per shard (g's core.Config.Shards; 1 unless configured
-// otherwise); it panics on a graph core.New built. The Store takes
-// ownership of g: the caller must not call any method on g afterwards.
-// The initial state of every shard is published immediately as its epoch
-// 0, so reads never wait for a first batch.
-func New(g *core.Graph, opt Options) *Store {
-	if !g.Paged() {
-		panic("serve: New needs a graph built by core.NewPaged")
-	}
+// New wraps g in a Store and starts one writer goroutine per shard of g.
+// The Store takes ownership of g: the caller must not call any method on g
+// afterwards. The initial state of every shard is published immediately as
+// its epoch 0, so reads never wait for a first batch.
+func New(g *core.Paged, opt Options) *Store {
 	opt.sanitize()
 	s := &Store{
 		g:    g,

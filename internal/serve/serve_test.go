@@ -13,7 +13,7 @@ func pairBatch(a, b uint32) (src, dst []uint32) {
 }
 
 func TestStoreBasicFlushAndViews(t *testing.T) {
-	st := New(core.NewPaged(64, core.Config{Workers: 2}), Options{})
+	st := New(core.NewPaged(64, 1, 2), Options{})
 	defer st.Close()
 
 	if st.Epoch() != 0 || st.NumEdges() != 0 {
@@ -61,7 +61,7 @@ func TestStoreBasicFlushAndViews(t *testing.T) {
 }
 
 func TestStoreDeleteOrderingPreserved(t *testing.T) {
-	st := New(core.NewPaged(16, core.Config{}), Options{})
+	st := New(core.NewPaged(16, 1, 0), Options{})
 	defer st.Close()
 
 	src, dst := pairBatch(1, 2)
@@ -87,7 +87,7 @@ func TestStoreCoalescing(t *testing.T) {
 	testHookBeforeApply = func() { entered <- struct{}{}; <-gate }
 	defer func() { testHookBeforeApply = nil }()
 
-	st := New(core.NewPaged(256, core.Config{}), Options{MaxQueue: 2})
+	st := New(core.NewPaged(256, 1, 0), Options{MaxQueue: 2})
 
 	// First batch: wait until the writer has taken it off the queue and
 	// parked in the hook, so the queue below fills deterministically.
@@ -131,7 +131,7 @@ func TestStoreCoalescing(t *testing.T) {
 }
 
 func TestStoreSnapshotReclaimAndAppend(t *testing.T) {
-	st := New(core.NewPaged(128, core.Config{}), Options{})
+	st := New(core.NewPaged(128, 1, 0), Options{})
 	defer st.Close()
 
 	// No readers pin anything, so each publish retires the previous epoch
@@ -151,7 +151,7 @@ func TestStoreSnapshotReclaimAndAppend(t *testing.T) {
 }
 
 func TestStorePinnedEpochBlocksReclaimUntilRelease(t *testing.T) {
-	st := New(core.NewPaged(64, core.Config{}), Options{})
+	st := New(core.NewPaged(64, 1, 0), Options{})
 	defer st.Close()
 
 	src, dst := pairBatch(1, 2)
@@ -180,7 +180,7 @@ func TestStorePinnedEpochBlocksReclaimUntilRelease(t *testing.T) {
 }
 
 func TestStoreUpdateAfterClosePanics(t *testing.T) {
-	st := New(core.NewPaged(8, core.Config{}), Options{})
+	st := New(core.NewPaged(8, 1, 0), Options{})
 	st.Close()
 	st.Close() // idempotent
 	defer func() {
@@ -192,7 +192,7 @@ func TestStoreUpdateAfterClosePanics(t *testing.T) {
 }
 
 func TestStoreMismatchedBatchPanics(t *testing.T) {
-	st := New(core.NewPaged(8, core.Config{}), Options{})
+	st := New(core.NewPaged(8, 1, 0), Options{})
 	defer st.Close()
 	defer func() {
 		if recover() == nil {
@@ -209,7 +209,7 @@ func TestStoreMismatchedBatchPanics(t *testing.T) {
 // the store keeps serving. (Before, Enqueue took the ID and the writer
 // goroutine's panic took the process down.)
 func TestEnqueueRefusesUnappliableBatches(t *testing.T) {
-	st := New(core.NewPaged(8, core.Config{Shards: 2}), Options{})
+	st := New(core.NewPaged(8, 2, 0), Options{})
 	defer st.Close()
 	for _, b := range [][2][]uint32{
 		{{math.MaxUint32}, {1}},
@@ -238,14 +238,4 @@ func TestEnqueueRefusesUnappliableBatches(t *testing.T) {
 	if st.NumEdges() != 1 || st.NumVertices() != 8 || st.Stats().EdgesEnqueued != 1 {
 		t.Fatalf("after the refusals: %d edges, %d vertices, %d enqueued", st.NumEdges(), st.NumVertices(), st.Stats().EdgesEnqueued)
 	}
-}
-
-// TestNewRefusesLiveGraph: a Store serves a paged graph only.
-func TestNewRefusesLiveGraph(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New over a core.New graph did not panic")
-		}
-	}()
-	New(core.New(8, core.Config{}), Options{}).Close()
 }

@@ -39,7 +39,7 @@ func checkViewAgainstRef(t *testing.T, v *View, ref *refgraph.Graph) {
 }
 
 func TestShardedStoreBasic(t *testing.T) {
-	st := New(core.NewPaged(64, core.Config{Workers: 2, Shards: 4}), Options{})
+	st := New(core.NewPaged(64, 4, 2), Options{})
 	defer st.Close()
 
 	if st.Shards() != 4 {
@@ -90,7 +90,7 @@ func TestShardedStoreBasic(t *testing.T) {
 // differential test, designed to also run under -race (make verify).
 func TestShardedStoreMatchesOracle(t *testing.T) {
 	const nv = 1 << 10
-	st := New(core.NewPaged(nv, core.Config{Workers: 4, Shards: 4}), Options{})
+	st := New(core.NewPaged(nv, 4, 4), Options{})
 	defer st.Close()
 	ref := refgraph.New(nv)
 	rm := gen.NewRMatPaper(10, 42)
@@ -134,7 +134,7 @@ func TestShardedStoreMatchesOracle(t *testing.T) {
 // and each shard writer materializes its own storage before applying. The
 // graph starts at 8 vertices and ends three orders of magnitude larger.
 func TestShardedStoreAutoGrow(t *testing.T) {
-	st := New(core.NewPaged(8, core.Config{Workers: 2, Shards: 4}), Options{})
+	st := New(core.NewPaged(8, 4, 2), Options{})
 	defer st.Close()
 	ref := refgraph.New(8)
 	rng := rand.New(rand.NewSource(7))
@@ -189,7 +189,7 @@ func TestShardedConcurrentWriterReaders(t *testing.T) {
 		readers = 4
 	)
 	n := uint32(2 * batches) // span = n/4 = 150... even, so pairs never straddle shards
-	st := New(core.NewPaged(n, core.Config{Workers: 2, Shards: 4}), Options{})
+	st := New(core.NewPaged(n, 4, 2), Options{})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

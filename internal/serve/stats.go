@@ -26,8 +26,8 @@ type Stats struct {
 	// PublishedBytes is what the shards hold as of each one's last publish:
 	// its own and the unrecycled snapshots' tables plus arena pages in use,
 	// free and retired — a Store's whole copy of its edges. With
-	// core.Graph.MemoryBreakdown, which for a Store's shards is the update
-	// pipeline's scratch, it accounts for a Store's heap.
+	// core.Paged.ScratchBytes, the update pipeline's buffers, it accounts
+	// for a Store's heap.
 	PublishedBytes uint64
 	// Rebalances counts completed Rebalance calls that performed at least
 	// one boundary move.

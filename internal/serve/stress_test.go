@@ -25,7 +25,7 @@ func TestConcurrentWriterReaders(t *testing.T) {
 		readers = 4
 	)
 	n := uint32(2 * batches)
-	st := New(core.NewPaged(n, core.Config{Workers: 2}), Options{})
+	st := New(core.NewPaged(n, 1, 2), Options{})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -116,10 +116,10 @@ func (w *shardWriter) install(e *epochSnap) {
 	w.reclaim()
 }
 
-// buildSnap seals the shard's table as its next epochSnap (core.Shard.Publish;
-// the batches since the current one already wrote their runs to the shard's
-// page arena) without swapping it in, stamped with the range the shard owns
-// right now. No other goroutine can be changing that range: a boundary move
+// buildSnap seals the shard's table as its next epochSnap
+// (core.PagedShard.Publish; the batches since the current one already wrote
+// their runs to the shard's page arena) without swapping it in, stamped with
+// the range the shard owns right now. No other goroutine can be changing that range: a boundary move
 // touches only the two shards it parks. Writer goroutine only — or the
 // rebalance executor, while both affected writers are parked at their control
 // entries.

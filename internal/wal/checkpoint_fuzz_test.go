@@ -141,7 +141,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 			}
 			return
 		}
-		g := core.NewPaged(ck.N, core.Config{Workers: 2, Shards: shards})
+		g := core.NewPaged(ck.N, shards, 2)
 		var edges uint64
 		for i := range ck.Shards {
 			sh := &ck.Shards[i]
@@ -153,8 +153,12 @@ func FuzzCheckpointLoad(f *testing.F) {
 		if err := check.Shards(g); err != nil {
 			t.Fatal(err)
 		}
-		if g.NumEdges() != edges {
-			t.Fatalf("loaded %d edges of %d", g.NumEdges(), edges)
+		var loaded uint64
+		for i := 0; i < shards; i++ {
+			loaded += g.Shard(i).NumEdges()
+		}
+		if loaded != edges {
+			t.Fatalf("loaded %d edges of %d", loaded, edges)
 		}
 	})
 }

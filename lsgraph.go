@@ -91,8 +91,9 @@ var (
 )
 
 // settings collects everything the constructors configure: the engine's
-// core.Config plus the serving-layer queue bounds and rebalancing policy
-// a Store needs. Graph constructors ignore the serving fields.
+// core.Config, of which a Store's paged graph takes only Shards and
+// Workers, plus the serving-layer queue bounds and rebalancing policy a
+// Store needs. Graph constructors ignore the serving fields.
 type settings struct {
 	cfg           core.Config
 	maxQueue      int
