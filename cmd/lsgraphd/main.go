@@ -138,10 +138,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("-graphs: %v", err)
 		}
-		if _, _, err := srv.CreateGraph(name, gc); err != nil {
+		gc, _, err = srv.CreateGraph(name, gc)
+		if err != nil {
 			log.Fatalf("-graphs: %v", err)
 		}
-		log.Printf("created graph %q (shards=%d queue=%d)", name, max(gc.Shards, *shards), max(gc.MaxQueue, *queue))
+		log.Printf("created graph %q (shards=%d queue=%d)", name, gc.Shards, gc.MaxQueue)
 	}
 
 	hs := &http.Server{

@@ -28,8 +28,6 @@ type DurabilityOptions struct {
 	// FsyncInterval is the group-commit period for Fsync == "interval".
 	// Default 50ms.
 	FsyncInterval time.Duration
-	// SegmentBytes caps a WAL segment file before rotation. Default 16 MiB.
-	SegmentBytes int64
 	// CheckpointEvery, when > 0, auto-checkpoints in the background each
 	// time that many WAL records have been appended since the last
 	// checkpoint, bounding both recovery replay time and WAL disk usage.
@@ -77,17 +75,16 @@ func OpenStore(n uint32, opts ...Option) (*Store, error) {
 		AutoRebalance: s.autoRebalance,
 	}
 	if s.durDir == "" {
-		return &Store{st: serve.New(core.NewPaged(n, s.cfg.Shards, s.cfg.Workers), sopt)}, nil
+		return &Store{st: serve.New(core.NewPaged(n, s.shards, s.cfg.Workers), sopt)}, nil
 	}
 	pol, err := wal.ParseFsyncPolicy(s.dur.Fsync)
 	if err != nil {
 		return nil, err
 	}
-	st, err := serve.OpenDurable(n, s.cfg.Shards, s.cfg.Workers, sopt, serve.DurabilityOptions{
+	st, err := serve.OpenDurable(n, s.shards, s.cfg.Workers, sopt, serve.DurabilityOptions{
 		Dir:             s.durDir,
 		Fsync:           pol,
 		FsyncInterval:   s.dur.FsyncInterval,
-		SegmentBytes:    s.dur.SegmentBytes,
 		CheckpointEvery: s.dur.CheckpointEvery,
 	})
 	if err != nil {

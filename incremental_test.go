@@ -41,14 +41,17 @@ func canonicalLabels(labels []uint32) []uint32 {
 	return out
 }
 
-// incrWorkload drives one seeded random insert/delete stream and checks
-// both maintainers against the from-scratch kernels after every batch.
+// incrWorkload drives one seeded random insert/delete stream into a Graph
+// and checks both maintainers after every batch against the from-scratch
+// kernels on a pinned view of a Store of shards shards fed the same batches.
 func incrWorkload(t *testing.T, seed int64, shards int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := New(incrTestVerts, WithShards(shards))
+	g := New(incrTestVerts)
 	cc := NewIncrementalCC(g)
 	bfs := NewIncrementalBFS(g, 0)
+	st := NewStore(incrTestVerts, WithShards(shards))
+	defer st.Close()
 
 	// present tracks live undirected edges (smaller endpoint first) so
 	// delete batches can target real edges.
@@ -65,14 +68,17 @@ func incrWorkload(t *testing.T, seed int64, shards int) {
 	verify := func(round int, what string) {
 		t.Helper()
 		ctx := fmt.Sprintf("seed %d shards %d round %d after %s", seed, shards, round, what)
+		st.Flush()
+		view := st.View()
+		defer view.Release()
 		got := canonicalLabels(cc.Labels())
-		want := canonicalLabels(ConnectedComponents(g))
+		want := canonicalLabels(ConnectedComponents(view))
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("%s: CC label of %d: incremental %d, from-scratch %d", ctx, v, got[v], want[v])
 			}
 		}
-		gd, wd := bfs.Depths(), BFSLevels(g, 0)
+		gd, wd := bfs.Depths(), BFSLevels(view, 0)
 		for v := range wd {
 			if gd[v] != wd[v] {
 				t.Fatalf("%s: BFS depth of %d: incremental %d, from-scratch %d", ctx, v, gd[v], wd[v])
@@ -97,6 +103,7 @@ func incrWorkload(t *testing.T, seed int64, shards int) {
 		}
 		ins = symmetrize(ins)
 		g.InsertEdges(ins)
+		st.InsertEdges(ins)
 		cc.OnInsert(ins)
 		bfs.OnInsert(ins)
 		verify(round, "insert")
@@ -122,6 +129,7 @@ func incrWorkload(t *testing.T, seed int64, shards int) {
 		}
 		del = symmetrize(del)
 		g.DeleteEdges(del)
+		st.DeleteEdges(del)
 		cc.OnDelete(del)
 		bfs.OnDelete(del)
 		verify(round, "delete")
@@ -142,8 +150,9 @@ func max32(a, b uint32) uint32 {
 	return b
 }
 
-// TestIncrementalDifferential sweeps seeds and shard counts: incremental
-// CC and BFS must match their from-scratch counterparts after every batch.
+// TestIncrementalDifferential sweeps seeds and the shard count of the
+// reference Store: incremental CC and BFS must match their from-scratch
+// counterparts after every batch.
 func TestIncrementalDifferential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for seed := int64(0); seed < 4; seed++ {
@@ -162,7 +171,7 @@ func TestIncrementalDifferential(t *testing.T) {
 // maintainers may recompute, but never return a stale answer).
 func TestIncrementalDeleteFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	g := New(16, WithShards(2))
+	g := New(16)
 	cc := NewIncrementalCC(g)
 	bfs := NewIncrementalBFS(g, 0)
 

@@ -38,9 +38,9 @@ func randomEdges(seed int64, n int) (src, dst []uint32) {
 
 // buildGraph inserts the edges into a fresh core.Graph in batches of the
 // given size (0 means one batch).
-func buildGraph(t *testing.T, src, dst []uint32, shards, batch int) *core.Graph {
+func buildGraph(t *testing.T, src, dst []uint32, batch int) *core.Graph {
 	t.Helper()
-	g := core.New(metaVerts, core.Config{Shards: shards, Workers: 2})
+	g := core.New(metaVerts, core.Config{Workers: 2})
 	if batch <= 0 {
 		batch = len(src)
 	}
@@ -81,7 +81,7 @@ func requireSameKernels(t *testing.T, what string, a, b engine.Graph) {
 func TestMetamorphicEdgePermutation(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		src, dst := randomEdges(seed, metaEdges)
-		a := buildGraph(t, src, dst, 2, 0)
+		a := buildGraph(t, src, dst, 0)
 
 		rng := rand.New(rand.NewSource(seed + 100))
 		ps := append([]uint32{}, src...)
@@ -90,21 +90,19 @@ func TestMetamorphicEdgePermutation(t *testing.T) {
 			ps[i], ps[j] = ps[j], ps[i]
 			pd[i], pd[j] = pd[j], pd[i]
 		})
-		b := buildGraph(t, ps, pd, 2, 0)
+		b := buildGraph(t, ps, pd, 0)
 		requireSameKernels(t, fmt.Sprintf("seed %d permuted insert order", seed), a, b)
 	}
 }
 
 // TestMetamorphicBatchBoundaries: how the edge stream is chopped into
-// batches (including many tiny batches and different shard counts) must
-// not change any kernel result.
+// batches (including many tiny batches) must not change any kernel result.
 func TestMetamorphicBatchBoundaries(t *testing.T) {
 	src, dst := randomEdges(7, metaEdges)
-	a := buildGraph(t, src, dst, 1, 0)
-	for _, cfg := range []struct{ shards, batch int }{{1, 7}, {2, 64}, {4, 1}, {8, 33}} {
-		b := buildGraph(t, src, dst, cfg.shards, cfg.batch)
-		requireSameKernels(t,
-			fmt.Sprintf("shards=%d batch=%d vs single batch", cfg.shards, cfg.batch), a, b)
+	a := buildGraph(t, src, dst, 0)
+	for _, batch := range []int{7, 64, 1, 33} {
+		b := buildGraph(t, src, dst, batch)
+		requireSameKernels(t, fmt.Sprintf("batch=%d vs single batch", batch), a, b)
 	}
 }
 
@@ -112,7 +110,7 @@ func TestMetamorphicBatchBoundaries(t *testing.T) {
 // exactly those extras is a no-op for every kernel.
 func TestMetamorphicInsertDeleteNoop(t *testing.T) {
 	src, dst := randomEdges(11, metaEdges)
-	a := buildGraph(t, src, dst, 4, 0)
+	a := buildGraph(t, src, dst, 0)
 
 	// Extras are drawn disjoint from the base set so deleting them cannot
 	// remove a base edge.
@@ -129,7 +127,7 @@ func TestMetamorphicInsertDeleteNoop(t *testing.T) {
 			xd = append(xd, v)
 		}
 	}
-	b := buildGraph(t, src, dst, 4, 0)
+	b := buildGraph(t, src, dst, 0)
 	b.InsertBatch(xs, xd)
 	b.DeleteBatch(xs, xd)
 	requireSameKernels(t, "insert-then-delete of disjoint extras", a, b)
@@ -140,9 +138,8 @@ func TestMetamorphicInsertDeleteNoop(t *testing.T) {
 // per-shard snapshots.
 func TestMetamorphicLiveVsPinnedView(t *testing.T) {
 	src, dst := randomEdges(23, metaEdges)
+	live := buildGraph(t, src, dst, 50)
 	for _, S := range []int{1, 4} {
-		live := buildGraph(t, src, dst, S, 50)
-
 		st := serve.New(core.NewPaged(metaVerts, S, 2),
 			serve.Options{MaxQueue: 2})
 		for i := 0; i < len(src); i += 50 {

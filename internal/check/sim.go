@@ -17,8 +17,8 @@ import (
 type Mode uint8
 
 const (
-	// ModeCore drives a bare core.Graph: synchronous batches (exclusive
-	// update contract), explicit growth, Snapshot views.
+	// ModeCore drives a bare core.Graph of one range: synchronous batches
+	// (exclusive update contract), explicit growth, Snapshot views.
 	ModeCore Mode = iota
 	// ModeStore drives a serve.Store over a core.Paged:
 	// asynchronous enqueue with a small queue bound (so backpressure
@@ -47,7 +47,10 @@ func (f Fault) drops(dst uint32) bool { return f.Mod != 0 && dst%f.Mod == f.Eq }
 
 // SimConfig parameterizes one simulated workload.
 type SimConfig struct {
-	// Shards is the engine's vertex-space partition count (default 1).
+	// Shards is the Store's vertex-space partition count in ModeStore
+	// (default 1). ModeCore's graph is the paper's engine, one range; there
+	// Shards is the partition count of the paged graph every verify reloads
+	// the graph's snapshot into.
 	Shards int
 	// Mode selects core.Graph or serve.Store as the surface under test.
 	Mode Mode
@@ -76,12 +79,12 @@ var simEngines = []struct {
 }
 
 // engineConfig returns the named configuration of simEngines with the
-// simulator's shard and worker counts.
+// simulator's worker count.
 func (c SimConfig) engineConfig() (core.Config, error) {
 	for _, e := range simEngines {
 		if e.name == c.Engine {
 			cfg := e.cfg
-			cfg.Shards, cfg.Workers = c.Shards, 2
+			cfg.Workers = 2
 			return cfg, nil
 		}
 	}
@@ -430,24 +433,18 @@ func (r *runner) deleteVertex(sel byte) error {
 
 // rebalance derives a legal boundary move from the selector byte (which
 // boundary, and where in its legal window the new start lands), executes
-// it through the mode's surface, and immediately re-verifies the full
-// graph against the oracle — splices must be invisible to every read
-// surface. Selectors with no legal move (single shard, or adjacent
-// boundaries with no room) and moves the engine rejects as no-ops
-// (core.ErrNoMove) decode to nothing.
+// it through the Store, and immediately re-verifies the full graph against
+// the oracle — splices must be invisible to every read surface. ModeCore's
+// graph is one range with nothing to move, so there, as for selectors with
+// no legal move (single shard, or adjacent boundaries with no room) and
+// moves the store rejects as no-ops (core.ErrNoMove), it decodes to
+// nothing.
 func (r *runner) rebalance(sel byte) error {
 	S := r.cfg.Shards
-	if S < 2 {
+	if r.st == nil || S < 2 {
 		return nil
 	}
-	var sp interface {
-		PartitionMap() *core.PartitionMap
-		NumVertices() uint32
-	} = r.g
-	if r.st != nil {
-		sp = r.pg
-	}
-	pm, n := sp.PartitionMap(), sp.NumVertices()
+	pm, n := r.pg.PartitionMap(), r.pg.NumVertices()
 	k := int(sel) % (S - 1)
 	// Legal new starts for boundary k keep every shard non-empty:
 	// (Starts[k], next) exclusive, where next is the following boundary.
@@ -461,12 +458,7 @@ func (r *runner) rebalance(sel byte) error {
 	}
 	h := uint32(sel) * 0x9E3779B1 // decorrelate the cut from the boundary choice
 	cut := lo + (h>>8)%(hi-lo)
-	var err error
-	if r.st != nil {
-		_, _, err = r.st.MoveBoundary(k, cut)
-	} else {
-		_, _, err = r.g.MoveBoundary(k, cut)
-	}
+	_, _, err := r.st.MoveBoundary(k, cut)
 	if err == core.ErrNoMove {
 		return nil
 	}
@@ -598,7 +590,7 @@ func (r *runner) sawClasses() {
 }
 
 // reload round-trips the graph through its CSR as recovery loads a
-// checkpoint: a paged graph of the same shard count bulk-loaded from snap
+// checkpoint: a paged graph of cfg.Shards ranges bulk-loaded from snap
 // must pass the deep walk of its tables and pages, and a Store serving it
 // must agree with the oracle.
 func (r *runner) reload(snap *core.Snapshot) error {
@@ -869,8 +861,9 @@ func genProgram(seed int64) []byte {
 // directions of hub edges until the hubs hold 45 to 70 neighbors, then
 // deletes of the same edges in another order, then a partial climb back.
 // Boundary moves, verifications, views, kernels and the odd DeleteVertex of
-// a hub are interleaved throughout, so hubs change shard, get flattened and
-// get emptied in every class. The result is an ordinary byte program.
+// a hub are interleaved throughout, so hubs get flattened and emptied in
+// every class, and in a Store change shard. The result is an ordinary byte
+// program.
 func genClassWalk(seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	hubs := []uint32{uint32(3 + rng.Intn(20)), uint32(60 + rng.Intn(40)), uint32(130 + rng.Intn(50))}

@@ -19,8 +19,10 @@ var simShardCounts = []int{1, 2, 4, 8}
 // TestSimSeeds is the main differential sweep: 25 seeded workloads per
 // (mode, shard count) combination — 2 modes x 4 shard counts x 25 seeds =
 // 200 workloads per run, each driving a fresh engine in lockstep against
-// the oracle with full verification at every verify op and at the end.
-// Combinations run in parallel to bound wall time.
+// the oracle with full verification at every verify op and at the end (in
+// ModeCore the shard count is that of the paged graph each verify reloads
+// the one-range graph into). Combinations run in parallel to bound wall
+// time.
 func TestSimSeeds(t *testing.T) {
 	const seedsPer = 25
 	for _, mode := range []Mode{ModeCore, ModeStore} {
@@ -78,44 +80,42 @@ func TestSimClassWalk(t *testing.T) {
 	}
 }
 
-// TestSimRebalanceHeavy drives rebalance-dense differential workloads:
-// roughly a third of all ops are boundary moves, interleaved with skewed
-// inserts, deletes, kernels, and mid-stream views, across S∈{2,4,8} in
-// both modes. Every rebalance op is itself followed by a full oracle
-// comparison, so a splice that corrupts, drops, or duplicates a single
-// edge fails at the move that caused it.
+// TestSimRebalanceHeavy drives rebalance-dense differential workloads on
+// a Store, the only surface that moves boundaries: roughly a third of all
+// ops are boundary moves, interleaved with skewed inserts, deletes,
+// kernels, and mid-stream views, across S∈{2,4,8}. Every rebalance op is
+// itself followed by a full oracle comparison, so a splice that corrupts,
+// drops, or duplicates a single edge fails at the move that caused it.
 func TestSimRebalanceHeavy(t *testing.T) {
 	// Op-kind byte weights: insert 3x, delete 2x, rebalance 3x, one
 	// kernel and one view slot (see decodeProgram's selector table).
 	kinds := []byte{0, 0, 0, 3, 3, 9, 9, 9, 6, 8}
-	for _, mode := range []Mode{ModeCore, ModeStore} {
-		for _, S := range []int{2, 4, 8} {
-			mode, S := mode, S
-			t.Run(fmt.Sprintf("%s/shards=%d", mode, S), func(t *testing.T) {
-				t.Parallel()
-				for seed := int64(0); seed < 8; seed++ {
-					rng := rand.New(rand.NewSource(3000 + seed))
-					var data []byte
-					for i := 0; i < 60; i++ {
-						k := kinds[rng.Intn(len(kinds))]
-						data = append(data, k)
-						switch k {
-						case 0, 3: // batch: count byte + (src,dst) pairs
-							cnt := 1 + rng.Intn(12)
-							data = append(data, byte(cnt-1))
-							for e := 0; e < cnt; e++ {
-								data = append(data, byte(rng.Intn(256)), byte(rng.Intn(256)))
-							}
-						case 6, 9: // selector byte
-							data = append(data, byte(rng.Intn(256)))
+	for _, S := range []int{2, 4, 8} {
+		S := S
+		t.Run(fmt.Sprintf("%s/shards=%d", ModeStore, S), func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(0); seed < 8; seed++ {
+				rng := rand.New(rand.NewSource(3000 + seed))
+				var data []byte
+				for i := 0; i < 60; i++ {
+					k := kinds[rng.Intn(len(kinds))]
+					data = append(data, k)
+					switch k {
+					case 0, 3: // batch: count byte + (src,dst) pairs
+						cnt := 1 + rng.Intn(12)
+						data = append(data, byte(cnt-1))
+						for e := 0; e < cnt; e++ {
+							data = append(data, byte(rng.Intn(256)), byte(rng.Intn(256)))
 						}
-					}
-					if err := RunBytes(data, SimConfig{Shards: S, Mode: mode}); err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
+					case 6, 9: // selector byte
+						data = append(data, byte(rng.Intn(256)))
 					}
 				}
-			})
-		}
+				if err := RunBytes(data, SimConfig{Shards: S, Mode: ModeStore}); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+		})
 	}
 }
 
@@ -251,7 +251,7 @@ func TestDebugValidateHook(t *testing.T) {
 	})
 	defer core.SetDebugValidate(prev)
 
-	g := core.New(16, core.Config{Shards: 2})
+	g := core.New(16, core.Config{})
 	g.InsertBatch([]uint32{1, 1, 2, 9, 9}, []uint32{2, 3, 3, 1, 4})
 	g.DeleteBatch([]uint32{1, 9}, []uint32{3, 4})
 	g.InsertBatch([]uint32{5}, []uint32{6})

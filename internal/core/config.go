@@ -46,10 +46,13 @@ type Config struct {
 	// Workers bounds parallelism during batch updates (default GOMAXPROCS).
 	Workers int
 	// Shards partitions the vertex space into this many contiguous ranges
-	// (default 1). Each shard carries its own update scratch and edge
-	// counter, so batches routed to different shards may be applied
-	// concurrently; a vertex lives in exactly one shard, which preserves the
-	// one-vertex-one-worker update invariant across shards for free.
+	// (default 1). A Graph of more than one range supports exactly what
+	// benchmark/layers.go times of a Store's update, one layer at a time:
+	// building it (New, NewFromEdges), ScatterBatch, PartitionMap, and the
+	// Shard handle's EnsureVertices, InsertBatch, DeleteBatch, SnapshotInto
+	// and Base. Its boundaries never move. It goes once the benchmark times
+	// the Store's own paged shards (ROADMAP item 1(a)): the paper's engine is
+	// one range, and a Store partitions its Paged graph itself.
 	Shards int
 	// Overflow selects the overflow structure policy (ablations).
 	Overflow OverflowKind

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -37,27 +36,6 @@ func checkAgainstOracle(t *testing.T, g *Graph, ref *refgraph.Graph) {
 				t.Fatalf("vertex %d: neighbor %d got %d want %d", v, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// checkPublished publishes every shard of a paged graph and verifies what
-// the snapshots read against the reference graph, as checkAgainstOracle
-// does a Graph.
-func checkPublished(t *testing.T, g *Paged, ref *refgraph.Graph) {
-	t.Helper()
-	var m uint64
-	for i := 0; i < g.NumShards(); i++ {
-		sh := g.Shard(i)
-		snap := sh.Publish()
-		for lv := uint32(0); lv < snap.NumVertices(); lv++ {
-			if v := sh.Base() + lv; !slices.Equal(snap.Neighbors(lv), ref.Neighbors(v)) {
-				t.Fatalf("vertex %d: published %v, want %v", v, snap.Neighbors(lv), ref.Neighbors(v))
-			}
-		}
-		m += snap.NumEdges()
-	}
-	if g.NumVertices() != ref.NumVertices() || m != ref.NumEdges() {
-		t.Fatalf("published %d vertices / %d edges, want %d / %d", g.NumVertices(), m, ref.NumVertices(), ref.NumEdges())
 	}
 }
 

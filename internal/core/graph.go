@@ -22,14 +22,11 @@ type Stats struct {
 // with updates; the streaming model alternates update and analytics phases
 // (§1). A Store serves a Paged graph instead (paged.go).
 //
-// Internally the vertex space is partitioned into Config.Shards contiguous
-// ranges (default 1), each holding its own vertex blocks, edge counter,
-// and pipeline scratch. With one shard the engine behaves exactly as
-// the paper describes. With S > 1, batches routed to different shards may
-// be applied concurrently — every update and every structural movement is
-// confined to one source vertex, and a vertex lives in exactly one shard,
-// so the per-vertex exclusivity contract composes across shards. The
-// Shard handle (shard.go) exposes that per-shard update/snapshot surface.
+// The engine is one vertex range, as the paper describes. Config.Shards > 1
+// splits it into ranges with their own vertex blocks, edge counter and
+// pipeline scratch, for the benchmark's per-layer timings only (see
+// Config.Shards); the Shard handle (shard.go) is their update and snapshot
+// surface.
 type Graph struct {
 	space
 	shards []shardState
@@ -39,8 +36,7 @@ type Graph struct {
 	stats   Stats
 }
 
-// New returns an empty engine with n vertex slots, partitioned into
-// cfg.Shards contiguous ranges (default 1).
+// New returns an empty engine with n vertex slots.
 func New(n uint32, cfg Config) *Graph {
 	cfg.sanitize()
 	g := &Graph{cfg: cfg}

@@ -144,48 +144,43 @@ func TestGrowingStreamScenario(t *testing.T) {
 }
 
 // TestGrowthReallocatesGeometrically: a stream that raises the vertex bound
-// by one per batch must not copy the open-ended shard's blocks once per
-// batch, and the capacity it keeps instead must stay invisible — a slot
-// growth re-slices into reads as an empty vertex, also after boundary moves
-// have carried blocks in and out of the shards around it.
+// by one per batch must not copy the graph's blocks once per batch, and the
+// capacity it keeps instead must stay invisible — a slot growth re-slices
+// into reads as an empty vertex until a batch names it.
 func TestGrowthReallocatesGeometrically(t *testing.T) {
 	const steps = 10000
-	g := New(1, Config{Shards: 2})
-	last := &g.shards[1]
-	reallocs, c := 0, cap(last.verts)
+	g := New(1, Config{})
+	sh := &g.shards[0]
+	reallocs, c := 0, cap(sh.verts)
 	for n := uint32(2); n < 2+steps; n++ {
 		g.EnsureVertices(n)
-		if cap(last.verts) != c {
+		if cap(sh.verts) != c {
 			reallocs++
-			c = cap(last.verts)
+			c = cap(sh.verts)
 		}
 	}
-	if len(last.verts) != steps {
-		t.Fatalf("last shard materializes %d slots after %d one-vertex growths", len(last.verts), steps)
+	if len(sh.verts) != steps+1 {
+		t.Fatalf("graph materializes %d slots after %d one-vertex growths from 1", len(sh.verts), steps)
 	}
 	if limit := 3 * bits.Len(steps); reallocs > limit {
 		t.Fatalf("%d one-vertex growths reallocated %d times, want O(log n) (at most %d)", steps, reallocs, limit)
 	}
 
-	g = New(16, Config{Shards: 3, Workers: 2})
+	g = New(16, Config{Workers: 2})
+	sh = &g.shards[0]
 	ref := refgraph.New(16)
 	r := lcg(11)
 	inPlace := 0
 	for step := 0; step < 400; step++ {
 		n := g.NumVertices() + 1 + r.next()%3
-		lens, caps := [3]int{}, [3]int{}
-		for i := range g.shards {
-			lens[i], caps[i] = len(g.shards[i].verts), cap(g.shards[i].verts)
-		}
+		l, c := len(sh.verts), cap(sh.verts)
 		g.EnsureVertices(n)
 		ref.EnsureVertices(n)
-		for i := range g.shards {
-			if sh := &g.shards[i]; len(sh.verts) > lens[i] && cap(sh.verts) == caps[i] {
-				inPlace++
-			}
+		if len(sh.verts) > l && cap(sh.verts) == c {
+			inPlace++
 		}
 		// Edges from the new vertices and from old ones, so fresh slots are
-		// written and slots that changed owner are written again.
+		// written and written again.
 		var src, dst []uint32
 		for i := 0; i < 6; i++ {
 			u := r.next() % n
@@ -197,26 +192,12 @@ func TestGrowthReallocatesGeometrically(t *testing.T) {
 			ref.Insert(u, w)
 		}
 		g.InsertBatch(src, dst)
-		if step%3 == 0 {
-			// Any legal target, now and then past the materialized space.
-			pm := g.PartitionMap()
-			k := int(r.next() % 2)
-			lo, hi := pm.Starts[k]+1, n+8
-			if k == 0 {
-				hi = pm.Starts[2]
-			}
-			if to := lo + r.next()%(hi-lo); to != pm.Starts[k+1] {
-				if _, _, err := g.MoveBoundary(k, to); err != nil {
-					t.Fatalf("step %d: MoveBoundary(%d, %d): %v", step, k, to, err)
-				}
-			}
-		}
 		if err := g.CheckInvariants(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		checkAgainstOracle(t, g, ref)
 	}
 	if inPlace == 0 {
-		t.Fatal("no growth step re-sliced within a shard's capacity; the test does not cover it")
+		t.Fatal("no growth step re-sliced within the graph's capacity; the test does not cover it")
 	}
 }

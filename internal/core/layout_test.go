@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -20,8 +19,8 @@ var (
 )
 
 // TestVertexBlockLayout pins the field offsets DESIGN.md documents and
-// checks that every shard of 512 blocks or more starts on a cache-line
-// boundary, after New, after geometric growth and after boundary moves: the
+// checks that an array of 512 blocks or more starts on a cache-line
+// boundary, after New and after geometric growth: the
 // runtime page-aligns an allocation of 32 KiB and up and prepends no header
 // to it, which is what makes "one block, one line" true without an aligned
 // allocator of our own.
@@ -46,21 +45,11 @@ func TestVertexBlockLayout(t *testing.T) {
 			}
 		}
 	}
-	g := New(4096, Config{Shards: 4})
+	g := New(4096, Config{})
 	aligned("New", g)
 	for n := uint32(4096); n < 1<<15; n += 777 {
 		g.EnsureVertices(n)
 		aligned("EnsureVertices", g)
-	}
-	for _, cut := range []uint32{700, 1500, 1024, 2000, 3500, 3000} {
-		k := g.ShardOf(cut)
-		if k == g.NumShards()-1 || g.PartitionMap().Starts[k] == cut {
-			k--
-		}
-		if _, _, err := g.MoveBoundary(k, cut); err != nil {
-			t.Fatal(err)
-		}
-		aligned(fmt.Sprintf("MoveBoundary(%d,%d)", k, cut), g)
 	}
 }
 
@@ -178,75 +167,6 @@ func TestClassWalkSingleEdges(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// classGraph builds a 2-shard graph whose vertices around the boundary hold
-// one overflow of every class under smallClasses, on both sides.
-func classGraph(t *testing.T, cfg Config) (*Graph, *refgraph.Graph) {
-	t.Helper()
-	const n = 256
-	cfg.Shards = 2
-	g, ref := New(n, cfg), refgraph.New(n)
-	var src, dst []uint32
-	for i, deg := range []int{3, 13, 15, 17, 18, 30, 37, 38, 60, 100} {
-		for _, v := range []uint32{uint32(n/2 - 1 - i), uint32(n/2 + i)} {
-			for j := 0; j < deg; j++ {
-				u := uint32((int(v)*7 + j*2 + 1) % n)
-				src, dst = append(src, v, u), append(dst, u, v)
-				ref.Insert(v, u)
-				ref.Insert(u, v)
-			}
-		}
-	}
-	g.InsertBatch(src, dst)
-	checkAgainstOracle(t, g, ref)
-	if b := g.MemoryBreakdown(); cfg.Overflow == KindAuto && (b.ArrayPayload == 0 || b.RIAPayload == 0 || b.Trees == 0) {
-		t.Fatalf("class graph misses a class: %+v", b)
-	}
-	return g, ref
-}
-
-// TestClassesSurviveMovesAndReloads moves the shard boundary across vertices
-// of every class in both directions, deletes a vertex of every class, and
-// round-trips the result through CSR and LoadCSR into a paged graph, under
-// the default policy and both ablations: the kind bits travel with the
-// block, and every step leaves the invariants and the oracle's adjacency
-// intact.
-func TestClassesSurviveMovesAndReloads(t *testing.T) {
-	for _, cfg := range []Config{smallClasses,
-		{ArrayMax: 4, M: 24, Overflow: KindPMA}, {ArrayMax: 4, M: 24, Overflow: KindRIAOnly}} {
-		g, ref := classGraph(t, cfg)
-		check := func(when string) {
-			t.Helper()
-			if err := g.CheckInvariants(); err != nil {
-				t.Fatalf("%+v, %s: %v", cfg, when, err)
-			}
-			checkAgainstOracle(t, g, ref)
-		}
-		for _, cut := range []uint32{118, 139, 125, 131, 120} {
-			if _, _, err := g.MoveBoundary(0, cut); err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("boundary at %d", cut))
-		}
-		for _, v := range []uint32{127, 124, 130, 122, 136, 119} {
-			for _, u := range slices.Clone(ref.Neighbors(v)) {
-				ref.Delete(v, u)
-				ref.Delete(u, v)
-			}
-			g.DeleteVertex(v)
-			check(fmt.Sprintf("DeleteVertex(%d)", v))
-		}
-		offs, adj := g.Snapshot().CSR()
-		back := NewPaged(g.NumVertices(), 3, cfg.Workers)
-		if err := back.LoadCSR(0, offs, adj); err != nil {
-			t.Fatal(err)
-		}
-		if err := back.CheckInvariants(); err != nil {
-			t.Fatalf("%+v, LoadCSR round trip: %v", cfg, err)
-		}
-		checkPublished(t, back, ref)
 	}
 }
 

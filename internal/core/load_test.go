@@ -16,7 +16,9 @@ func loadDegrees(cfg Config) []int {
 	return []int{0, 1, inlineCap - 1, inlineCap, inlineCap + 1, a - 1, a, a + 1, m - 1, m, m + 1, 2 * m}
 }
 
-func loadCfg(shards int) Config { return Config{M: 96, Workers: 4, Shards: shards} }
+// loadCfg is the oracle's configuration in the loader tests, and its workers
+// the paged graph's.
+var loadCfg = Config{M: 96, Workers: 4}
 
 // testCSR builds a CSR over vertices [0, n) whose degrees cycle through
 // degs, each run a random strictly ascending subset of [0, n), plus the
@@ -94,9 +96,8 @@ func testDelta(rng *rand.Rand, n, lo, hi int, base uint32, offs []uint64, adj []
 func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 	const n = 512
 	for _, shards := range []int{1, 2, 4} {
-		cfg := loadCfg(shards)
-		offs, adj, src, dst := testCSR(rand.New(rand.NewSource(int64(shards))), n, loadDegrees(cfg))
-		want := New(n, cfg)
+		offs, adj, src, dst := testCSR(rand.New(rand.NewSource(int64(shards))), n, loadDegrees(loadCfg))
+		want := New(n, loadCfg)
 		want.InsertBatch(src, dst)
 		if want.Stats().RIAToHITree.Load() == 0 {
 			t.Fatal("test graph has no HITree vertex")
@@ -108,7 +109,7 @@ func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 			}
 		}
 
-		whole := NewPaged(n, cfg.Shards, cfg.Workers)
+		whole := NewPaged(n, shards, loadCfg.Workers)
 		if err := whole.LoadCSR(0, offs, adj); err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 
 		// Shard boundaries sit at multiples of n/shards; none of these cuts
 		// does, so at S > 1 every piece straddles at least one.
-		pieces := NewPaged(n, cfg.Shards, cfg.Workers)
+		pieces := NewPaged(n, shards, loadCfg.Workers)
 		for _, cut := range [][2]int{{300, n}, {0, 100}, {100, 300}} {
 			o, a := sliceCSR(offs, adj, cut[0], cut[1])
 			if err := pieces.LoadCSR(uint32(cut[0]), o, a); err != nil {
@@ -126,12 +127,12 @@ func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 		check("CSR in straddling pieces", pieces, want)
 
 		// A range reserved but not materialized gets its storage from the load.
-		grown := NewPaged(n/4, cfg.Shards, cfg.Workers)
+		grown := NewPaged(n/4, shards, loadCfg.Workers)
 		grown.ReserveVertices(n)
 		if err := grown.LoadCSR(0, offs, adj); err != nil {
 			t.Fatal(err)
 		}
-		wantGrown := New(n/4, cfg)
+		wantGrown := New(n/4, loadCfg)
 		wantGrown.EnsureVertices(n)
 		wantGrown.InsertBatch(src, dst)
 		check("CSR over reserved vertices", grown, wantGrown)
@@ -148,12 +149,11 @@ func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 func TestLoadCSRMergesDelta(t *testing.T) {
 	const n, lo, hi = 512, 100, 400
 	for _, shards := range []int{1, 2, 4} {
-		cfg := loadCfg(shards)
 		rng := rand.New(rand.NewSource(int64(10 + shards)))
-		offs, adj, _, _ := testCSR(rng, n, loadDegrees(cfg))
+		offs, adj, _, _ := testCSR(rng, n, loadDegrees(loadCfg))
 		offs, adj = sliceCSR(offs, adj, lo, hi)
 		d, ins, del := testDelta(rng, n, lo/2, n-10, lo, offs, adj, 4000)
-		want := New(n, cfg)
+		want := New(n, loadCfg)
 		want.InsertBatch(csrEdges(lo, offs, adj))
 		want.InsertBatch(ins[0], ins[1])
 		want.DeleteBatch(del[0], del[1])
@@ -169,7 +169,7 @@ func TestLoadCSRMergesDelta(t *testing.T) {
 			}
 		}
 
-		whole := NewPaged(n, cfg.Shards, cfg.Workers)
+		whole := NewPaged(n, shards, loadCfg.Workers)
 		if err := whole.LoadCSR(lo, offs, adj, d); err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestLoadCSRMergesDelta(t *testing.T) {
 
 		cut := uint32(250)
 		at, _ := slices.BinarySearch(d.Keys, uint64(cut)<<32)
-		pieces := NewPaged(n, cfg.Shards, cfg.Workers)
+		pieces := NewPaged(n, shards, loadCfg.Workers)
 		o1, a1 := sliceCSR(offs, adj, 0, int(cut-lo))
 		o2, a2 := sliceCSR(offs, adj, int(cut-lo), hi-lo)
 		if err := pieces.LoadCSR(cut, o2, a2, Delta{d.Keys[at:], d.Del[at:]}); err != nil {
@@ -188,7 +188,7 @@ func TestLoadCSRMergesDelta(t *testing.T) {
 		}
 		check("in two pieces", pieces)
 
-		alone, wantAlone := NewPaged(n, cfg.Shards, cfg.Workers), New(n, cfg)
+		alone, wantAlone := NewPaged(n, shards, loadCfg.Workers), New(n, loadCfg)
 		if err := alone.LoadCSR(0, []uint64{0}, nil, d); err != nil {
 			t.Fatal(err)
 		}
@@ -227,11 +227,11 @@ func TestLoadCSRMergesDelta(t *testing.T) {
 		d.Keys, d.Del = append(d.Keys, rest.Keys...), append(d.Del, rest.Del...)
 		ins[0], ins[1] = append(ins[0], rins[0]...), append(ins[1], rins[1]...)
 		del[0], del[1] = append(del[0], rdel[0]...), append(del[1], rdel[1]...)
-		want = New(hn, cfg)
+		want = New(hn, loadCfg)
 		want.InsertBatch(csrEdges(0, offs, adj))
 		want.InsertBatch(ins[0], ins[1])
 		want.DeleteBatch(del[0], del[1])
-		hub := NewPaged(hn, cfg.Shards, cfg.Workers)
+		hub := NewPaged(hn, shards, loadCfg.Workers)
 		if err := hub.LoadCSR(0, offs, adj, d); err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestLoadCSRMergesDelta(t *testing.T) {
 func TestLoadCSRRefusals(t *testing.T) {
 	const n = 64
 	build := func() twin {
-		tw := newTwin(n, loadCfg(2))
+		tw := newTwin(n, 2, loadCfg)
 		tw.insert([]uint32{5, 5, 40}, []uint32{1, 9, 2})
 		return tw
 	}
@@ -306,14 +306,13 @@ func TestLoadCSRRefusals(t *testing.T) {
 // leaves every published snapshot as it was too.
 func TestPublishAfterLoadAndRelease(t *testing.T) {
 	const n = 512
-	cfg := loadCfg(2)
-	tw := newTwin(n, cfg)
+	tw := newTwin(n, 2, loadCfg)
 	tw.insert([]uint32{3, n - 1}, []uint32{9, 4})
 	before := []*Snapshot{tw.g.Shard(0).Publish(), tw.g.Shard(1).Publish()}
-	want := []*Snapshot{tw.ref.Shard(0).SnapshotInto(nil), tw.ref.Shard(1).SnapshotInto(nil)}
+	want := []*Snapshot{tw.want(0), tw.want(1)}
 
 	// Vertices 100..399 straddle the boundary at 256 and hold no edge yet.
-	offs, adj, _, _ := testCSR(rand.New(rand.NewSource(3)), n, loadDegrees(cfg))
+	offs, adj, _, _ := testCSR(rand.New(rand.NewSource(3)), n, loadDegrees(loadCfg))
 	offs, adj = sliceCSR(offs, adj, 100, 400)
 	if err := tw.g.LoadCSR(3, offs, adj); err == nil || !strings.Contains(err.Error(), "already has") {
 		t.Fatalf("load over vertex 3, which has an edge: %v", err)

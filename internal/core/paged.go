@@ -65,29 +65,61 @@ func (g *Paged) ScratchBytes() (b uint64) {
 	return b
 }
 
-// MoveBoundary is Graph.MoveBoundary for a paged graph: the transferred
-// range's table entries move, each run copied to the kept tail of the
-// receiver's arena and dropped from the donor's. internal/serve holds both
-// shards quiescent by parking their writers on a rendezvous control entry.
+// MoveBoundary moves the boundary between shards k and k+1 to newStart and
+// installs the successor map (epoch+1): the transferred range's table
+// entries move, each run copied to the kept tail of the receiver's arena and
+// dropped from the donor's. It returns the number of materialized vertices
+// and directed edges that changed owner. The caller must hold both shards
+// quiescent — internal/serve parks their writers on a rendezvous control
+// entry — while the other shards may keep working.
 func (g *Paged) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEdges uint64, err error) {
-	return g.moveBoundary(k, newStart, func(old uint32) (*pipe, *pipe, uint32, uint64) {
-		a, b := &g.shards[k], &g.shards[k+1]
-		v, e := spliceTables(a, b, old, newStart)
-		return &a.pipe, &b.pipe, v, e
-	})
+	pm := g.pmap.Load()
+	next, err := pm.WithBoundary(k, newStart)
+	if err != nil {
+		return 0, 0, err
+	}
+	b := &g.shards[k+1]
+	movedVerts, movedEdges = spliceTables(&g.shards[k], b, pm.Starts[k+1], newStart)
+	b.base = newStart
+	g.pmap.Store(next)
+	return movedVerts, movedEdges, nil
 }
 
-// spliceTables moves the table entries of the transferred range between two
-// shards, and the runs they name from the donor's arena to the receiver's,
-// and returns their number and summed degrees.
+// spliceTables moves the table entries of the transferred range, the
+// boundary between a and b moving from old to newStart, and the runs they
+// name from the donor's arena and edge counter to the receiver's, and
+// returns their number and summed degrees. Materialized entries are always
+// a prefix of a shard's range, so the receiver is zero-filled up to the
+// moved entries where it was shorter.
 func spliceTables(a, b *pagedShard, old, newStart uint32) (uint32, uint64) {
-	from, to := a, b
-	if newStart > old {
-		from, to = b, a
-	}
 	capA, capB := cap(a.table()), cap(b.table())
+	from, to := a, b
 	var was, now []vref
-	a.tab, b.tab, was, now = splice(a.tab, b.tab, a.base, old, newStart)
+	if newStart < old {
+		// The boundary moves down: a's tail goes to b's front.
+		lo := min(int(newStart-a.base), len(a.tab))
+		if was = a.tab[lo:]; len(was) == 0 && len(b.tab) == 0 {
+			return 0, 0 // nothing materialized on either side
+		}
+		n := len(was)
+		if len(b.tab) > 0 {
+			n = int(old-newStart) + len(b.tab)
+		}
+		tab := make([]vref, n)
+		copy(tab[n-len(b.tab):], b.tab)
+		a.tab, b.tab, now = a.tab[:lo], tab, tab[:len(was)]
+	} else {
+		// Up: b's front goes to a's tail.
+		from, to = b, a
+		if was = b.tab[:min(int(newStart-old), len(b.tab))]; len(was) == 0 {
+			return 0, 0
+		}
+		full := int(old - a.base)
+		tab := make([]vref, full+len(was))
+		copy(tab, a.tab)
+		// b keeps its own array, not the tail of one whose front moved away.
+		a.tab, b.tab, now = tab, slices.Clone(b.tab[len(was):]), tab[full:]
+	}
 	a.tabEntries += cap(a.tab) - capA
 	b.tabEntries += cap(b.tab) - capB
 	var edges uint64
@@ -103,6 +135,8 @@ func spliceTables(a, b *pagedShard, old, newStart uint32) (uint32, uint64) {
 		copy(to.pub.read(now[i]), from.pub.read(r))
 		from.pub.drop(r)
 	}
+	from.subEdges(edges)
+	to.m.Add(edges)
 	return uint32(len(was)), edges
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -14,8 +13,8 @@ import (
 // versioned set of sorted range boundaries. Shard i owns the contiguous
 // vertex range [Starts[i], Starts[i+1]), the last shard open-ended, so a
 // lookup is a binary search over Starts. Maps are never mutated in place;
-// a boundary move builds a successor map (epoch+1) and the graph swaps an
-// atomic pointer to it, exactly like snapshot publication. The map routes
+// a boundary move (Paged.MoveBoundary) builds a successor map (epoch+1) and
+// swaps an atomic pointer to it, exactly like snapshot publication. The map routes
 // updates to storage; the serving layer's readers never consult it — every
 // snapshot it publishes records the range it was built from.
 type PartitionMap struct {
@@ -142,7 +141,7 @@ var ErrNoMove = fmt.Errorf("core: boundary already at requested start")
 // the shards' update pipelines split.
 type space struct {
 	// pmap is the current routing map (immutable, swapped whole on
-	// MoveBoundary — see PartitionMap): shard i owns [Starts[i],
+	// Paged.MoveBoundary — see PartitionMap): shard i owns [Starts[i],
 	// Starts[i+1]), the last shard open-ended, so growth always lands in the
 	// last shard's range. Loads are cheap enough for hot routing paths; bulk
 	// paths hoist one load per batch.
@@ -205,7 +204,7 @@ func (sp *space) NumShards() int { return len(sp.pmap.Load().Starts) }
 func (sp *space) ShardOf(v uint32) int { return sp.pmap.Load().ShardOf(v) }
 
 // PartitionMap returns the current routing map. The pointer is immutable;
-// successive calls may return different maps after MoveBoundary.
+// successive calls may return different maps after Paged.MoveBoundary.
 func (sp *space) PartitionMap() *PartitionMap { return sp.pmap.Load() }
 
 // workers returns the effective update parallelism.
@@ -220,67 +219,6 @@ func (sp *space) workers() int {
 // split evenly across shards, at least one. Shard pipelines run
 // concurrently, so giving each the full budget would oversubscribe.
 func (sp *space) shardWorkers() int { return max(sp.workers()/sp.NumShards(), 1) }
-
-// moveBoundary is the map half of MoveBoundary, the same for both forms: it
-// validates the move of the boundary between shards k and k+1 to newStart,
-// lets splice move the storage of the transferred range — the boundary was
-// at old — and return the two shards' pipelines and the vertices and edges
-// it moved, then rebases shard k+1, moves the edges from the donor's counter
-// to the receiver's and installs the successor map (epoch+1).
-func (sp *space) moveBoundary(k int, newStart uint32, splice func(old uint32) (a, b *pipe, verts uint32, edges uint64)) (uint32, uint64, error) {
-	pm := sp.pmap.Load()
-	next, err := pm.WithBoundary(k, newStart)
-	if err != nil {
-		return 0, 0, err
-	}
-	old := pm.Starts[k+1]
-	a, b, verts, edges := splice(old)
-	// The boundary moves down: a gives its tail to b's front; or up: b gives
-	// its front to a's tail.
-	from, to := a, b
-	if newStart > old {
-		from, to = b, a
-	}
-	b.base = newStart
-	from.subEdges(edges)
-	to.m.Add(edges)
-	sp.pmap.Store(next)
-	return verts, edges, nil
-}
-
-// splice lays out the two shards' storage — vertex blocks or table entries —
-// for the boundary between a and b moving from old to newStart, where aBase
-// is a's first vertex. It returns both shards' new storage and the moved
-// elements twice: where they were in the donor (to be released) and where
-// they are in the receiver. Materialized storage is always a prefix of a
-// shard's range, so the receiver is zero-filled up to the moved elements
-// where it was shorter.
-func splice[T any](av, bv []T, aBase, old, newStart uint32) (na, nb, was, now []T) {
-	if newStart < old {
-		lo := min(int(newStart-aBase), len(av))
-		was = av[lo:]
-		switch gap := int(old - newStart); {
-		case len(was) == 0 && len(bv) == 0:
-			// Nothing materialized on either side of the new boundary.
-			return av, bv, nil, nil
-		case len(bv) == 0:
-			nb = make([]T, len(was))
-		default:
-			nb = make([]T, gap+len(bv))
-			copy(nb[gap:], bv)
-		}
-		return av[:lo], nb, was, nb[:copy(nb, was)]
-	}
-	was = bv[:min(int(newStart-old), len(bv))]
-	if len(was) == 0 {
-		return av, bv, nil, nil
-	}
-	full := int(old - aBase)
-	na = make([]T, full+len(was))
-	copy(na, av)
-	// b keeps its own array, not the tail of one whose front moved away.
-	return na, slices.Clone(bv[len(was):]), was, na[full:][:copy(na[full:], was)]
-}
 
 // checkShards runs the part of CheckInvariants both forms share: the map is
 // structurally valid for the count shards, and for each shard i — the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -34,6 +35,10 @@ func TestPartitionMapShardOf(t *testing.T) {
 	}
 }
 
+// TestMoveBoundaryDifferential moves the boundaries of a four-shard paged
+// graph down, up, to minimal shards and back, and after every move, and
+// after an update through the moved layout, reads every shard back through
+// Publish against the one-range oracle.
 func TestMoveBoundaryDifferential(t *testing.T) {
 	const n = 200
 	r := lcg(7)
@@ -42,31 +47,12 @@ func TestMoveBoundaryDifferential(t *testing.T) {
 		src = append(src, r.next()%n)
 		dst = append(dst, r.next()%n)
 	}
-	g := NewFromEdges(n, src, dst, Config{Shards: 4, Workers: 2})
-	want := make(map[uint32][]uint32, n)
-	for v := uint32(0); v < n; v++ {
-		want[v] = g.AppendNeighbors(v, nil)
-	}
-	wantEdges := g.NumEdges()
-
+	tw := newTwin(n, 4, Config{Workers: 2})
+	tw.insert(src, dst)
 	check := func(step string) {
 		t.Helper()
-		if err := g.CheckInvariants(); err != nil {
+		if err := tw.check(); err != nil {
 			t.Fatalf("%s: %v", step, err)
-		}
-		if m := g.NumEdges(); m != wantEdges {
-			t.Fatalf("%s: NumEdges %d, want %d", step, m, wantEdges)
-		}
-		for v := uint32(0); v < n; v++ {
-			got := g.AppendNeighbors(v, nil)
-			if len(got) != len(want[v]) {
-				t.Fatalf("%s: vertex %d degree %d, want %d", step, v, len(got), len(want[v]))
-			}
-			for i := range got {
-				if got[i] != want[v][i] {
-					t.Fatalf("%s: vertex %d neighbors diverge at %d", step, v, i)
-				}
-			}
 		}
 	}
 
@@ -86,29 +72,33 @@ func TestMoveBoundaryDifferential(t *testing.T) {
 		{1, 100}, //
 		{0, 50},  //
 	}
-	epoch := g.PartitionMap().Epoch
+	epoch := tw.g.PartitionMap().Epoch
 	for _, mv := range moves {
-		if _, _, err := g.MoveBoundary(mv.k, mv.newStart); err != nil {
-			t.Fatalf("MoveBoundary(%d,%d): %v", mv.k, mv.newStart, err)
+		if err := tw.move(mv.k, mv.newStart); err != nil {
+			t.Fatal(err)
 		}
-		pm := g.PartitionMap()
+		pm := tw.g.PartitionMap()
 		if pm.Epoch != epoch+1 {
 			t.Fatalf("epoch %d after move, want %d", pm.Epoch, epoch+1)
 		}
 		epoch = pm.Epoch
-		check("after move")
+		check(fmt.Sprintf("after MoveBoundary(%d,%d)", mv.k, mv.newStart))
 		// Updates must still work against the moved layout.
 		v, u := mv.newStart%n, (mv.newStart+7)%n
-		if !g.Has(v, u) {
-			g.InsertBatch([]uint32{v}, []uint32{u})
-			g.DeleteBatch([]uint32{v}, []uint32{u})
+		if !tw.ref.Has(v, u) {
+			tw.insert([]uint32{v}, []uint32{u})
+			check("after an insert")
+			tw.delete([]uint32{v}, []uint32{u})
 		}
 		check("after churn")
 	}
 }
 
+// TestMoveBoundaryErrors: a move to the current boundary is ErrNoMove, and
+// one that would empty a shard or names no boundary is refused; none of them
+// changes the map.
 func TestMoveBoundaryErrors(t *testing.T) {
-	g := New(100, Config{Shards: 4})
+	g := NewPaged(100, 4, 1)
 	pm := g.PartitionMap()
 	if _, _, err := g.MoveBoundary(0, pm.Starts[1]); !errors.Is(err, ErrNoMove) {
 		t.Fatalf("no-op move: err = %v, want ErrNoMove", err)
@@ -125,39 +115,31 @@ func TestMoveBoundaryErrors(t *testing.T) {
 	if _, _, err := g.MoveBoundary(-1, 10); err == nil {
 		t.Fatal("negative boundary succeeded")
 	}
-	if g.PartitionMap().Epoch != 0 {
-		t.Fatalf("failed moves changed the map epoch to %d", g.PartitionMap().Epoch)
+	if g.PartitionMap() != pm {
+		t.Fatalf("failed moves replaced the map (epoch %d)", g.PartitionMap().Epoch)
 	}
 }
 
+// TestMoveBoundaryLazyMaterialization moves a boundary across vertices that
+// are reserved but not materialized: up past the last shard's storage, down
+// and up again with nothing materialized on either side, and back down into
+// the materialized range, then grows into the moved layout.
 func TestMoveBoundaryLazyMaterialization(t *testing.T) {
-	// Exercise splices where parts of the transferred range are not
-	// materialized: grow the logical bound without materializing, then move
-	// boundaries across the unmaterialized tail.
-	g := New(40, Config{Shards: 4})
-	g.InsertBatch([]uint32{1, 12, 25, 38}, []uint32{2, 13, 26, 39})
-	g.ReserveVertices(400) // logical growth, storage untouched
-	if _, _, err := g.MoveBoundary(2, 350); err != nil {
-		t.Fatalf("move into unmaterialized range: %v", err)
-	}
-	if err := g.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if d := g.Degree(25); d != 1 {
-		t.Fatalf("Degree(25) = %d after move, want 1", d)
-	}
-	if _, _, err := g.MoveBoundary(2, 21); err != nil {
-		t.Fatalf("move back down: %v", err)
-	}
-	if err := g.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []uint32{1, 12, 25, 38} {
-		if d := g.Degree(v); d != 1 {
-			t.Fatalf("Degree(%d) = %d, want 1", v, d)
+	tw := newTwin(40, 4, Config{Workers: 1})
+	tw.insert([]uint32{1, 12, 25, 38}, []uint32{2, 13, 26, 39})
+	tw.g.ReserveVertices(400) // logical growth, storage untouched
+	tw.ref.EnsureVertices(400)
+	for _, to := range []uint32{350, 300, 320, 21} {
+		if err := tw.move(2, to); err != nil {
+			t.Fatalf("move to %d: %v", to, err)
+		}
+		if err := tw.check(); err != nil {
+			t.Fatalf("after the move to %d: %v", to, err)
 		}
 	}
-	if m := g.NumEdges(); m != 4 {
-		t.Fatalf("NumEdges = %d, want 4", m)
+	tw.ensure(400)
+	tw.insert([]uint32{390, 25, 22}, []uint32{1, 3, 399})
+	if err := tw.check(); err != nil {
+		t.Fatalf("after growth: %v", err)
 	}
 }

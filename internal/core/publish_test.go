@@ -40,17 +40,20 @@ func randomBatch(rng *rand.Rand, k int, lo, hi, n uint32) (src, dst []uint32) {
 	return src, dst
 }
 
-// shardTwin is one shard of a paged graph and the same shard of a bare Graph
-// fed the same batches: the oracle a published snapshot is
-// checked against is a flatten of the paper's live structures, which share no
-// code with the merge that wrote the snapshot's runs.
+// shardTwin is one shard of a paged graph and a bare Graph fed the same
+// batches, all of whose sources are the shard's: the oracle a published
+// snapshot is checked against is the paper's live structures over the
+// shard's range, which share no code with the merge that wrote the
+// snapshot's runs.
 type shardTwin struct {
 	PagedShard
-	ref Shard
+	ref *Graph
 }
 
-func newShardTwin(n uint32, cfg Config, shard int) shardTwin {
-	return shardTwin{NewPaged(n, cfg.Shards, cfg.Workers).Shard(shard), New(n, cfg).Shard(shard)}
+// newShardTwin is shard i of a paged graph of n vertices in shards ranges,
+// and an oracle under cfg.
+func newShardTwin(n uint32, shards, i int, cfg Config) shardTwin {
+	return shardTwin{NewPaged(n, shards, cfg.Workers).Shard(i), New(n, cfg)}
 }
 
 func (st shardTwin) insert(src, dst []uint32) {
@@ -68,13 +71,13 @@ func (st shardTwin) ensure(n uint32) {
 	st.ref.EnsureVertices(n)
 }
 
-// want flattens the oracle shard.
-func (st shardTwin) want() *Snapshot { return st.ref.SnapshotInto(nil) }
+// want is the oracle over the shard's range.
+func (st shardTwin) want() *Snapshot { return rangeSnapshot(st.ref, st.Base(), st.NumVertices()) }
 
 // TestPublishMatchesRebuild drives one shard through 2 400 insert and
 // delete batches, publishing after each, and checks every published
-// snapshot against a from-scratch flatten of a bare Graph's shard that took
-// the same batches — and that the snapshots still held, recycled in no
+// snapshot against the shard's range of a bare Graph that took the same
+// batches — and that the snapshots still held, recycled in no
 // particular order and one of them kept across hundreds of publishes, read
 // exactly what they read when they were published, while the arena under
 // them takes the batches' merged runs on shared pages, cleans, retires pages
@@ -86,7 +89,7 @@ func (st shardTwin) want() *Snapshot { return st.ref.SnapshotInto(nil) }
 // still reads.
 func TestPublishMatchesRebuild(t *testing.T) {
 	const n, sources, batches = 1 << 12, 256, 2400
-	sh := newShardTwin(n, Config{Shards: 2, Workers: 2}, 1)
+	sh := newShardTwin(n, 2, 1, Config{Workers: 2})
 	lo := sh.Base()
 	rng := rand.New(rand.NewSource(11))
 	sh.insert(randomBatch(rng, 100_000, lo, lo+sources, n))
@@ -165,7 +168,7 @@ func TestPublishMatchesRebuildAfterShapes(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
 		base, bdst := randomBatch(rng, 8*int(shape.nv), 0, shape.nv, shape.nv)
 		for _, p := range []int{1, 2, 4} {
-			sh := newShardTwin(shape.nv, Config{Workers: p}, 0)
+			sh := newShardTwin(shape.nv, 1, 0, Config{Workers: p})
 			sh.insert(base, bdst)
 			sameSnapshot(t, fmt.Sprintf("%s p=%d preload", shape.name, p), sh.Publish(), sh.want())
 			for step, del := range []bool{false, true} {
@@ -187,7 +190,7 @@ func TestPublishMatchesRebuildAfterShapes(t *testing.T) {
 // extends, the new vertices read as degree 0 until a batch names them, and
 // a snapshot published before the growth keeps its own vertex count.
 func TestPublishGrowth(t *testing.T) {
-	sh := newShardTwin(8, Config{Workers: 1}, 0)
+	sh := newShardTwin(8, 1, 0, Config{Workers: 1})
 	sh.insert([]uint32{1, 2}, []uint32{2, 1})
 	s0 := sh.Publish()
 
@@ -239,8 +242,7 @@ func TestPublishGrowth(t *testing.T) {
 // move copies the moved runs.
 func TestPublishRebuildRules(t *testing.T) {
 	const n = 1 << 10
-	cfg := Config{Shards: 2, Workers: 2}
-	tw := newTwin(n, cfg)
+	tw := newTwin(n, 2, Config{Workers: 2})
 	es := gen.Symmetrize(gen.NewRMatPaper(10, 5).Edges(6000))
 	src, dst := make([]uint32, len(es)), make([]uint32, len(es))
 	for i, e := range es {
@@ -299,7 +301,7 @@ func TestPublishRebuildRules(t *testing.T) {
 
 	// A batch naming every vertex is no different, and leaves what the older
 	// snapshots read exactly as it was.
-	want2 := tw.ref.Shard(0).SnapshotInto(nil)
+	want2 := tw.want(0)
 	var ws, wd []uint32
 	for v := lo; v < hi; v++ {
 		ws, wd = append(ws, v), append(wd, (v+1)%n)
@@ -311,7 +313,7 @@ func TestPublishRebuildRules(t *testing.T) {
 
 	// Two batches between publishes: the second merges into what the first
 	// wrote, which no snapshot ever read.
-	want3 := tw.ref.Shard(0).SnapshotInto(nil)
+	want3 := tw.want(0)
 	bs, bd = randomBatch(rng, 4, lo, hi, n)
 	tw.insert(bs, bd)
 	tw.insert(bs, []uint32{5, 6, 7, 8})
@@ -329,7 +331,7 @@ func TestPublishRebuildRules(t *testing.T) {
 	// A boundary move takes the moved vertices' runs to the other shard's
 	// arena.
 	other := tw.g.Shard(1)
-	want4 := tw.ref.Shard(0).SnapshotInto(nil)
+	want4 := tw.want(0)
 	if err := tw.move(0, hi-100); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +349,7 @@ func TestPublishRebuildRules(t *testing.T) {
 // between two batches.
 func TestPublishRunShapes(t *testing.T) {
 	const n, big = 1 << 16, pageSize + 1000
-	tw := newTwin(n, Config{Shards: 2, Workers: 2})
+	tw := newTwin(n, 2, Config{Workers: 2})
 	sh, other := tw.g.Shard(0), tw.g.Shard(1)
 	a := &sh.pub
 	hub := make([]uint32, big)
@@ -361,7 +363,7 @@ func TestPublishRunShapes(t *testing.T) {
 
 	tw.insert(hub, dst)
 	s1 := sh.Publish()
-	want1 := tw.ref.Shard(0).SnapshotInto(nil)
+	want1 := tw.want(0)
 	if len(s1.Neighbors(7)) != big {
 		t.Fatalf("hub publish: %d neighbors, want %d", len(s1.Neighbors(7)), big)
 	}
@@ -406,15 +408,15 @@ func TestPublishRunShapes(t *testing.T) {
 }
 
 // TestSnapshotCSR checks CSR on both layouts: a plain CSR — the bare
-// shard's flatten — hands out its own adjacency, a published snapshot a
+// graph's flatten — hands out its own adjacency, a published snapshot a
 // compacted copy, and both describe the same graph.
 func TestSnapshotCSR(t *testing.T) {
 	const n = 256
-	sh := newShardTwin(n, Config{Workers: 1}, 0)
+	sh := newShardTwin(n, 1, 0, Config{Workers: 1})
 	rng := rand.New(rand.NewSource(9))
 	src, dst := randomBatch(rng, 2000, 0, n, n)
 	sh.insert(src, dst)
-	flat := sh.want()
+	flat := sh.ref.Snapshot()
 	offs, adj := flat.CSR()
 	if len(adj) > 0 && &adj[0] != &flat.adj[0] {
 		t.Fatal("CSR of a plain CSR copied the adjacency")
@@ -548,7 +550,7 @@ func TestSteadyBatchAllocatesNoScratch(t *testing.T) {
 // the next page opened, and free pages beyond arenaFreeMax are dropped.
 func TestPublishReusesDrainedPages(t *testing.T) {
 	const n = 1024 // the free list keeps full-size pages: a shard of > 4 of them
-	sh := newShardTwin(n, Config{Workers: 1}, 0)
+	sh := newShardTwin(n, 1, 0, Config{Workers: 1})
 	a := &sh.pub
 	rng := rand.New(rand.NewSource(21))
 	sh.insert(randomBatch(rng, 6*pageSize, 0, n, n))
@@ -622,8 +624,7 @@ func TestPublishReusesDrainedPages(t *testing.T) {
 // full-size pages only, 14 with the two contiguous arenas before them).
 func TestSmallShardPublishedFollowsEdges(t *testing.T) {
 	const n, shards = 512, 4
-	cfg := Config{Shards: shards, Workers: 1}
-	tw := newTwin(n, cfg)
+	tw := newTwin(n, shards, Config{Workers: 1})
 	rng := rand.New(rand.NewSource(9))
 	tw.insert(randomBatch(rng, 4000, 0, n, n))
 	prev := make([]*Snapshot, shards)

@@ -39,7 +39,7 @@ func (sh *shardState) neighborRange(lo, hi uint32, yield func(v uint32, block []
 // geometrically, so a stream that raises the vertex bound a little with
 // every batch copies the shard's blocks O(log n) times, not once per batch.
 // Re-slicing within the capacity exposes only zero blocks: make zeroed the
-// tail, and both boundary splices zero the blocks they move out.
+// tail, and a shard's blocks never shrink.
 func (sh *shardState) ensure(n int) {
 	if n <= len(sh.verts) {
 		return
@@ -53,40 +53,11 @@ func (sh *shardState) ensure(n int) {
 	sh.verts = sh.verts[:n]
 }
 
-// MoveBoundary moves the boundary between shards k and k+1 to newStart,
-// splicing the transferred sub-range's vertex blocks between the two shards
-// and installing the successor map (epoch+1). It returns the number of
-// materialized vertices and directed edges that changed owner.
-//
-// The caller must hold both affected shards quiescent — no concurrent
-// update, snapshot or read may touch shards k and k+1 for the duration
-// (other shards may keep working: the splice touches only the two shards
-// and the map pointer).
-func (g *Graph) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEdges uint64, err error) {
-	return g.moveBoundary(k, newStart, func(old uint32) (*pipe, *pipe, uint32, uint64) {
-		a, b := &g.shards[k], &g.shards[k+1]
-		v, e := spliceBlocks(a, b, old, newStart)
-		return &a.pipe, &b.pipe, v, e
-	})
-}
-
-// spliceBlocks moves the vertex blocks of the transferred range between two
-// shards and returns their number and summed out-degrees.
-func spliceBlocks(a, b *shardState, old, newStart uint32) (uint32, uint64) {
-	var was []vertex
-	a.verts, b.verts, was, _ = splice(a.verts, b.verts, a.base, old, newStart)
-	var edges uint64
-	for i := range was {
-		edges += uint64(was[i].degree())
-	}
-	clear(was) // drop the overflow pointers from the donor's array
-	return uint32(len(was)), edges
-}
-
 // Shard is a handle on one vertex-range partition of a Graph: the per-shard
-// update and snapshot surface. Methods that mutate (EnsureVertices,
-// InsertBatch, DeleteBatch, SnapshotInto) must be serialized per shard — one
-// owner goroutine per shard — but different shards' owners may run them
+// update and snapshot surface the benchmark's layer timings drive (see
+// Config.Shards). Methods that mutate (EnsureVertices, InsertBatch,
+// DeleteBatch, SnapshotInto) must be serialized per shard — one owner
+// goroutine per shard — but different shards' owners may run them
 // concurrently.
 type Shard struct {
 	*shardState

@@ -146,7 +146,7 @@ func (ps *publishStream) placed() (placed, cleaned uint64) {
 
 func benchPublish(b *testing.B, scale uint) {
 	src, dst, batches := rulerGraph(scale, 9, 64, 1000)
-	g := pagedFrom(NewFromEdges(1<<scale, src, dst, Config{Shards: 2, Workers: 2}))
+	g := pagedFrom(NewFromEdges(1<<scale, src, dst, Config{Workers: 2}), 2)
 	ps := newPublishStream(g, batches, func(uint32) bool { return true })
 	appended, cleaned, publishNs := ps.run(b)
 	var arena, edges uint64
@@ -181,7 +181,7 @@ func BenchmarkPublishByClass(b *testing.B) {
 	}
 	for c, name := range []string{"inline", "array", "RIA", "HITree"} {
 		b.Run(name, func(b *testing.B) {
-			bare := NewFromEdges(1<<scale, src, dst, Config{Shards: 2, Workers: 2})
+			bare := NewFromEdges(1<<scale, src, dst, Config{Workers: 2})
 			// What the class holds: its vertices' 64-byte blocks and overflow
 			// structures in the bare engine, four bytes an entry published.
 			var verts, entries, live uint64
@@ -201,7 +201,7 @@ func BenchmarkPublishByClass(b *testing.B) {
 					live += vb.tree().Memory()
 				}
 			}
-			ps := newPublishStream(pagedFrom(bare), batches, func(v uint32) bool { return class(bare, v) == c })
+			ps := newPublishStream(pagedFrom(bare, 2), batches, func(v uint32) bool { return class(bare, v) == c })
 			edges := 0
 			for _, parts := range ps.parts {
 				for _, p := range parts {

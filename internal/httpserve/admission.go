@@ -3,8 +3,6 @@ package httpserve
 import (
 	"net/http"
 	"strconv"
-
-	"lsgraph"
 )
 
 // Admission control: the front-end sheds work it could technically accept
@@ -24,9 +22,10 @@ import (
 // than a few only multiplies p99 for everyone. A full semaphore sheds with
 // the same 429 contract rather than queueing.
 
-// admitIngest reports whether the store can take another batch. On
-// rejection it has already written the 429 response.
-func (s *Server) admitIngest(w http.ResponseWriter, st *lsgraph.Store) bool {
+// admitIngest reports whether the tenant's store can take another batch.
+// On rejection it has already written the 429 response.
+func (s *Server) admitIngest(w http.ResponseWriter, t *tenant) bool {
+	st := t.store
 	saturated := st.Saturated()
 	if s.admitOverride != nil {
 		saturated = s.admitOverride(st)
@@ -38,7 +37,7 @@ func (s *Server) admitIngest(w http.ResponseWriter, st *lsgraph.Store) bool {
 	w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
 	writeError(w, http.StatusTooManyRequests,
 		"ingest queue saturated (depth %d, per-shard bound %d); retry later",
-		st.QueueDepth(), st.MaxQueue())
+		st.QueueDepth(), t.cfg.MaxQueue)
 	return false
 }
 

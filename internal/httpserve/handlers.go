@@ -80,7 +80,7 @@ func summarize(t *tenant) graphSummary {
 		Edges:      st.NumEdges(),
 		Epoch:      st.Epoch(),
 		Shards:     st.Shards(),
-		MaxQueue:   st.MaxQueue(),
+		MaxQueue:   t.cfg.MaxQueue,
 		MaxVerts:   t.cfg.MaxVertices,
 		QueueDepth: st.QueueDepth(),
 		Saturated:  st.Saturated(),
@@ -194,7 +194,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad op %q (want insert or delete)", op)
 		return
 	}
-	if !s.admitIngest(w, t.store) {
+	if !s.admitIngest(w, t) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"lsgraph/internal/core"
 	"lsgraph/internal/obs"
 	"lsgraph/internal/trace"
 	"lsgraph/internal/wal"
@@ -118,8 +117,7 @@ func (s *Store) enqueue(op int, src, dst []uint32) error {
 	trace.Span(trace.PhaseScatter, -1, batch, 0, uint64(len(src)), trScatter)
 	s.g.ReserveVertices(bound)
 	if obs.Enabled() {
-		skew := shardSkewPct(parts)
-		obsShardSkew.Set(skew)
+		obsShardSkew.Set(int64(skewPct(len(parts), func(i int) uint64 { return uint64(len(parts[i].Src)) })))
 	}
 	for i, part := range parts {
 		if len(part.Src) == 0 {
@@ -141,28 +139,25 @@ func (s *Store) enqueue(op int, src, dst []uint32) error {
 	return nil
 }
 
-// shardSkewPct returns how far the largest routed part deviates from a
-// perfectly even split, in percent of the fair share (0 = even, 100 = one
-// shard got twice its fair share, 700 = a shard of eight got everything).
-// The value is unclamped so heavy skew — hubs at many times fair share —
-// is visible instead of saturating the gauge.
-func shardSkewPct(parts []core.SubBatch) int64 {
-	total, max := 0, 0
-	for _, p := range parts {
-		total += len(p.Src)
-		if len(p.Src) > max {
-			max = len(p.Src)
+// skewPct is the skew of a load spread over shards: how far the largest of
+// load(0..shards-1) lies above an even split, in percent of the fair share
+// (0 = even or no load, 100 = one shard has twice its fair share, 700 = a
+// shard of eight has everything). It has no upper clamp, so heavy skew —
+// hubs at many times fair share — shows instead of saturating a gauge.
+func skewPct(shards int, load func(i int) uint64) float64 {
+	var total, max uint64
+	for i := 0; i < shards; i++ {
+		l := load(i)
+		total += l
+		if l > max {
+			max = l
 		}
 	}
 	if total == 0 {
 		return 0
 	}
-	fair := float64(total) / float64(len(parts))
-	skew := (float64(max)/fair - 1) * 100
-	if skew < 0 {
-		skew = 0
-	}
-	return int64(skew)
+	fair := float64(total) / float64(shards)
+	return math.Max((float64(max)/fair-1)*100, 0)
 }
 
 // enqueue adds an owned batch to this shard's queue, merging under
@@ -280,12 +275,6 @@ func (s *Store) Flush() {
 // of an always-on atomic counter (no locks, safe from any goroutine); the
 // value can change before the caller acts on it.
 func (s *Store) QueueDepth() int { return int(s.queued.Load()) }
-
-// MaxQueue returns the per-shard soft queue bound (Options.MaxQueue after
-// defaulting): once a shard's queue holds this many batches, further
-// same-op enqueues coalesce into the newest entry instead of growing the
-// queue. Constant for the Store's lifetime.
-func (s *Store) MaxQueue() int { return s.opt.MaxQueue }
 
 // Saturated reports whether any shard's queue has reached the MaxQueue
 // bound — the point where the next same-op enqueue would coalesce rather

@@ -11,7 +11,7 @@
 // whichever affected writer reaches its control entry second, while the
 // first waits parked): move the transferred vertices' table entries, and
 // their runs from the donor's page arena to the receiver's
-// (core.Graph.MoveBoundary, safe because both owners are quiescent and serve
+// (core.Paged.MoveBoundary, safe because both owners are quiescent and serve
 // readers only touch snapshots, whose tables and pages it does not write),
 // publish both shards — each snapshot stamped with its new range — and
 // install one, then the other. Between the two swaps the
@@ -243,26 +243,9 @@ func (s *Store) Rebalance() (RebalanceResult, error) {
 	return res, nil
 }
 
-// viewSkewPct is the per-shard edge-mass skew of a pinned view:
-// (max/fair - 1) * 100, 0 for an even or empty layout.
+// viewSkewPct is the per-shard edge-mass skew of a pinned view (skewPct).
 func viewSkewPct(v *View) float64 {
-	total, max := uint64(0), uint64(0)
-	for _, e := range v.es {
-		m := e.snap.NumEdges()
-		total += m
-		if m > max {
-			max = m
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	fair := float64(total) / float64(len(v.es))
-	skew := (float64(max)/fair - 1) * 100
-	if skew < 0 {
-		skew = 0
-	}
-	return skew
+	return skewPct(len(v.es), func(i int) uint64 { return v.es[i].snap.NumEdges() })
 }
 
 // targetBoundaries computes, from a pinned view, the boundary vertex IDs
@@ -335,7 +318,7 @@ func (s *Store) autoRebalance() {
 	defer close(s.autoDone)
 	ticker := time.NewTicker(s.opt.AutoInterval)
 	defer ticker.Stop()
-	last := make([]uint64, len(s.routed))
+	last, load := make([]uint64, len(s.routed)), make([]uint64, len(s.routed))
 	for {
 		select {
 		case <-s.autoStop:
@@ -343,34 +326,24 @@ func (s *Store) autoRebalance() {
 		case <-ticker.C:
 		}
 		// Routed-edge deltas since the last tick: the live load signal.
-		var total, max uint64
+		var total uint64
 		for i := range s.routed {
 			cur := s.routed[i].Load()
-			d := cur - last[i]
-			last[i] = cur
-			total += d
-			if d > max {
-				max = d
-			}
+			load[i], last[i] = cur-last[i], cur
+			total += load[i]
 		}
 		if total == 0 {
 			// No ingest since last tick: fall back to stored edge mass so a
 			// skewed-at-rest store still converges.
 			v := s.View()
-			for _, e := range v.es {
-				m := e.snap.NumEdges()
-				total += m
-				if m > max {
-					max = m
-				}
+			for i, e := range v.es {
+				load[i] = e.snap.NumEdges()
+				total += load[i]
 			}
 			v.Release()
 		}
-		if total == 0 {
-			continue
-		}
-		fair := float64(total) / float64(len(s.ws))
-		if float64(max) < s.opt.AutoRebalance*fair {
+		skew := skewPct(len(load), func(i int) uint64 { return load[i] })
+		if total == 0 || skew < (s.opt.AutoRebalance-1)*100 {
 			continue
 		}
 		if _, err := s.Rebalance(); err != nil {

@@ -43,6 +43,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lsgraph/internal/obs"
 )
 
 // Phase identifies which stage of the batch lifecycle (or which non-batch
@@ -499,7 +501,7 @@ func BatchEnd(batch uint64, lagNs int64) {
 	tailMu.Lock()
 	defer tailMu.Unlock()
 	slow := tail.total >= tailWarmup && tail.count > 0 &&
-		float64(lagNs) > bucketQuantile(tail.buckets[:], tail.count, 0.99)
+		float64(lagNs) > obs.BucketQuantile(tail.buckets[:], tail.count, 0.99)
 	b := bits.Len64(uint64(lagNs))
 	if b >= len(tail.buckets) {
 		b = len(tail.buckets) - 1
@@ -561,33 +563,6 @@ func RetainedTraces() []BatchTrace {
 	out := make([]BatchTrace, len(tail.kept))
 	copy(out, tail.kept)
 	return out
-}
-
-// bucketQuantile estimates the q-quantile of a log2-bucketed histogram by
-// linear interpolation inside the bucket containing the target rank (the
-// same estimator internal/obs exposes on its histograms).
-func bucketQuantile(buckets []uint64, count uint64, q float64) float64 {
-	if count == 0 {
-		return 0
-	}
-	rank := q * float64(count)
-	cum := 0.0
-	for i, c := range buckets {
-		if c == 0 {
-			continue
-		}
-		fc := float64(c)
-		if cum+fc >= rank {
-			var lo, hi float64
-			if i > 0 {
-				lo = float64(uint64(1) << (i - 1))
-				hi = float64(uint64(1) << i)
-			}
-			return lo + (hi-lo)*(rank-cum)/fc
-		}
-		cum += fc
-	}
-	return float64(uint64(1) << (len(buckets) - 1))
 }
 
 // Reset drops every recorded event and retained trace and resizes the

@@ -26,9 +26,9 @@
 //     not run concurrently with reads or other updates, while reads are
 //     freely concurrent with each other. Graph.Snapshot carves out an
 //     immutable CSR view for analytics that must survive later updates.
-//   - Store is the concurrent serving layer: updates enqueue through a
-//     single writer goroutine and readers pin epoch-numbered snapshots
-//     with Store.View, so ingestion and analytics overlap freely. Use it
+//   - Store is the concurrent serving layer: updates enqueue to one writer
+//     goroutine per shard and readers pin epoch-numbered snapshots with
+//     Store.View, so ingestion and analytics overlap freely. Use it
 //     whenever update and read traffic cannot be phase-separated.
 //
 // All analytics entry points accept the Reader interface, which Graph,
@@ -91,11 +91,12 @@ var (
 )
 
 // settings collects everything the constructors configure: the engine's
-// core.Config, of which a Store's paged graph takes only Shards and
-// Workers, plus the serving-layer queue bounds and rebalancing policy a
-// Store needs. Graph constructors ignore the serving fields.
+// core.Config, of which a Store's paged graph takes only Workers, plus the
+// shard count, queue bounds and rebalancing policy a Store needs. Graph
+// constructors ignore the Store's fields.
 type settings struct {
 	cfg           core.Config
+	shards        int
 	maxQueue      int
 	autoRebalance float64
 	durDir        string
@@ -129,15 +130,14 @@ func WithWorkers(w int) Option {
 	return func(s *settings) { s.cfg.Workers = w }
 }
 
-// WithShards partitions the vertex space into s contiguous shards
-// (default 1). On a Graph, batch updates are scattered by source vertex
-// and the shards apply in parallel. On a Store, each shard additionally
-// gets its own writer goroutine, update queue, and independently
-// published snapshot, and View composes a consistent vector of per-shard
-// snapshots — the knob that scales concurrent ingest. With s == 1
-// behavior is identical to an unsharded engine.
+// WithShards partitions a Store's vertex space into s contiguous shards
+// (default 1), each with its own writer goroutine, update queue, and
+// independently published snapshot; View composes a consistent vector of
+// per-shard snapshots — the knob that scales concurrent ingest. Ignored by
+// Graph constructors: the paper's engine is one vertex range, updated per
+// vertex in parallel.
 func WithShards(s int) Option {
-	return func(st *settings) { st.cfg.Shards = s }
+	return func(st *settings) { st.shards = s }
 }
 
 // WithMaxQueue sets a Store's per-shard update-queue bound in batches
@@ -245,8 +245,8 @@ func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 
 // NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with
 // the blocks NeighborBlocks would yield for it, an empty block for a
-// vertex without edges, routing once per shard instead of once per vertex.
-// See Reader.
+// vertex without edges, walking the vertex blocks in order instead of
+// looking each vertex up. See Reader.
 func (g *Graph) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
 	g.g.NeighborRange(lo, hi, yield)
 }
@@ -264,9 +264,7 @@ func (g *Graph) DeleteVertex(v uint32) { g.g.DeleteVertex(v) }
 // itself counts as a read — take it between update batches — but the
 // returned view is then fully independent: analytics may run on it
 // concurrently with further updates to g, and it satisfies Reader, so it
-// can be handed to any kernel in this package. (A Store does exactly this
-// after every applied batch, with buffer reuse, to serve readers while
-// ingesting.)
+// can be handed to any kernel in this package.
 func (g *Graph) Snapshot() *core.Snapshot { return g.g.Snapshot() }
 
 // MemoryUsage returns the engine's estimated resident bytes: the vertex

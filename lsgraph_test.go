@@ -56,7 +56,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 // with vertices that have no edges.
 func TestReadersKeepRangeContract(t *testing.T) {
 	es := symEdges(t, 8, 1500, 3)
-	g := New(300, WithShards(2))
+	g := New(300)
 	g.InsertEdges(es)
 	st := NewStore(300, WithShards(3))
 	defer st.Close()

@@ -5,10 +5,21 @@ import (
 	"time"
 )
 
-// TestShardedGraphAndStoreEquivalence builds the same graph unsharded and
-// at several shard counts, through both the phase-alternating Graph and
-// the concurrent Store, and checks that structure and kernel results are
-// identical — WithShards is a pure partitioning of the same graph.
+// TestGraphIgnoresWithShards: WithShards partitions a Store only; a Graph
+// built with it is the paper's engine of one vertex range.
+func TestGraphIgnoresWithShards(t *testing.T) {
+	for _, g := range []*Graph{New(64, WithShards(4)), NewFromEdges(64, []Edge{{1, 2}, {60, 3}}, WithShards(4))} {
+		if n := g.g.NumShards(); n != 1 {
+			t.Fatalf("a Graph built WithShards(4) has %d ranges, want 1", n)
+		}
+	}
+}
+
+// TestShardedGraphAndStoreEquivalence builds the same graph through the
+// phase-alternating Graph, which ignores WithShards, and through the
+// concurrent Store at several shard counts, and checks that structure and
+// kernel results are identical — WithShards is a pure partitioning of the
+// same graph.
 func TestShardedGraphAndStoreEquivalence(t *testing.T) {
 	es := symEdges(t, 9, 4000, 21)
 	base := NewFromEdges(512, es)

@@ -5,10 +5,9 @@ import (
 	"lsgraph/internal/serve"
 )
 
-// Store is the concurrent serving layer over one LSGraph engine: a
-// sharded-writer / multi-reader wrapper that lets batch updates and
-// analytics run at the same time, the capability the bare Graph's
-// alternating-phase contract rules out.
+// Store is the concurrent serving layer: a sharded-writer / multi-reader
+// graph that lets batch updates and analytics run at the same time, the
+// capability the bare Graph's alternating-phase contract rules out.
 //
 // The vertex space is split into WithShards contiguous shards (default
 // 1), each drained by its own writer goroutine. Updates are scattered by
@@ -89,8 +88,8 @@ func (s *Store) Flush() {
 }
 
 // Close applies and publishes any remaining queued batches, then stops
-// the writer goroutine and waits for it to exit. Updates after Close
-// panic; Views acquired before Close remain readable.
+// the shard writer goroutines and waits for them to exit. Updates after
+// Close panic; Views acquired before Close remain readable.
 func (s *Store) Close() {
 	s.st.Close()
 }
@@ -148,12 +147,8 @@ func (s *Store) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32
 // the value may change before the caller acts on it.
 func (s *Store) QueueDepth() int { return s.st.QueueDepth() }
 
-// MaxQueue returns the per-shard queue bound this store was built with
-// (WithMaxQueue; default 64). Constant for the store's lifetime.
-func (s *Store) MaxQueue() int { return s.st.MaxQueue() }
-
 // Saturated reports whether any shard's update queue has reached the
-// MaxQueue bound, the point where further same-op updates coalesce into
+// WithMaxQueue bound, the point where further same-op updates coalesce into
 // already-queued batches instead of queueing independently. Front-ends use
 // it as the admission-control shed signal (respond 429 instead of
 // enqueueing). Safe from any goroutine; it briefly takes each shard's
