@@ -16,16 +16,18 @@ import (
 // and returns the parent of every vertex: its own ID for src, the BFS
 // parent for reached vertices, and -1 for unreached ones. The graph
 // should be symmetrized, as in the paper's evaluation, for the bottom-up
-// direction to be valid.
+// direction to be valid. A src at or beyond NumVertices reaches nothing.
 func BFS(g Reader, src uint32) []int32 { return algo.BFS(g, src, 0) }
 
 // BFSLevels runs the same search as BFS but returns each vertex's hop
-// depth from src, -1 if unreached.
+// depth from src, -1 if unreached. The graph should be symmetrized, as for
+// BFS, for the bottom-up direction to be valid.
 func BFSLevels(g Reader, src uint32) []int32 { return algo.BFSLevels(g, src, 0) }
 
 // BC computes single-source betweenness-centrality dependency scores from
 // src with Brandes' algorithm (forward BFS phases, then a backward
-// dependency-accumulation sweep).
+// dependency-accumulation sweep). A src at or beyond NumVertices scores
+// every vertex 0.
 func BC(g Reader, src uint32) []float64 { return algo.BC(g, src, 0) }
 
 // PageRank runs iters synchronous PageRank iterations (iters <= 0 means

@@ -73,6 +73,61 @@ func TestBFSMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestBFSLevelsBothDirections runs the one search on graphs picked for the
+// direction their levels take, at 1, 2 and 4 workers: the depths must equal
+// the serial queue BFS's, and every parent must sit one level above its
+// child. The heuristic goes bottom-up when the frontier's degree total
+// exceeds m/20, m counting directed edges.
+func TestBFSLevelsBothDirections(t *testing.T) {
+	// From its centre, a star's first frontier holds 63 of m = 126 edges,
+	// and 63 > 126/20 = 6: level 1 goes bottom-up.
+	var star []gen.Edge
+	for u := uint32(1); u < 64; u++ {
+		star = append(star, gen.Edge{Src: 0, Dst: u})
+	}
+	// A 200-vertex path has m = 2·199 = 398, so bottom-up needs a frontier
+	// degree total above 398/20 = 19; from one end every frontier is one
+	// vertex of degree at most 2, so every level goes top-down.
+	var path []gen.Edge
+	for v := uint32(1); v < 200; v++ {
+		path = append(path, gen.Edge{Src: v - 1, Dst: v})
+	}
+	for _, tc := range []struct {
+		name string
+		g    *refgraph.Graph
+	}{
+		{"star", buildRef(64, star)},
+		{"path", buildRef(200, path)},
+		{"rmat", testGraph(t)},
+		// Two components: from 0 the frontier's 1 edge exceeds 4/20 = 0,
+		// so level 1 goes bottom-up and vertices 2 to 5 stay unreached.
+		{"disconnected", buildRef(6, []gen.Edge{{Src: 0, Dst: 1}, {Src: 3, Dst: 4}})},
+	} {
+		want := serialBFSDepths(tc.g, 0)
+		for _, p := range []int{1, 2, 4} {
+			levels, parent := BFSLevels(tc.g, 0, p), BFS(tc.g, 0, p)
+			for v := range want {
+				if levels[v] != want[v] {
+					t.Fatalf("%s p=%d: BFSLevels(%d)=%d want %d", tc.name, p, v, levels[v], want[v])
+				}
+				pu := parent[v]
+				switch {
+				case v == 0:
+					if pu != 0 {
+						t.Fatalf("%s p=%d: source parent %d", tc.name, p, pu)
+					}
+				case want[v] == -1:
+					if pu != NoParent {
+						t.Fatalf("%s p=%d: unreached %d has parent %d", tc.name, p, v, pu)
+					}
+				case pu < 0 || int(pu) >= len(want) || want[pu] != want[v]-1:
+					t.Fatalf("%s p=%d: vertex %d at depth %d has parent %d", tc.name, p, v, want[v], pu)
+				}
+			}
+		}
+	}
+}
+
 func TestBFSDisconnected(t *testing.T) {
 	g := refgraph.New(6)
 	g.Insert(0, 1)

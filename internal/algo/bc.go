@@ -12,11 +12,16 @@ import (
 // (Brandes' algorithm restricted to one source, as in the paper's
 // evaluation): a forward frontier-synchronous phase counting shortest
 // paths, then a backward dependency-accumulation sweep over the BFS levels.
-// It returns the dependency score of every vertex.
+// It returns the dependency score of every vertex, all zero when src is
+// outside the graph.
 func BC(g engine.Graph, src uint32, p int) []float64 {
 	t := obsBC.begin()
 	var traversed uint64
 	n := int(g.NumVertices())
+	if src >= uint32(n) {
+		obsBC.done(t, 0)
+		return make([]float64, n)
+	}
 	depth := make([]int32, n)
 	for i := range depth {
 		depth[i] = NoParent
@@ -43,10 +48,16 @@ func BC(g engine.Graph, src uint32, p int) []float64 {
 			scan := func(bs []uint32) bool {
 				s, lv := sv, level // hoist heap captures off the loop
 				for _, u := range bs {
-					if atomic.CompareAndSwapInt32(&depth[u], NoParent, lv) {
-						next[u] = true
+					// Read before claiming, as BFS does: a neighbour
+					// reached at an earlier level costs one load.
+					d := atomic.LoadInt32(&depth[u])
+					if d == NoParent {
+						if atomic.CompareAndSwapInt32(&depth[u], NoParent, lv) {
+							next[u] = true
+						}
+						d = atomic.LoadInt32(&depth[u])
 					}
-					if atomic.LoadInt32(&depth[u]) == lv {
+					if d == lv {
 						atomic.AddUint64(&sigma[u], s)
 					}
 				}

@@ -23,16 +23,38 @@ const NoParent = int32(-1)
 
 // BFS runs a direction-optimizing (push/pull hybrid) parallel breadth-first
 // search from src using p workers (p <= 0 means GOMAXPROCS) and returns the
-// parent array, NoParent for unreached vertices (src is its own parent).
+// parent array, NoParent for unreached vertices (src is its own parent). A
+// src outside the graph reaches nothing.
 func BFS(g engine.Graph, src uint32, p int) []int32 {
-	t := obsBFS.begin()
+	return bfs(g, src, p, false, obsBFS)
+}
+
+// BFSLevels runs the same search as BFS and returns each vertex's depth
+// from src, NoParent if unreached.
+func BFSLevels(g engine.Graph, src uint32, p int) []int32 {
+	return bfs(g, src, p, true, obsBFSLvl)
+}
+
+// bfs is the one traversal body behind BFS and BFSLevels. A vertex is
+// reached once, by whichever direction the level runs, and out records
+// either the frontier vertex that reached it or, when levels is set, the
+// level.
+func bfs(g engine.Graph, src uint32, p int, levels bool, ob kernelObs) []int32 {
+	t := ob.begin()
 	var traversed uint64
-	n := int(g.NumVertices())
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = NoParent
+	n := g.NumVertices()
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = NoParent
 	}
-	parent[src] = int32(src)
+	if src >= n {
+		ob.done(t, 0)
+		return out
+	}
+	out[src] = 0
+	if !levels {
+		out[src] = int32(src)
+	}
 
 	frontier := []uint32{src}
 	inFrontier := make([]bool, n)
@@ -43,58 +65,65 @@ func BFS(g engine.Graph, src uint32, p int) []int32 {
 	// rebuild sums it in parallel as it collects the next frontier.
 	degree := g.Degree
 	frontierEdges := uint64(degree(src))
-	for len(frontier) > 0 {
+	for level := int32(1); len(frontier) > 0; level++ {
 		traversed += frontierEdges
-		for i := range next {
-			next[i] = false
-		}
+		clear(next)
 		// Direction heuristic (Beamer): go bottom-up when the frontier
 		// touches a large fraction of the graph's edges.
 		if totalEdges > 0 && frontierEdges > totalEdges/20 {
-			for i := range inFrontier {
-				inFrontier[i] = false
-			}
+			clear(inFrontier)
 			for _, v := range frontier {
 				inFrontier[v] = true
 			}
-			bfsBottomUp(g, parent, inFrontier, next, p)
+			bfsBottomUp(g, out, inFrontier, next, p, levels, level)
 		} else {
-			bfsTopDown(g, frontier, parent, next, p)
+			bfsTopDown(g, frontier, out, next, p, levels, level)
 		}
 		frontier, frontierEdges = collectFrontier(frontier, next, bufs, p, degree)
 	}
-	obsBFS.done(t, traversed)
-	return parent
+	ob.done(t, traversed)
+	return out
 }
 
-func bfsTopDown(g engine.Graph, frontier []uint32, parent []int32, next []bool, p int) {
+// bfsTopDown lets each frontier vertex claim its unreached neighbours. A
+// claim reads before it CASes, as Ligra's cond does, so a neighbour that is
+// already reached costs a load rather than a locked read-modify-write.
+func bfsTopDown(g engine.Graph, frontier []uint32, out []int32, next []bool, p int, levels bool, level int32) {
 	parallel.ForChunk(len(frontier), p, func(lo, hi int) {
-		var v uint32
+		claim := level
 		scan := func(bs []uint32) bool {
-			pv := int32(v) // hoist the heap-captured source off the loop
+			c := claim // hoist the heap-captured claim off the loop
 			for _, u := range bs {
-				if atomic.CompareAndSwapInt32(&parent[u], NoParent, pv) {
+				if atomic.LoadInt32(&out[u]) == NoParent && atomic.CompareAndSwapInt32(&out[u], NoParent, c) {
 					next[u] = true
 				}
 			}
 			return true
 		}
 		for i := lo; i < hi; i++ {
-			v = frontier[i]
-			g.NeighborBlocks(v, scan)
+			if !levels {
+				claim = int32(frontier[i])
+			}
+			g.NeighborBlocks(frontier[i], scan)
 		}
 	})
 }
 
-func bfsBottomUp(g engine.Graph, parent []int32, inFrontier, next []bool, p int) {
-	parallel.ForChunk(len(parent), p, func(lo, hi int) {
+// bfsBottomUp lets each unreached vertex look for a frontier neighbour;
+// each vertex is written only by the worker whose range holds it.
+func bfsBottomUp(g engine.Graph, out []int32, inFrontier, next []bool, p int, levels bool, level int32) {
+	parallel.ForChunk(len(out), p, func(lo, hi int) {
 		// Returning false from the yield ends the walk once a frontier
-		// parent is found.
+		// neighbour is found.
 		var v int
 		scan := func(bs []uint32) bool {
 			for _, u := range bs {
 				if inFrontier[u] {
-					parent[v] = int32(u)
+					if levels {
+						out[v] = level
+					} else {
+						out[v] = int32(u)
+					}
 					next[v] = true
 					return false
 				}
@@ -102,51 +131,9 @@ func bfsBottomUp(g engine.Graph, parent []int32, inFrontier, next []bool, p int)
 			return true
 		}
 		for v = lo; v < hi; v++ {
-			if parent[v] == NoParent {
+			if out[v] == NoParent {
 				g.NeighborBlocks(uint32(v), scan)
 			}
 		}
 	})
-}
-
-// BFSLevels returns the depth of each vertex from src (-1 if unreached),
-// derived from a BFS parent array walk; used by tests and BC.
-func BFSLevels(g engine.Graph, src uint32, p int) []int32 {
-	t := obsBFSLvl.begin()
-	var traversed uint64
-	n := int(g.NumVertices())
-	depth := make([]int32, n)
-	for i := range depth {
-		depth[i] = NoParent
-	}
-	depth[src] = 0
-	frontier := []uint32{src}
-	level := int32(0)
-	next := make([]bool, n)
-	bufs := frontierBufs(p)
-	degree, frontierEdges := frontierDegrees(t, g, frontier)
-	for len(frontier) > 0 {
-		traversed += frontierEdges
-		for i := range next {
-			next[i] = false
-		}
-		level++
-		parallel.ForChunk(len(frontier), p, func(lo, hi int) {
-			scan := func(bs []uint32) bool {
-				lv := level // hoist the heap-captured level off the loop
-				for _, u := range bs {
-					if atomic.CompareAndSwapInt32(&depth[u], NoParent, lv) {
-						next[u] = true
-					}
-				}
-				return true
-			}
-			for i := lo; i < hi; i++ {
-				g.NeighborBlocks(frontier[i], scan)
-			}
-		})
-		frontier, frontierEdges = collectFrontier(frontier, next, bufs, p, degree)
-	}
-	obsBFSLvl.done(t, traversed)
-	return depth
 }

@@ -449,15 +449,8 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad src: %v", err)
 			return
 		}
-		// Like khop, a source beyond the view's vertex space (not yet
-		// ingested) reaches nothing; BFSLevels itself would index past its
-		// arrays and take the connection down with a panic.
-		var levels []int32
-		if src < v.NumVertices() {
-			levels = lsgraph.BFSLevels(v, src)
-		}
 		reached, maxDepth := 0, int32(-1)
-		for _, l := range levels {
+		for _, l := range lsgraph.BFSLevels(v, src) {
 			if l >= 0 {
 				reached++
 				if l > maxDepth {

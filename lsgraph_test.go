@@ -113,6 +113,34 @@ func TestAlgorithmsRunViaFacade(t *testing.T) {
 	}
 }
 
+// TestKernelsFromOutsideTheGraph runs the source-taking kernels from
+// vertices the graph does not have: each reaches nothing instead of
+// indexing past its arrays.
+func TestKernelsFromOutsideTheGraph(t *testing.T) {
+	g := NewFromEdges(64, symEdges(t, 6, 200, 5))
+	for _, src := range []uint32{g.NumVertices(), 1<<32 - 2} {
+		for name, out := range map[string][]int32{"BFS": BFS(g, src), "BFSLevels": BFSLevels(g, src)} {
+			if len(out) != 64 {
+				t.Fatalf("%s(%d): %d entries, want 64", name, src, len(out))
+			}
+			for v, x := range out {
+				if x != -1 {
+					t.Fatalf("%s(%d)[%d] = %d, want -1", name, src, v, x)
+				}
+			}
+		}
+		bc := BC(g, src)
+		if len(bc) != 64 {
+			t.Fatalf("BC(%d): %d entries, want 64", src, len(bc))
+		}
+		for v, x := range bc {
+			if x != 0 {
+				t.Fatalf("BC(%d)[%d] = %g, want 0", src, v, x)
+			}
+		}
+	}
+}
+
 func TestEdgeMapBFS(t *testing.T) {
 	// A BFS built from the public EdgeMap primitive must agree with the
 	// built-in BFS on reachability.
