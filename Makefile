@@ -26,7 +26,7 @@ verify:
 	cd benchmark && $(GO) test -race -shuffle=on ./...
 	$(GO) test -count=1 -gcflags=all=-d=checkptr=2 ./internal/core ./internal/ria
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... > /dev/null
-	$(GO) test -count=1 -run '^TestTraceDisabledOverheadGuard$$' ./internal/trace
+	$(GO) test -count=1 -run '^TestTraceDisabledOverheadGuard$$' ./internal/obs
 	@echo "verify: OK"
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): one run of

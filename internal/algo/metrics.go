@@ -1,30 +1,24 @@
 package algo
 
 import (
-	"time"
-
 	"lsgraph/internal/engine"
 	"lsgraph/internal/obs"
-	"lsgraph/internal/trace"
 )
 
-// kernelObs bundles one kernel's wall-time histogram, traversed-edge
-// counter, and interned flight-recorder label. Kernels call begin at entry
-// and done at exit; both are near-free when collection and tracing are
-// disabled (a zero timer short-circuits done).
+// kernelObs is one kernel's obs layer — a span per run, observed as
+// lsgraph_phase_nanos{phase="kernel",kernel=…} and recorded as a named
+// kernel event — and its traversed-edge counter. Kernels call begin at entry
+// and done at exit; both are near-free while metrics and tracing are off.
 type kernelObs struct {
-	nanos *obs.Histogram
+	layer *obs.Layer
 	edges *obs.Counter
-	name  uint32 // interned kernel name for trace.SpanNamed
 }
 
 func newKernelObs(kernel string) kernelObs {
-	l := `kernel="` + kernel + `"`
 	return kernelObs{
-		nanos: obs.NewHistogram("lsgraph_algo_nanos", l, "ns", "wall time per kernel run"),
-		edges: obs.NewCounter("lsgraph_algo_traversed_edges_total", l,
+		layer: obs.KernelLayer(kernel),
+		edges: obs.NewCounter("lsgraph_algo_traversed_edges_total", obs.Label("kernel", kernel),
 			"edges traversed per kernel (frontier-degree or iteration estimates)"),
-		name: trace.InternName(kernel),
 	}
 }
 
@@ -38,40 +32,24 @@ var (
 	obsKCore  = newKernelObs("kcore")
 )
 
-// kernelTimer is a begin result: the obs wall-clock start and the trace
-// timestamp, each zero when its collector was off at kernel entry.
-type kernelTimer struct {
-	obsT time.Time
-	trT  int64
-}
+// begin opens a kernel run's span; pair with done.
+func (k kernelObs) begin() obs.Span { return k.layer.Begin() }
 
-// active reports whether either collector wants per-round edge estimates;
-// kernels gate their frontier degree sums on it so the all-off path pays
-// nothing.
-func (t kernelTimer) active() bool { return !t.obsT.IsZero() || t.trT != 0 }
-
-// begin opens a kernel run measurement; pair with done.
-func (k kernelObs) begin() kernelTimer {
-	return kernelTimer{obsT: obs.StartTimer(), trT: trace.Start()}
-}
-
-// done records one finished kernel run: the obs histogram/counter when
-// collection was on at entry, and a named kernel span in the flight
-// recorder when tracing was (SpanNamed ignores the zero timestamp).
-func (k kernelObs) done(t kernelTimer, edges uint64) {
-	if !t.obsT.IsZero() {
-		k.nanos.ObserveSince(t.obsT)
+// done closes a kernel run's span, counting its traversed edges when
+// metrics were on at begin.
+func (k kernelObs) done(sp obs.Span, edges uint64) {
+	if sp.Metrics() {
 		k.edges.Add(edges)
 	}
-	trace.SpanNamed(trace.PhaseKernel, -1, 0, 0, edges, k.name, t.trT)
+	sp.End(-1, 0, 0, edges)
 }
 
 // frontierDegrees is what a frontier-synchronous kernel hands
 // collectFrontier for its per-round traversed-edge estimate, with the
 // degree total of its first frontier: the degree read while a collector is
 // on, and nothing — so the all-off path pays nothing — while none is.
-func frontierDegrees(t kernelTimer, g engine.Graph, frontier []uint32) (func(uint32) uint32, uint64) {
-	if !t.active() {
+func frontierDegrees(sp obs.Span, g engine.Graph, frontier []uint32) (func(uint32) uint32, uint64) {
+	if !sp.On() {
 		return nil, 0
 	}
 	var s uint64

@@ -7,18 +7,9 @@ import (
 
 	"lsgraph/internal/algo"
 	"lsgraph/internal/core"
+	"lsgraph/internal/obs"
 	"lsgraph/internal/serve"
-	"lsgraph/internal/trace"
 )
-
-// tracePhases is every lifecycle phase the demo workload must light up: the
-// full batch path, snapshot management, and the reader-side spans.
-var tracePhases = []trace.Phase{
-	trace.PhaseEnqueue, trace.PhaseCoalesce, trace.PhaseScatter,
-	trace.PhasePack, trace.PhasePartition, trace.PhaseApply,
-	trace.PhasePublish, trace.PhaseReclaim,
-	trace.PhaseKernel, trace.PhaseViewPin,
-}
 
 // traceDemoShards is the shard count the demo drives; coverage is asserted
 // per shard for the per-shard phases.
@@ -26,36 +17,37 @@ const traceDemoShards = 4
 
 // TraceDemo exercises the flight recorder end to end: a 4-shard Store with
 // MaxQueue=1 (so backpressure coalescing fires), one large batch followed by
-// a burst of small ones, a kernel run on a pinned view, and deletes. It then
-// reads the recorded events back and reports per-phase coverage — event
-// counts, total time, and how many shards each phase was seen on — failing
-// visibly ("phase coverage: INCOMPLETE") if any lifecycle phase went
-// unrecorded. The workload retries a few times because coalescing depends on
-// catching a writer mid-apply.
+// a burst of small ones, a boundary move, a kernel run on a pinned view, and
+// deletes. It then reads the recorded events back and reports coverage of
+// every phase in obs's layer table — event counts, total time, and how many
+// shards each phase was seen on — failing visibly ("phase coverage:
+// INCOMPLETE") if any went unrecorded. The workload retries a few times
+// because coalescing depends on catching a writer mid-apply.
 func TraceDemo(s Scale, w io.Writer) {
-	prevMode, prevN := trace.CurrentMode(), trace.SampleN()
-	trace.SetMode(trace.All, 1)
-	defer trace.SetMode(prevMode, prevN)
+	prevMode, prevN := obs.CurrentTraceMode(), obs.TraceSampleN()
+	obs.SetTraceMode(obs.TraceAll, 1)
+	defer obs.SetTraceMode(prevMode, prevN)
 
 	d, _ := MakeDataset("LJ-sim", s)
 	src, dst := Split(d.Edges)
 	cut := len(src) * 9 / 10
 
-	var evs []trace.Event
-	var missing []trace.Phase
+	phases := obs.Phases()
+	var evs []obs.Event
+	var missing []obs.Phase
 	for attempt := 0; attempt < 3; attempt++ {
 		runTraceDemoWorkload(s, d, src, dst, cut)
-		evs = trace.Snapshot()
-		missing = missingPhases(evs)
+		evs = obs.Events()
+		missing = missingPhases(phases, evs)
 		if len(missing) == 0 {
 			break
 		}
 	}
 
 	t := NewTable("Flight-recorder demo: batch-lifecycle phase coverage (4 shards, MaxQueue=1)",
-		"every lifecycle phase must appear; shards counts distinct shard tracks the phase was recorded on (engine-level events report '-').",
-		"phase", "events", "total", "shards")
-	for _, p := range tracePhases {
+		"every phase of the layer table must appear; shards counts distinct shard tracks the phase was recorded on (engine-level events report '-').",
+		"phase", "events", "total", "shards", "one event covers")
+	for _, p := range phases {
 		n, total, shards := 0, int64(0), map[int]bool{}
 		for _, ev := range evs {
 			if ev.Phase != p {
@@ -71,12 +63,12 @@ func TraceDemo(s Scale, w io.Writer) {
 		if len(shards) > 0 {
 			sh = fmt.Sprintf("%d", len(shards))
 		}
-		t.Row(p.String(), n, fmtTraceNs(total), sh)
+		t.Row(p.String(), n, fmtTraceNs(total), sh, p.Help())
 	}
 	t.WriteTo(w)
 
 	if len(missing) == 0 {
-		fmt.Fprintf(w, "phase coverage: OK (%d/%d lifecycle phases recorded)\n\n", len(tracePhases), len(tracePhases))
+		fmt.Fprintf(w, "phase coverage: OK (%d/%d phases recorded)\n\n", len(phases), len(phases))
 	} else {
 		names := make([]string, len(missing))
 		for i, p := range missing {
@@ -84,7 +76,7 @@ func TraceDemo(s Scale, w io.Writer) {
 		}
 		fmt.Fprintf(w, "phase coverage: INCOMPLETE — missing %s\n\n", strings.Join(names, ", "))
 	}
-	trace.WriteAutopsy(w)
+	obs.WriteAutopsy(w)
 	fmt.Fprintln(w)
 }
 
@@ -104,6 +96,8 @@ func runTraceDemoWorkload(s Scale, d *Dataset, src, dst []uint32, cut int) {
 		st.InsertBatch(bs, bd)
 	}
 	st.Flush()
+	// One boundary move records the rebalance layer.
+	st.MoveBoundary(0, uint32(d.N)/(2*traceDemoShards))
 
 	// A pinned view held across a kernel run records viewpin and kernel
 	// spans; holding it across the deletes below keeps snapshots retired
@@ -124,14 +118,14 @@ func runTraceDemoWorkload(s Scale, d *Dataset, src, dst []uint32, cut int) {
 	st.Flush()
 }
 
-// missingPhases returns the lifecycle phases absent from evs.
-func missingPhases(evs []trace.Event) []trace.Phase {
-	seen := map[trace.Phase]bool{}
+// missingPhases returns the phases absent from evs.
+func missingPhases(phases []obs.Phase, evs []obs.Event) []obs.Phase {
+	seen := map[obs.Phase]bool{}
 	for _, ev := range evs {
 		seen[ev.Phase] = true
 	}
-	var missing []trace.Phase
-	for _, p := range tracePhases {
+	var missing []obs.Phase
+	for _, p := range phases {
 		if !seen[p] {
 			missing = append(missing, p)
 		}

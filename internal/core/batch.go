@@ -6,12 +6,10 @@ import (
 	"math/bits"
 	rtrace "runtime/trace"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"lsgraph/internal/obs"
 	"lsgraph/internal/parallel"
-	"lsgraph/internal/trace"
 )
 
 // parPrepMin is the smallest batch the pipeline partitions across workers;
@@ -50,7 +48,7 @@ type pipe struct {
 	apply []applyScratch
 
 	// traceBatch is the flight-recorder batch ID the shard's current update
-	// is attributed to (see internal/trace). It is owned by whichever
+	// is attributed to (see internal/obs). It is owned by whichever
 	// goroutine owns the shard's update pipeline — the serve shard writer
 	// sets it via BeginTrace before applying — so a plain field suffices
 	// under the per-shard exclusivity contract.
@@ -64,7 +62,7 @@ func (pc *pipe) Base() uint32 { return pc.base }
 func (pc *pipe) NumEdges() uint64 { return pc.m.Load() }
 
 // BeginTrace attributes the shard's subsequent updates to the given
-// flight-recorder batch ID (internal/trace): the pack, partition and apply
+// flight-recorder batch ID (internal/obs): the pack, partition and apply
 // spans the pipeline records will carry it. Callers must own the shard
 // exclusively, like every mutating method.
 func (pc *pipe) BeginTrace(batch uint64) { pc.traceBatch = batch }
@@ -252,23 +250,21 @@ func (pc *pipe) applyBatch(n uint32, src, dst []uint32, p int, group groupFunc, 
 	}
 	ps := &pc.prep
 
-	tPack, trPack := obs.StartTimer(), trace.Start()
+	sp := obs.PhasePack.Begin()
 	varying := pc.packKeys(n, src, dst, p) // panics on an out-of-range edge
-	obsPhasePack.ObserveSince(tPack)
-	trace.Span(trace.PhasePack, shard, batch, 0, edges, trPack)
+	sp.End(shard, batch, 0, edges)
 
 	// Ranges come from the source bits that vary in this batch, so updates
 	// clustered in a narrow ID window (an append-mostly stream's newest
 	// vertices) still spread over every worker.
-	tPart, trPart := obs.StartTimer(), trace.Start()
+	sp = obs.PhasePartition.Begin()
 	ps.tmp = grown(ps.tmp, k)
 	ps.ranges, ps.heavy = ps.ranges[:0], ps.heavy[:0]
 	limit := splitLimit(k, p)
 	ps.split(ps.ks, ps.tmp, 0, k, bits.Len64(varying>>32), 0, p, limit)
-	obsPhasePartition.ObserveSince(tPart)
-	trace.Span(trace.PhasePartition, shard, batch, 0, edges, trPart)
+	sp.End(shard, batch, 0, edges)
 
-	tApply, trApply := obs.StartTimer(), trace.Start()
+	sp = obs.PhaseApply.Begin()
 	for w := range pc.apply[:p] {
 		pc.apply[w].changed, pc.apply[w].sortNs = 0, 0
 	}
@@ -286,8 +282,7 @@ func (pc *pipe) applyBatch(n uint32, src, dst []uint32, p int, group groupFunc, 
 	if finish != nil && changed > 0 {
 		finish(p, limit, changed)
 	}
-	obsPhaseApply.ObserveSince(tApply)
-	trace.Span(trace.PhaseApply, shard, batch, 0, edges, trApply)
+	sp.End(shard, batch, 0, edges)
 	return changed
 }
 
@@ -409,9 +404,9 @@ func (pc *pipe) applyRange(w int, r *keyRange, varying uint64, group groupFunc, 
 	}
 	varying &= 1<<(32+r.top) - 1
 	if on {
-		t := time.Now()
+		t := obs.Now()
 		parallel.SortSeq(ks, swap, varying)
-		sc.sortNs += int64(time.Since(t))
+		sc.sortNs += obs.Now() - t
 	} else {
 		parallel.SortSeq(ks, swap, varying)
 	}
@@ -490,10 +485,10 @@ func (g *Graph) batch(src, dst []uint32, del bool) {
 // attribution. Direct batch calls own the whole graph, so plain stores are
 // safe; the serving layer instead attributes per shard via Shard.BeginTrace.
 func (g *Graph) beginBatchTrace() {
-	if !trace.Enabled() {
+	if !obs.Tracing() {
 		return
 	}
-	b := trace.NextBatchID()
+	b := obs.NextBatchID()
 	for i := range g.shards {
 		g.shards[i].traceBatch = b
 	}

@@ -2,19 +2,13 @@ package core
 
 import "lsgraph/internal/obs"
 
-// Engine metrics (internal/obs registry). Batch-phase histograms observe
-// once per batch; path/edge counters are recorded per group or per batch,
-// sharded by the applying worker. All hot-path recording is gated on
-// obs.Enabled(); structural promotions are rare and recorded
-// unconditionally so one-off runs can read them from a Snapshot without
-// enabling collection.
+// Engine metrics (internal/obs registry); the pack, partition and apply
+// phases are obs layers, timed by spans in batch.go. Path/edge counters are
+// recorded per group or per batch, sharded by the applying worker. All
+// hot-path recording is gated on obs.Enabled(); structural promotions are
+// rare and recorded unconditionally so one-off runs can read them from a
+// Snapshot without enabling collection.
 var (
-	obsPhasePack = obs.NewHistogram("lsgraph_batch_phase_nanos", `phase="pack"`, "ns",
-		"per-batch time validating endpoints and packing update keys")
-	obsPhasePartition = obs.NewHistogram("lsgraph_batch_phase_nanos", `phase="partition"`, "ns",
-		"per-batch time splitting the packed keys into source ranges")
-	obsPhaseApply = obs.NewHistogram("lsgraph_batch_phase_nanos", `phase="apply"`, "ns",
-		"per-batch time workers spend taking ranges through sort, dedup, grouping and apply")
 	obsRangeSort = obs.NewHistogram("lsgraph_batch_range_sort_nanos", "", "ns",
 		"share of the apply phase spent in per-range sorts: the slowest worker's accumulated time")
 

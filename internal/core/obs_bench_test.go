@@ -5,7 +5,6 @@ import (
 
 	"lsgraph/internal/gen"
 	"lsgraph/internal/obs"
-	"lsgraph/internal/trace"
 )
 
 // BenchmarkObsOverhead measures the cost the observability hooks add to the
@@ -17,8 +16,7 @@ import (
 //	go test -run xxx -bench ObsOverhead -count 5 ./internal/core
 //
 // The disabled and tracing-off cases must stay within noise of a build
-// without hooks: every per-edge hook reduces to one atomic load of the
-// respective global flag.
+// without hooks: every hook reduces to one atomic load of obs's sink word.
 func BenchmarkObsOverhead(b *testing.B) {
 	const (
 		scale     = 12
@@ -59,11 +57,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) { run(b, true) })
 
 	// Flight-recorder variants, metric collection off in both so the delta
-	// isolates the tracing hooks (Start/Span on the prepare/apply phases).
-	runTrace := func(b *testing.B, m trace.Mode) {
-		prevMode, prevN := trace.CurrentMode(), trace.SampleN()
-		trace.SetMode(m, 1)
-		defer trace.SetMode(prevMode, prevN)
+	// isolates the flight-recorder half of the pipeline's spans.
+	runTrace := func(b *testing.B, m obs.TraceMode) {
+		prevMode, prevN := obs.CurrentTraceMode(), obs.TraceSampleN()
+		obs.SetTraceMode(m, 1)
+		defer obs.SetTraceMode(prevMode, prevN)
 		g, bs, bd := build()
 		b.SetBytes(int64(len(bs)))
 		b.ResetTimer()
@@ -72,6 +70,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			g.DeleteBatch(bs, bd)
 		}
 	}
-	b.Run("tracing-off", func(b *testing.B) { runTrace(b, trace.Off) })
-	b.Run("tracing-on", func(b *testing.B) { runTrace(b, trace.All) })
+	b.Run("tracing-off", func(b *testing.B) { runTrace(b, obs.TraceOff) })
+	b.Run("tracing-on", func(b *testing.B) { runTrace(b, obs.TraceAll) })
 }

@@ -5,8 +5,8 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"lsgraph/internal/obs"
 	"lsgraph/internal/parallel"
-	"lsgraph/internal/trace"
 )
 
 // PartitionMap is the vertex→shard routing table: an immutable, epoch-
@@ -161,7 +161,7 @@ func (sp *space) init(n uint32, shards, workers int) *PartitionMap {
 	sp.pmap.Store(pm)
 	sp.n.Store(n)
 	sp.p = workers
-	trace.EnsureShards(len(pm.Starts))
+	obs.EnsureRings(len(pm.Starts))
 	return pm
 }
 

@@ -4,42 +4,18 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
-// debugHandlers are extra routes mounted into every Handler mux. Other
-// engine packages register their debug surfaces here at init time (the
-// flight recorder's /debug/trace, via internal/trace) so the one obs HTTP
-// endpoint serves them all without obs importing those packages.
-var (
-	debugMu       sync.Mutex
-	debugHandlers = map[string]http.Handler{}
-)
-
-// RegisterDebug mounts h at path on every Handler (and Serve) mux built
-// after the call. Registering the same path twice keeps the newest handler.
-// Call it from package init; handlers registered later are not added to
-// already-built muxes.
-func RegisterDebug(path string, h http.Handler) {
-	debugMu.Lock()
-	debugHandlers[path] = h
-	debugMu.Unlock()
-}
-
-// Handler returns an http.Handler exposing the registry and the runtime
-// profilers:
+// Handler returns an http.Handler exposing the registry, the flight
+// recorder and the runtime profilers:
 //
-//	/metrics        Prometheus text format
-//	/metrics.json   JSON snapshot (Registry.Snapshot)
-//	/debug/pprof/*  net/http/pprof (heap, goroutine, CPU profile, trace, ...)
-//	/debug/*        any routes added via RegisterDebug (e.g. /debug/trace)
+//	/metrics              Prometheus text format
+//	/metrics.json         JSON snapshot (Registry.Snapshot)
+//	/debug/trace          Chrome trace-event JSON (open in Perfetto)
+//	/debug/trace/autopsy  the slow-batch autopsy text report
+//	/debug/pprof/*        net/http/pprof (heap, goroutine, CPU profile, trace, ...)
 func Handler(r *Registry) http.Handler {
 	mux := http.NewServeMux()
-	debugMu.Lock()
-	for p, h := range debugHandlers {
-		mux.Handle(p, h)
-	}
-	debugMu.Unlock()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
@@ -52,6 +28,19 @@ func Handler(r *Registry) http.Handler {
 			return
 		}
 		_, _ = w.Write(b)
+	})
+	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Disposition", `attachment; filename="lsgraph-trace.json"`)
+		if err := WriteChrome(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("/debug/trace/autopsy", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		if err := WriteAutopsy(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -3,7 +3,6 @@ package obs
 import (
 	"net/http"
 	"strconv"
-	"time"
 )
 
 // HTTPMetrics instruments one HTTP route with request-level series in the
@@ -19,15 +18,12 @@ import (
 // entirely while collection is disabled (Enabled() == false), so an
 // uninstrumented deployment pays one atomic load per request.
 type HTTPMetrics struct {
-	route    string
 	latency  *Histogram
 	inflight *Gauge
 
-	// requests is lazily split by status code: the handful of codes a
-	// route actually returns each get their own counter, created on first
-	// use. A plain map guarded by no lock would race; codes are few and
-	// stable, so a small fixed set covers the common ones and the rest
-	// fold into code="other".
+	// Requests split by status code: the trackedCodes each have a counter,
+	// built with the route (the map is read-only after that), and every
+	// other code folds into code="other".
 	byCode map[int]*Counter
 	other  *Counter
 }
@@ -43,7 +39,6 @@ var trackedCodes = []int{200, 201, 202, 204, 400, 404, 409, 413, 429, 499, 500, 
 // per route at startup, from one goroutine.
 func NewHTTPMetrics(route string) *HTTPMetrics {
 	m := &HTTPMetrics{
-		route: route,
 		latency: NewHistogram("lsgraph_http_request_nanos",
 			Label("route", route), "nanoseconds",
 			"wall-clock request latency by route"),
@@ -98,14 +93,14 @@ func (m *HTTPMetrics) Wrap(h http.Handler) http.Handler {
 			return
 		}
 		m.inflight.Add(1)
-		start := time.Now()
+		start := Now()
 		sw := &statusWriter{ResponseWriter: w}
 		h.ServeHTTP(sw, r)
 		code := sw.code
 		if code == 0 {
 			code = http.StatusOK
 		}
-		m.latency.Observe(uint64(time.Since(start).Nanoseconds()))
+		m.latency.Observe(uint64(Now() - start))
 		m.inflight.Add(-1)
 		if c, ok := m.byCode[code]; ok {
 			c.Inc()

@@ -1,34 +1,32 @@
-// Package obs is LSGraph's engine-wide observability layer: a stdlib-only
-// metrics registry with sharded counters, gauges, and log-scaled
-// histograms, plus Prometheus-text / JSON exporters and an optional HTTP
-// endpoint (see http.go).
+// Package obs is LSGraph's one instrumentation package: a stdlib-only
+// metrics registry — sharded counters, gauges and log-scaled histograms with
+// Prometheus-text and JSON exporters — and a flight recorder of per-batch
+// span events in lock-free rings, exported as Chrome trace-event JSON and a
+// slow-batch autopsy (recorder.go). One HTTP handler serves both (http.go).
 //
-// The design goal is that instrumentation can stay compiled into every hot
-// path permanently:
+// Both sinks sit behind one atomic word, so instrumentation stays compiled
+// into every hot path: while both are off a site pays one atomic load; while
+// one is on, recording is an atomic add on a cache-line-padded shard or a
+// ring slot — no locks, no allocation, no map lookups. The registry mutex is
+// taken only at registration and export.
 //
-//   - when collection is disabled (the default), the only cost a hot path
-//     pays is one atomic bool load (Enabled) or an IsZero check on a zero
-//     time.Time (StartTimer/ObserveSince);
-//   - when collection is enabled, recording is a single atomic add on a
-//     cache-line-padded shard — no locks, no allocation, no map lookups.
+// A timed layer is declared once, in the phase table (layer.go), and timed
+// by one span, which reads the clock once at each end and feeds whichever
+// sinks were on when it began — the layer's lsgraph_phase_nanos series and
+// its ring event:
 //
-// Metrics are package-level vars registered at init time via NewCounter /
-// NewGauge / NewHistogram; the registry mutex is only ever taken at
-// registration and export time, never while recording.
+//	sp := obs.PhasePack.Begin()
+//	... work ...
+//	sp.End(shard, batch, epoch, edges)
 //
-// Hot-path idiom:
+// Counters and gauges are package-level vars registered at init; hot paths
+// gate them on Enabled:
 //
 //	var mEdges = obs.NewCounter("lsgraph_edges_total", `op="insert"`, "edges added")
 //
 //	if obs.Enabled() {
 //	    mEdges.Add(n)
 //	}
-//
-// Timing idiom (free when disabled):
-//
-//	t := obs.StartTimer()
-//	... work ...
-//	mPhase.ObserveSince(t)
 package obs
 
 import (
@@ -39,29 +37,38 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 )
 
-// enabled gates collection globally. Hot paths check it once and skip all
-// instrumentation when off, so the disabled cost is a single atomic load.
-var enabled atomic.Bool
+// sinks is the one word every instrumented site loads: bit 0 is metric
+// collection (metricsOn), the bits above it the trace mode. A site that
+// finds it zero skips all instrumentation.
+var sinks atomic.Uint32
+
+const metricsOn = 1
+
+// updateSinks applies f to the sink word atomically.
+func updateSinks(f func(uint32) uint32) {
+	for {
+		old := sinks.Load()
+		if sinks.CompareAndSwap(old, f(old)) {
+			return
+		}
+	}
+}
 
 // Enabled reports whether metric collection is on.
-func Enabled() bool { return enabled.Load() }
+func Enabled() bool { return sinks.Load()&metricsOn != 0 }
 
 // SetEnabled turns metric collection on or off. Metrics recorded while
 // enabled are retained across toggles.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// StartTimer returns the current time if collection is enabled and the zero
-// time otherwise; pair it with Histogram.ObserveSince, which ignores zero
-// starts. This keeps time.Now off the hot path when metrics are off.
-func StartTimer() time.Time {
-	if !enabled.Load() {
-		return time.Time{}
-	}
-	return time.Now()
+func SetEnabled(on bool) {
+	updateSinks(func(s uint32) uint32 {
+		if on {
+			return s | metricsOn
+		}
+		return s &^ metricsOn
+	})
 }
 
 // metric is the export-side interface every metric kind implements.
@@ -186,7 +193,7 @@ type Counter struct {
 	desc
 	shards     []counterShard
 	perShard   bool   // export one series per shard instead of a sum
-	shardLabel string // label naming the per-shard series index; "" means "worker"
+	shardLabel string // label naming the per-shard series index
 }
 
 // NewCounter registers a counter in Default. labels is a literal Prometheus
@@ -256,14 +263,6 @@ func (c *Counter) Value() uint64 {
 	return t
 }
 
-// indexLabel returns the label naming the per-shard series dimension.
-func (c *Counter) indexLabel() string {
-	if c.shardLabel == "" {
-		return "worker"
-	}
-	return c.shardLabel
-}
-
 func (c *Counter) promLines(dst []string) []string {
 	// Export under the _total-suffixed name the exposition format requires.
 	d := c.desc
@@ -271,7 +270,7 @@ func (c *Counter) promLines(dst []string) []string {
 	if c.perShard {
 		for i := range c.shards {
 			if v := c.shards[i].v.Load(); v != 0 {
-				dst = append(dst, fmt.Sprintf("%s %d", d.series(fmt.Sprintf(`%s="%d"`, c.indexLabel(), i)), v))
+				dst = append(dst, fmt.Sprintf("%s %d", d.series(fmt.Sprintf(`%s="%d"`, c.shardLabel, i)), v))
 			}
 		}
 		if len(dst) == 0 {
@@ -289,7 +288,7 @@ func (c *Counter) snapshotValue() any {
 	per := map[string]uint64{}
 	for i := range c.shards {
 		if v := c.shards[i].v.Load(); v != 0 {
-			per[fmt.Sprintf("%s%d", c.indexLabel(), i)] = v
+			per[fmt.Sprintf("%s%d", c.shardLabel, i)] = v
 		}
 	}
 	return map[string]any{"total": c.Value(), "workers": per}
@@ -447,16 +446,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[b].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)
-}
-
-// ObserveSince records the nanoseconds elapsed since start; a zero start
-// (StartTimer with collection disabled) is ignored, so the disabled path
-// costs only the IsZero check.
-func (h *Histogram) ObserveSince(start time.Time) {
-	if start.IsZero() {
-		return
-	}
-	h.Observe(uint64(time.Since(start)))
 }
 
 // Count returns the number of observations.

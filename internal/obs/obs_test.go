@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -122,26 +121,29 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestTimerDisabledIsZero: a span begun with metrics off reads no clock and
+// observes nothing; one begun with metrics on observes exactly once.
 func TestTimerDisabledIsZero(t *testing.T) {
-	SetEnabled(false)
-	if !StartTimer().IsZero() {
-		t.Fatal("StartTimer should return zero time when disabled")
+	prev := sinks.Load()
+	defer sinks.Store(prev)
+	sinks.Store(0)
+	l := &Layer{phase: PhaseApply, hist: NewHistogramIn(NewRegistry(), "timer_hist", "", "ns", "x")}
+	sp := l.Begin()
+	if sp.On() || sp.Start() != 0 {
+		t.Fatalf("Begin with collection off = %+v, want the zero span", sp)
 	}
-	r := NewRegistry()
-	h := NewHistogramIn(r, "timer_hist", "", "ns", "x")
-	h.ObserveSince(time.Time{})
-	if h.Count() != 0 {
-		t.Fatal("ObserveSince recorded a zero start")
+	sp.End(0, 0, 0, 0)
+	if l.hist.Count() != 0 {
+		t.Fatal("End observed a span begun with collection off")
 	}
 	SetEnabled(true)
-	defer SetEnabled(false)
-	st := StartTimer()
-	if st.IsZero() {
-		t.Fatal("StartTimer returned zero while enabled")
+	sp = l.Begin()
+	if !sp.Metrics() || sp.Traced() || sp.Start() == 0 {
+		t.Fatalf("Begin with only metrics on = %+v", sp)
 	}
-	h.ObserveSince(st)
-	if h.Count() != 1 {
-		t.Fatal("ObserveSince dropped a live observation")
+	sp.End(0, 0, 0, 0)
+	if l.hist.Count() != 1 {
+		t.Fatal("End dropped a live observation")
 	}
 }
 
@@ -153,7 +155,7 @@ func TestPrometheusFormat(t *testing.T) {
 	h := NewHistogramIn(r, "fmt_hist", "", "ns", "a histogram")
 	h.Observe(3)
 	pw := NewCounterIn(r, "fmt_workers_total", "", "per worker")
-	pw.perShard = true
+	pw.perShard, pw.shardLabel = true, "worker"
 	pw.AddShard(2, 9)
 
 	var sb strings.Builder

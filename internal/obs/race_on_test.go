@@ -1,6 +1,6 @@
 //go:build race
 
-package trace_test
+package obs
 
 // overheadBudgetNs under the race detector: every atomic load goes through
 // the tsan runtime, so the budget allows for the instrumentation cost.

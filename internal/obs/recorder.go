@@ -1,179 +1,81 @@
-// Package trace is LSGraph's batch-lifecycle flight recorder: a set of
-// lock-free ring buffers of typed span events covering the full life of an
-// update batch — enqueue → coalesce → scatter → per-shard pack →
-// partition → apply → snapshot publish → reclaim — plus kernel-run
-// and view-pin spans. Each event carries the batch ID, owning shard, shard
-// epoch, and edge count, so a slow batch or a p99 visibility-lag spike can
-// be explained after the fact, which the aggregate counters and histograms
-// of internal/obs cannot do.
-//
-// Like obs, the instrumentation stays compiled into every hot path
-// permanently:
-//
-//   - when tracing is disabled (the default), an instrumented path pays one
-//     atomic load (Start returns 0 and Span/Instant return immediately);
-//   - when tracing is enabled, recording an event is one atomic add to
-//     claim a ring slot plus a handful of atomic stores — no locks, no
-//     allocation, no channels.
+package obs
+
+// The flight recorder: lock-free ring buffers of typed span events covering
+// the life of an update batch — enqueue → coalesce → scatter → per-shard
+// pack → partition → apply → snapshot publish → reclaim — plus boundary
+// moves, kernel runs and view pins. Each event carries the batch ID, owning
+// shard, shard epoch and edge count, so a slow batch or a p99
+// visibility-lag spike can be explained after the fact, which aggregate
+// histograms cannot do.
 //
 // Rings are flight recorders: a fixed number of slots per shard (plus one
 // engine-level ring for events not owned by a shard, such as enqueue,
-// scatter, kernel runs, and view pins), overwritten oldest-first. Export
-// (Snapshot, WriteChrome, WriteAutopsy) reads the rings with a per-slot
-// sequence check, skipping slots concurrently overwritten; a reader never
-// blocks a writer.
-//
-// Sampling policy (SetMode):
-//
-//   - All: every event is recorded.
-//   - Sample 1-in-N: only batches whose ID is a multiple of N are recorded
-//     (events not attributed to a batch, like kernel runs, are always kept).
-//   - Tail: everything is recorded into the rings, but WriteChrome exports
-//     only the retained traces of batches whose enqueue-to-publish latency
-//     exceeded a moving p99 estimate (BatchEnd feeds the estimator) — the
-//     "keep only the interesting flights" policy.
-//
-// The exporters produce Chrome trace-event JSON (loadable in Perfetto or
-// chrome://tracing) and a human-readable slow-batch autopsy report.
-package trace
+// scatter, kernel runs and view pins), overwritten oldest-first. Recording
+// an event is one atomic add to claim a slot plus a handful of atomic
+// stores. Export (Events, WriteChrome, WriteAutopsy) reads the rings with a
+// per-slot sequence check, skipping slots concurrently overwritten; a reader
+// never blocks a writer.
 
 import (
 	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"lsgraph/internal/obs"
 )
 
-// Phase identifies which stage of the batch lifecycle (or which non-batch
-// activity) a span covers.
-type Phase uint8
+// TraceMode is the flight recorder's sampling policy.
+type TraceMode int32
 
 const (
-	// PhaseEnqueue spans a Store enqueue call: scatter, vertex-space
-	// reservation, and pushing every routed part onto its shard queue.
-	PhaseEnqueue Phase = 1 + iota
-	// PhaseCoalesce is an instant event: a batch was merged into an
-	// already-queued same-op batch under backpressure instead of being
-	// queued on its own.
-	PhaseCoalesce
-	// PhaseScatter spans routing a mixed batch to shards by source vertex.
-	PhaseScatter
-	// PhasePack spans endpoint validation + packing (src,dst) keys.
-	PhasePack
-	// PhasePartition spans splitting the packed keys into source ranges.
-	PhasePartition
-	// PhaseApply spans the workers taking the ranges through sort, dedup,
-	// group discovery and apply.
-	PhaseApply
-	// PhasePublish spans flattening a shard into a snapshot and swapping it
-	// in as the shard's new epoch.
-	PhasePublish
-	// PhaseReclaim spans recycling retired snapshots whose epoch drained.
-	PhaseReclaim
-	// PhaseKernel spans one analytics kernel run (Name carries the interned
-	// kernel name).
-	PhaseKernel
-	// PhaseViewPin spans the lifetime of a composed view, pin to release.
-	PhaseViewPin
-
-	numPhases
-)
-
-var phaseNames = [numPhases]string{
-	PhaseEnqueue:   "enqueue",
-	PhaseCoalesce:  "coalesce",
-	PhaseScatter:   "scatter",
-	PhasePack:      "pack",
-	PhasePartition: "partition",
-	PhaseApply:     "apply",
-	PhasePublish:   "publish",
-	PhaseReclaim:   "reclaim",
-	PhaseKernel:    "kernel",
-	PhaseViewPin:   "viewpin",
-}
-
-// String returns the phase's lifecycle name ("enqueue", "apply", ...).
-func (p Phase) String() string {
-	if int(p) < len(phaseNames) && phaseNames[p] != "" {
-		return phaseNames[p]
-	}
-	return "?"
-}
-
-// Mode is the tracing policy; see the package comment.
-type Mode int32
-
-const (
-	// Off records nothing; instrumented paths cost one atomic load.
-	Off Mode = iota
-	// All records every event.
-	All
-	// Sample records only batches whose ID is a multiple of the configured
-	// N (plus all non-batch events).
-	Sample
-	// Tail records everything but exports only retained traces of batches
-	// slower than a moving p99 of enqueue-to-publish latency.
-	Tail
+	// TraceOff records nothing; instrumented paths cost one atomic load.
+	TraceOff TraceMode = iota
+	// TraceAll records every event.
+	TraceAll
+	// TraceSample records only batches whose ID is a multiple of the
+	// configured N, plus every event not attributed to a batch (kernel
+	// runs, view pins).
+	TraceSample
+	// TraceTail records everything, but the exporters see only the retained
+	// traces of batches slower than a moving p99 of enqueue-to-publish
+	// latency (BatchEnd feeds the estimator): the "keep only the
+	// interesting flights" policy.
+	TraceTail
 )
 
 var (
-	mode    atomic.Int32
 	sampleN atomic.Uint64
-
-	// traceEpoch anchors the trace timeline; Now is monotonic nanoseconds
-	// since it, so every event in one process shares one clock.
-	traceEpoch = time.Now()
 
 	// batchID hands out flight-recorder batch IDs; 0 means "not attributed
 	// to a batch", so the counter starts at 1.
 	batchID atomic.Uint64
 )
 
-// SetMode sets the tracing policy. n is the 1-in-N sampling divisor and is
-// only meaningful with Sample (values < 1 are treated as 1, i.e. All).
-// Events already recorded are retained across mode changes; Reset clears
-// them.
-func SetMode(m Mode, n int) {
+// SetTraceMode sets the tracing policy. n is the 1-in-N sampling divisor and
+// is only meaningful with TraceSample (values < 1 are treated as 1, i.e.
+// TraceAll). Events already recorded are retained across mode changes.
+func SetTraceMode(m TraceMode, n int) {
 	if n < 1 {
 		n = 1
 	}
 	sampleN.Store(uint64(n))
-	// Mode first, rings second: an EnsureShards racing with this either sees
+	// Mode first, rings second: an EnsureRings racing with this either sees
 	// the mode on and allocates its rings itself, or has already raised
 	// wantRings for the ensureRings below. A recorder that gets in between
 	// finds no rings and falls back through ringFor.
-	mode.Store(int32(m))
-	if m != Off {
+	updateSinks(func(s uint32) uint32 { return s&metricsOn | uint32(m)<<1 })
+	if m != TraceOff {
 		ensureRings(int(wantRings.Load()))
 	}
 }
 
-// CurrentMode returns the active tracing policy.
-func CurrentMode() Mode { return Mode(mode.Load()) }
+// CurrentTraceMode returns the active tracing policy.
+func CurrentTraceMode() TraceMode { return TraceMode(sinks.Load() >> 1) }
 
-// SampleN returns the configured 1-in-N sampling divisor.
-func SampleN() int { return int(sampleN.Load()) }
+// TraceSampleN returns the configured 1-in-N sampling divisor.
+func TraceSampleN() int { return int(sampleN.Load()) }
 
-// Enabled reports whether tracing is on in any mode.
-func Enabled() bool { return mode.Load() != int32(Off) }
-
-// Now returns nanoseconds since the process's trace-timeline origin
-// (monotonic). It is always available, tracing on or off, so callers can
-// compute durations for metrics even when no events are recorded.
-func Now() int64 { return int64(time.Since(traceEpoch)) }
-
-// Start returns the current trace timestamp if tracing is enabled and 0
-// otherwise; pair it with Span, which ignores zero starts. The disabled
-// path is one atomic load.
-func Start() int64 {
-	if mode.Load() == int32(Off) {
-		return 0
-	}
-	return Now()
-}
+// Tracing reports whether tracing is on in any mode.
+func Tracing() bool { return sinks.Load()>>1 != 0 }
 
 // NextBatchID returns a fresh flight-recorder batch ID (never 0).
 func NextBatchID() uint64 { return batchID.Add(1) }
@@ -186,7 +88,7 @@ type Event struct {
 	Phase Phase
 	Name  uint32 // interned label (kernel name), 0 = none
 	Edges uint64 // edge count the span covered
-	Start int64  // ns since the trace-timeline origin
+	Start int64  // Now at the event
 	Dur   int64  // ns; 0 for instant events
 }
 
@@ -286,14 +188,14 @@ func (r *ring) collect(dst []Event) []Event {
 	return dst
 }
 
-// DefaultRingCapacity is the per-ring slot count (1 MiB of events per ring
+// defaultRingCapacity is the per-ring slot count (1 MiB of events per ring
 // at 64 B/slot is plenty for an autopsy window without mattering next to
 // the graph itself).
-const DefaultRingCapacity = 1 << 14
+const defaultRingCapacity = 1 << 14
 
 var (
 	ringsMu      sync.Mutex
-	ringCapacity = DefaultRingCapacity
+	ringCapacity = defaultRingCapacity
 	// rings[0] is the engine-level ring; shard s records into rings[s+1].
 	// The slice is swapped atomically so recording never takes ringsMu.
 	rings atomic.Pointer[[]*ring]
@@ -304,19 +206,19 @@ var (
 	wantRings atomic.Int32
 )
 
-// EnsureShards asks for per-shard rings for shard indexes [0, n). The
+// EnsureRings asks for per-shard rings for shard indexes [0, n). The
 // engines call it at construction. The rings are allocated at once when
-// tracing is on, otherwise by the SetMode that turns it on; recording with
-// a shard index beyond the allocated count falls back to the engine-level
-// ring.
-func EnsureShards(n int) {
+// tracing is on, otherwise by the SetTraceMode that turns it on; recording
+// with a shard index beyond the allocated count falls back to the
+// engine-level ring.
+func EnsureRings(n int) {
 	for {
 		cur := wantRings.Load()
 		if int32(n+1) <= cur || wantRings.CompareAndSwap(cur, int32(n+1)) {
 			break
 		}
 	}
-	if Enabled() {
+	if Tracing() {
 		ensureRings(n + 1)
 	}
 }
@@ -361,53 +263,26 @@ func ringFor(shard int) *ring {
 	return (*rs)[i]
 }
 
-// sampled reports whether an event attributed to batch should be recorded
-// under the current mode. Non-batch events (batch 0) are always kept: they
-// are rare and provide the context spans (kernels, view pins).
-func sampled(batch uint64) bool {
-	switch Mode(mode.Load()) {
-	case All, Tail:
-		return true
-	case Sample:
-		return batch == 0 || batch%sampleN.Load() == 0
-	default:
-		return false
-	}
-}
-
-// Span records a completed span that began at start (a Start result).
-// A zero start — tracing was off at span begin — records nothing, so the
-// disabled path costs only Start's atomic load.
-func Span(ph Phase, shard int, batch, epoch uint64, edges uint64, start int64) {
-	SpanNamed(ph, shard, batch, epoch, edges, 0, start)
-}
-
-// SpanNamed is Span with an interned label (InternName) attached; the
-// exporters use the label as the event name (e.g. a kernel's name).
-func SpanNamed(ph Phase, shard int, batch, epoch uint64, edges uint64, name uint32, start int64) {
-	if start == 0 || mode.Load() == int32(Off) || !sampled(batch) {
+// record files ev in its shard's ring if mode m keeps its batch.
+// Non-batch events (batch 0) are always kept: they are rare and provide the
+// context spans (kernels, view pins).
+func record(m TraceMode, ev Event) {
+	if m == TraceOff || m == TraceSample && ev.Batch != 0 && ev.Batch%sampleN.Load() != 0 {
 		return
 	}
-	ringFor(shard).record(Event{
-		Batch: batch, Epoch: epoch, Shard: shard, Phase: ph,
-		Name: name, Edges: edges, Start: start, Dur: Now() - start,
-	})
+	ringFor(ev.Shard).record(ev)
 }
 
-// Instant records a zero-duration event (e.g. a coalesce) at the current
-// time.
+// Instant records a zero-duration event (a coalesce) at the current time.
 func Instant(ph Phase, shard int, batch uint64, edges uint64) {
-	if mode.Load() == int32(Off) || !sampled(batch) {
-		return
+	if m := CurrentTraceMode(); m != TraceOff {
+		record(m, Event{Batch: batch, Shard: shard, Phase: ph, Edges: edges, Start: Now()})
 	}
-	ringFor(shard).record(Event{
-		Batch: batch, Shard: shard, Phase: ph, Edges: edges, Start: Now(),
-	})
 }
 
-// Snapshot returns every currently readable event across all rings, in
+// Events returns every currently readable event across all rings, in
 // start-time order. Slots being concurrently rewritten are skipped.
-func Snapshot() []Event {
+func Events() []Event {
 	rs := rings.Load()
 	if rs == nil {
 		return nil
@@ -435,9 +310,9 @@ var (
 	nameIDs = map[string]uint32{}
 )
 
-// InternName registers a label (typically at package init) and returns its
-// ID for SpanNamed. Interning the same string twice returns the same ID.
-func InternName(s string) uint32 {
+// internName registers a label (a kernel's name, at package init) and
+// returns its ID. Interning the same string twice returns the same ID.
+func internName(s string) uint32 {
 	nameMu.Lock()
 	defer nameMu.Unlock()
 	if id, ok := nameIDs[s]; ok {
@@ -449,8 +324,8 @@ func InternName(s string) uint32 {
 	return id
 }
 
-// NameOf returns the label interned under id ("" for 0 or unknown IDs).
-func NameOf(id uint32) string {
+// nameOf returns the label interned under id ("" for 0 or unknown IDs).
+func nameOf(id uint32) string {
 	nameMu.Lock()
 	defer nameMu.Unlock()
 	if int(id) < len(names) {
@@ -495,13 +370,13 @@ var tail struct {
 // warmup) has its events copied out of the rings and retained; in every
 // other mode this is a no-op beyond the mode check.
 func BatchEnd(batch uint64, lagNs int64) {
-	if Mode(mode.Load()) != Tail || lagNs < 0 {
+	if CurrentTraceMode() != TraceTail || lagNs < 0 {
 		return
 	}
 	tailMu.Lock()
 	defer tailMu.Unlock()
 	slow := tail.total >= tailWarmup && tail.count > 0 &&
-		float64(lagNs) > obs.BucketQuantile(tail.buckets[:], tail.count, 0.99)
+		float64(lagNs) > BucketQuantile(tail.buckets[:], tail.count, 0.99)
 	b := bits.Len64(uint64(lagNs))
 	if b >= len(tail.buckets) {
 		b = len(tail.buckets) - 1
@@ -565,11 +440,10 @@ func RetainedTraces() []BatchTrace {
 	return out
 }
 
-// Reset drops every recorded event and retained trace and resizes the
-// rings to capacity slots each (0 keeps the current capacity). Intended
-// for tests; racing Reset with concurrent recording loses events but is
-// memory-safe.
-func Reset(capacity int) {
+// resetTrace drops every recorded event and retained trace and resizes the
+// rings to capacity slots each (0 keeps the current capacity). Tests use it;
+// racing it with concurrent recording loses events but is memory-safe.
+func resetTrace(capacity int) {
 	ringsMu.Lock()
 	if capacity > 0 {
 		ringCapacity = capacity

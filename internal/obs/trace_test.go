@@ -1,4 +1,4 @@
-package trace_test
+package obs
 
 import (
 	"bytes"
@@ -9,61 +9,69 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"lsgraph/internal/trace"
 )
 
 // withMode runs the test with the flight recorder in mode m over fresh
 // rings of the given capacity, restoring the defaults afterwards so tests
 // cannot leak state into each other (the recorder is process-global).
-func withMode(t *testing.T, m trace.Mode, n, capacity int) {
+func withMode(t *testing.T, m TraceMode, n, capacity int) {
 	t.Helper()
-	trace.Reset(capacity)
-	trace.SetMode(m, n)
+	resetTrace(capacity)
+	SetTraceMode(m, n)
 	t.Cleanup(func() {
-		trace.SetMode(trace.Off, 1)
-		trace.Reset(trace.DefaultRingCapacity)
+		SetTraceMode(TraceOff, 1)
+		resetTrace(defaultRingCapacity)
+	})
+}
+
+// rec records a span of phase ph that began at start and ends now, as End
+// does, under the current mode.
+func rec(ph Phase, shard int, batch, epoch, edges uint64, start int64) {
+	record(CurrentTraceMode(), Event{
+		Batch: batch, Epoch: epoch, Shard: shard, Phase: ph,
+		Edges: edges, Start: start, Dur: Now() - start,
 	})
 }
 
 func TestDisabledRecordsNothing(t *testing.T) {
-	withMode(t, trace.Off, 1, 64)
-	if s := trace.Start(); s != 0 {
-		t.Fatalf("Start with tracing off = %d, want 0", s)
+	withMode(t, TraceOff, 1, 64)
+	if sp := PhaseApply.Begin(); sp.On() || sp.Start() != 0 {
+		t.Fatalf("Begin with both sinks off = %+v, want the zero span", sp)
 	}
-	trace.Span(trace.PhaseApply, 0, 1, 0, 10, trace.Now())
-	trace.Instant(trace.PhaseCoalesce, 0, 1, 10)
-	if evs := trace.Snapshot(); len(evs) != 0 {
+	PhaseApply.Begin().End(0, 1, 0, 10)
+	rec(PhaseApply, 0, 1, 0, 10, Now())
+	Instant(PhaseCoalesce, 0, 1, 10)
+	if evs := Events(); len(evs) != 0 {
 		t.Fatalf("recorded %d events with tracing off", len(evs))
 	}
 }
 
 func TestSpanRoundTrip(t *testing.T) {
-	withMode(t, trace.All, 1, 64)
-	start := trace.Start()
-	if start == 0 {
-		t.Fatal("Start returned 0 with tracing on")
+	withMode(t, TraceAll, 1, 64)
+	sp := PhasePublish.Begin()
+	if !sp.Traced() || sp.Start() == 0 {
+		t.Fatalf("Begin with tracing on = %+v", sp)
 	}
-	trace.Span(trace.PhasePublish, 3, 42, 7, 12345, start)
-	evs := trace.Snapshot()
+	sp.End(3, 42, 7, 12345)
+	evs := Events()
 	if len(evs) != 1 {
 		t.Fatalf("got %d events, want 1", len(evs))
 	}
 	ev := evs[0]
-	if ev.Phase != trace.PhasePublish || ev.Shard != 3 || ev.Batch != 42 ||
-		ev.Epoch != 7 || ev.Edges != 12345 || ev.Start != start || ev.Dur < 0 {
+	if ev.Phase != PhasePublish || ev.Shard != 3 || ev.Batch != 42 ||
+		ev.Epoch != 7 || ev.Edges != 12345 || ev.Start != sp.Start() || ev.Dur < 0 {
 		t.Fatalf("decoded event %+v does not match recorded span", ev)
 	}
 }
 
 func TestRingWraparound(t *testing.T) {
 	const capacity = 8
-	withMode(t, trace.All, 1, capacity)
+	withMode(t, TraceAll, 1, capacity)
 	// All events land on shard 0's ring; edges value identifies each.
 	for i := 0; i < 3*capacity; i++ {
-		trace.Instant(trace.PhaseCoalesce, 0, 1, uint64(i))
+		Instant(PhaseCoalesce, 0, 1, uint64(i))
 	}
-	evs := trace.Snapshot()
+	evs := Events()
 	if len(evs) != capacity {
 		t.Fatalf("snapshot has %d events after wrap, want ring capacity %d", len(evs), capacity)
 	}
@@ -80,7 +88,7 @@ func TestRingWraparound(t *testing.T) {
 }
 
 func TestConcurrentWritersAndReaders(t *testing.T) {
-	withMode(t, trace.All, 1, 256)
+	withMode(t, TraceAll, 1, 256)
 	const writers = 8
 	const perWriter = 5000
 	stop := make(chan struct{})
@@ -94,9 +102,9 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 				return
 			default:
 			}
-			trace.Snapshot()
+			Events()
 			var sb strings.Builder
-			trace.WriteChrome(&sb)
+			WriteChrome(&sb)
 		}
 	}()
 	var wg sync.WaitGroup
@@ -105,27 +113,26 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				s := trace.Start()
-				trace.Span(trace.PhaseApply, w%4, uint64(w*perWriter+i), 0, uint64(i), s)
+				PhaseApply.Begin().End(w%4, uint64(w*perWriter+i), 0, uint64(i))
 			}
 		}(w)
 	}
 	wg.Wait()
 	close(stop)
 	rg.Wait()
-	if evs := trace.Snapshot(); len(evs) == 0 {
+	if evs := Events(); len(evs) == 0 {
 		t.Fatal("no events survived concurrent recording")
 	}
 }
 
 func TestSampling(t *testing.T) {
-	withMode(t, trace.Sample, 4, 256)
+	withMode(t, TraceSample, 4, 256)
 	for b := uint64(1); b <= 8; b++ {
-		trace.Instant(trace.PhaseCoalesce, 0, b, b)
+		Instant(PhaseCoalesce, 0, b, b)
 	}
-	trace.Instant(trace.PhaseKernel, -1, 0, 99) // non-batch events always kept
+	Instant(PhaseKernel, -1, 0, 99) // non-batch events always kept
 	got := map[uint64]bool{}
-	for _, ev := range trace.Snapshot() {
+	for _, ev := range Events() {
 		got[ev.Batch] = true
 	}
 	want := map[uint64]bool{0: true, 4: true, 8: true}
@@ -140,17 +147,16 @@ func TestSampling(t *testing.T) {
 }
 
 func TestTailRetention(t *testing.T) {
-	withMode(t, trace.Tail, 1, 1024)
+	withMode(t, TraceTail, 1, 1024)
 	// Warm the moving-p99 estimator with fast completions.
 	for i := uint64(0); i < 40; i++ {
-		trace.BatchEnd(1000+i, 1000)
+		BatchEnd(1000+i, 1000)
 	}
 	// A batch 1000x slower than the estimate must be retained with its
 	// ring events.
-	s := trace.Now() - 1_000_000
-	trace.Span(trace.PhaseApply, 0, 7, 3, 500, s)
-	trace.BatchEnd(7, 1_000_000)
-	kept := trace.RetainedTraces()
+	rec(PhaseApply, 0, 7, 3, 500, Now()-1_000_000)
+	BatchEnd(7, 1_000_000)
+	kept := RetainedTraces()
 	if len(kept) != 1 {
 		t.Fatalf("retained %d traces, want 1", len(kept))
 	}
@@ -160,16 +166,16 @@ func TestTailRetention(t *testing.T) {
 	}
 	// A fast batch must not be retained, and re-reporting the slow batch
 	// (multi-shard completion) must not duplicate it.
-	trace.Span(trace.PhaseApply, 1, 8, 3, 500, trace.Now())
-	trace.BatchEnd(8, 900)
-	trace.BatchEnd(7, 1_000_000)
-	if kept = trace.RetainedTraces(); len(kept) != 1 {
+	rec(PhaseApply, 1, 8, 3, 500, Now())
+	BatchEnd(8, 900)
+	BatchEnd(7, 1_000_000)
+	if kept = RetainedTraces(); len(kept) != 1 {
 		t.Fatalf("retained %d traces after fast batch + duplicate report, want 1", len(kept))
 	}
 
 	// Tail-mode Chrome export carries only the retained slow batches.
 	var buf bytes.Buffer
-	if err := trace.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -188,16 +194,16 @@ func TestTailRetention(t *testing.T) {
 }
 
 func TestChromeExportParsesBack(t *testing.T) {
-	withMode(t, trace.All, 1, 256)
-	name := trace.InternName("bfs")
-	now := trace.Now()
-	trace.Span(trace.PhaseScatter, -1, 1, 0, 100, now-3_000_000)
-	trace.Span(trace.PhaseApply, 2, 1, 5, 100, now-2_000_000)
-	trace.SpanNamed(trace.PhaseKernel, -1, 0, 0, 4242, name, now-1_000_000)
-	trace.Instant(trace.PhaseCoalesce, 1, 1, 64)
+	withMode(t, TraceAll, 1, 256)
+	now := Now()
+	rec(PhaseScatter, -1, 1, 0, 100, now-3_000_000)
+	rec(PhaseApply, 2, 1, 5, 100, now-2_000_000)
+	record(TraceAll, Event{Shard: -1, Phase: PhaseKernel, Name: internName("bfs"),
+		Edges: 4242, Start: now - 1_000_000, Dur: 1_000_000})
+	Instant(PhaseCoalesce, 1, 1, 64)
 
 	var buf bytes.Buffer
-	if err := trace.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -239,17 +245,17 @@ func TestChromeExportParsesBack(t *testing.T) {
 }
 
 func TestAutopsyNamesDominantPhase(t *testing.T) {
-	withMode(t, trace.All, 1, 256)
-	now := trace.Now()
+	withMode(t, TraceAll, 1, 256)
+	now := Now()
 	// Batch 1: partition dominates by construction (5ms of an ~6ms e2e).
-	trace.Span(trace.PhaseEnqueue, -1, 1, 0, 1000, now-6_000_000)
-	trace.Span(trace.PhasePartition, 0, 1, 0, 1000, now-5_500_000)
-	trace.Span(trace.PhasePublish, 0, 1, 1, 1000, now-300_000)
+	rec(PhaseEnqueue, -1, 1, 0, 1000, now-6_000_000)
+	rec(PhasePartition, 0, 1, 0, 1000, now-5_500_000)
+	rec(PhasePublish, 0, 1, 1, 1000, now-300_000)
 	// Batch 2: a fast one, so batch 1 leads the report.
-	trace.Span(trace.PhaseApply, 1, 2, 1, 10, now-100_000)
+	rec(PhaseApply, 1, 2, 1, 10, now-100_000)
 
 	var buf bytes.Buffer
-	if err := trace.WriteAutopsy(&buf); err != nil {
+	if err := WriteAutopsy(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rep := buf.String()
@@ -263,57 +269,69 @@ func TestAutopsyNamesDominantPhase(t *testing.T) {
 }
 
 func TestInternName(t *testing.T) {
-	a := trace.InternName("pagerank-test")
-	b := trace.InternName("pagerank-test")
+	a := internName("pagerank-test")
+	b := internName("pagerank-test")
 	if a != b {
 		t.Fatalf("interning twice gave %d and %d", a, b)
 	}
-	if got := trace.NameOf(a); got != "pagerank-test" {
-		t.Fatalf("NameOf(%d) = %q", a, got)
+	if got := nameOf(a); got != "pagerank-test" {
+		t.Fatalf("nameOf(%d) = %q", a, got)
 	}
-	if got := trace.NameOf(0); got != "" {
-		t.Fatalf("NameOf(0) = %q, want empty", got)
+	if got := nameOf(0); got != "" {
+		t.Fatalf("nameOf(0) = %q, want empty", got)
 	}
 }
 
 // TestTraceDisabledOverheadGuard is the contract check behind the "one
-// atomic load when off" claim: a disabled-path Start must cost nanoseconds,
-// not microseconds. The 50ns/op budget is ~25x the expected cost, so the
-// guard only trips on a real regression (a lock, an allocation, a time
-// syscall on the off path), not on CI noise.
+// atomic load when off" claim: a layer's Begin+End with both sinks off must
+// cost nanoseconds, not microseconds. The 50ns/op budget is ~25x the
+// expected cost, so the guard only trips on a real regression (a lock, an
+// allocation, a clock read on the off path), not on CI noise.
 func TestTraceDisabledOverheadGuard(t *testing.T) {
-	trace.SetMode(trace.Off, 1)
+	prev := sinks.Load()
+	sinks.Store(0)
+	defer sinks.Store(prev)
 	const iters = 1 << 22
 	var sink int64
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		sink += trace.Start()
+		sp := PhaseApply.Begin()
+		sink += sp.Start()
+		sp.End(0, uint64(i), 0, 1)
 	}
 	elapsed := time.Since(start)
 	runtime.KeepAlive(sink)
 	perOp := float64(elapsed.Nanoseconds()) / float64(iters)
 	if perOp > overheadBudgetNs {
-		t.Fatalf("disabled trace.Start costs %.1f ns/op, budget %d ns/op — the off path must stay one atomic load",
+		t.Fatalf("disabled Begin+End costs %.1f ns/op, budget %d ns/op — the off path must stay one atomic load",
 			perOp, overheadBudgetNs)
 	}
-	t.Logf("disabled trace.Start: %.2f ns/op over %d iterations", perOp, iters)
+	t.Logf("disabled Begin+End: %.2f ns/op over %d iterations", perOp, iters)
 }
 
 func TestModeAccessors(t *testing.T) {
-	withMode(t, trace.Sample, 10, 64)
-	if m := trace.CurrentMode(); m != trace.Sample {
-		t.Fatalf("CurrentMode = %v, want Sample", m)
+	withMode(t, TraceSample, 10, 64)
+	if m := CurrentTraceMode(); m != TraceSample {
+		t.Fatalf("CurrentTraceMode = %v, want TraceSample", m)
 	}
-	if n := trace.SampleN(); n != 10 {
-		t.Fatalf("SampleN = %d, want 10", n)
+	if n := TraceSampleN(); n != 10 {
+		t.Fatalf("TraceSampleN = %d, want 10", n)
 	}
-	if !trace.Enabled() {
-		t.Fatal("Enabled = false with Sample mode set")
+	if !Tracing() {
+		t.Fatal("Tracing = false with TraceSample set")
 	}
-	for p := trace.PhaseEnqueue; p <= trace.PhaseViewPin; p++ {
-		if p.String() == "?" {
-			t.Fatalf("phase %d has no name", p)
+	// The trace mode and metric collection share one word; neither setter
+	// may clobber the other.
+	prev := Enabled()
+	SetEnabled(true)
+	defer SetEnabled(prev)
+	if CurrentTraceMode() != TraceSample || !Enabled() {
+		t.Fatal("SetEnabled changed the trace mode")
+	}
+	for _, p := range Phases() {
+		if p.String() == "?" || p.Help() == "" {
+			t.Fatalf("phase %d has no row in the table", p)
 		}
 	}
-	_ = fmt.Sprintf("%s", trace.PhaseApply) // Stringer works in formatting
+	_ = fmt.Sprintf("%s", PhaseApply) // Stringer works in formatting
 }

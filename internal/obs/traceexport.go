@@ -1,4 +1,4 @@
-package trace
+package obs
 
 import (
 	"encoding/json"
@@ -33,7 +33,7 @@ type chromeTrace struct {
 // the rings' current contents, except in Tail mode, where only the retained
 // slow-batch traces are exported (that is the retention policy's point).
 func exportEvents() []Event {
-	if CurrentMode() == Tail {
+	if CurrentTraceMode() == TraceTail {
 		var out []Event
 		for _, bt := range RetainedTraces() {
 			out = append(out, bt.Events...)
@@ -41,14 +41,14 @@ func exportEvents() []Event {
 		sortEvents(out)
 		return out
 	}
-	return Snapshot()
+	return Events()
 }
 
 // eventName is the span name shown in the timeline: the interned label when
 // present (kernel names), the lifecycle phase otherwise.
 func (ev Event) eventName() string {
 	if ev.Name != 0 {
-		if n := NameOf(ev.Name); n != "" {
+		if n := nameOf(ev.Name); n != "" {
 			return ev.Phase.String() + ":" + n
 		}
 	}
@@ -198,7 +198,7 @@ func WriteAutopsy(w io.Writer) error {
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "slow-batch autopsy — %d events, %d batches traced (mode %s)\n",
-		len(evs), len(sums), modeName(CurrentMode()))
+		len(evs), len(sums), modeNames[CurrentTraceMode()])
 	if len(sums) == 0 {
 		sb.WriteString("no batch-attributed events recorded; enable tracing and run updates first\n")
 		_, err := io.WriteString(w, sb.String())
@@ -269,16 +269,4 @@ func fmtNs(ns int64) string {
 	return time.Duration(ns).Round(time.Microsecond).String()
 }
 
-func modeName(m Mode) string {
-	switch m {
-	case Off:
-		return "off"
-	case All:
-		return "all"
-	case Sample:
-		return "sample"
-	case Tail:
-		return "tail"
-	}
-	return "?"
-}
+var modeNames = [...]string{TraceOff: "off", TraceAll: "all", TraceSample: "sample", TraceTail: "tail"}

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lsgraph/internal/obs"
 )
@@ -69,16 +68,18 @@ func ForChunkW(n, p int, f func(w, lo, hi int)) {
 	if p > n/grainSize {
 		p = n/grainSize + 1
 	}
+	on := obs.Enabled()
 	if p <= 1 {
-		t := obs.StartTimer()
-		f(0, 0, n)
-		if !t.IsZero() {
-			obsChunks.AddShard(0, 1)
-			obsBusy.AddShard(0, uint64(time.Since(t)))
+		if !on {
+			f(0, 0, n)
+			return
 		}
+		t := obs.Now()
+		f(0, 0, n)
+		obsChunks.AddShard(0, 1)
+		obsBusy.AddShard(0, uint64(obs.Now()-t))
 		return
 	}
-	on := obs.Enabled()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(p)
@@ -95,9 +96,9 @@ func ForChunkW(n, p int, f func(w, lo, hi int)) {
 					hi = n
 				}
 				if on {
-					t := time.Now()
+					t := obs.Now()
 					f(w, lo, hi)
-					obsBusy.AddShard(w, uint64(time.Since(t)))
+					obsBusy.AddShard(w, uint64(obs.Now()-t))
 					obsChunks.AddShard(w, 1)
 				} else {
 					f(w, lo, hi)
@@ -128,26 +129,29 @@ func ForBlockedW(nb, p int, f func(w, b int)) {
 	if p > nb {
 		p = nb
 	}
+	on := obs.Enabled()
 	if p <= 1 {
-		t := obs.StartTimer()
+		var t int64
+		if on {
+			t = obs.Now()
+		}
 		for b := 0; b < nb; b++ {
 			f(0, b)
 		}
-		if !t.IsZero() {
+		if on {
 			obsBlocks.AddShard(0, uint64(nb))
-			obsBusy.AddShard(0, uint64(time.Since(t)))
+			obsBusy.AddShard(0, uint64(obs.Now()-t))
 		}
 		return
 	}
-	on := obs.Enabled()
 	var wg sync.WaitGroup
 	wg.Add(p)
 	for w := 0; w < p; w++ {
 		go func(w int) {
 			defer wg.Done()
-			var t time.Time
+			var t int64
 			if on {
-				t = time.Now()
+				t = obs.Now()
 			}
 			nb64 := uint64(0)
 			for b := w; b < nb; b += p {
@@ -156,7 +160,7 @@ func ForBlockedW(nb, p int, f func(w, b int)) {
 			}
 			if on {
 				obsBlocks.AddShard(w, nb64)
-				obsBusy.AddShard(w, uint64(time.Since(t)))
+				obsBusy.AddShard(w, uint64(obs.Now()-t))
 			}
 		}(w)
 	}
@@ -172,9 +176,9 @@ func Workers(p int, f func(w int)) {
 	run := f
 	if obs.Enabled() {
 		run = func(w int) {
-			t := time.Now()
+			t := obs.Now()
 			f(w)
-			obsBusy.AddShard(w, uint64(time.Since(t)))
+			obsBusy.AddShard(w, uint64(obs.Now()-t))
 		}
 	}
 	var wg sync.WaitGroup

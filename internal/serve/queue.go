@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"lsgraph/internal/obs"
-	"lsgraph/internal/trace"
 	"lsgraph/internal/wal"
 )
 
@@ -31,7 +30,7 @@ type pending struct {
 	src, dst []uint32
 	bound    uint32
 	batch    uint64        // flight-recorder batch ID (0 when tracing is off)
-	enq      int64         // trace-timeline enqueue timestamp; 0 when obs and tracing are off
+	enq      int64         // obs.Now at enqueue; 0 when metrics and tracing are off
 	lsn      uint64        // highest WAL LSN this entry covers (0 when durability is off)
 	done     chan struct{} // flush sentinel only
 	reb      *rebalanceOp  // rebalance control entry only
@@ -88,15 +87,12 @@ func (s *Store) enqueue(op int, src, dst []uint32) error {
 	if err := checkBatch(src, dst); err != nil {
 		return err
 	}
-	// enq anchors the enqueue-to-publish visibility-lag measurement; it is
-	// taken whenever either consumer (obs histogram, flight recorder) is on.
-	var enq int64
+	// The enqueue span's start anchors the enqueue-to-publish visibility-lag
+	// measurement too; it is 0 when neither sink is on.
+	sp := obs.PhaseEnqueue.Begin()
 	var batch uint64
-	if obs.Enabled() || trace.Enabled() {
-		enq = trace.Now()
-	}
-	if trace.Enabled() {
-		batch = trace.NextBatchID()
+	if sp.Traced() {
+		batch = obs.NextBatchID()
 	}
 	// The whole scatter+append section runs under rebMu's read lock: a
 	// concurrent boundary move takes the write lock to swap routeMap and
@@ -112,9 +108,9 @@ func (s *Store) enqueue(op int, src, dst []uint32) error {
 	}
 	s.stats.edgesEnqueued.Add(uint64(len(src)))
 	pm := s.routeMap.Load()
-	trScatter := trace.Start()
+	sc := obs.PhaseScatter.Begin()
 	parts, bound := s.g.ScatterBatchWith(pm, src, dst)
-	trace.Span(trace.PhaseScatter, -1, batch, 0, uint64(len(src)), trScatter)
+	sc.End(-1, batch, 0, uint64(len(src)))
 	s.g.ReserveVertices(bound)
 	if obs.Enabled() {
 		obsShardSkew.Set(int64(skewPct(len(parts), func(i int) uint64 { return uint64(len(parts[i].Src)) })))
@@ -127,12 +123,10 @@ func (s *Store) enqueue(op int, src, dst []uint32) error {
 		if obs.Enabled() {
 			obsShardRouted.AddShard(i, uint64(len(part.Src)))
 		}
-		s.ws[i].enqueue(op, part.Src, part.Dst, bound, batch, enq)
+		s.ws[i].enqueue(op, part.Src, part.Dst, bound, batch, sp.Start())
 	}
 	s.rebMu.RUnlock()
-	if batch != 0 {
-		trace.Span(trace.PhaseEnqueue, -1, batch, 0, uint64(len(src)), enq)
-	}
+	sp.End(-1, batch, 0, uint64(len(src)))
 	if d := s.dur; d != nil {
 		d.maybeAutoCheckpoint(s)
 	}
@@ -203,7 +197,7 @@ func (w *shardWriter) enqueue(op int, src, dst []uint32, bound uint32, batch uin
 		if obs.Enabled() {
 			obsCoalesced.Inc()
 		}
-		trace.Instant(trace.PhaseCoalesce, w.idx, last.batch, uint64(len(src)))
+		obs.Instant(obs.PhaseCoalesce, w.idx, last.batch, uint64(len(src)))
 	} else {
 		w.queue = append(w.queue, pending{op: op, src: src, dst: dst, bound: bound, batch: batch, enq: enq, lsn: lsn})
 		w.s.queued.Add(1)

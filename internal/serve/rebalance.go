@@ -115,7 +115,7 @@ func (s *Store) moveBoundaryLocked(k int, newStart uint32) (uint32, uint64, erro
 // parked on op.done, so both shards are quiescent: no update or publish
 // can race with the splice or the republish below.
 func (s *Store) executeRebalance(op *rebalanceOp) {
-	t := obs.StartTimer()
+	sp := obs.PhaseRebalance.Begin()
 	if testHookRebalanceExecute != nil {
 		testHookRebalanceExecute()
 	}
@@ -146,11 +146,10 @@ func (s *Store) executeRebalance(op *rebalanceOp) {
 	s.rebStats.movedEdges.Add(me)
 	if obs.Enabled() {
 		obsMapEpoch.Set(int64(pm.Epoch))
-		obsRebalanceMoves.Inc()
 		obsRebalanceMovedVerts.Add(uint64(mv))
 		obsRebalanceMovedEdges.Add(me)
-		obsRebalanceDuration.ObserveSince(t)
 	}
+	sp.End(op.k, 0, pm.Epoch, me)
 }
 
 // RebalanceResult summarizes one Rebalance call.

@@ -3,7 +3,6 @@ package serve
 import (
 	"lsgraph/internal/core"
 	"lsgraph/internal/obs"
-	"lsgraph/internal/trace"
 )
 
 // acquire pins the shard's current snapshot: increment its refcount, then
@@ -36,7 +35,7 @@ type View struct {
 	epoch uint64
 	nv    uint32
 	m     uint64
-	pin   int64 // trace-timeline acquire timestamp; 0 when obs and tracing are off
+	pin   obs.Span // the viewpin layer's span, acquire to Release
 }
 
 // View acquires the most recently published snapshot of every shard and
@@ -75,9 +74,7 @@ func (s *Store) View() *View {
 	// the bound reserved before any pinned snapshot's batch was published,
 	// so every neighbor ID in the view is < nv (see the package comment).
 	v.nv = s.g.NumVertices()
-	if obs.Enabled() || trace.Enabled() {
-		v.pin = trace.Now()
-	}
+	v.pin = obs.PhaseViewPin.Begin()
 	return v
 }
 
@@ -189,14 +186,9 @@ func (v *View) Release() {
 		v.s.ws[i].release(e)
 	}
 	v.es = nil
-	if v.pin != 0 {
-		// How long the view held its snapshots pinned: long pins are what
-		// delay reclamation, so the age distribution explains epoch lag.
-		if obs.Enabled() {
-			obsViewPinAge.Observe(uint64(trace.Now() - v.pin))
-		}
-		trace.Span(trace.PhaseViewPin, -1, 0, v.epoch, v.m, v.pin)
-	}
+	// How long the view held its snapshots pinned: long pins are what delay
+	// reclamation, so the age distribution explains epoch lag.
+	v.pin.End(-1, 0, v.epoch, v.m)
 }
 
 // Epoch returns the Store's current epoch: the total number of batches

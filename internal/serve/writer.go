@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"lsgraph/internal/obs"
-	"lsgraph/internal/trace"
-)
+import "lsgraph/internal/obs"
 
 // testHookBeforeApply, when non-nil, runs on a writer goroutine before
 // each batch is applied. Tests use it to hold a writer mid-drain and
@@ -70,7 +67,6 @@ func (w *shardWriter) run() {
 			}
 			w.s.stats.batchesApplied.Add(1)
 			if obs.Enabled() {
-				obsApplied.Inc()
 				obsShardApplied.AddShard(w.idx, 1)
 			}
 			if b.lsn > w.appliedLSN {
@@ -80,11 +76,11 @@ func (w *shardWriter) run() {
 			if b.enq != 0 {
 				// The batch is now reader-visible: close the end-to-end
 				// enqueue-to-publish measurement and feed the tail estimator.
-				lag := trace.Now() - b.enq
+				lag := obs.Now() - b.enq
 				if obs.Enabled() {
 					obsVisibilityLag.Observe(uint64(lag))
 				}
-				trace.BatchEnd(b.batch, lag)
+				obs.BatchEnd(b.batch, lag)
 			}
 			q[i] = pending{} // release the scattered batch for GC
 		}
@@ -96,12 +92,10 @@ func (w *shardWriter) run() {
 // attribution of the update that triggered the republish (0 from New).
 // Writer goroutine only (and New, before the writer starts).
 func (w *shardWriter) publish(batch uint64) {
-	t := obs.StartTimer()
-	tr := trace.Start()
+	sp := obs.PhasePublish.Begin()
 	e := w.buildSnap()
 	w.install(e)
-	obsPublish.ObserveSince(t)
-	trace.Span(trace.PhasePublish, w.idx, batch, e.epoch, e.snap.NumEdges(), tr)
+	sp.End(w.idx, batch, e.epoch, e.snap.NumEdges())
 }
 
 // install makes e the shard's current epoch — the one atomic swap that
@@ -149,7 +143,7 @@ func (w *shardWriter) buildSnap() *epochSnap {
 // every publish, so it is also where the shard's published footprint is
 // noted for Stats. Writer goroutine only.
 func (w *shardWriter) reclaim() {
-	tr := trace.Start()
+	sp := obs.PhaseReclaim.Begin()
 	freed := 0
 	kept := w.retired[:0]
 	for _, e := range w.retired {
@@ -166,7 +160,7 @@ func (w *shardWriter) reclaim() {
 		}
 	}
 	if freed > 0 {
-		trace.Span(trace.PhaseReclaim, w.idx, 0, 0, uint64(freed), tr)
+		sp.End(w.idx, 0, 0, uint64(freed))
 	}
 	for i := len(kept); i < len(w.retired); i++ {
 		w.retired[i] = nil

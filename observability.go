@@ -36,8 +36,8 @@ func WriteMetrics(w io.Writer) error { return obs.Default.WritePrometheus(w) }
 func MetricsSnapshotJSON() ([]byte, error) { return obs.SnapshotJSON() }
 
 // MetricsHandler returns an http.Handler serving /metrics (Prometheus
-// text), /metrics.json (JSON snapshot), and /debug/pprof/*, for mounting
-// in an embedding application's own server.
+// text), /metrics.json (JSON snapshot), /debug/trace (+ /autopsy) and
+// /debug/pprof/*, for mounting in an embedding application's own server.
 func MetricsHandler() http.Handler { return obs.Handler(obs.Default) }
 
 // ServeMetrics enables collection and serves MetricsHandler on addr

@@ -42,10 +42,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		`lsgraph_batches_total{op="insert"}`,
 		`lsgraph_batches_total{op="delete"}`,
-		`lsgraph_batch_phase_nanos_count{phase="apply"}`,
+		`lsgraph_phase_nanos_count{phase="apply"}`,
 		`lsgraph_overflow_promotions_total{from="array",to="ria"}`,
 		`lsgraph_ria_slide_elements_count`,
-		`lsgraph_algo_nanos_count{kernel="bfs"}`,
+		`lsgraph_phase_nanos_count{phase="kernel",kernel="bfs"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Prometheus output missing %s", want)

@@ -6,14 +6,15 @@ import (
 	"strconv"
 	"strings"
 
-	"lsgraph/internal/trace"
+	"lsgraph/internal/obs"
 )
 
 // Tracing: alongside the aggregate metrics registry, the engine carries a
-// flight recorder (internal/trace) permanently wired through the batch
+// flight recorder (internal/obs) permanently wired through the batch
 // lifecycle — enqueue, coalesce, scatter, per-shard pack, partition and
-// apply, snapshot publish, reclaim — plus kernel runs
-// and view pins. Recording is off by default and costs one atomic load per
+// apply, snapshot publish, reclaim — plus boundary moves, kernel runs and
+// view pins; each of these layers is timed by one span that feeds both the
+// recorder and its lsgraph_phase_nanos series. Recording is off by default and costs one atomic load per
 // instrumented site while off; on, each span is a lock-free ring-buffer
 // write. Traces export as Chrome trace-event JSON (load in Perfetto or
 // chrome://tracing) or as a human-readable slow-batch autopsy. The
@@ -21,64 +22,64 @@ import (
 // and MetricsHandler serves /debug/trace and /debug/trace/autopsy.
 
 // TraceMode selects the flight recorder's sampling policy.
-type TraceMode = trace.Mode
+type TraceMode = obs.TraceMode
 
 const (
 	// TraceOff records nothing (the default).
-	TraceOff = trace.Off
+	TraceOff = obs.TraceOff
 	// TraceAll records every lifecycle event.
-	TraceAll = trace.All
+	TraceAll = obs.TraceAll
 	// TraceSample records only batches whose ID is a multiple of the
 	// configured divisor (non-batch events are always kept).
-	TraceSample = trace.Sample
+	TraceSample = obs.TraceSample
 	// TraceTail records everything but exports only full traces of batches
 	// whose enqueue-to-publish latency exceeded a moving p99.
-	TraceTail = trace.Tail
+	TraceTail = obs.TraceTail
 )
 
 // EnableTracing turns the flight recorder on (TraceAll) or off. Events
 // already recorded are retained across toggles.
 func EnableTracing(on bool) {
 	if on {
-		trace.SetMode(trace.All, 1)
+		obs.SetTraceMode(obs.TraceAll, 1)
 	} else {
-		trace.SetMode(trace.Off, 1)
+		obs.SetTraceMode(obs.TraceOff, 1)
 	}
 }
 
 // SetTraceMode sets the sampling policy directly. sampleN is the 1-in-N
 // divisor, meaningful only with TraceSample.
-func SetTraceMode(m TraceMode, sampleN int) { trace.SetMode(m, sampleN) }
+func SetTraceMode(m TraceMode, sampleN int) { obs.SetTraceMode(m, sampleN) }
 
 // TracingEnabled reports whether the flight recorder is on in any mode.
-func TracingEnabled() bool { return trace.Enabled() }
+func TracingEnabled() bool { return obs.Tracing() }
 
 // WriteTrace writes the recorded trace to w as Chrome trace-event JSON,
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. In TraceTail
 // mode only the retained slow-batch traces are exported.
-func WriteTrace(w io.Writer) error { return trace.WriteChrome(w) }
+func WriteTrace(w io.Writer) error { return obs.WriteChrome(w) }
 
 // WriteTraceAutopsy writes the human-readable slow-batch report: the
 // slowest traced batches by end-to-end latency, each with its per-phase
 // breakdown and dominant phase.
-func WriteTraceAutopsy(w io.Writer) error { return trace.WriteAutopsy(w) }
+func WriteTraceAutopsy(w io.Writer) error { return obs.WriteAutopsy(w) }
 
 // ParseTraceMode parses a CLI-style trace mode: "off", "all" (or "on"),
 // "sample=N", "tail".
 func ParseTraceMode(s string) (TraceMode, int, error) {
 	switch {
 	case s == "" || s == "off":
-		return trace.Off, 1, nil
+		return obs.TraceOff, 1, nil
 	case s == "all" || s == "on":
-		return trace.All, 1, nil
+		return obs.TraceAll, 1, nil
 	case s == "tail":
-		return trace.Tail, 1, nil
+		return obs.TraceTail, 1, nil
 	case strings.HasPrefix(s, "sample="):
 		n, err := strconv.Atoi(strings.TrimPrefix(s, "sample="))
 		if err != nil || n < 1 {
-			return trace.Off, 1, fmt.Errorf("lsgraph: bad sample divisor in trace mode %q", s)
+			return obs.TraceOff, 1, fmt.Errorf("lsgraph: bad sample divisor in trace mode %q", s)
 		}
-		return trace.Sample, n, nil
+		return obs.TraceSample, n, nil
 	}
-	return trace.Off, 1, fmt.Errorf("lsgraph: unknown trace mode %q (want off, all, sample=N, tail)", s)
+	return obs.TraceOff, 1, fmt.Errorf("lsgraph: unknown trace mode %q (want off, all, sample=N, tail)", s)
 }

@@ -85,8 +85,9 @@ func TestTracingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestVisibilityLagHistogram checks the end-to-end enqueue-to-publish and
-// view-pin-age histograms fill from a live Store when metrics are on.
+// TestVisibilityLagHistogram checks the end-to-end enqueue-to-publish
+// histogram and the view-pin layer's series fill from a live Store when
+// metrics are on.
 func TestVisibilityLagHistogram(t *testing.T) {
 	prev := lsgraph.MetricsEnabled()
 	lsgraph.EnableMetrics(true)
@@ -111,7 +112,7 @@ func TestVisibilityLagHistogram(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"lsgraph_store_visibility_lag_nanos_count",
-		"lsgraph_store_view_pin_age_nanos_count",
+		`lsgraph_phase_nanos_count{phase="viewpin"}`,
 	} {
 		i := strings.Index(out, want)
 		if i < 0 {
