@@ -10,9 +10,10 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# The pre-merge gate, and all of it: formatting, vet, build, godoc presence,
-# every test of both modules once under the race detector (the simulator
-# seeds and the crash-recovery matrix included), the strictest
+# The pre-merge gate, and all of it: formatting, vet of both modules (the
+# root's ./... stops at benchmark/, which imports internal/*), build, godoc
+# presence, every test of both modules once under the race detector (the
+# simulator seeds and the crash-recovery matrix included), the strictest
 # pointer-arithmetic checks on the two packages behind the vertex block's
 # unsafe.Pointer (every unsafe.Slice must stay inside one live allocation),
 # one iteration of every benchmark, and the tracing-off overhead budget on
@@ -20,6 +21,7 @@ test:
 verify:
 	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt needed on:" $$unformatted >&2; exit 1; }
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/doccheck . internal/*
 	$(GO) test -race -shuffle=on ./...

@@ -236,14 +236,17 @@ func TestAdoptedShardMatchesGraph(t *testing.T) {
 	}
 }
 
-// Encoding of a merge program, one op per 4 bytes {op, a, b, c}; op%10:
+// Encoding of a merge program, one op per 4 bytes {op, a, b, c}; op%11:
 // 0..2 insert and 3..4 delete a batch over b%8+1 consecutive sources from a,
 // each with c%24+1 neighbors (every third key twice), 5 give vertex a a run
 // of 64·(b+1) neighbors striding from c (longer than a small shard's page),
 // 6 delete everything vertex a holds and insert c%4 neighbors back, 7 grow
 // the vertex space by a%16+1 and add an edge from and to its last vertex, 8
 // publish every shard (holding the snapshot when a is odd), 9 move boundary
-// a%(shards-1) to a place b picks.
+// a%(shards-1) to a place b picks, 10 reload: each shard's CSR from its
+// latest publish and a delta drawn from the next a%8+1 words (reloadDelta)
+// are loaded into a fresh paged graph, as recovery loads a checkpoint and
+// its log tail.
 const (
 	mergeVerts = 96      // sources batches name at first
 	mergeSpace = 1 << 12 // neighbor IDs
@@ -262,7 +265,7 @@ func runMergeProgram(prog []byte, shards int) error {
 	var holds []held
 	latest := make([]*Snapshot, shards)
 	for i := 0; len(prog) >= 4; i, prog = i+1, prog[4:] {
-		op, a, b, c := prog[0]%10, uint32(prog[1]), uint32(prog[2]), uint32(prog[3])
+		op, a, b, c := prog[0]%11, uint32(prog[1]), uint32(prog[2]), uint32(prog[3])
 		n := tw.ref.NumVertices()
 		vertex := func(x uint32) uint32 { return x % mergeVerts * (mergeSpace / mergeVerts) } // over every shard
 		var src, dst []uint32
@@ -309,7 +312,16 @@ func runMergeProgram(prog []byte, shards int) error {
 					holds = append(holds, held{snap, want, sh.Base()})
 				}
 			}
-		case shards > 1:
+		case op == 10:
+			words := min(int(a%8)+1, len(prog)/4-1)
+			d := reloadDelta(tw.ref, prog[4:4+4*words], vertex)
+			prog = prog[4*words:]
+			g, err := reload(tw, d)
+			if err != nil {
+				return fmt.Errorf("op %d: reload: %w", i, err)
+			}
+			tw, latest = twinOf(g, tw.ref), make([]*Snapshot, shards)
+		case op == 9 && shards > 1:
 			pm := tw.g.PartitionMap()
 			k := int(a) % (shards - 1)
 			lo, hi := pm.Starts[k]+1, n
@@ -337,6 +349,63 @@ func runMergeProgram(prog []byte, shards int) error {
 	return nil
 }
 
+// reloadDelta draws a net-effect delta from words of 4 bytes {x, y, z, w}
+// and applies it to ref: an insert (w%4 < 2) or a delete from vertex(x) of
+// one of its present neighbors (w odd, when it has any) or of (y·256+z)%n.
+// An edge drawn twice keeps its last op.
+func reloadDelta(ref *Graph, words []byte, vertex func(uint32) uint32) Delta {
+	n, op := ref.NumVertices(), map[uint64]bool{}
+	for ; len(words) >= 4; words = words[4:] {
+		v, u := vertex(uint32(words[0])), (uint32(words[1])<<8|uint32(words[2]))%n
+		if ns := ref.AppendNeighbors(v, nil); words[3]%2 == 1 && len(ns) > 0 {
+			u = ns[int(words[1])%len(ns)]
+		}
+		op[uint64(v)<<32|uint64(u)] = words[3]%4 >= 2
+	}
+	var d Delta
+	var ins, del [2][]uint32
+	for k := range op {
+		d.Keys = append(d.Keys, k)
+	}
+	slices.Sort(d.Keys)
+	for _, k := range d.Keys {
+		d.Del = append(d.Del, op[k])
+		col := &ins
+		if op[k] {
+			col = &del
+		}
+		col[0], col[1] = append(col[0], uint32(k>>32)), append(col[1], uint32(k))
+	}
+	ref.InsertBatch(ins[0], ins[1])
+	ref.DeleteBatch(del[0], del[1])
+	return d
+}
+
+// reload loads each shard's CSR from the snapshot check published last,
+// merged with the part of d whose sources lie from the shard's base up to
+// the next shard's, into a fresh paged graph of the same size and shard
+// count — its boundaries uniform, so a moved boundary makes CSRs straddle
+// them.
+func reload(tw twin, d Delta) (*Paged, error) {
+	g := NewPaged(tw.ref.NumVertices(), len(tw.own), 2)
+	from := 0
+	for k, snap := range tw.own {
+		to := len(d.Keys)
+		if k+1 < len(tw.own) {
+			to, _ = slices.BinarySearch(d.Keys, uint64(tw.g.Shard(k+1).Base())<<32)
+		}
+		base, offs, adj := tw.g.Shard(k).Base(), []uint64{0}, []uint32(nil)
+		if snap != nil {
+			offs, adj = snap.CSR()
+		}
+		if err := g.LoadCSR(base, offs, adj, Delta{d.Keys[from:to], d.Del[from:to]}); err != nil {
+			return nil, err
+		}
+		from = to
+	}
+	return g, nil
+}
+
 // snapshotsEqual compares two snapshots vertex by vertex, through each of
 // their read methods.
 func snapshotsEqual(got, want *Snapshot) error {
@@ -361,6 +430,9 @@ func snapshotsEqual(got, want *Snapshot) error {
 func FuzzMergeApply(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 3, 7, 9, 8, 1, 0, 0, 3, 3, 2, 9, 5, 4, 200, 1, 8, 0, 0, 0, 6, 4, 0, 2})
+	// A reload whose delta inserts an absent and a present edge and deletes
+	// an absent and a present one, across both shards, then a batch on it.
+	f.Add([]byte{1, 0, 3, 7, 9, 0, 60, 2, 30, 10, 3, 0, 0, 3, 0, 9, 0, 3, 1, 0, 1, 60, 0, 3, 2, 3, 0, 0, 3, 0, 3, 7, 9})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 {
 			return
@@ -378,7 +450,7 @@ func TestMergePrograms(t *testing.T) {
 		var prog []byte
 		for i := 0; i < 300; i++ {
 			x := byte(i)*37 + seed*byte(i>>2)
-			prog = append(prog, x%10, x*3+seed, 16+x%64, x*11)
+			prog = append(prog, x%11, x*3+seed, 16+x%64, x*11)
 		}
 		if err := runMergeProgram(prog, 1+int(seed)%3); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

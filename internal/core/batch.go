@@ -234,7 +234,7 @@ type groupFunc func(w int, r *keyRange, at int, lv uint32, ks []uint64) uint64
 // added or removed. With one worker, or a batch under parPrepMin, the same
 // code runs with the whole batch as the only range. Callers must own the
 // shard exclusively.
-func (pc *pipe) applyBatch(n uint32, src, dst []uint32, p int, group groupFunc, finish func(p, limit int, changed uint64)) (changed uint64) {
+func (pc *pipe) applyBatch(n uint32, src, dst []uint32, p int, group groupFunc, finish func(p, limit int)) (changed uint64) {
 	k := len(src)
 	if p = min(p, k/1024); p < 1 || k < parPrepMin {
 		p = 1
@@ -280,7 +280,7 @@ func (pc *pipe) applyBatch(n uint32, src, dst []uint32, p int, group groupFunc, 
 		obsRangeSort.Observe(uint64(sortNs))
 	}
 	if finish != nil && changed > 0 {
-		finish(p, limit, changed)
+		finish(p, limit)
 	}
 	sp.End(shard, batch, 0, edges)
 	return changed

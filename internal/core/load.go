@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"lsgraph/internal/obs"
-	"lsgraph/internal/parallel"
 )
 
 // Delta is a set of edge changes already reduced to their net effect, the
@@ -22,9 +20,7 @@ type Delta struct {
 // LoadCSR bulk-loads the adjacency of vertices [base, base+len(offs)-1)
 // from a CSR: adj[offs[i]:offs[i+1]] is the
 // complete, strictly ascending neighbor set of vertex base+i. It is the
-// inverse of Snapshot.CSR and the one-pass counterpart of the batch
-// pipeline's merge: a run is already grouped by vertex and sorted, so each
-// goes to a page as it is, with no pack, partition, sort or find.
+// inverse of Snapshot.CSR.
 //
 // Given a delta (at most one), the load merges it on the way: each vertex's
 // run is written once, as its CSR run minus the edges the delta deletes
@@ -32,18 +28,19 @@ type Delta struct {
 // delta names is loaded from the delta alone. Recovery loads a checkpoint
 // and its WAL tail this way (internal/serve). Without one it is a plain load.
 //
-// Workers take a shard's named vertices in contiguous shares of about equal
-// work, check and write each run in vertex order to pages of their own —
-// the last one cut to what the share can still need — and the pages then
-// join the shard's arena in vertex order. Vertices are routed by the graph's
-// own partition map, so a CSR written under another shard count or layout —
-// one whose range straddles this graph's shard boundaries — loads unchanged.
-// The load refuses, with an error and the graph untouched, offsets that are
-// not a monotone cover of adj, a range that ends above NumVertices, a run that is not strictly
-// ascending or names an ID at or above NumVertices, a delta whose keys are
-// not strictly ascending or name such an ID, and a vertex that already has
-// edges when a non-empty run or a change names it. Like every update it
-// must not run concurrently with reads or other updates.
+// A load is a batch whose old runs lie in the CSR (merge.go): workers check
+// each named vertex's run and find its delta keys in it, ranges of vertices
+// at a time, and the batch's place and write steps then write every run. A
+// shard's last page is cut to what the load placed in it. Vertices are
+// routed by the graph's own partition map, so a CSR written under another
+// shard count or layout — one whose range straddles this graph's shard
+// boundaries — loads unchanged. The load refuses, with an error and the
+// graph untouched, offsets that are not a monotone cover of adj, a range
+// that ends above NumVertices, a run that is not strictly ascending or names
+// an ID at or above NumVertices, a delta whose keys are not strictly
+// ascending or name such an ID, and a vertex that already has edges when a
+// non-empty run or a change names it. Like every update it must not run
+// concurrently with reads or other updates.
 func (g *Paged) LoadCSR(base uint32, offs []uint64, adj []uint32, delta ...Delta) error {
 	if len(offs) == 0 || offs[0] != 0 || offs[len(offs)-1] != uint64(len(adj)) {
 		return fmt.Errorf("core: LoadCSR: offsets do not cover the %d adjacency entries", len(adj))
@@ -74,27 +71,20 @@ func (g *Paged) LoadCSR(base uint32, offs []uint64, adj []uint32, delta ...Delta
 		return nil
 	}
 
-	// Each shard's share of [lo, hi) in p parts of about equal work, written
-	// to private pages; refs holds the runs, their pages numbered per part.
+	// Find on every shard before anything is written, so a refusal leaves
+	// the graph as it was; each shard's jobs and kept keys are the load's
+	// own, gone when it returns.
 	p, pm := g.workers(), g.pmap.Load()
-	ld.lo, ld.refs = lo, make([]vref, hi-lo)
-	var parts []loadPart
+	scratch := make([]prepScratch, len(g.shards))
 	for i := range g.shards {
 		first, end := max(pm.Starts[i], lo), hi
 		if i+1 < len(pm.Starts) {
 			end = min(end, pm.Starts[i+1])
 		}
-		if first < end {
-			parts = ld.split(parts, &g.shards[i], first, end, p)
+		if first >= end {
+			continue
 		}
-	}
-	parallel.Workers(p, func(w int) {
-		for i := w; i < len(parts); i += p {
-			ld.write(&parts[i])
-		}
-	})
-	for i := range parts {
-		if err := parts[i].err; err != nil {
+		if err := ld.find(&g.shards[i], &scratch[i], first, end, p); err != nil {
 			return err
 		}
 	}
@@ -103,11 +93,20 @@ func (g *Paged) LoadCSR(base uint32, offs []uint64, adj []uint32, delta ...Delta
 		g.Shard(i).EnsureVertices(n)
 	}
 	var added uint64
-	for i := range parts {
-		added += ld.stitch(&parts[i])
-	}
 	for i := range g.shards {
-		g.shards[i].pub.m = g.shards[i].m.Load()
+		sh := &g.shards[i]
+		if len(scratch[i].ranges) == 0 {
+			continue
+		}
+		placed := sh.mergeRuns(&scratch[i], p, loadRange, func(lv uint32) []uint32 {
+			if j := uint64(sh.base+lv) - uint64(base); j < uint64(nv) {
+				return adj[offs[j]:offs[j+1]]
+			}
+			return nil
+		})
+		sh.pub.cutTail()
+		sh.m.Add(placed)
+		added += placed
 	}
 	if obs.Enabled() {
 		obsEdgesAdded.Add(added)
@@ -115,155 +114,64 @@ func (g *Paged) LoadCSR(base uint32, offs []uint64, adj []uint32, delta ...Delta
 	return nil
 }
 
-// loadPart is one worker's share of a shard's vertices in a LoadCSR: the
-// vertices [first, end), at most bound entries merged, and the pages they
-// were written to with each page's live entries.
-type loadPart struct {
-	sh         *pagedShard
-	first, end uint32
-	bound      uint64
-	pageLen    uint32
-	pages      [][]uint32
-	live       []uint32
-	err        error
-}
+// loadRange is how many vertices a LoadCSR worker takes at a time: small
+// enough that workers claiming them from one counter share a shard's work
+// evenly around its hubs.
+const loadRange = 256
 
-// csrLoad is one LoadCSR call: the CSR, the delta, the vertex bound, and
-// the runs written so far, by vertex from lo.
+// csrLoad is one LoadCSR call: the CSR, the delta and the vertex bound.
 type csrLoad struct {
 	base uint32
 	offs []uint64
 	adj  []uint32
 	d    Delta
 	n    uint32
-	lo   uint32
-	refs []vref
 }
 
-// work is what the load does for vertices [lo, v): their CSR entries plus
-// their delta keys.
-func (ld *csrLoad) work(lo, v uint32) uint64 {
-	nv := uint32(len(ld.offs) - 1)
-	csr := func(v uint32) uint64 { return ld.offs[min(max(v, ld.base), ld.base+nv)-ld.base] }
-	key := func(v uint32) int { i, _ := slices.BinarySearch(ld.d.Keys, uint64(v)<<32); return i }
-	return csr(v) - csr(lo) + uint64(key(v)-key(lo))
-}
-
-// split appends to parts up to p shares of sh's vertices [first, end) of
-// about equal work, and sizes sh's pages for what they may add.
-func (ld *csrLoad) split(parts []loadPart, sh *pagedShard, first, end uint32, p int) []loadPart {
-	total, from, n0 := ld.work(first, end), first, len(parts)
-	for k := 1; k <= p && from < end; k++ {
-		to := end
-		if k < p {
-			to = first + uint32(sort.Search(int(end-first), func(i int) bool {
-				return ld.work(first, first+uint32(i)) >= total*uint64(k)/uint64(p)
-			}))
-		}
-		if to > from {
-			parts = append(parts, loadPart{sh: sh, first: from, end: to, bound: ld.bound(from, to)})
-			from = to
-		}
-	}
-	var bound uint64
-	for _, pt := range parts[n0:] {
-		bound += pt.bound
-	}
-	plen := pageLen(sh.m.Load() + bound)
-	for i := range parts[n0:] {
-		parts[n0+i].pageLen = plen
-	}
-	return parts
-}
-
-// bound is the most entries vertices [from, to) can hold merged: their CSR
-// entries plus the delta's present edges.
-func (ld *csrLoad) bound(from, to uint32) uint64 {
+// find is the load's find step on shard sh's vertices [first, end), in
+// ranges of loadRange vertices that p workers claim: each vertex's CSR run
+// is checked, its delta keys are found in it (findKeys) with the effective
+// ones kept in ps.ks, and a vertex whose merged run is not empty gets its
+// job. It returns the refusal of the lowest vertex that has one.
+func (ld *csrLoad) find(sh *pagedShard, ps *prepScratch, first, end uint32, p int) error {
 	keys := ld.d.Keys
-	klo, _ := slices.BinarySearch(keys, uint64(from)<<32)
-	khi, _ := slices.BinarySearch(keys, uint64(to)<<32)
-	b := ld.work(from, to) - uint64(khi-klo)
-	for _, d := range ld.d.Del[klo:khi] {
-		if !d {
-			b++
-		}
+	klo, _ := slices.BinarySearch(keys, uint64(first)<<32)
+	khi, _ := slices.BinarySearch(keys, uint64(end)<<32)
+	ps.ks, ps.jobs = make([]uint64, khi-klo), make([]mergeJob, end-first)
+	for lo := 0; lo < int(end-first); lo += loadRange {
+		ps.ranges = append(ps.ranges, keyRange{lo: lo, hi: min(lo+loadRange, int(end-first))})
 	}
-	return b
-}
-
-// write checks and merges the part's vertices in order into pages of its
-// own: each run at its bound — CSR run plus present edges — in the page
-// being filled, which is opened at the page length or at what the part can
-// still need, whichever is less; a run longer than a page gets one of its
-// own, exactly its length.
-func (ld *csrLoad) write(pt *loadPart) {
-	keys, left := ld.d.Keys, pt.bound
-	var pg []uint32 // the page being filled, pt.pages[cur]
-	cur, used := 0, 0
-	j, _ := slices.BinarySearch(keys, uint64(pt.first)<<32)
-	for v := pt.first; v < pt.end; v++ {
-		k := j // v's changes: keys[j:k]
-		for k < len(keys) && uint32(keys[k]>>32) == v {
-			k++
-		}
-		ks, del := keys[j:k], ld.d.Del[j:k]
-		j = k
-		run, err := ld.checkedRun(v)
-		if lv := int(v - pt.sh.base); err == nil && len(run)+len(ks) > 0 && lv < len(pt.sh.tab) && pt.sh.tab[lv].deg != 0 {
-			err = fmt.Errorf("core: LoadCSR: vertex %d already has %d edges", v, pt.sh.tab[lv].deg)
-		}
-		if err != nil {
-			pt.err = err
-			return
-		}
-		up := len(run)
-		for _, d := range del {
-			up += 1 - b2i(d)
-		}
-		if up == 0 {
-			continue
-		}
-		left -= uint64(up)
-		if up > int(pt.pageLen) {
-			if up = mergedLen(run, ks, del); up > 0 {
-				own := make([]uint32, up)
-				mergeRun(own, run, ks, del)
-				ld.refs[v-ld.lo] = vref{uint32(len(pt.pages)) << pageBits, uint32(up)}
-				pt.pages, pt.live = append(pt.pages, own), append(pt.live, uint32(up))
+	errs := make([]error, len(ps.ranges))
+	ps.eachRange(p, loadRange, func(_ int, r *keyRange) {
+		v, jobs := first+uint32(r.lo), ps.jobs[r.lo:r.lo:r.hi]
+		j, _ := slices.BinarySearch(keys[klo:khi], uint64(v)<<32)
+		for j += klo; v < first+uint32(r.hi); v++ {
+			k := j // v's changes: keys[j:k]
+			for k < khi && uint32(keys[k]>>32) == v {
+				k++
 			}
-			continue
+			run, err := ld.checkedRun(v)
+			if lv := int(v - sh.base); err == nil && len(run)+k-j > 0 && lv < len(sh.tab) && sh.tab[lv].deg != 0 {
+				err = fmt.Errorf("core: LoadCSR: vertex %d already has %d edges", v, sh.tab[lv].deg)
+			}
+			if err != nil {
+				errs[r.lo/loadRange] = err
+				return
+			}
+			eff, deg := findKeys(ps.ks[j-klo:], run, keys[j:k], ld.d.Del[j:k])
+			if deg > 0 {
+				jobs = append(jobs, mergeJob{lv: v - sh.base, at: uint32(j - klo), eff: uint32(eff), to: vref{deg: uint32(deg)}})
+			}
+			j = k
 		}
-		if len(pg)-used < up {
-			pg, cur, used = make([]uint32, min(uint64(pt.pageLen), uint64(up)+left)), len(pt.pages), 0
-			pt.pages, pt.live = append(pt.pages, pg), append(pt.live, 0)
-		}
-		if got := mergeRun(pg[used:used+up], run, ks, del); got > 0 {
-			ld.refs[v-ld.lo] = vref{uint32(cur)<<pageBits | uint32(used), uint32(got)}
-			pt.live[cur] += uint32(got)
-			used += got
-		}
-	}
-}
-
-// stitch gives the part's pages slots in its shard's arena, in order, and
-// points the shard's table at their runs; it returns the entries added.
-func (ld *csrLoad) stitch(pt *loadPart) (added uint64) {
-	sh, a := pt.sh, &pt.sh.pub
-	slots := make([]uint32, len(pt.pages))
-	for i, pg := range pt.pages {
-		slots[i] = uint32(a.open(pg))
-		a.live[slots[i]] = pt.live[i]
-		added += uint64(pt.live[i])
-	}
-	tab := sh.table()
-	for v := pt.first; v < pt.end; v++ {
-		if r := ld.refs[v-ld.lo]; r.deg > 0 {
-			tab[v-sh.base] = vref{slots[r.off>>pageBits]<<pageBits | r.off&pageMask, r.deg}
+		r.nj = len(jobs)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	a.placed += added
-	sh.m.Add(added)
-	return added
+	return nil
 }
 
 // check validates the delta against the vertex bound n.
@@ -304,59 +212,4 @@ func (ld *csrLoad) checkedRun(v uint32) ([]uint32, error) {
 		return nil, fmt.Errorf("core: LoadCSR: edge (%d,%d) outside vertex space [0,%d)", v, ns[len(ns)-1], ld.n)
 	}
 	return ns, nil
-}
-
-// mergeRun writes to dst one vertex's run merged with its changes — ks, the
-// vertex's delta keys, ascending, and del their ops: the run minus the edges
-// deleted, plus those kept present — and returns its length. dst holds at
-// least that: the run plus the present edges will do. Which of the two heads
-// comes next is data the CPU cannot predict, so the loop takes it without a
-// branch: it writes the smaller head every step and advances the write
-// position only when that head is kept.
-func mergeRun(dst, run []uint32, ks []uint64, del []bool) int {
-	w, i, j := 0, 0, 0
-	for i < len(run) && j < len(ks) && w < len(dst) {
-		a, b := run[i], uint32(ks[j])
-		lt, gt := b2i(a < b), b2i(a > b)
-		if a < b {
-			b = a
-		}
-		dst[w] = b
-		w += lt | (1 - b2i(del[j]))
-		i += 1 - gt
-		j += 1 - lt
-	}
-	w += copy(dst[w:], run[i:])
-	for ; j < len(ks) && w < len(dst); j++ {
-		if !del[j] {
-			dst[w] = uint32(ks[j])
-			w++
-		}
-	}
-	return w
-}
-
-// mergedLen is the length of the run mergeRun writes.
-func mergedLen(run []uint32, ks []uint64, del []bool) int {
-	w, i, j := 0, 0, 0
-	for i < len(run) && j < len(ks) {
-		a, b := run[i], uint32(ks[j])
-		lt, gt := b2i(a < b), b2i(a > b)
-		w += lt | (1 - b2i(del[j]))
-		i += 1 - gt
-		j += 1 - lt
-	}
-	for _, d := range del[j:] {
-		w += 1 - b2i(d)
-	}
-	return w + len(run) - i
-}
-
-// b2i is 1 for true, compiled to a flag set, not a branch.
-func b2i(b bool) int {
-	var i int
-	if b {
-		i = 1
-	}
-	return i
 }

@@ -142,10 +142,11 @@ func TestLoadCSRMatchesInsertBatch(t *testing.T) {
 // TestLoadCSRMergesDelta loads a CSR merged with a delta — deletes and
 // inserts of edges the CSR holds and of edges it does not, sources on both
 // sides of the CSR's range — whole, in pieces that split CSR and delta at the
-// same vertex, as a delta alone, and around a hub longer than a page, at
-// every shard count, and checks each against the bare engine given the CSR's
-// edges and then the delta's as batches. Each vertex's run is written once,
-// so nothing is placed but the edges.
+// same vertex, as a delta alone, around a hub longer than a page, and with
+// mixed ops at one position of a run, at every shard count, and checks each
+// against the bare engine given the CSR's edges and then the delta's as
+// batches. Each vertex's run is written once, so nothing is placed but the
+// edges.
 func TestLoadCSRMergesDelta(t *testing.T) {
 	const n, lo, hi = 512, 100, 400
 	for _, shards := range []int{1, 2, 4} {
@@ -236,6 +237,26 @@ func TestLoadCSRMergesDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("a hub longer than a page", hub)
+
+		// Mixed ops that find places at one position of a run: an insert of
+		// an absent 15 and a delete of its successor 20; a delete of a run's
+		// last neighbor and an insert past it; a delta that empties a run;
+		// and an insert of a present edge beside a delete of an absent one,
+		// which change nothing. Vertex 300 lies in the last shard at S > 1.
+		offs, adj = []uint64{0, 3, 6, 8, 10}, []uint32{10, 20, 30, 5, 7, 9, 3, 4, 1, 2}
+		d = Delta{
+			Keys: []uint64{0<<32 | 15, 0<<32 | 20, 1<<32 | 9, 1<<32 | 12, 2<<32 | 3, 2<<32 | 4, 3<<32 | 2, 3<<32 | 5, 300<<32 | 8},
+			Del:  []bool{false, true, true, false, true, true, false, true, false},
+		}
+		want = New(n, loadCfg)
+		want.InsertBatch(csrEdges(0, offs, adj))
+		want.InsertBatch([]uint32{0, 1, 3, 300}, []uint32{15, 12, 2, 8})
+		want.DeleteBatch([]uint32{0, 1, 2, 2, 3}, []uint32{20, 9, 3, 4, 5})
+		mixed := NewPaged(n, shards, loadCfg.Workers)
+		if err := mixed.LoadCSR(0, offs, adj, d); err != nil {
+			t.Fatal(err)
+		}
+		check("mixed ops at one position", mixed)
 	}
 }
 

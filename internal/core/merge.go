@@ -2,70 +2,115 @@ package core
 
 import "slices"
 
-// The update path of a Paged shard, whose storage is its table over its page
-// arena. The pipeline's pack, partition, sort, dedup and grouping are a
-// Graph shard's; only the per-group stage differs. There is no structure to update in place: a vertex's
-// adjacency is one immutable run that readers of published snapshots may
-// hold, so a batch gives every vertex it changes a new run — the old run
-// merged with the vertex's group — at the arena's batch tail, and points the
-// shard's table at it. A publish of the live structures did that for every
-// vertex a batch named, by flattening the structure the batch had just
-// updated; here the merge is the update.
+// The write path of a Paged shard, whose storage is its table over its page
+// arena. There is no structure to update in place: a vertex's adjacency is
+// one immutable run that readers of published snapshots may hold, so every
+// vertex a batch or a load changes gets a new run — its old run merged with
+// its changes — at the arena's batch tail, and the shard's table is pointed
+// at it. A batch's old runs are the shard's own and its changes one group of
+// the pipeline each (pack, partition, sort, dedup and grouping are a Graph
+// shard's; only the per-group stage differs); a load's (LoadCSR) old runs
+// lie in the caller's CSR and its changes in a Delta.
 //
-// A batch runs in three steps. Find (per group, by the worker that owns its
-// range): locate every key in the vertex's current run; the keys that change
-// it — absent ones of an insert, present ones of a delete — are kept, each
-// rewritten in place as position‖neighbor, and counted. Place (sequential, in
-// vertex order: the arena has one owner): reserve each changed vertex's new
-// run, whose length is now known. Write (per range, in parallel): copy the
-// stretches of the old run between the kept keys' positions and put in, or
-// leave out, the keys — a hub costs one pass of copy, as its flatten did.
-// Then the old runs are dropped and the table patched.
+// Both run the same three steps. Find (per group or per range of vertices,
+// in parallel): locate every change in the vertex's old run; the ones that
+// change it — a delete of a present neighbor, an insert of an absent one —
+// are kept, each written as position‖neighbor, and the vertex's merged
+// degree is recorded. Place (sequential, in vertex order: the arena has one
+// owner): reserve each changed vertex's new run, whose length is now known.
+// Write (per range, in parallel): copy the stretches of the old run between
+// the kept keys' positions; a kept key equal to the old run's entry at its
+// position is a delete and is left out, any other is an insert and is put
+// in. Because find keeps only effective keys this is exact for one op or
+// for mixed ones, and a hub costs one pass of copy. Then the old runs are
+// dropped and the table patched.
 
-// mergeJob is one vertex's share of a batch on a Paged shard.
+// mergeJob is one vertex's share of a merge on a Paged shard.
 type mergeJob struct {
 	lv  uint32 // the vertex's slot
-	at  uint32 // where its kept keys start in its range's key buffer
-	eff uint32 // how many: the edges the batch adds to, or removes from, the run
-	to  vref   // the run reserved for the merged adjacency
+	at  uint32 // where its kept keys start in the key buffer
+	eff uint32 // how many: the edges the merge adds to the run or removes from it
+	to  vref   // the merged run: its degree set by find, its place by place
 }
 
-// findKeys looks each of one vertex's ascending keys up in its ascending
-// run. The keys whose presence equals keep are moved to the front of ks with
-// their source half replaced by the index in run of the first neighbor not
-// below them; it returns how many there are.
-func findKeys(run []uint32, ks []uint64, keep bool) uint64 {
-	pos, eff := 0, 0
-	for _, k := range ks {
-		i, found := slices.BinarySearch(run[pos:], uint32(k))
-		pos += i
-		if found == keep {
-			ks[eff] = uint64(pos)<<32 | uint64(uint32(k))
+// findKeys looks each of one vertex's ascending keys up in its ascending run
+// and writes the keys that change it — a delete of a present neighbor, an
+// insert of an absent one — to the front of out, each with its source half
+// replaced by the index in run of the first neighbor not below it; out may be
+// ks. del holds each key's op, true for a delete, or one op for all of them.
+// It returns how many keys it wrote and the run's length once they are
+// applied.
+func findKeys(out []uint64, run []uint32, ks []uint64, del []bool) (eff, deg int) {
+	walked := dense(len(run), len(ks))
+	if walked {
+		// One walk of run and keys together; each step passes the smaller
+		// head, and a key's position is rewritten until it is passed.
+		i, j := 0, 0
+		for i < len(run) && j < len(ks) {
+			x, lt := uint32(ks[j]), 0
+			out[j] = uint64(i)<<32 | uint64(x)
+			if run[i] < x {
+				lt = 1
+			}
+			i, j = i+lt, j+1-lt
+		}
+		for ; j < len(ks); j++ {
+			out[j] = uint64(len(run))<<32 | uint64(uint32(ks[j]))
+		}
+		ks = out[:len(ks)]
+	}
+	pos, deg := 0, len(run)
+	for j, k := range ks {
+		x := uint32(k)
+		if walked {
+			pos = int(k >> 32)
+		} else {
+			p, _ := slices.BinarySearch(run[pos:], x)
+			pos += p
+		}
+		found := pos < len(run) && run[pos] == x
+		if found == del[min(j, len(del)-1)] {
+			out[eff] = uint64(pos)<<32 | uint64(x)
 			eff++
+			if found {
+				deg--
+			} else {
+				deg++
+			}
 		}
 	}
-	return uint64(eff)
+	return eff, deg
 }
 
-// mergeRuns gives every vertex the batch changes its new run: the jobs the
-// find stage left in sh.prep (changed edges in all) are placed, written by p
-// workers and patched into the table. The arena's live count is set first, so
-// pages are sized for the shard as the batch leaves it.
-func (sh *pagedShard) mergeRuns(p, limit int, del bool, changed uint64) {
-	ps, a, tab := &sh.prep, &sh.pub, sh.table()
-	a.m = sh.m.Load() + changed
-	if del {
-		a.m = sh.m.Load() - changed
+// dense reports whether findKeys and mergeWrite walk a run of n entries that
+// k keys change entry by entry, each step without a branch the data decides,
+// rather than search it and copy it a stretch per key: when there are at
+// least 4 keys and fewer than 8 entries a key, as a checkpoint's runs under a
+// log tail mostly have. There a search and a copy call per key cost more
+// than the walk, most of it the branches they mispredict; a batch's one or
+// two keys at a vertex, or its few at a hub, cost less searched and copied
+// (EXPERIMENTS.md, "One merge").
+func dense(n, k int) bool { return k >= 4 && n < 8*k }
+
+// mergeRuns gives every vertex a merge changes its new run: the jobs find
+// left in ps's ranges are placed in vertex order, written by p workers from
+// the vertex's old run (old) and its kept keys, and patched into the table.
+// The arena's live count is set first, so pages are sized for the shard as
+// the merge leaves it. It returns the entries it placed.
+func (sh *pagedShard) mergeRuns(ps *prepScratch, p, limit int, old func(lv uint32) []uint32) (placed uint64) {
+	a, tab := &sh.pub, sh.table()
+	jobs := func(r *keyRange) []mergeJob { return ps.jobs[r.lo : r.lo+r.nj] }
+	a.m = sh.m.Load()
+	for i := range ps.ranges {
+		for _, jb := range jobs(&ps.ranges[i]) {
+			a.m += uint64(jb.to.deg) - uint64(tab[jb.lv].deg)
+		}
 	}
 	for i := range ps.ranges {
-		r := &ps.ranges[i]
-		for j := range ps.jobs[r.lo : r.lo+r.nj] {
-			jb := &ps.jobs[r.lo+j]
-			deg := tab[jb.lv].deg + jb.eff
-			if del {
-				deg = tab[jb.lv].deg - jb.eff
-			}
-			jb.to = a.place(deg, tailBatch)
+		js := jobs(&ps.ranges[i])
+		for j := range js {
+			js[j].to = a.place(js[j].to.deg, tailBatch)
+			placed += uint64(js[j].to.deg)
 		}
 	}
 	ps.eachRange(p, limit, func(_ int, r *keyRange) {
@@ -73,32 +118,62 @@ func (sh *pagedShard) mergeRuns(p, limit int, del bool, changed uint64) {
 		if r.alt {
 			ks = ps.tmp
 		}
-		for _, jb := range ps.jobs[r.lo : r.lo+r.nj] {
-			mergeWrite(a.read(jb.to), a.read(tab[jb.lv]), ks[jb.at:jb.at+jb.eff], del)
+		for _, jb := range jobs(r) {
+			mergeWrite(a.read(jb.to), old(jb.lv), ks[jb.at:jb.at+jb.eff])
 		}
 	})
 	for i := range ps.ranges {
-		r := &ps.ranges[i]
-		for _, jb := range ps.jobs[r.lo : r.lo+r.nj] {
+		for _, jb := range jobs(&ps.ranges[i]) {
 			a.drop(tab[jb.lv])
 			tab[jb.lv] = jb.to
 		}
 	}
+	return placed
 }
 
-// mergeWrite fills dst with old plus (or, with del, minus) the neighbors of
-// ks, whose upper halves are their positions in old (findKeys).
-func mergeWrite(dst, old []uint32, ks []uint64, del bool) {
-	from := 0
-	for _, k := range ks {
-		pos := int(k >> 32)
-		dst = dst[copy(dst, old[from:pos]):]
-		if from = pos; del {
-			from++
-		} else {
-			dst[0] = uint32(k)
-			dst = dst[1:]
+// mergeWrite fills dst with old changed by ks, whose upper halves are their
+// positions in old (findKeys): a key equal to the neighbor at its position is
+// a delete, any other an insert. It copies the stretches between the keys or,
+// where they are dense, walks old entry by entry.
+func mergeWrite(dst, old []uint32, ks []uint64) {
+	if !dense(len(old), len(ks)) {
+		from, w := 0, 0
+		for _, k := range ks {
+			pos := int(k >> 32)
+			w += copy(dst[w:], old[from:pos])
+			if from = pos; pos < len(old) && old[pos] == uint32(k) {
+				from++
+			} else {
+				dst[w] = uint32(k)
+				w++
+			}
+		}
+		copy(dst[w:], old[from:])
+		return
+	}
+	// Each step writes old[i] or, where a key sits at i, the key, and
+	// advances past what it wrote; a delete writes nothing that stays.
+	i, j, w := 0, 0, 0
+	for i < len(old) && j < len(ks) && w < len(dst) {
+		k := ks[j]
+		v, at, del := old[i], 0, 0
+		if int(k>>32) == i {
+			at = 1
+		}
+		if v == uint32(k) {
+			del = at
+		}
+		if at == 1 {
+			v = uint32(k)
+		}
+		dst[w] = v
+		i, j, w = i+1-at+del, j+at, w+1-del
+	}
+	for ; j < len(ks); j++ { // inserts past old's last neighbor
+		if int(ks[j]>>32) == len(old) {
+			dst[w] = uint32(ks[j])
+			w++
 		}
 	}
-	copy(dst, old[from:])
+	copy(dst[w:], old[i:])
 }

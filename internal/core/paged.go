@@ -9,9 +9,10 @@ import (
 // partitioned into shards as a Graph's is, and its batches go through the
 // same pipeline, but each shard's adjacency is a table of (page‖offset,
 // degree) entries over an arena of fixed-size pages: the runs its published
-// snapshots share. A batch merges each vertex's group with the vertex's run
-// into a new run at the arena's tail (merge.go), and LoadCSR writes runs as
-// they are, so a Paged never holds a vertex block, array, RIA or HITree.
+// snapshots share. A batch and a load (LoadCSR) both merge each vertex's
+// changes with its old run — the shard's own, or the caller's CSR run — into
+// a new run at the arena's tail (merge.go), so a Paged never holds a vertex
+// block, array, RIA or HITree.
 // It is read through the snapshots its shards publish (PagedShard.Publish)
 // and has no read methods of its own.
 type Paged struct {
@@ -213,18 +214,28 @@ func (s PagedShard) batch(src, dst []uint32, del bool) {
 	}
 	sh, ps := s.pagedShard, &s.prep
 	ps.jobs = grown(trimmed(ps.jobs, scratchLimit(len(src))), len(src))
+	op := batchOps[:1] // one op for all of the batch's keys (findKeys)
+	if del {
+		op = batchOps[1:]
+	}
 	changed := sh.applyBatch(s.g.n.Load(), src, dst, s.g.shardWorkers(),
 		func(_ int, r *keyRange, at int, lv uint32, ks []uint64) uint64 {
-			c := findKeys(sh.pub.read(sh.tab[lv]), ks, del)
-			if c > 0 {
-				ps.jobs[r.lo+r.nj] = mergeJob{lv: lv, at: uint32(at), eff: uint32(c)}
+			eff, deg := findKeys(ks, sh.run(lv), ks, op)
+			if eff > 0 {
+				ps.jobs[r.lo+r.nj] = mergeJob{lv: lv, at: uint32(at), eff: uint32(eff), to: vref{deg: uint32(deg)}}
 				r.nj++
 			}
-			return c
+			return uint64(eff)
 		},
-		func(p, limit int, changed uint64) { sh.mergeRuns(p, limit, del, changed) })
+		func(p, limit int) { sh.mergeRuns(ps, p, limit, sh.run) })
 	sh.applied(del, len(src), changed)
 }
+
+// batchOps holds the op of an insert batch's keys, then a delete batch's.
+var batchOps = []bool{false, true}
+
+// run is slot lv's run in the shard's arena.
+func (sh *pagedShard) run(lv uint32) []uint32 { return sh.pub.read(sh.tab[lv]) }
 
 // Publish returns the shard's current state as a new immutable snapshot. It
 // finds the batches since the last Publish already applied — their

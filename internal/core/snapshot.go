@@ -153,13 +153,28 @@ func (a *pageArena) place(deg uint32, which int) vref {
 	return r
 }
 
+// cutTail ends the batch tail at what has been placed in it, its page
+// replaced by one of exactly that length: a load leaves its shard no room it
+// did not fill. The next run placed opens a new page. A snapshot that read
+// the old page keeps it in its own directory.
+func (a *pageArena) cutTail() {
+	t := &a.tails[tailBatch]
+	if t.room == 0 {
+		return
+	}
+	pg := a.pages[t.id]
+	a.pages[t.id] = slices.Clone(pg[:len(pg)-int(t.room)])
+	a.inUse -= uint64(t.room)
+	t.room = 0
+}
+
 // open gives pg a directory slot. Slots are reused: a snapshot that still
 // reads the slot's previous page holds that page in its own directory.
 func (a *pageArena) open(pg []uint32) int {
 	id := slices.IndexFunc(a.pages, func(p []uint32) bool { return p == nil })
 	if id < 0 {
 		if id = len(a.pages); id == maxPages {
-			panic(fmt.Sprintf("core: published shard exceeds %d adjacency pages; raise Config.Shards", maxPages))
+			panic(fmt.Sprintf("core: published shard exceeds %d adjacency pages; give the graph more shards (NewPaged's shards, lsgraph.WithShards)", maxPages))
 		}
 		a.pages, a.live = append(a.pages, nil), append(a.live, 0)
 	}
@@ -353,7 +368,7 @@ func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, p int) 
 		}
 	}
 	if m > math.MaxUint32 {
-		panic(fmt.Sprintf("core: snapshot of %d edges exceeds the 2^32-entry CSR; raise Config.Shards", m))
+		panic(fmt.Sprintf("core: snapshot of %d edges exceeds the 2^32-entry CSR; snapshot one shard at a time (Shard.SnapshotInto), and give the graph more shards (Config.Shards) if one is still too large", m))
 	}
 	if cap(s.adj) < int(m) {
 		s.adj = make([]uint32, m)

@@ -77,12 +77,13 @@ func walOp(op int) uint8 {
 
 // OpenDurable opens (creating or recovering) a durable Store over a fresh
 // core.Paged of at least n vertices in shards shards, whose loads and
-// batches run on up to workers goroutines (0: GOMAXPROCS). Recovery is checkpointing run
-// backwards, on the graph before any writer exists, in five steps: load the
-// newest valid checkpoint; scan the WAL, packing the edges of every record
-// past its shard log's watermark into keys in global LSN order; reduce them
-// to their net effect, each edge's last op (tail.reduce); merge that into the
-// checkpoint's runs on their way to the shards' pages, each run written once
+// batches run on up to workers goroutines (0: GOMAXPROCS). Recovery is
+// checkpointing run backwards, on the graph before any writer exists, in
+// five steps: load the newest valid checkpoint; scan the WAL, packing the
+// edges of every record past its shard log's watermark into keys in global
+// LSN order; reduce them to their net effect, each edge's last op
+// (tail.reduce); merge that into the checkpoint's runs with the batch
+// merge's find, place and write, each run written once to the shards' pages
 // (core.Paged.LoadCSR); then start the Store — one first publish per shard,
 // which only seals its table — and attach the log. So nothing replayed is
 // re-logged, the Store's counters start at zero, and a crash mid-recovery

@@ -42,8 +42,9 @@ type RecoveryStats struct {
 	// records or how often their op changes; 0 with no tail.
 	ReduceNanos int64 `json:"reduce_nanos"`
 	// MergeNanos is writing the shards' pages: every checkpoint run merged
-	// with the tail's changes to its vertex, written once (core.LoadCSR). It
-	// grows with the recovered graph.
+	// with the tail's changes to its vertex by the batch merge — find, place,
+	// write — and written once (core.Paged.LoadCSR). It grows with the
+	// recovered graph and the tail.
 	MergeNanos int64 `json:"merge_nanos"`
 	// PublishNanos is starting the store: each shard's first publish, which
 	// only seals its table.
