@@ -6,6 +6,7 @@ import (
 
 	"lsgraph/internal/engine"
 	"lsgraph/internal/gen"
+	"lsgraph/internal/obs"
 	"lsgraph/internal/refgraph"
 )
 
@@ -92,28 +93,46 @@ func TestBFSLevelsBothDirections(t *testing.T) {
 	for v := uint32(1); v < 200; v++ {
 		path = append(path, gen.Edge{Src: v - 1, Dst: v})
 	}
+	// n = 130 puts the bottom-up frontier bitmap's words to the test: it
+	// has three, the last holding only 128 and 129. From 129, level 1
+	// (frontier {129}, degree 33 > m/20 = 74/20 = 3) and level 2 (frontier
+	// 0..30, 63 and 64, degree 35) go bottom-up; 100 and 101 find 63 and 64
+	// in the bitmap, the last bit of word 0 and the first of word 1. 31
+	// shares 63's bit under a 32-bit mask, so 102, whose only neighbour is
+	// 31, would be claimed at level 2 instead of 4.
+	var words []gen.Edge
+	for _, u := range []uint32{63, 64} {
+		words = append(words, gen.Edge{Src: 129, Dst: u})
+	}
+	for u := uint32(0); u < 31; u++ {
+		words = append(words, gen.Edge{Src: 129, Dst: u})
+	}
+	words = append(words, gen.Edge{Src: 63, Dst: 100}, gen.Edge{Src: 64, Dst: 101},
+		gen.Edge{Src: 100, Dst: 31}, gen.Edge{Src: 31, Dst: 102})
 	for _, tc := range []struct {
 		name string
 		g    *refgraph.Graph
+		src  uint32
 	}{
-		{"star", buildRef(64, star)},
-		{"path", buildRef(200, path)},
-		{"rmat", testGraph(t)},
+		{"star", buildRef(64, star), 0},
+		{"path", buildRef(200, path), 0},
+		{"rmat", testGraph(t), 0},
 		// Two components: from 0 the frontier's 1 edge exceeds 4/20 = 0,
 		// so level 1 goes bottom-up and vertices 2 to 5 stay unreached.
-		{"disconnected", buildRef(6, []gen.Edge{{Src: 0, Dst: 1}, {Src: 3, Dst: 4}})},
+		{"disconnected", buildRef(6, []gen.Edge{{Src: 0, Dst: 1}, {Src: 3, Dst: 4}}), 0},
+		{"bitmap-words", buildRef(130, words), 129},
 	} {
-		want := serialBFSDepths(tc.g, 0)
+		want := serialBFSDepths(tc.g, tc.src)
 		for _, p := range []int{1, 2, 4} {
-			levels, parent := BFSLevels(tc.g, 0, p), BFS(tc.g, 0, p)
+			levels, parent := BFSLevels(tc.g, tc.src, p), BFS(tc.g, tc.src, p)
 			for v := range want {
 				if levels[v] != want[v] {
 					t.Fatalf("%s p=%d: BFSLevels(%d)=%d want %d", tc.name, p, v, levels[v], want[v])
 				}
 				pu := parent[v]
 				switch {
-				case v == 0:
-					if pu != 0 {
+				case v == int(tc.src):
+					if pu != int32(tc.src) {
 						t.Fatalf("%s p=%d: source parent %d", tc.name, p, pu)
 					}
 				case want[v] == -1:
@@ -122,6 +141,51 @@ func TestBFSLevelsBothDirections(t *testing.T) {
 					}
 				case pu < 0 || int(pu) >= len(want) || want[pu] != want[v]-1:
 					t.Fatalf("%s p=%d: vertex %d at depth %d has parent %d", tc.name, p, v, want[v], pu)
+				}
+			}
+		}
+	}
+}
+
+// TestTraversedEdgesExact checks the traversed-edge counters of the
+// searches while metrics are on: every reached vertex sits in exactly one
+// level's frontier, so BFS and BFSLevels count the degree sum of the
+// reached vertices, and BC, whose backward sweep reads the same lists
+// again, twice that. The star's level 1 goes bottom-up, so the degrees the
+// bottom-up step sums are counted too.
+func TestTraversedEdgesExact(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	var star []gen.Edge
+	for u := uint32(1); u < 64; u++ {
+		star = append(star, gen.Edge{Src: 0, Dst: u})
+	}
+	for _, tc := range []struct {
+		name string
+		g    *refgraph.Graph
+	}{{"rmat", testGraph(t)}, {"star", buildRef(64, star)}} {
+		var want uint64
+		for v, d := range serialBFSDepths(tc.g, 0) {
+			if d >= 0 {
+				want += uint64(tc.g.Degree(uint32(v)))
+			}
+		}
+		for _, p := range []int{1, 2, 4} {
+			for _, k := range []struct {
+				name string
+				ob   kernelObs
+				run  func()
+				want uint64
+			}{
+				{"BFS", obsBFS, func() { BFS(tc.g, 0, p) }, want},
+				{"BFSLevels", obsBFSLvl, func() { BFSLevels(tc.g, 0, p) }, want},
+				{"BC", obsBC, func() { BC(tc.g, 0, p) }, 2 * want},
+			} {
+				before := k.ob.edges.Value()
+				k.run()
+				if got := k.ob.edges.Value() - before; got != k.want {
+					t.Fatalf("%s %s p=%d: counted %d traversed edges, want %d", tc.name, k.name, p, got, k.want)
 				}
 			}
 		}

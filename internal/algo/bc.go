@@ -32,28 +32,29 @@ func BC(g engine.Graph, src uint32, p int) []float64 {
 
 	var levels [][]uint32
 	frontier := []uint32{src}
-	next := make([]bool, n)
 	bufs := frontierBufs(p)
 	level := int32(0)
 	degree, frontierEdges := frontierDegrees(t, g, frontier)
 	for len(frontier) > 0 {
 		levels = append(levels, frontier)
 		traversed += frontierEdges
-		for i := range next {
-			next[i] = false
-		}
 		level++
-		parallel.ForChunk(len(frontier), p, func(lo, hi int) {
+		parallel.ForChunkW(len(frontier), p, func(w, lo, hi int) {
+			b := &bufs[w]
 			var sv uint64
 			scan := func(bs []uint32) bool {
 				s, lv := sv, level // hoist heap captures off the loop
 				for _, u := range bs {
 					// Read before claiming, as BFS does: a neighbour
-					// reached at an earlier level costs one load.
+					// reached at an earlier level costs one load. The
+					// worker whose claim wins queues u.
 					d := atomic.LoadInt32(&depth[u])
 					if d == NoParent {
 						if atomic.CompareAndSwapInt32(&depth[u], NoParent, lv) {
-							next[u] = true
+							b.ids = append(b.ids, u)
+							if degree != nil {
+								b.deg += uint64(degree(u))
+							}
 						}
 						d = atomic.LoadInt32(&depth[u])
 					}
@@ -70,8 +71,8 @@ func BC(g engine.Graph, src uint32, p int) []float64 {
 			}
 		})
 		// Each level's frontier is retained in levels for the backward
-		// sweep, so collect into a fresh slice rather than reusing one.
-		frontier, frontierEdges = collectFrontier(make([]uint32, 0, len(frontier)), next, bufs, p, degree)
+		// sweep, so join into a fresh slice rather than reusing one.
+		frontier, frontierEdges = joinFrontier(nil, bufs)
 	}
 
 	// Backward sweep: vertices of level d read the finished deltas of

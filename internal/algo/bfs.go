@@ -57,45 +57,49 @@ func bfs(g engine.Graph, src uint32, p int, levels bool, ob kernelObs) []int32 {
 	}
 
 	frontier := []uint32{src}
-	inFrontier := make([]bool, n)
-	next := make([]bool, n)
+	var inFrontier []uint64 // bottom-up levels' frontier bitmap, made on first use
 	bufs := frontierBufs(p)
 	totalEdges := g.NumEdges()
-	// The frontier's degree total steers the direction heuristic; each
-	// rebuild sums it in parallel as it collects the next frontier.
-	degree := g.Degree
-	frontierEdges := uint64(degree(src))
+	// The frontier's degree total steers the direction heuristic; the step
+	// that claims a vertex adds its degree to the claiming worker's buffer.
+	frontierEdges := uint64(g.Degree(src))
 	for level := int32(1); len(frontier) > 0; level++ {
 		traversed += frontierEdges
-		clear(next)
 		// Direction heuristic (Beamer): go bottom-up when the frontier
 		// touches a large fraction of the graph's edges.
 		if totalEdges > 0 && frontierEdges > totalEdges/20 {
-			clear(inFrontier)
-			for _, v := range frontier {
-				inFrontier[v] = true
+			if inFrontier == nil {
+				inFrontier = make([]uint64, (n+63)/64)
+			} else {
+				clear(inFrontier)
 			}
-			bfsBottomUp(g, out, inFrontier, next, p, levels, level)
+			for _, v := range frontier {
+				inFrontier[v>>6] |= 1 << (v & 63)
+			}
+			bfsBottomUp(g, out, inFrontier, bufs, p, levels, level)
 		} else {
-			bfsTopDown(g, frontier, out, next, p, levels, level)
+			bfsTopDown(g, frontier, out, bufs, p, levels, level)
 		}
-		frontier, frontierEdges = collectFrontier(frontier, next, bufs, p, degree)
+		frontier, frontierEdges = joinFrontier(frontier[:0], bufs)
 	}
 	ob.done(t, traversed)
 	return out
 }
 
-// bfsTopDown lets each frontier vertex claim its unreached neighbours. A
+// bfsTopDown lets each frontier vertex claim its unreached neighbours, and
+// the worker whose claim wins queues the neighbour in its buffer of bufs. A
 // claim reads before it CASes, as Ligra's cond does, so a neighbour that is
 // already reached costs a load rather than a locked read-modify-write.
-func bfsTopDown(g engine.Graph, frontier []uint32, out []int32, next []bool, p int, levels bool, level int32) {
-	parallel.ForChunk(len(frontier), p, func(lo, hi int) {
+func bfsTopDown(g engine.Graph, frontier []uint32, out []int32, bufs []frontierBuf, p int, levels bool, level int32) {
+	parallel.ForChunkW(len(frontier), p, func(w, lo, hi int) {
+		b := &bufs[w]
 		claim := level
 		scan := func(bs []uint32) bool {
 			c := claim // hoist the heap-captured claim off the loop
 			for _, u := range bs {
 				if atomic.LoadInt32(&out[u]) == NoParent && atomic.CompareAndSwapInt32(&out[u], NoParent, c) {
-					next[u] = true
+					b.ids = append(b.ids, u)
+					b.deg += uint64(g.Degree(u))
 				}
 			}
 			return true
@@ -109,22 +113,23 @@ func bfsTopDown(g engine.Graph, frontier []uint32, out []int32, next []bool, p i
 	})
 }
 
-// bfsBottomUp lets each unreached vertex look for a frontier neighbour;
-// each vertex is written only by the worker whose range holds it.
-func bfsBottomUp(g engine.Graph, out []int32, inFrontier, next []bool, p int, levels bool, level int32) {
-	parallel.ForChunk(len(out), p, func(lo, hi int) {
+// bfsBottomUp lets each unreached vertex look for a neighbour in the
+// frontier bitmap inFrontier; each vertex is written, and queued, only by
+// the worker whose range holds it.
+func bfsBottomUp(g engine.Graph, out []int32, inFrontier []uint64, bufs []frontierBuf, p int, levels bool, level int32) {
+	parallel.ForChunkW(len(out), p, func(w, lo, hi int) {
+		b := &bufs[w]
 		// Returning false from the yield ends the walk once a frontier
 		// neighbour is found.
 		var v int
 		scan := func(bs []uint32) bool {
 			for _, u := range bs {
-				if inFrontier[u] {
+				if inFrontier[u>>6]&(1<<(u&63)) != 0 {
 					if levels {
 						out[v] = level
 					} else {
 						out[v] = int32(u)
 					}
-					next[v] = true
 					return false
 				}
 			}
@@ -133,6 +138,10 @@ func bfsBottomUp(g engine.Graph, out []int32, inFrontier, next []bool, p int, le
 		for v = lo; v < hi; v++ {
 			if out[v] == NoParent {
 				g.NeighborBlocks(uint32(v), scan)
+				if out[v] != NoParent {
+					b.ids = append(b.ids, uint32(v))
+					b.deg += uint64(g.Degree(uint32(v)))
+				}
 			}
 		}
 	})

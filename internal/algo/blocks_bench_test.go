@@ -82,8 +82,8 @@ func runKernelBench(b *testing.B, edgesPerOp uint64, fn func()) {
 	reportNsPerEdge(b, edgesPerOp)
 }
 
-// kernelReaders are the read paths BenchmarkKernelPageRank and
-// BenchmarkKernelBFS time: the live engine, and the same edges served — a
+// kernelReaders are the read paths BenchmarkKernelPageRank,
+// BenchmarkKernelBFS and BenchmarkKernelBC time: the live engine, and the same edges served — a
 // two-shard paged graph behind a Store, read through a pinned View, as the
 // serving stack's kernels read.
 var kernelReaders = []struct {
@@ -135,6 +135,20 @@ func BenchmarkKernelBFS(b *testing.B) {
 					})
 				})
 			}
+		})
+	}
+}
+
+// BenchmarkKernelBC times single-source betweenness centrality from vertex
+// 0 on both read paths: the forward search and the backward sweep, per
+// edge of the graph.
+func BenchmarkKernelBC(b *testing.B) {
+	for _, r := range kernelReaders {
+		b.Run(r.name, func(b *testing.B) {
+			g := r.build(b)
+			runKernelBench(b, g.NumEdges(), func() {
+				BC(g, 0, 0)
+			})
 		})
 	}
 }

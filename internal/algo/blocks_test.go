@@ -49,7 +49,7 @@ func TestKernelsMatchAcrossReadPaths(t *testing.T) {
 	}
 }
 
-// TestCollectFrontier checks the parallel frontier rebuild against the
+// TestCollectFrontier checks CC's parallel frontier rebuild against the
 // sequential scan it replaces, including sizes straddling the sequential
 // threshold and dense/sparse flag patterns, and its degree total against
 // the frontier's.
@@ -57,12 +57,12 @@ func TestCollectFrontier(t *testing.T) {
 	deg := func(v uint32) uint32 { return v%5 + 1 }
 	for _, n := range []int{0, 1, 100, collectSeqThreshold - 1, collectSeqThreshold * 8} {
 		for _, p := range []int{1, 3, 8} {
-			next := make([]bool, n)
+			next := make([]uint32, n)
 			var want []uint32
 			var wantDeg uint64
 			for v := 0; v < n; v++ {
 				if v%7 == 0 || v%1000 < 3 {
-					next[v] = true
+					next[v] = 1
 					want = append(want, uint32(v))
 					wantDeg += uint64(deg(uint32(v)))
 				}

@@ -44,10 +44,12 @@ func (k kernelObs) done(sp obs.Span, edges uint64) {
 	sp.End(-1, 0, 0, edges)
 }
 
-// frontierDegrees is what a frontier-synchronous kernel hands
-// collectFrontier for its per-round traversed-edge estimate, with the
-// degree total of its first frontier: the degree read while a collector is
-// on, and nothing — so the all-off path pays nothing — while none is.
+// frontierDegrees is the degree read BC's claims and CC's collectFrontier
+// sum into each next frontier's traversed-edge estimate, with the degree
+// total of the first frontier: the degree read while a collector is on, and
+// nil — so the all-off path pays nothing — while none is. BFS reads
+// degrees whatever the collectors, because its direction heuristic needs
+// them.
 func frontierDegrees(sp obs.Span, g engine.Graph, frontier []uint32) (func(uint32) uint32, uint64) {
 	if !sp.On() {
 		return nil, 0

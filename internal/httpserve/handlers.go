@@ -445,7 +445,7 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 	switch kernel {
 	case "bfs":
 		src, err := parseUint32(q.Get("src"))
-		if q.Get("src") != "" && err != nil {
+		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad src: %v", err)
 			return
 		}

@@ -517,6 +517,19 @@ func TestKernelEndpoints(t *testing.T) {
 		t.Fatalf("bfs from beyond the vertex space: status %d reached=%d max_depth=%d, want 200/0/-1", resp.StatusCode, bfs.Reached, bfs.MaxDepth)
 	}
 
+	// A search needs a source: a missing or malformed src is refused, as
+	// khop refuses it, rather than searching from vertex 0.
+	for _, q := range []string{"", "?src=", "?src=x1"} {
+		resp, err = client.Post(ts.URL+"/v1/graphs/path/kernels/bfs"+q, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bfs%s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+
 	var cc struct {
 		Components int `json:"components"`
 		Largest    int `json:"largest"`
