@@ -11,7 +11,7 @@
 //	lsgraphd -data /var/lib/lsgraph           # durable graphs: WAL + checkpoints + recovery
 //	lsgraphd -data d -fsync always            # fsync every WAL append (none|interval|always)
 //	lsgraphd -data d -checkpoint-every 100000 # auto-checkpoint every N logged batches
-//	lsgraphd -obs=false                       # disable metric collection
+//	lsgraphd -obs=false                       # disable per-event metric collection
 //	lsgraphd -trace run.json -tracemode tail  # flight recorder across the run
 //
 // Endpoints (see OPERATIONS.md for the full reference with curl examples):
@@ -79,7 +79,7 @@ func main() {
 		fsync    = flag.String("fsync", "interval", "WAL fsync policy with -data: none | interval | always")
 		fsyncIv  = flag.Duration("fsync-interval", 50*time.Millisecond, "group-commit period for -fsync interval")
 		ckptN    = flag.Int("checkpoint-every", 0, "auto-checkpoint a graph every N logged batches with -data (0 = explicit/shutdown only)")
-		obsOn    = flag.Bool("obs", true, "enable metric collection (serves /metrics either way)")
+		obsOn    = flag.Bool("obs", true, "enable per-event metric collection: layer timings, HTTP and engine counters (/metrics is served, with the store and WAL series, either way)")
 		traceO   = flag.String("trace", "", "record the flight recorder and write Chrome trace-event JSON here on exit")
 		traceMd  = flag.String("tracemode", "all", "flight-recorder sampling policy: all | sample=N | tail")
 		drain    = flag.Duration("drain", 30*time.Second, "max time to wait for in-flight requests on shutdown")

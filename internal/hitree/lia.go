@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 
-	"lsgraph/internal/obs"
 	"lsgraph/internal/ria"
 )
 
@@ -99,7 +98,6 @@ func newLIA(ns []uint32, cfg *Config) *lia {
 		builtSize: n,
 	}
 	l.slope, l.intercept = fitModel(ns, capacity)
-	obsLIAFits.Inc()
 
 	// Predicted positions are nondecreasing in i (slope >= 0), so elements
 	// of one block form a contiguous range of ns. Walk block groups.
@@ -116,7 +114,6 @@ func newLIA(ns []uint32, cfg *Config) *lia {
 		if pendingRun == nil {
 			return
 		}
-		obsVertical.Inc()
 		child := l.buildChild(ns[pendingRun.lo:pendingRun.hi], cfg)
 		for b := pendingRun.firstBlk; b <= pendingRun.lastBlk; b++ {
 			l.children[b] = child
@@ -241,7 +238,6 @@ func (l *lia) insert(u uint32, cfg *Config) (node, bool) {
 		if float64(l.total) > cfg.RebuildFactor*float64(l.builtSize) {
 			// Structural adjustment: refit the whole subtree so depth stays
 			// bounded under sustained insertion.
-			obsLIARebuilds.Inc()
 			ns := l.appendTo(make([]uint32, 0, l.total))
 			return bulkLoad(ns, cfg), true
 		}
@@ -302,9 +298,6 @@ func (l *lia) convertBlockToRun(blk, base int, u uint32, cfg *Config) bool {
 // it fits, otherwise creates a child node for it.
 func (l *lia) storeRunOrChild(blk, base int, merged []uint32, cfg *Config) {
 	if len(merged) <= BlockSize {
-		if obs.Enabled() {
-			obsHorizontal.Add(uint64(len(merged)))
-		}
 		copy(l.data[base:], merged)
 		for i := 0; i < BlockSize; i++ {
 			if i < len(merged) {
@@ -315,7 +308,6 @@ func (l *lia) storeRunOrChild(blk, base int, merged []uint32, cfg *Config) {
 		}
 		return
 	}
-	obsVertical.Inc()
 	child := bulkLoad(merged, cfg)
 	l.children[blk] = child
 	for i := 0; i < BlockSize; i++ {

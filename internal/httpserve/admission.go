@@ -37,7 +37,7 @@ func (s *Server) admitIngest(w http.ResponseWriter, t *tenant) bool {
 	w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
 	writeError(w, http.StatusTooManyRequests,
 		"ingest queue saturated (depth %d, per-shard bound %d); retry later",
-		st.QueueDepth(), t.cfg.MaxQueue)
+		st.Stats().QueueDepth, t.cfg.MaxQueue)
 	return false
 }
 

@@ -74,6 +74,7 @@ type graphSummary struct {
 
 func summarize(t *tenant) graphSummary {
 	st := t.store
+	stats := st.Stats()
 	gs := graphSummary{
 		Name:       t.name,
 		Vertices:   st.NumVertices(),
@@ -82,9 +83,9 @@ func summarize(t *tenant) graphSummary {
 		Shards:     st.Shards(),
 		MaxQueue:   t.cfg.MaxQueue,
 		MaxVerts:   t.cfg.MaxVertices,
-		QueueDepth: st.QueueDepth(),
+		QueueDepth: stats.QueueDepth,
 		Saturated:  st.Saturated(),
-		Stats:      st.Stats(),
+		Stats:      stats,
 		Partition:  st.Partition(),
 		Durable:    st.Durable(),
 	}
@@ -233,7 +234,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		"graph":       t.name,
 		"op":          op,
 		"edges":       len(src),
-		"queue_depth": t.store.QueueDepth(),
+		"queue_depth": t.store.Stats().QueueDepth,
 	})
 }
 

@@ -54,8 +54,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // Snapshot returns every metric's current value keyed by its series name
 // ("name" or `name{labels}`), ready for JSON encoding: counters and gauges
-// map to numbers, histograms to {count, sum, unit, buckets} objects, and
-// per-worker counters to {total, workers} objects.
+// map to numbers, histograms to {count, sum, unit, buckets} objects,
+// per-worker counters to {total, workers} objects, and a NewFunc series
+// with an index label to an object keyed by index (e.g. {"shard0": …}).
 func (r *Registry) Snapshot() map[string]any {
 	out := map[string]any{}
 	for _, m := range r.sorted() {

@@ -21,7 +21,12 @@ func init() {
 		{"lsgraph_go_goroutines", "/sched/goroutines:goroutines",
 			"goroutines that currently exist"},
 	} {
-		Default.register(&runtimeGauge{desc{name: g.name, help: g.help, typ: "gauge"}, g.key})
+		NewFunc(g.name, "", "gauge", g.help, "", func(dst []uint64) []uint64 {
+			if v := readRuntime(g.key); v.Kind() == metrics.KindUint64 {
+				return append(dst, v.Uint64())
+			}
+			return dst // a runtime that does not have the sample
+		})
 	}
 	Default.register(&runtimePauses{desc{name: "lsgraph_go_gc_pause_nanos", typ: "histogram",
 		help: "stop-the-world pauses of the garbage collector since process start; the sum is estimated from bucket midpoints (ns)"}})
@@ -33,26 +38,6 @@ func readRuntime(key string) metrics.Value {
 	metrics.Read(s)
 	return s[0].Value
 }
-
-// runtimeGauge is a gauge whose value is a runtime/metrics uint64 sample
-// taken at export.
-type runtimeGauge struct {
-	desc
-	key string
-}
-
-func (g *runtimeGauge) value() uint64 {
-	if v := readRuntime(g.key); v.Kind() == metrics.KindUint64 {
-		return v.Uint64()
-	}
-	return 0 // a runtime that does not have the sample
-}
-
-func (g *runtimeGauge) promLines(dst []string) []string {
-	return append(dst, fmt.Sprintf("%s %d", g.series(""), g.value()))
-}
-
-func (g *runtimeGauge) snapshotValue() any { return g.value() }
 
 // runtimePauses exports the runtime's histogram of garbage-collection
 // stop-the-world pauses, seconds there, as nanoseconds in the registry's

@@ -27,6 +27,11 @@
 //	if obs.Enabled() {
 //	    mEdges.Add(n)
 //	}
+//
+// A count that something already keeps — a Store's atomics, a
+// runtime/metrics sample — is not copied into a Counter: NewFunc registers a
+// callback the registry calls at export, so it costs nothing between scrapes
+// and is exported whether or not collection is on.
 package obs
 
 import (
@@ -191,9 +196,8 @@ var numShards = func() int {
 // cache lines so concurrent workers do not contend on one word.
 type Counter struct {
 	desc
-	shards     []counterShard
-	perShard   bool   // export one series per shard instead of a sum
-	shardLabel string // label naming the per-shard series index
+	shards    []counterShard
+	perWorker bool // export one series per shard, labelled worker="i", instead of a sum
 }
 
 // NewCounter registers a counter in Default. labels is a literal Prometheus
@@ -216,17 +220,8 @@ func NewCounterIn(r *Registry, name, labels, help string) *Counter {
 // separate series labelled worker="i" (zero shards are skipped); shard w is
 // worker w's private slot via AddShard. Value still returns the sum.
 func NewPerWorkerCounter(name, labels, help string) *Counter {
-	return NewPerIndexCounter(name, labels, help, "worker")
-}
-
-// NewPerIndexCounter is NewPerWorkerCounter with a caller-chosen label
-// naming the index dimension (e.g. shard="i" for the serving layer's
-// per-shard writer metrics). Slot i is index i's private series via
-// AddShard; Value still returns the sum.
-func NewPerIndexCounter(name, labels, help, indexLabel string) *Counter {
 	c := NewCounter(name, labels, help)
-	c.perShard = true
-	c.shardLabel = indexLabel
+	c.perWorker = true
 	return c
 }
 
@@ -267,10 +262,10 @@ func (c *Counter) promLines(dst []string) []string {
 	// Export under the _total-suffixed name the exposition format requires.
 	d := c.desc
 	d.name = c.exportName()
-	if c.perShard {
+	if c.perWorker {
 		for i := range c.shards {
 			if v := c.shards[i].v.Load(); v != 0 {
-				dst = append(dst, fmt.Sprintf("%s %d", d.series(fmt.Sprintf(`%s="%d"`, c.shardLabel, i)), v))
+				dst = append(dst, fmt.Sprintf("%s %d", d.series(fmt.Sprintf(`worker="%d"`, i)), v))
 			}
 		}
 		if len(dst) == 0 {
@@ -282,13 +277,13 @@ func (c *Counter) promLines(dst []string) []string {
 }
 
 func (c *Counter) snapshotValue() any {
-	if !c.perShard {
+	if !c.perWorker {
 		return c.Value()
 	}
 	per := map[string]uint64{}
 	for i := range c.shards {
 		if v := c.shards[i].v.Load(); v != 0 {
-			per[fmt.Sprintf("%s%d", c.shardLabel, i)] = v
+			per[fmt.Sprintf("worker%d", i)] = v
 		}
 	}
 	return map[string]any{"total": c.Value(), "workers": per}
@@ -331,69 +326,58 @@ func (g *Gauge) promLines(dst []string) []string {
 func (g *Gauge) snapshotValue() any { return g.Value() }
 
 // ---------------------------------------------------------------------------
-// IndexedGauge
+// Read at export
 
-// gaugeSlot is one padded IndexedGauge slot; touched tracks whether the
-// slot was ever set so export can skip unused indexes.
-type gaugeSlot struct {
-	v       atomic.Int64
-	touched atomic.Bool
-	_       [cacheLine - 9]byte
-}
-
-// IndexedGauge is a family of gauges indexed by a small integer (shard or
-// worker ID), each on its own padded cache line, exported as one series
-// per touched index. Registration happens once at package init, so the
-// slot count is fixed (indexes wrap by mask, like Counter shards); only
-// indexes that were ever Set are exported.
-type IndexedGauge struct {
+// funcMetric is a counter or gauge whose values are read from a callback
+// when the registry is exported and never in between, for a count its owner
+// already keeps: the registry reads it instead of keeping a copy.
+type funcMetric struct {
 	desc
-	label string
-	slots []gaugeSlot
+	index string
+	read  func(dst []uint64) []uint64
 }
 
-// NewIndexedGauge registers an indexed gauge family in Default. indexLabel
-// names the index dimension in exported series (e.g. shard="0").
-func NewIndexedGauge(name, labels, help, indexLabel string) *IndexedGauge {
-	g := &IndexedGauge{
-		desc:  desc{name: name, labels: labels, help: help, typ: "gauge"},
-		label: indexLabel,
-		slots: make([]gaugeSlot, numShards),
+// NewFunc registers in Default a counter or gauge (typ) read at export:
+// read appends the current values to dst. Without an index label the series
+// is their sum; with one (e.g. "shard"), value i is the series labelled
+// index="i".
+func NewFunc(name, labels, typ, help, index string, read func(dst []uint64) []uint64) {
+	NewFuncIn(Default, name, labels, typ, help, index, read)
+}
+
+// NewFuncIn is NewFunc registering in r.
+func NewFuncIn(r *Registry, name, labels, typ, help, index string, read func(dst []uint64) []uint64) {
+	r.register(&funcMetric{desc: desc{name: name, labels: labels, help: help, typ: typ}, index: index, read: read})
+}
+
+// sum returns the sum of the current values.
+func (f *funcMetric) sum() uint64 {
+	var t uint64
+	for _, v := range f.read(nil) {
+		t += v
 	}
-	Default.register(g)
-	return g
+	return t
 }
 
-// Set stores v into index i's slot.
-func (g *IndexedGauge) Set(i int, v int64) {
-	s := &g.slots[i&(len(g.slots)-1)]
-	s.v.Store(v)
-	s.touched.Store(true)
-}
-
-// Value returns index i's current value.
-func (g *IndexedGauge) Value(i int) int64 {
-	return g.slots[i&(len(g.slots)-1)].v.Load()
-}
-
-func (g *IndexedGauge) promLines(dst []string) []string {
-	for i := range g.slots {
-		if g.slots[i].touched.Load() {
-			dst = append(dst, fmt.Sprintf("%s %d", g.series(fmt.Sprintf(`%s="%d"`, g.label, i)), g.slots[i].v.Load()))
-		}
+func (f *funcMetric) promLines(dst []string) []string {
+	d := f.desc
+	d.name = f.exportName()
+	if f.index == "" {
+		return append(dst, fmt.Sprintf("%s %d", d.series(""), f.sum()))
 	}
-	if len(dst) == 0 {
-		dst = append(dst, fmt.Sprintf("%s 0", g.series("")))
+	for i, v := range f.read(nil) {
+		dst = append(dst, fmt.Sprintf("%s %d", d.series(fmt.Sprintf(`%s="%d"`, f.index, i)), v))
 	}
 	return dst
 }
 
-func (g *IndexedGauge) snapshotValue() any {
-	per := map[string]int64{}
-	for i := range g.slots {
-		if g.slots[i].touched.Load() {
-			per[fmt.Sprintf("%s%d", g.label, i)] = g.slots[i].v.Load()
-		}
+func (f *funcMetric) snapshotValue() any {
+	if f.index == "" {
+		return f.sum()
+	}
+	per := map[string]uint64{}
+	for i, v := range f.read(nil) {
+		per[fmt.Sprintf("%s%d", f.index, i)] = v
 	}
 	return per
 }

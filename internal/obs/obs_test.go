@@ -155,8 +155,10 @@ func TestPrometheusFormat(t *testing.T) {
 	h := NewHistogramIn(r, "fmt_hist", "", "ns", "a histogram")
 	h.Observe(3)
 	pw := NewCounterIn(r, "fmt_workers_total", "", "per worker")
-	pw.perShard, pw.shardLabel = true, "worker"
+	pw.perWorker = true
 	pw.AddShard(2, 9)
+	NewFuncIn(r, "fmt_func", "", "gauge", "a summed func", "", func(d []uint64) []uint64 { return append(d, 2, 3) })
+	NewFuncIn(r, "fmt_shards", "", "gauge", "a func by shard", "shard", func(d []uint64) []uint64 { return append(d, 4, 0, 6) })
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -176,6 +178,11 @@ func TestPrometheusFormat(t *testing.T) {
 		"fmt_hist_sum 3",
 		"fmt_hist_count 1",
 		`fmt_workers_total{worker="2"} 9`,
+		"# TYPE fmt_func gauge",
+		"fmt_func 5",
+		`fmt_shards{shard="0"} 4`,
+		`fmt_shards{shard="1"} 0`,
+		`fmt_shards{shard="2"} 6`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in output:\n%s", want, out)
@@ -184,6 +191,63 @@ func TestPrometheusFormat(t *testing.T) {
 	// One HELP header per metric name even with multiple label sets.
 	if n := strings.Count(out, "# HELP fmt_total"); n != 1 {
 		t.Errorf("HELP fmt_total appears %d times", n)
+	}
+}
+
+// TestFuncReadAtExport: a NewFunc callback runs when the registry is
+// exported and never in between; a counter read at export carries the
+// _total suffix, and its literal labels are escaped like any other series',
+// with the index label appended to them.
+func TestFuncReadAtExport(t *testing.T) {
+	r := NewRegistry()
+	var reads int
+	vals := []uint64{7}
+	NewFuncIn(r, "func_events", "", "counter", "a counter read at export", "", func(d []uint64) []uint64 {
+		reads++
+		return append(d, vals...)
+	})
+	NewFuncIn(r, "func_bytes", Label("file", `a"b\c`), "gauge", "a gauge read at export", "shard",
+		func(d []uint64) []uint64 { return append(d, vals...) })
+	if reads != 0 {
+		t.Fatalf("registration read the callback %d times", reads)
+	}
+	export := func() string {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	out := export()
+	for _, want := range []string{
+		"# TYPE func_events_total counter",
+		"func_events_total 7",
+		`func_bytes{file="a\"b\\c",shard="0"} 7`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	vals = []uint64{7, 4}
+	out = export()
+	for _, want := range []string{"func_events_total 11", `shard="1"} 4`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("second export missing %q:\n%s", want, out)
+		}
+	}
+	if reads != 2 {
+		t.Errorf("callback read %d times for two exports", reads)
+	}
+	snap := r.Snapshot()
+	if v := snap["func_events"]; v != uint64(11) {
+		t.Errorf("snapshot func_events = %v, want 11", v)
+	}
+	if v, _ := snap[`func_bytes{file="a\"b\\c"}`].(map[string]uint64); v["shard1"] != 4 {
+		t.Errorf("snapshot func_bytes = %v, want shard1: 4", snap)
+	}
+	vals = nil
+	if out = export(); !strings.Contains(out, "func_events_total 0") || strings.Contains(out, "func_bytes{") {
+		t.Errorf("an empty read should export a zero sum and no indexed series:\n%s", out)
 	}
 }
 

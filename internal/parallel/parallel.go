@@ -11,20 +11,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"lsgraph/internal/obs"
-)
-
-// Per-worker utilization metrics (exported as one series per worker). They
-// are recorded only while obs collection is enabled; the disabled cost is
-// one atomic load per fork-join call.
-var (
-	obsChunks = obs.NewPerWorkerCounter("lsgraph_parallel_chunks_total", "",
-		"dynamically claimed chunks, by worker")
-	obsBlocks = obs.NewPerWorkerCounter("lsgraph_parallel_blocks_total", "",
-		"statically assigned blocks processed, by worker")
-	obsBusy = obs.NewPerWorkerCounter("lsgraph_parallel_busy_nanos_total", "",
-		"nanoseconds spent inside loop bodies, by worker")
 )
 
 // Procs is the default parallelism used by For and Sort when the caller
@@ -68,16 +54,8 @@ func ForChunkW(n, p int, f func(w, lo, hi int)) {
 	if p > n/grainSize {
 		p = n/grainSize + 1
 	}
-	on := obs.Enabled()
 	if p <= 1 {
-		if !on {
-			f(0, 0, n)
-			return
-		}
-		t := obs.Now()
 		f(0, 0, n)
-		obsChunks.AddShard(0, 1)
-		obsBusy.AddShard(0, uint64(obs.Now()-t))
 		return
 	}
 	var next atomic.Int64
@@ -95,14 +73,7 @@ func ForChunkW(n, p int, f func(w, lo, hi int)) {
 				if hi > n {
 					hi = n
 				}
-				if on {
-					t := obs.Now()
-					f(w, lo, hi)
-					obsBusy.AddShard(w, uint64(obs.Now()-t))
-					obsChunks.AddShard(w, 1)
-				} else {
-					f(w, lo, hi)
-				}
+				f(w, lo, hi)
 			}
 		}(w)
 	}
@@ -129,18 +100,9 @@ func ForBlockedW(nb, p int, f func(w, b int)) {
 	if p > nb {
 		p = nb
 	}
-	on := obs.Enabled()
 	if p <= 1 {
-		var t int64
-		if on {
-			t = obs.Now()
-		}
 		for b := 0; b < nb; b++ {
 			f(0, b)
-		}
-		if on {
-			obsBlocks.AddShard(0, uint64(nb))
-			obsBusy.AddShard(0, uint64(obs.Now()-t))
 		}
 		return
 	}
@@ -149,18 +111,8 @@ func ForBlockedW(nb, p int, f func(w, b int)) {
 	for w := 0; w < p; w++ {
 		go func(w int) {
 			defer wg.Done()
-			var t int64
-			if on {
-				t = obs.Now()
-			}
-			nb64 := uint64(0)
 			for b := w; b < nb; b += p {
 				f(w, b)
-				nb64++
-			}
-			if on {
-				obsBlocks.AddShard(w, nb64)
-				obsBusy.AddShard(w, uint64(obs.Now()-t))
 			}
 		}(w)
 	}
@@ -173,23 +125,15 @@ func ForBlockedW(nb, p int, f func(w, b int)) {
 // a shared array, or claims from a counter the caller owns — and want only
 // the fork-join and a stable worker index for per-worker state.
 func Workers(p int, f func(w int)) {
-	run := f
-	if obs.Enabled() {
-		run = func(w int) {
-			t := obs.Now()
-			f(w)
-			obsBusy.AddShard(w, uint64(obs.Now()-t))
-		}
-	}
 	var wg sync.WaitGroup
 	for w := 1; w < p; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			run(w)
+			f(w)
 		}(w)
 	}
-	run(0)
+	f(0)
 	wg.Wait()
 }
 

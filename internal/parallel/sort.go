@@ -5,24 +5,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"lsgraph/internal/obs"
-)
-
-// Sort-path metrics: which regime served each call, and whether the pooled
-// scratch arena could be reused without growing. Recorded only while obs
-// collection is enabled.
-var (
-	obsSortStdlib = obs.NewCounter("lsgraph_sort_total", `mode="stdlib"`,
-		"sorts served by the stdlib comparison sort (small inputs)")
-	obsSortRadix = obs.NewCounter("lsgraph_sort_total", `mode="radix"`,
-		"sorts served by the sequential LSD radix sort")
-	obsSortParallel = obs.NewCounter("lsgraph_sort_total", `mode="parallel"`,
-		"sorts served by the parallel MSD-partition radix sort")
-	obsSortScratchHit = obs.NewCounter("lsgraph_sort_scratch_total", `result="hit"`,
-		"radix sorts whose pooled scratch arena was already large enough")
-	obsSortScratchMiss = obs.NewCounter("lsgraph_sort_scratch_total", `result="miss"`,
-		"radix sorts that had to grow their scratch arena")
 )
 
 // Size thresholds of the three sort regimes. Below seqSortMin the stdlib
@@ -60,31 +42,19 @@ type sortArena struct {
 	red    []uint64   // 2 slots per worker for the or/and bit reduction
 	ord    []uint64   // nonempty buckets packed size<<msdBits | bucket
 	lsd    [][]uint64 // per-worker swap space for the per-bucket LSD passes
-	grew   bool
 }
 
 var sortArenas = sync.Pool{New: func() any { return new(sortArena) }}
 
 func getSortArena(n int) *sortArena {
 	a := sortArenas.Get().(*sortArena)
-	a.grew = false
 	if cap(a.buf) < n {
 		a.buf = make([]uint64, n)
-		a.grew = true
 	}
 	return a
 }
 
-func putSortArena(a *sortArena) {
-	if obs.Enabled() {
-		if a.grew {
-			obsSortScratchMiss.Inc()
-		} else {
-			obsSortScratchHit.Inc()
-		}
-	}
-	sortArenas.Put(a)
-}
+func putSortArena(a *sortArena) { sortArenas.Put(a) }
 
 func growU64(s []uint64, n int) []uint64 {
 	if cap(s) < n {
@@ -109,9 +79,6 @@ func growInt(s []int, n int) []int {
 func SortUint64(ks []uint64, p int) {
 	n := len(ks)
 	if n < seqSortMin {
-		if obs.Enabled() {
-			obsSortStdlib.Inc()
-		}
 		slices.Sort(ks)
 		return
 	}
@@ -124,14 +91,8 @@ func SortUint64(ks []uint64, p int) {
 	a := getSortArena(n)
 	defer putSortArena(a)
 	if p <= 1 || n < parSortMin {
-		if obs.Enabled() {
-			obsSortRadix.Inc()
-		}
 		radixSortBytes(ks, a.buf[:n], 8)
 		return
-	}
-	if obs.Enabled() {
-		obsSortParallel.Inc()
 	}
 	parallelRadixSort(ks, p, a)
 }

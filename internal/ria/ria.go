@@ -24,22 +24,6 @@ package ria
 import (
 	"math"
 	"unsafe"
-
-	"lsgraph/internal/obs"
-)
-
-// Structural-movement metrics. The per-op Moved deltas are recorded only
-// while obs collection is enabled (the Insert/Delete wrappers check once);
-// rebuild and near-block events are rare enough to count unconditionally.
-var (
-	obsSlide = obs.NewHistogram("lsgraph_ria_slide_elements", "", "elements",
-		"elements displaced per RIA insert (bounded horizontal movement)")
-	obsMoved = obs.NewCounter("lsgraph_ria_moved_total", "",
-		"elements displaced by RIA inserts and deletes (horizontal movement)")
-	obsNearMoves = obs.NewCounter("lsgraph_ria_near_block_moves_total", "",
-		"inserts resolved by cascading one element into a nearby non-full block")
-	obsRebuilds = obs.NewCounter("lsgraph_ria_rebuilds_total", "",
-		"full alpha-amplified redistributions (insert expands, delete refills or shrinks)")
 )
 
 // BlockSize is the number of uint32 elements per block: 16 × 4 B = one
@@ -167,22 +151,6 @@ func (r *RIA) Has(u uint32) bool {
 // paper's Algorithm 2, RIA branch: try the block, then near-block moves
 // bounded by log2(#blocks), then an α-amplified redistribution.
 func (r *RIA) Insert(u uint32) bool {
-	if !obs.Enabled() {
-		return r.insert(u)
-	}
-	m0 := r.Moved
-	isNew := r.insert(u)
-	if d := r.Moved - m0; isNew {
-		obsSlide.Observe(d)
-		obsMoved.Add(d)
-	} else if d > 0 {
-		obsMoved.Add(d)
-	}
-	return isNew
-}
-
-// insert is Insert without instrumentation.
-func (r *RIA) insert(u uint32) bool {
 	if r.n == 0 {
 		r.data[0] = u
 		r.index[0] = u
@@ -218,14 +186,12 @@ func (r *RIA) insert(u uint32) bool {
 	}
 	if r.moveNearBlocks(b, u) {
 		r.n++
-		obsNearMoves.Inc()
 		return true
 	}
 	// Expand: merge all elements with u and redistribute (lines 10-12).
 	ns := insertSorted(r.AppendTo(make([]uint32, 0, r.n+1)), u)
 	r.Moved += uint64(len(ns))
 	r.loadInto(ns)
-	obsRebuilds.Inc()
 	return true
 }
 
@@ -331,19 +297,6 @@ func (r *RIA) shiftLeft(dst, b int, u uint32) {
 // no-empty-block invariant; an array left less than 1/(2α) full is reloaded
 // at α, so its footprint follows its size down as well as up.
 func (r *RIA) Delete(u uint32) bool {
-	if !obs.Enabled() {
-		return r.del(u)
-	}
-	m0 := r.Moved
-	ok := r.del(u)
-	if d := r.Moved - m0; d > 0 {
-		obsMoved.Add(d)
-	}
-	return ok
-}
-
-// del is Delete without instrumentation.
-func (r *RIA) del(u uint32) bool {
 	if r.n == 0 {
 		return false
 	}
@@ -423,7 +376,6 @@ func (r *RIA) reload() {
 	ns := r.AppendTo(make([]uint32, 0, r.n))
 	r.Moved += uint64(len(ns))
 	r.loadInto(ns)
-	obsRebuilds.Inc()
 }
 
 // Min returns the smallest element; r must be non-empty.

@@ -155,11 +155,12 @@ func OpenDurable(n uint32, shards, workers int, opt Options, dopt DurabilityOpti
 		return nil, err
 	}
 	t = time.Now()
-	s := New(g, opt)
+	s := launch(g, opt)
 	rs.PublishNanos = time.Since(t).Nanoseconds()
 	rs.DurationNanos = time.Since(start).Nanoseconds()
 	d.recovery = rs
 	s.dur = d
+	track(s)
 	return s, nil
 }
 

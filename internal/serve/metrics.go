@@ -1,48 +1,155 @@
 package serve
 
-import "lsgraph/internal/obs"
+import (
+	"sync"
 
-// Serving-layer metrics (internal/obs registry); enqueue, scatter, publish,
-// reclaim, rebalance and view pins are obs layers, timed by spans. All
-// recording is gated on obs.Enabled(); the Store also keeps always-on
-// plain-atomic counters (Stats) for benchmarks that run with collection off.
+	"lsgraph/internal/obs"
+)
+
+// Serving-layer metrics (internal/obs registry). Enqueue, scatter, publish,
+// reclaim, rebalance and view pins are obs layers, timed by spans; the skew
+// gauge and the visibility-lag histogram are recorded per event, gated on
+// obs.Enabled().
+//
+// Every other lsgraph_store_* and lsgraph_wal_* series is a count the Stores
+// already keep for Stats, read when the registry is exported: the sum over
+// the open Stores, per shard index for a shard series, plus — for a counter —
+// what the closed ones had counted, so no counter goes down when a graph is
+// dropped. They are exported whether or not collection is on.
 var (
-	obsQueueDepth = obs.NewGauge("lsgraph_store_queue_depth", "",
-		"update batches queued for the writer goroutine")
-	obsCoalesced = obs.NewCounter("lsgraph_store_coalesced_total", "",
-		"enqueued batches merged into a queued same-op batch under backpressure")
-	obsEpochLag = obs.NewGauge("lsgraph_store_epoch_lag", "",
-		"epochs between the newest snapshot and the oldest still pinned by a reader, in the shard that published last")
-	obsReclaims = obs.NewCounter("lsgraph_store_snapshots_reclaimed_total", "",
-		"retired snapshots whose epoch drained: table recycled, arena pages only they could read freed")
-	obsArenaCleaned = obs.NewCounter("lsgraph_store_arena_cleaned_entries_total", "",
-		"adjacency entries publishes copied forward out of their emptiest arena pages")
-	obsVisibilityLag = obs.NewHistogram("lsgraph_store_visibility_lag_nanos", "", "ns",
-		"end-to-end enqueue-to-publish latency: how long an update waited to become reader-visible")
-
-	// Per-shard series (one per shard writer, labelled shard="i"). An
-	// aggregate above exists only where no series gives its value exactly:
-	// the store-wide applied-batch count is the sum of the per-shard one.
-	obsShardQueueDepth = obs.NewIndexedGauge("lsgraph_store_shard_queue_depth", "",
-		"update batches queued for one shard's writer goroutine", "shard")
-	obsShardPublishLag = obs.NewIndexedGauge("lsgraph_store_shard_publish_lag", "",
-		"epochs between a shard's newest snapshot and its oldest still-pinned one", "shard")
-	obsArenaBytes = obs.NewIndexedGauge("lsgraph_store_arena_bytes", "",
-		"resident adjacency pages of one shard's published arena: in use, free and retired, in bytes", "shard")
-	obsShardApplied = obs.NewPerIndexCounter("lsgraph_store_shard_batches_applied_total", "",
-		"update batches applied, by shard writer", "shard")
-	obsShardRouted = obs.NewPerIndexCounter("lsgraph_store_shard_edges_routed_total", "",
-		"edges routed to each shard by the batch scatter", "shard")
 	obsShardSkew = obs.NewGauge("lsgraph_store_shard_skew_pct", "",
 		"last scattered batch's max-shard deviation from an even split, percent of fair share (0=even, 100=2x fair, unclamped)")
-
-	// Partition-map / rebalance series (see rebalance.go).
-	obsMapEpoch = obs.NewGauge("lsgraph_store_partition_epoch", "",
-		"current partition-map version; increments once per boundary move")
-	obsRebalances = obs.NewCounter("lsgraph_store_rebalance_total", "",
-		"completed Rebalance calls that performed at least one boundary move")
-	obsRebalanceMovedVerts = obs.NewCounter("lsgraph_store_rebalance_moved_vertices_total", "",
-		"materialized vertices that changed shard during boundary moves")
-	obsRebalanceMovedEdges = obs.NewCounter("lsgraph_store_rebalance_moved_edges_total", "",
-		"directed edges that changed shard during boundary moves")
+	obsVisibilityLag = obs.NewHistogram("lsgraph_store_visibility_lag_nanos", "", "ns",
+		"end-to-end enqueue-to-publish latency: how long an update waited to become reader-visible")
 )
+
+// stores is the set of open Stores the read-at-export series sum over.
+var stores = struct {
+	mu     sync.Mutex
+	open   map[*Store]struct{}
+	series []*storeSeries
+}{open: map[*Store]struct{}{}}
+
+// storeSeries is one read-at-export series: what one Store contributes to
+// it, and, for a counter, what the closed Stores contributed.
+type storeSeries struct {
+	counter bool
+	read    func(s *Store, dst []uint64) []uint64 // one value, or one per shard
+	closed  []uint64
+}
+
+func init() {
+	one := func(f func(s *Store) uint64) func(*Store, []uint64) []uint64 {
+		return func(s *Store, dst []uint64) []uint64 { return append(dst, f(s)) }
+	}
+	stat := func(f func(st *Stats) uint64) func(*Store, []uint64) []uint64 {
+		return one(func(s *Store) uint64 { st := s.Stats(); return f(&st) })
+	}
+	perShard := func(f func(w *shardWriter) uint64) func(*Store, []uint64) []uint64 {
+		return func(s *Store, dst []uint64) []uint64 {
+			for _, w := range s.ws {
+				dst = append(dst, f(w))
+			}
+			return dst
+		}
+	}
+	for _, m := range []struct {
+		name, help string
+		counter    bool
+		index      string
+		read       func(*Store, []uint64) []uint64
+	}{
+		{"lsgraph_store_queue_depth", "update batches queued for the writer goroutines",
+			false, "", stat(func(st *Stats) uint64 { return uint64(st.QueueDepth) })},
+		{"lsgraph_store_shard_queue_depth", "update batches queued for one shard's writer goroutine",
+			false, "shard", perShard(func(w *shardWriter) uint64 { return uint64(w.depth()) })},
+		{"lsgraph_store_shard_publish_lag", "epochs between a shard's newest snapshot and its oldest still-pinned one",
+			false, "shard", perShard(func(w *shardWriter) uint64 { return w.lag.Load() })},
+		{"lsgraph_store_arena_bytes", "resident adjacency pages of one shard's published arena: in use, free and retired, in bytes",
+			false, "shard", perShard(func(w *shardWriter) uint64 { return w.pages.Load() })},
+		{"lsgraph_store_partition_epoch", "partition-map version; increments once per boundary move",
+			false, "", one(func(s *Store) uint64 { return s.routeMap.Load().Epoch })},
+		{"lsgraph_store_shard_batches_applied_total", "update batches applied, by shard writer",
+			true, "shard", perShard(func(w *shardWriter) uint64 { return w.applied.Load() })},
+		{"lsgraph_store_shard_edges_routed_total", "edges routed to each shard by the batch scatter",
+			true, "shard", perShard(func(w *shardWriter) uint64 { return w.s.routed[w.idx].Load() })},
+		{"lsgraph_store_coalesced_total", "enqueued batches merged into a queued same-op batch under backpressure",
+			true, "", stat(func(st *Stats) uint64 { return st.CoalescedBatches })},
+		{"lsgraph_store_snapshots_reclaimed_total", "retired snapshots whose epoch drained: table recycled, arena pages only they could read freed",
+			true, "", stat(func(st *Stats) uint64 { return st.SnapshotsReclaimed })},
+		{"lsgraph_store_arena_cleaned_entries_total", "adjacency entries publishes copied forward out of their emptiest arena pages",
+			true, "", stat(func(st *Stats) uint64 { return st.ArenaCleanedEntries })},
+		{"lsgraph_store_rebalance_total", "completed Rebalance calls that performed at least one boundary move",
+			true, "", stat(func(st *Stats) uint64 { return st.Rebalances })},
+		{"lsgraph_store_rebalance_moved_vertices_total", "materialized vertices that changed shard during boundary moves",
+			true, "", stat(func(st *Stats) uint64 { return st.MovedVertices })},
+		{"lsgraph_store_rebalance_moved_edges_total", "directed edges that changed shard during boundary moves",
+			true, "", stat(func(st *Stats) uint64 { return st.MovedEdges })},
+		{"lsgraph_wal_records_total", "shard-batch records appended to the write-ahead log",
+			true, "", stat(func(st *Stats) uint64 { return st.WALRecords })},
+		{"lsgraph_wal_bytes_total", "framed bytes written to WAL segment files",
+			true, "", stat(func(st *Stats) uint64 { return st.WALBytes })},
+		{"lsgraph_wal_fsyncs_total", "fsync calls on WAL segment files (group-commit policy dependent)",
+			true, "", stat(func(st *Stats) uint64 { return st.WALFsyncs })},
+		{"lsgraph_wal_segments_gced_total", "sealed WAL segments deleted after a checkpoint covered them",
+			true, "", stat(func(st *Stats) uint64 { return st.SegmentsGCed })},
+		{"lsgraph_wal_checkpoints_total", "checkpoints published (atomic tmp+rename completed)",
+			true, "", stat(func(st *Stats) uint64 { return st.Checkpoints })},
+		{"lsgraph_wal_replay_records_total", "WAL records re-applied during recovery",
+			true, "", one(func(s *Store) uint64 { return s.Recovery().ReplayedRecords })},
+	} {
+		ser := &storeSeries{counter: m.counter, read: m.read}
+		stores.series = append(stores.series, ser)
+		typ := "gauge"
+		if m.counter {
+			typ = "counter"
+		}
+		obs.NewFunc(m.name, "", typ, m.help, m.index, ser.values)
+	}
+}
+
+// values is the series summed over the open Stores, index by index, after
+// what the closed ones counted.
+func (ser *storeSeries) values(dst []uint64) []uint64 {
+	stores.mu.Lock()
+	defer stores.mu.Unlock()
+	sum := addValues(nil, ser.closed)
+	var one []uint64
+	for s := range stores.open {
+		one = ser.read(s, one[:0])
+		sum = addValues(sum, one)
+	}
+	return append(dst, sum...)
+}
+
+// addValues adds vs into sum index by index, growing sum as needed.
+func addValues(sum, vs []uint64) []uint64 {
+	for len(sum) < len(vs) {
+		sum = append(sum, 0)
+	}
+	for i, v := range vs {
+		sum[i] += v
+	}
+	return sum
+}
+
+// track adds s to the set the series sum over. s must be complete — its
+// durability state attached — since an export may read it from then on.
+func track(s *Store) {
+	stores.mu.Lock()
+	stores.open[s] = struct{}{}
+	stores.mu.Unlock()
+}
+
+// untrack removes a closed s from the set, its counters' final values
+// kept in the counter series' totals.
+func untrack(s *Store) {
+	stores.mu.Lock()
+	defer stores.mu.Unlock()
+	delete(stores.open, s)
+	for _, ser := range stores.series {
+		if ser.counter {
+			ser.closed = addValues(ser.closed, ser.read(s, nil))
+		}
+	}
+}

@@ -120,9 +120,6 @@ func (s *Store) enqueue(op int, src, dst []uint32) error {
 			continue
 		}
 		s.routed[i].Add(uint64(len(part.Src)))
-		if obs.Enabled() {
-			obsShardRouted.AddShard(i, uint64(len(part.Src)))
-		}
 		s.ws[i].enqueue(op, part.Src, part.Dst, bound, batch, sp.Start())
 	}
 	s.rebMu.RUnlock()
@@ -194,15 +191,10 @@ func (w *shardWriter) enqueue(op int, src, dst []uint32, bound uint32, batch uin
 			last.lsn = lsn
 		}
 		w.s.stats.coalescedBatches.Add(1)
-		if obs.Enabled() {
-			obsCoalesced.Inc()
-		}
 		obs.Instant(obs.PhaseCoalesce, w.idx, last.batch, uint64(len(src)))
 	} else {
 		w.queue = append(w.queue, pending{op: op, src: src, dst: dst, bound: bound, batch: batch, enq: enq, lsn: lsn})
-		w.s.queued.Add(1)
 	}
-	depth := len(w.queue)
 	w.mu.Unlock()
 	// Completing the reserved write here, before returning, preserves the
 	// acknowledgement contract: by the time the caller sees the enqueue
@@ -210,10 +202,6 @@ func (w *shardWriter) enqueue(op int, src, dst []uint32, bound uint32, batch uin
 	// FsyncAlways), and Flush's SyncAll orders behind it via the shard
 	// log lock held since Begin.
 	_, _ = app.Commit()
-	if obs.Enabled() {
-		obsQueueDepth.Set(w.s.queued.Load())
-		obsShardQueueDepth.Set(w.idx, int64(depth))
-	}
 	w.signal()
 }
 
@@ -245,7 +233,6 @@ func (s *Store) Flush() {
 		}
 		ch := make(chan struct{})
 		w.queue = append(w.queue, pending{op: opFlush, done: ch})
-		s.queued.Add(1)
 		w.mu.Unlock()
 		w.signal()
 		chs = append(chs, ch)
@@ -264,12 +251,6 @@ func (s *Store) Flush() {
 	}
 }
 
-// QueueDepth returns the number of update batches currently queued across
-// all shard queues, including Flush sentinels. It is a point-in-time read
-// of an always-on atomic counter (no locks, safe from any goroutine); the
-// value can change before the caller acts on it.
-func (s *Store) QueueDepth() int { return int(s.queued.Load()) }
-
 // Saturated reports whether any shard's queue has reached the MaxQueue
 // bound — the point where the next same-op enqueue would coalesce rather
 // than queue. This is the engine's backpressure signal: admission
@@ -279,12 +260,17 @@ func (s *Store) QueueDepth() int { return int(s.queued.Load()) }
 // any goroutine but intended for per-request cadence, not per-edge.
 func (s *Store) Saturated() bool {
 	for _, w := range s.ws {
-		w.mu.Lock()
-		n := len(w.queue)
-		w.mu.Unlock()
-		if n >= s.opt.MaxQueue {
+		if w.depth() >= s.opt.MaxQueue {
 			return true
 		}
 	}
 	return false
+}
+
+// depth is the number of entries in the shard's queue, Flush sentinels
+// included.
+func (w *shardWriter) depth() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.queue)
 }

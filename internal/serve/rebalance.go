@@ -96,7 +96,6 @@ func (s *Store) moveBoundaryLocked(k int, newStart uint32) (uint32, uint64, erro
 	s.routeMap.Store(next)
 	wa.queue = append(wa.queue, pending{op: opRebalance, reb: op})
 	wb.queue = append(wb.queue, pending{op: opRebalance, reb: op})
-	s.queued.Add(2)
 	wa.mu.Unlock()
 	wb.mu.Unlock()
 	s.rebMu.Unlock()
@@ -144,11 +143,6 @@ func (s *Store) executeRebalance(op *rebalanceOp) {
 	s.rebStats.boundaryMoves.Add(1)
 	s.rebStats.movedVertices.Add(uint64(mv))
 	s.rebStats.movedEdges.Add(me)
-	if obs.Enabled() {
-		obsMapEpoch.Set(int64(pm.Epoch))
-		obsRebalanceMovedVerts.Add(uint64(mv))
-		obsRebalanceMovedEdges.Add(me)
-	}
 	sp.End(op.k, 0, pm.Epoch, me)
 }
 
@@ -235,9 +229,6 @@ func (s *Store) Rebalance() (RebalanceResult, error) {
 	res.Duration = time.Since(start)
 	if res.Moves > 0 {
 		s.rebStats.rebalances.Add(1)
-		if obs.Enabled() {
-			obsRebalances.Inc()
-		}
 	}
 	return res, nil
 }

@@ -100,7 +100,6 @@ import (
 
 	"lsgraph/internal/core"
 	"lsgraph/internal/engine"
-	"lsgraph/internal/obs"
 )
 
 // Options configures a Store.
@@ -184,9 +183,12 @@ type shardWriter struct {
 	// happens-before argument that makes publishing the shard safe there).
 	appliedLSN uint64
 
-	// published and cleaned are the shard's core.PublishedStats.Total and
-	// Cleaned as of its last publish, stored by the writer for Stats to sum.
-	published, cleaned atomic.Uint64
+	// applied counts the batches this writer has applied. published, pages
+	// and cleaned are the shard's core.PublishedStats Total, arena pages
+	// (InUse+Free+Retired) and Cleaned as of its last publish, and lag the
+	// epochs between its newest snapshot and its oldest still pinned, all
+	// stored by the writer for Stats and the store series to read.
+	applied, published, pages, cleaned, lag atomic.Uint64
 }
 
 // Store is the sharded-writer / multi-reader serving layer over one
@@ -208,11 +210,6 @@ type Store struct {
 	closed atomic.Bool
 	done   chan struct{} // closed when every shard writer has exited
 
-	// queued counts entries across all shard queues (including flush
-	// sentinels); it backs the aggregate queue-depth gauge, which would
-	// otherwise flap between single shards' depths.
-	queued atomic.Int64
-
 	// routeMap is the partition map enqueue scatters by. It is swapped to
 	// the successor map at control-entry install time — before the splice —
 	// under rebMu's write lock, so every batch is routed wholly by one map:
@@ -227,8 +224,7 @@ type Store struct {
 	// rebalanceMu serializes whole rebalance operations.
 	rebalanceMu sync.Mutex
 	// routed counts edges routed to each shard since construction — the
-	// always-on load signal the rebalance policy reads (unlike the obs
-	// gauges, which are off by default).
+	// load signal the rebalance policy reads.
 	routed []atomic.Uint64
 
 	// dur is the durability state (WAL + checkpoints), nil for a purely
@@ -248,7 +244,6 @@ type Store struct {
 	}
 
 	stats struct {
-		batchesApplied     atomic.Uint64
 		edgesEnqueued      atomic.Uint64
 		coalescedBatches   atomic.Uint64
 		snapshotsPublished atomic.Uint64
@@ -269,14 +264,21 @@ var (
 // afterwards. The initial state of every shard is published immediately as
 // its epoch 0, so reads never wait for a first batch.
 func New(g *core.Paged, opt Options) *Store {
+	s := launch(g, opt)
+	track(s)
+	return s
+}
+
+// launch is New without joining the set of Stores the store series sum
+// over, for OpenDurable to attach the durability state first.
+func launch(g *core.Paged, opt Options) *Store {
 	opt.sanitize()
 	s := &Store{
 		g:    g,
 		opt:  opt,
 		done: make(chan struct{}),
 	}
-	pm := g.PartitionMap()
-	s.routeMap.Store(pm)
+	s.routeMap.Store(g.PartitionMap())
 	s.routed = make([]atomic.Uint64, g.NumShards())
 	s.ws = make([]*shardWriter, g.NumShards())
 	for i := range s.ws {
@@ -303,9 +305,6 @@ func New(g *core.Paged, opt Options) *Store {
 		s.autoStop = make(chan struct{})
 		s.autoDone = make(chan struct{})
 		go s.autoRebalance()
-	}
-	if obs.Enabled() {
-		obsMapEpoch.Set(int64(pm.Epoch))
 	}
 	return s
 }
@@ -352,4 +351,5 @@ func (s *Store) Close() {
 		d.ckptMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 		d.log.Close()
 	}
+	untrack(s)
 }

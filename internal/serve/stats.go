@@ -1,9 +1,14 @@
 package serve
 
-// Stats is a point-in-time copy of the Store's always-on counters. These
-// are maintained with plain atomics independently of the obs registry, so
-// benchmarks and tests can read them without enabling metric collection.
+// Stats is a point-in-time copy of the Store's counters: the plain atomics
+// the Store keeps whether or not metric collection is on. They are the
+// lsgraph_store_* and lsgraph_wal_* series too, which the registry reads
+// from them, summed over the open Stores, when it is exported (metrics.go).
 type Stats struct {
+	// QueueDepth is the number of update batches queued across all shard
+	// queues, Flush sentinels included: a point-in-time read that may change
+	// before the caller acts on it. Saturated, not this, is the shed signal.
+	QueueDepth int
 	// BatchesApplied counts engine batches the shard writers have applied.
 	// With coalescing this can be lower than the number of enqueue calls;
 	// with multiple shards one enqueue can apply as several shard batches.
@@ -62,7 +67,6 @@ type Stats struct {
 // Stats returns a copy of the Store's counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		BatchesApplied:     s.stats.batchesApplied.Load(),
 		EdgesEnqueued:      s.stats.edgesEnqueued.Load(),
 		CoalescedBatches:   s.stats.coalescedBatches.Load(),
 		SnapshotsPublished: s.stats.snapshotsPublished.Load(),
@@ -73,6 +77,8 @@ func (s *Store) Stats() Stats {
 		MovedEdges:         s.rebStats.movedEdges.Load(),
 	}
 	for _, w := range s.ws {
+		st.QueueDepth += w.depth()
+		st.BatchesApplied += w.applied.Load()
 		st.ArenaCleanedEntries += w.cleaned.Load()
 		st.PublishedBytes += w.published.Load()
 	}

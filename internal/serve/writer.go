@@ -19,13 +19,6 @@ func (w *shardWriter) run() {
 		w.queue = nil
 		closed := w.closed
 		w.mu.Unlock()
-		if len(q) > 0 {
-			depth := w.s.queued.Add(-int64(len(q)))
-			if obs.Enabled() {
-				obsQueueDepth.Set(depth)
-				obsShardQueueDepth.Set(w.idx, 0)
-			}
-		}
 		if len(q) == 0 {
 			if closed {
 				w.reclaim()
@@ -65,10 +58,7 @@ func (w *shardWriter) run() {
 			} else {
 				w.shard.DeleteBatch(b.src, b.dst)
 			}
-			w.s.stats.batchesApplied.Add(1)
-			if obs.Enabled() {
-				obsShardApplied.AddShard(w.idx, 1)
-			}
+			w.applied.Add(1)
 			if b.lsn > w.appliedLSN {
 				w.appliedLSN = b.lsn
 			}
@@ -152,9 +142,6 @@ func (w *shardWriter) reclaim() {
 			e.snap = nil
 			freed++
 			w.s.stats.snapshotsReclaimed.Add(1)
-			if obs.Enabled() {
-				obsReclaims.Inc()
-			}
 		} else {
 			kept = append(kept, e)
 		}
@@ -167,16 +154,12 @@ func (w *shardWriter) reclaim() {
 	}
 	w.retired = kept
 	ps := w.shard.Published()
-	cleaned := ps.Cleaned - w.cleaned.Swap(ps.Cleaned)
+	w.cleaned.Store(ps.Cleaned)
 	w.published.Store(ps.Total())
-	if obs.Enabled() {
-		obsArenaCleaned.Add(cleaned)
-		obsArenaBytes.Set(w.idx, int64(ps.InUse+ps.Free+ps.Retired))
-		var lag int64
-		if len(w.retired) > 0 {
-			lag = int64(w.cur.Load().epoch - w.retired[0].epoch)
-		}
-		obsEpochLag.Set(lag)
-		obsShardPublishLag.Set(w.idx, lag)
+	w.pages.Store(ps.InUse + ps.Free + ps.Retired)
+	var lag uint64
+	if len(w.retired) > 0 {
+		lag = w.cur.Load().epoch - w.retired[0].epoch
 	}
+	w.lag.Store(lag)
 }

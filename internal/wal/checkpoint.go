@@ -249,9 +249,6 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 	if err := syncDir(root); err != nil {
 		return err
 	}
-	if obsOn() {
-		obsCheckpoints.Inc()
-	}
 	if h := l.opt.Hook; h != nil {
 		if h(Event{Kind: EvCheckpointDone}) != Continue {
 			l.die()

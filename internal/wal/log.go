@@ -52,7 +52,9 @@ type shardLog struct {
 	buf  []byte
 }
 
-// LogStats is a point-in-time copy of a Log's always-on counters.
+// LogStats is a point-in-time copy of a Log's counters. They are the only
+// count of each event: a Store's Stats reports them, and the lsgraph_wal_*
+// series read them from there when the metrics registry is exported.
 type LogStats struct {
 	// Records counts appended (written) records.
 	Records uint64
@@ -285,10 +287,6 @@ func (a Appender) Commit() (uint64, error) {
 	}
 	l.stats.records.Add(1)
 	l.stats.bytes.Add(uint64(n))
-	if obsOn() {
-		obsWALRecords.Inc()
-		obsWALBytes.Add(uint64(n))
-	}
 	if l.opt.Fsync == FsyncAlways {
 		if err := l.syncLocked(sl, a.shard, a.lsn); err != nil {
 			return a.lsn, err
@@ -348,9 +346,6 @@ func (l *Log) syncLocked(sl *shardLog, shard int, lsn uint64) error {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.stats.syncs.Add(1)
-	if obsOn() {
-		obsWALSyncs.Inc()
-	}
 	return nil
 }
 
@@ -439,9 +434,6 @@ func (l *Log) GC(wms []uint64) (int, error) {
 				}
 				if rmErr := os.Remove(filepath.Join(sd, segName(segFirst))); rmErr == nil {
 					removed++
-					if obsOn() {
-						obsWALSegGC.Inc()
-					}
 				}
 			}
 		} else if firstErr == nil {

@@ -115,9 +115,6 @@ func Replay(dir string, wm func(shardDir int) uint64, hook Hook, fn func(Record)
 		}
 		st.RecordsReplayed++
 		st.EdgesReplayed += uint64(len(r.Src))
-		if obsOn() {
-			obsReplayRecords.Inc()
-		}
 		if heads[best], err = logs[best].next(); err != nil {
 			return maxLSN, st, err
 		}

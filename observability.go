@@ -8,14 +8,16 @@ import (
 )
 
 // Observability: the engine keeps a process-wide metrics registry
-// (internal/obs) permanently wired through the batch pipeline, the RIA and
-// HITree structural operations, the worker pool, the analytics kernels,
-// and the Store serving layer (queue depth, coalescing, snapshot publish
-// latency, epoch lag, reclamation). Collection is off by default and
-// costs a single atomic load per instrumented operation while off; these
-// functions expose the registry to embedding applications. The
-// cmd/lsgraph and cmd/lsbench CLIs expose the same data via their
-// -metrics flag.
+// (internal/obs) permanently wired through the batch pipeline, the
+// structure promotions and the analytics kernels, timing each layer of the
+// Store serving layer too. Collection is off by default and costs a single
+// atomic load per instrumented operation while off. The Stores' and their
+// write-ahead logs' series (queue depth, coalescing, publish lag,
+// reclamation, arena bytes, rebalancing, WAL records and checkpoints) are
+// the counters behind Store.Stats, read at export and summed over every
+// open Store, so they are exported with collection off as well. These
+// functions expose the registry to embedding applications. The cmd/lsgraph
+// and cmd/lsbench CLIs expose the same data via their -metrics flag.
 
 // EnableMetrics turns metric collection on or off (off by default).
 // Values collected while enabled are retained across toggles, so a

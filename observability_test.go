@@ -3,10 +3,14 @@ package lsgraph_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"lsgraph"
+	_ "lsgraph/internal/httpserve" // registers the front end's series
 )
 
 // TestObservabilityEndToEnd drives the public metrics API through a real
@@ -44,7 +48,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		`lsgraph_batches_total{op="delete"}`,
 		`lsgraph_phase_nanos_count{phase="apply"}`,
 		`lsgraph_overflow_promotions_total{from="array",to="ria"}`,
-		`lsgraph_ria_slide_elements_count`,
+		`lsgraph_batch_groups_total{path="per-edge"}`,
 		`lsgraph_phase_nanos_count{phase="kernel",kernel="bfs"}`,
 	} {
 		if !strings.Contains(out, want) {
@@ -61,11 +65,63 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
 	// Vertex 0's degree crosses the array threshold, so the engine must
-	// have promoted its overflow and RIA inserts must have been observed.
+	// have promoted its overflow, and its groups went through the per-edge
+	// path that inserts into the RIA.
 	if v, ok := snap[`lsgraph_overflow_promotions_total{from="array",to="ria"}`].(float64); !ok || v < 1 {
 		t.Errorf("expected at least one array->ria promotion, snapshot has %v", v)
 	}
+	if v, ok := snap[`lsgraph_batch_groups_total{path="per-edge"}`].(float64); !ok || v < 1 {
+		t.Errorf("expected per-edge groups, snapshot has %v", v)
+	}
 	if v, ok := snap[`lsgraph_edges_changed_total{op="insert"}`].(float64); !ok || v < float64(len(es)) {
 		t.Errorf("edges inserted metric %v, want >= %d", v, len(es))
+	}
+}
+
+// TestOperationsListsEverySeries: OPERATIONS.md's metrics catalog names
+// every series the registry exports, and nothing else, so a series added,
+// renamed or removed without its row fails here.
+func TestOperationsListsEverySeries(t *testing.T) {
+	doc, err := os.ReadFile("OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, catalog, ok := strings.Cut(string(doc), "\n## Metrics catalog\n")
+	if !ok {
+		t.Fatal(`OPERATIONS.md has no "## Metrics catalog" section`)
+	}
+	catalog, _, _ = strings.Cut(catalog, "\n## ")
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(lsgraph_[a-z0-9_]+)`").FindAllStringSubmatch(catalog, -1) {
+		documented[m[1]] = true
+	}
+
+	var buf bytes.Buffer
+	if err := lsgraph.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exported := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(buf.String(), -1) {
+		exported[m[1]] = true
+	}
+
+	var undocumented, stale []string
+	for name := range exported {
+		if !documented[name] {
+			undocumented = append(undocumented, name)
+		}
+	}
+	for name := range documented {
+		if !exported[name] {
+			stale = append(stale, name)
+		}
+	}
+	slices.Sort(undocumented)
+	slices.Sort(stale)
+	if len(undocumented) > 0 {
+		t.Errorf("exported but missing from OPERATIONS.md's metrics catalog: %v", undocumented)
+	}
+	if len(stale) > 0 {
+		t.Errorf("in OPERATIONS.md's metrics catalog but not exported: %v", stale)
 	}
 }

@@ -141,28 +141,24 @@ func (s *Store) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32
 	s.st.NeighborRange(lo, hi, yield)
 }
 
-// QueueDepth returns the number of update batches currently queued across
-// all shard writer queues (including Flush sentinels): the store's
-// backpressure signal in batches. Lock-free and safe from any goroutine;
-// the value may change before the caller acts on it.
-func (s *Store) QueueDepth() int { return s.st.QueueDepth() }
-
 // Saturated reports whether any shard's update queue has reached the
 // WithMaxQueue bound, the point where further same-op updates coalesce into
 // already-queued batches instead of queueing independently. Front-ends use
 // it as the admission-control shed signal (respond 429 instead of
 // enqueueing). Safe from any goroutine; it briefly takes each shard's
-// queue lock, so call it per request, not per edge.
+// queue lock, so call it per request, not per edge. It is the store's one
+// admission signal; StoreStats.QueueDepth says how many batches wait.
 func (s *Store) Saturated() bool { return s.st.Saturated() }
 
-// StoreStats is a point-in-time copy of a Store's always-on counters; see
-// the field docs in internal/serve. The same signals are exported through
-// the metrics registry (lsgraph_store_* series) when collection is on.
+// StoreStats is a point-in-time copy of a Store's counters; see the field
+// docs in internal/serve. The metrics registry's lsgraph_store_* and
+// lsgraph_wal_* series read the same counters, summed over every open Store,
+// whether or not collection is on.
 type StoreStats = serve.Stats
 
-// Stats returns a copy of the store's counters: batches applied, edges
-// enqueued, coalesced batches, snapshots published/reclaimed/reused, and
-// rebalance activity.
+// Stats returns a copy of the store's counters: queue depth, batches
+// applied, edges enqueued, coalesced batches, snapshots published and
+// reclaimed, arena bytes, rebalance and WAL activity.
 func (s *Store) Stats() StoreStats { return s.st.Stats() }
 
 // RebalanceResult summarizes one Store.Rebalance call; see the field docs
