@@ -45,7 +45,8 @@ perf:
 # Long-running randomized checks, each stage bounded by SOAK_TIME (a Go
 # duration, e.g. `make soak SOAK_TIME=10m`): the differential simulator
 # against the refgraph oracle on fresh seeds, kill-and-recover scenarios
-# drawn from the full crash matrix against the acked-records oracle, then
+# crashing at a file operation drawn from a fault-free run of the same plan
+# against the acked-records oracle, then
 # the real lsgraphd binary under lsload's open-loop mixes (SOAK_TIME per
 # mix) with auto-rebalance armed, stopped by SIGTERM so signal handling and
 # the drain path run. The load report lands in BENCH_soak.json (untracked).

@@ -4,53 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
+	"slices"
 
 	"lsgraph/internal/refgraph"
 	"lsgraph/internal/serve"
 	"lsgraph/internal/wal"
 )
 
-// This file is the kill-and-recover fault-injection harness: it drives a
-// durable serve.Store through a seeded workload, freezes the WAL at one
-// chosen lifecycle event (exactly what a kill -9 at that instant would
-// leave on disk), recovers a fresh store from the directory, and
-// differentially compares it against a refgraph oracle built from the
-// records the WAL actually accepted.
-//
-// The durability model it checks is the process-kill model the WAL
-// implements: a record whose append completed (the hook saw the event and
-// let it continue) is on disk and must survive; the record the crash
-// lands on — dropped or half-written — and everything after it must not
-// resurrect. Fsync policy does not change this model (fsync guards
-// against OS crashes, which the harness cannot simulate in-process), so
-// the oracle is exactly "acked appends, in LSN order".
-
-// CrashPoint selects the lifecycle event at which the injector freezes
-// the WAL.
-type CrashPoint struct {
-	// Kind is the event to trigger on: EvAppend (mid-append), EvSync
-	// (post-write pre-fsync), EvCheckpointFile (mid-checkpoint tmp write),
-	// EvCheckpointDone (checkpoint renamed, WAL not yet GCed), or
-	// EvReplayRecord (mid-recovery — fires during the harness's reopen).
-	Kind wal.EventKind
-	// Nth is the 1-based occurrence of Kind to crash at.
-	Nth int
-	// Torn, for EvAppend, leaves half the frame on disk (KillTorn)
-	// instead of dropping the record entirely.
-	Torn bool
-}
-
-// String names the point for subtest names: "append-17", "append-9-torn".
-func (p CrashPoint) String() string {
-	s := fmt.Sprintf("%v-%d", p.Kind, p.Nth)
-	if p.Torn {
-		s += "-torn"
-	}
-	return s
-}
-
-// CrashPlan is one kill-and-recover scenario.
+// CrashPlan is one kill-and-recover scenario. RunCrash takes it as given:
+// Shards, Vertices, Batches and BatchLen must be positive.
 type CrashPlan struct {
 	// Seed drives the workload generator.
 	Seed int64
@@ -69,88 +31,32 @@ type CrashPlan struct {
 	// batch (0 = never), which is how the checkpoint crash points get
 	// something to crash in.
 	CheckpointBatches int
-	// Fsync is the WAL policy; EvSync points need FsyncAlways so sync
-	// events fire deterministically per append.
+	// Fsync is the WAL policy. FsyncNone and FsyncAlways keep the file
+	// operations of a plan exactly repeatable; FsyncInterval's timer does
+	// not.
 	Fsync wal.FsyncPolicy
-	// Point is where to crash.
-	Point CrashPoint
-}
-
-// LoggedOp is one WAL-record-granularity operation the recorder observed.
-type LoggedOp struct {
-	Op       uint8
-	Src, Dst []uint32
+	// Point is where the workload's file system fails (zero: nowhere).
+	Point FaultPoint
+	// Reopen is where the first recovery's file system fails — a crash
+	// while recovering, after which a second recovery must converge.
+	Reopen FaultPoint
 }
 
 // CrashReport is what one RunCrash scenario observed, for assertions
 // beyond the built-in differential check.
 type CrashReport struct {
-	// Fired reports whether the crash point triggered. A plan whose Nth
-	// exceeds the workload's event count recovers a cleanly-killed log.
-	Fired bool
-	// Acked are the durable records, in LSN order: the oracle's input.
-	Acked []LoggedOp
-	// Lost is the record the crash landed on (EvAppend points only): it
-	// must NOT be recovered.
-	Lost *LoggedOp
+	// Drive and Reopen are the file systems of the workload and of the first
+	// recovery: whether their points fired, the operations they counted (a
+	// fault-free workload's are every crash point its plan has), and the
+	// workload's acked records — the oracle's input — and lost one.
+	Drive, Reopen *FaultFS
 	// Recovery is what the post-crash reopen loaded and replayed.
 	Recovery wal.RecoveryStats
-	// Driven is the driven store's counters just before the kill: how many
-	// of its publishes rebuilt, how many checkpoints it got out.
-	Driven serve.Stats
 }
-
-// crashRecorder is the fault injector and durability recorder in one
-// hook: it counts events, kills at the planned point, and acks every
-// append it lets through. The mutex serializes hook calls from the
-// driver and the group-commit goroutine.
-type crashRecorder struct {
-	mu    sync.Mutex
-	point CrashPoint
-	seen  map[wal.EventKind]int
-	acked []LoggedOp
-	lost  *LoggedOp
-	fired bool
-}
-
-func newCrashRecorder(p CrashPoint) *crashRecorder {
-	return &crashRecorder{point: p, seen: make(map[wal.EventKind]int)}
-}
-
-func (r *crashRecorder) hook(e wal.Event) wal.Action {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seen[e.Kind]++
-	if !r.fired && e.Kind == r.point.Kind && r.seen[e.Kind] == r.point.Nth {
-		r.fired = true
-		if e.Kind == wal.EvAppend {
-			r.lost = &LoggedOp{Op: e.Op, Src: cloneU32(e.Src), Dst: cloneU32(e.Dst)}
-			if r.point.Torn {
-				return wal.KillTorn
-			}
-		}
-		return wal.Kill
-	}
-	if e.Kind == wal.EvAppend {
-		// Continue means the full frame is written before Append returns;
-		// under the process-kill model the record is durable from here on.
-		r.acked = append(r.acked, LoggedOp{Op: e.Op, Src: cloneU32(e.Src), Dst: cloneU32(e.Dst)})
-	}
-	return wal.Continue
-}
-
-// ackedOps is what the recorder has acknowledged so far.
-func (r *crashRecorder) ackedOps() []LoggedOp {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.acked
-}
-
-func cloneU32(s []uint32) []uint32 { return append([]uint32(nil), s...) }
 
 // ApplyLogged replays ops onto a refgraph oracle, growing its vertex
 // space as the store's enqueue path would.
-func ApplyLogged(g *refgraph.Graph, ops []LoggedOp) {
+func ApplyLogged(g *refgraph.Graph, ops []wal.Record) {
 	for _, o := range ops {
 		for i := range o.Src {
 			hi := max(o.Src[i], o.Dst[i]) + 1
@@ -172,76 +78,105 @@ func ApplyLogged(g *refgraph.Graph, ops []LoggedOp) {
 func CompareDurable(st *serve.Store, want *refgraph.Graph) error {
 	v := st.View()
 	defer v.Release()
-	n := v.NumVertices()
-	if wn := want.NumVertices(); wn > n {
-		n = wn
-	}
-	for u := uint32(0); u < n; u++ {
-		var got []uint32
+	for u := uint32(0); u < max(v.NumVertices(), want.NumVertices()); u++ {
+		var got, exp []uint32
 		if u < v.NumVertices() {
 			got = v.Neighbors(u)
 		}
-		var exp []uint32
 		if u < want.NumVertices() {
 			exp = want.Neighbors(u)
 		}
-		if len(got) != len(exp) {
-			return fmt.Errorf("check: vertex %d recovered degree %d, oracle %d (got %v want %v)",
-				u, len(got), len(exp), got, exp)
-		}
-		for i := range got {
-			if got[i] != exp[i] {
-				return fmt.Errorf("check: vertex %d neighbor[%d] = %d, oracle %d", u, i, got[i], exp[i])
-			}
+		if !slices.Equal(got, exp) {
+			return fmt.Errorf("check: vertex %d recovered with neighbors %v, oracle %v", u, got, exp)
 		}
 	}
 	return nil
 }
 
-// RunCrash executes one kill-and-recover scenario in dir (which must be
-// empty): drive the workload, crash at the plan's point, recover, and
-// differentially compare the recovered store against the oracle of acked
-// records. It then proves the recovered store is still durable — appends
-// a probe batch, reopens once more, and re-compares. A non-nil error is
-// a durability bug (or a harness I/O failure).
+// RunCrash is the kill-and-recover harness. It runs one scenario in dir
+// (which must be empty): drive the plan's workload on a FaultFS that
+// freezes at the plan's point — exactly what a kill -9 at that instant
+// leaves on disk — recover, and compare the recovered store against a
+// refgraph oracle of the acked records. The model is the process-kill one
+// the WAL implements: a record whose segment Write completed is on disk and
+// must survive; the one the crash refused or tore, and everything after,
+// must not. Fsync policy does not change it (fsync guards against OS
+// crashes, which no in-process harness can simulate). It then proves the
+// recovered store is still durable — appends a probe batch, reopens once
+// more, and re-compares. A non-nil error is a durability bug (or a harness
+// I/O failure).
 func RunCrash(dir string, plan CrashPlan) (*CrashReport, error) {
-	if plan.Shards < 1 {
-		plan.Shards = 1
+	rep := &CrashReport{Drive: NewFaultFS(dir, plan.Point), Reopen: NewFaultFS(dir, plan.Reopen)}
+	// A store that fails to open after the crash point fired crashed while
+	// opening, before anything was logged.
+	if err := driveCrash(dir, plan, rep.Drive); err != nil && !rep.Drive.Fired() {
+		return nil, err
 	}
-	if plan.Vertices == 0 {
-		plan.Vertices = 64
+	oracle := refgraph.New(plan.Vertices)
+	ApplyLogged(oracle, rep.Drive.Acked())
+
+	// Recover. A crash while recovering fails the first reopen; the second
+	// must succeed, because recovery's disk mutations — dropping the
+	// segments past a torn frame, then truncating it — leave the frame in
+	// place until they are done, so a retry redoes them.
+	s2, err := serve.OpenDurable(plan.Vertices, plan.Shards, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir, FS: rep.Reopen})
+	if rep.Reopen.Fired() {
+		if err == nil {
+			s2.Close()
+			return rep, fmt.Errorf("check: reopen succeeded despite a crash at %+v while recovering", plan.Reopen)
+		}
+		if !errors.Is(err, ErrFrozen) {
+			return rep, fmt.Errorf("check: crash while recovering surfaced as %v, want ErrFrozen", err)
+		}
+		s2, err = serve.OpenDurable(plan.Vertices, plan.Shards, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir})
 	}
-	if plan.BatchLen <= 0 {
-		plan.BatchLen = 4
+	if err != nil {
+		return rep, fmt.Errorf("check: recover: %w", err)
 	}
-	// rec carries the crash point; ackRec records the drive phase's acked
-	// appends. They are the same recorder except for replay crashes, which
-	// fire during the reopen — there the drive runs under a recorder whose
-	// point can never trigger, so the workload completes and every record
-	// is acked.
-	rec := newCrashRecorder(plan.Point)
-	ackRec := rec
-	replayCrash := plan.Point.Kind == wal.EvReplayRecord
-	if replayCrash {
-		ackRec = newCrashRecorder(CrashPoint{Kind: plan.Point.Kind, Nth: 1 << 30})
+	rep.Recovery = s2.Recovery()
+	if err := CompareDurable(s2, oracle); err != nil {
+		s2.Close()
+		return rep, fmt.Errorf("recovered store diverges from acked-records oracle (crash at %+v): %w", plan.Point, err)
 	}
+
+	// The recovered store must still be durable: log a probe batch, kill
+	// nothing, reopen, and re-compare — catches recovery that rebuilds
+	// state but corrupts the log's continuation point.
+	probeSrc := []uint32{plan.Vertices + 1, plan.Vertices + 2}
+	probeDst := []uint32{plan.Vertices + 2, plan.Vertices + 1}
+	s2.InsertBatch(probeSrc, probeDst)
+	s2.Flush()
+	s2.Close()
+	ApplyLogged(oracle, []wal.Record{{Op: wal.OpInsert, Src: probeSrc, Dst: probeDst}})
+	s3, err := serve.OpenDurable(plan.Vertices, plan.Shards, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir})
+	if err != nil {
+		return rep, fmt.Errorf("check: reopen after probe: %w", err)
+	}
+	defer s3.Close()
+	if err := CompareDurable(s3, oracle); err != nil {
+		return rep, fmt.Errorf("post-recovery append lost (crash at %+v): %w", plan.Point, err)
+	}
+	return rep, nil
+}
+
+// driveCrash opens a durable store in dir on fsys (nil: the OS), runs
+// plan's seeded workload on it, and closes it. IDs reach 25% past the initial bound so recovery must
+// reproduce vertex growth too. A delete batch draws edges the log has
+// taken as inserted, so it removes edges that exist, and an insert batch
+// puts back a deleted edge in every third place: an edge goes insert →
+// delete → re-insert across records and shard logs, whichever op is last
+// deciding it. Everything runs from one goroutine, and each checkpoint
+// follows a Flush, so the file operations — and with no fault the files
+// themselves — are the same on every run of a plan.
+func driveCrash(dir string, plan CrashPlan, fsys wal.FS) error {
 	s, err := serve.OpenDurable(plan.Vertices, plan.Shards, 2, serve.Options{}, serve.DurabilityOptions{
 		Dir:   dir,
 		Fsync: plan.Fsync,
-		Hook:  ackRec.hook,
+		FS:    fsys,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("check: open durable store: %w", err)
+		return fmt.Errorf("check: open durable store: %w", err)
 	}
-
-	// Drive the seeded workload. IDs reach 25% past the initial bound so
-	// recovery must reproduce vertex growth too. A delete batch draws edges
-	// the log has acknowledged as inserted, so it removes edges that exist,
-	// and an insert batch puts back a deleted edge in every third place: an
-	// edge goes insert → delete → re-insert across records and
-	// shard logs, whichever op is last deciding it. Everything runs from one
-	// goroutine, so WAL append order (= LSN order = ack order) is
-	// deterministic for a given seed and crash point.
 	rng := rand.New(rand.NewSource(plan.Seed))
 	idSpan := int64(plan.Vertices) + int64(plan.Vertices)/4
 	var inserted, deleted [][2]uint32
@@ -269,14 +204,14 @@ func RunCrash(dir string, plan CrashPlan) (*CrashReport, error) {
 			}
 			src[i], dst[i] = e[0], e[1]
 		}
-		acked := len(ackRec.ackedOps())
+		logged := s.Stats().WALRecords
 		if del {
 			s.DeleteBatch(src, dst)
 		} else {
 			s.InsertBatch(src, dst)
-			if len(ackRec.ackedOps()) > acked {
+			if s.Stats().WALRecords > logged {
 				// The log took it, so its edges exist — all of them unless a
-				// kill landed inside it, and after a kill nothing is logged.
+				// crash landed inside it, and after a crash nothing is logged.
 				for i := range src {
 					inserted = append(inserted, [2]uint32{src[i], dst[i]})
 				}
@@ -284,68 +219,12 @@ func RunCrash(dir string, plan CrashPlan) (*CrashReport, error) {
 		}
 		if plan.CheckpointBatches > 0 && b%plan.CheckpointBatches == 0 {
 			// Ignore the error: a checkpoint crash point makes this fail by
-			// design, and post-kill checkpoints fail on the dead log.
+			// design, and after a crash every checkpoint fails.
+			s.Flush()
 			_ = s.Checkpoint()
 		}
 	}
 	s.Flush()
-	driven := s.Stats()
 	s.Close()
-
-	// The oracle: exactly the acked records, in LSN order.
-	oracle := refgraph.New(plan.Vertices)
-	ApplyLogged(oracle, ackRec.acked)
-
-	// Recover. A mid-replay crash fails the first reopen (recovery itself
-	// is crashed into); the second must succeed because recovery's only
-	// disk mutation — torn-tail truncation — is idempotent.
-	var reopenHook wal.Hook
-	if replayCrash {
-		reopenHook = rec.hook
-	}
-	s2, err := serve.OpenDurable(plan.Vertices, plan.Shards, 2, serve.Options{}, serve.DurabilityOptions{
-		Dir:  dir,
-		Hook: reopenHook,
-	})
-	if replayCrash {
-		if rec.fired {
-			if err == nil {
-				s2.Close()
-				return nil, fmt.Errorf("check: reopen succeeded despite mid-replay crash")
-			}
-			if !errors.Is(err, wal.ErrKilled) {
-				return nil, fmt.Errorf("check: mid-replay crash surfaced as %v, want ErrKilled", err)
-			}
-			s2, err = serve.OpenDurable(plan.Vertices, plan.Shards, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir})
-		}
-		// If the workload was too small for the replay point to fire, the
-		// first reopen succeeded and is the store under test.
-	}
-	if err != nil {
-		return nil, fmt.Errorf("check: recover: %w", err)
-	}
-	rep := &CrashReport{Fired: rec.fired, Acked: ackRec.acked, Lost: ackRec.lost, Recovery: s2.Recovery(), Driven: driven}
-	if err := CompareDurable(s2, oracle); err != nil {
-		s2.Close()
-		return rep, fmt.Errorf("recovered store diverges from acked-records oracle (crash at %v): %w", plan.Point, err)
-	}
-
-	// The recovered store must still be durable: log a probe batch, kill
-	// nothing, reopen, and re-compare — catches recovery that rebuilds
-	// state but corrupts the log's continuation point.
-	probeSrc := []uint32{plan.Vertices + 1, plan.Vertices + 2}
-	probeDst := []uint32{plan.Vertices + 2, plan.Vertices + 1}
-	s2.InsertBatch(probeSrc, probeDst)
-	s2.Flush()
-	s2.Close()
-	ApplyLogged(oracle, []LoggedOp{{Op: wal.OpInsert, Src: probeSrc, Dst: probeDst}})
-	s3, err := serve.OpenDurable(plan.Vertices, plan.Shards, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir})
-	if err != nil {
-		return rep, fmt.Errorf("check: reopen after probe: %w", err)
-	}
-	defer s3.Close()
-	if err := CompareDurable(s3, oracle); err != nil {
-		return rep, fmt.Errorf("post-recovery append lost (crash at %v): %w", plan.Point, err)
-	}
-	return rep, nil
+	return nil
 }

@@ -40,8 +40,9 @@ type DurabilityOptions struct {
 	// been logged since the last one. 0 means checkpoints happen only via
 	// explicit Checkpoint calls.
 	CheckpointEvery int
-	// Hook is the fault-injection hook threaded to the WAL (crash tests).
-	Hook wal.Hook
+	// FS is the file system the WAL, checkpoints and recovery write
+	// through (see wal.FS); nil is the OS.
+	FS wal.FS
 }
 
 // durability is a Store's durable-state bundle.
@@ -87,7 +88,8 @@ func walOp(op int) uint8 {
 // (core.Paged.LoadCSR); then start the Store — one first publish per shard,
 // which only seals its table — and attach the log. So nothing replayed is
 // re-logged, the Store's counters start at zero, and a crash mid-recovery
-// changes nothing but idempotent torn-tail truncation. The shard layout is
+// changes nothing but the cut at a torn tail, which the next recovery
+// repeats (wal.Replay). The shard layout is
 // not recovered: the store reopens on shards shards with a uniform
 // partition map, by which the merge routes every vertex.
 func OpenDurable(n uint32, shards, workers int, opt Options, dopt DurabilityOptions) (*Store, error) {
@@ -114,7 +116,7 @@ func OpenDurable(n uint32, shards, workers int, opt Options, dopt DurabilityOpti
 
 	t := time.Now()
 	var tl tail
-	maxLSN, rst, err := wal.Replay(dopt.Dir, ck.Watermark, dopt.Hook, tl.add)
+	maxLSN, rst, err := wal.Replay(dopt.Dir, ck.Watermark, dopt.FS, tl.add)
 	if err != nil {
 		return nil, fmt.Errorf("serve: recovery replay: %w", err)
 	}
@@ -149,7 +151,7 @@ func OpenDurable(n uint32, shards, workers int, opt Options, dopt DurabilityOpti
 		Fsync:         dopt.Fsync,
 		FsyncInterval: dopt.FsyncInterval,
 		SegmentBytes:  dopt.SegmentBytes,
-		Hook:          dopt.Hook,
+		FS:            dopt.FS,
 	})
 	if err != nil {
 		return nil, err

@@ -1,8 +1,6 @@
 package serve_test
 
 import (
-	"slices"
-	"sync"
 	"testing"
 
 	"lsgraph/internal/check"
@@ -14,8 +12,9 @@ import (
 // runRecoveryProgram drives a durable store through a byte program, closes
 // it, and reopens its directory at one, two and four shards, each time
 // against the oracle: check.ApplyLogged on a refgraph of every record the
-// log accepted, in LSN order. The first byte picks the writing store's shard
-// count (1–3); then each op is a byte and its operands:
+// log wrote (a check.FaultFS that injects nothing reads them off its
+// segment writes), in LSN order. The first byte picks the writing store's
+// shard count (1–3); then each op is a byte and its operands:
 //
 //	b%4 == 0, 1: an insert (0) or delete (1) batch of 1+next%8 edges, a byte
 //	             per endpoint, over vertices [0, 24) — past the store's
@@ -33,19 +32,8 @@ func runRecoveryProgram(t *testing.T, dir string, prog []byte) {
 	if len(prog) > 0 {
 		shards, prog = 1+int(prog[0])%3, prog[1:]
 	}
-	var mu sync.Mutex
-	var logged []check.LoggedOp
-	var lsns []uint64
-	hook := func(e wal.Event) wal.Action {
-		if e.Kind == wal.EvAppend {
-			mu.Lock()
-			logged = append(logged, check.LoggedOp{Op: e.Op, Src: slices.Clone(e.Src), Dst: slices.Clone(e.Dst)})
-			lsns = append(lsns, e.LSN)
-			mu.Unlock()
-		}
-		return wal.Continue
-	}
-	dopt := serve.DurabilityOptions{Dir: dir, Fsync: wal.FsyncNone, Hook: hook}
+	fs := check.NewFaultFS(dir, check.FaultPoint{})
+	dopt := serve.DurabilityOptions{Dir: dir, Fsync: wal.FsyncNone, FS: fs}
 	st, err := serve.OpenDurable(16, shards, 2, serve.Options{}, dopt)
 	if err != nil {
 		t.Fatal(err)
@@ -87,18 +75,9 @@ func runRecoveryProgram(t *testing.T, dir string, prog []byte) {
 	}
 	st.Close()
 
-	// The oracle: every accepted record, in LSN order.
-	order := make([]int, len(logged))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int { return int(lsns[a]) - int(lsns[b]) })
-	inOrder := make([]check.LoggedOp, len(order))
-	for i, j := range order {
-		inOrder[i] = logged[j]
-	}
+	// The oracle: every record the log wrote, in LSN order.
 	want := refgraph.New(16)
-	check.ApplyLogged(want, inOrder)
+	check.ApplyLogged(want, fs.Acked())
 
 	for _, s := range []int{1, 2, 4} {
 		re, err := serve.OpenDurable(16, s, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir, Fsync: wal.FsyncNone})

@@ -98,8 +98,8 @@ func parseCkptDir(name string) (uint64, bool) {
 }
 
 // listCheckpoints returns published checkpoint sequences, ascending.
-func listCheckpoints(root string) []uint64 {
-	entries, err := os.ReadDir(root)
+func listCheckpoints(fsys FS, root string) []uint64 {
+	entries, err := fsys.ReadDir(root)
 	if err != nil {
 		return nil
 	}
@@ -183,33 +183,21 @@ func decodeShardSnap(b []byte, base, nv uint32, m uint64, n uint32) (ShardSnap, 
 // crash at any point leaves either the previous checkpoint or the new one,
 // never a half state. Older checkpoints beyond the newest two are pruned.
 // The caller (serve layer) rotates and GCs log segments only after a nil
-// return, so a kill between rename and return (EvCheckpointDone) leaves
-// the log intact for the next recovery.
+// return, so a crash between rename and return leaves the log intact for
+// the next recovery.
 func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
-	if l.died.Load() {
-		return ErrKilled
-	}
 	root := filepath.Join(l.dir, "checkpoint")
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	if err := l.fs.MkdirAll(root, 0o755); err != nil {
 		return fmt.Errorf("wal: checkpoint root: %w", err)
 	}
 	var seq uint64 = 1
-	if seqs := listCheckpoints(root); len(seqs) > 0 {
+	if seqs := listCheckpoints(l.fs, root); len(seqs) > 0 {
 		seq = seqs[len(seqs)-1] + 1
 	}
 	tmp := filepath.Join(root, ckptDirName(seq)+ckptTmpSuffix)
-	os.RemoveAll(tmp)
-	if err := os.MkdirAll(tmp, 0o755); err != nil {
+	l.fs.RemoveAll(tmp)
+	if err := l.fs.MkdirAll(tmp, 0o755); err != nil {
 		return fmt.Errorf("wal: checkpoint tmp: %w", err)
-	}
-	if h := l.opt.Hook; h != nil {
-		if h(Event{Kind: EvCheckpointFile}) != Continue {
-			// Crash mid-tmp-write: leave a partial, never-renamed directory
-			// behind; recovery must ignore it.
-			os.WriteFile(filepath.Join(tmp, shardSnapName(0)), []byte("partial"), 0o644)
-			l.die()
-			return ErrKilled
-		}
 	}
 	m := manifest{
 		Format:     manifestFormat,
@@ -221,7 +209,7 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 		sh := &ck.Shards[i]
 		data := encodeShardSnap(sh)
 		name := shardSnapName(i)
-		if err := writeFileSync(filepath.Join(tmp, name), data); err != nil {
+		if err := writeFileSync(l.fs, filepath.Join(tmp, name), data); err != nil {
 			return err
 		}
 		m.Shards = append(m.Shards, manifestShard{
@@ -236,38 +224,25 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("wal: manifest: %w", err)
 	}
-	if err := writeFileSync(filepath.Join(tmp, manifestName), mb); err != nil {
+	if err := writeFileSync(l.fs, filepath.Join(tmp, manifestName), mb); err != nil {
 		return err
 	}
-	if err := syncDir(tmp); err != nil {
-		return err
+	if err := l.fs.SyncDir(tmp); err != nil {
+		return fmt.Errorf("wal: sync checkpoint dir: %w", err)
 	}
-	final := filepath.Join(root, ckptDirName(seq))
-	if err := os.Rename(tmp, final); err != nil {
+	if err := l.fs.Rename(tmp, filepath.Join(root, ckptDirName(seq))); err != nil {
 		return fmt.Errorf("wal: publish checkpoint: %w", err)
 	}
-	if err := syncDir(root); err != nil {
-		return err
-	}
-	if h := l.opt.Hook; h != nil {
-		if h(Event{Kind: EvCheckpointDone}) != Continue {
-			l.die()
-			return ErrKilled
-		}
+	if err := l.fs.SyncDir(root); err != nil {
+		return fmt.Errorf("wal: sync checkpoint root: %w", err)
 	}
 	// Prune: keep the new checkpoint and its predecessor (the predecessor
 	// is the fallback if the new one is later found damaged), drop the
 	// rest plus any stray tmp dirs.
-	for _, old := range listCheckpoints(root) {
-		if old+1 < seq {
-			os.RemoveAll(filepath.Join(root, ckptDirName(old)))
-		}
-	}
-	if entries, err := os.ReadDir(root); err == nil {
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ckptTmpSuffix) && e.Name() != filepath.Base(tmp) {
-				os.RemoveAll(filepath.Join(root, e.Name()))
-			}
+	entries, _ := l.fs.ReadDir(root)
+	for _, e := range entries {
+		if old, ok := parseCkptDir(e.Name()); (ok && old+1 < seq) || strings.HasSuffix(e.Name(), ckptTmpSuffix) {
+			l.fs.RemoveAll(filepath.Join(root, e.Name()))
 		}
 	}
 	return nil
@@ -283,7 +258,7 @@ func (l *Log) WriteCheckpoint(ck *Checkpoint) error {
 // fraction of the graph as if it were all of it.
 func LoadLatestCheckpoint(dir string) (*Checkpoint, error) {
 	root := filepath.Join(dir, "checkpoint")
-	seqs := listCheckpoints(root)
+	seqs := listCheckpoints(osFS{}, root)
 	var newest error
 	for i := len(seqs) - 1; i >= 0; i-- {
 		name := ckptDirName(seqs[i])
@@ -309,7 +284,7 @@ func LoadLatestCheckpoint(dir string) (*Checkpoint, error) {
 // checkpoint at a time (DESIGN.md "Durability & recovery").
 func fallbackCheckpoint(dir string) *Checkpoint {
 	root := filepath.Join(dir, "checkpoint")
-	seqs := listCheckpoints(root)
+	seqs := listCheckpoints(osFS{}, root)
 	if len(seqs) < 2 {
 		return nil
 	}
@@ -385,34 +360,21 @@ func loadCheckpoint(path string) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// writeFileSync writes data to path and fsyncs it before closing.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// writeFileSync writes data to a new file at path and fsyncs it before
+// closing.
+func writeFileSync(fsys FS, path string, data []byte) error {
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create %s: %w", filepath.Base(path), err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("wal: write %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: sync %s: %w", filepath.Base(path), err)
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so its entries (new files, renames) are
-// durable.
-func syncDir(path string) error {
-	d, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("wal: open dir: %w", err)
-	}
-	err = d.Sync()
-	d.Close()
-	if err != nil {
-		return fmt.Errorf("wal: sync dir: %w", err)
 	}
 	return nil
 }

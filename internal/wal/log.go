@@ -47,7 +47,7 @@ func parseShardDir(name string) (int, bool) {
 type shardLog struct {
 	mu   sync.Mutex
 	dir  string
-	f    *os.File
+	f    File
 	size int64
 	buf  []byte
 }
@@ -64,9 +64,9 @@ type LogStats struct {
 	Syncs uint64
 	// Rotations counts sealed segments.
 	Rotations uint64
-	// AppendErrors counts appends that failed to reach the file (I/O
-	// error or killed log); the serving layer keeps applying in memory and
-	// surfaces the count as a degraded-durability signal.
+	// AppendErrors counts appends that failed to reach the file (an error
+	// from the FS, or a closed log); the serving layer keeps applying in
+	// memory and surfaces the count as a degraded-durability signal.
 	AppendErrors uint64
 }
 
@@ -77,6 +77,7 @@ type LogStats struct {
 type Log struct {
 	dir    string // durability root; segments live under dir/wal
 	opt    Options
+	fs     FS
 	shards []*shardLog
 	// dirs is the number of shard log directories present on disk, which
 	// can exceed len(shards) after a shard-count change; checkpoint
@@ -84,7 +85,6 @@ type Log struct {
 	dirs int
 
 	last   atomic.Uint64 // last assigned LSN
-	died   atomic.Bool   // fault injection: all file ops are no-ops
 	closed atomic.Bool
 
 	stopSync chan struct{}
@@ -110,40 +110,28 @@ func OpenLog(dir string, shards int, last uint64, opt Options) (*Log, error) {
 		shards = 1
 	}
 	walRoot := filepath.Join(dir, "wal")
-	l := &Log{dir: dir, opt: opt, shards: make([]*shardLog, shards), dirs: shards}
+	l := &Log{dir: dir, opt: opt, fs: orOS(opt.FS), shards: make([]*shardLog, shards), dirs: shards}
 	l.last.Store(last)
-	for i := range l.shards {
-		sd := filepath.Join(walRoot, shardDirName(i))
-		if err := os.MkdirAll(sd, 0o755); err != nil {
-			return nil, fmt.Errorf("wal: create shard dir: %w", err)
+	entries, err := l.fs.ReadDir(walRoot)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("wal: list log dirs: %w", err)
+	}
+	for _, e := range entries {
+		if i, ok := parseShardDir(e.Name()); ok && i+1 > l.dirs {
+			l.dirs = i + 1
 		}
-		sl := &shardLog{dir: sd}
-		segs, err := listSegments(sd)
+	}
+	for i := range l.shards {
+		sl, err := l.openShard(filepath.Join(walRoot, shardDirName(i)))
 		if err != nil {
+			for _, sl := range l.shards[:i] {
+				if sl.f != nil {
+					sl.f.Close()
+				}
+			}
 			return nil, err
 		}
-		if len(segs) > 0 {
-			// Continue appending to the newest segment.
-			path := filepath.Join(sd, segName(segs[len(segs)-1]))
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, fmt.Errorf("wal: open segment: %w", err)
-			}
-			st, err := f.Stat()
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("wal: stat segment: %w", err)
-			}
-			sl.f, sl.size = f, st.Size()
-		}
 		l.shards[i] = sl
-	}
-	if entries, err := os.ReadDir(walRoot); err == nil {
-		for _, e := range entries {
-			if i, ok := parseShardDir(e.Name()); ok && i+1 > l.dirs {
-				l.dirs = i + 1
-			}
-		}
 	}
 	if opt.Fsync == FsyncInterval {
 		l.stopSync = make(chan struct{})
@@ -153,9 +141,32 @@ func OpenLog(dir string, shards int, last uint64, opt Options) (*Log, error) {
 	return l, nil
 }
 
+// openShard opens the append stream of the shard log directory sd,
+// creating the directory, and continuing its newest segment if it has one.
+func (l *Log) openShard(sd string) (*shardLog, error) {
+	if err := l.fs.MkdirAll(sd, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: create shard dir: %w", err)
+	}
+	sl := &shardLog{dir: sd}
+	segs, err := listSegments(l.fs, sd)
+	if err != nil || len(segs) == 0 {
+		return sl, err
+	}
+	path := filepath.Join(sd, segName(segs[len(segs)-1]))
+	st, err := os.Stat(path)
+	if err != nil {
+		return nil, fmt.Errorf("wal: stat segment: %w", err)
+	}
+	if sl.f, err = l.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return nil, fmt.Errorf("wal: open segment: %w", err)
+	}
+	sl.size = st.Size()
+	return sl, nil
+}
+
 // listSegments returns the first-LSNs of dir's segment files, ascending.
-func listSegments(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
+func listSegments(fsys FS, dir string) ([]uint64, error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
@@ -177,9 +188,6 @@ func listSegments(dir string) ([]uint64, error) {
 // left by an earlier shard-count change).
 func (l *Log) NumDirs() int { return l.dirs }
 
-// LastLSN returns the most recently assigned LSN.
-func (l *Log) LastLSN() uint64 { return l.last.Load() }
-
 // Append frames one shard batch, assigns it the next global LSN, and
 // writes it to the shard's active segment. Under FsyncAlways the record
 // is fsynced before Append returns. The returned LSN is valid even when
@@ -196,67 +204,33 @@ func (l *Log) Append(shard int, op uint8, batch uint64, src, dst []uint32) (uint
 // that lock before the write syscall without letting another record slip
 // in between. The zero Appender commits as a failed append.
 type Appender struct {
-	l     *Log
-	sl    *shardLog
-	shard int
-	lsn   uint64
-	err   error
+	l   *Log
+	sl  *shardLog
+	lsn uint64
+	err error
 }
 
 // LSN returns the reserved record's sequence number (0 when Begin
 // failed before assigning one).
 func (a Appender) LSN() uint64 { return a.lsn }
 
-// Err returns Begin's failure, or nil when the slot is writable.
-func (a Appender) Err() error { return a.err }
-
 // Begin reserves the next record slot on shard's stream: it assigns the
-// LSN, runs the fault-injection hook, and encodes the frame into the
-// shard's scratch buffer, leaving the shard log locked until Commit.
+// LSN and encodes the frame into the shard's scratch buffer, leaving the
+// shard log locked until Commit.
 // Call it under whatever lock defines the shard's apply order — the WAL
 // order is fixed here — then Commit after releasing that lock, keeping
 // the write syscall out of the critical section. Src/dst are captured by
 // the encode; the caller may reuse them once Begin returns.
 func (l *Log) Begin(shard int, op uint8, batch uint64, src, dst []uint32) Appender {
-	if l.died.Load() {
-		l.stats.appendErrors.Add(1)
-		return Appender{err: ErrKilled}
-	}
 	if l.closed.Load() {
 		l.stats.appendErrors.Add(1)
 		return Appender{err: ErrClosed}
 	}
 	sl := l.shards[shard]
 	sl.mu.Lock()
-	if l.died.Load() {
-		sl.mu.Unlock()
-		l.stats.appendErrors.Add(1)
-		return Appender{err: ErrKilled}
-	}
 	lsn := l.last.Add(1)
-	rec := Record{LSN: lsn, Batch: batch, Op: op, Src: src, Dst: dst}
-	if h := l.opt.Hook; h != nil {
-		switch h(Event{Kind: EvAppend, Shard: shard, LSN: lsn, Op: op, Src: src, Dst: dst}) {
-		case Kill:
-			l.die()
-			sl.mu.Unlock()
-			l.stats.appendErrors.Add(1)
-			return Appender{lsn: lsn, err: ErrKilled}
-		case KillTorn:
-			// Write half the frame, then die: the torn tail a real crash
-			// leaves mid-write. Recovery must truncate it away.
-			sl.buf = appendRecord(sl.buf[:0], &rec)
-			if err := sl.ensureSegment(lsn); err == nil {
-				sl.f.Write(sl.buf[:len(sl.buf)/2])
-			}
-			l.die()
-			sl.mu.Unlock()
-			l.stats.appendErrors.Add(1)
-			return Appender{lsn: lsn, err: ErrKilled}
-		}
-	}
-	sl.buf = appendRecord(sl.buf[:0], &rec)
-	return Appender{l: l, sl: sl, shard: shard, lsn: lsn}
+	sl.buf = appendRecord(sl.buf[:0], &Record{LSN: lsn, Batch: batch, Op: op, Src: src, Dst: dst})
+	return Appender{l: l, sl: sl, lsn: lsn}
 }
 
 // Commit writes the frame reserved by Begin to the shard's active
@@ -275,7 +249,7 @@ func (a Appender) Commit() (uint64, error) {
 		}
 		l.stats.rotations.Add(1)
 	}
-	if err := sl.ensureSegment(a.lsn); err != nil {
+	if err := sl.ensureSegment(l.fs, a.lsn); err != nil {
 		l.stats.appendErrors.Add(1)
 		return a.lsn, err
 	}
@@ -288,7 +262,7 @@ func (a Appender) Commit() (uint64, error) {
 	l.stats.records.Add(1)
 	l.stats.bytes.Add(uint64(n))
 	if l.opt.Fsync == FsyncAlways {
-		if err := l.syncLocked(sl, a.shard, a.lsn); err != nil {
+		if err := l.syncLocked(sl); err != nil {
 			return a.lsn, err
 		}
 	}
@@ -297,11 +271,11 @@ func (a Appender) Commit() (uint64, error) {
 
 // ensureSegment opens a fresh segment named for lsn when the shard has no
 // active file.
-func (sl *shardLog) ensureSegment(lsn uint64) error {
+func (sl *shardLog) ensureSegment(fsys FS, lsn uint64) error {
 	if sl.f != nil {
 		return nil
 	}
-	f, err := os.OpenFile(filepath.Join(sl.dir, segName(lsn)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := fsys.OpenFile(filepath.Join(sl.dir, segName(lsn)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
@@ -327,18 +301,8 @@ func (sl *shardLog) seal() error {
 	return nil
 }
 
-// syncLocked runs the pre-sync hook and fsyncs sl's active segment.
-// Callers hold sl.mu.
-func (l *Log) syncLocked(sl *shardLog, shard int, lsn uint64) error {
-	if l.died.Load() {
-		return ErrKilled
-	}
-	if h := l.opt.Hook; h != nil {
-		if h(Event{Kind: EvSync, Shard: shard, LSN: lsn}) != Continue {
-			l.die()
-			return ErrKilled
-		}
-	}
+// syncLocked fsyncs sl's active segment. Callers hold sl.mu.
+func (l *Log) syncLocked(sl *shardLog) error {
 	if sl.f == nil {
 		return nil
 	}
@@ -354,7 +318,7 @@ func (l *Log) Sync(shard int) error {
 	sl := l.shards[shard]
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	return l.syncLocked(sl, shard, l.last.Load())
+	return l.syncLocked(sl)
 }
 
 // SyncAll fsyncs every shard's active segment — the durability barrier
@@ -373,9 +337,6 @@ func (l *Log) SyncAll() error {
 // Rotate seals every shard's active segment so the next checkpoint's GC
 // can consider the whole current tail. Called after a checkpoint publish.
 func (l *Log) Rotate() error {
-	if l.died.Load() {
-		return ErrKilled
-	}
 	var first error
 	for _, sl := range l.shards {
 		sl.mu.Lock()
@@ -401,9 +362,6 @@ func (l *Log) Rotate() error {
 // their watermark by construction), and an emptied stale directory is
 // removed. Returns the number of segments deleted.
 func (l *Log) GC(wms []uint64) (int, error) {
-	if l.died.Load() {
-		return 0, ErrKilled
-	}
 	walRoot := filepath.Join(l.dir, "wal")
 	removed := 0
 	var firstErr error
@@ -420,7 +378,7 @@ func (l *Log) GC(wms []uint64) (int, error) {
 			sl = l.shards[dirIdx]
 			sl.mu.Lock()
 		}
-		segs, err := listSegments(sd)
+		segs, err := listSegments(l.fs, sd)
 		if err == nil {
 			for k, segFirst := range segs {
 				covered := false
@@ -432,7 +390,7 @@ func (l *Log) GC(wms []uint64) (int, error) {
 				if !covered || segFirst > wm {
 					continue
 				}
-				if rmErr := os.Remove(filepath.Join(sd, segName(segFirst))); rmErr == nil {
+				if rmErr := l.fs.Remove(filepath.Join(sd, segName(segFirst))); rmErr == nil {
 					removed++
 				}
 			}
@@ -442,7 +400,7 @@ func (l *Log) GC(wms []uint64) (int, error) {
 		if live {
 			sl.mu.Unlock()
 		} else {
-			os.Remove(sd) // succeeds only once emptied
+			l.fs.Remove(sd) // succeeds only once emptied
 		}
 	}
 	return removed, firstErr
@@ -458,7 +416,7 @@ func (l *Log) syncLoop() {
 		case <-l.stopSync:
 			return
 		case <-t.C:
-			if l.died.Load() || l.closed.Load() {
+			if l.closed.Load() {
 				return
 			}
 			l.SyncAll()
@@ -466,20 +424,8 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// die freezes the log: every subsequent file operation is a no-op, so the
-// on-disk state is exactly what a kill -9 at this instant would leave.
-func (l *Log) die() { l.died.Store(true) }
-
-// Kill is die for tests and the crash harness: it simulates a hard stop
-// without going through a hook.
-func (l *Log) Kill() { l.die() }
-
-// Killed reports whether fault injection has frozen the log.
-func (l *Log) Killed() bool { return l.died.Load() }
-
-// Close stops the interval syncer and seals the active segments (skipping
-// the final sync+seal when the log was killed, to preserve crash state).
-// Append after Close returns ErrClosed.
+// Close stops the interval syncer and seals the active segments. Append
+// after Close returns ErrClosed.
 func (l *Log) Close() error {
 	if l.closed.Swap(true) {
 		return nil
@@ -491,12 +437,7 @@ func (l *Log) Close() error {
 	var first error
 	for _, sl := range l.shards {
 		sl.mu.Lock()
-		if l.died.Load() {
-			if sl.f != nil {
-				sl.f.Close()
-				sl.f = nil
-			}
-		} else if err := sl.seal(); err != nil && first == nil {
+		if err := sl.seal(); err != nil && first == nil {
 			first = err
 		}
 		sl.mu.Unlock()

@@ -25,27 +25,29 @@ type ReplayStats struct {
 	TornBytes int64
 	// TruncatedSegments counts segments whose tail was truncated.
 	TruncatedSegments int
-	// DroppedSegments counts segments discarded because they followed a
-	// corrupt frame in an earlier segment of the same shard (the log's
-	// clean prefix ends there).
+	// DroppedSegments counts segments removed because they followed a
+	// torn or corrupt frame in an earlier segment of the same shard (the
+	// log's clean prefix ends there).
 	DroppedSegments int
 }
 
-// Replay scans every shard log directory under dir, truncates torn or
-// corrupt tails down to the clean prefix (mutating segment files — the
-// only disk mutation recovery performs, and an idempotent one), skips
+// Replay scans every shard log directory under dir, cuts each log at its
+// first torn or corrupt frame — removing the segments after it, then
+// truncating the frame's segment to its clean prefix, the only disk
+// mutations recovery performs, made through fsys (nil: the OS) — skips
 // records at or below wm(shardDir), and applies the rest in global LSN
 // order via fn. It returns the highest LSN observed across all scanned
 // records — the value the new Log's LSN counter must continue after —
-// even when that record was skipped.
+// even when that record was skipped. A cut that fails part way fails the
+// replay and leaves the bad frame in place, so the next replay makes the
+// same cut.
 //
 // The directories are read side by side, each through a window of its own,
 // and merged by LSN as they are read, so no record is held past its turn. A
 // skipped record is checked, not decoded: its frame's length, CRC and LSN
 // are read on its way through the window, and nothing is allocated for it.
 // The records fn receives are decoded one at a time into one Record whose
-// edge slices are reused for the next: fn (and the hook) must copy what
-// they keep.
+// edge slices are reused for the next: fn must copy what it keeps.
 //
 // Applying in LSN order is what makes recovery exact for multi-shard
 // batches: an enqueue that scattered to several shards logged one record
@@ -53,10 +55,11 @@ type ReplayStats struct {
 // legitimately persists only a prefix of them. Replaying per-shard streams
 // merged by LSN reproduces precisely the acknowledged prefix, in an order
 // consistent with every per-source history.
-func Replay(dir string, wm func(shardDir int) uint64, hook Hook, fn func(Record) error) (uint64, ReplayStats, error) {
+func Replay(dir string, wm func(shardDir int) uint64, fsys FS, fn func(Record) error) (uint64, ReplayStats, error) {
 	var st ReplayStats
+	fsys = orOS(fsys)
 	walRoot := filepath.Join(dir, "wal")
-	entries, err := os.ReadDir(walRoot)
+	entries, err := fsys.ReadDir(walRoot)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return 0, st, nil
@@ -81,11 +84,11 @@ func Replay(dir string, wm func(shardDir int) uint64, hook Hook, fn func(Record)
 	}()
 	for i, di := range dirIdxs {
 		sd := filepath.Join(walRoot, shardDirName(di))
-		segs, err := listSegments(sd)
+		segs, err := listSegments(fsys, sd)
 		if err != nil {
 			return maxLSN, st, err
 		}
-		logs[i] = logStream{dir: sd, segs: segs, wm: wm(di), st: &st, maxLSN: &maxLSN}
+		logs[i] = logStream{fs: fsys, dir: sd, segs: segs, wm: wm(di), st: &st, maxLSN: &maxLSN}
 		if heads[i], err = logs[i].next(); err != nil {
 			return maxLSN, st, err
 		}
@@ -105,11 +108,6 @@ func Replay(dir string, wm func(shardDir int) uint64, hook Hook, fn func(Record)
 			break
 		}
 		decodeInto(heads[best], &r)
-		if hook != nil {
-			if hook(Event{Kind: EvReplayRecord, Shard: best, LSN: r.LSN, Op: r.Op, Src: r.Src, Dst: r.Dst}) != Continue {
-				return maxLSN, st, ErrKilled
-			}
-		}
 		if err := fn(r); err != nil {
 			return maxLSN, st, err
 		}
@@ -126,16 +124,16 @@ func Replay(dir string, wm func(shardDir int) uint64, hook Hook, fn func(Record)
 // counting every valid record in st and maxLSN and handing on those past
 // wm.
 type logStream struct {
+	fs     FS
 	dir    string
 	segs   []uint64 // segments not yet opened, by first LSN
 	wm     uint64
 	st     *ReplayStats
 	maxLSN *uint64
 
-	sr     segmentReader
-	f      *os.File // the segment being read; nil between segments
-	path   string
-	broken bool // a torn or corrupt frame ended the log's clean prefix
+	sr   segmentReader
+	f    *os.File // the segment being read; nil between segments
+	path string
 }
 
 // next returns the log's next record past its watermark — its payload,
@@ -148,15 +146,6 @@ func (ls *logStream) next() ([]byte, error) {
 			}
 			ls.path = filepath.Join(ls.dir, segName(ls.segs[0]))
 			ls.segs = ls.segs[1:]
-			if ls.broken {
-				// The log's clean prefix ended in an earlier segment; records
-				// here are beyond a gap and must not be replayed. Remove them so
-				// the on-disk state is the clean prefix.
-				if os.Remove(ls.path) == nil {
-					ls.st.DroppedSegments++
-				}
-				continue
-			}
 			if err := ls.open(); err != nil {
 				return nil, err
 			}
@@ -173,13 +162,22 @@ func (ls *logStream) next() ([]byte, error) {
 		case err == io.EOF:
 			ls.close()
 		case errors.Is(err, ErrTorn) || errors.Is(err, ErrCorrupt):
+			// The log's clean prefix ends here: the later segments' records
+			// are beyond a gap and must not replay. They go first, so that
+			// until the cut is whole the bad frame is on disk to repeat it.
 			ls.close()
+			for _, first := range ls.segs {
+				if err := ls.fs.Remove(filepath.Join(ls.dir, segName(first))); err != nil {
+					return nil, fmt.Errorf("wal: drop segment beyond a torn tail: %w", err)
+				}
+				ls.st.DroppedSegments++
+			}
+			ls.segs = nil
 			ls.st.TornBytes += int64(ls.sr.size - ls.sr.off)
 			ls.st.TruncatedSegments++
-			if err := os.Truncate(ls.path, int64(ls.sr.off)); err != nil {
+			if err := ls.fs.Truncate(ls.path, int64(ls.sr.off)); err != nil {
 				return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
 			}
-			ls.broken = true
 		default:
 			return nil, err
 		}

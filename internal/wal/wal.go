@@ -46,14 +46,16 @@
 // framed with its own CRC, so no corrupt tail can panic the decoder or
 // resurrect data the store never acknowledged.
 //
-// Fault injection: every state transition (append, sync, checkpoint file
-// write, checkpoint publish, replay) consults an optional Hook that can
-// order the log to die — optionally leaving a torn half-written record
-// behind — after which every subsequent file operation is a no-op. The
-// crash harness in internal/check uses this to hard-stop a live store at
-// each lifecycle point in-process, reopen the directory, and compare the
-// recovered store against an oracle that replays only acknowledged
-// records.
+// Fault injection: every file the package mutates goes through one FS
+// (Options.FS, Replay's fsys; the OS when nil), and the package has no
+// fault handling of its own beyond returning what the FS returns. A test
+// crashes the log by passing an FS that freezes at a chosen operation —
+// failing it and every later one, optionally after writing half of a
+// Write, which is what kill -9 at that instant leaves on disk — or makes
+// one operation fail with ENOSPC or EIO. The crash harness in
+// internal/check does both over the OS, reopens the directory, and
+// compares the recovered store against an oracle of the records whose
+// segment Write completed.
 package wal
 
 import (
@@ -105,7 +107,7 @@ func (p FsyncPolicy) String() string {
 }
 
 // Options tunes a Log. The zero value is usable: fsync=interval at the
-// default interval, default segment size, no fault-injection hook.
+// default interval, default segment size, files on the OS.
 type Options struct {
 	// Fsync is the group-commit policy (see the FsyncPolicy constants).
 	Fsync FsyncPolicy
@@ -114,9 +116,9 @@ type Options struct {
 	// SegmentBytes is the size at which a shard's active segment is sealed
 	// and a new one started. Default 16 MiB.
 	SegmentBytes int64
-	// Hook, when non-nil, is consulted at every lifecycle event and may
-	// kill the log (crash injection for tests). See Hook.
-	Hook Hook
+	// FS is the file system the log writes through; nil is the OS. A test
+	// passes one that fails chosen operations (see FS).
+	FS FS
 }
 
 func (o *Options) sanitize() {
@@ -130,9 +132,6 @@ func (o *Options) sanitize() {
 
 // Sentinel errors for the append, scan, and recovery paths.
 var (
-	// ErrKilled is returned by every operation after a fault-injection Hook
-	// has killed the log (and by the killed operation itself).
-	ErrKilled = errors.New("wal: killed by fault injection")
 	// ErrCorrupt marks a record frame whose CRC or structure check failed;
 	// scanning stops at the clean prefix before it.
 	ErrCorrupt = errors.New("wal: corrupt record")

@@ -123,7 +123,7 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 
 	// Tear the tail by appending garbage to the single segment.
 	sd := filepath.Join(dir, "wal", shardDirName(0))
-	segs, _ := listSegments(sd)
+	segs, _ := listSegments(osFS{}, sd)
 	if len(segs) != 1 {
 		t.Fatalf("want 1 segment, got %d", len(segs))
 	}
@@ -246,7 +246,7 @@ func TestRotationAndGC(t *testing.T) {
 	}
 	last := appendN(t, l, 0, 20)
 	sd := filepath.Join(dir, "wal", shardDirName(0))
-	segs, _ := listSegments(sd)
+	segs, _ := listSegments(osFS{}, sd)
 	if len(segs) < 2 {
 		t.Fatalf("no rotation at 128-byte segments: %d segment(s)", len(segs))
 	}
@@ -260,7 +260,7 @@ func TestRotationAndGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, _ := listSegments(sd)
+	after, _ := listSegments(osFS{}, sd)
 	if removed == 0 || len(after) != 1 {
 		t.Fatalf("GC removed %d, %d segments remain", removed, len(after))
 	}
@@ -319,7 +319,7 @@ func TestCheckpointWriteLoadAndFallback(t *testing.T) {
 	// Corrupt the newest checkpoint's shard file: load must fall back to
 	// the previous one.
 	root := filepath.Join(dir, "checkpoint")
-	seqs := listCheckpoints(root)
+	seqs := listCheckpoints(osFS{}, root)
 	newest := filepath.Join(root, ckptDirName(seqs[len(seqs)-1]))
 	if err := os.WriteFile(filepath.Join(newest, shardSnapName(0)), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
@@ -415,69 +415,6 @@ func TestLoadCheckpointRejectsUnloadableCSR(t *testing.T) {
 	}
 }
 
-func TestKilledLogFreezesDisk(t *testing.T) {
-	dir := t.TempDir()
-	l, err := OpenLog(dir, 1, 0, Options{Fsync: FsyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, 0, 3)
-	l.Kill()
-	if _, err := l.Append(0, OpInsert, 0, []uint32{1}, []uint32{2}); !errors.Is(err, ErrKilled) {
-		t.Fatalf("append after kill: %v", err)
-	}
-	if err := l.WriteCheckpoint(&Checkpoint{N: 1, Shards: []ShardSnap{{Offs: []uint64{0, 0}}}}); !errors.Is(err, ErrKilled) {
-		t.Fatalf("checkpoint after kill: %v", err)
-	}
-	if _, err := l.GC([]uint64{99}); !errors.Is(err, ErrKilled) {
-		t.Fatalf("gc after kill: %v", err)
-	}
-	l.Close()
-	recs, _, _ := replayAll(t, dir)
-	if len(recs) != 3 {
-		t.Fatalf("disk state moved after kill: %d records", len(recs))
-	}
-}
-
-func TestAppendHookKillAndTorn(t *testing.T) {
-	for _, torn := range []bool{false, true} {
-		dir := t.TempDir()
-		action := Kill
-		if torn {
-			action = KillTorn
-		}
-		n := 0
-		hook := func(ev Event) Action {
-			if ev.Kind == EvAppend {
-				n++
-				if n == 3 {
-					return action
-				}
-			}
-			return Continue
-		}
-		l, err := OpenLog(dir, 1, 0, Options{Fsync: FsyncAlways, Hook: hook})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if _, err := l.Append(0, OpInsert, 0, []uint32{uint32(i)}, []uint32{uint32(i)}); err != nil {
-				if i != 2 || !errors.Is(err, ErrKilled) {
-					t.Fatalf("torn=%v append %d: %v", torn, i, err)
-				}
-			}
-		}
-		l.Close()
-		recs, maxLSN, st := replayAll(t, dir)
-		if len(recs) != 2 || maxLSN != 2 {
-			t.Fatalf("torn=%v: killed append leaked: %d records maxLSN=%d", torn, len(recs), maxLSN)
-		}
-		if torn && st.TruncatedSegments != 1 {
-			t.Fatalf("torn=%v: expected a truncated tail, stats %+v", torn, st)
-		}
-	}
-}
-
 // TestGCKeepsLogForFallbackCheckpoint checks that a segment is collected
 // only once both retained checkpoints cover it: the predecessor is the
 // fallback for a damaged newest checkpoint, and recovers nothing newer than
@@ -518,11 +455,11 @@ func TestGCKeepsLogForFallbackCheckpoint(t *testing.T) {
 		t.Fatalf("replay past the predecessor's watermark: %d records, %v; want 20", got, err)
 	}
 	third := appendN(t, l, 0, 20)
-	before, _ := listSegments(sd)
+	before, _ := listSegments(osFS{}, sd)
 	if removed := checkpointAt(third); removed == 0 {
 		t.Fatal("nothing collected once two checkpoints cover the first interval")
 	}
-	after, _ := listSegments(sd)
+	after, _ := listSegments(osFS{}, sd)
 	if after[0] <= before[0] || after[0] > second+1 {
 		t.Fatalf("oldest segment went from %d to %d; want the log since checkpoint two (LSN %d) kept", before[0], after[0], second)
 	}
