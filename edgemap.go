@@ -60,7 +60,6 @@ func (s *VertexSubset) materialize() {
 // batches, or a pinned *StoreView while a Store is ingesting.
 func EdgeMap(g Reader, frontier *VertexSubset, cond func(u uint32) bool, update func(v, u uint32) bool) *VertexSubset {
 	n := g.NumVertices()
-	out := make([]uint32, n)
 	added := make([]int32, n)
 	fs := frontier.Vertices()
 	parallel.For(len(fs), 0, func(i int) {
@@ -70,8 +69,8 @@ func EdgeMap(g Reader, frontier *VertexSubset, cond func(u uint32) bool, update 
 				if cond != nil && !cond(u) {
 					continue
 				}
-				if update(v, u) && atomic.CompareAndSwapInt32(&added[u], 0, 1) {
-					out[u] = u
+				if update(v, u) {
+					atomic.StoreInt32(&added[u], 1)
 				}
 			}
 			return true
@@ -80,7 +79,7 @@ func EdgeMap(g Reader, frontier *VertexSubset, cond func(u uint32) bool, update 
 	next := &VertexSubset{n: n}
 	for u := range added {
 		if added[u] == 1 {
-			next.sparse = append(next.sparse, out[u])
+			next.sparse = append(next.sparse, uint32(u))
 		}
 	}
 	return next

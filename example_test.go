@@ -58,19 +58,6 @@ func ExampleGraph_InsertEdges() {
 	// Output: 1 true
 }
 
-func ExampleIncrementalCC() {
-	g := lsgraph.NewFromEdges(6, sym([2]uint32{0, 1}, [2]uint32{3, 4}))
-	cc := lsgraph.NewIncrementalCC(g)
-	fmt.Println(cc.Same(0, 4))
-	link := sym([2]uint32{1, 3})
-	g.InsertEdges(link)
-	cc.OnInsert(link)
-	fmt.Println(cc.Same(0, 4))
-	// Output:
-	// false
-	// true
-}
-
 func ExampleGraph_Snapshot() {
 	g := lsgraph.NewFromEdges(3, sym([2]uint32{0, 1}))
 	snap := g.Snapshot()

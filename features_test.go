@@ -65,39 +65,6 @@ func TestSnapshotAnalytics(t *testing.T) {
 	}
 }
 
-func TestIncrementalBFSPublic(t *testing.T) {
-	es := sym2([][2]uint32{{0, 1}, {1, 2}})
-	g := NewFromEdges(8, es)
-	b := NewIncrementalBFS(g, 0)
-	if b.Depths()[2] != 2 {
-		t.Fatalf("depth[2]=%d", b.Depths()[2])
-	}
-	up := sym2([][2]uint32{{0, 2}})
-	g.InsertEdges(up)
-	b.OnInsert(up)
-	if b.Depths()[2] != 1 {
-		t.Fatalf("after shortcut depth[2]=%d", b.Depths()[2])
-	}
-	g.DeleteEdges(up)
-	b.OnDelete(up)
-	if b.Recomputes() != 1 || b.Depths()[2] != 2 {
-		t.Fatalf("delete handling wrong: recomputes=%d depth=%d",
-			b.Recomputes(), b.Depths()[2])
-	}
-}
-
-func TestIncrementalCCPublicRecompute(t *testing.T) {
-	es := sym2([][2]uint32{{0, 1}, {1, 2}})
-	g := NewFromEdges(4, es)
-	cc := NewIncrementalCC(g)
-	cut := sym2([][2]uint32{{1, 2}})
-	g.DeleteEdges(cut)
-	cc.OnDelete(cut)
-	if cc.Recomputes() != 1 || cc.Same(0, 2) {
-		t.Fatal("split not reflected")
-	}
-}
-
 func sym2(pairs [][2]uint32) []Edge {
 	var es []Edge
 	for _, p := range pairs {

@@ -57,8 +57,10 @@ type FaultPoint struct {
 	Op    FileOp
 	Files Files
 	Nth   int
-	// Torn makes a Write freeze after writing the first half of its bytes:
-	// the torn tail a crash mid-write leaves.
+	// Torn makes a Write write the first half of its bytes before it
+	// fails. Without Err it then freezes: the torn tail a crash mid-write
+	// leaves. With Err it returns Err and lets the rest through: a short
+	// write, such as a disk filling up mid-frame.
 	Torn bool
 	Err  error
 }
@@ -215,7 +217,7 @@ type faultFile struct {
 
 func (ff *faultFile) Write(p []byte) (n int, err error) {
 	hit, err := ff.fs.op(OpWrite, ff.files)
-	if hit && ff.fs.point.Torn && err == ErrFrozen {
+	if hit && ff.fs.point.Torn {
 		n, _ = ff.f.Write(p[:len(p)/2])
 	}
 	if err == nil {

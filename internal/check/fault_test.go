@@ -106,6 +106,43 @@ func TestFaultFSTornAppend(t *testing.T) {
 	}
 }
 
+// TestShortAppendKeepsLaterBatches runs a durable store whose disk comes
+// up short on one segment write (half a frame written, then ENOSPC): the
+// reopened store must hold every batch logged after it, and miss only the
+// record that write lost.
+func TestShortAppendKeepsLaterBatches(t *testing.T) {
+	const n, shards = 64, 2
+	dir := t.TempDir()
+	fs := NewFaultFS(dir, FaultPoint{Op: OpWrite, Files: SegmentFiles, Nth: 5, Torn: true, Err: syscall.ENOSPC})
+	s, err := serve.OpenDurable(n, shards, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir, Fsync: wal.FsyncNone, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := uint32(0); b < 16; b++ {
+		s.InsertBatch([]uint32{b, b + 32}, []uint32{b + 16, b + 48})
+		s.Flush()
+	}
+	s.Close()
+	lost := fs.Lost()
+	if lost == nil {
+		t.Fatal("the short write never fired")
+	}
+	acked := fs.Acked()
+	if last := acked[len(acked)-1].LSN; last < lost.LSN {
+		t.Fatalf("no record was logged after the short write (LSN %d): the test proves nothing", lost.LSN)
+	}
+	want := refgraph.New(n)
+	ApplyLogged(want, acked)
+	re, err := serve.OpenDurable(n, shards, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if err := CompareDurable(re, want); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReplayFailedRemoveFailsRecovery checks that recovery fails when it
 // cannot remove a segment past a corrupt frame, instead of leaving records
 // beyond the gap to the log's next append and the next recovery, and that

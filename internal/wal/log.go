@@ -48,8 +48,13 @@ type shardLog struct {
 	mu   sync.Mutex
 	dir  string
 	f    File
+	path string // the active segment's
 	size int64
 	buf  []byte
+	// broken is set when a failed append's bytes could not be cut off the
+	// active segment; every later append fails with it, since recovery
+	// would cut what it wrote there.
+	broken error
 }
 
 // LogStats is a point-in-time copy of a Log's counters. They are the only
@@ -160,7 +165,7 @@ func (l *Log) openShard(sd string) (*shardLog, error) {
 	if sl.f, err = l.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return nil, fmt.Errorf("wal: open segment: %w", err)
 	}
-	sl.size = st.Size()
+	sl.path, sl.size = path, st.Size()
 	return sl, nil
 }
 
@@ -242,6 +247,10 @@ func (a Appender) Commit() (uint64, error) {
 	}
 	l, sl := a.l, a.sl
 	defer sl.mu.Unlock()
+	if sl.broken != nil {
+		l.stats.appendErrors.Add(1)
+		return a.lsn, sl.broken
+	}
 	if sl.f != nil && sl.size > 0 && sl.size+int64(len(sl.buf)) > l.opt.SegmentBytes {
 		if err := sl.seal(); err != nil {
 			l.stats.appendErrors.Add(1)
@@ -254,11 +263,20 @@ func (a Appender) Commit() (uint64, error) {
 		return a.lsn, err
 	}
 	n, err := sl.f.Write(sl.buf)
-	sl.size += int64(n)
 	if err != nil {
 		l.stats.appendErrors.Add(1)
-		return a.lsn, fmt.Errorf("wal: append: %w", err)
+		err = fmt.Errorf("wal: append: %w", err)
+		// A short write left part of a frame where the next record would
+		// land, and recovery cuts the log there: cut it off first.
+		if n > 0 {
+			if terr := l.fs.Truncate(sl.path, sl.size); terr != nil {
+				sl.broken = fmt.Errorf("%w; cutting it off the segment: %v", err, terr)
+				err = sl.broken
+			}
+		}
+		return a.lsn, err
 	}
+	sl.size += int64(n)
 	l.stats.records.Add(1)
 	l.stats.bytes.Add(uint64(n))
 	if l.opt.Fsync == FsyncAlways {
@@ -270,16 +288,18 @@ func (a Appender) Commit() (uint64, error) {
 }
 
 // ensureSegment opens a fresh segment named for lsn when the shard has no
-// active file.
+// active file. It appends, like a continued segment, so a write after a
+// truncation lands at the new end.
 func (sl *shardLog) ensureSegment(fsys FS, lsn uint64) error {
 	if sl.f != nil {
 		return nil
 	}
-	f, err := fsys.OpenFile(filepath.Join(sl.dir, segName(lsn)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	path := filepath.Join(sl.dir, segName(lsn))
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	sl.f, sl.size = f, 0
+	sl.f, sl.path, sl.size = f, path, 0
 	return nil
 }
 

@@ -47,12 +47,15 @@
 // resurrect data the store never acknowledged.
 //
 // Fault injection: every file the package mutates goes through one FS
-// (Options.FS, Replay's fsys; the OS when nil), and the package has no
-// fault handling of its own beyond returning what the FS returns. A test
-// crashes the log by passing an FS that freezes at a chosen operation —
-// failing it and every later one, optionally after writing half of a
-// Write, which is what kill -9 at that instant leaves on disk — or makes
-// one operation fail with ENOSPC or EIO. The crash harness in
+// (Options.FS, Replay's fsys; the OS when nil). The package's one fault
+// handling of its own is an append's: a Write that fails after writing
+// part of its frame is cut back off the segment, so the next record lands
+// where replay reads it, and when that cut fails too the shard log refuses
+// every later append. A test crashes the log by passing an FS that
+// freezes at a chosen operation — failing it and every later one,
+// optionally after writing half of a Write, which is what kill -9 at that
+// instant leaves on disk — or makes one operation fail with ENOSPC or EIO,
+// a Write optionally after writing half of it. The crash harness in
 // internal/check does both over the OS, reopens the directory, and
 // compares the recovered store against an oracle of the records whose
 // segment Write completed.

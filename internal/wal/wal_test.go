@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -462,5 +463,90 @@ func TestGCKeepsLogForFallbackCheckpoint(t *testing.T) {
 	after, _ := listSegments(osFS{}, sd)
 	if after[0] <= before[0] || after[0] > second+1 {
 		t.Fatalf("oldest segment went from %d to %d; want the log since checkpoint two (LSN %d) kept", before[0], after[0], second)
+	}
+}
+
+// shortFS is the OS with one short segment write: its short'th Write writes
+// half its bytes and fails with ENOSPC. truncErr, when set, fails every
+// Truncate.
+type shortFS struct {
+	FS
+	short, writes int
+	truncErr      error
+}
+
+func (s *shortFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return shortFile{f, s}, nil
+}
+
+func (s *shortFS) Truncate(name string, size int64) error {
+	if s.truncErr != nil {
+		return s.truncErr
+	}
+	return s.FS.Truncate(name, size)
+}
+
+type shortFile struct {
+	File
+	fs *shortFS
+}
+
+func (f shortFile) Write(p []byte) (int, error) {
+	if f.fs.writes++; f.fs.writes == f.fs.short {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, syscall.ENOSPC
+	}
+	return f.File.Write(p)
+}
+
+// TestShortWriteKeepsLaterRecords checks that an append whose write comes
+// up short costs that record alone: the partial frame is cut off the
+// segment, so the next record lands where replay reads it. When the cut
+// fails too, the shard log refuses every later append rather than ack a
+// record replay would drop.
+func TestShortWriteKeepsLaterRecords(t *testing.T) {
+	appendOne := func(l *Log, v uint32) error {
+		_, err := l.Append(0, OpInsert, 0, []uint32{v}, []uint32{v + 1})
+		return err
+	}
+	for _, tc := range []struct {
+		name     string
+		truncErr error
+		want     []uint64
+	}{
+		{"cut", nil, []uint64{1, 3}},
+		{"cut-fails", syscall.EIO, []uint64{1}},
+	} {
+		dir := t.TempDir()
+		l, err := OpenLog(dir, 1, 0, Options{Fsync: FsyncNone, FS: &shortFS{FS: OS(), short: 2, truncErr: tc.truncErr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := appendOne(l, 1); err != nil {
+			t.Fatalf("%s: r1: %v", tc.name, err)
+		}
+		if err := appendOne(l, 2); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("%s: r2: %v, want ENOSPC", tc.name, err)
+		}
+		err = appendOne(l, 3)
+		if tc.truncErr == nil && err != nil {
+			t.Fatalf("%s: r3: %v", tc.name, err)
+		}
+		if tc.truncErr != nil && !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("%s: r3 after a failed cut: %v, want the short write's ENOSPC", tc.name, err)
+		}
+		l.Close()
+		recs, _, _ := replayAll(t, dir)
+		var lsns []uint64
+		for _, r := range recs {
+			lsns = append(lsns, r.LSN)
+		}
+		if !slices.Equal(lsns, tc.want) {
+			t.Fatalf("%s: replayed records %v, want %v", tc.name, lsns, tc.want)
+		}
 	}
 }

@@ -3,7 +3,9 @@ package lsgraph_test
 import (
 	"bytes"
 	"encoding/json"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -123,5 +125,52 @@ func TestOperationsListsEverySeries(t *testing.T) {
 	}
 	if len(stale) > 0 {
 		t.Errorf("in OPERATIONS.md's metrics catalog but not exported: %v", stale)
+	}
+}
+
+// TestReadmeLayoutMatchesTree: README's "Repository layout" block lists
+// every directory under internal/ and cmd/ that holds Go files, and every
+// such directory and root Go file it names exists, so a package added,
+// renamed or removed without its row fails here.
+func TestReadmeLayoutMatchesTree(t *testing.T) {
+	doc, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(doc), "\n## Repository layout\n")
+	if !ok {
+		t.Fatal(`README.md has no "## Repository layout" section`)
+	}
+	block, _, _ = strings.Cut(block, "\n## ")
+	_, block, _ = strings.Cut(block, "```\n")
+	block, _, _ = strings.Cut(block, "```")
+
+	named := regexp.MustCompile(`\b(?:internal|cmd)(?:/[a-z0-9]+)+(?:\.go)?`).FindAllString(block, -1)
+	// Root Go files lead a line, comma-separated; a file named further
+	// along a line belongs to the package the line describes.
+	for _, files := range regexp.MustCompile(`(?m)^[a-z_]+\.go(?:, [a-z_]+\.go)*`).FindAllString(block, -1) {
+		named = append(named, strings.Split(files, ", ")...)
+	}
+	listed := map[string]bool{}
+	for _, name := range named {
+		listed[name] = true
+		if _, err := os.Stat(name); err != nil {
+			t.Errorf("README's layout names %s, which does not exist", name)
+		}
+	}
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || filepath.Ext(path) != ".go" {
+				return err
+			}
+			if dir := filepath.ToSlash(filepath.Dir(path)); !listed[dir] {
+				t.Errorf("%s holds Go files but has no row in README's layout", dir)
+				listed[dir] = true // report it once
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
