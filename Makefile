@@ -47,9 +47,11 @@ perf:
 # against the refgraph oracle on fresh seeds, kill-and-recover scenarios
 # crashing at a file operation drawn from a fault-free run of the same plan
 # against the acked-records oracle, then
-# the real lsgraphd binary under lsload's open-loop mixes (SOAK_TIME per
-# mix) with auto-rebalance armed, stopped by SIGTERM so signal handling and
-# the drain path run. The load report lands in BENCH_soak.json (untracked).
+# the real lsgraphd binary, durable, under lsload's open-loop mixes
+# (SOAK_TIME per mix) with auto-rebalance armed, stopped by SIGTERM so signal
+# handling and the drain path run, then restarted on its data directory: the
+# graph must come back, and after a DELETE must not. The load report lands
+# in BENCH_soak.json (untracked).
 SOAK_TIME ?= 2m
 soak:
 	LSGRAPH_SOAK_TIME=$(SOAK_TIME) \

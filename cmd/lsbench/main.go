@@ -21,17 +21,17 @@ import (
 	"strconv"
 	"strings"
 
-	"lsgraph"
 	"lsgraph/internal/bench"
 	"lsgraph/internal/obs"
 )
 
 // options holds the parsed command line.
 type options struct {
-	exp, batches, metrics, trace, traceMode string
-	scale                                   uint
-	trials, workers                         int
-	quick, list, obsDump, autopsy           bool
+	exp, batches    string
+	scale           uint
+	trials, workers int
+	quick, list     bool
+	obs             obs.Flags
 }
 
 // newFlags registers lsbench's flags on fs.
@@ -44,11 +44,9 @@ func newFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.batches, "batches", "", "comma-separated batch sizes (default per scale)")
 	fs.BoolVar(&o.quick, "quick", false, "use the quick scale preset; an explicit -scale, -trials or -batches still applies on top of it")
 	fs.BoolVar(&o.list, "list", false, "list experiment names and exit")
-	fs.StringVar(&o.metrics, "metrics", "", "serve Prometheus /metrics, /metrics.json, /debug/pprof and /debug/trace on this address while experiments run; implies metric collection")
-	fs.BoolVar(&o.obsDump, "obsdump", false, "enable metric collection and print a JSON metrics snapshot on exit")
-	fs.StringVar(&o.trace, "trace", "", "record the batch-lifecycle flight recorder across all experiments and write Chrome trace-event JSON (load in ui.perfetto.dev) to this file on exit")
-	fs.StringVar(&o.traceMode, "tracemode", "all", "flight-recorder sampling policy: all | sample=N | tail")
-	fs.BoolVar(&o.autopsy, "autopsy", false, "record the flight recorder and print the slow-batch autopsy report on exit")
+	o.obs.Register(fs,
+		"record the batch-lifecycle flight recorder across all experiments and write Chrome trace-event JSON (load in ui.perfetto.dev) to this file on exit",
+		"serve Prometheus /metrics, /metrics.json, /debug/pprof and /debug/trace on this address while experiments run; implies metric collection")
 	return o
 }
 
@@ -85,26 +83,9 @@ func main() {
 	o := newFlags(flag.CommandLine)
 	flag.Parse()
 
-	if o.metrics != "" {
-		go func() {
-			if err := obs.Serve(o.metrics); err != nil {
-				fmt.Fprintln(os.Stderr, "lsbench: metrics server:", err)
-			}
-		}()
-	}
-	if o.obsDump {
-		obs.SetEnabled(true)
-	}
-	if o.trace != "" || o.autopsy {
-		m, n, err := lsgraph.ParseTraceMode(o.traceMode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lsbench:", err)
-			os.Exit(2)
-		}
-		if m == lsgraph.TraceOff {
-			m, n = lsgraph.TraceAll, 1
-		}
-		lsgraph.SetTraceMode(m, n)
+	if err := o.obs.Start("lsbench"); err != nil {
+		fmt.Fprintln(os.Stderr, "lsbench:", err)
+		os.Exit(2)
 	}
 
 	if o.list {
@@ -132,34 +113,8 @@ func main() {
 		}
 	}
 
-	if o.obsDump {
-		b, err := obs.SnapshotJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lsbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics snapshot:\n%s\n", b)
-	}
-
-	if o.trace != "" {
-		f, err := os.Create(o.trace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lsbench:", err)
-			os.Exit(1)
-		}
-		werr := lsgraph.WriteTrace(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "lsbench:", werr)
-			os.Exit(1)
-		}
-		fmt.Printf("flight-recorder trace written to %s (load in ui.perfetto.dev or chrome://tracing)\n", o.trace)
-	}
-	if o.autopsy {
-		if err := lsgraph.WriteTraceAutopsy(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "lsbench:", err)
-		}
+	if err := o.obs.Finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "lsbench:", err)
+		os.Exit(1)
 	}
 }

@@ -29,48 +29,30 @@ import (
 
 func main() {
 	var (
-		load     = flag.String("load", "", "edge-list file to load (one 'src dst' per line)")
-		loadBin  = flag.String("loadbin", "", "binary CSR snapshot to load (written by -savebin)")
-		saveBin  = flag.String("savebin", "", "write a binary CSR snapshot of the final graph")
-		genKind  = flag.String("gen", "rmat", "generator when no -load file: rmat | graph500 | uniform")
-		scale    = flag.Uint("scale", 14, "log2 vertex count for generated graphs")
-		edges    = flag.Int("edges", 200000, "generated edge count")
-		seed     = flag.Uint64("seed", 42, "generator seed")
-		sym      = flag.Bool("sym", true, "symmetrize the input")
-		batch    = flag.Int("batch", 100000, "streamed update batch size")
-		rounds   = flag.Int("rounds", 3, "streamed update rounds (insert+delete each)")
-		algos    = flag.String("algos", "bfs,pr,cc", "comma-separated: bfs,bc,pr,cc,tc")
-		alpha    = flag.Float64("alpha", 1.2, "space amplification factor")
-		mFlag    = flag.Int("m", 4096, "RIA-to-HITree threshold")
-		metrics  = flag.String("metrics", "", "serve Prometheus /metrics, /metrics.json, /debug/pprof and /debug/trace on this address (e.g. :6060); implies metric collection")
-		obsDump  = flag.Bool("obsdump", false, "enable metric collection and print a JSON metrics snapshot on exit")
-		traceOut = flag.String("trace", "", "record the batch-lifecycle flight recorder and write Chrome trace-event JSON (load in ui.perfetto.dev) to this file on exit")
-		traceMd  = flag.String("tracemode", "all", "flight-recorder sampling policy: all | sample=N | tail")
-		autopsy  = flag.Bool("autopsy", false, "record the flight recorder and print the slow-batch autopsy report on exit")
-		traceF   = flag.String("runtimetrace", "", "write a Go runtime/trace of the whole run to this file (view with 'go tool trace')")
+		load    = flag.String("load", "", "edge-list file to load (one 'src dst' per line)")
+		loadBin = flag.String("loadbin", "", "binary CSR snapshot to load (written by -savebin)")
+		saveBin = flag.String("savebin", "", "write a binary CSR snapshot of the final graph")
+		genKind = flag.String("gen", "rmat", "generator when no -load file: rmat | graph500 | uniform")
+		scale   = flag.Uint("scale", 14, "log2 vertex count for generated graphs")
+		edges   = flag.Int("edges", 200000, "generated edge count")
+		seed    = flag.Uint64("seed", 42, "generator seed")
+		sym     = flag.Bool("sym", true, "symmetrize the input")
+		batch   = flag.Int("batch", 100000, "streamed update batch size")
+		rounds  = flag.Int("rounds", 3, "streamed update rounds (insert+delete each)")
+		algos   = flag.String("algos", "bfs,pr,cc", "comma-separated: bfs,bc,pr,cc,tc")
+		alpha   = flag.Float64("alpha", 1.2, "space amplification factor")
+		mFlag   = flag.Int("m", 4096, "RIA-to-HITree threshold")
+		traceF  = flag.String("runtimetrace", "", "write a Go runtime/trace of the whole run to this file (view with 'go tool trace')")
 	)
+	var of obs.Flags
+	of.Register(flag.CommandLine,
+		"record the batch-lifecycle flight recorder and write Chrome trace-event JSON (load in ui.perfetto.dev) to this file on exit",
+		"serve Prometheus /metrics, /metrics.json, /debug/pprof and /debug/trace on this address (e.g. :6060); implies metric collection")
 	flag.Parse()
 
-	if *metrics != "" {
-		go func() {
-			if err := obs.Serve(*metrics); err != nil {
-				fmt.Fprintln(os.Stderr, "lsgraph: metrics server:", err)
-			}
-		}()
-	}
-	if *obsDump {
-		obs.SetEnabled(true)
-	}
-	if *traceOut != "" || *autopsy {
-		m, n, err := lsgraph.ParseTraceMode(*traceMd)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lsgraph:", err)
-			os.Exit(2)
-		}
-		if m == lsgraph.TraceOff {
-			m, n = lsgraph.TraceAll, 1
-		}
-		lsgraph.SetTraceMode(m, n)
+	if err := of.Start("lsgraph"); err != nil {
+		fmt.Fprintln(os.Stderr, "lsgraph:", err)
+		os.Exit(2)
 	}
 	if *traceF != "" {
 		f, err := os.Create(*traceF)
@@ -173,35 +155,9 @@ func main() {
 			float64(*batch)/ins.Seconds(), time.Since(t2).Round(time.Microsecond))
 	}
 
-	if *obsDump {
-		b, err := obs.SnapshotJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lsgraph:", err)
-		} else {
-			fmt.Printf("metrics snapshot:\n%s\n", b)
-		}
-	}
-
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lsgraph:", err)
-			os.Exit(1)
-		}
-		werr := lsgraph.WriteTrace(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "lsgraph:", werr)
-			os.Exit(1)
-		}
-		fmt.Printf("flight-recorder trace written to %s (load in ui.perfetto.dev or chrome://tracing)\n", *traceOut)
-	}
-	if *autopsy {
-		if err := lsgraph.WriteTraceAutopsy(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "lsgraph:", err)
-		}
+	if err := of.Finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "lsgraph:", err)
+		os.Exit(1)
 	}
 
 	if *saveBin != "" {

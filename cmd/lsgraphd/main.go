@@ -59,7 +59,6 @@ import (
 	"syscall"
 	"time"
 
-	"lsgraph"
 	"lsgraph/internal/httpserve"
 	"lsgraph/internal/obs"
 )
@@ -80,24 +79,17 @@ func main() {
 		fsyncIv  = flag.Duration("fsync-interval", 50*time.Millisecond, "group-commit period for -fsync interval")
 		ckptN    = flag.Int("checkpoint-every", 0, "auto-checkpoint a graph every N logged batches with -data (0 = explicit/shutdown only)")
 		obsOn    = flag.Bool("obs", true, "enable per-event metric collection: layer timings, HTTP and engine counters (/metrics is served, with the store and WAL series, either way)")
-		traceO   = flag.String("trace", "", "record the flight recorder and write Chrome trace-event JSON here on exit")
-		traceMd  = flag.String("tracemode", "all", "flight-recorder sampling policy: all | sample=N | tail")
 		drain    = flag.Duration("drain", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	)
+	var of obs.Flags
+	of.Register(flag.CommandLine, "record the flight recorder and write Chrome trace-event JSON here on exit", "")
 	flag.Parse()
 	log.SetPrefix("lsgraphd: ")
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 
 	obs.SetEnabled(*obsOn)
-	if *traceO != "" {
-		m, n, err := lsgraph.ParseTraceMode(*traceMd)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if m == lsgraph.TraceOff {
-			m, n = lsgraph.TraceAll, 1
-		}
-		lsgraph.SetTraceMode(m, n)
+	if err := of.Start("lsgraphd"); err != nil {
+		log.Fatal(err)
 	}
 
 	srv, err := httpserve.Open(httpserve.Config{
@@ -174,12 +166,8 @@ func main() {
 	}
 	log.Printf("draining writer queues")
 	srv.Close() // applies every queued batch before returning
-	if *traceO != "" {
-		if err := writeTrace(*traceO); err != nil {
-			log.Printf("trace: %v", err)
-		} else {
-			log.Printf("wrote flight-recorder trace to %s", *traceO)
-		}
+	if err := of.Finish(); err != nil {
+		log.Printf("trace: %v", err)
 	}
 	log.Printf("bye")
 }
@@ -206,17 +194,4 @@ func parseGraphSpec(spec string) (string, httpserve.GraphConfig, error) {
 		gc.MaxQueue = q
 	}
 	return parts[0], gc, nil
-}
-
-// writeTrace dumps the flight recorder as Chrome trace-event JSON.
-func writeTrace(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := lsgraph.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

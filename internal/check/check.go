@@ -34,9 +34,9 @@ func RIA(r *ria.RIA) error { return r.CheckInvariants() }
 func HITree(t *hitree.Tree) error { return t.CheckInvariants() }
 
 // Shards validates every documented invariant of a paged graph's shards:
-// the partition map, each shard's base, extent and routing — boundaries are
-// map-derived, not span multiples, so a rebalanced graph must pass
-// identically — and its table and arena: every run in one page, strictly
+// their ranges tiling [0, ∞) and each shard's extent within its range —
+// boundaries are the shards' own, not span multiples, so a rebalanced graph
+// must pass identically — and its table and arena: every run in one page, strictly
 // ascending and in range, page live counts, the edge counter. Like updates,
 // it must not run concurrently with them.
 func Shards(g *core.Paged) error { return g.CheckInvariants() }

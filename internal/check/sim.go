@@ -444,14 +444,14 @@ func (r *runner) rebalance(sel byte) error {
 	if r.st == nil || S < 2 {
 		return nil
 	}
-	pm, n := r.pg.PartitionMap(), r.pg.NumVertices()
+	starts, n := r.st.Partition().Starts, r.st.NumVertices()
 	k := int(sel) % (S - 1)
 	// Legal new starts for boundary k keep every shard non-empty:
 	// (Starts[k], next) exclusive, where next is the following boundary.
-	lo := pm.Starts[k] + 1
+	lo := starts[k] + 1
 	hi := n
 	if k+2 < S {
-		hi = pm.Starts[k+2]
+		hi = starts[k+2]
 	}
 	if hi <= lo {
 		return nil

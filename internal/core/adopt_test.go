@@ -75,10 +75,14 @@ func (tw twin) ensure(n uint32) {
 	tw.ref.EnsureVertices(n)
 }
 
+// routeMap is a map routing to g's shards as they lie now: what a Store
+// routes a batch by once the boundary moves it installed have executed.
+func routeMap(g *Paged) *PartitionMap { return &PartitionMap{Starts: g.starts()} }
+
 // batch applies one batch to both: to the paged graph's shards routed as a
 // Store routes it, to the oracle whole.
 func (tw twin) batch(src, dst []uint32, del bool) {
-	parts, _ := tw.g.ScatterBatch(src, dst)
+	parts, _ := Scatter(routeMap(tw.g), src, dst, tw.g.Workers())
 	for k, p := range parts {
 		if sh := tw.g.Shard(k); del {
 			sh.DeleteBatch(p.Src, p.Dst)
@@ -100,7 +104,7 @@ func (tw twin) delete(src, dst []uint32) { tw.batch(src, dst, true) }
 // move moves the paged graph's boundary k to newStart; the edges it reports
 // moved must be the oracle's over the range that changed owner.
 func (tw twin) move(k int, newStart uint32) error {
-	old := tw.g.PartitionMap().Starts[k+1]
+	old := tw.g.shards[k+1].base
 	_, e, err := tw.g.MoveBoundary(k, newStart)
 	if err != nil {
 		return err
@@ -322,11 +326,11 @@ func runMergeProgram(prog []byte, shards int) error {
 			}
 			tw, latest = twinOf(g, tw.ref), make([]*Snapshot, shards)
 		case op == 9 && shards > 1:
-			pm := tw.g.PartitionMap()
+			starts := tw.g.starts()
 			k := int(a) % (shards - 1)
-			lo, hi := pm.Starts[k]+1, n
+			lo, hi := starts[k]+1, n
 			if k+2 < shards {
-				hi = pm.Starts[k+2]
+				hi = starts[k+2]
 			}
 			if err := tw.move(k, lo+b*16%(hi-lo)); err != nil && err != ErrNoMove {
 				return fmt.Errorf("op %d: %w", i, err)

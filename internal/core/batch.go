@@ -37,12 +37,13 @@ const (
 )
 
 // pipe is one shard's update pipeline, the same in both storage forms: the
-// first vertex of the shard's range, its edge counter, and the scratch every
+// shard's vertex range [base, end), its edge counter, and the scratch every
 // batch runs in. Only the per-group stage (groupFunc) differs between a
 // Graph's shard and a Paged one's.
 type pipe struct {
 	base  uint32
-	idx   int32 // shard index, for flight-recorder attribution
+	end   uint64 // openEnd for the last shard
+	idx   int32  // shard index, for flight-recorder attribution
 	m     atomic.Uint64
 	prep  prepScratch
 	apply []applyScratch
@@ -57,6 +58,27 @@ type pipe struct {
 
 // Base returns the first vertex ID of the shard's range.
 func (pc *pipe) Base() uint32 { return pc.base }
+
+// End returns the first vertex ID past the shard's range: 1<<32, above
+// every ID, for the last shard, whose range is open-ended.
+func (pc *pipe) End() uint64 { return pc.end }
+
+// own makes pc shard i of pm: its index and its range.
+func (pc *pipe) own(pm *PartitionMap, i int) {
+	pc.idx, pc.base, pc.end = int32(i), pm.Starts[i], openEnd
+	if i+1 < len(pm.Starts) {
+		pc.end = uint64(pm.Starts[i+1])
+	}
+}
+
+// span returns how many IDs of [0, n) lie in the shard's range: the slots a
+// fully materialized shard holds.
+func (pc *pipe) span(n uint32) int {
+	if n <= pc.base {
+		return 0
+	}
+	return int(min(uint64(n), pc.end) - uint64(pc.base))
+}
 
 // NumEdges returns the number of directed edges stored in the shard.
 func (pc *pipe) NumEdges() uint64 { return pc.m.Load() }
@@ -472,7 +494,7 @@ func (g *Graph) batch(src, dst []uint32, del bool) {
 	defer g.runDebugValidate()
 	g.beginBatchTrace()
 	if len(g.shards) == 1 {
-		g.batchShard(&g.shards[0], src, dst, g.workers(), del)
+		g.batchShard(&g.shards[0], src, dst, g.Workers(), del)
 		return
 	}
 	g.eachShardPart(src, dst, func(sh *shardState, part SubBatch, p int) {
@@ -508,7 +530,7 @@ func (g *Graph) eachShardPart(src, dst []uint32, apply func(sh *shardState, part
 			}
 		}
 	}
-	p := g.shardWorkers()
+	p := g.shardWorkers(len(g.shards))
 	var thunks []func()
 	for i := range parts {
 		if len(parts[i].Src) == 0 {

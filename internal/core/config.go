@@ -5,9 +5,10 @@
 // L+A, RIA up to L+M, HITree above), updated in place by the sorted,
 // grouped, per-vertex-parallel batch updater of §5. Paged keeps each
 // vertex's neighbors as one immutable run in pages its published snapshots
-// share. The two share the partition map, the vertex bound and the batch
-// pipeline up to the per-group stage; what only one form can do is a method
-// only its type has.
+// share. The two share the vertex bound, the worker budget and the batch
+// pipeline up to the per-group stage, whose shards each own their vertex
+// range; what only one form can do is a method only its type has — a
+// Graph's fixed routing map, a Paged's boundary moves.
 package core
 
 import "math"

@@ -30,6 +30,7 @@ type Stats struct {
 type Graph struct {
 	space
 	shards []shardState
+	pmap   *PartitionMap // routes to shards; its boundaries never move
 
 	cfg     Config
 	treeCfg hitree.Config
@@ -46,12 +47,12 @@ func New(n uint32, cfg Config) *Graph {
 		LeafArrayMax: cfg.ArrayMax,
 		DisableModel: cfg.DisableModel,
 	}
-	pm := g.init(n, cfg.Shards, cfg.Workers)
-	g.shards = make([]shardState, len(pm.Starts))
+	g.pmap = g.init(n, cfg.Shards, cfg.Workers)
+	g.shards = make([]shardState, len(g.pmap.Starts))
 	for i := range g.shards {
 		sh := &g.shards[i]
-		sh.base, sh.idx = pm.Starts[i], int32(i)
-		sh.verts = make([]vertex, pm.RangeLen(i, n))
+		sh.own(g.pmap, i)
+		sh.verts = make([]vertex, sh.span(n))
 	}
 	return g
 }
@@ -82,8 +83,26 @@ func (g *Graph) Stats() *Stats { return &g.stats }
 // Shard.EnsureVertices instead).
 func (g *Graph) EnsureVertices(n uint32) {
 	for i := range g.shards {
-		g.shards[i].ensure(g.grow(n, int32(i)))
+		sh := &g.shards[i]
+		sh.ensure(g.grow(n, &sh.pipe))
 	}
+}
+
+// NumShards returns the number of vertex-range partitions.
+func (g *Graph) NumShards() int { return len(g.shards) }
+
+// ShardOf returns the index of the shard owning vertex v. The last shard's
+// range is open-ended, so IDs beyond the initial vertex space still belong
+// to the last shard.
+func (g *Graph) ShardOf(v uint32) int { return g.pmap.ShardOf(v) }
+
+// PartitionMap returns the graph's routing map, the one New built.
+func (g *Graph) PartitionMap() *PartitionMap { return g.pmap }
+
+// ScatterBatch routes a mixed batch to the graph's shards by source vertex
+// (Scatter, on the graph's workers).
+func (g *Graph) ScatterBatch(src, dst []uint32) (parts []SubBatch, bound uint32) {
+	return Scatter(g.pmap, src, dst, g.Workers())
 }
 
 // locate returns the shard owning v and v's index within it. Every ID has
@@ -94,9 +113,8 @@ func (g *Graph) locate(v uint32) (*shardState, uint32) {
 	if len(g.shards) == 1 {
 		return &g.shards[0], v
 	}
-	pm := g.pmap.Load()
-	i := pm.ShardOf(v)
-	return &g.shards[i], v - pm.Starts[i]
+	sh := &g.shards[g.pmap.ShardOf(v)]
+	return sh, v - sh.base
 }
 
 // vb returns v's vertex block, or nil when v's slot is not materialized:
@@ -160,12 +178,8 @@ func (g *Graph) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32
 	if lo >= hi {
 		return
 	}
-	pm := g.pmap.Load()
-	for i := pm.ShardOf(lo); lo < hi; i++ {
-		end := hi
-		if i+1 < len(g.shards) {
-			end = min(hi, pm.Starts[i+1])
-		}
+	for i := g.pmap.ShardOf(lo); lo < hi; i++ {
+		end := uint32(min(uint64(hi), g.shards[i].end))
 		if !g.shards[i].neighborRange(lo, end, yield) {
 			return
 		}

@@ -10,10 +10,10 @@ import "fmt"
 // updates.
 //
 // Checked:
-//   - the partition map: structurally valid (PartitionMap.CheckInvariants)
-//     with every shard's base equal to its map start, materialized storage
-//     never exceeding the shard's owned slice of [0, NumVertices), and the
-//     boundary IDs of every shard routing back to it (checkShards),
+//   - the shards' ranges: tiling [0, ∞) — shard 0 starting at 0, each
+//     non-empty range ending where the next begins, the last open — with
+//     materialized storage never exceeding the shard's slice of
+//     [0, NumVertices) (checkShards),
 //   - vertex blocks: inline area strictly ascending, degree equal to
 //     inline + overflow size, the overflow pointer non-nil exactly when the
 //     degree exceeds the inline capacity, the kind bits naming the array
@@ -46,7 +46,7 @@ func (g *Graph) CheckInvariants() error {
 
 // CheckInvariants walks every shard of the paged graph and verifies its
 // structural invariants, returning a descriptive error on the first
-// violation: the partition map's, as Graph.CheckInvariants checks them, and
+// violation: the shards' ranges, as Graph.CheckInvariants checks them, and
 // of each shard's table and arena every run within one page, strictly
 // ascending and inside [0, NumVertices), every page's live count equal to
 // the summed degrees of the runs in it, the pages' capacities summing to

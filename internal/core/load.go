@@ -32,7 +32,7 @@ type Delta struct {
 // each named vertex's run and find its delta keys in it, ranges of vertices
 // at a time, and the batch's place and write steps then write every run. A
 // shard's last page is cut to what the load placed in it. Vertices are
-// routed by the graph's own partition map, so a CSR written under another
+// routed by the shards' own ranges, so a CSR written under another
 // shard count or layout — one whose range straddles this graph's shard
 // boundaries — loads unchanged. The load refuses, with an error and the
 // graph untouched, offsets that are not a monotone cover of adj, a range
@@ -74,17 +74,15 @@ func (g *Paged) LoadCSR(base uint32, offs []uint64, adj []uint32, delta ...Delta
 	// Find on every shard before anything is written, so a refusal leaves
 	// the graph as it was; each shard's jobs and kept keys are the load's
 	// own, gone when it returns.
-	p, pm := g.workers(), g.pmap.Load()
+	p := g.Workers()
 	scratch := make([]prepScratch, len(g.shards))
 	for i := range g.shards {
-		first, end := max(pm.Starts[i], lo), hi
-		if i+1 < len(pm.Starts) {
-			end = min(end, pm.Starts[i+1])
-		}
+		sh := &g.shards[i]
+		first, end := max(sh.base, lo), uint32(min(uint64(hi), sh.end))
 		if first >= end {
 			continue
 		}
-		if err := ld.find(&g.shards[i], &scratch[i], first, end, p); err != nil {
+		if err := ld.find(sh, &scratch[i], first, end, p); err != nil {
 			return err
 		}
 	}

@@ -48,12 +48,15 @@ func NewPaged(n uint32, shards, workers int) *Paged {
 	g.shards = make([]pagedShard, len(pm.Starts))
 	for i := range g.shards {
 		sh := &g.shards[i]
-		sh.base, sh.idx = pm.Starts[i], int32(i)
-		sh.tab = make([]vref, pm.RangeLen(i, n))
+		sh.own(pm, i)
+		sh.tab = make([]vref, sh.span(n))
 		sh.tabEntries, sh.pub.seq = len(sh.tab), 1
 	}
 	return g
 }
+
+// NumShards returns the number of vertex-range partitions.
+func (g *Paged) NumShards() int { return len(g.shards) }
 
 // ScratchBytes returns the bytes the shards' update pipelines retain
 // between batches: all a Paged holds beyond what its shards publish
@@ -66,24 +69,32 @@ func (g *Paged) ScratchBytes() (b uint64) {
 	return b
 }
 
-// MoveBoundary moves the boundary between shards k and k+1 to newStart and
-// installs the successor map (epoch+1): the transferred range's table
-// entries move, each run copied to the kept tail of the receiver's arena and
-// dropped from the donor's. It returns the number of materialized vertices
-// and directed edges that changed owner. The caller must hold both shards
-// quiescent — internal/serve parks their writers on a rendezvous control
-// entry — while the other shards may keep working.
+// MoveBoundary moves the boundary between shards k and k+1 to newStart,
+// refusing a move that would empty a shard as PartitionMap.WithBoundary
+// does: the transferred range's table entries move, each run copied to the
+// kept tail of the receiver's arena and dropped from the donor's, and the
+// donor's range then ends, and the receiver's begins, at newStart. It
+// returns the number of materialized vertices and directed edges that
+// changed owner. The caller must hold both shards quiescent —
+// internal/serve parks their writers on a rendezvous control entry — while
+// the other shards may keep working.
 func (g *Paged) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEdges uint64, err error) {
-	pm := g.pmap.Load()
-	next, err := pm.WithBoundary(k, newStart)
-	if err != nil {
+	if err := validateMove(g.starts(), k, newStart); err != nil {
 		return 0, 0, err
 	}
-	b := &g.shards[k+1]
-	movedVerts, movedEdges = spliceTables(&g.shards[k], b, pm.Starts[k+1], newStart)
-	b.base = newStart
-	g.pmap.Store(next)
+	a, b := &g.shards[k], &g.shards[k+1]
+	movedVerts, movedEdges = spliceTables(a, b, b.base, newStart)
+	a.end, b.base = uint64(newStart), newStart
 	return movedVerts, movedEdges, nil
+}
+
+// starts returns the first vertex ID of every shard's range.
+func (g *Paged) starts() []uint32 {
+	s := make([]uint32, len(g.shards))
+	for i := range g.shards {
+		s[i] = g.shards[i].base
+	}
+	return s
 }
 
 // spliceTables moves the table entries of the transferred range, the
@@ -190,7 +201,7 @@ func (s PagedShard) NumVertices() uint32 { return uint32(len(s.tab)) }
 
 // EnsureVertices is Shard.EnsureVertices: the serving layer calls it before
 // every apply so batches may reference vertices beyond the initial space.
-func (s PagedShard) EnsureVertices(n uint32) { s.ensure(s.g.grow(n, s.idx)) }
+func (s PagedShard) EnsureVertices(n uint32) { s.ensure(s.g.grow(n, &s.pipe)) }
 
 // InsertBatch is Shard.InsertBatch: every source must be the shard's.
 func (s PagedShard) InsertBatch(src, dst []uint32) {
@@ -218,7 +229,7 @@ func (s PagedShard) batch(src, dst []uint32, del bool) {
 	if del {
 		op = batchOps[1:]
 	}
-	changed := sh.applyBatch(s.g.n.Load(), src, dst, s.g.shardWorkers(),
+	changed := sh.applyBatch(s.g.n.Load(), src, dst, s.g.shardWorkers(len(s.g.shards)),
 		func(_ int, r *keyRange, at int, lv uint32, ks []uint64) uint64 {
 			eff, deg := findKeys(ks, sh.run(lv), ks, op)
 			if eff > 0 {

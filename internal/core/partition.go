@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"lsgraph/internal/obs"
@@ -12,11 +11,13 @@ import (
 // PartitionMap is the vertex→shard routing table: an immutable, epoch-
 // versioned set of sorted range boundaries. Shard i owns the contiguous
 // vertex range [Starts[i], Starts[i+1]), the last shard open-ended, so a
-// lookup is a binary search over Starts. Maps are never mutated in place;
-// a boundary move (Paged.MoveBoundary) builds a successor map (epoch+1) and
-// swaps an atomic pointer to it, exactly like snapshot publication. The map routes
-// updates to storage; the serving layer's readers never consult it — every
-// snapshot it publishes records the range it was built from.
+// lookup is a binary search over Starts. Maps are never mutated in place: a
+// boundary move builds a successor map (WithBoundary, epoch+1). A Store
+// (internal/serve) holds the one map that routes its batches and swaps it
+// whole on a move; a Graph's map is built with it and never moves. Where a
+// shard's vertices live is the shard's own to know (Base, End), and the
+// serving layer's readers consult no map: every snapshot it publishes
+// records the range it was built from.
 type PartitionMap struct {
 	// Epoch increments by one per boundary move. The initial map is epoch 0.
 	Epoch uint64
@@ -65,25 +66,11 @@ func (pm *PartitionMap) ShardOf(v uint32) int {
 	return lo - 1
 }
 
-// RangeLen returns the length of shard i's slice of the logical vertex
-// space [0, n): the storage size a fully materialized shard i needs.
-func (pm *PartitionMap) RangeLen(i int, n uint32) int {
-	base := pm.Starts[i]
-	if n <= base {
-		return 0
-	}
-	end := n
-	if i+1 < len(pm.Starts) && pm.Starts[i+1] < n {
-		end = pm.Starts[i+1]
-	}
-	return int(end - base)
-}
-
 // WithBoundary returns the successor map moving the boundary between
 // shards k and k+1 to newStart, at epoch+1. It validates the move against
 // this map.
 func (pm *PartitionMap) WithBoundary(k int, newStart uint32) (*PartitionMap, error) {
-	if err := pm.validateMove(k, newStart); err != nil {
+	if err := validateMove(pm.Starts, k, newStart); err != nil {
 		return nil, err
 	}
 	next := &PartitionMap{
@@ -94,39 +81,20 @@ func (pm *PartitionMap) WithBoundary(k int, newStart uint32) (*PartitionMap, err
 	return next, nil
 }
 
-// validateMove checks that moving boundary k→newStart keeps Starts
-// strictly increasing and actually moves it.
-func (pm *PartitionMap) validateMove(k int, newStart uint32) error {
-	if k < 0 || k+1 >= len(pm.Starts) {
-		return fmt.Errorf("core: boundary %d out of range (S=%d)", k, len(pm.Starts))
+// validateMove checks that moving boundary k of the ranges starting at
+// starts to newStart keeps them strictly increasing and actually moves it.
+func validateMove(starts []uint32, k int, newStart uint32) error {
+	if k < 0 || k+1 >= len(starts) {
+		return fmt.Errorf("core: boundary %d out of range (S=%d)", k, len(starts))
 	}
-	if newStart == pm.Starts[k+1] {
+	if newStart == starts[k+1] {
 		return ErrNoMove
 	}
-	if newStart <= pm.Starts[k] {
-		return fmt.Errorf("core: new start %d would empty shard %d (start %d)", newStart, k, pm.Starts[k])
+	if newStart <= starts[k] {
+		return fmt.Errorf("core: new start %d would empty shard %d (start %d)", newStart, k, starts[k])
 	}
-	if k+2 < len(pm.Starts) && newStart >= pm.Starts[k+2] {
-		return fmt.Errorf("core: new start %d would empty shard %d (next start %d)", newStart, k+1, pm.Starts[k+2])
-	}
-	return nil
-}
-
-// CheckInvariants validates the map's structural invariants.
-func (pm *PartitionMap) CheckInvariants(shards int) error {
-	if len(pm.Starts) != shards {
-		return fmt.Errorf("core: partition map has %d entries, want %d", len(pm.Starts), shards)
-	}
-	if pm.Starts[0] != 0 {
-		return fmt.Errorf("core: partition map Starts[0] = %d, want 0", pm.Starts[0])
-	}
-	if !sort.SliceIsSorted(pm.Starts, func(a, b int) bool { return pm.Starts[a] < pm.Starts[b] }) {
-		return fmt.Errorf("core: partition map starts not strictly increasing: %v", pm.Starts)
-	}
-	for i := 1; i < len(pm.Starts); i++ {
-		if pm.Starts[i] == pm.Starts[i-1] {
-			return fmt.Errorf("core: partition map starts not strictly increasing: %v", pm.Starts)
-		}
+	if k+2 < len(starts) && newStart >= starts[k+2] {
+		return fmt.Errorf("core: new start %d would empty shard %d (next start %d)", newStart, k+1, starts[k+2])
 	}
 	return nil
 }
@@ -135,17 +103,15 @@ func (pm *PartitionMap) CheckInvariants(shards int) error {
 // the current boundary: the map would be unchanged.
 var ErrNoMove = fmt.Errorf("core: boundary already at requested start")
 
+// openEnd is the End of the last shard's range: above every vertex ID, so
+// growth always lands in the last shard.
+const openEnd = 1 << 32
+
 // space is what the two storage forms — Graph's vertex blocks and Paged's
-// runs — share about their vertex space: the partition map that routes a
-// vertex to its shard, the logical bound on its IDs, and the worker budget
-// the shards' update pipelines split.
+// runs — share about their vertex space: the logical bound on its IDs and
+// the worker budget the shards' update pipelines split. Which IDs a shard
+// holds is the shard's own (pipe's base and end).
 type space struct {
-	// pmap is the current routing map (immutable, swapped whole on
-	// Paged.MoveBoundary — see PartitionMap): shard i owns [Starts[i],
-	// Starts[i+1]), the last shard open-ended, so growth always lands in the
-	// last shard's range. Loads are cheap enough for hot routing paths; bulk
-	// paths hoist one load per batch.
-	pmap atomic.Pointer[PartitionMap]
 	// n is the logical vertex-space bound: IDs are valid in [0, n). It is
 	// atomic because concurrent shard writers raise it via EnsureVertices
 	// while others validate batches against it.
@@ -154,11 +120,11 @@ type space struct {
 	p int
 }
 
-// init sets up a space of n vertex slots over shards uniform ranges (at
-// least one) and returns its map.
+// init sets up a space of n vertex slots and returns the map splitting it
+// into shards uniform ranges (at least one), for the caller to give each
+// shard its range.
 func (sp *space) init(n uint32, shards, workers int) *PartitionMap {
 	pm := NewUniformMap(n, max(shards, 1))
-	sp.pmap.Store(pm)
 	sp.n.Store(n)
 	sp.p = workers
 	obs.EnsureRings(len(pm.Starts))
@@ -188,114 +154,87 @@ func (sp *space) raiseBound(n uint32) {
 	}
 }
 
-// grow raises the bound to at least n and returns the slots shard i needs
-// materialized to cover its slice of it.
-func (sp *space) grow(n uint32, i int32) int {
+// grow raises the bound to at least n and returns the slots the shard of
+// pipeline pc needs materialized to cover its slice of it.
+func (sp *space) grow(n uint32, pc *pipe) int {
 	sp.raiseBound(n)
-	return sp.pmap.Load().RangeLen(int(i), sp.n.Load())
+	return pc.span(sp.n.Load())
 }
 
-// NumShards returns the number of vertex-range partitions.
-func (sp *space) NumShards() int { return len(sp.pmap.Load().Starts) }
-
-// ShardOf returns the index of the shard owning vertex v under the
-// current partition map. The last shard's range is open-ended, so IDs
-// beyond the initial vertex space still belong to the last shard.
-func (sp *space) ShardOf(v uint32) int { return sp.pmap.Load().ShardOf(v) }
-
-// PartitionMap returns the current routing map. The pointer is immutable;
-// successive calls may return different maps after Paged.MoveBoundary.
-func (sp *space) PartitionMap() *PartitionMap { return sp.pmap.Load() }
-
-// workers returns the effective update parallelism.
-func (sp *space) workers() int {
+// Workers returns the update parallelism: the goroutines a scatter or a
+// load runs on, and what the shards' pipelines split.
+func (sp *space) Workers() int {
 	if sp.p > 0 {
 		return sp.p
 	}
 	return parallel.Procs
 }
 
-// shardWorkers returns the per-shard update parallelism: the worker budget
-// split evenly across shards, at least one. Shard pipelines run
-// concurrently, so giving each the full budget would oversubscribe.
-func (sp *space) shardWorkers() int { return max(sp.workers()/sp.NumShards(), 1) }
+// shardWorkers returns the per-shard update parallelism of shards shards:
+// the worker budget split evenly across them, at least one. Shard pipelines
+// run concurrently, so giving each the full budget would oversubscribe.
+func (sp *space) shardWorkers(shards int) int { return max(sp.Workers()/shards, 1) }
 
-// checkShards runs the part of CheckInvariants both forms share: the map is
-// structurally valid for the count shards, and for each shard i — the
-// pipeline, materialized slots and summed degrees shard returns after its
-// own checks — its base is its map start, its storage lies within its owned
-// slice of [0, NumVertices), the first and last IDs it materializes route
-// back to it, and its edge counter equals the sum.
+// checkShards runs the part of CheckInvariants both forms share: the count
+// shards' ranges tile [0, ∞) — shard 0 starts at 0, every range is
+// non-empty and ends where the next begins, and the last is open — and for
+// each shard i — the pipeline, materialized slots and summed degrees shard
+// returns after its own checks — its storage lies within its slice of
+// [0, NumVertices) and its edge counter equals the sum.
 func (sp *space) checkShards(count int, shard func(i int) (pc *pipe, slots int, edges uint64, err error)) error {
-	n, pm := sp.n.Load(), sp.pmap.Load()
-	if err := pm.CheckInvariants(count); err != nil {
-		return err
-	}
+	n, next := sp.n.Load(), uint64(0)
 	for i := 0; i < count; i++ {
 		pc, slots, edges, err := shard(i)
 		if err != nil {
 			return err
 		}
-		if want := pm.Starts[i]; pc.base != want {
-			return fmt.Errorf("core: shard %d base %d != map start %d (epoch %d)", i, pc.base, want, pm.Epoch)
+		if uint64(pc.base) != next || pc.end <= next {
+			return fmt.Errorf("core: shard %d range [%d,%d) does not continue the tiling at %d", i, pc.base, pc.end, next)
 		}
-		if max := pm.RangeLen(i, n); slots > max {
+		next = pc.end
+		if max := pc.span(n); slots > max {
 			return fmt.Errorf("core: shard %d materializes %d slots, owns at most %d of [0,%d)", i, slots, max, n)
-		}
-		if slots > 0 {
-			for _, v := range []uint32{pc.base, pc.base + uint32(slots) - 1} {
-				if pm.ShardOf(v) != i {
-					return fmt.Errorf("core: ID %d owned by shard %d routes elsewhere", v, i)
-				}
-			}
 		}
 		if m := pc.m.Load(); m != edges {
 			return fmt.Errorf("core: shard %d edge counter %d != degree sum %d", i, m, edges)
 		}
 	}
+	if next != openEnd {
+		return fmt.Errorf("core: the last shard's range ends at %d, not open-ended", next)
+	}
 	return nil
 }
 
 // SubBatch is one shard's routed slice of a mixed batch; indexes align
-// with the shard order of ScatterBatch's result.
+// with the shard order of Scatter's result.
 type SubBatch struct {
 	Src, Dst []uint32
 }
 
-// ScatterBatch routes a mixed batch to shards by source vertex: parts[i]
-// holds exactly the edges whose source ShardOf maps to shard i, in their
-// original relative order. bound is 1 + the largest vertex ID referenced
-// by either endpoint (0 for an empty batch) — the vertex-space size the
-// batch requires, which the serving layer feeds to the shard's
-// EnsureVertices. The returned sub-batches are freshly allocated and do not
-// alias src/dst, so callers may retain them after the input buffers are
-// reused. Parts share one backing array, but each part's capacity is pinned
-// to its length, so appending to a retained part reallocates rather than
-// writing into a sibling part.
-// ScatterBatch does not validate IDs against the current vertex space.
-func (sp *space) ScatterBatch(src, dst []uint32) (parts []SubBatch, bound uint32) {
-	return sp.ScatterBatchWith(sp.pmap.Load(), src, dst)
-}
-
-// ScatterBatchWith is ScatterBatch routing by an explicit partition map
-// instead of the current one. The serving layer uses it to pin a whole
-// batch's routing to the map that was current when the batch entered the
-// queue, so a concurrent boundary move cannot split one batch's routing
-// across two maps.
-func (sp *space) ScatterBatchWith(pm *PartitionMap, src, dst []uint32) (parts []SubBatch, bound uint32) {
+// Scatter routes a mixed batch to pm's shards by source vertex on up to
+// workers goroutines (at least one; one below parPrepMin edges): parts[i]
+// holds exactly the edges whose source pm.ShardOf maps to shard i, in their
+// original relative order. bound is 1 + the largest vertex ID referenced by
+// either endpoint (0 for an empty batch) — the vertex-space size the batch
+// requires, which the serving layer feeds to the shard's EnsureVertices.
+// The returned sub-batches are freshly allocated and do not alias src/dst,
+// so callers may retain them after the input buffers are reused. Parts
+// share one backing array, but each part's capacity is pinned to its
+// length, so appending to a retained part reallocates rather than writing
+// into a sibling part. Scatter does not validate IDs against any vertex
+// space. The serving layer passes the map that was current when the batch
+// entered the queue, so a concurrent boundary move cannot split one batch's
+// routing across two maps.
+func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch, bound uint32) {
 	validateBatch("ScatterBatch", src, dst)
-	S := len(pm.Starts)
+	S, n := len(pm.Starts), len(src)
 	parts = make([]SubBatch, S)
-	n := len(src)
 	if n == 0 {
 		return parts, 0
 	}
-	if S == 1 {
-		return scatterOne(src, dst, parts)
-	}
-	p := sp.workers()
-	if n < parPrepMin || p <= 1 {
-		return scatterSeq(pm, src, dst, parts)
+	p := workers
+	if n < parPrepMin {
+		p = 1
 	}
 
 	// Pass 1: per-worker, per-shard counts over static ranges (cuts must
@@ -363,61 +302,4 @@ func (sp *space) ScatterBatchWith(pm *PartitionMap, src, dst []uint32) (parts []
 		}
 	}
 	return parts, bound
-}
-
-// scatterOne is the scatter of a one-range map: there is nothing to route,
-// so one pass copies the batch and finds its bound.
-func scatterOne(src, dst []uint32, parts []SubBatch) ([]SubBatch, uint32) {
-	max := uint32(0)
-	cs, cd := make([]uint32, len(src)), make([]uint32, len(src))
-	for i, s := range src {
-		d := dst[i]
-		cs[i], cd[i] = s, d
-		if s > max {
-			max = s
-		}
-		if d > max {
-			max = d
-		}
-	}
-	parts[0] = SubBatch{Src: cs, Dst: cd}
-	return parts, max + 1
-}
-
-// scatterSeq is the one-worker scatter for small batches.
-func scatterSeq(pm *PartitionMap, src, dst []uint32, parts []SubBatch) ([]SubBatch, uint32) {
-	S := len(pm.Starts)
-	sizes := make([]int, S)
-	max := uint32(0)
-	for i, s := range src {
-		sizes[pm.ShardOf(s)]++
-		if s > max {
-			max = s
-		}
-		if d := dst[i]; d > max {
-			max = d
-		}
-	}
-	srcOut := make([]uint32, len(src))
-	dstOut := make([]uint32, len(src))
-	off := 0
-	offs := make([]int, S)
-	for s := 0; s < S; s++ {
-		offs[s] = off
-		off += sizes[s]
-	}
-	for i, s := range src {
-		sh := pm.ShardOf(s)
-		j := offs[sh]
-		offs[sh] = j + 1
-		srcOut[j] = s
-		dstOut[j] = dst[i]
-	}
-	off = 0
-	for s := 0; s < S; s++ {
-		end := off + sizes[s]
-		parts[s] = SubBatch{Src: srcOut[off:end:end], Dst: dstOut[off:end:end]}
-		off = end
-	}
-	return parts, max + 1
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -17,8 +18,8 @@ func (r *lcg) next() uint32 {
 func TestPartitionMapShardOf(t *testing.T) {
 	for _, s := range []int{1, 2, 3, 4, 8} {
 		pm := NewUniformMap(100, s)
-		if err := pm.CheckInvariants(s); err != nil {
-			t.Fatalf("S=%d: %v", s, err)
+		if len(pm.Starts) != s || pm.Starts[0] != 0 {
+			t.Fatalf("S=%d: starts %v", s, pm.Starts)
 		}
 		for v := uint32(0); v < 120; v++ {
 			i := pm.ShardOf(v)
@@ -72,16 +73,15 @@ func TestMoveBoundaryDifferential(t *testing.T) {
 		{1, 100}, //
 		{0, 50},  //
 	}
-	epoch := tw.g.PartitionMap().Epoch
 	for _, mv := range moves {
+		want := ranges(tw.g)
+		want[mv.k][1], want[mv.k+1][0] = uint64(mv.newStart), uint64(mv.newStart)
 		if err := tw.move(mv.k, mv.newStart); err != nil {
 			t.Fatal(err)
 		}
-		pm := tw.g.PartitionMap()
-		if pm.Epoch != epoch+1 {
-			t.Fatalf("epoch %d after move, want %d", pm.Epoch, epoch+1)
+		if got := ranges(tw.g); !slices.Equal(got, want) {
+			t.Fatalf("MoveBoundary(%d,%d): shard ranges %v, want %v", mv.k, mv.newStart, got, want)
 		}
-		epoch = pm.Epoch
 		check(fmt.Sprintf("after MoveBoundary(%d,%d)", mv.k, mv.newStart))
 		// Updates must still work against the moved layout.
 		v, u := mv.newStart%n, (mv.newStart+7)%n
@@ -94,19 +94,29 @@ func TestMoveBoundaryDifferential(t *testing.T) {
 	}
 }
 
+// ranges lists the paged graph's shard ranges [Base, End).
+func ranges(g *Paged) [][2]uint64 {
+	r := make([][2]uint64, g.NumShards())
+	for i := range r {
+		sh := g.Shard(i)
+		r[i] = [2]uint64{uint64(sh.Base()), sh.End()}
+	}
+	return r
+}
+
 // TestMoveBoundaryErrors: a move to the current boundary is ErrNoMove, and
 // one that would empty a shard or names no boundary is refused; none of them
-// changes the map.
+// changes a shard's range.
 func TestMoveBoundaryErrors(t *testing.T) {
 	g := NewPaged(100, 4, 1)
-	pm := g.PartitionMap()
-	if _, _, err := g.MoveBoundary(0, pm.Starts[1]); !errors.Is(err, ErrNoMove) {
+	was := ranges(g)
+	if _, _, err := g.MoveBoundary(0, g.Shard(1).Base()); !errors.Is(err, ErrNoMove) {
 		t.Fatalf("no-op move: err = %v, want ErrNoMove", err)
 	}
 	if _, _, err := g.MoveBoundary(0, 0); err == nil {
 		t.Fatal("emptying shard 0 succeeded")
 	}
-	if _, _, err := g.MoveBoundary(0, pm.Starts[2]); err == nil {
+	if _, _, err := g.MoveBoundary(0, g.Shard(2).Base()); err == nil {
 		t.Fatal("emptying shard 1 succeeded")
 	}
 	if _, _, err := g.MoveBoundary(3, 80); err == nil {
@@ -115,8 +125,11 @@ func TestMoveBoundaryErrors(t *testing.T) {
 	if _, _, err := g.MoveBoundary(-1, 10); err == nil {
 		t.Fatal("negative boundary succeeded")
 	}
-	if g.PartitionMap() != pm {
-		t.Fatalf("failed moves replaced the map (epoch %d)", g.PartitionMap().Epoch)
+	if got := ranges(g); !slices.Equal(got, was) {
+		t.Fatalf("failed moves changed the shard ranges %v to %v", was, got)
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

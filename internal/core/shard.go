@@ -75,21 +75,21 @@ func (s Shard) NumVertices() uint32 { return uint32(len(s.verts)) }
 // EnsureVertices raises the graph's logical vertex bound to at least n
 // (atomic max, safe against other shards doing the same) and materializes
 // this shard's blocks for its slice of the new range.
-func (s Shard) EnsureVertices(n uint32) { s.ensure(s.g.grow(n, s.idx)) }
+func (s Shard) EnsureVertices(n uint32) { s.ensure(s.g.grow(n, &s.pipe)) }
 
 // InsertBatch adds the directed edges (src[i] -> dst[i]), all of whose
 // sources must belong to this shard (route with ScatterBatch). Duplicate
 // and already-present edges are ignored.
 func (s Shard) InsertBatch(src, dst []uint32) {
 	validateBatch("InsertBatch", src, dst)
-	s.g.batchShard(s.shardState, src, dst, s.g.shardWorkers(), false)
+	s.g.batchShard(s.shardState, src, dst, s.g.shardWorkers(len(s.g.shards)), false)
 }
 
 // DeleteBatch removes the directed edges (src[i] -> dst[i]), all of whose
 // sources must belong to this shard. Absent edges are ignored.
 func (s Shard) DeleteBatch(src, dst []uint32) {
 	validateBatch("DeleteBatch", src, dst)
-	s.g.batchShard(s.shardState, src, dst, s.g.shardWorkers(), true)
+	s.g.batchShard(s.shardState, src, dst, s.g.shardWorkers(len(s.g.shards)), true)
 }
 
 // SnapshotInto flattens the shard into a local CSR view — table indexed
@@ -98,5 +98,5 @@ func (s Shard) DeleteBatch(src, dst []uint32) {
 // The call must be serialized with this shard's updates only; other
 // shards may keep updating concurrently.
 func (s Shard) SnapshotInto(snap *Snapshot) *Snapshot {
-	return rebuildInto(snap, s.g.shards[s.idx:s.idx+1], s.base, len(s.verts), s.g.shardWorkers())
+	return rebuildInto(snap, s.g.shards[s.idx:s.idx+1], s.base, len(s.verts), s.g.shardWorkers(len(s.g.shards)))
 }

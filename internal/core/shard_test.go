@@ -49,10 +49,11 @@ func TestShardOfCoversVertexSpace(t *testing.T) {
 }
 
 func TestScatterBatchRoutesBySource(t *testing.T) {
-	// One shard is the one-range map, where the scatter is a plain copy.
-	for _, shards := range []int{1, 4} {
-		for _, n := range []int{0, 1, 100, 3 * parPrepMin} {
-			g := New(1<<12, Config{Shards: shards, Workers: 8})
+	// One worker, and every batch below parPrepMin, take the scatter's two
+	// passes inline; two shards are a Store's count.
+	for _, c := range []Config{{Shards: 1, Workers: 8}, {Shards: 2, Workers: 1}, {Shards: 2, Workers: 8}, {Shards: 4, Workers: 8}} {
+		for _, n := range []int{0, 1, 100, parPrepMin - 1, parPrepMin, 3 * parPrepMin} {
+			g := New(1<<12, c)
 			rng := rand.New(rand.NewSource(int64(n)))
 			src := make([]uint32, n)
 			dst := make([]uint32, n)
@@ -69,7 +70,7 @@ func TestScatterBatchRoutesBySource(t *testing.T) {
 			}
 			parts, bound := g.ScatterBatch(src, dst)
 			if bound != wantBound {
-				t.Fatalf("n=%d: bound %d want %d", n, bound, wantBound)
+				t.Fatalf("%+v n=%d: bound %d want %d", c, n, bound, wantBound)
 			}
 			if len(parts) != g.NumShards() {
 				t.Fatalf("n=%d: %d parts want %d", n, len(parts), g.NumShards())

@@ -3,10 +3,13 @@ package httpserve
 import (
 	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"lsgraph"
+	"lsgraph/internal/wal"
 )
 
 // graphConfigFile is the per-graph config record written next to a durable
@@ -14,11 +17,19 @@ import (
 // the exact configuration it was created with.
 const graphConfigFile = "graph.json"
 
+// tombstonePrefix prefixes the name a dropped graph's directory is renamed
+// to before it is removed. graphNameRE cannot produce such a name, so Open
+// deletes every directory that bears it and never recovers one.
+const tombstonePrefix = ".dropped-"
+
 // Open returns a Server like New and, when cfg.DataDir is set, recovers
 // every graph previously persisted there: each DataDir subdirectory with a
 // graph.json is re-created with its recorded config, which replays its WAL
-// and loads its newest checkpoint through the store's recovery path. With
-// no DataDir it is equivalent to New and cannot fail.
+// and loads its newest checkpoint through the store's recovery path. It
+// deletes the tombstones of dropped graphs, and refuses a subdirectory that
+// holds WAL state but no graph.json rather than skip a graph it cannot
+// re-create; a subdirectory with neither is ignored. With no DataDir it is
+// equivalent to New and cannot fail.
 func Open(cfg Config) (*Server, error) {
 	s := New(cfg)
 	if s.cfg.DataDir == "" {
@@ -35,8 +46,22 @@ func Open(cfg Config) (*Server, error) {
 		if !e.IsDir() {
 			continue
 		}
-		gc, err := readGraphConfig(filepath.Join(s.cfg.DataDir, e.Name()))
+		dir := filepath.Join(s.cfg.DataDir, e.Name())
+		if strings.HasPrefix(e.Name(), tombstonePrefix) {
+			if err := os.RemoveAll(dir); err != nil {
+				return nil, fmt.Errorf("remove dropped graph %s: %w", dir, err)
+			}
+			continue
+		}
+		gc, err := readGraphConfig(dir)
 		if os.IsNotExist(err) {
+			held, err := holdsWAL(dir)
+			if err != nil {
+				return nil, fmt.Errorf("recover graph %q: %w", e.Name(), err)
+			}
+			if held {
+				return nil, fmt.Errorf("recover graph %q: %s holds WAL state but no %s", e.Name(), dir, graphConfigFile)
+			}
 			continue // not a graph directory
 		}
 		if err != nil {
@@ -49,6 +74,18 @@ func Open(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// holdsWAL reports whether dir holds a store's WAL state: the shard logs'
+// wal directory or the checkpoint directory.
+func holdsWAL(dir string) (bool, error) {
+	ents, err := os.ReadDir(dir)
+	for _, e := range ents {
+		if n := e.Name(); n == "wal" || n == "checkpoint" {
+			return true, nil
+		}
+	}
+	return false, err
+}
+
 // Durable reports whether the server persists graphs under a data
 // directory.
 func (s *Server) Durable() bool { return s.cfg.DataDir != "" }
@@ -59,32 +96,35 @@ func (s *Server) graphDir(name string) string {
 }
 
 // openStore builds the named graph's store from its resolved config —
-// durable under DataDir/name when the server has a data directory, with
-// the graph config persisted beside the WAL for rediscovery by Open.
+// durable under DataDir/name when the server has a data directory. There
+// it first makes the graph config durable beside where the WAL will be, so
+// no logged batch can outlive the record Open re-creates the graph from; if
+// the store then fails to open a graph directory this call created, the
+// directory goes again.
 func (s *Server) openStore(name string, gc GraphConfig) (*lsgraph.Store, error) {
 	opts := []lsgraph.Option{
 		lsgraph.WithShards(gc.Shards),
 		lsgraph.WithMaxQueue(gc.MaxQueue),
 		lsgraph.WithAutoRebalance(gc.AutoRebalance),
 	}
-	if s.cfg.DataDir != "" {
-		opts = append(opts, lsgraph.WithDurability(s.graphDir(name), lsgraph.DurabilityOptions{
-			Fsync:           s.cfg.Fsync,
-			FsyncInterval:   s.cfg.FsyncInterval,
-			CheckpointEvery: s.cfg.CheckpointEvery,
-		}))
+	if s.cfg.DataDir == "" {
+		return lsgraph.OpenStore(gc.Vertices, opts...)
 	}
-	st, err := lsgraph.OpenStore(gc.Vertices, opts...)
-	if err != nil {
+	dir := s.graphDir(name)
+	_, err := os.Stat(dir)
+	created := os.IsNotExist(err)
+	if err := writeGraphConfig(dir, gc); err != nil {
 		return nil, err
 	}
-	if s.cfg.DataDir != "" {
-		if err := writeGraphConfig(s.graphDir(name), gc); err != nil {
-			st.Close()
-			return nil, err
-		}
+	st, err := lsgraph.OpenStore(gc.Vertices, append(opts, lsgraph.WithDurability(dir, lsgraph.DurabilityOptions{
+		Fsync:           s.cfg.Fsync,
+		FsyncInterval:   s.cfg.FsyncInterval,
+		CheckpointEvery: s.cfg.CheckpointEvery,
+	}))...)
+	if err != nil && created {
+		os.RemoveAll(dir) // best effort: the open's error is the one to report
 	}
-	return st, nil
+	return st, err
 }
 
 // readGraphConfig loads dir/graph.json.
@@ -100,17 +140,60 @@ func readGraphConfig(dir string) (GraphConfig, error) {
 	return gc, nil
 }
 
-// writeGraphConfig records the resolved config as dir/graph.json via
-// tmp+rename, so a crash mid-write never leaves a half-written config for
-// Open to trip on.
+// writeGraphConfig durably records the resolved config as dir/graph.json,
+// creating dir: the file is written to a temporary name and fsynced, then
+// renamed into place, and dir and its parent are synced, so a crash
+// mid-write never leaves a half-written config for Open to trip on.
 func writeGraphConfig(dir string, gc GraphConfig) error {
 	b, err := json.MarshalIndent(gc, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, graphConfigFile+".tmp")
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dir, graphConfigFile))
+	tmp := filepath.Join(dir, graphConfigFile+".tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(append(b, '\n'))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, graphConfigFile))
+	}
+	if err == nil {
+		err = wal.OS().SyncDir(dir)
+	}
+	if err == nil {
+		err = wal.OS().SyncDir(filepath.Dir(dir))
+	}
+	return err
+}
+
+// removeGraphDir deletes a dropped graph's directory. It renames the
+// directory to its tombstone and syncs DataDir first, so a crash or an I/O
+// error partway through the removal leaves a directory Open deletes, never
+// part of a graph it would recover. Errors are logged: the graph is gone
+// from the server either way.
+func (s *Server) removeGraphDir(name string) {
+	tomb := filepath.Join(s.cfg.DataDir, tombstonePrefix+name)
+	err := os.RemoveAll(tomb) // an earlier drop's, if its removal failed
+	if err == nil {
+		err = os.Rename(s.graphDir(name), tomb)
+	}
+	if err == nil {
+		err = wal.OS().SyncDir(s.cfg.DataDir)
+	}
+	if err == nil {
+		err = os.RemoveAll(tomb)
+	}
+	if err != nil {
+		log.Printf("drop graph %q: %v", name, err)
+	}
 }

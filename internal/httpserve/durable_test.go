@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -244,6 +245,79 @@ func TestDurableDropRemovesData(t *testing.T) {
 	defer srv2.Close()
 	if srv2.store("gone") != nil {
 		t.Fatal("dropped graph resurrected")
+	}
+}
+
+// durableGraph leaves a closed durable graph of a few edges, checkpoint and
+// shard logs included, under dir/name.
+func durableGraph(t *testing.T, dir, name string) {
+	t.Helper()
+	srv, err := Open(Config{DataDir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, _, err := srv.CreateGraph(name, GraphConfig{}); err != nil {
+		t.Fatalf("CreateGraph: %v", err)
+	}
+	st := srv.store(name)
+	st.InsertEdges([]lsgraph.Edge{{Src: 1, Dst: 2}, {Src: 2, Dst: 3}})
+	st.Flush()
+	srv.Close()
+}
+
+// TestOpenDeletesTombstone: a dropped graph's tombstone — here holding a
+// complete graph, as when the removal failed right after the rename — is
+// deleted by Open and never recovered.
+func TestOpenDeletesTombstone(t *testing.T) {
+	dir := t.TempDir()
+	durableGraph(t, dir, "g")
+	tomb := filepath.Join(dir, tombstonePrefix+"g")
+	if err := os.Rename(filepath.Join(dir, "g"), tomb); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Open(Config{DataDir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer srv.Close()
+	if names := srv.GraphNames(); len(names) != 0 {
+		t.Fatalf("recovered %v from a tombstone", names)
+	}
+	if _, err := os.Stat(tomb); !os.IsNotExist(err) {
+		t.Fatalf("tombstone survived Open: %v", err)
+	}
+}
+
+// TestOpenRefusesWALWithoutConfig: a graph directory whose WAL state
+// outlived its graph.json makes Open fail, naming the directory, where it
+// used to drop the graph silently; a directory with neither is ignored.
+func TestOpenRefusesWALWithoutConfig(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "stray", "notes"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	durableGraph(t, dir, "g")
+	g := filepath.Join(dir, "g")
+	// The checkpoint and the shard logs each are WAL state, then neither is.
+	for _, rm := range []string{graphConfigFile, "checkpoint", "wal"} {
+		if err := os.RemoveAll(filepath.Join(g, rm)); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := Open(Config{DataDir: dir})
+		if rm == "wal" {
+			if err != nil {
+				t.Fatalf("Open with no WAL state left: %v", err)
+			}
+			srv.Close()
+			break
+		}
+		if err == nil {
+			srv.Close()
+			t.Fatalf("without %s: Open recovered nothing from WAL state without graph.json and did not fail", rm)
+		}
+		if !strings.Contains(err.Error(), g) {
+			t.Fatalf("error %q does not name the directory", err)
+		}
 	}
 }
 

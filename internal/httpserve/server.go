@@ -31,7 +31,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"regexp"
 	"sort"
 	"sync"
@@ -277,8 +276,8 @@ func (s *Server) store(name string) *lsgraph.Store {
 // DropGraph closes and removes the named graph, draining its queued
 // batches first (Store.Close applies everything before returning). On a
 // durable server the graph's data directory — WAL, checkpoints, config —
-// is deleted too: a dropped graph does not resurrect at the next boot. It
-// reports whether the graph existed.
+// is deleted too (removeGraphDir): a dropped graph does not resurrect at
+// the next boot. It reports whether the graph existed.
 func (s *Server) DropGraph(name string) bool {
 	s.mu.Lock()
 	t, ok := s.graphs[name]
@@ -288,7 +287,7 @@ func (s *Server) DropGraph(name string) bool {
 	if ok {
 		t.store.Close()
 		if s.cfg.DataDir != "" {
-			os.RemoveAll(s.graphDir(name))
+			s.removeGraphDir(name)
 		}
 	}
 	return ok

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"lsgraph/internal/core"
 	"lsgraph/internal/obs"
 	"lsgraph/internal/wal"
 )
@@ -100,7 +101,6 @@ func (s *Store) enqueue(op int, src, dst []uint32) error {
 	// routed wholly by one map, cleanly before or after the control entry.
 	// Close takes it too, to mark the Store and its queues closed: a batch is
 	// in every queue it is routed to before that, or in none.
-	// (With one shard the scatter is core's single copy-and-bound pass.)
 	s.rebMu.RLock()
 	if s.closed.Load() {
 		s.rebMu.RUnlock()
@@ -109,7 +109,7 @@ func (s *Store) enqueue(op int, src, dst []uint32) error {
 	s.stats.edgesEnqueued.Add(uint64(len(src)))
 	pm := s.routeMap.Load()
 	sc := obs.PhaseScatter.Begin()
-	parts, bound := s.g.ScatterBatchWith(pm, src, dst)
+	parts, bound := core.Scatter(pm, src, dst, s.g.Workers())
 	sc.End(-1, batch, 0, uint64(len(src)))
 	s.g.ReserveVertices(bound)
 	if obs.Enabled() {

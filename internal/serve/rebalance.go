@@ -121,12 +121,13 @@ func (s *Store) executeRebalance(op *rebalanceOp) {
 	mv, me, err := s.g.MoveBoundary(op.k, op.newStart)
 	if err != nil {
 		// Install-time validation makes this unreachable (rebalanceMu
-		// serializes moves, so the physical map cannot have changed since);
-		// surface it to the caller rather than corrupting state.
+		// serializes moves, so the shards' ranges are still routeMap's
+		// before the swap); surface it to the caller rather than corrupting
+		// state.
 		op.err = err
 		return
 	}
-	pm := s.g.PartitionMap() // the successor map, now physical
+	pm := s.routeMap.Load() // the successor map, installed with op
 	wa, wb := s.ws[op.k], s.ws[op.k+1]
 	// The move shifted slots and bases in the shards' own tables; views
 	// pinned on the old layout keep the old tables and pages. Both snapshots

@@ -312,6 +312,20 @@ func TestRebalanceUnderLiveTraffic(t *testing.T) {
 	if err := st.g.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	// Quiescent, the layout facts agree: the routing map, the pinned epochs'
+	// ranges and the paged shards' own ranges, which tile the ID space.
+	starts := st.routeMap.Load().Starts
+	for i, e := range v.es {
+		sh := st.g.Shard(i)
+		end := uint64(openEnd)
+		if i+1 < len(v.es) {
+			end = uint64(st.g.Shard(i + 1).Base())
+		}
+		if starts[i] != e.lo || sh.Base() != e.lo || sh.End() != end || e.hi != end {
+			t.Fatalf("shard %d: route start %d, pinned [%d,%d), shard [%d,%d), want end %d",
+				i, starts[i], e.lo, e.hi, sh.Base(), sh.End(), end)
+		}
+	}
 }
 
 // stop flag needs atomic across goroutines; declared here to keep the

@@ -68,9 +68,10 @@
 // transferred vertices' table entries and runs from one shard to the other,
 // and publishes both shards' new snapshots through the same atomic swap as
 // ordinary publishes.
-// Two maps exist and each has one owner: the Store's routeMap says where
-// enqueue sends an edge, core.Paged's map says where the runs live.
-// Readers consult neither. Every published shard epoch records the vertex
+// The Store's routeMap is the one map: it says where enqueue sends an edge.
+// Where the runs live each paged shard knows itself — its range [Base, End),
+// moved by core.Paged.MoveBoundary — and readers consult neither the map nor
+// the shards. Every published shard epoch records the vertex
 // range [lo, hi) it was built from, so a reader checks what it pinned: a
 // View is consistent when its pins tile the ID space (each epoch starts
 // where the previous one ends), a single-vertex read when the pinned range
@@ -215,8 +216,8 @@ type Store struct {
 	// under rebMu's write lock, so every batch is routed wholly by one map:
 	// batches ahead of a shard's control entry by the old map, behind it by
 	// the new (see rebalance.go for why either is correct at apply time).
-	// It is the Store's only map: where the runs live is core.Paged's to
-	// know, and readers check the ranges their pins carry.
+	// It is the Store's only map: where the runs live is the paged shards'
+	// to know, and readers check the ranges their pins carry.
 	routeMap atomic.Pointer[core.PartitionMap]
 	// rebMu orders enqueue's scatter+append critical section (read side)
 	// against control-entry installation (write side).
@@ -278,7 +279,11 @@ func launch(g *core.Paged, opt Options) *Store {
 		opt:  opt,
 		done: make(chan struct{}),
 	}
-	s.routeMap.Store(g.PartitionMap())
+	pm := &core.PartitionMap{Starts: make([]uint32, g.NumShards())}
+	for i := range pm.Starts {
+		pm.Starts[i] = g.Shard(i).Base()
+	}
+	s.routeMap.Store(pm)
 	s.routed = make([]atomic.Uint64, g.NumShards())
 	s.ws = make([]*shardWriter, g.NumShards())
 	for i := range s.ws {

@@ -112,15 +112,11 @@ func (w *shardWriter) buildSnap() *epochSnap {
 	if old := w.cur.Load(); old != nil {
 		next = old.epoch + 1
 	}
-	hi := uint64(openEnd)
-	if starts := w.s.g.PartitionMap().Starts; w.idx+1 < len(starts) {
-		hi = uint64(starts[w.idx+1])
-	}
 	return &epochSnap{
 		snap:  w.shard.Publish(),
 		epoch: next,
 		lo:    w.shard.Base(),
-		hi:    hi,
+		hi:    w.shard.End(),
 		lsn:   w.appliedLSN,
 	}
 }

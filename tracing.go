@@ -1,10 +1,7 @@
 package lsgraph
 
 import (
-	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"lsgraph/internal/obs"
 )
@@ -66,20 +63,4 @@ func WriteTraceAutopsy(w io.Writer) error { return obs.WriteAutopsy(w) }
 
 // ParseTraceMode parses a CLI-style trace mode: "off", "all" (or "on"),
 // "sample=N", "tail".
-func ParseTraceMode(s string) (TraceMode, int, error) {
-	switch {
-	case s == "" || s == "off":
-		return obs.TraceOff, 1, nil
-	case s == "all" || s == "on":
-		return obs.TraceAll, 1, nil
-	case s == "tail":
-		return obs.TraceTail, 1, nil
-	case strings.HasPrefix(s, "sample="):
-		n, err := strconv.Atoi(strings.TrimPrefix(s, "sample="))
-		if err != nil || n < 1 {
-			return obs.TraceOff, 1, fmt.Errorf("lsgraph: bad sample divisor in trace mode %q", s)
-		}
-		return obs.TraceSample, n, nil
-	}
-	return obs.TraceOff, 1, fmt.Errorf("lsgraph: unknown trace mode %q (want off, all, sample=N, tail)", s)
-}
+func ParseTraceMode(s string) (TraceMode, int, error) { return obs.ParseTraceMode(s) }
