@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify perf soak fuzz clean
+.PHONY: all build test verify perf soak fuzz loc clean
 
 all: build
 
@@ -70,6 +70,14 @@ fuzz:
 		done; \
 	done
 	@echo "fuzz: OK"
+
+# Lines of non-test Go in each package of the root module, then their
+# total: the counts a change that deletes code reports. benchmark/ is its
+# own module and is not counted.
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+		awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline l < $$i) > 0) n++; close($$i) } \
+			printf "%6d  %s\n", n, $$1; t += n } END { printf "%6d  total\n", t }'
 
 clean:
 	$(GO) clean ./...

@@ -81,7 +81,7 @@ func BC(g engine.Graph, src uint32, p int) []float64 {
 	for l := len(levels) - 2; l >= 0; l-- {
 		lv := levels[l]
 		dv := int32(l)
-		parallel.ForChunk(len(lv), p, func(lo, hi int) {
+		parallel.ForChunkW(len(lv), p, func(_, lo, hi int) {
 			var sv float64
 			var acc float64
 			sum := func(bs []uint32) bool {

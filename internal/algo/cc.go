@@ -45,7 +45,7 @@ func CC(g engine.Graph, p int) []uint32 {
 	for len(frontier) > 0 {
 		traversed += frontierEdges
 		clear(changed)
-		parallel.ForChunk(len(frontier), p, func(lo, hi int) {
+		parallel.ForChunkW(len(frontier), p, func(_, lo, hi int) {
 			var cv uint32
 			scan := func(bs []uint32) bool {
 				c := cv // hoist the heap-captured label off the loop

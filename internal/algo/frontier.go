@@ -7,7 +7,7 @@ import (
 )
 
 // workers returns an upper bound on the worker indexes parallel.ForChunkW
-// and ForBlockedW can pass to their bodies for a requested parallelism p,
+// can pass to its body for a requested parallelism p,
 // for sizing per-worker state.
 func workers(p int) int {
 	if p <= 0 {
@@ -31,7 +31,7 @@ type frontierBuf struct {
 }
 
 // frontierBufs is a kernel run's per-worker scratch, one buffer for every
-// worker index parallel.ForChunkW and ForBlockedW can pass, allocated once
+// worker index parallel.ForChunkW can pass, allocated once
 // per run so the per-level rebuild allocates nothing in steady state.
 func frontierBufs(p int) []frontierBuf {
 	return make([]frontierBuf, workers(p))
@@ -75,7 +75,7 @@ func collectFrontier(dst, next []uint32, bufs []frontierBuf, p int, deg func(uin
 	if k <= 1 || p == 1 {
 		return collectRange(dst, next, 0, n, deg)
 	}
-	parallel.ForBlockedW(k, k, func(_, b int) {
+	parallel.Workers(k, func(b int) {
 		bufs[b].ids, bufs[b].deg = collectRange(bufs[b].ids, next, b*n/k, (b+1)*n/k, deg)
 	})
 	dst = dst[:0]

@@ -38,7 +38,7 @@ func PageRank(g engine.Graph, iters, p int) []float64 {
 	next := make([]float64, n)
 	deg := make([]uint32, n)
 	inv := 1.0 / float64(n)
-	parallel.ForChunk(n, p, func(lo, hi int) {
+	parallel.ForChunkW(n, p, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			rank[v] = inv
 			deg[v] = g.Degree(uint32(v))
@@ -71,7 +71,7 @@ func PageRank(g engine.Graph, iters, p int) []float64 {
 			dangling += danglingParts[i].v
 		}
 		base := (1-PageRankDamping)*inv + PageRankDamping*dangling*inv
-		parallel.ForChunk(n, p, func(lo, hi int) {
+		parallel.ForChunkW(n, p, func(_, lo, hi int) {
 			// One range read per chunk: the yield sees each vertex's blocks
 			// in turn (an empty one for a vertex without edges) and writes
 			// the finished vertex's rank when the next one starts. The

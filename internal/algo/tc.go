@@ -28,7 +28,7 @@ func TriangleCount(g engine.Graph, p int) TCResult {
 
 	n := int(g.NumVertices())
 	var total atomic.Uint64
-	parallel.ForChunk(n, p, func(lo, hi int) {
+	parallel.ForChunkW(n, p, func(_, lo, hi int) {
 		var local uint64
 		for v := lo; v < hi; v++ {
 			nv := adj[offs[v]:offs[v+1]]
@@ -95,7 +95,7 @@ func Materialize(g engine.Graph, p int) (offs []uint64, adj []uint32) {
 		offs[v+1] = offs[v] + uint64(g.Degree(uint32(v)))
 	}
 	adj = make([]uint32, offs[n])
-	parallel.ForChunk(n, p, func(lo, hi int) {
+	parallel.ForChunkW(n, p, func(_, lo, hi int) {
 		// Each block is a contiguous run, so the fill is a bulk copy per
 		// run instead of a store per edge, clamped to the vertex's CSR
 		// region.

@@ -103,9 +103,9 @@ func (g *Graph) applyGroupBulk(v uint32, group []uint64, ins bool) int64 {
 	blocksUntil(g.roots[v], func(b []uint32) bool { old = append(old, b...); return true })
 	var merged []uint32
 	if ins {
-		merged = engine.MergeGroup(old, group)
+		merged = engine.MergeGroup(nil, old, group)
 	} else {
-		merged = engine.SubtractGroup(old, group)
+		merged = engine.SubtractGroup(nil, old, group)
 	}
 	g.roots[v] = build(merged)
 	g.degs[v] = uint32(len(merged))

@@ -5,9 +5,11 @@
 // programs to a minimal replayable op sequence, and metamorphic oracles
 // for the analytics kernels.
 //
-// The validators (RIA, HITree, Shards, Snapshot) are callable from any
-// test; core.SetDebugValidate can install them as a post-batch debug hook
-// so a corrupting batch fails at the batch that caused it. The simulator
+// The structures validate themselves (ria.RIA, hitree.Tree, core.Graph and
+// core.Paged each have CheckInvariants); the validator here is Snapshot,
+// which checks a published CSR against the oracle. Any of them is callable
+// from any test, and core.SetDebugValidate can install one as a post-batch
+// debug hook so a corrupting batch fails at the batch that caused it. The simulator
 // (RunSeed, RunBytes) is what the TestSimSeeds sweep, make soak, and the
 // FuzzEngineOps/FuzzStoreOps targets all share.
 package check
@@ -18,28 +20,8 @@ import (
 
 	"lsgraph/internal/core"
 	"lsgraph/internal/engine"
-	"lsgraph/internal/hitree"
 	"lsgraph/internal/refgraph"
-	"lsgraph/internal/ria"
 )
-
-// RIA validates every documented invariant of an RIA: block shape,
-// no-empty-block, within- and cross-block ordering, index redundancy, and
-// the reserved-value exclusion.
-func RIA(r *ria.RIA) error { return r.CheckInvariants() }
-
-// HITree validates every documented invariant of a HITree: per-node-kind
-// structure (array thresholds, RIA invariants, LIA block typing and model
-// placement, bnode separators) plus tree-wide ordering and counts.
-func HITree(t *hitree.Tree) error { return t.CheckInvariants() }
-
-// Shards validates every documented invariant of a paged graph's shards:
-// their ranges tiling [0, ∞) and each shard's extent within its range —
-// boundaries are the shards' own, not span multiples, so a rebalanced graph
-// must pass identically — and its table and arena: every run in one page, strictly
-// ascending and in range, page live counts, the edge counter. Like updates,
-// it must not run concurrently with them.
-func Shards(g *core.Paged) error { return g.CheckInvariants() }
 
 // Snapshot validates CSR well-formedness of snap — non-decreasing offsets
 // (checked indirectly: any inversion corrupts a Neighbors slice or

@@ -549,7 +549,7 @@ func (r *runner) verify() error {
 		// Flush drained every shard queue and the test goroutine is the
 		// only enqueuer, so the writers are quiescent: the deep shard walk
 		// is safe here.
-		return Shards(r.pg)
+		return r.pg.CheckInvariants()
 	}
 	r.sawClasses()
 	if err := r.g.CheckInvariants(); err != nil {
@@ -599,7 +599,7 @@ func (r *runner) reload(snap *core.Snapshot) error {
 	if err := g.LoadCSR(0, offs, adj); err != nil {
 		return err
 	}
-	if err := Shards(g); err != nil {
+	if err := g.CheckInvariants(); err != nil {
 		return fmt.Errorf("reloaded from CSR: %w", err)
 	}
 	st := serve.New(g, serve.Options{})

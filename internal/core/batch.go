@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"lsgraph/internal/engine"
 	"lsgraph/internal/obs"
 	"lsgraph/internal/parallel"
 )
@@ -531,15 +532,11 @@ func (g *Graph) eachShardPart(src, dst []uint32, apply func(sh *shardState, part
 		}
 	}
 	p := g.shardWorkers(len(g.shards))
-	var thunks []func()
-	for i := range parts {
-		if len(parts[i].Src) == 0 {
-			continue
+	parallel.Workers(len(parts), func(i int) {
+		if len(parts[i].Src) > 0 {
+			apply(&g.shards[i], parts[i], p)
 		}
-		sh, part := &g.shards[i], parts[i]
-		thunks = append(thunks, func() { apply(sh, part, p) })
-	}
-	parallel.Run(thunks...)
+	})
 }
 
 // batchShard runs the insert or, with del, the delete pipeline for one
@@ -593,30 +590,7 @@ func (g *Graph) insertGroupBulk(sh *shardState, w int, vb *vertex, ks []uint64) 
 		}
 	}
 	old := appendNeighborsVB(vb, sc.old[:0])
-	merged := sc.out[:0]
-	if cap(merged) < len(old)+len(ks) {
-		merged = make([]uint32, 0, len(old)+len(ks))
-	}
-	i, j := 0, 0
-	for i < len(old) && j < len(ks) {
-		a, b := old[i], uint32(ks[j])
-		switch {
-		case a < b:
-			merged = append(merged, a)
-			i++
-		case a > b:
-			merged = append(merged, b)
-			j++
-		default:
-			merged = append(merged, a)
-			i++
-			j++
-		}
-	}
-	merged = append(merged, old[i:]...)
-	for _, k := range ks[j:] {
-		merged = append(merged, uint32(k))
-	}
+	merged := engine.MergeGroup(sc.out[:0], old, ks)
 	added := uint64(len(merged) - len(old))
 	g.rebuildVertex(vb, merged)
 	sc.old, sc.out = old, merged // retain grown capacity for the next group
@@ -657,21 +631,7 @@ func (g *Graph) deleteGroupBulk(sh *shardState, w int, vb *vertex, ks []uint64) 
 		}
 	}
 	old := appendNeighborsVB(vb, sc.old[:0])
-	kept := sc.out[:0]
-	if cap(kept) < len(old) {
-		kept = make([]uint32, 0, len(old))
-	}
-	j := 0
-	for _, a := range old {
-		for j < len(ks) && uint32(ks[j]) < a {
-			j++
-		}
-		if j < len(ks) && uint32(ks[j]) == a {
-			j++
-			continue
-		}
-		kept = append(kept, a)
-	}
+	kept := engine.SubtractGroup(sc.out[:0], old, ks)
 	removed := uint64(len(old) - len(kept))
 	g.rebuildVertex(vb, kept)
 	sc.old, sc.out = old, kept

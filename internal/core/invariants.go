@@ -51,7 +51,7 @@ func (g *Graph) CheckInvariants() error {
 // ascending and inside [0, NumVertices), every page's live count equal to
 // the summed degrees of the runs in it, the pages' capacities summing to
 // what the arena counts in use, and the edge counter equal to the table's
-// summed degrees. internal/check's harness runs it (check.Shards). Like
+// summed degrees. internal/check's harness runs it. Like
 // updates, it must not run concurrently with them.
 func (g *Paged) CheckInvariants() error {
 	n := g.n.Load()

@@ -241,7 +241,7 @@ func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch
 	// be deterministic across passes, so no dynamic chunk claiming here).
 	counts := make([]int, p*S)
 	maxes := make([]uint32, p)
-	parallel.ForBlockedW(p, p, func(_, w int) {
+	parallel.Workers(p, func(w int) {
 		lo, hi := w*n/p, (w+1)*n/p
 		c := counts[w*S : w*S+S]
 		max := uint32(0)
@@ -274,7 +274,7 @@ func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch
 	dstOut := make([]uint32, n)
 
 	// Pass 2: write each edge at its final offset.
-	parallel.ForBlockedW(p, p, func(_, w int) {
+	parallel.Workers(p, func(w int) {
 		lo, hi := w*n/p, (w+1)*n/p
 		c := counts[w*S : w*S+S]
 		for i := lo; i < hi; i++ {

@@ -12,7 +12,8 @@ import (
 // worker does with a run. The shared steps are stated here once, so the
 // systems the paper compares run the same driver over the same runtime and
 // a measured gap is a gap between data structures. (core has its own
-// versions over its scratch arena.)
+// pack, sort and grouping over its scratch arena, and merges with
+// MergeGroup and SubtractGroup into it.)
 
 // SortedKeys packs the batch's edges into src<<32|dst keys, ascending, each
 // distinct edge once.
@@ -42,17 +43,19 @@ func ForEachSourceGroup(ks []uint64, workers int, apply func(v uint32, group []u
 		i = j
 	}
 	var delta atomic.Int64
-	parallel.ForBlocked(len(groups), workers, func(gi int) {
+	parallel.ForBlockedW(len(groups), workers, func(_, gi int) {
 		gr := groups[gi]
 		delta.Add(apply(uint32(ks[gr.lo]>>32), ks[gr.lo:gr.hi]))
 	})
 	return delta.Load()
 }
 
-// MergeGroup returns the sorted union of old (ascending, distinct) and the
-// destinations of group, one source's run of SortedKeys' output.
-func MergeGroup(old []uint32, group []uint64) []uint32 {
-	merged := make([]uint32, 0, len(old)+len(group))
+// MergeGroup appends to dst the sorted union of old (ascending, distinct)
+// and the destinations of group, one source's run of SortedKeys' output,
+// and returns it. When dst lacks the room it is first copied into a new
+// array with exactly enough; a nil dst allocates the union's own.
+func MergeGroup(dst, old []uint32, group []uint64) []uint32 {
+	merged := reserve(dst, len(old)+len(group))
 	i, j := 0, 0
 	for i < len(old) && j < len(group) {
 		a, b := old[i], uint32(group[j])
@@ -76,10 +79,11 @@ func MergeGroup(old []uint32, group []uint64) []uint32 {
 	return merged
 }
 
-// SubtractGroup returns old (ascending, distinct) without the destinations
-// of group, one source's run of SortedKeys' output.
-func SubtractGroup(old []uint32, group []uint64) []uint32 {
-	kept := make([]uint32, 0, len(old))
+// SubtractGroup appends to dst old (ascending, distinct) without the
+// destinations of group, one source's run of SortedKeys' output, and
+// returns it, growing dst as MergeGroup does.
+func SubtractGroup(dst, old []uint32, group []uint64) []uint32 {
+	kept := reserve(dst, len(old))
 	j := 0
 	for _, a := range old {
 		for j < len(group) && uint32(group[j]) < a {
@@ -92,4 +96,13 @@ func SubtractGroup(old []uint32, group []uint64) []uint32 {
 		kept = append(kept, a)
 	}
 	return kept
+}
+
+// reserve returns dst with room for n more elements, copied into an array
+// of exactly that size when it has less.
+func reserve(dst []uint32, n int) []uint32 {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]uint32, 0, len(dst)+n), dst...)
 }

@@ -216,9 +216,17 @@ func TestBatchHelpers(t *testing.T) {
 				keep = append(keep, u)
 			}
 		}
-		union, diff := MergeGroup(old, group), SubtractGroup(old, group)
+		union, diff := MergeGroup(nil, old, group), SubtractGroup(nil, old, group)
 		if !slices.Equal(diff, keep) || !slices.IsSorted(union) || len(union) != len(group)+len(keep) {
 			t.Errorf("source %d: diff %v want %v; union of %d entries, want %d sorted", v, diff, keep, len(union), len(group)+len(keep))
+		}
+		// Into a dst with a prefix and spare room: appended after the prefix.
+		dst := append(make([]uint32, 0, 1+len(old)+len(group)), 7)
+		if got := MergeGroup(dst, old, group); got[0] != 7 || !slices.Equal(got[1:], union) {
+			t.Errorf("source %d: union appended to [7] is %v, want 7 then %v", v, got, union)
+		}
+		if got := SubtractGroup(dst[:1], old, group); got[0] != 7 || !slices.Equal(got[1:], diff) {
+			t.Errorf("source %d: difference appended to [7] is %v, want 7 then %v", v, got, diff)
 		}
 		return int64(len(group))
 	})

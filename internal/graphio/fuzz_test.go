@@ -41,14 +41,23 @@ func FuzzReadEdgeList(f *testing.F) {
 func FuzzReadCSR(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x31, 0x47, 0x53, 0x4c, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(unsortedCSR(f, [2]byte{3, 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := ReadCSR(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		// Accepted input must be self-consistent.
+		// Accepted input must be self-consistent, every run sorted.
 		if c.Offs[len(c.Offs)-1] != uint64(len(c.Adj)) {
 			t.Fatal("accepted inconsistent CSR")
+		}
+		for v := uint32(0); v < c.N; v++ {
+			run := c.Neighbors(v)
+			for i := 1; i < len(run); i++ {
+				if run[i] <= run[i-1] {
+					t.Fatalf("accepted vertex %d's run %v", v, run)
+				}
+			}
 		}
 	})
 }

@@ -134,7 +134,9 @@ func (c *CSR) Edges() []gen.Edge {
 	return es
 }
 
-// ReadCSR deserializes a binary snapshot written by WriteCSR.
+// ReadCSR deserializes a binary snapshot written by WriteCSR. It refuses a
+// header and body that disagree, non-monotone offsets, and any neighbor
+// run that is not strictly ascending with IDs below the vertex count.
 func ReadCSR(r io.Reader) (*CSR, error) {
 	br := bufio.NewReader(r)
 	var hdr [16]byte
@@ -166,9 +168,18 @@ func ReadCSR(r io.Reader) (*CSR, error) {
 		return nil, fmt.Errorf("graphio: short adjacency: %w", err)
 	}
 	c.Adj = adjRaw
-	for i, u := range c.Adj {
-		if u >= n {
-			return nil, fmt.Errorf("graphio: neighbor %d out of range at %d", u, i)
+	// Neighbors documents every run as sorted, so each must be strictly
+	// ascending (no repeats) and below n, as the checkpoint decoder holds
+	// a shard's runs to.
+	for v := uint32(0); v < n; v++ {
+		run := c.Neighbors(v)
+		for i, u := range run {
+			if u >= n {
+				return nil, fmt.Errorf("graphio: neighbor %d of vertex %d out of range", u, v)
+			}
+			if i > 0 && u <= run[i-1] {
+				return nil, fmt.Errorf("graphio: neighbors of vertex %d not strictly ascending", v)
+			}
 		}
 	}
 	return c, nil

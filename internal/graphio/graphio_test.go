@@ -128,4 +128,28 @@ func TestReadCSRRejectsCorruption(t *testing.T) {
 	if _, err := ReadCSR(bytes.NewReader(nil)); err == nil {
 		t.Fatal("accepted empty input")
 	}
+	// A run out of order, and one with a repeat: vertex 1's neighbors
+	// {2, 3} patched to (3, 2) and to (2, 2).
+	for name, run := range map[string][2]byte{"unsorted": {3, 2}, "repeated": {2, 2}} {
+		bad = unsortedCSR(t, run)
+		if _, err := ReadCSR(bytes.NewReader(bad)); err == nil {
+			t.Errorf("accepted the %s neighbor run", name)
+		}
+	}
+}
+
+// unsortedCSR returns the WriteCSR bytes of a 10-vertex graph whose one
+// run, vertex 1's {2, 3}, is overwritten by run, and which are otherwise
+// well-formed.
+func unsortedCSR(t testing.TB, run [2]byte) []byte {
+	g := refgraph.New(10)
+	g.Insert(1, 2)
+	g.Insert(1, 3)
+	var buf bytes.Buffer
+	if err := WriteCSR(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	b[len(b)-8], b[len(b)-4] = run[0], run[1] // little-endian uint32 entries
+	return b
 }

@@ -1,9 +1,6 @@
 package httpserve
 
-import (
-	"net/http"
-	"strconv"
-)
+import "net/http"
 
 // Admission control: the front-end sheds work it could technically accept
 // but could not serve within SLO, instead of queueing it invisibly.
@@ -22,6 +19,9 @@ import (
 // than a few only multiplies p99 for everyone. A full semaphore sheds with
 // the same 429 contract rather than queueing.
 
+// retryAfter is the Retry-After hint, in seconds, on every 429 response.
+const retryAfter = "1"
+
 // admitIngest reports whether the tenant's store can take another batch.
 // On rejection it has already written the 429 response.
 func (s *Server) admitIngest(w http.ResponseWriter, t *tenant) bool {
@@ -34,7 +34,7 @@ func (s *Server) admitIngest(w http.ResponseWriter, t *tenant) bool {
 		return true
 	}
 	obsShedQueue.Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
+	w.Header().Set("Retry-After", retryAfter)
 	writeError(w, http.StatusTooManyRequests,
 		"ingest queue saturated (depth %d, per-shard bound %d); retry later",
 		st.Stats().QueueDepth, t.cfg.MaxQueue)
@@ -50,7 +50,7 @@ func (s *Server) admitKernel(w http.ResponseWriter) (release func(), ok bool) {
 		return func() { <-s.kernelSem }, true
 	default:
 		obsShedKernel.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests,
 			"kernel concurrency limit (%d) reached; retry later", s.cfg.MaxKernels)
 		return nil, false

@@ -282,9 +282,12 @@ func (s *Server) handleDegree(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxNeighbors caps the neighbor list the neighbors endpoint returns.
+const maxNeighbors = 1 << 16
+
 // handleNeighbors returns one vertex's sorted adjacency on a pinned view.
-// ?limit=N truncates the list (default Config.MaxNeighbors); "returned" <
-// "degree" signals truncation.
+// ?limit=N truncates the list further (it is at most maxNeighbors);
+// "returned" < "degree" signals truncation.
 func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	t, err := s.lookup(r.PathValue("graph"), false)
 	if err != nil {
@@ -296,7 +299,7 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad vertex: %v", err)
 		return
 	}
-	limit := s.cfg.MaxNeighbors
+	limit := maxNeighbors
 	if lq := r.URL.Query().Get("limit"); lq != "" {
 		l, err := strconv.Atoi(lq)
 		if err != nil || l < 0 {

@@ -64,12 +64,6 @@ type Config struct {
 	// MaxBodyBytes caps an ingest request body (default 64 MiB). Larger
 	// bodies are rejected with 413.
 	MaxBodyBytes int64
-	// MaxNeighbors caps the neighbor list returned by the neighbors
-	// endpoint when the request gives no ?limit (default 65536).
-	MaxNeighbors int
-	// RetryAfterSeconds is the Retry-After hint attached to 429 responses
-	// (default 1).
-	RetryAfterSeconds int
 	// DefaultAutoRebalance is the auto-rebalance skew threshold for graphs
 	// created without an explicit one (lsgraph.WithAutoRebalance). Zero,
 	// the default, leaves background rebalancing off; the explicit
@@ -107,12 +101,6 @@ func (c *Config) sanitize() {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.MaxNeighbors <= 0 {
-		c.MaxNeighbors = 1 << 16
-	}
-	if c.RetryAfterSeconds <= 0 {
-		c.RetryAfterSeconds = 1
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestForCoversRange(t *testing.T) {
@@ -34,7 +35,10 @@ func TestForSequentialFallback(t *testing.T) {
 func TestForChunkDisjoint(t *testing.T) {
 	n := 12345
 	seen := make([]int32, n)
-	ForChunk(n, 4, func(lo, hi int) {
+	ForChunkW(n, 4, func(w, lo, hi int) {
+		if w < 0 || w >= 4 {
+			t.Errorf("worker %d outside [0,4)", w)
+		}
 		if lo < 0 || hi > n || lo > hi {
 			t.Errorf("bad chunk [%d,%d)", lo, hi)
 		}
@@ -49,23 +53,63 @@ func TestForChunkDisjoint(t *testing.T) {
 	}
 }
 
+// TestForBlockedPinsWorker checks that every block runs once, on worker
+// b%p.
 func TestForBlockedPinsWorker(t *testing.T) {
-	nb := 100
-	seen := make([]int32, nb)
-	ForBlocked(nb, 3, func(b int) { atomic.AddInt32(&seen[b], 1) })
-	for b, c := range seen {
-		if c != 1 {
-			t.Fatalf("block %d visited %d times", b, c)
+	for _, nb := range []int{0, 1, 2, 100} {
+		seen := make([]int32, nb)
+		ForBlockedW(nb, 3, func(w, b int) {
+			if w != b%3 {
+				t.Errorf("nb=%d: block %d ran on worker %d", nb, b, w)
+			}
+			atomic.AddInt32(&seen[b], 1)
+		})
+		for b, c := range seen {
+			if c != 1 {
+				t.Fatalf("nb=%d: block %d visited %d times", nb, b, c)
+			}
 		}
 	}
 }
 
-func TestRun(t *testing.T) {
-	var a, b atomic.Int32
-	Run(func() { a.Store(1) }, func() { b.Store(2) })
-	if a.Load() != 1 || b.Load() != 2 {
-		t.Fatal("Run did not execute all thunks")
+// TestOneWorkerLoopsAllocateNothing checks that ForChunkW and For at one
+// worker are plain calls: the fork-join's closures and counter are never
+// built, so a warm SnapshotInto or batch at one worker allocates nothing
+// in them.
+func TestOneWorkerLoopsAllocateNothing(t *testing.T) {
+	var sum int
+	chunk := func(_, lo, hi int) { sum += hi - lo }
+	each := func(i int) { sum += i }
+	if a := testing.AllocsPerRun(100, func() { ForChunkW(10_000, 1, chunk) }); a != 0 {
+		t.Errorf("ForChunkW at one worker allocates %.0f objects", a)
 	}
+	if a := testing.AllocsPerRun(100, func() { For(10_000, 1, each) }); a != 0 {
+		t.Errorf("For at one worker allocates %.0f objects", a)
+	}
+}
+
+// TestWorkersWaitsOnPanic checks that a panic of worker 0 reaches the
+// caller only after the other workers have finished.
+func TestWorkersWaitsOnPanic(t *testing.T) {
+	var done atomic.Bool
+	release := make(chan struct{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("worker 0's panic did not reach the caller")
+		}
+		if !done.Load() {
+			t.Fatal("the panic reached the caller before worker 1 finished")
+		}
+	}()
+	Workers(2, func(w int) {
+		if w == 0 {
+			close(release)
+			panic("worker 0")
+		}
+		<-release
+		time.Sleep(20 * time.Millisecond)
+		done.Store(true)
+	})
 }
 
 func TestSortUint64Small(t *testing.T) {

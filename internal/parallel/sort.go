@@ -23,7 +23,7 @@ const (
 )
 
 // msdBits is the width of the most-significant digit the parallel sort
-// partitions on: 2^11 buckets spread even heavily skewed key distributions
+// partitions on: 2^11 digits spread even heavily skewed key distributions
 // (rMat vertex IDs cluster toward zero) while the per-worker histograms
 // stay L1-resident (2048 ints = 16 KiB).
 const (
@@ -31,51 +31,29 @@ const (
 	msdBuckets = 1 << msdBits
 )
 
-// sortArena bundles every buffer the radix sorts need so that one pool Get
-// amortizes them all and steady-state sorts allocate nothing. Arenas are
-// pooled rather than global because SortUint64 may be called from several
-// engines' update paths concurrently.
-type sortArena struct {
-	buf    []uint64   // scatter target / LSD swap space, len >= n
-	cnt    []int      // p x msdBuckets per-worker histograms -> write offsets
-	bstart []int      // per-bucket global start offset in buf
-	red    []uint64   // 2 slots per worker for the or/and bit reduction
-	ord    []uint64   // nonempty buckets packed size<<msdBits | bucket
-	lsd    [][]uint64 // per-worker swap space for the per-bucket LSD passes
+// sortScratch is SortUint64's reusable memory: the scatter target, which is
+// also the sequential radix's swap space, and the per-worker digit
+// histograms. It is pooled, not global, because several engines' update
+// paths may sort concurrently, and pooled rather than allocated per call
+// because a fresh scatter target per sort costs more than the sort's own
+// passes on cache-cold memory.
+type sortScratch struct {
+	buf  []uint64
+	hist []int
 }
 
-var sortArenas = sync.Pool{New: func() any { return new(sortArena) }}
-
-func getSortArena(n int) *sortArena {
-	a := sortArenas.Get().(*sortArena)
-	if cap(a.buf) < n {
-		a.buf = make([]uint64, n)
-	}
-	return a
-}
-
-func putSortArena(a *sortArena) { sortArenas.Put(a) }
-
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-func growInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
+var sortScratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
 
 // SortUint64 sorts ks ascending using up to p workers (p <= 0 means
 // parallel.Procs). Every engine's batch updater sorts packed (src,dst)
 // keys, so this is on the critical path of every update figure. Small
-// inputs use the stdlib comparison sort; mid-size inputs a sequential LSD
-// radix; large inputs with p > 1 a parallel MSD partition into buckets that
-// are then radix-sorted independently, largest bucket first.
+// inputs use the stdlib comparison sort. Otherwise one or/and pass finds
+// the bits in which keys differ; with one worker, or a mid-size input,
+// SortSeq sorts on those bits alone; with more, ScatterByDigit partitions
+// the keys on their top varying bits and the workers SortSeq the digits,
+// which are independent, contiguous and already ordered relative to each
+// other, claiming them largest first so a skewed digit starts at once
+// rather than landing late on a busy worker.
 func SortUint64(ks []uint64, p int) {
 	n := len(ks)
 	if n < seqSortMin {
@@ -85,16 +63,71 @@ func SortUint64(ks []uint64, p int) {
 	if p <= 0 {
 		p = Procs
 	}
-	if p > n/parSortChunkMin {
-		p = n / parSortChunkMin
+	p = max(min(p, n/parSortChunkMin), 1)
+	s := sortScratchPool.Get().(*sortScratch)
+	defer sortScratchPool.Put(s)
+	if cap(s.buf) < n {
+		s.buf = make([]uint64, n)
 	}
-	a := getSortArena(n)
-	defer putSortArena(a)
-	if p <= 1 || n < parSortMin {
-		radixSortBytes(ks, a.buf[:n], 8)
+	buf := s.buf[:n]
+
+	// The or/and reduction over static spans. buf is free until the
+	// scatter, so each worker parks its two partial masks in it.
+	Workers(p, func(w int) {
+		or, and := uint64(0), ^uint64(0)
+		for _, k := range ks[w*n/p : (w+1)*n/p] {
+			or |= k
+			and &= k
+		}
+		buf[2*w], buf[2*w+1] = or, and
+	})
+	or, and := uint64(0), ^uint64(0)
+	for w := 0; w < p; w++ {
+		or |= buf[2*w]
+		and &= buf[2*w+1]
+	}
+	varying := or ^ and
+	if p == 1 || n < parSortMin {
+		SortSeq(ks, buf, varying)
 		return
 	}
-	parallelRadixSort(ks, p, a)
+
+	// The digit sits just below the highest varying bit, so the 2^11
+	// digits always cover the actual key range (vertex spaces far smaller
+	// than 2^64 still spread across all of them).
+	shift := uint(max(bits.Len64(varying)-msdBits, 0))
+	if cap(s.hist) < p*msdBuckets {
+		s.hist = make([]int, p*msdBuckets)
+	}
+	hist := s.hist[:p*msdBuckets]
+	ScatterByDigit(ks, buf, shift, msdBuckets, p, hist)
+	ends := hist[(p-1)*msdBuckets:]
+	// The scatter is done with the other workers' rows, so they hold the
+	// non-empty digits, packed size<<msdBits | digit and sorted ascending
+	// for the largest-first claim from the end.
+	ord := hist[:0]
+	start := 0
+	for d, end := range ends {
+		if end > start {
+			ord = append(ord, (end-start)<<msdBits|d)
+		}
+		start = end
+	}
+	slices.Sort(ord)
+	below := varying & (1<<shift - 1)
+	var next atomic.Int64
+	Workers(p, func(int) {
+		for i := int(next.Add(1)); i <= len(ord); i = int(next.Add(1)) {
+			d := ord[len(ord)-i] & (msdBuckets - 1)
+			lo, hi := 0, ends[d]
+			if d > 0 {
+				lo = ends[d-1]
+			}
+			// The digit's span of ks is free, so it is the swap space.
+			SortSeq(buf[lo:hi], ks[lo:hi], below)
+			copy(ks[lo:hi], buf[lo:hi])
+		}
+	})
 }
 
 // Length bounds of SortSeq's three regimes, measured on packed edge keys
@@ -108,7 +141,7 @@ const (
 
 // SortSeq sorts ks on the calling goroutine, for callers that sort many
 // short, cache-resident runs themselves — the batch updater's per-range
-// sorts. varying must have a bit set wherever two keys may differ (all ones
+// sorts, SortUint64's digits. varying must have a bit set wherever two keys may differ (all ones
 // when unknown): the radix regime skips every byte without one, which on
 // packed (src,dst) keys of a small vertex space is half the passes. buf is
 // the radix swap space, at least len(ks) long.
@@ -135,12 +168,6 @@ func insertionSortUint64(ks []uint64) {
 		}
 		ks[j+1] = k
 	}
-}
-
-// radixSortBytes sorts ks by its low byteTop bytes with an 8-bit LSD radix,
-// using buf (same length) as swap space.
-func radixSortBytes(ks, buf []uint64, byteTop int) {
-	radixSortMasked(ks, buf, ^uint64(0)>>uint(64-8*byteTop))
 }
 
 // radixSortMasked is the LSD radix over the bytes of ks that hold a bit of
@@ -211,100 +238,5 @@ func ScatterByDigit(from, to []uint64, shift uint, R, p int, hist []int) {
 			to[off[d]] = k
 			off[d]++
 		}
-	})
-}
-
-// parallelRadixSort sorts ks with p >= 2 workers: an MSD partition on the
-// top varying bits scatters keys into 2^11 buckets (per-worker histograms
-// plus a stable per-worker scatter, so both passes are embarrassingly
-// parallel), then the buckets — which are independent, contiguous, and
-// already ordered relative to each other — are radix-sorted in parallel,
-// claimed dynamically largest-first so a skewed bucket starts immediately
-// rather than landing late on a busy worker.
-func parallelRadixSort(ks []uint64, p int, a *sortArena) {
-	n := len(ks)
-	buf := a.buf[:n]
-	a.red = growU64(a.red, 2*p)
-	red := a.red
-
-	// Pass 1: which bits vary at all? (or/and reduction over static spans)
-	Workers(p, func(w int) {
-		or, and := uint64(0), ^uint64(0)
-		for _, k := range ks[w*n/p : (w+1)*n/p] {
-			or |= k
-			and &= k
-		}
-		red[2*w], red[2*w+1] = or, and
-	})
-	or, and := uint64(0), ^uint64(0)
-	for w := 0; w < p; w++ {
-		or |= red[2*w]
-		and &= red[2*w+1]
-	}
-	varying := or ^ and
-	if varying == 0 {
-		return // all keys equal
-	}
-	// The MSD digit sits just below the highest varying bit, so the 2^11
-	// buckets always cover the actual key range (vertex spaces far smaller
-	// than 2^64 still spread across all buckets).
-	shift := 0
-	if l := bits.Len64(varying); l > msdBits {
-		shift = l - msdBits
-	}
-
-	// Passes 2 and 3: scatter into buf by the MSD digit; collect the nonempty
-	// buckets packed as size<<msdBits|bucket for the largest-first schedule.
-	a.cnt = growInt(a.cnt, p*msdBuckets)
-	ScatterByDigit(ks, buf, uint(shift), msdBuckets, p, a.cnt)
-	a.bstart = growInt(a.bstart, msdBuckets)
-	bstart := a.bstart
-	ord := a.ord[:0]
-	start := 0
-	for b, end := range a.cnt[(p-1)*msdBuckets:] {
-		bstart[b] = start
-		if sz := end - start; sz > 0 {
-			ord = append(ord, uint64(sz)<<msdBits|uint64(b))
-		}
-		start = end
-	}
-	a.ord = ord
-
-	// Pass 4: sort each bucket by the bytes below the MSD digit and copy it
-	// back to its final place in ks. Buckets are claimed dynamically from a
-	// shared counter over the descending-size order.
-	slices.Sort(ord)
-	byteTop := (shift + 7) / 8
-	if cap(a.lsd) < p {
-		a.lsd = make([][]uint64, p)
-	}
-	a.lsd = a.lsd[:p]
-	nb := len(ord)
-	var next atomic.Int64
-	Workers(p, func(w int) {
-		scratch := a.lsd[w]
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= nb {
-				break
-			}
-			e := ord[nb-1-i]
-			b := int(e & (msdBuckets - 1))
-			sz := int(e >> msdBits)
-			lo := bstart[b]
-			seg := buf[lo : lo+sz]
-			if sz > 1 && byteTop > 0 {
-				if sz <= insertionSortMax {
-					insertionSortUint64(seg)
-				} else {
-					if cap(scratch) < sz {
-						scratch = make([]uint64, sz)
-					}
-					radixSortBytes(seg, scratch[:sz], byteTop)
-				}
-			}
-			copy(ks[lo:lo+sz], seg)
-		}
-		a.lsd[w] = scratch
 	})
 }

@@ -10,8 +10,9 @@ import (
 
 // sortInputs generates one input per distribution shape the radix paths
 // care about: uniform random, power-law-skewed low keys (rMat vertex IDs),
-// all-equal, already sorted, reversed, heavy duplicates, and a narrow key
-// range that leaves most MSD buckets empty.
+// all-equal, already sorted, reversed, heavy duplicates, a narrow key
+// range that leaves most MSD digits empty, equal high bytes, every key but
+// one in one digit, and fewer non-empty digits than workers.
 func sortInputs(rng *rand.Rand, n int) map[string][]uint64 {
 	in := map[string][]uint64{}
 	u := make([]uint64, n)
@@ -56,6 +57,30 @@ func sortInputs(rng *rand.Rand, n int) map[string][]uint64 {
 		narrow[i] = 1<<40 + uint64(rng.Intn(512))
 	}
 	in["narrow"] = narrow
+
+	high := make([]uint64, n)
+	for i := range high {
+		high[i] = 7<<24 | uint64(rng.Intn(1<<24))
+	}
+	in["equal-high-bytes"] = high
+
+	// The digit starts at the top varying bit, so at least two digits are
+	// non-empty; here the last key alone sets that bit and all others
+	// share digit 0, which one worker sorts by itself.
+	one := make([]uint64, n)
+	for i := range one {
+		one[i] = uint64(rng.Intn(1 << 20))
+	}
+	if n > 0 {
+		one[n-1] = 1 << 40
+	}
+	in["one-digit"] = one
+
+	few := make([]uint64, n)
+	for i := range few {
+		few[i] = uint64(rng.Intn(3))<<40 | uint64(rng.Intn(1<<20))
+	}
+	in["few-digits"] = few
 	return in
 }
 
@@ -73,56 +98,42 @@ func TestSortUint64MatchesStdlib(t *testing.T) {
 			for _, p := range []int{1, 2, 4, 8} {
 				got := append([]uint64(nil), base...)
 				SortUint64(got, p)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d dist=%s p=%d: mismatch at %d: got %d want %d",
-							n, dist, p, i, got[i], want[i])
-					}
+				if i := mismatch(got, want); i >= 0 {
+					t.Fatalf("n=%d dist=%s p=%d: mismatch at %d: got %d want %d",
+						n, dist, p, i, got[i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// TestSortUint64ParallelPathDirect drives parallelRadixSort directly so the
-// parallel path is exercised even when SortUint64's chunk-size cap would
-// route a mid-size input to the sequential radix.
+// TestSortUint64ParallelPathDirect drives SortUint64's parallel path at
+// exactly the size where each worker count first gets it, p keys of
+// parSortChunkMin each.
 func TestSortUint64ParallelPathDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for dist, base := range sortInputs(rng, 1<<15) {
-		want := append([]uint64(nil), base...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		for _, p := range []int{2, 3, 8} {
+	for _, p := range []int{2, 3, 8} {
+		for dist, base := range sortInputs(rng, p*parSortChunkMin) {
+			want := append([]uint64(nil), base...)
+			slices.Sort(want)
 			got := append([]uint64(nil), base...)
-			a := getSortArena(len(got))
-			parallelRadixSort(got, p, a)
-			putSortArena(a)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("dist=%s p=%d: mismatch at %d: got %d want %d",
-						dist, p, i, got[i], want[i])
-				}
+			SortUint64(got, p)
+			if i := mismatch(got, want); i >= 0 {
+				t.Fatalf("dist=%s p=%d: mismatch at %d: got %d want %d",
+					dist, p, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-func TestRadixSortBytesPartialWidth(t *testing.T) {
-	// byteTop < 8 must still fully sort keys whose high bytes are equal.
-	rng := rand.New(rand.NewSource(13))
-	ks := make([]uint64, 5000)
-	for i := range ks {
-		ks[i] = 7<<24 | uint64(rng.Intn(1<<24))
-	}
-	want := append([]uint64(nil), ks...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	buf := make([]uint64, len(ks))
-	radixSortBytes(ks, buf, 3)
-	for i := range ks {
-		if ks[i] != want[i] {
-			t.Fatalf("mismatch at %d: got %d want %d", i, ks[i], want[i])
+// mismatch returns the first index where got and want differ, or -1.
+func mismatch(got, want []uint64) int {
+	for i := range got {
+		if got[i] != want[i] {
+			return i
 		}
 	}
+	return -1
 }
 
 // TestSortSeqMatchesStdlib covers SortSeq's three regimes by length, with

@@ -26,7 +26,7 @@ import (
 // Every batch is flushed on its own, so each logs its own records. The
 // recovered store must hold exactly the oracle's edges, yield each vertex's
 // through NeighborBlocks as the engine.Graph contract says
-// (engine.CheckBlocks), and pass check.Shards.
+// (engine.CheckBlocks), and pass core.Paged.CheckInvariants.
 func runRecoveryProgram(t *testing.T, dir string, prog []byte) {
 	shards := 1
 	if len(prog) > 0 {
@@ -89,7 +89,7 @@ func runRecoveryProgram(t *testing.T, dir string, prog []byte) {
 			err = check.Blocks(re, want)
 		}
 		if err == nil {
-			err = check.Shards(serve.GraphOf(re))
+			err = serve.GraphOf(re).CheckInvariants()
 		}
 		re.Close()
 		if err != nil {

@@ -451,7 +451,7 @@ func (g *Graph) bulkLoad(ks []uint64) {
 		}
 		i = j
 	}
-	parallel.ForBlocked(len(g.shards), g.workers, func(si int) {
+	parallel.ForBlockedW(len(g.shards), g.workers, func(_, si int) {
 		if len(shardKeys[si]) > 0 {
 			g.shards[si].p = pma.BulkLoad(shardKeys[si], pma.WithTerraceDensity[uint64]())
 			g.shards[si].invalidate()

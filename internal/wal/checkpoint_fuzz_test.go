@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"lsgraph/internal/check"
 	"lsgraph/internal/core"
 	"lsgraph/internal/wal"
 )
@@ -34,7 +33,7 @@ func fuzzCheckpoint() *wal.Checkpoint {
 // integrity check to the validation behind it — and checks the contract
 // recovery rests on: loading never panics; a refusal is ErrCorrupt; and
 // whatever loads is a CSR the engine accepts as is, at any shard count,
-// into a graph that passes check.Shards.
+// into a graph that passes core.Paged.CheckInvariants.
 //
 // The input is a shard-count byte, then five-byte mutations (kind, shard,
 // b, c, d): set the manifest's vertex bound, a shard's base, vertex or edge
@@ -150,7 +149,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 			}
 			edges += uint64(len(sh.Adj))
 		}
-		if err := check.Shards(g); err != nil {
+		if err := g.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 		var loaded uint64
