@@ -522,8 +522,8 @@ func (g *Graph) beginBatchTrace() {
 // up front on the caller's goroutine (per-shard packKeys would panic
 // inside a worker goroutine, where the caller could not recover it).
 func (g *Graph) eachShardPart(src, dst []uint32, apply func(sh *shardState, part SubBatch, p int)) {
-	parts, bound := g.ScatterBatch(src, dst)
-	if n := g.n.Load(); bound > n {
+	parts, bound := Scatter(g.pmap, src, dst, g.Workers())
+	if n := g.n.Load(); bound > uint64(n) {
 		for i := range src {
 			if src[i] >= n || dst[i] >= n {
 				panic(fmt.Sprintf("core: edge (%d,%d) outside vertex space [0,%d); grow with EnsureVertices",

@@ -110,3 +110,30 @@ func BenchmarkInsertBatchCold(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScatter times the Store's route (Scatter) of n-edge batches to S
+// uniform shards on p workers, in ns per edge. The batches are successive
+// windows of one 600 000-edge G15 rMat stream, as a stream never repeats a
+// batch: a branch predictor could learn a 1 000-edge batch scattered again
+// and again, and flatter a search that branches on the IDs.
+func BenchmarkScatter(b *testing.B) {
+	src, dst, nv := benchBatch(15, 600_000)
+	for _, n := range []int{1_000, 10_000, 600_000} {
+		for _, S := range []int{2, 16} {
+			pm := NewUniformMap(nv, S)
+			for _, p := range []int{1, 2} {
+				b.Run(fmt.Sprintf("n=%d/S=%d/p=%d", n, S, p), func(b *testing.B) {
+					var parts []SubBatch
+					for i := 0; i < b.N; i++ {
+						lo := i * n % (len(src) - n + 1)
+						parts, _ = Scatter(pm, src[lo:lo+n], dst[lo:lo+n], p)
+					}
+					if len(parts) != S {
+						b.Fatalf("%d parts for %d shards", len(parts), S)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/edge")
+				})
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 	"unsafe"
 
@@ -100,9 +101,14 @@ func (g *Graph) ShardOf(v uint32) int { return g.pmap.ShardOf(v) }
 func (g *Graph) PartitionMap() *PartitionMap { return g.pmap }
 
 // ScatterBatch routes a mixed batch to the graph's shards by source vertex
-// (Scatter, on the graph's workers).
+// (Scatter, on the graph's workers). It panics on an edge naming vertex
+// 2³²−1, whose bound no uint32 holds and no vertex space contains.
 func (g *Graph) ScatterBatch(src, dst []uint32) (parts []SubBatch, bound uint32) {
-	return Scatter(g.pmap, src, dst, g.Workers())
+	parts, b := Scatter(g.pmap, src, dst, g.Workers())
+	if b > math.MaxUint32 {
+		panic("core: ScatterBatch: an edge names vertex 2^32-1, outside every vertex space")
+	}
+	return parts, uint32(b)
 }
 
 // locate returns the shard owning v and v's index within it. Every ID has

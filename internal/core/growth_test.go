@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 	"strings"
 	"testing"
@@ -32,21 +33,27 @@ func TestEnsureVerticesGrows(t *testing.T) {
 	}
 }
 
+// TestOutOfRangePanicsWithClearMessage: an edge outside the vertex space,
+// 2³²−1 included (its bound, one past it, would wrap to 0), panics on the
+// caller's goroutine with a message naming the fix, with one shard and with
+// a scatter to two.
 func TestOutOfRangePanicsWithClearMessage(t *testing.T) {
-	g := New(4, Config{})
-	for _, edge := range [][2]uint32{{7, 1}, {1, 7}} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("edge %v: expected panic", edge)
-				}
-				if !strings.Contains(r.(string), "EnsureVertices") {
-					t.Fatalf("edge %v: uninformative panic %v", edge, r)
-				}
+	for _, S := range []int{1, 2} {
+		g := New(4, Config{Shards: S})
+		for _, edge := range [][2]uint32{{7, 1}, {1, 7}, {math.MaxUint32, 1}, {1, math.MaxUint32}} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("S=%d edge %v: expected panic", S, edge)
+					}
+					if !strings.Contains(r.(string), "EnsureVertices") {
+						t.Fatalf("S=%d edge %v: uninformative panic %v", S, edge, r)
+					}
+				}()
+				g.InsertBatch([]uint32{edge[0]}, []uint32{edge[1]})
 			}()
-			g.InsertBatch([]uint32{edge[0]}, []uint32{edge[1]})
-		}()
+		}
 	}
 }
 

@@ -1,7 +1,5 @@
 package core
 
-import "slices"
-
 // The write path of a Paged shard, whose storage is its table over its page
 // arena. There is no structure to update in place: a vertex's adjacency is
 // one immutable run that readers of published snapshots may hold, so every
@@ -65,8 +63,7 @@ func findKeys(out []uint64, run []uint32, ks []uint64, del []bool) (eff, deg int
 		if walked {
 			pos = int(k >> 32)
 		} else {
-			p, _ := slices.BinarySearch(run[pos:], x)
-			pos += p
+			pos += below(run[pos:], uint64(x))
 		}
 		found := pos < len(run) && run[pos] == x
 		if found == del[min(j, len(del)-1)] {

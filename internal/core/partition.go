@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"lsgraph/internal/obs"
@@ -46,24 +47,29 @@ func NewUniformMap(n uint32, s int) *PartitionMap {
 }
 
 // ShardOf returns the index of the shard owning vertex v: the greatest i
-// with Starts[i] <= v. Every ID has an owning shard because Starts[0] is 0
-// and the last range is open-ended.
-func (pm *PartitionMap) ShardOf(v uint32) int {
-	s := pm.Starts
-	if len(s) == 1 {
+// with Starts[i] <= v, one less than the number of starts at or below v.
+// Every ID has an owning shard because Starts[0] is 0 and the last range is
+// open-ended.
+func (pm *PartitionMap) ShardOf(v uint32) int { return below(pm.Starts, uint64(v)+1) - 1 }
+
+// below returns how many of a's ascending entries are below x: the search
+// the write path routes a batch with (ShardOf) and probes a run with
+// (findKeys). Each step halves the window by arithmetic on the comparison,
+// not a jump, and the number of steps depends on len(a) alone, so a search
+// costs no branch the keys decide. x is 64-bit, at most 2³², so that "at or
+// below v" is below(a, v+1) for every uint32 v.
+func below(a []uint32, x uint64) int {
+	if len(a) == 0 {
 		return 0
 	}
-	// sort.Search for the first start > v; the owner is the range before it.
-	lo, hi := 1, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	// (e-x)>>63 is 1 exactly when e < x, as neither exceeds 2³².
+	i, n := 0, len(a)
+	for n > 1 {
+		half := n >> 1
+		i += half & -int((uint64(a[i+half])-x)>>63)
+		n -= half
 	}
-	return lo - 1
+	return i + int((uint64(a[i])-x)>>63)
 }
 
 // WithBoundary returns the successor map moving the boundary between
@@ -216,16 +222,17 @@ type SubBatch struct {
 // holds exactly the edges whose source pm.ShardOf maps to shard i, in their
 // original relative order. bound is 1 + the largest vertex ID referenced by
 // either endpoint (0 for an empty batch) — the vertex-space size the batch
-// requires, which the serving layer feeds to the shard's EnsureVertices.
-// The returned sub-batches are freshly allocated and do not alias src/dst,
-// so callers may retain them after the input buffers are reused. Parts
-// share one backing array, but each part's capacity is pinned to its
-// length, so appending to a retained part reallocates rather than writing
-// into a sibling part. Scatter does not validate IDs against any vertex
-// space. The serving layer passes the map that was current when the batch
-// entered the queue, so a concurrent boundary move cannot split one batch's
-// routing across two maps.
-func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch, bound uint32) {
+// requires, which the serving layer feeds to the shard's EnsureVertices; it
+// exceeds every uint32 when an edge names vertex 2³²−1, which no vertex
+// space holds. The returned sub-batches are freshly allocated and do not
+// alias src/dst, so callers may retain them after the input buffers are
+// reused. Parts share one backing array, but each part's capacity is pinned
+// to its length, so appending to a retained part reallocates rather than
+// writing into a sibling part. Scatter does not validate IDs against any
+// vertex space. The serving layer passes the map that was current when the
+// batch entered the queue, so a concurrent boundary move cannot split one
+// batch's routing across two maps.
+func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch, bound uint64) {
 	validateBatch("ScatterBatch", src, dst)
 	S, n := len(pm.Starts), len(src)
 	parts = make([]SubBatch, S)
@@ -239,23 +246,22 @@ func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch
 
 	// Pass 1: per-worker, per-shard counts over static ranges (cuts must
 	// be deterministic across passes, so no dynamic chunk claiming here).
-	counts := make([]int, p*S)
+	// A worker's row of counts, its cursors in pass 2, is padded by two
+	// cache lines, so no two workers' counters share a line or a prefetched
+	// pair of lines.
+	row := S + 16
+	counts := make([]int, p*row)
 	maxes := make([]uint32, p)
 	parallel.Workers(p, func(w int) {
 		lo, hi := w*n/p, (w+1)*n/p
-		c := counts[w*S : w*S+S]
-		max := uint32(0)
+		c := counts[w*row : w*row+S]
+		m := uint32(0)
 		for i := lo; i < hi; i++ {
-			s, d := src[i], dst[i]
+			s := src[i]
 			c[pm.ShardOf(s)]++
-			if s > max {
-				max = s
-			}
-			if d > max {
-				max = d
-			}
+			m = max(m, s, dst[i])
 		}
-		maxes[w] = max
+		maxes[w] = m
 	})
 
 	// Exclusive prefix sums, shard-major then worker: worker w's output
@@ -264,8 +270,8 @@ func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch
 	sizes := make([]int, S)
 	for s := 0; s < S; s++ {
 		for w := 0; w < p; w++ {
-			c := counts[w*S+s]
-			counts[w*S+s] = total
+			c := counts[w*row+s]
+			counts[w*row+s] = total
 			total += c
 			sizes[s] += c
 		}
@@ -276,7 +282,7 @@ func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch
 	// Pass 2: write each edge at its final offset.
 	parallel.Workers(p, func(w int) {
 		lo, hi := w*n/p, (w+1)*n/p
-		c := counts[w*S : w*S+S]
+		c := counts[w*row : w*row+S]
 		for i := lo; i < hi; i++ {
 			s := src[i]
 			sh := pm.ShardOf(s)
@@ -296,10 +302,5 @@ func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch
 		parts[s] = SubBatch{Src: srcOut[off:end:end], Dst: dstOut[off:end:end]}
 		off = end
 	}
-	for _, m := range maxes {
-		if m+1 > bound {
-			bound = m + 1
-		}
-	}
-	return parts, bound
+	return parts, uint64(slices.Max(maxes)) + 1
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 )
@@ -15,25 +17,230 @@ func (r *lcg) next() uint32 {
 	return uint32(*r >> 33)
 }
 
-func TestPartitionMapShardOf(t *testing.T) {
-	for _, s := range []int{1, 2, 3, 4, 8} {
-		pm := NewUniformMap(100, s)
-		if len(pm.Starts) != s || pm.Starts[0] != 0 {
-			t.Fatalf("S=%d: starts %v", s, pm.Starts)
+// shardOfLinear is ShardOf's oracle: the last of the ascending starts at or
+// below v, found by a scan.
+func shardOfLinear(starts []uint32, v uint32) int {
+	i := 0
+	for k, s := range starts {
+		if s <= v {
+			i = k
 		}
-		for v := uint32(0); v < 120; v++ {
-			i := pm.ShardOf(v)
-			if i < 0 || i >= s {
-				t.Fatalf("S=%d: ShardOf(%d) = %d out of range", s, v, i)
+	}
+	return i
+}
+
+// testMaps returns, for S shards, the uniform maps over a small and a large
+// vertex space and maps whose boundaries were moved with WithBoundary, one
+// of them with its last boundary at 2³²−1.
+func testMaps(t testing.TB, S int, r *lcg) []*PartitionMap {
+	pms := []*PartitionMap{NewUniformMap(uint32(2*S), S), NewUniformMap(1<<20, S)}
+	if S == 1 {
+		return pms
+	}
+	last, err := pms[1].WithBoundary(S-2, math.MaxUint32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := pms[1]
+	for i := 0; i < 4*S; i++ {
+		k := int(r.next()) % (S - 1)
+		lo, hi := uint64(moved.Starts[k])+1, uint64(1)<<32
+		if k+2 < S {
+			hi = uint64(moved.Starts[k+2])
+		}
+		next, err := moved.WithBoundary(k, uint32(lo+uint64(r.next())%(hi-lo)))
+		if errors.Is(err, ErrNoMove) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved = next
+	}
+	return append(pms, last, moved)
+}
+
+// TestPartitionMapShardOf checks ShardOf against a linear scan on uniform
+// and moved maps of 1 to 33 shards, probing 0, every start and its two
+// neighbors, and 2³²−1.
+func TestPartitionMapShardOf(t *testing.T) {
+	r := lcg(3)
+	for S := 1; S <= 33; S++ {
+		for _, pm := range testMaps(t, S, &r) {
+			if len(pm.Starts) != S || pm.Starts[0] != 0 {
+				t.Fatalf("S=%d: starts %v", S, pm.Starts)
 			}
-			if v < pm.Starts[i] {
-				t.Fatalf("S=%d: ShardOf(%d) = %d but start is %d", s, v, i, pm.Starts[i])
+			probes := []uint32{0, math.MaxUint32}
+			for _, st := range pm.Starts {
+				probes = append(probes, st-1, st, st+1)
 			}
-			if i+1 < s && v >= pm.Starts[i+1] {
-				t.Fatalf("S=%d: ShardOf(%d) = %d but next start is %d", s, v, i, pm.Starts[i+1])
+			for _, v := range probes {
+				if got, want := pm.ShardOf(v), shardOfLinear(pm.Starts, v); got != want {
+					t.Fatalf("S=%d starts %v: ShardOf(%d) = %d, want %d", S, pm.Starts, v, got, want)
+				}
 			}
 		}
 	}
+}
+
+// TestBelowMatchesLinearScan checks the search findKeys probes a run with
+// against a count of the entries below x, on ascending runs of 0 to 40
+// entries — every other one full of repeats, which a search that stepped
+// past an entry equal to x would miscount — probing every entry and its two
+// neighbors, 0 and 2³².
+func TestBelowMatchesLinearScan(t *testing.T) {
+	r := lcg(5)
+	for n := 0; n <= 40; n++ {
+		a := make([]uint32, n)
+		for i := range a {
+			if a[i] = r.next(); n%2 == 1 {
+				a[i] %= 9
+			}
+		}
+		if n > 2 {
+			a[0], a[1] = 0, math.MaxUint32
+		}
+		slices.Sort(a)
+		probes := []uint64{0, 1 << 32}
+		for _, e := range a {
+			probes = append(probes, uint64(e)-1, uint64(e), uint64(e)+1)
+		}
+		for _, x := range probes {
+			if x > 1<<32 {
+				continue // 0-1
+			}
+			want := 0
+			for _, e := range a {
+				if uint64(e) < x {
+					want++
+				}
+			}
+			if got := below(a, x); got != want {
+				t.Fatalf("below(%v, %d) = %d, want %d", a, x, got, want)
+			}
+		}
+	}
+}
+
+// checkScatter scatters src/dst by pm on p workers and checks the result
+// against the linear oracle: every part holds exactly its shard's edges in
+// input order, the bound is one past the largest ID, and each part's
+// capacity is pinned to its length.
+func checkScatter(t testing.TB, pm *PartitionMap, src, dst []uint32, p int) []SubBatch {
+	t.Helper()
+	parts, bound := Scatter(pm, src, dst, p)
+	if len(parts) != len(pm.Starts) {
+		t.Fatalf("%d parts for %d shards", len(parts), len(pm.Starts))
+	}
+	var want uint64
+	cursors := make([]int, len(parts))
+	for i := range src {
+		want = max(want, uint64(src[i])+1, uint64(dst[i])+1)
+		k := shardOfLinear(pm.Starts, src[i])
+		j := cursors[k]
+		cursors[k]++
+		if j >= len(parts[k].Src) || parts[k].Src[j] != src[i] || parts[k].Dst[j] != dst[i] {
+			t.Fatalf("starts %v p=%d: edge %d (%d,%d) is not next in part %d", pm.Starts, p, i, src[i], dst[i], k)
+		}
+	}
+	if bound != want {
+		t.Fatalf("starts %v p=%d: bound %d, want %d", pm.Starts, p, bound, want)
+	}
+	for k, part := range parts {
+		if len(part.Src) != cursors[k] || len(part.Dst) != cursors[k] {
+			t.Fatalf("starts %v p=%d: part %d holds %d/%d edges, want %d", pm.Starts, p, k, len(part.Src), len(part.Dst), cursors[k])
+		}
+		if cap(part.Src) != len(part.Src) || cap(part.Dst) != len(part.Dst) {
+			t.Fatalf("starts %v p=%d: part %d capacity not pinned", pm.Starts, p, k)
+		}
+	}
+	return parts
+}
+
+// randomEdges returns n edges whose sources are spread over the whole ID
+// space, a quarter of them a start of pm or one of its neighbors.
+func randomEdges(pm *PartitionMap, n int, r *lcg) (src, dst []uint32) {
+	src, dst = make([]uint32, n), make([]uint32, n)
+	for i := range src {
+		src[i], dst[i] = r.next()<<1^r.next(), r.next()%(1<<12)
+		if r.next()%4 == 0 {
+			src[i] = pm.Starts[int(r.next())%len(pm.Starts)] + r.next()%3 - 1
+		}
+	}
+	return src, dst
+}
+
+// TestScatterBatchRoutesBySource scatters batches on one worker and below
+// parPrepMin edges (the inline passes) and above it on 2, 3 and 8 workers,
+// by uniform and moved maps, and checks them against the linear oracle.
+func TestScatterBatchRoutesBySource(t *testing.T) {
+	r := lcg(11)
+	for _, S := range []int{1, 2, 3, 4, 16} {
+		for _, pm := range testMaps(t, S, &r) {
+			for _, n := range []int{0, 1, 100, parPrepMin - 1, parPrepMin, 3 * parPrepMin} {
+				src, dst := randomEdges(pm, n, &r)
+				for _, p := range []int{1, 2, 3, 8} {
+					checkScatter(t, pm, src, dst, p)
+				}
+			}
+		}
+	}
+}
+
+// TestScatterBatchRetainedPartAppend verifies the retention contract:
+// appending to one returned part (what serve's backpressure merge does to
+// queued parts) must never alter a sibling part, on both the sequential
+// and the parallel scatter paths.
+func TestScatterBatchRetainedPartAppend(t *testing.T) {
+	r := lcg(13)
+	for _, pm := range testMaps(t, 4, &r) {
+		for _, n := range []int{64, 3 * parPrepMin} {
+			src, dst := randomEdges(pm, n, &r)
+			for _, p := range []int{1, 2, 3, 8} {
+				parts := checkScatter(t, pm, src, dst, p)
+				wantSrc := make([][]uint32, len(parts))
+				wantDst := make([][]uint32, len(parts))
+				for i, part := range parts {
+					wantSrc[i] = slices.Clone(part.Src)
+					wantDst[i] = slices.Clone(part.Dst)
+				}
+				for i := range parts {
+					parts[i].Src = append(parts[i].Src, 0xdeadbeef, 0xdeadbeef)
+					parts[i].Dst = append(parts[i].Dst, 0xdeadbeef, 0xdeadbeef)
+				}
+				for i := range parts {
+					if !slices.Equal(parts[i].Src[:len(wantSrc[i])], wantSrc[i]) || !slices.Equal(parts[i].Dst[:len(wantDst[i])], wantDst[i]) {
+						t.Fatalf("n=%d p=%d: append to a sibling corrupted part %d", n, p, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzScatter checks Scatter against the linear oracle on random strictly
+// increasing starts: 1 to 33 shards, 1 to 8 workers, the batch's edges
+// from data (eight bytes each) and, past its end, up to n more from the
+// seed, so the parallel passes run too.
+func FuzzScatter(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(1), uint16(0), []byte{})
+	f.Add(int64(2), uint8(2), uint8(2), uint16(parPrepMin), []byte{0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0})
+	f.Add(int64(3), uint8(32), uint8(3), uint16(3*parPrepMin), []byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, seed int64, shards, workers uint8, n uint16, data []byte) {
+		r := lcg(seed)
+		starts := []uint32{0}
+		for i := 0; i < int(shards)%33; i++ {
+			starts = append(starts, r.next()<<1^r.next())
+		}
+		slices.Sort(starts)
+		pm := &PartitionMap{Starts: slices.Compact(starts)}
+		src, dst := randomEdges(pm, len(data)/8+int(n), &r)
+		for i := 0; i+8 <= len(data); i += 8 {
+			src[i/8] = binary.LittleEndian.Uint32(data[i:])
+			dst[i/8] = binary.LittleEndian.Uint32(data[i+4:])
+		}
+		checkScatter(t, pm, src, dst, 1+int(workers)%8)
+	})
 }
 
 // TestMoveBoundaryDifferential moves the boundaries of a four-shard paged

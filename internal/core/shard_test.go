@@ -48,64 +48,6 @@ func TestShardOfCoversVertexSpace(t *testing.T) {
 	}
 }
 
-func TestScatterBatchRoutesBySource(t *testing.T) {
-	// One worker, and every batch below parPrepMin, take the scatter's two
-	// passes inline; two shards are a Store's count.
-	for _, c := range []Config{{Shards: 1, Workers: 8}, {Shards: 2, Workers: 1}, {Shards: 2, Workers: 8}, {Shards: 4, Workers: 8}} {
-		for _, n := range []int{0, 1, 100, parPrepMin - 1, parPrepMin, 3 * parPrepMin} {
-			g := New(1<<12, c)
-			rng := rand.New(rand.NewSource(int64(n)))
-			src := make([]uint32, n)
-			dst := make([]uint32, n)
-			var wantBound uint32
-			for i := range src {
-				src[i] = uint32(rng.Intn(1 << 12))
-				dst[i] = uint32(rng.Intn(1 << 12))
-				if src[i]+1 > wantBound {
-					wantBound = src[i] + 1
-				}
-				if dst[i]+1 > wantBound {
-					wantBound = dst[i] + 1
-				}
-			}
-			parts, bound := g.ScatterBatch(src, dst)
-			if bound != wantBound {
-				t.Fatalf("%+v n=%d: bound %d want %d", c, n, bound, wantBound)
-			}
-			if len(parts) != g.NumShards() {
-				t.Fatalf("n=%d: %d parts want %d", n, len(parts), g.NumShards())
-			}
-			total := 0
-			for i, part := range parts {
-				if len(part.Src) != len(part.Dst) {
-					t.Fatalf("part %d: src/dst length mismatch", i)
-				}
-				for j, s := range part.Src {
-					if g.ShardOf(s) != i {
-						t.Fatalf("part %d: src %d belongs to shard %d", i, s, g.ShardOf(s))
-					}
-					_ = j
-				}
-				total += len(part.Src)
-			}
-			if total != n {
-				t.Fatalf("n=%d: parts hold %d edges", n, total)
-			}
-			// Order within a shard preserves input order: replaying parts
-			// shard-by-shard with a per-shard cursor must reproduce the input.
-			cursors := make([]int, len(parts))
-			for i := range src {
-				sh := g.ShardOf(src[i])
-				j := cursors[sh]
-				cursors[sh]++
-				if parts[sh].Src[j] != src[i] || parts[sh].Dst[j] != dst[i] {
-					t.Fatalf("edge %d: scatter reordered within shard %d", i, sh)
-				}
-			}
-		}
-	}
-}
-
 // TestShardedGraphMatchesOracle runs identical interleaved insert/delete
 // batches through engines at several shard counts and checks each against
 // the reference implementation — the cross-representation equivalence
@@ -137,41 +79,6 @@ func TestShardedGraphMatchesOracle(t *testing.T) {
 			g.DeleteBatch(dsrc, ddst)
 		}
 		checkAgainstOracle(t, g, ref)
-	}
-}
-
-// TestScatterBatchRetainedPartAppend verifies the retention contract:
-// appending to one returned part (what serve's backpressure merge does to
-// queued parts) must never alter a sibling part, on both the sequential
-// and the parallel scatter paths.
-func TestScatterBatchRetainedPartAppend(t *testing.T) {
-	for _, n := range []int{64, 3 * parPrepMin} {
-		g := New(1<<12, Config{Shards: 4, Workers: 8})
-		rng := rand.New(rand.NewSource(int64(n)))
-		src := make([]uint32, n)
-		dst := make([]uint32, n)
-		for i := range src {
-			src[i] = uint32(rng.Intn(1 << 12))
-			dst[i] = uint32(rng.Intn(1 << 12))
-		}
-		parts, _ := g.ScatterBatch(src, dst)
-		wantSrc := make([][]uint32, len(parts))
-		wantDst := make([][]uint32, len(parts))
-		for i, p := range parts {
-			wantSrc[i] = append([]uint32(nil), p.Src...)
-			wantDst[i] = append([]uint32(nil), p.Dst...)
-		}
-		for i := range parts {
-			parts[i].Src = append(parts[i].Src, 0xdeadbeef, 0xdeadbeef)
-			parts[i].Dst = append(parts[i].Dst, 0xdeadbeef, 0xdeadbeef)
-		}
-		for i := range parts {
-			for j := range wantSrc[i] {
-				if parts[i].Src[j] != wantSrc[i][j] || parts[i].Dst[j] != wantDst[i][j] {
-					t.Fatalf("n=%d: append to a sibling corrupted part %d at %d", n, i, j)
-				}
-			}
-		}
 	}
 }
 

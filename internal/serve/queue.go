@@ -71,7 +71,9 @@ func (s *Store) mustEnqueue(op int, src, dst []uint32) {
 	}
 }
 
-// checkBatch refuses what Enqueue refuses.
+// checkBatch refuses what Enqueue refuses, naming the first edge it
+// refuses. Enqueue runs its scan only once the scatter's bound has shown
+// that an edge names vertex 2³²−1; recovery runs it on every record.
 func checkBatch(src, dst []uint32) error {
 	if len(src) != len(dst) {
 		return fmt.Errorf("serve: src/dst length mismatch (%d vs %d); every edge needs both endpoints", len(src), len(dst))
@@ -85,8 +87,8 @@ func checkBatch(src, dst []uint32) error {
 }
 
 func (s *Store) enqueue(op int, src, dst []uint32) error {
-	if err := checkBatch(src, dst); err != nil {
-		return err
+	if len(src) != len(dst) {
+		return checkBatch(src, dst)
 	}
 	// The enqueue span's start anchors the enqueue-to-publish visibility-lag
 	// measurement too; it is 0 when neither sink is on.
@@ -106,11 +108,16 @@ func (s *Store) enqueue(op int, src, dst []uint32) error {
 		s.rebMu.RUnlock()
 		return ErrClosed
 	}
-	s.stats.edgesEnqueued.Add(uint64(len(src)))
 	pm := s.routeMap.Load()
 	sc := obs.PhaseScatter.Begin()
-	parts, bound := core.Scatter(pm, src, dst, s.g.Workers())
+	parts, wide := core.Scatter(pm, src, dst, s.g.Workers())
 	sc.End(-1, batch, 0, uint64(len(src)))
+	if wide > math.MaxUint32 {
+		s.rebMu.RUnlock()
+		return checkBatch(src, dst)
+	}
+	bound := uint32(wide)
+	s.stats.edgesEnqueued.Add(uint64(len(src)))
 	s.g.ReserveVertices(bound)
 	if obs.Enabled() {
 		obsShardSkew.Set(int64(skewPct(len(parts), func(i int) uint64 { return uint64(len(parts[i].Src)) })))

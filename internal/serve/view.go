@@ -101,7 +101,10 @@ func (v *View) snapOf(u uint32) (*core.Snapshot, uint32, bool) {
 	// Route by the pinned epochs' own range starts, never the store's live
 	// maps: a concurrent boundary move must not change what this view
 	// reads. The pins tile, so the owner is the last one starting at or
-	// below u.
+	// below u. The search branches on purpose: kernels read vertices in
+	// ascending order, where the branch is predicted and the loads behind
+	// it need not wait for the compare, as core's branch-free one makes
+	// them (EXPERIMENTS.md, "Routing a batch").
 	i, end := 0, len(v.es)
 	for end-i > 1 {
 		mid := int(uint(i+end) >> 1)
