@@ -16,8 +16,9 @@ test:
 # simulator seeds and the crash-recovery matrix included), the strictest
 # pointer-arithmetic checks on the two packages behind the vertex block's
 # unsafe.Pointer (every unsafe.Slice must stay inside one live allocation),
-# one iteration of every benchmark, and the tracing-off overhead budget on
-# an uninstrumented build (the race build widens it).
+# one iteration of every benchmark, and the tracing-off overhead budget and
+# the allocation-free view pin on an uninstrumented build (the race build
+# widens the one and skips the other: its sync.Pool drops items at random).
 verify:
 	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt needed on:" $$unformatted >&2; exit 1; }
 	$(GO) vet ./...
@@ -29,6 +30,7 @@ verify:
 	$(GO) test -count=1 -gcflags=all=-d=checkptr=2 ./internal/core ./internal/ria
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... > /dev/null
 	$(GO) test -count=1 -run '^TestTraceDisabledOverheadGuard$$' ./internal/obs
+	$(GO) test -count=1 -run '^TestViewPinAllocs$$' . ./internal/serve
 	@echo "verify: OK"
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): one run of

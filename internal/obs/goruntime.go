@@ -8,7 +8,8 @@ import (
 
 // Go runtime cost, read from runtime/metrics when the registry is exported
 // and never in between: what the heap holds live, what the collector is
-// aiming for, how long it has stopped the world, how many goroutines exist.
+// aiming for, how long it has stopped the world, how long runnable
+// goroutines waited for a P, how many goroutines exist.
 // They sit in Default beside the engine's own series so that a byte or a
 // stall seen there can be told from one the runtime caused, from the running
 // process alone.
@@ -28,8 +29,14 @@ func init() {
 			return dst // a runtime that does not have the sample
 		})
 	}
-	Default.register(&runtimePauses{desc{name: "lsgraph_go_gc_pause_nanos", typ: "histogram",
-		help: "stop-the-world pauses of the garbage collector since process start; the sum is estimated from bucket midpoints (ns)"}})
+	for _, h := range []struct{ name, key, help string }{
+		{"lsgraph_go_gc_pause_nanos", "/sched/pauses/total/gc:seconds",
+			"stop-the-world pauses of the garbage collector since process start; the sum is estimated from bucket midpoints (ns)"},
+		{"lsgraph_go_sched_latency_nanos", "/sched/latencies:seconds",
+			"time goroutines spent runnable before they ran, since process start; the sum is estimated from bucket midpoints (ns)"},
+	} {
+		Default.register(&runtimeHist{desc{name: h.name, typ: "histogram", help: h.help}, h.key})
+	}
 }
 
 // readRuntime reads one runtime/metrics sample.
@@ -39,15 +46,17 @@ func readRuntime(key string) metrics.Value {
 	return s[0].Value
 }
 
-// runtimePauses exports the runtime's histogram of garbage-collection
-// stop-the-world pauses, seconds there, as nanoseconds in the registry's
-// histogram form.
-type runtimePauses struct{ desc }
+// runtimeHist exports one of the runtime's histograms of durations, seconds
+// there, as nanoseconds in the registry's histogram form.
+type runtimeHist struct {
+	desc
+	key string // the runtime/metrics name
+}
 
 // read returns the non-empty buckets (upper bound in ns, count), the total
 // count and the estimated sum.
-func (p *runtimePauses) read() (le []uint64, counts []uint64, total uint64, sum float64) {
-	v := readRuntime("/sched/pauses/total/gc:seconds")
+func (p *runtimeHist) read() (le []uint64, counts []uint64, total uint64, sum float64) {
+	v := readRuntime(p.key)
 	if v.Kind() != metrics.KindFloat64Histogram {
 		return nil, nil, 0, 0
 	}
@@ -70,7 +79,7 @@ func (p *runtimePauses) read() (le []uint64, counts []uint64, total uint64, sum 
 	return le, counts, total, sum
 }
 
-func (p *runtimePauses) promLines(dst []string) []string {
+func (p *runtimeHist) promLines(dst []string) []string {
 	le, counts, total, sum := p.read()
 	var cum uint64
 	for i, c := range counts {
@@ -83,7 +92,7 @@ func (p *runtimePauses) promLines(dst []string) []string {
 		fmt.Sprintf("%s_count %d", p.name, total))
 }
 
-func (p *runtimePauses) snapshotValue() any {
+func (p *runtimeHist) snapshotValue() any {
 	le, counts, total, sum := p.read()
 	bs := map[string]uint64{}
 	for i, c := range counts {

@@ -311,7 +311,8 @@ func TestHTTPEndpoint(t *testing.T) {
 }
 
 // TestGoRuntimeSeries: the Default registry exports the Go runtime's own
-// cost — live heap, heap goal, goroutines, GC pauses — sampled at export.
+// cost — live heap, heap goal, goroutines, GC pauses, scheduling latency —
+// sampled at export.
 func TestGoRuntimeSeries(t *testing.T) {
 	runtime.GC()
 	snap := Default.Snapshot()
@@ -324,12 +325,17 @@ func TestGoRuntimeSeries(t *testing.T) {
 	if n, _ := pauses["count"].(uint64); n == 0 {
 		t.Errorf("lsgraph_go_gc_pause_nanos = %v after a collection, want pauses counted", pauses)
 	}
+	lat, _ := snap["lsgraph_go_sched_latency_nanos"].(map[string]any)
+	if n, _ := lat["count"].(uint64); n == 0 {
+		t.Errorf("lsgraph_go_sched_latency_nanos = %v in a running test binary, want goroutine runs counted", lat)
+	}
 	var b strings.Builder
 	if err := Default.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range []string{"# TYPE lsgraph_go_heap_live_bytes gauge", "# TYPE lsgraph_go_gc_pause_nanos histogram",
-		`lsgraph_go_gc_pause_nanos_bucket{le="+Inf"} `, "lsgraph_go_gc_pause_nanos_count ", "lsgraph_go_goroutines "} {
+		`lsgraph_go_gc_pause_nanos_bucket{le="+Inf"} `, "lsgraph_go_gc_pause_nanos_count ", "lsgraph_go_goroutines ",
+		"# TYPE lsgraph_go_sched_latency_nanos histogram", "lsgraph_go_sched_latency_nanos_count "} {
 		if !strings.Contains(b.String(), line) {
 			t.Errorf("exposition lacks %q", line)
 		}

@@ -50,7 +50,6 @@ func TestStoreBasicFlushAndViews(t *testing.T) {
 		t.Fatalf("store m=%d, want 4", st.NumEdges())
 	}
 	v.Release()
-	v.Release() // idempotent
 
 	// A fresh view sees the new epoch.
 	v2 := st.View()

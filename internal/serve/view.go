@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"lsgraph/internal/core"
 	"lsgraph/internal/obs"
 )
@@ -27,8 +30,9 @@ func (w *shardWriter) release(e *epochSnap) { e.refs.Add(-1) }
 // Every read method (NumVertices, NumEdges, Degree, Neighbors,
 // NeighborBlocks) and every analytics kernel written against engine.Graph
 // works on it directly, concurrently with ongoing ingestion. Call Release
-// when done; an unreleased View pins its snapshots' tables and arena pages
-// for the life of the Store.
+// exactly once when done: an unreleased View pins its snapshots' tables and
+// arena pages for the life of the Store, and a released one goes back to a
+// pool that hands it to the next View call, of any Store on any goroutine.
 type View struct {
 	s     *Store
 	es    []*epochSnap
@@ -36,7 +40,17 @@ type View struct {
 	nv    uint32
 	m     uint64
 	pin   obs.Span // the viewpin layer's span, acquire to Release
+	// gen counts the releases made through ReleaseGen; it survives
+	// recycling so that a stale handle's second release can be told apart.
+	gen atomic.Uint64
 }
+
+// viewPool recycles Views across every Store, so pinning allocates nothing
+// once warm. A recycled View keeps only its es slice's capacity and gen. It
+// is one package-level pool on purpose: a sync.Pool inside each Store is
+// registered in the runtime's list of pools, which keeps a closed Store and
+// its whole graph alive through the next collection.
+var viewPool = sync.Pool{New: func() any { return new(View) }}
 
 // View acquires the most recently published snapshot of every shard and
 // returns them pinned as one composed view. Always non-blocking with
@@ -51,7 +65,12 @@ type View struct {
 // after it sees a gap or an overlap and pins again. The window is the time
 // between two atomic swaps.
 func (s *Store) View() *View {
-	v := &View{s: s, es: make([]*epochSnap, len(s.ws))}
+	v := viewPool.Get().(*View)
+	v.s = s
+	if cap(v.es) < len(s.ws) {
+		v.es = make([]*epochSnap, len(s.ws))
+	}
+	v.es = v.es[:len(s.ws)]
 	for {
 		v.epoch, v.m = 0, 0
 		tiled, next := true, uint64(0)
@@ -80,8 +99,7 @@ func (s *Store) View() *View {
 
 // Epoch returns the sum of the shard epochs this view pinned: 0 for the
 // Store's initial state, incremented by one per applied batch anywhere in
-// the store. Monotone across successively acquired views. Valid after
-// Release.
+// the store. Monotone across successively acquired views.
 func (v *View) Epoch() uint64 { return v.epoch }
 
 // NumVertices returns the view's vertex count: the logical vertex-space
@@ -176,22 +194,38 @@ func (v *View) NeighborRange(lo, hi uint32, yield func(u uint32, block []uint32)
 	}
 }
 
-// Release unpins the view. The view's read methods must not be used
-// afterwards (its tables may be recycled into a future snapshot).
-// Releasing twice is a no-op. Release is not safe to call concurrently
-// with the view's own readers; callers sharing a View across goroutines
-// must release after those goroutines finish.
+// Release unpins the view and returns it to the pool. The view must not
+// be used afterwards — not read, since its tables may be recycled into a
+// future snapshot, and not released again, since it may already be another
+// caller's view. Release is not safe to call concurrently with the view's
+// own readers; callers sharing a View across goroutines must release after
+// those goroutines finish.
 func (v *View) Release() {
-	if v.es == nil {
-		return
-	}
+	// Drop every reference before pooling: a pooled view must not keep a
+	// Store, or a snapshot, reachable.
 	for i, e := range v.es {
 		v.s.ws[i].release(e)
+		v.es[i] = nil
 	}
-	v.es = nil
 	// How long the view held its snapshots pinned: long pins are what delay
 	// reclamation, so the age distribution explains epoch lag.
 	v.pin.End(-1, 0, v.epoch, v.m)
+	v.s, v.pin = nil, obs.Span{}
+	viewPool.Put(v)
+}
+
+// Gen returns the view's generation, for a handle that must release it at
+// most once: pass it to ReleaseGen.
+func (v *View) Gen() uint64 { return v.gen.Load() }
+
+// ReleaseGen releases the view if its generation is still gen, advancing
+// the generation, and does nothing otherwise. A handle that records Gen when
+// it gets the view may pass it here any number of times: only the first
+// call releases, even after the pool has handed the view to another caller.
+func (v *View) ReleaseGen(gen uint64) {
+	if v.gen.CompareAndSwap(gen, gen+1) {
+		v.Release()
+	}
 }
 
 // Epoch returns the Store's current epoch: the total number of batches

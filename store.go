@@ -98,8 +98,10 @@ func (s *Store) Close() {
 // are always available — acquiring never waits for the writer, even
 // mid-batch — and stay immutable while the store keeps ingesting. Release
 // every view when done; an unreleased view pins its snapshot's memory.
+// Pinning allocates only the returned handle.
 func (s *Store) View() *StoreView {
-	return &StoreView{v: s.st.View()}
+	v := s.st.View()
+	return &StoreView{v: v, gen: v.Gen(), epoch: v.Epoch()}
 }
 
 // Epoch returns the store's current epoch: the total number of update
@@ -191,18 +193,27 @@ func (s *Store) Partition() PartitionInfo { return s.st.Partition() }
 // source vertex appear atomically and never change while pinned. With
 // more than one shard there is no single global cut — two edges routed to
 // different shards may become visible in either order across views.
+//
+// A StoreView is a handle on a pooled internal view: Release returns that
+// view to a pool shared by every Store, and the next View call, on any
+// goroutine, may get it back. The handle remembers the view's generation,
+// which each release through a handle advances, so a handle released a
+// second time finds the generation moved on and leaves the view's new
+// holder alone.
 type StoreView struct {
-	v *serve.View
+	v     *serve.View
+	gen   uint64 // v's generation when this handle got it
+	epoch uint64 // kept in the handle so that Epoch outlives Release
 }
 
 // Epoch returns the epoch this view pinned: 0 for the store's initial
 // empty graph, incremented by one per applied batch. Valid after Release.
-func (v *StoreView) Epoch() uint64 { return v.v.Epoch() }
+func (v *StoreView) Epoch() uint64 { return v.epoch }
 
 // Release unpins the view, allowing its snapshot's buffers to be
 // recycled. The view must not be read afterwards. Releasing twice is a
-// no-op.
-func (v *StoreView) Release() { v.v.Release() }
+// no-op, even after the released view has been handed to another caller.
+func (v *StoreView) Release() { v.v.ReleaseGen(v.gen) }
 
 // NumVertices returns the view's vertex count.
 func (v *StoreView) NumVertices() uint32 { return v.v.NumVertices() }
