@@ -66,8 +66,8 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":7420", "listen address")
-		shards   = flag.Int("shards", 1, "default shard-writer count for created graphs")
-		queue    = flag.Int("queue", 64, "default per-shard queue bound in batches (backpressure threshold)")
+		shards   = flag.Int("shards", 1, "default vertex-range shard count for created graphs")
+		queue    = flag.Int("queue", 64, "default queue bound of a graph's store in batches (backpressure threshold)")
 		vertices = flag.Uint("vertices", 1024, "default initial vertex slots for created graphs (they auto-grow)")
 		graphs   = flag.String("graphs", "", "comma-separated graphs to pre-create, each name[:shards[:queue]]")
 		auto     = flag.Bool("autocreate", true, "create a missing graph on first ingest instead of 404")

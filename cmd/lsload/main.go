@@ -141,7 +141,7 @@ func main() {
 		addr     = flag.String("addr", "http://127.0.0.1:7420", "lsgraphd base URL")
 		graph    = flag.String("graph", "load", "graph name to drive")
 		shards   = flag.Int("shards", 1, "shard count when creating the graph")
-		queueLen = flag.Int("queue", 64, "per-shard queue bound when creating the graph")
+		queueLen = flag.Int("queue", 64, "store queue bound when creating the graph")
 		mixFlag  = flag.String("mix", "T1,T4,T5", "comma-separated mix names (T1..T6; T6 is the Zipf-skewed write mix) or 'all'")
 		rate     = flag.Float64("rate", 300, "offered load in requests/second (Poisson arrivals)")
 		duration = flag.Duration("duration", 10*time.Second, "measured run length per mix")

@@ -16,7 +16,7 @@ import (
 type CrashPlan struct {
 	// Seed drives the workload generator.
 	Seed int64
-	// Shards is the store's shard-writer count.
+	// Shards is the store's vertex-range shard count.
 	Shards int
 	// Vertices is the initial vertex bound; batches may reference
 	// slightly beyond it to exercise growth across recovery.

@@ -51,8 +51,9 @@ type pipe struct {
 
 	// traceBatch is the flight-recorder batch ID the shard's current update
 	// is attributed to (see internal/obs). It is owned by whichever
-	// goroutine owns the shard's update pipeline — the serve shard writer
-	// sets it via BeginTrace before applying — so a plain field suffices
+	// goroutine owns the shard's update pipeline — the serve writer's worker
+	// for the shard's part sets it via BeginTrace before applying — so a
+	// plain field suffices
 	// under the per-shard exclusivity contract.
 	traceBatch uint64
 }

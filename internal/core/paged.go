@@ -76,8 +76,7 @@ func (g *Paged) ScratchBytes() (b uint64) {
 // donor's range then ends, and the receiver's begins, at newStart. It
 // returns the number of materialized vertices and directed edges that
 // changed owner. The caller must hold both shards quiescent —
-// internal/serve parks their writers on a rendezvous control entry — while
-// the other shards may keep working.
+// internal/serve runs it on its writer, between two batches.
 func (g *Paged) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEdges uint64, err error) {
 	if err := validateMove(g.starts(), k, newStart); err != nil {
 		return 0, 0, err
@@ -185,9 +184,9 @@ func (sh *pagedShard) ensure(n int) {
 }
 
 // PagedShard is a handle on one shard of a Paged: the update and publish
-// surface a Store's shard writer owns. Its methods must be serialized per
-// shard — one owner goroutine per shard — but different shards' owners may
-// run them concurrently.
+// surface a Store's writer drives. Its methods must be serialized per
+// shard — one goroutine at a time per shard — but different shards' may
+// run concurrently, as the writer's side-by-side apply runs them.
 type PagedShard struct {
 	*pagedShard
 	g *Paged

@@ -119,7 +119,7 @@ const openEnd = 1 << 32
 // holds is the shard's own (pipe's base and end).
 type space struct {
 	// n is the logical vertex-space bound: IDs are valid in [0, n). It is
-	// atomic because concurrent shard writers raise it via EnsureVertices
+	// atomic because shards applied side by side raise it via EnsureVertices
 	// while others validate batches against it.
 	n atomic.Uint32
 	// p bounds update parallelism (0: GOMAXPROCS).
@@ -150,7 +150,7 @@ func (sp *space) NumVertices() uint32 { return sp.n.Load() }
 func (sp *space) ReserveVertices(n uint32) { sp.raiseBound(n) }
 
 // raiseBound lifts the logical vertex-space bound to at least n (atomic
-// max, so concurrent shard writers may race to raise it).
+// max, so shards applied side by side may race to raise it).
 func (sp *space) raiseBound(n uint32) {
 	for {
 		cur := sp.n.Load()

@@ -311,9 +311,9 @@ func (a *pageArena) directory(dst [][]uint32) [][]uint32 {
 
 // Snapshot flattens the current graph into a fresh CSR view. The call
 // itself must be serialized with updates — take it between batches, or let
-// internal/serve's writer pipeline do that for you (its shard writers
-// republish after every applied batch, which is how concurrent
-// ingest+analytics is obtained). The returned view is immutable and may be
+// internal/serve's writer pipeline do that for you (its writer republishes
+// after every applied batch, which is how concurrent ingest+analytics is
+// obtained). The returned view is immutable and may be
 // read concurrently with anything, including further updates to g.
 func (g *Graph) Snapshot() *Snapshot { return g.SnapshotInto(nil) }
 

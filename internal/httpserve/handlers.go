@@ -229,7 +229,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	obsIngestEdges.Add(uint64(len(src)))
-	obsIngestBatches.Inc()
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"graph":       t.name,
 		"op":          op,

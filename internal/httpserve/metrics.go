@@ -50,8 +50,4 @@ var (
 	// separate network-accepted from engine-enqueued.
 	obsIngestEdges = obs.NewCounter("lsgraph_http_ingest_edges",
 		"", "edges accepted by the ingest endpoint")
-	// obsIngestBatches counts accepted ingest requests (one request = one
-	// enqueued batch).
-	obsIngestBatches = obs.NewCounter("lsgraph_http_ingest_batches",
-		"", "ingest requests accepted (one enqueued batch each)")
 )

@@ -48,10 +48,10 @@ type Config struct {
 	// without an explicit size (default 1024). Stores auto-grow, so this
 	// is a pre-allocation hint, not a limit.
 	DefaultVertices uint32
-	// DefaultShards is the shard-writer count for graphs created without
-	// an explicit one (default 1).
+	// DefaultShards is the vertex-range shard count for graphs created
+	// without an explicit one (default 1).
 	DefaultShards int
-	// DefaultMaxQueue is the per-shard queue bound (in batches) for graphs
+	// DefaultMaxQueue is the store's queue bound (in batches) for graphs
 	// created without an explicit one (default 64; see
 	// lsgraph.WithMaxQueue).
 	DefaultMaxQueue int
@@ -111,9 +111,9 @@ type GraphConfig struct {
 	// Vertices is the initial vertex-slot count; the store grows past it
 	// automatically when a batch references a larger ID.
 	Vertices uint32 `json:"vertices,omitempty"`
-	// Shards is the shard-writer count (lsgraph.WithShards).
+	// Shards is the vertex-range shard count (lsgraph.WithShards).
 	Shards int `json:"shards,omitempty"`
-	// MaxQueue is the per-shard queue bound in batches
+	// MaxQueue is the store's queue bound in batches
 	// (lsgraph.WithMaxQueue).
 	MaxQueue int `json:"max_queue,omitempty"`
 	// AutoRebalance is the background skew threshold

@@ -52,10 +52,10 @@ type durability struct {
 	log *wal.Log
 	// floor is the highest LSN recovery reflected into the initial state:
 	// the max over the loaded checkpoint's watermarks and every scanned
-	// record. Checkpoint watermarks are clamped up to it, because a shard
-	// writer's appliedLSN restarts at 0 after recovery while its state
-	// already contains everything at or below floor — possibly including
-	// records from other shards' logs when the shard count changed.
+	// record. Checkpoint watermarks are clamped up to it, because the
+	// epochs' LSN restarts at 0 after recovery while the state already
+	// contains everything at or below floor — possibly including records
+	// from the stale per-shard logs of a directory an older layout wrote.
 	floor uint64
 	// recovery summarizes what OpenDurable loaded and replayed.
 	recovery wal.RecoveryStats
@@ -81,17 +81,20 @@ func walOp(op int) uint8 {
 // batches run on up to workers goroutines (0: GOMAXPROCS). Recovery is
 // checkpointing run backwards, on the graph before any writer exists, in
 // five steps: load the newest valid checkpoint; scan the WAL, packing the
-// edges of every record past its shard log's watermark into keys in global
-// LSN order; reduce them to their net effect, each edge's last op
+// edges of every record past its log's watermark into keys in global LSN
+// order; reduce them to their net effect, each edge's last op
 // (tail.reduce); merge that into the checkpoint's runs with the batch
 // merge's find, place and write, each run written once to the shards' pages
 // (core.Paged.LoadCSR); then start the Store — one first publish per shard,
 // which only seals its table — and attach the log. So nothing replayed is
 // re-logged, the Store's counters start at zero, and a crash mid-recovery
 // changes nothing but the cut at a torn tail, which the next recovery
-// repeats (wal.Replay). The shard layout is
-// not recovered: the store reopens on shards shards with a uniform
-// partition map, by which the merge routes every vertex.
+// repeats (wal.Replay). The shard layout is not recovered: the store
+// reopens on shards shards with a uniform partition map, by which the merge
+// routes every vertex. The Store appends one record per batch to log 0
+// (wal/shard-000) at any shard count; the other logs of a directory written
+// by a layout that logged per shard replay like log 0, and the first
+// checkpoint covers them, so its GC deletes them.
 func OpenDurable(n uint32, shards, workers int, opt Options, dopt DurabilityOptions) (*Store, error) {
 	if dopt.Dir == "" {
 		return nil, errors.New("serve: durability requires a directory")
@@ -147,7 +150,7 @@ func OpenDurable(n uint32, shards, workers int, opt Options, dopt DurabilityOpti
 	}
 	rs.MergeNanos = time.Since(t).Nanoseconds()
 
-	d.log, err = wal.OpenLog(dopt.Dir, g.NumShards(), d.floor, wal.Options{
+	d.log, err = wal.OpenLog(dopt.Dir, 1, d.floor, wal.Options{
 		Fsync:         dopt.Fsync,
 		FsyncInterval: dopt.FsyncInterval,
 		SegmentBytes:  dopt.SegmentBytes,
@@ -383,9 +386,8 @@ func (s *Store) Recovery() wal.RecoveryStats {
 	return s.dur.recovery
 }
 
-// Checkpoint pins a composed view and publishes it as a durable
-// checkpoint (CSR per shard + partition layout + per-shard-log
-// watermarks, atomic tmp+rename), then rotates the WAL and garbage-
+// Checkpoint pins a view and publishes it as a durable checkpoint (CSR per
+// shard + partition layout + per-log watermarks, atomic tmp+rename), then rotates the WAL and garbage-
 // collects the segments it and its retained predecessor both cover.
 // Concurrent Checkpoint calls serialize; ingest and reads continue
 // throughout — the only shared work is the view pin. Returns
@@ -406,32 +408,25 @@ func (s *Store) Checkpoint() error {
 
 	v := s.View()
 	defer v.Release()
-	dirs := d.log.NumDirs()
-	if len(s.ws) > dirs {
-		dirs = len(s.ws)
+	es := v.e.shards
+	// Log 0 is the only one appended to; every other directory is stale,
+	// left by a layout that logged per shard, and all of its content
+	// predates recovery, hence is at or below floor — as is everything the
+	// epoch reflects when no batch has applied since recovery.
+	wms := make([]uint64, d.log.NumDirs())
+	for i := range wms {
+		wms[i] = d.floor
 	}
-	wms := make([]uint64, dirs)
+	wms[0] = max(v.e.lsn, d.floor)
 	ck := &wal.Checkpoint{
 		N:          v.NumVertices(),
-		Starts:     make([]uint32, len(v.es)),
+		Starts:     make([]uint32, len(es)),
 		Watermarks: wms,
 	}
-	for i, e := range v.es {
+	for i, e := range es {
 		ck.Starts[i] = e.lo
-		wm := e.lsn
-		if d.floor > wm {
-			// The snapshot reflects everything recovery replayed even when
-			// this shard has applied no new batches since (see durability.floor).
-			wm = d.floor
-		}
-		wms[i] = wm
 		offs, adj := e.snap.CSR()
 		ck.Shards = append(ck.Shards, wal.ShardSnap{Base: e.lo, Offs: offs, Adj: adj})
-	}
-	for i := len(s.ws); i < dirs; i++ {
-		// Stale log directories from an earlier, larger shard count: their
-		// entire content predates recovery, hence is at or below floor.
-		wms[i] = d.floor
 	}
 	// Sync before publishing: the checkpoint claims everything up to the
 	// watermarks is durable, so the covering records must be on disk

@@ -15,8 +15,8 @@ import (
 // BenchmarkIngestWAL is the fsync-policy overhead measurement behind
 // OPERATIONS.md "Choosing -fsync": the same Zipf(1.0) stream of 8 192-edge
 // batches, two concurrent producers (as the HTTP handlers are, so one
-// producer's log write overlaps the other's scatter) into two shard
-// writers, against a memory-only store and a WAL-backed one at each fsync
+// producer's log write overlaps the other's scatter) into a two-shard
+// Store, against a memory-only store and a WAL-backed one at each fsync
 // policy. A policy's overhead is its ns/op over mem's. mem-1shard is the
 // only measurement of enqueue over a one-range map, which no ruler
 // workload runs. `-benchtime 64x` cycles each producer's batches once.
@@ -148,8 +148,8 @@ func BenchmarkRecover(b *testing.B) {
 				if i == 0 {
 					runtime.ReadMemStats(&m1)
 					var held uint64
-					for _, w := range re.ws {
-						held += w.shard.Published().Total()
+					for i := range re.shards {
+						held += re.shards[i].shard.Published().Total()
 					}
 					b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc-held)/float64(re.Recovery().ReplayedEdges), "alloc-B/tail-edge")
 				}

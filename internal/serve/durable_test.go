@@ -194,31 +194,108 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 	}
 }
 
+// TestDurableShardCountChange recovers a directory in the layout Stores
+// wrote when each shard logged its own records — four logs, a batch's
+// shard parts in separate records — at two shards: every edge comes back,
+// the first checkpoint covers the three logs nothing appends to any more so
+// that its GC deletes them, and a fresh four-shard Store writes log 0
+// alone.
 func TestDurableShardCountChange(t *testing.T) {
 	dir := t.TempDir()
-	st := openDur(t, dir, 32, 4, DurabilityOptions{})
-	for b := 0; b < 16; b++ {
-		st.InsertBatch([]uint32{uint32(b)}, []uint32{uint32(b + 16)})
+	var bs []randomBatch
+	for b := uint32(0); b < 16; b++ {
+		bs = append(bs, randomBatch{src: []uint32{b, b + 16}, dst: []uint32{b + 16, b}})
 	}
-	st.Flush()
-	want := edgeSet(st)
-	st.Close()
+	logPerShard(t, dir, 32, 4, 0, bs)
+	if got := logDirs(t, dir); len(got) != 4 {
+		t.Fatalf("the four-shard layout wrote logs %v", got)
+	}
+	mirror := New(core.NewPaged(32, 1, 2), Options{})
+	applyBatches(mirror, bs)
+	want := edgeSet(mirror)
+	mirror.Close()
 
 	// Reopen with fewer shards: records from all four old logs replay in
 	// LSN order and re-scatter by the new uniform map.
 	re := openDur(t, dir, 32, 2, DurabilityOptions{})
 	sameEdges(t, edgeSet(re), want, "4->2 shard reopen")
-	// A checkpoint must cover the stale shard-2/3 logs so they can be GCed.
+	if rst := re.Recovery(); rst.ReplayedRecords != 32 {
+		t.Fatalf("replayed %d records, want 32: 16 batches of two shard parts", rst.ReplayedRecords)
+	}
+	// A checkpoint must cover the stale shard-1/2/3 logs so they can be GCed.
 	if err := re.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after reshard: %v", err)
+	}
+	if got := logDirs(t, dir); !slices.Equal(got, []string{"shard-000"}) {
+		t.Fatalf("logs %v after the first checkpoint, want shard-000 alone", got)
 	}
 	re.Close()
 
 	re2 := openDur(t, dir, 32, 2, DurabilityOptions{})
-	defer re2.Close()
 	sameEdges(t, edgeSet(re2), want, "post-reshard checkpoint reopen")
 	if n := re2.Recovery().ReplayedRecords; n != 0 {
 		t.Fatalf("replayed %d records past a reshard checkpoint", n)
+	}
+	re2.Close()
+
+	fresh := t.TempDir()
+	st := openDur(t, fresh, 32, 4, DurabilityOptions{})
+	applyBatches(st, bs)
+	if got := st.Stats().WALRecords; got != uint64(len(bs)) {
+		t.Fatalf("a four-shard store logged %d records for %d batches", got, len(bs))
+	}
+	st.Close()
+	if got := logDirs(t, fresh); !slices.Equal(got, []string{"shard-000"}) {
+		t.Fatalf("a fresh four-shard store wrote logs %v, want shard-000 alone", got)
+	}
+}
+
+// logDirs lists the log directories under dir's wal directory.
+func logDirs(t *testing.T, dir string) []string {
+	t.Helper()
+	es, err := os.ReadDir(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range es {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// logPerShard appends bs to dir's logs as a Store whose shards logged
+// their own records wrote them: each batch scattered by the uniform map of
+// n vertices over shards shards, one record per non-empty part in that
+// shard's log, LSNs continuing after last.
+func logPerShard(t *testing.T, dir string, n uint32, shards int, last uint64, bs []randomBatch) {
+	t.Helper()
+	l, err := wal.OpenLog(dir, shards, last, wal.Options{Fsync: wal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.NewPaged(n, shards, 1)
+	pm := &core.PartitionMap{Starts: make([]uint32, shards)}
+	for i := range pm.Starts {
+		pm.Starts[i] = g.Shard(i).Base()
+	}
+	for _, b := range bs {
+		op := uint8(wal.OpInsert)
+		if b.del {
+			op = wal.OpDelete
+		}
+		parts, _ := core.Scatter(pm, b.src, b.dst, 1)
+		for i, p := range parts {
+			if len(p.Src) == 0 {
+				continue
+			}
+			if _, err := l.Append(i, op, 0, p.Src, p.Dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -294,24 +371,44 @@ func requireFreshStart(t *testing.T, re *Store) {
 	}
 }
 
-// randomUpdates applies k seeded batches of up to 24 edges over [0, n) to
-// st, every third a delete, flushing after each so each logs its own
-// records.
-func randomUpdates(st *Store, seed int64, k int, n uint32) {
+// randomBatch is one batch of randomBatches.
+type randomBatch struct {
+	del      bool
+	src, dst []uint32
+}
+
+// randomBatches returns k seeded batches of up to 24 edges over [0, n),
+// every third a delete.
+func randomBatches(seed int64, k int, n uint32) []randomBatch {
 	r := rand.New(rand.NewSource(seed))
-	for b := 0; b < k; b++ {
+	bs := make([]randomBatch, k)
+	for b := range bs {
 		src := make([]uint32, 1+r.Intn(24))
 		dst := make([]uint32, len(src))
 		for i := range src {
 			src[i], dst[i] = uint32(r.Intn(int(n))), uint32(r.Intn(int(n)))
 		}
-		if b%3 == 2 {
-			st.DeleteBatch(src, dst)
+		bs[b] = randomBatch{del: b%3 == 2, src: src, dst: dst}
+	}
+	return bs
+}
+
+// applyBatches applies bs to st, flushing after each so each logs its own
+// record.
+func applyBatches(st *Store, bs []randomBatch) {
+	for _, b := range bs {
+		if b.del {
+			st.DeleteBatch(b.src, b.dst)
 		} else {
-			st.InsertBatch(src, dst)
+			st.InsertBatch(b.src, b.dst)
 		}
 		st.Flush()
 	}
+}
+
+// randomUpdates applies randomBatches(seed, k, n) to st.
+func randomUpdates(st *Store, seed int64, k int, n uint32) {
+	applyBatches(st, randomBatches(seed, k, n))
 }
 
 // TestRecoveryBuildsOnlyPages reopens a checkpoint holding a vertex above M
@@ -356,10 +453,11 @@ func TestRecoveryBuildsOnlyPages(t *testing.T) {
 		t.Fatalf("recovery %+v, want a checkpoint and a tail", rst)
 	}
 	sameEdges(t, edgeSet(re), want, "checkpoint with a hub plus a tail")
-	for _, w := range re.ws {
-		ps, live := w.shard.Published(), 4*w.shard.NumEdges()
+	for i := range re.shards {
+		sh := re.shards[i].shard
+		ps, live := sh.Published(), 4*sh.NumEdges()
 		if ps.Free != 0 || ps.Retired != 0 || ps.InUse > live+tailPage {
-			t.Fatalf("shard %d of %d B of edges holds %+v", w.idx, live, ps)
+			t.Fatalf("shard %d of %d B of edges holds %+v", i, live, ps)
 		}
 	}
 }
@@ -383,8 +481,9 @@ func TestRecoveryRefusesUnappliableRecord(t *testing.T) {
 }
 
 // TestRecoveryTailOrderAcrossShardLogs logs insert, delete and re-insert
-// of the same edges as consecutive records in both shard logs: the reduce
-// must keep each edge's last op, or the deletes would be lost or win.
+// of the same edges, with sources in both shards, as consecutive records:
+// the reduce must keep each edge's last op, or the deletes would be lost or
+// win. The log is one for every shard, one record per batch.
 func TestRecoveryTailOrderAcrossShardLogs(t *testing.T) {
 	dir := t.TempDir()
 	st := openDur(t, dir, 16, 2, DurabilityOptions{})
@@ -405,8 +504,8 @@ func TestRecoveryTailOrderAcrossShardLogs(t *testing.T) {
 
 	re := openDur(t, dir, 16, 2, DurabilityOptions{})
 	defer re.Close()
-	if rst := re.Recovery(); !rst.CheckpointLoaded || rst.ReplayedRecords != 7 {
-		t.Fatalf("recovery %+v, want a checkpoint and 7 replayed records", rst)
+	if rst := re.Recovery(); !rst.CheckpointLoaded || rst.ReplayedRecords != 4 {
+		t.Fatalf("recovery %+v, want a checkpoint and 4 replayed records", rst)
 	}
 	sameEdges(t, edgeSet(re), want, "insert/delete/re-insert tail")
 	v := re.View()
@@ -495,24 +594,39 @@ func TestRecoveryTailGrowsVertexSpace(t *testing.T) {
 	requireFreshStart(t, re)
 }
 
-// TestRecoveryAcrossShardCounts checkpoints at two shards and reopens the
-// directory at one and at four: the checkpoint's CSRs are routed by the
-// new map vertex by vertex, the tail is re-scattered by it.
+// TestRecoveryAcrossShardCounts checkpoints at two shards, logs a tail
+// past it, and then a second tail in the layout Stores wrote when each
+// shard logged its own records — four logs — and reopens the directory at
+// one, four and two shards: the checkpoint's CSRs are routed by the new
+// map vertex by vertex, both tails are re-scattered by it.
 func TestRecoveryAcrossShardCounts(t *testing.T) {
 	dir := t.TempDir()
 	st := openDur(t, dir, 64, 2, DurabilityOptions{})
-	randomUpdates(st, 1, 60, 64)
+	mirror := New(core.NewPaged(64, 1, 2), Options{})
+	defer mirror.Close()
+	for _, s := range []*Store{st, mirror} {
+		randomUpdates(s, 1, 60, 64)
+	}
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	randomUpdates(st, 2, 30, 64)
-	want := edgeSet(st)
+	for _, s := range []*Store{st, mirror} {
+		randomUpdates(s, 2, 30, 64)
+	}
 	st.Close()
+	last, _, err := wal.Replay(dir, func(int) uint64 { return math.MaxUint64 }, nil, func(wal.Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := randomBatches(3, 30, 64)
+	logPerShard(t, dir, 64, 4, last, tail)
+	applyBatches(mirror, tail)
+	want := edgeSet(mirror)
 
 	for _, shards := range []int{1, 4, 2} {
 		re := openDur(t, dir, 64, shards, DurabilityOptions{})
-		if rst := re.Recovery(); !rst.CheckpointLoaded || rst.ReplayedRecords == 0 {
-			t.Fatalf("S=%d: recovery %+v, want a checkpoint and a tail", shards, rst)
+		if rst := re.Recovery(); !rst.CheckpointLoaded || rst.ReplayedRecords < 60 {
+			t.Fatalf("S=%d: recovery %+v, want a checkpoint and both tails", shards, rst)
 		}
 		sameEdges(t, edgeSet(re), want, "reopen at another shard count")
 		requireFreshStart(t, re)

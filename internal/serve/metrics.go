@@ -45,10 +45,10 @@ func init() {
 	stat := func(f func(st *Stats) uint64) func(*Store, []uint64) []uint64 {
 		return one(func(s *Store) uint64 { st := s.Stats(); return f(&st) })
 	}
-	perShard := func(f func(w *shardWriter) uint64) func(*Store, []uint64) []uint64 {
+	perShard := func(f func(s *Store, i int) uint64) func(*Store, []uint64) []uint64 {
 		return func(s *Store, dst []uint64) []uint64 {
-			for _, w := range s.ws {
-				dst = append(dst, f(w))
+			for i := range s.shards {
+				dst = append(dst, f(s, i))
 			}
 			return dst
 		}
@@ -59,20 +59,18 @@ func init() {
 		index      string
 		read       func(*Store, []uint64) []uint64
 	}{
-		{"lsgraph_store_queue_depth", "update batches queued for the writer goroutines",
+		{"lsgraph_store_queue_depth", "entries queued for the writer goroutine: batches, flush sentinels and boundary moves",
 			false, "", stat(func(st *Stats) uint64 { return uint64(st.QueueDepth) })},
-		{"lsgraph_store_shard_queue_depth", "update batches queued for one shard's writer goroutine",
-			false, "shard", perShard(func(w *shardWriter) uint64 { return uint64(w.depth()) })},
-		{"lsgraph_store_shard_publish_lag", "epochs between a shard's newest snapshot and its oldest still-pinned one",
-			false, "shard", perShard(func(w *shardWriter) uint64 { return w.lag.Load() })},
+		{"lsgraph_store_publish_lag", "batches between the newest epoch and the oldest one still pinned",
+			false, "", one(func(s *Store) uint64 { return s.stats.lag.Load() })},
 		{"lsgraph_store_arena_bytes", "resident adjacency pages of one shard's published arena: in use, free and retired, in bytes",
-			false, "shard", perShard(func(w *shardWriter) uint64 { return w.pages.Load() })},
+			false, "shard", perShard(func(s *Store, i int) uint64 { return s.shards[i].pages.Load() })},
 		{"lsgraph_store_partition_epoch", "partition-map version; increments once per boundary move",
 			false, "", one(func(s *Store) uint64 { return s.routeMap.Load().Epoch })},
-		{"lsgraph_store_shard_batches_applied_total", "update batches applied, by shard writer",
-			true, "shard", perShard(func(w *shardWriter) uint64 { return w.applied.Load() })},
+		{"lsgraph_store_shard_batches_applied_total", "batch parts applied to each shard; a batch counts once in every shard it touched",
+			true, "shard", perShard(func(s *Store, i int) uint64 { return s.shards[i].applied.Load() })},
 		{"lsgraph_store_shard_edges_routed_total", "edges routed to each shard by the batch scatter",
-			true, "shard", perShard(func(w *shardWriter) uint64 { return w.s.routed[w.idx].Load() })},
+			true, "shard", perShard(func(s *Store, i int) uint64 { return s.routed[i].Load() })},
 		{"lsgraph_store_coalesced_total", "enqueued batches merged into a queued same-op batch under backpressure",
 			true, "", stat(func(st *Stats) uint64 { return st.CoalescedBatches })},
 		{"lsgraph_store_snapshots_reclaimed_total", "retired snapshots whose epoch drained: table recycled, arena pages only they could read freed",
@@ -85,7 +83,7 @@ func init() {
 			true, "", stat(func(st *Stats) uint64 { return st.MovedVertices })},
 		{"lsgraph_store_rebalance_moved_edges_total", "directed edges that changed shard during boundary moves",
 			true, "", stat(func(st *Stats) uint64 { return st.MovedEdges })},
-		{"lsgraph_wal_records_total", "shard-batch records appended to the write-ahead log",
+		{"lsgraph_wal_records_total", "batch records appended to the write-ahead log",
 			true, "", stat(func(st *Stats) uint64 { return st.WALRecords })},
 		{"lsgraph_wal_bytes_total", "framed bytes written to WAL segment files",
 			true, "", stat(func(st *Stats) uint64 { return st.WALBytes })},

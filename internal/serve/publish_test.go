@@ -149,14 +149,19 @@ func TestLongRunPublishStaysBoundedAndExact(t *testing.T) {
 		if b%2500 == 1250 {
 			compareWithFresh()
 		}
-		for _, w := range st.ws {
-			// Nothing stays pinned between iterations, so a retired epoch
-			// lives for at most one publish.
-			if len(w.retired) > 2 {
-				t.Fatalf("batch %d: shard %d holds %d retired epochs", b, w.idx, len(w.retired))
+		// Nothing stays pinned between iterations, so a retired epoch lives
+		// for at most one install, and a shard holds its current snapshot
+		// and at most the one that epoch still held.
+		if len(st.retired) > 1 {
+			t.Fatalf("batch %d: the store holds %d retired epochs", b, len(st.retired))
+		}
+		for i := range st.shards {
+			sh := &st.shards[i]
+			if len(sh.held) > 2 {
+				t.Fatalf("batch %d: shard %d holds %d unrecycled snapshots", b, i, len(sh.held))
 			}
-			if ps := w.shard.Published(); b%1000 == 999 && (ps.InUse+ps.Free > ps.Bound || ps.Retired != 0) {
-				t.Fatalf("batch %d: shard %d's arena %+v exceeds its bound", b, w.idx, ps)
+			if ps := sh.shard.Published(); b%1000 == 999 && (ps.InUse+ps.Free > ps.Bound || ps.Retired != 0) {
+				t.Fatalf("batch %d: shard %d's arena %+v exceeds its bound", b, i, ps)
 			}
 		}
 		if b == warm {
@@ -393,7 +398,8 @@ func TestHeldViewReadsOldAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := st.Stats()
-	if s.BatchesApplied < 2*200 || s.ArenaCleanedEntries == 0 {
-		t.Fatalf("%d shard-batches applied, %d entries cleaned under the held view: want ≥ 400, some", s.BatchesApplied, s.ArenaCleanedEntries)
+	if s.BatchesApplied < 200 || s.SnapshotsPublished < 2*200 || s.ArenaCleanedEntries == 0 {
+		t.Fatalf("%d batches applied, %d shard snapshots published, %d entries cleaned under the held view: want ≥ 200, ≥ 400, some",
+			s.BatchesApplied, s.SnapshotsPublished, s.ArenaCleanedEntries)
 	}
 }

@@ -1,43 +1,36 @@
 // Live skew-aware resharding: boundary moves between adjacent shards,
-// executed through the epoch publish protocol with no stop-the-world.
+// run by the writer between two batches and published as an epoch like
+// any other, with no stop-the-world for readers.
 //
-// A boundary move has two halves. Install time (Store.MoveBoundary, under
-// rebMu's write lock): swap routeMap to the successor map and append one
-// opRebalance control entry to both affected writers' queues. Every batch
-// enqueued before the install was scattered by the old map and sits ahead
-// of the control entries; every batch after is scattered by the new map
-// and sits behind them — so each batch's routing matches the shard layout
-// that will exist when it applies. Execute time (executeRebalance, on
-// whichever affected writer reaches its control entry second, while the
-// first waits parked): move the transferred vertices' table entries, and
-// their runs from the donor's page arena to the receiver's
-// (core.Paged.MoveBoundary, safe because both owners are quiescent and serve
-// readers only touch snapshots, whose tables and pages it does not write),
-// publish both shards — each snapshot stamped with its new range — and
-// install one, then the other. Between the two swaps the
-// shards' current epochs do not tile: they leave a gap or overlap exactly
-// the moved range. A View that pins across the swaps sees that and pins
-// again; a single-vertex read steps to the shard whose pinned range holds
-// its vertex (View/pinFor in view.go).
+// A boundary move has two halves. Queue time (Store.MoveBoundary, under the
+// queue lock): swap routeMap to the successor map and append one opMove
+// entry to the queue. Every batch enqueued before it was scattered by the
+// old map and sits ahead of the entry; every batch after is scattered by
+// the new map and sits behind it — so each batch's routing matches the
+// shard layout that exists when it applies. Run time (Store.move, on the
+// writer, between the batches around the entry): move the transferred
+// vertices' table entries, and their runs from the donor's page arena to
+// the receiver's (core.Paged.MoveBoundary, safe because the writer is the
+// only goroutine that touches the shards and readers only touch snapshots,
+// whose tables and pages it does not write), publish both shards — each
+// snapshot stamped with its new range — and install the next epoch. Ingest
+// waits for the splice; readers do not.
 package serve
 
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"lsgraph/internal/core"
 	"lsgraph/internal/obs"
 )
 
-// rebalanceOp is the rendezvous state shared by the two control entries
-// of one boundary move. The second writer to arrive executes; the first
-// waits on done.
-type rebalanceOp struct {
+// moveOp is one queued boundary move and its outcome, ready when done
+// closes.
+type moveOp struct {
 	k        int    // boundary index: move between shards k and k+1
 	newStart uint32 // new first vertex of shard k+1
-	arrived  atomic.Int32
 	done     chan struct{}
 
 	movedVerts uint32
@@ -45,23 +38,16 @@ type rebalanceOp struct {
 	err        error
 }
 
-// testHookRebalanceExecute, when non-nil, runs on the executing writer
-// goroutine immediately before the splice, while both affected writers
-// are quiesced. Tests block in it to assert that readers and unaffected
-// writers keep making progress mid-rebalance.
+// testHookRebalanceExecute, when non-nil, runs on the writer goroutine
+// immediately before a boundary move's splice. Tests block in it to assert
+// that readers keep making progress mid-rebalance.
 var testHookRebalanceExecute func()
 
-// testHookRebalanceMidSwap, when non-nil, runs on the executing writer
-// goroutine between the two installs of a boundary move: shard k's new
-// epoch is current, shard k+1's is still the old one. Tests hold the move
-// there to read the store in the one state where its epochs do not tile.
-var testHookRebalanceMidSwap func()
-
 // MoveBoundary moves the partition boundary between shards k and k+1 to
-// newStart, moving the transferred vertex range's table entries and runs and
-// republishing both shards under the successor map (epoch+1). It blocks until the move
-// has executed and is reader-visible. Only the two affected shard writers
-// pause (at their control entries); all other writers and all readers
+// newStart, moving the transferred vertex range's table entries and runs
+// and republishing both shards under the successor map. It blocks until
+// the move has run and is reader-visible: the writer runs it after every
+// batch enqueued before the call and before any enqueued after it. Readers
 // proceed throughout. Returns the moved materialized vertex and edge
 // counts. Safe to call from any goroutine; concurrent calls serialize.
 func (s *Store) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEdges uint64, err error) {
@@ -72,79 +58,53 @@ func (s *Store) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEd
 
 // moveBoundaryLocked is MoveBoundary with rebalanceMu held.
 func (s *Store) moveBoundaryLocked(k int, newStart uint32) (uint32, uint64, error) {
-	pm := s.routeMap.Load()
-	next, err := pm.WithBoundary(k, newStart)
+	next, err := s.routeMap.Load().WithBoundary(k, newStart)
 	if err != nil {
 		return 0, 0, err
 	}
-	op := &rebalanceOp{k: k, newStart: newStart, done: make(chan struct{})}
-	wa, wb := s.ws[k], s.ws[k+1]
-
-	// Install: swap the routing map and append both control entries as one
-	// atomic step with respect to enqueue (rebMu write lock) and to both
-	// writers' drains (their queue locks, taken together — the only place
-	// two writer locks nest, always in index order).
-	s.rebMu.Lock()
-	wa.mu.Lock()
-	wb.mu.Lock()
-	if wa.closed || wb.closed {
-		wb.mu.Unlock()
-		wa.mu.Unlock()
-		s.rebMu.Unlock()
+	op := &moveOp{k: k, newStart: newStart, done: make(chan struct{})}
+	s.mu.Lock()
+	if s.closed.Load() {
+		s.mu.Unlock()
 		return 0, 0, fmt.Errorf("serve: boundary move on closed Store")
 	}
 	s.routeMap.Store(next)
-	wa.queue = append(wa.queue, pending{op: opRebalance, reb: op})
-	wb.queue = append(wb.queue, pending{op: opRebalance, reb: op})
-	wa.mu.Unlock()
-	wb.mu.Unlock()
-	s.rebMu.Unlock()
-	wa.signal()
-	wb.signal()
-
+	s.queue = append(s.queue, pending{op: opMove, move: op})
+	s.mu.Unlock()
+	s.signal()
 	<-op.done
-	if op.err != nil {
-		return 0, 0, op.err
-	}
-	return op.movedVerts, op.movedEdges, nil
+	return op.movedVerts, op.movedEdges, op.err
 }
 
-// executeRebalance performs the splice half of a boundary move. It runs on
-// the second affected writer to reach its control entry; the first is
-// parked on op.done, so both shards are quiescent: no update or publish
-// can race with the splice or the republish below.
-func (s *Store) executeRebalance(op *rebalanceOp) {
+// move runs a queued boundary move: the splice, then both shards'
+// publishes in one epoch. Writer goroutine only.
+func (s *Store) move(op *moveOp) {
+	defer close(op.done)
 	sp := obs.PhaseRebalance.Begin()
 	if testHookRebalanceExecute != nil {
 		testHookRebalanceExecute()
 	}
 	mv, me, err := s.g.MoveBoundary(op.k, op.newStart)
 	if err != nil {
-		// Install-time validation makes this unreachable (rebalanceMu
-		// serializes moves, so the shards' ranges are still routeMap's
+		// Queue-time validation makes this unreachable (rebalanceMu
+		// serializes moves, so the shards' ranges are still the map's
 		// before the swap); surface it to the caller rather than corrupting
 		// state.
 		op.err = err
 		return
 	}
-	pm := s.routeMap.Load() // the successor map, installed with op
-	wa, wb := s.ws[op.k], s.ws[op.k+1]
 	// The move shifted slots and bases in the shards' own tables; views
-	// pinned on the old layout keep the old tables and pages. Both snapshots
-	// are built before either is installed, so the window in which the
-	// current epochs do not tile is two atomic swaps wide.
-	ea := wa.buildSnap()
-	eb := wb.buildSnap()
-	wa.install(ea)
-	if testHookRebalanceMidSwap != nil {
-		testHookRebalanceMidSwap()
+	// pinned on the old layout keep the old tables and pages.
+	e := s.successor(0, 0)
+	for _, i := range []int{op.k, op.k + 1} {
+		e.shards[i] = s.publish(i, 0, e.batches)
 	}
-	wb.install(eb)
+	s.install(e)
 	op.movedVerts, op.movedEdges = mv, me
 	s.rebStats.boundaryMoves.Add(1)
 	s.rebStats.movedVertices.Add(uint64(mv))
 	s.rebStats.movedEdges.Add(me)
-	sp.End(op.k, 0, pm.Epoch, me)
+	sp.End(op.k, 0, s.routeMap.Load().Epoch, me)
 }
 
 // RebalanceResult summarizes one Rebalance call.
@@ -163,24 +123,23 @@ type RebalanceResult struct {
 	// MapEpoch is the partition-map epoch after the call.
 	MapEpoch uint64 `json:"map_epoch"`
 	// Duration is the wall time of the whole call, including waiting for
-	// the affected writers to reach their control entries. It marshals as
-	// nanoseconds.
+	// the writer to reach each move's entry. It marshals as nanoseconds.
 	Duration time.Duration `json:"duration_nanos"`
 }
 
 // Rebalance re-equalizes per-shard edge mass: it pins a consistent view,
 // computes the boundary positions that split the total edge mass evenly,
-// and performs the necessary adjacent boundary moves, each through the
-// live no-stop-the-world protocol (only the two shards touched by a move
-// pause; readers never do). It is a no-op for S == 1 or an already-even
-// layout. Concurrent Rebalance/MoveBoundary calls serialize.
+// and performs the necessary adjacent boundary moves, each a queue entry
+// the writer runs between two batches (readers never pause). It is a no-op
+// for S == 1 or an already-even layout. Concurrent Rebalance/MoveBoundary
+// calls serialize.
 func (s *Store) Rebalance() (RebalanceResult, error) {
 	s.rebalanceMu.Lock()
 	defer s.rebalanceMu.Unlock()
 	start := time.Now()
 	var res RebalanceResult
 	res.MapEpoch = s.routeMap.Load().Epoch
-	if len(s.ws) == 1 {
+	if len(s.shards) == 1 {
 		res.Duration = time.Since(start)
 		return res, nil
 	}
@@ -236,7 +195,8 @@ func (s *Store) Rebalance() (RebalanceResult, error) {
 
 // viewSkewPct is the per-shard edge-mass skew of a pinned view (skewPct).
 func viewSkewPct(v *View) float64 {
-	return skewPct(len(v.es), func(i int) uint64 { return v.es[i].snap.NumEdges() })
+	es := v.e.shards
+	return skewPct(len(es), func(i int) uint64 { return es[i].snap.NumEdges() })
 }
 
 // targetBoundaries computes, from a pinned view, the boundary vertex IDs
@@ -245,7 +205,8 @@ func viewSkewPct(v *View) float64 {
 // layout is already exact or the view holds no edges (nothing to balance
 // by; boundaries would collapse arbitrarily).
 func targetBoundaries(v *View) []uint32 {
-	S := len(v.es)
+	es := v.e.shards
+	S := len(es)
 	total := v.NumEdges()
 	if total == 0 {
 		return nil
@@ -253,7 +214,7 @@ func targetBoundaries(v *View) []uint32 {
 	// prefix(g) = edge mass of vertices [0, g): per-shard snapshot offsets
 	// shifted by the mass of the shards before them.
 	cum := make([]uint64, S+1)
-	for i, e := range v.es {
+	for i, e := range es {
 		cum[i+1] = cum[i] + e.snap.NumEdges()
 	}
 	targets := make([]uint32, S-1)
@@ -266,10 +227,10 @@ func targetBoundaries(v *View) []uint32 {
 		if i == S {
 			i = S - 1
 		}
-		e := v.es[i]
+		e := es[i]
 		local := want - cum[i]
 		targets[k] = e.lo + e.snap.VertexAtEdge(local)
-		if targets[k] != v.es[k+1].lo {
+		if targets[k] != es[k+1].lo {
 			exact = false
 		}
 	}
@@ -327,7 +288,7 @@ func (s *Store) autoRebalance() {
 			// No ingest since last tick: fall back to stored edge mass so a
 			// skewed-at-rest store still converges.
 			v := s.View()
-			for i, e := range v.es {
+			for i, e := range v.e.shards {
 				load[i] = e.snap.NumEdges()
 				total += load[i]
 			}
@@ -368,14 +329,15 @@ type PartitionInfo struct {
 func (s *Store) Partition() PartitionInfo {
 	v := s.View()
 	defer v.Release()
+	es := v.e.shards
 	info := PartitionInfo{
 		Epoch:   s.routeMap.Load().Epoch,
-		Starts:  make([]uint32, len(v.es)),
-		Edges:   make([]uint64, len(v.es)),
+		Starts:  make([]uint32, len(es)),
+		Edges:   make([]uint64, len(es)),
 		Routed:  make([]uint64, len(s.routed)),
 		SkewPct: viewSkewPct(v),
 	}
-	for i, e := range v.es {
+	for i, e := range es {
 		info.Starts[i] = e.lo
 		info.Edges[i] = e.snap.NumEdges()
 	}

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"lsgraph/internal/core"
@@ -204,7 +206,7 @@ func TestStoreMismatchedBatchPanics(t *testing.T) {
 // TestEnqueueRefusesUnappliableBatches: a batch naming vertex 2³²−1 — whose
 // vertex-space bound, one past it, wraps to 0 — or with src and dst of
 // different lengths is refused by Enqueue with an error and by InsertBatch
-// with a panic on the caller's goroutine, before any shard writer sees it;
+// with a panic on the caller's goroutine, before the writer sees it;
 // the store keeps serving. (Before, Enqueue took the ID and the writer
 // goroutine's panic took the process down.)
 func TestEnqueueRefusesUnappliableBatches(t *testing.T) {
@@ -236,5 +238,67 @@ func TestEnqueueRefusesUnappliableBatches(t *testing.T) {
 	st.Flush()
 	if st.NumEdges() != 1 || st.NumVertices() != 8 || st.Stats().EdgesEnqueued != 1 {
 		t.Fatalf("after the refusals: %d edges, %d vertices, %d enqueued", st.NumEdges(), st.NumVertices(), st.Stats().EdgesEnqueued)
+	}
+}
+
+// TestSharedSnapshotOutlivesEveryHolder pins views across a stream of
+// batches that each touch only some of the shards, so that successive
+// epochs share the untouched shards' snapshots, and releases the views in
+// random order. A shard snapshot may be recycled only once no undrained
+// epoch holds it: recycled early, its table becomes the next table copy's
+// target, and a still-pinned view that holds it reads the copy's entries.
+// Every pinned view must read what it read when it was pinned.
+func TestSharedSnapshotOutlivesEveryHolder(t *testing.T) {
+	const n, shards = 256, 4
+	st := New(core.NewPaged(n, shards, 2), Options{})
+	defer st.Close()
+	span := uint32(n / shards)
+	rng := rand.New(rand.NewSource(42))
+	type held struct {
+		v   *View
+		adj [][]uint32
+	}
+	var views []held
+	check := func(step int) {
+		t.Helper()
+		for _, h := range views {
+			for u, want := range h.adj {
+				if got := h.v.Neighbors(uint32(u)); !slices.Equal(got, want) {
+					t.Fatalf("step %d: view at epoch %d reads vertex %d as %v, read %v when pinned", step, h.v.Epoch(), u, got, want)
+				}
+			}
+		}
+	}
+	for step := 0; step < 400; step++ {
+		// A batch into one or two random shards.
+		var src, dst []uint32
+		for k := 0; k < 1+rng.Intn(2); k++ {
+			base := uint32(rng.Intn(shards)) * span
+			for i := 0; i < 8; i++ {
+				src, dst = append(src, base+uint32(rng.Intn(int(span)))), append(dst, uint32(rng.Intn(n)))
+			}
+		}
+		if rng.Intn(4) == 0 {
+			st.DeleteBatch(src, dst)
+		} else {
+			st.InsertBatch(src, dst)
+		}
+		st.Flush()
+		if rng.Intn(3) == 0 {
+			v := st.View()
+			views = append(views, held{v, pinned(v)})
+		}
+		if len(views) > 0 && rng.Intn(3) == 0 {
+			i := rng.Intn(len(views))
+			views[i].v.Release()
+			views = slices.Delete(views, i, i+1)
+		}
+		check(step)
+	}
+	for _, h := range views {
+		h.v.Release()
+	}
+	if st.Stats().SnapshotsReclaimed == 0 {
+		t.Fatal("no snapshot was reclaimed")
 	}
 }

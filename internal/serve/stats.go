@@ -5,24 +5,26 @@ package serve
 // lsgraph_store_* and lsgraph_wal_* series too, which the registry reads
 // from them, summed over the open Stores, when it is exported (metrics.go).
 type Stats struct {
-	// QueueDepth is the number of update batches queued across all shard
-	// queues, Flush sentinels included: a point-in-time read that may change
-	// before the caller acts on it. Saturated, not this, is the shed signal.
+	// QueueDepth is the number of entries in the Store's queue, Flush
+	// sentinels and boundary moves included: a point-in-time read that may
+	// change before the caller acts on it. Saturated, not this, is the shed
+	// signal.
 	QueueDepth int
-	// BatchesApplied counts engine batches the shard writers have applied.
-	// With coalescing this can be lower than the number of enqueue calls;
-	// with multiple shards one enqueue can apply as several shard batches.
+	// BatchesApplied counts queue entries the writer has applied, each as
+	// one epoch however many shards it touched. With coalescing this can be
+	// lower than the number of enqueue calls, which Store.Epoch counts.
 	BatchesApplied uint64
 	// EdgesEnqueued counts raw edges submitted via InsertBatch/DeleteBatch.
 	EdgesEnqueued uint64
 	// CoalescedBatches counts enqueue calls merged into an already-queued
 	// batch under backpressure.
 	CoalescedBatches uint64
-	// SnapshotsPublished counts published shard epochs (including each
-	// shard's epoch 0).
+	// SnapshotsPublished counts published shard snapshots (including each
+	// shard's first, in epoch 0): one per shard a batch or a boundary move
+	// touched.
 	SnapshotsPublished uint64
-	// SnapshotsReclaimed counts retired snapshots whose epoch drained and
-	// whose table was recycled or dropped.
+	// SnapshotsReclaimed counts shard snapshots recycled once every epoch
+	// holding them had been retired and drained.
 	SnapshotsReclaimed uint64
 	// ArenaCleanedEntries counts adjacency entries the shards' publishes
 	// copied forward out of their emptiest pages to keep the arenas within
@@ -46,8 +48,9 @@ type Stats struct {
 	// MovedEdges counts directed edges that changed owner across all
 	// boundary moves.
 	MovedEdges uint64
-	// WALRecords counts shard-batch records appended to the write-ahead
-	// log (0 on a non-durable store, like every WAL* field below).
+	// WALRecords counts batch records appended to the write-ahead log, one
+	// per enqueued batch (0 on a non-durable store, like every WAL* field
+	// below).
 	WALRecords uint64
 	// WALBytes counts framed bytes written to WAL segments.
 	WALBytes uint64
@@ -67,6 +70,8 @@ type Stats struct {
 // Stats returns a copy of the Store's counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
+		QueueDepth:         s.depth(),
+		BatchesApplied:     s.stats.batchesApplied.Load(),
 		EdgesEnqueued:      s.stats.edgesEnqueued.Load(),
 		CoalescedBatches:   s.stats.coalescedBatches.Load(),
 		SnapshotsPublished: s.stats.snapshotsPublished.Load(),
@@ -76,11 +81,9 @@ func (s *Store) Stats() Stats {
 		MovedVertices:      s.rebStats.movedVertices.Load(),
 		MovedEdges:         s.rebStats.movedEdges.Load(),
 	}
-	for _, w := range s.ws {
-		st.QueueDepth += w.depth()
-		st.BatchesApplied += w.applied.Load()
-		st.ArenaCleanedEntries += w.cleaned.Load()
-		st.PublishedBytes += w.published.Load()
+	for i := range s.shards {
+		st.ArenaCleanedEntries += s.shards[i].cleaned.Load()
+		st.PublishedBytes += s.shards[i].published.Load()
 	}
 	if d := s.dur; d != nil {
 		ls := d.log.Stats()

@@ -8,87 +8,52 @@ import (
 	"lsgraph/internal/obs"
 )
 
-// acquire pins the shard's current snapshot: increment its refcount, then
-// recheck that it is still current. The recheck is what makes the writer's
+// acquire pins the current epoch: increment its refcount, then recheck
+// that it is still current. The recheck is what makes the writer's
 // refs==0 observation a proof that no reader holds or will obtain the
-// snapshot (sequentially consistent atomics; see the package comment).
-func (w *shardWriter) acquire() *epochSnap {
+// epoch (sequentially consistent atomics; see the package comment).
+func (s *Store) acquire() *epoch {
 	for {
-		e := w.cur.Load()
+		e := s.cur.Load()
 		e.refs.Add(1)
-		if w.cur.Load() == e {
+		if s.cur.Load() == e {
 			return e
 		}
 		e.refs.Add(-1)
 	}
 }
 
-func (w *shardWriter) release(e *epochSnap) { e.refs.Add(-1) }
-
-// View is an epoch-pinned, immutable composed view of the Store: one
-// pinned snapshot per shard plus the vertex bound read at acquire time.
-// Every read method (NumVertices, NumEdges, Degree, Neighbors,
-// NeighborBlocks) and every analytics kernel written against engine.Graph
-// works on it directly, concurrently with ongoing ingestion. Call Release
-// exactly once when done: an unreleased View pins its snapshots' tables and
-// arena pages for the life of the Store, and a released one goes back to a
-// pool that hands it to the next View call, of any Store on any goroutine.
+// View is an epoch-pinned, immutable view of the Store: one installed
+// epoch — every shard's snapshot at one point of the batch sequence — plus
+// the vertex bound read at acquire time. Every read method (NumVertices,
+// NumEdges, Degree, Neighbors, NeighborBlocks) and every analytics kernel
+// written against engine.Graph works on it directly, concurrently with
+// ongoing ingestion. Call Release exactly once when done: an unreleased
+// View pins its snapshots' tables and arena pages for the life of the
+// Store, and a released one goes back to a pool that hands it to the next
+// View call, of any Store on any goroutine.
 type View struct {
-	s     *Store
-	es    []*epochSnap
-	epoch uint64
-	nv    uint32
-	m     uint64
-	pin   obs.Span // the viewpin layer's span, acquire to Release
+	e   *epoch
+	nv  uint32
+	pin obs.Span // the viewpin layer's span, acquire to Release
 	// gen counts the releases made through ReleaseGen; it survives
 	// recycling so that a stale handle's second release can be told apart.
 	gen atomic.Uint64
 }
 
 // viewPool recycles Views across every Store, so pinning allocates nothing
-// once warm. A recycled View keeps only its es slice's capacity and gen. It
-// is one package-level pool on purpose: a sync.Pool inside each Store is
-// registered in the runtime's list of pools, which keeps a closed Store and
-// its whole graph alive through the next collection.
+// once warm. A recycled View keeps only its gen. It is one package-level
+// pool on purpose: a sync.Pool inside each Store is registered in the
+// runtime's list of pools, which keeps a closed Store and its whole graph
+// alive through the next collection.
 var viewPool = sync.Pool{New: func() any { return new(View) }}
 
-// View acquires the most recently published snapshot of every shard and
-// returns them pinned as one composed view. Always non-blocking with
-// respect to the writers: a View is available even mid-batch. Safe to call
-// from any goroutine, including after Close.
-//
-// The pins must tile the ID space — shard 0's range starts at 0, each next
-// one starts where the previous ends, the last is open-ended — so that the
-// view holds every vertex exactly once. Shard ranges only change in a
-// boundary move, which swaps the two affected shards' epochs one after the
-// other: a reader that pins one shard before the move and its neighbour
-// after it sees a gap or an overlap and pins again. The window is the time
-// between two atomic swaps.
+// View pins the Store's current epoch and returns it as a view. Always
+// non-blocking with respect to the writer: a View is available even
+// mid-batch. Safe to call from any goroutine, including after Close.
 func (s *Store) View() *View {
 	v := viewPool.Get().(*View)
-	v.s = s
-	if cap(v.es) < len(s.ws) {
-		v.es = make([]*epochSnap, len(s.ws))
-	}
-	v.es = v.es[:len(s.ws)]
-	for {
-		v.epoch, v.m = 0, 0
-		tiled, next := true, uint64(0)
-		for i, w := range s.ws {
-			e := w.acquire()
-			v.es[i] = e
-			tiled = tiled && uint64(e.lo) == next
-			next = e.hi
-			v.epoch += e.epoch
-			v.m += e.snap.NumEdges()
-		}
-		if tiled {
-			break
-		}
-		for i, e := range v.es {
-			s.ws[i].release(e)
-		}
-	}
+	v.e = s.acquire()
 	// Read the vertex bound after pinning: it is then at least as large as
 	// the bound reserved before any pinned snapshot's batch was published,
 	// so every neighbor ID in the view is < nv (see the package comment).
@@ -97,10 +62,10 @@ func (s *Store) View() *View {
 	return v
 }
 
-// Epoch returns the sum of the shard epochs this view pinned: 0 for the
-// Store's initial state, incremented by one per applied batch anywhere in
-// the store. Monotone across successively acquired views.
-func (v *View) Epoch() uint64 { return v.epoch }
+// Epoch returns the number of enqueued batches the view holds: 0 for the
+// Store's initial state, one more per batch however many shards it
+// touched. Monotone across successively acquired views.
+func (v *View) Epoch() uint64 { return v.e.batches }
 
 // NumVertices returns the view's vertex count: the logical vertex-space
 // bound at acquire time, which covers every ID any pinned adjacency
@@ -109,32 +74,31 @@ func (v *View) NumVertices() uint32 { return v.nv }
 
 // NumEdges returns the view's directed edge count, summed over the pinned
 // shard snapshots.
-func (v *View) NumEdges() uint64 { return v.m }
+func (v *View) NumEdges() uint64 { return v.e.m }
 
 // snapOf routes v to its pinned shard snapshot and local index. ok is
 // false when the ID is beyond the snapshot's materialized range (a vertex
 // reserved or grown after the shard's pinned publish): such a vertex has
 // degree 0 in this view.
 func (v *View) snapOf(u uint32) (*core.Snapshot, uint32, bool) {
-	// Route by the pinned epochs' own range starts, never the store's live
-	// maps: a concurrent boundary move must not change what this view
-	// reads. The pins tile, so the owner is the last one starting at or
-	// below u. The search branches on purpose: kernels read vertices in
+	// Route by the pinned epoch's own range starts, never the store's live
+	// map: a concurrent boundary move must not change what this view reads.
+	// The ranges tile, so the owner is the last one starting at or below u. The search branches on purpose: kernels read vertices in
 	// ascending order, where the branch is predicted and the loads behind
 	// it need not wait for the compare, as core's branch-free one makes
 	// them (EXPERIMENTS.md, "Routing a batch").
-	i, end := 0, len(v.es)
+	es := v.e.shards
+	i, end := 0, len(es)
 	for end-i > 1 {
 		mid := int(uint(i+end) >> 1)
-		if v.es[mid].lo <= u {
+		if es[mid].lo <= u {
 			i = mid
 		} else {
 			end = mid
 		}
 	}
-	e := v.es[i]
-	snap := e.snap
-	lu := u - e.lo
+	snap := es[i].snap
+	lu := u - es[i].lo
 	return snap, lu, lu < snap.NumVertices()
 }
 
@@ -174,7 +138,7 @@ func (v *View) NeighborBlocks(u uint32, yield func(block []uint32) bool) {
 // pinned publish) have no edges in this view.
 func (v *View) NeighborRange(lo, hi uint32, yield func(u uint32, block []uint32) bool) {
 	hi = min(hi, v.nv)
-	for _, e := range v.es {
+	for _, e := range v.e.shards {
 		if lo >= hi {
 			return
 		}
@@ -201,16 +165,13 @@ func (v *View) NeighborRange(lo, hi uint32, yield func(u uint32, block []uint32)
 // own readers; callers sharing a View across goroutines must release after
 // those goroutines finish.
 func (v *View) Release() {
-	// Drop every reference before pooling: a pooled view must not keep a
-	// Store, or a snapshot, reachable.
-	for i, e := range v.es {
-		v.s.ws[i].release(e)
-		v.es[i] = nil
-	}
-	// How long the view held its snapshots pinned: long pins are what delay
+	// How long the view held its epoch pinned: long pins are what delay
 	// reclamation, so the age distribution explains epoch lag.
-	v.pin.End(-1, 0, v.epoch, v.m)
-	v.s, v.pin = nil, obs.Span{}
+	v.pin.End(-1, 0, v.e.batches, v.e.m)
+	v.e.refs.Add(-1)
+	// Drop every reference before pooling: a pooled view must not keep an
+	// epoch, and with it a Store's snapshots, reachable.
+	v.e, v.pin = nil, obs.Span{}
 	viewPool.Put(v)
 }
 
@@ -228,85 +189,42 @@ func (v *View) ReleaseGen(gen uint64) {
 	}
 }
 
-// Epoch returns the Store's current epoch: the total number of batches
-// applied and published across all shards since construction.
-func (s *Store) Epoch() uint64 {
-	var e uint64
-	for _, w := range s.ws {
-		e += w.cur.Load().epoch
-	}
-	return e
-}
+// Epoch returns the number of enqueued batches the Store's current epoch
+// holds: the batches applied and published since construction.
+func (s *Store) Epoch() uint64 { return s.cur.Load().batches }
 
 // NumVertices returns the current logical vertex-space bound (including
 // vertices reserved by still-queued batches).
 func (s *Store) NumVertices() uint32 { return s.g.NumVertices() }
 
-// NumEdges returns the directed edge count summed over the shards'
-// current snapshots, pinned as one tiling view (so a concurrent boundary
-// move never double- or under-counts the moved range's edges).
-func (s *Store) NumEdges() uint64 {
-	v := s.View()
-	m := v.NumEdges()
-	v.Release()
-	return m
-}
+// NumEdges returns the directed edge count of the current epoch.
+func (s *Store) NumEdges() uint64 { return s.cur.Load().m }
 
-// pinFor pins the current epoch of the shard whose published range holds
-// v and returns v's index in it; callers must release e on the returned
-// writer. The routing map only says where to look first: during a boundary
-// move it already names v's next owner while the epoch holding v may still
-// be the neighbour's, so the walk steps towards v until a pinned range
-// holds it. It cannot step off either end — shard 0's range starts at 0
-// and the last shard's is open-ended — and whichever epoch holds v is up
-// to date for it (see the package comment), so no second check is needed.
-func (s *Store) pinFor(v uint32) (*shardWriter, *epochSnap, uint32) {
-	i := s.routeMap.Load().ShardOf(v)
-	for {
-		w := s.ws[i]
-		e := w.acquire()
-		switch {
-		case v < e.lo:
-			i--
-		case uint64(v) >= e.hi:
-			i++
-		default:
-			return w, e, v - e.lo
-		}
-		w.release(e)
-	}
-}
-
-// Degree returns v's out-degree in the owning shard's current snapshot.
+// Degree returns v's out-degree in the current epoch, read through a View
+// pinned for the call.
 func (s *Store) Degree(v uint32) uint32 {
-	w, e, lv := s.pinFor(v)
-	d := uint32(0)
-	if lv < e.snap.NumVertices() {
-		d = e.snap.Degree(lv)
-	}
-	w.release(e)
+	vw := s.View()
+	d := vw.Degree(v)
+	vw.Release()
 	return d
 }
 
-// NeighborBlocks yields v's adjacency as one block out of the owning
-// shard's snapshot current at call time (engine.Graph). The snapshot stays
-// pinned for the duration of the call — so yield always sees one coherent
-// adjacency even while batches apply concurrently — and no longer: the
-// block must not be retained past yield.
+// NeighborBlocks yields v's adjacency as one block out of the epoch current
+// at call time (engine.Graph). The epoch stays pinned for the duration of
+// the call — so yield always sees one coherent adjacency even while batches
+// apply concurrently — and no longer: the block must not be retained past
+// yield.
 func (s *Store) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
-	w, e, lv := s.pinFor(v)
-	if lv < e.snap.NumVertices() {
-		e.snap.NeighborBlocks(lv, yield)
-	}
-	w.release(e)
+	vw := s.View()
+	vw.NeighborBlocks(v, yield)
+	vw.Release()
 }
 
 // NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with
-// its adjacency out of one tiling view pinned for the call (engine.Graph):
-// every shard is pinned once per call, not once per vertex, and released
-// when the walk ends; blocks must not be retained past yield.
+// its adjacency out of one View pinned for the call (engine.Graph); blocks
+// must not be retained past yield.
 func (s *Store) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
-	v := s.View()
-	v.NeighborRange(lo, hi, yield)
-	v.Release()
+	vw := s.View()
+	vw.NeighborRange(lo, hi, yield)
+	vw.Release()
 }

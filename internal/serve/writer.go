@@ -1,161 +1,229 @@
 package serve
 
-import "lsgraph/internal/obs"
+import (
+	"slices"
+	"sync/atomic"
 
-// testHookBeforeApply, when non-nil, runs on a writer goroutine before
-// each batch is applied. Tests use it to hold a writer mid-drain and
+	"lsgraph/internal/core"
+	"lsgraph/internal/obs"
+	"lsgraph/internal/parallel"
+)
+
+// sideBySideMin is the smallest batch whose shard parts the writer applies
+// side by side whether or not a caller waits for it: the bound from which
+// core's pipeline splits a batch across workers.
+const sideBySideMin = 1 << 12
+
+// testHookBeforeApply, when non-nil, runs on the writer goroutine before
+// each batch is applied. Tests use it to hold the writer mid-drain and
 // exercise queue coalescing deterministically.
 var testHookBeforeApply func()
 
-// run is a shard writer's goroutine: it applies this shard's updates and
-// publishes its snapshots. It drains the whole queue each cycle, applying
-// each entry as one engine batch and republishing after each, so readers
-// observe every applied batch as its own shard epoch.
-func (w *shardWriter) run() {
-	defer close(w.done)
+// run is the writer goroutine: it drains the whole queue each cycle and
+// takes the entries in order — a batch is applied and installed as one
+// epoch, a boundary move runs between the batches around it, a Flush
+// sentinel is released once everything ahead of it is reader-visible.
+//
+// A batch ahead of an entry whose caller waits — a Flush or a boundary
+// move — has its shard parts applied side by side: the caller is blocked,
+// so the CPUs they take would idle. So has a batch of sideBySideMin edges or
+// more, which core's pipeline splits across workers anyway. Any other batch
+// is background work too small to split, its parts applied one after
+// another on the writer, which leaves the other CPUs to the producers.
+// Either way for every batch cost one of the benchmark's workloads its
+// update latency (EXPERIMENTS.md, "One writer").
+func (s *Store) run() {
+	defer close(s.done)
 	for {
-		w.mu.Lock()
-		q := w.queue
-		w.queue = nil
-		closed := w.closed
-		w.mu.Unlock()
+		s.mu.Lock()
+		q := s.queue
+		s.queue = nil
+		closed := s.closed.Load()
+		s.mu.Unlock()
 		if len(q) == 0 {
 			if closed {
-				w.reclaim()
+				s.reclaim()
 				return
 			}
-			<-w.wake
+			<-s.wake
 			continue
 		}
+		waited := 0 // entries before it are ahead of a waiting caller's
 		for i := range q {
-			b := &q[i]
-			if b.op == opFlush {
+			if q[i].op == opFlush || q[i].op == opMove {
+				waited = i
+			}
+		}
+		for i := range q {
+			switch b := &q[i]; b.op {
+			case opFlush:
 				close(b.done)
-				continue
-			}
-			if b.op == opRebalance {
-				// Rendezvous: the second of the two affected writers to reach
-				// its control entry executes the splice while the first waits
-				// parked. Only these two writers stop; every other shard's
-				// writer and every reader keeps running.
-				if b.reb.arrived.Add(1) == 2 {
-					w.s.executeRebalance(b.reb)
-					close(b.reb.done)
-				} else {
-					<-b.reb.done
-				}
-				continue
-			}
-			if testHookBeforeApply != nil {
-				testHookBeforeApply()
-			}
-			if b.bound > 0 {
-				w.shard.EnsureVertices(b.bound)
-			}
-			w.shard.BeginTrace(b.batch)
-			if b.op == opInsert {
-				w.shard.InsertBatch(b.src, b.dst)
-			} else {
-				w.shard.DeleteBatch(b.src, b.dst)
-			}
-			w.applied.Add(1)
-			if b.lsn > w.appliedLSN {
-				w.appliedLSN = b.lsn
-			}
-			w.publish(b.batch)
-			if b.enq != 0 {
-				// The batch is now reader-visible: close the end-to-end
-				// enqueue-to-publish measurement and feed the tail estimator.
-				lag := obs.Now() - b.enq
-				if obs.Enabled() {
-					obsVisibilityLag.Observe(uint64(lag))
-				}
-				obs.BatchEnd(b.batch, lag)
+			case opMove:
+				s.move(b.move)
+			default:
+				s.apply(b, i < waited)
 			}
 			q[i] = pending{} // release the scattered batch for GC
 		}
 	}
 }
 
-// publish builds the shard's next snapshot, swaps it in as the shard's new
-// epoch, and retires the previous one. batch is the flight-recorder
-// attribution of the update that triggered the republish (0 from New).
-// Writer goroutine only (and New, before the writer starts).
-func (w *shardWriter) publish(batch uint64) {
-	sp := obs.PhasePublish.Begin()
-	e := w.buildSnap()
-	w.install(e)
-	sp.End(w.idx, batch, e.epoch, e.snap.NumEdges())
-}
-
-// install makes e the shard's current epoch — the one atomic swap that
-// publishes it to readers — retires the epoch it replaces, and reclaims
-// whatever has drained. Writer goroutine only, or the rebalance executor
-// while the writer is parked.
-func (w *shardWriter) install(e *epochSnap) {
-	if old := w.cur.Swap(e); old != nil {
-		w.retired = append(w.retired, old)
+// apply applies one queued batch — its shard parts side by side when a
+// caller waits for it or it is big, else one after another (see run) —
+// each touched shard on its share of the worker budget and publishing its
+// snapshot once its part is in, then installs the epoch holding all of
+// them.
+func (s *Store) apply(b *pending, waited bool) {
+	if testHookBeforeApply != nil {
+		testHookBeforeApply()
 	}
-	w.s.stats.snapshotsPublished.Add(1)
-	w.reclaim()
-}
-
-// buildSnap seals the shard's table as its next epochSnap
-// (core.PagedShard.Publish; the batches since the current one already wrote
-// their runs to the shard's page arena) without swapping it in, stamped with
-// the range the shard owns right now. No other goroutine can be changing that range: a boundary move
-// touches only the two shards it parks. Writer goroutine only — or the
-// rebalance executor, while both affected writers are parked at their control
-// entries.
-func (w *shardWriter) buildSnap() *epochSnap {
-	var next uint64
-	if old := w.cur.Load(); old != nil {
-		next = old.epoch + 1
-	}
-	return &epochSnap{
-		snap:  w.shard.Publish(),
-		epoch: next,
-		lo:    w.shard.Base(),
-		hi:    w.shard.End(),
-		lsn:   w.appliedLSN,
-	}
-}
-
-// reclaim recycles retired snapshots whose epoch has drained (refcount
-// zero observed after retirement; see the package comment for why that
-// observation is safe), in whatever order readers let go of them: the shard
-// keeps the newest drained table for its next publish and frees the arena
-// pages nothing older than the oldest undrained epoch can read. It ends
-// every publish, so it is also where the shard's published footprint is
-// noted for Stats. Writer goroutine only.
-func (w *shardWriter) reclaim() {
-	sp := obs.PhaseReclaim.Begin()
-	freed := 0
-	kept := w.retired[:0]
-	for _, e := range w.retired {
-		if e.refs.Load() == 0 {
-			w.shard.Recycle(e.snap)
-			e.snap = nil
-			freed++
-			w.s.stats.snapshotsReclaimed.Add(1)
-		} else {
-			kept = append(kept, e)
+	s.touched = s.touched[:0]
+	edges := 0
+	for i := range b.parts {
+		if n := len(b.parts[i].Src); n > 0 {
+			s.touched = append(s.touched, i)
+			edges += n
 		}
 	}
+	p := 1
+	if waited || edges >= sideBySideMin {
+		p = min(len(s.touched), s.g.Workers())
+	}
+	e := s.successor(b.batches, b.lsn)
+	var claim atomic.Int64
+	parallel.Workers(p, func(int) {
+		for j := int(claim.Add(1)) - 1; j < len(s.touched); j = int(claim.Add(1)) - 1 {
+			i := s.touched[j]
+			sh, part := s.shards[i].shard, &b.parts[i]
+			sh.EnsureVertices(b.bound)
+			sh.BeginTrace(b.batch)
+			if b.op == opInsert {
+				sh.InsertBatch(part.Src, part.Dst)
+			} else {
+				sh.DeleteBatch(part.Src, part.Dst)
+			}
+			s.shards[i].applied.Add(1)
+			e.shards[i] = s.publish(i, b.batch, e.batches)
+		}
+	})
+	s.stats.batchesApplied.Add(1)
+	s.install(e)
+	if b.enq != 0 {
+		// The batch is now reader-visible: close the end-to-end
+		// enqueue-to-publish measurement and feed the tail estimator.
+		lag := obs.Now() - b.enq
+		if obs.Enabled() {
+			obsVisibilityLag.Observe(uint64(lag))
+		}
+		obs.BatchEnd(b.batch, lag)
+	}
+}
+
+// publish seals shard i's table as its next snapshot, stamped with the
+// range the shard owns right now. batch and epoch attribute it in the
+// flight recorder. Writer goroutine only (and launch, before the writer
+// starts); different shards may publish at once.
+func (s *Store) publish(i int, batch, epoch uint64) shardPin {
+	sp := obs.PhasePublish.Begin()
+	sh := s.shards[i].shard
+	p := shardPin{snap: sh.Publish(), lo: sh.Base(), hi: sh.End()}
+	sp.End(i, batch, epoch, p.snap.NumEdges())
+	return p
+}
+
+// successor returns the epoch after the current one — sharing every
+// shard's pin, holding batches more batches, its WAL LSN raised to lsn —
+// for the writer to fill in the shards it republishes and then install.
+func (s *Store) successor(batches, lsn uint64) *epoch {
+	e := &epoch{shards: make([]shardPin, len(s.shards)), batches: batches, lsn: lsn}
+	if old := s.cur.Load(); old != nil {
+		copy(e.shards, old.shards)
+		e.batches += old.batches
+		e.lsn = max(e.lsn, old.lsn)
+	}
+	return e
+}
+
+// install makes e current — the one atomic store that publishes it to
+// readers — retires the epoch it replaces, and reclaims whatever has
+// drained. Every pin of e that the old epoch did not hold is a snapshot
+// its shard has just published. Writer goroutine only (and launch).
+func (s *Store) install(e *epoch) {
+	old := s.cur.Load()
+	for i, p := range e.shards {
+		st := &s.shards[i]
+		if old == nil || p.snap != old.shards[i].snap {
+			st.held = append(st.held, heldSnap{snap: p.snap})
+			s.stats.snapshotsPublished.Add(1)
+		}
+		st.held[len(st.held)-1].n++
+		e.m += p.snap.NumEdges()
+	}
+	s.cur.Store(e)
+	if old != nil {
+		s.retired = append(s.retired, old)
+	}
+	s.reclaim()
+}
+
+// reclaim drops the retired epochs whose refcount has drained (zero
+// observed after retirement; see the package comment for why that
+// observation is safe), in whatever order readers let go of them, and
+// recycles each shard snapshot no undrained epoch holds any more: the shard
+// keeps the newest recycled table for its next publish and frees the arena
+// pages nothing older than the oldest undrained snapshot can read. It ends
+// every install, so it is also where the shards' published footprint is
+// noted for Stats. Writer goroutine only.
+func (s *Store) reclaim() {
+	sp := obs.PhaseReclaim.Begin()
+	freed := 0
+	kept := s.retired[:0]
+	for _, e := range s.retired {
+		if e.refs.Load() != 0 {
+			kept = append(kept, e)
+			continue
+		}
+		for i := range e.shards {
+			if s.shards[i].drop(e.shards[i].snap) {
+				freed++
+			}
+		}
+	}
+	clear(s.retired[len(kept):])
+	s.retired = kept
 	if freed > 0 {
-		sp.End(w.idx, 0, 0, uint64(freed))
+		s.stats.snapshotsReclaimed.Add(uint64(freed))
+		sp.End(-1, 0, 0, uint64(freed))
 	}
-	for i := len(kept); i < len(w.retired); i++ {
-		w.retired[i] = nil
+	for i := range s.shards {
+		st := &s.shards[i]
+		ps := st.shard.Published()
+		st.cleaned.Store(ps.Cleaned)
+		st.published.Store(ps.Total())
+		st.pages.Store(ps.InUse + ps.Free + ps.Retired)
 	}
-	w.retired = kept
-	ps := w.shard.Published()
-	w.cleaned.Store(ps.Cleaned)
-	w.published.Store(ps.Total())
-	w.pages.Store(ps.InUse + ps.Free + ps.Retired)
 	var lag uint64
-	if len(w.retired) > 0 {
-		lag = w.cur.Load().epoch - w.retired[0].epoch
+	if len(s.retired) > 0 {
+		lag = s.cur.Load().batches - s.retired[0].batches
 	}
-	w.lag.Store(lag)
+	s.stats.lag.Store(lag)
+}
+
+// drop releases a drained epoch's hold on snap and recycles snap when no
+// undrained epoch holds it any more, reporting whether it did. The current
+// epoch holds the shard's latest snapshot, so that one is never recycled.
+func (st *shardState) drop(snap *core.Snapshot) bool {
+	for j := range st.held {
+		h := &st.held[j]
+		if h.snap != snap {
+			continue
+		}
+		if h.n--; h.n > 0 {
+			return false
+		}
+		st.shard.Recycle(snap)
+		st.held = slices.Delete(st.held, j, j+1)
+		return true
+	}
+	panic("serve: a drained epoch holds a snapshot its shard does not")
 }

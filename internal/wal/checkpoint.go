@@ -7,11 +7,11 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+
+	"lsgraph/internal/parallel"
 )
 
 // Checkpoint directory naming: ckpt-<seq> with a 16-digit decimal
@@ -331,27 +331,21 @@ func loadCheckpoint(path string) (*Checkpoint, error) {
 		ck.Shards = make([]ShardSnap, len(m.Shards))
 	}
 	errs := make([]error, len(m.Shards))
-	p := min(len(m.Shards), runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < len(m.Shards); i += p {
-				ms := &m.Shards[i]
-				data, err := os.ReadFile(filepath.Join(path, ms.File))
-				switch {
-				case err != nil:
-					errs[i] = fmt.Errorf("wal: read shard snap: %w", err)
-				case crc32.Checksum(data, crcTable) != ms.CRC:
-					errs[i] = fmt.Errorf("%w: shard snap %s crc mismatch", ErrCorrupt, ms.File)
-				default:
-					ck.Shards[i], errs[i] = decodeShardSnap(data, ms.Base, ms.Vertices, ms.Edges, m.N)
-				}
+	p := min(len(m.Shards), parallel.Procs)
+	parallel.Workers(p, func(w int) {
+		for i := w; i < len(m.Shards); i += p {
+			ms := &m.Shards[i]
+			data, err := os.ReadFile(filepath.Join(path, ms.File))
+			switch {
+			case err != nil:
+				errs[i] = fmt.Errorf("wal: read shard snap: %w", err)
+			case crc32.Checksum(data, crcTable) != ms.CRC:
+				errs[i] = fmt.Errorf("%w: shard snap %s crc mismatch", ErrCorrupt, ms.File)
+			default:
+				ck.Shards[i], errs[i] = decodeShardSnap(data, ms.Base, ms.Vertices, ms.Edges, m.N)
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

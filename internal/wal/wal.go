@@ -1,22 +1,24 @@
-// Package wal is LSGraph's durability subsystem: a per-shard write-ahead
-// log, snapshot checkpoints, and replay-on-open, built so the serving
-// layer (internal/serve) can survive kill -9 without giving up its
-// lock-free ingest path.
+// Package wal is LSGraph's durability subsystem: a write-ahead log of one
+// or more append streams, snapshot checkpoints, and replay-on-open, built
+// so the serving layer (internal/serve) can survive kill -9 without giving
+// up its lock-free ingest path.
 //
 // The design leans on two properties the engine already has. First,
 // batches are the natural log record: the serving layer's unit of
-// application, acknowledgment, and coalescing is the per-shard batch, so
-// one length-prefixed CRC32C-framed record per enqueued shard batch
-// captures exactly what the store promised to apply. Second, the epoch
-// layer gives consistent cuts for free: every published shard snapshot is
-// an exact prefix of that shard's applied batch sequence, so stamping the
-// snapshot with the highest log sequence number (LSN) it contains yields a
-// per-shard watermark that says precisely which log records a checkpoint
-// already reflects.
+// application, acknowledgment, and coalescing is the batch, so one
+// length-prefixed CRC32C-framed record per enqueued batch captures exactly
+// what the store promised to apply. Second, the epoch layer gives
+// consistent cuts for free: every installed epoch is an exact prefix of
+// the applied batch sequence, so stamping it with the highest log sequence
+// number (LSN) it contains yields a watermark that says precisely which
+// log records a checkpoint already reflects. The serving layer appends to
+// stream 0 alone; a directory written when each shard logged its own
+// records holds one stream per shard, all numbered by one LSN counter,
+// and replays the same way.
 //
 // Layout under a durability directory:
 //
-//	<dir>/wal/shard-000/00000000000000000001.wal   per-shard segment files,
+//	<dir>/wal/shard-000/00000000000000000001.wal   per-stream segment files,
 //	<dir>/wal/shard-001/...                        named by their first LSN
 //	<dir>/checkpoint/ckpt-00000000000000000003/    checkpoint dirs, atomic
 //	    MANIFEST.json  shard-000.snap ...          tmp+rename publish
@@ -30,9 +32,9 @@
 // to the OS. Flush on the serving layer is always a durability barrier
 // (it calls SyncAll regardless of policy).
 //
-// Checkpoint: a pinned composed view is serialized as one local CSR file
-// per shard plus a JSON manifest carrying the logical vertex bound, the
-// partition-map range starts, and the per-shard-log watermarks. Everything
+// Checkpoint: a pinned view is serialized as one local CSR file per shard
+// plus a JSON manifest carrying the logical vertex bound, the
+// partition-map range starts, and the per-log watermarks. Everything
 // is written into a ".tmp" directory, fsynced, then atomically renamed —
 // a checkpoint either exists completely or not at all. After a successful
 // checkpoint the caller rotates and garbage-collects log segments whose

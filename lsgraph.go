@@ -131,20 +131,20 @@ func WithWorkers(w int) Option {
 }
 
 // WithShards partitions a Store's vertex space into s contiguous shards
-// (default 1), each with its own writer goroutine, update queue, and
-// independently published snapshot; View composes a consistent vector of
-// per-shard snapshots — the knob that scales concurrent ingest. Ignored by
-// Graph constructors: the paper's engine is one vertex range, updated per
-// vertex in parallel.
+// (default 1), each with its own table, page arena and published
+// snapshot. The store's one writer applies a batch's shard parts side by
+// side, each on its share of the worker budget, and publishes them as one
+// epoch. Ignored by Graph constructors: the paper's engine is one vertex
+// range, updated per vertex in parallel.
 func WithShards(s int) Option {
 	return func(st *settings) { st.shards = s }
 }
 
-// WithMaxQueue sets a Store's per-shard update-queue bound in batches
-// (default 64). Once a shard's queue holds this many pending batches,
-// further same-op enqueues merge into the newest queued batch instead of
-// growing the queue — callers are never blocked — and Store.Saturated
-// reports true so front-ends can shed ingest load. Smaller values bound
+// WithMaxQueue sets a Store's update-queue bound in batches (default 64).
+// Once the queue holds this many pending batches, further same-op
+// enqueues merge into the newest queued batch instead of growing the
+// queue — callers are never blocked — and Store.Saturated reports true so
+// front-ends can shed ingest load. Smaller values bound
 // memory and visibility lag more tightly at the cost of earlier
 // backpressure. Ignored by Graph constructors, which have no queue.
 func WithMaxQueue(n int) Option {
@@ -155,7 +155,7 @@ func WithMaxQueue(n int) Option {
 // hottest shard's routed-edge rate exceeds threshold times its fair share
 // (threshold > 1; 1.5 means "50% over fair"), the store rebalances its
 // partition map toward equal edge mass, moving contiguous vertex ranges
-// between adjacent shards without stopping reads or unaffected writers.
+// between adjacent shards without stopping reads.
 // Zero (the default) disables the watcher; Store.Rebalance remains
 // available for explicit control. Ignored by Graph constructors and by
 // single-shard stores, which have nothing to rebalance.

@@ -5,22 +5,23 @@ import (
 	"lsgraph/internal/serve"
 )
 
-// Store is the concurrent serving layer: a sharded-writer / multi-reader
+// Store is the concurrent serving layer: a single-writer / multi-reader
 // graph that lets batch updates and analytics run at the same time, the
 // capability the bare Graph's alternating-phase contract rules out.
 //
 // The vertex space is split into WithShards contiguous shards (default
-// 1), each drained by its own writer goroutine. Updates are scattered by
-// source vertex and enqueue into the owning shard's bounded queue; each
-// writer applies its batches and publishes an immutable snapshot of its
-// shard as a new shard epoch. Under backpressure a queue merges same-op
-// batches instead of blocking callers. Readers pin one snapshot per
-// shard with View — two atomic operations each — and run any analytics
-// on the composed view while further batches apply; a retired snapshot's
-// buffers are recycled once no reader pins its epoch. Vertex space grows
-// automatically: an update referencing an ID beyond the current bound
-// reserves it at enqueue time and the owning shard materializes storage
-// before applying, so unbounded ID streams need no explicit sizing.
+// 1). Updates are scattered by source vertex and enqueue, as one entry,
+// into the store's bounded queue; one writer goroutine applies each
+// batch's shard parts side by side and publishes every shard's snapshot
+// as one new epoch, so a reader sees a batch whole or not at all. Under
+// backpressure the queue merges same-op batches instead of blocking
+// callers. Readers pin the current epoch with View — two atomic
+// operations — and run any analytics on it while further batches apply; a
+// shard snapshot's buffers are recycled once no reader pins an epoch that
+// holds it. Vertex space grows automatically: an update referencing an ID
+// beyond the current bound reserves it at enqueue time and the owning
+// shard materializes storage before applying, so unbounded ID streams need
+// no explicit sizing.
 //
 // Store itself implements Reader by delegating each call to the current
 // snapshot, so the built-in kernels run directly on a live Store. Each
@@ -88,7 +89,7 @@ func (s *Store) Flush() {
 }
 
 // Close applies and publishes any remaining queued batches, then stops
-// the shard writer goroutines and waits for them to exit. Updates after
+// the writer goroutine and waits for it to exit. Updates after
 // Close panic; Views acquired before Close remain readable.
 func (s *Store) Close() {
 	s.st.Close()
@@ -104,12 +105,13 @@ func (s *Store) View() *StoreView {
 	return &StoreView{v: v, gen: v.Gen(), epoch: v.Epoch()}
 }
 
-// Epoch returns the store's current epoch: the total number of update
-// batches applied and published across all shards since construction.
+// Epoch returns the store's current epoch: the number of update batches
+// applied and published since construction, one per batch however many
+// shards it touched.
 func (s *Store) Epoch() uint64 { return s.st.Epoch() }
 
-// Shards returns the number of shard writer pipelines (1 unless the
-// store was built with WithShards).
+// Shards returns the number of vertex-range shards (1 unless the store
+// was built with WithShards).
 func (s *Store) Shards() int { return s.st.Shards() }
 
 // NumVertices returns the vertex count of the current snapshot.
@@ -143,12 +145,12 @@ func (s *Store) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32
 	s.st.NeighborRange(lo, hi, yield)
 }
 
-// Saturated reports whether any shard's update queue has reached the
+// Saturated reports whether the store's update queue has reached the
 // WithMaxQueue bound, the point where further same-op updates coalesce into
 // already-queued batches instead of queueing independently. Front-ends use
 // it as the admission-control shed signal (respond 429 instead of
-// enqueueing). Safe from any goroutine; it briefly takes each shard's
-// queue lock, so call it per request, not per edge. It is the store's one
+// enqueueing). Safe from any goroutine; it briefly takes the queue lock,
+// so call it per request, not per edge. It is the store's one
 // admission signal; StoreStats.QueueDepth says how many batches wait.
 func (s *Store) Saturated() bool { return s.st.Saturated() }
 
@@ -173,9 +175,9 @@ type PartitionInfo = serve.PartitionInfo
 
 // Rebalance re-partitions the vertex space toward equal per-shard edge
 // mass, moving contiguous vertex ranges between adjacent shards. Reads
-// and writers for unaffected shards proceed throughout; each boundary
-// move quiesces only the two shard writers it touches. Views pinned
-// before the call keep reading their pre-rebalance state until released.
+// proceed throughout; each boundary move runs on the writer between two
+// batches, so ingest waits for its splice. Views pinned before the call
+// keep reading their pre-rebalance state until released.
 // On a single-shard store it returns an empty result. Concurrent calls
 // serialize; each sees the previous call's layout.
 func (s *Store) Rebalance() (RebalanceResult, error) { return s.st.Rebalance() }
@@ -185,14 +187,13 @@ func (s *Store) Rebalance() (RebalanceResult, error) { return s.st.Rebalance() }
 // the skew gauge the auto-rebalancer watches.
 func (s *Store) Partition() PartitionInfo { return s.st.Partition() }
 
-// StoreView is an epoch-pinned, immutable view of a Store: one pinned
-// snapshot per shard, composed behind the Reader interface. It implements
-// Reader, so every built-in kernel (BFS, PageRank, ConnectedComponents,
-// TriangleCount, KCore, BC) and the EdgeMap primitive run on it while the
-// store keeps ingesting. A view is consistent per shard: all edges of one
-// source vertex appear atomically and never change while pinned. With
-// more than one shard there is no single global cut — two edges routed to
-// different shards may become visible in either order across views.
+// StoreView is an epoch-pinned, immutable view of a Store: one epoch — a
+// snapshot of every shard at one point of the batch sequence — behind the
+// Reader interface. It implements Reader, so every built-in kernel (BFS,
+// PageRank, ConnectedComponents, TriangleCount, KCore, BC) and the EdgeMap
+// primitive run on it while the store keeps ingesting. A view holds a
+// prefix of the enqueued batches: each batch wholly or not at all, across
+// every shard, and nothing changes while it is pinned.
 //
 // A StoreView is a handle on a pooled internal view: Release returns that
 // view to a pool shared by every Store, and the next View call, on any
