@@ -16,9 +16,11 @@ test:
 # simulator seeds and the crash-recovery matrix included), the strictest
 # pointer-arithmetic checks on the two packages behind the vertex block's
 # unsafe.Pointer (every unsafe.Slice must stay inside one live allocation),
-# one iteration of every benchmark, and the tracing-off overhead budget and
-# the allocation-free view pin on an uninstrumented build (the race build
-# widens the one and skips the other: its sync.Pool drops items at random).
+# one iteration of every benchmark, and the tracing-off overhead budget, the
+# allocation-free view pin and the two-allocation binary ingest decode on an
+# uninstrumented build (the race build widens the first and skips the
+# others: its sync.Pool drops items at random, and its instrumentation
+# changes what allocates).
 verify:
 	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt needed on:" $$unformatted >&2; exit 1; }
 	$(GO) vet ./...
@@ -31,6 +33,7 @@ verify:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... > /dev/null
 	$(GO) test -count=1 -run '^TestTraceDisabledOverheadGuard$$' ./internal/obs
 	$(GO) test -count=1 -run '^TestViewPinAllocs$$' . ./internal/serve
+	$(GO) test -count=1 -run '^TestIngestDecodeAllocs$$' ./internal/httpserve
 	@echo "verify: OK"
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): one run of

@@ -253,9 +253,11 @@ func (sh *pagedShard) run(lv uint32) []uint32 { return sh.pub.read(sh.tab[lv]) }
 // patched, the runs they superseded uncounted — and seals the table: the
 // next change copies it. When pages in use exceed the live entries by more
 // than half, it also copies the live runs of the emptiest pages forward and
-// retires those pages (pageArena has the lifetime rules). Its cost follows
-// what the batches changed, not the shard. Every earlier snapshot stays
-// valid and unchanged: nothing it can reach is written.
+// retires those pages (pageArena has the lifetime rules). Sealing costs
+// what the batches changed; a cleaning pass also walks the whole table in
+// ascending order to find the victims' runs, so its cost follows the shard.
+// Every earlier snapshot stays valid and unchanged: nothing it can reach is
+// written.
 func (s PagedShard) Publish() *Snapshot {
 	sh, a := s.pagedShard, &s.pub
 	snap := &Snapshot{tab: sh.table(), pages: sh.spareDir, m: sh.m.Load(), seq: a.seq}

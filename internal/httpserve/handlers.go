@@ -202,7 +202,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// 8 bytes encode one binary edge; NDJSON edges are larger, so this
 	// bound is safe for both formats.
 	maxEdges := int(s.cfg.MaxBodyBytes / 8)
-	src, dst, err := DecodeEdges(r.Header.Get("Content-Type"), r.Body, maxEdges)
+	src, dst, err := decodeEdges(r.Header.Get("Content-Type"), r.Body, r.ContentLength, maxEdges)
 	if err != nil {
 		status := http.StatusBadRequest
 		if _, ok := err.(*http.MaxBytesError); ok {
@@ -229,12 +229,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	obsIngestEdges.Add(uint64(len(src)))
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"graph":       t.name,
-		"op":          op,
-		"edges":       len(src),
-		"queue_depth": t.store.Stats().QueueDepth,
-	})
+	writeJSONBytes(w, http.StatusAccepted, ingestReply(t.name, op, len(src), t.store.Stats().QueueDepth))
+}
+
+// ingestReply is ingest's 202 body, byte for byte what writeJSON makes of
+// the map {graph, op, edges, queue_depth}: keys in order, then a newline.
+// Neither string needs escaping: a graph name matches graphNameRE and op is
+// insert or delete.
+func ingestReply(graph, op string, edges, queueDepth int) []byte {
+	b := make([]byte, 0, 64+len(graph))
+	b = append(b, `{"edges":`...)
+	b = strconv.AppendInt(b, int64(edges), 10)
+	b = append(b, `,"graph":"`...)
+	b = append(b, graph...)
+	b = append(b, `","op":"`...)
+	b = append(b, op...)
+	b = append(b, `","queue_depth":`...)
+	b = strconv.AppendInt(b, int64(queueDepth), 10)
+	return append(b, "}\n"...)
 }
 
 // handleFlush blocks until every batch enqueued before the call is applied
@@ -311,27 +323,44 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	}
 	v := t.store.View()
 	defer v.Release()
+	writeJSONBytes(w, http.StatusOK, neighborsReply(t.name, v, u, limit))
+}
+
+// neighborsReply is the neighbors reply for vertex u on view v, its list
+// cut to limit entries: byte for byte what writeJSON makes of the map
+// {graph, vertex, degree, returned, neighbors, epoch}, keys in order, then
+// a newline. Each block is appended as NeighborBlocks yields it. The graph
+// name matches graphNameRE, so it needs no escaping.
+func neighborsReply(graph string, v *lsgraph.StoreView, u uint32, limit int) []byte {
 	deg := v.Degree(u)
-	ns := make([]uint32, 0, min(int(deg), limit))
+	// A neighbour takes at most 11 bytes: 10 digits and a comma.
+	b := make([]byte, 0, 96+len(graph)+11*min(int(deg), limit))
+	b = append(b, `{"degree":`...)
+	b = strconv.AppendUint(b, uint64(deg), 10)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendUint(b, v.Epoch(), 10)
+	b = append(b, `,"graph":"`...)
+	b = append(b, graph...)
+	b = append(b, `","neighbors":[`...)
+	returned := 0
 	v.NeighborBlocks(u, func(block []uint32) bool {
-		room := limit - len(ns)
-		if room <= 0 {
-			return false
+		if len(block) > limit-returned {
+			block = block[:limit-returned]
 		}
-		if len(block) > room {
-			block = block[:room]
+		for _, nb := range block {
+			if returned > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(b, uint64(nb), 10)
+			returned++
 		}
-		ns = append(ns, block...)
-		return len(ns) < limit
+		return returned < limit
 	})
-	writeJSON(w, http.StatusOK, map[string]any{
-		"graph":     t.name,
-		"vertex":    u,
-		"degree":    deg,
-		"returned":  len(ns),
-		"neighbors": ns,
-		"epoch":     v.Epoch(),
-	})
+	b = append(b, `],"returned":`...)
+	b = strconv.AppendInt(b, int64(returned), 10)
+	b = append(b, `,"vertex":`...)
+	b = strconv.AppendUint(b, uint64(u), 10)
+	return append(b, "}\n"...)
 }
 
 // maxKhopDepth caps ?depth: beyond a few hops on a power-law graph the

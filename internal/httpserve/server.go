@@ -366,6 +366,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeJSONBytes writes body, already encoded as JSON, as the response
+// body with the given status: the hot routes' replies (handlers.go).
+func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
 // apiError is the uniform error body: {"error": "..."}.
 type apiError struct {
 	Error string `json:"error"`

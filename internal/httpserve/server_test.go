@@ -9,11 +9,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"lsgraph"
 	"lsgraph/internal/refgraph"
 )
 
@@ -916,4 +918,217 @@ func TestRebalanceEndpoint(t *testing.T) {
 
 	// The data plane still matches the oracle exactly.
 	diffCheck(t, client, ts.URL, "skewed", 2048, oracle, "after rebalance")
+}
+
+// graphEdges is every edge the named graph's store holds, flushed, as
+// (src, dst) pairs in order.
+func graphEdges(t *testing.T, srv *Server, graph string) [][2]uint32 {
+	t.Helper()
+	st := srv.store(graph)
+	if st == nil {
+		t.Fatalf("graph %q not found", graph)
+	}
+	st.Flush()
+	v := st.View()
+	defer v.Release()
+	var out [][2]uint32
+	for u := uint32(0); u < v.NumVertices(); u++ {
+		for _, w := range v.Neighbors(u) {
+			out = append(out, [2]uint32{u, w})
+		}
+	}
+	return out
+}
+
+// TestIngestBinaryBodies drives the ingest handler with binary bodies whose
+// Content-Length is exact, unknown (chunked), too large, not a multiple of
+// 8 or empty. An accepted body answers 202 with what writeJSON would have
+// written, and the graph then holds exactly the edges sent.
+func TestIngestBinaryBodies(t *testing.T) {
+	const maxBody = 800 // 100 edges
+	srv := New(Config{AutoCreate: true, MaxBodyBytes: maxBody})
+	defer srv.Close()
+	h := srv.Handler()
+	rng := rand.New(rand.NewSource(43))
+	for _, c := range []struct {
+		name    string
+		edges   int
+		cut     int  // bytes dropped from the body's end
+		chunked bool // no Content-Length
+		status  int
+	}{
+		{"exact", 50, 0, false, http.StatusAccepted},
+		{"chunked", 60, 0, true, http.StatusAccepted},
+		{"full", 100, 0, false, http.StatusAccepted},
+		{"full-chunked", 100, 0, true, http.StatusAccepted},
+		{"over", 101, 0, false, http.StatusRequestEntityTooLarge},
+		{"over-chunked", 101, 0, true, http.StatusRequestEntityTooLarge},
+		{"ragged", 2, 4, false, http.StatusBadRequest},
+		{"ragged-chunked", 2, 4, true, http.StatusBadRequest},
+		{"empty", 0, 0, false, http.StatusAccepted},
+		{"empty-chunked", 0, 0, true, http.StatusAccepted},
+	} {
+		src := make([]uint32, c.edges)
+		dst := make([]uint32, c.edges)
+		seen := map[[2]uint32]bool{}
+		for i := range src {
+			for {
+				src[i], dst[i] = uint32(rng.Intn(64)), uint32(rng.Intn(64))
+				if !seen[[2]uint32{src[i], dst[i]}] {
+					break
+				}
+			}
+			seen[[2]uint32{src[i], dst[i]}] = true
+		}
+		body := AppendBinaryEdges(nil, src, dst)
+		body = body[:len(body)-c.cut]
+		var r io.Reader = bytes.NewReader(body)
+		if c.chunked {
+			r = io.MultiReader(r) // hides the length from NewRequest
+		}
+		req := httptest.NewRequest("POST", "/v1/graphs/"+c.name+"/edges", r)
+		req.Header.Set("Content-Type", ContentTypeBinary)
+		if want := int64(len(body)); !c.chunked && req.ContentLength != want || c.chunked && req.ContentLength != -1 {
+			t.Fatalf("%s: request Content-Length %d", c.name, req.ContentLength)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != c.status {
+			t.Errorf("%s: status %d, want %d: %s", c.name, w.Code, c.status, w.Body)
+			continue
+		}
+		if c.status != http.StatusAccepted {
+			continue
+		}
+		var reply struct {
+			QueueDepth int `json:"queue_depth"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
+			t.Fatalf("%s: reply %q: %v", c.name, w.Body, err)
+		}
+		var want bytes.Buffer
+		_ = json.NewEncoder(&want).Encode(map[string]any{
+			"graph": c.name, "op": "insert", "edges": c.edges, "queue_depth": reply.QueueDepth,
+		})
+		if w.Body.String() != want.String() {
+			t.Errorf("%s: reply %q, want %q", c.name, w.Body, want.String())
+		}
+		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: reply Content-Type %q", c.name, ct)
+		}
+		got := graphEdges(t, srv, c.name)
+		if len(got) != c.edges {
+			t.Errorf("%s: graph holds %d edges, sent %d", c.name, len(got), c.edges)
+		}
+		for _, e := range got {
+			if !seen[e] {
+				t.Errorf("%s: graph holds %v, never sent", c.name, e)
+			}
+		}
+	}
+}
+
+// TestIngestClaimedLengthDoesNotAllocate: a request that claims the largest
+// body the server takes but sends one edge costs what it sent, not what it
+// claimed — the decoder presizes at most maxPresize.
+func TestIngestClaimedLengthDoesNotAllocate(t *testing.T) {
+	srv := New(Config{AutoCreate: true})
+	defer srv.Close()
+	h := srv.Handler()
+	post := func() *httptest.ResponseRecorder {
+		req := httptest.NewRequest("POST", "/v1/graphs/g/edges", bytes.NewReader(AppendBinaryEdges(nil, []uint32{1}, []uint32{2})))
+		req.Header.Set("Content-Type", ContentTypeBinary)
+		req.ContentLength = srv.cfg.MaxBodyBytes
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w
+	}
+	post() // creates the graph
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := post()
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Errorf("an 8-byte body claiming %d bytes allocated %d bytes, want < 2 MiB", srv.cfg.MaxBodyBytes, got)
+	}
+}
+
+// oracleNeighborsReply is the neighbors reply as writeJSON wrote it from a
+// map before the reply was appended by hand.
+func oracleNeighborsReply(graph string, v *lsgraph.StoreView, u uint32, limit int) []byte {
+	deg := v.Degree(u)
+	ns := make([]uint32, 0, min(int(deg), limit))
+	v.NeighborBlocks(u, func(block []uint32) bool {
+		room := limit - len(ns)
+		if room <= 0 {
+			return false
+		}
+		if len(block) > room {
+			block = block[:room]
+		}
+		ns = append(ns, block...)
+		return len(ns) < limit
+	})
+	b, _ := json.Marshal(map[string]any{
+		"graph":     graph,
+		"vertex":    u,
+		"degree":    deg,
+		"returned":  len(ns),
+		"neighbors": ns,
+		"epoch":     v.Epoch(),
+	})
+	return append(b, '\n')
+}
+
+// TestNeighborsReplyMatchesJSON: the hand-appended neighbors reply is byte
+// for byte the map writeJSON used to encode, at degree 0, with the list
+// under, at and over the limit, and at limit=0, on a two-shard graph; the
+// handler serves the same bytes.
+func TestNeighborsReplyMatchesJSON(t *testing.T) {
+	srv := New(Config{AutoCreate: true})
+	defer srv.Close()
+	h := srv.Handler()
+	if _, _, err := srv.CreateGraph("g.1", GraphConfig{Shards: 2, Vertices: 1 << 12}); err != nil {
+		t.Fatal(err)
+	}
+	var src, dst []uint32
+	for w := uint32(0); w < 3000; w++ {
+		src, dst = append(src, 7), append(dst, w*1361%(1<<12))
+	}
+	src, dst = append(src, 9, 9, 9), append(dst, 4095, 0, 4000)
+	req := httptest.NewRequest("POST", "/v1/graphs/g.1/edges", bytes.NewReader(AppendBinaryEdges(nil, src, dst)))
+	req.Header.Set("Content-Type", ContentTypeBinary)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("ingest: status %d: %s", w.Code, w.Body)
+	}
+	st := srv.store("g.1")
+	st.Flush()
+	v := st.View()
+	defer v.Release()
+	for _, c := range []struct {
+		u     uint32
+		limit int
+	}{
+		{0, maxNeighbors}, {1 << 11, 5}, {9, 0}, {9, 2}, {9, 3}, {9, 100},
+		{7, 0}, {7, 1}, {7, 1000}, {7, 2999}, {7, 3000}, {7, maxNeighbors}, {1 << 20, 10},
+	} {
+		got := neighborsReply("g.1", v, c.u, c.limit)
+		if want := oracleNeighborsReply("g.1", v, c.u, c.limit); !bytes.Equal(got, want) {
+			t.Errorf("vertex %d limit %d: reply\n%.200s\nwant\n%.200s", c.u, c.limit, got, want)
+		}
+		path := fmt.Sprintf("/v1/graphs/g.1/vertices/%d/neighbors", c.u)
+		if c.limit != maxNeighbors {
+			path += fmt.Sprintf("?limit=%d", c.limit)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), got) || w.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("GET %s: status %d, Content-Type %q, body %.200s", path, w.Code, w.Header().Get("Content-Type"), w.Body)
+		}
+	}
 }
