@@ -527,7 +527,7 @@ func (r *runner) delete(o op) error {
 // verify is the full lockstep comparison: structural invariants of every
 // shard — its runs and pages in ModeStore, its vertex blocks and overflow
 // structures in ModeCore — then exact vertex/edge/adjacency agreement with
-// the oracle — of the composed view itself in ModeStore (after Flush, with
+// the oracle — of the Store's view itself in ModeStore (after Flush, with
 // epoch monotonicity) — then, in ModeCore, CSR consistency of a fresh
 // snapshot and of a paged graph loaded from it.
 func (r *runner) verify() error {
@@ -546,9 +546,9 @@ func (r *runner) verify() error {
 		if err := r.checkHeld(); err != nil {
 			return err
 		}
-		// Flush drained every shard queue and the test goroutine is the
-		// only enqueuer, so the writers are quiescent: the deep shard walk
-		// is safe here.
+		// Flush drained the queue and the test goroutine is the only
+		// enqueuer, so the writer is quiescent: the deep shard walk is safe
+		// here.
 		return r.pg.CheckInvariants()
 	}
 	r.sawClasses()
@@ -648,7 +648,7 @@ func compareGraphs(got engine.Graph, ref *refgraph.Graph) error {
 
 // kernel runs one analytics kernel. ModeCore compares the kernel's result
 // on the live graph against the oracle. ModeStore flushes, pins a view,
-// and compares the kernel on the composed view against the oracle.
+// and compares the kernel on the view against the oracle.
 func (r *runner) kernel(sel byte) error {
 	n := r.ref.NumVertices()
 	if n == 0 {
@@ -733,8 +733,8 @@ func equalFloats(a, b []float64) error {
 	return nil
 }
 
-// view exercises mid-stream read paths without quiescing the writers:
-// ModeStore pins a composed view while batches may still be in flight and
+// view exercises mid-stream read paths without quiescing the writer:
+// ModeStore pins a view while batches may still be in flight and
 // checks its self-consistency (degree sums matching NumEdges, sorted
 // in-range adjacency, a block path yielding exactly it, epoch monotonicity);
 // ModeCore takes a snapshot and checks it for CSR well-formedness. In

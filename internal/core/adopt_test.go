@@ -75,14 +75,11 @@ func (tw twin) ensure(n uint32) {
 	tw.ref.EnsureVertices(n)
 }
 
-// routeMap is a map routing to g's shards as they lie now: what a Store
-// routes a batch by once the boundary moves it installed have executed.
-func routeMap(g *Paged) *PartitionMap { return &PartitionMap{Starts: g.starts()} }
-
 // batch applies one batch to both: to the paged graph's shards routed as a
-// Store routes it, to the oracle whole.
+// Store's writer routes it (by the shards' ranges as they lie now), to the
+// oracle whole.
 func (tw twin) batch(src, dst []uint32, del bool) {
-	parts, _ := Scatter(routeMap(tw.g), src, dst, tw.g.Workers())
+	parts := tw.g.Scatter(src, dst, tw.g.Workers())
 	for k, p := range parts {
 		if sh := tw.g.Shard(k); del {
 			sh.DeleteBatch(p.Src, p.Dst)

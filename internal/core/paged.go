@@ -70,12 +70,12 @@ func (g *Paged) ScratchBytes() (b uint64) {
 }
 
 // MoveBoundary moves the boundary between shards k and k+1 to newStart,
-// refusing a move that would empty a shard as PartitionMap.WithBoundary
-// does: the transferred range's table entries move, each run copied to the
-// kept tail of the receiver's arena and dropped from the donor's, and the
-// donor's range then ends, and the receiver's begins, at newStart. It
-// returns the number of materialized vertices and directed edges that
-// changed owner. The caller must hold both shards quiescent —
+// refusing (ErrNoMove) a move that would change nothing and one that would
+// empty a shard: the transferred range's table entries move, each run
+// copied to the kept tail of the receiver's arena and dropped from the
+// donor's, and the donor's range then ends, and the receiver's begins, at
+// newStart. It returns the number of materialized vertices and directed
+// edges that changed owner. The caller must hold both shards quiescent —
 // internal/serve runs it on its writer, between two batches.
 func (g *Paged) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEdges uint64, err error) {
 	if err := validateMove(g.starts(), k, newStart); err != nil {
@@ -85,6 +85,15 @@ func (g *Paged) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEd
 	movedVerts, movedEdges = spliceTables(a, b, b.base, newStart)
 	a.end, b.base = uint64(newStart), newStart
 	return movedVerts, movedEdges, nil
+}
+
+// Scatter routes a mixed batch to the shards by source vertex, by the
+// ranges they own as it runs (the package's Scatter over their bases), on
+// up to workers goroutines: parts[i] is shard i's part. Like updates and
+// boundary moves, it must not run concurrently with a move.
+func (g *Paged) Scatter(src, dst []uint32, workers int) []SubBatch {
+	parts, _ := Scatter(&PartitionMap{Starts: g.starts()}, src, dst, workers)
+	return parts
 }
 
 // starts returns the first vertex ID of every shard's range.

@@ -5,30 +5,23 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"lsgraph/internal/obs"
 	"lsgraph/internal/parallel"
 )
 
-// PartitionMap is the vertex→shard routing table: an immutable, epoch-
-// versioned set of sorted range boundaries. Shard i owns the contiguous
-// vertex range [Starts[i], Starts[i+1]), the last shard open-ended, so a
-// lookup is a binary search over Starts. Maps are never mutated in place: a
-// boundary move builds a successor map (WithBoundary, epoch+1). A Store
-// (internal/serve) holds the one map that routes its batches and swaps it
-// whole on a move; a Graph's map is built with it and never moves. Where a
-// shard's vertices live is the shard's own to know (Base, End), and the
-// serving layer's readers consult no map: every snapshot it publishes
-// records the range it was built from.
+// PartitionMap is a vertex→shard routing table: sorted range boundaries.
+// Shard i owns the contiguous vertex range [Starts[i], Starts[i+1]), the
+// last shard open-ended, so a lookup is a binary search over Starts. A
+// Graph's map is built with it and never moves. A Paged keeps no map: its
+// shards own their ranges (Base, End), and Paged.Scatter routes by a map of
+// them built for the batch, so a boundary move changes one layout fact.
 type PartitionMap struct {
-	// Epoch increments by one per boundary move. The initial map is epoch 0.
-	Epoch uint64
 	// Starts[i] is the first vertex ID of shard i's range. Starts[0] is
 	// always 0 and the values are strictly increasing, so no shard's range
 	// is ever empty.
 	Starts []uint32
 }
 
-// NewUniformMap returns the epoch-0 map splitting [0, n) into s equal
+// NewUniformMap returns the map splitting [0, n) into s equal
 // contiguous ranges (the last open-ended), matching the fixed-span layout
 // earlier revisions hard-coded: span = ceil(n/s), at least 1.
 func NewUniformMap(n uint32, s int) *PartitionMap {
@@ -70,21 +63,6 @@ func below(a []uint32, x uint64) int {
 		n -= half
 	}
 	return i + int((uint64(a[i])-x)>>63)
-}
-
-// WithBoundary returns the successor map moving the boundary between
-// shards k and k+1 to newStart, at epoch+1. It validates the move against
-// this map.
-func (pm *PartitionMap) WithBoundary(k int, newStart uint32) (*PartitionMap, error) {
-	if err := validateMove(pm.Starts, k, newStart); err != nil {
-		return nil, err
-	}
-	next := &PartitionMap{
-		Epoch:  pm.Epoch + 1,
-		Starts: append([]uint32(nil), pm.Starts...),
-	}
-	next.Starts[k+1] = newStart
-	return next, nil
 }
 
 // validateMove checks that moving boundary k of the ranges starting at
@@ -133,7 +111,6 @@ func (sp *space) init(n uint32, shards, workers int) *PartitionMap {
 	pm := NewUniformMap(n, max(shards, 1))
 	sp.n.Store(n)
 	sp.p = workers
-	obs.EnsureRings(len(pm.Starts))
 	return pm
 }
 
@@ -222,16 +199,13 @@ type SubBatch struct {
 // holds exactly the edges whose source pm.ShardOf maps to shard i, in their
 // original relative order. bound is 1 + the largest vertex ID referenced by
 // either endpoint (0 for an empty batch) — the vertex-space size the batch
-// requires, which the serving layer feeds to the shard's EnsureVertices; it
-// exceeds every uint32 when an edge names vertex 2³²−1, which no vertex
-// space holds. The returned sub-batches are freshly allocated and do not
-// alias src/dst, so callers may retain them after the input buffers are
-// reused. Parts share one backing array, but each part's capacity is pinned
-// to its length, so appending to a retained part reallocates rather than
-// writing into a sibling part. Scatter does not validate IDs against any
-// vertex space. The serving layer passes the map that was current when the
-// batch entered the queue, so a concurrent boundary move cannot split one
-// batch's routing across two maps.
+// requires; it exceeds every uint32 when an edge names vertex 2³²−1, which
+// no vertex space holds. The returned sub-batches are freshly allocated and
+// do not alias src/dst, so callers may retain them after the input buffers
+// are reused. Parts share one backing array, but each part's capacity is
+// pinned to its length, so appending to a retained part reallocates rather
+// than writing into a sibling part. Scatter does not validate IDs against
+// any vertex space.
 func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch, bound uint64) {
 	validateBatch("ScatterBatch", src, dst)
 	S, n := len(pm.Starts), len(src)
@@ -296,8 +270,8 @@ func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch
 	off := 0
 	for s := 0; s < S; s++ {
 		// Full slice expressions pin each part's capacity: a retained part
-		// that is appended to (serve's backpressure merge) reallocates
-		// instead of overwriting the next shard's slice of the backing array.
+		// that is appended to reallocates instead of overwriting the next
+		// shard's slice of the backing array.
 		end := off + sizes[s]
 		parts[s] = SubBatch{Src: srcOut[off:end:end], Dst: dstOut[off:end:end]}
 		off = end

@@ -30,17 +30,25 @@ func shardOfLinear(starts []uint32, v uint32) int {
 }
 
 // testMaps returns, for S shards, the uniform maps over a small and a large
-// vertex space and maps whose boundaries were moved with WithBoundary, one
-// of them with its last boundary at 2³²−1.
+// vertex space and maps whose boundaries were moved as a Paged moves them
+// (validateMove), one of them with its last boundary at 2³²−1.
 func testMaps(t testing.TB, S int, r *lcg) []*PartitionMap {
 	pms := []*PartitionMap{NewUniformMap(uint32(2*S), S), NewUniformMap(1<<20, S)}
 	if S == 1 {
 		return pms
 	}
-	last, err := pms[1].WithBoundary(S-2, math.MaxUint32)
-	if err != nil {
-		t.Fatal(err)
+	moveTo := func(pm *PartitionMap, k int, newStart uint32) *PartitionMap {
+		if err := validateMove(pm.Starts, k, newStart); err != nil {
+			if !errors.Is(err, ErrNoMove) {
+				t.Fatal(err)
+			}
+			return pm
+		}
+		next := &PartitionMap{Starts: slices.Clone(pm.Starts)}
+		next.Starts[k+1] = newStart
+		return next
 	}
+	last := moveTo(pms[1], S-2, math.MaxUint32)
 	moved := pms[1]
 	for i := 0; i < 4*S; i++ {
 		k := int(r.next()) % (S - 1)
@@ -48,14 +56,7 @@ func testMaps(t testing.TB, S int, r *lcg) []*PartitionMap {
 		if k+2 < S {
 			hi = uint64(moved.Starts[k+2])
 		}
-		next, err := moved.WithBoundary(k, uint32(lo+uint64(r.next())%(hi-lo)))
-		if errors.Is(err, ErrNoMove) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		moved = next
+		moved = moveTo(moved, k, uint32(lo+uint64(r.next())%(hi-lo)))
 	}
 	return append(pms, last, moved)
 }

@@ -86,7 +86,7 @@ func newPublishStream(g *Paged, batches [][2][]uint32, keep func(src uint32) boo
 				cs, cd = append(cs, v), append(cd, bt[1][i])
 			}
 		}
-		parts, _ := Scatter(routeMap(g), cs, cd, g.Workers())
+		parts := g.Scatter(cs, cd, g.Workers())
 		ps.parts = append(ps.parts, parts)
 	}
 	return ps

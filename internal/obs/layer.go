@@ -26,17 +26,17 @@ const (
 // phases is the table of every layer the engine records, in lifecycle
 // order: its name and what one of its spans covers.
 var phases = [numPhases]struct{ name, help string }{
-	PhaseEnqueue:   {"enqueue", "a Store enqueue call: scatter, vertex-space reservation and the push onto every routed shard queue"},
+	PhaseEnqueue:   {"enqueue", "a Store enqueue call: the copy of the batch, vertex-space reservation, the WAL append and the push onto the queue"},
 	PhaseCoalesce:  {"coalesce", "an instant: a batch merged into an already-queued same-op batch under backpressure"},
-	PhaseScatter:   {"scatter", "routing a batch to shards by source vertex"},
+	PhaseScatter:   {"scatter", "the writer routing a batch to shards by source vertex, by their current ranges"},
 	PhasePack:      {"pack", "validating a shard batch's endpoints and packing its (src,dst) keys"},
 	PhasePartition: {"partition", "splitting the packed keys into source ranges"},
 	PhaseApply:     {"apply", "the workers taking the ranges through sort, dedup, grouping and apply"},
-	PhasePublish:   {"publish", "sealing a shard's table as its next epoch, the epoch swap and the reclaim scan"},
+	PhasePublish:   {"publish", "sealing a shard's table as its next snapshot"},
 	PhaseReclaim:   {"reclaim", "recycling retired snapshots whose epoch drained"},
-	PhaseRebalance: {"rebalance", "the splice half of one boundary move: splice, republish of both shards, map swap"},
+	PhaseRebalance: {"rebalance", "one boundary move or rebalance on the writer: its splices, one republish of each touched shard, the epoch install"},
 	PhaseKernel:    {"kernel", "one analytics kernel run; the kernel label names it"},
-	PhaseViewPin:   {"viewpin", "a composed view's lifetime, pin to release; long pins delay snapshot reclamation"},
+	PhaseViewPin:   {"viewpin", "a view's lifetime, pin to release; long pins delay snapshot reclamation"},
 }
 
 // String returns the phase's name ("enqueue", "apply", ...).
@@ -127,7 +127,7 @@ type Span struct {
 
 // End closes the span with one more clock read. The duration goes to the
 // layer's histogram if metrics were on at Begin, and to a ring event —
-// shard's ring, -1 for the engine-level one — if tracing was and keeps
+// attributed to shard, -1 for the engine level — if tracing was and keeps
 // batch; the two sinks get the same number.
 func (s Span) End(shard int, batch, epoch, edges uint64) {
 	if s.on != 0 {

@@ -2,55 +2,55 @@ package obs
 
 import "testing"
 
-// TestRingsAllocatedOnFirstEnable checks that an engine asking for shard
-// rings costs nothing while tracing is off (the rings are 1 MiB each), that
-// turning tracing on allocates exactly what was asked for, and that a
-// recorder that slips in between the mode flip and the allocation falls
-// back safely.
+// TestRingsAllocatedOnFirstEnable checks that the flight recorder costs
+// nothing while tracing is off (its ring is 4 MiB): spans and instants
+// record nothing and allocate no ring, a recorder that finds the mode on
+// but no ring drops its event, and turning tracing on allocates the one
+// ring, which every shard's events share.
 func TestRingsAllocatedOnFirstEnable(t *testing.T) {
 	// The recorder is process-global: start from the never-enabled state
 	// and put everything back afterwards.
-	oldRings, oldWant, oldSinks := rings.Load(), wantRings.Load(), sinks.Load()
+	oldRing, oldSinks := theRing.Load(), sinks.Load()
 	t.Cleanup(func() {
-		rings.Store(oldRings)
-		wantRings.Store(oldWant)
+		theRing.Store(oldRing)
 		sinks.Store(oldSinks)
 	})
-	rings.Store(nil)
-	wantRings.Store(0)
+	theRing.Store(nil)
 	sinks.Store(0)
 
-	EnsureRings(3)
 	PhaseApply.Begin().End(2, 1, 0, 10)
 	Instant(PhaseCoalesce, 2, 1, 10)
-	if rings.Load() != nil {
-		t.Fatal("rings allocated with tracing off")
+	if theRing.Load() != nil {
+		t.Fatal("ring allocated with tracing off")
 	}
 	if len(Events()) != 0 {
 		t.Fatal("events recorded with tracing off")
 	}
 
-	// The window inside SetTraceMode: mode already on, rings not yet there.
+	// The mode set without the ring, as SetTraceMode never leaves it: the
+	// event is dropped, nothing is allocated behind the setter's back.
 	sinks.Store(uint32(TraceAll) << 1)
 	PhaseApply.Begin().End(2, 1, 0, 10)
-	if rs := rings.Load(); rs == nil || len(*rs) != 4 {
-		t.Fatalf("fallback allocated %v rings, want 4 (engine + 3 shards)", rs)
-	}
-	if evs := Events(); len(evs) != 1 || evs[0].Shard != 2 {
-		t.Fatalf("fallback recorded %+v, want one shard-2 event", evs)
+	if theRing.Load() != nil || len(Events()) != 0 {
+		t.Fatal("a recorder allocated the ring itself")
 	}
 
-	// A larger engine constructed while tracing is on gets its rings at once.
-	EnsureRings(5)
-	if rs := rings.Load(); len(*rs) != 6 {
-		t.Fatalf("%d rings after EnsureRings(5) with tracing on, want 6", len(*rs))
-	}
-
-	// And the ordinary path: enable after construction.
-	rings.Store(nil)
+	// The ordinary path: enabling allocates the ring, whose capacity is a
+	// power of two, and events of every shard land in it.
 	sinks.Store(0)
 	SetTraceMode(TraceAll, 1)
-	if rs := rings.Load(); rs == nil || len(*rs) != 6 {
-		t.Fatalf("SetTraceMode allocated %v rings, want 6", rs)
+	r := theRing.Load()
+	if r == nil || len(r.slots) != ringCapacity || ringCapacity&(ringCapacity-1) != 0 {
+		t.Fatalf("SetTraceMode allocated %v, want one ring of %d slots", r, ringCapacity)
+	}
+	PhaseApply.Begin().End(2, 1, 0, 10)
+	PhaseApply.Begin().End(-1, 1, 0, 10)
+	if evs := Events(); len(evs) != 2 || evs[0].Shard+evs[1].Shard != 1 {
+		t.Fatalf("recorded %+v, want one shard-2 and one engine-level event", evs)
+	}
+	SetTraceMode(TraceOff, 1)
+	SetTraceMode(TraceAll, 1)
+	if theRing.Load() != r {
+		t.Fatal("re-enabling tracing replaced the ring")
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is LSGraph's one instrumentation package: a stdlib-only
 // metrics registry — sharded counters, gauges and log-scaled histograms with
 // Prometheus-text and JSON exporters — and a flight recorder of per-batch
-// span events in lock-free rings, exported as Chrome trace-event JSON and a
+// span events in a lock-free ring, exported as Chrome trace-event JSON and a
 // slow-batch autopsy (recorder.go). One HTTP handler serves both (http.go).
 //
 // Both sinks sit behind one atomic word, so instrumentation stays compiled

@@ -1,6 +1,6 @@
 package obs
 
-// The flight recorder: lock-free ring buffers of typed span events covering
+// The flight recorder: a lock-free ring buffer of typed span events covering
 // the life of an update batch — enqueue → coalesce → scatter → per-shard
 // pack → partition → apply → snapshot publish → reclaim — plus boundary
 // moves, kernel runs and view pins. Each event carries the batch ID, owning
@@ -8,13 +8,12 @@ package obs
 // visibility-lag spike can be explained after the fact, which aggregate
 // histograms cannot do.
 //
-// Rings are flight recorders: a fixed number of slots per shard (plus one
-// engine-level ring for events not owned by a shard, such as enqueue,
-// scatter, kernel runs and view pins), overwritten oldest-first. Recording
-// an event is one atomic add to claim a slot plus a handful of atomic
-// stores. Export (Events, WriteChrome, WriteAutopsy) reads the rings with a
-// per-slot sequence check, skipping slots concurrently overwritten; a reader
-// never blocks a writer.
+// The ring is a flight recorder: a fixed number of slots shared by every
+// shard and engine-level event, overwritten oldest-first. Recording an
+// event is one atomic add to claim a slot plus a handful of atomic stores.
+// Export (Events, WriteChrome, WriteAutopsy) reads the ring with a per-slot
+// sequence check, skipping slots concurrently overwritten; a reader never
+// blocks a writer.
 
 import (
 	"math/bits"
@@ -58,14 +57,11 @@ func SetTraceMode(m TraceMode, n int) {
 		n = 1
 	}
 	sampleN.Store(uint64(n))
-	// Mode first, rings second: an EnsureRings racing with this either sees
-	// the mode on and allocates its rings itself, or has already raised
-	// wantRings for the ensureRings below. A recorder that gets in between
-	// finds no rings and falls back through ringFor.
-	updateSinks(func(s uint32) uint32 { return s&metricsOn | uint32(m)<<1 })
+	// The ring before the mode: a recorder that sees the mode on finds it.
 	if m != TraceOff {
-		ensureRings(int(wantRings.Load()))
+		allocRing()
 	}
+	updateSinks(func(s uint32) uint32 { return s&metricsOn | uint32(m)<<1 })
 }
 
 // CurrentTraceMode returns the active tracing policy.
@@ -188,89 +184,41 @@ func (r *ring) collect(dst []Event) []Event {
 	return dst
 }
 
-// defaultRingCapacity is the per-ring slot count (1 MiB of events per ring
-// at 64 B/slot is plenty for an autopsy window without mattering next to
-// the graph itself).
-const defaultRingCapacity = 1 << 14
+// defaultRingCapacity is the ring's slot count: 4 MiB of events at
+// 64 B/slot, the total of the engine-level and per-shard rings of 1<<14
+// slots each that it replaced for a two-shard Store, rounded up to a power
+// of two. That is plenty for an autopsy window without mattering next to
+// the graph itself.
+const defaultRingCapacity = 1 << 16
 
 var (
-	ringsMu      sync.Mutex
+	ringMu       sync.Mutex
 	ringCapacity = defaultRingCapacity
-	// rings[0] is the engine-level ring; shard s records into rings[s+1].
-	// The slice is swapped atomically so recording never takes ringsMu.
-	rings atomic.Pointer[[]*ring]
-	// wantRings is the ring count the engines have asked for. Rings cost
-	// 1 MiB each, so they are allocated when tracing is first enabled, not
-	// when an engine is constructed: a process that never traces pays
-	// nothing.
-	wantRings atomic.Int32
+	// theRing is allocated when tracing is first enabled, not before, so a
+	// process that never traces pays nothing for it; it is swapped
+	// atomically so recording never takes ringMu.
+	theRing atomic.Pointer[ring]
 )
 
-// EnsureRings asks for per-shard rings for shard indexes [0, n). The
-// engines call it at construction. The rings are allocated at once when
-// tracing is on, otherwise by the SetTraceMode that turns it on; recording
-// with a shard index beyond the allocated count falls back to the
-// engine-level ring.
-func EnsureRings(n int) {
-	for {
-		cur := wantRings.Load()
-		if int32(n+1) <= cur || wantRings.CompareAndSwap(cur, int32(n+1)) {
-			break
-		}
-	}
-	if Tracing() {
-		ensureRings(n + 1)
+// allocRing allocates the ring unless it exists.
+func allocRing() {
+	ringMu.Lock()
+	defer ringMu.Unlock()
+	if theRing.Load() == nil {
+		theRing.Store(newRing(ringCapacity))
 	}
 }
 
-func ensureRings(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if rs := rings.Load(); rs != nil && len(*rs) >= n {
-		return
-	}
-	ringsMu.Lock()
-	defer ringsMu.Unlock()
-	old := rings.Load()
-	if old != nil && len(*old) >= n {
-		return
-	}
-	next := make([]*ring, n)
-	if old != nil {
-		copy(next, *old)
-	}
-	for i := range next {
-		if next[i] == nil {
-			next[i] = newRing(ringCapacity)
-		}
-	}
-	rings.Store(&next)
-}
-
-// ringFor routes an event to its shard's ring, falling back to the
-// engine-level ring for shard -1 or unconfigured shard indexes.
-func ringFor(shard int) *ring {
-	rs := rings.Load()
-	if rs == nil {
-		ensureRings(int(wantRings.Load()))
-		rs = rings.Load()
-	}
-	i := shard + 1
-	if i < 1 || i >= len(*rs) {
-		i = 0
-	}
-	return (*rs)[i]
-}
-
-// record files ev in its shard's ring if mode m keeps its batch.
-// Non-batch events (batch 0) are always kept: they are rare and provide the
-// context spans (kernels, view pins).
+// record files ev in the ring if mode m keeps its batch. Non-batch events
+// (batch 0) are always kept: they are rare and provide the context spans
+// (kernels, view pins).
 func record(m TraceMode, ev Event) {
 	if m == TraceOff || m == TraceSample && ev.Batch != 0 && ev.Batch%sampleN.Load() != 0 {
 		return
 	}
-	ringFor(ev.Shard).record(ev)
+	if r := theRing.Load(); r != nil {
+		r.record(ev)
+	}
 }
 
 // Instant records a zero-duration event (a coalesce) at the current time.
@@ -280,17 +228,14 @@ func Instant(ph Phase, shard int, batch uint64, edges uint64) {
 	}
 }
 
-// Events returns every currently readable event across all rings, in
+// Events returns every currently readable event in the ring, in
 // start-time order. Slots being concurrently rewritten are skipped.
 func Events() []Event {
-	rs := rings.Load()
-	if rs == nil {
+	r := theRing.Load()
+	if r == nil {
 		return nil
 	}
-	var out []Event
-	for _, r := range *rs {
-		out = r.collect(out)
-	}
+	out := r.collect(nil)
 	sortEvents(out)
 	return out
 }
@@ -367,7 +312,7 @@ var tail struct {
 
 // BatchEnd reports a batch's enqueue-to-publish latency to the tail
 // estimator. In Tail mode, a batch slower than the moving p99 (after
-// warmup) has its events copied out of the rings and retained; in every
+// warmup) has its events copied out of the ring and retained; in every
 // other mode this is a no-op beyond the mode check.
 func BatchEnd(batch uint64, lagNs int64) {
 	if CurrentTraceMode() != TraceTail || lagNs < 0 {
@@ -395,11 +340,6 @@ func BatchEnd(batch uint64, lagNs int64) {
 	if !slow || batch == 0 {
 		return
 	}
-	for i := range tail.kept {
-		if tail.kept[i].Batch == batch {
-			return // a multi-shard batch completes once per shard
-		}
-	}
 	evs := snapshotBatch(batch)
 	if len(evs) == 0 {
 		return
@@ -413,17 +353,14 @@ func BatchEnd(batch uint64, lagNs int64) {
 
 // snapshotBatch copies every ring event attributed to batch.
 func snapshotBatch(batch uint64) []Event {
-	rs := rings.Load()
-	if rs == nil {
+	r := theRing.Load()
+	if r == nil {
 		return nil
 	}
-	var scratch, out []Event
-	for _, r := range *rs {
-		scratch = r.collect(scratch[:0])
-		for _, ev := range scratch {
-			if ev.Batch == batch {
-				out = append(out, ev)
-			}
+	var out []Event
+	for _, ev := range r.collect(nil) {
+		if ev.Batch == batch {
+			out = append(out, ev)
 		}
 	}
 	sortEvents(out)
@@ -441,21 +378,17 @@ func RetainedTraces() []BatchTrace {
 }
 
 // resetTrace drops every recorded event and retained trace and resizes the
-// rings to capacity slots each (0 keeps the current capacity). Tests use it;
+// ring to capacity slots (0 keeps the current capacity). Tests use it;
 // racing it with concurrent recording loses events but is memory-safe.
 func resetTrace(capacity int) {
-	ringsMu.Lock()
+	ringMu.Lock()
 	if capacity > 0 {
 		ringCapacity = capacity
 	}
-	if old := rings.Load(); old != nil {
-		next := make([]*ring, len(*old))
-		for i := range next {
-			next[i] = newRing(ringCapacity)
-		}
-		rings.Store(&next)
+	if theRing.Load() != nil {
+		theRing.Store(newRing(ringCapacity))
 	}
-	ringsMu.Unlock()
+	ringMu.Unlock()
 	tailMu.Lock()
 	tail.buckets = [64]uint64{}
 	tail.count, tail.total = 0, 0

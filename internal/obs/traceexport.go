@@ -30,7 +30,7 @@ type chromeTrace struct {
 }
 
 // exportEvents returns the event set WriteChrome and WriteAutopsy work on:
-// the rings' current contents, except in Tail mode, where only the retained
+// the ring's current contents, except in Tail mode, where only the retained
 // slow-batch traces are exported (that is the retention policy's point).
 func exportEvents() []Event {
 	if CurrentTraceMode() == TraceTail {

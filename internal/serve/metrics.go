@@ -65,11 +65,11 @@ func init() {
 			false, "", one(func(s *Store) uint64 { return s.stats.lag.Load() })},
 		{"lsgraph_store_arena_bytes", "resident adjacency pages of one shard's published arena: in use, free and retired, in bytes",
 			false, "shard", perShard(func(s *Store, i int) uint64 { return s.shards[i].pages.Load() })},
-		{"lsgraph_store_partition_epoch", "partition-map version; increments once per boundary move",
-			false, "", one(func(s *Store) uint64 { return s.routeMap.Load().Epoch })},
+		{"lsgraph_store_partition_epoch", "partition epoch: boundary moves installed so far, one per move however many a rebalance makes",
+			false, "", one(func(s *Store) uint64 { return s.cur.Load().moves })},
 		{"lsgraph_store_shard_batches_applied_total", "batch parts applied to each shard; a batch counts once in every shard it touched",
 			true, "shard", perShard(func(s *Store, i int) uint64 { return s.shards[i].applied.Load() })},
-		{"lsgraph_store_shard_edges_routed_total", "edges routed to each shard by the batch scatter",
+		{"lsgraph_store_shard_edges_routed_total", "edges the writer's scatter routed to each shard",
 			true, "shard", perShard(func(s *Store, i int) uint64 { return s.routed[i].Load() })},
 		{"lsgraph_store_coalesced_total", "enqueued batches merged into a queued same-op batch under backpressure",
 			true, "", stat(func(st *Stats) uint64 { return st.CoalescedBatches })},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"lsgraph/internal/core"
 	"lsgraph/internal/obs"
 	"lsgraph/internal/wal"
 )
@@ -20,23 +19,23 @@ const (
 	opMove
 )
 
-// pending is one queue entry: a scattered update batch, a flush sentinel,
-// or a boundary move. parts are the batch's shard parts, owned by the
-// Store: enqueue scatters the caller's slices into them, so the caller may
-// reuse its buffers immediately. bound is the vertex-space size the batch
-// requires (1 + max referenced ID); the writer ensures it before applying.
-// batches is the number of enqueued batches the entry holds, more than one
-// once backpressure merged some.
+// pending is one queue entry: an update batch, a flush sentinel, or a
+// boundary move. src and dst are the batch as enqueued, in one allocation
+// the Store owns, so the caller may reuse its buffers immediately; the
+// writer routes it to the shards when it applies it. bound is the
+// vertex-space size the batch requires (1 + max referenced ID); the writer
+// ensures it before applying. batches is the number of enqueued batches
+// the entry holds, more than one once backpressure merged some.
 type pending struct {
-	op      int
-	parts   []core.SubBatch
-	bound   uint32
-	batches uint64
-	batch   uint64        // flight-recorder batch ID (0 when tracing is off)
-	enq     int64         // obs.Now at enqueue; 0 when metrics and tracing are off
-	lsn     uint64        // highest WAL LSN this entry covers (0 when durability is off)
-	done    chan struct{} // flush sentinel only
-	move    *moveOp       // boundary move only
+	op       int
+	src, dst []uint32
+	bound    uint32
+	batches  uint64
+	batch    uint64        // flight-recorder batch ID (0 when tracing is off)
+	enq      int64         // obs.Now at enqueue; 0 when metrics and tracing are off
+	lsn      uint64        // highest WAL LSN this entry covers (0 when durability is off)
+	done     chan struct{} // flush sentinel only
+	move     *moveOp       // boundary move only
 }
 
 // InsertBatch enqueues the directed edges (src[i] -> dst[i]) for
@@ -73,8 +72,8 @@ func (s *Store) mustEnqueue(op int, src, dst []uint32) {
 }
 
 // checkBatch refuses what Enqueue refuses, naming the first edge it
-// refuses. Enqueue runs its scan only once the scatter's bound has shown
-// that an edge names vertex 2³²−1; recovery runs it on every record.
+// refuses. Enqueue runs its scan only once its copy has shown that an edge
+// names vertex 2³²−1; recovery runs it on every record.
 func checkBatch(src, dst []uint32) error {
 	if len(src) != len(dst) {
 		return fmt.Errorf("serve: src/dst length mismatch (%d vs %d); every edge needs both endpoints", len(src), len(dst))
@@ -88,69 +87,56 @@ func checkBatch(src, dst []uint32) error {
 }
 
 func (s *Store) enqueue(op int, src, dst []uint32) error {
-	if len(src) != len(dst) {
+	n := len(src)
+	if n != len(dst) {
 		return checkBatch(src, dst)
 	}
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	if len(src) == 0 {
+	if n == 0 {
 		return nil
 	}
 	// The enqueue span's start anchors the enqueue-to-publish visibility-lag
 	// measurement too; it is 0 when neither sink is on.
 	sp := obs.PhaseEnqueue.Begin()
-	var batch uint64
+	// Copy the batch into one allocation, finding its largest ID on the way.
+	cols := make([]uint32, 2*n)
+	b := pending{op: op, src: cols[:n:n], dst: cols[n:], batches: 1, enq: sp.Start()}
+	top := uint32(0)
+	for i, v := range src {
+		u := dst[i]
+		b.src[i], b.dst[i] = v, u
+		top = max(top, v, u)
+	}
+	if top == math.MaxUint32 {
+		return checkBatch(src, dst)
+	}
+	b.bound = top + 1
 	if sp.Traced() {
-		batch = obs.NextBatchID()
+		b.batch = obs.NextBatchID()
 	}
-	// Scatter outside the queue lock, so producers route side by side, by
-	// the map current when the lock is taken: a boundary move swaps the map
-	// and queues its entry under the lock, so a batch scattered by the old
-	// map that lost the race to it is scattered again.
-	var parts []core.SubBatch
-	var wide uint64
-	for pm := s.routeMap.Load(); ; {
-		sc := obs.PhaseScatter.Begin()
-		parts, wide = core.Scatter(pm, src, dst, s.g.Workers())
-		sc.End(-1, batch, 0, uint64(len(src)))
-		if wide > math.MaxUint32 {
-			return checkBatch(src, dst)
-		}
-		s.mu.Lock()
-		cur := s.routeMap.Load()
-		if cur == pm {
-			break
-		}
-		s.mu.Unlock()
-		pm = cur
-	}
+	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	s.push(pending{op: op, parts: parts, bound: uint32(wide), batches: 1, batch: batch, enq: sp.Start()}, src, dst)
-	sp.End(-1, batch, 0, uint64(len(src)))
+	s.push(b)
+	sp.End(-1, b.batch, 0, uint64(n))
 	if d := s.dur; d != nil {
 		d.maybeAutoCheckpoint(s)
 	}
 	return nil
 }
 
-// push queues b, a scattered batch, and unlocks the queue, which the
-// caller locked; src and dst are the batch as the caller gave it, which a
-// durable Store logs as one record. The batch's vertex bound is reserved
-// before the writer can see it, and under backpressure it merges into the
-// newest queued batch of the same op instead of growing the queue.
-func (s *Store) push(b pending, src, dst []uint32) {
+// push queues b, a copied batch, and unlocks the queue, which the caller
+// locked; a durable Store logs the batch as one record. The batch's vertex
+// bound is reserved before the writer can see it, and under backpressure it
+// merges into the newest queued batch of the same op instead of growing the
+// queue.
+func (s *Store) push(b pending) {
 	s.g.ReserveVertices(b.bound)
-	s.stats.edgesEnqueued.Add(uint64(len(src)))
-	for i := range b.parts {
-		s.routed[i].Add(uint64(len(b.parts[i].Src)))
-	}
-	if obs.Enabled() {
-		obsShardSkew.Set(int64(skewPct(len(b.parts), func(i int) uint64 { return uint64(len(b.parts[i].Src)) })))
-	}
+	s.stats.edgesEnqueued.Add(uint64(len(b.src)))
 	// Reserve the batch's WAL slot before it is queued, under the same
 	// lock, so the log's order equals the queue's (= apply) order; the
 	// write syscall itself runs after the queue lock is released (the slot
@@ -161,29 +147,25 @@ func (s *Store) push(b pending, src, dst []uint32) {
 	// Stats.WALAppendErrors.
 	var app wal.Appender
 	if d := s.dur; d != nil {
-		app = d.log.Begin(0, walOp(b.op), b.batch, src, dst)
+		app = d.log.Begin(0, walOp(b.op), b.batch, b.src, b.dst)
 		b.lsn = app.LSN()
 		d.sinceCkpt.Add(1)
 	}
 	if n := len(s.queue); n >= s.opt.MaxQueue && s.queue[n-1].op == b.op {
 		// Backpressure: merge into the newest queued batch of the same op
-		// rather than growing the queue or blocking the caller. Its parts
-		// were scattered by the same map: a move would have queued an entry
-		// after it. The merged entry keeps its own batch ID and enqueue
-		// timestamp: its oldest edges are the ones whose visibility lag the
-		// measurement is after. It takes the max LSN: the merged application
-		// covers both records, and all earlier LSNs are already queued
-		// ahead of it.
+		// rather than growing the queue or blocking the caller. The merged
+		// entry keeps its own batch ID and enqueue timestamp: its oldest
+		// edges are the ones whose visibility lag the measurement is after.
+		// It takes the max LSN: the merged application covers both records,
+		// and all earlier LSNs are already queued ahead of it.
 		last := &s.queue[n-1]
-		for i := range b.parts {
-			last.parts[i].Src = append(last.parts[i].Src, b.parts[i].Src...)
-			last.parts[i].Dst = append(last.parts[i].Dst, b.parts[i].Dst...)
-		}
+		last.src = append(last.src, b.src...)
+		last.dst = append(last.dst, b.dst...)
 		last.bound = max(last.bound, b.bound)
 		last.lsn = max(last.lsn, b.lsn)
 		last.batches++
 		s.stats.coalescedBatches.Add(1)
-		obs.Instant(obs.PhaseCoalesce, -1, last.batch, uint64(len(src)))
+		obs.Instant(obs.PhaseCoalesce, -1, last.batch, uint64(len(b.src)))
 	} else {
 		s.queue = append(s.queue, b)
 	}

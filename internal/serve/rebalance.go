@@ -2,18 +2,19 @@
 // run by the writer between two batches and published as an epoch like
 // any other, with no stop-the-world for readers.
 //
-// A boundary move has two halves. Queue time (Store.MoveBoundary, under the
-// queue lock): swap routeMap to the successor map and append one opMove
-// entry to the queue. Every batch enqueued before it was scattered by the
-// old map and sits ahead of the entry; every batch after is scattered by
-// the new map and sits behind it — so each batch's routing matches the
-// shard layout that exists when it applies. Run time (Store.move, on the
-// writer, between the batches around the entry): move the transferred
-// vertices' table entries, and their runs from the donor's page arena to
-// the receiver's (core.Paged.MoveBoundary, safe because the writer is the
+// A move is a writer step. MoveBoundary and Rebalance queue one entry and
+// wait for it; the writer runs it in queue order, so every batch ahead of it
+// applies by the layout before the move and every batch behind it by the
+// layout after: the writer routes each batch by the shards' own ranges when
+// it applies it, and no other goroutine keeps a copy of them. The entry
+// moves the transferred vertices' table entries, and their runs from the
+// donor's page arena to the receiver's (core.Paged.MoveBoundary, which also
+// refuses a move that would empty a shard; safe because the writer is the
 // only goroutine that touches the shards and readers only touch snapshots,
-// whose tables and pages it does not write), publish both shards — each
-// snapshot stamped with its new range — and install the next epoch. Ingest
+// whose tables and pages it does not write). A Rebalance computes its
+// equal-mass targets from the current epoch and makes all of its moves in
+// one entry. Either way each touched shard publishes once — its snapshot
+// stamped with its new range — and the writer installs one epoch. Ingest
 // waits for the splice; readers do not.
 package serve
 
@@ -22,89 +23,143 @@ import (
 	"sort"
 	"time"
 
-	"lsgraph/internal/core"
 	"lsgraph/internal/obs"
 )
 
-// moveOp is one queued boundary move and its outcome, ready when done
-// closes.
+// moveOp is one queued layout change and its outcome, ready when done
+// closes: a boundary move (MoveBoundary) or, with rebalance set, a whole
+// Rebalance. res counts what it moved.
 type moveOp struct {
-	k        int    // boundary index: move between shards k and k+1
-	newStart uint32 // new first vertex of shard k+1
-	done     chan struct{}
+	rebalance bool
+	k         int    // MoveBoundary: boundary index, between shards k and k+1
+	newStart  uint32 // MoveBoundary: new first vertex of shard k+1
+	done      chan struct{}
 
-	movedVerts uint32
-	movedEdges uint64
-	err        error
+	res RebalanceResult
+	err error
 }
 
 // testHookRebalanceExecute, when non-nil, runs on the writer goroutine
-// immediately before a boundary move's splice. Tests block in it to assert
-// that readers keep making progress mid-rebalance.
+// immediately before a layout change's first splice. Tests block in it to
+// assert that readers keep making progress mid-rebalance.
 var testHookRebalanceExecute func()
 
 // MoveBoundary moves the partition boundary between shards k and k+1 to
 // newStart, moving the transferred vertex range's table entries and runs
-// and republishing both shards under the successor map. It blocks until
-// the move has run and is reader-visible: the writer runs it after every
-// batch enqueued before the call and before any enqueued after it. Readers
+// and republishing both shards. It blocks until the move has run and is
+// reader-visible: the writer runs it after every batch enqueued before the
+// call and before any enqueued after it, and refuses it there (ErrNoMove,
+// or a move that would empty a shard) with the layout unchanged. Readers
 // proceed throughout. Returns the moved materialized vertex and edge
-// counts. Safe to call from any goroutine; concurrent calls serialize.
+// counts. Safe to call from any goroutine; concurrent calls run in queue
+// order.
 func (s *Store) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEdges uint64, err error) {
-	s.rebalanceMu.Lock()
-	defer s.rebalanceMu.Unlock()
-	return s.moveBoundaryLocked(k, newStart)
-}
-
-// moveBoundaryLocked is MoveBoundary with rebalanceMu held.
-func (s *Store) moveBoundaryLocked(k int, newStart uint32) (uint32, uint64, error) {
-	next, err := s.routeMap.Load().WithBoundary(k, newStart)
-	if err != nil {
+	op := &moveOp{k: k, newStart: newStart}
+	if err := s.runMove(op); err != nil {
 		return 0, 0, err
 	}
-	op := &moveOp{k: k, newStart: newStart, done: make(chan struct{})}
+	return uint32(op.res.MovedVertices), op.res.MovedEdges, nil
+}
+
+// runMove queues op for the writer and waits for its outcome.
+func (s *Store) runMove(op *moveOp) error {
+	op.done = make(chan struct{})
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
-		return 0, 0, fmt.Errorf("serve: boundary move on closed Store")
+		return fmt.Errorf("serve: boundary move on closed Store")
 	}
-	s.routeMap.Store(next)
 	s.queue = append(s.queue, pending{op: opMove, move: op})
 	s.mu.Unlock()
 	s.signal()
 	<-op.done
-	return op.movedVerts, op.movedEdges, op.err
+	return op.err
 }
 
-// move runs a queued boundary move: the splice, then both shards'
-// publishes in one epoch. Writer goroutine only.
+// move runs a queued layout change: its splices, then one publish of every
+// shard they touched, in one epoch. A refused move changes nothing. Writer
+// goroutine only.
 func (s *Store) move(op *moveOp) {
 	defer close(op.done)
 	sp := obs.PhaseRebalance.Begin()
 	if testHookRebalanceExecute != nil {
 		testHookRebalanceExecute()
 	}
-	mv, me, err := s.g.MoveBoundary(op.k, op.newStart)
-	if err != nil {
-		// Queue-time validation makes this unreachable (rebalanceMu
-		// serializes moves, so the shards' ranges are still the map's
-		// before the swap); surface it to the caller rather than corrupting
-		// state.
-		op.err = err
+	res, old := &op.res, s.cur.Load()
+	touched := make([]bool, len(s.shards))
+	step := func(k int, newStart uint32) error {
+		mv, me, err := s.g.MoveBoundary(k, newStart)
+		if err != nil {
+			return err
+		}
+		touched[k], touched[k+1] = true, true
+		res.Moves++
+		res.MovedVertices += uint64(mv)
+		res.MovedEdges += me
+		return nil
+	}
+	if !op.rebalance {
+		op.err = step(op.k, op.newStart)
+	} else {
+		res.SkewPctBefore = epochSkewPct(old)
+		// A target may be momentarily unreachable because a neighboring
+		// boundary has not moved yet (every shard must stay non-empty), so
+		// sweep up to a few times, clamping each move to the currently
+		// legal window; every sweep strictly shrinks the remaining distance,
+		// and two sweeps suffice for any monotone target vector
+		// (left-to-right then right-to-left).
+		targets := targetBoundaries(old)
+	sweeps:
+		for sweep := 0; targets != nil && sweep < 3; sweep++ {
+			before := res.Moves
+			for k, t := range targets {
+				if want := s.clampBoundary(k, t); want != s.shards[k+1].shard.Base() {
+					if op.err = step(k, want); op.err != nil {
+						break sweeps
+					}
+				}
+			}
+			if res.Moves == before {
+				break
+			}
+		}
+	}
+	res.MapEpoch, res.SkewPctAfter = old.moves, res.SkewPctBefore
+	if res.Moves == 0 {
 		return
 	}
-	// The move shifted slots and bases in the shards' own tables; views
+	// The moves shifted slots and bases in the shards' own tables; views
 	// pinned on the old layout keep the old tables and pages.
 	e := s.successor(0, 0)
-	for _, i := range []int{op.k, op.k + 1} {
-		e.shards[i] = s.publish(i, 0, e.batches)
+	e.moves += uint64(res.Moves)
+	for i, t := range touched {
+		if t {
+			e.shards[i] = s.publish(i, 0, e.batches)
+		}
 	}
 	s.install(e)
-	op.movedVerts, op.movedEdges = mv, me
-	s.rebStats.boundaryMoves.Add(1)
-	s.rebStats.movedVertices.Add(uint64(mv))
-	s.rebStats.movedEdges.Add(me)
-	sp.End(op.k, 0, s.routeMap.Load().Epoch, me)
+	res.MapEpoch, res.SkewPctAfter = e.moves, epochSkewPct(e)
+	if op.rebalance {
+		s.rebStats.rebalances.Add(1)
+	}
+	s.rebStats.movedVertices.Add(res.MovedVertices)
+	s.rebStats.movedEdges.Add(res.MovedEdges)
+	sp.End(-1, 0, e.moves, res.MovedEdges)
+}
+
+// clampBoundary clamps a target for boundary k into the window that keeps
+// every shard non-empty: strictly between the current starts of shards k
+// and k+2. Writer goroutine only.
+func (s *Store) clampBoundary(k int, want uint32) uint32 {
+	if lo := s.shards[k].shard.Base(); want <= lo {
+		want = lo + 1
+	}
+	if k+2 < len(s.shards) {
+		if hi := s.shards[k+2].shard.Base(); want >= hi {
+			want = hi - 1
+		}
+	}
+	return want
 }
 
 // RebalanceResult summarizes one Rebalance call.
@@ -117,98 +172,47 @@ type RebalanceResult struct {
 	MovedVertices uint64 `json:"moved_vertices"`
 	MovedEdges    uint64 `json:"moved_edges"`
 	// SkewPctBefore and SkewPctAfter are the per-shard edge-mass skew gauge
-	// — (max/fair - 1) * 100 — measured from pinned views before and after.
+	// — (max/fair - 1) * 100 — of the epochs before and after the moves.
 	SkewPctBefore float64 `json:"skew_pct_before"`
 	SkewPctAfter  float64 `json:"skew_pct_after"`
-	// MapEpoch is the partition-map epoch after the call.
+	// MapEpoch is the partition epoch after the call: the boundary moves
+	// installed so far (PartitionInfo.Epoch).
 	MapEpoch uint64 `json:"map_epoch"`
 	// Duration is the wall time of the whole call, including waiting for
-	// the writer to reach each move's entry. It marshals as nanoseconds.
+	// the writer to reach the call's entry. It marshals as nanoseconds.
 	Duration time.Duration `json:"duration_nanos"`
 }
 
-// Rebalance re-equalizes per-shard edge mass: it pins a consistent view,
-// computes the boundary positions that split the total edge mass evenly,
-// and performs the necessary adjacent boundary moves, each a queue entry
-// the writer runs between two batches (readers never pause). It is a no-op
-// for S == 1 or an already-even layout. Concurrent Rebalance/MoveBoundary
-// calls serialize.
+// Rebalance re-equalizes per-shard edge mass: the writer, between two
+// batches, computes from the current epoch the boundary positions that
+// split the total edge mass evenly, makes the adjacent boundary moves that
+// reach them, and installs the result as one epoch (readers never pause).
+// It is a no-op for S == 1 or an already-even layout. Concurrent
+// Rebalance/MoveBoundary calls run in queue order.
 func (s *Store) Rebalance() (RebalanceResult, error) {
-	s.rebalanceMu.Lock()
-	defer s.rebalanceMu.Unlock()
 	start := time.Now()
-	var res RebalanceResult
-	res.MapEpoch = s.routeMap.Load().Epoch
-	if len(s.shards) == 1 {
-		res.Duration = time.Since(start)
-		return res, nil
-	}
-
-	v := s.View()
-	res.SkewPctBefore = viewSkewPct(v)
-	targets := targetBoundaries(v)
-	v.Release()
-	if targets == nil {
-		res.SkewPctAfter = res.SkewPctBefore
-		res.Duration = time.Since(start)
-		return res, nil
-	}
-
-	// Apply the target boundaries as adjacent moves. A target may be
-	// momentarily unreachable because a neighboring boundary has not moved
-	// yet (Starts must stay strictly increasing), so sweep up to a few
-	// times, clamping each move to the currently legal window; every sweep
-	// strictly shrinks the remaining distance, and two sweeps suffice for
-	// any monotone target vector (left-to-right then right-to-left).
-	for sweep := 0; sweep < 3; sweep++ {
-		moved := false
-		for k := 0; k < len(targets); k++ {
-			pm := s.routeMap.Load()
-			want := clampBoundary(pm, k, targets[k])
-			if want == pm.Starts[k+1] {
-				continue
-			}
-			mv, me, err := s.moveBoundaryLocked(k, want)
-			if err != nil {
-				return res, err
-			}
-			res.Moves++
-			res.MovedVertices += uint64(mv)
-			res.MovedEdges += me
-			moved = true
-		}
-		if !moved {
-			break
-		}
-	}
-
-	v = s.View()
-	res.SkewPctAfter = viewSkewPct(v)
-	v.Release()
-	res.MapEpoch = s.routeMap.Load().Epoch
-	res.Duration = time.Since(start)
-	if res.Moves > 0 {
-		s.rebStats.rebalances.Add(1)
-	}
-	return res, nil
+	op := &moveOp{rebalance: true}
+	err := s.runMove(op)
+	op.res.Duration = time.Since(start)
+	return op.res, err
 }
 
-// viewSkewPct is the per-shard edge-mass skew of a pinned view (skewPct).
-func viewSkewPct(v *View) float64 {
-	es := v.e.shards
+// epochSkewPct is the per-shard edge-mass skew of an epoch (skewPct).
+func epochSkewPct(e *epoch) float64 {
+	es := e.shards
 	return skewPct(len(es), func(i int) uint64 { return es[i].snap.NumEdges() })
 }
 
-// targetBoundaries computes, from a pinned view, the boundary vertex IDs
-// that split the view's total edge mass into equal per-shard shares:
-// result[k] is the ideal new start of shard k+1. Returns nil when the
-// layout is already exact or the view holds no edges (nothing to balance
-// by; boundaries would collapse arbitrarily).
-func targetBoundaries(v *View) []uint32 {
-	es := v.e.shards
+// targetBoundaries computes, from an epoch, the boundary vertex IDs that
+// split its total edge mass into equal per-shard shares: result[k] is the
+// ideal new start of shard k+1. Returns nil when the layout is already
+// exact, has one shard, or holds no edges (nothing to balance by;
+// boundaries would collapse arbitrarily).
+func targetBoundaries(e *epoch) []uint32 {
+	es := e.shards
 	S := len(es)
-	total := v.NumEdges()
-	if total == 0 {
+	total := e.m
+	if total == 0 || S == 1 {
 		return nil
 	}
 	// prefix(g) = edge mass of vertices [0, g): per-shard snapshot offsets
@@ -227,9 +231,9 @@ func targetBoundaries(v *View) []uint32 {
 		if i == S {
 			i = S - 1
 		}
-		e := es[i]
+		p := es[i]
 		local := want - cum[i]
-		targets[k] = e.lo + e.snap.VertexAtEdge(local)
+		targets[k] = p.lo + p.snap.VertexAtEdge(local)
 		if targets[k] != es[k+1].lo {
 			exact = false
 		}
@@ -247,18 +251,6 @@ func targetBoundaries(v *View) []uint32 {
 		return nil
 	}
 	return targets
-}
-
-// clampBoundary clamps a target for boundary k into the window that keeps
-// pm's starts strictly increasing: (Starts[k], Starts[k+2]) exclusive.
-func clampBoundary(pm *core.PartitionMap, k int, want uint32) uint32 {
-	if want <= pm.Starts[k] {
-		want = pm.Starts[k] + 1
-	}
-	if k+2 < len(pm.Starts) && want >= pm.Starts[k+2] {
-		want = pm.Starts[k+2] - 1
-	}
-	return want
 }
 
 // autoRebalance is the background rebalancer goroutine: every
@@ -308,17 +300,16 @@ func (s *Store) autoRebalance() {
 // PartitionInfo is a point-in-time description of the Store's partition
 // layout, for introspection endpoints and tests.
 type PartitionInfo struct {
-	// Epoch is the routing map's version (0 = initial uniform layout): the
-	// number of boundary moves installed so far. It is read beside the
-	// pinned view, not from it, so while a move is in flight it can be one
-	// ahead of the layout Starts and Edges describe.
+	// Epoch is the partition epoch (0 = the layout the Store started
+	// with): the number of boundary moves installed so far, read from the
+	// same pinned epoch as Starts and Edges.
 	Epoch uint64 `json:"epoch"`
 	// Starts[i] is the first vertex ID of shard i's pinned range.
 	Starts []uint32 `json:"starts"`
 	// Edges[i] is the directed edge count of shard i's pinned snapshot.
 	Edges []uint64 `json:"edges"`
-	// Routed[i] is the cumulative count of edges routed to shard i by
-	// enqueue since construction.
+	// Routed[i] is the cumulative count of edges the writer routed to
+	// shard i since construction.
 	Routed []uint64 `json:"routed"`
 	// SkewPct is the edge-mass skew gauge over Edges: (max/fair - 1) * 100.
 	SkewPct float64 `json:"skew_pct"`
@@ -331,11 +322,11 @@ func (s *Store) Partition() PartitionInfo {
 	defer v.Release()
 	es := v.e.shards
 	info := PartitionInfo{
-		Epoch:   s.routeMap.Load().Epoch,
+		Epoch:   v.e.moves,
 		Starts:  make([]uint32, len(es)),
 		Edges:   make([]uint64, len(es)),
 		Routed:  make([]uint64, len(s.routed)),
-		SkewPct: viewSkewPct(v),
+		SkewPct: epochSkewPct(v.e),
 	}
 	for i, e := range es {
 		info.Starts[i] = e.lo

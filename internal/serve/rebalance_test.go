@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -300,18 +302,17 @@ func TestRebalanceUnderLiveTraffic(t *testing.T) {
 	if err := st.g.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Quiescent, the layout facts agree: the routing map, the pinned epochs'
-	// ranges and the paged shards' own ranges, which tile the ID space.
-	starts := st.routeMap.Load().Starts
+	// Quiescent, the pinned epoch's ranges are the paged shards' own, which
+	// tile the ID space.
 	for i, e := range v.e.shards {
 		sh := st.g.Shard(i)
 		end := uint64(openEnd)
 		if i+1 < len(v.e.shards) {
 			end = uint64(st.g.Shard(i + 1).Base())
 		}
-		if starts[i] != e.lo || sh.Base() != e.lo || sh.End() != end || e.hi != end {
-			t.Fatalf("shard %d: route start %d, pinned [%d,%d), shard [%d,%d), want end %d",
-				i, starts[i], e.lo, e.hi, sh.Base(), sh.End(), end)
+		if sh.Base() != e.lo || sh.End() != end || e.hi != end {
+			t.Fatalf("shard %d: pinned [%d,%d), shard [%d,%d), want end %d",
+				i, e.lo, e.hi, sh.Base(), sh.End(), end)
 		}
 	}
 }
@@ -377,5 +378,167 @@ func TestMoveBoundaryOnStore(t *testing.T) {
 	// Both vertices still read correctly from their (possibly new) shards.
 	if st.Degree(10) != 1 || st.Degree(60) != 1 {
 		t.Fatalf("degrees after move: %d, %d", st.Degree(10), st.Degree(60))
+	}
+}
+
+// TestRebalanceInstallsOneEpoch rebalances a skewed four-shard Store into
+// several boundary moves: the writer makes them as one step, so each shard
+// they touch publishes once and one epoch holds them all — not two
+// snapshots and an epoch per move.
+func TestRebalanceInstallsOneEpoch(t *testing.T) {
+	st := skewedStore(t, 4096, 4, 30000)
+	defer st.Close()
+	before, published := st.Partition(), st.Stats().SnapshotsPublished
+	res, err := st.Rebalance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Moves < 2 {
+		t.Fatalf("rebalance made %d moves, want a skew that takes several", res.Moves)
+	}
+	after := st.Partition()
+	touched := 0
+	for i := range after.Starts {
+		moved := after.Starts[i] != before.Starts[i]
+		if i+1 < len(after.Starts) {
+			moved = moved || after.Starts[i+1] != before.Starts[i+1]
+		}
+		if moved {
+			touched++
+		}
+	}
+	if got := st.Stats().SnapshotsPublished - published; got != uint64(touched) {
+		t.Fatalf("%d moves over %d shards published %d snapshots, want one per touched shard", res.Moves, touched, got)
+	}
+	if after.Epoch != before.Epoch+uint64(res.Moves) || res.MapEpoch != after.Epoch {
+		t.Fatalf("partition epoch %d -> %d (result %d) after %d moves", before.Epoch, after.Epoch, res.MapEpoch, res.Moves)
+	}
+	if res.SkewPctAfter != after.SkewPct {
+		t.Fatalf("result skew-after %.1f != measured %.1f", res.SkewPctAfter, after.SkewPct)
+	}
+}
+
+// TestIllegalMoveRefusedOnWriter queues a move that would empty shard 0
+// behind a batch the writer is parked on. The writer refuses it in queue
+// order — its caller gets the error only once the batch ahead has applied
+// — and the layout, the partition epoch and the next batch's routing stay
+// those of before.
+func TestIllegalMoveRefusedOnWriter(t *testing.T) {
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	testHookBeforeApply = func() {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	defer func() { testHookBeforeApply = nil }()
+	st := New(core.NewPaged(100, 2, 2), Options{})
+	defer st.Close()
+	before := st.Partition()
+	st.InsertBatch([]uint32{10}, []uint32{60})
+	<-entered
+
+	type outcome struct {
+		err  error
+		seen bool // the batch ahead was visible when the move returned
+	}
+	out := make(chan outcome, 1)
+	go func() {
+		_, _, err := st.MoveBoundary(0, 0)
+		out <- outcome{err, st.Degree(10) == 1}
+	}()
+	select {
+	case o := <-out:
+		close(gate)
+		t.Fatalf("the move returned (%v) while the batch ahead of it was unapplied", o.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	o := <-out
+	if o.err == nil || errors.Is(o.err, core.ErrNoMove) || !strings.Contains(o.err.Error(), "would empty shard 0") {
+		t.Fatalf("emptying move: %v, want the refusal to empty shard 0", o.err)
+	}
+	if !o.seen {
+		t.Fatal("the move's error arrived before the batch ahead of it was visible")
+	}
+	after := st.Partition()
+	if !slices.Equal(after.Starts, before.Starts) || after.Epoch != 0 || st.Stats().BoundaryMoves != 0 {
+		t.Fatalf("refused move changed the partition: %+v -> %+v", before, after)
+	}
+	st.InsertBatch([]uint32{49, 50, 50}, []uint32{1, 2, 3})
+	st.Flush()
+	if p := st.Partition(); p.Edges[0] != 2 || p.Edges[1] != 2 {
+		t.Fatalf("per-shard edges %v, want [2 2]: (10,60) and (49,1) below 50, (50,2) and (50,3) above", p.Edges)
+	}
+	if err := checkStoreInvariants(st); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPartitionEpochCountsInstalledMoves moves a boundary back and forth
+// and reads Partition while each move is parked on the writer before its
+// splice, and after it: the partition epoch comes from the same pin as the
+// layout, so it always equals Stats().BoundaryMoves and counts the moves of
+// the layout shown — never one ahead of it. After each move, a batch with
+// a source on each side of the new boundary lands in the shards of the new
+// layout.
+func TestPartitionEpochCountsInstalledMoves(t *testing.T) {
+	parked, resume, released := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	testHookRebalanceExecute = func() {
+		select {
+		case parked <- struct{}{}:
+			select {
+			case <-resume:
+			case <-released:
+			}
+		case <-released:
+		}
+	}
+	defer func() { testHookRebalanceExecute = nil }()
+	st := New(core.NewPaged(100, 2, 2), Options{})
+	defer st.Close()
+	defer close(released) // a failed check must not leave the writer parked
+
+	var srcs []uint32 // every edge's source; each edge is distinct
+	check := func(when string, moves uint64, boundary uint32) {
+		t.Helper()
+		p := st.Partition()
+		if b := st.Stats().BoundaryMoves; p.Epoch != b || p.Epoch != moves || p.Starts[1] != boundary {
+			t.Fatalf("%s: partition epoch %d over starts %v, %d boundary moves; want %d moves over a boundary at %d",
+				when, p.Epoch, p.Starts, b, moves, boundary)
+		}
+		var below uint64
+		for _, v := range srcs {
+			if v < boundary {
+				below++
+			}
+		}
+		if p.Edges[0] != below || p.Edges[1] != uint64(len(srcs))-below {
+			t.Fatalf("%s: per-shard edges %v, want [%d %d] at boundary %d", when, p.Edges, below, uint64(len(srcs))-below, boundary)
+		}
+	}
+	boundary := uint32(50)
+	for i, to := range []uint32{30, 70, 40, 60} {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := st.MoveBoundary(0, to)
+			done <- err
+		}()
+		<-parked
+		check("mid-move", uint64(i), boundary)
+		resume <- struct{}{}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		boundary = to
+		check("after the move", uint64(i+1), boundary)
+		st.InsertBatch([]uint32{to - 1, to}, []uint32{uint32(i), uint32(i)})
+		st.Flush()
+		srcs = append(srcs, to-1, to)
+		check("after a batch across the boundary", uint64(i+1), boundary)
+	}
+	if err := checkStoreInvariants(st); err != nil {
+		t.Fatal(err)
 	}
 }

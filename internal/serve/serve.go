@@ -5,15 +5,17 @@
 //
 // Design, in one paragraph: a Store serves a core.Paged, not a core.Graph.
 // Its vertex space is partitioned into S contiguous shards, and one writer
-// goroutine owns all of them. InsertBatch/DeleteBatch scatter a mixed batch
-// by source vertex and append its shard parts, as one entry, to the Store's
-// bounded queue. The writer takes each entry in turn and applies its parts,
-// each shard on its share of the worker budget — side by side, a claimed
-// loop over the touched shards, when a caller waits for the batch or it is
-// big, else one after another (writer.go) — so the engine's per-vertex
-// exclusivity contract holds by construction: a vertex lives in exactly one
-// shard, and one worker applies each shard's part. Under backpressure the queue degrades
-// gracefully by merging same-op batches instead of blocking callers. A
+// goroutine owns all of them. InsertBatch/DeleteBatch copy a mixed batch
+// into one allocation and append it, as one entry, to the Store's bounded
+// queue. The writer takes each entry in turn, scatters it by source vertex
+// by the shards' ranges as they are then, and applies the parts, each shard
+// on its share of the worker budget — side by side, a claimed loop over
+// the touched shards, when a caller waits for the batch or it is big, else
+// one after another (writer.go) — so the engine's per-vertex exclusivity
+// contract holds by construction: a vertex lives in exactly one shard, and
+// one worker applies each shard's part. Under backpressure the queue
+// degrades gracefully by merging same-op batches instead of blocking
+// callers. A
 // shard keeps one copy of its edges, the one its readers see: a per-vertex
 // (page‖offset, degree) table over an arena of fixed-size pages. Applying a
 // part merges each source vertex's group with the vertex's current run into
@@ -61,22 +63,22 @@
 // unrecycled snapshot's directory holds at all, so no reader can observe
 // the write.
 //
-// Dynamic partitioning: vertex→shard routing is an immutable, epoch-
-// versioned core.PartitionMap, the Store's routeMap, the only map: it says
-// where enqueue sends an edge. A boundary move (Rebalance / MoveBoundary,
-// rebalance.go) swaps it and queues a move entry in one step under the
-// queue lock, so every batch ahead of the entry was scattered by the old
-// map and every batch behind it by the new one. The writer runs the entry
-// between two batches: it moves the transferred vertices' table entries and
-// runs from one shard to the other (core.Paged.MoveBoundary), republishes
-// both shards, and installs the next epoch like any other. Where the runs
-// live each paged shard knows itself — its range [Base, End) — and every
-// epoch records each shard's range, so readers consult neither the map nor
-// the shards. Views pinned before a move keep reading the old layout until
-// released; readers never wait.
+// Dynamic partitioning: the paged shards' own ranges [Base, End) are the
+// only layout fact, and only the writer reads or changes them. It routes
+// each batch by them when it applies it, and a boundary move (Rebalance /
+// MoveBoundary, rebalance.go) is a queue entry it runs between the batches
+// around it: it moves the transferred vertices' table entries and runs from
+// one shard to the other (core.Paged.MoveBoundary, which refuses a move
+// that would empty a shard), republishes each shard it touched, and
+// installs the next epoch like any other. So every batch ahead of the entry
+// is routed by the layout before it and every batch behind it by the layout
+// after. Every epoch records each shard's range and the number of moves
+// installed so far (the partition epoch), so readers consult neither the
+// shards nor any map. Views pinned before a move keep reading the old
+// layout until released; readers never wait.
 //
 // Vertex-space growth: enqueue computes the batch's required bound
-// (1 + max referenced ID) and reserves it in the logical vertex space
+// (1 + max referenced ID) while it copies the batch and reserves it in the logical vertex space
 // immediately (core.Paged.ReserveVertices, an atomic max); the writer
 // materializes storage with PagedShard.EnsureVertices before applying.
 // Reserving at enqueue time guarantees that by the time any epoch holding
@@ -133,12 +135,14 @@ func (o *Options) sanitize() {
 // highest WAL LSN among them: every record of log 0 with an LSN at or below
 // it is reflected, none above it, which is what makes a pinned epoch a
 // durable cut a checkpoint can anchor replay to (durable.go). m is the
-// shards' edge total.
+// shards' edge total, and moves the number of boundary moves installed so
+// far: the partition epoch, read with the layout it counts.
 type epoch struct {
 	shards  []shardPin
 	batches uint64
 	lsn     uint64
 	m       uint64
+	moves   uint64
 	refs    atomic.Int64
 }
 
@@ -189,9 +193,7 @@ type Store struct {
 	opt Options
 
 	// mu guards the queue. closed is set under it, so a batch Enqueue
-	// accepts is queued before Close marks the Store closed, and routeMap is
-	// swapped under it, so a batch is queued wholly before or after the move
-	// entry of the map it was scattered by.
+	// accepts is queued before Close marks the Store closed.
 	mu     sync.Mutex
 	queue  []pending
 	closed atomic.Bool
@@ -206,12 +208,8 @@ type Store struct {
 	retired []*epoch
 	touched []int
 
-	// routeMap is the partition map enqueue scatters by (see mu).
-	routeMap atomic.Pointer[core.PartitionMap]
-	// rebalanceMu serializes whole rebalance operations.
-	rebalanceMu sync.Mutex
-	// routed counts edges routed to each shard since construction — the
-	// load signal the rebalance policy reads.
+	// routed counts edges the writer routed to each shard since
+	// construction — the load signal the rebalance policy reads.
 	routed []atomic.Uint64
 
 	// dur is the durability state (WAL + checkpoints), nil for a purely
@@ -225,7 +223,6 @@ type Store struct {
 
 	rebStats struct {
 		rebalances    atomic.Uint64
-		boundaryMoves atomic.Uint64
 		movedVertices atomic.Uint64
 		movedEdges    atomic.Uint64
 	}
@@ -271,14 +268,11 @@ func launch(g *core.Paged, opt Options) *Store {
 		shards: make([]shardState, S),
 		routed: make([]atomic.Uint64, S),
 	}
-	pm := &core.PartitionMap{Starts: make([]uint32, S)}
 	e := &epoch{shards: make([]shardPin, S)}
 	for i := range s.shards {
 		s.shards[i].shard = g.Shard(i)
-		pm.Starts[i] = g.Shard(i).Base()
 		e.shards[i] = s.publish(i, 0, 0)
 	}
-	s.routeMap.Store(pm)
 	s.install(e)
 	go s.run()
 	if opt.AutoRebalance > 0 && S > 1 {

@@ -302,3 +302,40 @@ func TestSharedSnapshotOutlivesEveryHolder(t *testing.T) {
 		t.Fatal("no snapshot was reclaimed")
 	}
 }
+
+// TestEnqueueAllocs holds an enqueue to its one copy of the batch: a warm
+// 1 000-edge enqueue on an in-memory two-shard Store allocates the one
+// allocation its columns share and nothing else — the scatter is the
+// writer's. The writer is parked for the measurement, so that what it
+// allocates applying batches does not count, and the queue's slice is grown
+// up front: its growth is the queue's cost, not the batch's.
+func TestEnqueueAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race build's instrumentation changes what allocates")
+	}
+	const runs, n = 100, 1000
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	testHookBeforeApply = func() {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	defer func() { testHookBeforeApply = nil }()
+	st := New(core.NewPaged(1<<12, 2, 2), Options{MaxQueue: 4 * runs})
+	defer st.Close()
+	defer close(gate)
+	src, dst := make([]uint32, n), make([]uint32, n)
+	for i := range src {
+		src[i], dst[i] = uint32(i*4), uint32(i*7%(1<<12))
+	}
+	st.InsertBatch(src, dst)
+	<-entered
+	st.mu.Lock()
+	st.queue = slices.Grow(st.queue, 2*runs)
+	st.mu.Unlock()
+	if a := testing.AllocsPerRun(runs, func() { st.InsertBatch(src, dst) }); a != 1 {
+		t.Errorf("a %d-edge enqueue allocates %v objects, want 1: its copy", n, a)
+	}
+}

@@ -40,7 +40,8 @@ type Stats struct {
 	// one boundary move.
 	Rebalances uint64
 	// BoundaryMoves counts individual boundary moves (a Rebalance may
-	// perform several).
+	// perform several) installed so far: the current epoch's partition
+	// epoch.
 	BoundaryMoves uint64
 	// MovedVertices counts materialized vertices that changed owner across
 	// all boundary moves.
@@ -77,7 +78,7 @@ func (s *Store) Stats() Stats {
 		SnapshotsPublished: s.stats.snapshotsPublished.Load(),
 		SnapshotsReclaimed: s.stats.snapshotsReclaimed.Load(),
 		Rebalances:         s.rebStats.rebalances.Load(),
-		BoundaryMoves:      s.rebStats.boundaryMoves.Load(),
+		BoundaryMoves:      s.cur.Load().moves,
 		MovedVertices:      s.rebStats.movedVertices.Load(),
 		MovedEdges:         s.rebStats.movedEdges.Load(),
 	}

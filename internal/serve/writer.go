@@ -63,38 +63,47 @@ func (s *Store) run() {
 			default:
 				s.apply(b, i < waited)
 			}
-			q[i] = pending{} // release the scattered batch for GC
+			q[i] = pending{} // release the batch for GC
 		}
 	}
 }
 
-// apply applies one queued batch — its shard parts side by side when a
-// caller waits for it or it is big, else one after another (see run) —
-// each touched shard on its share of the worker budget and publishing its
-// snapshot once its part is in, then installs the epoch holding all of
-// them.
+// apply routes one queued batch to the shards by their ranges as they are
+// now — the one layout fact, which only this goroutine changes — and
+// applies its shard parts, side by side when a caller waits for it or it is
+// big, else one after another (see run); the scatter runs on the workers
+// that the parts then get. Each touched shard applies on its share of the
+// worker budget and publishes its snapshot once its part is in; then the
+// epoch holding all of them is installed.
 func (s *Store) apply(b *pending, waited bool) {
 	if testHookBeforeApply != nil {
 		testHookBeforeApply()
 	}
+	p := 1
+	if waited || len(b.src) >= sideBySideMin {
+		p = s.g.Workers()
+	}
+	sc := obs.PhaseScatter.Begin()
+	parts := s.g.Scatter(b.src, b.dst, p)
+	sc.End(-1, b.batch, 0, uint64(len(b.src)))
+	b.src, b.dst = nil, nil // the parts hold the batch now
 	s.touched = s.touched[:0]
-	edges := 0
-	for i := range b.parts {
-		if n := len(b.parts[i].Src); n > 0 {
+	for i := range parts {
+		if n := len(parts[i].Src); n > 0 {
 			s.touched = append(s.touched, i)
-			edges += n
+			s.routed[i].Add(uint64(n))
 		}
 	}
-	p := 1
-	if waited || edges >= sideBySideMin {
-		p = min(len(s.touched), s.g.Workers())
+	if obs.Enabled() {
+		obsShardSkew.Set(int64(skewPct(len(parts), func(i int) uint64 { return uint64(len(parts[i].Src)) })))
 	}
+	p = min(p, len(s.touched))
 	e := s.successor(b.batches, b.lsn)
 	var claim atomic.Int64
 	parallel.Workers(p, func(int) {
 		for j := int(claim.Add(1)) - 1; j < len(s.touched); j = int(claim.Add(1)) - 1 {
 			i := s.touched[j]
-			sh, part := s.shards[i].shard, &b.parts[i]
+			sh, part := s.shards[i].shard, &parts[i]
 			sh.EnsureVertices(b.bound)
 			sh.BeginTrace(b.batch)
 			if b.op == opInsert {
@@ -132,14 +141,16 @@ func (s *Store) publish(i int, batch, epoch uint64) shardPin {
 }
 
 // successor returns the epoch after the current one — sharing every
-// shard's pin, holding batches more batches, its WAL LSN raised to lsn —
-// for the writer to fill in the shards it republishes and then install.
+// shard's pin, holding batches more batches, its WAL LSN raised to lsn, its
+// boundary-move count carried — for the writer to fill in the shards it
+// republishes and then install.
 func (s *Store) successor(batches, lsn uint64) *epoch {
 	e := &epoch{shards: make([]shardPin, len(s.shards)), batches: batches, lsn: lsn}
 	if old := s.cur.Load(); old != nil {
 		copy(e.shards, old.shards)
 		e.batches += old.batches
 		e.lsn = max(e.lsn, old.lsn)
+		e.moves = old.moves
 	}
 	return e
 }

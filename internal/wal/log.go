@@ -41,9 +41,10 @@ func parseShardDir(name string) (int, bool) {
 	return i, err == nil && i >= 0
 }
 
-// shardLog is one shard's append stream: an active segment file plus an
-// encode scratch buffer, guarded by mu so the file's record order equals
-// the shard queue's enqueue order.
+// shardLog is one append stream: an active segment file plus an encode
+// scratch buffer, guarded by mu so the file's record order is the order in
+// which appenders begin their records — a Store's queue order, as it
+// begins each record under its queue lock (Begin).
 type shardLog struct {
 	mu   sync.Mutex
 	dir  string

@@ -24,9 +24,9 @@
 //	    MANIFEST.json  shard-000.snap ...          tmp+rename publish
 //
 // Write path: Log.Append frames one record — a global LSN, the
-// flight-recorder batch ID, the op, and the src/dst payload — under the
-// owning shard's lock, so the log order of each shard's file equals its
-// queue order. Appends go straight to the file (no userspace buffering);
+// flight-recorder batch ID, the op, and the src/dst payload — under its
+// stream's lock, which the serving layer takes under its queue lock, so a
+// stream's file order is the Store's queue (= apply) order. Appends go straight to the file (no userspace buffering);
 // fsync is governed by the group-commit policy: FsyncAlways syncs in
 // Append, FsyncInterval syncs all shards on a timer, FsyncNone leaves it
 // to the OS. Flush on the serving layer is always a durability barrier

@@ -154,7 +154,7 @@ func WithMaxQueue(n int) Option {
 // WithAutoRebalance enables a Store's background skew watcher: when the
 // hottest shard's routed-edge rate exceeds threshold times its fair share
 // (threshold > 1; 1.5 means "50% over fair"), the store rebalances its
-// partition map toward equal edge mass, moving contiguous vertex ranges
+// shard boundaries toward equal edge mass, moving contiguous vertex ranges
 // between adjacent shards without stopping reads.
 // Zero (the default) disables the watcher; Store.Rebalance remains
 // available for explicit control. Ignored by Graph constructors and by

@@ -10,10 +10,10 @@ import (
 // capability the bare Graph's alternating-phase contract rules out.
 //
 // The vertex space is split into WithShards contiguous shards (default
-// 1). Updates are scattered by source vertex and enqueue, as one entry,
-// into the store's bounded queue; one writer goroutine applies each
-// batch's shard parts side by side and publishes every shard's snapshot
-// as one new epoch, so a reader sees a batch whole or not at all. Under
+// 1). Updates are copied and enqueue, as one entry, into the store's
+// bounded queue; one writer goroutine scatters each batch by source vertex
+// to the shards, applies its shard parts side by side and publishes every
+// touched shard's snapshot as one new epoch, so a reader sees a batch whole or not at all. Under
 // backpressure the queue merges same-op batches instead of blocking
 // callers. Readers pin the current epoch with View — two atomic
 // operations — and run any analytics on it while further batches apply; a
@@ -34,7 +34,7 @@ type Store struct {
 }
 
 // NewStore returns a Store over an empty graph with n vertex slots and
-// starts its writer goroutines. It accepts the same options as New, but
+// starts its writer goroutine. It accepts the same options as New, but
 // ignores WithAlpha and WithM: a Store's shards keep each vertex's
 // neighbors as one plain run in pages its snapshots share, not in the
 // engine's vertex blocks, RIAs and HITrees. The store's epoch 0 (the empty
@@ -170,21 +170,23 @@ func (s *Store) Stats() StoreStats { return s.st.Stats() }
 type RebalanceResult = serve.RebalanceResult
 
 // PartitionInfo is a point-in-time description of a Store's partition
-// map and per-shard load; see the field docs in internal/serve.
+// layout and per-shard load; see the field docs in internal/serve.
 type PartitionInfo = serve.PartitionInfo
 
 // Rebalance re-partitions the vertex space toward equal per-shard edge
 // mass, moving contiguous vertex ranges between adjacent shards. Reads
-// proceed throughout; each boundary move runs on the writer between two
-// batches, so ingest waits for its splice. Views pinned before the call
-// keep reading their pre-rebalance state until released.
+// proceed throughout; the writer makes all of the call's boundary moves
+// between two batches and publishes them as one epoch, so ingest waits for
+// the splices. Views pinned before the call keep reading their
+// pre-rebalance state until released.
 // On a single-shard store it returns an empty result. Concurrent calls
-// serialize; each sees the previous call's layout.
+// run in turn; each sees the previous call's layout.
 func (s *Store) Rebalance() (RebalanceResult, error) { return s.st.Rebalance() }
 
-// Partition returns the store's current partition map and per-shard load:
-// map epoch, range starts, stored edge mass, routed-edge counters, and
-// the skew gauge the auto-rebalancer watches.
+// Partition returns the store's current partition layout and per-shard
+// load, read from one pinned epoch: the partition epoch (boundary moves
+// installed so far), range starts, stored edge mass, routed-edge counters,
+// and the skew gauge the auto-rebalancer watches.
 func (s *Store) Partition() PartitionInfo { return s.st.Partition() }
 
 // StoreView is an epoch-pinned, immutable view of a Store: one epoch — a
