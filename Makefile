@@ -18,7 +18,8 @@ test:
 # unsafe.Pointer (every unsafe.Slice must stay inside one live allocation),
 # one iteration of every benchmark, and the tracing-off overhead budget, the
 # allocation-free view pin, the one-allocation enqueue (its copy of the
-# batch) and the two-allocation binary ingest decode on an uninstrumented
+# batch, into a queue with room and right after a Flush emptied it) and the
+# two-allocation binary ingest decode on an uninstrumented
 # build (the race build widens the first and skips the others: its
 # sync.Pool drops items at random, and its instrumentation changes what
 # allocates).
@@ -33,7 +34,7 @@ verify:
 	$(GO) test -count=1 -gcflags=all=-d=checkptr=2 ./internal/core ./internal/ria
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... > /dev/null
 	$(GO) test -count=1 -run '^TestTraceDisabledOverheadGuard$$' ./internal/obs
-	$(GO) test -count=1 -run '^(TestViewPinAllocs|TestEnqueueAllocs)$$' . ./internal/serve
+	$(GO) test -count=1 -run '^(TestViewPinAllocs|TestEnqueueAllocs|TestFlushedEnqueueAllocs)$$' . ./internal/serve
 	$(GO) test -count=1 -run '^TestIngestDecodeAllocs$$' ./internal/httpserve
 	@echo "verify: OK"
 

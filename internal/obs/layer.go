@@ -27,7 +27,7 @@ const (
 // order: its name and what one of its spans covers.
 var phases = [numPhases]struct{ name, help string }{
 	PhaseEnqueue:   {"enqueue", "a Store enqueue call: the copy of the batch, vertex-space reservation, the WAL append and the push onto the queue"},
-	PhaseCoalesce:  {"coalesce", "an instant: a batch merged into an already-queued same-op batch under backpressure"},
+	PhaseCoalesce:  {"coalesce", "an instant: a batch merged into the same-op batch queued ahead of it, under backpressure or by the writer"},
 	PhaseScatter:   {"scatter", "the writer routing a batch to shards by source vertex, by their current ranges"},
 	PhasePack:      {"pack", "validating a shard batch's endpoints and packing its (src,dst) keys"},
 	PhasePartition: {"partition", "splitting the packed keys into source ranges"},

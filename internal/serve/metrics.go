@@ -71,7 +71,7 @@ func init() {
 			true, "shard", perShard(func(s *Store, i int) uint64 { return s.shards[i].applied.Load() })},
 		{"lsgraph_store_shard_edges_routed_total", "edges the writer's scatter routed to each shard",
 			true, "shard", perShard(func(s *Store, i int) uint64 { return s.routed[i].Load() })},
-		{"lsgraph_store_coalesced_total", "enqueued batches merged into a queued same-op batch under backpressure",
+		{"lsgraph_store_coalesced_total", "enqueued batches merged into the same-op batch queued ahead of them, under backpressure or when the writer applies a run of them as one",
 			true, "", stat(func(st *Stats) uint64 { return st.CoalescedBatches })},
 		{"lsgraph_store_snapshots_reclaimed_total", "retired snapshots whose epoch drained: table recycled, arena pages only they could read freed",
 			true, "", stat(func(st *Stats) uint64 { return st.SnapshotsReclaimed })},

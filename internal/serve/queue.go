@@ -3,8 +3,10 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lsgraph/internal/obs"
+	"lsgraph/internal/parallel"
 	"lsgraph/internal/wal"
 )
 
@@ -25,17 +27,25 @@ const (
 // writer routes it to the shards when it applies it. bound is the
 // vertex-space size the batch requires (1 + max referenced ID); the writer
 // ensures it before applying. batches is the number of enqueued batches
-// the entry holds, more than one once backpressure merged some.
+// the entry holds, more than one once some were merged into it (absorb);
+// stamp is the first one's, merged the others'.
 type pending struct {
 	op       int
 	src, dst []uint32
 	bound    uint32
 	batches  uint64
-	batch    uint64        // flight-recorder batch ID (0 when tracing is off)
-	enq      int64         // obs.Now at enqueue; 0 when metrics and tracing are off
-	lsn      uint64        // highest WAL LSN this entry covers (0 when durability is off)
-	done     chan struct{} // flush sentinel only
-	move     *moveOp       // boundary move only
+	stamp
+	merged []stamp       // the batches absorbed after the first, those with a stamp
+	lsn    uint64        // highest WAL LSN this entry covers (0 when durability is off)
+	done   chan struct{} // flush sentinel only
+	move   *moveOp       // boundary move only
+}
+
+// stamp is what an enqueued batch's enqueue-to-publish measurement needs
+// once the epoch holding it is installed (visible).
+type stamp struct {
+	batch uint64 // flight-recorder batch ID (0 when tracing is off)
+	enq   int64  // obs.Now at enqueue; 0 when metrics and tracing are off
 }
 
 // InsertBatch enqueues the directed edges (src[i] -> dst[i]) for
@@ -100,15 +110,15 @@ func (s *Store) enqueue(op int, src, dst []uint32) error {
 	// The enqueue span's start anchors the enqueue-to-publish visibility-lag
 	// measurement too; it is 0 when neither sink is on.
 	sp := obs.PhaseEnqueue.Begin()
-	// Copy the batch into one allocation, finding its largest ID on the way.
+	// Copy the batch into one allocation, finding its largest ID on the way,
+	// on the worker budget from the size core's pipeline splits at.
 	cols := make([]uint32, 2*n)
-	b := pending{op: op, src: cols[:n:n], dst: cols[n:], batches: 1, enq: sp.Start()}
-	top := uint32(0)
-	for i, v := range src {
-		u := dst[i]
-		b.src[i], b.dst[i] = v, u
-		top = max(top, v, u)
+	b := pending{op: op, src: cols[:n:n], dst: cols[n:], batches: 1, stamp: stamp{enq: sp.Start()}}
+	p := 1
+	if n >= sideBySideMin {
+		p = s.g.Workers()
 	}
+	top := copyBatch(b.src, b.dst, src, dst, p)
 	if top == math.MaxUint32 {
 		return checkBatch(src, dst)
 	}
@@ -127,6 +137,27 @@ func (s *Store) enqueue(op int, src, dst []uint32) error {
 		d.maybeAutoCheckpoint(s)
 	}
 	return nil
+}
+
+// copyBatch copies the batch src/dst into toSrc/toDst and returns its
+// largest vertex ID; with p > 1 it splits the batch into p stretches, one
+// for each of p workers.
+func copyBatch(toSrc, toDst, src, dst []uint32, p int) uint32 {
+	if p <= 1 {
+		top := uint32(0)
+		for i, v := range src {
+			u := dst[i]
+			toSrc[i], toDst[i] = v, u
+			top = max(top, v, u)
+		}
+		return top
+	}
+	n, tops := len(src), make([]uint32, p)
+	parallel.Workers(p, func(w int) {
+		lo, hi := w*n/p, (w+1)*n/p
+		tops[w] = copyBatch(toSrc[lo:hi], toDst[lo:hi], src[lo:hi], dst[lo:hi], 1)
+	})
+	return slices.Max(tops)
 }
 
 // push queues b, a copied batch, and unlocks the queue, which the caller
@@ -153,19 +184,8 @@ func (s *Store) push(b pending) {
 	}
 	if n := len(s.queue); n >= s.opt.MaxQueue && s.queue[n-1].op == b.op {
 		// Backpressure: merge into the newest queued batch of the same op
-		// rather than growing the queue or blocking the caller. The merged
-		// entry keeps its own batch ID and enqueue timestamp: its oldest
-		// edges are the ones whose visibility lag the measurement is after.
-		// It takes the max LSN: the merged application covers both records,
-		// and all earlier LSNs are already queued ahead of it.
-		last := &s.queue[n-1]
-		last.src = append(last.src, b.src...)
-		last.dst = append(last.dst, b.dst...)
-		last.bound = max(last.bound, b.bound)
-		last.lsn = max(last.lsn, b.lsn)
-		last.batches++
-		s.stats.coalescedBatches.Add(1)
-		obs.Instant(obs.PhaseCoalesce, -1, last.batch, uint64(len(b.src)))
+		// rather than growing the queue or blocking the caller.
+		s.absorb(&s.queue[n-1], []pending{b})
 	} else {
 		s.queue = append(s.queue, b)
 	}
@@ -177,6 +197,37 @@ func (s *Store) push(b pending) {
 	// held since Begin.
 	_, _ = app.Commit()
 	s.signal()
+}
+
+// absorb merges bs, the batches queued right behind a with a's op, into a,
+// as backpressure does when the queue is full (push) and the writer does
+// with a run it applies side by side (run). Set semantics make applying the
+// concatenation equal to applying a and bs one after another, and every
+// LSN up to the last one's is then applied, so the merged entry takes the
+// largest LSN. Each absorbed batch keeps its stamp, so each one's
+// visibility lag is measured; the spans of the merged apply carry a's
+// batch ID.
+func (s *Store) absorb(a *pending, bs []pending) {
+	n := 0
+	for i := range bs {
+		n += len(bs[i].src)
+	}
+	a.src, a.dst = slices.Grow(a.src, n), slices.Grow(a.dst, n)
+	for i := range bs {
+		b := &bs[i]
+		a.src = append(a.src, b.src...)
+		a.dst = append(a.dst, b.dst...)
+		a.bound = max(a.bound, b.bound)
+		a.lsn = max(a.lsn, b.lsn)
+		a.batches += b.batches
+		if b.enq != 0 {
+			a.merged = append(a.merged, b.stamp)
+		}
+		a.merged = append(a.merged, b.merged...)
+		s.stats.coalescedBatches.Add(1)
+		obs.Instant(obs.PhaseCoalesce, -1, a.batch, uint64(len(b.src)))
+		*b = pending{} // release the batch for GC
+	}
 }
 
 // skewPct is the skew of a load spread over shards: how far the largest of

@@ -13,17 +13,19 @@
 // the touched shards, when a caller waits for the batch or it is big, else
 // one after another (writer.go) — so the engine's per-vertex exclusivity
 // contract holds by construction: a vertex lives in exactly one shard, and
-// one worker applies each shard's part. Under backpressure the queue
-// degrades gracefully by merging same-op batches instead of blocking
-// callers. A
-// shard keeps one copy of its edges, the one its readers see: a per-vertex
-// (page‖offset, degree) table over an arena of fixed-size pages. Applying a
-// part merges each source vertex's group with the vertex's current run into
-// a new run at the arena's tail and points the shard's copy of the table at
-// it; the shard then seals the table as an immutable core.Snapshot and —
-// when superseded runs have left the pages more than half as large again
-// as what is live — copies the live runs of the emptiest pages forward and
-// retires those pages. Both cost what the batch changed, not what the shard
+// one worker applies each shard's part. Same-op batches merge into one
+// apply where that costs nobody: the writer merges each run of queued
+// batches it would apply side by side (a bulk load's requests, the batches
+// ahead of a Flush), and under backpressure the queue degrades gracefully
+// by merging instead of blocking callers. A shard keeps one copy of its
+// edges, the one its readers see: a per-vertex (page‖offset, degree) table
+// over an arena of fixed-size pages. Applying a part merges each source
+// vertex's group with the vertex's current run into a new run at the
+// arena's tail and points the shard's copy of the table at it; the shard
+// then seals the table as an immutable core.Snapshot and — when superseded
+// runs have left the pages more than half as large again as what is live —
+// copies the live runs of the emptiest pages forward and retires those
+// pages. Both cost what the batch changed, not what the shard
 // holds. Once every touched shard has published, the writer installs one
 // immutable epoch — every shard's current snapshot, its range, and the
 // batch's WAL LSN — with one atomic pointer swap. Readers pin that epoch
@@ -203,10 +205,12 @@ type Store struct {
 	cur atomic.Pointer[epoch]
 
 	// Writer-goroutine-owned: the shards, the epochs retired but not yet
-	// drained, and the shards the batch being applied touches.
+	// drained, and the shards the batch being applied touches. spare is the
+	// slice the writer last drained, swapped with the queue under mu.
 	shards  []shardState
 	retired []*epoch
 	touched []int
+	spare   []pending
 
 	// routed counts edges the writer routed to each shard since
 	// construction — the load signal the rebalance policy reads.

@@ -10,14 +10,18 @@ type Stats struct {
 	// change before the caller acts on it. Saturated, not this, is the shed
 	// signal.
 	QueueDepth int
-	// BatchesApplied counts queue entries the writer has applied, each as
-	// one epoch however many shards it touched. With coalescing this can be
-	// lower than the number of enqueue calls, which Store.Epoch counts.
+	// BatchesApplied counts the writer's applies, each installed as one
+	// epoch however many shards it touched. An apply holds one enqueued
+	// batch or several merged ones, so this can be lower than the number of
+	// enqueue calls, which Store.Epoch counts.
 	BatchesApplied uint64
 	// EdgesEnqueued counts raw edges submitted via InsertBatch/DeleteBatch.
 	EdgesEnqueued uint64
-	// CoalescedBatches counts enqueue calls merged into an already-queued
-	// batch under backpressure.
+	// CoalescedBatches counts enqueued batches merged into the same-op batch
+	// queued ahead of them: by an enqueue that finds the queue full, and by
+	// the writer, which applies a run of batches it would apply side by side
+	// as one. Enqueued batches minus this is BatchesApplied, once the queue
+	// is drained.
 	CoalescedBatches uint64
 	// SnapshotsPublished counts published shard snapshots (including each
 	// shard's first, in epoch 0): one per shard a batch or a boundary move

@@ -15,12 +15,12 @@ import (
 const sideBySideMin = 1 << 12
 
 // testHookBeforeApply, when non-nil, runs on the writer goroutine before
-// each batch is applied. Tests use it to hold the writer mid-drain and
-// exercise queue coalescing deterministically.
+// each apply. Tests use it to hold the writer mid-drain and exercise queue
+// coalescing deterministically.
 var testHookBeforeApply func()
 
 // run is the writer goroutine: it drains the whole queue each cycle and
-// takes the entries in order — a batch is applied and installed as one
+// takes the entries in order — batches are applied and installed as one
 // epoch, a boundary move runs between the batches around it, a Flush
 // sentinel is released once everything ahead of it is reader-visible.
 //
@@ -32,12 +32,24 @@ var testHookBeforeApply func()
 // another on the writer, which leaves the other CPUs to the producers.
 // Either way for every batch cost one of the benchmark's workloads its
 // update latency (EXPERIMENTS.md, "One writer").
+//
+// A batch applied side by side absorbs the batches of its op right behind
+// it that would be applied side by side too, so the run costs one scatter,
+// one publish of each shard it touches and one epoch: a bulk load sent as
+// many requests is applied about once per drain (EXPERIMENTS.md, "Merged
+// drains"). A Flush, a move, a change of op or a batch applied one after
+// another ends the run; small background batches keep their own applies,
+// since merging them made the HTTP workload's reads and writes slower.
+//
+// The queue is two slices swapped under the lock: producers append to one
+// while the writer drains the other, which it clears as it goes, so a
+// writer that keeps up never makes the next enqueue allocate a queue.
 func (s *Store) run() {
 	defer close(s.done)
 	for {
 		s.mu.Lock()
 		q := s.queue
-		s.queue = nil
+		s.queue, s.spare = s.spare[:0], q
 		closed := s.closed.Load()
 		s.mu.Unlock()
 		if len(q) == 0 {
@@ -54,33 +66,42 @@ func (s *Store) run() {
 				waited = i
 			}
 		}
-		for i := range q {
-			switch b := &q[i]; b.op {
+		wide := func(i int) bool { return i < waited || len(q[i].src) >= sideBySideMin }
+		for i := 0; i < len(q); i++ {
+			b := &q[i]
+			switch b.op {
 			case opFlush:
 				close(b.done)
 			case opMove:
 				s.move(b.move)
 			default:
-				s.apply(b, i < waited)
+				w, end := wide(i), i+1
+				for w && end < len(q) && q[end].op == b.op && wide(end) {
+					end++
+				}
+				s.absorb(b, q[i+1:end])
+				s.apply(b, w)
+				i = end - 1
 			}
-			q[i] = pending{} // release the batch for GC
+			*b = pending{} // release the entry for GC (absorb released the rest of its run)
 		}
 	}
 }
 
-// apply routes one queued batch to the shards by their ranges as they are
-// now — the one layout fact, which only this goroutine changes — and
-// applies its shard parts, side by side when a caller waits for it or it is
-// big, else one after another (see run); the scatter runs on the workers
+// apply routes one batch, a queued one or a run that run merged, to the
+// shards by their ranges as they are now — the one layout fact, which only
+// this goroutine changes — and applies its shard parts, side by side when
+// wide, else one after another (see run); the scatter runs on the workers
 // that the parts then get. Each touched shard applies on its share of the
 // worker budget and publishes its snapshot once its part is in; then the
-// epoch holding all of them is installed.
-func (s *Store) apply(b *pending, waited bool) {
+// epoch holding all of them is installed, and every batch it holds is
+// measured as visible.
+func (s *Store) apply(b *pending, wide bool) {
 	if testHookBeforeApply != nil {
 		testHookBeforeApply()
 	}
 	p := 1
-	if waited || len(b.src) >= sideBySideMin {
+	if wide {
 		p = s.g.Workers()
 	}
 	sc := obs.PhaseScatter.Begin()
@@ -117,15 +138,24 @@ func (s *Store) apply(b *pending, waited bool) {
 	})
 	s.stats.batchesApplied.Add(1)
 	s.install(e)
-	if b.enq != 0 {
-		// The batch is now reader-visible: close the end-to-end
-		// enqueue-to-publish measurement and feed the tail estimator.
-		lag := obs.Now() - b.enq
-		if obs.Enabled() {
-			obsVisibilityLag.Observe(uint64(lag))
-		}
-		obs.BatchEnd(b.batch, lag)
+	visible(b.stamp)
+	for _, st := range b.merged {
+		visible(st)
 	}
+}
+
+// visible closes an installed batch's end-to-end enqueue-to-publish
+// measurement and feeds the tail estimator; a batch enqueued with neither
+// sink on has nothing to close.
+func visible(st stamp) {
+	if st.enq == 0 {
+		return
+	}
+	lag := obs.Now() - st.enq
+	if obs.Enabled() {
+		obsVisibilityLag.Observe(uint64(lag))
+	}
+	obs.BatchEnd(st.batch, lag)
 }
 
 // publish seals shard i's table as its next snapshot, stamped with the
