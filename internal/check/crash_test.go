@@ -134,6 +134,65 @@ func TestCrashSyncKeepsRecord(t *testing.T) {
 	}
 }
 
+// TestCrashFlushSurvivesPowerCut pins Flush's durability barrier under the
+// OS-crash model the process-kill matrix cannot see: with no group commit
+// (FsyncNone), batches enqueued and then Flushed survive a power cut taken
+// right after Flush returns, which cuts every segment back to its last
+// fsync, while batches enqueued after it, written but never fsynced, are
+// lost. The batches alternate inserts and deletes over two shards.
+func TestCrashFlushSurvivesPowerCut(t *testing.T) {
+	const n, flushed, after = 32, 12, 4
+	dir := t.TempDir()
+	fs := NewFaultFS(dir, FaultPoint{})
+	s, err := serve.OpenDurable(n, 2, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir, Fsync: wal.FsyncNone, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(48))
+	want := refgraph.New(n)
+	for b := 0; b < flushed+after; b++ {
+		rec := wal.Record{Op: wal.OpInsert}
+		if b%3 == 2 {
+			rec.Op = wal.OpDelete
+		}
+		for i := 0; i < 6; i++ {
+			rec.Src, rec.Dst = append(rec.Src, uint32(rng.Intn(n))), append(rec.Dst, uint32(rng.Intn(n)))
+		}
+		if rec.Op == wal.OpDelete {
+			s.DeleteBatch(rec.Src, rec.Dst)
+		} else {
+			s.InsertBatch(rec.Src, rec.Dst)
+		}
+		if b < flushed {
+			ApplyLogged(want, []wal.Record{rec})
+		}
+		if b == flushed-1 {
+			s.Flush()
+		}
+	}
+	if err := fs.PowerCut(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if got := len(fs.Synced()); got != flushed {
+		t.Fatalf("the flush's fsync covered %d records, want the %d flushed ones", got, flushed)
+	}
+	if got := len(fs.Acked()); got != flushed+after {
+		t.Fatalf("%d records written, want %d", got, flushed+after)
+	}
+	re, err := serve.OpenDurable(n, 2, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.Recovery().ReplayedRecords; got != flushed {
+		t.Fatalf("replayed %d records after the power cut, want the %d flushed ones", got, flushed)
+	}
+	if err := CompareDurable(re, want); err != nil {
+		t.Fatalf("flushed batches lost to a power cut: %v", err)
+	}
+}
+
 // TestCrashHarnessDetectsLoss is the harness self-test: a harness that
 // cannot see a lost acked record proves nothing. Build the oracle the
 // WRONG way — acked records plus the record the crash refused — and

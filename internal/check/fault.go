@@ -73,7 +73,8 @@ type OpCounts [NumFileOps][CheckpointFiles + 1]int
 // durability oracle too: one Appender.Commit is one segment Write, so the
 // records of the Writes that completed (decoded with wal.ScanSegment) are
 // exactly those on disk, and the Write the fault refused or tore holds the
-// one it lost.
+// one it lost. It also keeps which of them a segment fsync covered, and can
+// cut the segments back to that (PowerCut): what an OS crash leaves.
 type FaultFS struct {
 	root  string
 	point FaultPoint
@@ -84,10 +85,22 @@ type FaultFS struct {
 	frozen bool
 	acked  []wal.Record
 	lost   *wal.Record
+	segs   map[string]*segment
+	synced []wal.Record
+}
+
+// segment is what a FaultFS knows of one segment file: its length, the
+// length its last successful fsync covered — a file already on disk when
+// opened counts as synced — and the records written since.
+type segment struct {
+	size, synced int64
+	pending      []wal.Record
 }
 
 // NewFaultFS returns a FaultFS for the durability directory root.
-func NewFaultFS(root string, p FaultPoint) *FaultFS { return &FaultFS{root: root, point: p} }
+func NewFaultFS(root string, p FaultPoint) *FaultFS {
+	return &FaultFS{root: root, point: p, segs: map[string]*segment{}}
+}
 
 // Fired reports whether the fault point was reached.
 func (f *FaultFS) Fired() bool {
@@ -114,9 +127,38 @@ func (f *FaultFS) Lost() *wal.Record {
 func (f *FaultFS) Acked() []wal.Record {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	acked := slices.Clone(f.acked)
-	slices.SortFunc(acked, func(a, b wal.Record) int { return cmp.Compare(a.LSN, b.LSN) })
-	return acked
+	return byLSN(f.acked)
+}
+
+// Synced returns the acked records a successful fsync of their segment
+// covered, by LSN: those an OS crash must not lose.
+func (f *FaultFS) Synced() []wal.Record {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return byLSN(f.synced)
+}
+
+// byLSN returns a copy of recs sorted by LSN.
+func byLSN(recs []wal.Record) []wal.Record {
+	recs = slices.Clone(recs)
+	slices.SortFunc(recs, func(a, b wal.Record) int { return cmp.Compare(a.LSN, b.LSN) })
+	return recs
+}
+
+// PowerCut freezes the file system, as a crash does, and then cuts every
+// segment file it wrote back to the length its last fsync covered, which
+// is what an OS or power crash leaves of a page-cached write: the records
+// after Synced's are lost. Segments removed since are skipped.
+func (f *FaultFS) PowerCut() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.frozen = true
+	for path, sg := range f.segs {
+		if err := osFS.Truncate(path, sg.synced); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return nil
 }
 
 // op counts an operation on files and returns the error it fails with;
@@ -168,7 +210,18 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (file wal.Fi
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{f, file, f.files(name)}, nil
+	ff := &faultFile{f, file, f.files(name), name}
+	if ff.files == SegmentFiles {
+		st, err := os.Stat(name)
+		if err != nil {
+			file.Close()
+			return nil, err
+		}
+		f.mu.Lock()
+		f.segs[name] = &segment{size: st.Size(), synced: st.Size()}
+		f.mu.Unlock()
+	}
+	return ff, nil
 }
 
 // ReadDir is wal.FS's.
@@ -199,7 +252,17 @@ func (f *FaultFS) RemoveAll(name string) error {
 
 // Truncate is wal.FS's.
 func (f *FaultFS) Truncate(name string, size int64) error {
-	return f.do(OpTruncate, name, func() error { return osFS.Truncate(name, size) })
+	return f.do(OpTruncate, name, func() error {
+		if err := osFS.Truncate(name, size); err != nil {
+			return err
+		}
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if sg := f.segs[name]; sg != nil {
+			sg.size, sg.synced = size, min(sg.synced, size)
+		}
+		return nil
+	})
 }
 
 // SyncDir is wal.FS's.
@@ -213,6 +276,7 @@ type faultFile struct {
 	fs    *FaultFS
 	f     wal.File
 	files Files
+	path  string
 }
 
 func (ff *faultFile) Write(p []byte) (n int, err error) {
@@ -234,8 +298,11 @@ func (ff *faultFile) Write(p []byte) (n int, err error) {
 	})
 	ff.fs.mu.Lock()
 	defer ff.fs.mu.Unlock()
+	sg := ff.fs.segs[ff.path]
+	sg.size += int64(n)
 	if err == nil {
 		ff.fs.acked = append(ff.fs.acked, recs...)
+		sg.pending = append(sg.pending, recs...)
 	} else if len(recs) > 0 {
 		ff.fs.lost = &recs[0]
 	}
@@ -246,7 +313,16 @@ func (ff *faultFile) Sync() error {
 	if _, err := ff.fs.op(OpSync, ff.files); err != nil {
 		return err
 	}
-	return ff.f.Sync()
+	if err := ff.f.Sync(); err != nil || ff.files != SegmentFiles {
+		return err
+	}
+	ff.fs.mu.Lock()
+	defer ff.fs.mu.Unlock()
+	sg := ff.fs.segs[ff.path]
+	sg.synced = sg.size
+	ff.fs.synced = append(ff.fs.synced, sg.pending...)
+	sg.pending = nil
+	return nil
 }
 
 func (ff *faultFile) Close() error {

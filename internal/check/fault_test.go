@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 
+	"lsgraph/internal/obs"
 	"lsgraph/internal/refgraph"
 	"lsgraph/internal/serve"
 	"lsgraph/internal/wal"
@@ -333,4 +335,93 @@ func readTree(t *testing.T, root string) map[string][]byte {
 		t.Fatal(err)
 	}
 	return files
+}
+
+// TestFlushSyncErrorCounted fails the segment fsync of a Flush with EIO: the
+// failure is counted, not dropped, the store keeps serving reads and
+// writes, and the next Flush's fsync succeeds. An injected EIO drops no
+// page, so that fsync covers both batches.
+func TestFlushSyncErrorCounted(t *testing.T) {
+	exported0 := syncErrorsExported(t)
+	dir := t.TempDir()
+	fs := NewFaultFS(dir, FaultPoint{Op: OpSync, Files: SegmentFiles, Nth: 1, Err: syscall.EIO})
+	s, err := serve.OpenDurable(16, 2, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir, Fsync: wal.FsyncNone, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.InsertBatch([]uint32{1, 9}, []uint32{2, 10})
+	s.Flush()
+	if !fs.Fired() {
+		t.Fatal("the Flush ran no segment fsync")
+	}
+	if st := s.Stats(); st.WALSyncErrors != 1 || st.WALFsyncs != 0 {
+		t.Fatalf("after a failed flush fsync: WALSyncErrors %d, WALFsyncs %d; want 1, 0", st.WALSyncErrors, st.WALFsyncs)
+	}
+	if got := syncErrorsExported(t) - exported0; got != 1 {
+		t.Fatalf("lsgraph_wal_sync_errors_total grew by %d, want 1", got)
+	}
+	if len(fs.Synced()) != 0 {
+		t.Fatalf("a failed fsync covered %d records", len(fs.Synced()))
+	}
+	s.InsertBatch([]uint32{3}, []uint32{4})
+	s.Flush()
+	if st := s.Stats(); st.WALSyncErrors != 1 || st.WALFsyncs != 1 || st.WALAppendErrors != 0 {
+		t.Fatalf("after the next flush: WALSyncErrors %d, WALFsyncs %d, WALAppendErrors %d; want 1, 1, 0",
+			st.WALSyncErrors, st.WALFsyncs, st.WALAppendErrors)
+	}
+	if got := len(fs.Synced()); got != 2 {
+		t.Fatalf("the next flush's fsync covered %d records, want both batches'", got)
+	}
+	want := refgraph.New(16)
+	ApplyLogged(want, fs.Acked())
+	if err := CompareDurable(s, want); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// syncErrorsExported reads lsgraph_wal_sync_errors_total from the metrics
+// registry.
+func syncErrorsExported(t *testing.T) uint64 {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "lsgraph_wal_sync_errors_total "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatal("lsgraph_wal_sync_errors_total is not exported")
+	return 0
+}
+
+// TestSealSyncErrorCounted fails the fsync that seals a full segment: it
+// counts as a sync error, and as an append error for the record that was to
+// start the next segment, which is not written; the append after it is.
+func TestSealSyncErrorCounted(t *testing.T) {
+	dir := t.TempDir()
+	fs := NewFaultFS(dir, FaultPoint{Op: OpSync, Files: SegmentFiles, Nth: 1, Err: syscall.EIO})
+	s, err := serve.OpenDurable(16, 1, 2, serve.Options{}, serve.DurabilityOptions{
+		Dir: dir, Fsync: wal.FsyncNone, SegmentBytes: 64, FS: fs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for b := uint32(0); b < 3; b++ {
+		s.InsertBatch([]uint32{b, b + 1, b + 2}, []uint32{b + 4, b + 5, b + 6})
+	}
+	if !fs.Fired() {
+		t.Fatal("no segment was sealed: the test proves nothing")
+	}
+	if st := s.Stats(); st.WALSyncErrors != 1 || st.WALAppendErrors != 1 || st.WALRecords != 2 {
+		t.Fatalf("WALSyncErrors %d, WALAppendErrors %d, WALRecords %d; want 1, 1, 2",
+			st.WALSyncErrors, st.WALAppendErrors, st.WALRecords)
+	}
 }

@@ -30,13 +30,14 @@ type pagedShard struct {
 	// spareDir are a recycled snapshot's table and directory, kept for the
 	// next table copy and publish to overwrite instead of allocating;
 	// tabEntries sums the capacities of tab, spare and every unrecycled
-	// snapshot's table.
+	// snapshot's table. copied counts the entries table and ensure copy.
 	tab        []vref
 	pub        pageArena
 	shared     bool
 	spare      []vref
 	spareDir   [][]uint32
 	tabEntries int
+	copied     uint64
 }
 
 // NewPaged returns an empty paged graph with n vertex slots in shards
@@ -166,7 +167,7 @@ func (sh *pagedShard) table() []vref {
 	if sh.shared {
 		tab := growTab(sh.spare, len(sh.tab))
 		sh.tabEntries += cap(tab) - cap(sh.spare)
-		copy(tab, sh.tab)
+		sh.copied += uint64(copy(tab, sh.tab))
 		sh.tab, sh.spare, sh.shared = tab, nil, false
 	}
 	return sh.tab
@@ -185,7 +186,7 @@ func (sh *pagedShard) ensure(n int) {
 	if c := cap(tab); n > c {
 		sh.tab = make([]vref, n, max(n, c+c/2))
 		sh.tabEntries += cap(sh.tab) - c
-		copy(sh.tab, tab)
+		sh.copied += uint64(copy(sh.tab, tab))
 		return
 	}
 	sh.tab = tab[:n]
@@ -307,6 +308,10 @@ type PublishedStats struct {
 	Bound   uint64 // what InUse+Free may reach at the latest snapshot's size, its tails and free list counted as full-size pages
 	Cleaned uint64 // entries the cleaner has copied forward, ever
 	Placed  uint64 // entries of all runs written, ever: batches', loads', moves' and the cleaner's
+	// TableCopied counts table entries copied, ever: the whole table on the
+	// first change after a publish (table), and again when it outgrows its
+	// capacity (ensure).
+	TableCopied uint64
 }
 
 // Total is the bytes resident on the published side.
@@ -316,12 +321,13 @@ func (p PublishedStats) Total() uint64 { return p.Tables + p.InUse + p.Free + p.
 func (s PagedShard) Published() PublishedStats {
 	a := &s.pub
 	p := PublishedStats{
-		Tables:  uint64(s.tabEntries) * uint64(unsafe.Sizeof(vref{})),
-		InUse:   4 * a.inUse,
-		Free:    4 * pageSize * uint64(len(a.free)),
-		Bound:   4 * (arenaBound(a.m) + uint64(len(a.tails)+arenaFreeMax)*pageSize),
-		Cleaned: a.cleaned,
-		Placed:  a.placed,
+		Tables:      uint64(s.tabEntries) * uint64(unsafe.Sizeof(vref{})),
+		InUse:       4 * a.inUse,
+		Free:        4 * pageSize * uint64(len(a.free)),
+		Bound:       4 * (arenaBound(a.m) + uint64(len(a.tails)+arenaFreeMax)*pageSize),
+		Cleaned:     a.cleaned,
+		Placed:      a.placed,
+		TableCopied: s.copied,
 	}
 	for _, r := range a.retired {
 		p.Retired += 4 * uint64(len(r.page))

@@ -19,7 +19,10 @@ import (
 // Store, against a memory-only store and a WAL-backed one at each fsync
 // policy. A policy's overhead is its ns/op over mem's. mem-1shard is the
 // only measurement of enqueue over a one-range map, which no ruler
-// workload runs. `-benchtime 64x` cycles each producer's batches once.
+// workload runs. interval-flush is durable-recover's write shape: one
+// producer that Flushes after every batch, so each op pays enqueue, apply
+// and the Flush's fsync, the last two side by side; it takes both
+// producers' batches in turn. `-benchtime 64x` cycles every batch once.
 func BenchmarkIngestWAL(b *testing.B) {
 	const n, batch, producers, ring = 8192, 8192, 2, 32
 	type cols struct{ src, dst []uint32 }
@@ -35,12 +38,14 @@ func BenchmarkIngestWAL(b *testing.B) {
 		shards  int
 		durable bool
 		fsync   wal.FsyncPolicy
+		flush   bool // one producer, a Flush after every batch
 	}{
-		{"mem", 2, false, 0},
-		{"none", 2, true, wal.FsyncNone},
-		{"interval", 2, true, wal.FsyncInterval},
-		{"always", 2, true, wal.FsyncAlways},
-		{"mem-1shard", 1, false, 0},
+		{"mem", 2, false, 0, false},
+		{"none", 2, true, wal.FsyncNone, false},
+		{"interval", 2, true, wal.FsyncInterval, false},
+		{"always", 2, true, wal.FsyncAlways, false},
+		{"mem-1shard", 1, false, 0, false},
+		{"interval-flush", 2, true, wal.FsyncInterval, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var st *Store
@@ -57,6 +62,14 @@ func BenchmarkIngestWAL(b *testing.B) {
 			defer st.Close()
 			b.SetBytes(batch * 8)
 			b.ResetTimer()
+			if tc.flush {
+				for i := 0; i < b.N; i++ {
+					c := batches[i%producers][i/producers%ring]
+					st.InsertBatch(c.src, c.dst)
+					st.Flush()
+				}
+				return
+			}
 			var wg sync.WaitGroup
 			for p := 0; p < producers; p++ {
 				wg.Add(1)

@@ -317,6 +317,47 @@ func TestDurableFsyncAlways(t *testing.T) {
 	v.Release()
 }
 
+// TestFlushSyncsBesideApply pins where a durable Flush's fsync runs: on the
+// caller's goroutine while the writer applies the batches ahead of the
+// sentinel, not after them, so a Flush costs the longer of the two. The
+// writer is held in its apply; the Flush's one fsync must happen anyway,
+// and the Flush must still wait for the apply before it returns. FsyncNone
+// leaves no group-commit fsync to stand in for the Flush's.
+func TestFlushSyncsBesideApply(t *testing.T) {
+	st := openDur(t, t.TempDir(), 8, 2, DurabilityOptions{Fsync: wal.FsyncNone})
+	defer st.Close()
+	parked, release := parkWriter(t)
+	defer release() // before Close, which waits for the writer
+	st.InsertBatch([]uint32{1, 6}, []uint32{2, 7})
+	<-parked
+	fsyncs := st.Stats().WALFsyncs
+	flushed := make(chan struct{})
+	go func() {
+		st.Flush()
+		close(flushed)
+	}()
+	for deadline := time.Now().Add(5 * time.Second); st.Stats().WALFsyncs == fsyncs; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Flush ran no fsync while the writer applied: it waits for the apply first")
+		}
+	}
+	select {
+	case <-flushed:
+		t.Fatal("Flush returned before the batch ahead of it was applied")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	<-flushed
+	if got := st.Stats().WALFsyncs - fsyncs; got != 1 {
+		t.Fatalf("Flush ran %d fsyncs, want 1", got)
+	}
+	v := st.View()
+	defer v.Release()
+	if v.Degree(1) != 1 || v.Degree(6) != 1 {
+		t.Fatal("the flushed batch is not visible")
+	}
+}
+
 func TestCheckpointOnNonDurableStore(t *testing.T) {
 	st := New(core.NewPaged(8, 1, 1), Options{})
 	defer st.Close()

@@ -89,6 +89,8 @@ func init() {
 			true, "", stat(func(st *Stats) uint64 { return st.WALBytes })},
 		{"lsgraph_wal_fsyncs_total", "fsync calls on WAL segment files (group-commit policy dependent)",
 			true, "", stat(func(st *Stats) uint64 { return st.WALFsyncs })},
+		{"lsgraph_wal_sync_errors_total", "fsync calls on WAL segment files that failed: acknowledged batches may not be on stable storage",
+			true, "", stat(func(st *Stats) uint64 { return st.WALSyncErrors })},
 		{"lsgraph_wal_segments_gced_total", "sealed WAL segments deleted after a checkpoint covered them",
 			true, "", stat(func(st *Stats) uint64 { return st.SegmentsGCed })},
 		{"lsgraph_wal_checkpoints_total", "checkpoints published (atomic tmp+rename completed)",

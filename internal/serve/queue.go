@@ -260,8 +260,14 @@ func (s *Store) signal() {
 }
 
 // Flush blocks until every update enqueued before the call has been
-// applied and published. Updates enqueued concurrently with Flush may or
-// may not be included.
+// applied and published, and, on a durable Store, fsynced. Updates
+// enqueued concurrently with Flush may or may not be included.
+//
+// A durable Flush runs its fsync on the caller's goroutine while the
+// writer applies, so it costs the longer of the two, not their sum. The
+// fsync covers every batch queued ahead of the sentinel: each began its log
+// record under the queue lock before the sentinel was queued, and holds the
+// log's lock until the record is written, so SyncAll orders behind it.
 func (s *Store) Flush() {
 	s.mu.Lock()
 	if s.closed.Load() {
@@ -275,12 +281,13 @@ func (s *Store) Flush() {
 	s.queue = append(s.queue, pending{op: opFlush, done: ch})
 	s.mu.Unlock()
 	s.signal()
-	<-ch
 	// Flush is also the durability barrier: every acknowledged batch is
-	// fsynced before return, regardless of the group-commit policy.
+	// fsynced before return, regardless of the group-commit policy. A
+	// failed fsync is counted in Stats.WALSyncErrors.
 	if d := s.dur; d != nil {
-		d.log.SyncAll()
+		_ = d.log.SyncAll()
 	}
+	<-ch
 }
 
 // Saturated reports whether the queue has reached the MaxQueue bound — the

@@ -65,6 +65,12 @@ type Stats struct {
 	// the store kept applying them in memory, so a non-zero value means
 	// durability is degraded until the next successful checkpoint.
 	WALAppendErrors uint64
+	// WALSyncErrors counts WAL fsyncs that failed: a Flush's, a group
+	// commit's, a checkpoint's, an FsyncAlways append's or a segment seal's.
+	// The store keeps serving; a non-zero value means acknowledged batches
+	// may not be on stable storage, and only a checkpoint written after it
+	// holds them for certain.
+	WALSyncErrors uint64
 	// Checkpoints counts published checkpoints.
 	Checkpoints uint64
 	// SegmentsGCed counts WAL segments deleted after a checkpoint covered
@@ -96,6 +102,7 @@ func (s *Store) Stats() Stats {
 		st.WALBytes = ls.Bytes
 		st.WALFsyncs = ls.Syncs
 		st.WALAppendErrors = ls.AppendErrors
+		st.WALSyncErrors = ls.SyncErrors
 		st.Checkpoints = d.checkpoints.Load()
 		st.SegmentsGCed = d.segsGCed.Load()
 	}

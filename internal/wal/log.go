@@ -74,6 +74,12 @@ type LogStats struct {
 	// from the FS, or a closed log); the serving layer keeps applying in
 	// memory and surfaces the count as a degraded-durability signal.
 	AppendErrors uint64
+	// SyncErrors counts fsyncs that failed: Sync's and SyncAll's (a
+	// Flush's, a group commit's, a checkpoint's), an append's under
+	// FsyncAlways, and a segment seal's. The records they were to cover may
+	// not be on stable storage, and a later fsync that succeeds does not
+	// prove they are: the OS may have dropped the pages it failed to write.
+	SyncErrors uint64
 }
 
 // Log is the write side of the durability directory: one append stream
@@ -102,6 +108,7 @@ type Log struct {
 		syncs        atomic.Uint64
 		rotations    atomic.Uint64
 		appendErrors atomic.Uint64
+		syncErrors   atomic.Uint64
 	}
 }
 
@@ -253,7 +260,7 @@ func (a Appender) Commit() (uint64, error) {
 		return a.lsn, sl.broken
 	}
 	if sl.f != nil && sl.size > 0 && sl.size+int64(len(sl.buf)) > l.opt.SegmentBytes {
-		if err := sl.seal(); err != nil {
+		if err := l.seal(sl); err != nil {
 			l.stats.appendErrors.Add(1)
 			return a.lsn, err
 		}
@@ -304,13 +311,16 @@ func (sl *shardLog) ensureSegment(fsys FS, lsn uint64) error {
 	return nil
 }
 
-// seal fsyncs and closes the active segment; the next append starts a new
-// one. Callers hold sl.mu.
-func (sl *shardLog) seal() error {
+// seal fsyncs and closes sl's active segment; the next append starts a
+// new one. Callers hold sl.mu.
+func (l *Log) seal(sl *shardLog) error {
 	if sl.f == nil {
 		return nil
 	}
 	err := sl.f.Sync()
+	if err != nil {
+		l.stats.syncErrors.Add(1)
+	}
 	if cerr := sl.f.Close(); err == nil {
 		err = cerr
 	}
@@ -328,6 +338,7 @@ func (l *Log) syncLocked(sl *shardLog) error {
 		return nil
 	}
 	if err := sl.f.Sync(); err != nil {
+		l.stats.syncErrors.Add(1)
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.stats.syncs.Add(1)
@@ -361,7 +372,7 @@ func (l *Log) Rotate() error {
 	var first error
 	for _, sl := range l.shards {
 		sl.mu.Lock()
-		if err := sl.seal(); err != nil && first == nil {
+		if err := l.seal(sl); err != nil && first == nil {
 			first = err
 		} else if err == nil {
 			l.stats.rotations.Add(1)
@@ -458,7 +469,7 @@ func (l *Log) Close() error {
 	var first error
 	for _, sl := range l.shards {
 		sl.mu.Lock()
-		if err := sl.seal(); err != nil && first == nil {
+		if err := l.seal(sl); err != nil && first == nil {
 			first = err
 		}
 		sl.mu.Unlock()
@@ -474,5 +485,6 @@ func (l *Log) Stats() LogStats {
 		Syncs:        l.stats.syncs.Load(),
 		Rotations:    l.stats.rotations.Load(),
 		AppendErrors: l.stats.appendErrors.Load(),
+		SyncErrors:   l.stats.syncErrors.Load(),
 	}
 }

@@ -30,7 +30,8 @@
 // fsync is governed by the group-commit policy: FsyncAlways syncs in
 // Append, FsyncInterval syncs all shards on a timer, FsyncNone leaves it
 // to the OS. Flush on the serving layer is always a durability barrier
-// (it calls SyncAll regardless of policy).
+// (it calls SyncAll regardless of policy, while its writer applies). A
+// failed fsync counts in LogStats.SyncErrors.
 //
 // Checkpoint: a pinned view is serialized as one local CSR file per shard
 // plus a JSON manifest carrying the logical vertex bound, the

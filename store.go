@@ -83,7 +83,8 @@ func (s *Store) DeleteBatch(src, dst []uint32) { s.st.DeleteBatch(src, dst) }
 func (s *Store) Enqueue(del bool, src, dst []uint32) error { return s.st.Enqueue(del, src, dst) }
 
 // Flush blocks until every update enqueued before the call has been
-// applied and published.
+// applied and published, and on a durable store fsynced: the fsync runs
+// while the writer applies, so a durable Flush costs the longer of the two.
 func (s *Store) Flush() {
 	s.st.Flush()
 }
