@@ -402,8 +402,9 @@ func syncErrorsExported(t *testing.T) uint64 {
 }
 
 // TestSealSyncErrorCounted fails the fsync that seals a full segment: it
-// counts as a sync error, and as an append error for the record that was to
-// start the next segment, which is not written; the append after it is.
+// counts as a sync error, and the record that was to start the next
+// segment is still written, to a fresh one, so a reopen gets every batch
+// back rather than a hole between the records around it.
 func TestSealSyncErrorCounted(t *testing.T) {
 	dir := t.TempDir()
 	fs := NewFaultFS(dir, FaultPoint{Op: OpSync, Files: SegmentFiles, Nth: 1, Err: syscall.EIO})
@@ -413,15 +414,54 @@ func TestSealSyncErrorCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	want := refgraph.New(16)
 	for b := uint32(0); b < 3; b++ {
-		s.InsertBatch([]uint32{b, b + 1, b + 2}, []uint32{b + 4, b + 5, b + 6})
+		src, dst := []uint32{b, b + 1, b + 2}, []uint32{b + 4, b + 5, b + 6}
+		s.InsertBatch(src, dst)
+		for i := range src {
+			want.Insert(src[i], dst[i])
+		}
 	}
 	if !fs.Fired() {
 		t.Fatal("no segment was sealed: the test proves nothing")
 	}
-	if st := s.Stats(); st.WALSyncErrors != 1 || st.WALAppendErrors != 1 || st.WALRecords != 2 {
-		t.Fatalf("WALSyncErrors %d, WALAppendErrors %d, WALRecords %d; want 1, 1, 2",
+	st := s.Stats()
+	s.Close()
+	if st.WALSyncErrors != 1 || st.WALAppendErrors != 0 || st.WALRecords != 3 {
+		t.Fatalf("WALSyncErrors %d, WALAppendErrors %d, WALRecords %d; want 1, 0, 3",
 			st.WALSyncErrors, st.WALAppendErrors, st.WALRecords)
+	}
+	re, err := serve.OpenDurable(16, 1, 2, serve.Options{}, serve.DurabilityOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if err := CompareDurable(re, want); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSealFsyncsCounted rotates small segments under -fsync none, where
+// only a seal fsyncs: WALFsyncs must equal the segment fsyncs the file
+// system saw, before Close and after the seal Close runs.
+func TestSealFsyncsCounted(t *testing.T) {
+	dir := t.TempDir()
+	fs := NewFaultFS(dir, FaultPoint{})
+	s, err := serve.OpenDurable(16, 1, 2, serve.Options{}, serve.DurabilityOptions{
+		Dir: dir, Fsync: wal.FsyncNone, SegmentBytes: 64, FS: fs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := uint32(0); b < 6; b++ {
+		s.InsertBatch([]uint32{b, b + 1, b + 2}, []uint32{b + 4, b + 5, b + 6})
+	}
+	s.Flush()
+	if got, want := s.Stats().WALFsyncs, uint64(fs.Counts()[OpSync][SegmentFiles]); got != want || want < 5 {
+		t.Fatalf("WALFsyncs %d, segment fsyncs %d (want at least 5: one per rotation)", got, want)
+	}
+	s.Close()
+	if got, want := s.Stats().WALFsyncs, uint64(fs.Counts()[OpSync][SegmentFiles]); got != want {
+		t.Fatalf("after Close: WALFsyncs %d, segment fsyncs %d", got, want)
 	}
 }

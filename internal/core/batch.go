@@ -37,10 +37,11 @@ const (
 	heavyDiv = 8
 )
 
-// pipe is one shard's update pipeline, the same in both storage forms: the
-// shard's vertex range [base, end), its edge counter, and the scratch every
-// batch runs in. Only the per-group stage (groupFunc) differs between a
-// Graph's shard and a Paged one's.
+// pipe is one update pipeline, the same in both storage forms: the vertex
+// range [base, end) its batches may name, its edge counter, and the scratch
+// every batch runs in. A Graph runs one over [0, 2³²) (and one per Shard
+// handle's range), a Paged one per shard. Only the per-group stage
+// (groupFunc) differs between the two forms.
 type pipe struct {
 	base  uint32
 	end   uint64 // openEnd for the last shard
@@ -124,8 +125,8 @@ type keyRange struct {
 }
 
 // prepScratch holds the pipeline's reusable buffers. Updates never run
-// concurrently within one shard (the per-shard concurrency contract), so
-// one arena per shard makes steady-state batches allocate no scratch: after
+// concurrently within one pipeline (the per-shard concurrency contract), so
+// one arena per pipeline makes steady-state batches allocate no scratch: after
 // the first batch of a given size every pass runs in retained memory.
 type prepScratch struct {
 	// ks holds the packed (src,dst) keys; partition passes scatter between
@@ -191,15 +192,26 @@ func (pc *pipe) trimScratch(n int) {
 	}
 }
 
-// ReleaseScratch drops every shard's scratch beyond scratchKeepMin entries,
-// for a caller that has just applied a batch no later one will resemble — a
-// bulk load (NewFromEdges) — which would otherwise pin 20 bytes per edge
-// until a much smaller batch happened to follow. Must not run concurrently
-// with updates.
+// ReleaseScratch drops the scratch of the graph's pipeline and its Shard
+// handles' beyond scratchKeepMin entries, for a caller that has just applied
+// a batch no later one will resemble — a bulk load (NewFromEdges) — which
+// would otherwise pin 20 bytes per edge until a much smaller batch happened
+// to follow. Must not run concurrently with updates.
 func (g *Graph) ReleaseScratch() {
-	for i := range g.shards {
-		g.shards[i].trimScratch(0)
+	g.pc.trimScratch(0)
+	for k := range g.ranges {
+		g.ranges[k].trimScratch(0)
 	}
+}
+
+// scratchBytes returns the bytes the graph's pipeline and its Shard
+// handles' retain.
+func (g *Graph) scratchBytes() uint64 {
+	b := g.pc.scratchBytes()
+	for k := range g.ranges {
+		b += g.ranges[k].scratchBytes()
+	}
+	return b
 }
 
 // scratchBytes returns the bytes the shard's pipeline buffers hold.
@@ -470,8 +482,7 @@ func deleteBulkThreshold(groupLen int, deg uint32) bool {
 
 // InsertBatch adds the directed edges (src[i] -> dst[i]). Duplicate and
 // already-present edges are ignored. The batch is applied in parallel, one
-// source range per worker at a time; with Shards > 1 it is first scattered
-// by source vertex and the shards run their pipelines concurrently.
+// source range per worker at a time.
 func (g *Graph) InsertBatch(src, dst []uint32) {
 	validateBatch("InsertBatch", src, dst)
 	if len(src) > 0 {
@@ -491,78 +502,43 @@ func (g *Graph) DeleteBatch(src, dst []uint32) {
 }
 
 // batch applies a non-empty insert batch or, with del, delete batch to the
-// whole graph.
+// whole graph: one pipeline on all workers, its spans attributed to a fresh
+// flight-recorder batch ID.
 func (g *Graph) batch(src, dst []uint32, del bool) {
 	defer g.runDebugValidate()
-	g.beginBatchTrace()
-	if len(g.shards) == 1 {
-		g.batchShard(&g.shards[0], src, dst, g.Workers(), del)
-		return
+	if obs.Tracing() {
+		g.pc.traceBatch = obs.NextBatchID()
 	}
-	g.eachShardPart(src, dst, func(sh *shardState, part SubBatch, p int) {
-		g.batchShard(sh, part.Src, part.Dst, p, del)
-	})
+	g.apply(&g.pc, src, dst, g.Workers(), del)
 }
 
-// beginBatchTrace stamps every shard with a fresh flight-recorder batch ID
-// so phase spans from one direct-engine InsertBatch/DeleteBatch share an
-// attribution. Direct batch calls own the whole graph, so plain stores are
-// safe; the serving layer instead attributes per shard via Shard.BeginTrace.
-func (g *Graph) beginBatchTrace() {
-	if !obs.Tracing() {
-		return
-	}
-	b := obs.NextBatchID()
-	for i := range g.shards {
-		g.shards[i].traceBatch = b
-	}
-}
-
-// eachShardPart scatters a batch by source vertex and runs apply on every
-// non-empty part, shards in parallel. Out-of-range endpoints are detected
-// up front on the caller's goroutine (per-shard packKeys would panic
-// inside a worker goroutine, where the caller could not recover it).
-func (g *Graph) eachShardPart(src, dst []uint32, apply func(sh *shardState, part SubBatch, p int)) {
-	parts, bound := Scatter(g.pmap, src, dst, g.Workers())
-	if n := g.n.Load(); bound > uint64(n) {
-		for i := range src {
-			if src[i] >= n || dst[i] >= n {
-				panic(fmt.Sprintf("core: edge (%d,%d) outside vertex space [0,%d); grow with EnsureVertices",
-					src[i], dst[i], n))
-			}
-		}
-	}
-	p := g.shardWorkers(len(g.shards))
-	parallel.Workers(len(parts), func(i int) {
-		if len(parts[i].Src) > 0 {
-			apply(&g.shards[i], parts[i], p)
-		}
-	})
-}
-
-// batchShard runs the insert or, with del, the delete pipeline for one
-// shard's routed sub-batch with p workers: each group updates its vertex's
-// block in place. Callers must own the shard exclusively.
-func (g *Graph) batchShard(sh *shardState, src, dst []uint32, p int, del bool) {
+// apply runs the insert or, with del, the delete pipeline pc for a batch
+// whose sources lie in pc's range with p workers: each group updates its
+// vertex's block in place, and the changed edges count into the graph's
+// edge counter. Callers must own pc and its range's blocks exclusively.
+func (g *Graph) apply(pc *pipe, src, dst []uint32, p int, del bool) {
 	if len(src) == 0 {
 		return
 	}
-	group := func(w int, _ *keyRange, _ int, lv uint32, ks []uint64) uint64 { return g.insertGroup(sh, w, lv, ks) }
-	if del {
-		group = func(w int, _ *keyRange, _ int, lv uint32, ks []uint64) uint64 { return g.deleteGroup(sh, w, lv, ks) }
+	group := func(w int, _ *keyRange, _ int, lv uint32, ks []uint64) uint64 {
+		return g.insertGroup(&pc.apply[w], w, &g.verts[pc.base+lv], ks)
 	}
-	sh.applied(del, len(src), sh.applyBatch(g.n.Load(), src, dst, p, group, nil))
+	if del {
+		group = func(w int, _ *keyRange, _ int, lv uint32, ks []uint64) uint64 {
+			return g.deleteGroup(&pc.apply[w], w, &g.verts[pc.base+lv], ks)
+		}
+	}
+	g.pc.applied(del, len(src), pc.applyBatch(g.n.Load(), src, dst, p, group, nil))
 }
 
 // insertGroup adds one vertex's group, by merge-and-rebuild when the group
 // is large against the vertex's degree, else edge by edge.
-func (g *Graph) insertGroup(sh *shardState, w int, lv uint32, ks []uint64) (added uint64) {
-	vb := &sh.verts[lv]
+func (g *Graph) insertGroup(sc *applyScratch, w int, vb *vertex, ks []uint64) (added uint64) {
 	if bulkThreshold(len(ks), vb.degree()) {
 		if obs.Enabled() {
 			obsGroupsBulk.AddShard(w, 1)
 		}
-		return g.insertGroupBulk(sh, w, vb, ks)
+		return g.insertGroupBulk(sc, w, vb, ks)
 	}
 	if obs.Enabled() {
 		obsGroupsEdge.AddShard(w, 1)
@@ -579,10 +555,9 @@ func (g *Graph) insertGroup(sh *shardState, w int, lv uint32, ks []uint64) (adde
 // group and rebuilds its storage in one pass, returning the number of new
 // edges. This is the large-batch fast path that lets throughput keep
 // climbing with batch size (Figure 12). The merge runs in worker w's
-// scratch arena; every overflow builder copies its input, so the arena is
-// safe to reuse for the worker's next group.
-func (g *Graph) insertGroupBulk(sh *shardState, w int, vb *vertex, ks []uint64) uint64 {
-	sc := &sh.apply[w]
+// scratch arena sc; every overflow builder copies its input, so the arena
+// is safe to reuse for the worker's next group.
+func (g *Graph) insertGroupBulk(sc *applyScratch, w int, vb *vertex, ks []uint64) uint64 {
 	if obs.Enabled() {
 		if cap(sc.old) >= int(vb.degree()) && cap(sc.out) >= int(vb.degree())+len(ks) {
 			obsScratchHit.AddShard(w, 1)
@@ -600,13 +575,12 @@ func (g *Graph) insertGroupBulk(sh *shardState, w int, vb *vertex, ks []uint64) 
 
 // deleteGroup removes one vertex's group, by rebuild when the group takes
 // at least half the vertex, else edge by edge.
-func (g *Graph) deleteGroup(sh *shardState, w int, lv uint32, ks []uint64) (removed uint64) {
-	vb := &sh.verts[lv]
+func (g *Graph) deleteGroup(sc *applyScratch, w int, vb *vertex, ks []uint64) (removed uint64) {
 	if deleteBulkThreshold(len(ks), vb.degree()) {
 		if obs.Enabled() {
 			obsGroupsBulk.AddShard(w, 1)
 		}
-		return g.deleteGroupBulk(sh, w, vb, ks)
+		return g.deleteGroupBulk(sc, w, vb, ks)
 	}
 	if obs.Enabled() {
 		obsGroupsEdge.AddShard(w, 1)
@@ -621,9 +595,8 @@ func (g *Graph) deleteGroup(sh *shardState, w int, lv uint32, ks []uint64) (remo
 
 // deleteGroupBulk subtracts a sorted update group from a vertex's neighbor
 // set and rebuilds its storage, returning the number of removed edges. Like
-// insertGroupBulk it runs in worker w's scratch arena.
-func (g *Graph) deleteGroupBulk(sh *shardState, w int, vb *vertex, ks []uint64) uint64 {
-	sc := &sh.apply[w]
+// insertGroupBulk it runs in worker w's scratch arena sc.
+func (g *Graph) deleteGroupBulk(sc *applyScratch, w int, vb *vertex, ks []uint64) uint64 {
 	if obs.Enabled() {
 		if cap(sc.old) >= int(vb.degree()) && cap(sc.out) >= int(vb.degree()) {
 			obsScratchHit.AddShard(w, 1)

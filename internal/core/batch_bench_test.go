@@ -32,7 +32,7 @@ func BenchmarkInsertBatchPrepare(b *testing.B) {
 	noop := func(int, *keyRange, int, uint32, []uint64) uint64 { return 0 }
 	for _, p := range []int{1, 2, 4, 8} {
 		g := New(nv, Config{Workers: p})
-		sh := &g.shards[0]
+		sh := &g.pc
 		sh.applyBatch(nv, src, dst, p, noop, nil) // size every buffer the phases below use
 		b.Run(fmt.Sprintf("phase=all/p=%d", p), func(b *testing.B) {
 			b.SetBytes(int64(8 * m))

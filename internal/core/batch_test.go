@@ -149,7 +149,7 @@ func TestOneVertexOneWorker(t *testing.T) {
 		src, dst []uint32
 	}{{"window-top", wsrc, wdst}, {"rmat", rsrc, rdst}} {
 		g := New(nv, Config{Workers: 4})
-		sh := &g.shards[0]
+		sh := &g.pc
 		want := map[uint32]int{} // vertex -> distinct edges in the batch
 		seen := map[uint64]bool{}
 		for i := range tc.src {
@@ -190,7 +190,7 @@ func TestOneVertexOneWorker(t *testing.T) {
 				case <-time.After(10 * time.Second):
 				}
 			}
-			return g.insertGroup(sh, w, lv, ks)
+			return g.insertGroup(&sh.apply[w], w, &g.verts[lv], ks)
 		}, nil)
 		if len(worker) != len(want) {
 			t.Fatalf("%s: %d vertices applied, batch has %d sources", tc.name, len(worker), len(want))

@@ -6,9 +6,9 @@
 // grouped, per-vertex-parallel batch updater of §5. Paged keeps each
 // vertex's neighbors as one immutable run in pages its published snapshots
 // share. The two share the vertex bound, the worker budget and the batch
-// pipeline up to the per-group stage, whose shards each own their vertex
-// range; what only one form can do is a method only its type has — a
-// Graph's fixed routing map, a Paged's boundary moves.
+// pipeline up to the per-group stage. A Graph is one vertex range with one
+// pipeline; a Paged is cut into shards, each with its own range and
+// pipeline, whose boundaries move.
 package core
 
 import "math"
@@ -46,14 +46,15 @@ type Config struct {
 	M int
 	// Workers bounds parallelism during batch updates (default GOMAXPROCS).
 	Workers int
-	// Shards partitions the vertex space into this many contiguous ranges
-	// (default 1). A Graph of more than one range supports exactly what
-	// benchmark/layers.go times of a Store's update, one layer at a time:
-	// building it (New, NewFromEdges), ScatterBatch, PartitionMap, and the
+	// Shards cuts the vertex space into this many contiguous ranges for
+	// the Shard handles (default 1). It changes nothing about where the
+	// graph stores anything: a Graph is one vertex array whatever Shards
+	// is. The ranges exist for what benchmark/layers.go times of a Store's
+	// update, one layer at a time: ScatterBatch, PartitionMap, and the
 	// Shard handle's EnsureVertices, InsertBatch, DeleteBatch, SnapshotInto
-	// and Base. Its boundaries never move. It goes once the benchmark times
-	// the Store's own paged shards (ROADMAP item 1(a)): the paper's engine is
-	// one range, and a Store partitions its Paged graph itself.
+	// and Base. Their boundaries never move. It goes once the benchmark
+	// times the Store's own paged shards (ROADMAP item 1(a)); a Store
+	// partitions its Paged graph itself.
 	Shards int
 	// Overflow selects the overflow structure policy (ablations).
 	Overflow OverflowKind

@@ -23,15 +23,18 @@ type Stats struct {
 // with updates; the streaming model alternates update and analytics phases
 // (§1). A Store serves a Paged graph instead (paged.go).
 //
-// The engine is one vertex range, as the paper describes. Config.Shards > 1
-// splits it into ranges with their own vertex blocks, edge counter and
-// pipeline scratch, for the benchmark's per-layer timings only (see
-// Config.Shards); the Shard handle (shard.go) is their update and snapshot
-// surface.
+// The engine is one vertex range, as the paper describes: one array of
+// vertex blocks, one update pipeline over [0, 2³²) and one edge counter.
+// Config.Shards > 1 stores nothing elsewhere; it only cuts the ranges the
+// Shard handles (shard.go) update and flatten, for the benchmark's
+// per-layer timings.
 type Graph struct {
 	space
-	shards []shardState
-	pmap   *PartitionMap // routes to shards; its boundaries never move
+	pc    pipe     // the batch pipeline: range [0, 2³²), the edge counter
+	verts []vertex // one block per vertex, materialized up to len(verts)
+
+	pmap   *PartitionMap // the Shard handles' ranges; its boundaries never move
+	ranges []pipe        // range k's pipeline, for Shard(k)
 
 	cfg     Config
 	treeCfg hitree.Config
@@ -41,7 +44,7 @@ type Graph struct {
 // New returns an empty engine with n vertex slots.
 func New(n uint32, cfg Config) *Graph {
 	cfg.sanitize()
-	g := &Graph{cfg: cfg}
+	g := &Graph{cfg: cfg, verts: make([]vertex, n)}
 	g.treeCfg = hitree.Config{
 		Alpha:        cfg.Alpha,
 		M:            cfg.M,
@@ -49,11 +52,10 @@ func New(n uint32, cfg Config) *Graph {
 		DisableModel: cfg.DisableModel,
 	}
 	g.pmap = g.init(n, cfg.Shards, cfg.Workers)
-	g.shards = make([]shardState, len(g.pmap.Starts))
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.own(g.pmap, i)
-		sh.verts = make([]vertex, sh.span(n))
+	g.pc.end = openEnd
+	g.ranges = make([]pipe, len(g.pmap.Starts))
+	for k := range g.ranges {
+		g.ranges[k].own(g.pmap, k)
 	}
 	return g
 }
@@ -78,31 +80,35 @@ func (g *Graph) Config() Config { return g.cfg }
 // Stats returns the engine's counters.
 func (g *Graph) Stats() *Stats { return &g.stats }
 
-// EnsureVertices grows the vertex space to at least n slots, materializing
-// every shard's slice of the new range. Like updates, it must not run
-// concurrently with reads or other updates (per-shard growth goes through
-// Shard.EnsureVertices instead).
-func (g *Graph) EnsureVertices(n uint32) {
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.ensure(g.grow(n, &sh.pipe))
+// EnsureVertices grows the vertex space to at least n slots and
+// materializes their blocks. Like updates, it must not run concurrently
+// with reads or other updates.
+func (g *Graph) EnsureVertices(n uint32) { g.ensure(g.grow(n, &g.pc)) }
+
+// ensure grows the vertex blocks to at least n. Capacity grows
+// geometrically, so a stream that raises the vertex bound a little with
+// every batch copies the blocks O(log n) times, not once per batch.
+// Re-slicing within the capacity exposes only zero blocks: make zeroed the
+// tail, and the blocks never shrink.
+func (g *Graph) ensure(n int) {
+	if n <= len(g.verts) {
+		return
 	}
+	if c := cap(g.verts); n > c {
+		nv := make([]vertex, n, max(n, c+c/2))
+		copy(nv, g.verts)
+		g.verts = nv
+		return
+	}
+	g.verts = g.verts[:n]
 }
 
-// NumShards returns the number of vertex-range partitions.
-func (g *Graph) NumShards() int { return len(g.shards) }
-
-// ShardOf returns the index of the shard owning vertex v. The last shard's
-// range is open-ended, so IDs beyond the initial vertex space still belong
-// to the last shard.
-func (g *Graph) ShardOf(v uint32) int { return g.pmap.ShardOf(v) }
-
-// PartitionMap returns the graph's routing map, the one New built.
+// PartitionMap returns the map New cut the Shard handles' ranges by.
 func (g *Graph) PartitionMap() *PartitionMap { return g.pmap }
 
-// ScatterBatch routes a mixed batch to the graph's shards by source vertex
-// (Scatter, on the graph's workers). It panics on an edge naming vertex
-// 2³²−1, whose bound no uint32 holds and no vertex space contains.
+// ScatterBatch routes a mixed batch to the Shard handles' ranges by source
+// vertex (Scatter, on the graph's workers). It panics on an edge naming
+// vertex 2³²−1, whose bound no uint32 holds and no vertex space contains.
 func (g *Graph) ScatterBatch(src, dst []uint32) (parts []SubBatch, bound uint32) {
 	parts, b := Scatter(g.pmap, src, dst, g.Workers())
 	if b > math.MaxUint32 {
@@ -111,37 +117,17 @@ func (g *Graph) ScatterBatch(src, dst []uint32) (parts []SubBatch, bound uint32)
 	return parts, uint32(b)
 }
 
-// locate returns the shard owning v and v's index within it. Every ID has
-// an owning shard (the last shard's range is open-ended), but the local
-// index may lie beyond the shard's materialized storage; read paths treat
-// that as degree 0 while update paths materialize storage first.
-func (g *Graph) locate(v uint32) (*shardState, uint32) {
-	if len(g.shards) == 1 {
-		return &g.shards[0], v
-	}
-	sh := &g.shards[g.pmap.ShardOf(v)]
-	return sh, v - sh.base
-}
-
-// vb returns v's vertex block, or nil when v's slot is not materialized:
-// vertex-space growth has not reached v's shard yet, so v has no out-edges.
+// vb returns v's vertex block, or nil when v's slot is not materialized: a
+// vertex reserved (ReserveVertices) but not grown into has no out-edges.
 func (g *Graph) vb(v uint32) *vertex {
-	sh, lv := g.locate(v)
-	if int(lv) >= len(sh.verts) {
+	if int(v) >= len(g.verts) {
 		return nil
 	}
-	return &sh.verts[lv]
+	return &g.verts[v]
 }
 
-// NumEdges returns the number of directed edges stored, summed over
-// shards.
-func (g *Graph) NumEdges() uint64 {
-	var m uint64
-	for i := range g.shards {
-		m += g.shards[i].m.Load()
-	}
-	return m
-}
+// NumEdges returns the number of directed edges stored.
+func (g *Graph) NumEdges() uint64 { return g.pc.NumEdges() }
 
 // Degree returns the out-degree of v.
 func (g *Graph) Degree(v uint32) uint32 {
@@ -177,19 +163,25 @@ func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 
 // NeighborRange yields each vertex of [lo, min(hi, NumVertices())) with
 // the blocks NeighborBlocks would, an empty block for a vertex without
-// edges (engine.Graph): it routes once per shard and walks the shard's
-// vertex blocks in order.
+// edges (engine.Graph): a walk of the vertex blocks in order. Slots past
+// the materialized blocks have no edges.
 func (g *Graph) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
 	hi = min(hi, g.NumVertices())
-	if lo >= hi {
-		return
-	}
-	for i := g.pmap.ShardOf(lo); lo < hi; i++ {
-		end := uint32(min(uint64(hi), g.shards[i].end))
-		if !g.shards[i].neighborRange(lo, end, yield) {
-			return
+	// The overflow walks leak their yield, so this adapter is a heap
+	// closure: one per call, reading the vertex from cur.
+	var cur uint32
+	each := func(b []uint32) bool { return yield(cur, b) }
+	v, ok := lo, true
+	for end := min(hi, uint32(len(g.verts))); v < end && ok; v++ {
+		vb := &g.verts[v]
+		n := vb.inlineLen()
+		if ok = yield(v, vb.inline[:n:n]); ok && vb.ov != nil {
+			cur = v
+			ok = vb.ovBlocks(each)
 		}
-		lo = end
+	}
+	for ; v < hi && ok; v++ {
+		ok = yield(v, nil)
 	}
 }
 
@@ -300,7 +292,7 @@ func (g *Graph) rebuildVertex(vb *vertex, ns []uint32) {
 // capacities, no per-structure constants). Snapshots belong to whoever holds
 // them and are not counted.
 type MemoryBreakdown struct {
-	VertexBlocks uint64 // the shards' block arrays, unused capacity included
+	VertexBlocks uint64 // the block array, unused capacity included
 	ArrayPayload uint64 // array overflows: four bytes per neighbor held
 	ArraySlack   uint64 // the unused rest of their size classes
 	RIAPayload   uint64 // RIA overflows: four bytes per neighbor held
@@ -308,7 +300,7 @@ type MemoryBreakdown struct {
 	RIAIndex     uint64 // their redundant index arrays
 	RIAHeaders   uint64 // their headers and per-block counts
 	Trees        uint64 // HITree overflows, LIA nodes and leaves alike (PMAs under KindPMA)
-	Scratch      uint64 // the update pipeline's retained buffers
+	Scratch      uint64 // the update pipelines' retained buffers
 	// Index, part of the above and not a term of the sum, is what went to
 	// redundant index arrays and learned models: RIAIndex plus the HITrees'.
 	Index uint64
@@ -320,33 +312,30 @@ func (b MemoryBreakdown) Total() uint64 {
 		b.RIAIndex + b.RIAHeaders + b.Trees + b.Scratch
 }
 
-// MemoryBreakdown walks every shard and accounts for its resident bytes.
-// Like reads, it must not run concurrently with updates.
+// MemoryBreakdown walks the vertex blocks and accounts for the graph's
+// resident bytes. Like reads, it must not run concurrently with updates.
 func (g *Graph) MemoryBreakdown() (b MemoryBreakdown) {
-	for i := range g.shards {
-		sh := &g.shards[i]
-		b.VertexBlocks += uint64(cap(sh.verts)) * uint64(unsafe.Sizeof(vertex{}))
-		b.Scratch += sh.scratchBytes()
-		for j := range sh.verts {
-			vb := &sh.verts[j]
-			n := uint64(vb.ovLen())
-			switch vb.kind() {
-			case kindArr:
-				b.ArrayPayload += 4 * n
-				b.ArraySlack += 4 * (uint64(arrCap(int(n))) - n)
-			case kindRIA:
-				r := vb.ria()
-				data, index := 4*ria.BlockSize*uint64(r.NumBlocks()), r.IndexMemory()
-				b.RIAPayload += 4 * n
-				b.RIAGaps += data - 4*n
-				b.RIAIndex += index
-				b.RIAHeaders += r.Memory() - data - index
-			case kindTree:
-				b.Trees += vb.tree().Memory()
-				b.Index += vb.tree().IndexMemory()
-			case kindPMA:
-				b.Trees += vb.pma().Memory()
-			}
+	b.VertexBlocks = uint64(cap(g.verts)) * uint64(unsafe.Sizeof(vertex{}))
+	b.Scratch = g.scratchBytes()
+	for i := range g.verts {
+		vb := &g.verts[i]
+		n := uint64(vb.ovLen())
+		switch vb.kind() {
+		case kindArr:
+			b.ArrayPayload += 4 * n
+			b.ArraySlack += 4 * (uint64(arrCap(int(n))) - n)
+		case kindRIA:
+			r := vb.ria()
+			data, index := 4*ria.BlockSize*uint64(r.NumBlocks()), r.IndexMemory()
+			b.RIAPayload += 4 * n
+			b.RIAGaps += data - 4*n
+			b.RIAIndex += index
+			b.RIAHeaders += r.Memory() - data - index
+		case kindTree:
+			b.Trees += vb.tree().Memory()
+			b.Index += vb.tree().IndexMemory()
+		case kindPMA:
+			b.Trees += vb.pma().Memory()
 		}
 	}
 	b.Index += b.RIAIndex

@@ -157,33 +157,31 @@ func TestGrowingStreamScenario(t *testing.T) {
 func TestGrowthReallocatesGeometrically(t *testing.T) {
 	const steps = 10000
 	g := New(1, Config{})
-	sh := &g.shards[0]
-	reallocs, c := 0, cap(sh.verts)
+	reallocs, c := 0, cap(g.verts)
 	for n := uint32(2); n < 2+steps; n++ {
 		g.EnsureVertices(n)
-		if cap(sh.verts) != c {
+		if cap(g.verts) != c {
 			reallocs++
-			c = cap(sh.verts)
+			c = cap(g.verts)
 		}
 	}
-	if len(sh.verts) != steps+1 {
-		t.Fatalf("graph materializes %d slots after %d one-vertex growths from 1", len(sh.verts), steps)
+	if len(g.verts) != steps+1 {
+		t.Fatalf("graph materializes %d slots after %d one-vertex growths from 1", len(g.verts), steps)
 	}
 	if limit := 3 * bits.Len(steps); reallocs > limit {
 		t.Fatalf("%d one-vertex growths reallocated %d times, want O(log n) (at most %d)", steps, reallocs, limit)
 	}
 
 	g = New(16, Config{Workers: 2})
-	sh = &g.shards[0]
 	ref := refgraph.New(16)
 	r := lcg(11)
 	inPlace := 0
 	for step := 0; step < 400; step++ {
 		n := g.NumVertices() + 1 + r.next()%3
-		l, c := len(sh.verts), cap(sh.verts)
+		l, c := len(g.verts), cap(g.verts)
 		g.EnsureVertices(n)
 		ref.EnsureVertices(n)
-		if len(sh.verts) > l && cap(sh.verts) == c {
+		if len(g.verts) > l && cap(g.verts) == c {
 			inPlace++
 		}
 		// Edges from the new vertices and from old ones, so fresh slots are

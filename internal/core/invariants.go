@@ -2,18 +2,15 @@ package core
 
 import "fmt"
 
-// CheckInvariants walks every shard and vertex block of the graph and
-// verifies the engine's structural invariants, returning a descriptive
-// error on the first violation. It is the deep validator behind the debug
-// hook installed by SetDebugValidate and internal/check's randomized
-// correctness harness. Like reads, it must not run concurrently with
-// updates.
+// CheckInvariants walks every vertex block of the graph and verifies the
+// engine's structural invariants, returning a descriptive error on the
+// first violation. It is the deep validator behind the debug hook installed
+// by SetDebugValidate and internal/check's randomized correctness harness.
+// Like reads, it must not run concurrently with updates.
 //
 // Checked:
-//   - the shards' ranges: tiling [0, ∞) — shard 0 starting at 0, each
-//     non-empty range ending where the next begins, the last open — with
-//     materialized storage never exceeding the shard's slice of
-//     [0, NumVertices) (checkShards),
+//   - the graph's range: one, [0, ∞), with materialized blocks never
+//     exceeding [0, NumVertices) (checkShards),
 //   - vertex blocks: inline area strictly ascending, degree equal to
 //     inline + overflow size, the overflow pointer non-nil exactly when the
 //     degree exceeds the inline capacity, the kind bits naming the array
@@ -28,19 +25,18 @@ import "fmt"
 //     checkptr pass of make verify faults any walk that reads past a
 //     smaller allocation,
 //   - every stored neighbor inside [0, NumVertices),
-//   - per-shard edge counters equal to the sum of their vertices' degrees.
+//   - the edge counter equal to the sum of the vertices' degrees.
 func (g *Graph) CheckInvariants() error {
 	n := g.n.Load()
-	return g.checkShards(len(g.shards), func(i int) (*pipe, int, uint64, error) {
-		sh := &g.shards[i]
+	return g.checkShards(1, func(int) (*pipe, int, uint64, error) {
 		var edges uint64
-		for lv := range sh.verts {
-			if err := g.checkVertex(sh, uint32(lv), n); err != nil {
+		for v := range g.verts {
+			if err := g.checkVertex(uint32(v), n); err != nil {
 				return nil, 0, 0, err
 			}
-			edges += uint64(sh.verts[lv].degree())
+			edges += uint64(g.verts[v].degree())
 		}
-		return &sh.pipe, len(sh.verts), edges, nil
+		return &g.pc, len(g.verts), edges, nil
 	})
 }
 
@@ -65,10 +61,9 @@ func (g *Paged) CheckInvariants() error {
 	})
 }
 
-// checkVertex validates one vertex block of sh under the logical bound n.
-func (g *Graph) checkVertex(sh *shardState, lv, n uint32) error {
-	vb := &sh.verts[lv]
-	v := sh.base + lv
+// checkVertex validates v's vertex block under the logical bound n.
+func (g *Graph) checkVertex(v, n uint32) error {
+	vb := &g.verts[v]
 	il := vb.inlineLen()
 	for i := 0; i < il; i++ {
 		if u := vb.inline[i]; u >= n {

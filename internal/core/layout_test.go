@@ -37,11 +37,9 @@ func TestVertexBlockLayout(t *testing.T) {
 	}
 	aligned := func(when string, g *Graph) {
 		t.Helper()
-		for i := range g.shards {
-			if sh := &g.shards[i]; cap(sh.verts) >= 512 {
-				if a := uintptr(unsafe.Pointer(unsafe.SliceData(sh.verts))); a%64 != 0 {
-					t.Errorf("%s: shard %d's %d blocks start at %#x, %d bytes past a cache line", when, i, cap(sh.verts), a, a%64)
-				}
+		if cap(g.verts) >= 512 {
+			if a := uintptr(unsafe.Pointer(unsafe.SliceData(g.verts))); a%64 != 0 {
+				t.Errorf("%s: the %d blocks start at %#x, %d bytes past a cache line", when, cap(g.verts), a, a%64)
 			}
 		}
 	}
@@ -114,7 +112,7 @@ func TestClassWalkSingleEdges(t *testing.T) {
 		for _, front := range []bool{true, false} {
 			const top = 120
 			g, ref := New(4*top, cfg), refgraph.New(4*top)
-			vb, seen := &g.shards[0].verts[1], map[ovKind]bool{}
+			vb, seen := &g.verts[1], map[ovKind]bool{}
 			step := func(u uint32, del bool) {
 				t.Helper()
 				prev := vb.kind()
@@ -173,14 +171,12 @@ func TestClassWalkSingleEdges(t *testing.T) {
 // census counts the vertices of each class: inline only, array, RIA, HITree,
 // PMA.
 func census(g *Graph) (c [5]int) {
-	for i := range g.shards {
-		for j := range g.shards[i].verts {
-			switch vb := &g.shards[i].verts[j]; {
-			case vb.ov == nil:
-				c[0]++
-			default:
-				c[1+vb.kind()]++
-			}
+	for j := range g.verts {
+		switch vb := &g.verts[j]; {
+		case vb.ov == nil:
+			c[0]++
+		default:
+			c[1+vb.kind()]++
 		}
 	}
 	return c
@@ -331,7 +327,7 @@ func BenchmarkClassBoundaryFlip(b *testing.B) {
 	}
 	toggle := func(b *testing.B, deg int) {
 		g, dst := build(deg)
-		vb, u := &g.shards[0].verts[0], dst[deg-1]+3
+		vb, u := &g.verts[0], dst[deg-1]+3
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -348,7 +344,7 @@ func BenchmarkClassBoundaryFlip(b *testing.B) {
 		// What every toggle at M would cost without the hysteresis: one
 		// RIA→HITree conversion and one back.
 		g, dst := build(inlineCap + 4096)
-		vb, u := &g.shards[0].verts[0], dst[len(dst)-1]+3
+		vb, u := &g.verts[0], dst[len(dst)-1]+3
 		ns := neighbors(g, 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

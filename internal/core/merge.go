@@ -6,8 +6,8 @@ package core
 // vertex a batch or a load changes gets a new run — its old run merged with
 // its changes — at the arena's batch tail, and the shard's table is pointed
 // at it. A batch's old runs are the shard's own and its changes one group of
-// the pipeline each (pack, partition, sort, dedup and grouping are a Graph
-// shard's; only the per-group stage differs); a load's (LoadCSR) old runs
+// the pipeline each (pack, partition, sort, dedup and grouping are a
+// Graph's; only the per-group stage differs); a load's (LoadCSR) old runs
 // lie in the caller's CSR and its changes in a Delta.
 //
 // Both run the same three steps. Find (per group or per range of vertices,

@@ -6,8 +6,8 @@ import (
 )
 
 // Paged is the graph a Store serves (internal/serve). Its vertex space is
-// partitioned into shards as a Graph's is, and its batches go through the
-// same pipeline, but each shard's adjacency is a table of (page‖offset,
+// partitioned into shards, and each shard's batches go through the
+// pipeline a Graph's do, but each shard's adjacency is a table of (page‖offset,
 // degree) entries over an arena of fixed-size pages: the runs its published
 // snapshots share. A batch and a load (LoadCSR) both merge each vertex's
 // changes with its old run — the shard's own, or the caller's CSR run — into
@@ -205,20 +205,27 @@ type PagedShard struct {
 // Shard returns the handle for shard i (0 <= i < NumShards).
 func (g *Paged) Shard(i int) PagedShard { return PagedShard{&g.shards[i], g} }
 
-// NumVertices is Shard.NumVertices: the shard's materialized slots.
+// NumVertices returns the shard's materialized slots: it holds global IDs
+// [Base, Base+NumVertices) plus, for the last shard, any not-yet-materialized
+// tail of the logical vertex space.
 func (s PagedShard) NumVertices() uint32 { return uint32(len(s.tab)) }
 
-// EnsureVertices is Shard.EnsureVertices: the serving layer calls it before
+// EnsureVertices raises the graph's logical vertex bound to at least n
+// (atomic max, safe against other shards doing the same) and materializes
+// this shard's slice of the new range. The serving layer calls it before
 // every apply so batches may reference vertices beyond the initial space.
 func (s PagedShard) EnsureVertices(n uint32) { s.ensure(s.g.grow(n, &s.pipe)) }
 
-// InsertBatch is Shard.InsertBatch: every source must be the shard's.
+// InsertBatch adds the directed edges (src[i] -> dst[i]), all of whose
+// sources must be the shard's. Duplicate and already-present edges are
+// ignored.
 func (s PagedShard) InsertBatch(src, dst []uint32) {
 	validateBatch("InsertBatch", src, dst)
 	s.batch(src, dst, false)
 }
 
-// DeleteBatch is Shard.DeleteBatch: every source must be the shard's.
+// DeleteBatch removes the directed edges (src[i] -> dst[i]), all of whose
+// sources must be the shard's. Absent edges are ignored.
 func (s PagedShard) DeleteBatch(src, dst []uint32) {
 	validateBatch("DeleteBatch", src, dst)
 	s.batch(src, dst, true)

@@ -11,7 +11,8 @@ import (
 // PartitionMap is a vertex→shard routing table: sorted range boundaries.
 // Shard i owns the contiguous vertex range [Starts[i], Starts[i+1]), the
 // last shard open-ended, so a lookup is a binary search over Starts. A
-// Graph's map is built with it and never moves. A Paged keeps no map: its
+// Graph's map cuts its Shard handles' ranges and never moves. A Paged keeps
+// no map: its
 // shards own their ranges (Base, End), and Paged.Scatter routes by a map of
 // them built for the batch, so a boundary move changes one layout fact.
 type PartitionMap struct {
@@ -93,8 +94,8 @@ const openEnd = 1 << 32
 
 // space is what the two storage forms — Graph's vertex blocks and Paged's
 // runs — share about their vertex space: the logical bound on its IDs and
-// the worker budget the shards' update pipelines split. Which IDs a shard
-// holds is the shard's own (pipe's base and end).
+// the worker budget the update pipelines split. Which IDs a pipeline may
+// name is its own (pipe's base and end).
 type space struct {
 	// n is the logical vertex-space bound: IDs are valid in [0, n). It is
 	// atomic because shards applied side by side raise it via EnsureVertices
@@ -106,7 +107,7 @@ type space struct {
 
 // init sets up a space of n vertex slots and returns the map splitting it
 // into shards uniform ranges (at least one), for the caller to give each
-// shard its range.
+// shard (or Shard handle) its range.
 func (sp *space) init(n uint32, shards, workers int) *PartitionMap {
 	pm := NewUniformMap(n, max(shards, 1))
 	sp.n.Store(n)

@@ -467,7 +467,7 @@ func TestScratchNotRetainedAfterBulkLoad(t *testing.T) {
 		src[i], dst[i] = e.Src, e.Dst
 	}
 	g.InsertBatch(src, dst)
-	sh := &g.shards[0]
+	sh := &g.pc
 	if cap(sh.prep.ks) < bulk {
 		t.Fatalf("bulk load left %d key slots, expected at least %d", cap(sh.prep.ks), bulk)
 	}
@@ -526,7 +526,7 @@ func TestSteadyBatchAllocatesNoScratch(t *testing.T) {
 	g.InsertBatch(src[:k], dst[:k])
 	g.DeleteBatch(asrc, adst)
 
-	sh := &g.shards[0]
+	sh := &g.pc
 	buffers := func() []any {
 		ps := &sh.prep
 		return []any{&ps.ks[:1][0], &ps.tmp[:1][0], &ps.ranges[:1][0], &ps.hist[0][0], &sh.apply[0]}

@@ -2,49 +2,132 @@ package core
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"lsgraph/internal/gen"
 	"lsgraph/internal/refgraph"
 )
 
+// TestShardOfCoversVertexSpace: the partition map a Graph cuts its Shard
+// handles' ranges by tiles the vertex space from 0, every ID routes to a
+// range (IDs past the initial space to the last), in-space IDs to the one
+// holding them, and each handle's Base is its range's start.
 func TestShardOfCoversVertexSpace(t *testing.T) {
 	for _, tc := range []struct{ n, s uint32 }{
 		{16, 1}, {16, 4}, {17, 4}, {3, 4}, {1, 8}, {0, 4}, {1000, 7},
 	} {
 		g := New(tc.n, Config{Shards: int(tc.s)})
-		if got := g.NumShards(); got != int(tc.s) {
-			t.Fatalf("n=%d S=%d: NumShards=%d", tc.n, tc.s, got)
+		pm := g.PartitionMap()
+		if got := len(pm.Starts); got != int(tc.s) {
+			t.Fatalf("n=%d S=%d: %d ranges", tc.n, tc.s, got)
 		}
-		// Every vertex (and IDs past the initial space) routes to a valid
-		// shard; in-space IDs land inside their shard's materialized range.
-		total := uint32(0)
-		for i := 0; i < g.NumShards(); i++ {
-			sh := g.Shard(i)
-			if sh.NumVertices() == 0 {
-				continue
-			}
-			if sh.Base() != total {
-				t.Fatalf("n=%d S=%d: shard %d base %d, want contiguous", tc.n, tc.s, i, sh.Base())
-			}
-			total = sh.Base() + sh.NumVertices()
+		if pm.Starts[0] != 0 {
+			t.Fatalf("n=%d S=%d: the first range starts at %d", tc.n, tc.s, pm.Starts[0])
 		}
-		if tc.n > 0 && total != tc.n {
-			t.Fatalf("n=%d S=%d: shards cover [0,%d)", tc.n, tc.s, total)
+		for i, start := range pm.Starts {
+			if i > 0 && start <= pm.Starts[i-1] {
+				t.Fatalf("n=%d S=%d: starts %v not strictly increasing", tc.n, tc.s, pm.Starts)
+			}
+			if b := g.Shard(i).Base(); b != start {
+				t.Fatalf("n=%d S=%d: handle %d base %d, range starts at %d", tc.n, tc.s, i, b, start)
+			}
 		}
 		for v := uint32(0); v < tc.n+64; v++ {
-			i := g.ShardOf(v)
-			if i < 0 || i >= g.NumShards() {
-				t.Fatalf("ShardOf(%d)=%d out of range", v, i)
+			i := pm.ShardOf(v)
+			if i < 0 || i >= len(pm.Starts) || v < pm.Starts[i] || i+1 < len(pm.Starts) && v >= pm.Starts[i+1] {
+				t.Fatalf("n=%d S=%d: vertex %d routed to range %d of %v", tc.n, tc.s, v, i, pm.Starts)
 			}
-			if v < tc.n {
-				sh := g.Shard(i)
-				if v < sh.Base() || v-sh.Base() >= sh.NumVertices() {
-					t.Fatalf("n=%d S=%d: vertex %d routed to shard %d [%d,%d)",
-						tc.n, tc.s, v, i, sh.Base(), sh.Base()+sh.NumVertices())
+		}
+	}
+}
+
+// TestShardHandlesMatchGraph drives a Graph's Shard handles the way the
+// benchmark's per-layer timings do: scatter a batch, and for each range
+// grow the vertex space, insert its part and flatten it. Each range's local
+// CSR must be that range's slice of the whole graph's CSR and hold the
+// oracle's neighbors; deleting every part again, the handles side by side,
+// must give back the base graph. The batch names vertices past the initial
+// space, so the last range grows.
+func TestShardHandlesMatchGraph(t *testing.T) {
+	const n = 1 << 12
+	for _, S := range []int{2, 3} {
+		ref, want := refgraph.New(n), refgraph.New(n) // the base graph; base and batch
+		base := gen.NewRMatPaper(12, 5).Edges(30000)
+		src, dst := make([]uint32, len(base)), make([]uint32, len(base))
+		for i, e := range base {
+			src[i], dst[i] = e.Src, e.Dst
+			ref.Insert(e.Src, e.Dst)
+			want.Insert(e.Src, e.Dst)
+		}
+		g := NewFromEdges(n, src, dst, Config{Shards: S, Workers: 4, ArrayMax: 8, M: 64})
+
+		// The batch: fresh edges only, so deleting it restores the base.
+		src, dst = src[:0], dst[:0]
+		for _, e := range gen.NewRMatPaper(13, uint64(7+S)).Edges(24000) {
+			if e.Src >= n || !ref.Has(e.Src, e.Dst) {
+				src, dst = append(src, e.Src), append(dst, e.Dst)
+			}
+		}
+		bound := uint32(0)
+		for i := range src {
+			bound = max(bound, src[i]+1, dst[i]+1)
+		}
+		want.EnsureVertices(bound)
+		for i := range src {
+			want.Insert(src[i], dst[i])
+		}
+
+		parts, b := g.ScatterBatch(src, dst)
+		if b != bound || len(parts) != S {
+			t.Fatalf("S=%d: %d parts, bound %d, want %d and %d", S, len(parts), b, S, bound)
+		}
+		snaps := make([]*Snapshot, S)
+		for k, p := range parts {
+			sh := g.Shard(k)
+			sh.EnsureVertices(b)
+			sh.InsertBatch(p.Src, p.Dst)
+			snaps[k] = sh.SnapshotInto(snaps[k])
+		}
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("S=%d: %v", S, err)
+		}
+		checkAgainstOracle(t, g, want)
+		offs, adj := g.Snapshot().CSR()
+		for k, snap := range snaps {
+			lo := g.Shard(k).Base()
+			hi := b
+			if k+1 < S {
+				hi = g.Shard(k + 1).Base()
+			}
+			lOffs, lAdj := snap.CSR()
+			if len(lOffs) != int(hi-lo)+1 {
+				t.Fatalf("S=%d: range %d [%d,%d) flattened %d vertices", S, k, lo, hi, len(lOffs)-1)
+			}
+			for v := lo; v < hi; v++ {
+				got := lAdj[lOffs[v-lo]:lOffs[v-lo+1]]
+				if !slices.Equal(got, adj[offs[v]:offs[v+1]]) || !slices.Equal(got, want.Neighbors(v)) {
+					t.Fatalf("S=%d: range %d vertex %d: local CSR %v, graph CSR %v, oracle %v",
+						S, k, v, got, adj[offs[v]:offs[v+1]], want.Neighbors(v))
 				}
 			}
 		}
+
+		var wg sync.WaitGroup
+		for k, p := range parts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				g.Shard(k).DeleteBatch(p.Src, p.Dst)
+			}()
+		}
+		wg.Wait()
+		ref.EnsureVertices(b)
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("S=%d after the deletes: %v", S, err)
+		}
+		checkAgainstOracle(t, g, ref)
 	}
 }
 

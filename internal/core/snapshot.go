@@ -337,38 +337,30 @@ func growTab(tab []vref, n int) []vref {
 // contents of s are overwritten; callers must ensure no concurrent reader
 // still holds s, and s must not be a snapshot PagedShard.Publish returned.
 func (g *Graph) SnapshotInto(s *Snapshot) *Snapshot {
-	return rebuildInto(s, g.shards, 0, int(g.NumVertices()), g.cfg.Workers)
+	return rebuildInto(s, g.verts, int(g.NumVertices()), g.cfg.Workers)
 }
 
-// rebuildInto flattens the given shards' vertex blocks into s as a plain
-// CSR: a table of n vertices whose runs lie in vertex order, back to back in
-// one exact-size array (Graph.SnapshotInto, Shard.SnapshotInto). Table slot 0
-// is global vertex origin; slots no shard has materialized (reserved
-// vertices) get degree 0.
-func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, p int) *Snapshot {
+// rebuildInto flattens verts into s as a plain CSR: a table of n ≥
+// len(verts) vertices whose runs lie in vertex order, back to back in one
+// exact-size array (Graph.SnapshotInto, Shard.SnapshotInto). Table slot 0 is
+// verts[0]; slots past verts (reserved vertices) get degree 0.
+func rebuildInto(s *Snapshot, verts []vertex, n int, p int) *Snapshot {
 	if s == nil {
 		s = &Snapshot{}
 	}
 	s.tab = growTab(s.tab, n)
 	clear(s.tab)
 	var m uint64
-	for i := range shards {
-		sh := &shards[i]
-		if len(sh.verts) == 0 {
-			continue // its base may lie past the table
-		}
-		tab := s.tab[sh.base-origin:]
-		for lv := range tab[:len(sh.verts)] {
-			// A degree-0 slot stays vref{}: m may be the array's end, past
-			// the directory.
-			if deg := sh.verts[lv].degree(); deg > 0 {
-				tab[lv] = vref{uint32(m), deg}
-				m += uint64(deg)
-			}
+	for v := range verts {
+		// A degree-0 slot stays vref{}: m may be the array's end, past the
+		// directory.
+		if deg := verts[v].degree(); deg > 0 {
+			s.tab[v] = vref{uint32(m), deg}
+			m += uint64(deg)
 		}
 	}
 	if m > math.MaxUint32 {
-		panic(fmt.Sprintf("core: snapshot of %d edges exceeds the 2^32-entry CSR; snapshot one shard at a time (Shard.SnapshotInto), and give the graph more shards (Config.Shards) if one is still too large", m))
+		panic(fmt.Sprintf("core: snapshot of %d edges exceeds the 2^32-entry CSR; a Store's paged graph publishes per shard (NewPaged), and one Graph cannot be flattened whole", m))
 	}
 	if cap(s.adj) < int(m) {
 		s.adj = make([]uint32, m)
@@ -377,19 +369,12 @@ func rebuildInto(s *Snapshot, shards []shardState, origin uint32, n int, p int) 
 	for lo := 0; lo < max(len(s.adj), 1); lo += pageSize {
 		s.pages = append(s.pages, s.adj[lo:])
 	}
-	for i := range shards {
-		sh := &shards[i]
-		if len(sh.verts) == 0 {
-			continue
+	parallel.For(len(verts), p, func(v int) {
+		if r := s.tab[v]; r.deg > 0 {
+			lo := r.off & pageMask
+			appendNeighborsVB(&verts[v], s.pages[r.off>>pageBits][lo:lo:lo+r.deg])
 		}
-		tab := s.tab[sh.base-origin:]
-		parallel.For(len(sh.verts), p, func(lv int) {
-			if r := tab[lv]; r.deg > 0 {
-				lo := r.off & pageMask
-				appendNeighborsVB(&sh.verts[lv], s.pages[r.off>>pageBits][lo:lo:lo+r.deg])
-			}
-		})
-	}
+	})
 	return s
 }
 

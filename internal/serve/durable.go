@@ -50,13 +50,6 @@ type durability struct {
 	opt DurabilityOptions
 	// log is the append side, opened once recovery has applied the WAL tail.
 	log *wal.Log
-	// floor is the highest LSN recovery reflected into the initial state:
-	// the max over the loaded checkpoint's watermarks and every scanned
-	// record. Checkpoint watermarks are clamped up to it, because the
-	// epochs' LSN restarts at 0 after recovery while the state already
-	// contains everything at or below floor — possibly including records
-	// from the stale per-shard logs of a directory an older layout wrote.
-	floor uint64
 	// recovery summarizes what OpenDurable loaded and replayed.
 	recovery wal.RecoveryStats
 
@@ -113,8 +106,12 @@ func OpenDurable(n uint32, shards, workers int, opt Options, dopt DurabilityOpti
 	}
 	rs.CheckpointVertices = ck.N
 	d := &durability{opt: dopt}
+	// floor is the highest LSN the recovered state reflects: the loaded
+	// checkpoint's watermarks and every scanned record. The log continues
+	// after it, and the first epoch carries it.
+	var floor uint64
 	for _, wm := range ck.Watermarks {
-		d.floor = max(d.floor, wm)
+		floor = max(floor, wm)
 	}
 
 	t := time.Now()
@@ -130,7 +127,7 @@ func OpenDurable(n uint32, shards, workers int, opt Options, dopt DurabilityOpti
 	rs.TruncatedSegments = rst.TruncatedSegments
 	rs.TornBytes = rst.TornBytes
 	rs.MaxLSN = maxLSN
-	d.floor = max(d.floor, maxLSN)
+	floor = max(floor, maxLSN)
 
 	var delta core.Delta
 	if tl.n > 0 {
@@ -150,7 +147,7 @@ func OpenDurable(n uint32, shards, workers int, opt Options, dopt DurabilityOpti
 	}
 	rs.MergeNanos = time.Since(t).Nanoseconds()
 
-	d.log, err = wal.OpenLog(dopt.Dir, 1, d.floor, wal.Options{
+	d.log, err = wal.OpenLog(dopt.Dir, 1, floor, wal.Options{
 		Fsync:         dopt.Fsync,
 		FsyncInterval: dopt.FsyncInterval,
 		SegmentBytes:  dopt.SegmentBytes,
@@ -160,7 +157,7 @@ func OpenDurable(n uint32, shards, workers int, opt Options, dopt DurabilityOpti
 		return nil, err
 	}
 	t = time.Now()
-	s := launch(g, opt)
+	s := launch(g, opt, floor)
 	rs.PublishNanos = time.Since(t).Nanoseconds()
 	rs.DurationNanos = time.Since(start).Nanoseconds()
 	d.recovery = rs
@@ -409,15 +406,13 @@ func (s *Store) Checkpoint() error {
 	v := s.View()
 	defer v.Release()
 	es := v.e.shards
-	// Log 0 is the only one appended to; every other directory is stale,
-	// left by a layout that logged per shard, and all of its content
-	// predates recovery, hence is at or below floor — as is everything the
-	// epoch reflects when no batch has applied since recovery.
+	// The epoch reflects every record at or below its LSN, on log 0 and on
+	// the stale logs a layout that logged per shard left, whose records all
+	// predate recovery: the first epoch carries the recovery floor.
 	wms := make([]uint64, d.log.NumDirs())
 	for i := range wms {
-		wms[i] = d.floor
+		wms[i] = v.e.lsn
 	}
-	wms[0] = max(v.e.lsn, d.floor)
 	ck := &wal.Checkpoint{
 		N:          v.NumVertices(),
 		Starts:     make([]uint32, len(es)),

@@ -87,7 +87,7 @@ func init() {
 			true, "", stat(func(st *Stats) uint64 { return st.WALRecords })},
 		{"lsgraph_wal_bytes_total", "framed bytes written to WAL segment files",
 			true, "", stat(func(st *Stats) uint64 { return st.WALBytes })},
-		{"lsgraph_wal_fsyncs_total", "fsync calls on WAL segment files (group-commit policy dependent)",
+		{"lsgraph_wal_fsyncs_total", "successful fsyncs of WAL segment files, segment seals included (group-commit policy dependent)",
 			true, "", stat(func(st *Stats) uint64 { return st.WALFsyncs })},
 		{"lsgraph_wal_sync_errors_total", "fsync calls on WAL segment files that failed: acknowledged batches may not be on stable storage",
 			true, "", stat(func(st *Stats) uint64 { return st.WALSyncErrors })},

@@ -253,14 +253,18 @@ func targetBoundaries(e *epoch) []uint32 {
 	return targets
 }
 
+// autoInterval is how often the auto-rebalancer checks the skew. Tests
+// lower it before they start a Store.
+var autoInterval = time.Second
+
 // autoRebalance is the background rebalancer goroutine: every
-// Options.AutoInterval it measures the per-shard skew from the always-on
+// autoInterval it measures the per-shard skew from the always-on
 // routed-edge counters (falling back to stored edge mass when no traffic
 // has been routed since the last check) and triggers a full Rebalance when
 // the heaviest shard exceeds AutoRebalance times its fair share.
 func (s *Store) autoRebalance() {
 	defer close(s.autoDone)
-	ticker := time.NewTicker(s.opt.AutoInterval)
+	ticker := time.NewTicker(autoInterval)
 	defer ticker.Stop()
 	last, load := make([]uint64, len(s.routed)), make([]uint64, len(s.routed))
 	for {

@@ -320,8 +320,9 @@ func TestRebalanceUnderLiveTraffic(t *testing.T) {
 // stop flag needs atomic across goroutines; declared here to keep the
 // test self-contained.
 func TestAutoRebalance(t *testing.T) {
-	st := New(core.NewPaged(4096, 4, 2),
-		Options{AutoRebalance: 1.3, AutoInterval: 10 * time.Millisecond})
+	autoInterval = 10 * time.Millisecond
+	defer func() { autoInterval = time.Second }()
+	st := New(core.NewPaged(4096, 4, 2), Options{AutoRebalance: 1.3})
 	defer st.Close()
 
 	z := gen.NewZipf(4096, 1.1, 99)

@@ -93,7 +93,6 @@ package serve
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lsgraph/internal/core"
 	"lsgraph/internal/engine"
@@ -113,19 +112,13 @@ type Options struct {
 	// Rebalance whenever the heaviest shard's load exceeds AutoRebalance
 	// times its fair share (so 1.5 means "act at 50% over fair"). 0
 	// disables automatic rebalancing; Rebalance can still be called
-	// explicitly.
+	// explicitly. The rebalancer checks the skew once a second.
 	AutoRebalance float64
-	// AutoInterval is how often the auto-rebalancer checks the skew.
-	// Default 1s; ignored when AutoRebalance is 0.
-	AutoInterval time.Duration
 }
 
 func (o *Options) sanitize() {
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 64
-	}
-	if o.AutoInterval <= 0 {
-		o.AutoInterval = time.Second
 	}
 }
 
@@ -134,8 +127,9 @@ func (o *Options) sanitize() {
 // them. refs counts pinned readers; an epoch's snapshots are released only
 // after it has been retired (a newer epoch swapped in) and refs has drained
 // to zero. batches is how many enqueued batches it holds, and lsn the
-// highest WAL LSN among them: every record of log 0 with an LSN at or below
-// it is reflected, none above it, which is what makes a pinned epoch a
+// highest WAL LSN among them, or the recovery floor a reopened Store's first
+// epoch starts at: every logged record with an LSN at or below it is
+// reflected, none above it, which is what makes a pinned epoch a
 // durable cut a checkpoint can anchor replay to (durable.go). m is the
 // shards' edge total, and moves the number of boundary moves installed so
 // far: the partition epoch, read with the layout it counts.
@@ -254,14 +248,15 @@ var (
 // initial state of every shard is published immediately as epoch 0, so
 // reads never wait for a first batch.
 func New(g *core.Paged, opt Options) *Store {
-	s := launch(g, opt)
+	s := launch(g, opt, 0)
 	track(s)
 	return s
 }
 
 // launch is New without joining the set of Stores the store series sum
-// over, for OpenDurable to attach the durability state first.
-func launch(g *core.Paged, opt Options) *Store {
+// over, for OpenDurable to attach the durability state first. The first
+// epoch's LSN is lsn: the highest WAL LSN g already reflects.
+func launch(g *core.Paged, opt Options, lsn uint64) *Store {
 	opt.sanitize()
 	S := g.NumShards()
 	s := &Store{
@@ -272,7 +267,7 @@ func launch(g *core.Paged, opt Options) *Store {
 		shards: make([]shardState, S),
 		routed: make([]atomic.Uint64, S),
 	}
-	e := &epoch{shards: make([]shardPin, S)}
+	e := &epoch{shards: make([]shardPin, S), lsn: lsn}
 	for i := range s.shards {
 		s.shards[i].shard = g.Shard(i)
 		e.shards[i] = s.publish(i, 0, 0)

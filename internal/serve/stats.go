@@ -59,7 +59,8 @@ type Stats struct {
 	WALRecords uint64
 	// WALBytes counts framed bytes written to WAL segments.
 	WALBytes uint64
-	// WALFsyncs counts fsync calls on WAL segments.
+	// WALFsyncs counts successful fsyncs of WAL segments, the ones that
+	// seal a segment (rotation, Rotate, Close) included.
 	WALFsyncs uint64
 	// WALAppendErrors counts batches that could not be logged (I/O error);
 	// the store kept applying them in memory, so a non-zero value means

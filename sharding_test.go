@@ -9,7 +9,7 @@ import (
 // built with it is the paper's engine of one vertex range.
 func TestGraphIgnoresWithShards(t *testing.T) {
 	for _, g := range []*Graph{New(64, WithShards(4)), NewFromEdges(64, []Edge{{1, 2}, {60, 3}}, WithShards(4))} {
-		if n := g.g.NumShards(); n != 1 {
+		if n := len(g.g.PartitionMap().Starts); n != 1 {
 			t.Fatalf("a Graph built WithShards(4) has %d ranges, want 1", n)
 		}
 	}
