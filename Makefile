@@ -20,9 +20,8 @@ test:
 # allocation-free view pin, the one-allocation enqueue (its copy of the
 # batch, into a queue with room and right after a Flush emptied it) and the
 # two-allocation binary ingest decode on an uninstrumented
-# build (the race build widens the first and skips the others: its
-# sync.Pool drops items at random, and its instrumentation changes what
-# allocates).
+# build (the race build skips the enqueue and decode guards: its
+# instrumentation changes what allocates).
 verify:
 	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt needed on:" $$unformatted >&2; exit 1; }
 	$(GO) vet ./...

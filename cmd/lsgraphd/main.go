@@ -32,11 +32,11 @@
 //	GET  /metrics, /metrics.json                Prometheus / JSON metrics
 //	GET  /debug/pprof/*, /debug/trace{,/autopsy}   profiling and flight recorder
 //
-// Durability: with -data, every graph writes accepted batches to a
-// per-shard write-ahead log under <data>/<graph> before applying them,
-// and the next boot recovers each graph from its newest checkpoint plus
-// WAL replay (logged on startup and reported by /healthz). Without -data
-// graphs are memory-only, as before.
+// Durability: with -data, every graph writes accepted batches to its
+// write-ahead log under <data>/<graph> before applying them, and the next
+// boot recovers each graph from its newest checkpoint plus WAL replay
+// (logged on startup and reported by /healthz). Without -data graphs are
+// memory-only, as before.
 //
 // Shutdown: on SIGINT/SIGTERM the daemon stops accepting connections,
 // waits up to -drain for in-flight requests, then closes every store —

@@ -18,8 +18,8 @@ type DurabilityOptions struct {
 	//
 	//   - "none": never fsynced explicitly; a process kill loses nothing
 	//     that was written, but an OS crash can lose the page-cache tail.
-	//   - "interval" (or ""): group commit — a background timer fsyncs all
-	//     shard logs every FsyncInterval. The default.
+	//   - "interval" (or ""): group commit — a background timer fsyncs the
+	//     log every FsyncInterval. The default.
 	//   - "always": every append fsyncs before returning. Safest and
 	//     slowest; Store.Flush is a full durability barrier under every
 	//     policy, so most callers want "interval" plus Flush at commit
@@ -36,7 +36,7 @@ type DurabilityOptions struct {
 }
 
 // WithDurability makes the Store durable: every accepted update batch is
-// appended to a per-shard write-ahead log under dir before it is applied,
+// appended to the store's write-ahead log under dir before it is applied,
 // checkpoints snapshot the full graph for bounded recovery, and
 // OpenStore on the same dir recovers the state. dir is created if
 // missing. Ignored by Graph constructors.

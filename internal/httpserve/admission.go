@@ -36,7 +36,7 @@ func (s *Server) admitIngest(w http.ResponseWriter, t *tenant) bool {
 	obsShedQueue.Inc()
 	w.Header().Set("Retry-After", retryAfter)
 	writeError(w, http.StatusTooManyRequests,
-		"ingest queue saturated (depth %d, per-shard bound %d); retry later",
+		"ingest queue saturated (depth %d, bound %d); retry later",
 		st.Stats().QueueDepth, t.cfg.MaxQueue)
 	return false
 }

@@ -321,6 +321,42 @@ func TestOpenRefusesWALWithoutConfig(t *testing.T) {
 	}
 }
 
+// TestShardsAboveVerticesRefused: a shard count above the graph's vertex
+// slots, here one that wraps to 0 as a uint32, is refused with 400 before
+// anything is written, and Open over a graph.json that carries one returns
+// an error. Both used to panic dividing by zero shards.
+func TestShardsAboveVerticesRefused(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := Open(Config{DataDir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	for _, body := range []string{`{"shards":4294967296}`, `{"shards":9,"vertices":8}`} {
+		if code := putGraph(t, ts.Client(), ts.URL, "x", body); code != http.StatusBadRequest {
+			t.Fatalf("PUT %s: status %d, want 400", body, code)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "x")); !os.IsNotExist(err) {
+			t.Fatalf("PUT %s left a graph directory: %v", body, err)
+		}
+	}
+	ts.Close()
+	srv.Close()
+
+	durableGraph(t, dir, "g")
+	if err := writeGraphConfig(filepath.Join(dir, "g"), GraphConfig{Shards: 1 << 32}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err = Open(Config{DataDir: dir})
+	if err == nil {
+		srv.Close()
+		t.Fatal("Open recovered a graph of 2³² shards")
+	}
+	if !strings.Contains(err.Error(), `"g"`) {
+		t.Fatalf("error %q does not name the graph", err)
+	}
+}
+
 // TestCheckpointEndpointOnInMemoryServer verifies the checkpoint route
 // answers 409 when the server has no data directory.
 func TestCheckpointEndpointOnInMemoryServer(t *testing.T) {

@@ -538,9 +538,9 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 // handleRebalance re-partitions the named graph's vertex space toward
 // equal per-shard edge mass (Store.Rebalance) and returns the move
 // summary plus the resulting partition layout. The call blocks for the
-// duration of the resharding — boundary moves quiesce only the two shard
-// writers they touch, so ingest and reads keep flowing meanwhile — and is
-// admitted through the kernel semaphore, since like a kernel it is a
+// duration of the resharding — the writer makes the boundary moves between
+// two batches, so ingest waits for the splices while reads keep flowing —
+// and is admitted through the kernel semaphore, since like a kernel it is a
 // bounded-concurrency heavyweight operation.
 func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {

@@ -198,6 +198,11 @@ func (s *Server) CreateGraph(name string, gc GraphConfig) (resolved GraphConfig,
 	if gc.Vertices > gc.MaxVertices {
 		return GraphConfig{}, false, fmt.Errorf("graph %q: vertices %d exceeds max_vertices %d", name, gc.Vertices, gc.MaxVertices)
 	}
+	// The store cuts its initial vertex slots into Shards ranges, and a
+	// count past 2³² would wrap to 0 ranges there.
+	if gc.Shards > int(gc.Vertices) {
+		return GraphConfig{}, false, fmt.Errorf("graph %q: shards %d exceeds vertices %d", name, gc.Shards, gc.Vertices)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining.Load() {

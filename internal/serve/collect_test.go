@@ -12,9 +12,11 @@ import (
 )
 
 // TestClosedStoreIsCollectable holds a Store only weakly once it has served
-// views and closed: one collection must free it. A pooled View that kept
-// its Store, or a pool inside the Store, which the runtime's list of pools
-// holds on to until the second collection, would keep it alive.
+// views and closed: one collection must free it. It runs one collection on
+// purpose: anything global that kept a released View, and with it the
+// Store's epoch, reachable would keep the Store alive, and so would a
+// sync.Pool inside the Store, which the runtime's list of pools holds on
+// to until the second collection.
 func TestClosedStoreIsCollectable(t *testing.T) {
 	src, dst, _ := streamGraph(10, 4<<10, 1)
 	w := func() weak.Pointer[Store] {

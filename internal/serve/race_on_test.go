@@ -2,6 +2,6 @@
 
 package serve
 
-// raceEnabled: under the race detector sync.Pool drops a random share of
-// what it is given, so a pooled View is not always reused.
+// raceEnabled: the race detector's instrumentation changes what allocates,
+// so the enqueue's allocation counts are not the uninstrumented build's.
 const raceEnabled = true

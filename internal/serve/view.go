@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"lsgraph/internal/core"
@@ -28,37 +27,35 @@ func (s *Store) acquire() *epoch {
 // the vertex bound read at acquire time. Every read method (NumVertices,
 // NumEdges, Degree, Neighbors, NeighborBlocks) and every analytics kernel
 // written against engine.Graph works on it directly, concurrently with
-// ongoing ingestion. Call Release exactly once when done: an unreleased
-// View pins its snapshots' tables and arena pages for the life of the
-// Store, and a released one goes back to a pool that hands it to the next
-// View call, of any Store on any goroutine.
+// ongoing ingestion. Pin one into a View the caller owns with Store.Pin, or
+// get a new one from Store.View; call Release when done: an unreleased View
+// pins its snapshots' tables and arena pages for the life of the Store.
 type View struct {
-	e   *epoch
-	nv  uint32
-	pin obs.Span // the viewpin layer's span, acquire to Release
-	// gen counts the releases made through ReleaseGen; it survives
-	// recycling so that a stale handle's second release can be told apart.
-	gen atomic.Uint64
+	e        *epoch
+	nv       uint32
+	released atomic.Bool // set by the Release that unpins
+	pin      obs.Span    // the viewpin layer's span, acquire to Release
 }
 
-// viewPool recycles Views across every Store, so pinning allocates nothing
-// once warm. A recycled View keeps only its gen. It is one package-level
-// pool on purpose: a sync.Pool inside each Store is registered in the
-// runtime's list of pools, which keeps a closed Store and its whole graph
-// alive through the next collection.
-var viewPool = sync.Pool{New: func() any { return new(View) }}
-
-// View pins the Store's current epoch and returns it as a view. Always
-// non-blocking with respect to the writer: a View is available even
-// mid-batch. Safe to call from any goroutine, including after Close.
-func (s *Store) View() *View {
-	v := viewPool.Get().(*View)
+// Pin pins the Store's current epoch into v, a View that was never pinned
+// (the zero View). Always non-blocking with respect to the writer: a view
+// is available even mid-batch. Safe to call from any goroutine, including
+// after Close. Pinning allocates nothing, so a read that pins v on its own
+// stack costs no allocation.
+func (s *Store) Pin(v *View) {
 	v.e = s.acquire()
 	// Read the vertex bound after pinning: it is then at least as large as
 	// the bound reserved before any pinned snapshot's batch was published,
 	// so every neighbor ID in the view is < nv (see the package comment).
 	v.nv = s.g.NumVertices()
 	v.pin = obs.PhaseViewPin.Begin()
+}
+
+// View returns a new View pinned by Pin, for a caller whose view outlives
+// its frame.
+func (s *Store) View() *View {
+	v := new(View)
+	s.Pin(v)
 	return v
 }
 
@@ -158,35 +155,21 @@ func (v *View) NeighborRange(lo, hi uint32, yield func(u uint32, block []uint32)
 	}
 }
 
-// Release unpins the view and returns it to the pool. The view must not
-// be used afterwards — not read, since its tables may be recycled into a
-// future snapshot, and not released again, since it may already be another
-// caller's view. Release is not safe to call concurrently with the view's
-// own readers; callers sharing a View across goroutines must release after
+// Release unpins the view. Only the first call unpins, so releasing a
+// View twice, even from two goroutines at once, unpins it once. The view
+// must not be read afterwards, since its tables may be recycled into a
+// future snapshot; Epoch, which reads the immutable epoch record, stays
+// valid. Release is not safe to call concurrently with the view's own
+// readers; callers sharing a View across goroutines must release after
 // those goroutines finish.
 func (v *View) Release() {
+	if !v.released.CompareAndSwap(false, true) {
+		return
+	}
 	// How long the view held its epoch pinned: long pins are what delay
 	// reclamation, so the age distribution explains epoch lag.
 	v.pin.End(-1, 0, v.e.batches, v.e.m)
 	v.e.refs.Add(-1)
-	// Drop every reference before pooling: a pooled view must not keep an
-	// epoch, and with it a Store's snapshots, reachable.
-	v.e, v.pin = nil, obs.Span{}
-	viewPool.Put(v)
-}
-
-// Gen returns the view's generation, for a handle that must release it at
-// most once: pass it to ReleaseGen.
-func (v *View) Gen() uint64 { return v.gen.Load() }
-
-// ReleaseGen releases the view if its generation is still gen, advancing
-// the generation, and does nothing otherwise. A handle that records Gen when
-// it gets the view may pass it here any number of times: only the first
-// call releases, even after the pool has handed the view to another caller.
-func (v *View) ReleaseGen(gen uint64) {
-	if v.gen.CompareAndSwap(gen, gen+1) {
-		v.Release()
-	}
 }
 
 // Epoch returns the number of enqueued batches the Store's current epoch
@@ -203,7 +186,8 @@ func (s *Store) NumEdges() uint64 { return s.cur.Load().m }
 // Degree returns v's out-degree in the current epoch, read through a View
 // pinned for the call.
 func (s *Store) Degree(v uint32) uint32 {
-	vw := s.View()
+	var vw View
+	s.Pin(&vw)
 	d := vw.Degree(v)
 	vw.Release()
 	return d
@@ -215,7 +199,8 @@ func (s *Store) Degree(v uint32) uint32 {
 // apply concurrently — and no longer: the block must not be retained past
 // yield.
 func (s *Store) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
-	vw := s.View()
+	var vw View
+	s.Pin(&vw)
 	vw.NeighborBlocks(v, yield)
 	vw.Release()
 }
@@ -224,7 +209,8 @@ func (s *Store) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 // its adjacency out of one View pinned for the call (engine.Graph); blocks
 // must not be retained past yield.
 func (s *Store) NeighborRange(lo, hi uint32, yield func(v uint32, block []uint32) bool) {
-	vw := s.View()
+	var vw View
+	s.Pin(&vw)
 	vw.NeighborRange(lo, hi, yield)
 	vw.Release()
 }

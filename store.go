@@ -100,10 +100,11 @@ func (s *Store) Close() {
 // are always available — acquiring never waits for the writer, even
 // mid-batch — and stay immutable while the store keeps ingesting. Release
 // every view when done; an unreleased view pins its snapshot's memory.
-// Pinning allocates only the returned handle.
+// Pinning allocates only the returned StoreView.
 func (s *Store) View() *StoreView {
-	v := s.st.View()
-	return &StoreView{v: v, gen: v.Gen(), epoch: v.Epoch()}
+	v := new(StoreView)
+	s.st.Pin(&v.v)
+	return v
 }
 
 // Epoch returns the store's current epoch: the number of update batches
@@ -198,26 +199,21 @@ func (s *Store) Partition() PartitionInfo { return s.st.Partition() }
 // prefix of the enqueued batches: each batch wholly or not at all, across
 // every shard, and nothing changes while it is pinned.
 //
-// A StoreView is a handle on a pooled internal view: Release returns that
-// view to a pool shared by every Store, and the next View call, on any
-// goroutine, may get it back. The handle remembers the view's generation,
-// which each release through a handle advances, so a handle released a
-// second time finds the generation moved on and leaves the view's new
-// holder alone.
+// A StoreView holds the internal view it pins by value: pinning allocates
+// the StoreView and nothing else, and nothing is recycled, so a released
+// StoreView never becomes another caller's.
 type StoreView struct {
-	v     *serve.View
-	gen   uint64 // v's generation when this handle got it
-	epoch uint64 // kept in the handle so that Epoch outlives Release
+	v serve.View
 }
 
 // Epoch returns the epoch this view pinned: 0 for the store's initial
 // empty graph, incremented by one per applied batch. Valid after Release.
-func (v *StoreView) Epoch() uint64 { return v.epoch }
+func (v *StoreView) Epoch() uint64 { return v.v.Epoch() }
 
 // Release unpins the view, allowing its snapshot's buffers to be
-// recycled. The view must not be read afterwards. Releasing twice is a
-// no-op, even after the released view has been handed to another caller.
-func (v *StoreView) Release() { v.v.ReleaseGen(v.gen) }
+// recycled. The view must not be read afterwards. Only the first Release
+// unpins: releasing twice, even from two goroutines at once, is a no-op.
+func (v *StoreView) Release() { v.v.Release() }
 
 // NumVertices returns the view's vertex count.
 func (v *StoreView) NumVertices() uint32 { return v.v.NumVertices() }
