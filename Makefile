@@ -56,8 +56,9 @@ perf:
 # the real lsgraphd binary, durable, under lsload's open-loop mixes
 # (SOAK_TIME per mix) with auto-rebalance armed, stopped by SIGTERM so signal
 # handling and the drain path run, then restarted on its data directory: the
-# graph must come back, and after a DELETE must not. The load report lands
-# in BENCH_soak.json (untracked).
+# graph must come back, and after a DELETE must not; last, a flushed batch
+# must survive a SIGKILL of the daemon. The load report lands in
+# BENCH_soak.json (untracked).
 SOAK_TIME ?= 2m
 soak:
 	LSGRAPH_SOAK_TIME=$(SOAK_TIME) \

@@ -73,7 +73,7 @@ func main() {
 		auto     = flag.Bool("autocreate", true, "create a missing graph on first ingest instead of 404")
 		kernels  = flag.Int("kernels", 4, "max concurrently running kernel requests (excess shed with 429)")
 		maxBody  = flag.Int64("maxbody", 64<<20, "max ingest request body in bytes (larger rejected with 413)")
-		autoReb  = flag.Float64("autorebalance", 0, "auto-rebalance skew threshold for created graphs (e.g. 1.5 = act at 50% over fair share; 0 disables)")
+		autoReb  = flag.Float64("autorebalance", 0, "auto-rebalance skew threshold for created graphs: a store's writer rebalances after an apply, at most once a second, when a shard took more than this times its fair share of the edges since (e.g. 1.5 = act at 50% over fair share; 0 disables)")
 		dataDir  = flag.String("data", "", "durability directory: WAL + checkpoints per graph, recovered on boot (empty = memory-only)")
 		fsync    = flag.String("fsync", "interval", "WAL fsync policy with -data: none | interval | always")
 		fsyncIv  = flag.Duration("fsync-interval", 50*time.Millisecond, "group-commit period for -fsync interval")

@@ -19,9 +19,10 @@ const rebalanceBatches = 32
 // writers, first on the initial uniform partition map, then again after
 // Store.Rebalance re-cuts the boundaries toward equal edge mass. The
 // report gives the skew gauge ((max/fair - 1) · 100) before and after,
-// the move count and splice cost, and skewed-ingest throughput on both
-// maps — the "after" column is the claim: once hot ranges are split
-// across writers, the skewed stream stops serializing behind one queue.
+// the boundaries changed and the re-cut's cost, and skewed-ingest
+// throughput on both maps — the "after" column is the claim: once hot
+// ranges are split across writers, the skewed stream stops serializing
+// behind one queue.
 func Rebalance(s Scale, w io.Writer) {
 	t := NewTable("Live resharding: skewed ingest before/after boundary rebalance",
 		"Zipf(1.2) sources over a range partition; skew is the per-shard edge-mass gauge, eps columns are skewed-stream ingest throughput on the uniform vs rebalanced map.",

@@ -113,7 +113,7 @@ const (
 	opVerify                     // full lockstep comparison against the oracle
 	opKernel                     // run one analytics kernel on engine and oracle
 	opView                       // pin a view/snapshot mid-stream and validate it
-	opRebalance                  // move a partition boundary, then fully verify
+	opRebalance                  // move a partition boundary or rebalance, then fully verify
 	opDeleteVertex               // remove a vertex's edges in both directions
 )
 
@@ -266,7 +266,7 @@ type runner struct {
 
 	// held is a view pinned at an earlier view op and kept across every
 	// publish since — appends to the pages it reads, cleaning, page reuse,
-	// table recycling, boundary moves — with heldAdj a deep copy of
+	// table recycling, re-cuts — with heldAdj a deep copy of
 	// what it read when pinned. A publish that wrote anywhere an older
 	// epoch can reach shows up as a difference between the two.
 	held    *serve.View
@@ -431,18 +431,25 @@ func (r *runner) deleteVertex(sel byte) error {
 	return nil
 }
 
-// rebalance derives a legal boundary move from the selector byte (which
-// boundary, and where in its legal window the new start lands), executes
-// it through the Store, and immediately re-verifies the full graph against
-// the oracle — splices must be invisible to every read surface. ModeCore's
-// graph is one range with nothing to move, so there, as for selectors with
-// no legal move (single shard, or adjacent boundaries with no room) and
-// moves the store rejects as no-ops (core.ErrNoMove), it decodes to
-// nothing.
+// rebalance runs a whole Store.Rebalance for a selector of 192 or more —
+// every boundary re-cut to equal edge mass at once — and otherwise derives
+// a legal boundary move from the selector byte (which boundary, and where
+// in its legal window the new start lands) and runs it through the Store;
+// either way it then re-verifies the full graph against the oracle — a
+// re-cut must be invisible to every read surface. ModeCore's graph is one
+// range with nothing to move, so there, as for selectors with no legal move
+// (single shard, or adjacent boundaries with no room) and moves the store
+// rejects as no-ops (core.ErrNoMove), it decodes to nothing.
 func (r *runner) rebalance(sel byte) error {
 	S := r.cfg.Shards
 	if r.st == nil || S < 2 {
 		return nil
+	}
+	if sel >= 192 {
+		if _, err := r.st.Rebalance(); err != nil {
+			return fmt.Errorf("Rebalance: %w", err)
+		}
+		return r.verify()
 	}
 	starts, n := r.st.Partition().Starts, r.st.NumVertices()
 	k := int(sel) % (S - 1)

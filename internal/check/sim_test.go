@@ -84,7 +84,7 @@ func TestSimClassWalk(t *testing.T) {
 // a Store, the only surface that moves boundaries: roughly a third of all
 // ops are boundary moves, interleaved with skewed inserts, deletes,
 // kernels, and mid-stream views, across S∈{2,4,8}. Every rebalance op is
-// itself followed by a full oracle comparison, so a splice that corrupts,
+// itself followed by a full oracle comparison, so a re-cut that corrupts,
 // drops, or duplicates a single edge fails at the move that caused it.
 func TestSimRebalanceHeavy(t *testing.T) {
 	// Op-kind byte weights: insert 3x, delete 2x, rebalance 3x, one

@@ -98,22 +98,51 @@ func (tw twin) insert(src, dst []uint32) { tw.batch(src, dst, false) }
 
 func (tw twin) delete(src, dst []uint32) { tw.batch(src, dst, true) }
 
-// move moves the paged graph's boundary k to newStart; the edges it reports
-// moved must be the oracle's over the range that changed owner.
+// move moves the paged graph's boundary k to newStart: a re-cut with one
+// start changed.
 func (tw twin) move(k int, newStart uint32) error {
-	old := tw.g.shards[k+1].base
-	_, e, err := tw.g.MoveBoundary(k, newStart)
+	starts := tw.g.starts()
+	starts[k+1] = newStart
+	return tw.recut(starts)
+}
+
+// recut re-cuts the paged graph to starts. The edges it reports moved must
+// be the oracle's whose source changed owner, and the runs it wrote — the
+// shards' Placed — exactly those: each moved run copied once, no other.
+func (tw twin) recut(starts []uint32) error {
+	old, placed := tw.g.starts(), tw.placed()
+	_, e, err := tw.g.Recut(starts)
 	if err != nil {
 		return err
 	}
-	var want uint64
-	for v := min(old, newStart); v < max(old, newStart) && v < tw.ref.NumVertices(); v++ {
-		want += uint64(tw.ref.Degree(v))
-	}
+	want := ownerChanges(tw.ref, old, starts)
 	if e != want {
-		return fmt.Errorf("MoveBoundary(%d, %d) moved %d edges, the oracle holds %d in the range", k, newStart, e, want)
+		return fmt.Errorf("Recut(%v) moved %d edges, the oracle holds %d whose owner changed", starts, e, want)
+	}
+	if got := tw.placed() - placed; got != want {
+		return fmt.Errorf("Recut(%v) placed %d entries for %d edges that changed owner", starts, got, want)
 	}
 	return nil
+}
+
+// placed sums the entries every shard of the paged graph has placed, ever.
+func (tw twin) placed() (n uint64) {
+	for i := range tw.g.shards {
+		n += tw.g.Shard(i).Published().Placed
+	}
+	return n
+}
+
+// ownerChanges counts ref's edges whose source the ranges starting at was
+// and at now give to different shards.
+func ownerChanges(ref *Graph, was, now []uint32) (n uint64) {
+	a, b := &PartitionMap{Starts: was}, &PartitionMap{Starts: now}
+	for v := uint32(0); v < ref.NumVertices(); v++ {
+		if a.ShardOf(v) != b.ShardOf(v) {
+			n += uint64(ref.Degree(v))
+		}
+	}
+	return n
 }
 
 // check runs the deep walk on both graphs, publishes every paged shard and
@@ -243,11 +272,12 @@ func TestAdoptedShardMatchesGraph(t *testing.T) {
 // of 64·(b+1) neighbors striding from c (longer than a small shard's page),
 // 6 delete everything vertex a holds and insert c%4 neighbors back, 7 grow
 // the vertex space by a%16+1 and add an edge from and to its last vertex, 8
-// publish every shard (holding the snapshot when a is odd), 9 move boundary
-// a%(shards-1) to a place b picks, 10 reload: each shard's CSR from its
-// latest publish and a delta drawn from the next a%8+1 words (reloadDelta)
-// are loaded into a fresh paged graph, as recovery loads a checkpoint and
-// its log tail.
+// publish every shard (holding the snapshot when a is odd), 9 re-cut: for
+// a < 192 move boundary a%(shards-1) to a place b picks, else every
+// boundary to ascending starts b and c pick, 10 reload: each shard's CSR
+// from its latest publish and a delta drawn from the next a%8+1 words
+// (reloadDelta) are loaded into a fresh paged graph, as recovery loads a
+// checkpoint and its log tail.
 const (
 	mergeVerts = 96      // sources batches name at first
 	mergeSpace = 1 << 12 // neighbor IDs
@@ -322,6 +352,16 @@ func runMergeProgram(prog []byte, shards int) error {
 				return fmt.Errorf("op %d: reload: %w", i, err)
 			}
 			tw, latest = twinOf(g, tw.ref), make([]*Snapshot, shards)
+		case op == 9 && shards > 1 && a >= 192:
+			// A re-cut of every boundary: ascending starts drawn from b and c.
+			starts, h := make([]uint32, shards), b<<8|c
+			for k := 1; k < shards; k++ {
+				h = h*0x9E3779B1 + 1
+				starts[k] = starts[k-1] + 1 + h>>8%(2*n/uint32(shards))
+			}
+			if err := tw.recut(starts); err != nil && err != ErrNoMove {
+				return fmt.Errorf("op %d: %w", i, err)
+			}
 		case op == 9 && shards > 1:
 			starts := tw.g.starts()
 			k := int(a) % (shards - 1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"unsafe"
 )
@@ -30,7 +31,7 @@ type pagedShard struct {
 	// spareDir are a recycled snapshot's table and directory, kept for the
 	// next table copy and publish to overwrite instead of allocating;
 	// tabEntries sums the capacities of tab, spare and every unrecycled
-	// snapshot's table. copied counts the entries table and ensure copy.
+	// snapshot's table. copied counts the entries table, ensure and Recut copy.
 	tab        []vref
 	pub        pageArena
 	shared     bool
@@ -70,28 +71,86 @@ func (g *Paged) ScratchBytes() (b uint64) {
 	return b
 }
 
-// MoveBoundary moves the boundary between shards k and k+1 to newStart,
-// refusing (ErrNoMove) a move that would change nothing and one that would
-// empty a shard: the transferred range's table entries move, each run
-// copied to the kept tail of the receiver's arena and dropped from the
-// donor's, and the donor's range then ends, and the receiver's begins, at
-// newStart. It returns the number of materialized vertices and directed
-// edges that changed owner. The caller must hold both shards quiescent —
+// Recut gives the shards the ranges that begin at starts: one start per
+// shard, starts[0] == 0, strictly ascending, the last range open-ended. It
+// refuses any other vector, and one that changes nothing (ErrNoMove). Each
+// shard whose range changed gets a fresh table over it, and each
+// materialized run whose owner changed is copied once, from its old shard's
+// arena to the kept tail of its new shard's, and dropped from the old. It
+// returns the number of materialized vertices and directed edges that
+// changed owner. It publishes nothing: each changed shard's next Publish
+// seals its new table. The caller must hold every shard quiescent —
 // internal/serve runs it on its writer, between two batches.
-func (g *Paged) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEdges uint64, err error) {
-	if err := validateMove(g.starts(), k, newStart); err != nil {
-		return 0, 0, err
+func (g *Paged) Recut(starts []uint32) (movedVerts uint32, movedEdges uint64, err error) {
+	was := &PartitionMap{Starts: g.starts()}
+	if len(starts) != len(was.Starts) || starts[0] != 0 {
+		return 0, 0, fmt.Errorf("core: a re-cut takes %d range starts from 0, not %v", len(was.Starts), starts)
 	}
-	a, b := &g.shards[k], &g.shards[k+1]
-	movedVerts, movedEdges = spliceTables(a, b, b.base, newStart)
-	a.end, b.base = uint64(newStart), newStart
+	for i := 1; i < len(starts); i++ {
+		if starts[i] <= starts[i-1] {
+			return 0, 0, fmt.Errorf("core: start %d of shard %d would empty shard %d", starts[i], i, i-1)
+		}
+	}
+	if slices.Equal(starts, was.Starts) {
+		return 0, 0, ErrNoMove
+	}
+	tabs := make([][]vref, len(g.shards)) // the tables before the re-cut
+	for i := range g.shards {
+		tabs[i] = g.shards[i].tab
+	}
+	now := &PartitionMap{Starts: starts}
+	for j := range g.shards {
+		sh := &g.shards[j]
+		base, end := sh.base, sh.end
+		if sh.own(now, j); sh.base == base && sh.end == end {
+			continue
+		}
+		// The old tables' entries in the new range, each old table a prefix
+		// of its range, and zeros for the slots between them none held.
+		lo := uint64(sh.base)
+		var tab []vref
+		for i, old := range tabs {
+			b := uint64(was.Starts[i])
+			if from, to := max(lo, b), min(sh.end, b+uint64(len(old))); from < to {
+				tab = append(append(tab, make([]vref, from-lo-uint64(len(tab)))...), old[from-b:to-b]...)
+			}
+		}
+		var m uint64
+		for _, r := range tab {
+			m += uint64(r.deg)
+		}
+		// Sized before the runs are placed, as for a batch (mergeRuns). The
+		// pages the moved runs leave retire as any emptied page does; what
+		// the shard now holds beyond its bound the next publish cleans.
+		sh.pub.m = m
+		for lv, r := range tab {
+			v := sh.base + uint32(lv)
+			i := was.ShardOf(v)
+			if i == j || int(v-was.Starts[i]) >= len(tabs[i]) {
+				continue // the shard's own run, or a slot none held
+			}
+			tab[lv] = sh.pub.place(r.deg, tailKept)
+			copy(sh.pub.read(tab[lv]), g.shards[i].pub.read(r))
+			g.shards[i].pub.drop(r)
+			movedVerts++
+			movedEdges += uint64(r.deg)
+		}
+		// The table the latest snapshot shares stays its own, and counted.
+		if !sh.shared {
+			sh.tabEntries -= cap(sh.tab)
+		}
+		sh.tab, sh.shared = tab, false
+		sh.tabEntries += cap(tab)
+		sh.copied += uint64(len(tab))
+		sh.m.Store(m)
+	}
 	return movedVerts, movedEdges, nil
 }
 
 // Scatter routes a mixed batch to the shards by source vertex, by the
 // ranges they own as it runs (the package's Scatter over their bases), on
-// up to workers goroutines: parts[i] is shard i's part. Like updates and
-// boundary moves, it must not run concurrently with a move.
+// up to workers goroutines: parts[i] is shard i's part. Like updates, it
+// must not run concurrently with a Recut.
 func (g *Paged) Scatter(src, dst []uint32, workers int) []SubBatch {
 	parts, _ := Scatter(&PartitionMap{Starts: g.starts()}, src, dst, workers)
 	return parts
@@ -104,61 +163,6 @@ func (g *Paged) starts() []uint32 {
 		s[i] = g.shards[i].base
 	}
 	return s
-}
-
-// spliceTables moves the table entries of the transferred range, the
-// boundary between a and b moving from old to newStart, and the runs they
-// name from the donor's arena and edge counter to the receiver's, and
-// returns their number and summed degrees. Materialized entries are always
-// a prefix of a shard's range, so the receiver is zero-filled up to the
-// moved entries where it was shorter.
-func spliceTables(a, b *pagedShard, old, newStart uint32) (uint32, uint64) {
-	capA, capB := cap(a.table()), cap(b.table())
-	from, to := a, b
-	var was, now []vref
-	if newStart < old {
-		// The boundary moves down: a's tail goes to b's front.
-		lo := min(int(newStart-a.base), len(a.tab))
-		if was = a.tab[lo:]; len(was) == 0 && len(b.tab) == 0 {
-			return 0, 0 // nothing materialized on either side
-		}
-		n := len(was)
-		if len(b.tab) > 0 {
-			n = int(old-newStart) + len(b.tab)
-		}
-		tab := make([]vref, n)
-		copy(tab[n-len(b.tab):], b.tab)
-		a.tab, b.tab, now = a.tab[:lo], tab, tab[:len(was)]
-	} else {
-		// Up: b's front goes to a's tail.
-		from, to = b, a
-		if was = b.tab[:min(int(newStart-old), len(b.tab))]; len(was) == 0 {
-			return 0, 0
-		}
-		full := int(old - a.base)
-		tab := make([]vref, full+len(was))
-		copy(tab, a.tab)
-		// b keeps its own array, not the tail of one whose front moved away.
-		a.tab, b.tab, now = tab, slices.Clone(b.tab[len(was):]), tab[full:]
-	}
-	a.tabEntries += cap(a.tab) - capA
-	b.tabEntries += cap(b.tab) - capB
-	var edges uint64
-	for _, r := range was {
-		edges += uint64(r.deg)
-	}
-	// Sized before the runs are placed, as for a batch (mergeRuns). The pages
-	// the moved runs leave retire as any emptied page does; what the receiver
-	// now holds beyond its bound the next publish cleans.
-	to.pub.m = to.m.Load() + edges
-	for i, r := range was {
-		now[i] = to.pub.place(r.deg, tailKept)
-		copy(to.pub.read(now[i]), from.pub.read(r))
-		from.pub.drop(r)
-	}
-	from.subEdges(edges)
-	to.m.Add(edges)
-	return uint32(len(was)), edges
 }
 
 // table returns the shard's table for writing: its own copy, made now if
@@ -314,10 +318,10 @@ type PublishedStats struct {
 	Retired uint64 // pages only older, unrecycled snapshots read
 	Bound   uint64 // what InUse+Free may reach at the latest snapshot's size, its tails and free list counted as full-size pages
 	Cleaned uint64 // entries the cleaner has copied forward, ever
-	Placed  uint64 // entries of all runs written, ever: batches', loads', moves' and the cleaner's
+	Placed  uint64 // entries of all runs written, ever: batches', loads', re-cuts' and the cleaner's
 	// TableCopied counts table entries copied, ever: the whole table on the
-	// first change after a publish (table), and again when it outgrows its
-	// capacity (ensure).
+	// first change after a publish (table), again when it outgrows its
+	// capacity (ensure), and a re-cut's fresh table (Recut).
 	TableCopied uint64
 }
 

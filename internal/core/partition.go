@@ -12,9 +12,9 @@ import (
 // Shard i owns the contiguous vertex range [Starts[i], Starts[i+1]), the
 // last shard open-ended, so a lookup is a binary search over Starts. A
 // Graph's map cuts its Shard handles' ranges and never moves. A Paged keeps
-// no map: its
-// shards own their ranges (Base, End), and Paged.Scatter routes by a map of
-// them built for the batch, so a boundary move changes one layout fact.
+// no map: its shards own their ranges (Base, End), and Paged.Scatter routes
+// by a map of them built for the batch, so a re-cut (Paged.Recut) changes
+// one layout fact.
 type PartitionMap struct {
 	// Starts[i] is the first vertex ID of shard i's range. Starts[0] is
 	// always 0 and the values are strictly increasing, so no shard's range
@@ -66,26 +66,8 @@ func below(a []uint32, x uint64) int {
 	return i + int((uint64(a[i])-x)>>63)
 }
 
-// validateMove checks that moving boundary k of the ranges starting at
-// starts to newStart keeps them strictly increasing and actually moves it.
-func validateMove(starts []uint32, k int, newStart uint32) error {
-	if k < 0 || k+1 >= len(starts) {
-		return fmt.Errorf("core: boundary %d out of range (S=%d)", k, len(starts))
-	}
-	if newStart == starts[k+1] {
-		return ErrNoMove
-	}
-	if newStart <= starts[k] {
-		return fmt.Errorf("core: new start %d would empty shard %d (start %d)", newStart, k, starts[k])
-	}
-	if k+2 < len(starts) && newStart >= starts[k+2] {
-		return fmt.Errorf("core: new start %d would empty shard %d (next start %d)", newStart, k+1, starts[k+2])
-	}
-	return nil
-}
-
-// ErrNoMove is returned by boundary-move operations when newStart equals
-// the current boundary: the map would be unchanged.
+// ErrNoMove is returned by a layout change that would leave every shard's
+// range as it is (Paged.Recut, and the Store's moves built on it).
 var ErrNoMove = fmt.Errorf("core: boundary already at requested start")
 
 // openEnd is the End of the last shard's range: above every vertex ID, so

@@ -30,20 +30,15 @@ func shardOfLinear(starts []uint32, v uint32) int {
 }
 
 // testMaps returns, for S shards, the uniform maps over a small and a large
-// vertex space and maps whose boundaries were moved as a Paged moves them
-// (validateMove), one of them with its last boundary at 2³²−1.
-func testMaps(t testing.TB, S int, r *lcg) []*PartitionMap {
+// vertex space and maps whose boundaries were moved, each inside the window
+// that keeps every range non-empty, one of them with its last boundary at
+// 2³²−1.
+func testMaps(S int, r *lcg) []*PartitionMap {
 	pms := []*PartitionMap{NewUniformMap(uint32(2*S), S), NewUniformMap(1<<20, S)}
 	if S == 1 {
 		return pms
 	}
 	moveTo := func(pm *PartitionMap, k int, newStart uint32) *PartitionMap {
-		if err := validateMove(pm.Starts, k, newStart); err != nil {
-			if !errors.Is(err, ErrNoMove) {
-				t.Fatal(err)
-			}
-			return pm
-		}
 		next := &PartitionMap{Starts: slices.Clone(pm.Starts)}
 		next.Starts[k+1] = newStart
 		return next
@@ -67,7 +62,7 @@ func testMaps(t testing.TB, S int, r *lcg) []*PartitionMap {
 func TestPartitionMapShardOf(t *testing.T) {
 	r := lcg(3)
 	for S := 1; S <= 33; S++ {
-		for _, pm := range testMaps(t, S, &r) {
+		for _, pm := range testMaps(S, &r) {
 			if len(pm.Starts) != S || pm.Starts[0] != 0 {
 				t.Fatalf("S=%d: starts %v", S, pm.Starts)
 			}
@@ -177,7 +172,7 @@ func randomEdges(pm *PartitionMap, n int, r *lcg) (src, dst []uint32) {
 func TestScatterBatchRoutesBySource(t *testing.T) {
 	r := lcg(11)
 	for _, S := range []int{1, 2, 3, 4, 16} {
-		for _, pm := range testMaps(t, S, &r) {
+		for _, pm := range testMaps(S, &r) {
 			for _, n := range []int{0, 1, 100, parPrepMin - 1, parPrepMin, 3 * parPrepMin} {
 				src, dst := randomEdges(pm, n, &r)
 				for _, p := range []int{1, 2, 3, 8} {
@@ -194,7 +189,7 @@ func TestScatterBatchRoutesBySource(t *testing.T) {
 // and the parallel scatter paths.
 func TestScatterBatchRetainedPartAppend(t *testing.T) {
 	r := lcg(13)
-	for _, pm := range testMaps(t, 4, &r) {
+	for _, pm := range testMaps(4, &r) {
 		for _, n := range []int{64, 3 * parPrepMin} {
 			src, dst := randomEdges(pm, n, &r)
 			for _, p := range []int{1, 2, 3, 8} {
@@ -245,9 +240,10 @@ func FuzzScatter(f *testing.F) {
 }
 
 // TestMoveBoundaryDifferential moves the boundaries of a four-shard paged
-// graph down, up, to minimal shards and back, and after every move, and
-// after an update through the moved layout, reads every shard back through
-// Publish against the one-range oracle.
+// graph down, up, to minimal shards and back, one at a time and then all at
+// once, and after every re-cut, and after an update through the moved
+// layout, reads every shard back through Publish against the one-range
+// oracle.
 func TestMoveBoundaryDifferential(t *testing.T) {
 	const n = 200
 	r := lcg(7)
@@ -300,6 +296,19 @@ func TestMoveBoundaryDifferential(t *testing.T) {
 		}
 		check("after churn")
 	}
+	// Re-cuts of every boundary at once: each run whose owner changes moves
+	// once, straight to its new shard, also past the shards between.
+	for _, starts := range [][]uint32{
+		{0, 150, 160, 170}, // shard 0 takes what shards 1 and 2 held
+		{0, 1, 2, 3},       // shard 3 takes everything but three vertices
+		{0, 40, 45, 190},   // all three boundaries at once, both ways
+		{0, 50, 100, 150},  // back to uniform
+	} {
+		if err := tw.recut(starts); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after Recut(%v)", starts))
+	}
 }
 
 // ranges lists the paged graph's shard ranges [Base, End).
@@ -312,29 +321,30 @@ func ranges(g *Paged) [][2]uint64 {
 	return r
 }
 
-// TestMoveBoundaryErrors: a move to the current boundary is ErrNoMove, and
-// one that would empty a shard or names no boundary is refused; none of them
+// TestMoveBoundaryErrors: a re-cut to the current ranges is ErrNoMove, and
+// one whose vector is not a range per shard starting at 0 and strictly
+// ascending — a move that would empty a shard — is refused; none of them
 // changes a shard's range.
 func TestMoveBoundaryErrors(t *testing.T) {
 	g := NewPaged(100, 4, 1)
 	was := ranges(g)
-	if _, _, err := g.MoveBoundary(0, g.Shard(1).Base()); !errors.Is(err, ErrNoMove) {
-		t.Fatalf("no-op move: err = %v, want ErrNoMove", err)
+	if _, _, err := g.Recut(g.starts()); !errors.Is(err, ErrNoMove) {
+		t.Fatalf("no-op re-cut: err = %v, want ErrNoMove", err)
 	}
-	if _, _, err := g.MoveBoundary(0, 0); err == nil {
-		t.Fatal("emptying shard 0 succeeded")
-	}
-	if _, _, err := g.MoveBoundary(0, g.Shard(2).Base()); err == nil {
-		t.Fatal("emptying shard 1 succeeded")
-	}
-	if _, _, err := g.MoveBoundary(3, 80); err == nil {
-		t.Fatal("out-of-range boundary succeeded")
-	}
-	if _, _, err := g.MoveBoundary(-1, 10); err == nil {
-		t.Fatal("negative boundary succeeded")
+	for _, starts := range [][]uint32{
+		{0, 0, 50, 75},      // empties shard 0
+		{0, 50, 50, 75},     // empties shard 1
+		{0, 60, 50, 75},     // descends
+		{1, 25, 50, 75},     // does not start at 0
+		{0, 25, 50},         // too few starts
+		{0, 25, 50, 75, 90}, // too many
+	} {
+		if _, _, err := g.Recut(starts); err == nil || errors.Is(err, ErrNoMove) {
+			t.Fatalf("Recut(%v): err = %v, want a refusal", starts, err)
+		}
 	}
 	if got := ranges(g); !slices.Equal(got, was) {
-		t.Fatalf("failed moves changed the shard ranges %v to %v", was, got)
+		t.Fatalf("failed re-cuts changed the shard ranges %v to %v", was, got)
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)

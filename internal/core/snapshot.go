@@ -66,7 +66,7 @@ const (
 // pageArena is a Paged shard's adjacency storage, which its published
 // snapshots share: pages of pageLen entries (a run longer than that gets a
 // page of exactly its size), written strictly append-only. Only the shard's
-// owner writes — a batch's merge, a load, a boundary move, the cleaner — and
+// owner writes — a batch's merge, a load, a re-cut, the cleaner — and
 // only words no snapshot can reach: the unwritten rest of a tail page or a
 // page off the free list. A page retires when the shard's table stops
 // naming it — its last run was superseded, or the cleaner copied its live

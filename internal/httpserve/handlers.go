@@ -2,12 +2,14 @@ package httpserve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"slices"
 	"strconv"
 	"time"
 
 	"lsgraph"
+	"lsgraph/internal/serve"
 )
 
 // handleHealthz answers 200 {"status":"ok"} while serving and 503
@@ -538,9 +540,9 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 // handleRebalance re-partitions the named graph's vertex space toward
 // equal per-shard edge mass (Store.Rebalance) and returns the move
 // summary plus the resulting partition layout. The call blocks for the
-// duration of the resharding — the writer makes the boundary moves between
-// two batches, so ingest waits for the splices while reads keep flowing —
-// and is admitted through the kernel semaphore, since like a kernel it is a
+// duration of the resharding — the writer re-cuts the shards between two
+// batches, so ingest waits for the re-cut while reads keep flowing — and is
+// admitted through the kernel semaphore, since like a kernel it is a
 // bounded-concurrency heavyweight operation.
 func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
@@ -557,6 +559,11 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	res, err := t.store.Rebalance()
+	if errors.Is(err, serve.ErrClosed) {
+		// Dropped since the lookup: answered as a request arriving now is.
+		writeError(w, http.StatusNotFound, "graph %q not found", t.name)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusConflict, "rebalance: %v", err)
 		return
@@ -573,7 +580,8 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 // recovery must replay. It flushes first so the checkpoint covers every
 // batch accepted before the call. Like rebalance it is admitted through
 // the kernel semaphore: snapshot serialization is a bounded-concurrency
-// heavyweight, not a query. 409 on an in-memory graph.
+// heavyweight, not a query. 409 on an in-memory graph; 404, as for ingest,
+// when the graph was dropped after the lookup.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
@@ -594,7 +602,12 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	start := time.Now()
 	t.store.Flush()
-	if err := t.store.Checkpoint(); err != nil {
+	err = t.store.Checkpoint()
+	if errors.Is(err, serve.ErrClosed) {
+		writeError(w, http.StatusNotFound, "graph %q not found", t.name)
+		return
+	}
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

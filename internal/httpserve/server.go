@@ -66,7 +66,7 @@ type Config struct {
 	MaxBodyBytes int64
 	// DefaultAutoRebalance is the auto-rebalance skew threshold for graphs
 	// created without an explicit one (lsgraph.WithAutoRebalance). Zero,
-	// the default, leaves background rebalancing off; the explicit
+	// the default, leaves automatic rebalancing off; the explicit
 	// rebalance endpoint works either way.
 	DefaultAutoRebalance float64
 	// DataDir, when set, makes every graph durable: graph g's write-ahead
@@ -116,8 +116,8 @@ type GraphConfig struct {
 	// MaxQueue is the store's queue bound in batches
 	// (lsgraph.WithMaxQueue).
 	MaxQueue int `json:"max_queue,omitempty"`
-	// AutoRebalance is the background skew threshold
-	// (lsgraph.WithAutoRebalance); 0 disables the watcher.
+	// AutoRebalance is the skew threshold the store's writer rebalances at
+	// (lsgraph.WithAutoRebalance); 0 disables the check.
 	AutoRebalance float64 `json:"auto_rebalance,omitempty"`
 	// MaxVertices bounds the vertex IDs ingest accepts: a batch naming an
 	// ID at or above it is refused with 422 before the store reserves

@@ -680,6 +680,31 @@ func (b *gatedBody) Read(p []byte) (int, error) {
 	return b.Reader.Read(p)
 }
 
+// TestLayoutCallsOnGraphDroppedMidRequest: a graph dropped between a
+// rebalance's or a checkpoint's lookup and its call — found, its store
+// already closed, the state DropGraph leaves a handler in when it lands
+// after the lookup — answers 404, as ingest does and as a request arriving
+// after the drop would, not 409 or 500.
+func TestLayoutCallsOnGraphDroppedMidRequest(t *testing.T) {
+	srv, err := Open(Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	if _, _, err := srv.CreateGraph("g", GraphConfig{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	srv.store("g").Close()
+	for _, route := range []string{"rebalance", "checkpoint"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/graphs/g/"+route, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s of a graph dropped mid-request: status %d (%s), want 404", route, rec.Code, rec.Body)
+		}
+	}
+}
+
 // TestIngestIntoGraphDroppedMidRequest: DELETE /graphs/{g} while a POST to
 // its edges is between lookup and enqueue closes the store under the handler,
 // and the store used to panic there — the client saw its connection reset.

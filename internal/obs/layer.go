@@ -34,7 +34,7 @@ var phases = [numPhases]struct{ name, help string }{
 	PhaseApply:     {"apply", "the workers taking the ranges through sort, dedup, grouping and apply"},
 	PhasePublish:   {"publish", "sealing a shard's table as its next snapshot"},
 	PhaseReclaim:   {"reclaim", "recycling retired snapshots whose epoch drained"},
-	PhaseRebalance: {"rebalance", "one boundary move or rebalance on the writer: its splices, one republish of each touched shard, the epoch install"},
+	PhaseRebalance: {"rebalance", "one layout re-cut on the writer — a boundary move, a Rebalance, or the auto-rebalancer's after an apply: the runs that change shard copied once, one republish of each changed shard, the epoch install"},
 	PhaseKernel:    {"kernel", "one analytics kernel run; the kernel label names it"},
 	PhaseViewPin:   {"viewpin", "a view's lifetime, pin to release; long pins delay snapshot reclamation"},
 }

@@ -59,13 +59,13 @@ func init() {
 		index      string
 		read       func(*Store, []uint64) []uint64
 	}{
-		{"lsgraph_store_queue_depth", "entries queued for the writer goroutine: batches, flush sentinels and boundary moves",
+		{"lsgraph_store_queue_depth", "entries queued for the writer goroutine: batches, flush sentinels and layout changes",
 			false, "", stat(func(st *Stats) uint64 { return uint64(st.QueueDepth) })},
 		{"lsgraph_store_publish_lag", "batches between the newest epoch and the oldest one still pinned",
 			false, "", one(func(s *Store) uint64 { return s.stats.lag.Load() })},
 		{"lsgraph_store_arena_bytes", "resident adjacency pages of one shard's published arena: in use, free and retired, in bytes",
 			false, "shard", perShard(func(s *Store, i int) uint64 { return s.shards[i].pages.Load() })},
-		{"lsgraph_store_partition_epoch", "partition epoch: boundary moves installed so far, one per move however many a rebalance makes",
+		{"lsgraph_store_partition_epoch", "partition epoch: boundaries changed so far, summed over the installed re-cuts",
 			false, "", one(func(s *Store) uint64 { return s.cur.Load().moves })},
 		{"lsgraph_store_shard_batches_applied_total", "batch parts applied to each shard; a batch counts once in every shard it touched",
 			true, "shard", perShard(func(s *Store, i int) uint64 { return s.shards[i].applied.Load() })},
@@ -77,11 +77,11 @@ func init() {
 			true, "", stat(func(st *Stats) uint64 { return st.SnapshotsReclaimed })},
 		{"lsgraph_store_arena_cleaned_entries_total", "adjacency entries publishes copied forward out of their emptiest arena pages",
 			true, "", stat(func(st *Stats) uint64 { return st.ArenaCleanedEntries })},
-		{"lsgraph_store_rebalance_total", "completed Rebalance calls that performed at least one boundary move",
+		{"lsgraph_store_rebalance_total", "rebalances, called or automatic, that changed at least one boundary",
 			true, "", stat(func(st *Stats) uint64 { return st.Rebalances })},
-		{"lsgraph_store_rebalance_moved_vertices_total", "materialized vertices that changed shard during boundary moves",
+		{"lsgraph_store_rebalance_moved_vertices_total", "materialized vertices that changed shard, each once per re-cut",
 			true, "", stat(func(st *Stats) uint64 { return st.MovedVertices })},
-		{"lsgraph_store_rebalance_moved_edges_total", "directed edges that changed shard during boundary moves",
+		{"lsgraph_store_rebalance_moved_edges_total", "directed edges that changed shard, each once per re-cut",
 			true, "", stat(func(st *Stats) uint64 { return st.MovedEdges })},
 		{"lsgraph_wal_records_total", "batch records appended to the write-ahead log",
 			true, "", stat(func(st *Stats) uint64 { return st.WALRecords })},

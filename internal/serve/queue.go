@@ -11,9 +11,9 @@ import (
 )
 
 // Entries of the Store's queue. opFlush is a sentinel whose position in
-// the queue marks a Flush call's happens-after point. opMove is a boundary
-// move, which the writer runs between the batches around it
-// (rebalance.go).
+// the queue marks a Flush call's happens-after point. opMove is a layout
+// change — a boundary move or a Rebalance — which the writer runs between
+// the batches around it (rebalance.go).
 const (
 	opInsert = iota
 	opDelete
@@ -22,7 +22,7 @@ const (
 )
 
 // pending is one queue entry: an update batch, a flush sentinel, or a
-// boundary move. src and dst are the batch as enqueued, in one allocation
+// layout change. src and dst are the batch as enqueued, in one allocation
 // the Store owns, so the caller may reuse its buffers immediately; the
 // writer routes it to the shards when it applies it. bound is the
 // vertex-space size the batch requires (1 + max referenced ID); the writer
@@ -38,7 +38,7 @@ type pending struct {
 	merged []stamp       // the batches absorbed after the first, those with a stamp
 	lsn    uint64        // highest WAL LSN this entry covers (0 when durability is off)
 	done   chan struct{} // flush sentinel only
-	move   *moveOp       // boundary move only
+	move   *moveOp       // layout change only
 }
 
 // stamp is what an enqueued batch's enqueue-to-publish measurement needs
@@ -300,7 +300,7 @@ func (s *Store) Flush() {
 func (s *Store) Saturated() bool { return s.depth() >= s.opt.MaxQueue }
 
 // depth is the number of entries in the queue, Flush sentinels and
-// boundary moves included.
+// layout changes included.
 func (s *Store) depth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

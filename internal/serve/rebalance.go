@@ -1,21 +1,24 @@
-// Live skew-aware resharding: boundary moves between adjacent shards,
-// run by the writer between two batches and published as an epoch like
-// any other, with no stop-the-world for readers.
+// Live skew-aware resharding: a layout change is one re-cut of the shards'
+// ranges, run by the writer between two batches and published as an epoch
+// like any other, with no stop-the-world for readers.
 //
-// A move is a writer step. MoveBoundary and Rebalance queue one entry and
-// wait for it; the writer runs it in queue order, so every batch ahead of it
-// applies by the layout before the move and every batch behind it by the
-// layout after: the writer routes each batch by the shards' own ranges when
-// it applies it, and no other goroutine keeps a copy of them. The entry
-// moves the transferred vertices' table entries, and their runs from the
-// donor's page arena to the receiver's (core.Paged.MoveBoundary, which also
-// refuses a move that would empty a shard; safe because the writer is the
-// only goroutine that touches the shards and readers only touch snapshots,
-// whose tables and pages it does not write). A Rebalance computes its
-// equal-mass targets from the current epoch and makes all of its moves in
-// one entry. Either way each touched shard publishes once — its snapshot
-// stamped with its new range — and the writer installs one epoch. Ingest
-// waits for the splice; readers do not.
+// MoveBoundary and Rebalance queue one entry and wait for it; the writer
+// runs it in queue order, so every batch ahead of it applies by the layout
+// before the change and every batch behind it by the layout after: the
+// writer routes each batch by the shards' own ranges when it applies it,
+// and no other goroutine keeps a copy of them. The entry re-cuts the shards
+// to a vector of range starts — the current one with one start changed
+// (MoveBoundary), or the equal-mass starts the writer computes from the
+// current epoch (Rebalance). The re-cut copies each run whose owner changes
+// once, from its old shard's page arena to its new shard's
+// (core.Paged.Recut, which also refuses a vector that would empty a shard;
+// safe because the writer is the only goroutine that touches the shards and
+// readers only touch snapshots, whose tables and pages it does not write).
+// Each shard whose range changed publishes once — its snapshot stamped with
+// its new range — and the writer installs one epoch. Ingest waits for the
+// re-cut; readers do not. With Options.AutoRebalance set, the writer runs
+// Rebalance's re-cut itself after an apply that finds the routed load
+// skewed (autoCheck); there is no other goroutine.
 package serve
 
 import (
@@ -23,6 +26,7 @@ import (
 	"sort"
 	"time"
 
+	"lsgraph/internal/core"
 	"lsgraph/internal/obs"
 )
 
@@ -40,8 +44,8 @@ type moveOp struct {
 }
 
 // testHookRebalanceExecute, when non-nil, runs on the writer goroutine
-// immediately before a layout change's first splice. Tests block in it to
-// assert that readers keep making progress mid-rebalance.
+// immediately before a layout change's re-cut. Tests block in it to assert
+// that readers keep making progress mid-rebalance.
 var testHookRebalanceExecute func()
 
 // MoveBoundary moves the partition boundary between shards k and k+1 to
@@ -52,8 +56,11 @@ var testHookRebalanceExecute func()
 // or a move that would empty a shard) with the layout unchanged. Readers
 // proceed throughout. Returns the moved materialized vertex and edge
 // counts. Safe to call from any goroutine; concurrent calls run in queue
-// order.
+// order. On a closed Store it returns ErrClosed.
 func (s *Store) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEdges uint64, err error) {
+	if k < 0 || k+1 >= len(s.shards) {
+		return 0, 0, fmt.Errorf("serve: boundary %d out of range (S=%d)", k, len(s.shards))
+	}
 	op := &moveOp{k: k, newStart: newStart}
 	if err := s.runMove(op); err != nil {
 		return 0, 0, err
@@ -67,7 +74,7 @@ func (s *Store) runMove(op *moveOp) error {
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
-		return fmt.Errorf("serve: boundary move on closed Store")
+		return ErrClosed
 	}
 	s.queue = append(s.queue, pending{op: opMove, move: op})
 	s.mu.Unlock()
@@ -76,68 +83,51 @@ func (s *Store) runMove(op *moveOp) error {
 	return op.err
 }
 
-// move runs a queued layout change: its splices, then one publish of every
-// shard they touched, in one epoch. A refused move changes nothing. Writer
+// move runs a layout change: one re-cut, then one publish of every shard
+// whose range it changed, in one epoch. A refused re-cut changes nothing,
+// and a Rebalance that finds the layout balanced is no error. Writer
 // goroutine only.
 func (s *Store) move(op *moveOp) {
-	defer close(op.done)
 	sp := obs.PhaseRebalance.Begin()
 	if testHookRebalanceExecute != nil {
 		testHookRebalanceExecute()
 	}
 	res, old := &op.res, s.cur.Load()
-	touched := make([]bool, len(s.shards))
-	step := func(k int, newStart uint32) error {
-		mv, me, err := s.g.MoveBoundary(k, newStart)
-		if err != nil {
-			return err
-		}
-		touched[k], touched[k+1] = true, true
-		res.Moves++
-		res.MovedVertices += uint64(mv)
-		res.MovedEdges += me
-		return nil
+	res.MapEpoch, res.SkewPctBefore = old.moves, epochSkewPct(old)
+	res.SkewPctAfter = res.SkewPctBefore
+	starts := make([]uint32, len(old.shards))
+	for i, p := range old.shards {
+		starts[i] = p.lo
 	}
-	if !op.rebalance {
-		op.err = step(op.k, op.newStart)
+	if op.rebalance {
+		if starts = targetStarts(old); starts == nil {
+			return
+		}
 	} else {
-		res.SkewPctBefore = epochSkewPct(old)
-		// A target may be momentarily unreachable because a neighboring
-		// boundary has not moved yet (every shard must stay non-empty), so
-		// sweep up to a few times, clamping each move to the currently
-		// legal window; every sweep strictly shrinks the remaining distance,
-		// and two sweeps suffice for any monotone target vector
-		// (left-to-right then right-to-left).
-		targets := targetBoundaries(old)
-	sweeps:
-		for sweep := 0; targets != nil && sweep < 3; sweep++ {
-			before := res.Moves
-			for k, t := range targets {
-				if want := s.clampBoundary(k, t); want != s.shards[k+1].shard.Base() {
-					if op.err = step(k, want); op.err != nil {
-						break sweeps
-					}
-				}
-			}
-			if res.Moves == before {
-				break
-			}
-		}
+		starts[op.k+1] = op.newStart
 	}
-	res.MapEpoch, res.SkewPctAfter = old.moves, res.SkewPctBefore
-	if res.Moves == 0 {
+	mv, me, err := s.g.Recut(starts)
+	if err != nil {
+		if !op.rebalance || err != core.ErrNoMove {
+			op.err = err
+		}
 		return
 	}
-	// The moves shifted slots and bases in the shards' own tables; views
-	// pinned on the old layout keep the old tables and pages.
+	// The re-cut gave the changed shards fresh tables over their new
+	// ranges; views pinned on the old layout keep the old tables and pages.
 	e := s.successor(0, 0)
-	e.moves += uint64(res.Moves)
-	for i, t := range touched {
-		if t {
+	for i, p := range old.shards {
+		sh := s.shards[i].shard
+		if sh.Base() != p.lo || sh.End() != p.hi {
 			e.shards[i] = s.publish(i, 0, e.batches)
 		}
+		if sh.Base() != p.lo {
+			res.Moves++
+		}
 	}
+	e.moves += uint64(res.Moves)
 	s.install(e)
+	res.MovedVertices, res.MovedEdges = uint64(mv), me
 	res.MapEpoch, res.SkewPctAfter = e.moves, epochSkewPct(e)
 	if op.rebalance {
 		s.rebStats.rebalances.Add(1)
@@ -147,36 +137,21 @@ func (s *Store) move(op *moveOp) {
 	sp.End(-1, 0, e.moves, res.MovedEdges)
 }
 
-// clampBoundary clamps a target for boundary k into the window that keeps
-// every shard non-empty: strictly between the current starts of shards k
-// and k+2. Writer goroutine only.
-func (s *Store) clampBoundary(k int, want uint32) uint32 {
-	if lo := s.shards[k].shard.Base(); want <= lo {
-		want = lo + 1
-	}
-	if k+2 < len(s.shards) {
-		if hi := s.shards[k+2].shard.Base(); want >= hi {
-			want = hi - 1
-		}
-	}
-	return want
-}
-
 // RebalanceResult summarizes one Rebalance call.
 type RebalanceResult struct {
-	// Moves is the number of boundary moves performed (0 when the layout
-	// was already balanced or S == 1).
+	// Moves is the number of boundaries the call's re-cut changed (0 when
+	// the layout was already balanced or S == 1).
 	Moves int `json:"moves"`
-	// MovedVertices and MovedEdges total the materialized vertices and
-	// directed edges that changed owner.
+	// MovedVertices and MovedEdges count the materialized vertices and
+	// directed edges that changed owner, each once.
 	MovedVertices uint64 `json:"moved_vertices"`
 	MovedEdges    uint64 `json:"moved_edges"`
 	// SkewPctBefore and SkewPctAfter are the per-shard edge-mass skew gauge
-	// — (max/fair - 1) * 100 — of the epochs before and after the moves.
+	// — (max/fair - 1) * 100 — of the epochs before and after the re-cut.
 	SkewPctBefore float64 `json:"skew_pct_before"`
 	SkewPctAfter  float64 `json:"skew_pct_after"`
-	// MapEpoch is the partition epoch after the call: the boundary moves
-	// installed so far (PartitionInfo.Epoch).
+	// MapEpoch is the partition epoch after the call: the boundaries changed
+	// so far (PartitionInfo.Epoch).
 	MapEpoch uint64 `json:"map_epoch"`
 	// Duration is the wall time of the whole call, including waiting for
 	// the writer to reach the call's entry. It marshals as nanoseconds.
@@ -184,11 +159,11 @@ type RebalanceResult struct {
 }
 
 // Rebalance re-equalizes per-shard edge mass: the writer, between two
-// batches, computes from the current epoch the boundary positions that
-// split the total edge mass evenly, makes the adjacent boundary moves that
-// reach them, and installs the result as one epoch (readers never pause).
-// It is a no-op for S == 1 or an already-even layout. Concurrent
-// Rebalance/MoveBoundary calls run in queue order.
+// batches, computes from the current epoch the range starts that split the
+// total edge mass evenly, re-cuts the shards to them, and installs the
+// result as one epoch (readers never pause). It is a no-op for S == 1 or an
+// already-even layout. Concurrent Rebalance/MoveBoundary calls run in queue
+// order. On a closed Store it returns ErrClosed.
 func (s *Store) Rebalance() (RebalanceResult, error) {
 	start := time.Now()
 	op := &moveOp{rebalance: true}
@@ -203,16 +178,16 @@ func epochSkewPct(e *epoch) float64 {
 	return skewPct(len(es), func(i int) uint64 { return es[i].snap.NumEdges() })
 }
 
-// targetBoundaries computes, from an epoch, the boundary vertex IDs that
-// split its total edge mass into equal per-shard shares: result[k] is the
-// ideal new start of shard k+1. Returns nil when the layout is already
-// exact, has one shard, or holds no edges (nothing to balance by;
-// boundaries would collapse arbitrarily).
-func targetBoundaries(e *epoch) []uint32 {
+// targetStarts computes, from an epoch, the range starts that split its
+// total edge mass into equal per-shard shares: result[k] is the ideal
+// first vertex of shard k, nudged apart where they collapse so every shard
+// keeps one. Returns nil when the layout has one shard or holds no edges
+// (nothing to balance by); the current starts when it is already exact,
+// which the re-cut refuses as no move.
+func targetStarts(e *epoch) []uint32 {
 	es := e.shards
 	S := len(es)
-	total := e.m
-	if total == 0 || S == 1 {
+	if e.m == 0 || S == 1 {
 		return nil
 	}
 	// prefix(g) = edge mass of vertices [0, g): per-shard snapshot offsets
@@ -221,83 +196,41 @@ func targetBoundaries(e *epoch) []uint32 {
 	for i, e := range es {
 		cum[i+1] = cum[i] + e.snap.NumEdges()
 	}
-	targets := make([]uint32, S-1)
-	exact := true
-	for k := 0; k < S-1; k++ {
-		want := total * uint64(k+1) / uint64(S)
-		// Find the shard whose mass range contains want, then walk its
+	starts := make([]uint32, S)
+	for k := 1; k < S; k++ {
+		want := e.m * uint64(k) / uint64(S)
+		// Find the first shard whose mass range reaches want, then walk its
 		// snapshot's degrees to the local cut.
-		i := sort.Search(S, func(j int) bool { return cum[j+1] >= want }) // first shard reaching want
-		if i == S {
-			i = S - 1
-		}
-		p := es[i]
-		local := want - cum[i]
-		targets[k] = p.lo + p.snap.VertexAtEdge(local)
-		if targets[k] != es[k+1].lo {
-			exact = false
-		}
+		i := min(sort.Search(S, func(j int) bool { return cum[j+1] >= want }), S-1)
+		starts[k] = max(es[i].lo+es[i].snap.VertexAtEdge(want-cum[i]), starts[k-1]+1)
 	}
-	// Boundaries must be strictly increasing and leave every shard
-	// non-empty; nudge collapsed targets apart.
-	prev := uint32(0)
-	for k := range targets {
-		if targets[k] <= prev {
-			targets[k] = prev + 1
-		}
-		prev = targets[k]
-	}
-	if exact {
-		return nil
-	}
-	return targets
+	return starts
 }
 
-// autoInterval is how often the auto-rebalancer checks the skew. Tests
-// lower it before they start a Store.
+// autoInterval is the least time between two of the writer's skew checks
+// (autoCheck). Tests set it before they start a Store.
 var autoInterval = time.Second
 
-// autoRebalance is the background rebalancer goroutine: every
-// autoInterval it measures the per-shard skew from the always-on
-// routed-edge counters (falling back to stored edge mass when no traffic
-// has been routed since the last check) and triggers a full Rebalance when
-// the heaviest shard exceeds AutoRebalance times its fair share.
-func (s *Store) autoRebalance() {
-	defer close(s.autoDone)
-	ticker := time.NewTicker(autoInterval)
-	defer ticker.Stop()
-	last, load := make([]uint64, len(s.routed)), make([]uint64, len(s.routed))
-	for {
-		select {
-		case <-s.autoStop:
-			return
-		case <-ticker.C:
-		}
-		// Routed-edge deltas since the last tick: the live load signal.
-		var total uint64
-		for i := range s.routed {
-			cur := s.routed[i].Load()
-			load[i], last[i] = cur-last[i], cur
-			total += load[i]
-		}
-		if total == 0 {
-			// No ingest since last tick: fall back to stored edge mass so a
-			// skewed-at-rest store still converges.
-			v := s.View()
-			for i, e := range v.e.shards {
-				load[i] = e.snap.NumEdges()
-				total += load[i]
-			}
-			v.Release()
-		}
-		skew := skewPct(len(load), func(i int) uint64 { return load[i] })
-		if total == 0 || skew < (s.opt.AutoRebalance-1)*100 {
-			continue
-		}
-		if _, err := s.Rebalance(); err != nil {
-			// A move can fail only against a closing store; stop quietly.
-			return
-		}
+// autoCheck runs after every apply of a Store with Options.AutoRebalance
+// set and more than one shard. At most once per autoInterval — the first
+// apply always — it reads how many edges the writer routed to each shard
+// since the last check and, when the heaviest shard took more than
+// AutoRebalance times its fair share, runs Rebalance's re-cut inline. Skew
+// costs only applies, so a store that takes no batches keeps its layout.
+// Writer goroutine only.
+func (s *Store) autoCheck() {
+	now := obs.Now()
+	if now < s.auto.next {
+		return
+	}
+	s.auto.next = now + int64(autoInterval)
+	seen := s.auto.seen
+	skew := skewPct(len(seen), func(i int) uint64 { return s.routed[i].Load() - seen[i] })
+	for i := range seen {
+		seen[i] = s.routed[i].Load()
+	}
+	if skew > 0 && skew >= (s.opt.AutoRebalance-1)*100 {
+		s.move(&moveOp{rebalance: true})
 	}
 }
 
@@ -305,8 +238,9 @@ func (s *Store) autoRebalance() {
 // layout, for introspection endpoints and tests.
 type PartitionInfo struct {
 	// Epoch is the partition epoch (0 = the layout the Store started
-	// with): the number of boundary moves installed so far, read from the
-	// same pinned epoch as Starts and Edges.
+	// with): the number of boundaries changed so far, summed over the
+	// installed re-cuts, read from the same pinned epoch as Starts and
+	// Edges.
 	Epoch uint64 `json:"epoch"`
 	// Starts[i] is the first vertex ID of shard i's pinned range.
 	Starts []uint32 `json:"starts"`

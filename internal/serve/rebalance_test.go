@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -162,9 +164,9 @@ func TestPinnedViewSurvivesRebalance(t *testing.T) {
 }
 
 // TestRebalanceZeroStopTheWorld holds a boundary move mid-execution (the
-// writer parked before the splice) and asserts that readers keep making
+// writer parked before the re-cut) and asserts that readers keep making
 // progress throughout: Views pin the epoch before the move and read it
-// whole, and point reads answer. Ingest waits for the splice; readers
+// whole, and point reads answer. Ingest waits for the re-cut; readers
 // never do.
 func TestRebalanceZeroStopTheWorld(t *testing.T) {
 	st := skewedStore(t, 4096, 4, 20000)
@@ -190,7 +192,7 @@ func TestRebalanceZeroStopTheWorld(t *testing.T) {
 		_, _, err := st.MoveBoundary(0, cut)
 		moveDone <- err
 	}()
-	<-entered // the writer is parked at the move, splice not yet begun
+	<-entered // the writer is parked at the move, re-cut not yet begun
 
 	// Readers make progress: views acquire and read without blocking.
 	for i := 0; i < 3; i++ {
@@ -317,42 +319,141 @@ func TestRebalanceUnderLiveTraffic(t *testing.T) {
 	}
 }
 
-// stop flag needs atomic across goroutines; declared here to keep the
-// test self-contained.
+// TestAutoRebalance: a Store with AutoRebalance set starts no goroutine
+// but its writer, which checks the routed skew after its first apply and
+// re-cuts a skewed layout before it takes the next entry — the Flush behind
+// the batch returns on the rebalanced layout — and checks again only once
+// autoInterval has passed: a batch skewed the other way right after leaves
+// the layout as it is.
 func TestAutoRebalance(t *testing.T) {
-	autoInterval = 10 * time.Millisecond
+	autoInterval = time.Hour
 	defer func() { autoInterval = time.Second }()
+	before := runtime.NumGoroutine()
 	st := New(core.NewPaged(4096, 4, 2), Options{AutoRebalance: 1.3})
 	defer st.Close()
+	if got := runtime.NumGoroutine() - before; got > 1 {
+		t.Fatalf("New started %d goroutines, want the writer alone", got)
+	}
 
-	z := gen.NewZipf(4096, 1.1, 99)
-	src, dst := z.Batch(30000)
+	src, dst := gen.NewZipf(4096, 1.1, 99).Batch(30000)
 	st.InsertBatch(src, dst)
 	st.Flush()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st.Stats().BoundaryMoves > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st.Stats().BoundaryMoves == 0 {
-		t.Fatal("auto-rebalancer never moved a boundary on a skewed store")
-	}
-	// Let it converge, then confirm the layout is no longer heavily skewed.
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st.Partition().SkewPct < 30 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	if s := st.Stats(); s.Rebalances != 1 || s.BoundaryMoves == 0 {
+		t.Fatalf("after a skewed batch: %d rebalances, %d boundary moves; want the first apply to rebalance", s.Rebalances, s.BoundaryMoves)
 	}
 	if sk := st.Partition().SkewPct; sk >= 30 {
 		t.Fatalf("auto-rebalance left skew at %.1f%%", sk)
 	}
+	p := st.Partition()
+	for i := range src {
+		src[i] = 4095 - src[i]
+	}
+	st.InsertBatch(src, dst)
+	st.Flush()
+	if s, q := st.Stats(), st.Partition(); s.Rebalances != 1 || !slices.Equal(q.Starts, p.Starts) {
+		t.Fatalf("a batch inside the interval: %d rebalances, starts %v -> %v; want no check", s.Rebalances, p.Starts, q.Starts)
+	}
 }
 
+// TestLayoutChangeOnClosedStore: MoveBoundary and Rebalance on a closed
+// Store return ErrClosed, as Enqueue does.
+func TestLayoutChangeOnClosedStore(t *testing.T) {
+	st := New(core.NewPaged(100, 2, 2), Options{})
+	st.Close()
+	if _, _, err := st.MoveBoundary(0, 30); !errors.Is(err, ErrClosed) {
+		t.Fatalf("MoveBoundary on a closed Store: %v, want ErrClosed", err)
+	}
+	if _, err := st.Rebalance(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Rebalance on a closed Store: %v, want ErrClosed", err)
+	}
+}
+
+// TestRebalanceMovesEachRunOnce rebalances Zipf-skewed stores of four and
+// eight shards, skewed toward low IDs and toward high ones. A Rebalance is
+// one re-cut, so the edges it reports moved are exactly the oracle's whose
+// source changed owner, each counted once however many boundaries lie
+// between its old shard and its new one. The same re-cut of a bare paged
+// graph of the same edges writes exactly those runs: the shards' Placed
+// grows by that count and no more.
+func TestRebalanceMovesEachRunOnce(t *testing.T) {
+	const n, edges = 4096, 30000
+	for _, S := range []int{4, 8} {
+		for _, high := range []bool{false, true} {
+			t.Run(fmt.Sprintf("S=%d/high=%v", S, high), func(t *testing.T) {
+				src, dst := gen.NewZipf(n, 1.1, 42).Batch(edges)
+				if high {
+					for i := range src {
+						src[i] = n - 1 - src[i]
+					}
+				}
+				st := New(core.NewPaged(n, S, 2), Options{})
+				defer st.Close()
+				st.InsertBatch(src, dst)
+				st.Flush()
+				before := st.Partition()
+				res, err := st.Rebalance()
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := st.Partition()
+				oracle := core.NewFromEdges(n, src, dst, core.Config{})
+				verts, want := ownerChanges(oracle, before.Starts, after.Starts)
+				if want == 0 {
+					t.Fatal("the rebalance moved no edge; the store is not skewed enough to test")
+				}
+				if res.MovedEdges != want || res.MovedVertices != verts {
+					t.Fatalf("Rebalance moved %d edges of %d vertices, %d edges of %d vertices changed owner",
+						res.MovedEdges, res.MovedVertices, want, verts)
+				}
+				changed := 0
+				for k := range after.Starts {
+					if after.Starts[k] != before.Starts[k] {
+						changed++
+					}
+				}
+				if s := st.Stats(); res.Moves != changed || s.BoundaryMoves != uint64(changed) || s.MovedEdges != want {
+					t.Fatalf("result %d moves, stats %d boundary moves and %d moved edges; %d boundaries changed, %d edges",
+						res.Moves, s.BoundaryMoves, s.MovedEdges, changed, want)
+				}
+
+				g := pagedFromEdges(n, src, dst, S)
+				placed := func() (p uint64) {
+					for i := 0; i < S; i++ {
+						p += g.Shard(i).Published().Placed
+					}
+					return p
+				}
+				was := placed()
+				if _, me, err := g.Recut(after.Starts); err != nil || me != want {
+					t.Fatalf("core Recut(%v): %d edges moved, err %v; want %d", after.Starts, me, err, want)
+				}
+				if got := placed() - was; got != want {
+					t.Fatalf("core Recut(%v) placed %d entries for %d edges that changed owner", after.Starts, got, want)
+				}
+				if err := g.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// ownerChanges counts the vertices of ref, and their edges, that the ranges
+// starting at was and at now give to different shards.
+func ownerChanges(ref *core.Graph, was, now []uint32) (verts, edges uint64) {
+	a, b := &core.PartitionMap{Starts: was}, &core.PartitionMap{Starts: now}
+	for v := uint32(0); v < ref.NumVertices(); v++ {
+		if a.ShardOf(v) != b.ShardOf(v) {
+			verts++
+			edges += uint64(ref.Degree(v))
+		}
+	}
+	return verts, edges
+}
+
+// TestMoveBoundaryOnStore: a move to the current boundary is ErrNoMove, a
+// boundary index the Store does not have is refused, and a move counts the
+// materialized vertices and edges that changed shard.
 func TestMoveBoundaryOnStore(t *testing.T) {
 	st := New(core.NewPaged(100, 2, 2), Options{})
 	defer st.Close()
@@ -361,6 +462,11 @@ func TestMoveBoundaryOnStore(t *testing.T) {
 
 	if _, _, err := st.MoveBoundary(0, 50); err != core.ErrNoMove {
 		t.Fatalf("no-op move: %v, want ErrNoMove", err)
+	}
+	for _, k := range []int{-1, 1} {
+		if _, _, err := st.MoveBoundary(k, 30); err == nil {
+			t.Fatalf("MoveBoundary(%d, 30) of a two-shard Store succeeded", k)
+		}
 	}
 	mv, me, err := st.MoveBoundary(0, 30)
 	if err != nil {
@@ -382,10 +488,10 @@ func TestMoveBoundaryOnStore(t *testing.T) {
 	}
 }
 
-// TestRebalanceInstallsOneEpoch rebalances a skewed four-shard Store into
-// several boundary moves: the writer makes them as one step, so each shard
-// they touch publishes once and one epoch holds them all — not two
-// snapshots and an epoch per move.
+// TestRebalanceInstallsOneEpoch rebalances a skewed four-shard Store so
+// that several boundaries change: the writer re-cuts them as one step, so
+// each shard whose range changed publishes once and one epoch holds them
+// all — not two snapshots and an epoch per boundary.
 func TestRebalanceInstallsOneEpoch(t *testing.T) {
 	st := skewedStore(t, 4096, 4, 30000)
 	defer st.Close()
@@ -479,7 +585,7 @@ func TestIllegalMoveRefusedOnWriter(t *testing.T) {
 
 // TestPartitionEpochCountsInstalledMoves moves a boundary back and forth
 // and reads Partition while each move is parked on the writer before its
-// splice, and after it: the partition epoch comes from the same pin as the
+// re-cut, and after it: the partition epoch comes from the same pin as the
 // layout, so it always equals Stats().BoundaryMoves and counts the moves of
 // the layout shown — never one ahead of it. After each move, a batch with
 // a source on each side of the new boundary lands in the shards of the new

@@ -67,16 +67,19 @@
 //
 // Dynamic partitioning: the paged shards' own ranges [Base, End) are the
 // only layout fact, and only the writer reads or changes them. It routes
-// each batch by them when it applies it, and a boundary move (Rebalance /
-// MoveBoundary, rebalance.go) is a queue entry it runs between the batches
-// around it: it moves the transferred vertices' table entries and runs from
-// one shard to the other (core.Paged.MoveBoundary, which refuses a move
-// that would empty a shard), republishes each shard it touched, and
-// installs the next epoch like any other. So every batch ahead of the entry
-// is routed by the layout before it and every batch behind it by the layout
-// after. Every epoch records each shard's range and the number of moves
-// installed so far (the partition epoch), so readers consult neither the
-// shards nor any map. Views pinned before a move keep reading the old
+// each batch by them when it applies it, and a layout change (Rebalance /
+// MoveBoundary, rebalance.go) is one re-cut it runs between the batches
+// around it: it gives every shard whose range changed a fresh table, copies
+// each run whose owner changed once, from its old shard to its new one
+// (core.Paged.Recut, which refuses a cut that would empty a shard),
+// republishes each changed shard, and installs the next epoch like any
+// other. MoveBoundary and Rebalance queue their change as an entry; the
+// auto-rebalancer's runs on the writer right after an apply. So every
+// batch ahead of a change is routed by the layout before it and every
+// batch behind it by the layout after.
+// Every epoch records each shard's range and the number of boundaries
+// changed so far (the partition epoch), so readers consult neither the
+// shards nor any map. Views pinned before a change keep reading the old
 // layout until released; readers never wait.
 //
 // Vertex-space growth: enqueue computes the batch's required bound
@@ -107,12 +110,13 @@ type Options struct {
 	// back) instead of growing the queue; callers are never blocked.
 	// Default 64.
 	MaxQueue int
-	// AutoRebalance, when > 0, starts a background rebalancer goroutine
-	// that watches the per-shard routed-edge counters and triggers
-	// Rebalance whenever the heaviest shard's load exceeds AutoRebalance
-	// times its fair share (so 1.5 means "act at 50% over fair"). 0
-	// disables automatic rebalancing; Rebalance can still be called
-	// explicitly. The rebalancer checks the skew once a second.
+	// AutoRebalance, when > 0, has the writer check the skew after an
+	// apply, at most once a second: when the heaviest shard took more than
+	// AutoRebalance times its fair share of the edges routed since the last
+	// check (so 1.5 means "act at 50% over fair"), it runs Rebalance's
+	// re-cut inline. No goroutine is added, and a store that takes no
+	// batches keeps its layout. 0 disables automatic rebalancing; Rebalance
+	// can still be called explicitly.
 	AutoRebalance float64
 }
 
@@ -131,8 +135,9 @@ func (o *Options) sanitize() {
 // epoch starts at: every logged record with an LSN at or below it is
 // reflected, none above it, which is what makes a pinned epoch a
 // durable cut a checkpoint can anchor replay to (durable.go). m is the
-// shards' edge total, and moves the number of boundary moves installed so
-// far: the partition epoch, read with the layout it counts.
+// shards' edge total, and moves the number of boundaries changed so far,
+// summed over the installed re-cuts: the partition epoch, read with the
+// layout it counts.
 type epoch struct {
 	shards  []shardPin
 	batches uint64
@@ -146,7 +151,7 @@ type epoch struct {
 // [lo, hi) it was built over (hi is 2³² for the last shard, whose range
 // absorbs growth): what readers route by instead of any partition map, so a
 // pin can never be read by a layout other than its own. Successive epochs
-// share a shard's pin until a batch or a boundary move changes the shard.
+// share a shard's pin until a batch or a re-cut changes the shard.
 type shardPin struct {
 	snap *core.Snapshot
 	lo   uint32
@@ -216,8 +221,17 @@ type Store struct {
 	// nothing it replayed could be re-logged.
 	dur *durability
 
-	autoStop chan struct{} // closes to stop the auto-rebalancer
-	autoDone chan struct{} // closed when the auto-rebalancer exits
+	// auto is the writer's skew check (autoCheck): the obs.Now at which the
+	// next is due, and the routed counters the last one read; seen is nil
+	// when the check is off. Small on purpose: a Store of more than 320
+	// bytes is in a size class whose objects start 32 bytes off a cache
+	// line every other time, which moves cur onto the line of the queue
+	// header every enqueue writes; at 336 bytes the benchmark's point reads
+	// ran 7–10 % slower (EXPERIMENTS.md "One re-cut").
+	auto struct {
+		next int64
+		seen []uint64
+	}
 
 	rebStats struct {
 		rebalances    atomic.Uint64
@@ -273,12 +287,10 @@ func launch(g *core.Paged, opt Options, lsn uint64) *Store {
 		e.shards[i] = s.publish(i, 0, 0)
 	}
 	s.install(e)
-	go s.run()
 	if opt.AutoRebalance > 0 && S > 1 {
-		s.autoStop = make(chan struct{})
-		s.autoDone = make(chan struct{})
-		go s.autoRebalance()
+		s.auto.seen = make([]uint64, S)
 	}
+	go s.run()
 	return s
 }
 
@@ -297,10 +309,6 @@ func (s *Store) Close() {
 	if already {
 		<-s.done
 		return
-	}
-	if s.autoStop != nil {
-		close(s.autoStop)
-		<-s.autoDone
 	}
 	s.signal()
 	<-s.done

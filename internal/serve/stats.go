@@ -6,7 +6,7 @@ package serve
 // from them, summed over the open Stores, when it is exported (metrics.go).
 type Stats struct {
 	// QueueDepth is the number of entries in the Store's queue, Flush
-	// sentinels and boundary moves included: a point-in-time read that may
+	// sentinels and layout changes included: a point-in-time read that may
 	// change before the caller acts on it. Saturated, not this, is the shed
 	// signal.
 	QueueDepth int
@@ -24,8 +24,8 @@ type Stats struct {
 	// is drained.
 	CoalescedBatches uint64
 	// SnapshotsPublished counts published shard snapshots (including each
-	// shard's first, in epoch 0): one per shard a batch or a boundary move
-	// touched.
+	// shard's first, in epoch 0): one per shard a batch touched or a re-cut
+	// changed the range of.
 	SnapshotsPublished uint64
 	// SnapshotsReclaimed counts shard snapshots recycled once every epoch
 	// holding them had been retired and drained.
@@ -40,18 +40,18 @@ type Stats struct {
 	// core.Paged.ScratchBytes, the update pipeline's buffers, it accounts
 	// for a Store's heap.
 	PublishedBytes uint64
-	// Rebalances counts completed Rebalance calls that performed at least
-	// one boundary move.
+	// Rebalances counts rebalances — Rebalance calls and the
+	// auto-rebalancer's — that changed at least one boundary.
 	Rebalances uint64
-	// BoundaryMoves counts individual boundary moves (a Rebalance may
-	// perform several) installed so far: the current epoch's partition
-	// epoch.
+	// BoundaryMoves counts the boundaries changed so far, summed over the
+	// installed re-cuts (a MoveBoundary changes one, a Rebalance up to
+	// S-1): the current epoch's partition epoch.
 	BoundaryMoves uint64
-	// MovedVertices counts materialized vertices that changed owner across
-	// all boundary moves.
+	// MovedVertices counts materialized vertices that changed owner, each
+	// once per re-cut that moved it, however many boundaries it crossed.
 	MovedVertices uint64
-	// MovedEdges counts directed edges that changed owner across all
-	// boundary moves.
+	// MovedEdges counts directed edges that changed owner, each once per
+	// re-cut that moved it, however many boundaries it crossed.
 	MovedEdges uint64
 	// WALRecords counts batch records appended to the write-ahead log, one
 	// per enqueued batch (0 on a non-durable store, like every WAL* field

@@ -79,7 +79,7 @@ func (v *View) NumEdges() uint64 { return v.e.m }
 // degree 0 in this view.
 func (v *View) snapOf(u uint32) (*core.Snapshot, uint32, bool) {
 	// Route by the pinned epoch's own range starts, never the store's live
-	// map: a concurrent boundary move must not change what this view reads.
+	// map: a concurrent re-cut must not change what this view reads.
 	// The ranges tile, so the owner is the last one starting at or below u. The search branches on purpose: kernels read vertices in
 	// ascending order, where the branch is predicted and the loads behind
 	// it need not wait for the compare, as core's branch-free one makes

@@ -21,8 +21,10 @@ var testHookBeforeApply func()
 
 // run is the writer goroutine: it drains the whole queue each cycle and
 // takes the entries in order — batches are applied and installed as one
-// epoch, a boundary move runs between the batches around it, a Flush
-// sentinel is released once everything ahead of it is reader-visible.
+// epoch, a layout change runs between the batches around it, a Flush
+// sentinel is released once everything ahead of it is reader-visible. With
+// Options.AutoRebalance set, an apply may be followed by the skew check's
+// re-cut (autoCheck).
 //
 // A batch ahead of an entry whose caller waits — a Flush or a boundary
 // move — has its shard parts applied side by side: the caller is blocked,
@@ -74,6 +76,7 @@ func (s *Store) run() {
 				close(b.done)
 			case opMove:
 				s.move(b.move)
+				close(b.move.done)
 			default:
 				w, end := wide(i), i+1
 				for w && end < len(q) && q[end].op == b.op && wide(end) {
@@ -81,6 +84,9 @@ func (s *Store) run() {
 				}
 				s.absorb(b, q[i+1:end])
 				s.apply(b, w)
+				if s.auto.seen != nil {
+					s.autoCheck()
+				}
 				i = end - 1
 			}
 			*b = pending{} // release the entry for GC (absorb released the rest of its run)

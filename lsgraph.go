@@ -151,12 +151,13 @@ func WithMaxQueue(n int) Option {
 	return func(s *settings) { s.maxQueue = n }
 }
 
-// WithAutoRebalance enables a Store's background skew watcher: when the
-// hottest shard's routed-edge rate exceeds threshold times its fair share
-// (threshold > 1; 1.5 means "50% over fair"), the store rebalances its
-// shard boundaries toward equal edge mass, moving contiguous vertex ranges
-// between adjacent shards without stopping reads.
-// Zero (the default) disables the watcher; Store.Rebalance remains
+// WithAutoRebalance has a Store's writer check the skew after an apply, at
+// most once a second: when the hottest shard took more than threshold
+// times its fair share of the edges routed since the last check
+// (threshold > 1; 1.5 means "50% over fair"), the writer runs Rebalance's
+// re-cut toward equal edge mass right there, without stopping reads. It
+// starts no goroutine, and a store that takes no batches keeps its layout.
+// Zero (the default) disables the check; Store.Rebalance remains
 // available for explicit control. Ignored by Graph constructors and by
 // single-shard stores, which have nothing to rebalance.
 func WithAutoRebalance(threshold float64) Option {

@@ -176,19 +176,19 @@ type RebalanceResult = serve.RebalanceResult
 type PartitionInfo = serve.PartitionInfo
 
 // Rebalance re-partitions the vertex space toward equal per-shard edge
-// mass, moving contiguous vertex ranges between adjacent shards. Reads
-// proceed throughout; the writer makes all of the call's boundary moves
-// between two batches and publishes them as one epoch, so ingest waits for
-// the splices. Views pinned before the call keep reading their
+// mass: the writer re-cuts the shards' ranges to the equal-mass starts
+// between two batches, copying each vertex whose shard changes once, and
+// publishes the result as one epoch, so ingest waits for the re-cut. Reads
+// proceed throughout. Views pinned before the call keep reading their
 // pre-rebalance state until released.
 // On a single-shard store it returns an empty result. Concurrent calls
 // run in turn; each sees the previous call's layout.
 func (s *Store) Rebalance() (RebalanceResult, error) { return s.st.Rebalance() }
 
 // Partition returns the store's current partition layout and per-shard
-// load, read from one pinned epoch: the partition epoch (boundary moves
-// installed so far), range starts, stored edge mass, routed-edge counters,
-// and the skew gauge the auto-rebalancer watches.
+// load, read from one pinned epoch: the partition epoch (boundaries
+// changed so far), range starts, stored edge mass, routed-edge counters,
+// and the stored-mass skew gauge.
 func (s *Store) Partition() PartitionInfo { return s.st.Partition() }
 
 // StoreView is an epoch-pinned, immutable view of a Store: one epoch — a

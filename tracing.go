@@ -9,7 +9,7 @@ import (
 // Tracing: alongside the aggregate metrics registry, the engine carries a
 // flight recorder (internal/obs) permanently wired through the batch
 // lifecycle — enqueue, coalesce, scatter, per-shard pack, partition and
-// apply, snapshot publish, reclaim — plus boundary moves, kernel runs and
+// apply, snapshot publish, reclaim — plus layout re-cuts, kernel runs and
 // view pins; each of these layers is timed by one span that feeds both the
 // recorder and its lsgraph_phase_nanos series. Recording is off by default and costs one atomic load per
 // instrumented site while off; on, each span is a lock-free ring-buffer
