@@ -47,16 +47,17 @@ func pagedFrom(live *Graph, shards int) *Paged {
 // keeping their global IDs: what a paged shard over that range publishes.
 func rangeSnapshot(ref *Graph, base, n uint32) *Snapshot {
 	s := &Snapshot{tab: make([]vref, n)}
+	var adj []uint32
 	for lv := range s.tab {
-		at := len(s.adj)
+		at := len(adj)
 		// A degree-0 slot stays vref{}, as a flatten leaves it.
-		if s.adj = ref.AppendNeighbors(base+uint32(lv), s.adj); len(s.adj) > at {
-			s.tab[lv] = vref{uint32(at), uint32(len(s.adj) - at)}
+		if adj = ref.AppendNeighbors(base+uint32(lv), adj); len(adj) > at {
+			s.tab[lv] = vref{uint32(at), uint32(len(adj) - at)}
 		}
 	}
-	s.m = uint64(len(s.adj))
-	for lo := 0; lo < max(len(s.adj), 1); lo += pageSize {
-		s.pages = append(s.pages, s.adj[lo:])
+	s.m = uint64(len(adj))
+	for lo := 0; lo < max(len(adj), 1); lo += pageSize {
+		s.pages = append(s.pages, adj[lo:])
 	}
 	return s
 }

@@ -39,8 +39,8 @@ const (
 
 // pipe is one update pipeline, the same in both storage forms: the vertex
 // range [base, end) its batches may name, its edge counter, and the scratch
-// every batch runs in. A Graph runs one over [0, 2³²) (and one per Shard
-// handle's range), a Paged one per shard. Only the per-group stage
+// every batch runs in. A Graph runs one over [0, 2³²), its Shard handles'
+// batches included, a Paged one per shard. Only the per-group stage
 // (groupFunc) differs between the two forms.
 type pipe struct {
 	base  uint32
@@ -66,11 +66,11 @@ func (pc *pipe) Base() uint32 { return pc.base }
 // every ID, for the last shard, whose range is open-ended.
 func (pc *pipe) End() uint64 { return pc.end }
 
-// own makes pc shard i of pm: its index and its range.
-func (pc *pipe) own(pm *PartitionMap, i int) {
-	pc.idx, pc.base, pc.end = int32(i), pm.Starts[i], openEnd
-	if i+1 < len(pm.Starts) {
-		pc.end = uint64(pm.Starts[i+1])
+// own makes pc shard i of the layout starts: its index and its range.
+func (pc *pipe) own(starts []uint32, i int) {
+	pc.idx, pc.base, pc.end = int32(i), starts[i], openEnd
+	if i+1 < len(starts) {
+		pc.end = uint64(starts[i+1])
 	}
 }
 
@@ -192,27 +192,12 @@ func (pc *pipe) trimScratch(n int) {
 	}
 }
 
-// ReleaseScratch drops the scratch of the graph's pipeline and its Shard
-// handles' beyond scratchKeepMin entries, for a caller that has just applied
-// a batch no later one will resemble — a bulk load (NewFromEdges) — which
-// would otherwise pin 20 bytes per edge until a much smaller batch happened
-// to follow. Must not run concurrently with updates.
-func (g *Graph) ReleaseScratch() {
-	g.pc.trimScratch(0)
-	for k := range g.ranges {
-		g.ranges[k].trimScratch(0)
-	}
-}
-
-// scratchBytes returns the bytes the graph's pipeline and its Shard
-// handles' retain.
-func (g *Graph) scratchBytes() uint64 {
-	b := g.pc.scratchBytes()
-	for k := range g.ranges {
-		b += g.ranges[k].scratchBytes()
-	}
-	return b
-}
+// ReleaseScratch drops the scratch of the graph's pipeline beyond
+// scratchKeepMin entries, for a caller that has just applied a batch no
+// later one will resemble — a bulk load (NewFromEdges) — which would
+// otherwise pin 20 bytes per edge until a much smaller batch happened to
+// follow. Must not run concurrently with updates.
+func (g *Graph) ReleaseScratch() { g.pc.trimScratch(0) }
 
 // scratchBytes returns the bytes the shard's pipeline buffers hold.
 func (pc *pipe) scratchBytes() uint64 {
@@ -509,26 +494,28 @@ func (g *Graph) batch(src, dst []uint32, del bool) {
 	if obs.Tracing() {
 		g.pc.traceBatch = obs.NextBatchID()
 	}
-	g.apply(&g.pc, src, dst, g.Workers(), del)
+	g.apply(src, dst, g.Workers(), del)
 }
 
-// apply runs the insert or, with del, the delete pipeline pc for a batch
-// whose sources lie in pc's range with p workers: each group updates its
-// vertex's block in place, and the changed edges count into the graph's
-// edge counter. Callers must own pc and its range's blocks exclusively.
-func (g *Graph) apply(pc *pipe, src, dst []uint32, p int, del bool) {
+// apply runs the graph's insert or, with del, delete pipeline for a batch
+// with p workers: each group updates its vertex's block in place, and the
+// changed edges count into the graph's edge counter. The pipeline's range is
+// [0, 2³²), so a group's slot is its vertex. Callers must own the graph
+// exclusively.
+func (g *Graph) apply(src, dst []uint32, p int, del bool) {
 	if len(src) == 0 {
 		return
 	}
-	group := func(w int, _ *keyRange, _ int, lv uint32, ks []uint64) uint64 {
-		return g.insertGroup(&pc.apply[w], w, &g.verts[pc.base+lv], ks)
+	pc := &g.pc
+	group := func(w int, _ *keyRange, _ int, v uint32, ks []uint64) uint64 {
+		return g.insertGroup(&pc.apply[w], w, &g.verts[v], ks)
 	}
 	if del {
-		group = func(w int, _ *keyRange, _ int, lv uint32, ks []uint64) uint64 {
-			return g.deleteGroup(&pc.apply[w], w, &g.verts[pc.base+lv], ks)
+		group = func(w int, _ *keyRange, _ int, v uint32, ks []uint64) uint64 {
+			return g.deleteGroup(&pc.apply[w], w, &g.verts[v], ks)
 		}
 	}
-	g.pc.applied(del, len(src), pc.applyBatch(g.n.Load(), src, dst, p, group, nil))
+	pc.applied(del, len(src), pc.applyBatch(g.n.Load(), src, dst, p, group, nil))
 }
 
 // insertGroup adds one vertex's group, by merge-and-rebuild when the group

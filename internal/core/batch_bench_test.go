@@ -120,13 +120,13 @@ func BenchmarkScatter(b *testing.B) {
 	src, dst, nv := benchBatch(15, 600_000)
 	for _, n := range []int{1_000, 10_000, 600_000} {
 		for _, S := range []int{2, 16} {
-			pm := NewUniformMap(nv, S)
+			starts := uniformStarts(nv, S)
 			for _, p := range []int{1, 2} {
 				b.Run(fmt.Sprintf("n=%d/S=%d/p=%d", n, S, p), func(b *testing.B) {
 					var parts []SubBatch
 					for i := 0; i < b.N; i++ {
 						lo := i * n % (len(src) - n + 1)
-						parts, _ = Scatter(pm, src[lo:lo+n], dst[lo:lo+n], p)
+						parts, _ = Scatter(starts, src[lo:lo+n], dst[lo:lo+n], p)
 					}
 					if len(parts) != S {
 						b.Fatalf("%d parts for %d shards", len(parts), S)

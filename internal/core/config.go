@@ -47,14 +47,14 @@ type Config struct {
 	// Workers bounds parallelism during batch updates (default GOMAXPROCS).
 	Workers int
 	// Shards cuts the vertex space into this many contiguous ranges for
-	// the Shard handles (default 1). It changes nothing about where the
-	// graph stores anything: a Graph is one vertex array whatever Shards
-	// is. The ranges exist for what benchmark/layers.go times of a Store's
-	// update, one layer at a time: ScatterBatch, PartitionMap, and the
-	// Shard handle's EnsureVertices, InsertBatch, DeleteBatch, SnapshotInto
-	// and Base. Their boundaries never move. It goes once the benchmark
-	// times the Store's own paged shards (ROADMAP item 1(a)); a Store
-	// partitions its Paged graph itself.
+	// the Shard handles (default 1), and changes nothing else: a Graph is
+	// one vertex array and one pipeline whatever Shards is, and a handle's
+	// batches run that pipeline on 1/Shards of the workers. The ranges
+	// exist for what benchmark/layers.go times of a Store's update, one
+	// layer at a time: ScatterBatch, PartitionMap, and the Shard handle's
+	// EnsureVertices, InsertBatch, DeleteBatch, SnapshotInto and Base. Their
+	// boundaries never move. It goes once the benchmark times the Store's
+	// own paged shards (ROADMAP item 1(a)).
 	Shards int
 	// Overflow selects the overflow structure policy (ablations).
 	Overflow OverflowKind

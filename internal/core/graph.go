@@ -26,15 +26,12 @@ type Stats struct {
 // The engine is one vertex range, as the paper describes: one array of
 // vertex blocks, one update pipeline over [0, 2³²) and one edge counter.
 // Config.Shards > 1 stores nothing elsewhere; it only cuts the ranges the
-// Shard handles (shard.go) update and flatten, for the benchmark's
-// per-layer timings.
+// Shard handles (shard.go) flatten, for the benchmark's per-layer timings.
 type Graph struct {
 	space
-	pc    pipe     // the batch pipeline: range [0, 2³²), the edge counter
-	verts []vertex // one block per vertex, materialized up to len(verts)
-
-	pmap   *PartitionMap // the Shard handles' ranges; its boundaries never move
-	ranges []pipe        // range k's pipeline, for Shard(k)
+	pc    pipe          // the batch pipeline: range [0, 2³²), the edge counter
+	verts []vertex      // one block per vertex, materialized up to len(verts)
+	pmap  *PartitionMap // the Shard handles' ranges; its boundaries never move
 
 	cfg     Config
 	treeCfg hitree.Config
@@ -51,12 +48,8 @@ func New(n uint32, cfg Config) *Graph {
 		LeafArrayMax: cfg.ArrayMax,
 		DisableModel: cfg.DisableModel,
 	}
-	g.pmap = g.init(n, cfg.Shards, cfg.Workers)
+	g.pmap = &PartitionMap{Starts: g.init(n, cfg.Shards, cfg.Workers)}
 	g.pc.end = openEnd
-	g.ranges = make([]pipe, len(g.pmap.Starts))
-	for k := range g.ranges {
-		g.ranges[k].own(g.pmap, k)
-	}
 	return g
 }
 
@@ -110,7 +103,7 @@ func (g *Graph) PartitionMap() *PartitionMap { return g.pmap }
 // vertex (Scatter, on the graph's workers). It panics on an edge naming
 // vertex 2³²−1, whose bound no uint32 holds and no vertex space contains.
 func (g *Graph) ScatterBatch(src, dst []uint32) (parts []SubBatch, bound uint32) {
-	parts, b := Scatter(g.pmap, src, dst, g.Workers())
+	parts, b := Scatter(g.pmap.Starts, src, dst, g.Workers())
 	if b > math.MaxUint32 {
 		panic("core: ScatterBatch: an edge names vertex 2^32-1, outside every vertex space")
 	}
@@ -300,7 +293,7 @@ type MemoryBreakdown struct {
 	RIAIndex     uint64 // their redundant index arrays
 	RIAHeaders   uint64 // their headers and per-block counts
 	Trees        uint64 // HITree overflows, LIA nodes and leaves alike (PMAs under KindPMA)
-	Scratch      uint64 // the update pipelines' retained buffers
+	Scratch      uint64 // the update pipeline's retained buffers
 	// Index, part of the above and not a term of the sum, is what went to
 	// redundant index arrays and learned models: RIAIndex plus the HITrees'.
 	Index uint64
@@ -316,7 +309,7 @@ func (b MemoryBreakdown) Total() uint64 {
 // resident bytes. Like reads, it must not run concurrently with updates.
 func (g *Graph) MemoryBreakdown() (b MemoryBreakdown) {
 	b.VertexBlocks = uint64(cap(g.verts)) * uint64(unsafe.Sizeof(vertex{}))
-	b.Scratch = g.scratchBytes()
+	b.Scratch = g.pc.scratchBytes()
 	for i := range g.verts {
 		vb := &g.verts[i]
 		n := uint64(vb.ovLen())

@@ -46,11 +46,11 @@ type pagedShard struct {
 // workers goroutines (0: GOMAXPROCS), split evenly across the shards.
 func NewPaged(n uint32, shards, workers int) *Paged {
 	g := &Paged{}
-	pm := g.init(n, shards, workers)
-	g.shards = make([]pagedShard, len(pm.Starts))
+	starts := g.init(n, shards, workers)
+	g.shards = make([]pagedShard, len(starts))
 	for i := range g.shards {
 		sh := &g.shards[i]
-		sh.own(pm, i)
+		sh.own(starts, i)
 		sh.tab = make([]vref, sh.span(n))
 		sh.tabEntries, sh.pub.seq = len(sh.tab), 1
 	}
@@ -82,27 +82,26 @@ func (g *Paged) ScratchBytes() (b uint64) {
 // seals its new table. The caller must hold every shard quiescent —
 // internal/serve runs it on its writer, between two batches.
 func (g *Paged) Recut(starts []uint32) (movedVerts uint32, movedEdges uint64, err error) {
-	was := &PartitionMap{Starts: g.starts()}
-	if len(starts) != len(was.Starts) || starts[0] != 0 {
-		return 0, 0, fmt.Errorf("core: a re-cut takes %d range starts from 0, not %v", len(was.Starts), starts)
+	was := g.starts()
+	if len(starts) != len(was) || starts[0] != 0 {
+		return 0, 0, fmt.Errorf("core: a re-cut takes %d range starts from 0, not %v", len(was), starts)
 	}
 	for i := 1; i < len(starts); i++ {
 		if starts[i] <= starts[i-1] {
 			return 0, 0, fmt.Errorf("core: start %d of shard %d would empty shard %d", starts[i], i, i-1)
 		}
 	}
-	if slices.Equal(starts, was.Starts) {
+	if slices.Equal(starts, was) {
 		return 0, 0, ErrNoMove
 	}
 	tabs := make([][]vref, len(g.shards)) // the tables before the re-cut
 	for i := range g.shards {
 		tabs[i] = g.shards[i].tab
 	}
-	now := &PartitionMap{Starts: starts}
 	for j := range g.shards {
 		sh := &g.shards[j]
 		base, end := sh.base, sh.end
-		if sh.own(now, j); sh.base == base && sh.end == end {
+		if sh.own(starts, j); sh.base == base && sh.end == end {
 			continue
 		}
 		// The old tables' entries in the new range, each old table a prefix
@@ -110,7 +109,7 @@ func (g *Paged) Recut(starts []uint32) (movedVerts uint32, movedEdges uint64, er
 		lo := uint64(sh.base)
 		var tab []vref
 		for i, old := range tabs {
-			b := uint64(was.Starts[i])
+			b := uint64(was[i])
 			if from, to := max(lo, b), min(sh.end, b+uint64(len(old))); from < to {
 				tab = append(append(tab, make([]vref, from-lo-uint64(len(tab)))...), old[from-b:to-b]...)
 			}
@@ -125,8 +124,8 @@ func (g *Paged) Recut(starts []uint32) (movedVerts uint32, movedEdges uint64, er
 		sh.pub.m = m
 		for lv, r := range tab {
 			v := sh.base + uint32(lv)
-			i := was.ShardOf(v)
-			if i == j || int(v-was.Starts[i]) >= len(tabs[i]) {
+			i := shardOf(was, v)
+			if i == j || int(v-was[i]) >= len(tabs[i]) {
 				continue // the shard's own run, or a slot none held
 			}
 			tab[lv] = sh.pub.place(r.deg, tailKept)
@@ -148,11 +147,11 @@ func (g *Paged) Recut(starts []uint32) (movedVerts uint32, movedEdges uint64, er
 }
 
 // Scatter routes a mixed batch to the shards by source vertex, by the
-// ranges they own as it runs (the package's Scatter over their bases), on
+// ranges they own as it runs (the package's Scatter over their starts), on
 // up to workers goroutines: parts[i] is shard i's part. Like updates, it
 // must not run concurrently with a Recut.
 func (g *Paged) Scatter(src, dst []uint32, workers int) []SubBatch {
-	parts, _ := Scatter(&PartitionMap{Starts: g.starts()}, src, dst, workers)
+	parts, _ := Scatter(g.starts(), src, dst, workers)
 	return parts
 }
 

@@ -8,13 +8,13 @@ import (
 	"lsgraph/internal/parallel"
 )
 
-// PartitionMap is a vertex→shard routing table: sorted range boundaries.
-// Shard i owns the contiguous vertex range [Starts[i], Starts[i+1]), the
-// last shard open-ended, so a lookup is a binary search over Starts. A
-// Graph's map cuts its Shard handles' ranges and never moves. A Paged keeps
-// no map: its shards own their ranges (Base, End), and Paged.Scatter routes
-// by a map of them built for the batch, so a re-cut (Paged.Recut) changes
-// one layout fact.
+// PartitionMap is the vertex→shard routing table Graph.PartitionMap
+// returns: sorted range boundaries. Shard i owns the contiguous vertex range
+// [Starts[i], Starts[i+1]), the last shard open-ended, so a lookup is a
+// binary search over Starts. Everywhere else a layout is the start vector
+// itself: a Graph's cuts its Shard handles' ranges and never moves, and a
+// Paged's is its shards' bases, which Paged.Scatter routes by and Recut
+// replaces.
 type PartitionMap struct {
 	// Starts[i] is the first vertex ID of shard i's range. Starts[0] is
 	// always 0 and the values are strictly increasing, so no shard's range
@@ -22,32 +22,32 @@ type PartitionMap struct {
 	Starts []uint32
 }
 
-// NewUniformMap returns the map splitting [0, n) into s equal
-// contiguous ranges (the last open-ended), matching the fixed-span layout
-// earlier revisions hard-coded: span = ceil(n/s), at least 1.
-func NewUniformMap(n uint32, s int) *PartitionMap {
+// uniformStarts returns the starts splitting [0, n) into s equal
+// contiguous ranges (the last open-ended): span = ceil(n/s), at least 1.
+func uniformStarts(n uint32, s int) []uint32 {
 	span := n
 	if s > 1 {
 		span = (n + uint32(s) - 1) / uint32(s)
 	}
-	if span == 0 {
-		span = 1
+	span = max(span, 1)
+	starts := make([]uint32, s)
+	for i := range starts {
+		starts[i] = uint32(i) * span
 	}
-	pm := &PartitionMap{Starts: make([]uint32, s)}
-	for i := range pm.Starts {
-		pm.Starts[i] = uint32(i) * span
-	}
-	return pm
+	return starts
 }
 
-// ShardOf returns the index of the shard owning vertex v: the greatest i
-// with Starts[i] <= v, one less than the number of starts at or below v.
-// Every ID has an owning shard because Starts[0] is 0 and the last range is
+// ShardOf returns the index of the shard owning vertex v (shardOf).
+func (pm *PartitionMap) ShardOf(v uint32) int { return shardOf(pm.Starts, v) }
+
+// shardOf returns the index of the range of starts that holds v: the
+// greatest i with starts[i] <= v, one less than the number of starts at or
+// below v. Every ID has one because starts[0] is 0 and the last range is
 // open-ended.
-func (pm *PartitionMap) ShardOf(v uint32) int { return below(pm.Starts, uint64(v)+1) - 1 }
+func shardOf(starts []uint32, v uint32) int { return below(starts, uint64(v)+1) - 1 }
 
 // below returns how many of a's ascending entries are below x: the search
-// the write path routes a batch with (ShardOf) and probes a run with
+// the write path routes a batch with (shardOf) and probes a run with
 // (findKeys). Each step halves the window by arithmetic on the comparison,
 // not a jump, and the number of steps depends on len(a) alone, so a search
 // costs no branch the keys decide. x is 64-bit, at most 2³², so that "at or
@@ -87,14 +87,13 @@ type space struct {
 	p int
 }
 
-// init sets up a space of n vertex slots and returns the map splitting it
-// into shards uniform ranges (at least one), for the caller to give each
-// shard (or Shard handle) its range.
-func (sp *space) init(n uint32, shards, workers int) *PartitionMap {
-	pm := NewUniformMap(n, max(shards, 1))
+// init sets up a space of n vertex slots and returns the starts splitting
+// it into shards uniform ranges (at least one): a Paged gives each shard its
+// range (pipe.own), a Graph cuts its Shard handles by them.
+func (sp *space) init(n uint32, shards, workers int) []uint32 {
 	sp.n.Store(n)
 	sp.p = workers
-	return pm
+	return uniformStarts(n, max(shards, 1))
 }
 
 // NumVertices returns the number of vertex slots.
@@ -177,21 +176,21 @@ type SubBatch struct {
 	Src, Dst []uint32
 }
 
-// Scatter routes a mixed batch to pm's shards by source vertex on up to
-// workers goroutines (at least one; one below parPrepMin edges): parts[i]
-// holds exactly the edges whose source pm.ShardOf maps to shard i, in their
-// original relative order. bound is 1 + the largest vertex ID referenced by
-// either endpoint (0 for an empty batch) — the vertex-space size the batch
-// requires; it exceeds every uint32 when an edge names vertex 2³²−1, which
-// no vertex space holds. The returned sub-batches are freshly allocated and
-// do not alias src/dst, so callers may retain them after the input buffers
-// are reused. Parts share one backing array, but each part's capacity is
-// pinned to its length, so appending to a retained part reallocates rather
-// than writing into a sibling part. Scatter does not validate IDs against
-// any vertex space.
-func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch, bound uint64) {
+// Scatter routes a mixed batch to the ranges that begin at starts by source
+// vertex on up to workers goroutines (at least one; one below parPrepMin
+// edges): parts[i] holds exactly the edges whose source lies in range i
+// (shardOf), in their original relative order. bound is 1 + the largest
+// vertex ID referenced by either endpoint (0 for an empty batch) — the
+// vertex-space size the batch requires; it exceeds every uint32 when an edge
+// names vertex 2³²−1, which no vertex space holds. The returned sub-batches
+// are freshly allocated and do not alias src/dst, so callers may retain them
+// after the input buffers are reused. Parts share one backing array, but
+// each part's capacity is pinned to its length, so appending to a retained
+// part reallocates rather than writing into a sibling part. Scatter does not
+// validate IDs against any vertex space.
+func Scatter(starts, src, dst []uint32, workers int) (parts []SubBatch, bound uint64) {
 	validateBatch("ScatterBatch", src, dst)
-	S, n := len(pm.Starts), len(src)
+	S, n := len(starts), len(src)
 	parts = make([]SubBatch, S)
 	if n == 0 {
 		return parts, 0
@@ -215,7 +214,7 @@ func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch
 		m := uint32(0)
 		for i := lo; i < hi; i++ {
 			s := src[i]
-			c[pm.ShardOf(s)]++
+			c[shardOf(starts, s)]++
 			m = max(m, s, dst[i])
 		}
 		maxes[w] = m
@@ -242,7 +241,7 @@ func Scatter(pm *PartitionMap, src, dst []uint32, workers int) (parts []SubBatch
 		c := counts[w*row : w*row+S]
 		for i := lo; i < hi; i++ {
 			s := src[i]
-			sh := pm.ShardOf(s)
+			sh := shardOf(starts, s)
 			j := c[sh]
 			c[sh] = j + 1
 			srcOut[j] = s

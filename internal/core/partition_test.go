@@ -34,7 +34,7 @@ func shardOfLinear(starts []uint32, v uint32) int {
 // that keeps every range non-empty, one of them with its last boundary at
 // 2³²−1.
 func testMaps(S int, r *lcg) []*PartitionMap {
-	pms := []*PartitionMap{NewUniformMap(uint32(2*S), S), NewUniformMap(1<<20, S)}
+	pms := []*PartitionMap{{Starts: uniformStarts(uint32(2*S), S)}, {Starts: uniformStarts(1<<20, S)}}
 	if S == 1 {
 		return pms
 	}
@@ -124,7 +124,7 @@ func TestBelowMatchesLinearScan(t *testing.T) {
 // capacity is pinned to its length.
 func checkScatter(t testing.TB, pm *PartitionMap, src, dst []uint32, p int) []SubBatch {
 	t.Helper()
-	parts, bound := Scatter(pm, src, dst, p)
+	parts, bound := Scatter(pm.Starts, src, dst, p)
 	if len(parts) != len(pm.Starts) {
 		t.Fatalf("%d parts for %d shards", len(parts), len(pm.Starts))
 	}

@@ -418,7 +418,7 @@ func TestSnapshotCSR(t *testing.T) {
 	sh.insert(src, dst)
 	flat := sh.ref.Snapshot()
 	offs, adj := flat.CSR()
-	if len(adj) > 0 && &adj[0] != &flat.adj[0] {
+	if len(adj) > 0 && &adj[0] != &flat.pages[0][0] {
 		t.Fatal("CSR of a plain CSR copied the adjacency")
 	}
 	checkCSR(t, flat, offs, adj)

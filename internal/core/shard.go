@@ -1,28 +1,26 @@
 package core
 
-// Shard is a handle on range k of a Graph's partition map: the per-range
+// Shard is a view of range k of a Graph's partition map: the per-range
 // update and snapshot surface the benchmark's layer timings drive (see
-// Config.Shards). The range has its own pipeline — its scratch, Base and
-// End — over the graph's one vertex array, and its batches count into the
-// graph's one edge counter.
+// Config.Shards). Its batches run the graph's one pipeline, on the share of
+// the workers a shard of the map would get, and count into the graph's one
+// edge counter.
 //
-// Different handles' InsertBatch, DeleteBatch and SnapshotInto may run side
-// by side, each handle's serialized on one goroutine: they touch only their
-// own range's blocks. EnsureVertices grows the one array, so it must not
-// run beside anything. The benchmark drives the handles one after another.
+// No handle call may run beside any other update or handle call on the
+// graph: they share the one pipeline and the one vertex array. The
+// benchmark drives the handles one after another.
 type Shard struct {
-	pc *pipe
-	g  *Graph
+	g *Graph
+	k int
 }
 
 // Shard returns the handle on range k (0 <= k < len(PartitionMap().Starts)).
-func (g *Graph) Shard(k int) Shard { return Shard{&g.ranges[k], g} }
+func (g *Graph) Shard(k int) Shard { return Shard{g, k} }
 
 // Base returns the first vertex ID of the handle's range.
-func (s Shard) Base() uint32 { return s.pc.base }
+func (s Shard) Base() uint32 { return s.g.pmap.Starts[s.k] }
 
-// EnsureVertices is Graph.EnsureVertices: it grows the graph's one vertex
-// array, so no other call on the graph or its handles may run beside it.
+// EnsureVertices is Graph.EnsureVertices: it grows the graph's one vertex array.
 func (s Shard) EnsureVertices(n uint32) { s.g.EnsureVertices(n) }
 
 // InsertBatch adds the directed edges (src[i] -> dst[i]), all of whose
@@ -30,14 +28,14 @@ func (s Shard) EnsureVertices(n uint32) { s.g.EnsureVertices(n) }
 // Duplicate and already-present edges are ignored.
 func (s Shard) InsertBatch(src, dst []uint32) {
 	validateBatch("InsertBatch", src, dst)
-	s.g.apply(s.pc, src, dst, s.g.shardWorkers(len(s.g.ranges)), false)
+	s.g.apply(src, dst, s.workers(), false)
 }
 
 // DeleteBatch removes the directed edges (src[i] -> dst[i]), all of whose
 // sources must lie in the handle's range. Absent edges are ignored.
 func (s Shard) DeleteBatch(src, dst []uint32) {
 	validateBatch("DeleteBatch", src, dst)
-	s.g.apply(s.pc, src, dst, s.g.shardWorkers(len(s.g.ranges)), true)
+	s.g.apply(src, dst, s.workers(), true)
 }
 
 // SnapshotInto flattens the range's materialized blocks into a local CSR
@@ -45,7 +43,14 @@ func (s Shard) DeleteBatch(src, dst []uint32) {
 // reusing snap's buffers when capacity allows (see Graph.SnapshotInto for
 // the reuse contract).
 func (s Shard) SnapshotInto(snap *Snapshot) *Snapshot {
-	n := uint64(len(s.g.verts))
-	verts := s.g.verts[min(uint64(s.pc.base), n):min(s.pc.end, n)]
-	return rebuildInto(snap, verts, len(verts), s.g.shardWorkers(len(s.g.ranges)))
+	starts, n := s.g.pmap.Starts, uint64(len(s.g.verts))
+	hi := n
+	if s.k+1 < len(starts) {
+		hi = min(uint64(starts[s.k+1]), n)
+	}
+	verts := s.g.verts[min(uint64(starts[s.k]), n):hi]
+	return rebuildInto(snap, verts, len(verts), s.workers())
 }
+
+// workers is the handle's share of the graph's workers.
+func (s Shard) workers() int { return s.g.shardWorkers(len(s.g.pmap.Starts)) }

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"lsgraph/internal/gen"
@@ -47,9 +46,10 @@ func TestShardOfCoversVertexSpace(t *testing.T) {
 // benchmark's per-layer timings do: scatter a batch, and for each range
 // grow the vertex space, insert its part and flatten it. Each range's local
 // CSR must be that range's slice of the whole graph's CSR and hold the
-// oracle's neighbors; deleting every part again, the handles side by side,
-// must give back the base graph. The batch names vertices past the initial
-// space, so the last range grows.
+// oracle's neighbors; the handles' batches must leave no scratch but the
+// graph's one pipeline's, which MemoryBreakdown reports; deleting every part
+// again, one handle after another, must give back the base graph. The batch
+// names vertices past the initial space, so the last range grows.
 func TestShardHandlesMatchGraph(t *testing.T) {
 	const n = 1 << 12
 	for _, S := range []int{2, 3} {
@@ -114,15 +114,13 @@ func TestShardHandlesMatchGraph(t *testing.T) {
 			}
 		}
 
-		var wg sync.WaitGroup
-		for k, p := range parts {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				g.Shard(k).DeleteBatch(p.Src, p.Dst)
-			}()
+		if got, want := g.MemoryBreakdown().Scratch, g.pc.scratchBytes(); got != want {
+			t.Fatalf("S=%d: the graph holds %d bytes of scratch after the handles' batches, its pipeline %d", S, got, want)
 		}
-		wg.Wait()
+
+		for k, p := range parts {
+			g.Shard(k).DeleteBatch(p.Src, p.Dst)
+		}
 		ref.EnsureVertices(b)
 		if err := g.CheckInvariants(); err != nil {
 			t.Fatalf("S=%d after the deletes: %v", S, err)

@@ -22,11 +22,12 @@ type vref struct{ off, deg uint32 }
 //
 // Graph.SnapshotInto builds a plain CSR: one array of exactly the graph's
 // size, runs in vertex order, back to back, off the run's index in it; its
-// directory's entry p is the array from p·pageSize on, so the same two
-// loads find a run there. PagedShard.Publish seals a Paged shard's own table
-// over its arena of fixed-size pages (see pageArena), at a cost that follows
-// the batch, not the graph; successive snapshots of one shard share every
-// page and run the batches between them did not change.
+// directory's entry p is the array from p·pageSize on — entry 0 is the
+// array itself — so the same two loads find a run there. PagedShard.Publish
+// seals a Paged shard's own table over its arena of fixed-size pages (see
+// pageArena), at a cost that follows the batch, not the graph; successive
+// snapshots of one shard share every page and run the batches between them
+// did not change.
 type Snapshot struct {
 	tab []vref
 	// pages is this snapshot's own directory. Each entry's length is what had
@@ -34,9 +35,8 @@ type Snapshot struct {
 	// later publish appends to a shared page are beyond every slice an earlier
 	// snapshot holds.
 	pages [][]uint32
-	adj   []uint32 // a plain CSR's array; nil for a published snapshot
-	m     uint64   // live entries: the sum of tab's degrees
-	seq   uint64   // position in the shard's publish order; 0 for a plain CSR
+	m     uint64 // live entries: the sum of tab's degrees
+	seq   uint64 // position in the shard's publish order; 0 for a plain CSR
 }
 
 // Page geometry and bounds of a shard's published arena; EXPERIMENTS.md
@@ -362,12 +362,16 @@ func rebuildInto(s *Snapshot, verts []vertex, n int, p int) *Snapshot {
 	if m > math.MaxUint32 {
 		panic(fmt.Sprintf("core: snapshot of %d edges exceeds the 2^32-entry CSR; a Store's paged graph publishes per shard (NewPaged), and one Graph cannot be flattened whole", m))
 	}
-	if cap(s.adj) < int(m) {
-		s.adj = make([]uint32, m)
+	var adj []uint32 // the last plain CSR's array, when it holds m
+	if len(s.pages) > 0 {
+		adj = s.pages[0]
 	}
-	s.adj, s.m, s.seq, s.pages = s.adj[:m], m, 0, s.pages[:0]
-	for lo := 0; lo < max(len(s.adj), 1); lo += pageSize {
-		s.pages = append(s.pages, s.adj[lo:])
+	if cap(adj) < int(m) {
+		adj = make([]uint32, m)
+	}
+	adj, s.m, s.seq, s.pages = adj[:m], m, 0, s.pages[:0]
+	for lo := 0; lo < max(len(adj), 1); lo += pageSize {
+		s.pages = append(s.pages, adj[lo:])
 	}
 	parallel.For(len(verts), p, func(v int) {
 		if r := s.tab[v]; r.deg > 0 {
@@ -391,7 +395,7 @@ func (s *Snapshot) CSR() (offs []uint64, adj []uint32) {
 		offs[v+1] = offs[v] + uint64(r.deg)
 	}
 	if s.seq == 0 {
-		return offs, s.adj
+		return offs, s.pages[0]
 	}
 	adj = make([]uint32, s.m)
 	for v := range s.tab {

@@ -169,21 +169,6 @@ func Symmetrize(es []Edge) []Edge {
 	return out
 }
 
-// Dedup sorts es by (src,dst) and removes duplicates in place, returning the
-// shortened slice.
-func Dedup(es []Edge) []Edge {
-	sort.Slice(es, func(i, j int) bool { return es[i].Key() < es[j].Key() })
-	w := 0
-	for i, e := range es {
-		if i > 0 && e == es[i-1] {
-			continue
-		}
-		es[w] = e
-		w++
-	}
-	return es[:w]
-}
-
 // MaxVertex returns 1 + the largest vertex ID referenced in es, i.e. the
 // number of vertex slots the engines must allocate.
 func MaxVertex(es []Edge) uint32 {

@@ -126,20 +126,6 @@ func TestSymmetrize(t *testing.T) {
 	}
 }
 
-func TestDedup(t *testing.T) {
-	es := []Edge{{3, 1}, {1, 2}, {3, 1}, {1, 2}, {0, 9}}
-	out := Dedup(es)
-	want := []Edge{{0, 9}, {1, 2}, {3, 1}}
-	if len(out) != len(want) {
-		t.Fatalf("got %v", out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("got %v want %v", out, want)
-		}
-	}
-}
-
 func TestKeyRoundTrip(t *testing.T) {
 	e := Edge{Src: 123456, Dst: 654321}
 	if FromKey(e.Key()) != e {

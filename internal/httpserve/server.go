@@ -298,10 +298,6 @@ func (s *Server) GraphNames() []string {
 	return names
 }
 
-// Draining reports whether Close has begun: data endpoints answer 503 and
-// /healthz fails, so load balancers stop routing here.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close drains and closes every graph: it flips the server to draining
 // (new writes are rejected with 503), then closes each store, which
 // applies and publishes all queued batches before returning — no accepted

@@ -265,9 +265,9 @@ func logDirs(t *testing.T, dir string) []string {
 }
 
 // logPerShard appends bs to dir's logs as a Store whose shards logged
-// their own records wrote them: each batch scattered by the uniform map of
-// n vertices over shards shards, one record per non-empty part in that
-// shard's log, LSNs continuing after last.
+// their own records wrote them: each batch scattered by the shards of a
+// fresh paged graph of n vertices (uniform ranges), one record per
+// non-empty part in that shard's log, LSNs continuing after last.
 func logPerShard(t *testing.T, dir string, n uint32, shards int, last uint64, bs []randomBatch) {
 	t.Helper()
 	l, err := wal.OpenLog(dir, shards, last, wal.Options{Fsync: wal.FsyncNone})
@@ -275,16 +275,12 @@ func logPerShard(t *testing.T, dir string, n uint32, shards int, last uint64, bs
 		t.Fatal(err)
 	}
 	g := core.NewPaged(n, shards, 1)
-	pm := &core.PartitionMap{Starts: make([]uint32, shards)}
-	for i := range pm.Starts {
-		pm.Starts[i] = g.Shard(i).Base()
-	}
 	for _, b := range bs {
 		op := uint8(wal.OpInsert)
 		if b.del {
 			op = wal.OpDelete
 		}
-		parts, _ := core.Scatter(pm, b.src, b.dst, 1)
+		parts := g.Scatter(b.src, b.dst, 1)
 		for i, p := range parts {
 			if len(p.Src) == 0 {
 				continue

@@ -190,18 +190,26 @@ type heldSnap struct {
 // epochs. A kernel that needs one coherent graph for its whole run should
 // acquire a View and run against that.
 type Store struct {
-	g   *core.Paged
-	opt Options
-
-	// mu guards the queue. closed is set under it, so a batch Enqueue
-	// accepts is queued before Close marks the Store closed.
-	mu     sync.Mutex
-	queue  []pending
+	// cur is the epoch every reader loads. Its cache line holds only fields
+	// set before the Store is visible (g, opt, wake, done, dur) or at Close
+	// (closed), so no enqueue or batch writes the line every reader reads
+	// (TestStoreLayout). A Store stays at 320 bytes: that size class starts
+	// every object on a line, and a larger one would start every other
+	// Store 32 bytes off one — at 336 bytes the benchmark's point reads ran
+	// 7–10 % slower (EXPERIMENTS.md "One re-cut").
+	cur  atomic.Pointer[epoch]
+	g    *core.Paged
+	opt  Options
+	wake chan struct{} // cap 1; tokens coalesce
+	done chan struct{} // closed when the writer has exited
+	// dur is the durability state (WAL + checkpoints), nil for a purely
+	// in-memory Store. OpenDurable sets it, log attached, before the Store
+	// is visible to callers; recovery ran on the graph before New, so
+	// nothing it replayed could be re-logged.
+	dur *durability
+	// closed is set under mu, so a batch Enqueue accepts is queued before
+	// Close marks the Store closed.
 	closed atomic.Bool
-	wake   chan struct{} // cap 1; tokens coalesce
-	done   chan struct{} // closed when the writer has exited
-
-	cur atomic.Pointer[epoch]
 
 	// Writer-goroutine-owned: the shards, the epochs retired but not yet
 	// drained, and the shards the batch being applied touches. spare is the
@@ -211,23 +219,17 @@ type Store struct {
 	touched []int
 	spare   []pending
 
+	// mu guards the queue.
+	mu    sync.Mutex
+	queue []pending
+
 	// routed counts edges the writer routed to each shard since
 	// construction — the load signal the rebalance policy reads.
 	routed []atomic.Uint64
 
-	// dur is the durability state (WAL + checkpoints), nil for a purely
-	// in-memory Store. OpenDurable sets it, log attached, before the Store
-	// is visible to callers; recovery ran on the graph before New, so
-	// nothing it replayed could be re-logged.
-	dur *durability
-
 	// auto is the writer's skew check (autoCheck): the obs.Now at which the
 	// next is due, and the routed counters the last one read; seen is nil
-	// when the check is off. Small on purpose: a Store of more than 320
-	// bytes is in a size class whose objects start 32 bytes off a cache
-	// line every other time, which moves cur onto the line of the queue
-	// header every enqueue writes; at 336 bytes the benchmark's point reads
-	// ran 7–10 % slower (EXPERIMENTS.md "One re-cut").
+	// when the check is off.
 	auto struct {
 		next int64
 		seen []uint64
