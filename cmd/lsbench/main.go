@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -79,6 +80,23 @@ func (o *options) scaleFromFlags(fs *flag.FlagSet) (bench.Scale, error) {
 	return s, nil
 }
 
+// experiments returns the names -exp selects, checked against
+// bench.Experiments before any of them runs.
+func (o *options) experiments() ([]string, error) {
+	if o.exp == "all" {
+		return bench.Experiments, nil
+	}
+	var names []string
+	for _, f := range strings.Split(o.exp, ",") {
+		name := strings.TrimSpace(f)
+		if !slices.Contains(bench.Experiments, name) {
+			return nil, fmt.Errorf("unknown experiment %q (known: %s)", name, strings.Join(bench.Experiments, ", "))
+		}
+		names = append(names, name)
+	}
+	return names, nil
+}
+
 func main() {
 	o := newFlags(flag.CommandLine)
 	flag.Parse()
@@ -94,17 +112,13 @@ func main() {
 	}
 
 	s, err := o.scaleFromFlags(flag.CommandLine)
+	var names []string
+	if err == nil {
+		names, err = o.experiments()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lsbench:", err)
 		os.Exit(2)
-	}
-
-	names := bench.Experiments
-	if o.exp != "all" {
-		names = nil
-		for _, f := range strings.Split(o.exp, ",") {
-			names = append(names, strings.TrimSpace(f))
-		}
 	}
 	for _, name := range names {
 		if err := bench.Run(name, s, os.Stdout); err != nil {

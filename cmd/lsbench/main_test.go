@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lsgraph/internal/bench"
@@ -36,6 +37,31 @@ func TestScaleFromFlags(t *testing.T) {
 		got, err := o.scaleFromFlags(fs)
 		if (err != nil) != tc.bad || !tc.bad && !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%v: scale %+v, err %v; want %+v, error %v", tc.args, got, err, tc.want, tc.bad)
+		}
+	}
+}
+
+// TestExperimentsCheckedFirst: -exp names every experiment it selects, and
+// one unknown name refuses the whole list before anything runs, naming
+// every known experiment.
+func TestExperimentsCheckedFirst(t *testing.T) {
+	for _, tc := range []struct {
+		exp  string
+		want []string
+	}{
+		{exp: "all", want: bench.Experiments},
+		{exp: "fig12, table3", want: []string{"fig12", "table3"}},
+		{exp: "fig12,tabel3"},
+		{exp: ""},
+	} {
+		o := &options{exp: tc.exp}
+		got, err := o.experiments()
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), strings.Join(bench.Experiments, ", ")) {
+				t.Errorf("-exp %q: names %v, error %v; want an error naming every experiment", tc.exp, got, err)
+			}
+		} else if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("-exp %q: names %v, error %v; want %v", tc.exp, got, err, tc.want)
 		}
 	}
 }

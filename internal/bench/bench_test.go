@@ -3,8 +3,12 @@ package bench
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"lsgraph/internal/core"
+	"lsgraph/internal/engine"
 )
 
 // tinyScale keeps every experiment under a second for unit testing.
@@ -61,8 +65,11 @@ func TestEngineRegistry(t *testing.T) {
 			t.Fatalf("engine %q reports name %q", name, e.Name())
 		}
 	}
-	if len(NewEngines(16, 1)) != 4 {
-		t.Fatal("NewEngines count")
+	d, _ := MakeDataset("LJ-sim", tinyScale())
+	for i, e := range loadedAll(d, 1) {
+		if e.Name() != EngineNames[i] || e.NumEdges() == 0 {
+			t.Fatalf("loadedAll[%d] is %q with %d edges, want %q loaded", i, e.Name(), e.NumEdges(), EngineNames[i])
+		}
 	}
 }
 
@@ -79,9 +86,13 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: an unknown name writes nothing and returns an
+// error naming every experiment, in Experiments order.
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := Run("bogus", tinyScale(), &bytes.Buffer{}); err == nil {
-		t.Fatal("expected error")
+	var buf bytes.Buffer
+	err := Run("nope", tinyScale(), &buf)
+	if err == nil || !strings.Contains(err.Error(), strings.Join(Experiments, ", ")) || buf.Len() != 0 {
+		t.Fatalf("Run(\"nope\") wrote %q and returned %v; want an error naming %v", buf.String(), err, Experiments)
 	}
 }
 
@@ -145,7 +156,6 @@ func TestEveryExperimentSmokes(t *testing.T) {
 	}
 	s := tinyScale()
 	for _, name := range Experiments {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
 			if err := Run(name, s, &buf); err != nil {
@@ -158,5 +168,27 @@ func TestEveryExperimentSmokes(t *testing.T) {
 				t.Errorf("lifecycle phase coverage incomplete:\n%s", buf.String())
 			}
 		})
+	}
+}
+
+// TestInsertTimeRestoresGraph pins the procedure every update figure
+// shares: after insertTime's trials each engine holds exactly the graph it
+// was loaded with.
+func TestInsertTimeRestoresGraph(t *testing.T) {
+	s := tinyScale()
+	d, _ := MakeDataset("LJ-sim", s)
+	want := Loaded("LSGraph", d, s.Workers)
+	engines := append(loadedAll(d, s.Workers), loadedCore(d, core.Config{Overflow: core.KindPMA, Workers: s.Workers}))
+	for _, e := range engines {
+		insertTime(e, d, 100, 3)
+		if e.NumEdges() != want.NumEdges() {
+			t.Errorf("%s: %d edges after insertTime, loaded %d", e.Name(), e.NumEdges(), want.NumEdges())
+		}
+		for v := uint32(0); v < d.N; v++ {
+			if got, w := engine.Neighbors(e, v), engine.Neighbors(want, v); !slices.Equal(got, w) {
+				t.Errorf("%s: vertex %d has neighbors %v after insertTime, loaded %v", e.Name(), v, got, w)
+				break
+			}
+		}
 	}
 }

@@ -12,7 +12,9 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"lsgraph/internal/gen"
 )
@@ -23,7 +25,8 @@ type Dataset struct {
 	Name string
 	// N is the number of vertex slots.
 	N uint32
-	// Edges is the symmetrized directed edge list.
+	// Edges is the symmetrized directed edge list, each edge once, in
+	// ascending (src, dst) order (gen.Symmetrize's output).
 	Edges []gen.Edge
 }
 
@@ -125,13 +128,7 @@ func (d *Dataset) UpdateBatch(b int, trial int) (src, dst []uint32) {
 		scale++
 	}
 	g := gen.NewRMatPaper(scale, 7_000_000+uint64(trial)*131+uint64(len(d.Name)))
-	es := g.Edges(b)
-	src = make([]uint32, len(es))
-	dst = make([]uint32, len(es))
-	for i, e := range es {
-		src[i], dst[i] = e.Src, e.Dst
-	}
-	return src, dst
+	return Split(g.Edges(b))
 }
 
 // Split converts an edge slice into the columnar form engines ingest.
@@ -142,4 +139,19 @@ func Split(es []gen.Edge) (src, dst []uint32) {
 		src[i], dst[i] = e.Src, e.Dst
 	}
 	return src, dst
+}
+
+// present returns the edges of a batch that the loaded dataset holds: the
+// ones deleting the batch takes from the loaded graph, so the ones that
+// restore it when inserted again.
+func (d *Dataset) present(src, dst []uint32) (ps, pd []uint32) {
+	for i := range src {
+		k := gen.Edge{Src: src[i], Dst: dst[i]}.Key()
+		if _, ok := slices.BinarySearchFunc(d.Edges, k, func(e gen.Edge, k uint64) int {
+			return cmp.Compare(e.Key(), k)
+		}); ok {
+			ps, pd = append(ps, src[i]), append(pd, dst[i])
+		}
+	}
+	return ps, pd
 }

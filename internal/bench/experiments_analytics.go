@@ -20,14 +20,10 @@ func Fig13(s Scale, w io.Writer) {
 		"Paper: LSGraph ahead of Terrace up to 1.16x/1.21x, Aspen up to 3.55x, PaC-tree up to 2.72x.",
 		"graph", "algo", "LSGraph", "Terrace", "Aspen", "PaC-tree")
 	for _, d := range AllDatasets(s) {
-		engines := make([]engine.Engine, len(EngineNames))
-		for i, name := range EngineNames {
-			engines[i] = Loaded(name, d, s.Workers)
-		}
+		engines := loadedAll(d, s.Workers)
 		src := maxDegreeVertex(engines[0])
 		var bfs, bc [4]time.Duration
 		for i, e := range engines {
-			e := e
 			bfs[i] = timeIt(s.Trials, func() { algo.BFS(e, src, s.Workers) })
 			bc[i] = timeIt(s.Trials, func() { algo.BC(e, src, s.Workers) })
 		}
@@ -88,8 +84,7 @@ func Table3(s Scale, w io.Writer) {
 	for _, d := range AllDatasets(s) {
 		var mem [4]float64
 		var lsIdx float64
-		for i, name := range EngineNames {
-			e := Loaded(name, d, s.Workers)
+		for i, e := range loadedAll(d, s.Workers) {
 			if g, ok := e.(*core.Graph); ok {
 				// MemoryUsage counts the update pipeline's buffers, and the
 				// bulk load just sized them to the whole graph; the table
@@ -116,9 +111,7 @@ func Fig15(s Scale, w io.Writer) {
 		d, _ := MakeDataset(name, s)
 		for _, a := range alphas {
 			for _, m := range ms {
-				g := core.New(d.N, core.Config{Alpha: a, M: m, Workers: s.Workers})
-				src, dst := Split(d.Edges)
-				g.InsertBatch(src, dst)
+				g := loadedCore(d, core.Config{Alpha: a, M: m, Workers: s.Workers})
 				pr := timeIt(s.Trials, func() { algo.PageRank(g, 10, s.Workers) })
 				t.Row(d.Name, a, m, pr)
 			}

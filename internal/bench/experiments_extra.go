@@ -18,8 +18,7 @@ func KCoreExtra(s Scale, w io.Writer) {
 		row := []interface{}{d.Name}
 		var degen uint32
 		times := make([]interface{}, 0, len(EngineNames))
-		for _, name := range EngineNames {
-			e := Loaded(name, d, s.Workers)
+		for _, e := range loadedAll(d, s.Workers) {
 			var core []uint32
 			dt := timeIt(s.Trials, func() { core = algo.KCore(e, s.Workers) })
 			if degen == 0 {

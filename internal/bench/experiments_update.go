@@ -6,7 +6,6 @@ import (
 
 	"lsgraph/internal/algo"
 	"lsgraph/internal/core"
-	"lsgraph/internal/engine"
 	"lsgraph/internal/gen"
 	"lsgraph/internal/terrace"
 )
@@ -31,18 +30,10 @@ func Fig3(s Scale, w io.Writer) {
 	t2 := NewTable("Figure 3(b): insertion throughput (edges/s) on OR, Terrace vs Aspen",
 		"Paper: Aspen overtakes Terrace as batches grow large.",
 		"batch", "Terrace", "Aspen")
+	tr, as := Loaded("Terrace", or, s.Workers), Loaded("Aspen", or, s.Workers)
 	for _, b := range s.BatchSizes {
-		row := []interface{}{b}
-		for _, name := range []string{"Terrace", "Aspen"} {
-			e := Loaded(name, or, s.Workers)
-			src, dst := or.UpdateBatch(b, 0)
-			d := timeIt(s.Trials, func() {
-				e.InsertBatch(src, dst)
-				e.DeleteBatch(src, dst)
-			})
-			row = append(row, throughput(b, d/2))
-		}
-		t2.Row(row...)
+		t2.Row(b, throughput(b, insertTime(tr, or, b, s.Trials)),
+			throughput(b, insertTime(as, or, b, s.Trials)))
 	}
 	t2.WriteTo(w)
 }
@@ -57,8 +48,7 @@ func Fig4(s Scale, w io.Writer) {
 	for _, d := range SmallDatasets(s) {
 		g := terrace.New(d.N, 1)
 		g.Instrument = true
-		src, dst := Split(d.Edges)
-		g.InsertBatch(src, dst)
+		g.InsertBatch(Split(d.Edges))
 		b := s.BatchSizes[len(s.BatchSizes)-1]
 		bs, bd := d.UpdateBatch(b, 0)
 		before := g.PMAStats()
@@ -77,21 +67,14 @@ func Fig4(s Scale, w io.Writer) {
 }
 
 // Fig12 reproduces the headline update experiment: insertion throughput of
-// all four systems with varying batch sizes on every graph. Each batch is
-// inserted and then deleted so the loaded graph is unchanged between
-// measurements, exactly the paper's procedure.
+// all four systems with varying batch sizes on every graph, by the paper's
+// procedure (insertTime).
 func Fig12(s Scale, w io.Writer) {
 	t := NewTable("Figure 12: insertion throughput (edges/s), all systems x all graphs",
 		"Paper: LSGraph beats Terrace 2.98x-81.08x, Aspen 1.46x-12.56x, PaC-tree 1.26x-10.31x.",
 		append([]string{"graph", "batch"}, EngineNames...)...)
 	for _, d := range AllDatasets(s) {
-		// Load each engine once per graph; every measured insert batch is
-		// deleted again afterward, so the loaded graph is identical across
-		// batch sizes (the paper's procedure).
-		engines := make([]engine.Engine, len(EngineNames))
-		for i, name := range EngineNames {
-			engines[i] = Loaded(name, d, s.Workers)
-		}
+		engines := loadedAll(d, s.Workers)
 		for _, b := range s.BatchSizes {
 			if b > 2*len(d.Edges) {
 				// The paper's largest batches are about the size of the
@@ -101,15 +84,7 @@ func Fig12(s Scale, w io.Writer) {
 			}
 			row := []interface{}{d.Name, b}
 			for _, e := range engines {
-				var total time.Duration
-				for trial := 0; trial < s.Trials; trial++ {
-					src, dst := d.UpdateBatch(b, trial)
-					t0 := time.Now()
-					e.InsertBatch(src, dst)
-					total += time.Since(t0)
-					e.DeleteBatch(src, dst) // restore, untimed here
-				}
-				row = append(row, throughput(b, total/time.Duration(s.Trials)))
+				row = append(row, throughput(b, insertTime(e, d, b, s.Trials)))
 			}
 			t.Row(row...)
 		}
@@ -123,10 +98,7 @@ func Deletions(s Scale, w io.Writer) {
 		"Paper: LSGraph beats Terrace 3.59x-133.52x, Aspen 1.97x-26.77x, PaC-tree 1.58x-24.41x.",
 		append([]string{"graph", "batch"}, EngineNames...)...)
 	for _, d := range SmallDatasets(s) {
-		engines := make([]engine.Engine, len(EngineNames))
-		for i, name := range EngineNames {
-			engines[i] = Loaded(name, d, s.Workers)
-		}
+		engines := loadedAll(d, s.Workers)
 		for _, b := range s.BatchSizes {
 			if b > 2*len(d.Edges) {
 				continue
@@ -140,6 +112,7 @@ func Deletions(s Scale, w io.Writer) {
 					t0 := time.Now()
 					e.DeleteBatch(src, dst)
 					total += time.Since(t0)
+					e.InsertBatch(d.present(src, dst)) // restore, untimed
 				}
 				row = append(row, throughput(b, total/time.Duration(s.Trials)))
 			}
@@ -157,17 +130,8 @@ func SmallBatch(s Scale, w io.Writer) {
 	const b, reps = 10, 200
 	for _, d := range SmallDatasets(s) {
 		row := []interface{}{d.Name}
-		for _, name := range EngineNames {
-			e := Loaded(name, d, s.Workers)
-			var total time.Duration
-			for r := 0; r < reps; r++ {
-				src, dst := d.UpdateBatch(b, r)
-				t0 := time.Now()
-				e.InsertBatch(src, dst)
-				total += time.Since(t0)
-				e.DeleteBatch(src, dst)
-			}
-			row = append(row, throughput(b*reps, total))
+		for _, e := range loadedAll(d, s.Workers) {
+			row = append(row, throughput(b, insertTime(e, d, b, reps)))
 		}
 		t.Row(row...)
 	}
@@ -181,29 +145,13 @@ func Ablation(s Scale, w io.Writer) {
 	t := NewTable("Ablation: insertion throughput (edges/s) of LSGraph variants (§6.2)",
 		"Paper: RIA contributes 60.9%-83.4%, HITree 6.9%-21.5%, LIA 1.8%-7.2% of the improvement.",
 		"graph", "batch", "LSGraph", "PMA-for-RIA", "RIA-only", "binary-search")
-	cfgs := []core.Config{
-		{},
-		{Overflow: core.KindPMA},
-		{Overflow: core.KindRIAOnly},
-		{DisableModel: true},
-	}
+	cfgs := []core.Config{{}, {Overflow: core.KindPMA}, {Overflow: core.KindRIAOnly}, {DisableModel: true}}
 	for _, d := range SmallDatasets(s) {
 		b := paperBatch(d, s)
 		row := []interface{}{d.Name, b}
 		for _, cfg := range cfgs {
 			cfg.Workers = s.Workers
-			g := core.New(d.N, cfg)
-			src, dst := Split(d.Edges)
-			g.InsertBatch(src, dst)
-			var total time.Duration
-			for trial := 0; trial < s.Trials; trial++ {
-				bs, bd := d.UpdateBatch(b, trial)
-				t0 := time.Now()
-				g.InsertBatch(bs, bd)
-				total += time.Since(t0)
-				g.DeleteBatch(bs, bd)
-			}
-			row = append(row, throughput(b, total/time.Duration(s.Trials)))
+			row = append(row, throughput(b, insertTime(loadedCore(d, cfg), d, b, s.Trials)))
 		}
 		t.Row(row...)
 	}
@@ -224,18 +172,8 @@ func Fig14(s Scale, w io.Writer) {
 		b := paperBatch(d, s)
 		for _, a := range alphas {
 			for _, m := range ms {
-				g := core.New(d.N, core.Config{Alpha: a, M: m, Workers: s.Workers})
-				src, dst := Split(d.Edges)
-				g.InsertBatch(src, dst)
-				var total time.Duration
-				for trial := 0; trial < s.Trials; trial++ {
-					bs, bd := d.UpdateBatch(b, trial)
-					t0 := time.Now()
-					g.InsertBatch(bs, bd)
-					total += time.Since(t0)
-					g.DeleteBatch(bs, bd)
-				}
-				t.Row(d.Name, a, m, total/time.Duration(s.Trials))
+				g := loadedCore(d, core.Config{Alpha: a, M: m, Workers: s.Workers})
+				t.Row(d.Name, a, m, insertTime(g, d, b, s.Trials))
 			}
 		}
 	}
@@ -274,9 +212,7 @@ func Fig16(s Scale, w io.Writer) {
 	b := paperBatch(or, s)
 	for _, a := range alphas {
 		for _, m := range ms {
-			g := core.New(or.N, core.Config{Alpha: a, M: m, Workers: s.Workers})
-			src, dst := Split(or.Edges)
-			g.InsertBatch(src, dst)
+			g := loadedCore(or, core.Config{Alpha: a, M: m, Workers: s.Workers})
 			var total time.Duration
 			for round := 0; round < 5; round++ {
 				bs, bd := or.UpdateBatch(b, round)
@@ -300,17 +236,8 @@ func Fig17(s Scale, w io.Writer) {
 	b := paperBatch(or, s)
 	for _, workers := range workerSweep() {
 		row := []interface{}{workers}
-		for _, name := range EngineNames {
-			e := Loaded(name, or, workers)
-			var total time.Duration
-			for trial := 0; trial < s.Trials; trial++ {
-				src, dst := or.UpdateBatch(b, trial)
-				t0 := time.Now()
-				e.InsertBatch(src, dst)
-				total += time.Since(t0)
-				e.DeleteBatch(src, dst)
-			}
-			row = append(row, throughput(b, total/time.Duration(s.Trials)))
+		for _, e := range loadedAll(or, workers) {
+			row = append(row, throughput(b, insertTime(e, or, b, s.Trials)))
 		}
 		t.Row(row...)
 	}
@@ -388,21 +315,10 @@ func Graph500(s Scale, w io.Writer) {
 	raw := gen.NewGraph500(scale, 4242).Edges(int(n) * 8)
 	sym := gen.Symmetrize(raw)
 	d := &Dataset{Name: "G500-sim", N: n, Edges: sym}
+	ls, as, pt := Loaded("LSGraph", d, s.Workers), Loaded("Aspen", d, s.Workers), Loaded("PaC-tree", d, s.Workers)
 	for _, b := range s.BatchSizes {
-		row := []interface{}{b}
-		for _, name := range []string{"LSGraph", "Aspen", "PaC-tree"} {
-			e := Loaded(name, d, s.Workers)
-			var total time.Duration
-			for trial := 0; trial < s.Trials; trial++ {
-				src, dst := d.UpdateBatch(b, trial)
-				t0 := time.Now()
-				e.InsertBatch(src, dst)
-				total += time.Since(t0)
-				e.DeleteBatch(src, dst)
-			}
-			row = append(row, throughput(b, total/time.Duration(s.Trials)))
-		}
-		t.Row(row...)
+		t.Row(b, throughput(b, insertTime(ls, d, b, s.Trials)),
+			throughput(b, insertTime(as, d, b, s.Trials)), throughput(b, insertTime(pt, d, b, s.Trials)))
 	}
 	t.WriteTo(w)
 }

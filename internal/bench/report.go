@@ -95,56 +95,37 @@ func throughput(edges int, d time.Duration) float64 {
 	return float64(edges) / d.Seconds()
 }
 
-// Experiment names accepted by Run, in report order.
-var Experiments = []string{
-	"fig3", "fig4", "fig12", "deletions", "smallbatch", "ablation",
-	"fig13", "table2", "table3", "fig14", "fig15", "fig16", "fig17",
-	"streaming", "graph500", "kcore", "rebalance", "trace",
+// experiments is every experiment Run accepts, in report order.
+var experiments = []struct {
+	name string
+	run  func(Scale, io.Writer)
+}{
+	{"fig3", Fig3}, {"fig4", Fig4}, {"fig12", Fig12}, {"deletions", Deletions},
+	{"smallbatch", SmallBatch}, {"ablation", Ablation}, {"fig13", Fig13},
+	{"table2", Table2}, {"table3", Table3}, {"fig14", Fig14}, {"fig15", Fig15},
+	{"fig16", Fig16}, {"fig17", Fig17}, {"streaming", Streaming},
+	{"graph500", Graph500}, {"kcore", KCoreExtra}, {"rebalance", Rebalance},
+	{"trace", TraceDemo},
 }
+
+// Experiments names the experiments Run accepts, in report order.
+var Experiments = func() []string {
+	names := make([]string, len(experiments))
+	for i, x := range experiments {
+		names[i] = x.name
+	}
+	return names
+}()
 
 // Run executes one named experiment at the given scale, writing its report
 // to w.
 func Run(name string, s Scale, w io.Writer) error {
-	switch name {
-	case "fig3":
-		Fig3(s, w)
-	case "fig4":
-		Fig4(s, w)
-	case "fig12":
-		Fig12(s, w)
-	case "deletions":
-		Deletions(s, w)
-	case "smallbatch":
-		SmallBatch(s, w)
-	case "ablation":
-		Ablation(s, w)
-	case "fig13":
-		Fig13(s, w)
-	case "table2":
-		Table2(s, w)
-	case "table3":
-		Table3(s, w)
-	case "fig14":
-		Fig14(s, w)
-	case "fig15":
-		Fig15(s, w)
-	case "fig16":
-		Fig16(s, w)
-	case "fig17":
-		Fig17(s, w)
-	case "streaming":
-		Streaming(s, w)
-	case "graph500":
-		Graph500(s, w)
-	case "kcore":
-		KCoreExtra(s, w)
-	case "rebalance":
-		Rebalance(s, w)
-	case "trace":
-		TraceDemo(s, w)
-	default:
-		return fmt.Errorf("bench: unknown experiment %q (known: %s)",
-			name, strings.Join(Experiments, ", "))
+	for _, x := range experiments {
+		if x.name == name {
+			x.run(s, w)
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("bench: unknown experiment %q (known: %s)",
+		name, strings.Join(Experiments, ", "))
 }
